@@ -23,9 +23,9 @@ fn ooc_pipeline_traversal_floor() {
         r.swaps,
     );
     // Batching makes the traversal count granularity-independent: one
-    // compute traversal per swap boundary + the swap passes themselves.
+    // traversal per swap boundary, the swap halves riding inside.
     assert_eq!(r.pipelined.runs, r.swaps + 1);
-    assert!(r.pipelined.traversals <= (r.swaps as u64 + 1) + 2 * r.swaps as u64);
+    assert_eq!(r.pipelined.traversals, r.swaps as u64 + 1);
     // The pipelined run overlaps IO with compute; the sync baseline by
     // construction cannot.
     assert!(r.pipelined.overlap_fraction >= 0.0);
@@ -37,10 +37,9 @@ fn ooc_compress_smoke() {
     // 3×4 grid (n = 12), depth 10, 4 chunks, single thread: the codec
     // comparison must show shuffle-rle never losing to raw on bytes
     // written and reproducing the raw state bit for bit, with lossy-8
-    // inside its truncation budget. (The ≥ 1.3x byte-reduction
-    // acceptance floor is asserted by the full-size
-    // `fig_ooc_pipeline --mode compress` run, not here — a toy state is
-    // not representative of the n=22 entropy profile.)
+    // inside its truncation budget. (No byte-reduction floor: the one
+    // highly compressible generation was the start state, which the
+    // engine synthesises and never writes.)
     let r = run_compress_bench(
         3,
         4,

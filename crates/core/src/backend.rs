@@ -16,11 +16,11 @@
 //!   arithmetic), so every `max_dist == 0.0` equivalence suite holds
 //!   through the trait unchanged.
 //! * **Checkpoint granularity** is engine-defined: the single-node
-//!   engine checkpoints per *stage*, the distributed engine per *stage
-//!   run* (the unit between all-to-alls), the out-of-core engine per
-//!   *streaming pass*. `BackendPlan::total_units` reports the unit
-//!   count so callers can pick a valid `run_to_stage` stop point
-//!   without knowing which engine they hold.
+//!   engine checkpoints per *stage*, the distributed and out-of-core
+//!   engines per *stage run* (the unit between all-to-alls; out of core
+//!   it is also one streaming pass). `BackendPlan::total_units` reports
+//!   the unit count so callers can pick a valid `run_to_stage` stop
+//!   point without knowing which engine they hold.
 //! * **Kill/resume.** `run_to_stage(plan, Some(u))` completes `u` units,
 //!   makes them durable, and returns [`SimError::InjectedStop`] with
 //!   `unit == u`; a subsequent `resume(dir)` + `run` continues from the
@@ -80,8 +80,8 @@ pub struct BackendPlan {
     /// Tile budget recovered from a cache hit (skips the autotune
     /// probe); `None` resolves at execution time.
     pub tile_qubits: Option<u32>,
-    /// Checkpoint units this plan executes (stages / stage runs /
-    /// streaming passes — see the module docs on granularity). Valid
+    /// Checkpoint units this plan executes (stages / stage runs — see
+    /// the module docs on granularity). Valid
     /// `run_to_stage` stop points are `1..=total_units`.
     pub total_units: usize,
 }
@@ -105,7 +105,7 @@ pub enum BackendStats {
     Ooc {
         io: IoStats,
         sweep: SweepStats,
-        /// Stage runs executed (streaming batches, not passes).
+        /// Stage runs executed (`== io.traversals`: one pass each).
         runs: usize,
     },
 }

@@ -224,33 +224,38 @@ pub fn par_scatter<T: Real>(
     });
 }
 
-/// Parallel reduction over amplitudes.
+/// Parallel reduction over amplitudes: one partial per fixed sub-chunk,
+/// merged in index order. Which worker computes which partial (or
+/// finishes first) cannot reach the result, so a floating-point `merge`
+/// repeats bit for bit from run to run.
 pub fn par_reduce_amplitudes<T: Real, A: Send>(
     state: &[Complex<T>],
     identity: impl Fn() -> A + Sync + Send,
     fold: impl Fn(A, usize, Complex<T>) -> A + Sync,
     merge: impl Fn(A, A) -> A + Sync + Send,
 ) -> A {
-    if state.len() < PAR_THRESHOLD {
+    let fold_range = |base: usize, amps: &[Complex<T>]| {
         let mut acc = identity();
-        for (i, &a) in state.iter().enumerate() {
-            acc = fold(acc, i, a);
+        for (j, &a) in amps.iter().enumerate() {
+            acc = fold(acc, base + j, a);
         }
-        return acc;
+        acc
+    };
+    if state.len() < PAR_THRESHOLD {
+        return fold_range(0, state);
     }
     let chunk = (state.len() / (rayon::current_num_threads() * 8)).max(1024);
-    state
-        .par_chunks(chunk)
+    let mut partials: Vec<Option<A>> = Vec::new();
+    partials.resize_with(state.len().div_ceil(chunk), || None);
+    partials
+        .par_chunks_mut(1)
         .enumerate()
-        .map(|(ci, ch)| {
+        .for_each(|(ci, slot)| {
             let base = ci * chunk;
-            let mut acc = identity();
-            for (j, &a) in ch.iter().enumerate() {
-                acc = fold(acc, base + j, a);
-            }
-            acc
-        })
-        .reduce(&identity, &merge)
+            let end = (base + chunk).min(state.len());
+            slot[0] = Some(fold_range(base, &state[base..end]));
+        });
+    partials.into_iter().flatten().fold(identity(), merge)
 }
 
 /// Split `[0, blocks)` into roughly `parts * 4` contiguous ranges (over-
@@ -344,6 +349,26 @@ mod tests {
             |x, y| x + y,
         );
         assert!((norm - expect_norm).abs() < 1e-9);
+    }
+
+    #[test]
+    fn par_reduce_merges_in_index_order() {
+        // A merge that is neither commutative nor associative in
+        // floating point: any dependence on worker scheduling shows up
+        // as a changed bit within a few repetitions.
+        let state = random_state(16, 5);
+        let reduce = || {
+            par_reduce_amplitudes(
+                &state,
+                || 0.0f64,
+                |acc, i, a| acc + a.norm_sqr() * (1.0 + i as f64 * 1e-3),
+                |x, y| x * 0.999 + y,
+            )
+        };
+        let first = reduce();
+        for _ in 0..20 {
+            assert_eq!(reduce().to_bits(), first.to_bits());
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Lives here rather than in `qsim_core::backend` because the OOC
 //! engine sits above the core crate in the dependency order; the trait
 //! itself (and the single/dist impls) are defined below. Checkpoint
-//! unit: one *streaming pass* (stage run, swap scatter, swap
-//! unpermute) — see [`OocSimulator::total_passes`].
+//! unit: one *stage run* (= one streaming pass), exactly as on
+//! [`qsim_core::DistBackend`].
 
 use crate::exec::{CrashPoint, OocCheckpoint, OocSimulator};
 use crate::scratch::ScratchDir;
@@ -88,7 +88,7 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
     }
 
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError> {
-        let mut plan = plan_partitioned::<R>(
+        plan_partitioned::<R>(
             circuit,
             self.n_chunks,
             self.kmax,
@@ -96,11 +96,7 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
             self.schedule_cache.clone(),
             self.search_budget,
             &self.sim.config.telemetry,
-        )?;
-        // The OOC checkpoint unit is the streaming pass, not the stage
-        // run the shared planner counts.
-        plan.total_units = self.sim.total_passes(&plan.schedule);
-        Ok(plan)
+        )
     }
 
     fn run_to_stage(

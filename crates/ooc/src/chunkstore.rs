@@ -19,11 +19,13 @@
 //! with no padding, so a `&[Complex<R>]` reinterprets soundly as `&[u8]`)
 //! — no intermediate byte `Vec`s. The pipelined engine's IO threads use
 //! [`ChunkReader`] / [`ChunkWriter`] views, which hold their own file
-//! handles (independent cursors) opened once per pass, plus local
-//! [`IoStats`] merged back on completion. Buffers come from a
-//! [`BufferPool`] of 64-byte-aligned allocations recycled across chunks,
-//! passes and engine runs, so the steady-state chunk loop performs no
-//! heap allocation (asserted by `tests/ooc_alloc.rs`).
+//! handles (independent cursors) opened at most once per pass — the
+//! writer's lazily, since no live chunk exists before a run's first
+//! write or commit — plus local [`IoStats`] merged back on completion.
+//! Buffers come from a [`BufferPool`] of 64-byte-aligned allocations
+//! recycled across chunks, passes and engine runs, so the steady-state
+//! chunk loop performs no heap allocation (asserted by
+//! `tests/ooc_alloc.rs`).
 //!
 //! ## Compressed chunk records
 //!
@@ -79,6 +81,15 @@ pub(crate) fn amps_as_bytes_mut<R: Real>(amps: &mut [Complex<R>]) -> &mut [u8] {
     let len = std::mem::size_of_val(amps);
     // SAFETY: see `amps_as_bytes`; any byte pattern is a valid Complex<R>.
     unsafe { std::slice::from_raw_parts_mut(amps.as_mut_ptr().cast::<u8>(), len) }
+}
+
+/// Every amplitude of the n-qubit uniform superposition. The one
+/// expression (shared with `StateVector::uniform_slice`) behind both the
+/// written and the synthesised start state, so all tiers start bitwise
+/// equal.
+#[inline]
+pub(crate) fn uniform_amp<R: Real>(n_qubits: u32) -> Complex<R> {
+    Complex::new(R::ONE / R::from_usize(1usize << n_qubits).sqrt(), R::ZERO)
 }
 
 /// A pool of fixed-length 64-byte-aligned amplitude buffers. `get`
@@ -162,10 +173,6 @@ pub struct ChunkStore<R: Real = f64> {
     /// across chunks so codec IO stays allocation-free once warm.
     scratch: CodecScratch,
     enc: Vec<u8>,
-    /// Staged files this store has appended frames to since the last
-    /// commit/clear (codec mode truncates each staged file on first
-    /// touch — frames append, they don't overwrite in place).
-    staged_open: Vec<bool>,
     _precision: std::marker::PhantomData<R>,
 }
 
@@ -179,7 +186,6 @@ impl<R: Real> ChunkStore<R> {
             codec,
             scratch: CodecScratch::default(),
             enc: Vec::new(),
-            staged_open: vec![false; 1usize << global_qubits],
             _precision: std::marker::PhantomData,
         }
     }
@@ -215,6 +221,19 @@ impl<R: Real> ChunkStore<R> {
         Ok(store)
     }
 
+    /// A store with no chunk files yet (directory created if missing):
+    /// the engine synthesises the start state in its first pass, so live
+    /// chunks first appear when that pass writes or commits them.
+    pub fn create_empty_with(
+        dir: &Path,
+        local_qubits: u32,
+        global_qubits: u32,
+        codec: Codec,
+    ) -> std::io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        Ok(Self::bare(dir, local_qubits, global_qubits, codec))
+    }
+
     /// Open an existing store (files must have been created by a prior
     /// `create_*` with the same geometry and codec mode).
     pub fn open(dir: &Path, local_qubits: u32, global_qubits: u32) -> std::io::Result<Self> {
@@ -233,17 +252,18 @@ impl<R: Real> ChunkStore<R> {
         let store = Self::bare(dir, local_qubits, global_qubits, codec);
         for c in 0..store.n_chunks() {
             let p = store.chunk_path(c);
-            let meta = std::fs::metadata(&p)?;
-            if codec.is_none() {
-                assert_eq!(
-                    meta.len(),
-                    (store.chunk_len() * amp_bytes::<R>()) as u64,
-                    "chunk {c} has wrong size for this geometry/precision"
-                );
-            } else if (meta.len() as usize) < qsim_compress::FRAME_HEADER_LEN {
+            let len = std::fs::metadata(&p)?.len();
+            let want = (store.chunk_len() * amp_bytes::<R>()) as u64;
+            let fault = if codec.is_none() {
+                (len != want).then(|| format!("this geometry/precision needs {want}"))
+            } else {
+                (len < qsim_compress::FRAME_HEADER_LEN as u64)
+                    .then(|| "too short to hold a frame (not a codec store?)".to_string())
+            };
+            if let Some(why) = fault {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("chunk {c} too short to hold a frame (not a codec store?)"),
+                    format!("chunk {c} holds {len} bytes: {why}"),
                 ));
             }
         }
@@ -252,36 +272,17 @@ impl<R: Real> ChunkStore<R> {
 
     /// |0…0⟩: amplitude 1 in chunk 0 slot 0, zero elsewhere.
     pub fn create_zero_state(dir: &Path, l: u32, g: u32) -> std::io::Result<Self> {
-        Self::create_zero_state_with(dir, l, g, Codec::None)
-    }
-
-    /// [`ChunkStore::create_zero_state`] with an explicit chunk codec.
-    pub fn create_zero_state_with(
-        dir: &Path,
-        l: u32,
-        g: u32,
-        codec: Codec,
-    ) -> std::io::Result<Self> {
-        let mut store = Self::create_filled_with(dir, l, g, Complex::zero(), codec)?;
+        let mut store = Self::create_filled(dir, l, g, Complex::zero())?;
         let mut chunk0 = store.read_chunk(0)?;
         chunk0[0] = Complex::one();
         store.write_chunk_from(0, &chunk0)?;
         Ok(store)
     }
 
-    /// The uniform superposition (the supremacy starting state, §3.6).
-    /// The amplitude is computed with the same expression as
-    /// `StateVector::uniform_slice`, so the initial chunks are bitwise
-    /// equal to the in-memory engines' initial slices at every tier.
+    /// The uniform superposition (the supremacy starting state, §3.6),
+    /// written out — what the engine's first pass synthesises instead.
     pub fn create_uniform(dir: &Path, l: u32, g: u32) -> std::io::Result<Self> {
-        Self::create_uniform_with(dir, l, g, Codec::None)
-    }
-
-    /// [`ChunkStore::create_uniform`] with an explicit chunk codec.
-    pub fn create_uniform_with(dir: &Path, l: u32, g: u32, codec: Codec) -> std::io::Result<Self> {
-        let n = l + g;
-        let amp = R::ONE / R::from_usize(1usize << n).sqrt();
-        Self::create_filled_with(dir, l, g, Complex::new(amp, R::ZERO), codec)
+        Self::create_filled(dir, l, g, uniform_amp(l + g))
     }
 
     /// The chunk codec this store reads and writes with.
@@ -413,68 +414,8 @@ impl<R: Real> ChunkStore<R> {
         Ok(())
     }
 
-    /// Write a sub-range of the staged (shadow) copy of chunk `c`,
-    /// creating and sizing the staged file on first touch. The fused
-    /// external all-to-all assembles each destination piece-by-piece this
-    /// way, so no full destination chunk is ever held in memory during
-    /// the scatter pass.
-    pub fn write_staged_range(
-        &mut self,
-        c: usize,
-        off: usize,
-        amps: &[Complex<R>],
-    ) -> std::io::Result<()> {
-        assert!(off + amps.len() <= self.chunk_len());
-        let logical = (amps.len() * amp_bytes::<R>()) as u64;
-        if self.codec.is_none() {
-            let t = Instant::now();
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(self.staged_path(c))?;
-            let want = (self.chunk_len() * amp_bytes::<R>()) as u64;
-            if f.metadata()?.len() < want {
-                f.set_len(want)?;
-            }
-            f.seek(SeekFrom::Start((off * amp_bytes::<R>()) as u64))?;
-            f.write_all(amps_as_bytes(amps))?;
-            let dt = t.elapsed().as_secs_f64();
-            self.stats.write_seconds += dt;
-            self.stats.io_wait_seconds += dt;
-            self.stats.bytes_written += logical;
-            self.stats.logical_bytes_written += logical;
-        } else {
-            // Codec mode appends one offset-carrying frame per piece:
-            // the first touch since the last commit/clear truncates any
-            // stale shadow, later pieces append at the end.
-            let t = Instant::now();
-            self.enc.clear();
-            encode_frame(self.codec, off, amps, &mut self.scratch, &mut self.enc);
-            let codec_dt = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let first_touch = !self.staged_open[c];
-            self.staged_open[c] = true;
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(first_touch)
-                .open(self.staged_path(c))?;
-            f.seek(SeekFrom::End(0))?;
-            f.write_all(&self.enc)?;
-            let io_dt = t.elapsed().as_secs_f64();
-            self.stats.write_seconds += io_dt;
-            self.stats.encode_seconds += codec_dt;
-            self.stats.io_wait_seconds += io_dt + codec_dt;
-            self.stats.bytes_written += self.enc.len() as u64;
-            self.stats.logical_bytes_written += logical;
-        }
-        Ok(())
-    }
-
-    /// Promote all staged chunks written by `write_staged_range` (on the
-    /// store or any [`ChunkWriter`] view), renaming each over its live
-    /// counterpart.
+    /// Promote all staged chunks written through a [`ChunkWriter`] view,
+    /// renaming each over its live counterpart.
     ///
     /// Crash-consistent ordering: every staged file is `sync_all`ed
     /// *before* the first rename, and the directory is fsynced after the
@@ -485,20 +426,28 @@ impl<R: Real> ChunkStore<R> {
     /// per-chunk digests let [`ChunkStore::open_verified`] roll that
     /// forward.)
     pub fn commit_staged(&mut self) -> std::io::Result<()> {
+        self.promote_staged(true)
+    }
+
+    /// [`ChunkStore::commit_staged`], taking the fsyncs only when
+    /// `durable`: a run that publishes no manifest cannot be resumed, so
+    /// there is no generation for them to protect.
+    pub(crate) fn promote_staged(&mut self, durable: bool) -> std::io::Result<()> {
         let t = Instant::now();
         let mut renamed = false;
         for c in 0..self.n_chunks() {
             let staged = self.staged_path(c);
             if staged.exists() {
-                File::open(&staged)?.sync_all()?;
+                if durable {
+                    File::open(&staged)?.sync_all()?;
+                }
                 std::fs::rename(staged, self.chunk_path(c))?;
                 renamed = true;
             }
         }
-        if renamed {
+        if renamed && durable {
             File::open(&self.dir)?.sync_all()?;
         }
-        self.staged_open.iter_mut().for_each(|b| *b = false);
         let dt = t.elapsed().as_secs_f64();
         self.stats.write_seconds += dt;
         self.stats.io_wait_seconds += dt;
@@ -558,7 +507,6 @@ impl<R: Real> ChunkStore<R> {
                 std::fs::remove_file(staged)?;
             }
         }
-        self.staged_open.iter_mut().for_each(|b| *b = false);
         Ok(())
     }
 
@@ -574,6 +522,10 @@ impl<R: Real> ChunkStore<R> {
     ///   pass;
     /// * every live chunk must then match its digest, or the store is
     ///   rejected as torn ([`std::io::ErrorKind::InvalidData`]).
+    ///
+    /// No live file need exist beforehand: the first pass of a run reads
+    /// none, so a crash between its manifest and its commit leaves only
+    /// staged files, all of which roll forward.
     pub fn open_verified(
         dir: &Path,
         local_qubits: u32,
@@ -593,7 +545,7 @@ impl<R: Real> ChunkStore<R> {
         digests: &[u64],
         codec: Codec,
     ) -> std::io::Result<Self> {
-        let mut store = Self::open_with(dir, local_qubits, global_qubits, codec)?;
+        let mut store = Self::bare(dir, local_qubits, global_qubits, codec);
         assert_eq!(digests.len(), store.n_chunks(), "digest count mismatch");
         let mut renamed = false;
         for (c, &want) in digests.iter().enumerate() {
@@ -661,16 +613,15 @@ impl<R: Real> ChunkStore<R> {
         })
     }
 
-    /// A write view with its own live handles plus lazily created staged
-    /// files. Cursor state is private to the view, so a writeback thread
-    /// never races the reader's seeks.
+    /// A write view with its own lazily created live and staged files
+    /// (no live chunk exists before a run's first write or commit).
+    /// Cursor state is private to the view, so a writeback thread never
+    /// races the reader's seeks.
     pub fn writer(&self) -> std::io::Result<ChunkWriter<R>> {
-        let files = (0..self.n_chunks())
-            .map(|c| OpenOptions::new().write(true).open(self.chunk_path(c)))
-            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(ChunkWriter {
+            live_paths: (0..self.n_chunks()).map(|c| self.chunk_path(c)).collect(),
             staged_paths: (0..self.n_chunks()).map(|c| self.staged_path(c)).collect(),
-            files,
+            live: (0..self.n_chunks()).map(|_| None).collect(),
             staged: (0..self.n_chunks()).map(|_| None).collect(),
             chunk_len: self.chunk_len(),
             stats: IoStats::default(),
@@ -736,12 +687,13 @@ impl<R: Real> ChunkReader<R> {
 }
 
 /// Cached-handle write view of a [`ChunkStore`] (see
-/// [`ChunkStore::writer`]). Live-chunk writes are zero-copy and
-/// allocation-free; the first staged write per chunk creates the shadow
-/// file (once per all-to-all pass).
+/// [`ChunkStore::writer`]). Writes are zero-copy and allocation-free
+/// once the first write per chunk has created (or opened) its live or
+/// shadow file.
 pub struct ChunkWriter<R: Real = f64> {
-    files: Vec<File>,
+    live_paths: Vec<PathBuf>,
     staged_paths: Vec<PathBuf>,
+    live: Vec<Option<File>>,
     staged: Vec<Option<File>>,
     chunk_len: usize,
     stats: IoStats,
@@ -752,36 +704,45 @@ pub struct ChunkWriter<R: Real = f64> {
 }
 
 impl<R: Real> ChunkWriter<R> {
-    /// Overwrite live chunk `c` through the cached handle.
+    /// Overwrite live chunk `c` through the cached handle, creating the
+    /// file on first touch.
     pub fn write_chunk_from(&mut self, c: usize, amps: &[Complex<R>]) -> std::io::Result<()> {
         assert_eq!(amps.len(), self.chunk_len, "chunk size mismatch");
         let logical = (amps.len() * amp_bytes::<R>()) as u64;
-        if self.codec.is_none() {
-            let t = Instant::now();
-            let f = &mut self.files[c];
-            f.seek(SeekFrom::Start(0))?;
-            f.write_all(amps_as_bytes(amps))?;
-            self.stats.write_seconds += t.elapsed().as_secs_f64();
-            self.stats.bytes_written += logical;
-            self.stats.logical_bytes_written += logical;
-        } else {
+        let mut codec_dt = 0.0;
+        if !self.codec.is_none() {
             let t = Instant::now();
             self.enc.clear();
             encode_frame(self.codec, 0, amps, &mut self.scratch, &mut self.enc);
-            let codec_dt = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let f = &mut self.files[c];
-            f.seek(SeekFrom::Start(0))?;
-            f.write_all(&self.enc)?;
-            // The cached handle doesn't truncate on write: chop any
-            // stale tail left by a longer previous generation, or the
-            // next decode would see trailing garbage frames.
-            f.set_len(self.enc.len() as u64)?;
-            self.stats.write_seconds += t.elapsed().as_secs_f64();
-            self.stats.encode_seconds += codec_dt;
-            self.stats.bytes_written += self.enc.len() as u64;
-            self.stats.logical_bytes_written += logical;
+            codec_dt = t.elapsed().as_secs_f64();
         }
+        let t = Instant::now();
+        let bytes = if self.codec.is_none() {
+            amps_as_bytes(amps)
+        } else {
+            &self.enc
+        };
+        let f = match &mut self.live[c] {
+            Some(f) => f,
+            slot => slot.insert(
+                OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(&self.live_paths[c])?,
+            ),
+        };
+        f.seek(SeekFrom::Start(0))?;
+        f.write_all(bytes)?;
+        // The handle doesn't truncate on open: chop any stale tail left
+        // by a longer previous generation (encoded sizes vary; a reused
+        // directory may hold another geometry's chunk), or the next read
+        // would see trailing garbage.
+        f.set_len(bytes.len() as u64)?;
+        self.stats.write_seconds += t.elapsed().as_secs_f64();
+        self.stats.encode_seconds += codec_dt;
+        self.stats.bytes_written += bytes.len() as u64;
+        self.stats.logical_bytes_written += logical;
         Ok(())
     }
 
@@ -924,6 +885,22 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_a_truncated_chunk_with_a_typed_error() {
+        // `run_gather` reopens the store through `open_with`; a short
+        // chunk file must come back as `InvalidData`, not a panic.
+        let dir = ScratchDir::new("store_short");
+        drop(ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap());
+        std::fs::write(dir.path().join("chunk_000002.amps"), b"short").unwrap();
+        for codec in [Codec::None, Codec::ShuffleRle] {
+            let e = ChunkStore::<f64>::open_with(dir.path(), 3, 2, codec)
+                .err()
+                .expect("truncated chunk must not open");
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("chunk 2"), "{e}");
+        }
+    }
+
+    #[test]
     fn io_is_accounted() {
         let dir = ScratchDir::new("store_stats");
         let mut store = ChunkStore::create_filled(dir.path(), 3, 1, c64::zero()).unwrap();
@@ -964,7 +941,8 @@ mod tests {
     fn codec_store_round_trips_and_compresses() {
         let dir = ScratchDir::new("store_codec");
         let mut store =
-            ChunkStore::create_uniform_with(dir.path(), 6, 2, Codec::ShuffleRle).unwrap();
+            ChunkStore::create_filled_with(dir.path(), 6, 2, uniform_amp(8), Codec::ShuffleRle)
+                .unwrap();
         // The uniform state is maximally degenerate: far fewer encoded
         // bytes than the 64 * 16 raw bytes per chunk.
         let created = store.stats();
@@ -1019,10 +997,12 @@ mod tests {
         let got = store.read_chunk(0).unwrap();
         assert_eq!(&got[..4], &lo[..]);
         assert_eq!(&got[4..], &hi[..]);
-        // Direct store staged writes go through first-touch truncation
-        // too: a second scatter generation must not inherit old frames.
-        store.write_staged_range(1, 0, &lo).unwrap();
-        store.write_staged_range(1, 4, &hi).unwrap();
+        // A second scatter generation (a fresh writer view) truncates on
+        // first touch: it must not inherit old frames.
+        let mut writer = store.writer().unwrap();
+        writer.write_staged_range(1, 0, &lo).unwrap();
+        writer.write_staged_range(1, 4, &hi).unwrap();
+        drop(writer);
         store.commit_staged().unwrap();
         let got = store.read_chunk(1).unwrap();
         assert_eq!(&got[..4], &lo[..]);

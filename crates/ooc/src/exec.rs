@@ -10,36 +10,34 @@
 //!   full-state traversals drop from one per stage to one per swap
 //!   boundary (`runs == n_swaps() + 1`), independent of how finely the
 //!   schedule was segmented for checkpointing.
-//! * **Async double-buffering** (`pipeline`): every pass — stage runs
-//!   and both halves of the external all-to-all — streams through the
-//!   prefetch/compute/writeback pipeline of [`crate::pipeline`], hiding
-//!   `read(c+1)` / `write(c−1)` behind `compute(c)` with pooled aligned
-//!   buffers (zero steady-state allocations).
+//! * **Async double-buffering** (`pipeline`): every pass streams through
+//!   the prefetch/compute/writeback pipeline of [`crate::pipeline`],
+//!   hiding `read(c+1)` / `write(c−1)` behind `compute(c)` with pooled
+//!   aligned buffers (zero steady-state allocations).
 //! * **Compiled-stage compute** (`compiled_stages`): per-chunk compute
 //!   goes through `qsim_core::exec`'s [`CompiledStage`] — each run is
 //!   compiled once and reused for all 2^g chunks (the chunk index *is*
 //!   the rank id), surfacing [`SweepStats`] in [`OocOutcome`].
 //!
-//! Each global-to-local swap runs as a *fused* external all-to-all, the
-//! same data path as the in-memory `perform_swap` with file ranges as
-//! the network:
+//! One streaming pass *is* one stage run: the start state is synthesised
+//! in the first pass's prefetch stage instead of being written and read
+//! back, and each global-to-local swap — the same data path as the
+//! in-memory `perform_swap`, with file ranges as the network — rides in
+//! the two passes around it. Its fused permute-scatter closes the run
+//! before it (each computed chunk's permuted piece for every destination
+//! goes straight into the destination's staged file); its fused
+//! gather-unpermute opens the run after it (skipped entirely when the
+//! slots already sit at the top positions). See [`OocSimulator::run`].
 //!
-//! 1. fused permute-scatter: each source chunk is read once and its
-//!    permuted piece for every destination is gathered straight into the
-//!    destination's staged file (no standalone permutation pass);
-//! 2. fused gather-unpermute: each committed chunk is read once and the
-//!    inverse permutation applied on the way back out (skipped entirely
-//!    when the slots already sit at the top positions).
-//!
-//! Disk traffic per swap is thus ≤ 2 state reads + 2 state writes (the
-//! classic permute/transpose/unpermute pipeline takes 6 traversals) —
-//! constant per swap, which is why the paper's 2-swap schedules make
-//! SSD-resident states viable (§5). The final norm/entropy reduction is
-//! folded into the last run's compute pass, so it costs no extra
-//! traversal.
+//! Disk traffic for a schedule with `S` swaps is thus `2S + 1` state
+//! transfers — one write per swap, one read and one write per later run
+//! — which is the minimum an all-to-all through files can take, and why
+//! the paper's 2-swap schedules make SSD-resident states viable (§5).
+//! The final norm/entropy reduction is folded into the last run's pass,
+//! so it costs no extra traversal.
 
 use crate::chunkstore::{BufferPool, ChunkStore, IoStats};
-use crate::pipeline::{run_pass, PassConfig};
+use crate::pipeline::{run_pass, Dest, PassConfig, PassSource};
 use qsim_compress::Codec;
 use qsim_core::checkpoint::{schedule_fingerprint, Manifest, MANIFEST_VERSION};
 use qsim_core::dist::{apply_rank_diagonal_amps, physical_to_logical, slots_to_top_permutation};
@@ -55,6 +53,7 @@ use qsim_util::align::AlignedVec;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Out-of-core engine configuration. The default is the full pipeline;
 /// [`OocConfig::sync_baseline`] is the synchronous per-stage engine the
@@ -88,10 +87,10 @@ pub struct OocConfig {
     /// the default disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
     /// Crash-consistent checkpointing: after every streaming *pass*
-    /// (stage run, swap scatter, swap unpermute), publish a manifest and
-    /// promote the pass's staged chunks, so a crash anywhere resumes
-    /// from the last completed pass. `None` (the default) runs the
-    /// original non-checkpointed data path, byte for byte.
+    /// (= stage run), publish a manifest and promote the pass's staged
+    /// chunks, so a crash anywhere resumes from the last completed pass.
+    /// `None` (the default) takes no durability step at all: the last
+    /// run overwrites live chunks in place and commits skip their fsyncs.
     pub checkpoint: Option<OocCheckpoint>,
 }
 
@@ -265,7 +264,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
 
     /// The stage runs this configuration executes for `schedule`:
     /// swap-bounded batches when `batch_runs`, one run per stage
-    /// otherwise. `run` executes exactly this list.
+    /// otherwise. `run` executes exactly this list, one streaming pass
+    /// (and one checkpoint unit) per entry.
     pub fn planned_runs(&self, schedule: &Schedule) -> Vec<StageRun> {
         if self.config.batch_runs {
             plan_runs(schedule)
@@ -280,22 +280,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 })
                 .collect()
         }
-    }
-
-    /// Checkpoint units (streaming passes) `schedule` executes under
-    /// this configuration: one per stage run, plus the scatter pass and
-    /// — unless the slots→top permutation is the identity — the
-    /// unpermute pass of every swap.
-    pub fn total_passes(&self, schedule: &Schedule) -> usize {
-        let l = schedule.local_qubits;
-        self.planned_runs(schedule)
-            .iter()
-            .map(|r| {
-                1 + r.swap.as_ref().map_or(0, |s| {
-                    1 + usize::from(!slots_to_top_permutation(&s.local_slots, l).is_identity())
-                })
-            })
-            .sum()
     }
 
     /// [`OocSimulator::run`] on the typed [`SimError`] surface shared by
@@ -325,76 +309,102 @@ impl<R: SweepDispatch> OocSimulator<R> {
 
     /// Execute `schedule` against a chunk store rooted at `dir`.
     /// `init_uniform` selects the supremacy starting state.
+    ///
+    /// One streaming pass per stage run. For each chunk, pass `r` takes
+    /// its source (pass 0 synthesises the start state; every later pass
+    /// reads the live chunk the previous pass committed), applies the
+    /// gather-unpermute half of swap `r − 1`, the run's stages, and then
+    /// either the permute-scatter half of swap `r` into staged files or —
+    /// on the last run — the final chunk write with the norm/entropy
+    /// reduction folded in.
+    ///
+    /// Writing `p` for a swap's slots→top permutation and `q = p⁻¹`,
+    /// destination chunk `d` must end up holding `final[x] = buf[p(x)]`
+    /// where piece `s` of `d`'s exchange buffer is `buf[s·piece + t] =
+    /// chunk_s[q(d·piece + t)]`. The scatter writes every `buf` piece of
+    /// one source chunk (chunk-local in the source); the commit renames
+    /// the assembled buffers live; the next pass applies the `p`-gather
+    /// (chunk-local in the destination, skipped when `p` is the
+    /// identity). The slow tier therefore sees one write per swap plus
+    /// one read and one write per later run: `2S + 1` state transfers
+    /// for `S` swaps.
     pub fn run(
         &mut self,
         dir: &Path,
         schedule: &Schedule,
         init_uniform: bool,
     ) -> std::io::Result<OocOutcome> {
+        let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
         let l = schedule.local_qubits;
         let g = schedule.n_qubits - l;
-        assert!(l >= g, "external all-to-all needs l >= g");
-        let t0 = std::time::Instant::now();
+        if l < g {
+            return Err(invalid(format!(
+                "external all-to-all needs l >= g, got l = {l}, g = {g}"
+            )));
+        }
+        let runs: Vec<StageRun> = self.planned_runs(schedule);
+        if runs.last().is_none_or(|r| r.swap.is_some()) {
+            return Err(invalid(
+                "schedule must end in a swap-free stage (nothing would apply the last unpermute)"
+                    .into(),
+            ));
+        }
+        let mut swaps = runs.iter().filter_map(|r| r.swap.as_ref());
+        if let Some(s) = swaps.find(|s| s.local_slots.len() != g as usize) {
+            return Err(invalid(format!(
+                "full swap expected: {} slots for g = {g}",
+                s.local_slots.len()
+            )));
+        }
+        let t0 = Instant::now();
         let telemetry = self.config.telemetry.clone();
         let track = telemetry.track("ooc.compute");
         let _run_span = track.span("run");
-        let runs: Vec<StageRun> = self.planned_runs(schedule);
-        // Checkpoint units are streaming *passes*, not stage runs: the
-        // external swap commits staged chunks mid-run (scatter) and then
-        // rewrites them (unpermute), so a run is not recoverable as a
-        // whole — but each pass leaves the store in exactly one durable
-        // generation, which is what a manifest can name.
-        let total_passes: usize = self.total_passes(schedule);
+        // The checkpoint unit is the pass, i.e. the stage run: each pass
+        // leaves the store in exactly one durable generation (final
+        // chunks, or exchange buffers awaiting the next pass's
+        // unpermute), which is what a manifest can name.
+        let total_passes = runs.len();
         let ckpt = self.config.checkpoint.clone();
-        let (mut store, cursor) = {
-            let resumed = match &ckpt {
-                Some(cp) if cp.resume => {
-                    let _s = track.span("resume.validate");
-                    match Manifest::load(dir)? {
-                        Some(m) => {
-                            let point = m.validate(
-                                "ooc",
-                                schedule,
-                                R::NAME,
-                                &self.config.compress.name(),
-                                init_uniform,
-                                total_passes,
-                                1 << g,
-                            )?;
-                            let store = ChunkStore::open_verified_with(
-                                dir,
-                                l,
-                                g,
-                                &m.digests,
-                                self.config.compress,
-                            )?;
-                            Some((store, point.next_unit))
-                        }
-                        // No manifest: the crash landed before the first
-                        // checkpoint was published — start over.
-                        None => None,
+        let codec = self.config.compress;
+        let resumed = match &ckpt {
+            Some(cp) if cp.resume => {
+                let _s = track.span("resume.validate");
+                match Manifest::load(dir)? {
+                    Some(m) => {
+                        let point = m.validate(
+                            "ooc",
+                            schedule,
+                            R::NAME,
+                            &codec.name(),
+                            init_uniform,
+                            total_passes,
+                            1 << g,
+                        )?;
+                        let store = ChunkStore::open_verified_with(dir, l, g, &m.digests, codec)?;
+                        Some((store, point.next_unit))
                     }
+                    // No manifest: the crash landed before the first
+                    // checkpoint was published — start over.
+                    None => None,
                 }
-                _ => None,
-            };
-            match resumed {
-                Some(sc) => sc,
-                None => {
-                    let mut store =
-                        create_store(dir, l, g, init_uniform, self.config.compress, &track)?;
-                    if ckpt.is_some() {
-                        // A reused directory may hold shadow files from
-                        // an abandoned pass; they must not survive into
-                        // the first commit.
-                        store.clear_staged()?;
-                    }
-                    (store, 0)
-                }
+            }
+            _ => None,
+        };
+        let (mut store, cursor) = match resumed {
+            Some(sc) => sc,
+            None => {
+                let mut store = ChunkStore::create_empty_with(dir, l, g, codec)?;
+                // A reused directory may hold shadow files from an
+                // abandoned pass; they must not survive into the first
+                // commit.
+                store.clear_staged()?;
+                (store, 0)
             }
         };
         // Seed the live-progress denominator: the unit of OOC progress
-        // is the streaming pass, and a resume pre-credits nothing (only
-        // the passes beyond the manifest cursor are planned).
+        // is the stage run, and a resume pre-credits nothing (only the
+        // runs beyond the manifest cursor are planned).
         if let Some(p) = telemetry.progress() {
             p.set_planned_units(
                 qsim_telemetry::Phase::Stream,
@@ -407,31 +417,32 @@ impl<R: SweepDispatch> OocSimulator<R> {
             schedule_hash: schedule_fingerprint(schedule),
             n_qubits: schedule.n_qubits,
             local_qubits: l,
-            codec: self.config.compress.name(),
+            codec: codec.name(),
             init_uniform,
             total_passes,
             crash: cp.crash,
         });
-        let checkpointing = ckpt_ctx.is_some();
         let n_chunks = store.n_chunks();
         let chunk_len = store.chunk_len();
+        let piece = chunk_len / n_chunks;
 
         // Pool setup: `depth` chunk buffers feed the pipeline, one more
         // is the unpermute scratch; wire buffers stage all-to-all
         // pieces. Prewarming here makes the passes themselves miss-free
         // (`io.buffer_allocs` counts any slip).
-        let depth = if self.config.pipeline {
+        let pipelined = self.config.pipeline;
+        let depth = if pipelined {
             self.config.prefetch_depth.max(1)
         } else {
             1
         };
-        let wires = if self.config.pipeline {
+        let wires = if pipelined {
             (2 * depth).clamp(1, n_chunks)
         } else {
             1
         };
         self.chunk_pool.ensure_len(chunk_len);
-        self.wire_pool.ensure_len(chunk_len >> g);
+        self.wire_pool.ensure_len(piece);
         if self.scratch.as_ref().is_some_and(|s| s.len() != chunk_len) {
             self.scratch = None;
         }
@@ -439,13 +450,14 @@ impl<R: SweepDispatch> OocSimulator<R> {
         // population: prewarm one extra only when it must be (re)built,
         // so a repeat run over the same geometry prewarms exactly what
         // the free list already holds.
-        let need_scratch = self.scratch.is_none();
-        self.chunk_pool.prewarm(depth + usize::from(need_scratch));
+        self.chunk_pool
+            .prewarm(depth + usize::from(self.scratch.is_none()));
         self.wire_pool.prewarm(wires);
-        if need_scratch {
-            self.scratch = Some(self.chunk_pool.get());
-        }
-        let allocs0 = self.chunk_pool.allocs() + self.wire_pool.allocs();
+        let chunk_pool = &mut self.chunk_pool;
+        // Double-buffers the unpermute gather, trading places with the
+        // pipeline's chunk buffer on every use.
+        let scratch = self.scratch.get_or_insert_with(|| chunk_pool.get());
+        let allocs0 = chunk_pool.allocs() + self.wire_pool.allocs();
 
         let kernel = self.config.kernel;
         let use_compiled = self.config.compiled_stages && kernel.opt == OptLevel::Blocked;
@@ -468,31 +480,51 @@ impl<R: SweepDispatch> OocSimulator<R> {
         // balanced binary tree reproduces the distributed engine's
         // recursive-doubling all-reduce bit for bit.
         let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
-        let mut pass_no = 0usize;
-        for (ri, run) in runs.iter().enumerate() {
+        let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
+        // Scatter + commit time of the swap the next pass's unpermute
+        // completes: `swap_ns` gets one sample per swap, not per half.
+        let mut swap_carry = Duration::ZERO;
+        for (ri, run) in runs.iter().enumerate().skip(cursor) {
             let _rs = track.span_id("stage run", ri as u64);
-            let this_pass = pass_no;
-            pass_no += 1;
-            if this_pass >= cursor {
-                let t_pass = std::time::Instant::now();
-                let stages = &schedule.stages[run.stages.clone()];
-                let compiled = use_compiled.then(|| compile_stages(stages, l, &kernel, tile));
-                // Checkpointing makes the reduction a separate final read
-                // pass: the last run's buffers go to *staged* files, and
-                // the fold must read what the commit made live.
-                let reduce = !checkpointing && ri + 1 == runs.len();
-                let cfg = PassConfig {
-                    pipelined: self.config.pipeline,
-                    depth,
-                    wires: 0,
-                    telemetry: telemetry.clone(),
-                };
-                run_pass(
-                    &mut store,
-                    &mut self.chunk_pool,
-                    &mut self.wire_pool,
-                    &cfg,
-                    |c, mut buf, sink| {
+            let t_pass = Instant::now();
+            let stages = &schedule.stages[run.stages.clone()];
+            let compiled = use_compiled.then(|| compile_stages(stages, l, &kernel, tile));
+            let prev_swap = ri.checked_sub(1).and_then(|p| runs[p].swap.as_ref());
+            // `final[x] = buf[p(x)]` places the previous swap's incoming
+            // qubits at its slots; an identity `p` means the committed
+            // assembly is already final.
+            let unpermute = prev_swap.map(slots_to_top).filter(|p| !p.is_identity());
+            let scatter = run.swap.as_ref().map(|s| slots_to_top(s).inverse());
+            let cfg = PassConfig {
+                source: if ri == 0 {
+                    PassSource::Start {
+                        uniform: init_uniform,
+                    }
+                } else {
+                    PassSource::Live
+                },
+                pipelined,
+                depth,
+                wires: if scatter.is_some() { wires } else { 0 },
+                telemetry: telemetry.clone(),
+            };
+            // Time on the previous swap (its carry + this pass's unpermutes)
+            // and on this run's scatters.
+            let (mut swap_t, mut scatter_t) = (swap_carry, Duration::ZERO);
+            run_pass(
+                &mut store,
+                chunk_pool,
+                &mut self.wire_pool,
+                &cfg,
+                |c, mut buf, sink| {
+                    if let Some(perm) = &unpermute {
+                        let _s = track.span_id("unpermute", c as u64);
+                        let t = Instant::now();
+                        par_gather(&buf, scratch, |x| perm.apply(x));
+                        std::mem::swap(&mut buf, scratch);
+                        swap_t += t.elapsed();
+                    }
+                    {
                         let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
                         match &compiled {
                             Some(cs) => {
@@ -512,62 +544,80 @@ impl<R: SweepDispatch> OocSimulator<R> {
                                 }
                             }
                         }
-                        if reduce {
-                            // Fold the final reduction into the last
-                            // run's pass — it costs no extra traversal.
-                            partials[c] = reduce_chunk(&buf);
-                        }
-                        if checkpointing {
-                            sink.write_chunk_staged(c, buf)
+                    }
+                    let Some(inv) = &scatter else {
+                        // Last run: fold the final reduction into the
+                        // pass — it costs no extra traversal. Under
+                        // checkpointing live chunks stay untouched until
+                        // the manifest is durable.
+                        partials[c] = reduce_chunk(&buf);
+                        let dest = if ckpt_ctx.is_some() {
+                            Dest::Shadow(c)
                         } else {
-                            sink.write_chunk(c, buf)
+                            Dest::Live(c)
+                        };
+                        return sink.retire(dest, buf);
+                    };
+                    // Fused permute-scatter: this chunk's permuted piece
+                    // for destination `dst` lands at offset `c·piece` of
+                    // `dst`'s staged file. Staging keeps the live chunks
+                    // readable until the whole exchange is assembled.
+                    let _s = track.span_id("scatter", c as u64);
+                    let t = Instant::now();
+                    for dst in 0..n_chunks {
+                        let mut wire = sink.take_wire()?;
+                        if inv.is_identity() {
+                            wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
+                        } else {
+                            par_gather(&buf, &mut wire, |t| inv.apply(dst * piece + t));
                         }
-                    },
-                )?;
-                if let Some(ck) = &ckpt_ctx {
-                    checkpoint_pass(&mut store, ck, this_pass, &track)?;
+                        let off = c * piece;
+                        sink.retire(Dest::Piece { c: dst, off }, wire)?;
+                    }
+                    scatter_t += t.elapsed();
+                    sink.retire(Dest::Nowhere, buf)
+                },
+            )?;
+            if prev_swap.is_some() {
+                telemetry.record_duration_ns("swap_ns", swap_t.as_nanos() as u64);
+            }
+            let t_commit = Instant::now();
+            match &ckpt_ctx {
+                // The pass's commit is the checkpoint commit.
+                Some(ck) => checkpoint_pass(&mut store, ck, ri, &track)?,
+                None if scatter.is_some() => {
+                    let _s = track.span_id("commit", ri as u64);
+                    store.promote_staged(false)?;
                 }
-                live_pass_done(
-                    &telemetry,
-                    &store,
-                    this_pass,
-                    total_passes,
-                    t_pass.elapsed().as_nanos() as u64,
-                );
+                None => {}
             }
-            if let Some(swap) = &run.swap {
-                self.external_swap(
-                    &mut store,
-                    swap,
-                    ri,
-                    depth,
-                    wires,
-                    ckpt_ctx.as_ref(),
-                    &mut pass_no,
-                    cursor,
-                    total_passes,
-                )?;
-            }
+            swap_carry = scatter_t + t_commit.elapsed();
+            live_pass_done(
+                &telemetry,
+                &store,
+                ri,
+                total_passes,
+                t_pass.elapsed().as_nanos() as u64,
+            );
         }
-        if runs.is_empty() || checkpointing {
-            // One read pass over the final chunks: the degenerate op-free
-            // schedule reduces the initial state; a checkpointed run
-            // reduces here because its last pass went through staged
-            // files. Bitwise identical to the folded reduction — same
-            // bytes, same fold order.
-            let mut buf = self.chunk_pool.get();
+        if cursor >= total_passes {
+            // Resume of a finished run: no pass is left to fold the
+            // reduction into, so read the final chunks once. Bitwise
+            // identical to the folded reduction — same bytes, same fold
+            // order.
+            let mut buf = chunk_pool.get();
             for (c, partial) in partials.iter_mut().enumerate() {
                 store.read_chunk_into(c, &mut buf)?;
                 *partial = reduce_chunk(&buf);
             }
-            self.chunk_pool.put(buf);
+            chunk_pool.put(buf);
             store.count_traversal();
         }
         let norm = tree_sum(partials.iter().map(|p| p.0).collect());
         let entropy = tree_sum(partials.iter().map(|p| p.1).collect());
 
         let mut io = store.stats();
-        io.buffer_allocs = self.chunk_pool.allocs() + self.wire_pool.allocs() - allocs0;
+        io.buffer_allocs = chunk_pool.allocs() + self.wire_pool.allocs() - allocs0;
         let sim_seconds = t0.elapsed().as_secs_f64();
         if let Some(m) = telemetry.metrics() {
             io.publish_into(m, "ooc.io");
@@ -611,156 +661,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
         let physical = store.to_vec()?;
         let logical = physical_to_logical(&physical, schedule.final_mapping());
         Ok((outcome, logical))
-    }
-
-    /// The fused external all-to-all realizing one full global-to-local
-    /// swap.
-    ///
-    /// Writing `p` for the slots→top permutation and `q = p⁻¹`,
-    /// destination chunk `d` must end up holding
-    /// `final[x] = chunk_{p(x) >> l'}[q(...)]` — concretely, piece `s` of
-    /// `d`'s exchange buffer is `buf[s·piece + t] = chunk_s[q(d·piece +
-    /// t)]`, and the final contents are `final[x] = buf[p(x)]`. Pass 1
-    /// produces every `buf` piece directly from a single streaming read
-    /// of each source chunk (fused permute-scatter into staged file
-    /// ranges); pass 2 applies the `p`-gather on the way back out (fused
-    /// gather-unpermute), and is skipped when `p` is the identity. Both
-    /// passes run through the same prefetch/writeback pipeline as stage
-    /// runs.
-    #[allow(clippy::too_many_arguments)]
-    fn external_swap(
-        &mut self,
-        store: &mut ChunkStore<R>,
-        swap: &SwapOp,
-        run_index: usize,
-        depth: usize,
-        wires: usize,
-        ck: Option<&CkptCtx>,
-        pass_no: &mut usize,
-        cursor: usize,
-        total_passes: usize,
-    ) -> std::io::Result<()> {
-        let telemetry = self.config.telemetry.clone();
-        let track = telemetry.track("ooc.compute");
-        let _sw = track.span_timed("external swap", run_index as u64, "swap_ns");
-        let l = store.local_qubits();
-        let g = store.global_qubits();
-        assert_eq!(swap.local_slots.len(), g as usize, "full swap expected");
-        let perm = slots_to_top_permutation(&swap.local_slots, l);
-        let inv = perm.inverse();
-        let n_chunks = store.n_chunks();
-        let piece = store.chunk_len() / n_chunks;
-
-        // Pass 1: fused permute-scatter. Each source chunk is read
-        // exactly once; its permuted piece for destination `dst` lands
-        // at offset `src·piece` of `dst`'s staged file. Staging keeps
-        // the live chunks readable until the whole exchange is
-        // assembled; commit renames everything at once.
-        let scatter_pass = *pass_no;
-        *pass_no += 1;
-        if scatter_pass >= cursor {
-            let t_pass = std::time::Instant::now();
-            let cfg = PassConfig {
-                pipelined: self.config.pipeline,
-                depth,
-                wires,
-                telemetry: telemetry.clone(),
-            };
-            {
-                let _s = track.span_id("scatter", run_index as u64);
-                run_pass(
-                    store,
-                    &mut self.chunk_pool,
-                    &mut self.wire_pool,
-                    &cfg,
-                    |src, buf, sink| {
-                        for dst in 0..n_chunks {
-                            let mut wire = sink.take_wire()?;
-                            if perm.is_identity() {
-                                wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
-                            } else {
-                                par_gather(&buf, &mut wire, |t| inv.apply(dst * piece + t));
-                            }
-                            sink.write_staged(dst, src * piece, wire)?;
-                        }
-                        sink.recycle_chunk(buf);
-                        Ok(())
-                    },
-                )?;
-            }
-            match ck {
-                // The pass's commit is the checkpoint commit.
-                Some(ck) => checkpoint_pass(store, ck, scatter_pass, &track)?,
-                None => {
-                    let _s = track.span_id("commit", run_index as u64);
-                    store.commit_staged()?;
-                }
-            }
-            live_pass_done(
-                &telemetry,
-                store,
-                scatter_pass,
-                total_passes,
-                t_pass.elapsed().as_nanos() as u64,
-            );
-        }
-
-        // Pass 2: fused gather-unpermute — `final[x] = buf[p(x)]` places
-        // the incoming qubits at the swap's slots. An identity
-        // permutation means the staged assembly is already final. The
-        // engine-held scratch buffer double-buffers the gather, cycling
-        // with the pipeline's chunk buffers.
-        if !perm.is_identity() {
-            let unpermute_pass = *pass_no;
-            *pass_no += 1;
-            if unpermute_pass >= cursor {
-                let t_pass = std::time::Instant::now();
-                let _s = track.span_id("unpermute", run_index as u64);
-                // The scratch buffer is installed at run start and put
-                // back after every unpermute pass; if an earlier pass
-                // failed mid-swap the engine may be re-entered without
-                // it, which must surface as an error, not a panic.
-                let mut scratch = self.scratch.take().ok_or_else(|| {
-                    std::io::Error::other(
-                        "unpermute scratch buffer missing (engine re-entered after a failed pass?)",
-                    )
-                })?;
-                let cfg = PassConfig {
-                    pipelined: self.config.pipeline,
-                    depth,
-                    wires: 0,
-                    telemetry: telemetry.clone(),
-                };
-                let checkpointing = ck.is_some();
-                run_pass(
-                    store,
-                    &mut self.chunk_pool,
-                    &mut self.wire_pool,
-                    &cfg,
-                    |c, buf, sink| {
-                        par_gather(&buf, &mut scratch, |x| perm.apply(x));
-                        let out = std::mem::replace(&mut scratch, buf);
-                        if checkpointing {
-                            sink.write_chunk_staged(c, out)
-                        } else {
-                            sink.write_chunk(c, out)
-                        }
-                    },
-                )?;
-                self.scratch = Some(scratch);
-                if let Some(ck) = ck {
-                    checkpoint_pass(store, ck, unpermute_pass, &track)?;
-                }
-                live_pass_done(
-                    &telemetry,
-                    store,
-                    unpermute_pass,
-                    total_passes,
-                    t_pass.elapsed().as_nanos() as u64,
-                );
-            }
-        }
-        Ok(())
     }
 }
 
@@ -808,23 +708,6 @@ fn live_pass_done<R: Real>(
         m.gauge_set("live.ooc.overlap_fraction", io.overlap_fraction());
         m.gauge_set("live.ooc.bytes_read", io.bytes_read as f64);
         m.gauge_set("live.ooc.bytes_written", io.bytes_written as f64);
-    }
-}
-
-/// Create a fresh chunk store in the engine's initial state.
-fn create_store<R: Real>(
-    dir: &Path,
-    l: u32,
-    g: u32,
-    init_uniform: bool,
-    codec: Codec,
-    track: &TrackHandle,
-) -> std::io::Result<ChunkStore<R>> {
-    let _s = track.span("init");
-    if init_uniform {
-        ChunkStore::create_uniform_with(dir, l, g, codec)
-    } else {
-        ChunkStore::create_zero_state_with(dir, l, g, codec)
     }
 }
 
@@ -1004,15 +887,9 @@ mod tests {
         let mut sim = OocSimulator::<f64>::sequential();
         let (out, state) = sim.run_gather(dir.path(), &seg, uniform).unwrap();
         assert_eq!(out.runs, swaps as usize + 1, "runs = swap boundaries + 1");
-        // Traversals: one per run + 2 per swap (scatter + unpermute), or
-        // 1 per swap when the permutation is the identity.
-        assert!(
-            out.io.traversals <= (swaps + 1) + 2 * swaps,
-            "traversals {} exceed run/swap budget {}",
-            out.io.traversals,
-            (swaps + 1) + 2 * swaps
-        );
-        assert!(out.io.traversals >= (swaps + 1) + swaps);
+        // One traversal per run: both halves of every swap ride inside
+        // the runs around it.
+        assert_eq!(out.io.traversals, swaps + 1);
 
         // And the batched result still matches the oracle.
         let single = SingleNodeSimulator::default().run(&c);
@@ -1063,7 +940,11 @@ mod tests {
 
     #[test]
     fn io_traffic_is_constant_per_swap() {
-        // The §5 argument: disk traffic scales with swaps, not gates.
+        // The §5 argument: disk traffic scales with swaps, not gates —
+        // and at exactly the all-to-all's own minimum. Each swap costs
+        // one state write (scatter) and the run after it one read and
+        // one write; the start state is never written and the final
+        // reduction is folded into the last run.
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 4,
@@ -1071,23 +952,68 @@ mod tests {
             seed: 1,
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
-        let schedule = plan(&exec, &SchedulerConfig::distributed(10, 4));
-        let dir = ScratchDir::new("traffic");
-        let mut sim = OocSimulator::<f64>::sequential();
-        let out = sim.run(dir.path(), &schedule, uniform).unwrap();
         let state_bytes = (1u64 << 12) * 16;
-        // Budget: init write + per-run stream (r+w) + per-swap fused
-        // exchange (scatter r+w, unpermute r+w). The final reduction is
-        // folded into the last run, so it adds nothing.
-        let runs = out.runs as u64;
-        let swaps = schedule.n_swaps() as u64;
-        let budget = state_bytes * (1 + 2 * runs + 4 * swaps);
-        let total = out.io.bytes_read + out.io.bytes_written;
-        assert!(
-            total <= budget,
-            "disk traffic {total} exceeds swap-proportional budget {budget}"
-        );
-        assert_eq!(runs, swaps + 1);
+        for g in [1u32, 2, 3] {
+            let schedule = plan(&exec, &SchedulerConfig::distributed(12 - g, 4));
+            let swaps = schedule.n_swaps() as u64;
+            assert!(swaps >= 1, "g={g}: want a swap to count");
+            let dir = ScratchDir::new("traffic");
+            let mut sim = OocSimulator::<f64>::sequential();
+            let out = sim.run(dir.path(), &schedule, uniform).unwrap();
+            assert_eq!(
+                out.io.logical_bytes_read + out.io.logical_bytes_written,
+                (2 * swaps + 1) * state_bytes,
+                "g={g}: 2S + 1 state transfers, exactly"
+            );
+            assert_eq!(out.io.logical_bytes_read, swaps * state_bytes, "g={g}");
+            assert_eq!(out.runs as u64, swaps + 1, "g={g}");
+            assert_eq!(out.io.traversals, swaps + 1, "g={g}");
+        }
+    }
+
+    #[test]
+    fn op_free_schedule_leaves_a_readable_store() {
+        // Nothing to apply: the single pass synthesises the start state,
+        // reduces it and writes it, so `run_gather` finds live chunks.
+        for uniform in [true, false] {
+            let schedule = plan(
+                &qsim_circuit::Circuit::new(5),
+                &SchedulerConfig::distributed(3, 2),
+            );
+            let dir = ScratchDir::new("op_free");
+            let mut sim = OocSimulator::<f64>::sequential();
+            let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+            let want = if uniform {
+                vec![c64::new(1.0 / 32f64.sqrt(), 0.0); 32]
+            } else {
+                let mut v = vec![c64::zero(); 32];
+                v[0] = c64::one();
+                v
+            };
+            assert_eq!(state, want);
+            assert_eq!((out.runs, out.io.traversals), (1, 1));
+            assert_eq!(out.io.logical_bytes_read, 0);
+            assert!((out.norm - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn bad_geometry_and_open_schedules_are_typed_errors() {
+        let mut circ = qsim_circuit::Circuit::new(4);
+        circ.t(0).h(1);
+        // g = 3 > l = 1: the all-to-all cannot split a chunk 8 ways.
+        let narrow = plan(&circ, &SchedulerConfig::distributed(1, 1));
+        let dir = ScratchDir::new("geometry");
+        let mut sim = OocSimulator::<f64>::sequential();
+        let e = sim.run(dir.path(), &narrow, false).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        // A schedule ending in a swap has no run to apply its unpermute.
+        let mut open = plan(&circ, &SchedulerConfig::distributed(3, 2));
+        open.stages.last_mut().unwrap().swap = Some(SwapOp {
+            local_slots: vec![0],
+        });
+        let e = sim.run(dir.path(), &open, false).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
     }
 
     #[test]

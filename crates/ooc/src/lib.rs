@@ -16,11 +16,14 @@
 //! * the *chunk index* takes the role of the rank id (the "global" bits);
 //! * stage clusters stream chunk-by-chunk through a DRAM-sized window
 //!   (load → fused kernels → store);
-//! * a global-to-local swap becomes an **external all-to-all**: a
-//!   two-pass scatter/gather transpose over the chunk files.
+//! * a global-to-local swap becomes an **external all-to-all** over the
+//!   chunk files, whose scatter closes the streaming pass before it and
+//!   whose gather-unpermute opens the pass after it.
 //!
 //! The engine is a *pipelined data path*: consecutive swap-free stages
-//! batch into a single traversal ([`qsim_sched::plan_runs`]), each pass
+//! batch into a single traversal ([`qsim_sched::plan_runs`]), which is
+//! the only kind of pass there is — the start state is synthesised, not
+//! written, so `S` swaps cost `2S + 1` state transfers — each pass
 //! overlaps prefetch/compute/writeback on dedicated threads with pooled
 //! aligned buffers, and per-chunk compute runs through the compiled
 //! tiled stage executor.

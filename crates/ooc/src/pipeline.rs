@@ -1,12 +1,14 @@
 //! The async double-buffered chunk pipeline.
 //!
-//! Every full-state pass of the out-of-core engine — a stage run, the
-//! all-to-all's scatter, its unpermute — streams all 2^g chunks through
-//! memory. [`run_pass`] drives that stream either synchronously (read →
-//! compute → write inline, the baseline) or as a three-thread pipeline:
-//! a *prefetch* thread reads chunk `c+1..c+depth` ahead, the caller's
-//! compute closure runs on the main thread, and a *writeback* thread
-//! retires chunk `c−1` — so disk time hides behind compute.
+//! Every full-state pass of the out-of-core engine — one stage run, with
+//! both halves of its neighbouring swaps folded in — streams all 2^g
+//! chunks through memory. [`run_pass`] drives that stream either
+//! synchronously (source → compute → write inline, the baseline) or as a
+//! three-thread pipeline: a *prefetch* thread fills chunk `c+1..c+depth`
+//! ahead (read from the live files, or synthesised for the start state),
+//! the caller's compute closure runs on the main thread, and a
+//! *writeback* thread retires chunk `c−1` — so disk time hides behind
+//! compute.
 //!
 //! Buffers travel a closed loop of bounded [`Pipe`]s (hand-rolled
 //! Mutex+Condvar ring; the queue storage is preallocated, so steady
@@ -31,7 +33,7 @@
 //! notices the early channel close and aborts, and the first error is
 //! returned after both threads join.
 
-use crate::chunkstore::{BufferPool, ChunkStore, IoStats};
+use crate::chunkstore::{uniform_amp, BufferPool, ChunkReader, ChunkStore, ChunkWriter, IoStats};
 use parking_lot::{Condvar, Mutex};
 use qsim_telemetry::{Telemetry, TrackHandle};
 use qsim_util::align::AlignedVec;
@@ -131,41 +133,143 @@ impl<T> Pipe<T> {
     }
 }
 
-/// A writeback request.
-enum WbItem<R: Real> {
-    /// Overwrite live chunk `c` with `buf`, then recycle `buf` as a
-    /// chunk buffer.
-    Chunk { c: usize, buf: Buf<R> },
-    /// Write `buf` at piece-offset `off` of chunk `c`'s staged file,
-    /// then recycle `buf` as a wire buffer.
-    Staged { c: usize, off: usize, buf: Buf<R> },
-    /// Write `buf` as the complete staged contents of chunk `c`, then
-    /// recycle `buf` as a chunk buffer (checkpointed passes, where live
-    /// chunks must stay untouched until the manifest is durable).
-    StagedChunk { c: usize, buf: Buf<R> },
+/// Where a retired buffer's bytes go. The variant also says which pool
+/// the buffer returns to: only [`Dest::Piece`] carries a wire buffer.
+#[derive(Clone, Copy)]
+pub(crate) enum Dest {
+    /// Overwrite live chunk `c`.
+    Live(usize),
+    /// The complete staged contents of chunk `c`: the live chunk stays
+    /// untouched until the commit (checkpointed passes, where the
+    /// manifest must be durable first).
+    Shadow(usize),
+    /// Piece-offset `off` of chunk `c`'s staged file.
+    Piece { c: usize, off: usize },
+    /// Nothing to write: recycle a chunk buffer (scatter sources).
+    Nowhere,
 }
 
-/// The compute closure's handle on the pass: where finished chunks go
+impl Dest {
+    /// Write `buf` out through `writer`, under a span on `track`.
+    fn write<R: Real>(
+        self,
+        writer: &mut ChunkWriter<R>,
+        track: &TrackHandle,
+        buf: &[Complex<R>],
+    ) -> std::io::Result<()> {
+        let staged = |c: usize| track.span_timed("write staged", c as u64, "chunk_io_ns");
+        match self {
+            Dest::Live(c) => {
+                let _s = track.span_timed("write", c as u64, "chunk_io_ns");
+                writer.write_chunk_from(c, buf)
+            }
+            Dest::Shadow(c) => {
+                let _s = staged(c);
+                writer.write_staged_range(c, 0, buf)
+            }
+            Dest::Piece { c, off } => {
+                let _s = staged(c);
+                writer.write_staged_range(c, off, buf)
+            }
+            Dest::Nowhere => Ok(()),
+        }
+    }
+}
+
+/// The compute closure's handle on the pass: where finished buffers go
 /// and where staging buffers come from. One implementation per mode so
 /// the same closure body drives both the synchronous baseline and the
 /// pipeline.
 pub(crate) trait PassSink<R: Real> {
-    /// Retire `buf` as the new contents of live chunk `c`.
-    fn write_chunk(&mut self, c: usize, buf: Buf<R>) -> std::io::Result<()>;
-    /// Stage `buf` at `[off, off+len)` of chunk `c`'s shadow file.
-    fn write_staged(&mut self, c: usize, off: usize, buf: Buf<R>) -> std::io::Result<()>;
-    /// Stage `buf` as the complete shadow contents of chunk `c`; the
-    /// live chunk is left untouched (crash-consistent checkpoint passes
-    /// commit the whole generation only after the manifest is durable).
-    fn write_chunk_staged(&mut self, c: usize, buf: Buf<R>) -> std::io::Result<()>;
-    /// Return a chunk buffer without writing it (scatter sources).
-    fn recycle_chunk(&mut self, buf: Buf<R>);
+    /// Write `buf` to `dest`, then return it to its pool.
+    fn retire(&mut self, dest: Dest, buf: Buf<R>) -> std::io::Result<()>;
     /// Acquire a wire buffer (piece-sized staging).
     fn take_wire(&mut self) -> std::io::Result<Buf<R>>;
 }
 
+/// Where a pass's chunks come from.
+#[derive(Clone, Copy)]
+pub(crate) enum PassSource {
+    /// The live chunk files the previous pass wrote or committed.
+    Live,
+    /// No chunk file exists yet: the start state is a formula (the
+    /// uniform superposition, or |0…0⟩), so the first pass synthesises
+    /// each chunk instead of reading one somebody had to write.
+    Start { uniform: bool },
+}
+
+/// The opened form of a [`PassSource`]: fills chunk buffers on the
+/// prefetch thread (or inline when synchronous).
+enum Feed<R: Real> {
+    Live(Box<ChunkReader<R>>),
+    /// Every amplitude is `fill`, except that chunk 0 starts with `head`.
+    Start {
+        fill: Complex<R>,
+        head: Complex<R>,
+    },
+}
+
+impl<R: Real> Feed<R> {
+    fn open(store: &ChunkStore<R>, source: PassSource) -> std::io::Result<Self> {
+        Ok(match source {
+            PassSource::Live => Feed::Live(Box::new(store.reader()?)),
+            PassSource::Start { uniform: true } => {
+                let amp = uniform_amp(store.n_qubits());
+                Feed::Start {
+                    fill: amp,
+                    head: amp,
+                }
+            }
+            PassSource::Start { uniform: false } => Feed::Start {
+                fill: Complex::zero(),
+                head: Complex::one(),
+            },
+        })
+    }
+
+    /// Fill `buf` with chunk `c`, under a `read` or `synthesise` span.
+    fn fill(
+        &mut self,
+        c: usize,
+        buf: &mut [Complex<R>],
+        telemetry: &Telemetry,
+        track: &TrackHandle,
+    ) -> std::io::Result<()> {
+        match self {
+            Feed::Live(reader) => {
+                let d0 = reader.stats().decode_seconds;
+                let read = {
+                    let _s = track.span_timed("read", c as u64, "chunk_io_ns");
+                    reader.read_into(c, buf)
+                };
+                if !reader.codec().is_none() {
+                    let dt = reader.stats().decode_seconds - d0;
+                    telemetry.record_duration_ns("codec_decode_ns", (dt * 1e9) as u64);
+                }
+                read
+            }
+            Feed::Start { fill, head } => {
+                let _s = track.span_id("synthesise", c as u64);
+                buf.fill(*fill);
+                if c == 0 {
+                    buf[0] = *head;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    fn stats(&self) -> IoStats {
+        match self {
+            Feed::Live(reader) => reader.stats(),
+            Feed::Start { .. } => IoStats::default(),
+        }
+    }
+}
+
 /// Pass-shape knobs, derived from the engine config.
 pub(crate) struct PassConfig {
+    pub source: PassSource,
     /// Overlap IO with compute on dedicated threads.
     pub pipelined: bool,
     /// Chunk buffers in flight (prefetch depth) when pipelined.
@@ -179,9 +283,9 @@ pub(crate) struct PassConfig {
     pub telemetry: Telemetry,
 }
 
-/// Stream every chunk of `store` through `compute` once. The closure
+/// Stream every chunk of `cfg.source` through `compute` once. The closure
 /// receives `(chunk_index, chunk_buffer, sink)` in ascending chunk order
-/// and must hand the buffer back through the sink (as a live write or a
+/// and must hand the buffer back through the sink (as a write or a
 /// recycle). IO counters, wait/compute split and the traversal count
 /// are absorbed into the store's stats.
 pub(crate) fn run_pass<R: Real, F>(
@@ -205,7 +309,7 @@ where
 /// exposed to the compute loop, so `io_wait_seconds` ≈ raw IO time and
 /// `overlap_fraction` ≈ 0.
 struct SyncSink<'a, R: Real> {
-    writer: crate::chunkstore::ChunkWriter<R>,
+    writer: ChunkWriter<R>,
     chunk_pool: &'a mut BufferPool<R>,
     wire_pool: &'a mut BufferPool<R>,
     io_wait: f64,
@@ -213,39 +317,15 @@ struct SyncSink<'a, R: Real> {
 }
 
 impl<R: Real> PassSink<R> for SyncSink<'_, R> {
-    fn write_chunk(&mut self, c: usize, buf: Buf<R>) -> std::io::Result<()> {
-        let _s = self.track.span_timed("write", c as u64, "chunk_io_ns");
+    fn retire(&mut self, dest: Dest, buf: Buf<R>) -> std::io::Result<()> {
         let t = Instant::now();
-        let r = self.writer.write_chunk_from(c, &buf);
+        let r = dest.write(&mut self.writer, &self.track, &buf);
         self.io_wait += t.elapsed().as_secs_f64();
-        self.chunk_pool.put(buf);
+        match dest {
+            Dest::Piece { .. } => self.wire_pool.put(buf),
+            _ => self.chunk_pool.put(buf),
+        }
         r
-    }
-
-    fn write_staged(&mut self, c: usize, off: usize, buf: Buf<R>) -> std::io::Result<()> {
-        let _s = self
-            .track
-            .span_timed("write staged", c as u64, "chunk_io_ns");
-        let t = Instant::now();
-        let r = self.writer.write_staged_range(c, off, &buf);
-        self.io_wait += t.elapsed().as_secs_f64();
-        self.wire_pool.put(buf);
-        r
-    }
-
-    fn write_chunk_staged(&mut self, c: usize, buf: Buf<R>) -> std::io::Result<()> {
-        let _s = self
-            .track
-            .span_timed("write staged", c as u64, "chunk_io_ns");
-        let t = Instant::now();
-        let r = self.writer.write_staged_range(c, 0, &buf);
-        self.io_wait += t.elapsed().as_secs_f64();
-        self.chunk_pool.put(buf);
-        r
-    }
-
-    fn recycle_chunk(&mut self, buf: Buf<R>) {
-        self.chunk_pool.put(buf);
     }
 
     fn take_wire(&mut self) -> std::io::Result<Buf<R>> {
@@ -264,7 +344,7 @@ where
     F: FnMut(usize, Buf<R>, &mut dyn PassSink<R>) -> std::io::Result<()>,
 {
     let n = store.n_chunks();
-    let mut reader = store.reader()?;
+    let mut feed = Feed::open(store, cfg.source)?;
     let writer = store.writer()?;
     // Synchronous IO happens on the caller's thread; reads and writes
     // share the compute track so the timeline shows the serialization.
@@ -280,11 +360,7 @@ where
     for c in 0..n {
         let mut buf = sink.chunk_pool.get();
         let t = Instant::now();
-        let read = {
-            let _s = sink.track.span_timed("read", c as u64, "chunk_io_ns");
-            reader.read_into(c, &mut buf)
-        };
-        if let Err(e) = read {
+        if let Err(e) = feed.fill(c, &mut buf, &cfg.telemetry, &sink.track) {
             sink.chunk_pool.put(buf);
             result = Err(e);
             break;
@@ -300,7 +376,7 @@ where
         }
     }
     let loop_stats = IoStats::compute_loop(sink.io_wait, compute_seconds);
-    store.absorb(&reader.stats());
+    store.absorb(&feed.stats());
     store.absorb(&sink.writer.stats());
     store.absorb(&loop_stats);
     store.count_traversal();
@@ -310,38 +386,20 @@ where
 /// Pipelined sink: writes become enqueues; the writeback thread recycles
 /// buffers into the free pipes.
 struct PipeSink<'a, R: Real> {
-    wb: &'a Pipe<WbItem<R>>,
+    wb: &'a Pipe<(Dest, Buf<R>)>,
     wire_free: &'a Pipe<Buf<R>>,
     io_wait: f64,
 }
 
 impl<R: Real> PassSink<R> for PipeSink<'_, R> {
-    fn write_chunk(&mut self, c: usize, buf: Buf<R>) -> std::io::Result<()> {
-        // The wb pipe only closes after the compute loop finishes, so
-        // these pushes are never rejected.
-        let (_, blocked) = self.wb.push(WbItem::Chunk { c, buf });
+    fn retire(&mut self, dest: Dest, buf: Buf<R>) -> std::io::Result<()> {
+        // Recycle-only requests go through the writeback thread too, so
+        // ordering with in-flight writes is preserved. The wb pipe only
+        // closes after the compute loop finishes and its capacity covers
+        // every buffer in existence, so the push is never rejected.
+        let (_, blocked) = self.wb.push((dest, buf));
         self.io_wait += blocked;
         Ok(())
-    }
-
-    fn write_staged(&mut self, c: usize, off: usize, buf: Buf<R>) -> std::io::Result<()> {
-        let (_, blocked) = self.wb.push(WbItem::Staged { c, off, buf });
-        self.io_wait += blocked;
-        Ok(())
-    }
-
-    fn write_chunk_staged(&mut self, c: usize, buf: Buf<R>) -> std::io::Result<()> {
-        let (_, blocked) = self.wb.push(WbItem::StagedChunk { c, buf });
-        self.io_wait += blocked;
-        Ok(())
-    }
-
-    fn recycle_chunk(&mut self, buf: Buf<R>) {
-        // Route through the writeback thread so ordering with in-flight
-        // writes is preserved and the push never blocks (wb capacity
-        // covers every buffer in existence).
-        let (_, blocked) = self.wb.push(WbItem::Chunk { c: usize::MAX, buf });
-        self.io_wait += blocked;
     }
 
     fn take_wire(&mut self) -> std::io::Result<Buf<R>> {
@@ -384,7 +442,7 @@ where
 {
     let n = store.n_chunks();
     let depth = cfg.depth.max(1);
-    let reader = store.reader()?;
+    let feed = Feed::open(store, cfg.source)?;
     let writer = store.writer()?;
 
     // Capacities are sized so no pipe can ever reject a buffer that
@@ -392,7 +450,7 @@ where
     // scratch, see the unpermute pass), `cfg.wires` wire buffers.
     let chunk_free = Pipe::<Buf<R>>::new(depth + 1);
     let full = Pipe::<(usize, Buf<R>)>::new(depth + 1);
-    let wb = Pipe::<WbItem<R>>::new(depth + 1 + cfg.wires.max(1));
+    let wb = Pipe::<(Dest, Buf<R>)>::new(depth + 1 + cfg.wires.max(1));
     let wire_free = Pipe::<Buf<R>>::new(cfg.wires.max(1));
     for _ in 0..depth {
         chunk_free.push(chunk_pool.get());
@@ -409,23 +467,12 @@ where
         // ends.
         let prefetch = s.spawn(|| {
             let track = cfg.telemetry.track("ooc.prefetch");
-            let mut reader = reader;
-            let codec_on = !reader.codec().is_none();
+            let mut feed = feed;
             let mut stranded: Vec<Buf<R>> = Vec::new();
             for c in 0..n {
                 let (buf, _) = chunk_free.pop();
                 let Some(mut buf) = buf else { break };
-                let d0 = reader.stats().decode_seconds;
-                let read = {
-                    let _s = track.span_timed("read", c as u64, "chunk_io_ns");
-                    reader.read_into(c, &mut buf)
-                };
-                if codec_on {
-                    let dt = reader.stats().decode_seconds - d0;
-                    cfg.telemetry
-                        .record_duration_ns("codec_decode_ns", (dt * 1e9) as u64);
-                }
-                if let Err(e) = read {
+                if let Err(e) = feed.fill(c, &mut buf, &cfg.telemetry, &track) {
                     set_err(&err, e);
                     stranded.push(buf);
                     break;
@@ -436,7 +483,7 @@ where
                 }
             }
             full.close();
-            (reader.stats(), stranded)
+            (feed.stats(), stranded)
         });
 
         let writeback = s.spawn(|| {
@@ -444,45 +491,17 @@ where
             let mut writer = writer;
             let codec_on = !writer.codec().is_none();
             let mut stranded: Vec<Buf<R>> = Vec::new();
-            loop {
-                let (item, _) = wb.pop();
+            while let (Some((dest, buf)), _) = wb.pop() {
                 let e0 = writer.stats().encode_seconds;
-                match item {
-                    None => break,
-                    Some(WbItem::Chunk { c, buf }) => {
-                        // `usize::MAX` marks a recycle-only request.
-                        if c != usize::MAX {
-                            let _s = track.span_timed("write", c as u64, "chunk_io_ns");
-                            if let Err(e) = writer.write_chunk_from(c, &buf) {
-                                set_err(&err, e);
-                            }
-                        }
-                        if let (Some(buf), _) = chunk_free.push(buf) {
-                            stranded.push(buf);
-                        }
-                    }
-                    Some(WbItem::Staged { c, off, buf }) => {
-                        {
-                            let _s = track.span_timed("write staged", c as u64, "chunk_io_ns");
-                            if let Err(e) = writer.write_staged_range(c, off, &buf) {
-                                set_err(&err, e);
-                            }
-                        }
-                        if let (Some(buf), _) = wire_free.push(buf) {
-                            stranded.push(buf);
-                        }
-                    }
-                    Some(WbItem::StagedChunk { c, buf }) => {
-                        {
-                            let _s = track.span_timed("write staged", c as u64, "chunk_io_ns");
-                            if let Err(e) = writer.write_staged_range(c, 0, &buf) {
-                                set_err(&err, e);
-                            }
-                        }
-                        if let (Some(buf), _) = chunk_free.push(buf) {
-                            stranded.push(buf);
-                        }
-                    }
+                if let Err(e) = dest.write(&mut writer, &track, &buf) {
+                    set_err(&err, e);
+                }
+                let home = match dest {
+                    Dest::Piece { .. } => &wire_free,
+                    _ => &chunk_free,
+                };
+                if let (Some(buf), _) = home.push(buf) {
+                    stranded.push(buf);
                 }
                 let dt = writer.stats().encode_seconds - e0;
                 if codec_on && dt > 0.0 {
@@ -581,6 +600,7 @@ mod tests {
     use super::*;
     use crate::chunkstore::ChunkStore;
     use crate::scratch::ScratchDir;
+    use qsim_compress::Codec;
     use qsim_util::c64;
 
     #[test]
@@ -630,6 +650,7 @@ mod tests {
             let mut wire_pool = BufferPool::new(store.chunk_len() >> 2);
             chunk_pool.prewarm(3);
             let cfg = PassConfig {
+                source: PassSource::Live,
                 pipelined,
                 depth: 2,
                 wires: 0,
@@ -644,7 +665,7 @@ mod tests {
                     for a in buf.iter_mut() {
                         *a *= c64::new(2.0, 0.0);
                     }
-                    sink.write_chunk(c, buf)
+                    sink.retire(Dest::Live(c), buf)
                 },
             )
             .unwrap();
@@ -661,6 +682,48 @@ mod tests {
         }
     }
 
+    /// A `Start` source reads nothing and needs no file: both pass modes
+    /// synthesise the bytes `create_uniform` / `create_zero_state` would
+    /// have written, and the live chunks come into being on write.
+    #[test]
+    fn start_source_synthesises_what_create_would_write() {
+        for (uniform, pipelined) in [(true, false), (true, true), (false, false), (false, true)] {
+            let want_dir = ScratchDir::new("pass_start_want");
+            let want = if uniform {
+                ChunkStore::<f64>::create_uniform(want_dir.path(), 4, 2)
+            } else {
+                ChunkStore::<f64>::create_zero_state(want_dir.path(), 4, 2)
+            }
+            .unwrap()
+            .to_vec()
+            .unwrap();
+
+            let dir = ScratchDir::new("pass_start");
+            let mut store =
+                ChunkStore::<f64>::create_empty_with(dir.path(), 4, 2, Codec::None).unwrap();
+            let mut chunk_pool = BufferPool::new(store.chunk_len());
+            let mut wire_pool = BufferPool::new(1);
+            let cfg = PassConfig {
+                source: PassSource::Start { uniform },
+                pipelined,
+                depth: 2,
+                wires: 0,
+                telemetry: Telemetry::disabled(),
+            };
+            run_pass(
+                &mut store,
+                &mut chunk_pool,
+                &mut wire_pool,
+                &cfg,
+                |c, buf, sink| sink.retire(Dest::Live(c), buf),
+            )
+            .unwrap();
+            assert_eq!(store.stats().logical_bytes_read, 0);
+            assert_eq!(store.stats().traversals, 1);
+            assert_eq!(store.to_vec().unwrap(), want, "uniform={uniform}");
+        }
+    }
+
     #[test]
     fn pipelined_staged_writes_commit() {
         let dir = ScratchDir::new("pass_staged");
@@ -669,6 +732,7 @@ mod tests {
         let mut wire_pool = BufferPool::new(store.chunk_len() / 2);
         let piece = store.chunk_len() / 2;
         let cfg = PassConfig {
+            source: PassSource::Live,
             pipelined: true,
             depth: 2,
             wires: 2,
@@ -686,10 +750,15 @@ mod tests {
                     for w in wire.iter_mut() {
                         *w = c64::new(src as f64 + 1.0, dst as f64);
                     }
-                    sink.write_staged(dst, src * piece, wire)?;
+                    sink.retire(
+                        Dest::Piece {
+                            c: dst,
+                            off: src * piece,
+                        },
+                        wire,
+                    )?;
                 }
-                sink.recycle_chunk(buf);
-                Ok(())
+                sink.retire(Dest::Nowhere, buf)
             },
         )
         .unwrap();
@@ -715,6 +784,7 @@ mod tests {
         let mut chunk_pool = BufferPool::new(store.chunk_len());
         let mut wire_pool = BufferPool::new(1);
         let cfg = PassConfig {
+            source: PassSource::Live,
             pipelined: true,
             depth: 2,
             wires: 0,
@@ -725,7 +795,7 @@ mod tests {
             &mut chunk_pool,
             &mut wire_pool,
             &cfg,
-            |c, buf, sink| sink.write_chunk(c, buf),
+            |c, buf, sink| sink.retire(Dest::Live(c), buf),
         );
         assert!(r.is_err(), "truncated chunk must fail the pass");
     }

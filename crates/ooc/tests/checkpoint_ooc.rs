@@ -12,12 +12,16 @@ use qsim_sched::{plan, Schedule, SchedulerConfig};
 use qsim_util::c64;
 use qsim_util::complex::max_dist;
 
-/// A small supremacy instance with a multi-swap distributed plan.
+/// A small supremacy instance with a one-swap distributed plan.
 fn planned(l: u32, kmax: u32) -> (Circuit, Schedule, bool) {
+    planned_for(2, 4, 18, l, kmax)
+}
+
+fn planned_for(rows: u32, cols: u32, depth: u32, l: u32, kmax: u32) -> (Circuit, Schedule, bool) {
     let c = supremacy_circuit(&SupremacySpec {
-        rows: 2,
-        cols: 4,
-        depth: 18,
+        rows,
+        cols,
+        depth,
         seed: 7,
     });
     let (exec, uniform) = strip_initial_hadamards(&c);
@@ -69,25 +73,43 @@ fn checkpointing_does_not_change_a_single_bit() {
     }
 }
 
-#[test]
-fn crash_at_every_pass_and_point_then_resume_is_bit_exact() {
-    let (_, schedule, uniform) = planned(6, 3);
+/// Crash at every pass × point under `codec`, resume, and compare with
+/// the uninterrupted uncompressed oracle (`codec` must be lossless).
+///
+/// The protocol digests chunk bytes *as stored*, so it has to hold
+/// unchanged when the store holds codec frames. Two windows get an
+/// explicit look: pass 0, which reads no chunk — before its commit the
+/// directory holds staged files only, and a crash before the manifest
+/// leaves nothing to resume from — and every later pass, whose resume
+/// finds live chunks holding the previous swap's exchange buffers, still
+/// awaiting their unpermute.
+fn crash_everywhere_then_resume(codec: Codec) {
+    // Three swaps (the first an identity slots→top permutation, so its
+    // unpermute is skipped), four passes.
+    let (_, schedule, uniform) = planned_for(3, 3, 25, 5, 3);
+    assert!(schedule.n_swaps() >= 2, "want a middle pass to resume into");
     let (expect, _) = oracle(&schedule, uniform);
-
-    // Walk crash targets upward until one no longer fires (the run has
-    // fewer passes than that index) — this sweeps every (pass, point)
-    // recovery window without knowing the pass count a priori.
+    let sim = |checkpoint: OocCheckpoint| {
+        OocSimulator::<f64>::new(OocConfig {
+            pipeline: true,
+            checkpoint: Some(checkpoint),
+            compress: codec,
+            ..OocConfig::sequential()
+        })
+    };
     for point in [
         CrashPoint::BeforeManifest,
         CrashPoint::BeforeCommit,
         CrashPoint::AfterCommit,
     ] {
+        // Walk crash targets upward until one no longer fires (the run
+        // has fewer passes than that index).
         let mut pass = 0usize;
         loop {
             let dir = ScratchDir::new("ooc_ckpt_crash");
             let mut cp = OocCheckpoint::new();
             cp.crash = Some((pass, point));
-            match ckpt_sim(true, cp).run(dir.path(), &schedule, uniform) {
+            match sim(cp).run(dir.path(), &schedule, uniform) {
                 Ok(_) => break, // past the last pass: nothing to crash
                 Err(e) => assert_eq!(
                     e.kind(),
@@ -95,17 +117,86 @@ fn crash_at_every_pass_and_point_then_resume_is_bit_exact() {
                     "injected crash must surface typed: {e}"
                 ),
             }
-            let mut sim = ckpt_sim(true, OocCheckpoint::resume());
-            let (_, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+            let live = dir.path().join("chunk_000000.amps").exists();
+            let manifest = dir.path().join("MANIFEST.json").exists();
+            let want = match (pass, point) {
+                (0, CrashPoint::BeforeManifest) => (false, false),
+                (0, CrashPoint::BeforeCommit) => (false, true),
+                _ => (true, true),
+            };
+            assert_eq!((live, manifest), want, "pass {pass} ({point:?})");
+            let (out, state) = sim(OocCheckpoint::resume())
+                .run_gather(dir.path(), &schedule, uniform)
+                .unwrap();
             assert_eq!(
                 max_dist(&state, &expect),
                 0.0,
-                "resume after crash at pass {pass} ({point:?}) diverged"
+                "{codec:?}: resume after crash at pass {pass} ({point:?}) diverged"
+            );
+            // Only the passes past the durable ones run again.
+            let durable = pass + usize::from(point != CrashPoint::BeforeManifest);
+            assert_eq!(
+                out.io.traversals as usize,
+                (out.runs - durable).max(1),
+                "pass {pass} ({point:?})"
             );
             pass += 1;
         }
-        assert!(pass >= 3, "schedule too shallow to exercise {point:?}");
+        assert_eq!(
+            pass,
+            schedule.n_swaps() + 1,
+            "one crash window per stage run"
+        );
     }
+}
+
+#[test]
+fn crash_at_every_pass_and_point_then_resume_is_bit_exact() {
+    crash_everywhere_then_resume(Codec::None);
+}
+
+#[test]
+fn compressed_crash_resume_is_bit_exact() {
+    crash_everywhere_then_resume(Codec::ShuffleRle);
+}
+
+#[test]
+fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
+    let (_, schedule, uniform) = planned_for(3, 3, 25, 5, 3);
+    let runs = schedule.n_swaps() as u64 + 1;
+    // Stream-phase (planned, done) units and swap_ns samples of one run.
+    let observe = |dir: &ScratchDir, checkpoint: OocCheckpoint| {
+        let telemetry = qsim_telemetry::Telemetry::enabled();
+        let mut sim = OocSimulator::<f64>::new(OocConfig {
+            checkpoint: Some(checkpoint),
+            telemetry: telemetry.clone(),
+            ..OocConfig::sequential()
+        });
+        let result = sim.run(dir.path(), &schedule, uniform);
+        let snap = telemetry.progress().unwrap().snapshot();
+        let stream = snap.phases.iter().find(|p| p.name == "stream").unwrap();
+        let swaps = match telemetry.metrics().unwrap().get("swap_ns") {
+            Some(qsim_telemetry::Metric::Histogram(h)) => h.count,
+            _ => 0,
+        };
+        (result.is_ok(), stream.planned, stream.done, swaps)
+    };
+    let dir = ScratchDir::new("ooc_ckpt_progress");
+    assert_eq!(
+        observe(&dir, OocCheckpoint::new()),
+        (true, runs, runs, runs - 1),
+        "a fresh run plans one unit per stage run, one swap_ns sample per swap"
+    );
+    let dir = ScratchDir::new("ooc_ckpt_progress_crash");
+    let mut cp = OocCheckpoint::new();
+    cp.crash = Some((1, CrashPoint::AfterCommit));
+    // (The crash fires inside pass 1's commit, before it reports done.)
+    assert_eq!(observe(&dir, cp), (false, runs, 1, 1));
+    assert_eq!(
+        observe(&dir, OocCheckpoint::resume()),
+        (true, runs - 2, runs - 2, runs - 2),
+        "only the runs past the manifest cursor are planned"
+    );
 }
 
 #[test]
@@ -119,8 +210,10 @@ fn resume_of_a_finished_run_replays_no_pass() {
     let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
     assert_eq!(max_dist(&state, &expect), 0.0);
     // Every pass is skipped: the only traffic is the resume
-    // verification read plus the final reduction read — no writes.
+    // verification read plus one reduction read (no pass is left to fold
+    // it into) — no writes.
     assert_eq!(out.io.bytes_written, 0, "a finished run must not re-run");
+    assert_eq!(out.io.traversals, 1);
 }
 
 #[test]
@@ -165,56 +258,6 @@ fn resume_rejects_cross_precision_manifests() {
         err.to_string().contains("precision"),
         "unhelpful error: {err}"
     );
-}
-
-#[test]
-fn compressed_crash_resume_is_bit_exact() {
-    // The crash-consistency protocol digests *encoded* chunk bytes, so
-    // it must survive a crash at every commit window unchanged when the
-    // store holds codec frames instead of raw amplitudes. Resume reads
-    // back through the decoder and must land on the bit-exact state of
-    // an uninterrupted compressed run — which itself must equal the
-    // uncompressed oracle, because the codec is lossless.
-    let (_, schedule, uniform) = planned(6, 3);
-    let (expect, _) = oracle(&schedule, uniform);
-
-    let comp_sim = |checkpoint: OocCheckpoint| {
-        OocSimulator::<f64>::new(OocConfig {
-            pipeline: true,
-            checkpoint: Some(checkpoint),
-            compress: Codec::ShuffleRle,
-            ..OocConfig::sequential()
-        })
-    };
-    for point in [
-        CrashPoint::BeforeManifest,
-        CrashPoint::BeforeCommit,
-        CrashPoint::AfterCommit,
-    ] {
-        let mut pass = 0usize;
-        loop {
-            let dir = ScratchDir::new("ooc_ckpt_comp_crash");
-            let mut cp = OocCheckpoint::new();
-            cp.crash = Some((pass, point));
-            match comp_sim(cp).run(dir.path(), &schedule, uniform) {
-                Ok(_) => break,
-                Err(e) => assert_eq!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted,
-                    "injected crash must surface typed: {e}"
-                ),
-            }
-            let mut sim = comp_sim(OocCheckpoint::resume());
-            let (_, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
-            assert_eq!(
-                max_dist(&state, &expect),
-                0.0,
-                "compressed resume after crash at pass {pass} ({point:?}) diverged"
-            );
-            pass += 1;
-        }
-        assert!(pass >= 3, "schedule too shallow to exercise {point:?}");
-    }
 }
 
 #[test]

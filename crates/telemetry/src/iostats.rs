@@ -41,8 +41,8 @@ pub struct IoStats {
     pub io_wait_seconds: f64,
     /// Compute-loop time spent applying operations to resident chunks.
     pub compute_seconds: f64,
-    /// Full-state streaming passes over the chunk set (stage runs, swap
-    /// scatter and swap unpermute; initialization is not counted).
+    /// Full-state streaming passes over the chunk set: one per stage
+    /// run, both halves of each swap riding inside the runs around it.
     pub traversals: u64,
     /// Buffer-pool misses (allocations); zero once the pool is warm.
     pub buffer_allocs: u64,

@@ -13,9 +13,10 @@
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::circuit::Circuit;
+use qsim45::core::dist::slots_to_top_permutation;
 use qsim45::core::{
     Backend, BackendOutcome, BackendPlan, BackendStats, DistBackend, DistConfig, DistSimulator,
-    SingleBackend, SingleNodeSimulator,
+    SimError, SingleBackend, SingleNodeSimulator,
 };
 use qsim45::kernels::{KernelConfig, SweepDispatch};
 use qsim45::ooc::{Codec, OocBackend, OocConfig, OocSimulator};
@@ -141,24 +142,16 @@ fn ooc_traffic_grows_with_swap_count_not_gate_count() {
     let (g1, s1, r1, b1) = run(&shallow);
     let (g2, s2, r2, b2) = run(&deep);
     assert!(g2 > 3 * g1, "deep circuit must have many more gates");
-    // The §5 property, sharpened by run batching: traffic is bounded by
-    // the swap structure alone — one state sweep per swap boundary plus
-    // the fused exchange passes — independent of gate count and of how
-    // many stages the planner emitted.
+    // The §5 property at its sharpest: traffic is fixed by the swap
+    // structure alone — one state write per swap, one read and one write
+    // per later run, nothing for the start state or the reduction —
+    // independent of gate count and of how many stages the planner
+    // emitted.
     let state_bytes = (1u64 << n) * 16;
-    let budget = |runs: usize, swaps: usize| state_bytes * (1 + 2 * runs as u64 + 4 * swaps as u64);
-    assert!(b1 <= budget(r1, s1), "shallow traffic {b1}");
-    assert!(b2 <= budget(r2, s2), "deep traffic {b2}");
+    assert_eq!(b1, state_bytes * (2 * s1 as u64 + 1), "shallow traffic");
+    assert_eq!(b2, state_bytes * (2 * s2 as u64 + 1), "deep traffic");
     assert_eq!(r1, s1 + 1);
     assert_eq!(r2, s2 + 1);
-    // Per-structure traffic must be roughly the same constant for both.
-    let per1 = b1 as f64 / (r1 + 3 * s1) as f64;
-    let per2 = b2 as f64 / (r2 + 3 * s2) as f64;
-    let ratio = per2 / per1;
-    assert!(
-        (0.4..2.5).contains(&ratio),
-        "per-structure traffic drifted: {per1:.0} vs {per2:.0} bytes"
-    );
 }
 
 #[test]
@@ -209,8 +202,9 @@ fn compressed_ooc_agrees_with_dist_bit_for_bit() {
     // The lossless chunk codec sits on the IO path only: every
     // amplitude that comes back from disk is the exact bytes that went
     // in, so compressed OOC vs the in-memory distributed engine is
-    // exact equality — at both precisions — while writing fewer bytes
-    // than the raw store.
+    // exact equality — at both precisions — and the stored-raw fallback
+    // keeps a dense state from costing more than its frame headers.
+    // (The highly compressible *start* state is never written.)
     let c = workload();
     let g = 3u32;
 
@@ -229,13 +223,9 @@ fn compressed_ooc_agrees_with_dist_bit_for_bit() {
         panic!("ooc stats expected");
     };
     assert!(
-        io.compression_ratio() > 1.0,
-        "lossless codec must beat raw on this workload: ratio {}",
+        io.compression_ratio() > 0.99,
+        "stored-raw fallback bounds the loss: ratio {}",
         io.compression_ratio()
-    );
-    assert!(
-        io.bytes_written < io.logical_bytes_written,
-        "encoded bytes on disk must undercut amplitude bytes"
     );
 
     let mut dist = dist_backend(1usize << g);
@@ -248,6 +238,116 @@ fn compressed_ooc_agrees_with_dist_bit_for_bit() {
         0.0,
         "compressed ooc f32 vs dist must be bit-exact"
     );
+}
+
+/// The fused passes against the in-memory engine executing the *same*
+/// plan, over every data-path mode: a three-swap schedule whose first
+/// slots→top permutation is the identity (its unpermute is skipped),
+/// and the two op-free starts (one pass: synthesise, reduce, write).
+fn fused_ooc_matches_dist<R: SweepDispatch>() {
+    let deep = supremacy_circuit(&SupremacySpec {
+        rows: 3,
+        cols: 3,
+        depth: 25,
+        seed: 7,
+    });
+    let mut hadamards = Circuit::new(6);
+    for q in 0..6 {
+        hadamards.h(q);
+    }
+    let empty = Circuit::new(6);
+    for (c, parts, swaps) in [(&deep, 16usize, 3usize), (&hadamards, 4, 0), (&empty, 4, 0)] {
+        let mut dist = dist_backend(parts);
+        let (plan, dout) = run_gathered::<R>(&mut dist, c);
+        assert_eq!(plan.schedule.n_swaps(), swaps);
+        let l = plan.schedule.local_qubits;
+        let identities = plan
+            .schedule
+            .stages
+            .iter()
+            .filter_map(|s| s.swap.as_ref())
+            .filter(|s| slots_to_top_permutation(&s.local_slots, l).is_identity())
+            .count();
+        assert_eq!(identities, usize::from(swaps > 0), "identity-swap coverage");
+        let want = dout.state.unwrap();
+        for (pipeline, batch_runs) in [(true, true), (true, false), (false, true), (false, false)] {
+            let mut ooc = OocBackend::new(
+                OocSimulator::<R>::new(OocConfig {
+                    pipeline,
+                    batch_runs,
+                    ..OocConfig::sequential()
+                }),
+                parts,
+            );
+            Backend::<R>::gather_state(&mut ooc, true);
+            let out = ooc.run(&plan).unwrap();
+            let mode = format!("{swaps} swaps, pipeline={pipeline}, batch_runs={batch_runs}");
+            assert_eq!(out.state.unwrap(), want, "{mode}");
+            // (At f32 the in-memory engine sums its norm in f32, the
+            // chunk reduction in f64: equal only at f64.)
+            if R::BYTES == 8 {
+                assert_eq!(out.norm.to_bits(), dout.norm.to_bits(), "{mode}");
+            }
+            assert_eq!(out.entropy.to_bits(), dout.entropy.to_bits(), "{mode}");
+            let BackendStats::Ooc { io, runs, .. } = out.stats else {
+                panic!("ooc stats expected");
+            };
+            assert_eq!(io.traversals as usize, runs, "{mode}");
+            if batch_runs {
+                assert_eq!(runs, swaps + 1, "{mode}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_ooc_passes_match_dist_bit_for_bit() {
+    fused_ooc_matches_dist::<f64>();
+    fused_ooc_matches_dist::<f32>();
+}
+
+#[test]
+fn dist_reductions_repeat_bit_for_bit() {
+    // 2^15 amplitudes per rank puts the entropy reduce on its parallel
+    // path; its partials must merge in index order, not in the order the
+    // workers finish, so ten runs agree to the last bit.
+    let c = supremacy_circuit(&SupremacySpec {
+        rows: 4,
+        cols: 4,
+        depth: 10,
+        seed: 11,
+    });
+    let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks: 2,
+        kernel: KernelConfig {
+            threads: 2,
+            ..KernelConfig::default()
+        },
+        ..Default::default()
+    }));
+    let plan = Backend::<f64>::plan(&dist, &c).unwrap();
+    let runs: Vec<(u64, u64)> = (0..10)
+        .map(|_| {
+            let out = Backend::<f64>::run(&mut dist, &plan).unwrap();
+            (out.norm.to_bits(), out.entropy.to_bits())
+        })
+        .collect();
+    assert!(runs.iter().all(|r| *r == runs[0]), "{runs:x?}");
+}
+
+#[test]
+fn ooc_geometry_misuse_is_a_typed_error() {
+    // 8 chunks of a 4-qubit state: g = 3 > l = 1, so a chunk cannot be
+    // split 8 ways for the all-to-all. `run` must say so, not assert.
+    let mut c = Circuit::new(4);
+    c.t(0).h(1);
+    let mut ooc = ooc_backend::<f64>(8, Codec::None);
+    let plan = Backend::<f64>::plan(&ooc, &c).unwrap();
+    match ooc.run(&plan) {
+        Err(SimError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Err(e) => panic!("expected an InvalidInput Io error, got {e}"),
+        Ok(_) => panic!("g > l must be rejected"),
+    }
 }
 
 #[test]
