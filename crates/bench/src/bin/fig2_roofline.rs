@@ -6,6 +6,9 @@
 //!   step 1  in-place / lazy evaluation (halves traffic)
 //!   step 2  + explicit vectorization of Eq. (1) (mul/permute/hadd lanes)
 //!   step 3  + Eq. (2)–(3) re-ordering, register blocking, packed matrix
+//!           (AVX2 rows, then AVX-512 rows)
+//!   step 4  + vectorised across blocks instead of across output rows
+//!           (the block-lane kernel; what `Simd::Auto` runs on AVX-512)
 //!
 //! Prints operational intensity (FLOP/byte) and measured GFLOPS per
 //! (kernel, step), plus the memory-bandwidth roofline bound for this host
@@ -27,8 +30,9 @@ fn main() {
     let bw = triad_bandwidth_gbs(n);
     println!("# stream-triad bandwidth ≈ {bw:.1} GB/s");
     println!(
-        "# AVX2+FMA available: {}",
-        qsim_kernels::avx::avx2_available()
+        "# AVX2+FMA available: {}, AVX-512F: {}",
+        qsim_kernels::avx::avx2_available(),
+        qsim_kernels::avx512::avx512_available()
     );
     row(&[
         cell("kernel", 8),
@@ -38,7 +42,7 @@ fn main() {
         cell("roof[GFLOPS]", 13),
     ]);
 
-    let steps: [(&str, KernelConfig); 4] = [
+    let steps: [(&str, KernelConfig); 6] = [
         (
             "0 two-vector",
             KernelConfig {
@@ -69,7 +73,26 @@ fn main() {
             },
         ),
         (
-            "3 +blocked/AVX2",
+            "3 +blocked/AVX2 rows",
+            KernelConfig {
+                opt: OptLevel::Blocked,
+                simd: Simd::Avx2,
+                block: 4,
+                threads,
+            },
+        ),
+        (
+            "3b AVX-512 rows",
+            // Marker config: routed to the dedicated row kernel below.
+            KernelConfig {
+                opt: OptLevel::Blocked,
+                simd: Simd::Auto,
+                block: 4,
+                threads,
+            },
+        ),
+        (
+            "4 +block lanes (Auto)",
             KernelConfig {
                 opt: OptLevel::Blocked,
                 simd: Simd::Auto,
@@ -87,6 +110,11 @@ fn main() {
                 let m = random_gate(k, 0xbeef ^ k as u64);
                 measure_fn_gflops(n, &qubits, 1, 3, |state, qs| {
                     qsim_kernels::avx::apply_avx_eq1(state, qs, &m);
+                })
+            } else if name.starts_with("3b ") {
+                let m = random_gate(k, 0xbeef ^ k as u64);
+                measure_fn_gflops(n, &qubits, 1, 3, |state, qs| {
+                    qsim_kernels::avx512::apply_avx512_rows(state, qs, &m);
                 })
             } else {
                 measure_kernel_gflops(n, &qubits, cfg, 1, 3)

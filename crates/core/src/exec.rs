@@ -3,11 +3,11 @@
 //! ([`qsim_kernels::sweep`]).
 //!
 //! [`compile_stage`] turns a stage's op list into prepared passes: gate
-//! matrices are permuted/packed ONCE (per stage, not per apply), dense
-//! operands are remapped to compact tile positions, and diagonal ops —
-//! including fused clusters whose matrix happens to be diagonal — are
-//! resolved against the tile so they fold into the sweep as phase
-//! multiplications. [`execute_compiled_stage`] then streams the state
+//! matrices are permuted/packed ONCE (per stage, not per apply), and
+//! diagonal ops — including fused clusters whose matrix happens to be
+//! diagonal — fold into the sweep as phase multiplications; the kernel
+//! crate's `TiledPass` resolves both kinds of operand against the tile
+//! it stages. [`execute_compiled_stage`] then streams the state
 //! once per pass. Both simulators adopt this path at
 //! [`OptLevel::Blocked`]: `SingleNodeSimulator::run` via
 //! [`execute_schedule_sweep`], and the distributed rank loop by compiling
@@ -83,27 +83,17 @@ pub fn compile_stage<R: SweepDispatch>(
                             Some(diag) => {
                                 let diag: Vec<Complex<R>> =
                                     diag.iter().map(|a| a.convert()).collect();
-                                TileOp::Diag(PreparedDiag::new(&c.qubits, diag, tile, local_qubits))
+                                TileOp::Diag(PreparedDiag::new(&c.qubits, diag, local_qubits))
                             }
-                            None => {
-                                let compact: Vec<u32> = c
-                                    .qubits
-                                    .iter()
-                                    .map(|q| {
-                                        tile.binary_search(q).expect("dense operand in tile") as u32
-                                    })
-                                    .collect();
-                                TileOp::Dense(PreparedGate::new(
-                                    &compact,
-                                    &c.matrix.convert::<R>(),
-                                    kernel,
-                                ))
-                            }
+                            None => TileOp::Dense(PreparedGate::new(
+                                &c.qubits,
+                                &c.matrix.convert::<R>(),
+                                kernel,
+                            )),
                         },
                         StageOp::Diagonal(d) => TileOp::Diag(PreparedDiag::new(
                             &d.positions,
                             d.diag.iter().map(|a| a.convert()).collect(),
-                            tile,
                             local_qubits,
                         )),
                     })

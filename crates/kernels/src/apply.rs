@@ -7,9 +7,9 @@
 //! can be set manually — the benchmark harnesses sweep them for Fig. 2.
 
 use crate::avx;
-use crate::matrix::{GateMatrix, PackedMatrix};
+use crate::matrix::GateMatrix;
 use crate::opt;
-use crate::parallel;
+use crate::sweep::{PackedDense, SweepDispatch};
 use qsim_util::complex::Complex;
 use qsim_util::{c64, Real};
 
@@ -34,7 +34,8 @@ pub enum Simd {
     Scalar,
     /// Force the AVX2+FMA path (scalar when unsupported).
     Avx2,
-    /// Best available: AVX-512 for k >= 2 when the host supports it,
+    /// Best available: on an AVX-512 host the block-lane kernel for whole
+    /// lane groups and the AVX-512 row kernel (k >= 2) for what is left,
     /// else AVX2+FMA, else scalar. Only meaningful at
     /// `OptLevel::Blocked`.
     Auto,
@@ -76,10 +77,9 @@ impl KernelConfig {
 
 /// Apply a dense k-qubit gate to `state` at `qubits` under `cfg`.
 ///
-/// f64 states additionally get the AVX2 path when `cfg.simd == Auto`;
-/// other precisions always use the portable kernels (the generic bound
-/// cannot name f64 specially, so `apply_gate` is specialized below via
-/// [`ApplyDispatch`]).
+/// Step 3 runs each precision's packed SIMD kernels (the generic bound
+/// cannot name a precision specially, so `apply_gate` is specialized
+/// below via [`ApplyDispatch`]).
 pub fn apply_gate<T: Real + ApplyDispatch>(
     state: &mut [Complex<T>],
     qubits: &[u32],
@@ -98,8 +98,9 @@ pub fn apply_gate_seq<T: Real + ApplyDispatch>(
     apply_gate(state, qubits, m, &KernelConfig::sequential());
 }
 
-/// Precision-directed dispatch: f64 may take the AVX2 kernel, every other
-/// precision takes the portable path.
+/// Precision-directed dispatch: step 3 goes through the precision's
+/// packed kernels ([`PackedDense`]), the other ladder rungs through the
+/// portable path.
 pub trait ApplyDispatch: Real + Sized {
     fn dispatch(
         state: &mut [Complex<Self>],
@@ -109,7 +110,11 @@ pub trait ApplyDispatch: Real + Sized {
     );
 }
 
-fn dispatch_portable<T: Real>(
+/// One dispatch for every precision: the portable kernels on the first
+/// three ladder rungs, and at step 3 the packed form the tiled sweep
+/// executor also uses ([`PackedDense`]), so the per-gate path and the
+/// executor run the same kernels by construction.
+fn dispatch<T: SweepDispatch>(
     state: &mut [Complex<T>],
     qubits: &[u32],
     m: &GateMatrix<T>,
@@ -127,8 +132,7 @@ fn dispatch_portable<T: Real>(
         OptLevel::Fma => opt::apply_fma(state, qubits, m),
         OptLevel::Blocked => {
             let (exp, pm) = opt::prepare(state.len(), qubits, m);
-            let packed = PackedMatrix::pack(&pm);
-            parallel::par_apply_blocked(state, &exp, &packed, cfg.block, cfg.threads);
+            PackedDense::pack(&pm, cfg).apply_full(state, &exp, cfg.block, cfg.threads);
         }
     }
 }
@@ -140,68 +144,11 @@ impl ApplyDispatch for f32 {
         m: &GateMatrix<f32>,
         cfg: &KernelConfig,
     ) {
-        // §5 single-precision mode: k >= 2 gates take the 8-lane AVX2
-        // path when available.
-        if cfg.opt == OptLevel::Blocked
-            && cfg.simd != Simd::Scalar
-            && m.k() >= 2
-            && avx::avx2_available()
-        {
-            let (exp, pm) = opt::prepare(state.len(), qubits, m);
-            let packed = crate::avxf32::PackedF32::pack(&pm);
-            parallel::par_apply_avx_f32(state, &exp, &packed, cfg.threads);
-            return;
-        }
-        dispatch_portable(state, qubits, m, cfg);
+        dispatch(state, qubits, m, cfg);
     }
 }
 
-/// One-time measured choice between the AVX2 and AVX-512 kernels —
-/// hardware advertising AVX-512 does not always run it faster (license-
-/// based downclocking, emulation), so `Simd::Auto` trusts a micro-
-/// benchmark, not the CPUID flag. This is the paper's code-generation /
-/// benchmarking feedback loop applied to ISA selection.
-pub(crate) fn avx512_wins() -> bool {
-    use std::sync::OnceLock;
-    static CHOICE: OnceLock<bool> = OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        if !crate::avx512::avx512_available() || !avx::avx2_available() {
-            return crate::avx512::avx512_available();
-        }
-        let n = 14u32;
-        let mut rng = qsim_util::Xoshiro256::seed_from_u64(0xa512);
-        let mut state: Vec<c64> = (0..1usize << n)
-            .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-            .collect();
-        let m = {
-            let d = 16;
-            GateMatrix::from_rows(
-                4,
-                (0..d * d)
-                    .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-                    .collect(),
-            )
-        };
-        let qubits = [0u32, 1, 2, 3];
-        let (exp, pm) = opt::prepare(state.len(), &qubits, &m);
-        let mut time = |f: &mut dyn FnMut(&mut [c64])| {
-            let t0 = std::time::Instant::now();
-            for _ in 0..4 {
-                f(&mut state);
-            }
-            t0.elapsed()
-        };
-        let p2 = PackedMatrix::pack(&pm);
-        let t2 = time(&mut |s| parallel::par_apply_avx(s, &exp, &p2, 4, 1));
-        let p5 = crate::avx512::Packed512::pack(&pm);
-        let t5 = time(&mut |s| parallel::par_apply_avx512(s, &exp, &p5, 1));
-        t5 < t2
-    })
-}
-
-/// The f64 step-3 kernel variant a `(cfg, k)` pair resolves to. Factored
-/// out of [`ApplyDispatch`] so the tiled sweep executor selects the exact
-/// same kernel per gate as the per-gate path (bit-exact agreement).
+/// The f64 step-3 row kernel a `(cfg, k)` pair resolves to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum DensePath {
     /// Portable scalar blocked kernel (also the `opt != Blocked` marker:
@@ -211,13 +158,13 @@ pub(crate) enum DensePath {
     Avx512,
 }
 
-/// Resolve the dense f64 kernel path for a k-qubit gate under `cfg`,
-/// mirroring the `ApplyDispatch for f64` conditions exactly.
+/// Resolve the f64 row kernel for a k-qubit gate under `cfg` from the
+/// host ISA alone (the AVX-512 row kernel packs row quads: k >= 2).
 pub(crate) fn choose_dense_path(cfg: &KernelConfig, k: u32) -> DensePath {
     if cfg.opt != OptLevel::Blocked || cfg.simd == Simd::Scalar {
         return DensePath::Scalar;
     }
-    if cfg.simd == Simd::Auto && k >= 2 && crate::avx512::avx512_available() && avx512_wins() {
+    if cfg.simd == Simd::Auto && k >= 2 && crate::avx512::avx512_available() {
         return DensePath::Avx512;
     }
     if avx::avx2_available() {
@@ -227,21 +174,15 @@ pub(crate) fn choose_dense_path(cfg: &KernelConfig, k: u32) -> DensePath {
     }
 }
 
+/// Does `cfg` select the block-lane kernel for whole lane groups? Only
+/// "best available" asks for it, and it needs AVX-512F.
+pub(crate) fn lane_path(cfg: &KernelConfig) -> bool {
+    cfg.opt == OptLevel::Blocked && cfg.simd == Simd::Auto && crate::avx512::avx512_available()
+}
+
 impl ApplyDispatch for f64 {
     fn dispatch(state: &mut [c64], qubits: &[u32], m: &GateMatrix<f64>, cfg: &KernelConfig) {
-        match choose_dense_path(cfg, m.k()) {
-            DensePath::Avx512 => {
-                let (exp, pm) = opt::prepare(state.len(), qubits, m);
-                let packed = crate::avx512::Packed512::pack(&pm);
-                parallel::par_apply_avx512(state, &exp, &packed, cfg.threads);
-            }
-            DensePath::Avx2 => {
-                let (exp, pm) = opt::prepare(state.len(), qubits, m);
-                let packed = PackedMatrix::pack(&pm);
-                parallel::par_apply_avx(state, &exp, &packed, cfg.block, cfg.threads);
-            }
-            DensePath::Scalar => dispatch_portable(state, qubits, m, cfg),
-        }
+        dispatch(state, qubits, m, cfg);
     }
 }
 

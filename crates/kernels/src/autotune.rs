@@ -19,6 +19,8 @@
 
 use crate::apply::{apply_gate, KernelConfig, OptLevel, Simd};
 use crate::matrix::GateMatrix;
+use crate::parallel::PAR_THRESHOLD;
+use crate::sweep::PreparedGate;
 use qsim_util::c64;
 use qsim_util::flops::gate_flops;
 use qsim_util::stats::{summarize, time_reps};
@@ -32,8 +34,10 @@ pub struct TunedParams {
     pub kmax: u32,
     /// Scalar register-blocking width.
     pub block: usize,
-    /// Measured GFLOPS per kernel size k (index 0 ↔ k=1), low-order
-    /// qubits.
+    /// GFLOPS per kernel size k (index 0 ↔ k=1) on `threads` workers,
+    /// operands spread evenly over the tuning register: measured through
+    /// the parallel driver when the tuning state is large enough to engage
+    /// it, otherwise one worker's measured rate times `threads`.
     pub gflops_by_k: [f64; 5],
 }
 
@@ -77,25 +81,43 @@ pub fn autotune(n_test: u32, threads: usize) -> TunedParams {
     }
 
     // Measure per-k GFLOPS with the production config and pick kmax by
-    // effective throughput.
+    // effective throughput. Operands are spread over the register, not
+    // packed onto the lowest positions: a cluster inside a cache tile
+    // rarely sits on the lane bits, and the cost model prices schedules
+    // from this ladder. The gate is prepared once, as the tiled executor
+    // prepares it, and a short sweep is repeated so that the timer sees
+    // the kernel.
     let cfg = KernelConfig {
         opt: OptLevel::Blocked,
         simd: Simd::Auto,
         block: best_block,
         threads,
     };
+    let reps = (1usize << 16 >> n_test.min(16)).max(1);
+    // Below the parallel drivers' threshold a sweep runs on one thread
+    // whatever `threads` says. The tiled executor runs one such
+    // cache-resident sweep per worker, so the ladder reports `threads`
+    // times the measured rate — without starting a thread: a process that
+    // only plans stays single-threaded (and keeps malloc's lock-free path).
+    let workers = if len < PAR_THRESHOLD {
+        threads.max(1)
+    } else {
+        1
+    };
     let mut gflops_by_k = [0f64; 5];
     let mut best_k = 1u32;
     let mut best_score = 0f64;
     for k in 1..=5u32 {
-        let m = random_dense(k);
-        let qs: Vec<u32> = (0..k).collect();
+        let qs: Vec<u32> = (0..k).map(|j| (j * n_test + n_test / 2) / k).collect();
+        let gate = PreparedGate::new(&qs, &random_dense(k), &cfg);
         let t = summarize(&time_reps(1, 3, || {
-            apply_gate(&mut state, &qs, &m, &cfg);
+            for _ in 0..reps {
+                gate.apply_full(&mut state, threads);
+            }
         }))
-        .median;
-        let gf = gate_flops(n_test, k) as f64 / t / 1e9;
-        gflops_by_k[(k - 1) as usize] = gf;
+        .median
+            / reps as f64;
+        gflops_by_k[(k - 1) as usize] = workers as f64 * gate_flops(n_test, k) as f64 / t / 1e9;
         // Effective figure of merit: gates fused per sweep ~ k, so a
         // k-kernel is worth k single-gate sweeps.
         let score = k as f64 / t;

@@ -130,16 +130,16 @@ unsafe fn apply_avx_range_impl(
 /// vectorization and re-association as separate steps.
 pub fn apply_avx_eq1(state: &mut [c64], qubits: &[u32], m: &crate::matrix::GateMatrix<f64>) {
     let (exp, pm) = opt::prepare(state.len(), qubits, m);
+    let offs = opt::offsets(&exp, pm.dim());
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
             // SAFETY: feature presence checked at runtime above.
-            unsafe { apply_avx_eq1_impl(state, &exp, &pm) };
+            unsafe { apply_avx_eq1_impl(state, &exp, &pm, &offs) };
             return;
         }
     }
     let blocks = state.len() >> pm.k();
-    let offs = opt::offsets(&exp, pm.dim());
     let packed = PackedMatrix::pack(&pm);
     opt::apply_blocked_packed_range(state, &exp, &packed, &offs, 1, 0, blocks);
 }
@@ -150,10 +150,10 @@ unsafe fn apply_avx_eq1_impl(
     state: &mut [c64],
     exp: &IndexExpander,
     pm: &crate::matrix::GateMatrix<f64>,
+    offs: &[usize],
 ) {
     use core::arch::x86_64::*;
     let dim = pm.dim();
-    let offs = opt::offsets(exp, dim);
     let blocks = state.len() >> pm.k();
     let sp = state.as_mut_ptr() as *mut f64;
     let me = pm.entries().as_ptr() as *const f64;

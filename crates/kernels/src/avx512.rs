@@ -98,6 +98,26 @@ pub fn apply_avx512_range(
     unreachable!("caller must check avx512_available() or use the AVX2 path");
 }
 
+/// # Safety
+/// AVX-512F must be available and every block of `[c0, c1)` must lie
+/// inside `state` under `exp`/`offs`.
+/// The AVX-512 *row* kernel over the whole state, sequentially — the
+/// Fig. 2 ladder rung between AVX2 rows and the block-lane kernel
+/// (`Simd::Auto` runs the latter wherever a whole lane group exists, so
+/// no `KernelConfig` selects this rung on its own). Takes the AVX2 path
+/// for k = 1 or without AVX-512F.
+pub fn apply_avx512_rows(state: &mut [c64], qubits: &[u32], m: &GateMatrix<f64>) {
+    let (exp, pm) = opt::prepare(state.len(), qubits, m);
+    let offs = opt::offsets(&exp, pm.dim());
+    let blocks = state.len() >> pm.k();
+    if pm.k() >= 2 && avx512_available() {
+        apply_avx512_range(state, &exp, &Packed512::pack(&pm), &offs, 0, blocks);
+    } else {
+        let packed = crate::matrix::PackedMatrix::pack(&pm);
+        crate::avx::apply_avx_range(state, &exp, &packed, &offs, 4, 0, blocks);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn apply_avx512_range_impl(
@@ -108,15 +128,38 @@ unsafe fn apply_avx512_range_impl(
     c0: usize,
     c1: usize,
 ) {
+    // Keep <= 4 zmm accumulators live per sweep (z0..z31 is roomy, but a
+    // short sweep keeps the matrix stream hot in L1). The count is a
+    // const parameter so the accumulators are registers, not an array
+    // indexed under a runtime bound.
+    match packed.dim() / 4 {
+        1 => row_sweeps::<1>(state, exp, packed, offs, c0, c1),
+        2 => row_sweeps::<2>(state, exp, packed, offs, c0, c1),
+        _ => row_sweeps::<4>(state, exp, packed, offs, c0, c1),
+    }
+}
+
+/// Body of [`apply_avx512_range_impl`] at `S` row quads per input sweep.
+/// `inline(always)` without a `target_feature` of its own: it exists only
+/// inside that function, where every intrinsic inlines.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn row_sweeps<const S: usize>(
+    state: &mut [c64],
+    exp: &IndexExpander,
+    packed: &Packed512,
+    offs: &[usize],
+    c0: usize,
+    c1: usize,
+) {
     use core::arch::x86_64::*;
     let dim = packed.dim();
+    let quads = dim / 4;
+    debug_assert!(quads.is_multiple_of(S) && offs.len() >= dim && dim <= 1 << opt::MAX_K);
+    debug_assert!(c0 >= c1 || exp.expand(c1 - 1) + offs[dim - 1] < state.len());
     let raw = packed.raw().as_ptr();
     let sp = state.as_mut_ptr() as *mut f64;
     let mut tmp = [0f64; 2 << opt::MAX_K];
-    let quads = dim / 4;
-    // Keep <= 4 zmm accumulators live per sweep (z0..z31 is roomy, but a
-    // short sweep keeps the matrix stream hot in L1).
-    let sweep = quads.min(4);
     for c in c0..c1 {
         let base = exp.expand(c);
         for (x, &off) in offs.iter().enumerate().take(dim) {
@@ -124,35 +167,34 @@ unsafe fn apply_avx512_range_impl(
             tmp[2 * x] = *p;
             tmp[2 * x + 1] = *p.add(1);
         }
-        let mut lq0 = 0usize;
-        while lq0 < quads {
-            let lqe = (lq0 + sweep).min(quads);
-            let mut acc = [_mm512_setzero_pd(); 4];
+        for lq0 in (0..quads).step_by(S) {
+            let mut acc = [_mm512_setzero_pd(); S];
             for i in 0..dim {
-                // v = (vR, vI) broadcast to all four complex lanes.
-                let v128 = _mm_loadu_pd(tmp.as_ptr().add(2 * i));
-                let v = _mm512_broadcast_f64x2(v128);
+                // v = (vR, vI) broadcast to all four complex lanes — as a
+                // 4 x f32 broadcast, the AVX-512F spelling
+                // (`_mm512_broadcast_f64x2` is AVX-512DQ, which KNL lacks).
+                let v128 = _mm_castpd_ps(_mm_loadu_pd(tmp.as_ptr().add(2 * i)));
+                let v = _mm512_castps_pd(_mm512_broadcast_f32x4(v128));
                 let vswap = _mm512_permute_pd(v, 0b01010101);
-                for (a, lq) in (lq0..lqe).enumerate() {
-                    let e = raw.add((lq * dim + i) * 16);
+                for (a, acc) in acc.iter_mut().enumerate() {
+                    let e = raw.add(((lq0 + a) * dim + i) * 16);
                     let mrr = _mm512_load_pd(e);
                     let mim = _mm512_load_pd(e.add(8));
-                    acc[a] = _mm512_fmadd_pd(v, mrr, acc[a]);
-                    acc[a] = _mm512_fmadd_pd(vswap, mim, acc[a]);
+                    *acc = _mm512_fmadd_pd(v, mrr, *acc);
+                    *acc = _mm512_fmadd_pd(vswap, mim, *acc);
                 }
             }
-            for (a, lq) in (lq0..lqe).enumerate() {
+            for (a, acc) in acc.iter().enumerate() {
                 // Scatter the four complex outputs of this quad.
                 let mut lanes = [0f64; 8];
-                _mm512_storeu_pd(lanes.as_mut_ptr(), acc[a]);
+                _mm512_storeu_pd(lanes.as_mut_ptr(), *acc);
                 for r in 0..4 {
-                    let off = offs[4 * lq + r];
+                    let off = offs[4 * (lq0 + a) + r];
                     let p = sp.add(2 * (base + off));
                     *p = lanes[2 * r];
                     *p.add(1) = lanes[2 * r + 1];
                 }
             }
-            lq0 = lqe;
         }
     }
 }
@@ -160,9 +202,18 @@ unsafe fn apply_avx512_range_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::{apply_fma, offsets, prepare};
-    use qsim_util::complex::max_dist;
+    use crate::opt::apply_fma;
     use qsim_util::Xoshiro256;
+
+    /// Same FMA chain as the scalar step-2 kernel, so the same bits.
+    fn assert_bits_eq(a: &[c64], b: &[c64], what: &str) {
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: amplitude {i} differs: {x:?} vs {y:?}"
+            );
+        }
+    }
 
     fn random_state(n: u32, seed: u64) -> Vec<c64> {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -180,18 +231,6 @@ mod tests {
                 .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
                 .collect(),
         )
-    }
-
-    fn run512(state: &mut [c64], qubits: &[u32], m: &GateMatrix<f64>) -> bool {
-        if !avx512_available() {
-            return false;
-        }
-        let (exp, pm) = prepare(state.len(), qubits, m);
-        let packed = Packed512::pack(&pm);
-        let offs = offsets(&exp, packed.dim());
-        let blocks = state.len() >> packed.k();
-        apply_avx512_range(state, &exp, &packed, &offs, 0, blocks);
-        true
     }
 
     #[test]
@@ -212,10 +251,10 @@ mod tests {
             }
             let state0 = random_state(n, 200 + k as u64);
             let mut a = state0.clone();
-            assert!(run512(&mut a, &qubits, &m));
+            apply_avx512_rows(&mut a, &qubits, &m);
             let mut b = state0;
             apply_fma(&mut b, &qubits, &m);
-            assert!(max_dist(&a, &b) < 1e-12, "k={k}: {}", max_dist(&a, &b));
+            assert_bits_eq(&a, &b, &format!("k={k}"));
         }
     }
 
@@ -252,9 +291,9 @@ mod tests {
         let qubits = vec![8, 9, 10, 11];
         let state0 = random_state(n, 8);
         let mut a = state0.clone();
-        assert!(run512(&mut a, &qubits, &m));
+        apply_avx512_rows(&mut a, &qubits, &m);
         let mut b = state0;
         apply_fma(&mut b, &qubits, &m);
-        assert!(max_dist(&a, &b) < 1e-12);
+        assert_bits_eq(&a, &b, "high-order operands");
     }
 }

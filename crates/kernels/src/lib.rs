@@ -9,9 +9,13 @@
 //!   step 0 (two-vector naive) → step 1 (in-place / lazy evaluation) →
 //!   step 2 (FMA re-association) → step 3 (register blocking + matrix
 //!   pre-permutation).
-//! * [`avx`] / [`avx512`] — explicit AVX2+FMA and AVX-512 vectorization of
-//!   step 3 for f64, behind runtime feature detection (the paper's
-//!   compiler-intrinsics layer; §3.2 cites 2× for AVX, 4× for AVX512).
+//! * [`avx`] / [`avx512`] / [`avxf32`] — explicit AVX2+FMA and AVX-512
+//!   vectorization of step 3 across the output rows of one block, behind
+//!   runtime feature detection (the paper's compiler-intrinsics layer;
+//!   §3.2 cites 2× for AVX, 4× for AVX512).
+//! * [`lane`] — step 3 vectorised across *blocks* (one AVX-512 vector =
+//!   one amplitude slot of 4 f64 / 8 f32 blocks): the production kernel
+//!   on AVX-512 hosts, bit-identical to the row kernels.
 //! * [`specialized`] — communication-free kernels for diagonal gates,
 //!   permutation gates (X/CNOT) and in-place qubit-pair swaps (§3.5).
 //! * [`parallel`] — rayon drivers over the block index space, the analogue
@@ -30,6 +34,7 @@ pub mod autotune;
 pub mod avx;
 pub mod avx512;
 pub mod avxf32;
+pub mod lane;
 pub mod matrix;
 pub mod opt;
 pub mod parallel;

@@ -12,14 +12,8 @@
 //! index sets — is exactly the kernel indexing theorem tested in
 //! `qsim_util::bits` (`expander_enumerates_disjoint_blocks`).
 
-use crate::avx::apply_avx_range;
-use crate::avx512::{apply_avx512_range, Packed512};
-use crate::avxf32::{apply_avx_f32_range, PackedF32};
-use crate::matrix::PackedMatrix;
-use crate::opt::{self, apply_blocked_packed_range};
-use qsim_util::bits::IndexExpander;
 use qsim_util::complex::Complex;
-use qsim_util::{c64, Real};
+use qsim_util::Real;
 use rayon::prelude::*;
 
 /// Below this many amplitudes a gate is applied sequentially: thread
@@ -49,102 +43,35 @@ impl<T> DisjointSlice<T> {
     }
 }
 
-/// Parallel step-3 (scalar FMA, blocked) sweep over all blocks.
-pub fn par_apply_blocked<T: Real>(
+/// Block-range boundaries handed to workers are multiples of this many
+/// blocks, so a range never splits a lane group of the block-lane kernel
+/// (8 blocks per vector at f32, 4 at f64) and only the two ends of the
+/// whole sweep can be ragged.
+const LANE_ALIGN: usize = 8;
+
+/// Run `f(state, c0, c1)` over a partition of the block counters
+/// `[0, blocks)`: one call below [`PAR_THRESHOLD`] amplitudes or at one
+/// thread, otherwise one call per [`chunk_ranges`] range on the pool.
+/// `f` may touch only the amplitudes of the blocks it is handed.
+pub(crate) fn par_block_ranges<T: Send>(
     state: &mut [Complex<T>],
-    exp: &IndexExpander,
-    packed: &PackedMatrix<T>,
-    b: usize,
+    blocks: usize,
     threads_hint: usize,
+    f: impl Fn(&mut [Complex<T>], usize, usize) + Sync,
 ) {
-    let k = packed.k();
-    let blocks = state.len() >> k;
-    let offs = opt::offsets(exp, packed.dim());
     if state.len() < PAR_THRESHOLD || threads_hint <= 1 {
-        apply_blocked_packed_range(state, exp, packed, &offs, b, 0, blocks);
+        f(state, 0, blocks);
         return;
     }
     let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-    let chunks = chunk_ranges(blocks, threads_hint);
-    chunks.into_par_iter().for_each(|(c0, c1)| {
-        // SAFETY: chunk ranges partition [0, blocks); per-counter index
-        // sets are disjoint (DisjointSlice contract).
-        let s = unsafe { shared.slice() };
-        apply_blocked_packed_range(s, exp, packed, &offs, b, c0, c1);
-    });
-}
-
-/// Parallel AVX2 sweep (f64); falls back to scalar per range when AVX2 is
-/// unavailable.
-pub fn par_apply_avx(
-    state: &mut [c64],
-    exp: &IndexExpander,
-    packed: &PackedMatrix<f64>,
-    b: usize,
-    threads_hint: usize,
-) {
-    let k = packed.k();
-    let blocks = state.len() >> k;
-    let offs = opt::offsets(exp, packed.dim());
-    if state.len() < PAR_THRESHOLD || threads_hint <= 1 {
-        apply_avx_range(state, exp, packed, &offs, b, 0, blocks);
-        return;
-    }
-    let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-    let chunks = chunk_ranges(blocks, threads_hint);
-    chunks.into_par_iter().for_each(|(c0, c1)| {
-        // SAFETY: see par_apply_blocked.
-        let s = unsafe { shared.slice() };
-        apply_avx_range(s, exp, packed, &offs, b, c0, c1);
-    });
-}
-
-/// Parallel AVX-512 sweep (f64, k >= 2); caller must have verified
-/// availability.
-pub fn par_apply_avx512(
-    state: &mut [c64],
-    exp: &IndexExpander,
-    packed: &Packed512,
-    threads_hint: usize,
-) {
-    let k = packed.k();
-    let blocks = state.len() >> k;
-    let offs = opt::offsets(exp, packed.dim());
-    if state.len() < PAR_THRESHOLD || threads_hint <= 1 {
-        apply_avx512_range(state, exp, packed, &offs, 0, blocks);
-        return;
-    }
-    let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-    let chunks = chunk_ranges(blocks, threads_hint);
-    chunks.into_par_iter().for_each(|(c0, c1)| {
-        // SAFETY: see par_apply_blocked.
-        let s = unsafe { shared.slice() };
-        apply_avx512_range(s, exp, packed, &offs, c0, c1);
-    });
-}
-
-/// Parallel single-precision AVX2 sweep (k >= 2); caller must have
-/// verified availability.
-pub fn par_apply_avx_f32(
-    state: &mut [Complex<f32>],
-    exp: &IndexExpander,
-    packed: &PackedF32,
-    threads_hint: usize,
-) {
-    let k = packed.k();
-    let blocks = state.len() >> k;
-    let offs = opt::offsets(exp, packed.dim());
-    if state.len() < PAR_THRESHOLD || threads_hint <= 1 {
-        apply_avx_f32_range(state, exp, packed, &offs, 0, blocks);
-        return;
-    }
-    let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-    let chunks = chunk_ranges(blocks, threads_hint);
-    chunks.into_par_iter().for_each(|(c0, c1)| {
-        // SAFETY: see par_apply_blocked.
-        let s = unsafe { shared.slice() };
-        apply_avx_f32_range(s, exp, packed, &offs, c0, c1);
-    });
+    chunk_ranges(blocks, threads_hint, LANE_ALIGN)
+        .into_par_iter()
+        .for_each(|(c0, c1)| {
+            // SAFETY: chunk ranges partition [0, blocks); per-counter index
+            // sets are disjoint (DisjointSlice contract).
+            let s = unsafe { shared.slice() };
+            f(s, c0, c1);
+        });
 }
 
 /// Parallel per-amplitude map (diagonal gates, phases, probability sums).
@@ -260,10 +187,11 @@ pub fn par_reduce_amplitudes<T: Real, A: Send>(
 
 /// Split `[0, blocks)` into roughly `parts * 4` contiguous ranges (over-
 /// decomposition keeps rayon's work stealing effective when ranges have
-/// unequal cache behaviour).
-pub(crate) fn chunk_ranges(blocks: usize, parts: usize) -> Vec<(usize, usize)> {
+/// unequal cache behaviour) whose interior boundaries are multiples of
+/// `align`.
+pub(crate) fn chunk_ranges(blocks: usize, parts: usize, align: usize) -> Vec<(usize, usize)> {
     let want = (parts * 4).clamp(1, blocks.max(1));
-    let per = blocks.div_ceil(want);
+    let per = blocks.div_ceil(want).next_multiple_of(align);
     let mut out = Vec::with_capacity(want);
     let mut c = 0;
     while c < blocks {
@@ -277,10 +205,10 @@ pub(crate) fn chunk_ranges(blocks: usize, parts: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::GateMatrix;
-    use crate::opt::{apply_fma, prepare};
+    use crate::matrix::{GateMatrix, PackedMatrix};
+    use crate::opt::{apply_blocked_packed_range, apply_fma, offsets, prepare};
     use qsim_util::complex::max_dist;
-    use qsim_util::Xoshiro256;
+    use qsim_util::{c64, Xoshiro256};
 
     fn random_state(n: u32, seed: u64) -> Vec<c64> {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -300,6 +228,17 @@ mod tests {
         )
     }
 
+    /// The scalar step-3 kernel through the block-range driver.
+    fn blocked_via_driver(state: &mut [c64], qubits: &[u32], m: &GateMatrix<f64>, threads: usize) {
+        let (exp, pm) = prepare(state.len(), qubits, m);
+        let packed = PackedMatrix::pack(&pm);
+        let offs = offsets(&exp, packed.dim());
+        let blocks = state.len() >> packed.k();
+        par_block_ranges(state, blocks, threads, |s, c0, c1| {
+            apply_blocked_packed_range(s, &exp, &packed, &offs, 4, c0, c1)
+        });
+    }
+
     #[test]
     fn parallel_matches_sequential_above_threshold() {
         let n = 16; // 65536 amplitudes > PAR_THRESHOLD
@@ -310,16 +249,23 @@ mod tests {
         ] {
             let m = random_matrix(k, 7 + k as u64);
             let state0 = random_state(n, 13 + k as u64);
-            let (exp, pm) = prepare(state0.len(), &qubits, &m);
-            let packed = PackedMatrix::pack(&pm);
             let mut a = state0.clone();
-            par_apply_blocked(&mut a, &exp, &packed, 4, 8);
+            blocked_via_driver(&mut a, &qubits, &m, 8);
             let mut b = state0.clone();
             apply_fma(&mut b, &qubits, &m);
             assert!(max_dist(&a, &b) < 1e-12, "scalar k={k}");
+            // The production dispatch rides the same range driver.
             let mut c = state0;
-            par_apply_avx(&mut c, &exp, &packed, 4, 8);
-            assert!(max_dist(&c, &b) < 1e-12, "avx k={k}");
+            crate::apply::apply_gate(
+                &mut c,
+                &qubits,
+                &m,
+                &crate::apply::KernelConfig {
+                    threads: 8,
+                    ..Default::default()
+                },
+            );
+            assert!(max_dist(&c, &b) < 1e-12, "auto k={k}");
         }
     }
 
@@ -328,10 +274,8 @@ mod tests {
         let m = random_matrix(2, 3);
         let qubits = vec![1u32, 3];
         let state0 = random_state(6, 4);
-        let (exp, pm) = prepare(state0.len(), &qubits, &m);
-        let packed = PackedMatrix::pack(&pm);
         let mut a = state0.clone();
-        par_apply_blocked(&mut a, &exp, &packed, 4, 8);
+        blocked_via_driver(&mut a, &qubits, &m, 8);
         let mut b = state0;
         apply_fma(&mut b, &qubits, &m);
         assert!(max_dist(&a, &b) < 1e-13);
@@ -403,11 +347,14 @@ mod tests {
     fn chunk_ranges_partition() {
         for blocks in [1usize, 7, 1024, 4097] {
             for parts in [1usize, 2, 8] {
-                let r = chunk_ranges(blocks, parts);
-                assert_eq!(r[0].0, 0);
-                assert_eq!(r.last().unwrap().1, blocks);
-                for w in r.windows(2) {
-                    assert_eq!(w[0].1, w[1].0);
+                for align in [1usize, LANE_ALIGN] {
+                    let r = chunk_ranges(blocks, parts, align);
+                    assert_eq!(r[0].0, 0);
+                    assert_eq!(r.last().unwrap().1, blocks);
+                    for w in r.windows(2) {
+                        assert_eq!(w[0].1, w[1].0);
+                        assert_eq!(w[0].1 % align, 0, "interior boundary off a lane group");
+                    }
                 }
             }
         }

@@ -7,27 +7,32 @@
 //! further). This module partitions the state into cache-resident *tiles*
 //! of 2^T amplitudes and, per tile, applies **every** gate of the stage
 //! whose operands fall inside the tile — dense clusters through the same
-//! packed §3.1–3.2 kernel ladder (scalar/AVX2/AVX-512, chosen exactly as
-//! the per-gate dispatch would), diagonal clusters folded into the sweep
-//! as per-tile phase multiplications. One pass over DRAM then applies the
+//! packed step-3 kernels as the per-gate dispatch ([`PackedDense`]: the
+//! block-lane kernel over whole lane groups, a row kernel for the rest),
+//! diagonal clusters folded into the sweep as per-tile phase
+//! multiplications. One pass over DRAM then applies the
 //! whole stage; only clusters wider than the tile fall back to a
 //! dedicated full sweep.
 //!
 //! Bit-exactness contract: for the same op order and [`KernelConfig`],
 //! the tiled executor produces *bitwise identical* amplitudes to the
-//! per-gate oracle. Every gate runs the same kernel on the same packed
-//! matrix over the same 2^k-amplitude groups (tile decomposition only
-//! regroups the independent block counters), and the diagonal fold
+//! per-gate oracle. Every step-3 kernel issues the same FMA chain per
+//! output amplitude over the same 2^k-amplitude groups (tile
+//! decomposition only regroups the independent block counters, and which
+//! kernel takes which counter cannot reach the bits), and the diagonal fold
 //! mirrors `specialized::apply_diagonal` / the rank-reduction in
 //! `qsim-core::dist` branch for branch — including the 1-qubit
 //! unit-first-entry fast path, which *skips* (rather than multiplies by
 //! one) the untouched half. The proptests in `qsim-core` assert
 //! `max_dist == 0.0`.
 
-use crate::apply::{choose_dense_path, ApplyDispatch, DensePath, KernelConfig, OptLevel, Simd};
+use crate::apply::{
+    choose_dense_path, lane_path, ApplyDispatch, DensePath, KernelConfig, OptLevel, Simd,
+};
 use crate::avx::apply_avx_range;
 use crate::avx512::{apply_avx512_range, Packed512};
 use crate::avxf32::{apply_avx_f32_range, PackedF32};
+use crate::lane::{LaneKernel, PackedLane};
 use crate::matrix::{GateMatrix, PackedMatrix};
 use crate::opt::{self, apply_blocked_packed_range, MAX_K};
 use crate::parallel::{self, chunk_ranges, DisjointSlice, PAR_THRESHOLD};
@@ -112,163 +117,181 @@ pub fn effective_tile_qubits(tile: u32, local_qubits: u32, threads: usize) -> u3
     t
 }
 
-/// Precision-directed kernel selection for the tiled executor — the
-/// sweep-level analogue of [`ApplyDispatch`]. Each precision packs a
-/// stage matrix once into its own kernel-ready representation, then
-/// applies it over block-counter ranges (tile-local) or the whole state
-/// (fallback full sweep), choosing exactly the SIMD rung the per-gate
-/// dispatch would pick — the bit-exactness contract holds per precision.
-pub trait SweepDispatch: Real + ApplyDispatch {
-    /// Packed-matrix representation for this precision's kernel ladder.
-    type Packed: Send + Sync;
+/// Precision-directed row-kernel selection — the sweep-level analogue of
+/// [`ApplyDispatch`]. Each precision packs a stage matrix once into the
+/// row-kernel representation the per-gate dispatch would pick and applies
+/// it over block-counter ranges; [`PackedDense`] layers the block-lane
+/// kernel over it. The bit-exactness contract holds per precision.
+pub trait SweepDispatch: LaneKernel + ApplyDispatch {
+    /// Packed-matrix representation for this precision's row-kernel
+    /// ladder.
+    type Rows: Send + Sync;
 
-    /// Pack `pm` (already pre-permuted by the operand sort) for the
-    /// kernel rung `cfg` resolves to at width `pm.k()`.
-    fn pack(pm: &GateMatrix<Self>, cfg: &KernelConfig) -> Self::Packed;
+    /// Pack `pm` (already pre-permuted by the operand sort) for the row
+    /// kernel `cfg` resolves to at width `pm.k()`.
+    fn pack_rows(pm: &GateMatrix<Self>, cfg: &KernelConfig) -> Self::Rows;
 
     /// Apply to block counters `[c0, c1)` of `state`, sequentially.
-    fn apply_range(
+    fn apply_rows(
         state: &mut [Complex<Self>],
         exp: &IndexExpander,
-        packed: &Self::Packed,
+        rows: &Self::Rows,
         offs: &[usize],
         block: usize,
         c0: usize,
         c1: usize,
     );
-
-    /// Apply to the whole state through the parallel drivers (including
-    /// the `PAR_THRESHOLD` seam).
-    fn apply_full(
-        state: &mut [Complex<Self>],
-        exp: &IndexExpander,
-        packed: &Self::Packed,
-        block: usize,
-        threads: usize,
-    );
 }
 
-/// f64 packed forms, one per rung [`choose_dense_path`] can pick.
-pub enum PackedDense64 {
+/// f64 row-kernel packed forms, one per rung [`choose_dense_path`] can
+/// pick.
+pub enum PackedRows64 {
     Scalar(PackedMatrix<f64>),
     Avx2(PackedMatrix<f64>),
     Avx512(Packed512),
 }
 
 impl SweepDispatch for f64 {
-    type Packed = PackedDense64;
+    type Rows = PackedRows64;
 
-    fn pack(pm: &GateMatrix<f64>, cfg: &KernelConfig) -> PackedDense64 {
+    fn pack_rows(pm: &GateMatrix<f64>, cfg: &KernelConfig) -> PackedRows64 {
         match choose_dense_path(cfg, pm.k()) {
-            DensePath::Avx512 => PackedDense64::Avx512(Packed512::pack(pm)),
-            DensePath::Avx2 => PackedDense64::Avx2(PackedMatrix::pack(pm)),
-            DensePath::Scalar => PackedDense64::Scalar(PackedMatrix::pack(pm)),
+            DensePath::Avx512 => PackedRows64::Avx512(Packed512::pack(pm)),
+            DensePath::Avx2 => PackedRows64::Avx2(PackedMatrix::pack(pm)),
+            DensePath::Scalar => PackedRows64::Scalar(PackedMatrix::pack(pm)),
         }
     }
 
-    fn apply_range(
+    fn apply_rows(
         state: &mut [Complex<f64>],
         exp: &IndexExpander,
-        packed: &PackedDense64,
+        rows: &PackedRows64,
         offs: &[usize],
         block: usize,
         c0: usize,
         c1: usize,
     ) {
-        match packed {
-            PackedDense64::Scalar(p) => {
+        match rows {
+            PackedRows64::Scalar(p) => {
                 apply_blocked_packed_range(state, exp, p, offs, block, c0, c1)
             }
-            PackedDense64::Avx2(p) => apply_avx_range(state, exp, p, offs, block, c0, c1),
-            PackedDense64::Avx512(p) => apply_avx512_range(state, exp, p, offs, c0, c1),
-        }
-    }
-
-    fn apply_full(
-        state: &mut [Complex<f64>],
-        exp: &IndexExpander,
-        packed: &PackedDense64,
-        block: usize,
-        threads: usize,
-    ) {
-        match packed {
-            PackedDense64::Scalar(p) => parallel::par_apply_blocked(state, exp, p, block, threads),
-            PackedDense64::Avx2(p) => parallel::par_apply_avx(state, exp, p, block, threads),
-            PackedDense64::Avx512(p) => parallel::par_apply_avx512(state, exp, p, threads),
+            PackedRows64::Avx2(p) => apply_avx_range(state, exp, p, offs, block, c0, c1),
+            PackedRows64::Avx512(p) => apply_avx512_range(state, exp, p, offs, c0, c1),
         }
     }
 }
 
-/// f32 packed forms: the 8-lane `avxf32` quad ladder when the per-gate
-/// f32 dispatch would take it, the portable blocked kernel otherwise.
-pub enum PackedDense32 {
+/// f32 row-kernel packed forms: the 8-lane `avxf32` quad ladder for k >= 2
+/// with SIMD enabled, the portable blocked kernel otherwise.
+pub enum PackedRows32 {
     Scalar(PackedMatrix<f32>),
     Avx2(PackedF32),
 }
 
 impl SweepDispatch for f32 {
-    type Packed = PackedDense32;
+    type Rows = PackedRows32;
 
-    fn pack(pm: &GateMatrix<f32>, cfg: &KernelConfig) -> PackedDense32 {
-        // Mirrors `ApplyDispatch for f32` exactly: AVX2 for k >= 2 at
-        // the blocked rung with SIMD enabled (`PackedF32` needs dim >= 4).
+    fn pack_rows(pm: &GateMatrix<f32>, cfg: &KernelConfig) -> PackedRows32 {
+        // `PackedF32` needs dim >= 4.
         if cfg.opt == OptLevel::Blocked
             && cfg.simd != Simd::Scalar
             && pm.k() >= 2
             && crate::avx::avx2_available()
         {
-            PackedDense32::Avx2(PackedF32::pack(pm))
+            PackedRows32::Avx2(PackedF32::pack(pm))
         } else {
-            PackedDense32::Scalar(PackedMatrix::pack(pm))
+            PackedRows32::Scalar(PackedMatrix::pack(pm))
         }
     }
 
-    fn apply_range(
+    fn apply_rows(
         state: &mut [Complex<f32>],
         exp: &IndexExpander,
-        packed: &PackedDense32,
+        rows: &PackedRows32,
         offs: &[usize],
         block: usize,
         c0: usize,
         c1: usize,
     ) {
-        match packed {
-            PackedDense32::Scalar(p) => {
+        match rows {
+            PackedRows32::Scalar(p) => {
                 apply_blocked_packed_range(state, exp, p, offs, block, c0, c1)
             }
-            PackedDense32::Avx2(p) => apply_avx_f32_range(state, exp, p, offs, c0, c1),
+            PackedRows32::Avx2(p) => apply_avx_f32_range(state, exp, p, offs, c0, c1),
+        }
+    }
+}
+
+/// A dense gate matrix packed for the production step-3 path: the
+/// block-lane form when `cfg` selects the best available kernels on an
+/// AVX-512 host, and always the row form, which takes the block ranges
+/// the lane kernel leaves (the ends of a range that are not a whole lane
+/// group; everything when there is no lane form). Both produce the same
+/// bits, so where the seam falls cannot reach the result.
+pub struct PackedDense<R: SweepDispatch> {
+    lane: Option<PackedLane<R>>,
+    rows: R::Rows,
+}
+
+impl<R: SweepDispatch> PackedDense<R> {
+    /// Pack `pm` (already pre-permuted by the operand sort) under `cfg`.
+    pub fn pack(pm: &GateMatrix<R>, cfg: &KernelConfig) -> Self {
+        Self {
+            lane: lane_path(cfg).then(|| PackedLane::pack(pm)),
+            rows: R::pack_rows(pm, cfg),
         }
     }
 
-    fn apply_full(
-        state: &mut [Complex<f32>],
+    /// Apply to block counters `[c0, c1)` of `state`, sequentially.
+    pub fn apply_range(
+        &self,
+        state: &mut [Complex<R>],
         exp: &IndexExpander,
-        packed: &PackedDense32,
+        offs: &[usize],
+        block: usize,
+        c0: usize,
+        c1: usize,
+    ) {
+        let (b0, b1) = match &self.lane {
+            Some(lane) => R::apply_lane_groups(state, exp, lane, offs, c0, c1),
+            None => (c0, c0),
+        };
+        R::apply_rows(state, exp, &self.rows, offs, block, c0, b0);
+        R::apply_rows(state, exp, &self.rows, offs, block, b1, c1);
+    }
+
+    /// Apply to the whole state through the parallel range driver
+    /// (including the `PAR_THRESHOLD` seam).
+    pub fn apply_full(
+        &self,
+        state: &mut [Complex<R>],
+        exp: &IndexExpander,
         block: usize,
         threads: usize,
     ) {
-        match packed {
-            PackedDense32::Scalar(p) => parallel::par_apply_blocked(state, exp, p, block, threads),
-            PackedDense32::Avx2(p) => parallel::par_apply_avx_f32(state, exp, p, threads),
-        }
+        let blocks = state.len() >> exp.k();
+        let offs = opt::offsets(exp, 1 << exp.k());
+        parallel::par_block_ranges(state, blocks, threads, |s, c0, c1| {
+            self.apply_range(s, exp, &offs, block, c0, c1)
+        });
     }
 }
 
 /// A dense cluster prepared once per stage: operands sorted, matrix
 /// pre-permuted and packed for the kernel path the per-gate dispatch
-/// would pick (satellite: no re-packing on every apply call).
+/// would pick (no re-packing on every apply call).
 pub struct PreparedGate<R: SweepDispatch = f64> {
     exp: IndexExpander,
     offs: Vec<usize>,
-    packed: R::Packed,
+    packed: PackedDense<R>,
     block: usize,
     k: u32,
 }
 
 impl<R: SweepDispatch> PreparedGate<R> {
-    /// Prepare a gate at `qubits` (tile-compact or physical positions)
-    /// under `cfg`. Only meaningful at `OptLevel::Blocked` — the other
-    /// ladder rungs have no packed range kernels.
+    /// Prepare a gate at physical positions `qubits` under `cfg`. Only
+    /// meaningful at `OptLevel::Blocked` — the other ladder rungs have no
+    /// packed range kernels.
     pub fn new(qubits: &[u32], m: &GateMatrix<R>, cfg: &KernelConfig) -> Self {
         assert_eq!(
             cfg.opt,
@@ -277,8 +300,8 @@ impl<R: SweepDispatch> PreparedGate<R> {
         );
         let (exp, pm) = opt::prepare_free(qubits, m);
         let k = pm.k();
-        let offs = (0..pm.dim()).map(|x| exp.offset(x)).collect();
-        let packed = R::pack(&pm, cfg);
+        let offs = opt::offsets(&exp, pm.dim());
+        let packed = PackedDense::pack(&pm, cfg);
         Self {
             exp,
             offs,
@@ -288,40 +311,55 @@ impl<R: SweepDispatch> PreparedGate<R> {
         }
     }
 
-    /// Apply to block counters `[c0, c1)` of `state`, sequentially.
-    fn apply_range(&self, state: &mut [Complex<R>], c0: usize, c1: usize) {
-        R::apply_range(
-            state,
-            &self.exp,
-            &self.packed,
-            &self.offs,
-            self.block,
-            c0,
-            c1,
-        );
+    /// Re-index the operands onto their compact positions inside the
+    /// sorted position set `tile`. The map is monotone, so the operand
+    /// order — and with it the packed matrix — is unchanged.
+    fn compact_into(&mut self, tile: &[u32]) {
+        let compact: Vec<u32> = self
+            .exp
+            .strides()
+            .iter()
+            .map(|s| {
+                tile.binary_search(&s.trailing_zeros())
+                    .expect("dense operand in tile") as u32
+            })
+            .collect();
+        self.exp = IndexExpander::new(&compact);
+        self.offs = opt::offsets(&self.exp, 1 << self.k);
     }
 
     /// Apply to one cache tile (all blocks of `chunk`).
     #[inline]
     pub fn apply_chunk(&self, chunk: &mut [Complex<R>]) {
-        self.apply_range(chunk, 0, chunk.len() >> self.k);
+        self.packed.apply_range(
+            chunk,
+            &self.exp,
+            &self.offs,
+            self.block,
+            0,
+            chunk.len() >> self.k,
+        );
     }
 
-    /// Apply to the whole state through the parallel drivers — the
+    /// Apply to the whole state through the parallel driver — the
     /// fallback full sweep for clusters wider than the tile. Identical
     /// code path (including the `PAR_THRESHOLD` seam) to the per-gate
     /// dispatch, minus the re-packing.
     pub fn apply_full(&self, state: &mut [Complex<R>], threads: usize) {
-        R::apply_full(state, &self.exp, &self.packed, self.block, threads);
+        self.packed
+            .apply_full(state, &self.exp, self.block, threads);
     }
 }
 
-/// A diagonal op prepared for per-tile folding. Each operand is resolved
-/// once: inside the tile (bit of the in-tile index), outside the tile but
-/// local (bit of the tile's base index), or global (bit of the rank).
+/// A diagonal op prepared for per-tile folding. [`TiledPass::new`]
+/// resolves each operand once against the tile it stages: inside the tile
+/// (bit of the in-tile index), outside the tile but local (bit of the
+/// tile's base index), or global (bit of the rank).
 pub struct PreparedDiag<R: Real = f64> {
     diag: Vec<Complex<R>>,
-    /// (operand slot, compact in-tile position).
+    positions: Vec<u32>,
+    local_qubits: u32,
+    /// (operand slot, compact in-tile position), ascending by position.
     in_tile: Vec<(usize, u32)>,
     /// (operand slot, physical position < local_qubits, not in tile).
     from_base: Vec<(usize, u32)>,
@@ -330,27 +368,35 @@ pub struct PreparedDiag<R: Real = f64> {
 }
 
 impl<R: Real> PreparedDiag<R> {
-    /// Classify `positions` against a sorted `tile` position set.
-    pub fn new(positions: &[u32], diag: Vec<Complex<R>>, tile: &[u32], local_qubits: u32) -> Self {
+    /// A diagonal on physical `positions`; those `>= local_qubits` are
+    /// rank bits.
+    pub fn new(positions: &[u32], diag: Vec<Complex<R>>, local_qubits: u32) -> Self {
         assert_eq!(diag.len(), 1usize << positions.len(), "diagonal size");
-        let mut in_tile = Vec::new();
-        let mut from_base = Vec::new();
-        let mut from_rank = Vec::new();
-        for (j, &p) in positions.iter().enumerate() {
-            if let Ok(cp) = tile.binary_search(&p) {
-                in_tile.push((j, cp as u32));
-            } else if p < local_qubits {
-                from_base.push((j, p));
-            } else {
-                from_rank.push((j, p - local_qubits));
-            }
-        }
         Self {
             diag,
-            in_tile,
-            from_base,
-            from_rank,
+            positions: positions.to_vec(),
+            local_qubits,
+            in_tile: Vec::new(),
+            from_base: Vec::new(),
+            from_rank: Vec::new(),
         }
+    }
+
+    /// Classify the operands against a sorted `tile` position set.
+    fn resolve(&mut self, tile: &[u32]) {
+        self.in_tile.clear();
+        self.from_base.clear();
+        self.from_rank.clear();
+        for (j, &p) in self.positions.iter().enumerate() {
+            if let Ok(cp) = tile.binary_search(&p) {
+                self.in_tile.push((j, cp as u32));
+            } else if p < self.local_qubits {
+                self.from_base.push((j, p));
+            } else {
+                self.from_rank.push((j, p - self.local_qubits));
+            }
+        }
+        self.in_tile.sort_unstable_by_key(|&(_, cp)| cp);
     }
 
     /// Fold the diagonal into one tile. `base` is the full-state index
@@ -361,59 +407,81 @@ impl<R: Real> PreparedDiag<R> {
     /// branch for branch so the fold is bit-exact against the per-gate
     /// oracle: the pure-global case is one scalar phase, the 1-local-
     /// operand unit-first-entry case touches only the bit-set half, and
-    /// the general case multiplies every amplitude by its gathered entry.
+    /// the general case multiplies every amplitude by its gathered entry
+    /// — run-wise: the 2^(lowest in-tile operand) consecutive amplitudes
+    /// that share an entry are multiplied by it as one slice.
     pub fn apply_chunk(&self, chunk: &mut [Complex<R>], base: usize, rank: usize) {
-        let mut rank_fixed = 0usize;
-        for &(j, s) in &self.from_rank {
-            rank_fixed |= ((rank >> s) & 1) << j;
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::avx::avx2_available() {
+                // SAFETY: AVX2 and FMA presence checked at runtime above.
+                unsafe { self.fold_fma(chunk, base, rank) };
+                return;
+            }
         }
-        let n_local = self.in_tile.len() + self.from_base.len();
-        if n_local == 0 {
-            let phase = self.diag[rank_fixed];
-            for a in chunk.iter_mut() {
+        self.fold(chunk, base, rank);
+    }
+
+    /// [`Self::fold`] compiled with FMA enabled: `Complex`'s product is
+    /// written with `mul_add`, which is a libm call per component without
+    /// the feature and one `vfmadd` (vectorised over a run) with it —
+    /// the same single-rounding operation, so the same bits.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn fold_fma(&self, chunk: &mut [Complex<R>], base: usize, rank: usize) {
+        self.fold(chunk, base, rank);
+    }
+
+    #[inline(always)]
+    fn fold(&self, chunk: &mut [Complex<R>], base: usize, rank: usize) {
+        let scale = |run: &mut [Complex<R>], phase: Complex<R>| {
+            for a in run {
                 *a *= phase;
             }
-            return;
+        };
+        let mut fixed = 0usize;
+        for &(j, s) in &self.from_rank {
+            fixed |= ((rank >> s) & 1) << j;
         }
-        if n_local == 1 && (self.diag[rank_fixed] - Complex::one()).abs() <= R::EPSILON {
+        let n_local = self.in_tile.len() + self.from_base.len();
+        if n_local == 1 && (self.diag[fixed] - Complex::one()).abs() <= R::EPSILON {
             // apply_diagonal's fast path: skip — don't multiply by one —
             // the half whose local bit is clear.
             if let Some(&(j, cp)) = self.in_tile.first() {
-                let phase = self.diag[rank_fixed | (1usize << j)];
+                let phase = self.diag[fixed | (1usize << j)];
                 let stride = 1usize << cp;
-                let low = stride - 1;
-                for c in 0..chunk.len() >> 1 {
-                    let idx = ((c & !low) << 1) | (c & low) | stride;
-                    chunk[idx] *= phase;
+                for pair in chunk.chunks_exact_mut(2 * stride) {
+                    scale(&mut pair[stride..], phase);
                 }
             } else {
-                let &(j, p) = self.from_base.first().unwrap();
+                let (j, p) = self.from_base[0];
                 if get_bit(base, p) == 1 {
-                    let phase = self.diag[rank_fixed | (1usize << j)];
-                    for a in chunk.iter_mut() {
-                        *a *= phase;
-                    }
+                    scale(chunk, self.diag[fixed | (1usize << j)]);
                 }
             }
             return;
         }
-        let mut fixed = rank_fixed;
         for &(j, p) in &self.from_base {
             fixed |= get_bit(base, p) << j;
         }
-        for (x, a) in chunk.iter_mut().enumerate() {
+        // No in-tile operand: the whole tile shares one entry.
+        let lo = self
+            .in_tile
+            .first()
+            .map_or(chunk.len().ilog2(), |&(_, cp)| cp);
+        for (r, run) in chunk.chunks_exact_mut(1 << lo).enumerate() {
             let mut idx = fixed;
             for &(j, cp) in &self.in_tile {
-                idx |= ((x >> cp) & 1) << j;
+                idx |= ((r >> (cp - lo)) & 1) << j;
             }
-            *a *= self.diag[idx];
+            scale(run, self.diag[idx]);
         }
     }
 }
 
-/// One op of a tiled pass.
+/// One op of a tiled pass, at physical positions.
 pub enum TileOp<R: SweepDispatch = f64> {
-    /// Dense cluster prepared over *compact* tile positions.
+    /// Dense cluster whose operands all lie inside the pass's tile.
     Dense(PreparedGate<R>),
     /// Diagonal folded as per-tile phases (operands may be anywhere).
     Diag(PreparedDiag<R>),
@@ -421,31 +489,48 @@ pub enum TileOp<R: SweepDispatch = f64> {
 
 /// A group of stage ops applied in one streaming pass over the state.
 pub struct TiledPass<R: SweepDispatch = f64> {
-    /// Sorted physical positions spanned by the tile.
+    /// Sorted physical positions spanned by the staged tile.
     tile: Vec<u32>,
     /// Tile positions are exactly `0..T`: tiles are contiguous slices and
     /// the gather/scatter staging is skipped entirely (zero-copy).
     contiguous: bool,
-    /// Gather tables of a non-contiguous tile, built once at compile
-    /// time: the tile-counter expander and per-element offsets.
-    gather: Option<(IndexExpander, Vec<usize>)>,
     ops: Vec<TileOp<R>>,
 }
 
 impl<R: SweepDispatch> TiledPass<R> {
-    pub fn new(tile: Vec<u32>, ops: Vec<TileOp<R>>) -> Self {
+    /// A pass over tiles spanning the sorted physical positions `tile`,
+    /// which must contain every dense operand of `ops`.
+    ///
+    /// A non-contiguous tile is staged through a scratch buffer. When it
+    /// lacks some of the lowest positions — the ones that index within a
+    /// cache line — they are added to the staged tile: the adjacent tiles
+    /// that share each cache line are staged together, so staging moves
+    /// whole lines instead of one amplitude per line, and every gate of
+    /// the pass sees free lane bits.
+    pub fn new(mut tile: Vec<u32>, mut ops: Vec<TileOp<R>>) -> Self {
         assert!(!tile.is_empty(), "empty tile");
         assert!(tile.windows(2).all(|w| w[0] < w[1]), "tile must be sorted");
-        let contiguous = tile.iter().enumerate().all(|(i, &p)| p == i as u32);
-        let gather = (!contiguous).then(|| {
-            let exp = IndexExpander::new(&tile);
-            let offs: Vec<usize> = (0..1usize << tile.len()).map(|x| exp.offset(x)).collect();
-            (exp, offs)
-        });
+        let is_contiguous = |t: &[u32]| t.iter().enumerate().all(|(i, &p)| p == i as u32);
+        if !is_contiguous(&tile) {
+            let line_bits = (64 / std::mem::size_of::<Complex<R>>()).ilog2();
+            // Below the top tile position, so inside any state the tile
+            // fits in.
+            let top = tile[tile.len() - 1];
+            let missing: Vec<u32> = (0..line_bits.min(top))
+                .filter(|p| !tile.contains(p))
+                .collect();
+            tile.extend(missing);
+            tile.sort_unstable();
+        }
+        for op in &mut ops {
+            match op {
+                TileOp::Dense(g) => g.compact_into(&tile),
+                TileOp::Diag(d) => d.resolve(&tile),
+            }
+        }
         Self {
+            contiguous: is_contiguous(&tile),
             tile,
-            contiguous,
-            gather,
             ops,
         }
     }
@@ -465,23 +550,28 @@ impl<R: SweepDispatch> TiledPass<R> {
         }
     }
 
-    #[inline]
-    fn run_gathered_tile(
-        &self,
-        state: &mut [Complex<R>],
-        exp: &IndexExpander,
-        offs: &[usize],
-        scratch: &mut [Complex<R>],
-        t: usize,
-        rank: usize,
-    ) {
-        let base = exp.expand(t);
-        for (x, s) in scratch.iter_mut().enumerate() {
-            *s = state[base + offs[x]];
-        }
-        self.apply_ops(scratch, base, rank);
-        for (x, &s) in scratch.iter().enumerate() {
-            state[base + offs[x]] = s;
+    /// Stage tiles `[t0, t1)` of a non-contiguous pass through a scratch
+    /// buffer: gather, apply every op, scatter.
+    fn run_gathered_tiles(&self, state: &mut [Complex<R>], t0: usize, t1: usize, rank: usize) {
+        let exp = IndexExpander::new(&self.tile);
+        // The tile's leading positions 0..r are contiguous in the state:
+        // staging copies runs of 2^r amplitudes. The other positions, as
+        // an index mask, enumerate the run offsets by masked increment.
+        let run_bits = self
+            .tile
+            .iter()
+            .enumerate()
+            .take_while(|&(i, &p)| p == i as u32)
+            .count();
+        let hi_mask = self.tile[run_bits..]
+            .iter()
+            .fold(0usize, |m, &p| m | 1 << p);
+        let mut scratch = vec![Complex::<R>::zero(); 1 << self.tile.len()];
+        for t in t0..t1 {
+            let base = exp.expand(t);
+            copy_runs::<R, true>(state, &mut scratch, base, hi_mask, run_bits);
+            self.apply_ops(&mut scratch, base, rank);
+            copy_runs::<R, false>(state, &mut scratch, base, hi_mask, run_bits);
         }
     }
 
@@ -510,28 +600,19 @@ impl<R: SweepDispatch> TiledPass<R> {
                     self.apply_ops(&mut state[base..base + tile_len], base, rank);
                 }
             }
+        } else if par {
+            let shared = DisjointSlice(state.as_mut_ptr(), state.len());
+            chunk_ranges(n_tiles, threads, 1)
+                .into_par_iter()
+                .for_each(|(t0, t1)| {
+                    // SAFETY: distinct tile counters expand to
+                    // disjoint index sets (DisjointSlice contract),
+                    // and counter ranges partition [0, n_tiles).
+                    let s = unsafe { shared.slice() };
+                    self.run_gathered_tiles(s, t0, t1, rank);
+                });
         } else {
-            let (exp, offs) = self.gather.as_ref().expect("non-contiguous gather tables");
-            if par {
-                let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-                chunk_ranges(n_tiles, threads)
-                    .into_par_iter()
-                    .for_each(|(t0, t1)| {
-                        // SAFETY: distinct tile counters expand to
-                        // disjoint index sets (DisjointSlice contract),
-                        // and counter ranges partition [0, n_tiles).
-                        let s = unsafe { shared.slice() };
-                        let mut scratch = vec![Complex::<R>::zero(); tile_len];
-                        for t in t0..t1 {
-                            self.run_gathered_tile(s, exp, offs, &mut scratch, t, rank);
-                        }
-                    });
-            } else {
-                let mut scratch = vec![Complex::<R>::zero(); tile_len];
-                for t in 0..n_tiles {
-                    self.run_gathered_tile(state, exp, offs, &mut scratch, t, rank);
-                }
-            }
+            self.run_gathered_tiles(state, 0, n_tiles, rank);
         }
         let bytes = 2 * std::mem::size_of_val(state) as u64;
         stats.sweep_passes += 1;
@@ -544,6 +625,49 @@ impl<R: SweepDispatch> TiledPass<R> {
                 TileOp::Diag(_) => stats.diagonals_folded += 1,
             }
         }
+    }
+}
+
+/// Copy the staged tile at `base` into `scratch` (`GATHER`) or back, as
+/// runs of `2^run_bits` contiguous amplitudes. `hi_mask` has a bit per
+/// tile position `>= run_bits`; `(off | !mask) + 1 & mask` steps `off`
+/// through the subsets of the mask in ascending order, which is the order
+/// of the runs in `scratch`.
+#[inline]
+fn copy_runs<R: Real, const GATHER: bool>(
+    state: &mut [Complex<R>],
+    scratch: &mut [Complex<R>],
+    base: usize,
+    hi_mask: usize,
+    run_bits: usize,
+) {
+    #[inline(always)]
+    fn go<R: Real, const GATHER: bool>(
+        state: &mut [Complex<R>],
+        scratch: &mut [Complex<R>],
+        base: usize,
+        hi_mask: usize,
+        run: usize,
+    ) {
+        let mut off = 0usize;
+        for s in scratch.chunks_exact_mut(run) {
+            let at = base + off;
+            let st = &mut state[at..at + run];
+            if GATHER {
+                s.copy_from_slice(st);
+            } else {
+                st.copy_from_slice(s);
+            }
+            off = (off | !hi_mask).wrapping_add(1) & hi_mask;
+        }
+    }
+    // One and two cache lines as constant lengths, so the copy compiles to
+    // straight vector moves instead of a `memcpy` call per run.
+    match run_bits {
+        2 => go::<R, GATHER>(state, scratch, base, hi_mask, 4),
+        3 => go::<R, GATHER>(state, scratch, base, hi_mask, 8),
+        4 => go::<R, GATHER>(state, scratch, base, hi_mask, 16),
+        r => go::<R, GATHER>(state, scratch, base, hi_mask, 1 << r),
     }
 }
 
@@ -623,7 +747,7 @@ mod tests {
                 tile.clone(),
                 vec![
                     TileOp::Dense(PreparedGate::new(&[0, 3], &m1, &cfg)),
-                    TileOp::Diag(PreparedDiag::new(&[5], t_diag(), &tile, n)),
+                    TileOp::Diag(PreparedDiag::new(&[5], t_diag(), n)),
                     TileOp::Dense(PreparedGate::new(&[1, 2, 4], &m2, &cfg)),
                 ],
             );
@@ -663,7 +787,7 @@ mod tests {
                 tile.clone(),
                 vec![
                     TileOp::Dense(PreparedGate::new(&[0, 3], &m1, &cfg)),
-                    TileOp::Diag(PreparedDiag::new(&[5], diag32.clone(), &tile, n)),
+                    TileOp::Diag(PreparedDiag::new(&[5], diag32.clone(), n)),
                     TileOp::Dense(PreparedGate::new(&[1, 2, 4], &m2, &cfg)),
                 ],
             );
@@ -686,10 +810,6 @@ mod tests {
         let tile = vec![2u32, 5, 7, 8, 10];
         let m = random_matrix(3, 7);
         let qubits = [5u32, 7, 10];
-        let compact: Vec<u32> = qubits
-            .iter()
-            .map(|q| tile.binary_search(q).unwrap() as u32)
-            .collect();
         let state0 = random_state(n, 8);
 
         let mut oracle = state0.clone();
@@ -700,8 +820,8 @@ mod tests {
         let pass = TiledPass::new(
             tile.clone(),
             vec![
-                TileOp::Dense(PreparedGate::new(&compact, &m, &cfg)),
-                TileOp::Diag(PreparedDiag::new(&[3], t_diag(), &tile, n)),
+                TileOp::Dense(PreparedGate::new(&qubits, &m, &cfg)),
+                TileOp::Diag(PreparedDiag::new(&[3], t_diag(), n)),
             ],
         );
         let mut tiled = state0;
@@ -725,7 +845,7 @@ mod tests {
                 tile.clone(),
                 vec![
                     TileOp::Dense(PreparedGate::new(&[0, 2, 4, 6], &m, &cfg)),
-                    TileOp::Diag(PreparedDiag::new(&[9], t_diag(), &tile, n)),
+                    TileOp::Diag(PreparedDiag::new(&[9], t_diag(), n)),
                 ],
             )
         };
@@ -754,12 +874,162 @@ mod tests {
             let mut oracle = state0.clone();
             apply_diagonal(&mut oracle, &[4], &reduced);
 
-            let pd = PreparedDiag::new(&[4, l], diag.clone(), &tile, l);
+            let pd = PreparedDiag::new(&[4, l], diag.clone(), l);
             let pass = TiledPass::new(tile.clone(), vec![TileOp::Diag(pd)]);
             let mut tiled = state0.clone();
             let mut stats = SweepStats::default();
             pass.run(&mut tiled, rank, 1, &mut stats);
             assert_eq!(max_dist(&tiled, &oracle), 0.0, "rank={rank}");
+        }
+    }
+
+    /// One staged-tile case: a k=3 and a k=2 cluster plus a two-operand
+    /// diagonal (one operand in the tile, one on a base bit) through a
+    /// `TiledPass` under the production config, against the per-gate
+    /// scalar path.
+    fn staged_case<R: SweepDispatch>(n: u32, threads: usize, tile: &[u32]) {
+        let t = tile.len();
+        let m3 = random_matrix(3, 51).convert::<R>();
+        let m2 = random_matrix(2, 52).convert::<R>();
+        let q3 = [tile[t - 1], tile[t - 3], tile[t - 2]];
+        let q2 = [tile[1], tile[0]];
+        let outside = (0..n).rev().find(|p| !tile.contains(p)).unwrap();
+        let dq = [tile[1], outside];
+        let diag: Vec<Complex<R>> = (0..4)
+            .map(|i| c64::from_polar(1.0, 0.4 * i as f64 + 0.1).convert())
+            .collect();
+        let state0: Vec<Complex<R>> = random_state(n, 53).iter().map(|a| a.convert()).collect();
+
+        let mut oracle = state0.clone();
+        let seq = KernelConfig::sequential();
+        apply_gate(&mut oracle, &q3, &m3, &seq);
+        apply_diagonal(&mut oracle, &dq, &diag);
+        apply_gate(&mut oracle, &q2, &m2, &seq);
+
+        let cfg = KernelConfig {
+            threads,
+            ..KernelConfig::default()
+        };
+        let pass = TiledPass::new(
+            tile.to_vec(),
+            vec![
+                TileOp::Dense(PreparedGate::new(&q3, &m3, &cfg)),
+                TileOp::Diag(PreparedDiag::new(&dq, diag, n)),
+                TileOp::Dense(PreparedGate::new(&q2, &m2, &cfg)),
+            ],
+        );
+        let mut tiled = state0;
+        pass.run(&mut tiled, 0, threads, &mut SweepStats::default());
+        assert_eq!(
+            max_dist(&tiled, &oracle),
+            R::ZERO,
+            "{} n={n} threads={threads} tile={tile:?}",
+            R::NAME
+        );
+    }
+
+    #[test]
+    fn staged_tiles_are_bit_exact_vs_per_gate() {
+        // Tiles without the cache-line positions (adjacent tiles staged
+        // together), with all of them (runs of one line or more), with
+        // some; one and two threads; both sides of the PAR_THRESHOLD seam
+        // (2^14 amplitudes).
+        let tiles: [&[u32]; 6] = [
+            &[2, 5, 7, 8, 10],
+            &[3, 4, 6, 9, 11, 12],
+            &[0, 1, 5, 8, 10, 12],
+            &[0, 1, 2, 3, 6, 9],
+            &[1, 4, 6, 9, 11],
+            &[0, 3, 4, 7, 12],
+        ];
+        for n in [13u32, 15] {
+            for threads in [1usize, 2] {
+                for tile in tiles {
+                    staged_case::<f64>(n, threads, tile);
+                    staged_case::<f32>(n, threads, tile);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staged_tile_takes_the_missing_cache_line_positions() {
+        let cfg = KernelConfig::sequential();
+        let staged = |tile: &[u32]| {
+            TiledPass::<f64>::new(
+                tile.to_vec(),
+                vec![TileOp::Dense(PreparedGate::new(
+                    &tile[tile.len() - 1..],
+                    &random_matrix(1, 3),
+                    &cfg,
+                ))],
+            )
+            .tile
+        };
+        assert_eq!(staged(&[2, 5, 7]), [0, 1, 2, 5, 7]);
+        assert_eq!(staged(&[1, 5, 7]), [0, 1, 5, 7]);
+        assert_eq!(staged(&[0, 1, 4]), [0, 1, 4]);
+        // Contiguous tiles are zero-copy and stay as planned; positions
+        // are only added below the tile's top.
+        assert_eq!(staged(&[0, 1, 2]), [0, 1, 2]);
+        assert_eq!(staged(&[1]), [0, 1]);
+        assert_eq!(
+            TiledPass::<f32>::new(vec![3, 6], vec![]).tile,
+            [0, 1, 2, 3, 6]
+        );
+    }
+
+    #[test]
+    fn run_wise_diagonal_fold_matches_reduction_and_apply_diagonal() {
+        // Four-operand diagonal: in-tile low and high, base bit, rank bit.
+        // Oracle: reduce by the rank bit (the dist-path reduction), then
+        // `apply_diagonal` on the whole local state.
+        let l = 10u32;
+        let state0 = random_state(l, 61);
+        let diag: Vec<c64> = (0..16)
+            .map(|i| c64::from_polar(1.0, 0.37 * i as f64 + 0.2))
+            .collect();
+        let tiles: [&[u32]; 3] = [&[0, 1, 2, 3, 4, 5], &[0, 1, 2, 3, 5, 8], &[2, 3, 5, 8]];
+        // (positions, which slot is the rank operand); slot order is the
+        // diagonal's index order, so it is shuffled against position.
+        for positions in [[3u32, l, 8, 6], [0, l, 5, 7], [l, 2, 1, 9]] {
+            let rank_slot = positions.iter().position(|&p| p == l).unwrap();
+            let local: Vec<u32> = positions.iter().copied().filter(|&p| p != l).collect();
+            for rank in [0usize, 1] {
+                let reduced: Vec<c64> = (0..8)
+                    .map(|x| {
+                        let lo = x & ((1 << rank_slot) - 1);
+                        let hi = x >> rank_slot << (rank_slot + 1);
+                        diag[hi | rank << rank_slot | lo]
+                    })
+                    .collect();
+                let mut oracle = state0.clone();
+                apply_diagonal(&mut oracle, &local, &reduced);
+                for tile in tiles {
+                    let pd = PreparedDiag::new(&positions, diag.clone(), l);
+                    let pass = TiledPass::new(tile.to_vec(), vec![TileOp::Diag(pd)]);
+                    let mut tiled = state0.clone();
+                    pass.run(&mut tiled, rank, 1, &mut SweepStats::default());
+                    assert_eq!(
+                        max_dist(&tiled, &oracle),
+                        0.0,
+                        "positions={positions:?} rank={rank} tile={tile:?}"
+                    );
+                }
+            }
+        }
+        // The skip-don't-multiply fast path: T on an in-tile position
+        // (runs of 2^cp), on a base bit, and on the lowest position.
+        for q in [5u32, 9, 0] {
+            let mut oracle = state0.clone();
+            apply_diagonal(&mut oracle, &[q], &t_diag());
+            for tile in tiles {
+                let pd = PreparedDiag::new(&[q], t_diag(), l);
+                let pass = TiledPass::new(tile.to_vec(), vec![TileOp::Diag(pd)]);
+                let mut tiled = state0.clone();
+                pass.run(&mut tiled, 0, 1, &mut SweepStats::default());
+                assert_eq!(max_dist(&tiled, &oracle), 0.0, "T on {q}, tile={tile:?}");
+            }
         }
     }
 

@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Build qsim-kernels in release, emit its assembly, and fail if a SIMD
+# kernel's loops contain a call.
+#
+# The kernels are `#[target_feature]` functions. A `core::arch` intrinsic
+# (or an `inline(always)` helper) whose required features are not a subset
+# of the function's is silently NOT inlined: the hot loop then contains a
+# `call`, a `vzeroupper` and a spill of every live vector register, and the
+# callee may execute instructions the host check never covered. Nothing
+# but the disassembly shows it.
+#
+# Fails when, inside a kernel symbol,
+#   * any call targets a `core_arch` intrinsic (anywhere in the function), or
+#   * any call sits inside a loop — between a label and a later jump back
+#     to it — unless it is a diverging panic/unwind routine (the cold arm
+#     of a bounds check may be laid out inside the loop body),
+# or when an expected kernel symbol is missing from the assembly.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+target_dir="${CARGO_TARGET_DIR:-target}/kernel-asm"
+cargo rustc --release -p qsim-kernels --lib --target-dir "$target_dir" \
+    -- --emit asm -C codegen-units=1
+asm="$(ls -t "$target_dir"/release/deps/qsim_kernels-*.s | head -1)"
+
+python3 - "$asm" <<'PY'
+import re, sys
+
+# Mangled-name fragments of every `#[target_feature]` kernel in the crate.
+KERNELS = [
+    r"4lane3x86\d+f64_r2\d", r"4lane3x86\d+f64_r4\d", r"4lane3x86\d+f64_r8\d",
+    r"4lane3x86\d+f64_r16\d", r"4lane3x86\d+f32_r2\d", r"4lane3x86\d+f32_r4\d",
+    r"4lane3x86\d+f32_r8\d", r"4lane3x86\d+f32_r16\d",
+    r"6avx512\d+apply_avx512_range_impl", r"3avx\d+apply_avx_range_impl",
+    r"3avx\d+apply_avx_eq1_impl", r"6avxf32\d+apply_avx_f32_impl",
+]
+DIVERGING = re.compile(r"panic|slice_index|_fail|handle_error|handle_alloc_error|_Unwind_Resume|unwrap_failed")
+
+label = re.compile(r"^(\.L[\w$.]+):")
+jump = re.compile(r"^\s+j\w+\s+(\.L[\w$.]+)")
+call = re.compile(r"^\s+callq?\s+(.*)")
+
+functions, name, body = {}, None, []
+for line in open(sys.argv[1]):
+    m = re.match(r"^(_ZN\S+|_R\S+):\s*$", line)
+    if m:
+        name, body = m.group(1), []
+    elif name and ".cfi_endproc" in line:
+        functions[name], name = body, None
+    elif name:
+        body.append(line.rstrip("\n"))
+
+failures = []
+for pat in KERNELS:
+    hits = [n for n in functions if re.search(pat, n)]
+    if not hits:
+        failures.append(f"kernel symbol /{pat}/ not found in the assembly")
+    for n in hits:
+        lines = functions[n]
+        at = {label.match(l).group(1): i for i, l in enumerate(lines) if label.match(l)}
+        loops = [(at[j.group(1)], i) for i, l in enumerate(lines)
+                 if (j := jump.match(l)) and at.get(j.group(1), i + 1) <= i]
+        for i, l in enumerate(lines):
+            c = call.match(l)
+            if not c:
+                continue
+            callee = c.group(1)
+            if "core_arch" in callee:
+                failures.append(f"{n}: non-inlined intrinsic: {callee}")
+            elif any(a <= i <= b for a, b in loops) and not DIVERGING.search(callee):
+                failures.append(f"{n}: call inside a loop: {callee}")
+        print(f"ok   {n}: {len(loops)} loops, "
+              f"{sum(1 for l in lines if call.match(l))} calls outside them or diverging")
+
+if failures:
+    print("\nSIMD kernel assembly check FAILED:", *failures, sep="\n  ", file=sys.stderr)
+    sys.exit(1)
+print(f"SIMD kernel assembly check passed ({len(KERNELS)} kernels)")
+PY
