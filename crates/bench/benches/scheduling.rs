@@ -59,7 +59,8 @@ fn bench_all_to_all(c: &mut Criterion) {
 fn bench_ooc_swap(c: &mut Criterion) {
     // External all-to-all (the §5 disk path): one full swap of a 2^16
     // state split into 4 chunk files.
-    use qsim_ooc::{OocSimulator, ScratchDir};
+    use qsim_core::BackendPlan;
+    use qsim_ooc::OocSimulator;
     use qsim_sched::plan as splan;
     let circuit = {
         let mut c = qsim_circuit::Circuit::new(16);
@@ -75,13 +76,10 @@ fn bench_ooc_swap(c: &mut Criterion) {
         c
     };
     let schedule = splan(&circuit, &SchedulerConfig::distributed(14, 4));
+    let plan = BackendPlan::from_schedule(circuit, schedule, false);
     c.bench_function("ooc_run_16q", |b| {
         let mut sim = OocSimulator::<f64>::default();
-        b.iter(|| {
-            let dir = ScratchDir::new("bench_run16");
-            let out = sim.run(dir.path(), &schedule, false).unwrap();
-            out.norm
-        });
+        b.iter(|| sim.run_plan(&plan, false, None).unwrap().norm);
     });
 }
 

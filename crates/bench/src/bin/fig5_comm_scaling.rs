@@ -29,9 +29,6 @@ fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "both".into());
     let kmax = arg_u32("--kmax", 4);
     let seed = arg_u32("--seed", 0) as u64;
-    if mode == "search" || arg_value("--mode").as_deref() == Some("search") {
-        return search_mode(arg_value("--kmax").map(|_| kmax));
-    }
     if mode == "depth" || mode == "both" {
         fig5a(kmax, seed);
     }
@@ -44,87 +41,6 @@ fn main() {
         let sub_chunks = arg_u32("--sub-chunks", 0) as usize;
         swap_engine(seed, l, iters, sub_chunks);
     }
-}
-
-/// `search` mode: greedy vs cost-guided schedule search end-to-end
-/// through the distributed engine at n = 22–24, cache-cold (search time
-/// included in the searched wall-clock). Three rows cover the three
-/// scenarios that matter:
-///
-/// 1. `3x8 d25, kmax 5, budget 5` — a base `kmax` set too high: the
-///    beam axis corrects it to 4, which also packs into strictly fewer
-///    stage passes (8 → 7) at equal swaps. The budget of 5 is exactly
-///    the beam's `kmax`-neighbor sweep, making the row fully
-///    deterministic: annealing relabelings can model marginally cheaper
-///    than the plain corrected plan while trading the pass reduction
-///    away, so the row demonstrates the beam axis in isolation;
-/// 2. `4x6 d25, kmax 3, budget 16` — a base `kmax` set too low: the
-///    other direction of the scenario search exists for;
-/// 3. `2x11 d25, kmax 4, budget 4` — a tuned base on a shallow circuit:
-///    search must at minimum not hurt it (the adoption margin keeps it
-///    from chasing noise-level model deltas, and the budget scales down
-///    with the problem so planning overhead stays within the ceiling).
-///
-/// The `kmax` rows are deliberately beam-axis wins: the beam always
-/// evaluates the `kmax` neighbors, so unlike an annealing trajectory the
-/// outcome does not depend on the per-host calibration details.
-///
-/// Rows run longest-first so the one-time cost-model calibration
-/// (kernel autotune) is amortized against a long row. `--kmax K` /
-/// `--depth D` / `--budget B` force one base for every row. Writes
-/// `BENCH_schedule_search.json`.
-fn search_mode(kmax_override: Option<u32>) {
-    use qsim_bench::search_report::{run_search_bench, search_reports_to_json};
-    let depth_override = arg_value("--depth").map(|_| arg_u32("--depth", 25));
-    let budget_override = arg_value("--budget").map(|_| arg_u32("--budget", 16) as usize);
-    let g = arg_u32("--g", 4);
-    println!("# schedule search vs greedy, 2^{g} ranks");
-    row(&[
-        cell("n", 4),
-        cell("depth", 6),
-        cell("kmax", 5),
-        cell("budget", 7),
-        cell("swaps g/s", 10),
-        cell("passes g/s", 11),
-        cell("cost g/s", 16),
-        cell("wall g/s (s)", 16),
-        cell("ratio", 7),
-        cell("adopted", 8),
-    ]);
-    let mut reports = Vec::new();
-    for (rows, cols, base_kmax, base_depth, base_budget) in [
-        (3u32, 8u32, 5u32, 25u32, 5usize),
-        (4, 6, 3, 25, 16),
-        (2, 11, 4, 25, 4),
-    ] {
-        let kmax = kmax_override.unwrap_or(base_kmax);
-        let depth = depth_override.unwrap_or(base_depth);
-        let budget = budget_override.unwrap_or(base_budget);
-        let r = run_search_bench(rows, cols, depth, kmax, g, budget);
-        row(&[
-            cell(r.n_qubits, 4),
-            cell(depth, 6),
-            cell(kmax, 5),
-            cell(budget, 7),
-            cell(format!("{}/{}", r.greedy_swaps, r.search_swaps), 10),
-            cell(format!("{}/{}", r.greedy_passes, r.search_passes), 11),
-            cell(format!("{:.3}/{:.3}", r.greedy_cost, r.search_cost), 16),
-            cell(
-                format!(
-                    "{:.2}/{:.2}",
-                    r.greedy_total_seconds, r.search_total_seconds
-                ),
-                16,
-            ),
-            cell(format!("{:.3}", r.wall_ratio()), 7),
-            cell(r.adopted, 8),
-        ]);
-        reports.push(r);
-    }
-    let json = search_reports_to_json(&reports);
-    std::fs::write("BENCH_schedule_search.json", &json).expect("write BENCH_schedule_search.json");
-    println!("# wrote BENCH_schedule_search.json");
-    println!("# acceptance: search_cost <= greedy_cost always; wall ratio <= 1.02 cold-cache.");
 }
 
 fn fig5a(kmax: u32, seed: u64) {

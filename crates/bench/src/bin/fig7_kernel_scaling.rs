@@ -6,30 +6,11 @@
 //! stop scaling once the memory system saturates, while k=4..5 scale
 //! further. This harness sweeps thread counts 1..nproc on a scaled state
 //! and prints speedups relative to 1 thread.
-//!
-//! `--mode sweep` instead benchmarks the cache-tiled stage executor
-//! against the per-gate path on a depth-25 supremacy circuit (default
-//! n = 24, the 4×6 grid; kmax = 4), reporting full-state passes per
-//! stage, DRAM bytes streamed and ms/stage, and writing the
-//! machine-readable `BENCH_stage_sweep.json`.
-//!
-//! `--mode precision` compares the same compiled-stage executor at f64
-//! and f32 (same default instance): wall-clock, bytes streamed, norm and
-//! per-amplitude drift of the narrow tier, writing
-//! `BENCH_precision.json`. Acceptance target: ≥ 1.3x wall-clock speedup
-//! from halving the bytes per amplitude.
 
 use qsim_bench::harness::*;
-use qsim_bench::precision_report::run_precision_bench;
-use qsim_bench::sweep_report::run_sweep_bench;
 use qsim_kernels::apply::KernelConfig;
 
 fn main() {
-    match arg_value("--mode").as_deref() {
-        Some("sweep") => return sweep_mode(),
-        Some("precision") => return precision_mode(),
-        _ => {}
-    }
     let n = arg_u32("--state-qubits", 22);
     let max_threads = arg_u32("--max-threads", num_threads() as u32) as usize;
     println!("# Fig. 7/10 — kernel strong scaling, state 2^{n}");
@@ -66,103 +47,4 @@ fn main() {
     }
     println!("# columns are GFLOPS per thread count; paper shape: k=4..5 scale");
     println!("# closest to linear, k=1 saturates memory bandwidth early.");
-}
-
-/// `--mode sweep`: per-gate vs cache-tiled stage execution.
-fn sweep_mode() {
-    let rows = arg_u32("--rows", 4);
-    let cols = arg_u32("--cols", 6);
-    let depth = arg_u32("--depth", 25);
-    let kmax = arg_u32("--kmax", 4);
-    let threads = arg_u32("--threads", num_threads() as u32) as usize;
-    let tile = arg_value("--tile-qubits").map(|t| t.parse().expect("--tile-qubits"));
-
-    let r = run_sweep_bench(rows, cols, depth, kmax, threads, tile);
-    let (pg_ms, sw_ms) = r.ms_per_stage();
-    println!(
-        "# Sweep mode — tiled stage executor vs per-gate, {rows}x{cols} grid \
-         (n={}), depth {depth}, kmax {kmax}, {threads} threads",
-        r.n_qubits
-    );
-    row(&[
-        cell("executor", 10),
-        cell("time[s]", 9),
-        cell("ms/stage", 9),
-        cell("passes", 7),
-        cell("passes/stage", 13),
-        cell("GB streamed", 12),
-    ]);
-    row(&[
-        cell("per-gate", 10),
-        cell(format!("{:.3}", r.per_gate_seconds), 9),
-        cell(format!("{pg_ms:.2}"), 9),
-        cell(r.stats.baseline_passes, 7),
-        cell(format!("{:.2}", r.baseline_passes_per_stage()), 13),
-        cell(format!("{:.2}", r.stats.baseline_bytes as f64 / 1e9), 12),
-    ]);
-    row(&[
-        cell("tiled", 10),
-        cell(format!("{:.3}", r.sweep_seconds), 9),
-        cell(format!("{sw_ms:.2}"), 9),
-        cell(r.stats.sweep_passes, 7),
-        cell(format!("{:.2}", r.sweep_passes_per_stage()), 13),
-        cell(format!("{:.2}", r.stats.bytes_streamed as f64 / 1e9), 12),
-    ]);
-    println!(
-        "# pass ratio {:.2}x (acceptance floor 1.5x), wall-clock speedup {:.2}x, \
-         {} tile-local gates, {} diagonals folded, {} fallback sweeps",
-        r.stats.pass_ratio(),
-        r.per_gate_seconds / r.sweep_seconds.max(1e-12),
-        r.stats.tile_local_gates,
-        r.stats.diagonals_folded,
-        r.stats.fallback_gates,
-    );
-    let json = r.to_json();
-    std::fs::write("BENCH_stage_sweep.json", &json).expect("write BENCH_stage_sweep.json");
-    println!("# wrote BENCH_stage_sweep.json");
-}
-
-/// `--mode precision`: the compiled-stage executor at f64 vs f32.
-fn precision_mode() {
-    let rows = arg_u32("--rows", 4);
-    let cols = arg_u32("--cols", 6);
-    let depth = arg_u32("--depth", 25);
-    let kmax = arg_u32("--kmax", 4);
-    let threads = arg_u32("--threads", num_threads() as u32) as usize;
-
-    let r = run_precision_bench(rows, cols, depth, kmax, threads);
-    println!(
-        "# Precision mode — compiled-stage executor at f64 vs f32, {rows}x{cols} grid \
-         (n={}), depth {depth}, kmax {kmax}, {threads} threads",
-        r.n_qubits
-    );
-    row(&[
-        cell("tier", 6),
-        cell("time[s]", 9),
-        cell("GB streamed", 12),
-        cell("norm", 12),
-    ]);
-    row(&[
-        cell("f64", 6),
-        cell(format!("{:.3}", r.f64_seconds), 9),
-        cell(format!("{:.2}", r.f64_bytes_streamed as f64 / 1e9), 12),
-        cell("1.000000000", 12),
-    ]);
-    row(&[
-        cell("f32", 6),
-        cell(format!("{:.3}", r.f32_seconds), 9),
-        cell(format!("{:.2}", r.f32_bytes_streamed as f64 / 1e9), 12),
-        cell(format!("{:.9}", r.f32_norm), 12),
-    ]);
-    println!(
-        "# speedup {:.2}x (acceptance floor 1.3x), bytes ratio {:.2}x, \
-         max |Δamp| {:.2e}, |Δentropy| {:.2e}",
-        r.speedup(),
-        r.bytes_ratio(),
-        r.max_amp_delta,
-        r.entropy_delta,
-    );
-    let json = r.to_json();
-    std::fs::write("BENCH_precision.json", &json).expect("write BENCH_precision.json");
-    println!("# wrote BENCH_precision.json");
 }

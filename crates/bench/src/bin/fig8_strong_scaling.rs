@@ -16,7 +16,7 @@
 use qsim_bench::harness::*;
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_core::single::strip_initial_hadamards;
-use qsim_core::{DistConfig, DistSimulator};
+use qsim_core::{Backend, BackendPlan, BackendStats, DistBackend, DistConfig, DistSimulator};
 use qsim_kernels::apply::KernelConfig;
 use qsim_sched::{plan, SchedulerConfig};
 
@@ -51,7 +51,8 @@ fn main() {
             let g = ranks.trailing_zeros();
             let l = n - g;
             let schedule = plan(&exec, &SchedulerConfig::distributed(l, kmax));
-            let sim = DistSimulator::new(DistConfig {
+            let n_swaps = schedule.n_swaps();
+            let mut sim = DistBackend::new(DistSimulator::new(DistConfig {
                 n_ranks: ranks,
                 kernel: KernelConfig {
                     threads: 1,
@@ -59,8 +60,13 @@ fn main() {
                 },
                 gather_state: false,
                 ..Default::default()
-            });
-            let out = sim.run(&exec, &schedule, uniform);
+            }));
+            let out: qsim_core::BackendOutcome = sim
+                .run(&BackendPlan::from_schedule(exec.clone(), schedule, uniform))
+                .expect("distributed run failed");
+            let BackendStats::Dist { fabric, .. } = &out.stats else {
+                unreachable!("the distributed engine reports Dist stats")
+            };
             if ranks == rank_counts[0] {
                 base_time = out.sim_seconds;
             }
@@ -68,9 +74,9 @@ fn main() {
                 cell(label, 18),
                 cell(ranks, 6),
                 cell(l, 4),
-                cell(schedule.n_swaps(), 6),
+                cell(n_swaps, 6),
                 cell(format!("{:.3}", out.sim_seconds), 9),
-                cell(format!("{:.3}", out.fabric.max_comm_seconds), 9),
+                cell(format!("{:.3}", fabric.max_comm_seconds), 9),
                 cell(format!("{:.2}x", base_time / out.sim_seconds), 8),
             ]);
         }

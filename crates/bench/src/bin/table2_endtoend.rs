@@ -15,7 +15,10 @@
 use qsim_bench::harness::*;
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_core::single::strip_initial_hadamards;
-use qsim_core::{BaselineSimulator, DistConfig, DistSimulator};
+use qsim_core::{
+    Backend, BackendOutcome, BackendPlan, BackendStats, BaselineSimulator, DistBackend, DistConfig,
+    DistSimulator,
+};
 use qsim_kernels::apply::KernelConfig;
 use qsim_sched::{plan, SchedulerConfig};
 
@@ -62,14 +65,25 @@ fn main() {
 
         // Optimized engine.
         let schedule = plan(&exec, &SchedulerConfig::distributed(l, kmax));
-        let sim = DistSimulator::new(DistConfig {
+        let mut sim = DistBackend::new(DistSimulator::new(DistConfig {
             n_ranks: ranks,
             kernel,
             gather_state: false,
             ..Default::default()
-        });
-        let out = sim.run(&exec, &schedule, uniform);
-        let comm_pct = 100.0 * out.fabric.max_comm_seconds / out.sim_seconds.max(1e-12);
+        }));
+        let out: BackendOutcome = sim
+            .run(&BackendPlan::from_schedule(exec, schedule, uniform))
+            .expect("distributed run failed");
+        let BackendStats::Dist {
+            fabric,
+            sweep,
+            entropy_seconds,
+            ..
+        } = &out.stats
+        else {
+            unreachable!("the distributed engine reports Dist stats")
+        };
+        let comm_pct = 100.0 * fabric.max_comm_seconds / out.sim_seconds.max(1e-12);
 
         // Baseline engine ([5]/[19]-style).
         let base = BaselineSimulator::new(ranks, kernel).run(&c);
@@ -87,9 +101,9 @@ fn main() {
                 8,
             ),
             cell(format!("{:.3}", out.entropy), 9),
-            cell(format!("{:.4}", out.entropy_seconds), 10),
-            cell(out.sweep.sweep_passes, 7),
-            cell(format!("{:.2}x", out.sweep.pass_ratio()), 7),
+            cell(format!("{entropy_seconds:.4}"), 10),
+            cell(sweep.sweep_passes, 7),
+            cell(format!("{:.2}x", sweep.pass_ratio()), 7),
         ]);
         // Physics cross-check: both engines must agree on the entropy.
         assert!(

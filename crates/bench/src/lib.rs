@@ -13,7 +13,6 @@
 //! | `fig8_strong_scaling` | Fig. 8 — multi-rank strong scaling |
 //! | `table2_endtoend`   | Table 2 — end-to-end time, comm %, speedup |
 //! | `proj45_petascale`  | §4.1.2/§5 — 45/49-qubit petascale projection |
-//! | `fig_ooc_pipeline`  | §5 — out-of-core pipeline: traversals & overlap |
 //!
 //! Scheduling artifacts (Fig. 5, Table 1, the projection) run at the
 //! paper's **full scale** (30–49 qubits) because they never touch
@@ -21,8 +20,8 @@
 //! `cargo bench -p qsim-bench` additionally runs the criterion
 //! micro-benchmarks in `benches/`.
 
+//! The end-to-end and per-layer performance numbers (wall-clock, sweep
+//! passes, OOC traffic, codec ratio, schedule search) live in the
+//! repository's one benchmark, `benchmark/` — not here.
+
 pub mod harness;
-pub mod ooc_report;
-pub mod precision_report;
-pub mod search_report;
-pub mod sweep_report;

@@ -18,10 +18,10 @@
 use std::collections::HashMap;
 
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim_core::dist::{DistConfig, DistSimulator};
 use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
+use qsim_core::{Backend, BackendPlan, DistBackend, DistConfig, DistSimulator};
 use qsim_kernels::apply::KernelConfig;
-use qsim_ooc::{OocConfig, OocSimulator, ScratchDir};
+use qsim_ooc::{OocBackend, OocConfig, OocSimulator};
 use qsim_sched::{plan, SchedulerConfig};
 use qsim_telemetry::json::{parse, Json};
 use qsim_telemetry::Telemetry;
@@ -83,7 +83,7 @@ fn all_engines_emit_spans_and_metrics() {
         telemetry: telemetry.clone(),
         ..Default::default()
     };
-    let out_single = single.run(&circuit);
+    let out_single = single.try_run_t::<f64>(&circuit).unwrap();
 
     // Distributed engine, 4 ranks.
     let ranks = 4usize;
@@ -91,22 +91,25 @@ fn all_engines_emit_spans_and_metrics() {
     let l = n - ranks.trailing_zeros();
     let schedule = plan(&exec, &SchedulerConfig::distributed(l, 4));
     assert!(schedule.n_swaps() > 0, "want swaps in the smoke schedule");
-    let dist = DistSimulator::new(DistConfig {
+    let plan = BackendPlan::from_schedule(exec, schedule, uniform);
+    let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
         n_ranks: ranks,
         kernel: KernelConfig::sequential(),
         telemetry: telemetry.clone(),
         ..Default::default()
-    });
-    let _ = dist.run(&exec, &schedule, uniform);
+    }));
+    Backend::<f64>::run(&mut dist, &plan).expect("dist run");
 
     // Out-of-core pipelined engine on the same schedule.
-    let dir = ScratchDir::new("telemetry_smoke");
-    let mut ooc = OocSimulator::<f64>::new(OocConfig {
-        kernel: KernelConfig::sequential(),
-        telemetry: telemetry.clone(),
-        ..OocConfig::default()
-    });
-    let _ = ooc.run(dir.path(), &schedule, uniform).expect("ooc run");
+    let mut ooc = OocBackend::new(
+        OocSimulator::<f64>::new(OocConfig {
+            kernel: KernelConfig::sequential(),
+            telemetry: telemetry.clone(),
+            ..OocConfig::default()
+        }),
+        ranks,
+    );
+    ooc.run(&plan).expect("ooc run");
 
     // --- Chrome trace: parses, distinct tracks, spans per phase. ---
     let doc = parse(&telemetry.chrome_trace_json()).expect("trace parses");

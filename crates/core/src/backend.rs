@@ -1,44 +1,46 @@
-//! The unified [`Backend`] surface over the three execution engines.
+//! The [`Backend`] surface — the only way to execute a schedule.
 //!
-//! The paper's central claim — that the slow tier (network or SSD) is
-//! interchangeable once the schedule needs only two all-to-alls — is
-//! embodied by three engines with historically incompatible
-//! run/checkpoint/resume/stats APIs. This module extracts the one
-//! contract they all satisfy, so the CLI, the conformance suite and any
-//! future backend (e.g. qsimh-style path slices) program against a
-//! single trait instead of a per-engine copy of the plumbing.
+//! The paper's central claim is that the slow tier (network or SSD) is
+//! interchangeable once the schedule needs only two all-to-alls. The
+//! three engines embody it: each has exactly one run function, taking a
+//! [`BackendPlan`] and returning a [`BackendOutcome`], and the CLI, the
+//! test suites, the benchmark and any future backend (e.g. qsimh-style
+//! path slices) reach it through this one trait.
 //!
 //! ## Contract
 //!
-//! * **Bit-exactness.** `plan` + `run` through the trait executes the
-//!   exact code path of the engine's native entry point (the trait
-//!   impls delegate; they never re-derive schedules or reorder
-//!   arithmetic), so every `max_dist == 0.0` equivalence suite holds
-//!   through the trait unchanged.
+//! * **Bit-exactness.** Between swaps every engine runs the same
+//!   [`crate::exec::StageExecutor`] over its partitions, so for one
+//!   schedule, kernel config and tile budget the amplitudes agree bit
+//!   for bit across engines (`max_dist == 0.0` in the equivalence
+//!   suites).
 //! * **Checkpoint granularity** is engine-defined: the single-node
 //!   engine checkpoints per *stage*, the distributed and out-of-core
 //!   engines per *stage run* (the unit between all-to-alls; out of core
-//!   it is also one streaming pass). `BackendPlan::total_units` reports
+//!   it is also one streaming pass). [`Backend::total_units`] reports
 //!   the unit count so callers can pick a valid `run_to_stage` stop
 //!   point without knowing which engine they hold.
+//! * **One checkpoint policy.** [`Backend::checkpoint`] takes the
+//!   [`CheckpointPolicy`] (`{dir, resume}`) all three engines share.
 //! * **Kill/resume.** `run_to_stage(plan, Some(u))` completes `u` units,
 //!   makes them durable, and returns [`SimError::InjectedStop`] with
-//!   `unit == u`; a subsequent `resume(dir)` + `run` continues from the
-//!   manifest and must reproduce the uninterrupted run bit for bit.
-//!   Stopping requires a configured checkpoint directory — the trait
-//!   rejects an unresumable kill as [`SimError::Checkpoint`].
+//!   `unit == u`; a subsequent run under `CheckpointPolicy::resume(dir)`
+//!   continues from the manifest and must reproduce the uninterrupted
+//!   run bit for bit. The stop point is an argument, never engine state:
+//!   a later `run` on the same backend does not stop again. Stopping
+//!   requires a checkpoint policy — an unresumable kill is rejected as
+//!   [`SimError::Checkpoint`].
 //! * **Stats normalization.** Engine-native counters surface as one
 //!   [`BackendStats`] enum (`SweepStats` everywhere, plus
-//!   `FabricStats` for the fabric and `IoStats` for the chunk store)
-//!   rather than three outcome shapes.
+//!   `FabricStats` for the fabric and `IoStats` for the chunk store).
 //! * **Cross-precision resume rejection** is inherited from the
 //!   manifest layer: the precision is part of the validated manifest,
 //!   so resuming an f64 checkpoint at f32 (or vice versa) is a typed
 //!   checkpoint error in every engine.
 
-use crate::planner::ProgressBackend;
-use crate::single::SinglePlan;
-use crate::{DistSimulator, SingleCheckpoint, SingleNodeSimulator};
+use crate::checkpoint::CheckpointPolicy;
+use crate::planner::{PlannedSchedule, ProgressBackend};
+use crate::{DistSimulator, SingleNodeSimulator};
 use qsim_circuit::Circuit;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::fabric::FabricStats;
@@ -46,19 +48,7 @@ use qsim_net::SimError;
 use qsim_sched::Schedule;
 use qsim_telemetry::{IoStats, Telemetry};
 use qsim_util::Complex;
-use std::path::{Path, PathBuf};
-
-/// Flush the armed flight recorder (when one is armed) and abort with
-/// the run's root cause. Every infallible-looking engine wrapper funnels
-/// its failure through here, so a checkpoint IO error or injected fault
-/// can never abort the process without leaving a FLIGHT.json behind.
-/// A second flush attempt (e.g. the panic hook) is a no-op: the
-/// recorder's flush is write-once.
-pub fn abort_run(context: &str, e: &SimError) -> ! {
-    let reason = format!("{context}: {e}");
-    let _ = qsim_telemetry::recorder::flush_armed(&reason);
-    panic!("{reason}");
-}
+use std::path::PathBuf;
 
 /// A planned execution, produced by [`Backend::plan`] and consumed by
 /// [`Backend::run_to_stage`]. Carries the schedule plus the provenance
@@ -80,10 +70,33 @@ pub struct BackendPlan {
     /// Tile budget recovered from a cache hit (skips the autotune
     /// probe); `None` resolves at execution time.
     pub tile_qubits: Option<u32>,
-    /// Checkpoint units this plan executes (stages / stage runs — see
-    /// the module docs on granularity). Valid
-    /// `run_to_stage` stop points are `1..=total_units`.
-    pub total_units: usize,
+}
+
+impl BackendPlan {
+    /// Adopt a hand-planned schedule (tests, benches, ablations): no
+    /// planner provenance, tile budget left to the engine.
+    pub fn from_schedule(exec: Circuit, schedule: Schedule, init_uniform: bool) -> Self {
+        Self {
+            exec,
+            schedule,
+            init_uniform,
+            plan_seconds: 0.0,
+            cache_hit: false,
+            adopted: false,
+            tile_qubits: None,
+        }
+    }
+
+    /// Wrap what [`crate::planner::plan_schedule`] produced for `exec`.
+    pub(crate) fn from_planned(exec: Circuit, init_uniform: bool, p: PlannedSchedule) -> Self {
+        Self {
+            plan_seconds: p.plan_seconds,
+            cache_hit: p.cache_hit,
+            adopted: p.adopted,
+            tile_qubits: p.tile_qubits,
+            ..Self::from_schedule(exec, p.schedule, init_uniform)
+        }
+    }
 }
 
 /// Engine-native counters, normalized: every backend reports the tiled
@@ -164,25 +177,28 @@ pub trait Backend<R: SweepDispatch> {
     /// Which cost-model phase split prices this engine's ETA.
     fn progress_backend(&self) -> ProgressBackend;
 
-    /// Checkpoint every completed unit into `dir`.
-    fn checkpoint(&mut self, dir: &Path);
-
-    /// Resume from the manifest in `dir` when one exists (implies
-    /// [`Backend::checkpoint`] into the same directory; a fresh start
-    /// when nothing was published yet).
-    fn resume(&mut self, dir: &Path);
+    /// Checkpoint every completed unit under `policy` (and resume from
+    /// its directory's manifest when the policy says so).
+    fn checkpoint(&mut self, policy: CheckpointPolicy);
 
     /// Gather the full state (logical order) into the outcome.
     fn gather_state(&mut self, gather: bool);
 
     /// Plan `circuit` for this engine: strip the initial Hadamard
     /// layer, produce the schedule (greedy or search, through the
-    /// engine's plan-cache policy) and report the unit structure.
+    /// engine's plan-cache policy). A partition count the circuit
+    /// cannot be split into is [`std::io::ErrorKind::InvalidInput`].
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError>;
 
-    /// Execute `plan`, stopping with [`SimError::InjectedStop`] after
-    /// `stop_after` checkpoint units when set (kill-point injection for
-    /// resume testing; requires a checkpoint directory).
+    /// Checkpoint units this engine executes `plan` in (stages / stage
+    /// runs — see the module docs on granularity). Valid
+    /// `run_to_stage` stop points are `1..=total_units`.
+    fn total_units(&self, plan: &BackendPlan) -> usize;
+
+    /// Execute `plan` — the only way to run a schedule — stopping with
+    /// [`SimError::InjectedStop`] after `stop_after` checkpoint units
+    /// when set (kill-point injection for resume testing; requires a
+    /// checkpoint directory).
     fn run_to_stage(
         &mut self,
         plan: &BackendPlan,
@@ -238,14 +254,8 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
         ProgressBackend::Single
     }
 
-    fn checkpoint(&mut self, dir: &Path) {
-        self.sim.checkpoint = Some(SingleCheckpoint::new(dir));
-    }
-
-    fn resume(&mut self, dir: &Path) {
-        let mut cp = SingleCheckpoint::new(dir);
-        cp.resume = true;
-        self.sim.checkpoint = Some(cp);
+    fn checkpoint(&mut self, policy: CheckpointPolicy) {
+        self.sim.checkpoint = Some(policy);
     }
 
     fn gather_state(&mut self, gather: bool) {
@@ -253,19 +263,11 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
     }
 
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError> {
-        let (exec, _) = crate::single::strip_initial_hadamards(circuit);
-        let p = self.sim.plan_t::<R>(circuit);
-        let total_units = p.schedule.stages.len();
-        Ok(BackendPlan {
-            exec,
-            schedule: p.schedule,
-            init_uniform: p.init_uniform,
-            plan_seconds: p.plan_seconds,
-            cache_hit: p.cache_hit,
-            adopted: p.adopted,
-            tile_qubits: p.tile_qubits,
-            total_units,
-        })
+        Ok(self.sim.plan::<R>(circuit))
+    }
+
+    fn total_units(&self, plan: &BackendPlan) -> usize {
+        plan.schedule.stages.len()
     }
 
     fn run_to_stage(
@@ -273,42 +275,16 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        if let Some(stop) = stop_after {
-            let cp = self.sim.checkpoint.as_mut().ok_or_else(|| {
-                SimError::Checkpoint(
-                    "run_to_stage with a stop point requires a checkpoint directory".into(),
-                )
-            })?;
-            cp.stop_after = Some(stop);
-        }
-        let sp = SinglePlan {
-            schedule: plan.schedule.clone(),
-            init_uniform: plan.init_uniform,
-            plan_seconds: plan.plan_seconds,
-            tile_qubits: plan.tile_qubits,
-            cache_hit: plan.cache_hit,
-            adopted: plan.adopted,
-            n_qubits: plan.schedule.n_qubits,
-        };
-        let out = self.sim.run_planned_t::<R>(sp);
-        // One-shot kill switch: a later run on this backend must not
-        // stop again.
-        if let Some(cp) = self.sim.checkpoint.as_mut() {
-            cp.stop_after = None;
-        }
-        let out = out?;
+        let (mut out, state) = self.sim.run_plan::<R>(plan, stop_after)?;
         // The engine holds the full state either way; the logical-order
         // copy is made only on request (it doubles the footprint).
-        let state = self.gather.then(|| {
-            crate::dist::physical_to_logical(out.state.amplitudes(), out.schedule.final_mapping())
-        });
-        Ok(BackendOutcome {
-            norm: out.state.norm_sqr().to_f64(),
-            entropy: out.state.entropy().to_f64(),
-            sim_seconds: out.sim_seconds,
-            stats: BackendStats::Single { sweep: out.sweep },
-            state,
-        })
+        if self.gather {
+            out.state = Some(crate::dist::physical_to_logical(
+                state.amplitudes(),
+                plan.schedule.final_mapping(),
+            ));
+        }
+        Ok(out)
     }
 }
 
@@ -348,13 +324,8 @@ impl<R: SweepDispatch> Backend<R> for DistBackend {
         ProgressBackend::Dist
     }
 
-    fn checkpoint(&mut self, dir: &Path) {
-        self.sim.config.checkpoint_dir = Some(dir.to_path_buf());
-    }
-
-    fn resume(&mut self, dir: &Path) {
-        self.sim.config.checkpoint_dir = Some(dir.to_path_buf());
-        self.sim.config.resume = true;
+    fn checkpoint(&mut self, policy: CheckpointPolicy) {
+        self.sim.config.checkpoint = Some(policy);
     }
 
     fn gather_state(&mut self, gather: bool) {
@@ -373,37 +344,44 @@ impl<R: SweepDispatch> Backend<R> for DistBackend {
         )
     }
 
+    fn total_units(&self, plan: &BackendPlan) -> usize {
+        qsim_sched::plan_runs(&plan.schedule).len()
+    }
+
     fn run_to_stage(
         &mut self,
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        if stop_after.is_some() && self.sim.config.checkpoint_dir.is_none() {
-            return Err(SimError::Checkpoint(
-                "run_to_stage with a stop point requires a checkpoint directory".into(),
-            ));
-        }
-        // Adopt the plan cache's measured tile budget unless pinned.
-        self.sim.config.tile_qubits = self.sim.config.tile_qubits.or(plan.tile_qubits);
-        self.sim.config.stop_after = stop_after;
-        let out = self
-            .sim
-            .try_run_t::<R>(&plan.exec, &plan.schedule, plan.init_uniform);
-        self.sim.config.stop_after = None;
-        let out = out?;
-        Ok(BackendOutcome {
-            norm: out.norm,
-            entropy: out.entropy,
-            sim_seconds: out.sim_seconds,
-            stats: BackendStats::Dist {
-                fabric: out.fabric,
-                sweep: out.sweep,
-                swap_bytes_copied: out.swap_bytes_copied,
-                entropy_seconds: out.entropy_seconds,
-            },
-            state: out.state,
-        })
+        self.sim.run_plan::<R>(plan, stop_after)
     }
+}
+
+/// The `(l, g)` split of an `n`-qubit register into `n_parts = 2^g`
+/// partitions of `2^l` amplitudes — ranks or chunks, the arithmetic is
+/// the same. The all-to-all hands every partition one piece of every
+/// other, so it needs `l ≥ g`; anything else is
+/// [`std::io::ErrorKind::InvalidInput`], on every engine.
+pub fn partition_geometry(n: u32, n_parts: usize) -> std::io::Result<(u32, u32)> {
+    let invalid = |why: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+    if !n_parts.is_power_of_two() {
+        return invalid(format!(
+            "partition count must be a power of two, got {n_parts}"
+        ));
+    }
+    let g = n_parts.trailing_zeros();
+    if g >= n {
+        return invalid(format!(
+            "{n_parts} partitions leave no local qubit of a {n}-qubit register"
+        ));
+    }
+    let l = n - g;
+    if l < g {
+        return invalid(format!(
+            "all-to-all needs at least as many local as global qubits, got l = {l}, g = {g}"
+        ));
+    }
+    Ok((l, g))
 }
 
 /// Shared planning path of the partitioned engines (dist and OOC): both
@@ -419,14 +397,7 @@ pub fn plan_partitioned<R: SweepDispatch>(
     search_budget: usize,
     telemetry: &Telemetry,
 ) -> Result<BackendPlan, SimError> {
-    assert!(
-        n_parts.is_power_of_two(),
-        "partition count must be a power of two"
-    );
-    let n = circuit.n_qubits();
-    let g = qsim_util::bits::log2_exact(n_parts);
-    assert!(g < n, "more partitions than amplitudes");
-    let l = n - g;
+    let (l, _) = partition_geometry(circuit.n_qubits(), n_parts)?;
     let (exec, init_uniform) = crate::single::strip_initial_hadamards(circuit);
     let planned = crate::planner::plan_schedule(
         &exec,
@@ -439,15 +410,22 @@ pub fn plan_partitioned<R: SweepDispatch>(
             telemetry: telemetry.clone(),
         },
     );
-    let total_units = qsim_sched::plan_runs(&planned.schedule).len();
-    Ok(BackendPlan {
-        exec,
-        schedule: planned.schedule,
-        init_uniform,
-        plan_seconds: planned.plan_seconds,
-        cache_hit: planned.cache_hit,
-        adopted: planned.adopted,
-        tile_qubits: planned.tile_qubits,
-        total_units,
-    })
+    Ok(BackendPlan::from_planned(exec, init_uniform, planned))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::partition_geometry;
+    use std::io::ErrorKind::InvalidInput;
+
+    #[test]
+    fn partition_geometry_accepts_only_splittable_registers() {
+        assert_eq!(partition_geometry(9, 1).unwrap(), (9, 0));
+        assert_eq!(partition_geometry(9, 4).unwrap(), (7, 2));
+        assert_eq!(partition_geometry(9, 16).unwrap(), (5, 4));
+        for bad in [0usize, 3, 32, 512, 1024] {
+            let e = partition_geometry(9, bad).unwrap_err();
+            assert_eq!(e.kind(), InvalidInput, "{bad}: {e}");
+        }
+    }
 }

@@ -11,7 +11,8 @@
 //! no mapping optimization — exactly the gap the paper's optimizations
 //! close.
 
-use crate::dist::{apply_rank_diagonal, physical_to_logical};
+use crate::dist::physical_to_logical;
+use crate::exec::apply_rank_diagonal;
 use crate::single::strip_initial_hadamards;
 use crate::state::StateVector;
 use qsim_circuit::Circuit;
@@ -121,7 +122,7 @@ fn run_rank_baseline(
                 diag: m.as_diagonal().expect("diagonal gate"),
                 gate_indices: vec![],
             };
-            apply_rank_diagonal(&mut state, &d, rank, l);
+            apply_rank_diagonal(state.amplitudes_mut(), &d, rank, l);
         } else if global.is_empty() {
             let m: GateMatrix<f64> = gate.matrix();
             state.apply(&qubits, &m, cfg);

@@ -25,6 +25,7 @@
 //! the in-workspace JSON parser ([`qsim_telemetry::json`]) reads numbers
 //! as f64, which would silently lose bits above 2^53.
 
+use qsim_net::SimError;
 use qsim_sched::{Schedule, StageOp};
 use qsim_telemetry::json::{self, Json};
 use qsim_util::complex::Complex;
@@ -85,6 +86,14 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+/// The in-memory engines report every checkpoint failure as the one
+/// typed variant callers match for "durable state rejected".
+impl From<CheckpointError> for SimError {
+    fn from(e: CheckpointError) -> Self {
+        SimError::Checkpoint(e.to_string())
+    }
+}
+
 impl From<CheckpointError> for io::Error {
     fn from(e: CheckpointError) -> Self {
         match e {
@@ -92,13 +101,6 @@ impl From<CheckpointError> for io::Error {
             other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
         }
     }
-}
-
-/// Where to restart: the first *unit* (stage / stage run / pass) whose
-/// effects are NOT yet durable on disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResumePoint {
-    pub next_unit: usize,
 }
 
 /// The versioned checkpoint manifest (one per checkpoint directory).
@@ -279,22 +281,14 @@ impl Manifest {
         Self::from_json(&text).map(Some)
     }
 
-    /// Check that this manifest belongs to the run the caller is about
-    /// to resume; returns the cursor on success.
-    #[allow(clippy::too_many_arguments)]
-    pub fn validate(
-        &self,
-        engine: &str,
-        schedule: &Schedule,
-        precision: &str,
-        codec: &str,
-        init_uniform: bool,
-        total_units: usize,
-        n_artifacts: usize,
-    ) -> Result<ResumePoint, CheckpointError> {
+    /// Check that this manifest belongs to the run `key` describes;
+    /// returns where to restart — the first *unit* (stage / stage run /
+    /// pass) whose effects are NOT yet durable on disk.
+    pub fn validate(&self, key: &RunKey) -> Result<usize, CheckpointError> {
         let fail = |m: String| Err(CheckpointError::Mismatch(m));
-        if self.engine != engine {
-            return fail(format!("engine '{}' != '{engine}'", self.engine));
+        let schedule = key.schedule;
+        if self.engine != key.engine {
+            return fail(format!("engine '{}' != '{}'", self.engine, key.engine));
         }
         let hash = schedule_fingerprint(schedule);
         if self.schedule_hash != hash {
@@ -309,42 +303,193 @@ impl Manifest {
                 self.n_qubits, self.local_qubits, schedule.n_qubits, schedule.local_qubits
             ));
         }
-        if self.precision != precision {
+        if self.precision != key.precision {
             return fail(format!(
-                "checkpoint written at precision {}, engine running at {precision} \
+                "checkpoint written at precision {}, engine running at {} \
                  (cross-precision resume would reinterpret raw amplitude bytes)",
-                self.precision
+                self.precision, key.precision
             ));
         }
-        if self.codec != codec {
+        if self.codec != key.codec {
             return fail(format!(
-                "checkpoint written under codec '{}', engine running with '{codec}' \
+                "checkpoint written under codec '{}', engine running with '{}' \
                  (cross-codec resume would mis-read every chunk record)",
-                self.codec
+                self.codec, key.codec
             ));
         }
-        if self.init_uniform != init_uniform {
+        if self.init_uniform != key.init_uniform {
             return fail(format!(
-                "initial state uniform={} != uniform={init_uniform}",
-                self.init_uniform
+                "initial state uniform={} != uniform={}",
+                self.init_uniform, key.init_uniform
             ));
         }
-        if self.total_units != total_units {
+        if self.total_units != key.total_units {
             return fail(format!(
                 "plan has {} units, manifest recorded {}",
-                total_units, self.total_units
+                key.total_units, self.total_units
             ));
         }
-        if self.digests.len() != n_artifacts {
+        if self.digests.len() != key.n_artifacts {
             return fail(format!(
                 "{} artifacts on disk layout, manifest recorded {}",
-                n_artifacts,
+                key.n_artifacts,
                 self.digests.len()
             ));
         }
-        Ok(ResumePoint {
-            next_unit: self.next_unit,
-        })
+        Ok(self.next_unit)
+    }
+}
+
+/// The one checkpoint policy every engine takes: where the manifest and
+/// the state artifacts live, and whether to pick the run up from them.
+/// (Out of core the directory is also the chunk store: the manifest sits
+/// next to the chunk files it describes.)
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckpointPolicy {
+    pub dir: PathBuf,
+    /// Resume from the directory's manifest when one exists. A missing
+    /// manifest is a fresh start, not an error — the crash may have
+    /// landed before the first checkpoint was published.
+    pub resume: bool,
+}
+
+impl CheckpointPolicy {
+    /// Checkpoint every completed unit into `dir`, starting fresh.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self {
+            dir: dir.into(),
+            resume: false,
+        }
+    }
+
+    /// Checkpoint into `dir`, resuming from its manifest when present.
+    pub fn resume(dir: impl Into<PathBuf>) -> Self {
+        Self {
+            dir: dir.into(),
+            resume: true,
+        }
+    }
+}
+
+/// A `stop_after` kill point is only meaningful when the completed units
+/// are durable and at least one unit completes: every engine's run
+/// function rejects anything else up front.
+pub fn check_stop_point(
+    policy: Option<&CheckpointPolicy>,
+    stop_after: Option<usize>,
+) -> Result<(), SimError> {
+    match stop_after {
+        Some(_) if policy.is_none() => Err(SimError::Checkpoint(
+            "run_to_stage with a stop point requires a checkpoint directory".into(),
+        )),
+        Some(0) => Err(SimError::Checkpoint(
+            "stop point must name at least one completed unit".into(),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Everything that makes two executions "the same run": what a manifest
+/// records when it is written and what [`Manifest::validate`] compares
+/// on resume. Each engine builds one per run.
+#[derive(Clone, Copy, Debug)]
+pub struct RunKey<'a> {
+    /// `"single"`, `"dist"` or `"ooc"`.
+    pub engine: &'static str,
+    pub schedule: &'a Schedule,
+    /// [`Real::NAME`] of the working precision.
+    pub precision: &'static str,
+    /// Chunk codec name (`"none"` for the in-memory engines).
+    pub codec: &'a str,
+    pub init_uniform: bool,
+    /// Checkpoint units in the plan (stages / stage runs).
+    pub total_units: usize,
+    /// Durable artifacts per generation (1, ranks, or chunks).
+    pub n_artifacts: usize,
+}
+
+impl RunKey<'_> {
+    /// The manifest for "`unit` of `total_units` units done", with one
+    /// digest per artifact.
+    pub fn manifest(&self, unit: usize, digests: Vec<u64>) -> Manifest {
+        Manifest {
+            version: MANIFEST_VERSION,
+            engine: self.engine.to_string(),
+            schedule_hash: schedule_fingerprint(self.schedule),
+            n_qubits: self.schedule.n_qubits,
+            local_qubits: self.schedule.local_qubits,
+            precision: self.precision.to_string(),
+            codec: self.codec.to_string(),
+            init_uniform: self.init_uniform,
+            rng_seed: 0,
+            next_unit: unit,
+            total_units: self.total_units,
+            digests,
+        }
+    }
+
+    /// Resolve `policy` against the directory: create it, and under
+    /// `resume` load and validate its manifest. Returns the first unit
+    /// still to run and the artifact digests the manifest promises;
+    /// `None` is a fresh start.
+    pub fn resume_point(
+        &self,
+        policy: &CheckpointPolicy,
+    ) -> Result<Option<(usize, Vec<u64>)>, CheckpointError> {
+        std::fs::create_dir_all(&policy.dir).map_err(|e| at_path(&policy.dir, e))?;
+        if !policy.resume {
+            return Ok(None);
+        }
+        let Some(m) = Manifest::load(&policy.dir)? else {
+            return Ok(None);
+        };
+        let next_unit = m.validate(self)?;
+        Ok(Some((next_unit, m.digests)))
+    }
+}
+
+fn at_path(path: &Path, e: io::Error) -> CheckpointError {
+    CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
+/// Durably write artifact `artifact`'s snapshot for cursor `unit` (the
+/// in-memory engines' per-unit step 1); returns its digest.
+pub fn save_snapshot<R: Real>(
+    dir: &Path,
+    artifact: usize,
+    unit: usize,
+    amps: &[Complex<R>],
+) -> Result<u64, CheckpointError> {
+    let path = snapshot_path(dir, artifact, unit);
+    write_amps_snapshot(&path, amps).map_err(|e| at_path(&path, e))
+}
+
+/// Load artifact `artifact`'s snapshot for cursor `unit` and verify it
+/// against the digest the manifest recorded — a torn or stale snapshot
+/// is a typed error, never silently wrong amplitudes.
+pub fn load_snapshot<R: Real>(
+    dir: &Path,
+    artifact: usize,
+    unit: usize,
+    len: usize,
+    want: u64,
+) -> Result<Vec<Complex<R>>, CheckpointError> {
+    let path = snapshot_path(dir, artifact, unit);
+    let (amps, digest) = read_amps_snapshot::<R>(&path, len).map_err(|e| at_path(&path, e))?;
+    if digest != want {
+        return Err(CheckpointError::Mismatch(format!(
+            "snapshot {} does not match the manifest digest",
+            path.display()
+        )));
+    }
+    Ok(amps)
+}
+
+/// Step 3 of the protocol for a snapshot artifact: once the manifest
+/// naming `unit` is durable, the previous generation is dead weight.
+pub fn retire_snapshot(dir: &Path, artifact: usize, unit: usize) {
+    if unit > 1 {
+        let _ = std::fs::remove_file(snapshot_path(dir, artifact, unit - 1));
     }
 }
 
@@ -627,75 +772,77 @@ mod tests {
     #[test]
     fn validate_rejects_foreign_runs() {
         let sched = tiny_schedule();
-        let m = Manifest {
-            version: MANIFEST_VERSION,
-            engine: "ooc".into(),
-            schedule_hash: schedule_fingerprint(&sched),
-            n_qubits: sched.n_qubits,
-            local_qubits: sched.local_qubits,
-            precision: "f64".into(),
-            codec: "none".into(),
+        let key = RunKey {
+            engine: "ooc",
+            schedule: &sched,
+            precision: "f64",
+            codec: "none",
             init_uniform: true,
-            rng_seed: 0,
-            next_unit: 1,
             total_units: 2,
-            digests: vec![7, 8],
+            n_artifacts: 2,
         };
-        assert_eq!(
-            m.validate("ooc", &sched, "f64", "none", true, 2, 2)
-                .unwrap(),
-            ResumePoint { next_unit: 1 }
-        );
-        assert!(m
-            .validate("dist", &sched, "f64", "none", true, 2, 2)
-            .is_err());
-        assert!(m
-            .validate("ooc", &sched, "f64", "none", false, 2, 2)
-            .is_err());
-        assert!(m
-            .validate("ooc", &sched, "f64", "none", true, 3, 2)
-            .is_err());
-        assert!(m
-            .validate("ooc", &sched, "f64", "none", true, 2, 4)
-            .is_err());
+        let m = key.manifest(1, vec![7, 8]);
+        assert_eq!(m.validate(&key).unwrap(), 1);
+        let foreign = [
+            RunKey {
+                engine: "dist",
+                ..key
+            },
+            RunKey {
+                init_uniform: false,
+                ..key
+            },
+            RunKey {
+                total_units: 3,
+                ..key
+            },
+            RunKey {
+                n_artifacts: 4,
+                ..key
+            },
+        ];
+        for k in &foreign {
+            assert!(m.validate(k).is_err(), "{k:?}");
+        }
         // Cross-precision resume is a typed mismatch, both directions.
-        assert!(matches!(
-            m.validate("ooc", &sched, "f32", "none", true, 2, 2),
-            Err(CheckpointError::Mismatch(_))
-        ));
-        let m32 = Manifest {
-            precision: "f32".into(),
-            ..m.clone()
+        let key32 = RunKey {
+            precision: "f32",
+            ..key
         };
         assert!(matches!(
-            m32.validate("ooc", &sched, "f64", "none", true, 2, 2),
+            m.validate(&key32),
             Err(CheckpointError::Mismatch(_))
         ));
-        assert!(m32
-            .validate("ooc", &sched, "f32", "none", true, 2, 2)
-            .is_ok());
+        let m32 = key32.manifest(1, vec![7, 8]);
+        assert!(matches!(
+            m32.validate(&key),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        assert!(m32.validate(&key32).is_ok());
         // Cross-codec resume is a typed mismatch, both directions: the
         // digests hash encoded bytes, so the codec is part of the format.
-        assert!(matches!(
-            m.validate("ooc", &sched, "f64", "shuffle-rle", true, 2, 2),
-            Err(CheckpointError::Mismatch(_))
-        ));
-        let mrle = Manifest {
-            codec: "shuffle-rle".into(),
-            ..m.clone()
+        let key_rle = RunKey {
+            codec: "shuffle-rle",
+            ..key
         };
         assert!(matches!(
-            mrle.validate("ooc", &sched, "f64", "none", true, 2, 2),
+            m.validate(&key_rle),
             Err(CheckpointError::Mismatch(_))
         ));
-        assert!(mrle
-            .validate("ooc", &sched, "f64", "shuffle-rle", true, 2, 2)
-            .is_ok());
+        let mrle = key_rle.manifest(1, vec![7, 8]);
+        assert!(matches!(
+            mrle.validate(&key),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        assert!(mrle.validate(&key_rle).is_ok());
         let mut other = sched.clone();
         other.stages[0].swap = None;
         other.stages[1].mapping = sched.stages[0].mapping.clone();
         assert!(m
-            .validate("ooc", &other, "f64", "none", true, 2, 2)
+            .validate(&RunKey {
+                schedule: &other,
+                ..key
+            })
             .is_err());
     }
 

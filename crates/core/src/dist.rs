@@ -20,29 +20,26 @@
 //!   [`perform_swap_reference`] keeps the textbook three-pass path as the
 //!   equivalence oracle.
 
+use crate::backend::{partition_geometry, BackendOutcome, BackendPlan, BackendStats};
 use crate::checkpoint::{
-    read_amps_snapshot, schedule_fingerprint, snapshot_path, write_amps_snapshot, Manifest,
-    ResumePoint, MANIFEST_VERSION,
+    check_stop_point, load_snapshot, retire_snapshot, save_snapshot, CheckpointError,
+    CheckpointPolicy, RunKey,
 };
-use crate::exec::{compile_stages, execute_compiled_stage, resolve_tile_qubits, CompiledStage};
+use crate::exec::StageExecutor;
 use crate::state::StateVector;
-use qsim_circuit::Circuit;
-use qsim_kernels::apply::ApplyDispatch;
-use qsim_kernels::apply::{KernelConfig, OptLevel};
+use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::{par_gather, par_reduce_amplitudes, par_scatter};
-use qsim_kernels::specialized;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::collective::{
     all_reduce_sum, all_to_all, all_to_all_inplace, all_to_all_with, Communicator,
 };
-use qsim_net::fabric::{try_run_cluster_hooked, FabricStats, RankCtx};
+use qsim_net::fabric::{try_run_cluster_hooked, RankCtx};
 use qsim_net::{FaultPlan, PoisonHook, SimError};
-use qsim_sched::{plan_runs, DiagonalOp, Schedule, StageOp, StageRun, SwapOp};
+use qsim_sched::{plan_runs, StageRun, SwapOp};
 use qsim_telemetry::{Phase, RunState, Telemetry, TrackHandle};
 use qsim_util::bits::BitPermutation;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Distributed run configuration.
@@ -69,21 +66,11 @@ pub struct DistConfig {
     /// disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
     /// When set, every rank snapshots its slice at each stage-run
-    /// boundary and rank 0 publishes an atomic manifest there, so a
-    /// killed run can restart from the last completed run instead of
-    /// from scratch.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from the manifest in `checkpoint_dir` when one exists
-    /// (validated against the schedule fingerprint; a fresh start when
-    /// the directory has no manifest yet).
-    pub resume: bool,
-    /// Fault injection: every rank returns [`SimError::InjectedStop`]
-    /// after this many stage runs have completed — after the unit's
-    /// checkpoint barrier when `checkpoint_dir` is set, so the manifest
-    /// for the unit is durable and the run is resumable. The uniform
-    /// kill switch of the backend conformance suite (the single-node
-    /// engine's counterpart is [`crate::SingleCheckpoint::stop_after`]).
-    pub stop_after: Option<usize>,
+    /// boundary and rank 0 publishes an atomic manifest in the policy's
+    /// directory, so a killed run can restart from the last completed
+    /// run instead of from scratch (and does, under `resume`, after the
+    /// manifest validates against the schedule fingerprint).
+    pub checkpoint: Option<CheckpointPolicy>,
     /// Scripted rank failures for fault-injection testing (see
     /// [`qsim_net::FaultPlan`]); checked before every swap.
     pub fault_plan: Option<FaultPlan>,
@@ -103,9 +90,7 @@ impl std::fmt::Debug for DistConfig {
             .field("gather_state", &self.gather_state)
             .field("sub_chunks", &self.sub_chunks)
             .field("tile_qubits", &self.tile_qubits)
-            .field("checkpoint_dir", &self.checkpoint_dir)
-            .field("resume", &self.resume)
-            .field("stop_after", &self.stop_after)
+            .field("checkpoint", &self.checkpoint)
             .field("fault_plan", &self.fault_plan)
             .field("poison_hook", &self.poison_hook.is_some())
             .finish_non_exhaustive()
@@ -121,38 +106,11 @@ impl Default for DistConfig {
             sub_chunks: None,
             tile_qubits: None,
             telemetry: Telemetry::disabled(),
-            checkpoint_dir: None,
-            resume: false,
-            stop_after: None,
+            checkpoint: None,
             fault_plan: None,
             poison_hook: None,
         }
     }
-}
-
-/// Results of a distributed run. Reductions (norm, entropy) are always
-/// accumulated and reported in f64, whatever the state precision `R`.
-#[derive(Clone, Debug)]
-pub struct DistOutcome<R: SweepDispatch = f64> {
-    /// Σ|α|², reduced across ranks.
-    pub norm: f64,
-    /// Shannon entropy (bits) of the outcome distribution (§4.2.2).
-    pub entropy: f64,
-    /// Wall-clock of the rank bodies (max over ranks), seconds.
-    pub sim_seconds: f64,
-    /// Seconds spent in the entropy reduction alone (the paper reports
-    /// 8.1 s of 99 s for this step).
-    pub entropy_seconds: f64,
-    pub fabric: FabricStats,
-    /// Amplitude bytes copied by the swap engine on one rank (pack +
-    /// unpack; the fused path's ≤ 2 full-slice copies per swap, where the
-    /// reference path takes ~6).
-    pub swap_bytes_copied: u64,
-    /// Streaming-pass counters of the tiled stage executor on ONE rank
-    /// (all ranks run identical passes; zeroed on the per-gate fallback).
-    pub sweep: SweepStats,
-    /// Full state in logical order (only when `gather_state`).
-    pub state: Option<Vec<Complex<R>>>,
 }
 
 /// The distributed engine.
@@ -165,115 +123,75 @@ impl DistSimulator {
         Self { config }
     }
 
-    /// Execute `schedule` (planned from `circuit`). The circuit is only
-    /// used for sanity checks; all operations come from the schedule.
-    /// Starts from the uniform superposition when `init_uniform` (the
-    /// §3.6 supremacy-circuit start), else |0…0⟩.
+    /// The engine's one run function: execute `plan.schedule` across
+    /// `2^g` fabric ranks, starting from the uniform superposition when
+    /// `plan.init_uniform` (the §3.6 supremacy-circuit start), else
+    /// |0…0⟩. Every rank slice, compiled stage and swap wire buffer holds
+    /// `Complex<R>` amplitudes, so f32 runs move half the bytes end to
+    /// end.
     ///
-    /// Infallible wrapper over [`DistSimulator::try_run`] for callers
-    /// without fault plans or checkpointing; any rank failure panics
-    /// with its root cause.
-    pub fn run(&self, circuit: &Circuit, schedule: &Schedule, init_uniform: bool) -> DistOutcome {
-        self.try_run(circuit, schedule, init_uniform)
-            .unwrap_or_else(|e| crate::backend::abort_run("distributed run failed", &e))
-    }
-
-    /// Fallible form of [`DistSimulator::run`]: injected faults, lost
-    /// ranks and checkpoint IO surface as a typed [`SimError`] after all
-    /// rank threads have been joined — never a panic or a hang.
-    pub fn try_run(
+    /// Injected faults, lost ranks and checkpoint IO surface as a typed
+    /// [`SimError`] after all rank threads have been joined — never a
+    /// panic or a hang. `stop_after` makes every rank return
+    /// [`SimError::InjectedStop`] after that many stage runs, past the
+    /// unit's checkpoint barrier, so the manifest for the unit is durable
+    /// and the run is resumable.
+    pub(crate) fn run_plan<R: SweepDispatch>(
         &self,
-        circuit: &Circuit,
-        schedule: &Schedule,
-        init_uniform: bool,
-    ) -> Result<DistOutcome, SimError> {
-        self.try_run_t::<f64>(circuit, schedule, init_uniform)
-    }
-
-    /// [`DistSimulator::try_run`] at an explicit precision tier: every
-    /// rank slice, compiled stage and swap wire buffer holds `Complex<R>`
-    /// amplitudes, so f32 runs move half the bytes end to end. The f64
-    /// instantiation is the exact code path `try_run` always took.
-    pub fn try_run_t<R: SweepDispatch>(
-        &self,
-        circuit: &Circuit,
-        schedule: &Schedule,
-        init_uniform: bool,
-    ) -> Result<DistOutcome<R>, SimError> {
+        plan: &BackendPlan,
+        stop_after: Option<usize>,
+    ) -> Result<BackendOutcome<R>, SimError> {
+        let schedule = &plan.schedule;
         let n = schedule.n_qubits;
         let l = schedule.local_qubits;
-        let g = n - l;
-        assert_eq!(circuit.n_qubits(), n);
-        assert_eq!(
-            self.config.n_ranks,
-            1usize << g,
-            "rank count must be 2^(n-l)"
-        );
-        assert!(
-            l >= g,
-            "all-to-all needs at least as many local as global qubits"
-        );
+        if partition_geometry(n, self.config.n_ranks)?.0 != l {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "rank count must be 2^(n-l): {} ranks for n = {n}, l = {l}",
+                    self.config.n_ranks
+                ),
+            )
+            .into());
+        }
+        check_stop_point(self.config.checkpoint.as_ref(), stop_after)?;
         let cfg = &self.config.kernel;
         let gather = self.config.gather_state;
-        let sub_chunks = self.config.sub_chunks;
         let tele = &self.config.telemetry;
+        // Adopt the plan cache's measured tile budget unless pinned.
+        let tile_qubits = self.config.tile_qubits.or(plan.tile_qubits);
         let runs = plan_runs(schedule);
+        let key = RunKey {
+            engine: "dist",
+            schedule,
+            precision: R::NAME,
+            codec: "none",
+            init_uniform: plan.init_uniform,
+            total_units: runs.len(),
+            n_artifacts: self.config.n_ranks,
+        };
 
         // Resolve checkpoint/resume state on the driver before any rank
         // spawns, so a mismatched manifest fails fast and loudly.
-        let checkpoint = match &self.config.checkpoint_dir {
-            None => None,
-            Some(dir) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| SimError::Checkpoint(format!("{}: {e}", dir.display())))?;
+        let resume = match &self.config.checkpoint {
+            Some(cp) => {
                 let driver = tele.track("dist driver");
-                let resume = if self.config.resume {
-                    let _s = driver.span("resume.validate");
-                    match Manifest::load(dir).map_err(|e| SimError::Checkpoint(e.to_string()))? {
-                        Some(m) => {
-                            let point = m
-                                .validate(
-                                    "dist",
-                                    schedule,
-                                    R::NAME,
-                                    "none",
-                                    init_uniform,
-                                    runs.len(),
-                                    self.config.n_ranks,
-                                )
-                                .map_err(|e| SimError::Checkpoint(e.to_string()))?;
-                            Some((point, m.digests))
-                        }
-                        None => None, // nothing published yet: fresh start
-                    }
-                } else {
-                    None
-                };
-                Some(DistCheckpoint {
-                    dir: dir.clone(),
-                    resume,
-                })
+                let _s = driver.span("resume.validate");
+                key.resume_point(cp)?
             }
+            None => None,
         };
 
-        // Compile each stage ONCE on the driver: the SPMD ranks run
+        // Prepare the stages ONCE on the driver: the SPMD ranks run
         // identical ops, so they share the packed matrices and tile
-        // plans instead of re-deriving them 2^g times. Only the blocked
-        // ladder has packed range kernels; ablation configs fall back to
-        // the per-gate path.
-        let compiled: Option<Vec<CompiledStage<R>>> = (cfg.opt == OptLevel::Blocked).then(|| {
-            let tile = resolve_tile_qubits(self.config.tile_qubits, l, cfg.threads);
-            compile_stages(&schedule.stages, l, cfg, tile)
-        });
+        // plans instead of re-deriving them 2^g times.
+        let exec = StageExecutor::<R>::new(&schedule.stages, l, cfg, tile_qubits);
 
         // Seed the live-progress denominators with the units this run
         // will actually execute (a resume pre-credits nothing: skipped
         // runs are simply not planned). Only rank 0 reports completions,
         // so planned counts are schedule-level, not ×2^g.
-        let start_run = checkpoint
-            .as_ref()
-            .and_then(|c| c.resume.as_ref())
-            .map_or(0, |(point, _)| point.next_unit);
+        let start_run = resume.as_ref().map_or(0, |(unit, _)| *unit);
         if let Some(p) = tele.progress() {
             let stage_units: u64 = runs[start_run..]
                 .iter()
@@ -291,25 +209,22 @@ impl DistSimulator {
                 2 * R::BYTES as u64,
                 // Default tile, not `resolve_tile_qubits`: seeding an
                 // ETA must not trigger the autotune probe.
-                self.config
-                    .tile_qubits
-                    .unwrap_or(qsim_sched::sweep::DEFAULT_TILE_QUBITS),
+                tile_qubits.unwrap_or(qsim_sched::sweep::DEFAULT_TILE_QUBITS),
                 crate::planner::ProgressBackend::Dist,
             );
             p.set_state(RunState::Running);
         }
 
         let shared = RankShared {
-            schedule,
+            key,
             runs: &runs,
-            init_uniform,
-            cfg,
             gather,
-            sub_chunks,
-            compiled: compiled.as_deref(),
+            sub_chunks: self.config.sub_chunks,
+            exec: &exec,
             tele,
-            checkpoint: checkpoint.as_ref(),
-            stop_after: self.config.stop_after,
+            checkpoint: self.config.checkpoint.as_ref(),
+            resume: resume.as_ref(),
+            stop_after,
         };
         let cluster = try_run_cluster_hooked(
             self.config.n_ranks,
@@ -332,41 +247,55 @@ impl DistSimulator {
         }
         tele.publish_progress_gauges();
 
-        let mut outcome = DistOutcome {
-            norm: rank_results[0].norm,
-            entropy: rank_results[0].entropy,
-            sim_seconds: rank_results.iter().map(|r| r.seconds).fold(0.0, f64::max),
-            entropy_seconds: rank_results
-                .iter()
-                .map(|r| r.entropy_seconds)
-                .fold(0.0, f64::max),
-            fabric,
-            swap_bytes_copied: rank_results[0].swap_bytes_copied,
-            sweep: rank_results[0].sweep,
-            state: None,
-        };
+        // Wall-clock of the rank bodies / of the entropy all-reduce
+        // alone (the paper reports 8.1 s of 99 s for that step): max
+        // over ranks. Swap copies and sweep counters are ONE rank's —
+        // all ranks run identical passes.
+        let sim_seconds = rank_results.iter().map(|r| r.seconds).fold(0.0, f64::max);
+        let entropy_seconds = rank_results
+            .iter()
+            .map(|r| r.entropy_seconds)
+            .fold(0.0, f64::max);
+        let RankResult {
+            norm,
+            entropy,
+            swap_bytes_copied,
+            sweep,
+            ..
+        } = rank_results[0];
         if let Some(m) = tele.metrics() {
-            outcome.fabric.publish_into(m, "dist.fabric");
-            outcome.sweep.publish_into(m, "dist.sweep");
-            m.gauge_set("dist.sim_seconds", outcome.sim_seconds);
-            m.gauge_set("dist.entropy_seconds", outcome.entropy_seconds);
+            fabric.publish_into(m, "dist.fabric");
+            sweep.publish_into(m, "dist.sweep");
+            m.gauge_set("dist.sim_seconds", sim_seconds);
+            m.gauge_set("dist.entropy_seconds", entropy_seconds);
             m.gauge_set(
                 "dist.bytes_per_amp",
                 std::mem::size_of::<Complex<R>>() as f64,
             );
             m.gauge_set("dist.precision_bits", (R::BYTES * 8) as f64);
-            m.counter_add("dist.swap_bytes_copied", outcome.swap_bytes_copied);
+            m.counter_add("dist.swap_bytes_copied", swap_bytes_copied);
         }
-        if gather {
+        let state = gather.then(|| {
             // Assemble physical slices, then reorder into logical basis.
             let mut physical = vec![Complex::<R>::zero(); 1usize << n];
             for (r, res) in rank_results.iter().enumerate() {
                 let slice = res.slice.as_ref().expect("gather requested");
                 physical[r << l..(r + 1) << l].copy_from_slice(slice);
             }
-            outcome.state = Some(physical_to_logical(&physical, schedule.final_mapping()));
-        }
-        Ok(outcome)
+            physical_to_logical(&physical, schedule.final_mapping())
+        });
+        Ok(BackendOutcome {
+            norm,
+            entropy,
+            sim_seconds,
+            stats: BackendStats::Dist {
+                fabric,
+                sweep,
+                swap_bytes_copied,
+                entropy_seconds,
+            },
+            state,
+        })
     }
 }
 
@@ -380,25 +309,19 @@ struct RankResult<R: SweepDispatch> {
     slice: Option<Vec<Complex<R>>>,
 }
 
-/// Checkpoint configuration resolved once by the driver: where snapshots
-/// and the manifest live, plus the validated resume point (and the
-/// per-rank snapshot digests it promises) when restarting.
-struct DistCheckpoint {
-    dir: PathBuf,
-    resume: Option<(ResumePoint, Vec<u64>)>,
-}
-
 /// Read-only inputs shared by every rank body (the SPMD program).
 struct RankShared<'a, R: SweepDispatch> {
-    schedule: &'a Schedule,
+    /// The run's identity (schedule, precision, start state, units).
+    key: RunKey<'a>,
     runs: &'a [StageRun],
-    init_uniform: bool,
-    cfg: &'a KernelConfig,
     gather: bool,
     sub_chunks: Option<usize>,
-    compiled: Option<&'a [CompiledStage<R>]>,
+    exec: &'a StageExecutor<'a, R>,
     tele: &'a Telemetry,
-    checkpoint: Option<&'a DistCheckpoint>,
+    checkpoint: Option<&'a CheckpointPolicy>,
+    /// Validated resume cursor and the per-rank snapshot digests the
+    /// manifest promises, resolved once by the driver.
+    resume: Option<&'a (usize, Vec<u64>)>,
     stop_after: Option<usize>,
 }
 
@@ -406,7 +329,7 @@ fn run_rank<R: SweepDispatch>(
     ctx: &mut RankCtx,
     sh: &RankShared<'_, R>,
 ) -> Result<RankResult<R>, SimError> {
-    let schedule = sh.schedule;
+    let schedule = sh.key.schedule;
     let n = schedule.n_qubits;
     let l = schedule.local_qubits;
     let rank = ctx.rank();
@@ -414,27 +337,16 @@ fn run_rank<R: SweepDispatch>(
     let _rank_span = track.span_id("rank", rank as u64);
     let t0 = Instant::now();
 
-    // Resume loads the slice snapshot of the last completed stage run
-    // and verifies it against the digest the manifest recorded for this
-    // rank — a torn or stale snapshot is a typed error, never silently
-    // wrong amplitudes. Otherwise start from the §3.6 initial state.
-    let (mut state, start_run) = match sh.checkpoint.and_then(|c| c.resume.as_ref()) {
-        Some((point, digests)) if point.next_unit > 0 => {
-            let dir = &sh.checkpoint.unwrap().dir;
-            let path = snapshot_path(dir, rank, point.next_unit);
-            let (amps, digest) = read_amps_snapshot::<R>(&path, 1usize << l).map_err(|e| {
-                SimError::Checkpoint(format!("rank {rank}: snapshot {}: {e}", path.display()))
-            })?;
-            if digest != digests[rank] {
-                return Err(SimError::Checkpoint(format!(
-                    "rank {rank}: snapshot {} does not match the manifest digest",
-                    path.display()
-                )));
-            }
-            (StateVector::from_amplitudes(amps), point.next_unit)
+    // Resume loads the slice snapshot of the last completed stage run,
+    // verified against the digest the manifest recorded for this rank.
+    // Otherwise start from the §3.6 initial state.
+    let (mut state, start_run) = match (sh.checkpoint, sh.resume) {
+        (Some(cp), Some((unit, digests))) if *unit > 0 => {
+            let amps = load_snapshot::<R>(&cp.dir, rank, *unit, 1usize << l, digests[rank])?;
+            (StateVector::from_amplitudes(amps), *unit)
         }
         _ => {
-            let state = if sh.init_uniform {
+            let state = if sh.key.init_uniform {
                 StateVector::<R>::uniform_slice(l, n)
             } else if rank == 0 {
                 StateVector::<R>::zero(l)
@@ -464,37 +376,11 @@ fn run_rank<R: SweepDispatch>(
             }
         }
         for si in run.stages.clone() {
-            let stage = &schedule.stages[si];
             let t_stage = Instant::now();
             let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
-            if let Some(cs) = sh.compiled.map(|c| &c[si]) {
-                // Tiled stage executor: the shared compiled stage streams
-                // the slice once per op group; rank bits resolve global
-                // diagonal operands.
-                execute_compiled_stage(
-                    state.amplitudes_mut(),
-                    cs,
-                    rank,
-                    sh.cfg.threads,
-                    &mut sweep,
-                );
-            } else {
-                for op in &stage.ops {
-                    match op {
-                        // Diagonal fused clusters take the specialized
-                        // phase-multiply kernel here too (§3.5).
-                        StageOp::Cluster(c) => match c.matrix.as_diagonal() {
-                            Some(diag) => {
-                                let diag: Vec<Complex<R>> =
-                                    diag.iter().map(|a| a.convert()).collect();
-                                state.apply_diagonal(&c.qubits, &diag)
-                            }
-                            None => state.apply(&c.qubits, &c.matrix.convert::<R>(), sh.cfg),
-                        },
-                        StageOp::Diagonal(d) => apply_rank_diagonal(&mut state, d, rank, l),
-                    }
-                }
-            }
+            // Rank bits resolve global diagonal operands.
+            sh.exec
+                .apply(si..si + 1, state.amplitudes_mut(), rank, &mut sweep);
             // Rank 0 speaks for the SPMD cluster: all ranks run the same
             // stage, so one completion report per stage is the truth.
             if rank == 0 {
@@ -515,11 +401,11 @@ fn run_rank<R: SweepDispatch>(
             }
         }
         if let Some(cp) = sh.checkpoint {
-            checkpoint_unit(ctx, cp, sh, &track, &state, ri + 1)?;
+            checkpoint_unit(ctx, cp, &sh.key, &track, &state, ri + 1)?;
         }
         // Injected stop: every rank returns the same typed error at the
-        // same run boundary (post-barrier when checkpointing, so the
-        // manifest for the unit is already durable everywhere).
+        // same run boundary (post-barrier, so the manifest for the unit
+        // is already durable everywhere).
         if sh.stop_after == Some(ri + 1) {
             return Err(SimError::InjectedStop { unit: ri + 1 });
         }
@@ -540,11 +426,13 @@ fn run_rank<R: SweepDispatch>(
         }
     }
 
-    // Reductions (§4.2.2: the entropy needs a final all-reduce). The
-    // cross-rank reduce and the entropy accumulate in f64 regardless of
-    // R, so the reported quantities are comparable across precision
-    // tiers (and bit-identical at R = f64).
-    let local_norm = state.norm_sqr().to_f64();
+    // Reductions (§4.2.2: the entropy needs a final all-reduce). Both
+    // accumulate in f64 regardless of R, so the reported quantities are
+    // comparable across precision tiers (and bit-identical at R = f64).
+    let local_norm = state
+        .amplitudes()
+        .iter()
+        .fold(0.0f64, |s, a| s + a.norm_sqr().to_f64());
     let local_entropy = par_reduce_amplitudes(
         state.amplitudes(),
         || 0.0f64,
@@ -589,22 +477,18 @@ fn run_rank<R: SweepDispatch>(
 /// the new snapshots intact.
 fn checkpoint_unit<R: SweepDispatch>(
     ctx: &mut RankCtx,
-    cp: &DistCheckpoint,
-    sh: &RankShared<'_, R>,
+    cp: &CheckpointPolicy,
+    key: &RunKey<'_>,
     track: &TrackHandle,
     state: &StateVector<R>,
     unit: usize,
 ) -> Result<(), SimError> {
     let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
     let rank = ctx.rank();
-    let n_ranks = ctx.n_ranks();
-    let path = snapshot_path(&cp.dir, rank, unit);
-    let digest = write_amps_snapshot(&path, state.amplitudes()).map_err(|e| {
-        SimError::Checkpoint(format!("rank {rank}: snapshot {}: {e}", path.display()))
-    })?;
+    let digest = save_snapshot(&cp.dir, rank, unit, state.amplitudes())?;
     if rank == 0 {
         let mut digests = vec![digest; 1];
-        digests.resize(n_ranks, 0);
+        digests.resize(ctx.n_ranks(), 0);
         for (r, d) in digests.iter_mut().enumerate().skip(1) {
             let bytes = ctx.recv_bytes(r);
             let arr: [u8; 8] = bytes
@@ -613,88 +497,17 @@ fn checkpoint_unit<R: SweepDispatch>(
                 .map_err(|_| SimError::Checkpoint(format!("rank {r}: malformed digest message")))?;
             *d = u64::from_le_bytes(arr);
         }
-        let manifest = Manifest {
-            version: MANIFEST_VERSION,
-            engine: "dist".to_string(),
-            schedule_hash: schedule_fingerprint(sh.schedule),
-            n_qubits: sh.schedule.n_qubits,
-            local_qubits: sh.schedule.local_qubits,
-            precision: R::NAME.to_string(),
-            codec: "none".to_string(),
-            init_uniform: sh.init_uniform,
-            rng_seed: 0,
-            next_unit: unit,
-            total_units: sh.runs.len(),
-            digests,
-        };
-        manifest
+        key.manifest(unit, digests)
             .write_atomic(&cp.dir)
-            .map_err(|e| SimError::Checkpoint(e.to_string()))?;
+            .map_err(CheckpointError::Io)?;
     } else {
         ctx.send_bytes(0, digest.to_le_bytes().to_vec());
     }
     // Barrier: the manifest for `unit` is durable everywhere beyond this
     // point, so the previous generation's snapshots are dead weight.
     ctx.barrier();
-    if unit > 1 {
-        let _ = std::fs::remove_file(snapshot_path(&cp.dir, rank, unit - 1));
-    }
+    retire_snapshot(&cp.dir, rank, unit);
     Ok(())
-}
-
-/// Reduce a (possibly global-operand) diagonal op to this rank's local
-/// action and apply it (§3.5).
-pub fn apply_rank_diagonal<R: Real + ApplyDispatch>(
-    state: &mut StateVector<R>,
-    d: &DiagonalOp,
-    rank: usize,
-    l: u32,
-) {
-    apply_rank_diagonal_amps(state.amplitudes_mut(), d, rank, l);
-}
-
-/// Slice-based form of [`apply_rank_diagonal`] for engines that hold
-/// amplitudes outside a [`StateVector`] (the out-of-core chunk loop,
-/// where `rank` is the chunk index). Branch-identical to the wrapper, so
-/// results are bitwise equal across engines. Diagonal entries (always
-/// carried at f64 by the schedule) are rounded to `R` here, once per op
-/// application — identical to the compiled path's compile-time rounding
-/// because each entry is converted exactly once from the same f64 value.
-pub fn apply_rank_diagonal_amps<R: Real>(
-    amps: &mut [Complex<R>],
-    d: &DiagonalOp,
-    rank: usize,
-    l: u32,
-) {
-    // Split operands into local and global; global bits come from the
-    // rank id.
-    let mut local_ops: Vec<(usize, u32)> = Vec::new(); // (operand j, position)
-    let mut fixed_bits = 0usize; // operand-indexed bits from the rank
-    for (j, &p) in d.positions.iter().enumerate() {
-        if p < l {
-            local_ops.push((j, p));
-        } else {
-            let bit = (rank >> (p - l)) & 1;
-            fixed_bits |= bit << j;
-        }
-    }
-    if local_ops.is_empty() {
-        // Pure rank-conditional global phase.
-        specialized::apply_global_phase(amps, d.diag[fixed_bits].convert());
-        return;
-    }
-    // Reduced diagonal over the local operands (preserving their order).
-    let k = local_ops.len();
-    let mut reduced = vec![Complex::<R>::zero(); 1usize << k];
-    for (x, r) in reduced.iter_mut().enumerate() {
-        let mut idx = fixed_bits;
-        for (b, &(j, _)) in local_ops.iter().enumerate() {
-            idx |= ((x >> b) & 1) << j;
-        }
-        *r = d.diag[idx].convert();
-    }
-    let positions: Vec<u32> = local_ops.iter().map(|&(_, p)| p).collect();
-    specialized::apply_diagonal(amps, &positions, &reduced);
 }
 
 /// Per-rank scratch and tuning state of the fused swap engine. Allocated
@@ -942,6 +755,7 @@ mod tests {
     use super::*;
     use crate::single::{strip_initial_hadamards, SingleNodeSimulator};
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
+    use qsim_net::fabric::FabricStats;
     use qsim_sched::{plan, SchedulerConfig};
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
@@ -953,7 +767,7 @@ mod tests {
         seed: u64,
         l: u32,
         kmax: u32,
-    ) -> (Vec<c64>, DistOutcome) {
+    ) -> (Vec<c64>, BackendOutcome) {
         let c = supremacy_circuit(&SupremacySpec {
             rows,
             cols,
@@ -974,10 +788,23 @@ mod tests {
             sub_chunks: Some(3),
             ..Default::default()
         });
-        let out = sim.run(&exec, &schedule, true);
+        let out = sim
+            .run_plan(&BackendPlan::from_schedule(exec, schedule, true), None)
+            .unwrap();
         // Reference: single-node run of the same circuit.
-        let single = SingleNodeSimulator::default().run(&c);
+        let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
         (single.state.amplitudes().to_vec(), out)
+    }
+
+    fn dist_stats(out: &BackendOutcome) -> (&FabricStats, f64) {
+        match &out.stats {
+            BackendStats::Dist {
+                fabric,
+                entropy_seconds,
+                ..
+            } => (fabric, *entropy_seconds),
+            other => panic!("dist run reported {} stats", other.engine()),
+        }
     }
 
     #[test]
@@ -998,7 +825,10 @@ mod tests {
                 "l={l}: {}",
                 max_dist(&got, &expect)
             );
-            assert!(out.fabric.total_bytes_sent > 0, "must actually communicate");
+            assert!(
+                dist_stats(&out).0.total_bytes_sent > 0,
+                "must actually communicate"
+            );
         }
     }
 
@@ -1014,7 +844,7 @@ mod tests {
             }
         }
         assert!((h - out.entropy).abs() < 1e-9);
-        assert!(out.entropy_seconds >= 0.0);
+        assert!(dist_stats(&out).1 >= 0.0);
     }
 
     #[test]
@@ -1028,43 +858,6 @@ mod tests {
         // Top slots already: identity.
         let p2 = slots_to_top_permutation(&[2, 3], 4);
         assert!(p2.is_identity());
-    }
-
-    #[test]
-    fn rank_diagonal_reduction() {
-        // CZ on (local 0, global l+1) with l = 2: phase -1 only on ranks
-        // with global bit 1 set, and only on local amplitudes with bit 0.
-        let d = DiagonalOp {
-            positions: vec![0, 3],
-            diag: vec![c64::one(), c64::one(), c64::one(), -c64::one()],
-            gate_indices: vec![],
-        };
-        // rank 0b10 -> global bit (3-2)=1 set.
-        let mut s = StateVector::<f64>::uniform(2);
-        apply_rank_diagonal(&mut s, &d, 0b10, 2);
-        assert!(
-            (s.amplitudes()[1].re + 0.5).abs() < 1e-12,
-            "bit0 set flipped"
-        );
-        assert!((s.amplitudes()[0].re - 0.5).abs() < 1e-12);
-        // rank 0b01 -> global bit clear: no action.
-        let mut s2 = StateVector::<f64>::uniform(2);
-        apply_rank_diagonal(&mut s2, &d, 0b01, 2);
-        assert!((s2.amplitudes()[1].re - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pure_global_diagonal_is_phase() {
-        // T on a global qubit: ranks with the bit set get the phase.
-        let d = DiagonalOp {
-            positions: vec![2],
-            diag: vec![c64::one(), c64::from_polar(1.0, 0.25)],
-            gate_indices: vec![],
-        };
-        let mut s = StateVector::<f64>::uniform(2);
-        apply_rank_diagonal(&mut s, &d, 0b1, 2);
-        let expect = c64::new(0.5, 0.0) * c64::from_polar(1.0, 0.25);
-        assert!((s.amplitudes()[0] - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -1157,7 +950,9 @@ mod tests {
             gather_state: true,
             ..Default::default()
         });
-        let out = sim.run(&c, &schedule, false);
+        let out = sim
+            .run_plan::<f64>(&BackendPlan::from_schedule(c, schedule, false), None)
+            .unwrap();
         let state = out.state.unwrap();
         assert!((state[0] - c64::one()).abs() < 1e-12);
         assert!((out.norm - 1.0).abs() < 1e-12);

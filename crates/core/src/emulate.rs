@@ -115,7 +115,10 @@ mod tests {
             let circuit = qft(n);
             // Random input state, via a quick scrambling circuit.
             let scramble = qsim_circuit::algorithms::brickwork_1d(n, 4, 77);
-            let input = SingleNodeSimulator::default().run(&scramble).state;
+            let input = SingleNodeSimulator::default()
+                .try_run_t(&scramble)
+                .unwrap()
+                .state;
 
             // Gate-level: apply the QFT gates to the input.
             let mut gate_level = crate::StateVector::from_amplitudes(input.amplitudes().to_vec());
@@ -143,7 +146,10 @@ mod tests {
     #[test]
     fn qft_then_iqft_is_identity() {
         let scramble = qsim_circuit::algorithms::brickwork_1d(7, 5, 3);
-        let input = SingleNodeSimulator::default().run(&scramble).state;
+        let input = SingleNodeSimulator::default()
+            .try_run_t(&scramble)
+            .unwrap()
+            .state;
         let mut s = crate::StateVector::from_amplitudes(input.amplitudes().to_vec());
         emulate_qft(&mut s);
         emulate_iqft(&mut s);

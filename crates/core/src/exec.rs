@@ -1,36 +1,50 @@
-//! Tiled stage execution — the glue between the scheduler's sweep plan
-//! ([`qsim_sched::sweep`]) and the kernel-level tiled executor
-//! ([`qsim_kernels::sweep`]).
+//! Stage execution — the one routine every engine runs between swaps.
 //!
-//! [`compile_stage`] turns a stage's op list into prepared passes: gate
-//! matrices are permuted/packed ONCE (per stage, not per apply), and
-//! diagonal ops — including fused clusters whose matrix happens to be
-//! diagonal — fold into the sweep as phase multiplications; the kernel
-//! crate's `TiledPass` resolves both kinds of operand against the tile
-//! it stages. [`execute_compiled_stage`] then streams the state
-//! once per pass. Both simulators adopt this path at
-//! [`OptLevel::Blocked`]: `SingleNodeSimulator::run` via
-//! [`execute_schedule_sweep`], and the distributed rank loop by compiling
-//! each stage once on the driver and sharing the (immutable) compiled
-//! stages across all SPMD ranks.
+//! [`StageExecutor`] applies a slice of a schedule's stages to one
+//! partition's amplitudes: the full register on a single node, a rank
+//! slice in the distributed engine, a chunk out of core. The paper's
+//! point (§3.4, §5) is that these are the *same* local computation —
+//! only the tier holding the other `2^g − 1` partitions differs — so the
+//! engines share this code instead of each spelling out a stage loop.
+//!
+//! Two modes, bit-identical to each other (asserted by the proptests in
+//! `tests/sweep_proptests.rs`):
+//!
+//! * **compiled** ([`OptLevel::Blocked`], the default): the glue between
+//!   the scheduler's sweep plan ([`qsim_sched::sweep`]) and the kernel
+//!   crate's tiled executor ([`qsim_kernels::sweep`]). [`compile_stage`]
+//!   turns a stage's op list into prepared passes: gate matrices are
+//!   permuted/packed ONCE (per stage, not per apply), and diagonal ops —
+//!   including fused clusters whose matrix happens to be diagonal — fold
+//!   into the sweep as phase multiplications; `TiledPass` resolves both
+//!   kinds of operand against the tile it stages.
+//!   [`execute_compiled_stage`] then streams the partition once per
+//!   pass. Compiled stages are immutable, so the distributed driver
+//!   compiles once and shares them across all SPMD ranks.
+//! * **per-gate** (the lower ladder rungs, which have no packed range
+//!   kernels, and the oracle the compiled mode is tested against): one
+//!   full traversal per op through `apply_gate` / the specialized
+//!   diagonal kernels.
+//!
+//! In both modes a diagonal operand at a position ≥ l is a *global*
+//! qubit: its bit comes from the partition index (§3.5).
 //!
 //! Bit-exactness: compilation preserves the stage's op order exactly, the
 //! per-tile kernels reuse the per-gate dispatch's packed-matrix ladder,
-//! and the diagonal fold mirrors `specialized::apply_diagonal` /
-//! `apply_rank_diagonal` branch for branch — so the tiled executor is
-//! bitwise identical to the per-gate oracle (asserted by the proptests in
-//! `tests/sweep_proptests.rs`).
+//! and the diagonal fold mirrors `specialized::apply_diagonal` and the
+//! rank-conditional reduction below branch for branch.
 
-use crate::state::StateVector;
-use qsim_kernels::apply::{KernelConfig, OptLevel};
+use qsim_kernels::apply::{apply_gate, KernelConfig, OptLevel};
+use qsim_kernels::specialized;
 use qsim_kernels::sweep::{
     effective_tile_qubits, run_full_pass, PreparedDiag, PreparedGate, SweepDispatch, SweepStats,
     TileOp, TiledPass,
 };
 use qsim_kernels::tune_tile_qubits;
-use qsim_sched::{plan_stage_sweeps, Schedule, StageOp, SweepPass};
-use qsim_telemetry::Telemetry;
+use qsim_sched::{plan_stage_sweeps, DiagonalOp, Stage, StageOp, SweepPass};
 use qsim_util::complex::Complex;
+use qsim_util::Real;
+use std::ops::Range;
 
 /// One pass of a compiled stage.
 enum CompiledPass<R: SweepDispatch> {
@@ -158,128 +172,185 @@ pub fn resolve_tile_qubits(requested: Option<u32>, local_qubits: u32, threads: u
     }
 }
 
-/// Execute a swap-free schedule with the tiled stage executor — the
-/// single-node counterpart of `execute_schedule_local`, one streaming
-/// pass per group of ops instead of one per op. Requires
-/// [`OptLevel::Blocked`] (the packed-kernel ladder).
-pub fn execute_schedule_sweep<R: SweepDispatch>(
-    state: &mut StateVector<R>,
-    schedule: &Schedule,
-    kernel: &KernelConfig,
-    tile_qubits: Option<u32>,
-) -> SweepStats {
-    execute_schedule_sweep_with(state, schedule, kernel, tile_qubits, &Telemetry::disabled())
+/// A slice of stages prepared for execution on partitions of
+/// `2^local_qubits` amplitudes. Built once per residency (per run on a
+/// single node, per SPMD run on the distributed driver, per stage run
+/// out of core) and shared read-only by every partition.
+pub struct StageExecutor<'a, R: SweepDispatch = f64> {
+    stages: &'a [Stage],
+    /// Index-aligned with `stages`; `None` is per-gate mode.
+    compiled: Option<Vec<CompiledStage<R>>>,
+    local_qubits: u32,
+    kernel: KernelConfig,
 }
 
-/// [`execute_schedule_sweep`] with a telemetry sink: per-stage compile
-/// and apply spans land on the `single` track, and each stage apply
-/// feeds the `stage_apply_ns` histogram.
-pub fn execute_schedule_sweep_with<R: SweepDispatch>(
-    state: &mut StateVector<R>,
-    schedule: &Schedule,
-    kernel: &KernelConfig,
-    tile_qubits: Option<u32>,
-    telemetry: &Telemetry,
-) -> SweepStats {
-    assert_eq!(schedule.n_swaps(), 0, "local execution cannot swap");
-    assert_eq!(
-        kernel.opt,
-        OptLevel::Blocked,
-        "tiled sweep requires the blocked kernel ladder"
-    );
-    let l = state.n_qubits();
-    let tile = resolve_tile_qubits(tile_qubits, l, kernel.threads);
-    let track = telemetry.track("single");
-    let n_stages = schedule.stages.len() as u64;
-    if let Some(p) = telemetry.progress() {
-        p.set_planned_units(qsim_telemetry::Phase::Stage, n_stages);
-    }
-    let mut stats = SweepStats::default();
-    for (si, stage) in schedule.stages.iter().enumerate() {
-        if let Some(p) = telemetry.progress() {
-            p.set_stage(si as u64, n_stages);
+impl<'a, R: SweepDispatch> StageExecutor<'a, R> {
+    /// Compiled under `tile_qubits` (see [`resolve_tile_qubits`]) when
+    /// `kernel` sits on the blocked ladder rung, per-gate otherwise.
+    pub fn new(
+        stages: &'a [Stage],
+        local_qubits: u32,
+        kernel: &KernelConfig,
+        tile_qubits: Option<u32>,
+    ) -> Self {
+        let compiled = (kernel.opt == OptLevel::Blocked).then(|| {
+            let tile = resolve_tile_qubits(tile_qubits, local_qubits, kernel.threads);
+            compile_stages(stages, local_qubits, kernel, tile)
+        });
+        Self {
+            compiled,
+            ..Self::per_gate(stages, local_qubits, kernel)
         }
-        let compiled = {
-            let _s = track.span_id("compile", si as u64);
-            compile_stage(&stage.ops, l, kernel, tile)
-        };
-        let t_stage = std::time::Instant::now();
-        {
-            let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
-            execute_compiled_stage(
-                state.amplitudes_mut(),
-                &compiled,
-                0,
-                kernel.threads,
-                &mut stats,
-            );
-        }
-        telemetry.progress_unit(
-            qsim_telemetry::Phase::Stage,
-            t_stage.elapsed().as_nanos() as u64,
-        );
     }
-    stats
+
+    /// Per-gate mode whatever the kernel rung: the oracle of the
+    /// bit-exactness suites and the synchronous out-of-core baseline.
+    pub fn per_gate(stages: &'a [Stage], local_qubits: u32, kernel: &KernelConfig) -> Self {
+        Self {
+            stages,
+            compiled: None,
+            local_qubits,
+            kernel: *kernel,
+        }
+    }
+
+    /// Apply stages `range` (indices into the slice this executor was
+    /// built over) to partition `partition`'s amplitudes. `stats` only
+    /// moves in compiled mode.
+    pub fn apply(
+        &self,
+        range: Range<usize>,
+        amps: &mut [Complex<R>],
+        partition: usize,
+        stats: &mut SweepStats,
+    ) {
+        match &self.compiled {
+            Some(compiled) => {
+                for stage in &compiled[range] {
+                    execute_compiled_stage(amps, stage, partition, self.kernel.threads, stats);
+                }
+            }
+            None => {
+                for op in self.stages[range].iter().flat_map(|s| &s.ops) {
+                    match op {
+                        // Diagonal fused clusters take the specialized
+                        // phase-multiply kernel (§3.5) — the same test
+                        // `compile_stage` applies.
+                        StageOp::Cluster(c) => match c.matrix.as_diagonal() {
+                            Some(diag) => {
+                                let diag: Vec<Complex<R>> =
+                                    diag.iter().map(|a| a.convert()).collect();
+                                specialized::apply_diagonal(amps, &c.qubits, &diag)
+                            }
+                            None => {
+                                apply_gate(amps, &c.qubits, &c.matrix.convert::<R>(), &self.kernel)
+                            }
+                        },
+                        StageOp::Diagonal(d) => {
+                            apply_rank_diagonal(amps, d, partition, self.local_qubits)
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reduce a (possibly global-operand) diagonal op to partition `rank`'s
+/// local action and apply it (§3.5). Diagonal entries (always carried at
+/// f64 by the schedule) are rounded to `R` here, once per op application
+/// — identical to the compiled path's compile-time rounding because each
+/// entry is converted exactly once from the same f64 value.
+pub fn apply_rank_diagonal<R: Real>(amps: &mut [Complex<R>], d: &DiagonalOp, rank: usize, l: u32) {
+    // Split operands into local and global; global bits come from the
+    // rank id.
+    let mut local_ops: Vec<(usize, u32)> = Vec::new(); // (operand j, position)
+    let mut fixed_bits = 0usize; // operand-indexed bits from the rank
+    for (j, &p) in d.positions.iter().enumerate() {
+        if p < l {
+            local_ops.push((j, p));
+        } else {
+            let bit = (rank >> (p - l)) & 1;
+            fixed_bits |= bit << j;
+        }
+    }
+    if local_ops.is_empty() {
+        // Pure rank-conditional global phase.
+        specialized::apply_global_phase(amps, d.diag[fixed_bits].convert());
+        return;
+    }
+    // Reduced diagonal over the local operands (preserving their order).
+    let k = local_ops.len();
+    let mut reduced = vec![Complex::<R>::zero(); 1usize << k];
+    for (x, r) in reduced.iter_mut().enumerate() {
+        let mut idx = fixed_bits;
+        for (b, &(j, _)) in local_ops.iter().enumerate() {
+            idx |= ((x >> b) & 1) << j;
+        }
+        *r = d.diag[idx].convert();
+    }
+    let positions: Vec<u32> = local_ops.iter().map(|&(_, p)| p).collect();
+    specialized::apply_diagonal(amps, &positions, &reduced);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single::{execute_schedule_local, strip_initial_hadamards};
+    use crate::single::strip_initial_hadamards;
+    use crate::state::StateVector;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
-    use qsim_sched::{plan, SchedulerConfig};
+    use qsim_sched::{plan, Schedule, SchedulerConfig};
+    use qsim_util::c64;
     use qsim_util::complex::max_dist;
 
-    #[test]
-    fn sweep_executor_is_bit_exact_on_supremacy_stage() {
+    fn planned(rows: u32, cols: u32, depth: u32, seed: u64) -> (u32, Schedule) {
         let c = supremacy_circuit(&SupremacySpec {
-            rows: 3,
-            cols: 4,
-            depth: 20,
-            seed: 2,
+            rows,
+            cols,
+            depth,
+            seed,
         });
         let n = c.n_qubits();
         let (exec, uniform) = strip_initial_hadamards(&c);
         assert!(uniform);
-        let schedule = plan(&exec, &SchedulerConfig::single_node(n, 4));
+        (n, plan(&exec, &SchedulerConfig::single_node(n, 4)))
+    }
+
+    fn run_uniform(exec: &StageExecutor, n: u32) -> (Vec<c64>, SweepStats) {
+        let mut state = StateVector::<f64>::uniform(n);
+        let mut stats = SweepStats::default();
+        exec.apply(0..exec.stages.len(), state.amplitudes_mut(), 0, &mut stats);
+        (state.amplitudes().to_vec(), stats)
+    }
+
+    #[test]
+    fn compiled_mode_is_bit_exact_on_supremacy_stage() {
+        let (n, schedule) = planned(3, 4, 20, 2);
         let cfg = KernelConfig {
             threads: 1,
             ..KernelConfig::default()
         };
-
-        let mut oracle = StateVector::<f64>::uniform(n);
-        execute_schedule_local(&mut oracle, &schedule, &cfg);
+        let (oracle, idle) = run_uniform(&StageExecutor::per_gate(&schedule.stages, n, &cfg), n);
+        assert_eq!(idle.sweep_passes, 0, "per-gate mode streams no tiled pass");
 
         for tile in [6u32, 8, 10] {
-            let mut swept = StateVector::<f64>::uniform(n);
-            let stats = execute_schedule_sweep(&mut swept, &schedule, &cfg, Some(tile));
-            assert_eq!(
-                max_dist(swept.amplitudes(), oracle.amplitudes()),
-                0.0,
-                "tile={tile}"
-            );
+            let exec = StageExecutor::new(&schedule.stages, n, &cfg, Some(tile));
+            let (swept, stats) = run_uniform(&exec, n);
+            assert_eq!(max_dist(&swept, &oracle), 0.0, "tile={tile}");
             assert!(stats.sweep_passes <= stats.baseline_passes);
             assert!(stats.pass_ratio() >= 1.0, "tile={tile}");
         }
     }
 
     #[test]
-    fn sweep_executor_reduces_passes() {
-        let c = supremacy_circuit(&SupremacySpec {
-            rows: 4,
-            cols: 4,
-            depth: 25,
-            seed: 0,
-        });
-        let n = c.n_qubits();
-        let (exec, _) = strip_initial_hadamards(&c);
-        let schedule = plan(&exec, &SchedulerConfig::single_node(n, 4));
+    fn compiled_mode_reduces_passes() {
+        let (n, schedule) = planned(4, 4, 25, 0);
         let cfg = KernelConfig {
             threads: 1,
             ..KernelConfig::default()
         };
-        let mut state = StateVector::<f64>::uniform(n);
-        let stats = execute_schedule_sweep(&mut state, &schedule, &cfg, Some(12));
+        let exec = StageExecutor::new(&schedule.stages, n, &cfg, Some(12));
+        let (_, stats) = run_uniform(&exec, n);
         assert!(
             stats.pass_ratio() >= 1.5,
             "pass ratio {} below acceptance floor",
@@ -295,5 +366,42 @@ mod tests {
         assert_eq!(resolve_tile_qubits(Some(8), 24, 1), 8);
         let auto = resolve_tile_qubits(None, 24, 1);
         assert!((1..=24).contains(&auto));
+    }
+
+    #[test]
+    fn rank_diagonal_reduction() {
+        // CZ on (local 0, global l+1) with l = 2: phase -1 only on ranks
+        // with global bit 1 set, and only on local amplitudes with bit 0.
+        let d = DiagonalOp {
+            positions: vec![0, 3],
+            diag: vec![c64::one(), c64::one(), c64::one(), -c64::one()],
+            gate_indices: vec![],
+        };
+        // rank 0b10 -> global bit (3-2)=1 set.
+        let mut s = StateVector::<f64>::uniform(2);
+        apply_rank_diagonal(s.amplitudes_mut(), &d, 0b10, 2);
+        assert!(
+            (s.amplitudes()[1].re + 0.5).abs() < 1e-12,
+            "bit0 set flipped"
+        );
+        assert!((s.amplitudes()[0].re - 0.5).abs() < 1e-12);
+        // rank 0b01 -> global bit clear: no action.
+        let mut s2 = StateVector::<f64>::uniform(2);
+        apply_rank_diagonal(s2.amplitudes_mut(), &d, 0b01, 2);
+        assert!((s2.amplitudes()[1].re - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pure_global_diagonal_is_phase() {
+        // T on a global qubit: ranks with the bit set get the phase.
+        let d = DiagonalOp {
+            positions: vec![2],
+            diag: vec![c64::one(), c64::from_polar(1.0, 0.25)],
+            gate_indices: vec![],
+        };
+        let mut s = StateVector::<f64>::uniform(2);
+        apply_rank_diagonal(s.amplitudes_mut(), &d, 0b1, 2);
+        let expect = c64::new(0.5, 0.0) * c64::from_polar(1.0, 0.25);
+        assert!((s.amplitudes()[0] - expect).abs() < 1e-12);
     }
 }

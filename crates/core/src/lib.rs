@@ -14,10 +14,13 @@
 //!   execution, no fusion, global gates via two pairwise half-state
 //!   exchanges. Table 2's speedups are measured against this engine.
 //!
-//! Both production engines execute communication-free stages through
-//! [`exec`], the cache-tiled stage executor: stages are compiled once
-//! (matrices packed, ops grouped into streaming passes) and each pass
-//! applies a whole group of fused gates per traversal of the state.
+//! Every production engine (the out-of-core one in `qsim-ooc` included)
+//! is reached through the [`Backend`] trait and executes
+//! communication-free stages through [`exec::StageExecutor`]: stages are
+//! compiled once (matrices packed, ops grouped into streaming passes)
+//! and each pass applies a whole group of fused gates per traversal of a
+//! partition. [`checkpoint`] holds the one checkpoint policy and
+//! manifest protocol they share.
 //!
 //! Supporting modules: [`state`] (aligned state-vector container),
 //! [`observables`] (probabilities, entropy, sampling, cross-entropy —
@@ -40,19 +43,19 @@ pub mod single;
 pub mod state;
 
 pub use backend::{
-    plan_partitioned, Backend, BackendOutcome, BackendPlan, BackendStats, DistBackend,
-    SingleBackend,
+    partition_geometry, plan_partitioned, Backend, BackendOutcome, BackendPlan, BackendStats,
+    DistBackend, SingleBackend,
 };
 pub use baseline::BaselineSimulator;
-pub use checkpoint::{CheckpointError, Manifest, ResumePoint};
-pub use dist::{DistConfig, DistOutcome, DistSimulator};
+pub use checkpoint::{CheckpointError, CheckpointPolicy, Manifest, RunKey};
+pub use dist::{DistConfig, DistSimulator};
 pub use exec::{
-    compile_stage, compile_stages, execute_compiled_stage, execute_schedule_sweep, CompiledStage,
+    compile_stage, compile_stages, execute_compiled_stage, CompiledStage, StageExecutor,
 };
 pub use planner::{
     plan_schedule, seed_progress, PlanOptions, PlannedSchedule, ProgressBackend, ScheduleMode,
 };
 pub use qsim_net::SimError;
 pub use schedcache::{ScheduleArtifact, SearchMeta};
-pub use single::{SingleCheckpoint, SingleNodeSimulator, SingleOutcome, SinglePlan};
+pub use single::{SingleNodeSimulator, SingleOutcome};
 pub use state::StateVector;

@@ -55,7 +55,7 @@ mod tests {
     fn bell() -> StateVector<f64> {
         let mut c = Circuit::new(2);
         c.h(0).cnot(0, 1);
-        SingleNodeSimulator::default().run(&c).state
+        SingleNodeSimulator::default().try_run_t(&c).unwrap().state
     }
 
     #[test]
@@ -87,7 +87,7 @@ mod tests {
     fn impossible_postselection_panics() {
         let mut c = Circuit::new(1);
         c.x(0); // state |1>
-        let mut s = SingleNodeSimulator::default().run(&c).state;
+        let mut s = SingleNodeSimulator::default().try_run_t(&c).unwrap().state;
         collapse_qubit(&mut s, 0, 0);
     }
 
@@ -109,7 +109,7 @@ mod tests {
         // 3-qubit GHZ through 500 full shots.
         let mut c = Circuit::new(3);
         c.h(0).cnot(0, 1).cnot(1, 2);
-        let base = SingleNodeSimulator::default().run(&c).state;
+        let base = SingleNodeSimulator::default().try_run_t(&c).unwrap().state;
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut count7 = 0usize;
         for _ in 0..500 {

@@ -8,7 +8,25 @@
 //! supremacy experiment performs).
 
 use crate::state::StateVector;
-use qsim_util::Xoshiro256;
+use qsim_util::complex::Complex;
+use qsim_util::{Real, Xoshiro256};
+
+/// Σ|α|² and the Shannon entropy (bits) of one partition's amplitudes —
+/// the two reductions every engine reports. Each `|α|²` is evaluated at
+/// the working precision and accumulated sequentially in f64, so the
+/// reported observables are comparable across precision tiers (and at
+/// `R = f64` bit-identical to an all-`R` fold).
+pub fn norm_entropy<R: Real>(amps: &[Complex<R>]) -> (f64, f64) {
+    let (mut norm, mut entropy) = (0.0f64, 0.0f64);
+    for a in amps {
+        let p = a.norm_sqr().to_f64();
+        norm += p;
+        if p > 0.0 {
+            entropy -= p * p.log2();
+        }
+    }
+    (norm, entropy)
+}
 
 /// Sample `shots` bitstrings from the outcome distribution.
 ///
@@ -94,7 +112,7 @@ mod tests {
             depth,
             seed: 123,
         });
-        SingleNodeSimulator::default().run(&c).state
+        SingleNodeSimulator::default().try_run_t(&c).unwrap().state
     }
 
     #[test]
@@ -102,7 +120,7 @@ mod tests {
         // GHZ-like: only |00> and |11> appear.
         let mut c = Circuit::new(2);
         c.h(0).cnot(0, 1);
-        let state = SingleNodeSimulator::default().run(&c).state;
+        let state = SingleNodeSimulator::default().try_run_t(&c).unwrap().state;
         let mut rng = Xoshiro256::seed_from_u64(5);
         let samples = sample_bitstrings(&state, &mut rng, 2000);
         let zeros = samples.iter().filter(|&&s| s == 0).count();
@@ -159,7 +177,7 @@ mod tests {
     fn marginals_of_bell_state() {
         let mut c = Circuit::new(2);
         c.h(0).cnot(0, 1);
-        let state = SingleNodeSimulator::default().run(&c).state;
+        let state = SingleNodeSimulator::default().try_run_t(&c).unwrap().state;
         for m in marginals(&state) {
             assert!((m - 0.5).abs() < 1e-12);
         }

@@ -6,26 +6,27 @@
 //! (§3.6.2) can be applied first; the measured 2× claim is exercised by
 //! the bench harness.
 
+use crate::backend::{BackendOutcome, BackendPlan, BackendStats};
 use crate::checkpoint::{
-    read_amps_snapshot, schedule_fingerprint, snapshot_path, write_amps_snapshot, Manifest,
-    MANIFEST_VERSION,
+    check_stop_point, load_snapshot, retire_snapshot, save_snapshot, CheckpointError,
+    CheckpointPolicy, RunKey,
 };
-use crate::exec::{
-    compile_stages, execute_compiled_stage, execute_schedule_sweep_with, resolve_tile_qubits,
-};
+use crate::exec::StageExecutor;
+use crate::observables::norm_entropy;
 use crate::planner::{plan_schedule, PlanOptions, ScheduleMode};
 use crate::state::StateVector;
 use qsim_circuit::Circuit;
-use qsim_kernels::apply::{KernelConfig, OptLevel};
+use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::SimError;
-use qsim_sched::{Schedule, SchedulerConfig, StageOp};
-use qsim_telemetry::Telemetry;
-use qsim_util::c64;
+use qsim_sched::{Schedule, SchedulerConfig};
+use qsim_telemetry::{Phase, RunState, Telemetry};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Execution report of a single-node run.
+/// What [`SingleNodeSimulator::try_run_t`] hands back: the owned state
+/// (physical order) for the library's observables, measurement and noise
+/// code, plus the plan and timing it came from.
 pub struct SingleOutcome<R: SweepDispatch = f64> {
     pub state: StateVector<R>,
     pub schedule: Schedule,
@@ -36,50 +37,6 @@ pub struct SingleOutcome<R: SweepDispatch = f64> {
     /// Streaming-pass counters of the tiled stage executor (zeroed when
     /// the per-gate fallback ran).
     pub sweep: SweepStats,
-}
-
-/// A planned single-node execution: output of
-/// [`SingleNodeSimulator::plan_t`], input of
-/// [`SingleNodeSimulator::run_planned_t`].
-#[derive(Clone, Debug)]
-pub struct SinglePlan {
-    pub schedule: Schedule,
-    /// Start from the uniform superposition (stripped Hadamard layer).
-    pub init_uniform: bool,
-    pub plan_seconds: f64,
-    /// Tile budget: the caller's pin, else the plan cache's measured
-    /// size, else `None` (resolve at execution time).
-    pub tile_qubits: Option<u32>,
-    /// The schedule came from the plan cache.
-    pub cache_hit: bool,
-    /// Cost-guided search beat the greedy baseline and was adopted.
-    pub adopted: bool,
-    pub n_qubits: u32,
-}
-
-/// Checkpoint/restart options of the single-node engine. The checkpoint
-/// unit is a *stage* (single-node schedules have no swaps), so a run
-/// killed between stages resumes from the last completed stage.
-#[derive(Clone, Debug)]
-pub struct SingleCheckpoint {
-    /// Directory holding the state snapshot and `MANIFEST.json`.
-    pub dir: PathBuf,
-    /// Resume from the manifest when one exists (a fresh start when the
-    /// directory has no manifest yet).
-    pub resume: bool,
-    /// Fault injection: return [`SimError::InjectedStop`] after this
-    /// many stages have completed (and checkpointed).
-    pub stop_after: Option<usize>,
-}
-
-impl SingleCheckpoint {
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            resume: false,
-            stop_after: None,
-        }
-    }
 }
 
 /// Single-node engine.
@@ -95,9 +52,11 @@ pub struct SingleNodeSimulator {
     /// `single` track and publishes `SweepStats` under `single.sweep`.
     /// The default disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
-    /// Stage-granular checkpoint/restart; `None` (the default) runs the
-    /// original non-checkpointed executor.
-    pub checkpoint: Option<SingleCheckpoint>,
+    /// Stage-granular checkpoint/restart (single-node schedules have no
+    /// swaps, so the unit is a *stage*): a run killed between stages
+    /// resumes from the last completed one. `None` (the default) takes
+    /// no durability step.
+    pub checkpoint: Option<CheckpointPolicy>,
     /// Schedule policy: greedy (the default, bit-identical to the
     /// pre-search engine) or cost-guided search.
     pub schedule_mode: ScheduleMode,
@@ -151,60 +110,44 @@ impl SingleNodeSimulator {
         }
     }
 
-    /// Run `circuit` from the uniform superposition when its first cycle
-    /// is the supremacy Hadamard layer (detected and skipped, §3.6), else
-    /// from |0…0⟩. Infallible wrapper over
-    /// [`SingleNodeSimulator::try_run`]; a failure flushes the armed
-    /// flight recorder (if any) before panicking, so a checkpoint IO
-    /// error can never abort the process without a FLIGHT.json.
-    pub fn run(&self, circuit: &Circuit) -> SingleOutcome {
-        self.try_run(circuit)
-            .unwrap_or_else(|e| crate::backend::abort_run("single-node run failed", &e))
-    }
-
-    /// Fallible form of [`SingleNodeSimulator::run`]: checkpoint IO and
-    /// injected stop points surface as typed errors.
-    pub fn try_run(&self, circuit: &Circuit) -> Result<SingleOutcome, SimError> {
-        self.try_run_t::<f64>(circuit)
-    }
-
-    /// Precision-generic run (§5 tiering): the schedule is planned in
-    /// f64 as always, then compiled and executed at `R`. `try_run` is
-    /// this at `R = f64` and is bit-identical to the pre-tiering engine.
+    /// Plan and run `circuit`, returning the owned final state — the one
+    /// entry point besides [`crate::Backend`], for callers that go on to
+    /// measure, sample or perturb the state. Starts from the uniform
+    /// superposition when the first cycle is the supremacy Hadamard layer
+    /// (detected and skipped, §3.6), else from |0…0⟩; the schedule is
+    /// planned in f64 as always, then executed at `R` (§5 tiering).
     pub fn try_run_t<R: SweepDispatch>(
         &self,
         circuit: &Circuit,
     ) -> Result<SingleOutcome<R>, SimError> {
         let track = self.telemetry.track("single");
         let _run_span = track.span("run");
-        let plan = self.plan_t::<R>(circuit);
-        self.run_planned_t(plan)
+        let plan = self.plan::<R>(circuit);
+        let (out, state) = self.run_plan::<R>(&plan, None)?;
+        Ok(SingleOutcome {
+            state,
+            schedule: plan.schedule,
+            sim_seconds: out.sim_seconds,
+            plan_seconds: plan.plan_seconds,
+            sweep: *out.stats.sweep(),
+        })
     }
 
-    /// Planning half of [`SingleNodeSimulator::try_run_t`]: Hadamard-layer
-    /// strip, optional §3.6.2 qubit remapping, schedule planning.
-    /// Executing the returned plan with
-    /// [`SingleNodeSimulator::run_planned_t`] is byte-identical to
-    /// `try_run_t` end to end — the split exists so the unified
-    /// [`crate::backend::Backend`] surface can report the plan before
-    /// committing state memory.
-    pub fn plan_t<R: SweepDispatch>(&self, circuit: &Circuit) -> SinglePlan {
-        let n = circuit.n_qubits();
+    /// Hadamard-layer strip, optional §3.6.2 qubit remapping, schedule
+    /// planning.
+    pub(crate) fn plan<R: SweepDispatch>(&self, circuit: &Circuit) -> BackendPlan {
+        let cfg = SchedulerConfig::single_node(circuit.n_qubits(), self.kmax);
+        let (mut exec, init_uniform) = strip_initial_hadamards(circuit);
+        if self.optimize_mapping {
+            let map = qsim_sched::mapping::optimize_qubit_mapping(&exec, &cfg);
+            exec = exec.remapped(&map);
+        }
         let track = self.telemetry.track("single");
-        let (exec_circuit, init_uniform) = strip_initial_hadamards(circuit);
-        let mapped;
-        let exec_ref = if self.optimize_mapping {
-            let map = qsim_sched::mapping::optimize_qubit_mapping(&exec_circuit, &self.plan_cfg(n));
-            mapped = exec_circuit.remapped(&map);
-            &mapped
-        } else {
-            &exec_circuit
-        };
         let planned = {
             let _s = track.span("plan");
             plan_schedule(
-                exec_ref,
-                &self.plan_cfg(n),
+                &exec,
+                &cfg,
                 &PlanOptions {
                     mode: self.schedule_mode,
                     cache_dir: self.schedule_cache.clone(),
@@ -214,174 +157,94 @@ impl SingleNodeSimulator {
                 },
             )
         };
-        SinglePlan {
-            schedule: planned.schedule,
-            init_uniform,
-            plan_seconds: planned.plan_seconds,
+        let plan = BackendPlan::from_planned(exec, init_uniform, planned);
+        BackendPlan {
             // A cache hit carries the producing machine's measured tile
             // budget: adopt it when the caller didn't pin one, skipping
             // the autotune probe.
-            tile_qubits: self.tile_qubits.or(planned.tile_qubits),
-            cache_hit: planned.cache_hit,
-            adopted: planned.adopted,
-            n_qubits: n,
+            tile_qubits: self.tile_qubits.or(plan.tile_qubits),
+            ..plan
         }
     }
 
-    /// Execution half of [`SingleNodeSimulator::try_run_t`]: runs a plan
-    /// produced by [`SingleNodeSimulator::plan_t`] on this simulator's
-    /// kernels and checkpoint settings.
-    pub fn run_planned_t<R: SweepDispatch>(
+    /// The engine's one run function: apply `plan`'s stages to the full
+    /// register, one [`StageExecutor`] call per stage, with an optional
+    /// checkpoint step after each. Returns the report and the state
+    /// (physical order) it describes.
+    ///
+    /// Under a checkpoint policy the snapshot for stage `u` is made
+    /// durable *before* the manifest naming it, and the previous snapshot
+    /// is deleted only after the new manifest is on disk, so a crash at
+    /// any instant leaves a consistent (snapshot, manifest) pair to
+    /// resume from. `stop_after` returns [`SimError::InjectedStop`] once
+    /// that many stages are durable.
+    pub(crate) fn run_plan<R: SweepDispatch>(
         &self,
-        plan: SinglePlan,
-    ) -> Result<SingleOutcome<R>, SimError> {
-        let SinglePlan {
-            schedule,
-            init_uniform,
-            plan_seconds,
-            tile_qubits,
-            n_qubits: n,
-            ..
-        } = plan;
-        let track = self.telemetry.track("single");
+        plan: &BackendPlan,
+        stop_after: Option<usize>,
+    ) -> Result<(BackendOutcome<R>, StateVector<R>), SimError> {
+        check_stop_point(self.checkpoint.as_ref(), stop_after)?;
+        let tile_qubits = self.tile_qubits.or(plan.tile_qubits);
         if let Some(p) = self.telemetry.progress() {
             // Default tile rather than `resolve_tile_qubits`: the ETA
             // prior must not pay for an autotune probe the run itself
             // may never need.
             crate::planner::seed_progress(
                 &self.telemetry,
-                &schedule,
+                &plan.schedule,
                 2 * R::BYTES as u64,
                 tile_qubits.unwrap_or(qsim_sched::sweep::DEFAULT_TILE_QUBITS),
                 crate::planner::ProgressBackend::Single,
             );
-            p.set_state(qsim_telemetry::RunState::Running);
+            p.set_state(RunState::Running);
         }
-
-        if let Some(cp) = &self.checkpoint {
-            let out =
-                self.run_checkpointed(cp, schedule, init_uniform, plan_seconds, n, tile_qubits);
-            if let Some(p) = self.telemetry.progress() {
-                p.set_state(if out.is_ok() {
-                    qsim_telemetry::RunState::Done
-                } else {
-                    qsim_telemetry::RunState::Failed
-                });
-            }
-            self.telemetry.publish_progress_gauges();
-            return out;
-        }
-
-        let mut state = {
-            let _s = track.span("init");
-            if init_uniform {
-                StateVector::<R>::uniform(n)
-            } else {
-                StateVector::<R>::zero(n)
-            }
-        };
-        let t1 = Instant::now();
-        let mut sweep = SweepStats::default();
-        if self.kernel.opt == OptLevel::Blocked {
-            // Tiled stage executor: one streaming pass per op group.
-            sweep = execute_schedule_sweep_with(
-                &mut state,
-                &schedule,
-                &self.kernel,
-                tile_qubits,
-                &self.telemetry,
-            );
-        } else {
-            // The lower ladder rungs have no packed range kernels; keep
-            // the per-gate path for ablation runs.
-            let _s = track.span("apply per-gate");
-            execute_schedule_local_t(&mut state, &schedule, &self.kernel);
-        }
-        let sim_seconds = t1.elapsed().as_secs_f64();
-        if let Some(m) = self.telemetry.metrics() {
-            sweep.publish_into(m, "single.sweep");
-            m.gauge_set("single.plan_seconds", plan_seconds);
-            m.gauge_set("single.sim_seconds", sim_seconds);
-            m.gauge_set(
-                "single.bytes_per_amp",
-                std::mem::size_of::<qsim_util::Complex<R>>() as f64,
-            );
-            m.gauge_set("single.precision_bits", (R::BYTES * 8) as f64);
-        }
+        let out = self.run_stages::<R>(plan, tile_qubits, stop_after);
         if let Some(p) = self.telemetry.progress() {
-            p.set_state(qsim_telemetry::RunState::Done);
+            p.set_state(if out.is_ok() {
+                RunState::Done
+            } else {
+                RunState::Failed
+            });
         }
         self.telemetry.publish_progress_gauges();
-        Ok(SingleOutcome {
-            state,
-            schedule,
-            sim_seconds,
-            plan_seconds,
-            sweep,
-        })
+        out
     }
 
-    /// The checkpointed executor: applies the schedule stage by stage,
-    /// snapshotting the state and publishing an atomic manifest after
-    /// each one. The snapshot for stage `u` is made durable *before* the
-    /// manifest naming it, and the previous snapshot is deleted only
-    /// after the new manifest is on disk, so a crash at any instant
-    /// leaves a consistent (snapshot, manifest) pair to resume from.
-    fn run_checkpointed<R: SweepDispatch>(
+    fn run_stages<R: SweepDispatch>(
         &self,
-        cp: &SingleCheckpoint,
-        schedule: Schedule,
-        init_uniform: bool,
-        plan_seconds: f64,
-        n: u32,
+        plan: &BackendPlan,
         tile_qubits: Option<u32>,
-    ) -> Result<SingleOutcome<R>, SimError> {
-        let track = self.telemetry.track("single");
+        stop_after: Option<usize>,
+    ) -> Result<(BackendOutcome<R>, StateVector<R>), SimError> {
+        let schedule = &plan.schedule;
+        assert_eq!(schedule.n_swaps(), 0, "local execution cannot swap");
+        let n = schedule.n_qubits;
         let total_units = schedule.stages.len();
-        let ck = |e: crate::checkpoint::CheckpointError| SimError::Checkpoint(e.to_string());
-        std::fs::create_dir_all(&cp.dir)
-            .map_err(|e| SimError::Checkpoint(format!("{}: {e}", cp.dir.display())))?;
-
-        let resume_point = if cp.resume {
-            let _s = track.span("resume.validate");
-            match Manifest::load(&cp.dir).map_err(ck)? {
-                Some(m) => {
-                    let point = m
-                        .validate(
-                            "single",
-                            &schedule,
-                            R::NAME,
-                            "none",
-                            init_uniform,
-                            total_units,
-                            1,
-                        )
-                        .map_err(ck)?;
-                    Some((point, m.digests[0]))
-                }
-                None => None, // nothing published yet: fresh start
-            }
-        } else {
-            None
+        let track = self.telemetry.track("single");
+        let key = RunKey {
+            engine: "single",
+            schedule,
+            precision: R::NAME,
+            codec: "none",
+            init_uniform: plan.init_uniform,
+            total_units,
+            n_artifacts: 1,
         };
-
-        let t1 = Instant::now();
-        let (mut state, start_stage) = match resume_point {
-            Some((point, want)) if point.next_unit > 0 => {
-                let path = snapshot_path(&cp.dir, 0, point.next_unit);
-                let (amps, digest) = read_amps_snapshot::<R>(&path, 1usize << n)
-                    .map_err(|e| SimError::Checkpoint(format!("{}: {e}", path.display())))?;
-                if digest != want {
-                    return Err(SimError::Checkpoint(format!(
-                        "snapshot {} does not match the manifest digest",
-                        path.display()
-                    )));
-                }
-                (StateVector::from_amplitudes(amps), point.next_unit)
+        let resume = match &self.checkpoint {
+            Some(cp) => {
+                let _s = track.span("resume.validate");
+                key.resume_point(cp)?
+            }
+            None => None,
+        };
+        let (mut state, start_stage) = match (&self.checkpoint, resume) {
+            (Some(cp), Some((unit, digests))) if unit > 0 => {
+                let amps = load_snapshot::<R>(&cp.dir, 0, unit, 1usize << n, digests[0])?;
+                (StateVector::from_amplitudes(amps), unit)
             }
             _ => {
                 let _s = track.span("init");
-                let state = if init_uniform {
+                let state = if plan.init_uniform {
                     StateVector::<R>::uniform(n)
                 } else {
                     StateVector::<R>::zero(n)
@@ -390,19 +253,17 @@ impl SingleNodeSimulator {
             }
         };
 
-        let mut sweep = SweepStats::default();
-        let compiled = (self.kernel.opt == OptLevel::Blocked).then(|| {
-            let tile = resolve_tile_qubits(tile_qubits, n, self.kernel.threads);
-            compile_stages(&schedule.stages, n, &self.kernel, tile)
-        });
+        let t1 = Instant::now();
+        let exec = {
+            let _s = track.span("compile");
+            StageExecutor::<R>::new(&schedule.stages, n, &self.kernel, tile_qubits)
+        };
         // Seed the live-progress denominator with the stages this run
         // will actually execute — a resume pre-credits nothing.
         if let Some(p) = self.telemetry.progress() {
-            p.set_planned_units(
-                qsim_telemetry::Phase::Stage,
-                (total_units - start_stage) as u64,
-            );
+            p.set_planned_units(Phase::Stage, (total_units - start_stage) as u64);
         }
+        let mut sweep = SweepStats::default();
         for si in start_stage..total_units {
             if let Some(p) = self.telemetry.progress() {
                 p.set_stage(si as u64, total_units as u64);
@@ -410,75 +271,27 @@ impl SingleNodeSimulator {
             let t_stage = Instant::now();
             {
                 let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
-                if let Some(cs) = compiled.as_ref().map(|c| &c[si]) {
-                    execute_compiled_stage(
-                        state.amplitudes_mut(),
-                        cs,
-                        0,
-                        self.kernel.threads,
-                        &mut sweep,
-                    );
-                } else {
-                    for op in &schedule.stages[si].ops {
-                        match op {
-                            StageOp::Cluster(c) => match c.matrix.as_diagonal() {
-                                Some(diag) => {
-                                    let diag: Vec<qsim_util::Complex<R>> =
-                                        diag.iter().map(|x| x.convert()).collect();
-                                    state.apply_diagonal(&c.qubits, &diag);
-                                }
-                                None => {
-                                    state.apply(&c.qubits, &c.matrix.convert::<R>(), &self.kernel)
-                                }
-                            },
-                            StageOp::Diagonal(d) => {
-                                let diag: Vec<qsim_util::Complex<R>> =
-                                    d.diag.iter().map(|x| x.convert()).collect();
-                                state.apply_diagonal(&d.positions, &diag);
-                            }
-                        }
-                    }
-                }
+                exec.apply(si..si + 1, state.amplitudes_mut(), 0, &mut sweep);
             }
-            self.telemetry.progress_unit(
-                qsim_telemetry::Phase::Stage,
-                t_stage.elapsed().as_nanos() as u64,
-            );
+            self.telemetry
+                .progress_unit(Phase::Stage, t_stage.elapsed().as_nanos() as u64);
             let unit = si + 1;
-            {
+            if let Some(cp) = &self.checkpoint {
                 let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
-                let path = snapshot_path(&cp.dir, 0, unit);
-                let digest = write_amps_snapshot(&path, state.amplitudes())
-                    .map_err(|e| SimError::Checkpoint(format!("{}: {e}", path.display())))?;
-                let manifest = Manifest {
-                    version: MANIFEST_VERSION,
-                    engine: "single".to_string(),
-                    schedule_hash: schedule_fingerprint(&schedule),
-                    n_qubits: n,
-                    local_qubits: schedule.local_qubits,
-                    precision: R::NAME.to_string(),
-                    codec: "none".to_string(),
-                    init_uniform,
-                    rng_seed: 0,
-                    next_unit: unit,
-                    total_units,
-                    digests: vec![digest],
-                };
-                manifest
+                let digest = save_snapshot(&cp.dir, 0, unit, state.amplitudes())?;
+                key.manifest(unit, vec![digest])
                     .write_atomic(&cp.dir)
-                    .map_err(|e| SimError::Checkpoint(format!("manifest: {e}")))?;
-                if unit > 1 {
-                    let _ = std::fs::remove_file(snapshot_path(&cp.dir, 0, unit - 1));
-                }
+                    .map_err(CheckpointError::Io)?;
+                retire_snapshot(&cp.dir, 0, unit);
             }
-            if cp.stop_after == Some(unit) {
+            if stop_after == Some(unit) {
                 return Err(SimError::InjectedStop { unit });
             }
         }
         let sim_seconds = t1.elapsed().as_secs_f64();
         if let Some(m) = self.telemetry.metrics() {
             sweep.publish_into(m, "single.sweep");
-            m.gauge_set("single.plan_seconds", plan_seconds);
+            m.gauge_set("single.plan_seconds", plan.plan_seconds);
             m.gauge_set("single.sim_seconds", sim_seconds);
             m.gauge_set(
                 "single.bytes_per_amp",
@@ -486,92 +299,16 @@ impl SingleNodeSimulator {
             );
             m.gauge_set("single.precision_bits", (R::BYTES * 8) as f64);
         }
-        Ok(SingleOutcome {
-            state,
-            schedule,
+        let (norm, entropy) = norm_entropy(state.amplitudes());
+        let out = BackendOutcome {
+            norm,
+            entropy,
             sim_seconds,
-            plan_seconds,
-            sweep,
-        })
+            stats: BackendStats::Single { sweep },
+            state: None,
+        };
+        Ok((out, state))
     }
-
-    fn plan_cfg(&self, n: u32) -> SchedulerConfig {
-        SchedulerConfig::single_node(n, self.kmax)
-    }
-}
-
-/// Execute all stages of a single-node schedule on a full state.
-/// A single-node schedule has one stage and no swaps; asserts that.
-///
-/// Fused clusters whose matrix happens to be diagonal are routed through
-/// the specialized phase-multiply kernel (§3.5) instead of the dense
-/// ladder — the same test the tiled executor applies, so the two paths
-/// stay bit-identical.
-pub fn execute_schedule_local(
-    state: &mut StateVector<f64>,
-    schedule: &Schedule,
-    cfg: &KernelConfig,
-) {
-    assert_eq!(schedule.n_swaps(), 0, "local execution cannot swap");
-    for stage in &schedule.stages {
-        for op in &stage.ops {
-            match op {
-                StageOp::Cluster(c) => match c.matrix.as_diagonal() {
-                    Some(diag) => state.apply_diagonal(&c.qubits, &diag),
-                    None => state.apply(&c.qubits, &c.matrix, cfg),
-                },
-                StageOp::Diagonal(d) => state.apply_diagonal(&d.positions, &d.diag),
-            }
-        }
-    }
-}
-
-/// Precision-generic variant of [`execute_schedule_local`]: cluster
-/// matrices and diagonals are converted to the state's precision on the
-/// fly (the §5 single-precision mode — 46 qubits in the footprint of 45).
-pub fn execute_schedule_local_t<T>(
-    state: &mut StateVector<T>,
-    schedule: &Schedule,
-    cfg: &KernelConfig,
-) where
-    T: qsim_util::Real + qsim_kernels::apply::ApplyDispatch,
-{
-    assert_eq!(schedule.n_swaps(), 0, "local execution cannot swap");
-    for stage in &schedule.stages {
-        for op in &stage.ops {
-            match op {
-                StageOp::Cluster(c) => match c.matrix.as_diagonal() {
-                    Some(diag) => {
-                        let diag: Vec<qsim_util::Complex<T>> =
-                            diag.iter().map(|x| x.convert()).collect();
-                        state.apply_diagonal(&c.qubits, &diag);
-                    }
-                    None => {
-                        let m = c.matrix.convert::<T>();
-                        state.apply(&c.qubits, &m, cfg);
-                    }
-                },
-                StageOp::Diagonal(d) => {
-                    let diag: Vec<qsim_util::Complex<T>> =
-                        d.diag.iter().map(|x| x.convert()).collect();
-                    state.apply_diagonal(&d.positions, &diag);
-                }
-            }
-        }
-    }
-}
-
-/// Run a circuit entirely in single precision (§5): same planning, f32
-/// kernels, half the memory. Returns the f32 state.
-///
-/// Routes through the same generic compiled-stage executor as
-/// `try_run_t::<f32>` — one streaming pass per op group, AVX2 f32
-/// kernels — not the legacy per-gate path.
-pub fn run_single_precision(circuit: &Circuit, kmax: u32, cfg: &KernelConfig) -> StateVector<f32> {
-    let sim = SingleNodeSimulator::new(*cfg, kmax);
-    sim.try_run_t::<f32>(circuit)
-        .unwrap_or_else(|e| crate::backend::abort_run("single-precision run failed", &e))
-        .state
 }
 
 /// If the circuit starts with a full layer of Hadamards (the supremacy
@@ -606,19 +343,23 @@ pub fn strip_initial_hadamards(circuit: &Circuit) -> (Circuit, bool) {
     (out, true)
 }
 
-/// Convenience: final state probabilities of a small circuit, for tests.
-pub fn final_state(circuit: &Circuit) -> Vec<c64> {
-    let sim = SingleNodeSimulator::default();
-    let out = sim.run(circuit);
-    out.state.amplitudes().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qsim_circuit::dense::simulate_dense;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
     use qsim_util::complex::max_dist;
+
+    fn run(sim: &SingleNodeSimulator, c: &Circuit) -> SingleOutcome {
+        sim.try_run_t::<f64>(c).unwrap()
+    }
+
+    fn amps_of(c: &Circuit) -> Vec<qsim_util::c64> {
+        run(&SingleNodeSimulator::default(), c)
+            .state
+            .amplitudes()
+            .to_vec()
+    }
 
     #[test]
     fn matches_dense_reference_on_supremacy_circuits() {
@@ -630,7 +371,7 @@ mod tests {
                 seed,
             });
             let expect = simulate_dense::<f64>(&c);
-            let got = final_state(&c);
+            let got = amps_of(&c);
             assert!(
                 max_dist(&got, &expect) < 1e-10,
                 "seed {seed}: {}",
@@ -644,7 +385,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).cnot(0, 1).t(1).cz(1, 2).sqrt_y(3).cnot(2, 3).z(0);
         let expect = simulate_dense::<f64>(&c);
-        let got = final_state(&c);
+        let got = amps_of(&c);
         assert!(max_dist(&got, &expect) < 1e-12);
     }
 
@@ -659,7 +400,7 @@ mod tests {
         let mut reference: Option<Vec<qsim_util::c64>> = None;
         for kmax in [2u32, 3, 4, 5] {
             let sim = SingleNodeSimulator::new(KernelConfig::default(), kmax);
-            let out = sim.run(&c);
+            let out = run(&sim, &c);
             out.schedule.verify(&strip_initial_hadamards(&c).0);
             let amps = out.state.amplitudes().to_vec();
             if let Some(r) = &reference {
@@ -678,12 +419,12 @@ mod tests {
             depth: 12,
             seed: 5,
         });
-        let plain = SingleNodeSimulator::default().run(&c);
+        let plain = run(&SingleNodeSimulator::default(), &c);
         let opt_sim = SingleNodeSimulator {
             optimize_mapping: true,
             ..Default::default()
         };
-        let opt = opt_sim.run(&c);
+        let opt = run(&opt_sim, &c);
         // Amplitudes are permuted by the relabeling, but the probability
         // MULTISET and entropy are invariant.
         let mut p1: Vec<f64> = plain.state.probabilities();
@@ -723,7 +464,7 @@ mod tests {
             depth: 20,
             seed: 11,
         });
-        let out = SingleNodeSimulator::default().run(&c);
+        let out = run(&SingleNodeSimulator::default(), &c);
         assert!((out.state.norm_sqr() - 1.0).abs() < 1e-9);
         assert!(out.sim_seconds >= 0.0 && out.plan_seconds >= 0.0);
         // Entropy of a deep 16-qubit random circuit approaches n−0.61.
@@ -742,7 +483,7 @@ mod tests {
             seed: 1,
         });
         let expect = simulate_dense::<f64>(&c);
-        let out = sim.run(&c);
+        let out = run(&sim, &c);
         assert!(max_dist(out.state.amplitudes(), &expect) < 1e-10);
     }
 
@@ -754,8 +495,11 @@ mod tests {
             depth: 20,
             seed: 6,
         });
-        let f64_state = SingleNodeSimulator::default().run(&c).state;
-        let f32_state = run_single_precision(&c, 4, &KernelConfig::default());
+        let f64_state = run(&SingleNodeSimulator::default(), &c).state;
+        let f32_state = SingleNodeSimulator::default()
+            .try_run_t::<f32>(&c)
+            .unwrap()
+            .state;
         // Per-amplitude agreement at f32 precision after ~500 gates.
         let mut worst = 0.0f64;
         for (a, b) in f64_state.amplitudes().iter().zip(f32_state.amplitudes()) {
@@ -775,7 +519,7 @@ mod tests {
             c.t(0);
         }
         c.h(1); // force at least one dense cluster
-        let got = final_state(&c);
+        let got = amps_of(&c);
         let expect = simulate_dense::<f64>(&c);
         assert!(max_dist(&got, &expect) < 1e-12);
     }

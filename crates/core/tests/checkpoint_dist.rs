@@ -10,8 +10,11 @@ use std::path::PathBuf;
 
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_circuit::Circuit;
-use qsim_core::dist::{DistConfig, DistSimulator};
 use qsim_core::single::strip_initial_hadamards;
+use qsim_core::{
+    Backend, BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig,
+    DistSimulator,
+};
 use qsim_kernels::apply::KernelConfig;
 use qsim_net::{FaultPlan, SimError};
 use qsim_sched::{plan, plan_runs, Schedule, SchedulerConfig};
@@ -54,6 +57,12 @@ fn config(schedule: &Schedule) -> DistConfig {
     }
 }
 
+/// Run the hand-planned schedule (uniform start) through the trait.
+fn run(cfg: DistConfig, exec: &Circuit, schedule: &Schedule) -> Result<BackendOutcome, SimError> {
+    let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), true);
+    DistBackend::new(DistSimulator::new(cfg)).run(&plan)
+}
+
 #[test]
 fn injected_kill_then_resume_is_bit_exact() {
     let (exec, schedule) = planned(7, 3);
@@ -62,8 +71,8 @@ fn injected_kill_then_resume_is_bit_exact() {
     assert!(n_swaps >= 2, "test needs a multi-swap schedule");
 
     // Uninterrupted baseline.
-    let baseline = DistSimulator::new(config(&schedule))
-        .run(&exec, &schedule, true)
+    let baseline = run(config(&schedule), &exec, &schedule)
+        .unwrap()
         .state
         .unwrap();
 
@@ -71,11 +80,9 @@ fn injected_kill_then_resume_is_bit_exact() {
     // run has completed and published a manifest by then.
     let dir = tmpdir("kill_resume");
     let mut cfg = config(&schedule);
-    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
     cfg.fault_plan = Some(FaultPlan::new().kill(1, 1));
-    let err = DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect_err("killed run must fail");
+    let err = run(cfg, &exec, &schedule).expect_err("killed run must fail");
     match err {
         SimError::InjectedFault { rank, swap_index } => {
             assert_eq!((rank, swap_index), (1, 1));
@@ -90,11 +97,8 @@ fn injected_kill_then_resume_is_bit_exact() {
     // Resume from the manifest: the final state must equal the
     // uninterrupted run bit for bit.
     let mut cfg = config(&schedule);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.resume = true;
-    let out = DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect("resume must succeed");
+    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
+    let out = run(cfg, &exec, &schedule).expect("resume must succeed");
     let got = out.state.unwrap();
     assert_eq!(
         max_dist(&got, &baseline),
@@ -111,22 +115,22 @@ fn resume_of_a_finished_run_replays_nothing_and_matches() {
     let dir = tmpdir("finished");
 
     let mut cfg = config(&schedule);
-    cfg.checkpoint_dir = Some(dir.clone());
-    let first = DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect("checkpointed run");
+    cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
+    let first = run(cfg, &exec, &schedule).expect("checkpointed run");
     let expect = first.state.unwrap();
 
     // The manifest now records every unit complete; a resume loads the
     // final snapshots, skips all stage runs, and reduces.
     let mut cfg = config(&schedule);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.resume = true;
-    let out = DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect("resume of finished run");
+    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
+    let out = run(cfg, &exec, &schedule).expect("resume of finished run");
     assert_eq!(max_dist(&out.state.unwrap(), &expect), 0.0);
-    assert_eq!(out.swap_bytes_copied, 0, "no swap may re-run");
+    match out.stats {
+        BackendStats::Dist {
+            swap_bytes_copied, ..
+        } => assert_eq!(swap_bytes_copied, 0, "no swap may re-run"),
+        other => panic!("dist run reported {} stats", other.engine()),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -135,9 +139,7 @@ fn injected_kill_without_checkpoint_is_a_typed_error() {
     let (exec, schedule) = planned(7, 3);
     let mut cfg = config(&schedule);
     cfg.fault_plan = Some(FaultPlan::new().kill(0, 0));
-    let err = DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect_err("killed run must fail");
+    let err = run(cfg, &exec, &schedule).expect_err("killed run must fail");
     assert!(
         matches!(
             err,
@@ -155,10 +157,8 @@ fn resume_rejects_a_foreign_manifest() {
     let (exec, schedule) = planned(7, 3);
     let dir = tmpdir("foreign");
     let mut cfg = config(&schedule);
-    cfg.checkpoint_dir = Some(dir.clone());
-    DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect("checkpointed run");
+    cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
+    run(cfg, &exec, &schedule).expect("checkpointed run");
 
     // A different circuit (and thus schedule fingerprint) must refuse
     // to resume from this directory.
@@ -174,11 +174,8 @@ fn resume_rejects_a_foreign_manifest() {
         (exec, s)
     };
     let mut cfg = config(&schedule2);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.resume = true;
-    let err = DistSimulator::new(cfg)
-        .try_run(&exec2, &schedule2, true)
-        .expect_err("foreign manifest must be rejected");
+    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
+    let err = run(cfg, &exec2, &schedule2).expect_err("foreign manifest must be rejected");
     assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -194,15 +191,13 @@ fn injected_kill_flushes_a_flight_record() {
 
     let mut cfg = config(&schedule);
     cfg.telemetry = telemetry.clone();
-    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
     cfg.fault_plan = Some(FaultPlan::new().kill(1, 1));
     let hook_rec = recorder.clone();
     cfg.poison_hook = Some(std::sync::Arc::new(move |rank: usize| {
         let _ = hook_rec.flush(&format!("fabric poisoned by rank {rank}"));
     }));
-    DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect_err("killed run must fail");
+    run(cfg, &exec, &schedule).expect_err("killed run must fail");
 
     // The hook flushed on the dying rank's thread: the record names the
     // root-cause rank and carries its final spans plus the last metrics
@@ -239,8 +234,8 @@ fn injected_kill_flushes_a_flight_record() {
 #[test]
 fn resume_flag_without_a_manifest_is_a_fresh_start() {
     let (exec, schedule) = planned(7, 3);
-    let baseline = DistSimulator::new(config(&schedule))
-        .run(&exec, &schedule, true)
+    let baseline = run(config(&schedule), &exec, &schedule)
+        .unwrap()
         .state
         .unwrap();
 
@@ -248,11 +243,8 @@ fn resume_flag_without_a_manifest_is_a_fresh_start() {
     // the kill can land before the first checkpoint) just starts over.
     let dir = tmpdir("fresh");
     let mut cfg = config(&schedule);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.resume = true;
-    let out = DistSimulator::new(cfg)
-        .try_run(&exec, &schedule, true)
-        .expect("fresh start");
+    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
+    let out = run(cfg, &exec, &schedule).expect("fresh start");
     assert_eq!(max_dist(&out.state.unwrap(), &baseline), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }

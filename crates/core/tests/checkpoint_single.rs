@@ -9,9 +9,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use qsim_core::single::{SingleCheckpoint, SingleNodeSimulator};
+use qsim_circuit::Circuit;
+use qsim_core::{Backend, CheckpointPolicy, SingleBackend, SingleNodeSimulator};
+use qsim_kernels::SweepDispatch;
 use qsim_net::SimError;
-use qsim_util::complex::max_dist;
+use qsim_util::complex::{max_dist, Complex};
 use qsim_util::Xoshiro256;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -51,12 +53,24 @@ fn random_circuit(n: u32, n_gates: usize, seed: u64) -> qsim_circuit::Circuit {
     c
 }
 
-fn sim(kmax: u32, checkpoint: Option<SingleCheckpoint>) -> SingleNodeSimulator {
-    SingleNodeSimulator {
+/// Plan `c` and run it through the trait (stopping after `stop` stages
+/// when set); the gathered final state and the plan's stage count.
+fn run<R: SweepDispatch>(
+    kmax: u32,
+    checkpoint: Option<CheckpointPolicy>,
+    c: &Circuit,
+    stop: Option<usize>,
+) -> Result<(Vec<Complex<R>>, usize), SimError> {
+    let mut b = SingleBackend::new(SingleNodeSimulator {
         kmax,
         checkpoint,
         ..Default::default()
-    }
+    });
+    Backend::<R>::gather_state(&mut b, true);
+    let plan = Backend::<R>::plan(&b, c)?;
+    let total = Backend::<R>::total_units(&b, &plan);
+    let out: qsim_core::BackendOutcome<R> = b.run_to_stage(&plan, stop)?;
+    Ok((out.state.expect("gathered state"), total))
 }
 
 proptest! {
@@ -71,33 +85,28 @@ proptest! {
     ) {
         let c = random_circuit(n, n_gates, seed);
 
-        // The checkpointed executor must agree with the default one.
-        let plain = sim(kmax, None).run(&c);
+        // The checkpoint step must be invisible to the physics.
+        let (plain, _) = run::<f64>(kmax, None, &c, None).unwrap();
         let dir_base = tmpdir("base");
-        let base = sim(kmax, Some(SingleCheckpoint::new(&dir_base)))
-            .try_run(&c)
-            .unwrap();
+        let (base, total) =
+            run::<f64>(kmax, Some(CheckpointPolicy::new(&dir_base)), &c, None).unwrap();
         prop_assert_eq!(
-            max_dist(base.state.amplitudes(), plain.state.amplitudes()),
+            max_dist(&base, &plain),
             0.0,
-            "checkpointed executor diverged from the default path"
+            "checkpointed run diverged from the plain one"
         );
 
         // Stop after a (seed-chosen) stage, then resume: bit-exact.
-        let total = base.schedule.stages.len();
         let stop = (seed as usize % total) + 1;
         let dir = tmpdir("kill");
-        let mut cp = SingleCheckpoint::new(&dir);
-        cp.stop_after = Some(stop);
-        match sim(kmax, Some(cp)).try_run(&c) {
+        match run::<f64>(kmax, Some(CheckpointPolicy::new(&dir)), &c, Some(stop)) {
             Err(SimError::InjectedStop { unit }) => prop_assert_eq!(unit, stop),
             other => prop_assert!(false, "expected InjectedStop, got {:?}", other.map(|_| ())),
         }
-        let mut cp = SingleCheckpoint::new(&dir);
-        cp.resume = true;
-        let resumed = sim(kmax, Some(cp)).try_run(&c).unwrap();
+        let (resumed, _) =
+            run::<f64>(kmax, Some(CheckpointPolicy::resume(&dir)), &c, None).unwrap();
         prop_assert_eq!(
-            max_dist(resumed.state.amplitudes(), base.state.amplitudes()),
+            max_dist(&resumed, &base),
             0.0,
             "resume after stage {} of {} diverged", stop, total
         );
@@ -111,19 +120,25 @@ proptest! {
 fn resume_rejects_a_foreign_manifest() {
     let c = random_circuit(6, 20, 42);
     let dir = tmpdir("foreign");
-    sim(3, Some(SingleCheckpoint::new(&dir)))
-        .try_run(&c)
-        .unwrap();
+    run::<f64>(3, Some(CheckpointPolicy::new(&dir)), &c, None).unwrap();
 
     let other = random_circuit(6, 24, 43);
-    let mut cp = SingleCheckpoint::new(&dir);
-    cp.resume = true;
-    let err = match sim(3, Some(cp)).try_run(&other) {
+    let err = match run::<f64>(3, Some(CheckpointPolicy::resume(&dir)), &other, None) {
         Err(e) => e,
         Ok(_) => panic!("foreign manifest must be rejected"),
     };
     assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn assert_precision_rejected<T>(r: Result<T, SimError>) {
+    match r {
+        Err(SimError::Checkpoint(m)) => {
+            assert!(m.contains("precision"), "unhelpful message: {m}")
+        }
+        Err(e) => panic!("expected Checkpoint error, got {e}"),
+        Ok(_) => panic!("cross-precision resume must be rejected"),
+    }
 }
 
 #[test]
@@ -134,33 +149,23 @@ fn resume_rejects_cross_precision_manifests() {
     // amplitude bytes would be reinterpreted, so this must be a typed
     // error, not a garbage resume.
     let dir = tmpdir("prec64");
-    sim(3, Some(SingleCheckpoint::new(&dir)))
-        .try_run(&c)
-        .unwrap();
-    let mut cp = SingleCheckpoint::new(&dir);
-    cp.resume = true;
-    match sim(3, Some(cp)).try_run_t::<f32>(&c) {
-        Err(SimError::Checkpoint(m)) => {
-            assert!(m.contains("precision"), "unhelpful message: {m}")
-        }
-        Err(e) => panic!("expected Checkpoint error, got {e}"),
-        Ok(_) => panic!("cross-precision resume must be rejected"),
-    }
+    run::<f64>(3, Some(CheckpointPolicy::new(&dir)), &c, None).unwrap();
+    assert_precision_rejected(run::<f32>(
+        3,
+        Some(CheckpointPolicy::resume(&dir)),
+        &c,
+        None,
+    ));
 
     // And the reverse direction (f32 checkpoint, f64 resume).
     let dir32 = tmpdir("prec32");
-    sim(3, Some(SingleCheckpoint::new(&dir32)))
-        .try_run_t::<f32>(&c)
-        .unwrap();
-    let mut cp = SingleCheckpoint::new(&dir32);
-    cp.resume = true;
-    match sim(3, Some(cp)).try_run(&c) {
-        Err(SimError::Checkpoint(m)) => {
-            assert!(m.contains("precision"), "unhelpful message: {m}")
-        }
-        Err(e) => panic!("expected Checkpoint error, got {e}"),
-        Ok(_) => panic!("cross-precision resume must be rejected"),
-    }
+    run::<f32>(3, Some(CheckpointPolicy::new(&dir32)), &c, None).unwrap();
+    assert_precision_rejected(run::<f64>(
+        3,
+        Some(CheckpointPolicy::resume(&dir32)),
+        &c,
+        None,
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir32);
 }
@@ -168,15 +173,10 @@ fn resume_rejects_cross_precision_manifests() {
 #[test]
 fn resume_without_a_manifest_is_a_fresh_start() {
     let c = random_circuit(5, 16, 7);
-    let plain = sim(3, None).run(&c);
+    let (plain, _) = run::<f64>(3, None, &c, None).unwrap();
     let dir = tmpdir("fresh");
-    let mut cp = SingleCheckpoint::new(&dir);
-    cp.resume = true;
-    let out = sim(3, Some(cp)).try_run(&c).unwrap();
-    assert_eq!(
-        max_dist(out.state.amplitudes(), plain.state.amplitudes()),
-        0.0
-    );
+    let (out, _) = run::<f64>(3, Some(CheckpointPolicy::resume(&dir)), &c, None).unwrap();
+    assert_eq!(max_dist(&out, &plain), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -184,9 +184,7 @@ fn resume_without_a_manifest_is_a_fresh_start() {
 fn stop_past_the_last_stage_never_fires() {
     let c = random_circuit(5, 12, 11);
     let dir = tmpdir("past");
-    let mut cp = SingleCheckpoint::new(&dir);
-    cp.stop_after = Some(usize::MAX);
-    let out = sim(3, Some(cp)).try_run(&c);
+    let out = run::<f64>(3, Some(CheckpointPolicy::new(&dir)), &c, Some(usize::MAX));
     assert!(out.is_ok(), "a stop point past the end must not trigger");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,20 +1,19 @@
 //! Property-based equivalence of the cache-tiled stage executor against
 //! the per-gate oracle.
 //!
-//! The tiled executor (`execute_schedule_sweep`) must be *bitwise*
-//! identical to the per-gate path (`execute_schedule_local`): same op
-//! order, same packed-matrix kernels over the same 2^k-amplitude groups,
+//! The single-node engine's run through [`Backend`] (the shared
+//! [`StageExecutor`] in compiled mode) must be *bitwise* identical to the
+//! same executor's per-gate mode over the same plan: same op order, same packed-matrix kernels over the same 2^k-amplitude groups,
 //! same specialized diagonal branches — tiling only regroups independent
 //! block counters. So every comparison here asserts `max_dist == 0.0`,
 //! not a tolerance, across random circuits, cluster sizes, tile budgets,
 //! thread counts and SIMD selections.
 
 use proptest::prelude::*;
-use qsim_core::exec::execute_schedule_sweep;
-use qsim_core::single::{execute_schedule_local, strip_initial_hadamards};
-use qsim_core::StateVector;
+use qsim_core::dist::physical_to_logical;
+use qsim_core::{Backend, SingleBackend, SingleNodeSimulator, StageExecutor, StateVector};
 use qsim_kernels::apply::{KernelConfig, Simd};
-use qsim_sched::{plan, SchedulerConfig};
+use qsim_kernels::SweepStats;
 use qsim_util::complex::max_dist;
 use qsim_util::Xoshiro256;
 
@@ -44,8 +43,8 @@ fn random_circuit(n: u32, n_gates: usize, seed: u64) -> qsim_circuit::Circuit {
     c
 }
 
-/// Run both executors on the same plan and state; the tiled result must
-/// be bit-identical to the per-gate oracle.
+/// Run the engine and the per-gate oracle on the same plan and start
+/// state; the tiled result must be bit-identical.
 fn assert_sweep_bit_exact(
     n: u32,
     n_gates: usize,
@@ -56,30 +55,41 @@ fn assert_sweep_bit_exact(
     simd: Simd,
 ) {
     let c = random_circuit(n, n_gates, seed);
-    let (exec, uniform) = strip_initial_hadamards(&c);
-    let schedule = plan(&exec, &SchedulerConfig::single_node(n, kmax));
-    schedule.verify(&exec);
     let cfg = KernelConfig {
         simd,
         threads,
         ..KernelConfig::default()
     };
-    let init = || {
-        if uniform {
-            StateVector::<f64>::uniform(n)
-        } else {
-            StateVector::<f64>::zero(n)
-        }
+    let mut engine = SingleBackend::new(SingleNodeSimulator {
+        kernel: cfg,
+        kmax,
+        tile_qubits: Some(tile),
+        ..Default::default()
+    });
+    Backend::<f64>::gather_state(&mut engine, true);
+    let plan = Backend::<f64>::plan(&engine, &c).unwrap();
+    let schedule = &plan.schedule;
+    schedule.verify(&plan.exec);
+    let out = Backend::<f64>::run(&mut engine, &plan).unwrap();
+
+    let mut oracle = if plan.init_uniform {
+        StateVector::<f64>::uniform(n)
+    } else {
+        StateVector::<f64>::zero(n)
     };
-    let mut oracle = init();
-    execute_schedule_local(&mut oracle, &schedule, &cfg);
-    let mut swept = init();
-    let stats = execute_schedule_sweep(&mut swept, &schedule, &cfg, Some(tile));
+    StageExecutor::per_gate(&schedule.stages, n, &cfg).apply(
+        0..schedule.stages.len(),
+        oracle.amplitudes_mut(),
+        0,
+        &mut SweepStats::default(),
+    );
+    let oracle = physical_to_logical(oracle.amplitudes(), schedule.final_mapping());
     assert_eq!(
-        max_dist(swept.amplitudes(), oracle.amplitudes()),
+        max_dist(&out.state.unwrap(), &oracle),
         0.0,
         "n={n} seed={seed} kmax={kmax} tile={tile} threads={threads} simd={simd:?}"
     );
+    let stats = out.stats.sweep();
     assert_eq!(
         stats.baseline_passes as usize,
         schedule.stages.iter().map(|s| s.ops.len()).sum::<usize>(),

@@ -6,15 +6,15 @@
 //! unit: one *stage run* (= one streaming pass), exactly as on
 //! [`qsim_core::DistBackend`].
 
-use crate::exec::{CrashPoint, OocCheckpoint, OocSimulator};
-use crate::scratch::ScratchDir;
+use crate::exec::{CrashPoint, OocSimulator};
 use qsim_circuit::Circuit;
-use qsim_core::backend::{plan_partitioned, Backend, BackendOutcome, BackendPlan, BackendStats};
+use qsim_core::backend::{plan_partitioned, Backend, BackendOutcome, BackendPlan};
+use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy};
 use qsim_core::planner::{ProgressBackend, ScheduleMode};
 use qsim_core::SimError;
 use qsim_kernels::SweepDispatch;
 use qsim_telemetry::Telemetry;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// [`Backend`] over [`OocSimulator`]: `2^g` chunk files play the role
 /// of the distributed engine's ranks, so planning is identical to
@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 ///
 /// The chunk store needs a directory even when the caller never asked
 /// for checkpointing; a run without [`Backend::checkpoint`] configured
-/// materializes its state in a fresh self-cleaning [`ScratchDir`].
+/// materializes its state in a fresh self-cleaning scratch directory.
 pub struct OocBackend<R: SweepDispatch = f64> {
     pub sim: OocSimulator<R>,
     /// Chunk count (`2^g`) — the partition analogue of `n_ranks`.
@@ -31,10 +31,7 @@ pub struct OocBackend<R: SweepDispatch = f64> {
     pub schedule_mode: ScheduleMode,
     pub schedule_cache: Option<PathBuf>,
     pub search_budget: usize,
-    dir: Option<PathBuf>,
-    resume: bool,
     gather: bool,
-    scratch: Option<ScratchDir>,
 }
 
 impl<R: SweepDispatch> OocBackend<R> {
@@ -46,18 +43,8 @@ impl<R: SweepDispatch> OocBackend<R> {
             schedule_mode: ScheduleMode::Greedy,
             schedule_cache: None,
             search_budget: qsim_sched::SearchConfig::default().budget,
-            dir: None,
-            resume: false,
             gather: false,
-            scratch: None,
         }
-    }
-
-    /// The chunk-store directory this backend runs against, when one is
-    /// pinned (checkpointing); `None` means each run uses a fresh
-    /// scratch directory.
-    pub fn store_dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 }
 
@@ -74,13 +61,8 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
         ProgressBackend::Ooc
     }
 
-    fn checkpoint(&mut self, dir: &Path) {
-        self.dir = Some(dir.to_path_buf());
-    }
-
-    fn resume(&mut self, dir: &Path) {
-        self.dir = Some(dir.to_path_buf());
-        self.resume = true;
+    fn checkpoint(&mut self, policy: CheckpointPolicy) {
+        self.sim.config.checkpoint = Some(policy);
     }
 
     fn gather_state(&mut self, gather: bool) {
@@ -99,68 +81,19 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
         )
     }
 
+    fn total_units(&self, plan: &BackendPlan) -> usize {
+        self.sim.planned_runs(&plan.schedule).len()
+    }
+
     fn run_to_stage(
         &mut self,
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        if let Some(stop) = stop_after {
-            if self.dir.is_none() {
-                return Err(SimError::Checkpoint(
-                    "run_to_stage with a stop point requires a checkpoint directory".into(),
-                ));
-            }
-            if stop == 0 {
-                return Err(SimError::Checkpoint(
-                    "stop point must name at least one completed unit".into(),
-                ));
-            }
-        }
-        // Adopt the plan cache's measured tile budget unless pinned.
-        self.sim.config.tile_qubits = self.sim.config.tile_qubits.or(plan.tile_qubits);
-        // A pinned directory implies per-pass checkpointing (the chunk
-        // store doubles as the checkpoint directory); the injected stop
-        // is the crash fired right after pass `stop − 1` committed.
-        self.sim.config.checkpoint = self.dir.as_ref().map(|_| OocCheckpoint {
-            resume: self.resume,
-            crash: stop_after.map(|stop| (stop - 1, CrashPoint::AfterCommit)),
-        });
-        let dir = match &self.dir {
-            Some(d) => d.clone(),
-            None => {
-                // Fresh scratch per run: the previous run's guard (and
-                // its chunk files) drop here.
-                let s = ScratchDir::new("backend");
-                let path = s.path().to_path_buf();
-                self.scratch = Some(s);
-                path
-            }
-        };
-        let result = if self.gather {
-            self.sim
-                .try_run_gather(&dir, &plan.schedule, plan.init_uniform)
-                .map(|(out, state)| (out, Some(state)))
-        } else {
-            self.sim
-                .try_run(&dir, &plan.schedule, plan.init_uniform)
-                .map(|out| (out, None))
-        };
-        // One-shot kill switch: a later run on this backend must not
-        // crash again.
-        if let Some(cp) = self.sim.config.checkpoint.as_mut() {
-            cp.crash = None;
-        }
-        let (out, state) = result?;
-        Ok(BackendOutcome {
-            norm: out.norm,
-            entropy: out.entropy,
-            sim_seconds: out.sim_seconds,
-            stats: BackendStats::Ooc {
-                io: out.io,
-                sweep: out.sweep,
-                runs: out.runs,
-            },
-            state,
-        })
+        check_stop_point(self.sim.config.checkpoint.as_ref(), stop_after)?;
+        // The injected stop is the crash fired right after pass
+        // `stop − 1` committed.
+        let crash = stop_after.map(|stop| (stop - 1, CrashPoint::AfterCommit));
+        self.sim.run_plan(plan, self.gather, crash)
     }
 }

@@ -886,7 +886,7 @@ mod tests {
 
     #[test]
     fn open_rejects_a_truncated_chunk_with_a_typed_error() {
-        // `run_gather` reopens the store through `open_with`; a short
+        // The state gather reopens the store through `open_with`; a short
         // chunk file must come back as `InvalidData`, not a panic.
         let dir = ScratchDir::new("store_short");
         drop(ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap());

@@ -1,6 +1,6 @@
 //! Out-of-core schedule execution.
 //!
-//! Mirrors `qsim_core::dist::run_rank` with chunk files in place of
+//! The distributed engine's rank loop with chunk files in place of
 //! ranks, batched and pipelined so the disk is touched as rarely — and
 //! as concurrently — as possible:
 //!
@@ -15,9 +15,9 @@
 //!   hiding `read(c+1)` / `write(c−1)` behind `compute(c)` with pooled
 //!   aligned buffers (zero steady-state allocations).
 //! * **Compiled-stage compute** (`compiled_stages`): per-chunk compute
-//!   goes through `qsim_core::exec`'s [`CompiledStage`] — each run is
-//!   compiled once and reused for all 2^g chunks (the chunk index *is*
-//!   the rank id), surfacing [`SweepStats`] in [`OocOutcome`].
+//!   goes through `qsim_core::exec`'s [`StageExecutor`] — each run is
+//!   prepared once and reused for all 2^g chunks (the chunk index *is*
+//!   the rank id), surfacing [`SweepStats`] in the outcome.
 //!
 //! One streaming pass *is* one stage run: the start state is synthesised
 //! in the first pass's prefetch stage instead of being written and read
@@ -27,7 +27,8 @@
 //! before it (each computed chunk's permuted piece for every destination
 //! goes straight into the destination's staged file); its fused
 //! gather-unpermute opens the run after it (skipped entirely when the
-//! slots already sit at the top positions). See [`OocSimulator::run`].
+//! slots already sit at the top positions). See
+//! [`OocSimulator::run_plan`].
 //!
 //! Disk traffic for a schedule with `S` swaps is thus `2S + 1` state
 //! transfers — one write per swap, one read and one write per later run
@@ -36,18 +37,19 @@
 //! The final norm/entropy reduction is folded into the last run's pass,
 //! so it costs no extra traversal.
 
-use crate::chunkstore::{BufferPool, ChunkStore, IoStats};
+use crate::chunkstore::{BufferPool, ChunkStore};
 use crate::pipeline::{run_pass, Dest, PassConfig, PassSource};
+use crate::scratch::ScratchDir;
 use qsim_compress::Codec;
-use qsim_core::checkpoint::{schedule_fingerprint, Manifest, MANIFEST_VERSION};
-use qsim_core::dist::{apply_rank_diagonal_amps, physical_to_logical, slots_to_top_permutation};
-use qsim_core::exec::{compile_stages, execute_compiled_stage, resolve_tile_qubits};
-use qsim_core::SimError;
-use qsim_kernels::apply::{apply_gate, ApplyDispatch, KernelConfig, OptLevel};
+use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy, RunKey};
+use qsim_core::dist::{physical_to_logical, slots_to_top_permutation};
+use qsim_core::exec::{resolve_tile_qubits, StageExecutor};
+use qsim_core::observables::norm_entropy;
+use qsim_core::{partition_geometry, BackendOutcome, BackendPlan, BackendStats, SimError};
+use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
-use qsim_kernels::specialized;
 use qsim_kernels::{SweepDispatch, SweepStats};
-use qsim_sched::{plan_runs, Schedule, StageOp, StageRun, SwapOp};
+use qsim_sched::{plan_runs, Schedule, StageRun, SwapOp};
 use qsim_telemetry::{Telemetry, TrackHandle};
 use qsim_util::align::AlignedVec;
 use qsim_util::complex::Complex;
@@ -89,38 +91,12 @@ pub struct OocConfig {
     /// Crash-consistent checkpointing: after every streaming *pass*
     /// (= stage run), publish a manifest and promote the pass's staged
     /// chunks, so a crash anywhere resumes from the last completed pass.
-    /// `None` (the default) takes no durability step at all: the last
-    /// run overwrites live chunks in place and commits skip their fsyncs.
-    pub checkpoint: Option<OocCheckpoint>,
-}
-
-/// Checkpoint/restart policy for an OOC run. The chunk store directory
-/// doubles as the checkpoint directory: the manifest sits next to the
-/// chunk files it describes.
-#[derive(Clone, Debug, Default)]
-pub struct OocCheckpoint {
-    /// Resume from the directory's manifest when one exists (a missing
-    /// manifest is a fresh start, not an error — the crash may have
-    /// landed before the first checkpoint was published).
-    pub resume: bool,
-    /// Fault injection: abort with [`std::io::ErrorKind::Interrupted`]
-    /// at the given point of the given pass's commit protocol.
-    pub crash: Option<(usize, CrashPoint)>,
-}
-
-impl OocCheckpoint {
-    /// Checkpoint every pass, starting fresh.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checkpoint every pass, resuming from an existing manifest.
-    pub fn resume() -> Self {
-        Self {
-            resume: true,
-            crash: None,
-        }
-    }
+    /// The policy's directory *is* the chunk store — the manifest sits
+    /// next to the chunk files it describes. `None` (the default) runs
+    /// in a self-cleaning scratch store and takes no durability step at
+    /// all: the last run overwrites live chunks in place and commits
+    /// skip their fsyncs.
+    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 /// Where in a pass's commit protocol an injected crash fires. The three
@@ -139,10 +115,9 @@ pub enum CrashPoint {
     AfterCommit,
 }
 
-/// Typed payload of an injected [`OocCheckpoint::crash`], carried
-/// inside the [`std::io::ErrorKind::Interrupted`] error the engine
-/// returns so the unified [`SimError`] surface
-/// ([`OocSimulator::try_run`]) can recover *which* checkpoint units were
+/// Typed payload of an injected crash, carried inside the
+/// [`std::io::ErrorKind::Interrupted`] error the pass loop raises so
+/// [`OocSimulator::run_plan`] can report *which* checkpoint units were
 /// durable when the crash fired — without parsing the error message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InjectedCrash {
@@ -214,20 +189,6 @@ impl OocConfig {
     }
 }
 
-/// Results of an out-of-core run.
-#[derive(Clone, Debug)]
-pub struct OocOutcome {
-    pub norm: f64,
-    pub entropy: f64,
-    /// Total disk traffic and pipeline-overlap accounting.
-    pub io: IoStats,
-    /// Compiled-executor counters (all zeros on the per-gate path).
-    pub sweep: SweepStats,
-    /// Stage runs executed (`== n_swaps() + 1` with batching on).
-    pub runs: usize,
-    pub sim_seconds: f64,
-}
-
 /// The out-of-core engine. Owns the buffer pools, so repeated runs over
 /// the same geometry are allocation-free after the first. Generic over
 /// the working precision `R`; the default `f64` preserves the original
@@ -256,12 +217,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
         }
     }
 
-    /// Deterministic single-threaded pipeline (see
-    /// [`OocConfig::sequential`]).
-    pub fn sequential() -> Self {
-        Self::new(OocConfig::sequential())
-    }
-
     /// The stage runs this configuration executes for `schedule`:
     /// swap-bounded batches when `batch_runs`, one run per stage
     /// otherwise. `run` executes exactly this list, one streaming pass
@@ -282,35 +237,43 @@ impl<R: SweepDispatch> OocSimulator<R> {
         }
     }
 
-    /// [`OocSimulator::run`] on the typed [`SimError`] surface shared by
-    /// every backend: an injected crash whose commit completed maps to
-    /// [`SimError::InjectedStop`] (with `unit` = durable passes), any
-    /// other IO failure to [`SimError::Io`].
-    pub fn try_run(
-        &mut self,
-        dir: &Path,
-        schedule: &Schedule,
-        init_uniform: bool,
-    ) -> Result<OocOutcome, SimError> {
-        self.run(dir, schedule, init_uniform).map_err(io_to_sim)
-    }
-
-    /// [`OocSimulator::run_gather`] on the typed [`SimError`] surface
-    /// (see [`OocSimulator::try_run`]).
-    pub fn try_run_gather(
-        &mut self,
-        dir: &Path,
-        schedule: &Schedule,
-        init_uniform: bool,
-    ) -> Result<(OocOutcome, Vec<Complex<R>>), SimError> {
-        self.run_gather(dir, schedule, init_uniform)
-            .map_err(io_to_sim)
-    }
-
-    /// Execute `schedule` against a chunk store rooted at `dir`.
-    /// `init_uniform` selects the supremacy starting state.
+    /// The engine's one run function: execute `plan.schedule` against
+    /// the chunk store — the checkpoint policy's directory when one is
+    /// configured, a fresh self-cleaning [`ScratchDir`] otherwise — and,
+    /// on request, gather the full state in logical order (small n).
     ///
-    /// One streaming pass per stage run. For each chunk, pass `r` takes
+    /// `crash` injects a failure at the given point of the given pass's
+    /// commit protocol (requires a checkpoint policy). It surfaces as
+    /// [`SimError::InjectedStop`] with `unit` = the passes durable at
+    /// that instant; [`qsim_core::Backend::run_to_stage`]'s `stop_after
+    /// = u` is `(u − 1, CrashPoint::AfterCommit)`, and the two
+    /// intra-commit points exist for the crash-window tests. Bad
+    /// geometry is [`std::io::ErrorKind::InvalidInput`], a rejected
+    /// manifest or chunk digest [`SimError::Checkpoint`], any other IO
+    /// failure [`SimError::Io`].
+    pub fn run_plan(
+        &mut self,
+        plan: &BackendPlan,
+        gather: bool,
+        crash: Option<(usize, CrashPoint)>,
+    ) -> Result<BackendOutcome<R>, SimError> {
+        check_stop_point(
+            self.config.checkpoint.as_ref(),
+            crash.map(|(pass, _)| pass + 1),
+        )?;
+        let scratch;
+        let dir = match &self.config.checkpoint {
+            Some(cp) => cp.dir.clone(),
+            None => {
+                scratch = ScratchDir::new("run");
+                scratch.path().to_path_buf()
+            }
+        };
+        self.run_in(&dir, plan, gather, crash).map_err(io_to_sim)
+    }
+
+    /// [`OocSimulator::run_plan`] against the chunk store rooted at `dir`:
+    /// one streaming pass per stage run. For each chunk, pass `r` takes
     /// its source (pass 0 synthesises the start state; every later pass
     /// reads the live chunk the previous pass committed), applies the
     /// gather-unpermute half of swap `r − 1`, the run's stages, and then
@@ -328,20 +291,19 @@ impl<R: SweepDispatch> OocSimulator<R> {
     /// identity). The slow tier therefore sees one write per swap plus
     /// one read and one write per later run: `2S + 1` state transfers
     /// for `S` swaps.
-    pub fn run(
+    fn run_in(
         &mut self,
         dir: &Path,
-        schedule: &Schedule,
-        init_uniform: bool,
-    ) -> std::io::Result<OocOutcome> {
+        plan: &BackendPlan,
+        gather: bool,
+        crash: Option<(usize, CrashPoint)>,
+    ) -> std::io::Result<BackendOutcome<R>> {
         let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
+        let schedule = &plan.schedule;
+        let init_uniform = plan.init_uniform;
         let l = schedule.local_qubits;
         let g = schedule.n_qubits - l;
-        if l < g {
-            return Err(invalid(format!(
-                "external all-to-all needs l >= g, got l = {l}, g = {g}"
-            )));
-        }
+        partition_geometry(schedule.n_qubits, 1usize << g)?;
         let runs: Vec<StageRun> = self.planned_runs(schedule);
         if runs.last().is_none_or(|r| r.swap.is_some()) {
             return Err(invalid(
@@ -365,31 +327,30 @@ impl<R: SweepDispatch> OocSimulator<R> {
         // chunks, or exchange buffers awaiting the next pass's
         // unpermute), which is what a manifest can name.
         let total_passes = runs.len();
-        let ckpt = self.config.checkpoint.clone();
         let codec = self.config.compress;
-        let resumed = match &ckpt {
-            Some(cp) if cp.resume => {
+        let codec_name = codec.name();
+        let key = RunKey {
+            engine: "ooc",
+            schedule,
+            precision: R::NAME,
+            codec: &codec_name,
+            init_uniform,
+            total_units: total_passes,
+            n_artifacts: 1 << g,
+        };
+        let checkpointing = self.config.checkpoint.is_some();
+        let resumed = match &self.config.checkpoint {
+            Some(cp) => {
                 let _s = track.span("resume.validate");
-                match Manifest::load(dir)? {
-                    Some(m) => {
-                        let point = m.validate(
-                            "ooc",
-                            schedule,
-                            R::NAME,
-                            &codec.name(),
-                            init_uniform,
-                            total_passes,
-                            1 << g,
-                        )?;
-                        let store = ChunkStore::open_verified_with(dir, l, g, &m.digests, codec)?;
-                        Some((store, point.next_unit))
+                match key.resume_point(cp)? {
+                    Some((unit, digests)) => {
+                        let store = ChunkStore::open_verified_with(dir, l, g, &digests, codec)?;
+                        Some((store, unit))
                     }
-                    // No manifest: the crash landed before the first
-                    // checkpoint was published — start over.
                     None => None,
                 }
             }
-            _ => None,
+            None => None,
         };
         let (mut store, cursor) = match resumed {
             Some(sc) => sc,
@@ -412,16 +373,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
             );
             p.set_state(qsim_telemetry::RunState::Running);
         }
-        let ckpt_ctx = ckpt.as_ref().map(|cp| CkptCtx {
-            dir,
-            schedule_hash: schedule_fingerprint(schedule),
-            n_qubits: schedule.n_qubits,
-            local_qubits: l,
-            codec: codec.name(),
-            init_uniform,
-            total_passes,
-            crash: cp.crash,
-        });
         let n_chunks = store.n_chunks();
         let chunk_len = store.chunk_len();
         let piece = chunk_len / n_chunks;
@@ -460,8 +411,12 @@ impl<R: SweepDispatch> OocSimulator<R> {
         let allocs0 = chunk_pool.allocs() + self.wire_pool.allocs();
 
         let kernel = self.config.kernel;
-        let use_compiled = self.config.compiled_stages && kernel.opt == OptLevel::Blocked;
-        let tile = resolve_tile_qubits(self.config.tile_qubits, l, kernel.threads);
+        // Adopt the plan cache's measured tile budget unless pinned.
+        let tile = resolve_tile_qubits(
+            self.config.tile_qubits.or(plan.tile_qubits),
+            l,
+            kernel.threads,
+        );
         // Price the planned passes with the cost model so the live ETA
         // has a prior before measured pass times take over.
         if telemetry.progress().is_some() {
@@ -488,7 +443,11 @@ impl<R: SweepDispatch> OocSimulator<R> {
             let _rs = track.span_id("stage run", ri as u64);
             let t_pass = Instant::now();
             let stages = &schedule.stages[run.stages.clone()];
-            let compiled = use_compiled.then(|| compile_stages(stages, l, &kernel, tile));
+            let exec = if self.config.compiled_stages {
+                StageExecutor::new(stages, l, &kernel, Some(tile))
+            } else {
+                StageExecutor::per_gate(stages, l, &kernel)
+            };
             let prev_swap = ri.checked_sub(1).and_then(|p| runs[p].swap.as_ref());
             // `final[x] = buf[p(x)]` places the previous swap's incoming
             // qubits at its slots; an identity `p` means the committed
@@ -526,32 +485,15 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     }
                     {
                         let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
-                        match &compiled {
-                            Some(cs) => {
-                                for stage in cs {
-                                    execute_compiled_stage(
-                                        &mut buf,
-                                        stage,
-                                        c,
-                                        kernel.threads,
-                                        &mut sweep,
-                                    );
-                                }
-                            }
-                            None => {
-                                for stage in stages {
-                                    apply_ops_per_gate(&mut buf, &stage.ops, c, l, &kernel);
-                                }
-                            }
-                        }
+                        exec.apply(0..stages.len(), &mut buf, c, &mut sweep);
                     }
                     let Some(inv) = &scatter else {
                         // Last run: fold the final reduction into the
                         // pass — it costs no extra traversal. Under
                         // checkpointing live chunks stay untouched until
                         // the manifest is durable.
-                        partials[c] = reduce_chunk(&buf);
-                        let dest = if ckpt_ctx.is_some() {
+                        partials[c] = norm_entropy(&buf);
+                        let dest = if checkpointing {
                             Dest::Shadow(c)
                         } else {
                             Dest::Live(c)
@@ -582,14 +524,12 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 telemetry.record_duration_ns("swap_ns", swap_t.as_nanos() as u64);
             }
             let t_commit = Instant::now();
-            match &ckpt_ctx {
+            if checkpointing {
                 // The pass's commit is the checkpoint commit.
-                Some(ck) => checkpoint_pass(&mut store, ck, ri, &track)?,
-                None if scatter.is_some() => {
-                    let _s = track.span_id("commit", ri as u64);
-                    store.promote_staged(false)?;
-                }
-                None => {}
+                checkpoint_pass(&mut store, &key, dir, crash, ri, &track)?;
+            } else if scatter.is_some() {
+                let _s = track.span_id("commit", ri as u64);
+                store.promote_staged(false)?;
             }
             swap_carry = scatter_t + t_commit.elapsed();
             live_pass_done(
@@ -608,7 +548,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             let mut buf = chunk_pool.get();
             for (c, partial) in partials.iter_mut().enumerate() {
                 store.read_chunk_into(c, &mut buf)?;
-                *partial = reduce_chunk(&buf);
+                *partial = norm_entropy(&buf);
             }
             chunk_pool.put(buf);
             store.count_traversal();
@@ -636,31 +576,23 @@ impl<R: SweepDispatch> OocSimulator<R> {
             p.set_state(qsim_telemetry::RunState::Done);
         }
         telemetry.publish_progress_gauges();
-        Ok(OocOutcome {
+        let state = if gather {
+            let physical = ChunkStore::<R>::open_with(dir, l, g, codec)?.to_vec()?;
+            Some(physical_to_logical(&physical, schedule.final_mapping()))
+        } else {
+            None
+        };
+        Ok(BackendOutcome {
             norm,
             entropy,
-            io,
-            sweep,
-            runs: runs.len(),
             sim_seconds,
+            stats: BackendStats::Ooc {
+                io,
+                sweep,
+                runs: runs.len(),
+            },
+            state,
         })
-    }
-
-    /// Run and additionally gather the full state in logical order
-    /// (testing; small n).
-    pub fn run_gather(
-        &mut self,
-        dir: &Path,
-        schedule: &Schedule,
-        init_uniform: bool,
-    ) -> std::io::Result<(OocOutcome, Vec<Complex<R>>)> {
-        let outcome = self.run(dir, schedule, init_uniform)?;
-        let l = schedule.local_qubits;
-        let g = schedule.n_qubits - l;
-        let mut store = ChunkStore::<R>::open_with(dir, l, g, self.config.compress)?;
-        let physical = store.to_vec()?;
-        let logical = physical_to_logical(&physical, schedule.final_mapping());
-        Ok((outcome, logical))
     }
 }
 
@@ -711,33 +643,6 @@ fn live_pass_done<R: Real>(
     }
 }
 
-/// Checkpoint bookkeeping threaded through the pass loop (everything the
-/// per-pass commit needs besides the store itself).
-struct CkptCtx<'a> {
-    dir: &'a Path,
-    schedule_hash: u64,
-    n_qubits: u32,
-    local_qubits: u32,
-    codec: String,
-    init_uniform: bool,
-    total_passes: usize,
-    crash: Option<(usize, CrashPoint)>,
-}
-
-impl CkptCtx<'_> {
-    /// Fire the injected crash when this pass/point is the configured
-    /// target.
-    fn crash_at(&self, pass: usize, point: CrashPoint) -> std::io::Result<()> {
-        if self.crash == Some((pass, point)) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                InjectedCrash { pass, point },
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Commit one completed pass as a checkpoint: staged bytes durable →
 /// manifest flip → staged promote. A crash between any two steps is
 /// recoverable (see [`CrashPoint`]): before the manifest flips the old
@@ -745,51 +650,34 @@ impl CkptCtx<'_> {
 /// staged files forward by digest.
 fn checkpoint_pass<R: Real>(
     store: &mut ChunkStore<R>,
-    ck: &CkptCtx,
+    key: &RunKey<'_>,
+    dir: &Path,
+    crash: Option<(usize, CrashPoint)>,
     pass: usize,
     track: &TrackHandle,
 ) -> std::io::Result<()> {
+    // Fire the injected crash when this pass/point is its target.
+    let crash_at = |point: CrashPoint| -> std::io::Result<()> {
+        if crash == Some((pass, point)) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Interrupted,
+                InjectedCrash { pass, point },
+            ));
+        }
+        Ok(())
+    };
     let _s = track.span_timed("checkpoint.write", pass as u64, "checkpoint_ns");
     store.sync_staged()?;
     let mut digests = Vec::with_capacity(store.n_chunks());
     for c in 0..store.n_chunks() {
         digests.push(store.staged_digest(c)?);
     }
-    ck.crash_at(pass, CrashPoint::BeforeManifest)?;
-    Manifest {
-        version: MANIFEST_VERSION,
-        engine: "ooc".to_string(),
-        schedule_hash: ck.schedule_hash,
-        n_qubits: ck.n_qubits,
-        local_qubits: ck.local_qubits,
-        precision: R::NAME.to_string(),
-        codec: ck.codec.clone(),
-        init_uniform: ck.init_uniform,
-        rng_seed: 0,
-        next_unit: pass + 1,
-        total_units: ck.total_passes,
-        digests,
-    }
-    .write_atomic(ck.dir)?;
-    ck.crash_at(pass, CrashPoint::BeforeCommit)?;
+    crash_at(CrashPoint::BeforeManifest)?;
+    key.manifest(pass + 1, digests).write_atomic(dir)?;
+    crash_at(CrashPoint::BeforeCommit)?;
     store.commit_staged()?;
-    ck.crash_at(pass, CrashPoint::AfterCommit)?;
+    crash_at(CrashPoint::AfterCommit)?;
     Ok(())
-}
-
-/// Sequential norm/entropy partial over one chunk — the same fold order
-/// as one rank of the distributed engine (per-amplitude `|a|²` computed
-/// at the working precision, accumulated in f64).
-fn reduce_chunk<R: Real>(buf: &[Complex<R>]) -> (f64, f64) {
-    let (mut norm, mut entropy) = (0.0f64, 0.0f64);
-    for a in buf.iter() {
-        let p = a.norm_sqr().to_f64();
-        norm += p;
-        if p > 0.0 {
-            entropy -= p * p.log2();
-        }
-    }
-    (norm, entropy)
 }
 
 /// Balanced pairwise summation over 2^g per-chunk partials — the exact
@@ -802,40 +690,38 @@ fn tree_sum(mut v: Vec<f64>) -> f64 {
     v.into_iter().next().unwrap_or(0.0)
 }
 
-/// The per-gate fallback compute path, branch-identical to the
-/// distributed rank loop's (diagonal fused clusters go through the
-/// specialized diagonal kernel, not a dense apply) so per-gate OOC and
-/// per-gate dist runs are bitwise equal.
-fn apply_ops_per_gate<R: Real + ApplyDispatch>(
-    buf: &mut [Complex<R>],
-    ops: &[StageOp],
-    chunk: usize,
-    l: u32,
-    kernel: &KernelConfig,
-) {
-    for op in ops {
-        match op {
-            StageOp::Cluster(cl) => match cl.matrix.as_diagonal() {
-                Some(diag) => {
-                    let diag: Vec<Complex<R>> = diag.iter().map(|a| a.convert()).collect();
-                    specialized::apply_diagonal(buf, &cl.qubits, &diag)
-                }
-                None => apply_gate(buf, &cl.qubits, &cl.matrix.convert::<R>(), kernel),
-            },
-            StageOp::Diagonal(d) => apply_rank_diagonal_amps(buf, d, chunk, l),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::ScratchDir;
+    use crate::chunkstore::IoStats;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
+    use qsim_circuit::Circuit;
     use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
     use qsim_sched::{plan, segment_stages, SchedulerConfig};
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
+
+    fn sequential() -> OocSimulator {
+        OocSimulator::new(OocConfig::sequential())
+    }
+
+    /// Run a hand-planned schedule in a scratch store, state gathered.
+    fn run(
+        sim: &mut OocSimulator,
+        exec: &Circuit,
+        schedule: &Schedule,
+        uniform: bool,
+    ) -> Result<BackendOutcome, SimError> {
+        let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), uniform);
+        sim.run_plan(&plan, true, None)
+    }
+
+    fn ooc_stats(out: &BackendOutcome) -> (&IoStats, usize) {
+        match &out.stats {
+            BackendStats::Ooc { io, runs, .. } => (io, *runs),
+            other => panic!("ooc run reported {} stats", other.engine()),
+        }
+    }
 
     #[test]
     fn ooc_matches_in_memory_engine() {
@@ -845,23 +731,25 @@ mod tests {
             depth: 16,
             seed: 5,
         });
-        let single = SingleNodeSimulator::default().run(&c);
+        let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
         let (exec, uniform) = strip_initial_hadamards(&c);
         for g in [1u32, 2, 3] {
             let l = 9 - g;
             let schedule = plan(&exec, &SchedulerConfig::distributed(l, 3));
             schedule.verify(&exec);
-            let dir = ScratchDir::new("match");
-            let mut sim = OocSimulator::<f64>::sequential();
-            let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+            let out = run(&mut sequential(), &exec, &schedule, uniform).unwrap();
+            let state = out.state.as_ref().unwrap();
             assert!(
-                max_dist(&state, single.state.amplitudes()) < 1e-10,
+                max_dist(state, single.state.amplitudes()) < 1e-10,
                 "g={g}: {}",
-                max_dist(&state, single.state.amplitudes())
+                max_dist(state, single.state.amplitudes())
             );
             assert!((out.norm - 1.0).abs() < 1e-9);
             assert!((out.entropy - single.state.entropy()).abs() < 1e-8);
-            assert!(out.sweep.sweep_passes > 0, "compiled executor engaged");
+            assert!(
+                out.stats.sweep().sweep_passes > 0,
+                "compiled executor engaged"
+            );
         }
     }
 
@@ -883,26 +771,25 @@ mod tests {
         assert!(seg.stages.len() > schedule.stages.len());
         let swaps = seg.n_swaps() as u64;
 
-        let dir = ScratchDir::new("runs");
-        let mut sim = OocSimulator::<f64>::sequential();
-        let (out, state) = sim.run_gather(dir.path(), &seg, uniform).unwrap();
-        assert_eq!(out.runs, swaps as usize + 1, "runs = swap boundaries + 1");
+        let out = run(&mut sequential(), &exec, &seg, uniform).unwrap();
+        let (io, runs) = ooc_stats(&out);
+        assert_eq!(runs, swaps as usize + 1, "runs = swap boundaries + 1");
         // One traversal per run: both halves of every swap ride inside
         // the runs around it.
-        assert_eq!(out.io.traversals, swaps + 1);
+        assert_eq!(io.traversals, swaps + 1);
 
         // And the batched result still matches the oracle.
-        let single = SingleNodeSimulator::default().run(&c);
-        assert!(max_dist(&state, single.state.amplitudes()) < 1e-10);
+        let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
+        assert!(max_dist(out.state.as_ref().unwrap(), single.state.amplitudes()) < 1e-10);
 
         // Without batching, the same segmented schedule pays one
         // traversal per stage.
-        let dir2 = ScratchDir::new("runs_sync");
         let mut sync =
             OocSimulator::<f64>::new(OocConfig::sync_baseline(KernelConfig::sequential()));
-        let out2 = sync.run(dir2.path(), &seg, uniform).unwrap();
-        assert_eq!(out2.runs, seg.stages.len());
-        assert!(out2.io.traversals > out.io.traversals);
+        let out2 = run(&mut sync, &exec, &seg, uniform).unwrap();
+        let (io2, runs2) = ooc_stats(&out2);
+        assert_eq!(runs2, seg.stages.len());
+        assert!(io2.traversals > io.traversals);
         assert_eq!(out.norm, out2.norm, "bitwise-equal reductions");
     }
 
@@ -916,25 +803,26 @@ mod tests {
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(6, 3));
-        let dir = ScratchDir::new("bit_sync");
         let mut sync = OocSimulator::<f64>::new(OocConfig {
             pipeline: false,
             ..OocConfig::sequential()
         });
-        let (_, oracle) = sync.run_gather(dir.path(), &schedule, uniform).unwrap();
+        let oracle = run(&mut sync, &exec, &schedule, uniform)
+            .unwrap()
+            .state
+            .unwrap();
         for depth in [1usize, 2, 4] {
-            let dir = ScratchDir::new("bit_pipe");
             let mut sim = OocSimulator::<f64>::new(OocConfig {
                 prefetch_depth: depth,
                 ..OocConfig::sequential()
             });
-            let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+            let out = run(&mut sim, &exec, &schedule, uniform).unwrap();
             assert_eq!(
-                max_dist(&state, &oracle),
+                max_dist(out.state.as_ref().unwrap(), &oracle),
                 0.0,
                 "pipelining must not change a single bit (depth {depth})"
             );
-            assert!(out.io.overlap_fraction() >= 0.0);
+            assert!(ooc_stats(&out).0.overlap_fraction() >= 0.0);
         }
     }
 
@@ -957,32 +845,28 @@ mod tests {
             let schedule = plan(&exec, &SchedulerConfig::distributed(12 - g, 4));
             let swaps = schedule.n_swaps() as u64;
             assert!(swaps >= 1, "g={g}: want a swap to count");
-            let dir = ScratchDir::new("traffic");
-            let mut sim = OocSimulator::<f64>::sequential();
-            let out = sim.run(dir.path(), &schedule, uniform).unwrap();
+            let plan = BackendPlan::from_schedule(exec.clone(), schedule, uniform);
+            let out = sequential().run_plan(&plan, false, None).unwrap();
+            let (io, runs) = ooc_stats(&out);
             assert_eq!(
-                out.io.logical_bytes_read + out.io.logical_bytes_written,
+                io.logical_bytes_read + io.logical_bytes_written,
                 (2 * swaps + 1) * state_bytes,
                 "g={g}: 2S + 1 state transfers, exactly"
             );
-            assert_eq!(out.io.logical_bytes_read, swaps * state_bytes, "g={g}");
-            assert_eq!(out.runs as u64, swaps + 1, "g={g}");
-            assert_eq!(out.io.traversals, swaps + 1, "g={g}");
+            assert_eq!(io.logical_bytes_read, swaps * state_bytes, "g={g}");
+            assert_eq!(runs as u64, swaps + 1, "g={g}");
+            assert_eq!(io.traversals, swaps + 1, "g={g}");
         }
     }
 
     #[test]
     fn op_free_schedule_leaves_a_readable_store() {
         // Nothing to apply: the single pass synthesises the start state,
-        // reduces it and writes it, so `run_gather` finds live chunks.
+        // reduces it and writes it, so the gather finds live chunks.
         for uniform in [true, false] {
-            let schedule = plan(
-                &qsim_circuit::Circuit::new(5),
-                &SchedulerConfig::distributed(3, 2),
-            );
-            let dir = ScratchDir::new("op_free");
-            let mut sim = OocSimulator::<f64>::sequential();
-            let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+            let circ = Circuit::new(5);
+            let schedule = plan(&circ, &SchedulerConfig::distributed(3, 2));
+            let out = run(&mut sequential(), &circ, &schedule, uniform).unwrap();
             let want = if uniform {
                 vec![c64::new(1.0 / 32f64.sqrt(), 0.0); 32]
             } else {
@@ -990,30 +874,34 @@ mod tests {
                 v[0] = c64::one();
                 v
             };
-            assert_eq!(state, want);
-            assert_eq!((out.runs, out.io.traversals), (1, 1));
-            assert_eq!(out.io.logical_bytes_read, 0);
+            assert_eq!(out.state.as_ref().unwrap(), &want);
+            let (io, runs) = ooc_stats(&out);
+            assert_eq!((runs, io.traversals), (1, 1));
+            assert_eq!(io.logical_bytes_read, 0);
             assert!((out.norm - 1.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn bad_geometry_and_open_schedules_are_typed_errors() {
-        let mut circ = qsim_circuit::Circuit::new(4);
+        let invalid_input = |e: SimError| match e {
+            SimError::Io(e) => e.kind() == std::io::ErrorKind::InvalidInput,
+            _ => false,
+        };
+        let mut circ = Circuit::new(4);
         circ.t(0).h(1);
         // g = 3 > l = 1: the all-to-all cannot split a chunk 8 ways.
         let narrow = plan(&circ, &SchedulerConfig::distributed(1, 1));
-        let dir = ScratchDir::new("geometry");
-        let mut sim = OocSimulator::<f64>::sequential();
-        let e = sim.run(dir.path(), &narrow, false).unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        let mut sim = sequential();
+        let e = run(&mut sim, &circ, &narrow, false).unwrap_err();
+        assert!(invalid_input(e));
         // A schedule ending in a swap has no run to apply its unpermute.
         let mut open = plan(&circ, &SchedulerConfig::distributed(3, 2));
         open.stages.last_mut().unwrap().swap = Some(SwapOp {
             local_slots: vec![0],
         });
-        let e = sim.run(dir.path(), &open, false).unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        let e = run(&mut sim, &circ, &open, false).unwrap_err();
+        assert!(invalid_input(e));
     }
 
     #[test]
@@ -1026,13 +914,12 @@ mod tests {
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(4, 3));
-        let mut sim = OocSimulator::<f64>::sequential();
-        let dir = ScratchDir::new("pool_a");
-        let first = sim.run(dir.path(), &schedule, uniform).unwrap();
-        let dir = ScratchDir::new("pool_b");
-        let second = sim.run(dir.path(), &schedule, uniform).unwrap();
+        let mut sim = sequential();
+        let first = run(&mut sim, &exec, &schedule, uniform).unwrap();
+        let second = run(&mut sim, &exec, &schedule, uniform).unwrap();
         assert_eq!(
-            second.io.buffer_allocs, 0,
+            ooc_stats(&second).0.buffer_allocs,
+            0,
             "second run over the same geometry must be pool-hit only"
         );
         assert_eq!(first.norm, second.norm);
@@ -1040,13 +927,11 @@ mod tests {
 
     #[test]
     fn zero_state_init() {
-        let mut circ = qsim_circuit::Circuit::new(4);
+        let mut circ = Circuit::new(4);
         circ.t(0).cz(0, 3);
         let schedule = plan(&circ, &SchedulerConfig::distributed(3, 2));
-        let dir = ScratchDir::new("zero");
-        let mut sim = OocSimulator::<f64>::sequential();
-        let (out, state) = sim.run_gather(dir.path(), &schedule, false).unwrap();
-        assert!((state[0] - c64::one()).abs() < 1e-12);
+        let out = run(&mut sequential(), &circ, &schedule, false).unwrap();
+        assert!((out.state.as_ref().unwrap()[0] - c64::one()).abs() < 1e-12);
         assert!((out.norm - 1.0).abs() < 1e-12);
     }
 }

@@ -5,19 +5,20 @@
 //! state of an uninterrupted run (`max_dist == 0.0`, not a tolerance).
 
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim_circuit::Circuit;
 use qsim_core::single::strip_initial_hadamards;
-use qsim_ooc::{Codec, CrashPoint, OocCheckpoint, OocConfig, OocSimulator, ScratchDir};
-use qsim_sched::{plan, Schedule, SchedulerConfig};
+use qsim_core::{BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, SimError};
+use qsim_kernels::SweepDispatch;
+use qsim_ooc::{Codec, CrashPoint, InjectedCrash, OocConfig, OocSimulator, ScratchDir};
+use qsim_sched::{plan, SchedulerConfig};
 use qsim_util::c64;
 use qsim_util::complex::max_dist;
 
 /// A small supremacy instance with a one-swap distributed plan.
-fn planned(l: u32, kmax: u32) -> (Circuit, Schedule, bool) {
+fn planned(l: u32, kmax: u32) -> BackendPlan {
     planned_for(2, 4, 18, l, kmax)
 }
 
-fn planned_for(rows: u32, cols: u32, depth: u32, l: u32, kmax: u32) -> (Circuit, Schedule, bool) {
+fn planned_for(rows: u32, cols: u32, depth: u32, l: u32, kmax: u32) -> BackendPlan {
     let c = supremacy_circuit(&SupremacySpec {
         rows,
         cols,
@@ -27,10 +28,10 @@ fn planned_for(rows: u32, cols: u32, depth: u32, l: u32, kmax: u32) -> (Circuit,
     let (exec, uniform) = strip_initial_hadamards(&c);
     let schedule = plan(&exec, &SchedulerConfig::distributed(l, kmax));
     schedule.verify(&exec);
-    (exec, schedule, uniform)
+    BackendPlan::from_schedule(exec, schedule, uniform)
 }
 
-fn ckpt_sim(pipeline: bool, checkpoint: OocCheckpoint) -> OocSimulator {
+fn ckpt_sim(pipeline: bool, checkpoint: CheckpointPolicy) -> OocSimulator {
     OocSimulator::new(OocConfig {
         pipeline,
         checkpoint: Some(checkpoint),
@@ -38,30 +39,46 @@ fn ckpt_sim(pipeline: bool, checkpoint: OocCheckpoint) -> OocSimulator {
     })
 }
 
-/// Uninterrupted checkpointed oracle state for the given schedule.
-fn oracle(schedule: &Schedule, uniform: bool) -> (Vec<c64>, f64) {
+/// Checkpoint into the scratch store, starting fresh / resuming.
+fn fresh(dir: &ScratchDir) -> CheckpointPolicy {
+    CheckpointPolicy::new(dir.path())
+}
+
+fn resume(dir: &ScratchDir) -> CheckpointPolicy {
+    CheckpointPolicy::resume(dir.path())
+}
+
+/// (traversals, bytes written, runs) of an OOC outcome.
+fn io_of<R: SweepDispatch>(out: &BackendOutcome<R>) -> (u64, u64, usize) {
+    match &out.stats {
+        BackendStats::Ooc { io, runs, .. } => (io.traversals, io.bytes_written, *runs),
+        other => panic!("ooc run reported {} stats", other.engine()),
+    }
+}
+
+/// Uninterrupted checkpointed oracle state for the given plan.
+fn oracle(plan: &BackendPlan) -> Vec<c64> {
     let dir = ScratchDir::new("ooc_ckpt_oracle");
-    let mut sim = ckpt_sim(true, OocCheckpoint::new());
-    let (out, state) = sim.run_gather(dir.path(), schedule, uniform).unwrap();
-    (state, out.norm)
+    let out = ckpt_sim(true, fresh(&dir)).run_plan(plan, true, None);
+    out.unwrap().state.unwrap()
 }
 
 #[test]
 fn checkpointing_does_not_change_a_single_bit() {
-    let (_, schedule, uniform) = planned(6, 3);
+    let plan = planned(6, 3);
     for pipeline in [false, true] {
-        let dir = ScratchDir::new("ooc_ckpt_plain");
-        let mut plain = OocSimulator::new(OocConfig {
+        let mut plain = OocSimulator::<f64>::new(OocConfig {
             pipeline,
             ..OocConfig::sequential()
         });
-        let (pout, pstate) = plain.run_gather(dir.path(), &schedule, uniform).unwrap();
+        let pout = plain.run_plan(&plan, true, None).unwrap();
 
         let dir = ScratchDir::new("ooc_ckpt_on");
-        let mut ck = ckpt_sim(pipeline, OocCheckpoint::new());
-        let (cout, cstate) = ck.run_gather(dir.path(), &schedule, uniform).unwrap();
+        let cout = ckpt_sim(pipeline, fresh(&dir))
+            .run_plan(&plan, true, None)
+            .unwrap();
         assert_eq!(
-            max_dist(&cstate, &pstate),
+            max_dist(cout.state.as_ref().unwrap(), pout.state.as_ref().unwrap()),
             0.0,
             "checkpoint mode must be bit-exact (pipeline={pipeline})"
         );
@@ -86,10 +103,11 @@ fn checkpointing_does_not_change_a_single_bit() {
 fn crash_everywhere_then_resume(codec: Codec) {
     // Three swaps (the first an identity slots→top permutation, so its
     // unpermute is skipped), four passes.
-    let (_, schedule, uniform) = planned_for(3, 3, 25, 5, 3);
-    assert!(schedule.n_swaps() >= 2, "want a middle pass to resume into");
-    let (expect, _) = oracle(&schedule, uniform);
-    let sim = |checkpoint: OocCheckpoint| {
+    let plan = planned_for(3, 3, 25, 5, 3);
+    let n_swaps = plan.schedule.n_swaps();
+    assert!(n_swaps >= 2, "want a middle pass to resume into");
+    let expect = oracle(&plan);
+    let sim = |checkpoint: CheckpointPolicy| {
         OocSimulator::<f64>::new(OocConfig {
             pipeline: true,
             checkpoint: Some(checkpoint),
@@ -107,15 +125,14 @@ fn crash_everywhere_then_resume(codec: Codec) {
         let mut pass = 0usize;
         loop {
             let dir = ScratchDir::new("ooc_ckpt_crash");
-            let mut cp = OocCheckpoint::new();
-            cp.crash = Some((pass, point));
-            match sim(cp).run(dir.path(), &schedule, uniform) {
+            match sim(fresh(&dir)).run_plan(&plan, false, Some((pass, point))) {
                 Ok(_) => break, // past the last pass: nothing to crash
-                Err(e) => assert_eq!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted,
-                    "injected crash must surface typed: {e}"
+                Err(SimError::InjectedStop { unit }) => assert_eq!(
+                    unit,
+                    InjectedCrash { pass, point }.durable_units(),
+                    "pass {pass} ({point:?})"
                 ),
+                Err(e) => panic!("injected crash must surface typed: {e}"),
             }
             let live = dir.path().join("chunk_000000.amps").exists();
             let manifest = dir.path().join("MANIFEST.json").exists();
@@ -125,28 +142,23 @@ fn crash_everywhere_then_resume(codec: Codec) {
                 _ => (true, true),
             };
             assert_eq!((live, manifest), want, "pass {pass} ({point:?})");
-            let (out, state) = sim(OocCheckpoint::resume())
-                .run_gather(dir.path(), &schedule, uniform)
-                .unwrap();
+            let out = sim(resume(&dir)).run_plan(&plan, true, None).unwrap();
             assert_eq!(
-                max_dist(&state, &expect),
+                max_dist(out.state.as_ref().unwrap(), &expect),
                 0.0,
                 "{codec:?}: resume after crash at pass {pass} ({point:?}) diverged"
             );
             // Only the passes past the durable ones run again.
             let durable = pass + usize::from(point != CrashPoint::BeforeManifest);
+            let (traversals, _, runs) = io_of(&out);
             assert_eq!(
-                out.io.traversals as usize,
-                (out.runs - durable).max(1),
+                traversals as usize,
+                (runs - durable).max(1),
                 "pass {pass} ({point:?})"
             );
             pass += 1;
         }
-        assert_eq!(
-            pass,
-            schedule.n_swaps() + 1,
-            "one crash window per stage run"
-        );
+        assert_eq!(pass, n_swaps + 1, "one crash window per stage run");
     }
 }
 
@@ -162,17 +174,17 @@ fn compressed_crash_resume_is_bit_exact() {
 
 #[test]
 fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
-    let (_, schedule, uniform) = planned_for(3, 3, 25, 5, 3);
-    let runs = schedule.n_swaps() as u64 + 1;
+    let plan = planned_for(3, 3, 25, 5, 3);
+    let runs = plan.schedule.n_swaps() as u64 + 1;
     // Stream-phase (planned, done) units and swap_ns samples of one run.
-    let observe = |dir: &ScratchDir, checkpoint: OocCheckpoint| {
+    let observe = |checkpoint: CheckpointPolicy, crash: Option<(usize, CrashPoint)>| {
         let telemetry = qsim_telemetry::Telemetry::enabled();
         let mut sim = OocSimulator::<f64>::new(OocConfig {
             checkpoint: Some(checkpoint),
             telemetry: telemetry.clone(),
             ..OocConfig::sequential()
         });
-        let result = sim.run(dir.path(), &schedule, uniform);
+        let result = sim.run_plan(&plan, false, crash);
         let snap = telemetry.progress().unwrap().snapshot();
         let stream = snap.phases.iter().find(|p| p.name == "stream").unwrap();
         let swaps = match telemetry.metrics().unwrap().get("swap_ns") {
@@ -183,17 +195,18 @@ fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
     };
     let dir = ScratchDir::new("ooc_ckpt_progress");
     assert_eq!(
-        observe(&dir, OocCheckpoint::new()),
+        observe(fresh(&dir), None),
         (true, runs, runs, runs - 1),
         "a fresh run plans one unit per stage run, one swap_ns sample per swap"
     );
     let dir = ScratchDir::new("ooc_ckpt_progress_crash");
-    let mut cp = OocCheckpoint::new();
-    cp.crash = Some((1, CrashPoint::AfterCommit));
     // (The crash fires inside pass 1's commit, before it reports done.)
-    assert_eq!(observe(&dir, cp), (false, runs, 1, 1));
     assert_eq!(
-        observe(&dir, OocCheckpoint::resume()),
+        observe(fresh(&dir), Some((1, CrashPoint::AfterCommit))),
+        (false, runs, 1, 1)
+    );
+    assert_eq!(
+        observe(resume(&dir), None),
         (true, runs - 2, runs - 2, runs - 2),
         "only the runs past the manifest cursor are planned"
     );
@@ -201,27 +214,29 @@ fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
 
 #[test]
 fn resume_of_a_finished_run_replays_no_pass() {
-    let (_, schedule, uniform) = planned(6, 3);
+    let plan = planned(6, 3);
     let dir = ScratchDir::new("ooc_ckpt_done");
-    let mut sim = ckpt_sim(true, OocCheckpoint::new());
-    let (_, expect) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+    let first = ckpt_sim(true, fresh(&dir)).run_plan(&plan, true, None);
+    let expect = first.unwrap().state.unwrap();
 
-    let mut sim = ckpt_sim(true, OocCheckpoint::resume());
-    let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
-    assert_eq!(max_dist(&state, &expect), 0.0);
+    let out = ckpt_sim(true, resume(&dir))
+        .run_plan(&plan, true, None)
+        .unwrap();
+    assert_eq!(max_dist(out.state.as_ref().unwrap(), &expect), 0.0);
     // Every pass is skipped: the only traffic is the resume
     // verification read plus one reduction read (no pass is left to fold
     // it into) — no writes.
-    assert_eq!(out.io.bytes_written, 0, "a finished run must not re-run");
-    assert_eq!(out.io.traversals, 1);
+    let (traversals, bytes_written, _) = io_of(&out);
+    assert_eq!(bytes_written, 0, "a finished run must not re-run");
+    assert_eq!(traversals, 1);
 }
 
 #[test]
 fn resume_rejects_a_foreign_manifest() {
-    let (_, schedule, uniform) = planned(6, 3);
+    let ours = planned(6, 3);
     let dir = ScratchDir::new("ooc_ckpt_foreign");
-    ckpt_sim(true, OocCheckpoint::new())
-        .run(dir.path(), &schedule, uniform)
+    ckpt_sim(true, fresh(&dir))
+        .run_plan(&ours, false, None)
         .unwrap();
 
     let other = supremacy_circuit(&SupremacySpec {
@@ -232,27 +247,29 @@ fn resume_rejects_a_foreign_manifest() {
     });
     let (exec2, _) = strip_initial_hadamards(&other);
     let schedule2 = plan(&exec2, &SchedulerConfig::distributed(6, 3));
-    let err = ckpt_sim(true, OocCheckpoint::resume())
-        .run(dir.path(), &schedule2, uniform)
+    let plan2 = BackendPlan::from_schedule(exec2, schedule2, ours.init_uniform);
+    let err = ckpt_sim(true, resume(&dir))
+        .run_plan(&plan2, false, None)
         .expect_err("foreign manifest must be rejected");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "got {err}");
+    assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
 }
 
 #[test]
 fn resume_rejects_cross_precision_manifests() {
-    let (_, schedule, uniform) = planned(6, 3);
+    let plan = planned(6, 3);
     // Publish f64 checkpoints, then point an f32 engine at the same
     // store: the chunk files hold raw f64 amplitude bytes, so resuming
     // at another precision must fail up front.
     let dir = ScratchDir::new("ooc_ckpt_prec");
-    let mut sim = ckpt_sim(true, OocCheckpoint::new());
-    sim.run(dir.path(), &schedule, uniform).unwrap();
+    ckpt_sim(true, fresh(&dir))
+        .run_plan(&plan, false, None)
+        .unwrap();
     let mut sim32 = OocSimulator::<f32>::new(OocConfig {
-        checkpoint: Some(OocCheckpoint::resume()),
+        checkpoint: Some(resume(&dir)),
         ..OocConfig::sequential()
     });
     let err = sim32
-        .run(dir.path(), &schedule, uniform)
+        .run_plan(&plan, false, None)
         .expect_err("cross-precision resume must be rejected");
     assert!(
         err.to_string().contains("precision"),
@@ -266,8 +283,8 @@ fn resume_rejects_cross_codec_manifests() {
     // frames under a codec; resuming with a different codec than the
     // manifest records would mis-read every record, so it must be
     // rejected up front — in both directions.
-    let (_, schedule, uniform) = planned(6, 3);
-    let codec_sim = |codec: Codec, checkpoint: OocCheckpoint| {
+    let plan = planned(6, 3);
+    let codec_sim = |codec: Codec, checkpoint: CheckpointPolicy| {
         OocSimulator::<f64>::new(OocConfig {
             pipeline: true,
             checkpoint: Some(checkpoint),
@@ -281,23 +298,22 @@ fn resume_rejects_cross_codec_manifests() {
         (Codec::ShuffleRle, Codec::Lossy(8)),
     ] {
         let dir = ScratchDir::new("ooc_ckpt_codec");
-        codec_sim(wrote, OocCheckpoint::new())
-            .run(dir.path(), &schedule, uniform)
+        codec_sim(wrote, fresh(&dir))
+            .run_plan(&plan, false, None)
             .unwrap();
-        let err = codec_sim(resumes, OocCheckpoint::resume())
-            .run(dir.path(), &schedule, uniform)
+        let err = codec_sim(resumes, resume(&dir))
+            .run_plan(&plan, false, None)
             .expect_err("cross-codec resume must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "got {err}");
+        assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
         assert!(err.to_string().contains("codec"), "unhelpful error: {err}");
     }
 }
 
 #[test]
 fn resume_without_a_manifest_is_a_fresh_start() {
-    let (_, schedule, uniform) = planned(6, 3);
-    let (expect, _) = oracle(&schedule, uniform);
+    let plan = planned(6, 3);
+    let expect = oracle(&plan);
     let dir = ScratchDir::new("ooc_ckpt_fresh");
-    let mut sim = ckpt_sim(true, OocCheckpoint::resume());
-    let (_, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
-    assert_eq!(max_dist(&state, &expect), 0.0);
+    let out = ckpt_sim(true, resume(&dir)).run_plan(&plan, true, None);
+    assert_eq!(max_dist(&out.unwrap().state.unwrap(), &expect), 0.0);
 }

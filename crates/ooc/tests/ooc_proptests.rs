@@ -5,7 +5,7 @@
 //! compiled-stage kernels the distributed engine runs, so for the same
 //! schedule, kernel config and tile budget the amplitudes must be
 //! **bitwise** identical (`max_dist == 0.0`, not a tolerance) to a
-//! [`DistSimulator`] run, across random circuits, chunk counts, prefetch
+//! [`DistBackend`] run, across random circuits, chunk counts, prefetch
 //! depths, batching on/off and stage segmentation. Likewise pipelining
 //! itself must be invisible: the synchronous per-gate baseline and the
 //! fully pipelined compiled engine agree bit-for-bit.
@@ -15,10 +15,10 @@
 //! comparison gets a tolerance.
 
 use proptest::prelude::*;
-use qsim_core::dist::{DistConfig, DistSimulator};
 use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
+use qsim_core::{Backend, BackendPlan, BackendStats, DistBackend, DistConfig, DistSimulator};
 use qsim_kernels::apply::KernelConfig;
-use qsim_ooc::{OocConfig, OocSimulator, ScratchDir};
+use qsim_ooc::{OocConfig, OocSimulator};
 use qsim_sched::{plan, segment_stages, SchedulerConfig};
 use qsim_util::complex::max_dist;
 use qsim_util::Xoshiro256;
@@ -74,26 +74,29 @@ fn assert_ooc_bit_exact(
     // plans regardless of what auto-tuning would pick.
     let tile = Some(l.min(5));
 
-    let dist = DistSimulator::new(DistConfig {
+    let plan = BackendPlan::from_schedule(exec, schedule, uniform);
+
+    let dist = DistBackend::new(DistSimulator::new(DistConfig {
         n_ranks: 1 << g,
         kernel: KernelConfig::sequential(),
         gather_state: true,
         tile_qubits: tile,
         ..Default::default()
-    })
-    .run(&exec, &schedule, uniform);
+    }))
+    .run(&plan)
+    .unwrap();
     let oracle = dist.state.as_ref().expect("gathered state");
 
-    let dir = ScratchDir::new("prop_pipe");
-    let mut sim = OocSimulator::new(OocConfig {
+    let mut sim = OocSimulator::<f64>::new(OocConfig {
         prefetch_depth,
         batch_runs,
         tile_qubits: tile,
         ..OocConfig::sequential()
     });
-    let (out, state) = sim.run_gather(dir.path(), &schedule, uniform).unwrap();
+    let out = sim.run_plan(&plan, true, None).unwrap();
+    let state = out.state.as_ref().expect("gathered state");
     assert_eq!(
-        max_dist(&state, oracle),
+        max_dist(state, oracle),
         0.0,
         "OOC (depth={prefetch_depth}, batch={batch_runs}, seg={segment_ops}) \
          diverged bitwise from the distributed engine"
@@ -101,7 +104,10 @@ fn assert_ooc_bit_exact(
     assert_eq!(out.norm, dist.norm, "norm reductions must match bitwise");
     // Workload-driven ratio bound: whatever the pipeline measured, the
     // derived overlap fraction must be a valid fraction.
-    let f = out.io.overlap_fraction();
+    let BackendStats::Ooc { io, .. } = &out.stats else {
+        panic!("ooc run reported {} stats", out.stats.engine())
+    };
+    let f = io.overlap_fraction();
     assert!(
         (0.0..=1.0).contains(&f),
         "pipelined run reported overlap_fraction {f} outside [0, 1]"
@@ -109,22 +115,21 @@ fn assert_ooc_bit_exact(
 
     // Pipelining + batching + compiled compute must be invisible next to
     // the synchronous per-gate baseline.
-    let dir = ScratchDir::new("prop_sync");
-    let mut sync = OocSimulator::new(OocConfig {
+    let mut sync = OocSimulator::<f64>::new(OocConfig {
         tile_qubits: tile,
         ..OocConfig::sync_baseline(KernelConfig::sequential())
     });
-    let (_, sync_state) = sync.run_gather(dir.path(), &schedule, uniform).unwrap();
+    let sync_state = sync.run_plan(&plan, true, None).unwrap().state.unwrap();
     assert_eq!(
-        max_dist(&state, &sync_state),
+        max_dist(state, &sync_state),
         0.0,
         "pipelined engine diverged bitwise from the synchronous baseline"
     );
 
     // Different schedule ⇒ different rounding: tolerance, not bitwise.
-    let single = SingleNodeSimulator::default().run(&c);
+    let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
     assert!(
-        max_dist(&state, single.state.amplitudes()) < 1e-9,
+        max_dist(state, single.state.amplitudes()) < 1e-9,
         "OOC result diverged from the single-node oracle"
     );
 }

@@ -9,10 +9,10 @@
 //! (default 8) and compares against the per-gate baseline of \[5\]/\[19\].
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::core::single::strip_initial_hadamards;
-use qsim45::core::{BaselineSimulator, DistConfig, DistSimulator};
+use qsim45::core::{
+    Backend, BackendStats, BaselineSimulator, DistBackend, DistConfig, DistSimulator,
+};
 use qsim45::kernels::apply::KernelConfig;
-use qsim45::sched::{plan, SchedulerConfig};
 
 fn main() {
     let max_ranks: usize = std::env::args()
@@ -27,7 +27,6 @@ fn main() {
     };
     let circuit = supremacy_circuit(&spec);
     let n = circuit.n_qubits();
-    let (exec, uniform) = strip_initial_hadamards(&circuit);
     println!(
         "{n}-qubit depth-25 supremacy circuit, {} gates\n",
         circuit.len()
@@ -40,19 +39,23 @@ fn main() {
     let mut ranks = 1usize;
     while ranks <= max_ranks {
         let l = n - ranks.trailing_zeros();
-        let schedule = plan(&exec, &SchedulerConfig::distributed(l, 4));
-        schedule.verify(&exec);
         let kernel = KernelConfig {
             threads: 1,
             ..KernelConfig::default()
         };
-        let sim = DistSimulator::new(DistConfig {
-            n_ranks: ranks,
-            kernel,
-            gather_state: false,
-            ..Default::default()
-        });
-        let out = sim.run(&exec, &schedule, uniform);
+        // Every engine runs through the `Backend` trait: plan, then run.
+        let mut engine: Box<dyn Backend<f64>> =
+            Box::new(DistBackend::new(DistSimulator::new(DistConfig {
+                n_ranks: ranks,
+                kernel,
+                ..Default::default()
+            })));
+        let plan = engine.plan(&circuit).expect("planning failed");
+        plan.schedule.verify(&plan.exec);
+        let out = engine.run(&plan).expect("distributed run failed");
+        let BackendStats::Dist { fabric, .. } = &out.stats else {
+            unreachable!("the distributed engine reports Dist stats")
+        };
         let base = BaselineSimulator::new(ranks, kernel).run(&circuit);
         assert!(
             (out.entropy - base.entropy).abs() < 1e-6,
@@ -62,8 +65,8 @@ fn main() {
             "{:>6} {:>4} {:>6} {:>10} {:>9.3} {:>12.3} {:>8.1}x {:>9.4}",
             ranks,
             l,
-            schedule.n_swaps(),
-            out.fabric.total_bytes_sent,
+            plan.schedule.n_swaps(),
+            fabric.total_bytes_sent,
             out.sim_seconds,
             base.sim_seconds,
             base.sim_seconds / out.sim_seconds.max(1e-12),

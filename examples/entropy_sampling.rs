@@ -10,10 +10,10 @@
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::core::observables::{entropy_of, sample_bitstrings};
-use qsim45::core::single::strip_initial_hadamards;
-use qsim45::core::{DistConfig, DistSimulator, SingleNodeSimulator};
+use qsim45::core::{
+    Backend, BackendStats, DistBackend, DistConfig, DistSimulator, SingleNodeSimulator,
+};
 use qsim45::kernels::apply::KernelConfig;
-use qsim45::sched::{plan, SchedulerConfig};
 use qsim45::util::Xoshiro256;
 
 fn main() {
@@ -28,41 +28,45 @@ fn main() {
     println!("{n}-qubit depth-25 supremacy circuit (Edison §4.2.2, scaled)\n");
 
     // Distributed run on 4 ranks, entropy via all-reduce.
-    let (exec, uniform) = strip_initial_hadamards(&circuit);
-    let schedule = plan(&exec, &SchedulerConfig::distributed(n - 2, 4));
-    let sim = DistSimulator::new(DistConfig {
-        n_ranks: 4,
-        kernel: KernelConfig {
-            threads: 1,
-            ..KernelConfig::default()
-        },
-        gather_state: true,
-        ..Default::default()
-    });
-    let out = sim.run(&exec, &schedule, uniform);
+    let mut engine: Box<dyn Backend<f64>> =
+        Box::new(DistBackend::new(DistSimulator::new(DistConfig {
+            n_ranks: 4,
+            kernel: KernelConfig {
+                threads: 1,
+                ..KernelConfig::default()
+            },
+            ..Default::default()
+        })));
+    engine.gather_state(true);
+    let plan = engine.plan(&circuit).expect("planning failed");
+    let out = engine.run(&plan).expect("distributed run failed");
+    let BackendStats::Dist {
+        fabric,
+        entropy_seconds,
+        ..
+    } = &out.stats
+    else {
+        unreachable!("the distributed engine reports Dist stats")
+    };
     println!("distributed (4 ranks):");
-    println!(
-        "  simulation : {:.4} s",
-        out.sim_seconds - out.entropy_seconds
-    );
-    println!(
-        "  entropy    : {:.4} s (final reduction)",
-        out.entropy_seconds
-    );
+    println!("  simulation : {:.4} s", out.sim_seconds - entropy_seconds);
+    println!("  entropy    : {entropy_seconds:.4} s (final reduction)");
     println!("  H          = {:.6} bits", out.entropy);
     println!(
         "  comm       : {:.1} %",
-        100.0 * out.fabric.max_comm_seconds / out.sim_seconds
+        100.0 * fabric.max_comm_seconds / out.sim_seconds
     );
 
     // Single-node cross-check.
-    let single = SingleNodeSimulator::default().run(&circuit);
+    let single = SingleNodeSimulator::default()
+        .try_run_t::<f64>(&circuit)
+        .expect("single-node run failed");
     println!("\nsingle-node cross-check:");
     println!("  H          = {:.6} bits", single.state.entropy());
     assert!((single.state.entropy() - out.entropy).abs() < 1e-8);
 
     // The gathered distributed state matches, amplitude for amplitude.
-    let gathered = out.state.expect("gather_state requested");
+    let gathered = out.state.as_ref().expect("gather_state requested");
     let dist_probs: Vec<f64> = gathered.iter().map(|a| a.norm_sqr()).collect();
     assert!((entropy_of(&dist_probs) - out.entropy).abs() < 1e-9);
 

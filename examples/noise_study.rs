@@ -34,7 +34,10 @@ fn main() {
         pairs
     );
 
-    let ideal = SingleNodeSimulator::default().run(&circuit).state;
+    let ideal = SingleNodeSimulator::default()
+        .try_run_t::<f64>(&circuit)
+        .expect("ideal run failed")
+        .state;
     let kernel = KernelConfig::default();
     println!(
         "{:>8} {:>12} {:>12} {:>10}",

@@ -8,9 +8,8 @@
 //! Defaults: 18 qubits total, 2^15-amplitude chunks (8 chunk files).
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::core::single::{strip_initial_hadamards, SingleNodeSimulator};
-use qsim45::sched::{plan, SchedulerConfig};
-use qsim_ooc::{OocSimulator, ScratchDir};
+use qsim45::core::{Backend, BackendStats, SingleNodeSimulator};
+use qsim45::ooc::{OocBackend, OocSimulator};
 
 fn main() {
     let args: Vec<u32> = std::env::args()
@@ -33,8 +32,12 @@ fn main() {
     let n = spec.n_qubits();
     let g = n - l;
     let circuit = supremacy_circuit(&spec);
-    let (exec, uniform) = strip_initial_hadamards(&circuit);
-    let schedule = plan(&exec, &SchedulerConfig::distributed(l, 4));
+    // The same trait call as the in-memory engines; without a checkpoint
+    // policy the chunk store lives in a self-cleaning scratch directory.
+    let mut engine: Box<dyn Backend<f64>> =
+        Box::new(OocBackend::new(OocSimulator::<f64>::default(), 1usize << g));
+    let plan = engine.plan(&circuit).expect("planning failed");
+    let schedule = &plan.schedule;
     println!(
         "{n}-qubit depth-25 circuit, state on disk as {} chunks of {} MiB",
         1u32 << g,
@@ -46,39 +49,40 @@ fn main() {
         schedule.n_swaps()
     );
 
-    let dir = ScratchDir::new("demo");
-    let mut sim = OocSimulator::<f64>::default();
-    let out = sim
-        .run(dir.path(), &schedule, uniform)
-        .expect("out-of-core run failed");
+    let out = engine.run(&plan).expect("out-of-core run failed");
+    let BackendStats::Ooc { io, runs, .. } = &out.stats else {
+        unreachable!("the out-of-core engine reports Ooc stats")
+    };
     println!("\nout-of-core run (batched + pipelined):");
     println!("  time      : {:.2} s", out.sim_seconds);
     println!(
         "  runs      : {} (one state traversal per swap boundary; {} traversals total)",
-        out.runs, out.io.traversals
+        runs, io.traversals
     );
     println!(
         "  overlap   : {:.0}% of IO hidden behind compute",
-        100.0 * out.io.overlap_fraction()
+        100.0 * io.overlap_fraction()
     );
     println!(
         "  disk read : {:.1} MiB",
-        out.io.bytes_read as f64 / (1 << 20) as f64
+        io.bytes_read as f64 / (1 << 20) as f64
     );
     println!(
         "  disk write: {:.1} MiB",
-        out.io.bytes_written as f64 / (1 << 20) as f64
+        io.bytes_written as f64 / (1 << 20) as f64
     );
     let state_mb = (1u64 << n) as f64 * 16.0 / (1 << 20) as f64;
     println!(
         "  traffic   : {:.1}x the state size (constant in circuit depth!)",
-        (out.io.bytes_read + out.io.bytes_written) as f64 / (1 << 20) as f64 / state_mb
+        (io.bytes_read + io.bytes_written) as f64 / (1 << 20) as f64 / state_mb
     );
     println!("  norm      : {:.10}", out.norm);
     println!("  entropy   : {:.5} bits", out.entropy);
 
     // Cross-check against the in-memory engine.
-    let single = SingleNodeSimulator::default().run(&circuit);
+    let single = SingleNodeSimulator::default()
+        .try_run_t::<f64>(&circuit)
+        .expect("in-memory run failed");
     assert!((single.state.entropy() - out.entropy).abs() < 1e-8);
     println!("\nmatches the in-memory engine to 1e-8 bits of entropy.");
 }

@@ -22,7 +22,8 @@ fn main() {
 
     // A scrambled input state (emulation must work on arbitrary states).
     let input = SingleNodeSimulator::default()
-        .run(&brickwork_1d(n, 6, 1))
+        .try_run_t::<f64>(&brickwork_1d(n, 6, 1))
+        .expect("scramble run failed")
         .state;
 
     // Gate-level execution through the fused-kernel engine.

@@ -16,8 +16,11 @@ fn main() {
 
     // The single-node engine plans the circuit (gate clustering, §3.6.1)
     // and executes fused kernels (§3.1–3.3).
+    // `try_run_t` hands back the owned state; engines that only report
+    // observables (or run distributed / out of core) go through the
+    // `Backend` trait — see examples/distributed_sim.rs.
     let sim = SingleNodeSimulator::default();
-    let out = sim.run(&circuit);
+    let out = sim.try_run_t::<f64>(&circuit).expect("simulation failed");
 
     println!("final state (|q2 q1 q0⟩ amplitudes):");
     for (i, a) in out.state.amplitudes().iter().enumerate() {

@@ -14,10 +14,22 @@
 //! ```
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::core::single::run_single_precision;
-use qsim45::core::SingleNodeSimulator;
-use qsim45::kernels::apply::KernelConfig;
+use qsim45::circuit::Circuit;
+use qsim45::core::{Backend, BackendOutcome, SingleBackend, SingleNodeSimulator};
+use qsim45::kernels::SweepDispatch;
 use std::time::Instant;
+
+/// Plan and run `circuit` at precision `R` through the `Backend` trait —
+/// the same call for both tiers; only the type parameter differs.
+fn run_at<R: SweepDispatch>(circuit: &Circuit) -> (BackendOutcome<R>, f64) {
+    let mut engine: Box<dyn Backend<R>> =
+        Box::new(SingleBackend::new(SingleNodeSimulator::default()));
+    engine.gather_state(true);
+    let t0 = Instant::now();
+    let plan = engine.plan(circuit).expect("planning failed");
+    let out = engine.run(&plan).expect("simulation failed");
+    (out, t0.elapsed().as_secs_f64())
+}
 
 fn main() {
     let n: u32 = std::env::args()
@@ -46,15 +58,8 @@ fn main() {
         circuit.len()
     );
 
-    // Double precision.
-    let t0 = Instant::now();
-    let f64_out = SingleNodeSimulator::default().run(&circuit);
-    let t_f64 = t0.elapsed().as_secs_f64();
-
-    // Single precision.
-    let t1 = Instant::now();
-    let f32_state = run_single_precision(&circuit, 4, &KernelConfig::default());
-    let t_f32 = t1.elapsed().as_secs_f64();
+    let (f64_out, t_f64) = run_at::<f64>(&circuit);
+    let (f32_out, t_f32) = run_at::<f32>(&circuit);
 
     let mb64 = (1u64 << n) as f64 * 16.0 / (1 << 20) as f64;
     let mb32 = mb64 / 2.0;
@@ -64,24 +69,16 @@ fn main() {
         "time       {t_f64:8.3} s   {t_f32:8.3} s   ({:.2}x)",
         t_f64 / t_f32
     );
-    println!(
-        "norm       {:10.8}   {:10.8}",
-        f64_out.state.norm_sqr(),
-        f32_state.norm_sqr()
-    );
+    // Both tiers report norm and entropy accumulated in f64.
+    println!("norm       {:10.8}   {:10.8}", f64_out.norm, f32_out.norm);
     println!(
         "entropy    {:10.6}   {:10.6}  bits",
-        f64_out.state.entropy(),
-        f32_state.entropy()
+        f64_out.entropy, f32_out.entropy
     );
 
     let mut worst = 0.0f64;
-    for (a, b) in f64_out
-        .state
-        .amplitudes()
-        .iter()
-        .zip(f32_state.amplitudes())
-    {
+    let (s64, s32) = (f64_out.state.unwrap(), f32_out.state.unwrap());
+    for (a, b) in s64.iter().zip(&s32) {
         worst = worst
             .max((a.re - b.re as f64).abs())
             .max((a.im - b.im as f64).abs());

@@ -41,7 +41,7 @@ fn main() {
 
     let sim = SingleNodeSimulator::default();
     let t0 = Instant::now();
-    let out = sim.run(&circuit);
+    let out = sim.try_run_t::<f64>(&circuit).expect("simulation failed");
     println!(
         "simulated in {:.2} s ({:.3} s planning, {} clusters, {:.1} gates/cluster)",
         t0.elapsed().as_secs_f64(),

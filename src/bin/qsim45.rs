@@ -70,8 +70,8 @@
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::core::observables::sample_bitstrings;
 use qsim45::core::{
-    Backend, BackendStats, DistBackend, DistConfig, DistSimulator, ScheduleMode, SingleBackend,
-    SingleNodeSimulator,
+    Backend, BackendStats, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, ScheduleMode,
+    SimError, SingleBackend, SingleNodeSimulator,
 };
 use qsim45::kernels::apply::KernelConfig;
 use qsim45::kernels::SweepDispatch;
@@ -264,7 +264,14 @@ fn run_at<R: SweepDispatch>() {
             std::time::Duration::from_millis(500),
         )
     });
-    let fail = |e: &dyn std::fmt::Display| -> ! {
+    let fail = |e: &SimError| -> ! {
+        if let SimError::Io(io) = e {
+            if io.kind() == std::io::ErrorKind::InvalidInput {
+                // Misuse, not a failed run: no flight record, exit 2.
+                eprintln!("bad --ranks {ranks}: {io}");
+                std::process::exit(2);
+            }
+        }
         eprintln!("run failed: {e}");
         let _ = qsim45::telemetry::recorder::flush_armed(&format!("error: {e}"));
         std::process::exit(1);
@@ -301,6 +308,7 @@ fn run_at<R: SweepDispatch>() {
     let single = ranks == 1 && backend == "mem";
     let mut engine: Box<dyn Backend<R>> = if single {
         Box::new(SingleBackend::new(SingleNodeSimulator {
+            kmax,
             telemetry: telemetry.clone(),
             schedule_mode,
             schedule_cache,
@@ -345,12 +353,10 @@ fn run_at<R: SweepDispatch>() {
         Box::new(b)
     };
     if let Some(d) = &checkpoint_dir {
-        let d = std::path::Path::new(d);
-        if resume {
-            engine.resume(d);
-        } else {
-            engine.checkpoint(d);
-        }
+        engine.checkpoint(CheckpointPolicy {
+            dir: d.into(),
+            resume,
+        });
     }
 
     let plan = engine.plan(&circuit).unwrap_or_else(|e| fail(&e));
@@ -432,7 +438,12 @@ fn cmd_sample() {
     assert!(s.n_qubits() <= 26, "sampling allocates the full state");
     let shots = arg("--shots", 16) as usize;
     let circuit = supremacy_circuit(&s);
-    let out = SingleNodeSimulator::default().run(&circuit);
+    let out = SingleNodeSimulator::default()
+        .try_run_t::<f64>(&circuit)
+        .unwrap_or_else(|e| {
+            eprintln!("run failed: {e}");
+            std::process::exit(1);
+        });
     let mut rng = Xoshiro256::seed_from_u64(arg("--sample-seed", 1) as u64);
     let n = s.n_qubits() as usize;
     for shot in sample_bitstrings(&out.state, &mut rng, shots) {

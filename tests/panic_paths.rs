@@ -1,21 +1,18 @@
-//! Regressions for the panic-path sweep: a checkpoint IO failure must
-//! surface as a typed [`SimError`] from the `try_*` entry points, and
-//! the infallible `run` wrappers must flush the armed flight recorder
-//! *before* panicking — a run may die, but never silently, and never
-//! without a `FLIGHT.json` when a recorder is armed.
-//!
-//! Everything lives in one `#[test]` because the armed recorder is
-//! process-global state: parallel test threads would race on it.
+//! Regressions for the panic-path sweep: a checkpoint IO failure, a dead
+//! chunk-store directory and an injected crash must each surface as a
+//! typed [`SimError`] through the [`Backend`] trait — a run may fail,
+//! but never by panicking. (The CLI turns the typed error into a flight
+//! record and exit code 1.)
 
 use std::path::PathBuf;
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::core::single::{SingleCheckpoint, SingleNodeSimulator};
-use qsim45::core::{DistConfig, DistSimulator, SimError};
+use qsim45::core::{
+    Backend, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, SimError, SingleBackend,
+    SingleNodeSimulator,
+};
 use qsim45::kernels::KernelConfig;
-use qsim45::ooc::{CrashPoint, OocCheckpoint, OocConfig, OocSimulator, ScratchDir};
-use qsim45::sched::{plan, SchedulerConfig};
-use qsim45::telemetry::{recorder, FlightRecorder, Telemetry};
+use qsim45::ooc::{OocBackend, OocConfig, OocSimulator, ScratchDir};
 
 fn workload() -> qsim45::circuit::Circuit {
     supremacy_circuit(&SupremacySpec {
@@ -35,99 +32,66 @@ fn dead_checkpoint_dir(scratch: &ScratchDir, tag: &str) -> PathBuf {
     p
 }
 
-#[test]
-fn checkpoint_io_failures_are_typed_and_flight_recorded() {
-    let c = workload();
-    let scratch = ScratchDir::new("panic_paths");
+/// Plan and run `c` on `b`, checkpointing into `dir`.
+fn run_into(
+    mut b: Box<dyn Backend<f64>>,
+    dir: PathBuf,
+    stop_after: Option<usize>,
+) -> Result<(), SimError> {
+    b.checkpoint(CheckpointPolicy::new(dir));
+    let plan = b.plan(&workload())?;
+    b.run_to_stage(&plan, stop_after).map(|_| ())
+}
 
-    // 1. Typed surface: the single-node try path reports a checkpoint
-    // IO failure as `SimError::Checkpoint`, not a panic.
-    let mut cp = SingleCheckpoint::new(dead_checkpoint_dir(&scratch, "single"));
-    cp.resume = false;
-    let sim = SingleNodeSimulator {
-        kernel: KernelConfig::sequential(),
-        checkpoint: Some(cp),
-        ..Default::default()
+#[test]
+fn checkpoint_io_failures_are_typed() {
+    let scratch = ScratchDir::new("panic_paths");
+    let single = || {
+        Box::new(SingleBackend::new(SingleNodeSimulator {
+            kernel: KernelConfig::sequential(),
+            ..Default::default()
+        }))
     };
-    match sim.try_run(&c) {
+    let dist = || {
+        Box::new(DistBackend::new(DistSimulator::new(DistConfig {
+            n_ranks: 4,
+            kernel: KernelConfig::sequential(),
+            ..Default::default()
+        })))
+    };
+    let ooc = || {
+        Box::new(OocBackend::new(
+            OocSimulator::<f64>::new(OocConfig::sequential()),
+            4,
+        ))
+    };
+
+    // 1. The single-node engine reports a checkpoint IO failure as
+    // `SimError::Checkpoint`, not a panic.
+    match run_into(single(), dead_checkpoint_dir(&scratch, "single"), None) {
         Err(SimError::Checkpoint(m)) => assert!(m.contains("single"), "path lost: {m}"),
         Err(e) => panic!("expected Checkpoint error, got {e}"),
         Ok(_) => panic!("a file for a checkpoint dir must fail"),
     }
 
-    // 2. Same for the distributed try path.
-    let dist = DistSimulator::new(DistConfig {
-        n_ranks: 4,
-        kernel: KernelConfig::sequential(),
-        checkpoint_dir: Some(dead_checkpoint_dir(&scratch, "dist")),
-        ..Default::default()
-    });
-    let (exec, uniform) = qsim45::core::single::strip_initial_hadamards(&c);
-    let schedule = plan(&exec, &SchedulerConfig::distributed(c.n_qubits() - 2, 4));
-    match dist.try_run(&exec, &schedule, uniform) {
+    // 2. Same for the distributed engine.
+    match run_into(dist(), dead_checkpoint_dir(&scratch, "dist"), None) {
         Err(SimError::Checkpoint(_)) => {}
         Err(e) => panic!("expected Checkpoint error, got {e}"),
         Ok(_) => panic!("a file for a checkpoint dir must fail"),
     }
 
-    // 3. The OOC try path normalizes its io-flavored failures: a dead
+    // 3. The OOC engine normalizes its io-flavored failures: a dead
     // store directory is `SimError::Io`, an injected crash is the same
     // typed `InjectedStop` the other engines return.
-    let mut ooc = OocSimulator::<f64>::sequential();
-    match ooc.try_run(&dead_checkpoint_dir(&scratch, "ooc"), &schedule, uniform) {
+    match run_into(ooc(), dead_checkpoint_dir(&scratch, "ooc"), None) {
         Err(SimError::Io(_)) => {}
         Err(e) => panic!("expected Io error, got {e}"),
         Ok(_) => panic!("a file for a chunk store must fail"),
     }
-    let mut ooc = OocSimulator::<f64>::new(OocConfig {
-        checkpoint: Some(OocCheckpoint {
-            resume: false,
-            crash: Some((0, CrashPoint::AfterCommit)),
-        }),
-        ..OocConfig::sequential()
-    });
-    let store = scratch.path().join("ooc_store");
-    match ooc.try_run(&store, &schedule, uniform) {
+    match run_into(ooc(), scratch.path().join("ooc_store"), Some(1)) {
         Err(SimError::InjectedStop { unit }) => assert_eq!(unit, 1),
         Err(e) => panic!("expected InjectedStop, got {e}"),
         Ok(_) => panic!("injected crash must fire"),
     }
-
-    // 4. The infallible `run` wrapper: panics on the same failure, but
-    // only after flushing the armed flight recorder.
-    let rec = FlightRecorder::new(Telemetry::enabled(), scratch.path().join("flight_single"));
-    recorder::arm_process(&rec);
-    let mut cp = SingleCheckpoint::new(dead_checkpoint_dir(&scratch, "single_panic"));
-    cp.resume = false;
-    let sim = SingleNodeSimulator {
-        kernel: KernelConfig::sequential(),
-        checkpoint: Some(cp),
-        ..Default::default()
-    };
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&c)));
-    assert!(caught.is_err(), "run() must still panic");
-    assert!(
-        rec.path().exists(),
-        "abort must write FLIGHT.json before dying"
-    );
-    recorder::disarm_process();
-
-    // 5. And the distributed wrapper does the same.
-    let rec = FlightRecorder::new(Telemetry::enabled(), scratch.path().join("flight_dist"));
-    recorder::arm_process(&rec);
-    let dist = DistSimulator::new(DistConfig {
-        n_ranks: 4,
-        kernel: KernelConfig::sequential(),
-        checkpoint_dir: Some(dead_checkpoint_dir(&scratch, "dist_panic")),
-        ..Default::default()
-    });
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dist.run(&exec, &schedule, uniform)
-    }));
-    assert!(caught.is_err(), "run() must still panic");
-    assert!(
-        rec.path().exists(),
-        "abort must write FLIGHT.json before dying"
-    );
-    recorder::disarm_process();
 }

@@ -7,8 +7,13 @@ use proptest::prelude::*;
 use qsim45::circuit::dense::simulate_dense;
 use qsim45::circuit::{Circuit, Gate};
 use qsim45::core::single::strip_initial_hadamards;
-use qsim45::core::{DistConfig, DistSimulator, SingleNodeSimulator};
+use qsim45::core::{
+    Backend, BackendOutcome, BackendPlan, DistBackend, DistConfig, DistSimulator,
+    SingleNodeSimulator, SingleOutcome,
+};
 use qsim45::kernels::apply::KernelConfig;
+use qsim45::kernels::SweepDispatch;
+use qsim45::sched::Schedule;
 use qsim45::sched::{plan, SchedulerConfig};
 use qsim45::util::bits::BitPermutation;
 use qsim45::util::complex::max_dist;
@@ -57,13 +62,34 @@ fn arb_circuit(n: u32, max_gates: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
+fn run_single(c: &Circuit) -> SingleOutcome {
+    SingleNodeSimulator::default().try_run_t(c).unwrap()
+}
+
+/// A hand-planned schedule on four sequential-kernel ranks, gathered.
+fn run_dist4<R: SweepDispatch>(
+    exec: &Circuit,
+    schedule: &Schedule,
+    uniform: bool,
+) -> BackendOutcome<R> {
+    let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), uniform);
+    DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks: 4,
+        kernel: KernelConfig::sequential(),
+        gather_state: true,
+        ..Default::default()
+    }))
+    .run(&plan)
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn single_node_matches_dense_on_random_circuits(c in arb_circuit(6, 40)) {
         let reference = simulate_dense::<f64>(&c);
-        let out = SingleNodeSimulator::default().run(&c);
+        let out = run_single(&c);
         prop_assert!(max_dist(out.state.amplitudes(), &reference) < 1e-9);
     }
 
@@ -73,24 +99,22 @@ proptest! {
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(4, 3));
         schedule.verify(&exec);
-        let sim = DistSimulator::new(DistConfig {
-            n_ranks: 4,
-            kernel: KernelConfig::sequential(),
-            gather_state: true,
-            ..Default::default()
-        });
-        let out = sim.run(&exec, &schedule, uniform);
-        let state = out.state.unwrap();
+        let state = run_dist4::<f64>(&exec, &schedule, uniform).state.unwrap();
         prop_assert!(max_dist(&state, &reference) < 1e-9,
             "distance {}", max_dist(&state, &reference));
     }
 
     #[test]
     fn f32_tracks_f64_within_depth_scaled_bound(c in arb_circuit(6, 40)) {
-        let f64_out = SingleNodeSimulator::default().run(&c);
+        let f64_out = run_single(&c);
         let f32_out = SingleNodeSimulator::default().try_run_t::<f32>(&c).unwrap();
         let norm = f32_out.state.norm_sqr() as f64;
         prop_assert!((norm - 1.0).abs() < 1e-4, "f32 norm {}", norm);
+        // Both tiers execute the identical compiled passes, and
+        // Complex<f32> is exactly half the bytes of Complex<f64>: the
+        // f32 run streams exactly half the bytes.
+        prop_assert_eq!(f32_out.sweep.sweep_passes, f64_out.sweep.sweep_passes);
+        prop_assert_eq!(2 * f32_out.sweep.bytes_streamed, f64_out.sweep.bytes_streamed);
         // Rounding error grows with circuit depth; a unitary circuit
         // accumulates O(eps) per gate, so budget eps-per-gate with
         // headroom rather than a flat tolerance.
@@ -113,13 +137,7 @@ proptest! {
         }.try_run_t::<f32>(&c).unwrap();
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(4, 3));
-        let sim = DistSimulator::new(DistConfig {
-            n_ranks: 4,
-            kernel: KernelConfig::sequential(),
-            gather_state: true,
-            ..Default::default()
-        });
-        let state = sim.try_run_t::<f32>(&exec, &schedule, uniform).unwrap().state.unwrap();
+        let state = run_dist4::<f32>(&exec, &schedule, uniform).state.unwrap();
         let mut worst = 0.0f64;
         for (a, b) in single.state.amplitudes().iter().zip(&state) {
             worst = worst
@@ -131,7 +149,7 @@ proptest! {
 
     #[test]
     fn norm_preserved_under_random_circuits(c in arb_circuit(8, 60)) {
-        let out = SingleNodeSimulator::default().run(&c);
+        let out = run_single(&c);
         let norm = out.state.norm_sqr();
         prop_assert!((norm - 1.0).abs() < 1e-8, "norm {norm}");
     }
@@ -191,7 +209,7 @@ proptest! {
 
     #[test]
     fn baseline_and_scheduled_agree_on_entropy(c in arb_circuit(6, 30)) {
-        let single = SingleNodeSimulator::default().run(&c);
+        let single = run_single(&c);
         let mut base = qsim45::core::BaselineSimulator::new(
             1,
             KernelConfig::sequential(),

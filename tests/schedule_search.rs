@@ -8,11 +8,15 @@
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::circuit::Circuit;
 use qsim45::core::single::{strip_initial_hadamards, SingleNodeSimulator};
-use qsim45::core::{plan_schedule, DistConfig, DistSimulator, PlanOptions, ScheduleMode};
+use qsim45::core::{
+    plan_schedule, Backend, BackendPlan, DistBackend, DistConfig, DistSimulator, PlanOptions,
+    ScheduleMode,
+};
 use qsim45::kernels::apply::KernelConfig;
-use qsim45::ooc::{OocSimulator, ScratchDir};
+use qsim45::ooc::{OocConfig, OocSimulator, ScratchDir};
 use qsim45::sched::{plan, SchedulerConfig};
 use qsim45::telemetry::Telemetry;
+use qsim45::util::c64;
 use qsim45::util::complex::max_dist;
 
 fn workload(seed: u64) -> Circuit {
@@ -32,6 +36,17 @@ fn search_opts(budget: usize) -> PlanOptions {
     }
 }
 
+/// Gathered final state of `plan` on sequential-kernel ranks.
+fn dist_state(n_ranks: usize, plan: &BackendPlan) -> Vec<c64> {
+    let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks,
+        kernel: KernelConfig::sequential(),
+        gather_state: true,
+        ..Default::default()
+    }));
+    dist.run(plan).unwrap().state.unwrap()
+}
+
 #[test]
 fn searched_schedule_is_bit_exact_across_engines() {
     // The backend-equivalence property of tests/backends.rs, under a
@@ -40,25 +55,19 @@ fn searched_schedule_is_bit_exact_across_engines() {
     // schedule and agrees to f64 tolerance.
     let c = workload(77);
     let n = c.n_qubits();
-    let single = SingleNodeSimulator::default().run(&c);
+    let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
     let (exec, uniform) = strip_initial_hadamards(&c);
     for g in [2u32, 3] {
         let base = SchedulerConfig::distributed(n - g, 4);
         let planned = plan_schedule(&exec, &base, &search_opts(16));
         planned.schedule.verify(&exec);
 
-        let dist = DistSimulator::new(DistConfig {
-            n_ranks: 1usize << g,
-            kernel: KernelConfig::sequential(),
-            gather_state: true,
-            ..Default::default()
-        });
-        let dist_state = dist.run(&exec, &planned.schedule, uniform).state.unwrap();
-
-        let dir = ScratchDir::new(&format!("sched_search_g{g}"));
-        let mut ooc = OocSimulator::sequential();
-        let (_, ooc_state) = ooc
-            .run_gather(dir.path(), &planned.schedule, uniform)
+        let plan = BackendPlan::from_schedule(exec.clone(), planned.schedule, uniform);
+        let dist_state = dist_state(1usize << g, &plan);
+        let ooc_state = OocSimulator::<f64>::new(OocConfig::sequential())
+            .run_plan(&plan, true, None)
+            .unwrap()
+            .state
             .unwrap();
 
         assert_eq!(
@@ -135,14 +144,11 @@ fn schedule_cache_round_trips_and_skips_search() {
     assert!(metrics.contains("sched.cache_hit"));
 
     // The cached plan executes to the same physics as the cold one.
-    let dist = DistSimulator::new(DistConfig {
-        n_ranks: 4,
-        kernel: KernelConfig::sequential(),
-        gather_state: true,
-        ..Default::default()
-    });
-    let a = dist.run(&exec, &cold.schedule, uniform).state.unwrap();
-    let b = dist.run(&exec, &warm.schedule, uniform).state.unwrap();
+    let a = dist_state(
+        4,
+        &BackendPlan::from_schedule(exec.clone(), cold.schedule, uniform),
+    );
+    let b = dist_state(4, &BackendPlan::from_schedule(exec, warm.schedule, uniform));
     assert_eq!(max_dist(&a, &b), 0.0);
 }
 
