@@ -39,7 +39,7 @@
 //!   checkpoint error in every engine.
 
 use crate::checkpoint::CheckpointPolicy;
-use crate::planner::{PlannedSchedule, ProgressBackend};
+use crate::planner::{PlanOptions, PlannedSchedule, ProgressBackend};
 use crate::{DistSimulator, SingleNodeSimulator};
 use qsim_circuit::Circuit;
 use qsim_kernels::{SweepDispatch, SweepStats};
@@ -48,11 +48,10 @@ use qsim_net::SimError;
 use qsim_sched::Schedule;
 use qsim_telemetry::{IoStats, Telemetry};
 use qsim_util::Complex;
-use std::path::PathBuf;
 
 /// A planned execution, produced by [`Backend::plan`] and consumed by
 /// [`Backend::run_to_stage`]. Carries the schedule plus the provenance
-/// the CLI reports (cache hit, search adoption, plan wall-clock).
+/// the CLI reports (search adoption, plan wall-clock).
 #[derive(Clone, Debug)]
 pub struct BackendPlan {
     /// The circuit the schedule executes (initial Hadamard layer
@@ -63,27 +62,20 @@ pub struct BackendPlan {
     pub init_uniform: bool,
     /// Wall-clock seconds spent planning.
     pub plan_seconds: f64,
-    /// The schedule came from the plan cache.
-    pub cache_hit: bool,
     /// Cost-guided search beat the greedy baseline and was adopted.
     pub adopted: bool,
-    /// Tile budget recovered from a cache hit (skips the autotune
-    /// probe); `None` resolves at execution time.
-    pub tile_qubits: Option<u32>,
 }
 
 impl BackendPlan {
     /// Adopt a hand-planned schedule (tests, benches, ablations): no
-    /// planner provenance, tile budget left to the engine.
+    /// planner provenance.
     pub fn from_schedule(exec: Circuit, schedule: Schedule, init_uniform: bool) -> Self {
         Self {
             exec,
             schedule,
             init_uniform,
             plan_seconds: 0.0,
-            cache_hit: false,
             adopted: false,
-            tile_qubits: None,
         }
     }
 
@@ -91,9 +83,7 @@ impl BackendPlan {
     pub(crate) fn from_planned(exec: Circuit, init_uniform: bool, p: PlannedSchedule) -> Self {
         Self {
             plan_seconds: p.plan_seconds,
-            cache_hit: p.cache_hit,
             adopted: p.adopted,
-            tile_qubits: p.tile_qubits,
             ..Self::from_schedule(exec, p.schedule, init_uniform)
         }
     }
@@ -185,8 +175,8 @@ pub trait Backend<R: SweepDispatch> {
     fn gather_state(&mut self, gather: bool);
 
     /// Plan `circuit` for this engine: strip the initial Hadamard
-    /// layer, produce the schedule (greedy or search, through the
-    /// engine's plan-cache policy). A partition count the circuit
+    /// layer, produce the schedule (greedy or search, per the backend's
+    /// [`PlanOptions`]). A partition count the circuit
     /// cannot be split into is [`std::io::ErrorKind::InvalidInput`].
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError>;
 
@@ -221,8 +211,9 @@ pub trait Backend<R: SweepDispatch> {
             &self.telemetry(),
             &plan.schedule,
             2 * R::BYTES as u64,
-            plan.tile_qubits
-                .unwrap_or(qsim_sched::sweep::DEFAULT_TILE_QUBITS),
+            // The engine's own tile pin and thread count arrive with its
+            // re-seed at run start.
+            crate::exec::resolve_tile_qubits(None, plan.schedule.local_qubits, 1),
             self.progress_backend(),
         );
     }
@@ -294,9 +285,7 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
 pub struct DistBackend {
     pub sim: DistSimulator,
     pub kmax: u32,
-    pub schedule_mode: crate::planner::ScheduleMode,
-    pub schedule_cache: Option<PathBuf>,
-    pub search_budget: usize,
+    pub plan_options: PlanOptions,
 }
 
 impl DistBackend {
@@ -304,9 +293,7 @@ impl DistBackend {
         Self {
             sim,
             kmax: 4,
-            schedule_mode: crate::planner::ScheduleMode::Greedy,
-            schedule_cache: None,
-            search_budget: qsim_sched::SearchConfig::default().budget,
+            plan_options: PlanOptions::default(),
         }
     }
 }
@@ -337,10 +324,10 @@ impl<R: SweepDispatch> Backend<R> for DistBackend {
             circuit,
             self.sim.config.n_ranks,
             self.kmax,
-            self.schedule_mode,
-            self.schedule_cache.clone(),
-            self.search_budget,
-            &self.sim.config.telemetry,
+            &PlanOptions {
+                telemetry: self.sim.config.telemetry.clone(),
+                ..self.plan_options.clone()
+            },
         )
     }
 
@@ -387,27 +374,21 @@ pub fn partition_geometry(n: u32, n_parts: usize) -> std::io::Result<(u32, u32)>
 /// Shared planning path of the partitioned engines (dist and OOC): both
 /// execute `2^g`-way schedules with `l = n − g` local/chunk qubits, so
 /// they plan identically and differ only in which tier holds the
-/// non-resident amplitudes.
+/// non-resident amplitudes. `opts.amp_bytes` is set from `R` here.
 pub fn plan_partitioned<R: SweepDispatch>(
     circuit: &Circuit,
     n_parts: usize,
     kmax: u32,
-    mode: crate::planner::ScheduleMode,
-    cache_dir: Option<PathBuf>,
-    search_budget: usize,
-    telemetry: &Telemetry,
+    opts: &PlanOptions,
 ) -> Result<BackendPlan, SimError> {
     let (l, _) = partition_geometry(circuit.n_qubits(), n_parts)?;
     let (exec, init_uniform) = crate::single::strip_initial_hadamards(circuit);
     let planned = crate::planner::plan_schedule(
         &exec,
         &qsim_sched::SchedulerConfig::distributed(l, kmax),
-        &crate::planner::PlanOptions {
-            mode,
-            cache_dir,
-            search_budget,
+        &PlanOptions {
             amp_bytes: 2 * R::BYTES as u64,
-            telemetry: telemetry.clone(),
+            ..opts.clone()
         },
     );
     Ok(BackendPlan::from_planned(exec, init_uniform, planned))

@@ -25,7 +25,7 @@ use crate::checkpoint::{
     check_stop_point, load_snapshot, retire_snapshot, save_snapshot, CheckpointError,
     CheckpointPolicy, RunKey,
 };
-use crate::exec::StageExecutor;
+use crate::exec::{resolve_tile_qubits, StageExecutor};
 use crate::state::StateVector;
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::{par_gather, par_reduce_amplitudes, par_scatter};
@@ -52,12 +52,11 @@ pub struct DistConfig {
     /// order (small n only; used by tests and examples).
     pub gather_state: bool,
     /// Pipeline depth of the fused swap engine (sub-chunks per peer
-    /// segment). `None` picks a size-based default per swap; measured
-    /// tuning is available via
-    /// `qsim_kernels::autotune::tune_swap_sub_chunks`.
+    /// segment). `None` picks a size-based default per swap
+    /// ([`default_sub_chunks_sized`]).
     pub sub_chunks: Option<usize>,
     /// Tile budget (log2 amplitudes) of the cache-tiled stage executor;
-    /// `None` uses the measured `tune_tile_qubits` size.
+    /// `None` is [`crate::exec::resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
     /// Span/metrics sink: each rank records stage/swap/reduce spans on
     /// its own `rank {r}` track (feeding the `stage_apply_ns` and
@@ -158,8 +157,7 @@ impl DistSimulator {
         let cfg = &self.config.kernel;
         let gather = self.config.gather_state;
         let tele = &self.config.telemetry;
-        // Adopt the plan cache's measured tile budget unless pinned.
-        let tile_qubits = self.config.tile_qubits.or(plan.tile_qubits);
+        let tile_qubits = self.config.tile_qubits;
         let runs = plan_runs(schedule);
         let key = RunKey {
             engine: "dist",
@@ -207,9 +205,7 @@ impl DistSimulator {
                 tele,
                 schedule,
                 2 * R::BYTES as u64,
-                // Default tile, not `resolve_tile_qubits`: seeding an
-                // ETA must not trigger the autotune probe.
-                tile_qubits.unwrap_or(qsim_sched::sweep::DEFAULT_TILE_QUBITS),
+                resolve_tile_qubits(tile_qubits, l, cfg.threads),
                 crate::planner::ProgressBackend::Dist,
             );
             p.set_state(RunState::Running);
@@ -583,8 +579,7 @@ impl SwapBuffers {
 /// Size-based default pipeline depth: roughly one sub-chunk per MiB of
 /// peer segment, clamped to `[1, 8]` — deep enough to overlap packing
 /// with the peers' progress on large slices, and 1 (no split) on small
-/// ones where per-message overhead would dominate. Measured tuning:
-/// `qsim_kernels::autotune::tune_swap_sub_chunks`.
+/// ones where per-message overhead would dominate.
 pub fn default_sub_chunks(seg_len: usize) -> usize {
     default_sub_chunks_sized(seg_len, 16)
 }

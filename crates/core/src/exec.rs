@@ -40,7 +40,7 @@ use qsim_kernels::sweep::{
     effective_tile_qubits, run_full_pass, PreparedDiag, PreparedGate, SweepDispatch, SweepStats,
     TileOp, TiledPass,
 };
-use qsim_kernels::tune_tile_qubits;
+use qsim_sched::sweep::DEFAULT_TILE_QUBITS;
 use qsim_sched::{plan_stage_sweeps, DiagonalOp, Stage, StageOp, SweepPass};
 use qsim_util::complex::Complex;
 use qsim_util::Real;
@@ -161,14 +161,17 @@ pub fn compile_stages<R: SweepDispatch>(
         .collect()
 }
 
+// The executor tiles at the size the planner's pass model
+// (`qsim_sched::cost`, `qsim_sched::search`) prices schedules under.
+const _: () = assert!(qsim_kernels::tune_tile_qubits() == DEFAULT_TILE_QUBITS);
+
 /// Resolve the tile budget for an l-qubit register: an explicit request
-/// is clamped to the register; otherwise the measured
-/// [`tune_tile_qubits`] size, shrunk so multi-threaded passes keep
-/// enough tiles to steal.
+/// is clamped to the register; otherwise [`DEFAULT_TILE_QUBITS`], shrunk
+/// so multi-threaded passes keep enough tiles to steal.
 pub fn resolve_tile_qubits(requested: Option<u32>, local_qubits: u32, threads: usize) -> u32 {
     match requested {
         Some(t) => t.min(local_qubits).max(1),
-        None => effective_tile_qubits(tune_tile_qubits(), local_qubits, threads),
+        None => effective_tile_qubits(DEFAULT_TILE_QUBITS, local_qubits, threads),
     }
 }
 
@@ -364,8 +367,19 @@ mod tests {
         assert_eq!(resolve_tile_qubits(Some(20), 10, 1), 10);
         assert_eq!(resolve_tile_qubits(Some(0), 10, 1), 1);
         assert_eq!(resolve_tile_qubits(Some(8), 24, 1), 8);
-        let auto = resolve_tile_qubits(None, 24, 1);
-        assert!((1..=24).contains(&auto));
+    }
+
+    #[test]
+    fn default_tile_is_a_function_of_register_and_threads() {
+        for l in 1..=24 {
+            for t in [1, 2, 8] {
+                assert_eq!(
+                    resolve_tile_qubits(None, l, t),
+                    effective_tile_qubits(DEFAULT_TILE_QUBITS, l, t),
+                    "l={l} t={t}"
+                );
+            }
+        }
     }
 
     #[test]

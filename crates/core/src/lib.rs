@@ -38,7 +38,6 @@ pub mod measure;
 pub mod noise;
 pub mod observables;
 pub mod planner;
-pub mod schedcache;
 pub mod single;
 pub mod state;
 
@@ -56,6 +55,5 @@ pub use planner::{
     plan_schedule, seed_progress, PlanOptions, PlannedSchedule, ProgressBackend, ScheduleMode,
 };
 pub use qsim_net::SimError;
-pub use schedcache::{ScheduleArtifact, SearchMeta};
 pub use single::{SingleNodeSimulator, SingleOutcome};
 pub use state::StateVector;

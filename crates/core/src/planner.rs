@@ -1,5 +1,4 @@
-//! The engines' planning entry point: greedy or cost-guided search,
-//! with a fingerprint-keyed artifact cache in front.
+//! The engines' planning entry point: greedy or cost-guided search.
 //!
 //! All three engines (and the CLI) plan through [`plan_schedule`] so the
 //! schedule policy is decided in exactly one place:
@@ -8,23 +7,15 @@
 //!    ([`qsim_sched::plan`]); cheap, deterministic, always the floor.
 //! 2. **Search** — [`qsim_sched::search_plan`] scored by a
 //!    [`CostModel`] calibrated once per process from a short memory
-//!    probe. The greedy plan's
-//!    [`schedule_fingerprint`](crate::checkpoint::schedule_fingerprint)
-//!    keys a [`schedcache`](crate::schedcache) lookup first: a warm hit
-//!    returns the stored plan (and the producing machine's measured
-//!    `tile_qubits`, skipping the autotune probe) without spending any
-//!    search budget.
+//!    probe. Redone per run: planning is pure precomputation (§3.6).
 //!
 //! Planning is also the one phase PR 4 left untimed — [`plan_schedule`]
-//! records a `sched.plan_ns` histogram plus `sched.search_candidates` /
-//! `sched.cache_hit` counters into the run's metrics registry.
+//! records a `sched.plan_ns` histogram plus a `sched.search_candidates`
+//! counter into the run's metrics registry.
 
-use crate::checkpoint::schedule_fingerprint;
-use crate::schedcache::{load_artifact, store_artifact, ScheduleArtifact, SearchMeta};
 use qsim_circuit::Circuit;
 use qsim_sched::{plan, search_plan, CostModel, Schedule, SchedulerConfig, SearchConfig};
 use qsim_telemetry::{Phase, RunState, Telemetry};
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -50,13 +41,13 @@ impl ScheduleMode {
     }
 }
 
-/// Policy knobs for [`plan_schedule`].
+/// Policy knobs for [`plan_schedule`]. A backend carries one of these;
+/// `amp_bytes` and `telemetry` are properties of the run, so the engines
+/// fill them at plan time from the precision tier and their own
+/// telemetry handle.
 #[derive(Clone, Debug)]
 pub struct PlanOptions {
     pub mode: ScheduleMode,
-    /// Schedule-artifact cache directory; consulted (and populated) in
-    /// [`ScheduleMode::Search`] only — a greedy run always replans.
-    pub cache_dir: Option<PathBuf>,
     /// Search budget in `plan()` evaluations.
     pub search_budget: usize,
     /// Bytes per amplitude of the target precision (16 f64, 8 f32).
@@ -68,7 +59,6 @@ impl Default for PlanOptions {
     fn default() -> Self {
         Self {
             mode: ScheduleMode::Greedy,
-            cache_dir: None,
             search_budget: SearchConfig::default().budget,
             amp_bytes: 16,
             telemetry: Telemetry::disabled(),
@@ -80,22 +70,16 @@ impl Default for PlanOptions {
 #[derive(Clone, Debug)]
 pub struct PlannedSchedule {
     pub schedule: Schedule,
-    /// Served from the schedule cache (no search ran this process).
-    pub cache_hit: bool,
     /// A searched plan beat greedy (false for greedy mode and for
     /// searches that failed to improve).
     pub adopted: bool,
-    /// `plan()` evaluations spent (1 for pure greedy, 0 extra on a warm
-    /// cache hit beyond the keying greedy plan).
+    /// `plan()` evaluations spent (1 for pure greedy).
     pub candidates: usize,
     /// Modeled seconds of the greedy baseline / returned plan.
     pub greedy_cost: f64,
     pub best_cost: f64,
     /// Wall-clock seconds spent planning (search included).
     pub plan_seconds: f64,
-    /// Measured tile budget recovered from a cache hit — pass it to the
-    /// engine config to skip the autotune probe.
-    pub tile_qubits: Option<u32>,
 }
 
 /// The per-process cost model: streaming weight calibrated once from a
@@ -166,21 +150,10 @@ pub fn seed_progress(
     telemetry.publish_progress_gauges();
 }
 
-/// Total gates a schedule applies (cache-hit sanity check: a fingerprint
-/// collision across circuits would execute the wrong gate stream).
-fn scheduled_gates(schedule: &Schedule) -> usize {
-    schedule
-        .stages
-        .iter()
-        .flat_map(|s| s.ops.iter())
-        .map(|op| op.gate_indices().len())
-        .sum()
-}
-
 /// Plan `circuit` under `base` according to `opts`. See the module docs
 /// for the policy; the returned schedule always `verify`s against
 /// `circuit` (greedy by construction, searched plans are verified before
-/// adoption, cached plans are structurally cross-checked and re-verified).
+/// adoption).
 pub fn plan_schedule(
     circuit: &Circuit,
     base: &SchedulerConfig,
@@ -199,9 +172,6 @@ pub fn plan_schedule(
         m.record_hist("sched.plan_ns", (planned.plan_seconds * 1e9) as u64);
         m.gauge_set("sched.plan_seconds", planned.plan_seconds);
         m.counter_add("sched.search_candidates", planned.candidates as u64);
-        if planned.cache_hit {
-            m.counter_add("sched.cache_hit", 1);
-        }
     }
     planned
 }
@@ -212,46 +182,17 @@ fn plan_inner(
     opts: &PlanOptions,
     t0: Instant,
 ) -> PlannedSchedule {
-    let greedy = plan(circuit, base);
-
     if opts.mode == ScheduleMode::Greedy {
         return PlannedSchedule {
-            schedule: greedy,
-            cache_hit: false,
+            schedule: plan(circuit, base),
             adopted: false,
             candidates: 1,
             greedy_cost: 0.0,
             best_cost: 0.0,
             plan_seconds: t0.elapsed().as_secs_f64(),
-            tile_qubits: None,
         };
     }
 
-    let key = schedule_fingerprint(&greedy);
-    if let Some(dir) = &opts.cache_dir {
-        // A corrupt or mismatched artifact is a cache miss that will be
-        // overwritten below, never a failed run.
-        if let Ok(Some(art)) = load_artifact(dir, key) {
-            let sane = art.schedule.n_qubits == circuit.n_qubits()
-                && art.schedule.local_qubits == base.local_qubits
-                && scheduled_gates(&art.schedule) == scheduled_gates(&greedy);
-            if sane {
-                art.schedule.verify(circuit);
-                return PlannedSchedule {
-                    schedule: art.schedule,
-                    cache_hit: true,
-                    adopted: art.meta.adopted,
-                    candidates: 1,
-                    greedy_cost: art.meta.greedy_cost,
-                    best_cost: art.meta.best_cost,
-                    plan_seconds: t0.elapsed().as_secs_f64(),
-                    tile_qubits: art.tile_qubits,
-                };
-            }
-        }
-    }
-
-    let model = process_cost_model();
     let search_cfg = SearchConfig {
         budget: opts.search_budget,
         amp_bytes: opts.amp_bytes,
@@ -262,50 +203,21 @@ fn plan_inner(
         permute_labels: base.local_qubits < circuit.n_qubits(),
         ..SearchConfig::default()
     };
-    let outcome = search_plan(circuit, base, model, &search_cfg);
-    let plan_seconds = t0.elapsed().as_secs_f64();
-
-    let tile_qubits = None;
-    if let Some(dir) = &opts.cache_dir {
-        // Record the machine's measured tile budget so warm runs skip
-        // the autotune probe; the probe is memoized per process, so a
-        // cold run pays it exactly once either way.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let tuned = crate::exec::resolve_tile_qubits(None, outcome.schedule.local_qubits, threads);
-        let _ = store_artifact(
-            dir,
-            &ScheduleArtifact {
-                key,
-                schedule: outcome.schedule.clone(),
-                meta: SearchMeta {
-                    adopted: outcome.adopted,
-                    candidates: outcome.candidates as u64,
-                    greedy_cost: outcome.greedy_cost,
-                    best_cost: outcome.best_cost,
-                    search_seconds: plan_seconds,
-                },
-                tile_qubits: Some(tuned),
-            },
-        );
-    }
-
+    let outcome = search_plan(circuit, base, process_cost_model(), &search_cfg);
     PlannedSchedule {
         schedule: outcome.schedule,
-        cache_hit: false,
         adopted: outcome.adopted,
         candidates: outcome.candidates,
         greedy_cost: outcome.greedy_cost,
         best_cost: outcome.best_cost,
-        plan_seconds,
-        tile_qubits,
+        plan_seconds: t0.elapsed().as_secs_f64(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::schedule_fingerprint;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 
     fn workload() -> Circuit {
@@ -315,12 +227,6 @@ mod tests {
             depth: 20,
             seed: 5,
         })
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("qsim-planner-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
     }
 
     #[test]
@@ -333,7 +239,7 @@ mod tests {
             schedule_fingerprint(&p.schedule),
             schedule_fingerprint(&direct)
         );
-        assert!(!p.cache_hit && !p.adopted);
+        assert!(!p.adopted);
     }
 
     #[test]
@@ -354,83 +260,17 @@ mod tests {
     }
 
     #[test]
-    fn second_search_run_hits_the_cache() {
-        let c = workload();
-        let base = SchedulerConfig::distributed(9, 4);
-        let dir = tmpdir("hit");
-        let opts = PlanOptions {
-            mode: ScheduleMode::Search,
-            cache_dir: Some(dir.clone()),
-            search_budget: 8,
-            ..PlanOptions::default()
-        };
-        let cold = plan_schedule(&c, &base, &opts);
-        assert!(!cold.cache_hit);
-        let warm = plan_schedule(&c, &base, &opts);
-        assert!(warm.cache_hit);
-        assert_eq!(warm.candidates, 1, "warm hit must not spend search budget");
-        assert_eq!(
-            schedule_fingerprint(&warm.schedule),
-            schedule_fingerprint(&cold.schedule)
-        );
-        assert!(warm.tile_qubits.is_some(), "hit carries the tuned tile");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_hit_metric_is_published() {
-        let c = workload();
-        let base = SchedulerConfig::distributed(9, 4);
-        let dir = tmpdir("metric");
+    fn planning_metrics_are_published() {
         let tel = Telemetry::enabled();
         let opts = PlanOptions {
             mode: ScheduleMode::Search,
-            cache_dir: Some(dir.clone()),
             search_budget: 6,
             telemetry: tel.clone(),
             ..PlanOptions::default()
         };
-        plan_schedule(&c, &base, &opts);
-        plan_schedule(&c, &base, &opts);
+        plan_schedule(&workload(), &SchedulerConfig::distributed(9, 4), &opts);
         let json = tel.metrics_json();
-        assert!(
-            json.contains("sched.cache_hit"),
-            "metrics must include the cache-hit counter: {json}"
-        );
-        assert!(json.contains("sched.plan_ns"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_cache_artifact_falls_back_to_search() {
-        let c = workload();
-        let base = SchedulerConfig::distributed(9, 4);
-        let dir = tmpdir("corrupt");
-        let opts = PlanOptions {
-            mode: ScheduleMode::Search,
-            cache_dir: Some(dir.clone()),
-            search_budget: 6,
-            ..PlanOptions::default()
-        };
-        let cold = plan_schedule(&c, &base, &opts);
-        // Corrupt every artifact byte-flip style.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let p = entry.unwrap().path();
-            let mut b = std::fs::read(&p).unwrap();
-            let last = b.len() - 1;
-            b[last] ^= 0xFF;
-            std::fs::write(&p, &b).unwrap();
-        }
-        let again = plan_schedule(&c, &base, &opts);
-        assert!(!again.cache_hit, "corrupt artifact must not hit");
-        assert_eq!(
-            schedule_fingerprint(&again.schedule),
-            schedule_fingerprint(&cold.schedule),
-            "search is deterministic, so the replanned schedule matches"
-        );
-        // And the rewritten artifact is valid again.
-        let warm = plan_schedule(&c, &base, &opts);
-        assert!(warm.cache_hit);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(json.contains("sched.plan_ns"), "{json}");
+        assert!(json.contains("sched.search_candidates"), "{json}");
     }
 }

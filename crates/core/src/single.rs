@@ -11,9 +11,9 @@ use crate::checkpoint::{
     check_stop_point, load_snapshot, retire_snapshot, save_snapshot, CheckpointError,
     CheckpointPolicy, RunKey,
 };
-use crate::exec::StageExecutor;
+use crate::exec::{resolve_tile_qubits, StageExecutor};
 use crate::observables::norm_entropy;
-use crate::planner::{plan_schedule, PlanOptions, ScheduleMode};
+use crate::planner::{plan_schedule, PlanOptions};
 use crate::state::StateVector;
 use qsim_circuit::Circuit;
 use qsim_kernels::apply::KernelConfig;
@@ -21,7 +21,6 @@ use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::SimError;
 use qsim_sched::{Schedule, SchedulerConfig};
 use qsim_telemetry::{Phase, RunState, Telemetry};
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// What [`SingleNodeSimulator::try_run_t`] hands back: the owned state
@@ -46,7 +45,7 @@ pub struct SingleNodeSimulator {
     /// Apply the §3.6.2 qubit-mapping heuristic before planning.
     pub optimize_mapping: bool,
     /// Tile budget (log2 amplitudes) of the cache-tiled stage executor;
-    /// `None` uses the measured `tune_tile_qubits` size.
+    /// `None` is [`crate::exec::resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
     /// Span/metrics sink: the run records plan/init/stage spans on the
     /// `single` track and publishes `SweepStats` under `single.sweep`.
@@ -58,12 +57,8 @@ pub struct SingleNodeSimulator {
     /// no durability step.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Schedule policy: greedy (the default, bit-identical to the
-    /// pre-search engine) or cost-guided search.
-    pub schedule_mode: ScheduleMode,
-    /// Schedule-artifact cache directory (search mode only).
-    pub schedule_cache: Option<PathBuf>,
-    /// Search budget in `plan()` evaluations (search mode only).
-    pub search_budget: usize,
+    /// pre-search engine) or cost-guided search under a budget.
+    pub plan_options: PlanOptions,
 }
 
 impl Default for SingleNodeSimulator {
@@ -75,9 +70,7 @@ impl Default for SingleNodeSimulator {
             tile_qubits: None,
             telemetry: Telemetry::disabled(),
             checkpoint: None,
-            schedule_mode: ScheduleMode::Greedy,
-            schedule_cache: None,
-            search_budget: qsim_sched::SearchConfig::default().budget,
+            plan_options: PlanOptions::default(),
         }
     }
 }
@@ -149,22 +142,13 @@ impl SingleNodeSimulator {
                 &exec,
                 &cfg,
                 &PlanOptions {
-                    mode: self.schedule_mode,
-                    cache_dir: self.schedule_cache.clone(),
-                    search_budget: self.search_budget,
                     amp_bytes: 2 * R::BYTES as u64,
                     telemetry: self.telemetry.clone(),
+                    ..self.plan_options.clone()
                 },
             )
         };
-        let plan = BackendPlan::from_planned(exec, init_uniform, planned);
-        BackendPlan {
-            // A cache hit carries the producing machine's measured tile
-            // budget: adopt it when the caller didn't pin one, skipping
-            // the autotune probe.
-            tile_qubits: self.tile_qubits.or(plan.tile_qubits),
-            ..plan
-        }
+        BackendPlan::from_planned(exec, init_uniform, planned)
     }
 
     /// The engine's one run function: apply `plan`'s stages to the full
@@ -184,21 +168,21 @@ impl SingleNodeSimulator {
         stop_after: Option<usize>,
     ) -> Result<(BackendOutcome<R>, StateVector<R>), SimError> {
         check_stop_point(self.checkpoint.as_ref(), stop_after)?;
-        let tile_qubits = self.tile_qubits.or(plan.tile_qubits);
         if let Some(p) = self.telemetry.progress() {
-            // Default tile rather than `resolve_tile_qubits`: the ETA
-            // prior must not pay for an autotune probe the run itself
-            // may never need.
             crate::planner::seed_progress(
                 &self.telemetry,
                 &plan.schedule,
                 2 * R::BYTES as u64,
-                tile_qubits.unwrap_or(qsim_sched::sweep::DEFAULT_TILE_QUBITS),
+                resolve_tile_qubits(
+                    self.tile_qubits,
+                    plan.schedule.n_qubits,
+                    self.kernel.threads,
+                ),
                 crate::planner::ProgressBackend::Single,
             );
             p.set_state(RunState::Running);
         }
-        let out = self.run_stages::<R>(plan, tile_qubits, stop_after);
+        let out = self.run_stages::<R>(plan, stop_after);
         if let Some(p) = self.telemetry.progress() {
             p.set_state(if out.is_ok() {
                 RunState::Done
@@ -213,7 +197,6 @@ impl SingleNodeSimulator {
     fn run_stages<R: SweepDispatch>(
         &self,
         plan: &BackendPlan,
-        tile_qubits: Option<u32>,
         stop_after: Option<usize>,
     ) -> Result<(BackendOutcome<R>, StateVector<R>), SimError> {
         let schedule = &plan.schedule;
@@ -256,7 +239,7 @@ impl SingleNodeSimulator {
         let t1 = Instant::now();
         let exec = {
             let _s = track.span("compile");
-            StageExecutor::<R>::new(&schedule.stages, n, &self.kernel, tile_qubits)
+            StageExecutor::<R>::new(&schedule.stages, n, &self.kernel, self.tile_qubits)
         };
         // Seed the live-progress denominator with the stages this run
         // will actually execute — a resume pre-credits nothing.

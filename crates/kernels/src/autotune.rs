@@ -153,101 +153,14 @@ pub fn autotune_cached(n_test: u32, threads: usize) -> TunedParams {
     p
 }
 
-/// Candidate tile sizes (log2 amplitudes) for the cache-tiled stage
-/// executor — 2^12..2^16 amplitudes are 64 KiB..1 MiB, bracketing L2.
-pub const TILE_CANDIDATES: [u32; 3] = [12, 14, 16];
-
-/// Tune the tile size for the tiled stage executor with the same
-/// measure-then-pick loop as [`autotune`]'s block sweep: run a surrogate
-/// three-cluster tiled pass over a 2^18 state at each candidate size and
-/// keep the fastest. Cached per process (the choice is a property of the
-/// cache hierarchy, not of the circuit).
-pub fn tune_tile_qubits() -> u32 {
-    use std::sync::OnceLock;
-    static CHOICE: OnceLock<u32> = OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        let n = 18u32;
-        let mut rng = Xoshiro256::seed_from_u64(0x711e);
-        let mut state: Vec<c64> = (0..1usize << n)
-            .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-            .collect();
-        let cfg = KernelConfig {
-            opt: OptLevel::Blocked,
-            simd: Simd::Auto,
-            block: 4,
-            threads: 1,
-        };
-        let mut best = TILE_CANDIDATES[0];
-        let mut best_time = f64::INFINITY;
-        for &tq in &TILE_CANDIDATES {
-            let tile: Vec<u32> = (0..tq).collect();
-            let ops: Vec<crate::sweep::TileOp> = (0..3)
-                .map(|i| {
-                    let qs: Vec<u32> = (4 * i..4 * i + 4).collect();
-                    crate::sweep::TileOp::Dense(crate::sweep::PreparedGate::new(
-                        &qs,
-                        &random_dense(4),
-                        &cfg,
-                    ))
-                })
-                .collect();
-            let pass = crate::sweep::TiledPass::new(tile, ops);
-            let mut stats = crate::sweep::SweepStats::default();
-            let t = summarize(&time_reps(1, 3, || {
-                pass.run(&mut state, 0, 1, &mut stats);
-            }))
-            .median;
-            if t < best_time {
-                best_time = t;
-                best = tq;
-            }
-        }
-        best
-    })
-}
-
-/// Candidate pipeline depths (sub-chunks per peer segment) for the fused
-/// global-swap engine.
-pub const SUB_CHUNK_CANDIDATES: [usize; 4] = [1, 2, 4, 8];
-
-/// A sub-chunk whose pack takes less time than this is dominated by
-/// per-message overhead; the tuner never splits below it.
-const SUB_CHUNK_FLOOR_SECONDS: f64 = 50e-6;
-
-/// Tune the pipeline depth `S` for a fused global swap whose per-peer
-/// segments hold `seg_len` amplitudes — the same measure-then-pick
-/// feedback loop as [`autotune`], applied to the swap data path: the
-/// permuted-gather (pack) bandwidth is measured on a surrogate buffer, and
-/// the deepest candidate whose sub-chunk pack time still clears the
-/// per-message overhead floor wins. Deeper pipelines overlap more packing
-/// with other ranks' progress but pay one message per sub-chunk.
-pub fn tune_swap_sub_chunks(seg_len: usize) -> usize {
-    if seg_len < 2 {
-        return 1;
-    }
-    // Measure on a power-of-two surrogate in [2^10, 2^18] so tuning stays
-    // in the tens of milliseconds even for huge segments.
-    let bits = seg_len.clamp(1 << 10, 1 << 18).ilog2();
-    let len = 1usize << bits;
-    let mut rng = Xoshiro256::seed_from_u64(0xc0f);
-    let src: Vec<c64> = (0..len)
-        .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-        .collect();
-    let mut dst = vec![c64::zero(); len];
-    let perm =
-        qsim_util::bits::BitPermutation::new((0..bits).map(|i| (i + bits / 2) % bits).collect());
-    let t = summarize(&time_reps(1, 3, || {
-        crate::parallel::par_gather(&src, &mut dst, |i| perm.apply(i));
-    }))
-    .median;
-    let seg_seconds = t / len as f64 * seg_len as f64;
-    let mut best = 1usize;
-    for &s in &SUB_CHUNK_CANDIDATES {
-        if s <= seg_len && seg_seconds / s as f64 >= SUB_CHUNK_FLOOR_SECONDS {
-            best = s;
-        }
-    }
-    best
+/// Tile budget (log2 amplitudes) of the cache-tiled stage executor:
+/// 2^14 amplitudes are 256 KiB at f64, an L2-resident tile. A constant,
+/// not a measurement, so the pass count of a run is a function of its
+/// inputs alone; `qsim_core::exec` asserts it equals
+/// `qsim_sched::sweep::DEFAULT_TILE_QUBITS`, the size the planner's pass
+/// model prices schedules under.
+pub const fn tune_tile_qubits() -> u32 {
+    14
 }
 
 fn random_dense(k: u32) -> GateMatrix<f64> {
@@ -301,31 +214,5 @@ mod tests {
         let a = autotune_cached(10, 1);
         let b = autotune_cached(10, 1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tile_tuning_picks_a_candidate() {
-        let t = tune_tile_qubits();
-        assert!(TILE_CANDIDATES.contains(&t), "tile {t} not a candidate");
-        assert_eq!(t, tune_tile_qubits(), "choice must be stable");
-    }
-
-    #[test]
-    fn sub_chunk_tuning_is_sane_and_monotone() {
-        // Tiny segments must not be split; the chosen depth is always a
-        // candidate and never exceeds the segment.
-        assert_eq!(tune_swap_sub_chunks(1), 1);
-        let small = tune_swap_sub_chunks(1 << 8);
-        let large = tune_swap_sub_chunks(1 << 24);
-        for s in [small, large] {
-            assert!(
-                SUB_CHUNK_CANDIDATES.contains(&s),
-                "depth {s} not a candidate"
-            );
-        }
-        assert!(
-            small <= large,
-            "bigger segments must not pick shallower pipelines ({small} > {large})"
-        );
     }
 }

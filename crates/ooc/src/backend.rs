@@ -10,11 +10,10 @@ use crate::exec::{CrashPoint, OocSimulator};
 use qsim_circuit::Circuit;
 use qsim_core::backend::{plan_partitioned, Backend, BackendOutcome, BackendPlan};
 use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy};
-use qsim_core::planner::{ProgressBackend, ScheduleMode};
+use qsim_core::planner::{PlanOptions, ProgressBackend};
 use qsim_core::SimError;
 use qsim_kernels::SweepDispatch;
 use qsim_telemetry::Telemetry;
-use std::path::PathBuf;
 
 /// [`Backend`] over [`OocSimulator`]: `2^g` chunk files play the role
 /// of the distributed engine's ranks, so planning is identical to
@@ -28,9 +27,7 @@ pub struct OocBackend<R: SweepDispatch = f64> {
     /// Chunk count (`2^g`) — the partition analogue of `n_ranks`.
     pub n_chunks: usize,
     pub kmax: u32,
-    pub schedule_mode: ScheduleMode,
-    pub schedule_cache: Option<PathBuf>,
-    pub search_budget: usize,
+    pub plan_options: PlanOptions,
     gather: bool,
 }
 
@@ -40,9 +37,7 @@ impl<R: SweepDispatch> OocBackend<R> {
             sim,
             n_chunks,
             kmax: 4,
-            schedule_mode: ScheduleMode::Greedy,
-            schedule_cache: None,
-            search_budget: qsim_sched::SearchConfig::default().budget,
+            plan_options: PlanOptions::default(),
             gather: false,
         }
     }
@@ -74,10 +69,10 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
             circuit,
             self.n_chunks,
             self.kmax,
-            self.schedule_mode,
-            self.schedule_cache.clone(),
-            self.search_budget,
-            &self.sim.config.telemetry,
+            &PlanOptions {
+                telemetry: self.sim.config.telemetry.clone(),
+                ..self.plan_options.clone()
+            },
         )
     }
 

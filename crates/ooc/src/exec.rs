@@ -74,8 +74,8 @@ pub struct OocConfig {
     /// executor (requires `OptLevel::Blocked`; falls back per-gate
     /// otherwise).
     pub compiled_stages: bool,
-    /// Tile budget (log2 amplitudes) for compiled stages; `None` uses
-    /// the measured auto-tune size.
+    /// Tile budget (log2 amplitudes) for compiled stages; `None` is
+    /// [`resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
     /// Chunk codec on the IO path: encode on writeback, decode on
     /// prefetch, both hidden behind compute when pipelined. The default
@@ -411,12 +411,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
         let allocs0 = chunk_pool.allocs() + self.wire_pool.allocs();
 
         let kernel = self.config.kernel;
-        // Adopt the plan cache's measured tile budget unless pinned.
-        let tile = resolve_tile_qubits(
-            self.config.tile_qubits.or(plan.tile_qubits),
-            l,
-            kernel.threads,
-        );
+        let tile = resolve_tile_qubits(self.config.tile_qubits, l, kernel.threads);
         // Price the planned passes with the cost model so the live ETA
         // has a prior before measured pass times take over.
         if telemetry.progress().is_some() {

@@ -56,9 +56,8 @@ pub const MAX_COST_K: usize = 7;
 
 /// Extract the resource counts of `schedule`. `amp_bytes` is 16 for f64
 /// amplitudes, 8 for f32; `tile_qubits` is the tile budget the pass
-/// counts are modeled under (use [`DEFAULT_TILE_QUBITS`] when the
-/// measured tile size is not known yet — ranking is insensitive to the
-/// exact budget).
+/// counts are modeled under ([`DEFAULT_TILE_QUBITS`] unless the engine
+/// config pins another — ranking is insensitive to the exact budget).
 pub fn plan_resources(schedule: &Schedule, amp_bytes: u64, tile_qubits: u32) -> PlanResources {
     let n = schedule.n_qubits;
     let l = schedule.local_qubits;

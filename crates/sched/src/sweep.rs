@@ -23,9 +23,9 @@
 use crate::schedule::StageOp;
 use std::collections::BTreeSet;
 
-/// Default tile budget (log2 amplitudes) used by the footprint-ordering
-/// pass; execution re-plans with the measured tile size, ordering only
-/// needs a representative cache scale (2^14 amplitudes = 256 KiB).
+/// Default tile budget (log2 amplitudes) of the footprint-ordering
+/// pass, the cost model's pass counts and the stage executor alike
+/// (2^14 amplitudes = 256 KiB at f64).
 pub const DEFAULT_TILE_QUBITS: u32 = 14;
 
 /// One streaming pass of a stage sweep.

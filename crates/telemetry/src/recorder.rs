@@ -224,8 +224,28 @@ extern "C" fn on_sigterm(_sig: i32) {
     SIGTERM_SEEN.store(true, Ordering::SeqCst);
 }
 
-/// Install a SIGTERM handler (raw `signal(2)` binding — the workspace
-/// carries no libc crate) plus a watcher thread that, on delivery,
+// Raw `signal(2)` binding — the workspace carries no libc crate.
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
+/// Restore the default SIGPIPE disposition (Rust's runtime ignores it),
+/// so a CLI whose stdout reader went away — `qsim45 run … | head -1` —
+/// is terminated by the signal instead of panicking in `println!`.
+/// A no-op on non-unix platforms.
+pub fn restore_default_sigpipe() {
+    #[cfg(unix)]
+    {
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `signal` with SIG_DFL installs no handler code; it only
+        // resets the process's disposition for SIGPIPE.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
+}
+
+/// Install a SIGTERM handler plus a watcher thread that, on delivery,
 /// flushes the armed recorder and exits with the conventional 143.
 /// Returns `false` on non-unix platforms or if the handler could not be
 /// installed. Idempotent.
@@ -234,9 +254,6 @@ pub fn install_sigterm_recorder() -> bool {
     {
         static INSTALLED: OnceLock<bool> = OnceLock::new();
         *INSTALLED.get_or_init(|| {
-            extern "C" {
-                fn signal(signum: i32, handler: usize) -> usize;
-            }
             const SIGTERM: i32 = 15;
             const SIG_ERR: usize = usize::MAX;
             let prev = unsafe { signal(SIGTERM, on_sigterm as *const () as usize) };

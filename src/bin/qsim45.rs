@@ -4,8 +4,7 @@
 //! qsim45 plan   --rows 9 --cols 5 --depth 25 --local 30 [--kmax 4]
 //! qsim45 run    --rows 4 --cols 5 --depth 25 [--ranks 4] [--backend mem|ooc]
 //!               [--precision f64|f32] [--compress none|shuffle-rle|lossy-<bits>]
-//!               [--schedule greedy|search] [--schedule-cache DIR]
-//!               [--search-budget N]
+//!               [--schedule greedy|search] [--search-budget N]
 //!               [--checkpoint-dir DIR [--resume]]
 //!               [--trace-out trace.json] [--metrics-out metrics.json]
 //!               [--status-addr HOST:PORT] [--progress]
@@ -33,11 +32,7 @@
 //! `--schedule search` runs the cost-model-guided schedule search on
 //! top of the greedy planner (greedy stays the floor: a searched plan is
 //! adopted only when its modeled cost is strictly lower).
-//! `--schedule-cache DIR` stores the result keyed by the greedy plan's
-//! fingerprint, so a second run of the same circuit family skips both
-//! the search and the tile-size autotune probe (`sched.cache_hit` in
-//! the metrics snapshot); corrupted cache artifacts are rejected and
-//! rewritten. `--search-budget N` caps the extra planning evaluations.
+//! `--search-budget N` caps the extra planning evaluations.
 //!
 //! `--checkpoint-dir` makes the run crash-recoverable: every engine
 //! publishes an atomic manifest per completed unit of work (stage,
@@ -70,8 +65,8 @@
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::core::observables::sample_bitstrings;
 use qsim45::core::{
-    Backend, BackendStats, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, ScheduleMode,
-    SimError, SingleBackend, SingleNodeSimulator,
+    Backend, BackendStats, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, PlanOptions,
+    ScheduleMode, SimError, SingleBackend, SingleNodeSimulator,
 };
 use qsim45::kernels::apply::KernelConfig;
 use qsim45::kernels::SweepDispatch;
@@ -81,6 +76,8 @@ use qsim45::telemetry::Telemetry;
 use qsim45::util::Xoshiro256;
 
 fn main() {
+    // `qsim45 run … | head -1` ends quietly, not in a `println!` panic.
+    qsim45::telemetry::recorder::restore_default_sigpipe();
     let mode = std::env::args().nth(1).unwrap_or_default();
     match mode.as_str() {
         "plan" => cmd_plan(),
@@ -92,9 +89,7 @@ fn main() {
             eprintln!("  plan   --rows R --cols C --depth D --local L [--kmax K]");
             eprintln!("  run    --rows R --cols C --depth D [--ranks N] [--backend mem|ooc]");
             eprintln!("         [--precision f64|f32] [--compress none|shuffle-rle|lossy-<bits>]");
-            eprintln!(
-                "         [--schedule greedy|search] [--schedule-cache DIR] [--search-budget N]"
-            );
+            eprintln!("         [--schedule greedy|search] [--search-budget N]");
             eprintln!("         [--checkpoint-dir DIR [--resume]]");
             eprintln!("         [--status-addr HOST:PORT] [--progress]");
             eprintln!("  sample --rows R --cols C --depth D [--shots S] [--seed X]");
@@ -104,17 +99,40 @@ fn main() {
     }
 }
 
+/// Misuse, not a failed run: one line on stderr, exit code 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn arg(name: &str, default: u32) -> u32 {
     let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("bad value for {name}"));
-        }
+    match args.iter().position(|a| a == name) {
+        None => default,
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage_error(format!("bad {name} (expected an unsigned integer)"))),
     }
-    default
+}
+
+fn kmax_arg() -> u32 {
+    match arg("--kmax", 4) {
+        0 => usage_error("bad --kmax 0 (expected at least 1)"),
+        k => k,
+    }
+}
+
+/// Refuse grids of more than `max` qubits — `run` and `sample` allocate
+/// all `2^n` amplitudes.
+fn check_allocatable(s: &SupremacySpec, max: u32) {
+    let n = s.n_qubits();
+    if n > max {
+        usage_error(format!(
+            "bad --rows/--cols: {n} qubits, but this subcommand allocates 2^n amplitudes \
+             (at most {max} qubits; use `plan` for full scale)"
+        ));
+    }
 }
 
 fn arg_str(name: &str, default: &str) -> String {
@@ -153,19 +171,30 @@ fn write_exports(t: &Telemetry, trace: &Option<String>, metrics: &Option<String>
 }
 
 fn spec() -> SupremacySpec {
-    SupremacySpec {
+    let s = SupremacySpec {
         rows: arg("--rows", 4),
         cols: arg("--cols", 5),
         depth: arg("--depth", 25),
         seed: arg("--seed", 0) as u64,
+    };
+    // `supremacy_circuit` asserts both.
+    if s.rows == 0 || s.cols == 0 {
+        usage_error("bad --rows/--cols: empty grid");
     }
+    if s.depth == 0 {
+        usage_error("bad --depth 0 (expected at least one CZ cycle)");
+    }
+    s
 }
 
 fn cmd_plan() {
     let s = spec();
     let n = s.n_qubits();
     let l = arg("--local", n.saturating_sub(2).max(1));
-    let kmax = arg("--kmax", 4);
+    if !(1..=n).contains(&l) {
+        usage_error(format!("bad --local {l} (expected 1..={n})"));
+    }
+    let kmax = kmax_arg();
     let circuit = supremacy_circuit(&s);
     let t0 = std::time::Instant::now();
     let schedule = plan(&circuit, &SchedulerConfig::distributed(l, kmax));
@@ -197,10 +226,7 @@ fn cmd_run() {
     match arg_str("--precision", "f64").as_str() {
         "f64" => run_at::<f64>(),
         "f32" => run_at::<f32>(),
-        other => {
-            eprintln!("bad --precision '{other}' (expected f64 or f32)");
-            std::process::exit(2);
-        }
+        other => usage_error(format!("bad --precision '{other}' (expected f64 or f32)")),
     }
 }
 
@@ -208,13 +234,12 @@ fn cmd_run() {
 /// both tiers; `R = f64` is bit-identical to the pre-tiering driver.
 fn run_at<R: SweepDispatch>() {
     let s = spec();
-    let n = s.n_qubits();
-    assert!(
-        n <= 28,
-        "run allocates 2^{n} amplitudes; use `plan` for full scale"
-    );
+    check_allocatable(&s, 28);
     let ranks = arg("--ranks", 1) as usize;
     let backend = arg_str("--backend", "mem");
+    if !matches!(backend.as_str(), "mem" | "ooc") {
+        usage_error(format!("bad --backend '{backend}' (expected mem or ooc)"));
+    }
     let trace_out = arg_opt("--trace-out");
     let metrics_out = arg_opt("--metrics-out");
     let checkpoint_dir = arg_opt("--checkpoint-dir");
@@ -222,8 +247,7 @@ fn run_at<R: SweepDispatch>() {
     if resume && checkpoint_dir.is_none() {
         // Silently ignoring the flag would rerun from scratch while the
         // caller believes they resumed — make it a hard usage error.
-        eprintln!("--resume requires --checkpoint-dir (no directory to resume from)");
-        std::process::exit(2);
+        usage_error("--resume requires --checkpoint-dir (no directory to resume from)");
     }
     let status_addr = arg_opt("--status-addr");
     let progress = flag("--progress");
@@ -246,11 +270,8 @@ fn run_at<R: SweepDispatch>() {
         rec
     });
     let _status = status_addr.as_deref().map(|addr| {
-        let srv =
-            qsim45::telemetry::StatusServer::bind(telemetry.clone(), addr).unwrap_or_else(|e| {
-                eprintln!("status: cannot bind {addr}: {e}");
-                std::process::exit(2);
-            });
+        let srv = qsim45::telemetry::StatusServer::bind(telemetry.clone(), addr)
+            .unwrap_or_else(|e| usage_error(format!("status: cannot bind {addr}: {e}")));
         // Printed before the run starts so a harness using port 0 can
         // discover the ephemeral port and poll mid-run.
         println!("status      : listening on http://{}", srv.local_addr());
@@ -267,9 +288,8 @@ fn run_at<R: SweepDispatch>() {
     let fail = |e: &SimError| -> ! {
         if let SimError::Io(io) = e {
             if io.kind() == std::io::ErrorKind::InvalidInput {
-                // Misuse, not a failed run: no flight record, exit 2.
-                eprintln!("bad --ranks {ranks}: {io}");
-                std::process::exit(2);
+                // No flight record for misuse.
+                usage_error(format!("bad --ranks {ranks}: {io}"));
             }
         }
         eprintln!("run failed: {e}");
@@ -285,22 +305,19 @@ fn run_at<R: SweepDispatch>() {
     let schedule_mode = {
         let v = arg_str("--schedule", "greedy");
         ScheduleMode::parse(&v).unwrap_or_else(|| {
-            eprintln!("bad --schedule '{v}' (expected greedy or search)");
-            std::process::exit(2);
+            usage_error(format!("bad --schedule '{v}' (expected greedy or search)"))
         })
     };
-    let schedule_cache = arg_opt("--schedule-cache").map(std::path::PathBuf::from);
-    let search_budget = arg("--search-budget", SearchConfig::default().budget as u32) as usize;
+    let plan_options = PlanOptions {
+        mode: schedule_mode,
+        search_budget: arg("--search-budget", SearchConfig::default().budget as u32) as usize,
+        ..PlanOptions::default()
+    };
     let circuit = supremacy_circuit(&s);
-    let kmax = arg("--kmax", 4);
-    let compress = if backend == "ooc" {
-        qsim45::ooc::Codec::parse(&arg_str("--compress", "none")).unwrap_or_else(|e| {
-            eprintln!("bad --compress: {e}");
-            std::process::exit(2);
-        })
-    } else {
-        qsim45::ooc::Codec::None
-    };
+    let kmax = kmax_arg();
+    // Only the out-of-core engine has a chunk codec to hand this to.
+    let compress = qsim45::ooc::Codec::parse(&arg_str("--compress", "none"))
+        .unwrap_or_else(|e| usage_error(format!("bad --compress: {e}")));
 
     // One dispatch for all three engines: build the Backend, point it at
     // the checkpoint directory, plan, run. Everything below the match is
@@ -310,9 +327,7 @@ fn run_at<R: SweepDispatch>() {
         Box::new(SingleBackend::new(SingleNodeSimulator {
             kmax,
             telemetry: telemetry.clone(),
-            schedule_mode,
-            schedule_cache,
-            search_budget,
+            plan_options,
             ..Default::default()
         }))
     } else if backend == "ooc" {
@@ -323,9 +338,7 @@ fn run_at<R: SweepDispatch>() {
         });
         let mut b = OocBackend::new(sim, ranks);
         b.kmax = kmax;
-        b.schedule_mode = schedule_mode;
-        b.schedule_cache = schedule_cache;
-        b.search_budget = search_budget;
+        b.plan_options = plan_options;
         Box::new(b)
     } else {
         let sim = DistSimulator::new(DistConfig {
@@ -347,9 +360,7 @@ fn run_at<R: SweepDispatch>() {
         });
         let mut b = DistBackend::new(sim);
         b.kmax = kmax;
-        b.schedule_mode = schedule_mode;
-        b.schedule_cache = schedule_cache;
-        b.search_budget = search_budget;
+        b.plan_options = plan_options;
         Box::new(b)
     };
     if let Some(d) = &checkpoint_dir {
@@ -362,7 +373,7 @@ fn run_at<R: SweepDispatch>() {
     let plan = engine.plan(&circuit).unwrap_or_else(|e| fail(&e));
     if !single {
         println!(
-            "schedule    : {} ({} swaps, {:.3} s plan{}{})",
+            "schedule    : {} ({} swaps, {:.3} s plan{})",
             if schedule_mode == ScheduleMode::Search {
                 "search"
             } else {
@@ -370,7 +381,6 @@ fn run_at<R: SweepDispatch>() {
             },
             plan.schedule.n_swaps(),
             plan.plan_seconds,
-            if plan.cache_hit { ", cache hit" } else { "" },
             if plan.adopted {
                 ", searched plan adopted"
             } else {
@@ -435,7 +445,7 @@ fn run_at<R: SweepDispatch>() {
 
 fn cmd_sample() {
     let s = spec();
-    assert!(s.n_qubits() <= 26, "sampling allocates the full state");
+    check_allocatable(&s, 26);
     let shots = arg("--shots", 16) as usize;
     let circuit = supremacy_circuit(&s);
     let out = SingleNodeSimulator::default()

@@ -1,9 +1,37 @@
 //! CLI contract smoke tests, driven against the real binary.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn qsim45() -> Command {
     Command::new(env!("CARGO_BIN_EXE_qsim45"))
+}
+
+/// Held by the one test that times the binary and by the one that
+/// keeps every core busy for seconds, so they never overlap.
+static QUIET_HOST: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The `entropy` and `norm` report lines of a run's stdout.
+fn observables(stdout: &[u8]) -> String {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .filter(|l| l.starts_with("entropy") || l.starts_with("norm"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Counter lookup in the `--metrics-out` document at `path` (removed
+/// after reading).
+fn counters(path: &std::path::Path) -> impl Fn(&str) -> f64 {
+    let doc = std::fs::read_to_string(path).expect("metrics written");
+    let _ = std::fs::remove_file(path);
+    let json = qsim45::telemetry::json::parse(&doc).expect("metrics are valid JSON");
+    move |name| {
+        json.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("no counter {name} in {doc}"))
+    }
 }
 
 #[test]
@@ -53,13 +81,6 @@ fn resume_with_a_checkpoint_dir_is_accepted() {
         .output()
         .expect("binary runs");
     assert!(second.status.success(), "resume run failed");
-    let observables = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| l.starts_with("entropy") || l.starts_with("norm"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     assert_eq!(observables(&first.stdout), observables(&second.stdout));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -69,7 +90,7 @@ fn kmax_reaches_the_single_node_planner() {
     // `--kmax` used to be dropped on the floor by the single-node
     // backend: the exported sweep counters of a kmax-2 and a kmax-5 run
     // were identical. A different cluster budget is a different plan.
-    let counters = |kmax: &str| {
+    let sweep = |kmax: &str| {
         let path =
             std::env::temp_dir().join(format!("qsim_cli_kmax{kmax}_{}.json", std::process::id()));
         let out = qsim45()
@@ -78,21 +99,13 @@ fn kmax_reaches_the_single_node_planner() {
             .output()
             .expect("binary runs");
         assert!(out.status.success(), "kmax {kmax} run failed");
-        let doc = std::fs::read_to_string(&path).expect("metrics written");
-        let _ = std::fs::remove_file(&path);
-        let json = qsim45::telemetry::json::parse(&doc).expect("metrics are valid JSON");
-        let get = |name: &str| {
-            json.get("counters")
-                .and_then(|c| c.get(name))
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| panic!("no counter {name} in {doc}"))
-        };
+        let get = counters(&path);
         (
             get("single.sweep.baseline_passes"),
             get("single.sweep.tile_local_gates"),
         )
     };
-    assert_ne!(counters("2"), counters("5"));
+    assert_ne!(sweep("2"), sweep("5"));
 }
 
 #[test]
@@ -123,4 +136,109 @@ fn bad_partition_counts_are_usage_errors_not_panics() {
             );
         }
     }
+}
+
+#[test]
+fn misuse_is_a_one_line_usage_error() {
+    // (arguments, what the message must name). None of these may run,
+    // panic (exit 101) or be silently accepted (exit 0).
+    let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
+    let cases: [(&[&str], &str); 10] = [
+        (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
+        (&["run", "--rows", "x"], "--rows"),
+        (&["run", "--rows"], "--rows"),
+        (&["run", "--kmax", "0"], "--kmax"),
+        (&["plan", "--local", "0"], "--local"),
+        (&["plan", "--local", "12"], "--local"),
+        (&["run", "--rows", "6", "--cols", "6"], "--rows"),
+        (&["sample", "--rows", "6", "--cols", "5"], "--rows"),
+        (&["run", "--compress", "bogus"], "--compress"),
+        (&["run", "--depth", "0"], "--depth"),
+    ];
+    for (args, names) in cases {
+        // The grid goes last: `arg()` reads a flag's first occurrence,
+        // so a case's own `--rows`/`--cols` wins.
+        let out = qsim45()
+            .arg(args[0])
+            .args(&args[1..])
+            .args(grid)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not have run");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    // `qsim45 run … | head -1`: the schedule line is printed before the
+    // run, the report after it, into a pipe nobody reads any more.
+    let mut child = qsim45()
+        .args(["run", "--rows", "4", "--cols", "4", "--depth", "20"])
+        .args(["--ranks", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("schedule"), "{first}");
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
+#[test]
+fn fresh_processes_run_the_same_configuration() {
+    // Nothing between process start and the first kernel is measured:
+    // the tile size, hence the pass count, is a function of the inputs.
+    let _busy = QUIET_HOST.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |i: usize| {
+        let path =
+            std::env::temp_dir().join(format!("qsim_cli_det{i}_{}.json", std::process::id()));
+        let out = qsim45()
+            .args(["run", "--rows", "4", "--cols", "5", "--depth", "25"])
+            .args(["--metrics-out", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "run {i} failed");
+        (
+            counters(&path)("single.sweep.sweep_passes"),
+            observables(&out.stdout),
+        )
+    };
+    let first = run(0);
+    assert!(first.1.contains("entropy") && first.1.contains("norm"));
+    for i in 1..3 {
+        assert_eq!(run(i), first, "process {i} differs from process 0");
+    }
+}
+
+#[test]
+fn sim_seconds_excludes_start_up_work() {
+    // A 512-amplitude state simulates in well under a millisecond; a
+    // probe lazily initialised inside the timed region would show up as
+    // tens of milliseconds in every process — so the best of ten runs
+    // tells the two apart whatever else the test host is doing.
+    let _quiet = QUIET_HOST.lock().unwrap_or_else(|e| e.into_inner());
+    let sim_seconds = || {
+        let out = qsim45()
+            .args(["run", "--rows", "3", "--cols", "3", "--depth", "10"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout.lines().next().expect("report line");
+        let (_, rest) = line.split_once(": ").expect("single-node report");
+        let (secs, _) = rest.split_once(" s sim").expect("sim time");
+        secs.parse::<f64>().expect("seconds")
+    };
+    let best = (0..10).map(|_| sim_seconds()).fold(f64::INFINITY, f64::min);
+    assert!(best < 0.005, "9-qubit sim took {best} s at best");
 }
