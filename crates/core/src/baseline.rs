@@ -13,6 +13,7 @@
 
 use crate::dist::physical_to_logical;
 use crate::exec::apply_rank_diagonal;
+use crate::observables::norm_entropy;
 use crate::single::strip_initial_hadamards;
 use crate::state::StateVector;
 use qsim_circuit::Circuit;
@@ -140,14 +141,7 @@ fn run_rank_baseline(
         }
     }
 
-    let local_norm = state.norm_sqr();
-    let mut local_entropy = 0.0f64;
-    for a in state.amplitudes() {
-        let p = a.norm_sqr();
-        if p > 0.0 {
-            local_entropy -= p * p.log2();
-        }
-    }
+    let (local_norm, local_entropy) = norm_entropy(state.amplitudes());
     let norm = all_reduce_sum(ctx, local_norm);
     let entropy = all_reduce_sum(ctx, local_entropy);
     (

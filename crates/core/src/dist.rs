@@ -26,9 +26,10 @@ use crate::checkpoint::{
     CheckpointPolicy, RunKey,
 };
 use crate::exec::{resolve_tile_qubits, StageExecutor};
+use crate::observables::norm_entropy;
 use crate::state::StateVector;
 use qsim_kernels::apply::KernelConfig;
-use qsim_kernels::parallel::{par_gather, par_reduce_amplitudes, par_scatter};
+use qsim_kernels::parallel::{par_gather, par_scatter};
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::collective::{
     all_reduce_sum, all_to_all, all_to_all_inplace, all_to_all_with, Communicator,
@@ -422,26 +423,9 @@ fn run_rank<R: SweepDispatch>(
         }
     }
 
-    // Reductions (§4.2.2: the entropy needs a final all-reduce). Both
-    // accumulate in f64 regardless of R, so the reported quantities are
-    // comparable across precision tiers (and bit-identical at R = f64).
-    let local_norm = state
-        .amplitudes()
-        .iter()
-        .fold(0.0f64, |s, a| s + a.norm_sqr().to_f64());
-    let local_entropy = par_reduce_amplitudes(
-        state.amplitudes(),
-        || 0.0f64,
-        |acc, _, a| {
-            let p = a.norm_sqr().to_f64();
-            if p > 0.0 {
-                acc - p * p.log2()
-            } else {
-                acc
-            }
-        },
-        |x, y| x + y,
-    );
+    // Reductions (§4.2.2: the entropy needs a final all-reduce): one
+    // traversal of the slice for both partials, in f64 regardless of R.
+    let (local_norm, local_entropy) = norm_entropy(state.amplitudes());
     let seconds = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let (norm, entropy) = {
@@ -577,16 +561,11 @@ impl SwapBuffers {
 }
 
 /// Size-based default pipeline depth: roughly one sub-chunk per MiB of
-/// peer segment, clamped to `[1, 8]` — deep enough to overlap packing
-/// with the peers' progress on large slices, and 1 (no split) on small
-/// ones where per-message overhead would dominate.
-pub fn default_sub_chunks(seg_len: usize) -> usize {
-    default_sub_chunks_sized(seg_len, 16)
-}
-
-/// [`default_sub_chunks`] for an explicit per-amplitude byte size: the
-/// pipeline depth tracks wire *bytes*, so an f32 segment of the same
-/// amplitude count splits into half as many sub-chunks.
+/// peer segment (`seg_len` amplitudes of `amp_bytes` each — the depth
+/// tracks wire *bytes*, so an f32 segment splits into half as many),
+/// clamped to `[1, 8]` — deep enough to overlap packing with the peers'
+/// progress on large slices, and 1 (no split) on small ones where
+/// per-message overhead would dominate.
 pub fn default_sub_chunks_sized(seg_len: usize, amp_bytes: usize) -> usize {
     const PIPELINE_TARGET_BYTES: usize = 1 << 20;
     ((seg_len * amp_bytes) / PIPELINE_TARGET_BYTES).clamp(1, 8)
@@ -664,52 +643,6 @@ pub fn perform_swap_reference<R: SweepDispatch>(
     if !perm.is_identity() {
         state.permute_qubits(&perm.inverse());
     }
-}
-
-/// §3.4 *partial* global-to-local swap (Fig. 3): exchange the LOW `q`
-/// global bits with the TOP `q` local bits using one group-local
-/// all-to-all per group of `2^q` ranks (ranks sharing their high `g − q`
-/// bits). `q = g` degenerates to the full swap on `MPI_COMM_WORLD`.
-///
-/// The production scheduler emits full swaps (the paper's counting unit);
-/// this entry point exposes the generalized machinery for ablations and
-/// for workloads where only a few global qubits are ever needed locally.
-pub fn perform_partial_swap<R: SweepDispatch>(
-    ctx: &mut RankCtx,
-    state: &mut StateVector<R>,
-    q: u32,
-    l: u32,
-) {
-    let mut bufs = SwapBuffers::default();
-    perform_partial_swap_with(ctx, state, q, l, &mut bufs);
-}
-
-/// [`perform_partial_swap`] with caller-owned scratch — the zero-alloc
-/// path. No local permutation is involved, so the exchange runs through
-/// the in-place pipelined collective directly.
-pub fn perform_partial_swap_with<R: SweepDispatch>(
-    ctx: &mut RankCtx,
-    state: &mut StateVector<R>,
-    q: u32,
-    l: u32,
-    bufs: &mut SwapBuffers,
-) {
-    let g = qsim_util::bits::log2_exact(ctx.n_ranks());
-    assert!(
-        q >= 1 && q <= g,
-        "partial swap width {q} out of range (g={g})"
-    );
-    assert!(l >= q, "need at least q local qubits");
-    let amp_bytes = std::mem::size_of::<Complex<R>>();
-    let comm = Communicator::group_of(ctx.rank(), 1usize << q);
-    let seg = state.len() / comm.size;
-    all_to_all_inplace(
-        ctx,
-        comm,
-        state.amplitudes_mut(),
-        bufs.depth_for(seg, amp_bytes),
-    );
-    bufs.account(comm.size, seg, amp_bytes);
 }
 
 /// Build the local bit permutation taking `slots[i]` to position
@@ -870,67 +803,6 @@ mod tests {
         assert_eq!(out[2].re, 1.0);
         assert_eq!(out[0].re, 0.0);
         assert_eq!(out[3].re, 3.0);
-    }
-
-    #[test]
-    fn partial_swap_equals_bit_transpositions() {
-        // A q-bit partial swap must equal swapping physical positions
-        // (l−q+i) <-> (l+i) on the full index space.
-        use qsim_net::fabric::run_cluster;
-        use qsim_util::Xoshiro256;
-        let n = 8u32;
-        for (g, q) in [(2u32, 1u32), (2, 2), (3, 2)] {
-            let l = n - g;
-            let full_len = 1usize << n;
-            let mut rng = Xoshiro256::seed_from_u64(100 + (g * 10 + q) as u64);
-            let full: Vec<c64> = (0..full_len)
-                .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-                .collect();
-            let full_ref = full.clone();
-            let (slices, _) = run_cluster(1usize << g, |ctx| {
-                let r = ctx.rank();
-                let mut state =
-                    StateVector::from_amplitudes(full_ref[r << l..(r + 1) << l].to_vec());
-                perform_partial_swap(ctx, &mut state, q, l);
-                state.amplitudes().to_vec()
-            });
-            let mut got = vec![c64::zero(); full_len];
-            for (r, s) in slices.iter().enumerate() {
-                got[r << l..(r + 1) << l].copy_from_slice(s);
-            }
-            // Expected: transpose bits (l-q+i) and (l+i).
-            let mut perm = BitPermutation::identity(n as usize);
-            for i in 0..q {
-                perm = perm.then(&BitPermutation::transposition(n as usize, l - q + i, l + i));
-            }
-            let mut expect = vec![c64::zero(); full_len];
-            perm.permute_slice(&full, &mut expect);
-            assert!(
-                max_dist(&got, &expect) < 1e-15,
-                "g={g} q={q}: {}",
-                max_dist(&got, &expect)
-            );
-        }
-    }
-
-    #[test]
-    fn partial_swap_moves_fewer_bytes_than_full() {
-        use qsim_net::fabric::run_cluster;
-        let n = 8u32;
-        let g = 3u32;
-        let l = n - g;
-        let run = |q: u32| {
-            let (_, stats) = run_cluster(1usize << g, |ctx| {
-                let mut state = StateVector::<f64>::uniform_slice(l, n);
-                perform_partial_swap(ctx, &mut state, q, l);
-            });
-            stats.total_bytes_sent
-        };
-        let b1 = run(1);
-        let b3 = run(3);
-        assert!(b1 < b3, "1-bit swap {b1} must be cheaper than full {b3}");
-        // q=1: each rank ships half its slice to its pair partner.
-        assert_eq!(b1, (1u64 << g) * (1u64 << (l - 1)) * 16);
     }
 
     #[test]

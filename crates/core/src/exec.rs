@@ -67,13 +67,6 @@ pub struct CompiledStage<R: SweepDispatch = f64> {
     passes: Vec<CompiledPass<R>>,
 }
 
-impl<R: SweepDispatch> CompiledStage<R> {
-    /// Streaming passes this stage will perform (≤ the op count).
-    pub fn n_passes(&self) -> usize {
-        self.passes.len()
-    }
-}
-
 /// Compile a stage's ops under a `tile_qubits` budget. `local_qubits` is
 /// the per-rank register width l (= n on a single node); diagonal
 /// operands at positions ≥ l resolve to rank bits at execution time.
@@ -207,7 +200,7 @@ impl<'a, R: SweepDispatch> StageExecutor<'a, R> {
     }
 
     /// Per-gate mode whatever the kernel rung: the oracle of the
-    /// bit-exactness suites and the synchronous out-of-core baseline.
+    /// bit-exactness suites.
     pub fn per_gate(stages: &'a [Stage], local_qubits: u32, kernel: &KernelConfig) -> Self {
         Self {
             stages,

@@ -84,25 +84,6 @@ impl SingleNodeSimulator {
         }
     }
 
-    /// Build a simulator from the §3.2 autotuning feedback loop: measure
-    /// the kernel ladder on this host and adopt the resulting kmax and
-    /// block size. `n_test` trades tuning time for fidelity (12–22).
-    /// Tuning results are memoized per (n_test, threads), so constructing
-    /// many autotuned simulators measures only once.
-    pub fn autotuned(n_test: u32) -> Self {
-        let threads = rayon::current_num_threads();
-        let tuned = qsim_kernels::autotune_cached(n_test, threads);
-        Self {
-            kernel: KernelConfig {
-                block: tuned.block,
-                threads,
-                ..KernelConfig::default()
-            },
-            kmax: tuned.kmax,
-            ..Self::default()
-        }
-    }
-
     /// Plan and run `circuit`, returning the owned final state — the one
     /// entry point besides [`crate::Backend`], for callers that go on to
     /// measure, sample or perturb the state. Starts from the uniform
@@ -453,21 +434,6 @@ mod tests {
         // Entropy of a deep 16-qubit random circuit approaches n−0.61.
         let h = out.state.entropy();
         assert!(h > 13.0 && h <= 16.0, "entropy {h}");
-    }
-
-    #[test]
-    fn autotuned_simulator_is_correct() {
-        let sim = SingleNodeSimulator::autotuned(10);
-        assert!((1..=5).contains(&sim.kmax), "kmax {}", sim.kmax);
-        let c = supremacy_circuit(&SupremacySpec {
-            rows: 3,
-            cols: 3,
-            depth: 12,
-            seed: 1,
-        });
-        let expect = simulate_dense::<f64>(&c);
-        let out = run(&sim, &c);
-        assert!(max_dist(out.state.amplitudes(), &expect) < 1e-10);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! kernel dispatch, diagonal/specialized operations, norms and
 //! probabilities. Generic over precision (f64 default; f32 per §5).
 
+use crate::observables::norm_entropy;
 use qsim_kernels::apply::{apply_gate, ApplyDispatch, KernelConfig};
 use qsim_kernels::specialized;
 use qsim_util::bits::{log2_exact, BitPermutation};
@@ -116,13 +117,10 @@ impl<T: Real + ApplyDispatch> StateVector<T> {
         specialized::permute_qubits_inplace(&mut self.amps, perm);
     }
 
-    /// Σ|α|² — must stay 1 under unitary circuits.
+    /// Σ|α|² — must stay 1 under unitary circuits. Accumulated in f64
+    /// ([`norm_entropy`]) whatever `T` is.
     pub fn norm_sqr(&self) -> T {
-        let mut s = T::ZERO;
-        for a in self.amps.iter() {
-            s += a.norm_sqr();
-        }
-        s
+        T::from_f64(norm_entropy(&self.amps).0)
     }
 
     /// Probability that qubit (bit position) `q` reads 1.
@@ -135,16 +133,10 @@ impl<T: Real + ApplyDispatch> StateVector<T> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
-    /// Shannon entropy (bits) of the outcome distribution.
+    /// Shannon entropy (bits) of the outcome distribution, accumulated
+    /// like [`StateVector::norm_sqr`].
     pub fn entropy(&self) -> T {
-        let mut h = T::ZERO;
-        for a in self.amps.iter() {
-            let p = a.norm_sqr();
-            if p > T::ZERO {
-                h -= p * p.log2();
-            }
-        }
-        h
+        T::from_f64(norm_entropy(&self.amps).1)
     }
 
     /// Convert precision (f64 ↔ f32), e.g. for the §5 single-precision

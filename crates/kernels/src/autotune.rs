@@ -136,8 +136,7 @@ pub fn autotune(n_test: u32, threads: usize) -> TunedParams {
 
 /// Memoized [`autotune`]: the measurement loop runs once per distinct
 /// `(n_test, threads)` pair per process and later callers get the cached
-/// result — `SingleNodeSimulator::autotuned` no longer re-tunes per
-/// construction in benches and tests.
+/// result.
 pub fn autotune_cached(n_test: u32, threads: usize) -> TunedParams {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};

@@ -74,30 +74,6 @@ pub(crate) fn par_block_ranges<T: Send>(
         });
 }
 
-/// Parallel per-amplitude map (diagonal gates, phases, probability sums).
-/// Plain rayon chunks — amplitude-indexed work needs no unsafe.
-pub fn par_map_amplitudes<T: Real>(
-    state: &mut [Complex<T>],
-    f: impl Fn(usize, Complex<T>) -> Complex<T> + Sync,
-) {
-    if state.len() < PAR_THRESHOLD {
-        for (i, a) in state.iter_mut().enumerate() {
-            *a = f(i, *a);
-        }
-        return;
-    }
-    let chunk = (state.len() / (rayon::current_num_threads() * 8)).max(1024);
-    state
-        .par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(ci, ch)| {
-            let base = ci * chunk;
-            for (j, a) in ch.iter_mut().enumerate() {
-                *a = f(base + j, *a);
-            }
-        });
-}
-
 /// Parallel gather: `dst[t] = src[index(t)]` — the pack half of the fused
 /// permute-scatter swap data path (contiguous writes, scattered reads).
 /// Sequential below [`PAR_THRESHOLD`] destination elements.
@@ -149,40 +125,6 @@ pub fn par_scatter<T: Real>(
             d[index(base + j)] = v;
         }
     });
-}
-
-/// Parallel reduction over amplitudes: one partial per fixed sub-chunk,
-/// merged in index order. Which worker computes which partial (or
-/// finishes first) cannot reach the result, so a floating-point `merge`
-/// repeats bit for bit from run to run.
-pub fn par_reduce_amplitudes<T: Real, A: Send>(
-    state: &[Complex<T>],
-    identity: impl Fn() -> A + Sync + Send,
-    fold: impl Fn(A, usize, Complex<T>) -> A + Sync,
-    merge: impl Fn(A, A) -> A + Sync + Send,
-) -> A {
-    let fold_range = |base: usize, amps: &[Complex<T>]| {
-        let mut acc = identity();
-        for (j, &a) in amps.iter().enumerate() {
-            acc = fold(acc, base + j, a);
-        }
-        acc
-    };
-    if state.len() < PAR_THRESHOLD {
-        return fold_range(0, state);
-    }
-    let chunk = (state.len() / (rayon::current_num_threads() * 8)).max(1024);
-    let mut partials: Vec<Option<A>> = Vec::new();
-    partials.resize_with(state.len().div_ceil(chunk), || None);
-    partials
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(ci, slot)| {
-            let base = ci * chunk;
-            let end = (base + chunk).min(state.len());
-            slot[0] = Some(fold_range(base, &state[base..end]));
-        });
-    partials.into_iter().flatten().fold(identity(), merge)
 }
 
 /// Split `[0, blocks)` into roughly `parts * 4` contiguous ranges (over-
@@ -279,49 +221,6 @@ mod tests {
         let mut b = state0;
         apply_fma(&mut b, &qubits, &m);
         assert!(max_dist(&a, &b) < 1e-13);
-    }
-
-    #[test]
-    fn par_map_and_reduce() {
-        let mut state = random_state(15, 21);
-        let expect_norm: f64 = state.iter().map(|a| a.norm_sqr() * 4.0).sum();
-        par_map_amplitudes(&mut state, |_, a| a.scale(2.0));
-        let norm = par_reduce_amplitudes(
-            &state,
-            || 0.0f64,
-            |acc, _, a| acc + a.norm_sqr(),
-            |x, y| x + y,
-        );
-        assert!((norm - expect_norm).abs() < 1e-9);
-    }
-
-    #[test]
-    fn par_reduce_merges_in_index_order() {
-        // A merge that is neither commutative nor associative in
-        // floating point: any dependence on worker scheduling shows up
-        // as a changed bit within a few repetitions.
-        let state = random_state(16, 5);
-        let reduce = || {
-            par_reduce_amplitudes(
-                &state,
-                || 0.0f64,
-                |acc, i, a| acc + a.norm_sqr() * (1.0 + i as f64 * 1e-3),
-                |x, y| x * 0.999 + y,
-            )
-        };
-        let first = reduce();
-        for _ in 0..20 {
-            assert_eq!(reduce().to_bits(), first.to_bits());
-        }
-    }
-
-    #[test]
-    fn par_map_sees_correct_indices() {
-        let mut state = vec![c64::zero(); 1 << 15];
-        par_map_amplitudes(&mut state, |i, _| c64::new(i as f64, 0.0));
-        for (i, a) in state.iter().enumerate() {
-            assert_eq!(a.re, i as f64);
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Collectives (§3.4).
 //!
-//! The global-to-local swap is "1 group-local all-to-all for each of the
-//! 2^{g−q} groups of processes", and "turning all global qubits into local
-//! ones amounts to executing one all-to-all on the MPI_COMM_WORLD
-//! communicator". [`Communicator`] models the contiguous process groups.
+//! "Turning all global qubits into local ones amounts to executing one
+//! all-to-all on the MPI_COMM_WORLD communicator": the scheduler emits
+//! only such full swaps, so [`Communicator`] is the world and nothing
+//! else (the paper's group-local all-to-all over 2^{g−q} sub-groups went
+//! with the partial swap, its one caller).
 //!
 //! The workhorse is the pipelined engine [`all_to_all_with`]: each peer
 //! segment is split into `sub_chunks` rounds; every round posts all sends
@@ -19,12 +20,9 @@
 use crate::fabric::RankCtx;
 use std::ops::Range;
 
-/// A contiguous group of ranks `[base, base + size)` — the process groups
-/// of a q-qubit group-local swap share their high global bits, which makes
-/// them contiguous in rank numbering.
+/// The ranks an all-to-all runs over: all `size` of them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Communicator {
-    pub base: usize,
     pub size: usize,
 }
 
@@ -32,31 +30,8 @@ impl Communicator {
     /// The world communicator.
     pub fn world(ctx: &RankCtx) -> Self {
         Self {
-            base: 0,
             size: ctx.n_ranks(),
         }
-    }
-
-    /// The group of `2^q` ranks containing `rank` for a q-qubit
-    /// group-local swap (ranks sharing the high `g − q` bits).
-    pub fn group_of(rank: usize, group_size: usize) -> Self {
-        assert!(group_size.is_power_of_two(), "group size must be 2^q");
-        Self {
-            base: rank & !(group_size - 1),
-            size: group_size,
-        }
-    }
-
-    #[inline]
-    pub fn contains(&self, rank: usize) -> bool {
-        rank >= self.base && rank < self.base + self.size
-    }
-
-    /// Rank's index within the group.
-    #[inline]
-    pub fn local_index(&self, rank: usize) -> usize {
-        debug_assert!(self.contains(rank));
-        rank - self.base
     }
 }
 
@@ -72,7 +47,7 @@ pub fn sub_range(seg_len: usize, sub_chunks: usize, round: usize) -> Range<usize
 }
 
 /// Pipelined all-to-all engine: every rank owns `comm.size` segments of
-/// `seg_len` elements; segment `j` is produced for group member `j` by
+/// `seg_len` elements; segment `j` is produced for rank `j` by
 /// `pack` and the segment received from member `i` is consumed by
 /// `unpack`, sub-chunk by sub-chunk. The self segment (`j == me`) is never
 /// packed, sent, or unpacked — callers for whom it is not a no-op must
@@ -98,8 +73,8 @@ pub fn all_to_all_with<T: Copy, D: ?Sized>(
 ) {
     let p = comm.size;
     assert!(p >= 1, "empty communicator");
-    assert!(comm.contains(ctx.rank()), "rank outside communicator");
-    let me = comm.local_index(ctx.rank());
+    let me = ctx.rank();
+    assert!(me < p, "rank outside communicator");
     if p == 1 || seg_len == 0 {
         return;
     }
@@ -110,15 +85,13 @@ pub fn all_to_all_with<T: Copy, D: ?Sized>(
             if j == me {
                 continue;
             }
-            ctx.send_with::<T>(comm.base + j, r.len(), |wire| {
-                pack(data, j, r.clone(), wire)
-            });
+            ctx.send_with::<T>(j, r.len(), |wire| pack(data, j, r.clone(), wire));
         }
         for i in 0..p {
             if i == me {
                 continue;
             }
-            ctx.recv_with::<T, ()>(comm.base + i, |wire| {
+            ctx.recv_with::<T, ()>(i, |wire| {
                 assert_eq!(wire.len(), r.len(), "sub-chunk size mismatch from {i}");
                 unpack(data, i, r.clone(), wire);
             });
@@ -127,8 +100,8 @@ pub fn all_to_all_with<T: Copy, D: ?Sized>(
 }
 
 /// All-to-all into caller-provided storage: `send` is split into
-/// `comm.size` equal segments, segment `j` goes to group member `j`, and
-/// `out` receives the segments in group order — with zero allocations in
+/// `comm.size` equal segments, segment `j` goes to rank `j`, and
+/// `out` receives the segments in rank order — with zero allocations in
 /// steady state and `sub_chunks`-deep pipelining. `send` and `out` must
 /// not alias (use [`all_to_all_inplace`] for the aliased case).
 pub fn all_to_all_into<T: Copy>(
@@ -142,7 +115,7 @@ pub fn all_to_all_into<T: Copy>(
     assert_eq!(send.len() % p, 0, "payload not divisible into {p} chunks");
     assert_eq!(out.len(), send.len(), "output length mismatch");
     let seg = send.len() / p;
-    let me = comm.local_index(ctx.rank());
+    let me = ctx.rank();
     out[me * seg..(me + 1) * seg].copy_from_slice(&send[me * seg..(me + 1) * seg]);
     all_to_all_with::<T, [T]>(
         ctx,
@@ -155,9 +128,10 @@ pub fn all_to_all_into<T: Copy>(
     );
 }
 
-/// All-to-all exchanging the segments of `buf` in place (the partial-swap
-/// data path: segment contents swap between ranks without local
-/// reordering, and the self segment stays put untouched).
+/// All-to-all exchanging the segments of `buf` in place (the swap data
+/// path when the outgoing qubits already sit at the top local positions:
+/// segment contents swap between ranks without local reordering, and the
+/// self segment stays put untouched).
 pub fn all_to_all_inplace<T: Copy>(
     ctx: &mut RankCtx,
     comm: Communicator,
@@ -211,43 +185,6 @@ pub fn all_reduce_sum(ctx: &mut RankCtx, value: f64) -> f64 {
     acc
 }
 
-/// Max-all-reduce of one f64 (recursive doubling).
-pub fn all_reduce_max(ctx: &mut RankCtx, value: f64) -> f64 {
-    let p = ctx.n_ranks();
-    let mut acc = value;
-    let mut stride = 1usize;
-    while stride < p {
-        let partner = ctx.rank() ^ stride;
-        let got = ctx.exchange(partner, &[acc]);
-        acc = acc.max(got[0]);
-        stride <<= 1;
-    }
-    acc
-}
-
-/// Gather per-rank f64 values to every rank (small payloads only).
-pub fn all_gather_f64(ctx: &mut RankCtx, value: f64) -> Vec<f64> {
-    let p = ctx.n_ranks();
-    let mut out = vec![0.0; p];
-    out[ctx.rank()] = value;
-    for peer in 0..p {
-        if peer == ctx.rank() {
-            continue;
-        }
-        ctx.send_slice(peer, &[value]);
-    }
-    let me = ctx.rank();
-    for (peer, slot) in out.iter_mut().enumerate() {
-        if peer == me {
-            continue;
-        }
-        let mut got = 0.0;
-        ctx.recv_into(peer, core::slice::from_mut(&mut got));
-        *slot = got;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,23 +206,6 @@ mod tests {
         }
         // Each rank sends 3 chunks of 8 bytes.
         assert_eq!(stats.total_bytes_sent, 4 * 3 * 8);
-    }
-
-    #[test]
-    fn group_local_all_to_all_stays_in_group() {
-        // 8 ranks, groups of 4: data must never cross the group boundary.
-        let (results, _) = run_cluster(8, |ctx| {
-            let comm = Communicator::group_of(ctx.rank(), 4);
-            let send: Vec<u64> = (0..4).map(|j| (ctx.rank() * 10 + j) as u64).collect();
-            (comm.base, all_to_all(ctx, comm, &send))
-        });
-        for (r, (base, recv)) in results.iter().enumerate() {
-            assert_eq!(*base, r & !3);
-            for (i, &v) in recv.iter().enumerate() {
-                let src = base + i;
-                assert_eq!(v, (src * 10 + (r - base)) as u64);
-            }
-        }
     }
 
     #[test]
@@ -349,7 +269,7 @@ mod tests {
     #[test]
     fn all_to_all_inplace_matches_out_of_place() {
         let (results, _) = run_cluster(8, |ctx| {
-            let comm = Communicator::group_of(ctx.rank(), 4);
+            let comm = Communicator::world(ctx);
             let send: Vec<u64> = (0..16).map(|j| (ctx.rank() * 100 + j) as u64).collect();
             let expect = all_to_all(ctx, comm, &send);
             let mut buf = send.clone();
@@ -376,17 +296,18 @@ mod tests {
     }
 
     #[test]
-    fn reduce_and_gather() {
-        let (results, _) = run_cluster(8, |ctx| {
-            let sum = all_reduce_sum(ctx, ctx.rank() as f64);
-            let max = all_reduce_max(ctx, ctx.rank() as f64);
-            let gathered = all_gather_f64(ctx, ctx.rank() as f64 * 2.0);
-            (sum, max, gathered)
-        });
-        for (sum, max, gathered) in results {
-            assert_eq!(sum, 28.0);
-            assert_eq!(max, 7.0);
-            assert_eq!(gathered, vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]);
+    fn all_reduce_sum_is_the_balanced_pairwise_tree() {
+        // Values whose sum depends on the association (a running sum
+        // from 1e16 absorbs every 1.0): every rank must hold the bits of
+        // ((v0+v1)+(v2+v3))+((v4+v5)+(v6+v7)), which is what lets
+        // per-chunk partials summed pairwise out of core match the
+        // distributed reduction exactly.
+        let v = |r: usize| if r == 0 { 1e16 } else { 1.0 };
+        let (results, _) = run_cluster(8, |ctx| all_reduce_sum(ctx, v(ctx.rank())));
+        let tree = ((v(0) + v(1)) + (v(2) + v(3))) + ((v(4) + v(5)) + (v(6) + v(7)));
+        assert_ne!(tree.to_bits(), (0..8).map(v).sum::<f64>().to_bits());
+        for sum in results {
+            assert_eq!(sum.to_bits(), tree.to_bits());
         }
     }
 

@@ -55,11 +55,6 @@ impl WireBuf {
         grew
     }
 
-    #[inline]
-    pub fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
     /// View the payload as a typed slice. `T` must be `Copy` with
     /// alignment ≤ 8 and must divide the payload size exactly.
     #[inline]
@@ -725,35 +720,6 @@ fn collect_stats(fabric: &Fabric, n_ranks: usize) -> FabricStats {
     }
 }
 
-/// Reinterpret a `Copy` slice as bytes (one allocation + memcpy).
-pub fn slice_to_bytes<T: Copy>(data: &[T]) -> Vec<u8> {
-    let len = std::mem::size_of_val(data);
-    let mut out = vec![0u8; len];
-    // SAFETY: T is Copy (no drop), byte-level read of initialized memory.
-    unsafe {
-        std::ptr::copy_nonoverlapping(data.as_ptr() as *const u8, out.as_mut_ptr(), len);
-    }
-    out
-}
-
-/// Inverse of [`slice_to_bytes`].
-pub fn bytes_to_vec<T: Copy>(bytes: Vec<u8>) -> Vec<T> {
-    let sz = std::mem::size_of::<T>();
-    assert!(
-        sz > 0 && bytes.len().is_multiple_of(sz),
-        "payload size mismatch"
-    );
-    let n = bytes.len() / sz;
-    let mut out = Vec::<T>::with_capacity(n);
-    // SAFETY: T is Copy; we copy bytes of exactly n elements into the
-    // reserved buffer, then fix the length.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, bytes.len());
-        out.set_len(n);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,15 +768,6 @@ mod tests {
             phase1.load(Ordering::SeqCst)
         });
         assert!(results.iter().all(|&v| v == 8));
-    }
-
-    #[test]
-    fn byte_round_trip_preserves_amplitudes() {
-        let data = vec![c64::new(1.5, -2.5), c64::new(0.0, 3.25)];
-        let bytes = slice_to_bytes(&data);
-        assert_eq!(bytes.len(), 32);
-        let back: Vec<c64> = bytes_to_vec(bytes);
-        assert_eq!(back, data);
     }
 
     #[test]

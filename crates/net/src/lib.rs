@@ -10,8 +10,7 @@
 //! * [`fabric`] — rank spawning, ordered point-to-point channels,
 //!   barriers, per-rank byte/time counters.
 //! * [`collective`] — the collectives the simulator uses: all-to-all over
-//!   the world or over contiguous groups (the group-local all-to-alls of a
-//!   partial global-to-local swap, Fig. 3), pairwise half-state exchange
+//!   the world (the full global-to-local swap), pairwise half-state exchange
 //!   (the scheme of \[19\], used by the baseline simulator), and all-reduce
 //!   (entropy/norm reductions, §4.2.2).
 //! * [`model`] — a dragonfly-style analytic network model for projecting

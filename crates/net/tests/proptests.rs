@@ -36,31 +36,6 @@ proptest! {
     }
 
     #[test]
-    fn group_all_to_all_never_crosses_groups(
-        q in 1u32..=2,
-        seed in 0u64..100,
-    ) {
-        let g = 3u32;
-        let ranks = 1usize << g;
-        let group = 1usize << q;
-        let (results, _) = run_cluster(ranks, |ctx| {
-            let comm = Communicator::group_of(ctx.rank(), group);
-            let send: Vec<u64> = (0..group)
-                .map(|j| seed + (ctx.rank() * 100 + j) as u64)
-                .collect();
-            (ctx.rank(), all_to_all(ctx, comm, &send))
-        });
-        for (rank, recv) in results {
-            let base = rank & !(group - 1);
-            for (i, &v) in recv.iter().enumerate() {
-                let src = base + i;
-                let j = rank - base;
-                prop_assert_eq!(v, seed + (src * 100 + j) as u64);
-            }
-        }
-    }
-
-    #[test]
     fn all_reduce_sums_exactly(values in prop::collection::vec(-100.0f64..100.0, 4)) {
         let vals = values.clone();
         let (results, _) = run_cluster(4, move |ctx| {

@@ -77,7 +77,7 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
     }
 
     fn total_units(&self, plan: &BackendPlan) -> usize {
-        self.sim.planned_runs(&plan.schedule).len()
+        qsim_sched::plan_runs(&plan.schedule).len()
     }
 
     fn run_to_stage(

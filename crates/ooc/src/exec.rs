@@ -1,23 +1,18 @@
 //! Out-of-core schedule execution.
 //!
 //! The distributed engine's rank loop with chunk files in place of
-//! ranks, batched and pipelined so the disk is touched as rarely — and
-//! as concurrently — as possible:
-//!
-//! * **Stage-run batching** (`batch_runs`): consecutive swap-free stages
-//!   form a single *run* ([`qsim_sched::plan_runs`]); each chunk
-//!   residency applies every op of the run before writeback, so
-//!   full-state traversals drop from one per stage to one per swap
-//!   boundary (`runs == n_swaps() + 1`), independent of how finely the
-//!   schedule was segmented for checkpointing.
-//! * **Async double-buffering** (`pipeline`): every pass streams through
-//!   the prefetch/compute/writeback pipeline of [`crate::pipeline`],
-//!   hiding `read(c+1)` / `write(c−1)` behind `compute(c)` with pooled
-//!   aligned buffers (zero steady-state allocations).
-//! * **Compiled-stage compute** (`compiled_stages`): per-chunk compute
-//!   goes through `qsim_core::exec`'s [`StageExecutor`] — each run is
-//!   prepared once and reused for all 2^g chunks (the chunk index *is*
-//!   the rank id), surfacing [`SweepStats`] in the outcome.
+//! ranks. There is one pass shape: consecutive swap-free stages form a
+//! *run* ([`qsim_sched::plan_runs`], `runs == n_swaps() + 1` however
+//! finely the schedule was segmented); each run streams every chunk once
+//! through the prefetch/compute/writeback pipeline of [`crate::pipeline`]
+//! (`read(c+1)` / `write(c−1)` hidden behind `compute(c)`, pooled aligned
+//! buffers, zero steady-state allocations); and each chunk residency
+//! applies the whole run through `qsim_core::exec`'s [`StageExecutor`],
+//! prepared once per run and reused for all 2^g chunks (the chunk index
+//! *is* the rank id). [`OocConfig::prefetch_depth`] is the only
+//! pass-shape value: at depth 1 a single chunk buffer circulates and
+//! read → compute → write serialise — the synchronous case of the same
+//! path ([`OocConfig::sync_baseline`]).
 //!
 //! One streaming pass *is* one stage run: the start state is synthesised
 //! in the first pass's prefetch stage instead of being written and read
@@ -44,12 +39,12 @@ use qsim_compress::Codec;
 use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy, RunKey};
 use qsim_core::dist::{physical_to_logical, slots_to_top_permutation};
 use qsim_core::exec::{resolve_tile_qubits, StageExecutor};
-use qsim_core::observables::norm_entropy;
+use qsim_core::observables::{norm_entropy, tree_sum};
 use qsim_core::{partition_geometry, BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
 use qsim_kernels::{SweepDispatch, SweepStats};
-use qsim_sched::{plan_runs, Schedule, StageRun, SwapOp};
+use qsim_sched::{plan_runs, StageRun, SwapOp};
 use qsim_telemetry::{Telemetry, TrackHandle};
 use qsim_util::align::AlignedVec;
 use qsim_util::complex::Complex;
@@ -57,28 +52,20 @@ use qsim_util::Real;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Out-of-core engine configuration. The default is the full pipeline;
-/// [`OocConfig::sync_baseline`] is the synchronous per-stage engine the
-/// benchmarks (and the bit-exactness proptests) compare against.
+/// Out-of-core engine configuration.
 #[derive(Clone, Debug)]
 pub struct OocConfig {
     pub kernel: KernelConfig,
-    /// Overlap chunk IO with compute on dedicated prefetch/writeback
-    /// threads.
-    pub pipeline: bool,
-    /// Chunk buffers in flight when pipelined (≥ 1).
+    /// Chunk buffers circulating through a pass's prefetch → compute →
+    /// writeback loop (values below 1 run as 1). With one buffer the
+    /// three steps of consecutive chunks serialise; more let the IO
+    /// threads run ahead of and behind compute.
     pub prefetch_depth: usize,
-    /// Batch consecutive swap-free stages into one traversal.
-    pub batch_runs: bool,
-    /// Route per-chunk compute through the compiled tiled stage
-    /// executor (requires `OptLevel::Blocked`; falls back per-gate
-    /// otherwise).
-    pub compiled_stages: bool,
     /// Tile budget (log2 amplitudes) for compiled stages; `None` is
     /// [`resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
     /// Chunk codec on the IO path: encode on writeback, decode on
-    /// prefetch, both hidden behind compute when pipelined. The default
+    /// prefetch, both off the compute thread. The default
     /// [`Codec::None`] keeps the raw on-disk format byte for byte;
     /// [`Codec::ShuffleRle`] is lossless (bit-exact state);
     /// [`Codec::Lossy`] truncates low mantissa bits before encoding.
@@ -149,10 +136,7 @@ impl Default for OocConfig {
     fn default() -> Self {
         Self {
             kernel: KernelConfig::default(),
-            pipeline: true,
             prefetch_depth: 3,
-            batch_runs: true,
-            compiled_stages: true,
             tile_qubits: None,
             compress: Codec::None,
             telemetry: Telemetry::disabled(),
@@ -162,8 +146,8 @@ impl Default for OocConfig {
 }
 
 impl OocConfig {
-    /// Full pipeline on a single-threaded scalar kernel (deterministic;
-    /// the test workhorse).
+    /// The default pass shape on a single-threaded scalar kernel
+    /// (deterministic; the test workhorse).
     pub fn sequential() -> Self {
         Self {
             kernel: KernelConfig::sequential(),
@@ -171,20 +155,14 @@ impl OocConfig {
         }
     }
 
-    /// The synchronous reference engine: one traversal per stage,
-    /// inline IO, per-gate compute. This is the baseline the ≥ 1.3x
-    /// wall-clock acceptance is measured against.
+    /// The synchronous case of the one path: a single chunk buffer, so
+    /// nothing overlaps. What the benchmark's `ooc.pipeline_speedup`
+    /// divides by.
     pub fn sync_baseline(kernel: KernelConfig) -> Self {
         Self {
             kernel,
-            pipeline: false,
             prefetch_depth: 1,
-            batch_runs: false,
-            compiled_stages: false,
-            tile_qubits: None,
-            compress: Codec::None,
-            telemetry: Telemetry::disabled(),
-            checkpoint: None,
+            ..Self::default()
         }
     }
 }
@@ -214,26 +192,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
             chunk_pool: BufferPool::default(),
             wire_pool: BufferPool::default(),
             scratch: None,
-        }
-    }
-
-    /// The stage runs this configuration executes for `schedule`:
-    /// swap-bounded batches when `batch_runs`, one run per stage
-    /// otherwise. `run` executes exactly this list, one streaming pass
-    /// (and one checkpoint unit) per entry.
-    pub fn planned_runs(&self, schedule: &Schedule) -> Vec<StageRun> {
-        if self.config.batch_runs {
-            plan_runs(schedule)
-        } else {
-            schedule
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(i, s)| StageRun {
-                    stages: i..i + 1,
-                    swap: s.swap.clone(),
-                })
-                .collect()
         }
     }
 
@@ -304,7 +262,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
         let l = schedule.local_qubits;
         let g = schedule.n_qubits - l;
         partition_geometry(schedule.n_qubits, 1usize << g)?;
-        let runs: Vec<StageRun> = self.planned_runs(schedule);
+        let runs: Vec<StageRun> = plan_runs(schedule);
         if runs.last().is_none_or(|r| r.swap.is_some()) {
             return Err(invalid(
                 "schedule must end in a swap-free stage (nothing would apply the last unpermute)"
@@ -381,17 +339,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
         // is the unpermute scratch; wire buffers stage all-to-all
         // pieces. Prewarming here makes the passes themselves miss-free
         // (`io.buffer_allocs` counts any slip).
-        let pipelined = self.config.pipeline;
-        let depth = if pipelined {
-            self.config.prefetch_depth.max(1)
-        } else {
-            1
-        };
-        let wires = if pipelined {
-            (2 * depth).clamp(1, n_chunks)
-        } else {
-            1
-        };
+        let depth = self.config.prefetch_depth.max(1);
+        let wires = (2 * depth).min(n_chunks);
         self.chunk_pool.ensure_len(chunk_len);
         self.wire_pool.ensure_len(piece);
         if self.scratch.as_ref().is_some_and(|s| s.len() != chunk_len) {
@@ -425,10 +374,10 @@ impl<R: SweepDispatch> OocSimulator<R> {
         }
 
         let mut sweep = SweepStats::default();
-        // Per-chunk reduction partials, combined pairwise afterwards:
-        // the chunk is the rank analogue, so summing partials as a
-        // balanced binary tree reproduces the distributed engine's
-        // recursive-doubling all-reduce bit for bit.
+        // Per-chunk reduction partials, `tree_sum`med afterwards: the
+        // chunk is the rank analogue, so this reproduces the distributed
+        // engine's `norm_entropy` + recursive-doubling all-reduce bit for
+        // bit.
         let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
         let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
         // Scatter + commit time of the swap the next pass's unpermute
@@ -438,11 +387,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             let _rs = track.span_id("stage run", ri as u64);
             let t_pass = Instant::now();
             let stages = &schedule.stages[run.stages.clone()];
-            let exec = if self.config.compiled_stages {
-                StageExecutor::new(stages, l, &kernel, Some(tile))
-            } else {
-                StageExecutor::per_gate(stages, l, &kernel)
-            };
+            let exec = StageExecutor::new(stages, l, &kernel, Some(tile));
             let prev_swap = ri.checked_sub(1).and_then(|p| runs[p].swap.as_ref());
             // `final[x] = buf[p(x)]` places the previous swap's incoming
             // qubits at its slots; an identity `p` means the committed
@@ -457,7 +402,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 } else {
                     PassSource::Live
                 },
-                pipelined,
                 depth,
                 wires: if scatter.is_some() { wires } else { 0 },
                 telemetry: telemetry.clone(),
@@ -493,7 +437,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
                         } else {
                             Dest::Live(c)
                         };
-                        return sink.retire(dest, buf);
+                        sink.retire(dest, buf);
+                        return Ok(());
                     };
                     // Fused permute-scatter: this chunk's permuted piece
                     // for destination `dst` lands at offset `c·piece` of
@@ -509,10 +454,11 @@ impl<R: SweepDispatch> OocSimulator<R> {
                             par_gather(&buf, &mut wire, |t| inv.apply(dst * piece + t));
                         }
                         let off = c * piece;
-                        sink.retire(Dest::Piece { c: dst, off }, wire)?;
+                        sink.retire(Dest::Piece { c: dst, off }, wire);
                     }
                     scatter_t += t.elapsed();
-                    sink.retire(Dest::Nowhere, buf)
+                    sink.retire(Dest::Nowhere, buf);
+                    Ok(())
                 },
             )?;
             if prev_swap.is_some() {
@@ -548,8 +494,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             chunk_pool.put(buf);
             store.count_traversal();
         }
-        let norm = tree_sum(partials.iter().map(|p| p.0).collect());
-        let entropy = tree_sum(partials.iter().map(|p| p.1).collect());
+        let (norm, entropy) = tree_sum(partials);
 
         let mut io = store.stats();
         io.buffer_allocs = chunk_pool.allocs() + self.wire_pool.allocs() - allocs0;
@@ -675,16 +620,6 @@ fn checkpoint_pass<R: Real>(
     Ok(())
 }
 
-/// Balanced pairwise summation over 2^g per-chunk partials — the exact
-/// association of the recursive-doubling `all_reduce_sum`, so the final
-/// scalar matches the distributed reduction bitwise.
-fn tree_sum(mut v: Vec<f64>) -> f64 {
-    while v.len() > 1 {
-        v = v.chunks(2).map(|pair| pair.iter().sum()).collect();
-    }
-    v.into_iter().next().unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,7 +627,8 @@ mod tests {
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
     use qsim_circuit::Circuit;
     use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
-    use qsim_sched::{plan, segment_stages, SchedulerConfig};
+    use qsim_core::{Backend, DistBackend, DistConfig, DistSimulator};
+    use qsim_sched::{plan, segment_stages, Schedule, SchedulerConfig};
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
 
@@ -748,8 +684,28 @@ mod tests {
         }
     }
 
+    /// The distributed engine on the same hand-planned schedule: the
+    /// oracle for state, norm and entropy.
+    fn dist_oracle(exec: &Circuit, schedule: &Schedule, uniform: bool) -> BackendOutcome {
+        let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+            n_ranks: 1 << (schedule.n_qubits - schedule.local_qubits),
+            kernel: KernelConfig::sequential(),
+            gather_state: true,
+            ..Default::default()
+        }));
+        let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), uniform);
+        Backend::<f64>::run(&mut dist, &plan).unwrap()
+    }
+
+    fn at_depth(prefetch_depth: usize) -> OocSimulator {
+        OocSimulator::new(OocConfig {
+            prefetch_depth,
+            ..OocConfig::sequential()
+        })
+    }
+
     #[test]
-    fn batching_executes_one_traversal_per_swap_boundary() {
+    fn one_traversal_per_swap_boundary_at_every_depth() {
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 3,
@@ -758,38 +714,35 @@ mod tests {
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(7, 3));
-        // Segment to one op per stage: a synchronous engine would pay
-        // one traversal per op; batching must collapse each swap-free
-        // span back into a single traversal.
+        // Segment to one op per stage: each swap-free span must still
+        // collapse into a single traversal.
         let seg = segment_stages(&schedule, 1);
         seg.verify(&exec);
         assert!(seg.stages.len() > schedule.stages.len());
         let swaps = seg.n_swaps() as u64;
-
-        let out = run(&mut sequential(), &exec, &seg, uniform).unwrap();
-        let (io, runs) = ooc_stats(&out);
-        assert_eq!(runs, swaps as usize + 1, "runs = swap boundaries + 1");
-        // One traversal per run: both halves of every swap ride inside
-        // the runs around it.
-        assert_eq!(io.traversals, swaps + 1);
-
-        // And the batched result still matches the oracle.
+        let want = dist_oracle(&exec, &seg, uniform);
         let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
-        assert!(max_dist(out.state.as_ref().unwrap(), single.state.amplitudes()) < 1e-10);
 
-        // Without batching, the same segmented schedule pays one
-        // traversal per stage.
-        let mut sync =
-            OocSimulator::<f64>::new(OocConfig::sync_baseline(KernelConfig::sequential()));
-        let out2 = run(&mut sync, &exec, &seg, uniform).unwrap();
-        let (io2, runs2) = ooc_stats(&out2);
-        assert_eq!(runs2, seg.stages.len());
-        assert!(io2.traversals > io.traversals);
-        assert_eq!(out.norm, out2.norm, "bitwise-equal reductions");
+        for depth in [1usize, 3] {
+            let out = run(&mut at_depth(depth), &exec, &seg, uniform).unwrap();
+            let (io, runs) = ooc_stats(&out);
+            assert_eq!(runs, swaps as usize + 1, "runs = swap boundaries + 1");
+            // One traversal per run: both halves of every swap ride inside
+            // the runs around it.
+            assert_eq!(io.traversals, swaps + 1, "depth {depth}");
+            assert_eq!(out.state, want.state, "depth {depth}");
+            assert_eq!(out.norm.to_bits(), want.norm.to_bits(), "depth {depth}");
+            assert_eq!(
+                out.entropy.to_bits(),
+                want.entropy.to_bits(),
+                "depth {depth}"
+            );
+            assert!(max_dist(out.state.as_ref().unwrap(), single.state.amplitudes()) < 1e-10);
+        }
     }
 
     #[test]
-    fn pipelined_matches_sync_bitwise() {
+    fn every_depth_matches_dist_bitwise() {
         let c = supremacy_circuit(&SupremacySpec {
             rows: 2,
             cols: 4,
@@ -798,26 +751,22 @@ mod tests {
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(6, 3));
-        let mut sync = OocSimulator::<f64>::new(OocConfig {
-            pipeline: false,
-            ..OocConfig::sequential()
-        });
-        let oracle = run(&mut sync, &exec, &schedule, uniform)
-            .unwrap()
-            .state
-            .unwrap();
+        let oracle = dist_oracle(&exec, &schedule, uniform).state.unwrap();
         for depth in [1usize, 2, 4] {
-            let mut sim = OocSimulator::<f64>::new(OocConfig {
-                prefetch_depth: depth,
-                ..OocConfig::sequential()
-            });
+            let mut sim = at_depth(depth);
             let out = run(&mut sim, &exec, &schedule, uniform).unwrap();
             assert_eq!(
                 max_dist(out.state.as_ref().unwrap(), &oracle),
                 0.0,
-                "pipelining must not change a single bit (depth {depth})"
+                "prefetch depth must not change a single bit (depth {depth})"
             );
-            assert!(ooc_stats(&out).0.overlap_fraction() >= 0.0);
+            // `depth` buffers circulate (one at depth 1, where nothing
+            // can overlap) beside the engine-held unpermute scratch.
+            assert_eq!(sim.chunk_pool.allocs(), depth as u64 + 1);
+            let (io, _) = ooc_stats(&out);
+            assert_eq!(io.buffer_allocs, 0, "nothing beyond the prewarm");
+            let f = io.overlap_fraction();
+            assert!((0.0..=1.0).contains(&f), "depth {depth}: {f}");
         }
     }
 

@@ -1,14 +1,15 @@
-//! The async double-buffered chunk pipeline.
+//! The chunk pipeline: the one way a pass streams the state.
 //!
 //! Every full-state pass of the out-of-core engine — one stage run, with
 //! both halves of its neighbouring swaps folded in — streams all 2^g
-//! chunks through memory. [`run_pass`] drives that stream either
-//! synchronously (source → compute → write inline, the baseline) or as a
+//! chunks through memory. [`run_pass`] drives that stream as a
 //! three-thread pipeline: a *prefetch* thread fills chunk `c+1..c+depth`
 //! ahead (read from the live files, or synthesised for the start state),
 //! the caller's compute closure runs on the main thread, and a
 //! *writeback* thread retires chunk `c−1` — so disk time hides behind
-//! compute.
+//! compute. `depth` chunk buffers circulate; at depth 1 there is one, so
+//! read → compute → write of consecutive chunks serialise through the
+//! same three threads — the synchronous case is a depth, not a mode.
 //!
 //! Buffers travel a closed loop of bounded [`Pipe`]s (hand-rolled
 //! Mutex+Condvar ring; the queue storage is preallocated, so steady
@@ -176,17 +177,6 @@ impl Dest {
     }
 }
 
-/// The compute closure's handle on the pass: where finished buffers go
-/// and where staging buffers come from. One implementation per mode so
-/// the same closure body drives both the synchronous baseline and the
-/// pipeline.
-pub(crate) trait PassSink<R: Real> {
-    /// Write `buf` to `dest`, then return it to its pool.
-    fn retire(&mut self, dest: Dest, buf: Buf<R>) -> std::io::Result<()>;
-    /// Acquire a wire buffer (piece-sized staging).
-    fn take_wire(&mut self) -> std::io::Result<Buf<R>>;
-}
-
 /// Where a pass's chunks come from.
 #[derive(Clone, Copy)]
 pub(crate) enum PassSource {
@@ -199,7 +189,7 @@ pub(crate) enum PassSource {
 }
 
 /// The opened form of a [`PassSource`]: fills chunk buffers on the
-/// prefetch thread (or inline when synchronous).
+/// prefetch thread.
 enum Feed<R: Real> {
     Live(Box<ChunkReader<R>>),
     /// Every amplitude is `fill`, except that chunk 0 starts with `head`.
@@ -270,9 +260,7 @@ impl<R: Real> Feed<R> {
 /// Pass-shape knobs, derived from the engine config.
 pub(crate) struct PassConfig {
     pub source: PassSource,
-    /// Overlap IO with compute on dedicated threads.
-    pub pipelined: bool,
-    /// Chunk buffers in flight (prefetch depth) when pipelined.
+    /// Chunk buffers in flight (prefetch depth, ≥ 1).
     pub depth: usize,
     /// Wire buffers in flight (0 for passes that stage nothing).
     pub wires: usize,
@@ -283,126 +271,28 @@ pub(crate) struct PassConfig {
     pub telemetry: Telemetry,
 }
 
-/// Stream every chunk of `cfg.source` through `compute` once. The closure
-/// receives `(chunk_index, chunk_buffer, sink)` in ascending chunk order
-/// and must hand the buffer back through the sink (as a write or a
-/// recycle). IO counters, wait/compute split and the traversal count
-/// are absorbed into the store's stats.
-pub(crate) fn run_pass<R: Real, F>(
-    store: &mut ChunkStore<R>,
-    chunk_pool: &mut BufferPool<R>,
-    wire_pool: &mut BufferPool<R>,
-    cfg: &PassConfig,
-    compute: F,
-) -> std::io::Result<()>
-where
-    F: FnMut(usize, Buf<R>, &mut dyn PassSink<R>) -> std::io::Result<()>,
-{
-    if cfg.pipelined {
-        run_pipelined(store, chunk_pool, wire_pool, cfg, compute)
-    } else {
-        run_sync(store, chunk_pool, wire_pool, cfg, compute)
-    }
-}
-
-/// Synchronous baseline: read → compute → write inline. All IO time is
-/// exposed to the compute loop, so `io_wait_seconds` ≈ raw IO time and
-/// `overlap_fraction` ≈ 0.
-struct SyncSink<'a, R: Real> {
-    writer: ChunkWriter<R>,
-    chunk_pool: &'a mut BufferPool<R>,
-    wire_pool: &'a mut BufferPool<R>,
-    io_wait: f64,
-    track: TrackHandle,
-}
-
-impl<R: Real> PassSink<R> for SyncSink<'_, R> {
-    fn retire(&mut self, dest: Dest, buf: Buf<R>) -> std::io::Result<()> {
-        let t = Instant::now();
-        let r = dest.write(&mut self.writer, &self.track, &buf);
-        self.io_wait += t.elapsed().as_secs_f64();
-        match dest {
-            Dest::Piece { .. } => self.wire_pool.put(buf),
-            _ => self.chunk_pool.put(buf),
-        }
-        r
-    }
-
-    fn take_wire(&mut self) -> std::io::Result<Buf<R>> {
-        Ok(self.wire_pool.get())
-    }
-}
-
-fn run_sync<R: Real, F>(
-    store: &mut ChunkStore<R>,
-    chunk_pool: &mut BufferPool<R>,
-    wire_pool: &mut BufferPool<R>,
-    cfg: &PassConfig,
-    mut compute: F,
-) -> std::io::Result<()>
-where
-    F: FnMut(usize, Buf<R>, &mut dyn PassSink<R>) -> std::io::Result<()>,
-{
-    let n = store.n_chunks();
-    let mut feed = Feed::open(store, cfg.source)?;
-    let writer = store.writer()?;
-    // Synchronous IO happens on the caller's thread; reads and writes
-    // share the compute track so the timeline shows the serialization.
-    let mut sink = SyncSink {
-        writer,
-        chunk_pool,
-        wire_pool,
-        io_wait: 0.0,
-        track: cfg.telemetry.track("ooc.compute"),
-    };
-    let mut compute_seconds = 0.0;
-    let mut result = Ok(());
-    for c in 0..n {
-        let mut buf = sink.chunk_pool.get();
-        let t = Instant::now();
-        if let Err(e) = feed.fill(c, &mut buf, &cfg.telemetry, &sink.track) {
-            sink.chunk_pool.put(buf);
-            result = Err(e);
-            break;
-        }
-        sink.io_wait += t.elapsed().as_secs_f64();
-        let wait0 = sink.io_wait;
-        let t = Instant::now();
-        let r = compute(c, buf, &mut sink);
-        compute_seconds += t.elapsed().as_secs_f64() - (sink.io_wait - wait0);
-        if let Err(e) = r {
-            result = Err(e);
-            break;
-        }
-    }
-    let loop_stats = IoStats::compute_loop(sink.io_wait, compute_seconds);
-    store.absorb(&feed.stats());
-    store.absorb(&sink.writer.stats());
-    store.absorb(&loop_stats);
-    store.count_traversal();
-    result
-}
-
-/// Pipelined sink: writes become enqueues; the writeback thread recycles
-/// buffers into the free pipes.
-struct PipeSink<'a, R: Real> {
+/// The compute closure's handle on the pass: where finished buffers go
+/// and where staging buffers come from. Writes are enqueues; the
+/// writeback thread recycles buffers into the free pipes.
+pub(crate) struct PipeSink<'a, R: Real> {
     wb: &'a Pipe<(Dest, Buf<R>)>,
     wire_free: &'a Pipe<Buf<R>>,
     io_wait: f64,
 }
 
-impl<R: Real> PassSink<R> for PipeSink<'_, R> {
-    fn retire(&mut self, dest: Dest, buf: Buf<R>) -> std::io::Result<()> {
+impl<R: Real> PipeSink<'_, R> {
+    /// Write `buf` to `dest`, then return it to its pool.
+    pub fn retire(&mut self, dest: Dest, buf: Buf<R>) {
         // Recycle-only requests go through the writeback thread too, so
         // ordering with in-flight writes is preserved. The wb pipe only
         // closes after the compute loop finishes and its capacity covers
         // every buffer in existence, so the push is never rejected.
         let (_, blocked) = self.wb.push((dest, buf));
         self.io_wait += blocked;
-        Ok(())
     }
 
-    fn take_wire(&mut self) -> std::io::Result<Buf<R>> {
+    /// Acquire a wire buffer (piece-sized staging).
+    pub fn take_wire(&mut self) -> std::io::Result<Buf<R>> {
         let (buf, blocked) = self.wire_free.pop();
         self.io_wait += blocked;
         buf.ok_or_else(|| std::io::Error::other("pipeline aborted: wire pool closed"))
@@ -430,7 +320,12 @@ fn thread_panic_err(which: &str, payload: Box<dyn std::any::Any + Send>) -> std:
     std::io::Error::other(format!("{which} thread panicked: {msg}"))
 }
 
-fn run_pipelined<R: Real, F>(
+/// Stream every chunk of `cfg.source` through `compute` once. The closure
+/// receives `(chunk_index, chunk_buffer, sink)` in ascending chunk order
+/// and must hand the buffer back through the sink (as a write or a
+/// recycle). IO counters, wait/compute split and the traversal count
+/// are absorbed into the store's stats.
+pub(crate) fn run_pass<R: Real, F>(
     store: &mut ChunkStore<R>,
     chunk_pool: &mut BufferPool<R>,
     wire_pool: &mut BufferPool<R>,
@@ -438,10 +333,11 @@ fn run_pipelined<R: Real, F>(
     mut compute: F,
 ) -> std::io::Result<()>
 where
-    F: FnMut(usize, Buf<R>, &mut dyn PassSink<R>) -> std::io::Result<()>,
+    F: FnMut(usize, Buf<R>, &mut PipeSink<'_, R>) -> std::io::Result<()>,
 {
     let n = store.n_chunks();
-    let depth = cfg.depth.max(1);
+    let depth = cfg.depth;
+    assert!(depth >= 1, "a pass needs a chunk buffer to circulate");
     let feed = Feed::open(store, cfg.source)?;
     let writer = store.writer()?;
 
@@ -639,20 +535,19 @@ mod tests {
         assert_eq!(p.pop().0, None);
     }
 
-    /// Both pass modes double every amplitude; results and pool
-    /// accounting must agree.
+    /// Every depth doubles every amplitude, and a pass takes exactly
+    /// `depth` chunk buffers from the pool — one at depth 1, where read,
+    /// compute and write of consecutive chunks serialise.
     #[test]
-    fn sync_and_pipelined_passes_agree() {
-        for pipelined in [false, true] {
-            let dir = ScratchDir::new(if pipelined { "pass_pipe" } else { "pass_sync" });
+    fn every_depth_streams_the_same_pass() {
+        for depth in [1usize, 2] {
+            let dir = ScratchDir::new("pass_depth");
             let mut store = ChunkStore::create_filled(dir.path(), 4, 2, c64::one()).unwrap();
             let mut chunk_pool = BufferPool::new(store.chunk_len());
             let mut wire_pool = BufferPool::new(store.chunk_len() >> 2);
-            chunk_pool.prewarm(3);
             let cfg = PassConfig {
                 source: PassSource::Live,
-                pipelined,
-                depth: 2,
+                depth,
                 wires: 0,
                 telemetry: Telemetry::disabled(),
             };
@@ -665,29 +560,30 @@ mod tests {
                     for a in buf.iter_mut() {
                         *a *= c64::new(2.0, 0.0);
                     }
-                    sink.retire(Dest::Live(c), buf)
+                    sink.retire(Dest::Live(c), buf);
+                    Ok(())
                 },
             )
             .unwrap();
             let v = store.to_vec().unwrap();
             assert!(v.iter().all(|&a| a == c64::new(2.0, 0.0)));
-            assert_eq!(store.stats().traversals, 1);
-            assert_eq!(chunk_pool.allocs(), 3, "no pool misses beyond prewarm");
-            // All buffers came home.
-            for _ in 0..3 {
-                let b = chunk_pool.get();
-                drop(b); // leak-free either way; allocs stays put
-            }
-            assert_eq!(chunk_pool.allocs(), 3);
+            let stats = store.stats();
+            assert_eq!(stats.traversals, 1);
+            assert!((0.0..=1.0).contains(&stats.overlap_fraction()));
+            assert_eq!(chunk_pool.allocs(), depth as u64, "depth {depth}");
+            // All buffers came home: taking them again misses nothing.
+            let held: Vec<_> = (0..depth).map(|_| chunk_pool.get()).collect();
+            assert_eq!(chunk_pool.allocs(), depth as u64);
+            drop(held);
         }
     }
 
-    /// A `Start` source reads nothing and needs no file: both pass modes
-    /// synthesise the bytes `create_uniform` / `create_zero_state` would
+    /// A `Start` source reads nothing and needs no file: the pass
+    /// synthesises the bytes `create_uniform` / `create_zero_state` would
     /// have written, and the live chunks come into being on write.
     #[test]
     fn start_source_synthesises_what_create_would_write() {
-        for (uniform, pipelined) in [(true, false), (true, true), (false, false), (false, true)] {
+        for (uniform, depth) in [(true, 1usize), (true, 2), (false, 1), (false, 2)] {
             let want_dir = ScratchDir::new("pass_start_want");
             let want = if uniform {
                 ChunkStore::<f64>::create_uniform(want_dir.path(), 4, 2)
@@ -705,8 +601,7 @@ mod tests {
             let mut wire_pool = BufferPool::new(1);
             let cfg = PassConfig {
                 source: PassSource::Start { uniform },
-                pipelined,
-                depth: 2,
+                depth,
                 wires: 0,
                 telemetry: Telemetry::disabled(),
             };
@@ -715,88 +610,98 @@ mod tests {
                 &mut chunk_pool,
                 &mut wire_pool,
                 &cfg,
-                |c, buf, sink| sink.retire(Dest::Live(c), buf),
+                |c, buf, sink| {
+                    sink.retire(Dest::Live(c), buf);
+                    Ok(())
+                },
             )
             .unwrap();
             assert_eq!(store.stats().logical_bytes_read, 0);
             assert_eq!(store.stats().traversals, 1);
-            assert_eq!(store.to_vec().unwrap(), want, "uniform={uniform}");
+            assert_eq!(
+                store.to_vec().unwrap(),
+                want,
+                "uniform={uniform} depth={depth}"
+            );
         }
     }
 
     #[test]
-    fn pipelined_staged_writes_commit() {
-        let dir = ScratchDir::new("pass_staged");
-        let mut store = ChunkStore::create_filled(dir.path(), 3, 1, c64::zero()).unwrap();
-        let mut chunk_pool = BufferPool::new(store.chunk_len());
-        let mut wire_pool = BufferPool::new(store.chunk_len() / 2);
-        let piece = store.chunk_len() / 2;
-        let cfg = PassConfig {
-            source: PassSource::Live,
-            pipelined: true,
-            depth: 2,
-            wires: 2,
-            telemetry: Telemetry::disabled(),
-        };
-        // Transpose-like: piece `src` of staged chunk `dst` = src id.
-        run_pass(
-            &mut store,
-            &mut chunk_pool,
-            &mut wire_pool,
-            &cfg,
-            |src, buf, sink| {
-                for dst in 0..2usize {
-                    let mut wire = sink.take_wire()?;
-                    for w in wire.iter_mut() {
-                        *w = c64::new(src as f64 + 1.0, dst as f64);
+    fn staged_writes_commit() {
+        // One wire buffer under one chunk buffer is the tightest loop the
+        // scatter can run in; two of each is the overlapped one.
+        for (depth, wires) in [(1usize, 1usize), (2, 2)] {
+            let dir = ScratchDir::new("pass_staged");
+            let mut store = ChunkStore::create_filled(dir.path(), 3, 1, c64::zero()).unwrap();
+            let mut chunk_pool = BufferPool::new(store.chunk_len());
+            let mut wire_pool = BufferPool::new(store.chunk_len() / 2);
+            let piece = store.chunk_len() / 2;
+            let cfg = PassConfig {
+                source: PassSource::Live,
+                depth,
+                wires,
+                telemetry: Telemetry::disabled(),
+            };
+            // Transpose-like: piece `src` of staged chunk `dst` = src id.
+            run_pass(
+                &mut store,
+                &mut chunk_pool,
+                &mut wire_pool,
+                &cfg,
+                |src, buf, sink| {
+                    for dst in 0..2usize {
+                        let mut wire = sink.take_wire()?;
+                        for w in wire.iter_mut() {
+                            *w = c64::new(src as f64 + 1.0, dst as f64);
+                        }
+                        let off = src * piece;
+                        sink.retire(Dest::Piece { c: dst, off }, wire);
                     }
-                    sink.retire(
-                        Dest::Piece {
-                            c: dst,
-                            off: src * piece,
-                        },
-                        wire,
-                    )?;
+                    sink.retire(Dest::Nowhere, buf);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            store.commit_staged().unwrap();
+            let v = store.to_vec().unwrap();
+            for dst in 0..2usize {
+                for src in 0..2usize {
+                    let off = dst * store.chunk_len() + src * piece;
+                    assert!(v[off..off + piece]
+                        .iter()
+                        .all(|&a| a == c64::new(src as f64 + 1.0, dst as f64)));
                 }
-                sink.retire(Dest::Nowhere, buf)
-            },
-        )
-        .unwrap();
-        store.commit_staged().unwrap();
-        let v = store.to_vec().unwrap();
-        for dst in 0..2usize {
-            for src in 0..2usize {
-                let off = dst * store.chunk_len() + src * piece;
-                assert!(v[off..off + piece]
-                    .iter()
-                    .all(|&a| a == c64::new(src as f64 + 1.0, dst as f64)));
             }
         }
     }
 
     #[test]
-    fn pipelined_pass_surfaces_read_errors() {
-        let dir = ScratchDir::new("pass_err");
-        let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap();
-        // Truncate one chunk so the prefetch read fails mid-pass.
-        let bad = dir.path().join("chunk_000002.amps");
-        std::fs::write(&bad, b"short").unwrap();
-        let mut chunk_pool = BufferPool::new(store.chunk_len());
-        let mut wire_pool = BufferPool::new(1);
-        let cfg = PassConfig {
-            source: PassSource::Live,
-            pipelined: true,
-            depth: 2,
-            wires: 0,
-            telemetry: Telemetry::disabled(),
-        };
-        let r = run_pass(
-            &mut store,
-            &mut chunk_pool,
-            &mut wire_pool,
-            &cfg,
-            |c, buf, sink| sink.retire(Dest::Live(c), buf),
-        );
-        assert!(r.is_err(), "truncated chunk must fail the pass");
+    fn pass_surfaces_read_errors() {
+        for depth in [1usize, 2] {
+            let dir = ScratchDir::new("pass_err");
+            let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap();
+            // Truncate one chunk so the prefetch read fails mid-pass.
+            let bad = dir.path().join("chunk_000002.amps");
+            std::fs::write(&bad, b"short").unwrap();
+            let mut chunk_pool = BufferPool::new(store.chunk_len());
+            let mut wire_pool = BufferPool::new(1);
+            let cfg = PassConfig {
+                source: PassSource::Live,
+                depth,
+                wires: 0,
+                telemetry: Telemetry::disabled(),
+            };
+            let r = run_pass(
+                &mut store,
+                &mut chunk_pool,
+                &mut wire_pool,
+                &cfg,
+                |c, buf, sink| {
+                    sink.retire(Dest::Live(c), buf);
+                    Ok(())
+                },
+            );
+            assert!(r.is_err(), "truncated chunk must fail the pass");
+        }
     }
 }

@@ -6,8 +6,11 @@
 
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_core::single::strip_initial_hadamards;
-use qsim_core::{BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, SimError};
-use qsim_kernels::SweepDispatch;
+use qsim_core::{
+    Backend, BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig,
+    DistSimulator, SimError,
+};
+use qsim_kernels::{KernelConfig, SweepDispatch};
 use qsim_ooc::{Codec, CrashPoint, InjectedCrash, OocConfig, OocSimulator, ScratchDir};
 use qsim_sched::{plan, SchedulerConfig};
 use qsim_util::c64;
@@ -31,9 +34,9 @@ fn planned_for(rows: u32, cols: u32, depth: u32, l: u32, kmax: u32) -> BackendPl
     BackendPlan::from_schedule(exec, schedule, uniform)
 }
 
-fn ckpt_sim(pipeline: bool, checkpoint: CheckpointPolicy) -> OocSimulator {
+fn ckpt_sim(prefetch_depth: usize, checkpoint: CheckpointPolicy) -> OocSimulator {
     OocSimulator::new(OocConfig {
-        pipeline,
+        prefetch_depth,
         checkpoint: Some(checkpoint),
         ..OocConfig::sequential()
     })
@@ -59,28 +62,30 @@ fn io_of<R: SweepDispatch>(out: &BackendOutcome<R>) -> (u64, u64, usize) {
 /// Uninterrupted checkpointed oracle state for the given plan.
 fn oracle(plan: &BackendPlan) -> Vec<c64> {
     let dir = ScratchDir::new("ooc_ckpt_oracle");
-    let out = ckpt_sim(true, fresh(&dir)).run_plan(plan, true, None);
+    let out = ckpt_sim(3, fresh(&dir)).run_plan(plan, true, None);
     out.unwrap().state.unwrap()
 }
 
 #[test]
 fn checkpointing_does_not_change_a_single_bit() {
     let plan = planned(6, 3);
-    for pipeline in [false, true] {
-        let mut plain = OocSimulator::<f64>::new(OocConfig {
-            pipeline,
-            ..OocConfig::sequential()
-        });
-        let pout = plain.run_plan(&plan, true, None).unwrap();
-
+    // The oracle is the distributed engine on the same plan.
+    let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks: 1 << (plan.schedule.n_qubits - plan.schedule.local_qubits),
+        kernel: KernelConfig::sequential(),
+        gather_state: true,
+        ..Default::default()
+    }));
+    let pout = Backend::<f64>::run(&mut dist, &plan).unwrap();
+    for depth in [1usize, 3] {
         let dir = ScratchDir::new("ooc_ckpt_on");
-        let cout = ckpt_sim(pipeline, fresh(&dir))
+        let cout = ckpt_sim(depth, fresh(&dir))
             .run_plan(&plan, true, None)
             .unwrap();
         assert_eq!(
             max_dist(cout.state.as_ref().unwrap(), pout.state.as_ref().unwrap()),
             0.0,
-            "checkpoint mode must be bit-exact (pipeline={pipeline})"
+            "checkpoint mode must be bit-exact (depth {depth})"
         );
         assert_eq!(cout.norm, pout.norm, "bitwise-equal reductions");
         assert!(
@@ -100,7 +105,7 @@ fn checkpointing_does_not_change_a_single_bit() {
 /// leaves nothing to resume from — and every later pass, whose resume
 /// finds live chunks holding the previous swap's exchange buffers, still
 /// awaiting their unpermute.
-fn crash_everywhere_then_resume(codec: Codec) {
+fn crash_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
     // Three swaps (the first an identity slots→top permutation, so its
     // unpermute is skipped), four passes.
     let plan = planned_for(3, 3, 25, 5, 3);
@@ -109,7 +114,7 @@ fn crash_everywhere_then_resume(codec: Codec) {
     let expect = oracle(&plan);
     let sim = |checkpoint: CheckpointPolicy| {
         OocSimulator::<f64>::new(OocConfig {
-            pipeline: true,
+            prefetch_depth,
             checkpoint: Some(checkpoint),
             compress: codec,
             ..OocConfig::sequential()
@@ -164,12 +169,13 @@ fn crash_everywhere_then_resume(codec: Codec) {
 
 #[test]
 fn crash_at_every_pass_and_point_then_resume_is_bit_exact() {
-    crash_everywhere_then_resume(Codec::None);
+    crash_everywhere_then_resume(Codec::None, 1);
+    crash_everywhere_then_resume(Codec::None, 3);
 }
 
 #[test]
 fn compressed_crash_resume_is_bit_exact() {
-    crash_everywhere_then_resume(Codec::ShuffleRle);
+    crash_everywhere_then_resume(Codec::ShuffleRle, 3);
 }
 
 #[test]
@@ -216,10 +222,10 @@ fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
 fn resume_of_a_finished_run_replays_no_pass() {
     let plan = planned(6, 3);
     let dir = ScratchDir::new("ooc_ckpt_done");
-    let first = ckpt_sim(true, fresh(&dir)).run_plan(&plan, true, None);
+    let first = ckpt_sim(3, fresh(&dir)).run_plan(&plan, true, None);
     let expect = first.unwrap().state.unwrap();
 
-    let out = ckpt_sim(true, resume(&dir))
+    let out = ckpt_sim(3, resume(&dir))
         .run_plan(&plan, true, None)
         .unwrap();
     assert_eq!(max_dist(out.state.as_ref().unwrap(), &expect), 0.0);
@@ -235,7 +241,7 @@ fn resume_of_a_finished_run_replays_no_pass() {
 fn resume_rejects_a_foreign_manifest() {
     let ours = planned(6, 3);
     let dir = ScratchDir::new("ooc_ckpt_foreign");
-    ckpt_sim(true, fresh(&dir))
+    ckpt_sim(3, fresh(&dir))
         .run_plan(&ours, false, None)
         .unwrap();
 
@@ -248,7 +254,7 @@ fn resume_rejects_a_foreign_manifest() {
     let (exec2, _) = strip_initial_hadamards(&other);
     let schedule2 = plan(&exec2, &SchedulerConfig::distributed(6, 3));
     let plan2 = BackendPlan::from_schedule(exec2, schedule2, ours.init_uniform);
-    let err = ckpt_sim(true, resume(&dir))
+    let err = ckpt_sim(3, resume(&dir))
         .run_plan(&plan2, false, None)
         .expect_err("foreign manifest must be rejected");
     assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
@@ -261,7 +267,7 @@ fn resume_rejects_cross_precision_manifests() {
     // store: the chunk files hold raw f64 amplitude bytes, so resuming
     // at another precision must fail up front.
     let dir = ScratchDir::new("ooc_ckpt_prec");
-    ckpt_sim(true, fresh(&dir))
+    ckpt_sim(3, fresh(&dir))
         .run_plan(&plan, false, None)
         .unwrap();
     let mut sim32 = OocSimulator::<f32>::new(OocConfig {
@@ -286,7 +292,6 @@ fn resume_rejects_cross_codec_manifests() {
     let plan = planned(6, 3);
     let codec_sim = |codec: Codec, checkpoint: CheckpointPolicy| {
         OocSimulator::<f64>::new(OocConfig {
-            pipeline: true,
             checkpoint: Some(checkpoint),
             compress: codec,
             ..OocConfig::sequential()
@@ -314,6 +319,6 @@ fn resume_without_a_manifest_is_a_fresh_start() {
     let plan = planned(6, 3);
     let expect = oracle(&plan);
     let dir = ScratchDir::new("ooc_ckpt_fresh");
-    let out = ckpt_sim(true, resume(&dir)).run_plan(&plan, true, None);
+    let out = ckpt_sim(3, resume(&dir)).run_plan(&plan, true, None);
     assert_eq!(max_dist(&out.unwrap().state.unwrap(), &expect), 0.0);
 }

@@ -220,17 +220,6 @@ impl CostModel {
         }
     }
 
-    /// Build a model from recorded bench rates (bytes/second), e.g. the
-    /// `BENCH_*.json` streaming and swap bandwidths.
-    pub fn from_rates(stream_bytes_per_sec: f64, swap_bytes_per_sec: f64) -> Self {
-        assert!(stream_bytes_per_sec > 0.0 && swap_bytes_per_sec > 0.0);
-        Self {
-            stream_byte_seconds: 1.0 / stream_bytes_per_sec,
-            swap_byte_seconds: 1.0 / swap_bytes_per_sec,
-            ..Self::analytic()
-        }
-    }
-
     /// Modeled seconds of a plan with resource counts `r`.
     pub fn seconds(&self, r: &PlanResources) -> f64 {
         let flops: f64 = r
@@ -408,7 +397,5 @@ mod tests {
         let m = CostModel::calibrated(1 << 20);
         assert!(m.stream_byte_seconds > 0.0 && m.stream_byte_seconds.is_finite());
         assert!(m.swap_byte_seconds > m.stream_byte_seconds);
-        let r = CostModel::from_rates(10e9, 2.5e9);
-        assert!((r.swap_byte_seconds / r.stream_byte_seconds - 4.0).abs() < 1e-12);
     }
 }

@@ -102,20 +102,6 @@ pub fn mapping_from_clusters(clusters: &[HashSet<u32>], n: u32) -> Vec<u32> {
     assigned.into_iter().map(|a| a.unwrap()).collect()
 }
 
-/// Fraction of clusters acting only on positions `< cutoff` under a
-/// mapping (fully low-order clusters avoid the associativity cliff
-/// entirely).
-pub fn low_order_fraction(clusters: &[HashSet<u32>], map: &[u32], cutoff: u32) -> f64 {
-    if clusters.is_empty() {
-        return 1.0;
-    }
-    let low = clusters
-        .iter()
-        .filter(|cl| cl.iter().all(|&q| map[q as usize] < cutoff))
-        .count();
-    low as f64 / clusters.len() as f64
-}
-
 /// Fraction of clusters touching at least one position `< cutoff` — the
 /// objective the greedy heuristic directly maximizes ("the number of
 /// clusters accessing bit-location 0 is maximal", then 1, 2, 3, …).
@@ -220,6 +206,6 @@ mod tests {
         let mut sorted = map.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
-        assert_eq!(low_order_fraction(&[], &map, 2), 1.0);
+        assert_eq!(touch_low_fraction(&[], &map, 2), 1.0);
     }
 }

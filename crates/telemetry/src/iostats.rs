@@ -10,13 +10,11 @@
 /// Disk-traffic and pipeline-overlap counters.
 ///
 /// `read_seconds` / `write_seconds` accrue where the file operations run
-/// (the prefetch/writeback threads of a pipelined pass, the compute loop
-/// of a synchronous one); `io_wait_seconds` is the portion of the
-/// *compute loop's* time spent blocked on IO — waiting on a prefetched
-/// chunk or a free buffer when pipelined, the inline read/write time
-/// when synchronous. The pipeline wins exactly when `io_wait_seconds`
-/// falls below the raw IO time, which [`IoStats::overlap_fraction`]
-/// reports.
+/// (the prefetch/writeback threads of a pass; the engine's direct store
+/// reads); `io_wait_seconds` is the portion of the *compute loop's* time
+/// spent blocked on IO — waiting on a prefetched chunk or a free buffer.
+/// The pipeline wins exactly when `io_wait_seconds` falls below the raw
+/// IO time, which [`IoStats::overlap_fraction`] reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IoStats {
     /// Physical bytes read from disk (encoded bytes under a codec).
@@ -51,9 +49,7 @@ pub struct IoStats {
 impl IoStats {
     /// Stats contribution of one pass's compute loop: the blocked-on-IO /
     /// op-apply wall-clock split (no bytes — those come from the
-    /// reader/writer views). Both pass modes of the OOC pipeline build
-    /// their loop stats through this one constructor and fold them in via
-    /// [`IoStats::merge`].
+    /// reader/writer views), folded in via [`IoStats::merge`].
     pub fn compute_loop(io_wait_seconds: f64, compute_seconds: f64) -> Self {
         Self {
             io_wait_seconds,

@@ -40,13 +40,6 @@ pub fn summarize(samples: &[f64]) -> Summary {
     }
 }
 
-/// Time one invocation of `f` in seconds.
-pub fn time_once<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let t0 = Instant::now();
-    let r = f();
-    (t0.elapsed().as_secs_f64(), r)
-}
-
 /// Run `f` `reps` times (after `warmup` unmeasured runs) and return the
 /// per-run durations in seconds. The closure's result is returned through a
 /// black-box style sink to keep the optimizer honest.
@@ -98,9 +91,6 @@ mod tests {
 
     #[test]
     fn timing_produces_positive_durations() {
-        let (dt, v) = time_once(|| (0..1000).sum::<u64>());
-        assert_eq!(v, 499_500);
-        assert!(dt >= 0.0);
         let reps = time_reps(1, 3, || {
             black_box((0..100).product::<u128>());
         });

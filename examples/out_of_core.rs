@@ -53,7 +53,7 @@ fn main() {
     let BackendStats::Ooc { io, runs, .. } = &out.stats else {
         unreachable!("the out-of-core engine reports Ooc stats")
     };
-    println!("\nout-of-core run (batched + pipelined):");
+    println!("\nout-of-core run:");
     println!("  time      : {:.2} s", out.sim_seconds);
     println!(
         "  runs      : {} (one state traversal per swap boundary; {} traversals total)",

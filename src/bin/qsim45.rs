@@ -25,9 +25,9 @@
 //! path: `shuffle-rle` is lossless — the simulated state is bit-exact —
 //! while `lossy-<bits>` additionally truncates that many low mantissa
 //! bits before encoding. Encoding happens on the writeback thread and
-//! decoding on the prefetch thread, so with the pipeline enabled the
-//! codec hides behind compute. Checkpoints record the codec; resuming
-//! across codecs is rejected. Composes with `--precision`.
+//! decoding on the prefetch thread, so the codec hides behind compute.
+//! Checkpoints record the codec; resuming across codecs is rejected.
+//! Composes with `--precision`.
 //!
 //! `--schedule search` runs the cost-model-guided schedule search on
 //! top of the greedy planner (greedy stays the floor: a searched plan is
@@ -69,6 +69,7 @@ use qsim45::core::{
     ScheduleMode, SimError, SingleBackend, SingleNodeSimulator,
 };
 use qsim45::kernels::apply::KernelConfig;
+use qsim45::kernels::opt::MAX_K;
 use qsim45::kernels::SweepDispatch;
 use qsim45::ooc::{OocBackend, OocConfig, OocSimulator};
 use qsim45::sched::{global_gate_count, plan, SchedulerConfig, SearchConfig};
@@ -116,9 +117,14 @@ fn arg(name: &str, default: u32) -> u32 {
     }
 }
 
-fn kmax_arg() -> u32 {
+/// `--kmax`. `plan` only counts clusters, so any width goes; `run`
+/// executes them (`executes`) and the kernels stop at `MAX_K`.
+fn kmax_arg(executes: bool) -> u32 {
     match arg("--kmax", 4) {
         0 => usage_error("bad --kmax 0 (expected at least 1)"),
+        k if executes && k > MAX_K => {
+            usage_error(format!("bad --kmax {k} (kernels support 1..={MAX_K})"))
+        }
         k => k,
     }
 }
@@ -194,7 +200,7 @@ fn cmd_plan() {
     if !(1..=n).contains(&l) {
         usage_error(format!("bad --local {l} (expected 1..={n})"));
     }
-    let kmax = kmax_arg();
+    let kmax = kmax_arg(false);
     let circuit = supremacy_circuit(&s);
     let t0 = std::time::Instant::now();
     let schedule = plan(&circuit, &SchedulerConfig::distributed(l, kmax));
@@ -314,7 +320,7 @@ fn run_at<R: SweepDispatch>() {
         ..PlanOptions::default()
     };
     let circuit = supremacy_circuit(&s);
-    let kmax = kmax_arg();
+    let kmax = kmax_arg(true);
     // Only the out-of-core engine has a chunk codec to hand this to.
     let compress = qsim45::ooc::Codec::parse(&arg_str("--compress", "none"))
         .unwrap_or_else(|e| usage_error(format!("bad --compress: {e}")));
@@ -446,7 +452,10 @@ fn run_at<R: SweepDispatch>() {
 fn cmd_sample() {
     let s = spec();
     check_allocatable(&s, 26);
-    let shots = arg("--shots", 16) as usize;
+    let shots = match arg("--shots", 16) {
+        0 => usage_error("bad --shots 0 (expected at least 1)"),
+        n => n as usize,
+    };
     let circuit = supremacy_circuit(&s);
     let out = SingleNodeSimulator::default()
         .try_run_t::<f64>(&circuit)

@@ -241,7 +241,8 @@ fn compressed_ooc_agrees_with_dist_bit_for_bit() {
 }
 
 /// The fused passes against the in-memory engine executing the *same*
-/// plan, over every data-path mode: a three-swap schedule whose first
+/// plan, at prefetch depth 1 (serialised) and 3 (overlapped): a
+/// three-swap schedule whose first
 /// slots→top permutation is the identity (its unpermute is skipped),
 /// and the two op-free starts (one pass: synthesise, reduce, write).
 fn fused_ooc_matches_dist<R: SweepDispatch>() {
@@ -270,30 +271,29 @@ fn fused_ooc_matches_dist<R: SweepDispatch>() {
             .count();
         assert_eq!(identities, usize::from(swaps > 0), "identity-swap coverage");
         let want = dout.state.unwrap();
-        for (pipeline, batch_runs) in [(true, true), (true, false), (false, true), (false, false)] {
+        for prefetch_depth in [1usize, 3] {
             let mut ooc = OocBackend::new(
                 OocSimulator::<R>::new(OocConfig {
-                    pipeline,
-                    batch_runs,
+                    prefetch_depth,
                     ..OocConfig::sequential()
                 }),
                 parts,
             );
             Backend::<R>::gather_state(&mut ooc, true);
             let out = ooc.run(&plan).unwrap();
-            let mode = format!("{swaps} swaps, pipeline={pipeline}, batch_runs={batch_runs}");
+            let mode = format!("{swaps} swaps, depth {prefetch_depth}");
             assert_eq!(out.state.unwrap(), want, "{mode}");
-            // Both engines fold each partition's |a|² sequentially in
-            // f64 and combine partitions pairwise: equal at either tier.
+            // Both engines reduce each partition through the one
+            // `norm_entropy` and combine partitions pairwise: equal at
+            // either tier (and at any partition size — see
+            // `partition_reductions_agree_above_the_parallel_threshold`).
             assert_eq!(out.norm.to_bits(), dout.norm.to_bits(), "{mode}");
             assert_eq!(out.entropy.to_bits(), dout.entropy.to_bits(), "{mode}");
             let BackendStats::Ooc { io, runs, .. } = out.stats else {
                 panic!("ooc stats expected");
             };
             assert_eq!(io.traversals as usize, runs, "{mode}");
-            if batch_runs {
-                assert_eq!(runs, swaps + 1, "{mode}");
-            }
+            assert_eq!(runs, swaps + 1, "{mode}");
         }
     }
 }
@@ -304,11 +304,50 @@ fn fused_ooc_passes_match_dist_bit_for_bit() {
     fused_ooc_matches_dist::<f32>();
 }
 
+/// Dist and OOC on the *same* plan at partition sizes above
+/// `PAR_THRESHOLD` (4×5: 2^18 amplitudes at P = 4, 2^16 at P = 16), where
+/// the reduction's leaves run in parallel: norm and entropy must still
+/// agree to the last bit, because `norm_entropy`'s association depends
+/// on the amplitudes alone.
+fn partition_reductions_agree<R: SweepDispatch>() {
+    let c = supremacy_circuit(&SupremacySpec {
+        rows: 4,
+        cols: 5,
+        depth: 25,
+        seed: 3,
+    });
+    for parts in [4usize, 16] {
+        let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+            n_ranks: parts,
+            ..Default::default()
+        }));
+        let plan = Backend::<R>::plan(&dist, &c).unwrap();
+        let dout = Backend::<R>::run(&mut dist, &plan).unwrap();
+        let mut ooc = OocBackend::new(OocSimulator::<R>::new(OocConfig::default()), parts);
+        let oout = ooc.run(&plan).unwrap();
+        let tier = format!("{} x{parts}", R::NAME);
+        assert_eq!(oout.norm.to_bits(), dout.norm.to_bits(), "norm, {tier}");
+        assert_eq!(
+            oout.entropy.to_bits(),
+            dout.entropy.to_bits(),
+            "entropy, {tier}: {:x} vs {:x}",
+            oout.entropy.to_bits(),
+            dout.entropy.to_bits()
+        );
+    }
+}
+
+#[test]
+fn partition_reductions_agree_above_the_parallel_threshold() {
+    partition_reductions_agree::<f64>();
+    partition_reductions_agree::<f32>();
+}
+
 #[test]
 fn dist_reductions_repeat_bit_for_bit() {
-    // 2^15 amplitudes per rank puts the entropy reduce on its parallel
-    // path; its partials must merge in index order, not in the order the
-    // workers finish, so ten runs agree to the last bit.
+    // 2^15 amplitudes per rank puts the reduction's leaves on parallel
+    // workers; which worker computes which leaf must not reach the
+    // result, so ten runs agree to the last bit.
     let c = supremacy_circuit(&SupremacySpec {
         rows: 4,
         cols: 4,
@@ -370,21 +409,25 @@ fn lossy_codec_bounds_the_error_it_introduces() {
 
 #[test]
 fn pipelining_and_batching_are_bitwise_invisible() {
-    // The full data path (batched runs, async pipeline, compiled-stage
-    // compute) against the synchronous per-gate baseline: not a single
-    // bit may differ.
+    // The overlapped default (depth 3) and the serialised
+    // `sync_baseline` (depth 1) against the distributed engine planning
+    // the same circuit: not a single bit may differ.
     let c = workload();
+    let mut dist = dist_backend(8);
+    let (_, dout) = run_gathered::<f64>(&mut dist, &c);
+    let oracle = dout.state.unwrap();
     let mut sync = OocBackend::new(
         OocSimulator::<f64>::new(OocConfig::sync_baseline(KernelConfig::sequential())),
         8,
     );
-    let (_, sout) = run_gathered(&mut sync, &c);
-    let oracle = sout.state.unwrap();
     let mut pipe = ooc_backend::<f64>(8, Codec::None);
-    let (_, pout) = run_gathered(&mut pipe, &c);
-    assert_eq!(max_dist(&pout.state.unwrap(), &oracle), 0.0);
-    let BackendStats::Ooc { io, .. } = &pout.stats else {
-        panic!("ooc stats expected");
-    };
-    assert!(io.traversals > 0);
+    for ooc in [&mut sync, &mut pipe] {
+        let (plan, out) = run_gathered(ooc, &c);
+        assert_eq!(max_dist(&out.state.unwrap(), &oracle), 0.0);
+        let BackendStats::Ooc { io, runs, .. } = &out.stats else {
+            panic!("ooc stats expected");
+        };
+        assert_eq!(*runs, plan.schedule.n_swaps() + 1);
+        assert_eq!(io.traversals as usize, *runs);
+    }
 }

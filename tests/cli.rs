@@ -143,11 +143,15 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
         (&["run", "--kmax", "0"], "--kmax"),
+        // One past the widest kernel (`plan` alone may go wider).
+        (&["run", "--kmax", "7"], "kernels support 1..=6"),
+        (&["run", "--kmax", "7", "--ranks", "2"], "--kmax 7"),
+        (&["sample", "--shots", "0"], "--shots"),
         (&["plan", "--local", "0"], "--local"),
         (&["plan", "--local", "12"], "--local"),
         (&["run", "--rows", "6", "--cols", "6"], "--rows"),
@@ -170,6 +174,13 @@ fn misuse_is_a_one_line_usage_error() {
         assert!(stderr.contains(names), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not have run");
     }
+    // Pure planning never builds a cluster matrix: wider is fine.
+    let out = qsim45()
+        .args(["plan", "--kmax", "7"])
+        .args(grid)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "plan --kmax 7 must be accepted");
 }
 
 #[test]
