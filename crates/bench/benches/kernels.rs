@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the gate kernels: the optimization-step
 //! ladder (Fig. 2), per-k low/high-order sweeps (Fig. 6/9), and the
-//! AVX2-vs-scalar ablation. Small state (2^18) so `cargo bench` stays
+//! scalar / lanes@256 / lanes@512 ablation. Small state (2^18) so `cargo bench` stays
 //! quick; the figure binaries measure the big-state versions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -20,13 +20,13 @@ fn bench_opt_steps(c: &mut Criterion) {
         ("step0_twovec", OptLevel::TwoVector, Simd::Scalar),
         ("step1_inplace", OptLevel::InPlace, Simd::Scalar),
         ("step3_blocked_scalar", OptLevel::Blocked, Simd::Scalar),
-        ("step3_blocked_avx", OptLevel::Blocked, Simd::Auto),
+        ("step3_lanes256", OptLevel::Blocked, Simd::Avx2),
+        ("step4_lanes512", OptLevel::Blocked, Simd::Auto),
     ];
     for (name, opt, simd) in configs {
         let cfg = KernelConfig {
             opt,
             simd,
-            block: 4,
             threads: 1,
         };
         let mut state = random_state(N, 2);

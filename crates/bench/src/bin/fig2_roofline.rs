@@ -5,10 +5,10 @@
 //!   step 0  two-vector textbook product (the pre-"step 1" baseline)
 //!   step 1  in-place / lazy evaluation (halves traffic)
 //!   step 2  + explicit vectorization of Eq. (1) (mul/permute/hadd lanes)
-//!   step 3  + Eq. (2)–(3) re-ordering, register blocking, packed matrix
-//!           (AVX2 rows, then AVX-512 rows)
-//!   step 4  + vectorised across blocks instead of across output rows
-//!           (the block-lane kernel; what `Simd::Auto` runs on AVX-512)
+//!   step 3  + Eq. (2)–(3) re-ordering, packed matrix, vectorised across
+//!           blocks: the block-lane kernel at 256 bits (`Simd::Avx2`)
+//!   step 4  the same kernel at 512 bits (`Simd::Auto` on AVX-512) —
+//!           the paper's "2x for AVX, 4x for AVX512" from one generator
 //!
 //! Prints operational intensity (FLOP/byte) and measured GFLOPS per
 //! (kernel, step), plus the memory-bandwidth roofline bound for this host
@@ -42,64 +42,15 @@ fn main() {
         cell("roof[GFLOPS]", 13),
     ]);
 
-    let steps: [(&str, KernelConfig); 6] = [
-        (
-            "0 two-vector",
-            KernelConfig {
-                opt: OptLevel::TwoVector,
-                simd: Simd::Scalar,
-                block: 1,
-                threads,
-            },
-        ),
-        (
-            "1 in-place (lazy)",
-            KernelConfig {
-                opt: OptLevel::InPlace,
-                simd: Simd::Scalar,
-                block: 1,
-                threads,
-            },
-        ),
-        (
-            "2 +vectorized Eq.(1)",
-            // Marker config: the measurement below routes this step to
-            // the dedicated Eq.-(1) SIMD kernel.
-            KernelConfig {
-                opt: OptLevel::Fma,
-                simd: Simd::Auto,
-                block: 1,
-                threads,
-            },
-        ),
-        (
-            "3 +blocked/AVX2 rows",
-            KernelConfig {
-                opt: OptLevel::Blocked,
-                simd: Simd::Avx2,
-                block: 4,
-                threads,
-            },
-        ),
-        (
-            "3b AVX-512 rows",
-            // Marker config: routed to the dedicated row kernel below.
-            KernelConfig {
-                opt: OptLevel::Blocked,
-                simd: Simd::Auto,
-                block: 4,
-                threads,
-            },
-        ),
-        (
-            "4 +block lanes (Auto)",
-            KernelConfig {
-                opt: OptLevel::Blocked,
-                simd: Simd::Auto,
-                block: 4,
-                threads,
-            },
-        ),
+    let cfg = |opt, simd| KernelConfig { opt, simd, threads };
+    let steps = [
+        ("0 two-vector", cfg(OptLevel::TwoVector, Simd::Scalar)),
+        ("1 in-place (lazy)", cfg(OptLevel::InPlace, Simd::Scalar)),
+        // Marker config: the measurement below routes this step to the
+        // dedicated Eq.-(1) SIMD kernel.
+        ("2 +vectorized Eq.(1)", cfg(OptLevel::Fma, Simd::Auto)),
+        ("3 lanes@256", cfg(OptLevel::Blocked, Simd::Avx2)),
+        ("4 lanes@512", cfg(OptLevel::Blocked, Simd::Auto)),
     ];
 
     for k in [1u32, 4] {
@@ -110,11 +61,6 @@ fn main() {
                 let m = random_gate(k, 0xbeef ^ k as u64);
                 measure_fn_gflops(n, &qubits, 1, 3, |state, qs| {
                     qsim_kernels::avx::apply_avx_eq1(state, qs, &m);
-                })
-            } else if name.starts_with("3b ") {
-                let m = random_gate(k, 0xbeef ^ k as u64);
-                measure_fn_gflops(n, &qubits, 1, 3, |state, qs| {
-                    qsim_kernels::avx512::apply_avx512_rows(state, qs, &m);
                 })
             } else {
                 measure_kernel_gflops(n, &qubits, cfg, 1, 3)

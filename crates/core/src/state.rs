@@ -7,12 +7,13 @@
 //! probabilities. Generic over precision (f64 default; f32 per §5).
 
 use crate::observables::norm_entropy;
-use qsim_kernels::apply::{apply_gate, ApplyDispatch, KernelConfig};
+use qsim_kernels::apply::{apply_gate, KernelConfig};
 use qsim_kernels::specialized;
+use qsim_kernels::SweepDispatch;
 use qsim_util::bits::{log2_exact, BitPermutation};
 use qsim_util::complex::Complex;
 use qsim_util::matrix::GateMatrix;
-use qsim_util::{AlignedVec, Real};
+use qsim_util::AlignedVec;
 
 /// An n-qubit (or rank-local l-qubit) state vector.
 pub struct StateVector<T = f64> {
@@ -20,7 +21,7 @@ pub struct StateVector<T = f64> {
     n_qubits: u32,
 }
 
-impl<T: Real + ApplyDispatch> StateVector<T> {
+impl<T: SweepDispatch> StateVector<T> {
     /// |0…0⟩.
     pub fn zero(n_qubits: u32) -> Self {
         let mut amps = AlignedVec::new_zeroed(1usize << n_qubits);
@@ -141,7 +142,7 @@ impl<T: Real + ApplyDispatch> StateVector<T> {
 
     /// Convert precision (f64 ↔ f32), e.g. for the §5 single-precision
     /// mode.
-    pub fn convert<U: Real + ApplyDispatch>(&self) -> StateVector<U> {
+    pub fn convert<U: SweepDispatch>(&self) -> StateVector<U> {
         StateVector::from_amplitudes(self.amps.iter().map(|a| a.convert()).collect())
     }
 }

@@ -115,16 +115,19 @@ proptest! {
         assert_sweep_bit_exact(n, n_gates, seed, kmax, tile, threads, Simd::Scalar);
     }
 
-    /// The auto SIMD selection (AVX2/AVX-512 where available) stays
-    /// bit-exact too: both executors share one dispatch decision.
+    /// Both widths of the block-lane kernel (256-bit, and the widest the
+    /// host has) stay bit-exact too: both executors share one dispatch
+    /// decision.
     #[test]
     fn tiled_executor_matches_oracle_with_simd(
         n in 5u32..=8,
         n_gates in 10usize..=40,
         seed in 0u64..10_000,
         tile in 3u32..=10,
+        widest in 0u8..2,
     ) {
-        assert_sweep_bit_exact(n, n_gates, seed, 4, tile, 1, Simd::Auto);
+        let simd = if widest == 1 { Simd::Auto } else { Simd::Avx2 };
+        assert_sweep_bit_exact(n, n_gates, seed, 4, tile, 1, simd);
     }
 }
 
@@ -134,6 +137,8 @@ proptest! {
 #[test]
 fn par_threshold_boundary_is_bit_exact() {
     for n in [13u32, 14, 15] {
-        assert_sweep_bit_exact(n, 80, 0xB0DA + n as u64, 4, 10, 4, Simd::Auto);
+        for simd in [Simd::Avx2, Simd::Auto] {
+            assert_sweep_bit_exact(n, 80, 0xB0DA + n as u64, 4, 10, 4, simd);
+        }
     }
 }

@@ -1,17 +1,18 @@
 //! Unified gate-application entry point.
 //!
-//! Simulators call [`apply_gate`] with a [`KernelConfig`]; dispatch picks
-//! the optimization step, SIMD path, block size and parallelism. The
-//! config is usually produced by [`crate::autotune::autotune`], mirroring
-//! the paper's code-generation/benchmarking feedback loop, but every knob
-//! can be set manually — the benchmark harnesses sweep them for Fig. 2.
+//! Simulators call [`apply_gate`] with a [`KernelConfig`]: which rung of
+//! the §3.1–3.2 ladder, which vector width, how many threads. Step 3 —
+//! the production rung — packs the gate once ([`PackedDense`]) and runs
+//! the block-lane kernel ([`crate::lane`]) over whole lane groups and the
+//! scalar blocked kernel ([`crate::opt`]) over what is left, under the
+//! parallel range driver. Nothing here is measured: the width follows
+//! from `simd` and CPUID. The benchmark harnesses set the rungs by hand
+//! for Fig. 2.
 
-use crate::avx;
 use crate::matrix::GateMatrix;
 use crate::opt;
 use crate::sweep::{PackedDense, SweepDispatch};
 use qsim_util::complex::Complex;
-use qsim_util::{c64, Real};
 
 /// Which rung of the §3.1–3.2 optimization ladder to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -27,17 +28,19 @@ pub enum OptLevel {
     Blocked,
 }
 
-/// SIMD selection.
+/// SIMD selection. Only meaningful at `OptLevel::Blocked`; every value
+/// produces the same bits.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Simd {
-    /// Portable scalar code (still FMA-re-associated at step >= 2).
+    /// The scalar blocked kernel alone (FMA-compiled where the host has
+    /// FMA).
     Scalar,
-    /// Force the AVX2+FMA path (scalar when unsupported).
+    /// The 256-bit block-lane kernel (AVX2+FMA; scalar when
+    /// unsupported) — what `Auto` runs on an AVX2-only host, and how an
+    /// AVX-512 host tests and measures that form.
     Avx2,
-    /// Best available: on an AVX-512 host the block-lane kernel for whole
-    /// lane groups and the AVX-512 row kernel (k >= 2) for what is left,
-    /// else AVX2+FMA, else scalar. Only meaningful at
-    /// `OptLevel::Blocked`.
+    /// The widest block-lane kernel the host has: 512-bit with AVX-512F,
+    /// else 256-bit with AVX2+FMA, else scalar.
     Auto,
 }
 
@@ -46,8 +49,6 @@ pub enum Simd {
 pub struct KernelConfig {
     pub opt: OptLevel,
     pub simd: Simd,
-    /// Register-blocking width for the scalar step-3 kernel.
-    pub block: usize,
     /// Worker-thread hint; 1 forces sequential execution.
     pub threads: usize,
 }
@@ -57,7 +58,6 @@ impl Default for KernelConfig {
         Self {
             opt: OptLevel::Blocked,
             simd: Simd::Auto,
-            block: 4,
             threads: rayon::current_num_threads(),
         }
     }
@@ -69,52 +69,17 @@ impl KernelConfig {
         Self {
             opt: OptLevel::Blocked,
             simd: Simd::Scalar,
-            block: 4,
             threads: 1,
         }
     }
 }
 
-/// Apply a dense k-qubit gate to `state` at `qubits` under `cfg`.
-///
-/// Step 3 runs each precision's packed SIMD kernels (the generic bound
-/// cannot name a precision specially, so `apply_gate` is specialized
-/// below via [`ApplyDispatch`]).
-pub fn apply_gate<T: Real + ApplyDispatch>(
-    state: &mut [Complex<T>],
-    qubits: &[u32],
-    m: &GateMatrix<T>,
-    cfg: &KernelConfig,
-) {
-    T::dispatch(state, qubits, m, cfg)
-}
-
-/// Sequential convenience wrapper used by tests and the reference paths.
-pub fn apply_gate_seq<T: Real + ApplyDispatch>(
-    state: &mut [Complex<T>],
-    qubits: &[u32],
-    m: &GateMatrix<T>,
-) {
-    apply_gate(state, qubits, m, &KernelConfig::sequential());
-}
-
-/// Precision-directed dispatch: step 3 goes through the precision's
-/// packed kernels ([`PackedDense`]), the other ladder rungs through the
-/// portable path.
-pub trait ApplyDispatch: Real + Sized {
-    fn dispatch(
-        state: &mut [Complex<Self>],
-        qubits: &[u32],
-        m: &GateMatrix<Self>,
-        cfg: &KernelConfig,
-    );
-}
-
-/// One dispatch for every precision: the portable kernels on the first
-/// three ladder rungs, and at step 3 the packed form the tiled sweep
-/// executor also uses ([`PackedDense`]), so the per-gate path and the
-/// executor run the same kernels by construction.
-fn dispatch<T: SweepDispatch>(
+/// Apply a dense k-qubit gate to `state` at `qubits` under `cfg`: the
+/// portable kernels on the first three ladder rungs, and at step 3 the
+/// packed form the tiled sweep executor also uses ([`PackedDense`]), so
+/// the per-gate path and the executor run the same kernels by
+/// construction.
+pub fn apply_gate<T: SweepDispatch>(
     state: &mut [Complex<T>],
     qubits: &[u32],
     m: &GateMatrix<T>,
@@ -132,65 +97,17 @@ fn dispatch<T: SweepDispatch>(
         OptLevel::Fma => opt::apply_fma(state, qubits, m),
         OptLevel::Blocked => {
             let (exp, pm) = opt::prepare(state.len(), qubits, m);
-            PackedDense::pack(&pm, cfg).apply_full(state, &exp, cfg.block, cfg.threads);
+            PackedDense::pack(&pm, cfg).apply_full(state, &exp, cfg.threads);
         }
-    }
-}
-
-impl ApplyDispatch for f32 {
-    fn dispatch(
-        state: &mut [Complex<f32>],
-        qubits: &[u32],
-        m: &GateMatrix<f32>,
-        cfg: &KernelConfig,
-    ) {
-        dispatch(state, qubits, m, cfg);
-    }
-}
-
-/// The f64 step-3 row kernel a `(cfg, k)` pair resolves to.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum DensePath {
-    /// Portable scalar blocked kernel (also the `opt != Blocked` marker:
-    /// callers on those rungs never reach the packed paths).
-    Scalar,
-    Avx2,
-    Avx512,
-}
-
-/// Resolve the f64 row kernel for a k-qubit gate under `cfg` from the
-/// host ISA alone (the AVX-512 row kernel packs row quads: k >= 2).
-pub(crate) fn choose_dense_path(cfg: &KernelConfig, k: u32) -> DensePath {
-    if cfg.opt != OptLevel::Blocked || cfg.simd == Simd::Scalar {
-        return DensePath::Scalar;
-    }
-    if cfg.simd == Simd::Auto && k >= 2 && crate::avx512::avx512_available() {
-        return DensePath::Avx512;
-    }
-    if avx::avx2_available() {
-        DensePath::Avx2
-    } else {
-        DensePath::Scalar
-    }
-}
-
-/// Does `cfg` select the block-lane kernel for whole lane groups? Only
-/// "best available" asks for it, and it needs AVX-512F.
-pub(crate) fn lane_path(cfg: &KernelConfig) -> bool {
-    cfg.opt == OptLevel::Blocked && cfg.simd == Simd::Auto && crate::avx512::avx512_available()
-}
-
-impl ApplyDispatch for f64 {
-    fn dispatch(state: &mut [c64], qubits: &[u32], m: &GateMatrix<f64>, cfg: &KernelConfig) {
-        dispatch(state, qubits, m, cfg);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::assert_bits_eq;
     use qsim_util::complex::max_dist;
-    use qsim_util::Xoshiro256;
+    use qsim_util::{c64, Xoshiro256};
 
     fn random_state(n: u32, seed: u64) -> Vec<c64> {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -225,17 +142,75 @@ mod tests {
             OptLevel::Fma,
             OptLevel::Blocked,
         ] {
-            for simd in [Simd::Scalar, Simd::Auto] {
+            for simd in SIMDS {
                 for threads in [1usize, 4] {
                     let cfg = KernelConfig {
                         opt: opt_level,
                         simd,
-                        block: 2,
                         threads,
                     };
                     let mut s = state0.clone();
                     apply_gate(&mut s, &qubits, &m, &cfg);
                     assert!(max_dist(&s, &reference) < 1e-12, "cfg mismatch: {cfg:?}");
+                }
+            }
+        }
+        // Step 3 is one FMA chain at every width: bits, not a tolerance.
+        for k in 1..=opt::MAX_K {
+            blocked_bits_agree::<f64>(k);
+            blocked_bits_agree::<f32>(k);
+        }
+    }
+
+    const SIMDS: [Simd; 3] = [Simd::Scalar, Simd::Avx2, Simd::Auto];
+
+    /// `Scalar`, `Avx2` and `Auto` at `OptLevel::Blocked`, `to_bits()`-equal:
+    /// through `apply_gate` at one and four threads, and over block ranges
+    /// whose ends are whole lane groups at 256 bits but ragged at 512, and
+    /// ragged at both.
+    fn blocked_bits_agree<T: SweepDispatch>(k: u32) {
+        let n = 12u32;
+        let m = random_matrix(k, 40 + k as u64).convert::<T>();
+        let state0: Vec<Complex<T>> = random_state(n, 50 + k as u64)
+            .iter()
+            .map(|a| a.convert())
+            .collect();
+        let low: Vec<u32> = (0..k).rev().collect();
+        let spread: Vec<u32> = (0..k).map(|j| (j * n + n / 2) / k).collect();
+        for qubits in [low, spread] {
+            let cfg = |simd, threads| KernelConfig {
+                opt: OptLevel::Blocked,
+                simd,
+                threads,
+            };
+            let mut want = state0.clone();
+            apply_gate(&mut want, &qubits, &m, &cfg(Simd::Scalar, 1));
+            for simd in SIMDS {
+                for threads in [1usize, 4] {
+                    let mut s = state0.clone();
+                    apply_gate(&mut s, &qubits, &m, &cfg(simd, threads));
+                    assert_bits_eq(&s, &want, &format!("k={k} {qubits:?} {simd:?} x{threads}"));
+                }
+            }
+
+            let (exp, pm) = opt::prepare(state0.len(), &qubits, &m);
+            let offs = opt::offsets(&exp, pm.dim());
+            let blocks = state0.len() >> k;
+            // Blocks per 256-bit vector; a 512-bit vector holds twice that.
+            let l = 32 / std::mem::size_of::<Complex<T>>();
+            for (c0, c1) in [(l, blocks - l), (1, blocks - 3)] {
+                let run = |simd| {
+                    let mut s = state0.clone();
+                    PackedDense::pack(&pm, &cfg(simd, 1)).apply_range(&mut s, &exp, &offs, c0, c1);
+                    s
+                };
+                let want = run(Simd::Scalar);
+                for simd in [Simd::Avx2, Simd::Auto] {
+                    assert_bits_eq(
+                        &run(simd),
+                        &want,
+                        &format!("k={k} {qubits:?} {simd:?} [{c0}, {c1})"),
+                    );
                 }
             }
         }

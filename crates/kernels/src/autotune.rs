@@ -1,23 +1,19 @@
-//! Runtime kernel autotuning — the paper's "automatic code-generation /
-//! benchmarking feedback loop" (§3.2) recast for a compiled library.
+//! Start-up kernel measurement — what is left of the paper's "automatic
+//! code-generation / benchmarking feedback loop" (§3.2) in a compiled
+//! library.
 //!
 //! The paper generates kernel variants offline and benchmarks them to pick
-//! the block size and the largest profitable kernel size `kmax`. Here the
-//! variants already exist (macro-/generic-compiled); the feedback loop
-//! runs at startup on a small state vector and selects:
+//! a block size and the largest profitable kernel size. Here nothing is
+//! picked by stopwatch: the kernel shape and vector width follow from
+//! CPUID ([`crate::lane`]), the tile size is a constant
+//! ([`tune_tile_qubits`]) and `kmax` is the caller's. What the loop still
+//! measures is the per-k GFLOPS ladder of the production kernels, the one
+//! input of the planner's cost model (`qsim_core::planner`).
 //!
-//! * `block` — the register-blocking width of the scalar step-3 kernel;
-//! * `kmax`  — the largest k whose kernel still delivers good *effective*
-//!   throughput. Because a k-qubit fused gate replaces ≥ k single/two-qubit
-//!   gates (Table 1 shows more than k on average), the figure of merit is
-//!   amplitude-sweeps avoided per second: `gflops_equivalent(k) =
-//!   k × amplitudes/second`, the same "larger gates in (almost) the same
-//!   time" argument of §3.3.
-//!
-//! Tuning takes tens of milliseconds and is cached by callers (the
-//! distributed simulator tunes once per process).
+//! Measuring takes a few milliseconds and is cached per process
+//! ([`autotune_cached`]).
 
-use crate::apply::{apply_gate, KernelConfig, OptLevel, Simd};
+use crate::apply::KernelConfig;
 use crate::matrix::GateMatrix;
 use crate::parallel::PAR_THRESHOLD;
 use crate::sweep::PreparedGate;
@@ -29,11 +25,6 @@ use qsim_util::Xoshiro256;
 /// Autotuning result.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TunedParams {
-    /// Largest profitable fused-kernel size (paper finds 4 on Edison, 4–5
-    /// on KNL).
-    pub kmax: u32,
-    /// Scalar register-blocking width.
-    pub block: usize,
     /// GFLOPS per kernel size k (index 0 ↔ k=1) on `threads` workers,
     /// operands spread evenly over the tuning register: measured through
     /// the parallel driver when the tuning state is large enough to engage
@@ -41,10 +32,7 @@ pub struct TunedParams {
     pub gflops_by_k: [f64; 5],
 }
 
-/// Candidate block widths swept by the feedback loop.
-pub const BLOCK_CANDIDATES: [usize; 4] = [1, 2, 4, 8];
-
-/// Run the tuning loop on a 2^n_test state (n_test ∈ [10, 26] is sane;
+/// Measure the ladder on a 2^n_test state (n_test ∈ [10, 26] is sane;
 /// benchmarks use 22+, tests use small values for speed).
 pub fn autotune(n_test: u32, threads: usize) -> TunedParams {
     assert!(
@@ -57,41 +45,15 @@ pub fn autotune(n_test: u32, threads: usize) -> TunedParams {
         .map(|_| c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
         .collect();
 
-    // Sweep block width on the k=4 scalar kernel (the size the paper
-    // identifies as the workhorse).
-    let m4 = random_dense(4);
-    let q4: Vec<u32> = (0..4).collect();
-    let mut best_block = BLOCK_CANDIDATES[0];
-    let mut best_time = f64::INFINITY;
-    for &b in &BLOCK_CANDIDATES {
-        let cfg = KernelConfig {
-            opt: OptLevel::Blocked,
-            simd: Simd::Scalar,
-            block: b,
-            threads,
-        };
-        let t = summarize(&time_reps(1, 3, || {
-            apply_gate(&mut state, &q4, &m4, &cfg);
-        }))
-        .median;
-        if t < best_time {
-            best_time = t;
-            best_block = b;
-        }
-    }
-
-    // Measure per-k GFLOPS with the production config and pick kmax by
-    // effective throughput. Operands are spread over the register, not
-    // packed onto the lowest positions: a cluster inside a cache tile
-    // rarely sits on the lane bits, and the cost model prices schedules
-    // from this ladder. The gate is prepared once, as the tiled executor
-    // prepares it, and a short sweep is repeated so that the timer sees
-    // the kernel.
+    // Per-k GFLOPS with the production config. Operands are spread over
+    // the register, not packed onto the lowest positions: a cluster
+    // inside a cache tile rarely sits on the lane bits, and the cost
+    // model prices schedules from this ladder. The gate is prepared once,
+    // as the tiled executor prepares it, and a short sweep is repeated so
+    // that the timer sees the kernel.
     let cfg = KernelConfig {
-        opt: OptLevel::Blocked,
-        simd: Simd::Auto,
-        block: best_block,
         threads,
+        ..KernelConfig::default()
     };
     let reps = (1usize << 16 >> n_test.min(16)).max(1);
     // Below the parallel drivers' threshold a sweep runs on one thread
@@ -105,8 +67,6 @@ pub fn autotune(n_test: u32, threads: usize) -> TunedParams {
         1
     };
     let mut gflops_by_k = [0f64; 5];
-    let mut best_k = 1u32;
-    let mut best_score = 0f64;
     for k in 1..=5u32 {
         let qs: Vec<u32> = (0..k).map(|j| (j * n_test + n_test / 2) / k).collect();
         let gate = PreparedGate::new(&qs, &random_dense(k), &cfg);
@@ -118,20 +78,9 @@ pub fn autotune(n_test: u32, threads: usize) -> TunedParams {
         .median
             / reps as f64;
         gflops_by_k[(k - 1) as usize] = workers as f64 * gate_flops(n_test, k) as f64 / t / 1e9;
-        // Effective figure of merit: gates fused per sweep ~ k, so a
-        // k-kernel is worth k single-gate sweeps.
-        let score = k as f64 / t;
-        if score > best_score {
-            best_score = score;
-            best_k = k;
-        }
     }
 
-    TunedParams {
-        kmax: best_k,
-        block: best_block,
-        gflops_by_k,
-    }
+    TunedParams { gflops_by_k }
 }
 
 /// Memoized [`autotune`]: the measurement loop runs once per distinct
@@ -180,8 +129,6 @@ mod tests {
     #[test]
     fn tune_on_small_state_returns_sane_params() {
         let p = autotune(12, 1);
-        assert!((1..=5).contains(&p.kmax), "kmax={}", p.kmax);
-        assert!(BLOCK_CANDIDATES.contains(&p.block));
         for (i, &g) in p.gflops_by_k.iter().enumerate() {
             assert!(g > 0.0, "k={} has zero throughput", i + 1);
             assert!(g.is_finite());

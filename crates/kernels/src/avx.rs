@@ -1,21 +1,10 @@
-//! Explicit AVX2+FMA vectorization of the step-3 kernel (f64 only).
+//! AVX2+FMA detection, and the Fig. 2 step-2 rung.
 //!
-//! This is the Rust analogue of the paper's compiler-intrinsics layer
-//! (§3.2): updates for two consecutive temporary-vector entries are packed
-//! into one 256-bit lane, the gathered input amplitude is kept in register
-//! in both its `(v_R, v_I)` and swapped `(v_I, v_R)` forms (one permute per
-//! input, hoisted out of the output loop), and each packed matrix entry
-//! contributes exactly two `vfmadd` instructions — the Eq. (2)–(3) scheme.
-//!
-//! Register blocking: for k ≤ 4 all 2^k/2 ≤ 8 accumulator vectors stay
-//! resident in ymm registers across the full input sweep; for k = 5..6 the
-//! output rows are processed in half/quarter sweeps to avoid spills —
-//! "blocking to reduce register-spilling" (§3).
-//!
-//! Feature detection happens once per call via
-//! `is_x86_feature_detected!`; non-x86 targets or older CPUs fall back to
-//! the portable scalar step-3 kernel, which keeps the crate
-//! performance-portable (the role the paper assigns to its code generator).
+//! [`avx2_available`] is the runtime check behind the 256-bit form of the
+//! block-lane kernel ([`crate::lane`]) and the FMA-compiled scalar
+//! kernels. [`apply_avx_eq1`] is a paper-figure reference, not a
+//! production path: explicit vectorization of Eq. (1) *before* the
+//! Eq. (2)–(3) re-association, so the ladder can show the two steps apart.
 
 use crate::matrix::PackedMatrix;
 use crate::opt;
@@ -32,93 +21,6 @@ pub fn avx2_available() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-/// Apply a packed k-qubit gate to blocks `[c0, c1)` with the AVX2 kernel,
-/// falling back to the scalar step-3 kernel when AVX2 is unavailable.
-///
-/// `offs` is the offset table for the (sorted) expander; `b` is the scalar
-/// fallback's block size.
-pub fn apply_avx_range(
-    state: &mut [c64],
-    exp: &IndexExpander,
-    packed: &PackedMatrix<f64>,
-    offs: &[usize],
-    b: usize,
-    c0: usize,
-    c1: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: feature presence checked at runtime above.
-            unsafe { apply_avx_range_impl(state, exp, packed, offs, c0, c1) };
-            return;
-        }
-    }
-    opt::apply_blocked_packed_range(state, exp, packed, offs, b, c0, c1);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn apply_avx_range_impl(
-    state: &mut [c64],
-    exp: &IndexExpander,
-    packed: &PackedMatrix<f64>,
-    offs: &[usize],
-    c0: usize,
-    c1: usize,
-) {
-    use core::arch::x86_64::*;
-    let dim = packed.dim();
-    debug_assert!(dim <= 1 << opt::MAX_K);
-    let raw = packed.raw().as_ptr();
-    let sp = state.as_mut_ptr() as *mut f64;
-    // Temporary gathered inputs, interleaved (re, im).
-    let mut tmp = [0f64; 2 << opt::MAX_K];
-    // Output row pairs processed per sweep: keep <= 8 accumulators in ymm.
-    let pairs = dim / 2;
-    let sweep = pairs.min(8);
-    for c in c0..c1 {
-        let base = exp.expand(c);
-        for (x, &off) in offs.iter().enumerate().take(dim) {
-            let p = sp.add(2 * (base + off));
-            tmp[2 * x] = *p;
-            tmp[2 * x + 1] = *p.add(1);
-        }
-        let mut lp0 = 0usize;
-        while lp0 < pairs {
-            let lpe = (lp0 + sweep).min(pairs);
-            let nacc = lpe - lp0;
-            // Accumulators for up to 8 output pairs.
-            let mut acc = [_mm256_setzero_pd(); 8];
-            for i in 0..dim {
-                // v = (vR, vI, vR, vI), vswap = (vI, vR, vI, vR).
-                let v128 = _mm_loadu_pd(tmp.as_ptr().add(2 * i));
-                let v = _mm256_set_m128d(v128, v128);
-                let vswap = _mm256_permute_pd(v, 0b0101);
-                for (a, lp) in (lp0..lpe).enumerate() {
-                    let e = raw.add((lp * dim + i) * 8);
-                    // (m_R, m_R) pairs for rows 2lp and 2lp+1.
-                    let mrr = _mm256_load_pd(e);
-                    // (−m_I, m_I) pairs.
-                    let mim = _mm256_load_pd(e.add(4));
-                    acc[a] = _mm256_fmadd_pd(v, mrr, acc[a]);
-                    acc[a] = _mm256_fmadd_pd(vswap, mim, acc[a]);
-                }
-            }
-            for (a, lp) in (lp0..lpe).enumerate().take(nacc) {
-                // acc lanes: (row 2lp re, im, row 2lp+1 re, im).
-                let lo = _mm256_castpd256_pd128(acc[a]);
-                let hi = _mm256_extractf128_pd(acc[a], 1);
-                let o0 = offs[2 * lp];
-                let o1 = offs[2 * lp + 1];
-                _mm_storeu_pd(sp.add(2 * (base + o0)), lo);
-                _mm_storeu_pd(sp.add(2 * (base + o1)), hi);
-            }
-            lp0 = lpe;
-        }
     }
 }
 
@@ -141,7 +43,7 @@ pub fn apply_avx_eq1(state: &mut [c64], qubits: &[u32], m: &crate::matrix::GateM
     }
     let blocks = state.len() >> pm.k();
     let packed = PackedMatrix::pack(&pm);
-    opt::apply_blocked_packed_range(state, &exp, &packed, &offs, 1, 0, blocks);
+    opt::apply_blocked_packed_range(state, &exp, &packed, &offs, 0, blocks);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -195,7 +97,7 @@ unsafe fn apply_avx_eq1_impl(
 mod tests {
     use super::*;
     use crate::matrix::GateMatrix;
-    use crate::opt::{apply_fma, offsets, prepare};
+    use crate::opt::apply_fma;
     use qsim_util::complex::max_dist;
     use qsim_util::Xoshiro256;
 
@@ -218,45 +120,6 @@ mod tests {
         )
     }
 
-    fn run_avx(state: &mut [c64], qubits: &[u32], m: &GateMatrix<f64>) {
-        let (exp, pm) = prepare(state.len(), qubits, m);
-        let packed = PackedMatrix::pack(&pm);
-        let offs = offsets(&exp, packed.dim());
-        let blocks = state.len() >> packed.k();
-        apply_avx_range(state, &exp, &packed, &offs, 4, 0, blocks);
-    }
-
-    #[test]
-    fn avx_matches_scalar_for_all_k() {
-        if !avx2_available() {
-            eprintln!("AVX2 unavailable; fallback path exercised instead");
-        }
-        let n = 10;
-        for k in 1..=5u32 {
-            let m = random_unitaryish(k, 1000 + k as u64);
-            let qubits: Vec<u32> = (0..k).map(|j| (j * 2 + 1) % n).collect();
-            let state0 = random_state(n, 2000 + k as u64);
-            let mut a = state0.clone();
-            run_avx(&mut a, &qubits, &m);
-            let mut b = state0;
-            apply_fma(&mut b, &qubits, &m);
-            assert!(max_dist(&a, &b) < 1e-12, "k={k}");
-        }
-    }
-
-    #[test]
-    fn avx_handles_high_order_qubits() {
-        let n = 12;
-        let m = random_unitaryish(3, 31);
-        let qubits = vec![11, 10, 9];
-        let state0 = random_state(n, 32);
-        let mut a = state0.clone();
-        run_avx(&mut a, &qubits, &m);
-        let mut b = state0;
-        apply_fma(&mut b, &qubits, &m);
-        assert!(max_dist(&a, &b) < 1e-12);
-    }
-
     #[test]
     fn avx_eq1_matches_scalar_for_all_k() {
         let n = 10;
@@ -276,24 +139,5 @@ mod tests {
             apply_fma(&mut b, &qubits, &m);
             assert!(max_dist(&a, &b) < 1e-12, "eq1 k={k}");
         }
-    }
-
-    #[test]
-    fn avx_partial_range_composes() {
-        // Applying [0, mid) then [mid, blocks) must equal one full sweep.
-        let n = 9;
-        let m = random_unitaryish(2, 55);
-        let qubits = vec![4, 7];
-        let state0 = random_state(n, 56);
-        let (exp, pm) = prepare(state0.len(), &qubits, &m);
-        let packed = PackedMatrix::pack(&pm);
-        let offs = offsets(&exp, packed.dim());
-        let blocks = state0.len() >> 2;
-        let mut a = state0.clone();
-        apply_avx_range(&mut a, &exp, &packed, &offs, 4, 0, blocks / 2);
-        apply_avx_range(&mut a, &exp, &packed, &offs, 4, blocks / 2, blocks);
-        let mut b = state0;
-        apply_avx_range(&mut b, &exp, &packed, &offs, 4, 0, blocks);
-        assert!(max_dist(&a, &b) < 1e-13);
     }
 }

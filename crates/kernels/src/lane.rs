@@ -1,19 +1,33 @@
-//! Block-lane dense kernel: the step-3 kernel vectorised across *blocks*.
+//! Block-lane dense kernel: the step-3 kernel vectorised across *blocks*
+//! — the one SIMD shape of the crate, instantiated at two vector widths.
 //!
-//! The row kernels ([`crate::avx`], [`crate::avx512`], [`crate::avxf32`])
-//! put consecutive output rows of ONE 2^k-amplitude block into a vector,
-//! so every block pays a scalar gather of its inputs and a scalar scatter
-//! of its outputs next to its FMAs. This kernel turns the layout by 90°,
-//! the way qsim lays out its SIMD gate kernels: one 512-bit vector holds
-//! the *same* gate-local amplitude `x` of `L` consecutive blocks (`L` = 4
-//! for f64, 8 for f32 — one cache line), matrix entries enter as
-//! broadcast operands, and inputs and outputs move as whole vectors.
+//! A kernel that puts consecutive output rows of ONE 2^k-amplitude block
+//! into a vector pays a scalar gather of the block's inputs and a scalar
+//! scatter of its outputs next to its FMAs. This kernel turns the layout
+//! by 90°, the way qsim lays out its SIMD gate kernels: one vector holds
+//! the *same* gate-local amplitude `x` of `L` consecutive blocks, matrix
+//! entries enter as broadcast operands, and inputs and outputs move as
+//! whole vectors. The paper generated its AVX and AVX-512 kernels from
+//! one generator (§3.2); here that generator is [`x86::LaneVec`], with
+//! four impls:
+//!
+//! | vector    | ISA        | blocks `L` | `LANE_BITS` | rows per sweep |
+//! |-----------|------------|------------|-------------|----------------|
+//! | `__m256d` | AVX2 + FMA | 2 f64      | 1           | 8              |
+//! | `__m256`  | AVX2 + FMA | 4 f32      | 2           | 8              |
+//! | `__m512d` | AVX-512F   | 4 f64      | 2           | 16             |
+//! | `__m512`  | AVX-512F   | 8 f32      | 3           | 16             |
+//!
+//! **Who picks the width.** [`PackedLane::pack`], from `KernelConfig::simd`
+//! and CPUID alone: `Simd::Auto` is the widest form the host has,
+//! `Simd::Avx2` the 256-bit form (also how an AVX-512 host tests and
+//! measures it), `Simd::Scalar` none. Nothing is timed.
 //!
 //! **Lane groups.** Block counters map to the free (non-operand) index
 //! bits in order, so the `L` blocks `[c, c + L)` with `c` a multiple of
 //! `L` differ exactly in the `b = log2 L` lowest free bits. When no
 //! operand sits on positions `0..b` those are index bits `0..b`, and the
-//! vector for local index `x` is one aligned load from
+//! vector for local index `x` is one load from
 //! `state[expand(c) + offs[x] ..]`.
 //!
 //! **Lane-bit operands.** With `m` operands on positions `< b`, a loaded
@@ -21,39 +35,68 @@
 //! kernel then loads `2^m` vectors — the same address in the `2^m` block
 //! sub-groups selected by the next `m` free bits — and exchanges, one
 //! operand at a time, a register-index bit with the operand's lane bit
-//! (`bitswap`: two `vpermt2pd` per register pair). After `m` exchanges
+//! (`bitswap`: two `vpermt2pd` per register pair at 512 bits, a
+//! `vperm2f128` or `vunpck{l,h}pd` pair at 256). After `m` exchanges
 //! register `z` holds local index `z` of all `L` blocks. The exchange is
 //! an involution, so the store path runs the same code.
 //!
 //! **Bit-exactness.** Per output row the kernel issues exactly the chain
-//! every other step-3 kernel issues, for inputs `i` ascending from a zero
+//! the scalar step-3 kernel issues, for inputs `i` ascending from a zero
 //! accumulator: `acc = fma(v_i, (m_R, m_R), acc)` then
 //! `acc = fma(swap(v_i), (−m_I, m_I), acc)`. The second is computed as
 //! `fma((−v_I, v_R), (m_I, m_I), acc)`: negation is exact and
 //! `(−a)·b = a·(−b)` bit for bit, so the fused result is identical while
 //! both matrix operands become plain scalar broadcasts. Lanes never
-//! interact, so which blocks share a vector cannot reach the result.
+//! interact, so neither which blocks share a vector nor how many do can
+//! reach the result: both widths and the scalar kernel agree to the bit.
 //!
 //! Only whole lane groups are handled here; callers run the ragged ends
-//! of a block range (and every range on hosts without AVX-512F) through
-//! the row kernels, which produce the same bits.
+//! of a block range (and every range on hosts without AVX2+FMA) through
+//! [`crate::opt`]'s scalar blocked kernel, which produces the same bits.
 
+use crate::apply::Simd;
 use crate::matrix::GateMatrix;
 use qsim_util::bits::IndexExpander;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 
+/// Vector width of the block-lane kernel.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Width {
+    /// 256-bit vectors, AVX2 + FMA.
+    V256,
+    /// 512-bit vectors, AVX-512F.
+    V512,
+}
+
+impl Width {
+    /// The width `simd` selects on this host, from CPUID alone.
+    fn pick(simd: Simd) -> Option<Self> {
+        match simd {
+            Simd::Scalar => None,
+            Simd::Auto if crate::avx512::avx512_available() => Some(Self::V512),
+            Simd::Auto | Simd::Avx2 => crate::avx::avx2_available().then_some(Self::V256),
+        }
+    }
+}
+
 /// Gate matrix packed for the block-lane kernel: `(m_R, m_I)` scalar
 /// pairs, column-major (`[input i][row r]`), so the rows of one input
 /// stream linearly and every entry is a scalar-broadcast FMA operand.
+/// The layout is the same at both widths; the width travels with it.
 pub struct PackedLane<T> {
     k: u32,
     data: Vec<T>,
+    /// Only ever set by [`Width::pick`]: holding a `PackedLane` is the
+    /// proof that the host has the ISA of its width.
+    width: Width,
 }
 
 impl<T: Real> PackedLane<T> {
-    /// Pack a (pre-permuted) gate matrix.
-    pub fn pack(m: &GateMatrix<T>) -> Self {
+    /// Pack a (pre-permuted) gate matrix for the vector width `simd`
+    /// selects on this host; `None` when that is no SIMD at all.
+    pub fn pack(m: &GateMatrix<T>, simd: Simd) -> Option<Self> {
+        let width = Width::pick(simd)?;
         let d = m.dim();
         let mut data = Vec::with_capacity(2 * d * d);
         for i in 0..d {
@@ -63,7 +106,11 @@ impl<T: Real> PackedLane<T> {
                 data.push(e.im);
             }
         }
-        Self { k: m.k(), data }
+        Some(Self {
+            k: m.k(),
+            data,
+            width,
+        })
     }
 
     #[inline(always)]
@@ -79,10 +126,11 @@ impl<T: Real> PackedLane<T> {
 
 /// Precisions that have a block-lane kernel.
 pub trait LaneKernel: Real {
-    /// Apply `packed` to every whole lane group inside block counters
-    /// `[c0, c1)` and return the sub-range `[b0, b1)` that was covered
-    /// (`b0 == b1` when none was: range too short, or no AVX-512F). The
-    /// caller applies `[c0, b0)` and `[b1, c1)` with a row kernel.
+    /// Apply `packed` to every whole lane group (of `packed`'s width)
+    /// inside block counters `[c0, c1)` and return the sub-range
+    /// `[b0, b1)` that was covered (`b0 == b1` when the range holds no
+    /// whole group). The caller applies `[c0, b0)` and `[b1, c1)` with the
+    /// scalar kernel.
     fn apply_lane_groups(
         state: &mut [Complex<Self>],
         exp: &IndexExpander,
@@ -94,7 +142,7 @@ pub trait LaneKernel: Real {
 }
 
 macro_rules! impl_lane_kernel {
-    ($t:ty, $v:ident, $($entry:ident),+) => {
+    ($t:ty, $v256:ident, $v512:ident) => {
         impl LaneKernel for $t {
             #[allow(unused_variables)]
             fn apply_lane_groups(
@@ -107,10 +155,15 @@ macro_rules! impl_lane_kernel {
             ) -> (usize, usize) {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    let entries = [$(x86::$entry),+];
-                    x86::apply_lane_groups::<core::arch::x86_64::$v>(
-                        state, exp, packed, offs, c0, c1, &entries,
-                    )
+                    use core::arch::x86_64::{$v256, $v512};
+                    match packed.width {
+                        Width::V256 => {
+                            x86::apply_lane_groups::<$v256>(state, exp, packed, offs, c0, c1)
+                        }
+                        Width::V512 => {
+                            x86::apply_lane_groups::<$v512>(state, exp, packed, offs, c0, c1)
+                        }
+                    }
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -121,37 +174,50 @@ macro_rules! impl_lane_kernel {
     };
 }
 
-impl_lane_kernel!(f64, __m512d, f64_r2, f64_r4, f64_r8, f64_r16);
-impl_lane_kernel!(f32, __m512, f32_r2, f32_r4, f32_r8, f32_r16);
+impl_lane_kernel!(f64, __m256d, __m512d);
+impl_lane_kernel!(f32, __m256, __m512);
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::PackedLane;
+    use super::{PackedLane, Width};
     use crate::opt::MAX_K;
     use core::arch::x86_64::*;
+    use core::ops::Range;
     use qsim_util::bits::IndexExpander;
     use qsim_util::complex::Complex;
     use qsim_util::Real;
 
     const MAX_DIM: usize = 1 << MAX_K;
-    /// Most operands that can sit on lane bits (f32: positions 0, 1, 2).
+    /// Most operands that can sit on lane bits (f32 at 512 bits:
+    /// positions 0, 1, 2).
     const MAX_LANE_OPS: usize = 3;
-    /// Output rows accumulated per input sweep: 16 accumulators + input +
-    /// swapped input leave a dozen of the 32 zmm registers spare, and 16
-    /// independent chains of two dependent FMAs cover the FMA latency.
-    const MAX_ROWS: usize = 16;
 
-    /// One 512-bit vector of `LANES` complex amplitudes, one per block.
+    /// One vector of `2^LANE_BITS` complex amplitudes, one per block.
     ///
     /// The methods are `inline(always)` and carry no `target_feature` of
     /// their own: they are only ever instantiated inside the
-    /// `#[target_feature(enable = "avx512f")]` entry points below, where
+    /// `#[target_feature]` entry points in [`LaneVec::ENTRIES`], where
     /// every intrinsic inlines (checked by `scripts/check_kernel_asm.sh`).
-    /// Only AVX-512F intrinsics are used (KNL has F without DQ).
+    ///
+    /// # Safety
+    /// Every method requires the ISA of [`LaneVec::WIDTH`]; `load`,
+    /// `store` and `splat` additionally require `p` to be valid for one
+    /// vector (one scalar for `splat`) of reads or writes. No alignment
+    /// is required.
     pub(super) trait LaneVec: Copy {
         type Scalar: Real;
+        /// The width whose ISA the methods need.
+        const WIDTH: Width;
         /// log2 of the amplitudes (= blocks) per vector.
         const LANE_BITS: u32;
+        /// The entry points of this vector, one per rows-per-sweep
+        /// `R = 2, 4, …` (index `log2 R − 1`). The last is the most output
+        /// rows one input sweep accumulates: `R` accumulators, the input
+        /// and its swapped copy must fit the register file (and without
+        /// AVX-512's embedded broadcast, so must the matrix operands),
+        /// while `R` independent chains of two dependent FMAs have to
+        /// cover the FMA latency.
+        const ENTRIES: &'static [Entry<Self::Scalar>];
         unsafe fn zero() -> Self;
         unsafe fn load(p: *const Self::Scalar) -> Self;
         unsafe fn store(p: *mut Self::Scalar, v: Self);
@@ -161,15 +227,16 @@ mod x86 {
         unsafe fn fmadd(a: Self, b: Self, acc: Self) -> Self;
         /// `(v_R, v_I) -> (−v_I, v_R)` per amplitude.
         unsafe fn swap_neg(v: Self) -> Self;
-        /// Exchange lane bit `p` between a register pair: `a'` keeps its
-        /// lanes with bit `p` clear and takes, into its lanes with bit `p`
-        /// set, `b`'s lanes with the bit clear; `b'` symmetrically. Its
-        /// own inverse.
+        /// Exchange lane bit `p < LANE_BITS` between a register pair: `a'`
+        /// keeps its lanes with bit `p` clear and takes, into its lanes
+        /// with bit `p` set, `b`'s lanes with the bit clear; `b'`
+        /// symmetrically. Its own inverse.
         unsafe fn bitswap(a: Self, b: Self, p: u32) -> (Self, Self);
     }
 
-    /// `vpermt2pd` index pairs for [`LaneVec::bitswap`] at a lane-bit
-    /// stride of 1, 2 and 4 64-bit elements (index bit 3 selects `b`).
+    /// `vpermt2pd` index pairs for the 512-bit [`LaneVec::bitswap`] at a
+    /// lane-bit stride of 1, 2 and 4 64-bit elements (index bit 3 selects
+    /// `b`).
     static BITSWAP_IDX: [[[i64; 8]; 2]; 3] = [bitswap_idx(1), bitswap_idx(2), bitswap_idx(4)];
 
     const fn bitswap_idx(stride: usize) -> [[i64; 8]; 2] {
@@ -192,8 +259,10 @@ mod x86 {
         t
     }
 
+    /// # Safety
+    /// AVX-512F; `table < 3`.
     #[inline(always)]
-    unsafe fn bitswap_pd(a: __m512d, b: __m512d, table: usize) -> (__m512d, __m512d) {
+    unsafe fn bitswap_512(a: __m512d, b: __m512d, table: usize) -> (__m512d, __m512d) {
         let idx = &BITSWAP_IDX[table];
         let ia = _mm512_loadu_epi64(idx[0].as_ptr());
         let ib = _mm512_loadu_epi64(idx[1].as_ptr());
@@ -203,9 +272,27 @@ mod x86 {
         )
     }
 
+    /// Exchange the 128-bit halves: `(a.lo, b.lo)` and `(a.hi, b.hi)` —
+    /// the lane bit with a stride of two 64-bit elements.
+    ///
+    /// # Safety
+    /// AVX.
+    #[inline(always)]
+    unsafe fn bitswap_256_halves(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
+        (
+            _mm256_permute2f128_pd(a, b, 0x20),
+            _mm256_permute2f128_pd(a, b, 0x31),
+        )
+    }
+
+    // Only AVX-512F intrinsics are used (KNL has F without DQ).
     impl LaneVec for __m512d {
         type Scalar = f64;
+        const WIDTH: Width = Width::V512;
         const LANE_BITS: u32 = 2;
+        /// 16 accumulators + input + swapped input leave a dozen of the
+        /// 32 zmm registers spare.
+        const ENTRIES: &'static [Entry<f64>] = &[f64x4_r2, f64x4_r4, f64x4_r8, f64x4_r16];
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm512_setzero_pd()
@@ -238,13 +325,15 @@ mod x86 {
         unsafe fn bitswap(a: Self, b: Self, p: u32) -> (Self, Self) {
             // An amplitude is two 64-bit elements: lane bit p has stride
             // 2 << p.
-            bitswap_pd(a, b, p as usize + 1)
+            bitswap_512(a, b, p as usize + 1)
         }
     }
 
     impl LaneVec for __m512 {
         type Scalar = f32;
+        const WIDTH: Width = Width::V512;
         const LANE_BITS: u32 = 3;
+        const ENTRIES: &'static [Entry<f32>] = &[f32x8_r2, f32x8_r4, f32x8_r8, f32x8_r16];
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm512_setzero_ps()
@@ -274,8 +363,96 @@ mod x86 {
         #[inline(always)]
         unsafe fn bitswap(a: Self, b: Self, p: u32) -> (Self, Self) {
             // An amplitude is one 64-bit element: stride 1 << p.
-            let (x, y) = bitswap_pd(_mm512_castps_pd(a), _mm512_castps_pd(b), p as usize);
+            let (x, y) = bitswap_512(_mm512_castps_pd(a), _mm512_castps_pd(b), p as usize);
             (_mm512_castpd_ps(x), _mm512_castpd_ps(y))
+        }
+    }
+
+    impl LaneVec for __m256d {
+        type Scalar = f64;
+        const WIDTH: Width = Width::V256;
+        const LANE_BITS: u32 = 1;
+        /// 8 accumulators + input + swapped input + the two broadcast
+        /// matrix operands of the row in flight: 12 of the 16 ymm
+        /// registers.
+        const ENTRIES: &'static [Entry<f64>] = &[f64x2_r2, f64x2_r4, f64x2_r8];
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm256_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, v: Self) {
+            _mm256_storeu_pd(p, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f64) -> Self {
+            _mm256_set1_pd(*p)
+        }
+        #[inline(always)]
+        unsafe fn fmadd(a: Self, b: Self, acc: Self) -> Self {
+            _mm256_fmadd_pd(a, b, acc)
+        }
+        #[inline(always)]
+        unsafe fn swap_neg(v: Self) -> Self {
+            // (v_I, v_R), then flip the sign of the even components.
+            let s = _mm256_permute_pd(v, 0b0101);
+            _mm256_xor_pd(s, _mm256_set_pd(0.0, -0.0, 0.0, -0.0))
+        }
+        #[inline(always)]
+        unsafe fn bitswap(a: Self, b: Self, p: u32) -> (Self, Self) {
+            // The one lane bit: an amplitude is one 128-bit half.
+            debug_assert_eq!(p, 0);
+            bitswap_256_halves(a, b)
+        }
+    }
+
+    impl LaneVec for __m256 {
+        type Scalar = f32;
+        const WIDTH: Width = Width::V256;
+        const LANE_BITS: u32 = 2;
+        const ENTRIES: &'static [Entry<f32>] = &[f32x4_r2, f32x4_r4, f32x4_r8];
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: Self) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f32) -> Self {
+            _mm256_set1_ps(*p)
+        }
+        #[inline(always)]
+        unsafe fn fmadd(a: Self, b: Self, acc: Self) -> Self {
+            _mm256_fmadd_ps(a, b, acc)
+        }
+        #[inline(always)]
+        unsafe fn swap_neg(v: Self) -> Self {
+            let s = _mm256_permute_ps(v, 0b10_11_00_01);
+            _mm256_xor_ps(s, _mm256_set_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0))
+        }
+        #[inline(always)]
+        unsafe fn bitswap(a: Self, b: Self, p: u32) -> (Self, Self) {
+            // An amplitude is one 64-bit element. Lane bit 0 pairs
+            // neighbours inside each 128-bit half: (a0, b0, a2, b2) and
+            // (a1, b1, a3, b3). Lane bit 1 is the half itself.
+            debug_assert!(p < 2);
+            let (a, b) = (_mm256_castps_pd(a), _mm256_castps_pd(b));
+            let (x, y) = if p == 0 {
+                (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b))
+            } else {
+                bitswap_256_halves(a, b)
+            };
+            (_mm256_castpd_ps(x), _mm256_castpd_ps(y))
         }
     }
 
@@ -292,6 +469,10 @@ mod x86 {
         /// Amplitude offset of block sub-group `y < 2^m`: the free bits
         /// that stand in for the operand-occupied lane bits.
         sub: [usize; 1 << MAX_LANE_OPS],
+        /// The amplitudes of the block range the front door checked
+        /// against the state: first of its first block to one past the
+        /// last of its last block.
+        span: Range<usize>,
     }
 
     /// Entry point of one `(vector, rows-per-sweep)` instantiation.
@@ -307,12 +488,12 @@ mod x86 {
         offs: &[usize],
         c0: usize,
         c1: usize,
-        entries: &[Entry<V::Scalar>; 4],
     ) -> (usize, usize) {
+        assert_eq!(packed.width, V::WIDTH);
         let lanes = 1usize << V::LANE_BITS;
         let b0 = c0.next_multiple_of(lanes);
         let b1 = c1 & !(lanes - 1);
-        if b0 >= b1 || !crate::avx512::avx512_available() {
+        if b0 >= b1 {
             return (c0, c0);
         }
         let dim = packed.dim();
@@ -331,8 +512,9 @@ mod x86 {
                 .all(|(x, &o)| o == exp.offset(x)),
             "offset table does not belong to the expander"
         );
+        let last = exp.expand(b1 - 1) + offs[dim - 1];
         assert!(
-            exp.expand(b1 - 1) + offs[dim - 1] < state.len(),
+            last < state.len(),
             "block range [{c0}, {c1}) exceeds a state of {} amplitudes",
             state.len()
         );
@@ -354,14 +536,16 @@ mod x86 {
             m,
             lane_ops,
             sub,
+            span: exp.expand(b0)..last + 1,
         };
-        let entry = entries[dim.min(MAX_ROWS).trailing_zeros() as usize - 1];
-        // SAFETY: AVX-512F presence checked above; `Complex<S>` is
+        let entry = V::ENTRIES[(k - 1).min(V::ENTRIES.len() - 1)];
+        // SAFETY: `packed.width == V::WIDTH` was set by `Width::pick`,
+        // which found that width's ISA in CPUID; `Complex<S>` is
         // `repr(C) { re, im }`, so the slice is 2·len scalars; `offs` is
         // cut to 2^k <= MAX_DIM entries and `m`, `lane_ops`, `sub` are
         // derived from it and from `exp`; `entry` is the instantiation
-        // for min(2^k, MAX_ROWS) rows; and the index bound the kernel
-        // relies on is asserted above.
+        // for min(2^k, 2^ENTRIES.len()) rows; and the index bound the
+        // kernel relies on is asserted above.
         unsafe {
             entry(
                 state.as_mut_ptr() as *mut V::Scalar,
@@ -379,8 +563,9 @@ mod x86 {
     /// chain, inputs `0..dim` ascending, from zero accumulators.
     ///
     /// # Safety
-    /// `input(i)` must be readable as one vector for every `i < dim`, and
-    /// `mat` must hold `2·dim²` packed scalars with `r0 + R <= dim`.
+    /// `V`'s ISA must be available; `input(i)` must be readable as one
+    /// vector for every `i < dim`, and `mat` must hold `2·dim²` packed
+    /// scalars with `r0 + R <= dim`.
     #[inline(always)]
     unsafe fn rows<V: LaneVec, const R: usize>(
         mat: *const V::Scalar,
@@ -393,6 +578,8 @@ mod x86 {
         for i in 0..dim {
             let v = V::load(input(i));
             let w = V::swap_neg(v);
+            // SAFETY: i < dim and r0 + r < dim, so both scalars of entry
+            // (i, r0 + r) lie inside the 2·dim² of `mat`.
             let col = mat.add(2 * (i * dim + r0));
             for (r, a) in acc.iter_mut().enumerate() {
                 *a = V::fmadd(v, V::splat(col.add(2 * r)), *a);
@@ -407,7 +594,8 @@ mod x86 {
     /// out of (`GATHER`) or back into the lanes.
     ///
     /// # Safety
-    /// As [`run`], with `M == g.m` and `buf` holding `2^k` vectors.
+    /// As [`run`], with `M == g.m`, `base` the base of a lane group of the
+    /// range and `buf` holding `2^k` vectors.
     #[inline(always)]
     unsafe fn transpose<V: LaneVec, const M: usize, const GATHER: bool>(
         sp: *mut V::Scalar,
@@ -415,15 +603,28 @@ mod x86 {
         g: &Geom,
         buf: *mut V,
     ) {
-        debug_assert_eq!(M, g.m);
+        // What `apply_lane_groups` established, re-checked next to the
+        // raw loads it licenses.
+        debug_assert!(M == g.m && g.m <= V::LANE_BITS as usize);
+        debug_assert!(g.lane_ops[..M].iter().all(|&p| p < V::LANE_BITS));
         for xhi in 0..g.offs.len() >> M {
             // SAFETY: xhi << M < offs.len().
             let at = base + *g.offs.get_unchecked(xhi << M);
             let mut w = [V::zero(); 1 << MAX_LANE_OPS];
             for (y, v) in w.iter_mut().enumerate().take(1 << M) {
+                // A whole vector of the group's amplitudes: sub-group y
+                // of a group inside the range, at an offset with the lane
+                // bits clear.
+                debug_assert!(
+                    g.span.start <= at + g.sub[y]
+                        && at + g.sub[y] + (1 << V::LANE_BITS) <= g.span.end
+                );
                 *v = if GATHER {
+                    // SAFETY: inside `g.span`, which the front door
+                    // checked against the state.
                     V::load(sp.add(2 * (at + g.sub[y])))
                 } else {
+                    // SAFETY: xhi << M | y < 2^k, the length of `buf`.
                     *buf.add(xhi << M | y)
                 };
             }
@@ -437,6 +638,7 @@ mod x86 {
                 }
             }
             for (y, v) in w.iter().enumerate().take(1 << M) {
+                // SAFETY: the same addresses as above.
                 if GATHER {
                     *buf.add(xhi << M | y) = *v;
                 } else {
@@ -447,6 +649,9 @@ mod x86 {
     }
 
     /// [`transpose`] at `M = g.m >= 1`.
+    ///
+    /// # Safety
+    /// As [`transpose`].
     #[inline(always)]
     unsafe fn transpose_m<V: LaneVec, const GATHER: bool>(
         sp: *mut V::Scalar,
@@ -456,7 +661,7 @@ mod x86 {
     ) {
         match g.m {
             1 => transpose::<V, 1, GATHER>(sp, base, g, buf),
-            2 => transpose::<V, 2, GATHER>(sp, base, g, buf),
+            2 if V::LANE_BITS >= 2 => transpose::<V, 2, GATHER>(sp, base, g, buf),
             3 if V::LANE_BITS == 3 => transpose::<V, 3, GATHER>(sp, base, g, buf),
             m => unreachable!("{m} operands on {} lane bits", V::LANE_BITS),
         }
@@ -465,11 +670,12 @@ mod x86 {
     /// Lane groups `[g0, g1)` (group `g` = blocks `[g·L, (g+1)·L)`).
     ///
     /// # Safety
-    /// AVX-512F must be available; `sp` must point to a state holding
-    /// every amplitude of those blocks under `exp` and `g.offs`; `g.offs`
-    /// must have `dim = 2^k <= MAX_DIM` entries and `g.m`, `g.lane_ops`,
-    /// `g.sub` describe its operands below `LANE_BITS`; `mat` must hold
-    /// `2·dim²` packed scalars; and `R == min(dim, MAX_ROWS)`.
+    /// `V`'s ISA must be available; `sp` must point to a state holding
+    /// every amplitude of those blocks under `exp` and `g.offs` (and
+    /// `g.span` must be their extent); `g.offs` must have
+    /// `dim = 2^k <= MAX_DIM` entries and `g.m`, `g.lane_ops`, `g.sub`
+    /// describe its operands below `LANE_BITS`; `mat` must hold `2·dim²`
+    /// packed scalars; and `R == min(dim, 2^V::ENTRIES.len())`.
     #[inline(always)]
     unsafe fn run<V: LaneVec, const R: usize>(
         sp: *mut V::Scalar,
@@ -480,9 +686,16 @@ mod x86 {
         g1: usize,
     ) {
         let dim = g.offs.len();
-        debug_assert!(dim <= MAX_DIM && R == dim.min(MAX_ROWS));
-        // SAFETY (all `get_unchecked` below): indices are `< dim`.
-        let at = |base: usize, x: usize| sp.add(2 * (base + *g.offs.get_unchecked(x)));
+        debug_assert!(dim <= MAX_DIM && R == dim.min(1 << V::ENTRIES.len()));
+        // SAFETY (all `get_unchecked` below): indices are `< dim`. The
+        // address is local index x of every block of the group at `base`:
+        // one vector inside `g.span` when no operand sits on a lane bit
+        // (the only case `at` is used in).
+        let at = |base: usize, x: usize| {
+            let a = base + *g.offs.get_unchecked(x);
+            debug_assert!(g.span.start <= a && a + (1 << V::LANE_BITS) <= g.span.end);
+            sp.add(2 * a)
+        };
         // Written before read: `staged[..dim]` by the gather of each
         // group, `out[..dim]` by its row sweeps.
         let mut staged = [core::mem::MaybeUninit::<V>::uninit(); MAX_DIM];
@@ -491,6 +704,7 @@ mod x86 {
         let out = out.as_mut_ptr() as *mut V;
         for grp in g0..g1 {
             let base = exp.expand(grp << V::LANE_BITS);
+            debug_assert!(g.span.contains(&base));
             if g.m == 0 && dim == R {
                 // Every row fits one sweep: inputs straight from the
                 // state, outputs straight back once all are consumed.
@@ -524,11 +738,12 @@ mod x86 {
     }
 
     macro_rules! lane_entry {
-        ($name:ident, $v:ty, $r:expr) => {
+        ($feat:literal, $v:ty, $($name:ident = $r:literal),+) => {$(
             /// # Safety
-            /// See [`run`].
-            #[target_feature(enable = "avx512f")]
-            pub(super) unsafe fn $name(
+            /// See [`run`]; the target features enabled here are the ISA
+            /// `run` needs for this vector.
+            #[target_feature(enable = $feat)]
+            unsafe fn $name(
                 sp: *mut <$v as LaneVec>::Scalar,
                 exp: &IndexExpander,
                 g: &Geom,
@@ -536,18 +751,35 @@ mod x86 {
                 g0: usize,
                 g1: usize,
             ) {
+                // SAFETY: the caller's contract is `run`'s.
                 run::<$v, $r>(sp, exp, g, mat, g0, g1)
             }
-        };
+        )+};
     }
-    lane_entry!(f64_r2, __m512d, 2);
-    lane_entry!(f64_r4, __m512d, 4);
-    lane_entry!(f64_r8, __m512d, 8);
-    lane_entry!(f64_r16, __m512d, 16);
-    lane_entry!(f32_r2, __m512, 2);
-    lane_entry!(f32_r4, __m512, 4);
-    lane_entry!(f32_r8, __m512, 8);
-    lane_entry!(f32_r16, __m512, 16);
+    lane_entry!(
+        "avx2,fma",
+        __m256d,
+        f64x2_r2 = 2,
+        f64x2_r4 = 4,
+        f64x2_r8 = 8
+    );
+    lane_entry!("avx2,fma", __m256, f32x4_r2 = 2, f32x4_r4 = 4, f32x4_r8 = 8);
+    lane_entry!(
+        "avx512f",
+        __m512d,
+        f64x4_r2 = 2,
+        f64x4_r4 = 4,
+        f64x4_r8 = 8,
+        f64x4_r16 = 16
+    );
+    lane_entry!(
+        "avx512f",
+        __m512,
+        f32x8_r2 = 2,
+        f32x8_r4 = 4,
+        f32x8_r8 = 8,
+        f32x8_r16 = 16
+    );
 }
 
 #[cfg(test)]
@@ -555,40 +787,31 @@ mod tests {
     use super::*;
     use crate::matrix::PackedMatrix;
     use crate::opt::{apply_blocked_packed_range, offsets, prepare};
+    use crate::testutil::{assert_bits_eq, random_amps};
     use proptest::prelude::*;
     use qsim_util::Xoshiro256;
 
-    /// Bit pattern of a scalar: the comparisons below are `to_bits()`
-    /// equality, not `==` (which would let `-0.0` pass for `0.0`).
-    trait Bits: LaneKernel {
-        fn bits(self) -> u64;
-    }
-    impl Bits for f64 {
-        fn bits(self) -> u64 {
-            self.to_bits()
-        }
-    }
-    impl Bits for f32 {
-        fn bits(self) -> u64 {
-            self.to_bits() as u64
+    /// The two `Simd` values with a lane form; with the two precisions
+    /// they reach all four vector types on an AVX-512 host.
+    const WIDTHS: [Simd; 2] = [Simd::Avx2, Simd::Auto];
+
+    /// Bytes of the vector `simd` must select on this host (0: none),
+    /// stated independently of `Width::pick`.
+    fn vector_bytes(simd: Simd) -> usize {
+        let avx512 = crate::avx512::avx512_available();
+        let avx2 = crate::avx::avx2_available();
+        match simd {
+            Simd::Auto if avx512 => 64,
+            Simd::Auto | Simd::Avx2 if avx2 => 32,
+            _ => 0,
         }
     }
 
-    fn random_amps<T: Bits>(len: usize, rng: &mut Xoshiro256) -> Vec<Complex<T>> {
-        (0..len)
-            .map(|_| {
-                Complex::new(
-                    T::from_f64(rng.next_f64() - 0.5),
-                    T::from_f64(rng.next_f64() - 0.5),
-                )
-            })
-            .collect()
-    }
-
-    /// Lane kernel on `[c0, c1)` against the scalar blocked kernel on the
-    /// range it reports as covered; every amplitude must match bit for
-    /// bit, including the ones outside the range (untouched).
-    fn check<T: Bits>(n: u32, qubits: &[u32], c0: usize, c1: usize, seed: u64) {
+    /// Lane kernel of `simd`'s width on `[c0, c1)` against the scalar
+    /// blocked kernel on the range it reports as covered — which must be
+    /// the whole lane groups of that width; every amplitude must match bit
+    /// for bit, including the ones outside the range (untouched).
+    fn check<T: LaneKernel>(simd: Simd, n: u32, qubits: &[u32], c0: usize, c1: usize, seed: u64) {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let k = qubits.len() as u32;
         let m = GateMatrix::from_rows(k, random_amps::<T>(1 << (2 * k), &mut rng));
@@ -596,31 +819,34 @@ mod tests {
         let (exp, pm) = prepare(state0.len(), qubits, &m);
         let offs = offsets(&exp, pm.dim());
 
+        let l = vector_bytes(simd) / std::mem::size_of::<Complex<T>>();
+        let packed = PackedLane::pack(&pm, simd);
+        assert_eq!(packed.is_some(), l > 0, "{simd:?}: lane form vs host ISA");
+        let Some(packed) = packed else { return };
         let mut lane = state0.clone();
-        let packed = PackedLane::pack(&pm);
         let (b0, b1) = T::apply_lane_groups(&mut lane, &exp, &packed, &offs, c0, c1);
-        assert!(c0 <= b0 && b0 <= b1 && b1 <= c1.max(b0), "[{b0}, {b1})");
-        if crate::avx512::avx512_available() {
-            let l = 64 / std::mem::size_of::<Complex<T>>();
-            let want = (c0.next_multiple_of(l), c1 / l * l);
-            if want.0 < want.1 {
-                assert_eq!((b0, b1), want, "whole lane groups of [{c0}, {c1})");
-            } else {
-                assert_eq!(b0, b1);
-            }
+        let want = (c0.next_multiple_of(l), c1 / l * l);
+        if want.0 < want.1 {
+            assert_eq!((b0, b1), want, "whole {l}-block groups of [{c0}, {c1})");
         } else {
-            assert_eq!(b0, b1, "no AVX-512F: nothing may be covered");
+            assert_eq!((b0, b1), (c0, c0));
         }
 
         let mut scalar = state0;
         let rows = PackedMatrix::pack(&pm);
-        apply_blocked_packed_range(&mut scalar, &exp, &rows, &offs, 4, b0, b1);
-        for (i, (a, b)) in lane.iter().zip(&scalar).enumerate() {
-            assert!(
-                a.re.bits() == b.re.bits() && a.im.bits() == b.im.bits(),
-                "{} n={n} qubits={qubits:?} [{c0},{c1}) amp {i}: {a:?} vs {b:?}",
-                T::NAME
-            );
+        apply_blocked_packed_range(&mut scalar, &exp, &rows, &offs, b0, b1);
+        assert_bits_eq(
+            &lane,
+            &scalar,
+            &format!("x{l} n={n} qubits={qubits:?} [{c0},{c1})"),
+        );
+    }
+
+    /// [`check`] at both precisions and both widths: all four vectors.
+    fn check_all(n: u32, qubits: &[u32], c0: usize, c1: usize, seed: u64) {
+        for simd in WIDTHS {
+            check::<f64>(simd, n, qubits, c0, c1, seed);
+            check::<f32>(simd, n, qubits, c0, c1, seed);
         }
     }
 
@@ -663,18 +889,18 @@ mod tests {
             // Unaligned ends, empty ranges and ranges shorter than one
             // lane group all occur; small n leaves fewer blocks than lanes.
             let (a, b) = (range.0 % (blocks + 1), range.1 % (blocks + 1));
-            let (c0, c1) = (a.min(b), a.max(b));
-            check::<f64>(n, &qubits, c0, c1, seed);
-            check::<f32>(n, &qubits, c0, c1, seed);
-            check::<f64>(n, &qubits, 0, blocks, seed);
-            check::<f32>(n, &qubits, 0, blocks, seed);
+            check_all(n, &qubits, a.min(b), a.max(b), seed);
+            check_all(n, &qubits, 0, blocks, seed);
         }
     }
 
     #[test]
     fn every_lane_bit_subset_at_every_width() {
-        // Exhaustive over which of positions 0, 1, 2 carry an operand,
-        // for k = 1..=6 (k = 6 runs four 16-row sweeps per group).
+        // Exhaustive over which of positions 0, 1, 2 carry an operand —
+        // every subset of the lane bits of every vector (LANE_BITS 1, 2
+        // and 3; a position at or above LANE_BITS is an ordinary low
+        // operand) — for k = 1..=6 (k = 6 runs four 16-row or eight 8-row
+        // sweeps per group).
         let n = 11u32;
         for k in 1..=6u32 {
             for low_mask in 0u32..8 {
@@ -686,25 +912,32 @@ mod tests {
                 qs.extend(&fill[..k as usize - qs.len()]);
                 qs.reverse();
                 let blocks = 1usize << (n - k);
-                check::<f64>(n, &qs, 0, blocks, 7 + k as u64);
-                check::<f32>(n, &qs, 0, blocks, 7 + k as u64);
-                check::<f64>(n, &qs, 3, blocks - 5, 9 + k as u64);
-                check::<f32>(n, &qs, 3, blocks - 5, 9 + k as u64);
+                check_all(n, &qs, 0, blocks, 7 + k as u64);
+                check_all(n, &qs, 3, blocks - 5, 9 + k as u64);
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds a state")]
     fn block_range_past_the_state_is_rejected() {
-        if !crate::avx512::avx512_available() {
-            panic!("exceeds a state (no AVX-512F here: nothing to reject)");
+        fn rejected<T: LaneKernel>(simd: Simd) {
+            let m = GateMatrix::<T>::identity(2);
+            let mut state = vec![Complex::<T>::zero(); 1 << 6];
+            let (exp, pm) = prepare(state.len(), &[2, 4], &m);
+            let offs = offsets(&exp, 4);
+            let Some(packed) = PackedLane::pack(&pm, simd) else {
+                return; // no such vector on this host: nothing to reject
+            };
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                T::apply_lane_groups(&mut state, &exp, &packed, &offs, 0, 32)
+            }))
+            .expect_err("32 blocks of 4 amplitudes in a 64-amplitude state");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("exceeds a state"), "{simd:?}: {msg}");
         }
-        let m = GateMatrix::<f64>::identity(2);
-        let mut state = vec![Complex::<f64>::zero(); 1 << 6];
-        let (exp, pm) = prepare(state.len(), &[2, 4], &m);
-        let offs = offsets(&exp, 4);
-        let packed = PackedLane::pack(&pm);
-        f64::apply_lane_groups(&mut state, &exp, &packed, &offs, 0, 32);
+        for simd in WIDTHS {
+            rejected::<f64>(simd);
+            rejected::<f32>(simd);
+        }
     }
 }

@@ -9,19 +9,22 @@
 //!   step 0 (two-vector naive) → step 1 (in-place / lazy evaluation) →
 //!   step 2 (FMA re-association) → step 3 (register blocking + matrix
 //!   pre-permutation).
-//! * [`avx`] / [`avx512`] / [`avxf32`] — explicit AVX2+FMA and AVX-512
-//!   vectorization of step 3 across the output rows of one block, behind
-//!   runtime feature detection (the paper's compiler-intrinsics layer;
-//!   §3.2 cites 2× for AVX, 4× for AVX512).
-//! * [`lane`] — step 3 vectorised across *blocks* (one AVX-512 vector =
-//!   one amplitude slot of 4 f64 / 8 f32 blocks): the production kernel
-//!   on AVX-512 hosts, bit-identical to the row kernels.
+//! * [`lane`] — step 3 vectorised across *blocks*: the one SIMD kernel
+//!   shape, generated from one vector abstraction at 256 bits (AVX2+FMA:
+//!   2 f64 / 4 f32 blocks per vector) and 512 bits (AVX-512F: 4 / 8) —
+//!   the paper's compiler-intrinsics layer (§3.2 cites 2× for AVX, 4× for
+//!   AVX512, from one generator). The width follows from
+//!   `KernelConfig::simd` and CPUID; the scalar step-3 kernel of [`opt`]
+//!   takes the ragged ends of a block range, bit for bit the same.
+//! * [`avx`] / [`avx512`] — runtime ISA detection, plus the Fig. 2
+//!   step-2 rung (Eq. (1) vectorised before re-association).
 //! * [`specialized`] — communication-free kernels for diagonal gates,
 //!   permutation gates (X/CNOT) and in-place qubit-pair swaps (§3.5).
 //! * [`parallel`] — rayon drivers over the block index space, the analogue
 //!   of the paper's OpenMP `collapse` parallelization (§3.3).
-//! * [`mod@autotune`] — the runtime code-selection / benchmarking feedback loop
-//!   that picks kernel size kmax and block size for the host (§3.2).
+//! * [`mod@autotune`] — the start-up measurement of the per-k GFLOPS
+//!   ladder the planner's cost model prices schedules from (§3.2's
+//!   benchmarking feedback loop, with nothing left to pick).
 //! * [`sweep`] — the cache-tiled stage executor: one streaming pass over
 //!   the state applies every fused gate of a communication-free stage,
 //!   with diagonal ops folded in as per-tile phases.
@@ -33,15 +36,16 @@ pub mod apply;
 pub mod autotune;
 pub mod avx;
 pub mod avx512;
-pub mod avxf32;
 pub mod lane;
 pub mod matrix;
 pub mod opt;
 pub mod parallel;
 pub mod specialized;
 pub mod sweep;
+#[cfg(test)]
+mod testutil;
 
-pub use apply::{apply_gate, apply_gate_seq, KernelConfig, OptLevel, Simd};
+pub use apply::{apply_gate, KernelConfig, OptLevel, Simd};
 pub use autotune::{autotune, autotune_cached, tune_tile_qubits, TunedParams};
 pub use matrix::{GateMatrix, PackedMatrix};
 pub use sweep::{SweepDispatch, SweepStats};

@@ -1,23 +1,22 @@
 //! Kernel-facing matrix layout.
 //!
 //! [`GateMatrix`] (re-exported from `qsim-util`) is the portable dense
-//! matrix; [`PackedMatrix`] is the Eq. (2)-(3) layout consumed by the FMA
-//! and AVX2 kernels: for every entry `m`, the pairs `(m_R, m_R)` and
+//! matrix; [`PackedMatrix`] is the Eq. (2)-(3) layout consumed by the
+//! scalar step-3 kernel: for every entry `m`, the pairs `(m_R, m_R)` and
 //! `(-m_I, m_I)` are stored contiguously so the inner loop is exactly two
-//! fused multiply-adds per entry.
+//! fused multiply-adds per entry. (The block-lane kernel packs its own
+//! broadcast-operand form, [`crate::lane::PackedLane`].)
 
 pub use qsim_util::matrix::GateMatrix;
 
-use qsim_util::AlignedVec;
 use qsim_util::Real;
 
 /// The Eq. (2)–(3) packed layout of a gate matrix.
 ///
 /// For every output row `l` and input column `i`, two scalar pairs are
 /// stored adjacently: `(m_R, m_R)` then `(−m_I, m_I)`. The scalar FMA
-/// kernel reads them as `Complex`-shaped pairs; the AVX2 kernel loads two
-/// consecutive rows' pairs as one 256-bit vector, which requires rows to be
-/// the *minor* dimension. Layout (f64, row pair `L = l/2`):
+/// kernel reads them as `Complex`-shaped pairs, two output rows at a time.
+/// Layout (row pair `L = l/2`):
 ///
 /// ```text
 /// [ i=0: rr(l=2L), rr(l=2L+1), im(l=2L), im(l=2L+1) | i=1: ... ] per L
@@ -28,7 +27,7 @@ use qsim_util::Real;
 pub struct PackedMatrix<T> {
     k: u32,
     /// `[row_pair][i][rr0 rr1 im0 im1]` flattened; each rr/im is 2 scalars.
-    data: AlignedVec<T>,
+    data: Vec<T>,
 }
 
 impl<T: Real> PackedMatrix<T> {
@@ -40,7 +39,7 @@ impl<T: Real> PackedMatrix<T> {
         let pairs = d / 2;
         // Per (row pair, input): 8 scalars (rr0 rr1 pair + im0 im1 pair,
         // each entry itself a (x, x) 2-scalar pair).
-        let mut data = AlignedVec::new_zeroed(pairs * d * 8);
+        let mut data = vec![T::ZERO; pairs * d * 8];
         for lp in 0..pairs {
             for i in 0..d {
                 let base = (lp * d + i) * 8;
@@ -69,12 +68,6 @@ impl<T: Real> PackedMatrix<T> {
     #[inline(always)]
     pub fn dim(&self) -> usize {
         1usize << self.k
-    }
-
-    /// Raw packed scalars; layout documented on the type.
-    #[inline(always)]
-    pub fn raw(&self) -> &[T] {
-        &self.data
     }
 
     /// The 8 packed scalars for (row pair `lp`, input `i`).
@@ -128,14 +121,5 @@ mod tests {
         let p = PackedMatrix::pack(&y_half);
         assert_eq!(p.entry(0, 0), &[0.5, 0.5, 0.5, 0.5, -0.5, 0.5, -0.5, 0.5]);
         assert_eq!(p.entry(0, 1), &[-0.5, -0.5, 0.5, 0.5, 0.5, -0.5, -0.5, 0.5]);
-    }
-
-    #[test]
-    fn packed_alignment_per_entry() {
-        // Each 8-scalar entry must be 32-byte aligned for _mm256_load_pd.
-        let m = GateMatrix::<f64>::identity(3);
-        let p = PackedMatrix::pack(&m);
-        assert_eq!(p.raw().as_ptr() as usize % 64, 0);
-        assert_eq!(p.entry(2, 5).as_ptr() as usize % 32, 0);
     }
 }

@@ -103,51 +103,78 @@ pub fn apply_fma<T: Real>(state: &mut [Complex<T>], qubits: &[u32], m: &GateMatr
     }
 }
 
-/// Step 3: step 2 plus register blocking over inputs with block size `b`
-/// and the packed `(m_R,m_R)/(−m_I,m_I)` matrix built once per call.
+/// Inputs the step-3 scalar kernel keeps live per output sweep — the
+/// register-blocking width of §3.2. One value was ever in use, and it
+/// cannot reach the bits: every output row sees its inputs ascending
+/// whatever the grouping.
+const BLOCK: usize = 4;
+
+/// Step 3: step 2 plus register blocking over inputs and the packed
+/// `(m_R,m_R)/(−m_I,m_I)` matrix built once per call.
 ///
-/// For each input block, `b` gathered amplitudes (and their swapped
+/// For each input block, [`BLOCK`] gathered amplitudes (and their swapped
 /// copies) stay live in registers while all 2^k outputs are updated — the
 /// §3.2 scheme `ṽ_l += Σ_{j<B} m_{l,i(b,j)} v_{i(b,j)}`.
-pub fn apply_blocked<T: Real>(
-    state: &mut [Complex<T>],
-    qubits: &[u32],
-    m: &GateMatrix<T>,
-    b: usize,
-) {
+pub fn apply_blocked<T: Real>(state: &mut [Complex<T>], qubits: &[u32], m: &GateMatrix<T>) {
     let (exp, pm) = prepare(state.len(), qubits, m);
     let packed = PackedMatrix::pack(&pm);
-    apply_blocked_packed(state, &exp, &packed, b);
+    let offs = offsets(&exp, pm.dim());
+    let blocks = state.len() >> pm.k();
+    apply_blocked_packed_range(state, &exp, &packed, &offs, 0, blocks);
 }
 
-/// Step-3 inner loop on pre-prepared operands; reused by the parallel
-/// driver so packing isn't repeated per chunk.
-pub fn apply_blocked_packed<T: Real>(
-    state: &mut [Complex<T>],
-    exp: &IndexExpander,
-    packed: &PackedMatrix<T>,
-    b: usize,
-) {
-    let dim = packed.dim();
-    let b = b.clamp(1, dim);
-    let offs = offsets(exp, dim);
-    let blocks = state.len() >> packed.k();
-    apply_blocked_packed_range(state, exp, packed, &offs, b, 0, blocks);
-}
-
-/// Step-3 inner loop over a sub-range of blocks `[c0, c1)`; the unit the
-/// rayon driver parallelizes over.
+/// Step-3 inner loop over a sub-range of blocks `[c0, c1)` on
+/// pre-prepared operands — the one scalar row kernel: every ragged end
+/// the block-lane kernel leaves, and every range when no SIMD is selected
+/// or present.
 pub(crate) fn apply_blocked_packed_range<T: Real>(
     state: &mut [Complex<T>],
     exp: &IndexExpander,
     packed: &PackedMatrix<T>,
     offs: &[usize],
-    b: usize,
+    c0: usize,
+    c1: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if crate::avx::avx2_available() {
+            // SAFETY: AVX2 and FMA presence checked at runtime above.
+            unsafe { blocked_range_fma(state, exp, packed, offs, c0, c1) };
+            return;
+        }
+    }
+    blocked_range(state, exp, packed, offs, c0, c1);
+}
+
+/// [`blocked_range`] compiled with FMA enabled: `mul_add` is a libm call
+/// per component without the feature and one `vfmadd` with it — the same
+/// single-rounding operation, so the same bits.
+///
+/// # Safety
+/// The host must have AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn blocked_range_fma<T: Real>(
+    state: &mut [Complex<T>],
+    exp: &IndexExpander,
+    packed: &PackedMatrix<T>,
+    offs: &[usize],
+    c0: usize,
+    c1: usize,
+) {
+    blocked_range(state, exp, packed, offs, c0, c1);
+}
+
+#[inline(always)]
+fn blocked_range<T: Real>(
+    state: &mut [Complex<T>],
+    exp: &IndexExpander,
+    packed: &PackedMatrix<T>,
+    offs: &[usize],
     c0: usize,
     c1: usize,
 ) {
     let dim = packed.dim();
-    let raw = packed.raw();
     let mut tmp = [Complex::<T>::zero(); MAX_DIM];
     let mut out = [Complex::<T>::zero(); MAX_DIM];
     for c in c0..c1 {
@@ -155,18 +182,18 @@ pub(crate) fn apply_blocked_packed_range<T: Real>(
         for (x, &off) in offs.iter().enumerate().take(dim) {
             tmp[x] = state[base + off];
         }
-        out[..dim].fill(Complex::zero());
-        // Blocked sweep: inputs j in [i0, i0+b) stay in registers while all
-        // output pairs are updated.
-        let mut i0 = 0;
-        while i0 < dim {
-            let iend = (i0 + b).min(dim);
+        // Blocked sweep: inputs j in [i0, i0+BLOCK) stay in registers
+        // while all output pairs are updated, from zero accumulators.
+        for i0 in (0..dim).step_by(BLOCK) {
+            let iend = (i0 + BLOCK).min(dim);
             for lp in 0..dim / 2 {
-                let mut a0 = out[2 * lp];
-                let mut a1 = out[2 * lp + 1];
-                for i in i0..iend {
-                    let v = tmp[i];
-                    let e = &raw[(lp * dim + i) * 8..(lp * dim + i) * 8 + 8];
+                let (mut a0, mut a1) = if i0 == 0 {
+                    (Complex::zero(), Complex::zero())
+                } else {
+                    (out[2 * lp], out[2 * lp + 1])
+                };
+                for (i, &v) in tmp[..iend].iter().enumerate().skip(i0) {
+                    let e = packed.entry(lp, i);
                     // Row 2lp: (rr0, rr0) then (−im0, im0).
                     a0.re = v.re.mul_add(e[0], a0.re);
                     a0.im = v.im.mul_add(e[1], a0.im);
@@ -181,7 +208,6 @@ pub(crate) fn apply_blocked_packed_range<T: Real>(
                 out[2 * lp] = a0;
                 out[2 * lp + 1] = a1;
             }
-            i0 = iend;
         }
         for (l, &off) in offs.iter().enumerate().take(dim) {
             state[base + off] = out[l];
@@ -238,6 +264,7 @@ pub(crate) fn offsets(exp: &IndexExpander, dim: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{assert_bits_eq, random_amps};
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
     use qsim_util::{SplitMix64, Xoshiro256};
@@ -320,11 +347,9 @@ mod tests {
             apply_fma(&mut s2, &qubits, &m);
             assert!(max_dist(&s2, &expect) < 1e-12, "fma k={k}");
 
-            for b in [1usize, 2, 4, 8, 32] {
-                let mut s3 = state.clone();
-                apply_blocked(&mut s3, &qubits, &m, b);
-                assert!(max_dist(&s3, &expect) < 1e-12, "blocked k={k} b={b}");
-            }
+            let mut s3 = state.clone();
+            apply_blocked(&mut s3, &qubits, &m);
+            assert!(max_dist(&s3, &expect) < 1e-12, "blocked k={k}");
         }
     }
 
@@ -337,7 +362,7 @@ mod tests {
         let mut a = state.clone();
         apply_fma(&mut a, &qubits, &m);
         let mut b = state.clone();
-        apply_blocked(&mut b, &qubits, &m, 4);
+        apply_blocked(&mut b, &qubits, &m);
         assert!(max_dist(&a, &b) < 1e-12);
         // And against the dense reference.
         let expect = reference_apply(&state, &qubits, &m);
@@ -356,7 +381,7 @@ mod tests {
             if qs.len() != qubits.len() {
                 continue;
             }
-            apply_blocked(&mut state, &qubits, &m, 4);
+            apply_blocked(&mut state, &qubits, &m);
             let norm: f64 = state.iter().map(|a| a.norm_sqr()).sum();
             assert!((norm - 1.0).abs() < 1e-10, "k={k} norm={norm}");
         }
@@ -412,9 +437,36 @@ mod tests {
         let m: GateMatrix<f32> = m64.convert();
         let mut state: Vec<c32> = random_state(6, 10).iter().map(|a| a.convert()).collect();
         let before: f32 = state.iter().map(|a| a.norm_sqr()).sum();
-        apply_blocked(&mut state, &[1, 4], &m, 2);
+        apply_blocked(&mut state, &[1, 4], &m);
         let after: f32 = state.iter().map(|a| a.norm_sqr()).sum();
         assert!((before - after).abs() < 1e-5);
+    }
+
+    #[test]
+    fn fma_wrapper_has_the_plain_bodys_bits() {
+        // The hardware `vfmadd` of the `#[target_feature]` wrapper and the
+        // libm `fma` of the plain body are the same single-rounding
+        // operation; on a host without FMA both sides are the plain body.
+        fn case<T: Real>(k: u32) {
+            let n = 9u32;
+            let mut rng = Xoshiro256::seed_from_u64(600 + k as u64);
+            let m = GateMatrix::from_rows(k, random_amps::<T>(1 << (2 * k), &mut rng));
+            let state0 = random_amps::<T>(1 << n, &mut rng);
+            let qubits: Vec<u32> = (0..k).map(|j| (j * 5 + 2) % n).collect();
+            let (exp, pm) = prepare(state0.len(), &qubits, &m);
+            let packed = PackedMatrix::pack(&pm);
+            let offs = offsets(&exp, pm.dim());
+            let blocks = state0.len() >> k;
+            let mut wrapped = state0.clone();
+            apply_blocked_packed_range(&mut wrapped, &exp, &packed, &offs, 0, blocks);
+            let mut plain = state0;
+            blocked_range(&mut plain, &exp, &packed, &offs, 0, blocks);
+            assert_bits_eq(&wrapped, &plain, &format!("k={k}"));
+        }
+        for k in 1..=MAX_K {
+            case::<f64>(k);
+            case::<f32>(k);
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ mod tests {
         let offs = offsets(&exp, packed.dim());
         let blocks = state.len() >> packed.k();
         par_block_ranges(state, blocks, threads, |s, c0, c1| {
-            apply_blocked_packed_range(s, &exp, &packed, &offs, 4, c0, c1)
+            apply_blocked_packed_range(s, &exp, &packed, &offs, c0, c1)
         });
     }
 

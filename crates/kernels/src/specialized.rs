@@ -68,21 +68,6 @@ pub fn apply_cz<T: Real>(state: &mut [Complex<T>], a: u32, b: u32) {
     }
 }
 
-/// Apply an X (NOT) on qubit `q` by swapping paired amplitudes. On a
-/// *global* qubit this becomes a pure rank renumbering (handled in
-/// `qsim-core::dist`); locally it is this permutation kernel.
-pub fn apply_x<T: Real>(state: &mut [Complex<T>], q: u32) {
-    let n = qsim_util::bits::log2_exact(state.len());
-    assert!(q < n, "qubit out of range");
-    let exp = IndexExpander::new(&[q]);
-    let stride = 1usize << q;
-    let blocks = state.len() >> 1;
-    for c in 0..blocks {
-        let i = exp.expand(c);
-        state.swap(i, i + stride);
-    }
-}
-
 /// Swap the amplitudes of two qubit positions in place: the SWAP gate, and
 /// the unit step of local qubit reordering (§3.4: "we first use our
 /// optimized kernels to achieve local swaps").
@@ -111,18 +96,6 @@ pub fn permute_qubits_inplace<T: Real>(state: &mut [Complex<T>], perm: &BitPermu
     for (a, b) in perm.transpositions() {
         swap_qubit_pair(state, a, b);
     }
-}
-
-/// Out-of-place permutation into `scratch` (then copied back). Faster than
-/// the transposition walk when the permutation moves many positions;
-/// used when a staging buffer already exists (around all-to-alls).
-pub fn permute_qubits_scratch<T: Real>(
-    state: &mut [Complex<T>],
-    scratch: &mut [Complex<T>],
-    perm: &BitPermutation,
-) {
-    perm.permute_slice(state, scratch);
-    state.copy_from_slice(scratch);
 }
 
 /// Probability of qubit `q` being 1 — used by measurement and by tests.
@@ -210,19 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn x_kernel_is_involution_and_matches_dense() {
-        let x = GateMatrix::from_rows(1, vec![c64::zero(), c64::one(), c64::one(), c64::zero()]);
-        let state0 = random_state(6, 11);
-        let mut a = state0.clone();
-        apply_x(&mut a, 2);
-        let mut b = state0.clone();
-        apply_fma(&mut b, &[2], &x);
-        assert!(max_dist(&a, &b) < 1e-15);
-        apply_x(&mut a, 2);
-        assert!(max_dist(&a, &state0) < 1e-15);
-    }
-
-    #[test]
     fn global_phase_preserves_probabilities() {
         let mut s = random_state(5, 13);
         let before: Vec<f64> = s.iter().map(|a| a.norm_sqr()).collect();
@@ -260,14 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn inplace_permutation_matches_scratch_permutation() {
+    fn inplace_permutation_matches_out_of_place_permutation() {
         let s0 = random_state(6, 23);
         let perm = BitPermutation::new(vec![3, 5, 0, 1, 4, 2]);
         let mut a = s0.clone();
         permute_qubits_inplace(&mut a, &perm);
-        let mut b = s0.clone();
-        let mut scratch = vec![c64::zero(); s0.len()];
-        permute_qubits_scratch(&mut b, &mut scratch, &perm);
+        let mut b = vec![c64::zero(); s0.len()];
+        perm.permute_slice(&s0, &mut b);
         assert!(max_dist(&a, &b) < 1e-15);
         // Undo with the inverse.
         permute_qubits_inplace(&mut a, &perm.inverse());

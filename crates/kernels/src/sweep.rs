@@ -8,7 +8,8 @@
 //! of 2^T amplitudes and, per tile, applies **every** gate of the stage
 //! whose operands fall inside the tile — dense clusters through the same
 //! packed step-3 kernels as the per-gate dispatch ([`PackedDense`]: the
-//! block-lane kernel over whole lane groups, a row kernel for the rest),
+//! block-lane kernel over whole lane groups, the scalar kernel for the
+//! rest),
 //! diagonal clusters folded into the sweep as per-tile phase
 //! multiplications. One pass over DRAM then applies the
 //! whole stage; only clusters wider than the tile fall back to a
@@ -26,12 +27,7 @@
 //! one) the untouched half. The proptests in `qsim-core` assert
 //! `max_dist == 0.0`.
 
-use crate::apply::{
-    choose_dense_path, lane_path, ApplyDispatch, DensePath, KernelConfig, OptLevel, Simd,
-};
-use crate::avx::apply_avx_range;
-use crate::avx512::{apply_avx512_range, Packed512};
-use crate::avxf32::{apply_avx_f32_range, PackedF32};
+use crate::apply::{KernelConfig, OptLevel};
 use crate::lane::{LaneKernel, PackedLane};
 use crate::matrix::{GateMatrix, PackedMatrix};
 use crate::opt::{self, apply_blocked_packed_range, MAX_K};
@@ -117,128 +113,32 @@ pub fn effective_tile_qubits(tile: u32, local_qubits: u32, threads: usize) -> u3
     t
 }
 
-/// Precision-directed row-kernel selection — the sweep-level analogue of
-/// [`ApplyDispatch`]. Each precision packs a stage matrix once into the
-/// row-kernel representation the per-gate dispatch would pick and applies
-/// it over block-counter ranges; [`PackedDense`] layers the block-lane
-/// kernel over it. The bit-exactness contract holds per precision.
-pub trait SweepDispatch: LaneKernel + ApplyDispatch {
-    /// Packed-matrix representation for this precision's row-kernel
-    /// ladder.
-    type Rows: Send + Sync;
+/// The precisions the engines run at — the bound `qsim-core`, `qsim-ooc`
+/// and the benchmark harness name. Nothing more than "has a block-lane
+/// kernel" ([`LaneKernel`]): every other step-3 piece is generic over
+/// [`Real`].
+pub trait SweepDispatch: LaneKernel {}
 
-    /// Pack `pm` (already pre-permuted by the operand sort) for the row
-    /// kernel `cfg` resolves to at width `pm.k()`.
-    fn pack_rows(pm: &GateMatrix<Self>, cfg: &KernelConfig) -> Self::Rows;
-
-    /// Apply to block counters `[c0, c1)` of `state`, sequentially.
-    fn apply_rows(
-        state: &mut [Complex<Self>],
-        exp: &IndexExpander,
-        rows: &Self::Rows,
-        offs: &[usize],
-        block: usize,
-        c0: usize,
-        c1: usize,
-    );
-}
-
-/// f64 row-kernel packed forms, one per rung [`choose_dense_path`] can
-/// pick.
-pub enum PackedRows64 {
-    Scalar(PackedMatrix<f64>),
-    Avx2(PackedMatrix<f64>),
-    Avx512(Packed512),
-}
-
-impl SweepDispatch for f64 {
-    type Rows = PackedRows64;
-
-    fn pack_rows(pm: &GateMatrix<f64>, cfg: &KernelConfig) -> PackedRows64 {
-        match choose_dense_path(cfg, pm.k()) {
-            DensePath::Avx512 => PackedRows64::Avx512(Packed512::pack(pm)),
-            DensePath::Avx2 => PackedRows64::Avx2(PackedMatrix::pack(pm)),
-            DensePath::Scalar => PackedRows64::Scalar(PackedMatrix::pack(pm)),
-        }
-    }
-
-    fn apply_rows(
-        state: &mut [Complex<f64>],
-        exp: &IndexExpander,
-        rows: &PackedRows64,
-        offs: &[usize],
-        block: usize,
-        c0: usize,
-        c1: usize,
-    ) {
-        match rows {
-            PackedRows64::Scalar(p) => {
-                apply_blocked_packed_range(state, exp, p, offs, block, c0, c1)
-            }
-            PackedRows64::Avx2(p) => apply_avx_range(state, exp, p, offs, block, c0, c1),
-            PackedRows64::Avx512(p) => apply_avx512_range(state, exp, p, offs, c0, c1),
-        }
-    }
-}
-
-/// f32 row-kernel packed forms: the 8-lane `avxf32` quad ladder for k >= 2
-/// with SIMD enabled, the portable blocked kernel otherwise.
-pub enum PackedRows32 {
-    Scalar(PackedMatrix<f32>),
-    Avx2(PackedF32),
-}
-
-impl SweepDispatch for f32 {
-    type Rows = PackedRows32;
-
-    fn pack_rows(pm: &GateMatrix<f32>, cfg: &KernelConfig) -> PackedRows32 {
-        // `PackedF32` needs dim >= 4.
-        if cfg.opt == OptLevel::Blocked
-            && cfg.simd != Simd::Scalar
-            && pm.k() >= 2
-            && crate::avx::avx2_available()
-        {
-            PackedRows32::Avx2(PackedF32::pack(pm))
-        } else {
-            PackedRows32::Scalar(PackedMatrix::pack(pm))
-        }
-    }
-
-    fn apply_rows(
-        state: &mut [Complex<f32>],
-        exp: &IndexExpander,
-        rows: &PackedRows32,
-        offs: &[usize],
-        block: usize,
-        c0: usize,
-        c1: usize,
-    ) {
-        match rows {
-            PackedRows32::Scalar(p) => {
-                apply_blocked_packed_range(state, exp, p, offs, block, c0, c1)
-            }
-            PackedRows32::Avx2(p) => apply_avx_f32_range(state, exp, p, offs, c0, c1),
-        }
-    }
-}
+impl<T: LaneKernel> SweepDispatch for T {}
 
 /// A dense gate matrix packed for the production step-3 path: the
-/// block-lane form when `cfg` selects the best available kernels on an
-/// AVX-512 host, and always the row form, which takes the block ranges
-/// the lane kernel leaves (the ends of a range that are not a whole lane
-/// group; everything when there is no lane form). Both produce the same
-/// bits, so where the seam falls cannot reach the result.
+/// block-lane form at the vector width `cfg.simd` selects on this host
+/// (none for `Simd::Scalar` or without AVX2+FMA), and always the scalar
+/// row form, which takes the block ranges the lane kernel leaves (the ends
+/// of a range that are not a whole lane group; everything when there is no
+/// lane form). Both produce the same bits, so where the seam falls cannot
+/// reach the result.
 pub struct PackedDense<R: SweepDispatch> {
     lane: Option<PackedLane<R>>,
-    rows: R::Rows,
+    rows: PackedMatrix<R>,
 }
 
 impl<R: SweepDispatch> PackedDense<R> {
     /// Pack `pm` (already pre-permuted by the operand sort) under `cfg`.
     pub fn pack(pm: &GateMatrix<R>, cfg: &KernelConfig) -> Self {
         Self {
-            lane: lane_path(cfg).then(|| PackedLane::pack(pm)),
-            rows: R::pack_rows(pm, cfg),
+            lane: PackedLane::pack(pm, cfg.simd),
+            rows: PackedMatrix::pack(pm),
         }
     }
 
@@ -248,7 +148,6 @@ impl<R: SweepDispatch> PackedDense<R> {
         state: &mut [Complex<R>],
         exp: &IndexExpander,
         offs: &[usize],
-        block: usize,
         c0: usize,
         c1: usize,
     ) {
@@ -256,23 +155,17 @@ impl<R: SweepDispatch> PackedDense<R> {
             Some(lane) => R::apply_lane_groups(state, exp, lane, offs, c0, c1),
             None => (c0, c0),
         };
-        R::apply_rows(state, exp, &self.rows, offs, block, c0, b0);
-        R::apply_rows(state, exp, &self.rows, offs, block, b1, c1);
+        apply_blocked_packed_range(state, exp, &self.rows, offs, c0, b0);
+        apply_blocked_packed_range(state, exp, &self.rows, offs, b1, c1);
     }
 
     /// Apply to the whole state through the parallel range driver
     /// (including the `PAR_THRESHOLD` seam).
-    pub fn apply_full(
-        &self,
-        state: &mut [Complex<R>],
-        exp: &IndexExpander,
-        block: usize,
-        threads: usize,
-    ) {
+    pub fn apply_full(&self, state: &mut [Complex<R>], exp: &IndexExpander, threads: usize) {
         let blocks = state.len() >> exp.k();
         let offs = opt::offsets(exp, 1 << exp.k());
         parallel::par_block_ranges(state, blocks, threads, |s, c0, c1| {
-            self.apply_range(s, exp, &offs, block, c0, c1)
+            self.apply_range(s, exp, &offs, c0, c1)
         });
     }
 }
@@ -284,7 +177,6 @@ pub struct PreparedGate<R: SweepDispatch = f64> {
     exp: IndexExpander,
     offs: Vec<usize>,
     packed: PackedDense<R>,
-    block: usize,
     k: u32,
 }
 
@@ -306,7 +198,6 @@ impl<R: SweepDispatch> PreparedGate<R> {
             exp,
             offs,
             packed,
-            block: cfg.block,
             k,
         }
     }
@@ -331,14 +222,8 @@ impl<R: SweepDispatch> PreparedGate<R> {
     /// Apply to one cache tile (all blocks of `chunk`).
     #[inline]
     pub fn apply_chunk(&self, chunk: &mut [Complex<R>]) {
-        self.packed.apply_range(
-            chunk,
-            &self.exp,
-            &self.offs,
-            self.block,
-            0,
-            chunk.len() >> self.k,
-        );
+        self.packed
+            .apply_range(chunk, &self.exp, &self.offs, 0, chunk.len() >> self.k);
     }
 
     /// Apply to the whole state through the parallel driver — the
@@ -346,8 +231,7 @@ impl<R: SweepDispatch> PreparedGate<R> {
     /// code path (including the `PAR_THRESHOLD` seam) to the per-gate
     /// dispatch, minus the re-packing.
     pub fn apply_full(&self, state: &mut [Complex<R>], threads: usize) {
-        self.packed
-            .apply_full(state, &self.exp, self.block, threads);
+        self.packed.apply_full(state, &self.exp, threads);
     }
 }
 
@@ -691,7 +575,7 @@ pub fn run_full_pass<R: SweepDispatch>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::apply_gate;
+    use crate::apply::{apply_gate, Simd};
     use crate::specialized::apply_diagonal;
     use qsim_util::complex::max_dist;
     use qsim_util::{c32, c64, Xoshiro256};
@@ -724,11 +608,10 @@ mod tests {
     #[test]
     fn contiguous_pass_is_bit_exact_vs_per_gate() {
         let n = 10u32;
-        for simd in [Simd::Scalar, Simd::Auto] {
+        for simd in [Simd::Scalar, Simd::Avx2, Simd::Auto] {
             let cfg = KernelConfig {
                 opt: OptLevel::Blocked,
                 simd,
-                block: 4,
                 threads: 1,
             };
             let m1 = random_matrix(2, 1);
@@ -765,11 +648,10 @@ mod tests {
     #[test]
     fn f32_pass_is_bit_exact_vs_per_gate_f32() {
         let n = 10u32;
-        for simd in [Simd::Scalar, Simd::Auto] {
+        for simd in [Simd::Scalar, Simd::Avx2, Simd::Auto] {
             let cfg = KernelConfig {
                 opt: OptLevel::Blocked,
                 simd,
-                block: 4,
                 threads: 1,
             };
             let m1 = random_matrix(2, 41).convert::<f32>();

@@ -52,7 +52,7 @@ proptest! {
             (OptLevel::Blocked, Simd::Avx2),
             (OptLevel::Blocked, Simd::Auto),
         ] {
-            let cfg = KernelConfig { opt, simd, block: 2, threads: 1 };
+            let cfg = KernelConfig { opt, simd, threads: 1 };
             let mut s = seedless_state.clone();
             apply_gate(&mut s, &qubits, &m, &cfg);
             prop_assert!(

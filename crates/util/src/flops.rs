@@ -25,26 +25,6 @@ pub fn gate_flops(n: u32, k: u32) -> u64 {
     (1u64 << n) * flops_per_amplitude(k)
 }
 
-/// Minimum memory traffic in bytes for an **in-place** k-qubit gate sweep
-/// over an n-qubit state: every amplitude is read once and written once.
-///
-/// `scalar_bytes` is 8 for f64 and 4 for f32 components.
-#[inline]
-pub fn inplace_traffic_bytes(n: u32, scalar_bytes: u64) -> u64 {
-    let amp = 2 * scalar_bytes;
-    2 * (1u64 << n) * amp
-}
-
-/// Memory traffic for the **two-vector** (input + output) variant used by
-/// the naive baseline: reads the input, writes the output, and — on
-/// write-allocate caches — additionally reads the output lines for
-/// ownership.
-#[inline]
-pub fn twovec_traffic_bytes(n: u32, scalar_bytes: u64) -> u64 {
-    let amp = 2 * scalar_bytes;
-    3 * (1u64 << n) * amp
-}
-
 /// Operational intensity (FLOP/byte) of an in-place dense k-qubit kernel.
 #[inline]
 pub fn operational_intensity(k: u32, scalar_bytes: u64) -> f64 {
@@ -104,10 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn traffic_and_total_flops() {
+    fn total_flops() {
         assert_eq!(gate_flops(10, 1), 1024 * 14);
-        assert_eq!(inplace_traffic_bytes(10, 8), 1024 * 32);
-        assert_eq!(twovec_traffic_bytes(10, 8), 1024 * 48);
     }
 
     #[test]

@@ -26,14 +26,16 @@ asm="$(ls -t "$target_dir"/release/deps/qsim_kernels-*.s | head -1)"
 python3 - "$asm" <<'PY'
 import re, sys
 
-# Mangled-name fragments of every `#[target_feature]` kernel in the crate.
+# Mangled-name fragments of every `#[target_feature]` kernel in the crate:
+# the block-lane entry points at 512 bits (f64x4 / f32x8 blocks per vector,
+# 2..16 rows per sweep) and 256 bits (f64x2 / f32x4, 2..8 rows), the
+# Fig. 2 step-2 rung, and the scalar step-3 kernel's FMA wrapper.
 KERNELS = [
-    r"4lane3x86\d+f64_r2\d", r"4lane3x86\d+f64_r4\d", r"4lane3x86\d+f64_r8\d",
-    r"4lane3x86\d+f64_r16\d", r"4lane3x86\d+f32_r2\d", r"4lane3x86\d+f32_r4\d",
-    r"4lane3x86\d+f32_r8\d", r"4lane3x86\d+f32_r16\d",
-    r"6avx512\d+apply_avx512_range_impl", r"3avx\d+apply_avx_range_impl",
-    r"3avx\d+apply_avx_eq1_impl", r"6avxf32\d+apply_avx_f32_impl",
-]
+    rf"4lane3x86\d+{v}_r{r}\d"
+    for v, rows in (("f64x4", (2, 4, 8, 16)), ("f32x8", (2, 4, 8, 16)),
+                    ("f64x2", (2, 4, 8)), ("f32x4", (2, 4, 8)))
+    for r in rows
+] + [r"3avx\d+apply_avx_eq1_impl", r"3opt\d+blocked_range_fma"]
 DIVERGING = re.compile(r"panic|slice_index|_fail|handle_error|handle_alloc_error|_Unwind_Resume|unwrap_failed")
 
 label = re.compile(r"^(\.L[\w$.]+):")
