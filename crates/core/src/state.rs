@@ -8,12 +8,14 @@
 
 use crate::observables::norm_entropy;
 use qsim_kernels::apply::{apply_gate, KernelConfig};
+use qsim_kernels::parallel::PAR_THRESHOLD;
 use qsim_kernels::specialized;
 use qsim_kernels::SweepDispatch;
 use qsim_util::bits::{log2_exact, BitPermutation};
 use qsim_util::complex::Complex;
 use qsim_util::matrix::GateMatrix;
 use qsim_util::AlignedVec;
+use rayon::prelude::*;
 
 /// An n-qubit (or rank-local l-qubit) state vector.
 pub struct StateVector<T = f64> {
@@ -40,26 +42,40 @@ impl<T: SweepDispatch> StateVector<T> {
     /// The uniform superposition 2^{−n/2}(1,…,1)ᵀ — the state after the
     /// initial Hadamard layer, which the simulator writes directly
     /// instead of executing the H gates (§3.6).
+    ///
+    /// From [`PAR_THRESHOLD`] amplitudes up the pool that will sweep the
+    /// state writes it, each thread faulting in the pages it fills — the
+    /// paper's first-touch initialization (§3.3).
     pub fn uniform(n_qubits: u32) -> Self {
         let len = 1usize << n_qubits;
         let amp = Complex::new(T::ONE / T::from_usize(len).sqrt(), T::ZERO);
-        let mut amps = AlignedVec::new_zeroed(len);
-        amps.iter_mut().for_each(|a| *a = amp);
+        let amps = if len < PAR_THRESHOLD {
+            AlignedVec::from_fn(len, |_| amp)
+        } else {
+            AlignedVec::from_fn_with(
+                len,
+                |chunks, fill| {
+                    (0..chunks)
+                        .collect::<Vec<_>>()
+                        .into_par_iter()
+                        .for_each(fill)
+                },
+                |_| amp,
+            )
+        };
         Self { amps, n_qubits }
     }
 
     /// Uniform amplitude value for a SLICE of a larger uniform state:
-    /// every amplitude is 2^{−total/2}.
+    /// every amplitude is 2^{−total/2}. Written by the calling thread: a
+    /// rank fills its own slice, and the ranks are the parallelism.
     pub fn uniform_slice(local_qubits: u32, total_qubits: u32) -> Self {
-        let len = 1usize << local_qubits;
         let amp = Complex::new(
             T::ONE / T::from_usize(1usize << total_qubits).sqrt(),
             T::ZERO,
         );
-        let mut amps = AlignedVec::new_zeroed(len);
-        amps.iter_mut().for_each(|a| *a = amp);
         Self {
-            amps,
+            amps: AlignedVec::from_fn(1usize << local_qubits, |_| amp),
             n_qubits: local_qubits,
         }
     }
@@ -170,6 +186,58 @@ mod tests {
         // A 2-qubit slice of a 4-qubit uniform state: norm = 4/16.
         let s = StateVector::<f64>::uniform_slice(2, 4);
         assert!((s.norm_sqr() - 0.25).abs() < 1e-12);
+    }
+
+    /// The constructors write the state once, into memory that was never
+    /// zeroed; what they write must be what zero-then-fill wrote, to the
+    /// bit, on both sides of the parallel seam and of a fill-chunk
+    /// boundary (2^12 c64, 2^13 c32) — OOC-f32 vs dist-f32 bit-equality
+    /// rests on the uniform amplitude.
+    #[test]
+    fn constructors_match_zero_then_fill() {
+        fn check<T: SweepDispatch>() {
+            let bits = |amps: &[Complex<T>]| -> Vec<(u64, u64)> {
+                amps.iter()
+                    .map(|a| (a.re.to_f64().to_bits(), a.im.to_f64().to_bits()))
+                    .collect()
+            };
+            let zero_then_fill = |len: usize, amp: Complex<T>| {
+                let mut v = AlignedVec::new_zeroed(len);
+                v.iter_mut().for_each(|a| *a = amp);
+                bits(&v)
+            };
+            for n in [1u32, 11, 13, 14, 16] {
+                let len = 1usize << n;
+                let amp = Complex::new(T::ONE / T::from_usize(len).sqrt(), T::ZERO);
+                let u = StateVector::<T>::uniform(n);
+                assert_eq!(
+                    bits(u.amplitudes()),
+                    zero_then_fill(len, amp),
+                    "uniform({n})"
+                );
+
+                let total = n + 5;
+                let amp = Complex::new(T::ONE / T::from_usize(1usize << total).sqrt(), T::ZERO);
+                let s = StateVector::<T>::uniform_slice(n, total);
+                assert_eq!(s.n_qubits(), n);
+                assert_eq!(bits(s.amplitudes()), zero_then_fill(len, amp), "slice({n})");
+
+                let mut want = zero_then_fill(len, Complex::zero());
+                assert_eq!(
+                    bits(StateVector::<T>::null(n).amplitudes()),
+                    want,
+                    "null({n})"
+                );
+                want[0] = (1f64.to_bits(), 0);
+                assert_eq!(
+                    bits(StateVector::<T>::zero(n).amplitudes()),
+                    want,
+                    "zero({n})"
+                );
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

@@ -11,12 +11,29 @@
 //! one generator (§3.2); here that generator is [`x86::LaneVec`], with
 //! four impls:
 //!
-//! | vector    | ISA        | blocks `L` | `LANE_BITS` | rows per sweep |
-//! |-----------|------------|------------|-------------|----------------|
-//! | `__m256d` | AVX2 + FMA | 2 f64      | 1           | 8              |
-//! | `__m256`  | AVX2 + FMA | 4 f32      | 2           | 8              |
-//! | `__m512d` | AVX-512F   | 4 f64      | 2           | 16             |
-//! | `__m512`  | AVX-512F   | 8 f32      | 3           | 16             |
+//! | vector    | ISA        | blocks `L` | `LANE_BITS` | rows × groups at k = 1 / 2 / ≥ 3 |
+//! |-----------|------------|------------|-------------|-----------------------------------|
+//! | `__m256d` | AVX2 + FMA | 2 f64      | 1           | 2 × 4 / 4 × 2 / 4 × 2             |
+//! | `__m256`  | AVX2 + FMA | 4 f32      | 2           | 2 × 4 / 4 × 2 / 4 × 2             |
+//! | `__m512d` | AVX-512F   | 4 f64      | 2           | 2 × 4 / 4 × 4 / 8 × 2             |
+//! | `__m512`  | AVX-512F   | 8 f32      | 3           | 2 × 4 / 4 × 4 / 8 × 2             |
+//!
+//! **The register block.** One pass over the inputs accumulates `R`
+//! output rows of `G` lane groups: `R · G` accumulators, the `G` inputs
+//! with their swapped copies, and the `(m_R, m_I)` pair of the row in
+//! flight, broadcast into registers *once* and consumed by the FMAs of
+//! all `G` groups (the paper's register blocking, §3.2). Blocking over
+//! rows alone leaves every FMA with a broadcast of its own — folded into
+//! the instruction as a `{1toN}` memory operand at 512 bits, which this
+//! core issues at barely more than one a cycle against two FMAs on
+//! register operands (`fig2_roofline` prints the three ceilings: 84 / 47 /
+//! 84 GFLOP/s for register operands / a broadcast per FMA / a broadcast
+//! per two). `(R, G)` is read off the register file, per width and `k`:
+//! 8 × 2 is 16 + 4 + 2 of 32 zmm, 4 × 4 is 16 + 8 + 2, 4 × 2 is 8 + 4 + 2
+//! of 16 ymm; `R` divides `2^k`, and `R · G` independent chains of two
+//! dependent FMAs cover the FMA latency several times over. The groups a
+//! range leaves over after its whole sets of `G` run one at a time
+//! through the same body at `G = 1`.
 //!
 //! **Who picks the width.** [`PackedLane::pack`], from `KernelConfig::simd`
 //! and CPUID alone: `Simd::Auto` is the widest form the host has,
@@ -211,12 +228,10 @@ mod x86 {
         /// log2 of the amplitudes (= blocks) per vector.
         const LANE_BITS: u32;
         /// The entry points of this vector, one per rows-per-sweep
-        /// `R = 2, 4, …` (index `log2 R − 1`). The last is the most output
-        /// rows one input sweep accumulates: `R` accumulators, the input
-        /// and its swapped copy must fit the register file (and without
-        /// AVX-512's embedded broadcast, so must the matrix operands),
-        /// while `R` independent chains of two dependent FMAs have to
-        /// cover the FMA latency.
+        /// `R = 2, 4, …` (index `log2 R − 1`; the last serves every wider
+        /// gate), each with the lane groups `G` it blocks over: `R · G`
+        /// accumulators, `G` inputs with their swapped copies and one
+        /// broadcast `(m_R, m_I)` pair must fit the register file.
         const ENTRIES: &'static [Entry<Self::Scalar>];
         unsafe fn zero() -> Self;
         unsafe fn load(p: *const Self::Scalar) -> Self;
@@ -290,9 +305,9 @@ mod x86 {
         type Scalar = f64;
         const WIDTH: Width = Width::V512;
         const LANE_BITS: u32 = 2;
-        /// 16 accumulators + input + swapped input leave a dozen of the
-        /// 32 zmm registers spare.
-        const ENTRIES: &'static [Entry<f64>] = &[f64x4_r2, f64x4_r4, f64x4_r8, f64x4_r16];
+        /// 8 × 2: 16 accumulators + 4 inputs + 2 broadcasts of the 32 zmm
+        /// registers (4 × 4: 16 + 8 + 2).
+        const ENTRIES: &'static [Entry<f64>] = &[f64x4_r2g4, f64x4_r4g4, f64x4_r8g2];
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm512_setzero_pd()
@@ -333,7 +348,7 @@ mod x86 {
         type Scalar = f32;
         const WIDTH: Width = Width::V512;
         const LANE_BITS: u32 = 3;
-        const ENTRIES: &'static [Entry<f32>] = &[f32x8_r2, f32x8_r4, f32x8_r8, f32x8_r16];
+        const ENTRIES: &'static [Entry<f32>] = &[f32x8_r2g4, f32x8_r4g4, f32x8_r8g2];
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm512_setzero_ps()
@@ -372,10 +387,9 @@ mod x86 {
         type Scalar = f64;
         const WIDTH: Width = Width::V256;
         const LANE_BITS: u32 = 1;
-        /// 8 accumulators + input + swapped input + the two broadcast
-        /// matrix operands of the row in flight: 12 of the 16 ymm
-        /// registers.
-        const ENTRIES: &'static [Entry<f64>] = &[f64x2_r2, f64x2_r4, f64x2_r8];
+        /// 4 × 2: 8 accumulators + 4 inputs + 2 broadcasts, 14 of the 16
+        /// ymm registers.
+        const ENTRIES: &'static [Entry<f64>] = &[f64x2_r2g4, f64x2_r4g2];
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm256_setzero_pd()
@@ -414,7 +428,7 @@ mod x86 {
         type Scalar = f32;
         const WIDTH: Width = Width::V256;
         const LANE_BITS: u32 = 2;
-        const ENTRIES: &'static [Entry<f32>] = &[f32x4_r2, f32x4_r4, f32x4_r8];
+        const ENTRIES: &'static [Entry<f32>] = &[f32x4_r2g4, f32x4_r4g2];
         #[inline(always)]
         unsafe fn zero() -> Self {
             _mm256_setzero_ps()
@@ -475,7 +489,7 @@ mod x86 {
         span: Range<usize>,
     }
 
-    /// Entry point of one `(vector, rows-per-sweep)` instantiation.
+    /// Entry point of one `(vector, rows, groups)` instantiation.
     pub(super) type Entry<S> = unsafe fn(*mut S, &IndexExpander, &Geom<'_>, *const S, usize, usize);
 
     /// Safe front door: validate, derive the lane geometry, and run the
@@ -559,31 +573,41 @@ mod x86 {
         (b0, b1)
     }
 
-    /// `R` output rows `r0..r0 + R` of one lane group: the shared FMA
-    /// chain, inputs `0..dim` ascending, from zero accumulators.
+    /// `R` output rows `r0..r0 + R` of `G` lane groups: the shared FMA
+    /// chain, inputs `0..dim` ascending, from zero accumulators. Each
+    /// `(m_R, m_I)` pair is broadcast once and feeds the FMAs of all `G`
+    /// groups; the chain of any one lane is the same at every `G`.
     ///
     /// # Safety
-    /// `V`'s ISA must be available; `input(i)` must be readable as one
-    /// vector for every `i < dim`, and `mat` must hold `2·dim²` packed
-    /// scalars with `r0 + R <= dim`.
+    /// `V`'s ISA must be available; `input(i, j)` must be readable as one
+    /// vector for every `i < dim` and `j < G`, and `mat` must hold `2·dim²`
+    /// packed scalars with `r0 + R <= dim`.
     #[inline(always)]
-    unsafe fn rows<V: LaneVec, const R: usize>(
+    unsafe fn rows<V: LaneVec, const R: usize, const G: usize>(
         mat: *const V::Scalar,
         dim: usize,
         r0: usize,
-        input: impl Fn(usize) -> *const V::Scalar,
-    ) -> [V; R] {
+        input: impl Fn(usize, usize) -> *const V::Scalar,
+    ) -> [[V; G]; R] {
         debug_assert!(r0 + R <= dim);
-        let mut acc = [V::zero(); R];
+        let mut acc = [[V::zero(); G]; R];
         for i in 0..dim {
-            let v = V::load(input(i));
-            let w = V::swap_neg(v);
+            let mut v = [V::zero(); G];
+            let mut w = [V::zero(); G];
+            for j in 0..G {
+                v[j] = V::load(input(i, j));
+                w[j] = V::swap_neg(v[j]);
+            }
             // SAFETY: i < dim and r0 + r < dim, so both scalars of entry
             // (i, r0 + r) lie inside the 2·dim² of `mat`.
             let col = mat.add(2 * (i * dim + r0));
             for (r, a) in acc.iter_mut().enumerate() {
-                *a = V::fmadd(v, V::splat(col.add(2 * r)), *a);
-                *a = V::fmadd(w, V::splat(col.add(2 * r + 1)), *a);
+                let m_re = V::splat(col.add(2 * r));
+                let m_im = V::splat(col.add(2 * r + 1));
+                for j in 0..G {
+                    a[j] = V::fmadd(v[j], m_re, a[j]);
+                    a[j] = V::fmadd(w[j], m_im, a[j]);
+                }
             }
         }
         acc
@@ -591,17 +615,19 @@ mod x86 {
 
     /// Move the `2^M` local indices `xhi << M | z` of one lane group
     /// between the state and `buf`, transposing the `M` lane-bit operands
-    /// out of (`GATHER`) or back into the lanes.
+    /// out of (`GATHER`) or back into the lanes. Local index `x` lives at
+    /// `buf[x * stride]`, so the groups of one pass interleave.
     ///
     /// # Safety
     /// As [`run`], with `M == g.m`, `base` the base of a lane group of the
-    /// range and `buf` holding `2^k` vectors.
+    /// range and `buf` holding `2^k` vectors `stride` apart.
     #[inline(always)]
     unsafe fn transpose<V: LaneVec, const M: usize, const GATHER: bool>(
         sp: *mut V::Scalar,
         base: usize,
         g: &Geom,
         buf: *mut V,
+        stride: usize,
     ) {
         // What `apply_lane_groups` established, re-checked next to the
         // raw loads it licenses.
@@ -625,7 +651,7 @@ mod x86 {
                     V::load(sp.add(2 * (at + g.sub[y])))
                 } else {
                     // SAFETY: xhi << M | y < 2^k, the length of `buf`.
-                    *buf.add(xhi << M | y)
+                    *buf.add((xhi << M | y) * stride)
                 };
             }
             for j in 0..M {
@@ -640,7 +666,7 @@ mod x86 {
             for (y, v) in w.iter().enumerate().take(1 << M) {
                 // SAFETY: the same addresses as above.
                 if GATHER {
-                    *buf.add(xhi << M | y) = *v;
+                    *buf.add((xhi << M | y) * stride) = *v;
                 } else {
                     V::store(sp.add(2 * (at + g.sub[y])), *v);
                 }
@@ -658,16 +684,24 @@ mod x86 {
         base: usize,
         g: &Geom,
         buf: *mut V,
+        stride: usize,
     ) {
         match g.m {
-            1 => transpose::<V, 1, GATHER>(sp, base, g, buf),
-            2 if V::LANE_BITS >= 2 => transpose::<V, 2, GATHER>(sp, base, g, buf),
-            3 if V::LANE_BITS == 3 => transpose::<V, 3, GATHER>(sp, base, g, buf),
+            1 => transpose::<V, 1, GATHER>(sp, base, g, buf, stride),
+            2 if V::LANE_BITS >= 2 => transpose::<V, 2, GATHER>(sp, base, g, buf, stride),
+            3 if V::LANE_BITS == 3 => transpose::<V, 3, GATHER>(sp, base, g, buf, stride),
             m => unreachable!("{m} operands on {} lane bits", V::LANE_BITS),
         }
     }
 
-    /// Lane groups `[g0, g1)` (group `g` = blocks `[g·L, (g+1)·L)`).
+    /// Most vectors one pass of [`run`] stages: `G · dim`, where only
+    /// gates of `dim <= 4` block over more than two groups.
+    const STAGE: usize = 2 * MAX_DIM;
+
+    /// As many of the lane groups `[g0, g1)` (group `g` = blocks
+    /// `[g·L, (g+1)·L)`) as make whole sets of `G`, one set per pass
+    /// through the `R × G` register block; returns the first group left
+    /// over.
     ///
     /// # Safety
     /// `V`'s ISA must be available; `sp` must point to a state holding
@@ -677,16 +711,18 @@ mod x86 {
     /// describe its operands below `LANE_BITS`; `mat` must hold `2·dim²`
     /// packed scalars; and `R == min(dim, 2^V::ENTRIES.len())`.
     #[inline(always)]
-    unsafe fn run<V: LaneVec, const R: usize>(
+    unsafe fn run<V: LaneVec, const R: usize, const G: usize>(
         sp: *mut V::Scalar,
         exp: &IndexExpander,
         g: &Geom,
         mat: *const V::Scalar,
         g0: usize,
         g1: usize,
-    ) {
+    ) -> usize {
         let dim = g.offs.len();
         debug_assert!(dim <= MAX_DIM && R == dim.min(1 << V::ENTRIES.len()));
+        // Every index into `staged` and `out` below is `< G · dim`.
+        assert!(G * dim <= STAGE);
         // SAFETY (all `get_unchecked` below): indices are `< dim`. The
         // address is local index x of every block of the group at `base`:
         // one vector inside `g.span` when no operand sits on a lane bit
@@ -696,49 +732,68 @@ mod x86 {
             debug_assert!(g.span.start <= a && a + (1 << V::LANE_BITS) <= g.span.end);
             sp.add(2 * a)
         };
-        // Written before read: `staged[..dim]` by the gather of each
-        // group, `out[..dim]` by its row sweeps.
-        let mut staged = [core::mem::MaybeUninit::<V>::uninit(); MAX_DIM];
-        let mut out = [core::mem::MaybeUninit::<V>::uninit(); MAX_DIM];
+        // Local index x of group j of the pass lives at `[x * G + j]`.
+        // Written before read: `staged[..G·dim]` by the gather of each
+        // pass, `out[..G·dim]` by its row sweeps.
+        let mut staged = [core::mem::MaybeUninit::<V>::uninit(); STAGE];
+        let mut out = [core::mem::MaybeUninit::<V>::uninit(); STAGE];
         let staged = staged.as_mut_ptr() as *mut V;
         let out = out.as_mut_ptr() as *mut V;
-        for grp in g0..g1 {
-            let base = exp.expand(grp << V::LANE_BITS);
-            debug_assert!(g.span.contains(&base));
+        let mut grp = g0;
+        while grp + G <= g1 {
+            let mut base = [0usize; G];
+            for (j, b) in base.iter_mut().enumerate() {
+                *b = exp.expand((grp + j) << V::LANE_BITS);
+                debug_assert!(g.span.contains(b));
+            }
+            grp += G;
             if g.m == 0 && dim == R {
                 // Every row fits one sweep: inputs straight from the
                 // state, outputs straight back once all are consumed.
-                let acc = rows::<V, R>(mat, dim, 0, |i| at(base, i) as _);
+                // (`R` for `dim`: the sweep's trip count is a constant.)
+                let acc = rows::<V, R, G>(mat, R, 0, |i, j| at(base[j], i) as _);
                 for (r, a) in acc.iter().enumerate() {
-                    V::store(at(base, r), *a);
+                    for (j, a) in a.iter().enumerate() {
+                        V::store(at(base[j], r), *a);
+                    }
                 }
                 continue;
             }
-            if g.m == 0 {
-                for i in 0..dim {
-                    *staged.add(i) = V::load(at(base, i));
+            for (j, &b) in base.iter().enumerate() {
+                if g.m == 0 {
+                    for i in 0..dim {
+                        *staged.add(i * G + j) = V::load(at(b, i));
+                    }
+                } else {
+                    transpose_m::<V, true>(sp, b, g, staged.add(j), G);
                 }
-            } else {
-                transpose_m::<V, true>(sp, base, g, staged);
             }
             for r0 in (0..dim).step_by(R) {
-                let acc = rows::<V, R>(mat, dim, r0, |i| staged.add(i) as _);
+                let acc = rows::<V, R, G>(mat, dim, r0, |i, j| staged.add(i * G + j) as _);
                 for (r, a) in acc.iter().enumerate() {
-                    if g.m == 0 {
-                        V::store(at(base, r0 + r), *a);
-                    } else {
-                        *out.add(r0 + r) = *a;
+                    for (j, a) in a.iter().enumerate() {
+                        if g.m == 0 {
+                            V::store(at(base[j], r0 + r), *a);
+                        } else {
+                            *out.add((r0 + r) * G + j) = *a;
+                        }
                     }
                 }
             }
             if g.m > 0 {
-                transpose_m::<V, false>(sp, base, g, out);
+                for (j, &b) in base.iter().enumerate() {
+                    transpose_m::<V, false>(sp, b, g, out.add(j), G);
+                }
             }
         }
+        grp
     }
 
     macro_rules! lane_entry {
-        ($feat:literal, $v:ty, $($name:ident = $r:literal),+) => {$(
+        ($feat:literal, $v:ty, $($name:ident + $tail:ident = ($r:literal, $g:literal)),+) => {$(
+            /// Whole sets of `G` lane groups of `[g0, g1)` through the
+            /// `R × G` register block, then the `G = 1` symbol below.
+            ///
             /// # Safety
             /// See [`run`]; the target features enabled here are the ISA
             /// `run` needs for this vector.
@@ -751,34 +806,61 @@ mod x86 {
                 g0: usize,
                 g1: usize,
             ) {
+                // SAFETY: the caller's contract is `run`'s, and the tail's
+                // target features are this function's.
+                let rest = run::<$v, $r, $g>(sp, exp, g, mat, g0, g1);
+                if rest < g1 {
+                    $tail(sp, exp, g, mat, rest, g1);
+                }
+            }
+
+            /// The groups the entry above leaves over, one at a time
+            /// through the same body. A symbol of its own so that
+            /// `scripts/check_kernel_asm.sh` can hold the blocked entry to
+            /// one broadcast per `G` FMAs.
+            ///
+            /// # Safety
+            /// As the entry above.
+            #[inline(never)]
+            #[target_feature(enable = $feat)]
+            unsafe fn $tail(
+                sp: *mut <$v as LaneVec>::Scalar,
+                exp: &IndexExpander,
+                g: &Geom,
+                mat: *const <$v as LaneVec>::Scalar,
+                g0: usize,
+                g1: usize,
+            ) {
                 // SAFETY: the caller's contract is `run`'s.
-                run::<$v, $r>(sp, exp, g, mat, g0, g1)
+                run::<$v, $r, 1>(sp, exp, g, mat, g0, g1);
             }
         )+};
     }
     lane_entry!(
         "avx2,fma",
         __m256d,
-        f64x2_r2 = 2,
-        f64x2_r4 = 4,
-        f64x2_r8 = 8
+        f64x2_r2g4 + f64x2_r2g1 = (2, 4),
+        f64x2_r4g2 + f64x2_r4g1 = (4, 2)
     );
-    lane_entry!("avx2,fma", __m256, f32x4_r2 = 2, f32x4_r4 = 4, f32x4_r8 = 8);
+    lane_entry!(
+        "avx2,fma",
+        __m256,
+        f32x4_r2g4 + f32x4_r2g1 = (2, 4),
+        f32x4_r4g2 + f32x4_r4g1 = (4, 2)
+    );
     lane_entry!(
         "avx512f",
         __m512d,
-        f64x4_r2 = 2,
-        f64x4_r4 = 4,
-        f64x4_r8 = 8,
-        f64x4_r16 = 16
+        f64x4_r2g4 + f64x4_r2g1 = (2, 4),
+        f64x4_r4g4 + f64x4_r4g1 = (4, 4),
+        f64x4_r8g2 + f64x4_r8g1 = (8, 2)
     );
     lane_entry!(
         "avx512f",
         __m512,
-        f32x8_r2 = 2,
-        f32x8_r4 = 4,
-        f32x8_r8 = 8,
-        f32x8_r16 = 16
+        f32x8_r2g4 + f32x8_r2g1 = (2, 4),
+        f32x8_r4g4 + f32x8_r4g1 = (4, 4),
+        f32x8_r8g2 + f32x8_r8g1 = (8, 2)
     );
 }
 
@@ -894,26 +976,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_lane_bit_subset_at_every_width() {
-        // Exhaustive over which of positions 0, 1, 2 carry an operand —
-        // every subset of the lane bits of every vector (LANE_BITS 1, 2
-        // and 3; a position at or above LANE_BITS is an ordinary low
-        // operand) — for k = 1..=6 (k = 6 runs four 16-row or eight 8-row
-        // sweeps per group).
-        let n = 11u32;
-        for k in 1..=6u32 {
-            for low_mask in 0u32..8 {
+    /// Operand sets of width `k` over every choice of which of positions
+    /// 0, 1, 2 carry an operand — every subset of the lane bits of every
+    /// vector (LANE_BITS 1, 2 and 3; a position at or above LANE_BITS is
+    /// an ordinary low operand) — filled up from positions below 11.
+    fn lane_bit_subsets(k: u32) -> Vec<Vec<u32>> {
+        (0u32..8)
+            .filter(|low_mask| low_mask.count_ones() <= k)
+            .map(|low_mask| {
                 let mut qs: Vec<u32> = (0..3).filter(|p| low_mask >> p & 1 == 1).collect();
-                if qs.len() > k as usize {
-                    continue;
-                }
                 let fill = [4u32, 6, 7, 9, 10, 3];
                 qs.extend(&fill[..k as usize - qs.len()]);
                 qs.reverse();
+                qs
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_lane_bit_subset_at_every_width() {
+        // k = 6 runs eight 8-row or sixteen 4-row sweeps per pass.
+        let n = 11u32;
+        for k in 1..=6u32 {
+            for qs in lane_bit_subsets(k) {
                 let blocks = 1usize << (n - k);
                 check_all(n, &qs, 0, blocks, 7 + k as u64);
                 check_all(n, &qs, 3, blocks - 5, 9 + k as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn group_seam_is_invisible() {
+        // A range of w whole lane groups runs w / G passes of the R × G
+        // register block and w % G groups through the G = 1 symbol: with
+        // G = 2 and 4 in the entry table, w = 1, 2, 3, 5 reaches a lone
+        // tail, a lone pass, a pass plus one and plus three tail groups.
+        // Both ends ragged, so the covered range starts and stops inside
+        // [c0, c1) and everything outside it must come back untouched.
+        fn seams<T: LaneKernel>(simd: Simd, n: u32, qs: &[u32], seed: u64) {
+            let l = vector_bytes(simd) / std::mem::size_of::<Complex<T>>();
+            for w in [1usize, 2, 3, 5] {
+                if l > 0 {
+                    check::<T>(simd, n, qs, l - 1, l * (1 + w) + l / 2, seed + w as u64);
+                }
+            }
+        }
+        let n = 12u32;
+        for k in 1..=6u32 {
+            for qs in lane_bit_subsets(k) {
+                for simd in WIDTHS {
+                    seams::<f64>(simd, n, &qs, 20 + k as u64);
+                    seams::<f32>(simd, n, &qs, 30 + k as u64);
+                }
             }
         }
     }

@@ -6,13 +6,17 @@
 //! guarantees the alignment of `T`, so [`AlignedVec`] allocates with an
 //! explicit 64-byte-aligned layout.
 //!
-//! The paper additionally initializes the state NUMA-aware via OpenMP first
-//! touch; [`AlignedVec::new_zeroed_par_touch`] reproduces that by touching
-//! pages from the rayon pool used for the kernels (a no-op on single-socket
-//! hosts but kept for fidelity and documented behaviour).
+//! The paper initializes the state NUMA-aware via OpenMP first touch
+//! (§3.3): the threads that will sweep a page are the ones that fault it
+//! in. [`AlignedVec::from_fn_with`] is that constructor — uninitialised
+//! memory, every element written exactly once, in page-multiple chunks
+//! handed to a caller-supplied executor (the rayon pool the kernels run
+//! on). Zeroing first and filling afterwards would take every page fault
+//! on the allocating thread and write the state twice.
 
 use core::ops::{Deref, DerefMut};
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use core::sync::atomic::{AtomicBool, Ordering};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 
 /// Alignment in bytes: one cache line, also sufficient for AVX-512.
 pub const ALIGN: usize = 64;
@@ -31,62 +35,119 @@ pub struct AlignedVec<T> {
 unsafe impl<T: Send> Send for AlignedVec<T> {}
 unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
+/// The base pointer of an allocation being filled, shared with the
+/// executor's threads.
+struct SendPtr<T>(*mut T);
+// SAFETY: the only use is `from_fn_with`'s fill closure, which writes
+// disjoint element ranges from each thread (one claimed chunk each) and
+// moves `T` values across threads only by `init`'s return.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// By method, so that a closure captures the wrapper and not the raw
+    /// pointer field.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
 impl<T: Copy + Default> AlignedVec<T> {
     /// Allocate `len` zero-initialized elements (all-zero bit pattern).
     ///
     /// `T` must be valid for the all-zeros bit pattern; this is true for all
     /// amplitude types in this workspace (`Complex<f32/f64>`, scalars).
     pub fn new_zeroed(len: usize) -> Self {
+        Self::allocate(len, alloc_zeroed)
+    }
+
+    /// `len` elements from `alloc_fn` (`alloc`: uninitialised, for the
+    /// constructors that go on to write every element; `alloc_zeroed`).
+    fn allocate(len: usize, alloc_fn: unsafe fn(Layout) -> *mut u8) -> Self {
         assert!(len > 0, "AlignedVec must be non-empty");
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size (len > 0, size_of::<T>() > 0
         // asserted in layout()).
-        let ptr = unsafe { alloc_zeroed(layout) } as *mut T;
+        let ptr = unsafe { alloc_fn(layout) } as *mut T;
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
         Self { ptr, len }
     }
 
-    /// Zero-allocate and touch pages in parallel chunks via the supplied
-    /// executor, mirroring the paper's NUMA-aware first-touch init.
+    /// Allocate `len` elements and write element `i` as `init(i)`, each
+    /// exactly once, without zeroing first. The elements are cut into
+    /// [`AlignedVec::<T>::FILL_CHUNK`]-element chunks (whole pages) and
+    /// `par_for(chunks, &fill)` must call `fill(c)` once for every
+    /// `c < chunks`, on whatever threads it likes: the thread that fills a
+    /// chunk takes its page faults, so an executor backed by the pool that
+    /// later sweeps the vector is the paper's first-touch placement.
     ///
-    /// `par_for` receives the number of chunks and a closure to run for
-    /// each chunk index; `qsim-kernels` passes a rayon-backed executor so
-    /// that first touch happens on the worker threads.
-    pub fn new_zeroed_par_touch<F>(len: usize, chunks: usize, par_for: F) -> Self
+    /// # Panics
+    /// If `par_for` fills a chunk twice or leaves one unfilled.
+    pub fn from_fn_with<F, I>(len: usize, par_for: F, init: I) -> Self
     where
+        T: Send,
         F: FnOnce(usize, &(dyn Fn(usize) + Sync)),
-        T: Sync,
+        I: Fn(usize) -> T + Sync,
     {
-        let v = Self::new_zeroed(len);
-        let chunks = chunks.max(1).min(len);
-        let chunk_len = len.div_ceil(chunks);
-        let base = v.ptr as usize;
-        let touch = move |c: usize| {
-            let start = c * chunk_len;
-            let end = (start + chunk_len).min(len);
-            let mut i = start;
-            // Touch one element per 4 KiB page; elements are Copy and the
-            // ranges are disjoint across chunk indices.
-            let step = (4096 / core::mem::size_of::<T>()).max(1);
-            while i < end {
-                // SAFETY: i < len, allocation is len elements, chunk ranges
-                // are disjoint so no two closure invocations alias.
-                unsafe {
-                    core::ptr::write_volatile((base as *mut T).add(i), T::default());
-                }
-                i += step;
+        // Owns the allocation from here on (freed if `init` unwinds).
+        // Nothing reads an element before the check below has seen every
+        // chunk filled; `T: Copy` has no drop glue to run on the rest.
+        let v = Self::allocate(len, alloc);
+        let filled: Vec<AtomicBool> = (0..len.div_ceil(Self::FILL_CHUNK))
+            .map(|_| AtomicBool::new(false))
+            .collect();
+        let base = SendPtr(v.ptr);
+        let fill = |c: usize| {
+            // A chunk claimed twice would be two writers to one range.
+            assert!(
+                !filled[c].swap(true, Ordering::Relaxed),
+                "chunk {c} filled twice"
+            );
+            let start = c * Self::FILL_CHUNK;
+            for i in start..(start + Self::FILL_CHUNK).min(len) {
+                // SAFETY: i < len, inside the allocation; the claim above
+                // makes this call the only writer of chunk c.
+                unsafe { base.get().add(i).write(init(i)) };
             }
         };
-        par_for(chunks, &touch);
+        par_for(filled.len(), &fill);
+        // Relaxed suffices: `par_for` returning orders its workers' writes
+        // before this read (a pool joins, a sequential loop is this thread).
+        assert!(
+            filled.iter().all(|f| f.load(Ordering::Relaxed)),
+            "executor left a chunk unfilled"
+        );
         v
     }
 
+    /// [`AlignedVec::from_fn_with`] on the calling thread.
+    pub fn from_fn(len: usize, init: impl Fn(usize) -> T + Sync) -> Self
+    where
+        T: Send,
+    {
+        Self::from_fn_with(len, |chunks, fill| (0..chunks).for_each(fill), init)
+    }
+
+    /// Elements per chunk of [`AlignedVec::from_fn_with`]: 64 KiB, sixteen
+    /// pages — small enough that a pool balances a state of a few MiB,
+    /// large enough that a chunk's faults dwarf its dispatch.
+    pub const FILL_CHUNK: usize = {
+        let size = core::mem::size_of::<T>();
+        assert!(size > 0, "zero-sized T unsupported");
+        if size >= 1 << 16 {
+            1
+        } else {
+            (1 << 16) / size
+        }
+    };
+
     /// Build from an existing slice (copies).
     pub fn from_slice(src: &[T]) -> Self {
-        let mut v = Self::new_zeroed(src.len());
-        v.copy_from_slice(src);
+        let v = Self::allocate(src.len(), alloc);
+        // SAFETY: both ranges are `src.len()` elements, and a fresh
+        // allocation cannot overlap `src`.
+        unsafe { core::ptr::copy_nonoverlapping(src.as_ptr(), v.ptr, src.len()) };
         v
     }
 
@@ -203,14 +264,56 @@ mod tests {
     }
 
     #[test]
-    fn par_touch_produces_zeroed_memory() {
-        // Sequential executor standing in for the rayon pool.
-        let v: AlignedVec<f64> = AlignedVec::new_zeroed_par_touch(1 << 14, 4, |n, f| {
-            for c in 0..n {
-                f(c);
+    fn from_fn_writes_every_element_across_chunk_seams() {
+        // Lengths on, one short of and one past a chunk boundary, under a
+        // sequential executor, one that runs the chunks backwards, and
+        // scoped threads taking alternate chunks.
+        const CHUNK: usize = AlignedVec::<u64>::FILL_CHUNK;
+        assert_eq!(CHUNK * 8, 1 << 16);
+        for len in [
+            1,
+            7,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            3 * CHUNK - 1,
+            3 * CHUNK,
+            3 * CHUNK + 1,
+        ] {
+            let want: Vec<u64> = (0..len as u64).map(|i| i * i + 1).collect();
+            let init = |i: usize| (i * i + 1) as u64;
+            let forward = AlignedVec::from_fn(len, init);
+            let backward =
+                AlignedVec::from_fn_with(len, |n, fill| (0..n).rev().for_each(fill), init);
+            let threaded = AlignedVec::from_fn_with(
+                len,
+                |n, fill| {
+                    std::thread::scope(|s| {
+                        for t in 0..2 {
+                            s.spawn(move || (t..n).step_by(2).for_each(fill));
+                        }
+                    })
+                },
+                init,
+            );
+            for v in [&forward, &backward, &threaded] {
+                assert_eq!(v.as_slice(), &want[..], "len {len}");
+                assert_eq!(v.as_ptr() as usize % ALIGN, 0);
             }
-        });
-        assert!(v.iter().all(|&x| x == 0.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left a chunk unfilled")]
+    fn executor_that_skips_a_chunk_is_caught() {
+        let len = 2 * AlignedVec::<u64>::FILL_CHUNK;
+        let _ = AlignedVec::from_fn_with(len, |_, fill| fill(0), |i| i as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "filled twice")]
+    fn executor_that_repeats_a_chunk_is_caught() {
+        let _ = AlignedVec::from_fn_with(8, |_, fill| (fill(0), fill(0)).0, |i| i as u64);
     }
 
     #[test]

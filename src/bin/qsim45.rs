@@ -472,6 +472,11 @@ fn cmd_sample() {
 
 fn cmd_kernels() {
     let n = arg("--state-qubits", 20);
+    // The widest gate timed (k = 5) needs 5 qubits; 28 is the most `run`
+    // allocates.
+    if !(5..=28).contains(&n) {
+        usage_error(format!("bad --state-qubits {n} (expected 5..=28)"));
+    }
     println!("k-qubit kernel throughput, state 2^{n} (GFLOPS, low-order qubits)");
     for k in 1..=5u32 {
         let qubits: Vec<u32> = (0..k).collect();

@@ -143,7 +143,7 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
@@ -158,6 +158,12 @@ fn misuse_is_a_one_line_usage_error() {
         (&["sample", "--rows", "6", "--cols", "5"], "--rows"),
         (&["run", "--compress", "bogus"], "--compress"),
         (&["run", "--depth", "0"], "--depth"),
+        // Narrower than the widest gate timed; 2^40 amplitudes.
+        (&["kernels", "--state-qubits", "3"], "bad --state-qubits 3"),
+        (
+            &["kernels", "--state-qubits", "40"],
+            "bad --state-qubits 40",
+        ),
     ];
     for (args, names) in cases {
         // The grid goes last: `arg()` reads a flag's first occurrence,
