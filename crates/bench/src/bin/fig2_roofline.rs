@@ -24,7 +24,8 @@
 //!     from L1, and FMAs that share one broadcast between two;
 //!   * the production kernel where the tiled executor runs it: one
 //!     `PreparedGate::apply_chunk` on a cache-resident 2^14-amplitude tile,
-//!     k = 1..5, operands low / spread / high, at both vector widths.
+//!     k = 1..5, operands low / spread / high, at both vector widths —
+//!     followed by the k = 4 constants `CostModel::host` holds for them.
 
 use qsim_bench::harness::*;
 use qsim_kernels::apply::{KernelConfig, OptLevel, Simd};
@@ -167,6 +168,15 @@ fn tile_resident_rows() {
         }
         row(&cells);
     }
+    // The constants the planner prices k = 4 clusters with: they are
+    // this table's spread column, recorded — re-record them if it moves.
+    let pivot = |bits| 1e-9 / qsim_sched::CostModel::host(bits, 1).flop_seconds_by_k[4];
+    println!(
+        "# cost model k=4 pivot (GFLOP/s per worker): {:.1} @256, {:.1} @512, {:.1} scalar",
+        pivot(256),
+        pivot(512),
+        pivot(0)
+    );
 }
 
 /// The three compute ceilings the block-lane kernel is argued against, at

@@ -3,16 +3,15 @@
 //!
 //! Everything scale-free is computed at full scale: the 45-qubit depth-25
 //! schedule (swap count, cluster count, byte volume per node) comes from
-//! the real scheduler; only the machine is modelled (dragonfly parameters
-//! in `qsim_net::NetModel`). The paper's measured values for comparison:
+//! the real scheduler, priced by the same `CostModel::seconds` every
+//! other consumer calls; only the machine is modelled
+//! (`CostModel::cori_aries`). The paper's measured values for comparison:
 //! 553 s total, 78 % communication, 0.428 PFLOPS sustained on 8192 nodes
 //! and 0.5 PB; §5 projects 2 swaps for 49 qubits (8 PB, SSD option).
 
 use qsim_bench::harness::*;
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim_net::NetModel;
-use qsim_sched::{plan, Schedule, SchedulerConfig, StageOp};
-use qsim_util::flops::flops_per_amplitude;
+use qsim_sched::{plan, CostModel, SchedulerConfig};
 
 fn main() {
     let kmax = arg_u32("--kmax", 4);
@@ -41,13 +40,10 @@ fn main() {
             seed: 0,
         });
         let schedule = plan(&c, &SchedulerConfig::distributed(l, kmax));
-        let local_amps = 1f64 * (1u64 << l) as f64;
-        let bytes_per_node = local_amps * 16.0;
-        let flops_per_node = schedule_flops_per_amp(&schedule) * local_amps;
-        let model = NetModel::cori_aries();
-        let (total, comm_frac) =
-            model.project_run(bytes_per_node, schedule.n_swaps(), flops_per_node, nodes);
-        let pflops = flops_per_node * nodes as f64 / total / 1e15;
+        let model = CostModel::cori_aries(nodes);
+        let (r, total) = model.cost(&schedule, 16);
+        let comm_frac = model.swap_seconds(&r) / total;
+        let pflops = r.cluster_flops as f64 / total / 1e15;
         let mem_pb = (1u64 << n) as f64 * 16.0 / 1e15;
         row(&[
             cell(label, 10),
@@ -62,18 +58,4 @@ fn main() {
     }
     println!("# paper: 45q = 0.5 PB, 8192 nodes, 553 s, 78 % comm, 0.428 PFLOPS.");
     println!("# 49q = 8 PB (beyond DRAM; the 2-3 all-to-alls make SSDs viable).");
-}
-
-/// Mean FLOP per amplitude per full-schedule sweep: each cluster of k
-/// qubits costs `8·2^k − 2` FLOP per amplitude (the §3.1 count).
-fn schedule_flops_per_amp(s: &Schedule) -> f64 {
-    let mut flops = 0u64;
-    for stage in &s.stages {
-        for op in &stage.ops {
-            if let StageOp::Cluster(c) = op {
-                flops += flops_per_amplitude(c.qubits.len() as u32);
-            }
-        }
-    }
-    flops as f64
 }

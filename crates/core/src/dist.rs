@@ -470,18 +470,13 @@ fn checkpoint_unit<R: SweepDispatch>(
         let mut digests = vec![digest; 1];
         digests.resize(ctx.n_ranks(), 0);
         for (r, d) in digests.iter_mut().enumerate().skip(1) {
-            let bytes = ctx.recv_bytes(r);
-            let arr: [u8; 8] = bytes
-                .as_slice()
-                .try_into()
-                .map_err(|_| SimError::Checkpoint(format!("rank {r}: malformed digest message")))?;
-            *d = u64::from_le_bytes(arr);
+            *d = ctx.recv_with::<u64, _>(r, |wire| wire[0]);
         }
         key.manifest(unit, digests)
             .write_atomic(&cp.dir)
             .map_err(CheckpointError::Io)?;
     } else {
-        ctx.send_bytes(0, digest.to_le_bytes().to_vec());
+        ctx.send_with::<u64>(0, 1, |wire| wire[0] = digest);
     }
     // Barrier: the manifest for `unit` is durable everywhere beyond this
     // point, so the previous generation's snapshots are dead weight.

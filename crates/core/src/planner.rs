@@ -5,15 +5,17 @@
 //!
 //! 1. **Greedy** — the paper's one-shot heuristics
 //!    ([`qsim_sched::plan`]); cheap, deterministic, always the floor.
-//! 2. **Search** — [`qsim_sched::search_plan`] scored by a
-//!    [`CostModel`] calibrated once per process from a short memory
-//!    probe. Redone per run: planning is pure precomputation (§3.6).
+//! 2. **Search** — [`qsim_sched::search_plan`] scored by the
+//!    [`process_cost_model`], a table of constants. Redone per run:
+//!    planning is pure precomputation (§3.6), and the same circuit on
+//!    the same host class plans the same schedule in every process.
 //!
 //! Planning is also the one phase PR 4 left untimed — [`plan_schedule`]
 //! records a `sched.plan_ns` histogram plus a `sched.search_candidates`
 //! counter into the run's metrics registry.
 
 use qsim_circuit::Circuit;
+use qsim_kernels::Simd;
 use qsim_sched::{plan, search_plan, CostModel, Schedule, SchedulerConfig, SearchConfig};
 use qsim_telemetry::{Phase, RunState, Telemetry};
 use std::sync::OnceLock;
@@ -82,20 +84,17 @@ pub struct PlannedSchedule {
     pub plan_seconds: f64,
 }
 
-/// The per-process cost model: streaming weight calibrated once from a
-/// short memory probe, per-k flop weights refined from the measured
-/// autotune kernel ladder (the same probe the engines use to pick
-/// `kmax`, so a search-mode run pays for it at most once). Reused by
-/// every subsequent search.
+/// The cost model of this process's host: [`CostModel::host`] at the
+/// vector width the kernels run at (CPUID) and the worker count
+/// (`available_parallelism`). Nothing is measured, so every process on
+/// the same host class prices a schedule to the same bits.
 pub fn process_cost_model() -> &'static CostModel {
     static MODEL: OnceLock<CostModel> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let ladder = qsim_kernels::autotune_cached(12, threads).gflops_by_k;
-        CostModel::calibrated(0).with_kernel_gflops(&ladder)
-    })
+    MODEL.get_or_init(|| CostModel::host(qsim_kernels::vector_bits(Simd::Auto), host_threads()))
+}
+
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Which engine a progress seed prices for — the live phases differ:
@@ -111,10 +110,10 @@ pub enum ProgressBackend {
 /// Price `schedule` with the [`process_cost_model`] and seed the
 /// telemetry progress engine's predicted-seconds denominators (the
 /// cost-model prior the live ETA starts from, before measured unit
-/// times take over). The split follows the model's own terms: the Stage
-/// phase gets the streaming + per-pass + kernel-flop seconds, the Swap
-/// phase the swap-byte seconds, and the OOC Stream phase the full
-/// modeled seconds. Planned *unit counts* are seeded by the engines
+/// times take over). The split is the model's own: the Stage phase gets
+/// [`CostModel::stage_seconds`], the Swap phase
+/// [`CostModel::swap_seconds`], and the OOC Stream phase the full modeled
+/// seconds. Planned *unit counts* are seeded by the engines
 /// themselves, which know their unit structure; this only prices them.
 /// A disabled telemetry handle makes it a no-op.
 pub fn seed_progress(
@@ -129,21 +128,11 @@ pub fn seed_progress(
     };
     let r = qsim_sched::plan_resources(schedule, amp_bytes, tile_qubits);
     let model = process_cost_model();
-    let flop_seconds: f64 = r
-        .flops_by_k
-        .iter()
-        .zip(model.flop_seconds_by_k.iter())
-        .map(|(&f, &w)| f as f64 * w)
-        .sum();
-    let stage_seconds = r.streamed_bytes as f64 * model.stream_byte_seconds
-        + r.stage_passes as f64 * model.pass_seconds
-        + flop_seconds;
-    let swap_seconds = r.swap_bytes as f64 * model.swap_byte_seconds;
     match backend {
-        ProgressBackend::Single => p.set_predicted_seconds(Phase::Stage, stage_seconds),
+        ProgressBackend::Single => p.set_predicted_seconds(Phase::Stage, model.stage_seconds(&r)),
         ProgressBackend::Dist => {
-            p.set_predicted_seconds(Phase::Stage, stage_seconds);
-            p.set_predicted_seconds(Phase::Swap, swap_seconds);
+            p.set_predicted_seconds(Phase::Stage, model.stage_seconds(&r));
+            p.set_predicted_seconds(Phase::Swap, model.swap_seconds(&r));
         }
         ProgressBackend::Ooc => p.set_predicted_seconds(Phase::Stream, model.seconds(&r)),
     }
@@ -227,6 +216,37 @@ mod tests {
             depth: 20,
             seed: 5,
         })
+    }
+
+    #[test]
+    fn process_cost_model_is_the_table_entry_for_this_host() {
+        let bits = qsim_kernels::vector_bits(Simd::Auto);
+        assert!(matches!(bits, 0 | 256 | 512));
+        let entry = CostModel::host(bits, host_threads());
+        let m = process_cost_model();
+        let weights = |m: &CostModel| {
+            let scalars = [
+                m.swap_byte_seconds,
+                m.stream_byte_seconds,
+                m.pass_seconds,
+                m.run_seconds,
+            ];
+            (
+                scalars.map(f64::to_bits),
+                m.flop_seconds_by_k.map(f64::to_bits),
+            )
+        };
+        assert_eq!(weights(m), weights(&entry));
+        // The entry is the recorded k = 4 pivot per worker, nothing else.
+        let k4_gflops = match bits {
+            512 => 47.3,
+            256 => 36.6,
+            _ => 9.67,
+        };
+        assert_eq!(
+            m.flop_seconds_by_k[4].to_bits(),
+            (1.0 / (host_threads() as f64 * k4_gflops * 1e9)).to_bits()
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Plans the circuit with the scheduler (pure clustering — with every
 //! qubit local there are no swaps), then sweeps fused k-qubit kernels
 //! over the state with rayon parallelism. The qubit-mapping heuristic
-//! (§3.6.2) can be applied first; the measured 2× claim is exercised by
-//! the bench harness.
+//! (§3.6.2) can be applied first; the plan is translated back, so the
+//! gathered state keeps the caller's qubit order.
 
 use crate::backend::{BackendOutcome, BackendPlan, BackendStats};
 use crate::checkpoint::{
@@ -108,19 +108,21 @@ impl SingleNodeSimulator {
     }
 
     /// Hadamard-layer strip, optional §3.6.2 qubit remapping, schedule
-    /// planning.
+    /// planning. A remapped plan is translated back, so the schedule is
+    /// always one of the stripped circuit and its `final_mapping` takes
+    /// the physical state to the caller's qubit order.
     pub(crate) fn plan<R: SweepDispatch>(&self, circuit: &Circuit) -> BackendPlan {
         let cfg = SchedulerConfig::single_node(circuit.n_qubits(), self.kmax);
-        let (mut exec, init_uniform) = strip_initial_hadamards(circuit);
-        if self.optimize_mapping {
-            let map = qsim_sched::mapping::optimize_qubit_mapping(&exec, &cfg);
-            exec = exec.remapped(&map);
-        }
+        let (exec, init_uniform) = strip_initial_hadamards(circuit);
+        let map = self
+            .optimize_mapping
+            .then(|| qsim_sched::mapping::optimize_qubit_mapping(&exec, &cfg));
+        let remapped = map.as_ref().map(|m| exec.remapped(m));
         let track = self.telemetry.track("single");
-        let planned = {
+        let mut planned = {
             let _s = track.span("plan");
             plan_schedule(
-                &exec,
+                remapped.as_ref().unwrap_or(&exec),
                 &cfg,
                 &PlanOptions {
                     amp_bytes: 2 * R::BYTES as u64,
@@ -129,6 +131,9 @@ impl SingleNodeSimulator {
                 },
             )
         };
+        if let Some(map) = &map {
+            planned.schedule = qsim_sched::search::unpermute_schedule(planned.schedule, map);
+        }
         BackendPlan::from_planned(exec, init_uniform, planned)
     }
 
@@ -376,29 +381,32 @@ mod tests {
     }
 
     #[test]
-    fn mapping_optimization_preserves_probabilities() {
+    fn mapping_optimization_gathers_the_callers_qubit_order() {
+        use crate::backend::{Backend, SingleBackend};
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 3,
             depth: 12,
             seed: 5,
         });
-        let plain = run(&SingleNodeSimulator::default(), &c);
-        let opt_sim = SingleNodeSimulator {
+        let mut backend = SingleBackend::new(SingleNodeSimulator {
             optimize_mapping: true,
             ..Default::default()
-        };
-        let opt = run(&opt_sim, &c);
-        // Amplitudes are permuted by the relabeling, but the probability
-        // MULTISET and entropy are invariant.
-        let mut p1: Vec<f64> = plain.state.probabilities();
-        let mut p2: Vec<f64> = opt.state.probabilities();
-        p1.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        p2.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (a, b) in p1.iter().zip(p2.iter()) {
-            assert!((a - b).abs() < 1e-10);
-        }
-        assert!((plain.state.entropy() - opt.state.entropy()).abs() < 1e-8);
+        });
+        Backend::<f64>::gather_state(&mut backend, true);
+        let plan = Backend::<f64>::plan(&backend, &c).unwrap();
+        // The heuristic did relabel, and the plan is still one of the
+        // caller's circuit.
+        assert_ne!(plan.schedule.final_mapping(), (0..9).collect::<Vec<u32>>());
+        plan.schedule.verify(&plan.exec);
+        let out: BackendOutcome = backend.run(&plan).unwrap();
+        let got = out.state.unwrap();
+        let expect = simulate_dense::<f64>(&c);
+        assert!(
+            max_dist(&got, &expect) < 1e-10,
+            "{}",
+            max_dist(&got, &expect)
+        );
     }
 
     #[test]

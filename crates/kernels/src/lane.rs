@@ -97,6 +97,17 @@ impl Width {
     }
 }
 
+/// Vector width in bits of the kernel `simd` selects on this host — 512,
+/// 256, or 0 where every range runs the scalar kernel. The one thing the
+/// planner's cost table (`qsim_core::planner`) asks of the kernels.
+pub fn vector_bits(simd: Simd) -> u32 {
+    match Width::pick(simd) {
+        Some(Width::V512) => 512,
+        Some(Width::V256) => 256,
+        None => 0,
+    }
+}
+
 /// Gate matrix packed for the block-lane kernel: `(m_R, m_I)` scalar
 /// pairs, column-major (`[input i][row r]`), so the rows of one input
 /// stream linearly and every entry is a scalar-broadcast FMA operand.

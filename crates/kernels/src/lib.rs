@@ -22,9 +22,6 @@
 //!   permutation gates (X/CNOT) and in-place qubit-pair swaps (§3.5).
 //! * [`parallel`] — rayon drivers over the block index space, the analogue
 //!   of the paper's OpenMP `collapse` parallelization (§3.3).
-//! * [`mod@autotune`] — the start-up measurement of the per-k GFLOPS
-//!   ladder the planner's cost model prices schedules from (§3.2's
-//!   benchmarking feedback loop, with nothing left to pick).
 //! * [`sweep`] — the cache-tiled stage executor: one streaming pass over
 //!   the state applies every fused gate of a communication-free stage,
 //!   with diagonal ops folded in as per-tile phases.
@@ -33,7 +30,6 @@
 //! dispatches on kernel configuration.
 
 pub mod apply;
-pub mod autotune;
 pub mod avx;
 pub mod avx512;
 pub mod lane;
@@ -46,6 +42,6 @@ pub mod sweep;
 mod testutil;
 
 pub use apply::{apply_gate, KernelConfig, OptLevel, Simd};
-pub use autotune::{autotune, autotune_cached, tune_tile_qubits, TunedParams};
+pub use lane::vector_bits;
 pub use matrix::{GateMatrix, PackedMatrix};
-pub use sweep::{SweepDispatch, SweepStats};
+pub use sweep::{tune_tile_qubits, SweepDispatch, SweepStats};

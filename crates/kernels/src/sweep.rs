@@ -98,7 +98,17 @@ impl SweepStats {
     }
 }
 
-/// Clamp a (tuned) tile size to the local register and, with multiple
+/// Tile budget (log2 amplitudes) of the cache-tiled stage executor:
+/// 2^14 amplitudes are 256 KiB at f64, an L2-resident tile. A constant,
+/// not a measurement, so the pass count of a run is a function of its
+/// inputs alone; `qsim_core::exec` asserts it equals
+/// `qsim_sched::sweep::DEFAULT_TILE_QUBITS`, the size the planner's pass
+/// model prices schedules under.
+pub const fn tune_tile_qubits() -> u32 {
+    14
+}
+
+/// Clamp a tile size to the local register and, with multiple
 /// worker threads, shrink it until the pass has at least ~4x threads
 /// tiles to steal — but never below [`MIN_TILE_QUBITS`].
 pub fn effective_tile_qubits(tile: u32, local_qubits: u32, threads: usize) -> u32 {

@@ -13,9 +13,9 @@
 //! overlaps with other ranks' progress and nothing is buffered twice.
 //! [`all_to_all_into`] / [`all_to_all_inplace`] are the borrowed,
 //! allocation-free entry points; [`all_to_all`] keeps the classic
-//! allocate-and-return signature on top. [`exchange_halves`] is the
-//! pairwise scheme of \[19\] used by the baseline simulator, and
-//! [`all_reduce_sum`] backs the entropy/norm reductions (§4.2.2).
+//! allocate-and-return signature on top. [`all_reduce_sum`] backs the
+//! entropy/norm reductions (§4.2.2); the pairwise half-state exchange of
+//! \[19\] the baseline simulator uses is [`RankCtx::exchange`] itself.
 
 use crate::fabric::RankCtx;
 use std::ops::Range;
@@ -161,15 +161,6 @@ pub fn all_to_all<T: Copy>(ctx: &mut RankCtx, comm: Communicator, send: &[T]) ->
     out
 }
 
-/// The pairwise exchange of the first multi-node scheme (\[19\]): send one
-/// half of the local slice to the partner (the rank differing in one
-/// global bit), receive the partner's corresponding half. Used twice per
-/// global gate by the baseline simulator — hence "2 pair-wise exchanges of
-/// half the state vector".
-pub fn exchange_halves<T: Copy>(ctx: &mut RankCtx, partner: usize, half: &[T]) -> Vec<T> {
-    ctx.exchange(partner, half)
-}
-
 /// Sum-all-reduce of one f64 (recursive doubling).
 pub fn all_reduce_sum(ctx: &mut RankCtx, value: f64) -> f64 {
     let p = ctx.n_ranks();
@@ -309,19 +300,6 @@ mod tests {
         for sum in results {
             assert_eq!(sum.to_bits(), tree.to_bits());
         }
-    }
-
-    #[test]
-    fn exchange_halves_swaps_data() {
-        let (results, stats) = run_cluster(2, |ctx| {
-            let partner = ctx.rank() ^ 1;
-            let mine = vec![c64::new(ctx.rank() as f64, 0.0); 16];
-            exchange_halves(ctx, partner, &mine)
-        });
-        assert!(results[0].iter().all(|&a| a.re == 1.0));
-        assert!(results[1].iter().all(|&a| a.re == 0.0));
-        // 2 ranks x 16 amps x 16 bytes.
-        assert_eq!(stats.total_bytes_sent, 512);
     }
 
     #[test]

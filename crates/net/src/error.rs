@@ -26,7 +26,7 @@ pub enum SimError {
     RankPanicked { rank: usize, message: String },
     /// This rank failed only because *another* rank poisoned the fabric
     /// — collateral damage, never the root cause reported by
-    /// `try_run_cluster` when any other error is available.
+    /// `try_run_cluster_hooked` when any other error is available.
     FabricPoisoned { rank: usize },
     /// Checkpoint/restart bookkeeping failed (manifest or snapshot).
     Checkpoint(String),

@@ -7,8 +7,7 @@
 //! explicit tags. Payloads are pooled [`WireBuf`]s (8-byte-aligned byte
 //! buffers): a sender packs directly into a recycled buffer via
 //! [`RankCtx::send_with`], the receiver unpacks straight out of it via
-//! [`RankCtx::recv_with`] / [`RankCtx::recv_into`], and the buffer is
-//! returned to the *sender's* pool on consumption — so a steady-state
+//! [`RankCtx::recv_with`], and the buffer is returned to the *sender's* pool on consumption — so a steady-state
 //! communication pattern (e.g. the global-swap all-to-alls, which repeat
 //! the same message sizes every swap) performs zero heap allocations
 //! after warm-up. Pool misses are counted in [`FabricStats::wire_allocs`].
@@ -464,41 +463,11 @@ impl<'a> RankCtx<'a> {
         out
     }
 
-    /// Receive from `src` into caller-provided storage (one memcpy, no
-    /// allocation). Panics if the payload length differs from `out.len()`.
-    pub fn recv_into<T: Copy>(&mut self, src: usize, out: &mut [T]) {
-        self.recv_with::<T, ()>(src, |wire| {
-            assert_eq!(wire.len(), out.len(), "payload length mismatch from {src}");
-            out.copy_from_slice(wire);
-        });
-    }
-
-    /// Send raw bytes to `dst` (non-blocking: the mailbox buffers).
-    pub fn send_bytes(&mut self, dst: usize, bytes: Vec<u8>) {
-        self.send_with::<u8>(dst, bytes.len(), |wire| wire.copy_from_slice(&bytes));
-    }
-
-    /// Receive the next in-order message from `src` (blocking).
-    pub fn recv_bytes(&mut self, src: usize) -> Vec<u8> {
-        self.recv_with::<u8, Vec<u8>>(src, |wire| wire.to_vec())
-    }
-
-    /// Send a typed slice (one memcpy into the pooled wire buffer).
-    pub fn send_slice<T: Copy>(&mut self, dst: usize, data: &[T]) {
-        self.send_with::<T>(dst, data.len(), |wire| wire.copy_from_slice(data));
-    }
-
-    /// Receive a typed vector; panics if the payload size is not a
-    /// multiple of `size_of::<T>()`.
-    pub fn recv_vec<T: Copy>(&mut self, src: usize) -> Vec<T> {
-        self.recv_with::<T, Vec<T>>(src, |wire| wire.to_vec())
-    }
-
     /// Symmetric pairwise exchange: send to and receive from `partner`.
     /// Sends first (mailboxes buffer), so no deadlock.
     pub fn exchange<T: Copy>(&mut self, partner: usize, data: &[T]) -> Vec<T> {
-        self.send_slice(partner, data);
-        self.recv_vec(partner)
+        self.send_with::<T>(partner, data.len(), |wire| wire.copy_from_slice(data));
+        self.recv_with::<T, _>(partner, |wire| wire.to_vec())
     }
 
     /// Stock this rank's wire pool with `count` buffers of `bytes` each,
@@ -567,7 +536,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Spawn `n_ranks` rank threads running a fallible `body` under an
 /// optional [`FaultPlan`] and collect their results plus fabric-wide
-/// statistics.
+/// statistics — the one fallible entry point.
 ///
 /// Failure semantics: the first rank to fail — by returning `Err`, by
 /// panicking, or by a scripted kill — poisons the fabric, which wakes
@@ -576,22 +545,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// joined (no detached ranks, no hangs), the root cause is selected:
 /// direct errors beat panics, panics beat collateral poisoning; ties go
 /// to the lowest rank.
-pub fn try_run_cluster_with<T, F>(
-    n_ranks: usize,
-    faults: Option<FaultPlan>,
-    body: F,
-) -> Result<(Vec<T>, FabricStats), SimError>
-where
-    T: Send,
-    F: Fn(&mut RankCtx) -> Result<T, SimError> + Sync,
-{
-    try_run_cluster_hooked(n_ranks, faults, None, body)
-}
-
-/// [`try_run_cluster_with`] plus a [`PoisonHook`] observing the first
-/// poisoning. The hook fires at most once per cluster run, on the thread
-/// of the root-cause rank, before any peer is woken — a flight recorder
-/// installed here sees the dying rank's final spans and counters.
+///
+/// The [`PoisonHook`] observes the first poisoning: it fires at most
+/// once per cluster run, on the thread of the root-cause rank, before
+/// any peer is woken — a flight recorder installed here sees the dying
+/// rank's final spans and counters.
 pub fn try_run_cluster_hooked<T, F>(
     n_ranks: usize,
     faults: Option<FaultPlan>,
@@ -665,58 +623,38 @@ where
     }
 }
 
-/// [`try_run_cluster_with`] without a fault plan.
-pub fn try_run_cluster<T, F>(n_ranks: usize, body: F) -> Result<(Vec<T>, FabricStats), SimError>
-where
-    T: Send,
-    F: Fn(&mut RankCtx) -> Result<T, SimError> + Sync,
-{
-    try_run_cluster_with(n_ranks, None, body)
-}
-
 /// Spawn `n_ranks` rank threads running `body` and collect their results
 /// plus fabric-wide statistics. Infallible wrapper over
-/// [`try_run_cluster`]: any rank failure panics here (on the driver
-/// thread, after all ranks have been joined) with the root cause.
+/// [`try_run_cluster_hooked`]: any rank failure panics here (on the
+/// driver thread, after all ranks have been joined) with the root cause.
 pub fn run_cluster<T, F>(n_ranks: usize, body: F) -> (Vec<T>, FabricStats)
 where
     T: Send,
     F: Fn(&mut RankCtx) -> T + Sync,
 {
-    match try_run_cluster(n_ranks, |ctx| Ok(body(ctx))) {
-        Ok(out) => out,
-        Err(e) => panic!("rank thread panicked: {e}"),
-    }
+    try_run_cluster_hooked(n_ranks, None, None, |ctx| Ok(body(ctx)))
+        .unwrap_or_else(|e| panic!("rank thread panicked: {e}"))
 }
 
 fn collect_stats(fabric: &Fabric, n_ranks: usize) -> FabricStats {
-    let total_bytes: u64 = fabric
-        .counters
-        .iter()
-        .map(|c| c.bytes_sent.load(Ordering::Relaxed))
-        .sum();
-    let comm_secs: Vec<f64> = fabric
-        .counters
-        .iter()
-        .map(|c| c.comm_nanos.load(Ordering::Relaxed) as f64 / 1e9)
-        .collect();
-    let blocked_secs: Vec<f64> = fabric
-        .counters
-        .iter()
-        .map(|c| c.blocked_nanos.load(Ordering::Relaxed) as f64 / 1e9)
-        .collect();
-    FabricStats {
-        n_ranks,
-        total_bytes_sent: total_bytes,
-        max_comm_seconds: comm_secs.iter().cloned().fold(0.0, f64::max),
-        mean_comm_seconds: comm_secs.iter().sum::<f64>() / n_ranks as f64,
-        max_blocked_seconds: blocked_secs.iter().cloned().fold(0.0, f64::max),
-        mean_blocked_seconds: blocked_secs.iter().sum::<f64>() / n_ranks as f64,
-        wire_allocs: fabric
+    let per_rank = |counter: fn(&CommCounters) -> &AtomicU64| {
+        let loads = fabric
             .counters
             .iter()
-            .map(|c| c.wire_allocs.load(Ordering::Relaxed))
-            .sum(),
+            .map(move |c| counter(c).load(Ordering::Relaxed));
+        (loads.clone().sum::<u64>(), loads.max().unwrap_or(0))
+    };
+    let (total_bytes_sent, _) = per_rank(|c| &c.bytes_sent);
+    let (comm_nanos, max_comm_nanos) = per_rank(|c| &c.comm_nanos);
+    let (blocked_nanos, max_blocked_nanos) = per_rank(|c| &c.blocked_nanos);
+    FabricStats {
+        n_ranks,
+        total_bytes_sent,
+        max_comm_seconds: max_comm_nanos as f64 / 1e9,
+        mean_comm_seconds: comm_nanos as f64 / 1e9 / n_ranks as f64,
+        max_blocked_seconds: max_blocked_nanos as f64 / 1e9,
+        mean_blocked_seconds: blocked_nanos as f64 / 1e9 / n_ranks as f64,
+        wire_allocs: per_rank(|c| &c.wire_allocs).0,
     }
 }
 
@@ -725,17 +663,32 @@ mod tests {
     use super::*;
     use qsim_util::c64;
 
+    /// One fallible cluster run without a poison hook.
+    fn try_run<T: Send>(
+        n_ranks: usize,
+        faults: Option<FaultPlan>,
+        body: impl Fn(&mut RankCtx) -> Result<T, SimError> + Sync,
+    ) -> Result<(Vec<T>, FabricStats), SimError> {
+        try_run_cluster_hooked(n_ranks, faults, None, body)
+    }
+
+    fn send_one(ctx: &mut RankCtx, dst: usize, v: u64) {
+        ctx.send_with::<u64>(dst, 1, |wire| wire[0] = v);
+    }
+
+    fn recv_one(ctx: &mut RankCtx, src: usize) -> u64 {
+        ctx.recv_with::<u64, _>(src, |wire| wire[0])
+    }
+
     #[test]
     fn ring_pass_delivers_in_order() {
         let (results, stats) = run_cluster(4, |ctx| {
             let next = (ctx.rank() + 1) % 4;
             let prev = (ctx.rank() + 3) % 4;
             // Two messages: ordering must hold.
-            ctx.send_slice(next, &[ctx.rank() as u64]);
-            ctx.send_slice(next, &[ctx.rank() as u64 + 100]);
-            let a = ctx.recv_vec::<u64>(prev);
-            let b = ctx.recv_vec::<u64>(prev);
-            (a[0], b[0])
+            send_one(ctx, next, ctx.rank() as u64);
+            send_one(ctx, next, ctx.rank() as u64 + 100);
+            (recv_one(ctx, prev), recv_one(ctx, prev))
         });
         for (r, &(a, b)) in results.iter().enumerate() {
             let prev = (r + 3) % 4;
@@ -748,13 +701,15 @@ mod tests {
 
     #[test]
     fn exchange_is_symmetric() {
-        let (results, _) = run_cluster(2, |ctx| {
+        let (results, stats) = run_cluster(2, |ctx| {
             let partner = 1 - ctx.rank();
             let data = vec![c64::new(ctx.rank() as f64, 0.0); 8];
             ctx.exchange(partner, &data)
         });
         assert!(results[0].iter().all(|&a| a == c64::new(1.0, 0.0)));
         assert!(results[1].iter().all(|&a| a == c64::new(0.0, 0.0)));
+        // 2 ranks x 8 amps x 16 bytes.
+        assert_eq!(stats.total_bytes_sent, 256);
     }
 
     #[test]
@@ -775,10 +730,10 @@ mod tests {
         let (_, stats) = run_cluster(2, |ctx| {
             if ctx.rank() == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
-                ctx.send_slice(1, &[1u8; 1024]);
+                ctx.send_with::<u8>(1, 1024, |wire| wire.fill(1));
             } else {
                 // Rank 1 blocks waiting ~20ms.
-                let _ = ctx.recv_vec::<u8>(0);
+                ctx.recv_with::<u8, _>(0, |wire| assert_eq!(wire.len(), 1024));
             }
             ctx.barrier();
         });
@@ -796,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn send_with_recv_into_round_trip() {
+    fn send_with_recv_with_round_trip() {
         let (results, stats) = run_cluster(2, |ctx| {
             let partner = 1 - ctx.rank();
             let base = (ctx.rank() * 100) as u64;
@@ -805,9 +760,7 @@ mod tests {
                     *w = base + i as u64;
                 }
             });
-            let mut out = [0u64; 16];
-            ctx.recv_into(partner, &mut out);
-            out
+            ctx.recv_with::<u64, _>(partner, |wire| <[u64; 16]>::try_from(wire).unwrap())
         });
         for (r, out) in results.iter().enumerate() {
             let base = ((1 - r) * 100) as u64;
@@ -846,9 +799,10 @@ mod tests {
             ctx.prewarm_wire(64 * 8, 4);
             for round in 0..8u64 {
                 ctx.send_with::<u64>(partner, 64, |wire| wire.fill(round));
-                let mut out = [0u64; 64];
-                ctx.recv_into(partner, &mut out);
-                assert!(out.iter().all(|&v| v == round));
+                ctx.recv_with::<u64, _>(partner, |wire| {
+                    assert_eq!(wire.len(), 64);
+                    assert!(wire.iter().all(|&v| v == round));
+                });
             }
             ctx.wire_allocs()
         });
@@ -859,8 +813,7 @@ mod tests {
     fn empty_message_round_trips() {
         let (results, stats) = run_cluster(2, |ctx| {
             let partner = 1 - ctx.rank();
-            ctx.send_slice::<u64>(partner, &[]);
-            ctx.recv_vec::<u64>(partner)
+            ctx.exchange::<u64>(partner, &[])
         });
         assert!(results.iter().all(|v| v.is_empty()));
         assert_eq!(stats.total_bytes_sent, 0);
@@ -891,16 +844,16 @@ mod tests {
         // it will never satisfy. Without poisoning this hangs forever;
         // with it, the driver returns the injected fault as root cause.
         let plan = FaultPlan::new().kill(2, 1);
-        let res = try_run_cluster_with::<(), _>(4, Some(plan), |ctx| {
+        let res = try_run(4, Some(plan), |ctx| {
             for swap in 0..2usize {
                 ctx.fault_point(swap)?;
                 if ctx.rank() == 2 {
                     for dst in [0, 1, 3] {
-                        ctx.send_slice(dst, &[swap as u64]);
+                        send_one(ctx, dst, swap as u64);
                     }
                 } else {
                     // At swap 1 this message never comes.
-                    let _ = ctx.recv_vec::<u64>(2);
+                    recv_one(ctx, 2);
                 }
             }
             Ok(())
@@ -916,7 +869,7 @@ mod tests {
     #[test]
     fn injected_delay_still_completes() {
         let plan = FaultPlan::new().delay(0, 0, std::time::Duration::from_millis(15));
-        let (vals, stats) = try_run_cluster_with(2, Some(plan), |ctx| {
+        let (vals, stats) = try_run(2, Some(plan), |ctx| {
             ctx.fault_point(0)?;
             let partner = 1 - ctx.rank();
             Ok(ctx.exchange(partner, &[ctx.rank() as u64])[0])
@@ -931,7 +884,7 @@ mod tests {
 
     #[test]
     fn panicking_rank_surfaces_as_root_cause_not_collateral() {
-        let res = try_run_cluster::<(), _>(4, |ctx| {
+        let res = try_run(4, None, |ctx| {
             if ctx.rank() == 3 {
                 panic!("deliberate failure in rank body");
             }
@@ -950,7 +903,7 @@ mod tests {
     #[test]
     fn kill_at_barrier_unblocks_barrier_waiters() {
         let plan = FaultPlan::new().kill(1, 0);
-        let res = try_run_cluster_with::<(), _>(8, Some(plan), |ctx| {
+        let res = try_run(8, Some(plan), |ctx| {
             if ctx.rank() == 1 {
                 ctx.fault_point(0)?;
             }
@@ -965,11 +918,11 @@ mod tests {
 
     #[test]
     fn error_return_propagates_with_rank_attribution() {
-        let res = try_run_cluster::<(), _>(2, |ctx| {
+        let res = try_run(2, None, |ctx| {
             if ctx.rank() == 0 {
                 return Err(SimError::Checkpoint("slice digest mismatch".into()));
             }
-            let _ = ctx.recv_vec::<u64>(0); // would hang without poisoning
+            recv_one(ctx, 0); // would hang without poisoning
             Ok(())
         });
         match res {

@@ -13,24 +13,18 @@
 //!   the world (the full global-to-local swap), pairwise half-state exchange
 //!   (the scheme of \[19\], used by the baseline simulator), and all-reduce
 //!   (entropy/norm reductions, §4.2.2).
-//! * [`model`] — a dragonfly-style analytic network model for projecting
-//!   measured byte volumes to petascale machines (the paper's 45-qubit /
-//!   8192-node regime that no single host can execute).
 //! * [`error`] / [`fault`] — the typed failure surface ([`SimError`]) and
 //!   scripted fault injection ([`FaultPlan`]): a killed or panicking rank
 //!   poisons the fabric, peers unblock instead of hanging, and
-//!   [`fabric::try_run_cluster`] reports the root cause.
+//!   [`fabric::try_run_cluster_hooked`] reports the root cause.
 
 pub mod collective;
 pub mod error;
 pub mod fabric;
 pub mod fault;
-pub mod model;
 
 pub use error::SimError;
 pub use fabric::{
-    run_cluster, try_run_cluster, try_run_cluster_hooked, try_run_cluster_with, CommCounters,
-    FabricStats, PoisonHook, RankCtx,
+    run_cluster, try_run_cluster_hooked, CommCounters, FabricStats, PoisonHook, RankCtx,
 };
 pub use fault::{FaultAction, FaultPlan};
-pub use model::NetModel;

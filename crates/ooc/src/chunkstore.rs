@@ -17,7 +17,8 @@
 //! IO is zero-copy: reads and writes move bytes directly between the
 //! files and caller-owned amplitude buffers (`Complex<R>` is `#[repr(C)]`
 //! with no padding, so a `&[Complex<R>]` reinterprets soundly as `&[u8]`)
-//! — no intermediate byte `Vec`s. The pipelined engine's IO threads use
+//! — no intermediate byte `Vec`s — through one timed read and one timed
+//! write that the store and its views share. The pipelined engine's IO threads use
 //! [`ChunkReader`] / [`ChunkWriter`] views, which hold their own file
 //! handles (independent cursors) opened at most once per pass — the
 //! writer's lazily, since no live chunk exists before a run's first
@@ -90,6 +91,93 @@ pub(crate) fn amps_as_bytes_mut<R: Real>(amps: &mut [Complex<R>]) -> &mut [u8] {
 #[inline]
 pub(crate) fn uniform_amp<R: Real>(n_qubits: u32) -> Complex<R> {
     Complex::new(R::ONE / R::from_usize(1usize << n_qubits).sqrt(), R::ZERO)
+}
+
+/// What every IO path of a store carries — the store's own direct calls
+/// and its [`ChunkReader`] / [`ChunkWriter`] views: the codec, its working
+/// memory and encoded-bytes staging (reused across chunks, so codec IO is
+/// allocation-free once warm), and the counters. The one timed read and
+/// the one timed write live here.
+struct ChunkIo<R> {
+    codec: Codec,
+    scratch: CodecScratch,
+    enc: Vec<u8>,
+    stats: IoStats,
+    _precision: std::marker::PhantomData<R>,
+}
+
+impl<R: Real> ChunkIo<R> {
+    fn new(codec: Codec) -> Self {
+        Self {
+            codec,
+            scratch: CodecScratch::default(),
+            enc: Vec::new(),
+            stats: IoStats::default(),
+            _precision: std::marker::PhantomData,
+        }
+    }
+
+    /// Read one whole chunk file — raw scalars, or every frame of it under
+    /// a codec — from the handle `open` yields (positioned at its start)
+    /// into `out`. Returns the seconds it took, IO plus decode, for callers
+    /// that waited on it.
+    fn read<F: Read>(
+        &mut self,
+        open: impl FnOnce() -> std::io::Result<F>,
+        out: &mut [Complex<R>],
+    ) -> std::io::Result<f64> {
+        let logical = std::mem::size_of_val(out) as u64;
+        let t = Instant::now();
+        let mut f = open()?;
+        let physical = if self.codec.is_none() {
+            f.read_exact(amps_as_bytes_mut(out))?;
+            logical
+        } else {
+            self.enc.clear();
+            f.read_to_end(&mut self.enc)? as u64
+        };
+        let io_dt = t.elapsed().as_secs_f64();
+        let mut codec_dt = 0.0;
+        if !self.codec.is_none() {
+            let t = Instant::now();
+            decode_frames(&self.enc, &mut self.scratch, out)?;
+            codec_dt = t.elapsed().as_secs_f64();
+        }
+        self.stats.read_seconds += io_dt;
+        self.stats.decode_seconds += codec_dt;
+        self.stats.bytes_read += physical;
+        self.stats.logical_bytes_read += logical;
+        Ok(io_dt + codec_dt)
+    }
+
+    /// Hand the stored form of `amps` — the raw scalars, or one frame
+    /// carrying the amplitude offset `off` — to `put`, which writes it.
+    /// Returns the seconds it took, encode plus IO.
+    fn write(
+        &mut self,
+        off: usize,
+        amps: &[Complex<R>],
+        put: impl FnOnce(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<f64> {
+        let mut codec_dt = 0.0;
+        let bytes = if self.codec.is_none() {
+            amps_as_bytes(amps)
+        } else {
+            let t = Instant::now();
+            self.enc.clear();
+            encode_frame(self.codec, off, amps, &mut self.scratch, &mut self.enc);
+            codec_dt = t.elapsed().as_secs_f64();
+            &self.enc
+        };
+        let t = Instant::now();
+        put(bytes)?;
+        let io_dt = t.elapsed().as_secs_f64();
+        self.stats.write_seconds += io_dt;
+        self.stats.encode_seconds += codec_dt;
+        self.stats.bytes_written += bytes.len() as u64;
+        self.stats.logical_bytes_written += std::mem::size_of_val(amps) as u64;
+        Ok(io_dt + codec_dt)
+    }
 }
 
 /// A pool of fixed-length 64-byte-aligned amplitude buffers. `get`
@@ -167,13 +255,7 @@ pub struct ChunkStore<R: Real = f64> {
     dir: PathBuf,
     local_qubits: u32,
     global_qubits: u32,
-    stats: IoStats,
-    codec: Codec,
-    /// Codec working memory + encoded-frame / raw-file staging, reused
-    /// across chunks so codec IO stays allocation-free once warm.
-    scratch: CodecScratch,
-    enc: Vec<u8>,
-    _precision: std::marker::PhantomData<R>,
+    io: ChunkIo<R>,
 }
 
 impl<R: Real> ChunkStore<R> {
@@ -182,11 +264,7 @@ impl<R: Real> ChunkStore<R> {
             dir: dir.to_path_buf(),
             local_qubits,
             global_qubits,
-            stats: IoStats::default(),
-            codec,
-            scratch: CodecScratch::default(),
-            enc: Vec::new(),
-            _precision: std::marker::PhantomData,
+            io: ChunkIo::new(codec),
         }
     }
 
@@ -205,7 +283,7 @@ impl<R: Real> ChunkStore<R> {
     }
 
     /// [`ChunkStore::create_filled`] with an explicit chunk codec.
-    pub fn create_filled_with(
+    fn create_filled_with(
         dir: &Path,
         local_qubits: u32,
         global_qubits: u32,
@@ -235,12 +313,7 @@ impl<R: Real> ChunkStore<R> {
     }
 
     /// Open an existing store (files must have been created by a prior
-    /// `create_*` with the same geometry and codec mode).
-    pub fn open(dir: &Path, local_qubits: u32, global_qubits: u32) -> std::io::Result<Self> {
-        Self::open_with(dir, local_qubits, global_qubits, Codec::None)
-    }
-
-    /// [`ChunkStore::open`] with an explicit chunk codec. Raw stores are
+    /// `create_*` with the same geometry and codec mode). Raw stores are
     /// size-checked per chunk; framed stores vary in size, so only the
     /// frame headers can vouch for them (verified on every read).
     pub fn open_with(
@@ -285,22 +358,6 @@ impl<R: Real> ChunkStore<R> {
         Self::create_filled(dir, l, g, uniform_amp(l + g))
     }
 
-    /// The chunk codec this store reads and writes with.
-    #[inline]
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    #[inline]
-    pub fn local_qubits(&self) -> u32 {
-        self.local_qubits
-    }
-
-    #[inline]
-    pub fn global_qubits(&self) -> u32 {
-        self.global_qubits
-    }
-
     #[inline]
     pub fn n_qubits(&self) -> u32 {
         self.local_qubits + self.global_qubits
@@ -317,18 +374,18 @@ impl<R: Real> ChunkStore<R> {
     }
 
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.io.stats
     }
 
     /// Merge counters measured elsewhere (reader/writer views, pipeline
     /// wait accounting) into this store's totals.
     pub fn absorb(&mut self, stats: &IoStats) {
-        self.stats.merge(stats);
+        self.io.stats.merge(stats);
     }
 
     /// Count one full-state streaming pass.
     pub fn count_traversal(&mut self) {
-        self.stats.traversals += 1;
+        self.io.stats.traversals += 1;
     }
 
     fn chunk_path(&self, c: usize) -> PathBuf {
@@ -339,42 +396,20 @@ impl<R: Real> ChunkStore<R> {
         self.dir.join(format!("chunk_{c:06}.amps.staged"))
     }
 
-    /// Read chunk `c` directly into a caller-owned buffer.
+    /// Read chunk `c` directly into a caller-owned buffer. Direct store
+    /// IO is synchronous by definition: the caller waited for all of it
+    /// (pass-level IO instead attributes wait through the reader/writer
+    /// views).
     pub fn read_chunk_into(&mut self, c: usize, out: &mut [Complex<R>]) -> std::io::Result<()> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
         assert_eq!(out.len(), self.chunk_len(), "chunk size mismatch");
-        let logical = (out.len() * amp_bytes::<R>()) as u64;
-        if self.codec.is_none() {
-            let t = Instant::now();
-            let mut f = File::open(self.chunk_path(c))?;
-            f.read_exact(amps_as_bytes_mut(out))?;
-            let dt = t.elapsed().as_secs_f64();
-            self.stats.read_seconds += dt;
-            // Direct store IO is synchronous by definition: the caller
-            // waited for all of it (pass-level IO instead attributes wait
-            // through the reader/writer views).
-            self.stats.io_wait_seconds += dt;
-            self.stats.bytes_read += logical;
-            self.stats.logical_bytes_read += logical;
-        } else {
-            let t = Instant::now();
-            self.enc.clear();
-            File::open(self.chunk_path(c))?.read_to_end(&mut self.enc)?;
-            let io_dt = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            decode_frames(&self.enc, &mut self.scratch, out)?;
-            let codec_dt = t.elapsed().as_secs_f64();
-            self.stats.read_seconds += io_dt;
-            self.stats.decode_seconds += codec_dt;
-            self.stats.io_wait_seconds += io_dt + codec_dt;
-            self.stats.bytes_read += self.enc.len() as u64;
-            self.stats.logical_bytes_read += logical;
-        }
+        let path = self.chunk_path(c);
+        self.io.stats.io_wait_seconds += self.io.read(|| File::open(path), out)?;
         Ok(())
     }
 
-    /// Read chunk `c` into a fresh `Vec` (testing convenience).
-    pub fn read_chunk(&mut self, c: usize) -> std::io::Result<Vec<Complex<R>>> {
+    /// Read chunk `c` into a fresh `Vec`.
+    fn read_chunk(&mut self, c: usize) -> std::io::Result<Vec<Complex<R>>> {
         let mut out = vec![Complex::<R>::zero(); self.chunk_len()];
         self.read_chunk_into(c, &mut out)?;
         Ok(out)
@@ -384,33 +419,11 @@ impl<R: Real> ChunkStore<R> {
     pub fn write_chunk_from(&mut self, c: usize, amps: &[Complex<R>]) -> std::io::Result<()> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
         assert_eq!(amps.len(), self.chunk_len(), "chunk size mismatch");
-        let logical = (amps.len() * amp_bytes::<R>()) as u64;
-        if self.codec.is_none() {
-            let t = Instant::now();
-            let mut f = File::create(self.chunk_path(c))?;
-            f.write_all(amps_as_bytes(amps))?;
-            let dt = t.elapsed().as_secs_f64();
-            self.stats.write_seconds += dt;
-            self.stats.io_wait_seconds += dt;
-            self.stats.bytes_written += logical;
-            self.stats.logical_bytes_written += logical;
-        } else {
-            let t = Instant::now();
-            self.enc.clear();
-            encode_frame(self.codec, 0, amps, &mut self.scratch, &mut self.enc);
-            let codec_dt = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            // `File::create` truncates, discarding any longer previous
-            // generation of this chunk (encoded sizes vary).
-            let mut f = File::create(self.chunk_path(c))?;
-            f.write_all(&self.enc)?;
-            let io_dt = t.elapsed().as_secs_f64();
-            self.stats.write_seconds += io_dt;
-            self.stats.encode_seconds += codec_dt;
-            self.stats.io_wait_seconds += io_dt + codec_dt;
-            self.stats.bytes_written += self.enc.len() as u64;
-            self.stats.logical_bytes_written += logical;
-        }
+        let path = self.chunk_path(c);
+        // `File::create` truncates, discarding any longer previous
+        // generation of this chunk (encoded sizes vary).
+        let put = |bytes: &[u8]| File::create(path)?.write_all(bytes);
+        self.io.stats.io_wait_seconds += self.io.write(0, amps, put)?;
         Ok(())
     }
 
@@ -423,7 +436,7 @@ impl<R: Real> ChunkStore<R> {
     /// fully old or fully new — never a renamed file whose contents were
     /// still in the page cache. (A *mix* of old and new chunks across the
     /// store is still possible mid-commit; the checkpoint manifest's
-    /// per-chunk digests let [`ChunkStore::open_verified`] roll that
+    /// per-chunk digests let [`ChunkStore::open_verified_with`] roll that
     /// forward.)
     pub fn commit_staged(&mut self) -> std::io::Result<()> {
         self.promote_staged(true)
@@ -449,38 +462,36 @@ impl<R: Real> ChunkStore<R> {
             File::open(&self.dir)?.sync_all()?;
         }
         let dt = t.elapsed().as_secs_f64();
-        self.stats.write_seconds += dt;
-        self.stats.io_wait_seconds += dt;
+        self.io.stats.write_seconds += dt;
+        self.io.stats.io_wait_seconds += dt;
         Ok(())
     }
 
     /// FNV-1a digest of live chunk `c`'s current on-disk bytes.
     pub fn chunk_digest(&mut self, c: usize) -> std::io::Result<u64> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
-        let t = Instant::now();
-        let bytes = std::fs::read(self.chunk_path(c))?;
-        let dt = t.elapsed().as_secs_f64();
-        self.stats.read_seconds += dt;
-        self.stats.io_wait_seconds += dt;
-        self.stats.bytes_read += bytes.len() as u64;
-        Ok(qsim_core::checkpoint::fnv1a64(&bytes))
+        self.file_digest(&self.chunk_path(c))
     }
 
     /// FNV-1a digest of chunk `c`'s *staged* file (the bytes that would
     /// become live at the next [`ChunkStore::commit_staged`]); falls back
     /// to the live chunk when nothing is staged.
     pub fn staged_digest(&mut self, c: usize) -> std::io::Result<u64> {
-        assert!(c < self.n_chunks(), "chunk {c} out of range");
         let staged = self.staged_path(c);
         if !staged.exists() {
             return self.chunk_digest(c);
         }
+        self.file_digest(&staged)
+    }
+
+    /// Read and hash one file as stored (a synchronous, counted read).
+    fn file_digest(&mut self, path: &Path) -> std::io::Result<u64> {
         let t = Instant::now();
-        let bytes = std::fs::read(staged)?;
+        let bytes = std::fs::read(path)?;
         let dt = t.elapsed().as_secs_f64();
-        self.stats.read_seconds += dt;
-        self.stats.io_wait_seconds += dt;
-        self.stats.bytes_read += bytes.len() as u64;
+        self.io.stats.read_seconds += dt;
+        self.io.stats.io_wait_seconds += dt;
+        self.io.stats.bytes_read += bytes.len() as u64;
         Ok(qsim_core::checkpoint::fnv1a64(&bytes))
     }
 
@@ -525,19 +536,9 @@ impl<R: Real> ChunkStore<R> {
     ///
     /// No live file need exist beforehand: the first pass of a run reads
     /// none, so a crash between its manifest and its commit leaves only
-    /// staged files, all of which roll forward.
-    pub fn open_verified(
-        dir: &Path,
-        local_qubits: u32,
-        global_qubits: u32,
-        digests: &[u64],
-    ) -> std::io::Result<Self> {
-        Self::open_verified_with(dir, local_qubits, global_qubits, digests, Codec::None)
-    }
-
-    /// [`ChunkStore::open_verified`] with an explicit chunk codec. The
-    /// digests hash the bytes as stored — encoded frames under a codec —
-    /// so the roll-forward protocol is identical at every codec.
+    /// staged files, all of which roll forward. The digests hash the bytes
+    /// as stored — encoded frames under a codec — so the protocol is
+    /// identical at every codec.
     pub fn open_verified_with(
         dir: &Path,
         local_qubits: u32,
@@ -605,11 +606,7 @@ impl<R: Real> ChunkStore<R> {
         Ok(ChunkReader {
             files,
             chunk_len: self.chunk_len(),
-            stats: IoStats::default(),
-            codec: self.codec,
-            scratch: CodecScratch::default(),
-            enc: Vec::new(),
-            _precision: std::marker::PhantomData,
+            io: ChunkIo::new(self.io.codec),
         })
     }
 
@@ -624,11 +621,7 @@ impl<R: Real> ChunkStore<R> {
             live: (0..self.n_chunks()).map(|_| None).collect(),
             staged: (0..self.n_chunks()).map(|_| None).collect(),
             chunk_len: self.chunk_len(),
-            stats: IoStats::default(),
-            codec: self.codec,
-            scratch: CodecScratch::default(),
-            enc: Vec::new(),
-            _precision: std::marker::PhantomData,
+            io: ChunkIo::new(self.io.codec),
         })
     }
 }
@@ -638,51 +631,27 @@ impl<R: Real> ChunkStore<R> {
 pub struct ChunkReader<R: Real = f64> {
     files: Vec<File>,
     chunk_len: usize,
-    stats: IoStats,
-    codec: Codec,
-    scratch: CodecScratch,
-    enc: Vec<u8>,
-    _precision: std::marker::PhantomData<R>,
+    io: ChunkIo<R>,
 }
 
 impl<R: Real> ChunkReader<R> {
     /// Read chunk `c` into `out` through the cached handle.
     pub fn read_into(&mut self, c: usize, out: &mut [Complex<R>]) -> std::io::Result<()> {
         assert_eq!(out.len(), self.chunk_len, "chunk size mismatch");
-        let logical = (out.len() * amp_bytes::<R>()) as u64;
-        if self.codec.is_none() {
-            let t = Instant::now();
-            let f = &mut self.files[c];
-            f.seek(SeekFrom::Start(0))?;
-            f.read_exact(amps_as_bytes_mut(out))?;
-            self.stats.read_seconds += t.elapsed().as_secs_f64();
-            self.stats.bytes_read += logical;
-            self.stats.logical_bytes_read += logical;
-        } else {
-            let t = Instant::now();
-            let f = &mut self.files[c];
-            f.seek(SeekFrom::Start(0))?;
-            self.enc.clear();
-            f.read_to_end(&mut self.enc)?;
-            let io_dt = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            decode_frames(&self.enc, &mut self.scratch, out)?;
-            self.stats.read_seconds += io_dt;
-            self.stats.decode_seconds += t.elapsed().as_secs_f64();
-            self.stats.bytes_read += self.enc.len() as u64;
-            self.stats.logical_bytes_read += logical;
-        }
+        let f = &mut self.files[c];
+        self.io
+            .read(|| f.seek(SeekFrom::Start(0)).map(|_| f), out)?;
         Ok(())
     }
 
     /// The chunk codec this view decodes with.
     #[inline]
     pub fn codec(&self) -> Codec {
-        self.codec
+        self.io.codec
     }
 
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.io.stats
     }
 }
 
@@ -696,11 +665,7 @@ pub struct ChunkWriter<R: Real = f64> {
     live: Vec<Option<File>>,
     staged: Vec<Option<File>>,
     chunk_len: usize,
-    stats: IoStats,
-    codec: Codec,
-    scratch: CodecScratch,
-    enc: Vec<u8>,
-    _precision: std::marker::PhantomData<R>,
+    io: ChunkIo<R>,
 }
 
 impl<R: Real> ChunkWriter<R> {
@@ -708,41 +673,26 @@ impl<R: Real> ChunkWriter<R> {
     /// file on first touch.
     pub fn write_chunk_from(&mut self, c: usize, amps: &[Complex<R>]) -> std::io::Result<()> {
         assert_eq!(amps.len(), self.chunk_len, "chunk size mismatch");
-        let logical = (amps.len() * amp_bytes::<R>()) as u64;
-        let mut codec_dt = 0.0;
-        if !self.codec.is_none() {
-            let t = Instant::now();
-            self.enc.clear();
-            encode_frame(self.codec, 0, amps, &mut self.scratch, &mut self.enc);
-            codec_dt = t.elapsed().as_secs_f64();
-        }
-        let t = Instant::now();
-        let bytes = if self.codec.is_none() {
-            amps_as_bytes(amps)
-        } else {
-            &self.enc
-        };
-        let f = match &mut self.live[c] {
-            Some(f) => f,
-            slot => slot.insert(
-                OpenOptions::new()
-                    .write(true)
-                    .create(true)
-                    .truncate(false)
-                    .open(&self.live_paths[c])?,
-            ),
-        };
-        f.seek(SeekFrom::Start(0))?;
-        f.write_all(bytes)?;
-        // The handle doesn't truncate on open: chop any stale tail left
-        // by a longer previous generation (encoded sizes vary; a reused
-        // directory may hold another geometry's chunk), or the next read
-        // would see trailing garbage.
-        f.set_len(bytes.len() as u64)?;
-        self.stats.write_seconds += t.elapsed().as_secs_f64();
-        self.stats.encode_seconds += codec_dt;
-        self.stats.bytes_written += bytes.len() as u64;
-        self.stats.logical_bytes_written += logical;
+        let (slot, path) = (&mut self.live[c], &self.live_paths[c]);
+        self.io.write(0, amps, |bytes| {
+            let f = match slot {
+                Some(f) => f,
+                slot => slot.insert(
+                    OpenOptions::new()
+                        .write(true)
+                        .create(true)
+                        .truncate(false)
+                        .open(path)?,
+                ),
+            };
+            f.seek(SeekFrom::Start(0))?;
+            f.write_all(bytes)?;
+            // The handle doesn't truncate on open: chop any stale tail left
+            // by a longer previous generation (encoded sizes vary; a reused
+            // directory may hold another geometry's chunk), or the next read
+            // would see trailing garbage.
+            f.set_len(bytes.len() as u64)
+        })?;
         Ok(())
     }
 
@@ -757,56 +707,43 @@ impl<R: Real> ChunkWriter<R> {
         amps: &[Complex<R>],
     ) -> std::io::Result<()> {
         assert!(off + amps.len() <= self.chunk_len);
-        let logical = (amps.len() * amp_bytes::<R>()) as u64;
-        let mut codec_dt = 0.0;
-        if !self.codec.is_none() {
-            let t = Instant::now();
-            self.enc.clear();
-            encode_frame(self.codec, off, amps, &mut self.scratch, &mut self.enc);
-            codec_dt = t.elapsed().as_secs_f64();
-        }
-        let t = Instant::now();
-        if self.staged[c].is_none() {
-            let f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(!self.codec.is_none())
-                .open(&self.staged_paths[c])?;
-            if self.codec.is_none() {
-                f.set_len((self.chunk_len * amp_bytes::<R>()) as u64)?;
+        let raw = self.io.codec.is_none();
+        let chunk_bytes = (self.chunk_len * amp_bytes::<R>()) as u64;
+        let (slot, path) = (&mut self.staged[c], &self.staged_paths[c]);
+        self.io.write(off, amps, |bytes| {
+            let f = match slot {
+                Some(f) => f,
+                slot => {
+                    let f = OpenOptions::new()
+                        .write(true)
+                        .create(true)
+                        .truncate(!raw)
+                        .open(path)?;
+                    if raw {
+                        f.set_len(chunk_bytes)?;
+                    }
+                    slot.insert(f)
+                }
+            };
+            // Under a codec the retained handle's cursor already sits at
+            // the end of the previous frame, so pieces append in write
+            // order.
+            if raw {
+                f.seek(SeekFrom::Start((off * amp_bytes::<R>()) as u64))?;
             }
-            self.staged[c] = Some(f);
-        }
-        // The slot was just populated above, but a pipeline writeback
-        // thread must be able to *report* an impossible state instead of
-        // double-panicking while the engine is already unwinding.
-        let f = self.staged[c].as_mut().ok_or_else(|| {
-            std::io::Error::other(format!("staged handle for chunk {c} missing after open"))
+            f.write_all(bytes)
         })?;
-        if self.codec.is_none() {
-            f.seek(SeekFrom::Start((off * amp_bytes::<R>()) as u64))?;
-            f.write_all(amps_as_bytes(amps))?;
-            self.stats.bytes_written += logical;
-        } else {
-            // Retained handle: the cursor already sits at the end of the
-            // previous frame, so pieces append in write order.
-            f.write_all(&self.enc)?;
-            self.stats.bytes_written += self.enc.len() as u64;
-        }
-        self.stats.write_seconds += t.elapsed().as_secs_f64();
-        self.stats.encode_seconds += codec_dt;
-        self.stats.logical_bytes_written += logical;
         Ok(())
     }
 
     /// The chunk codec this view encodes with.
     #[inline]
     pub fn codec(&self) -> Codec {
-        self.codec
+        self.io.codec
     }
 
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.io.stats
     }
 }
 

@@ -586,7 +586,7 @@ fn live_pass_done<R: Real>(
 /// Commit one completed pass as a checkpoint: staged bytes durable →
 /// manifest flip → staged promote. A crash between any two steps is
 /// recoverable (see [`CrashPoint`]): before the manifest flips the old
-/// generation is intact and named; after, `open_verified` rolls the
+/// generation is intact and named; after, `open_verified_with` rolls the
 /// staged files forward by digest.
 fn checkpoint_pass<R: Real>(
     store: &mut ChunkStore<R>,

@@ -9,8 +9,12 @@
 //! counts from a schedule (swap bytes via [`CommStats`], stage passes
 //! and streamed bytes via the sweep planner, traversal count via
 //! [`plan_runs`]); [`CostModel`] converts them to modeled seconds with
-//! per-machine weights, either analytic defaults or calibrated from a
-//! short memory-bandwidth probe.
+//! per-machine weights. There is one model and it measures nothing: the
+//! weights are constants — [`CostModel::host`] for the machine a run is
+//! on (kernel rate by vector width, recorded offline as the paper
+//! benchmarks its generated kernels, §3.2), [`CostModel::cori_aries`]
+//! for the paper's machine — so a plan, its ETA prior and a search
+//! outcome are functions of (circuit, host class) alone.
 //!
 //! The model does not need to be *accurate* — only *monotone enough*
 //! that ranking candidate plans by modeled seconds ranks them by real
@@ -112,127 +116,108 @@ pub struct CostModel {
     /// effective GFLOPS of the k-qubit kernel). Small-k kernels pay more
     /// per flop (overhead-bound), so this table is what stops the model
     /// from preferring "fewer raw flops in smaller clusters" when the
-    /// real machine disagrees. Calibrate from a measured kernel ladder
-    /// (e.g. `autotune` GFLOPS) when available.
+    /// real machine disagrees.
     pub flop_seconds_by_k: [f64; MAX_COST_K + 1],
 }
 
+/// Per-flop cost by cluster width relative to k = 4, shaped like a
+/// measured fused-kernel ladder (Fig. 2/7): k ≤ 2 is overhead/bandwidth
+/// bound (expensive per flop), k = 4–5 is the sweet spot, very wide
+/// kernels start spilling registers.
+const FLOP_SHAPE: [f64; MAX_COST_K + 1] = [4.0, 4.0, 2.0, 1.4, 1.0, 0.95, 1.05, 1.25];
+
+/// Memory streaming rate of a compute pass, bytes/s: the stream-triad
+/// row recorded beside the benchmark's ceilings (benchmark/README.md).
+/// Memory bandwidth is the machine's, not a thread's, so it does not
+/// scale with the worker count.
+const HOST_STREAM_BYTES_PER_S: f64 = 25.6e9;
+
 impl CostModel {
-    /// Analytic defaults: 10 GB/s effective memory streaming, slow tier
-    /// 4× slower than memory (the in-process fabric is a memcpy; a real
-    /// network or SSD is slower still — the ratio only has to preserve
-    /// the ordering "a swap is more expensive than a pass").
-    pub fn analytic() -> Self {
-        let stream = 1.0 / 10e9;
-        // Relative per-flop cost by cluster width, shaped like a measured
-        // fused-kernel ladder (Fig. 2/7): k ≤ 2 is overhead/bandwidth
-        // bound (expensive per flop), k = 4–5 is the sweet spot, very
-        // wide kernels start spilling registers. Absolute scale is the
-        // same 10 GFLOPS as streaming; only the shape matters for
-        // ranking.
-        let shape = [4.0, 4.0, 2.0, 1.4, 1.0, 0.95, 1.05, 1.25];
+    /// The model's shape at given absolute rates: [`FLOP_SHAPE`] scaled
+    /// by the k = 4 kernel rate, and a slow tier 4× slower than memory
+    /// (the in-process fabric is a memcpy; a real network or SSD is
+    /// slower still — the ratio only has to preserve the ordering "a
+    /// swap is more expensive than a pass").
+    fn with_rates(k4_flops_per_s: f64, stream_bytes_per_s: f64) -> Self {
+        let stream = 1.0 / stream_bytes_per_s;
         Self {
             swap_byte_seconds: 4.0 * stream,
             stream_byte_seconds: stream,
             pass_seconds: 50e-6,
             run_seconds: 500e-6,
-            flop_seconds_by_k: shape.map(|s| s / 10e9),
+            flop_seconds_by_k: FLOP_SHAPE.map(|s| s / k4_flops_per_s),
         }
     }
 
-    /// Replace the per-k flop weights with a measured kernel ladder:
-    /// `gflops_by_k[i]` is the effective GFLOPS of the (i+1)-qubit
-    /// kernel (the `autotune` convention). Widths beyond the ladder
-    /// extrapolate from the last measured point with a mild 10%/qubit
-    /// penalty; non-finite or non-positive entries fall back the same
-    /// way.
-    ///
-    /// The measured *shape* (each weight relative to the k=4 sweet
-    /// spot) is clamped to within 1.1× of the analytic shape: search
-    /// decisions hinge on per-flop ratios between *adjacent* k, where
-    /// the true machine-to-machine spread is small but the rung-to-rung
-    /// noise of a quick probe on a loaded host is not — at 1.5× a noisy
-    /// k=5 rung could price kmax 5 below kmax 4 and flip a correction
-    /// the ground-truth A/B confirms. The ladder therefore sets the
-    /// absolute scale (via the k=4 pivot) while the analytic profile
-    /// pins the relative shape to ±10%.
-    pub fn with_kernel_gflops(mut self, gflops_by_k: &[f64]) -> Self {
-        let clamp_abs = |s: f64| s.clamp(1.0 / 500e9, 1.0 / 0.05e9);
-        let mut w = [0f64; MAX_COST_K + 1];
-        let mut last = self.flop_seconds_by_k[1];
-        for (k, slot) in w.iter_mut().enumerate().skip(1) {
-            let measured = gflops_by_k
-                .get(k - 1)
-                .copied()
-                .filter(|g| g.is_finite() && *g > 0.0);
-            last = match measured {
-                Some(g) => clamp_abs(1.0 / (g * 1e9)),
-                None => clamp_abs(last * 1.1),
-            };
-            *slot = last;
-        }
-        // Width-0 clusters cannot occur; mirror k=1 to keep the table
-        // total.
-        w[0] = w[1];
-        let analytic = Self::analytic().flop_seconds_by_k;
-        let pivot = w[4];
-        for k in 0..=MAX_COST_K {
-            let shape = analytic[k] / analytic[4];
-            let rel = (w[k] / pivot).clamp(shape / 1.1, shape * 1.1);
-            self.flop_seconds_by_k[k] = clamp_abs(rel * pivot);
-        }
-        self
+    /// Machine-free defaults: 10 GB/s streaming and a 10 GFLOP/s k = 4
+    /// kernel. Only the shape matters for ranking.
+    pub fn analytic() -> Self {
+        Self::with_rates(10e9, 10e9)
     }
 
-    /// Calibrate the streaming weight from a short measured probe: one
-    /// pass over `probe_bytes` of memory (default-sized when 0). The
-    /// swap weight keeps the analytic 4× ratio — the probe measures the
-    /// fast tier only, and the model needs relative, not absolute,
-    /// fidelity.
-    pub fn calibrated(probe_bytes: usize) -> Self {
-        let len = if probe_bytes == 0 {
-            1usize << 22
-        } else {
-            probe_bytes
-        }
-        .div_ceil(8);
-        let mut buf = vec![1u64; len];
-        // Warm the pages, then time a read-modify-write sweep.
-        for v in buf.iter_mut() {
-            *v = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-        let t0 = std::time::Instant::now();
-        let mut acc = 0u64;
-        for v in buf.iter_mut() {
-            *v = v.wrapping_add(1);
-            acc ^= *v;
-        }
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        std::hint::black_box(acc);
-        let bytes = (len * 8) as f64;
-        // 2× for the read+write traffic of the probe loop; clamp to a
-        // sane band so a noisy probe cannot invert the model's ordering.
-        let stream = (dt / (2.0 * bytes)).clamp(1.0 / 200e9, 1.0 / 0.5e9);
+    /// The model of a host whose widest block-lane kernel has
+    /// `vector_bits`-bit vectors running `threads` workers: one
+    /// tile-resident kernel per worker, all behind one memory system. A
+    /// table of constants recorded offline, so the same host class prices
+    /// the same schedule identically in every process. The pivot is the
+    /// per-thread k = 4 rate (GFLOP/s; spread operands, 2^14 amplitudes,
+    /// f64) of EXPERIMENTS.md's tile-resident table at 512 and 256 bits,
+    /// `simd_compare`'s scalar column (n = 16) for everything else.
+    pub fn host(vector_bits: u32, threads: usize) -> Self {
+        let k4_gflops = match vector_bits {
+            512 => 47.3,
+            256 => 36.6,
+            _ => 9.67,
+        };
+        let workers = threads.max(1) as f64;
+        Self::with_rates(workers * k4_gflops * 1e9, HOST_STREAM_BYTES_PER_S)
+    }
+
+    /// The paper's machine, for the §4.1.2 projection: `nodes` KNL nodes
+    /// of a Cori-II-scale Cray Aries dragonfly (public figures: ~10 GB/s
+    /// injection per node, ~5.6 TB/s global bisection at full scale).
+    /// With uniform all-to-all traffic a node moves its bytes at
+    /// `min(injection, 2·bisection / nodes)` times an achieved fraction —
+    /// big dragonfly installations reach 15–30 % of that bound, and the
+    /// paper's own 78 % comm share implies ≈ 0.3 GB/s/node, i.e. 22 %.
+    /// Compute is the paper's ~250 GFLOPS *sustained* per node on these
+    /// kernels at every k: the streaming it takes is inside that figure,
+    /// so the stream and per-pass weights are zero. [`PlanResources`]
+    /// counts are machine totals, so every weight is divided by `nodes`.
+    pub fn cori_aries(nodes: usize) -> Self {
+        let p = nodes.max(1) as f64;
+        let node_bytes_per_s = 10e9_f64.min(2.0 * 5.6e12 / p) * 0.22;
         Self {
-            stream_byte_seconds: stream,
-            swap_byte_seconds: 4.0 * stream,
-            ..Self::analytic()
+            swap_byte_seconds: 1.0 / (p * node_bytes_per_s),
+            stream_byte_seconds: 0.0,
+            pass_seconds: 0.0,
+            run_seconds: 0.0,
+            flop_seconds_by_k: [1.0 / (p * 250e9); MAX_COST_K + 1],
         }
     }
 
-    /// Modeled seconds of a plan with resource counts `r`.
-    pub fn seconds(&self, r: &PlanResources) -> f64 {
+    /// Modeled seconds of the compute passes: streaming, per-pass
+    /// overhead and kernel flops.
+    pub fn stage_seconds(&self, r: &PlanResources) -> f64 {
         let flops: f64 = r
             .flops_by_k
             .iter()
             .zip(self.flop_seconds_by_k.iter())
             .map(|(&f, &w)| f as f64 * w)
             .sum();
-        r.swap_bytes as f64 * self.swap_byte_seconds
-            + r.streamed_bytes as f64 * self.stream_byte_seconds
+        r.streamed_bytes as f64 * self.stream_byte_seconds
             + r.stage_passes as f64 * self.pass_seconds
-            + r.ooc_runs as f64 * self.run_seconds
             + flops
+    }
+
+    /// Modeled seconds of the swaps' slow-tier traffic.
+    pub fn swap_seconds(&self, r: &PlanResources) -> f64 {
+        r.swap_bytes as f64 * self.swap_byte_seconds
+    }
+
+    /// Modeled seconds of a plan with resource counts `r`.
+    pub fn seconds(&self, r: &PlanResources) -> f64 {
+        self.swap_seconds(r) + self.stage_seconds(r) + r.ooc_runs as f64 * self.run_seconds
     }
 
     /// Convenience: resources + modeled seconds of `schedule`.
@@ -240,12 +225,6 @@ impl CostModel {
         let r = plan_resources(schedule, amp_bytes, DEFAULT_TILE_QUBITS);
         let s = self.seconds(&r);
         (r, s)
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::analytic()
     }
 }
 
@@ -302,9 +281,19 @@ mod tests {
         f
     }
 
+    /// Every model a run can be priced under on a host: the machine-free
+    /// defaults and the three vector-width entries of the host table.
+    fn host_models() -> [CostModel; 4] {
+        [
+            CostModel::analytic(),
+            CostModel::host(512, 2),
+            CostModel::host(256, 4),
+            CostModel::host(0, 1),
+        ]
+    }
+
     #[test]
     fn cost_is_monotone_in_every_resource() {
-        let m = CostModel::analytic();
         let base = PlanResources {
             n_swaps: 2,
             swap_bytes: 1 << 20,
@@ -314,7 +303,6 @@ mod tests {
             cluster_flops: 1 << 30,
             flops_by_k: flops_in_bin(4, 1 << 30),
         };
-        let c0 = m.seconds(&base);
         for bump in [
             PlanResources {
                 swap_bytes: base.swap_bytes * 2,
@@ -338,7 +326,9 @@ mod tests {
                 ..base
             },
         ] {
-            assert!(m.seconds(&bump) > c0);
+            for m in host_models() {
+                assert!(m.seconds(&bump) > m.seconds(&base), "{m:?}");
+            }
         }
     }
 
@@ -347,7 +337,6 @@ mod tests {
         // The same raw flop count in k=3 clusters must model costlier
         // than in k=4 clusters — otherwise search prefers "fewer raw
         // flops via smaller kmax", which real kernels punish.
-        let m = CostModel::analytic();
         let base = PlanResources {
             n_swaps: 0,
             swap_bytes: 0,
@@ -361,16 +350,26 @@ mod tests {
             flops_by_k: flops_in_bin(3, 1 << 30),
             ..base
         };
-        assert!(m.seconds(&small_k) > m.seconds(&base));
-        // And the measured-ladder constructor preserves that shape even
-        // from a partial ladder with junk entries.
-        let cal = CostModel::analytic().with_kernel_gflops(&[2.0, 4.0, 7.0, 10.0, f64::NAN]);
-        assert!(cal.flop_seconds_by_k[1] > cal.flop_seconds_by_k[4]);
-        assert!(cal.flop_seconds_by_k[5] > cal.flop_seconds_by_k[4]);
-        assert!(cal
-            .flop_seconds_by_k
-            .iter()
-            .all(|w| w.is_finite() && *w > 0.0));
+        for m in host_models() {
+            assert!(m.seconds(&small_k) > m.seconds(&base), "{m:?}");
+        }
+    }
+
+    #[test]
+    fn host_table_scales_with_width_and_threads() {
+        let (wide, narrow, scalar) = (
+            CostModel::host(512, 1),
+            CostModel::host(256, 1),
+            CostModel::host(0, 1),
+        );
+        assert!(wide.flop_seconds_by_k[4] < narrow.flop_seconds_by_k[4]);
+        assert!(narrow.flop_seconds_by_k[4] < scalar.flop_seconds_by_k[4]);
+        // Workers multiply the kernel rate, not the memory system.
+        let two = CostModel::host(512, 2);
+        assert_eq!(two.flop_seconds_by_k[4] * 2.0, wide.flop_seconds_by_k[4]);
+        assert_eq!(two.stream_byte_seconds, wide.stream_byte_seconds);
+        // An unknown width is the scalar kernel, not a panic.
+        assert_eq!(CostModel::host(128, 1), scalar);
     }
 
     #[test]
@@ -393,9 +392,31 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_model_is_sane() {
-        let m = CostModel::calibrated(1 << 20);
-        assert!(m.stream_byte_seconds > 0.0 && m.stream_byte_seconds.is_finite());
-        assert!(m.swap_byte_seconds > m.stream_byte_seconds);
+    fn cori_aries_prices_the_45_qubit_run_comm_dominated() {
+        // The paper's record run: 45 qubits, depth 25, 8192 nodes —
+        // 553 s at 78 % communication (§4.1.2). The projection prices the
+        // real full-scale schedule and must land in the same regime.
+        let c = supremacy_circuit(&SupremacySpec {
+            rows: 9,
+            cols: 5,
+            depth: 25,
+            seed: 0,
+        });
+        let s = plan(&c, &SchedulerConfig::distributed(45 - 13, 4));
+        assert_eq!(s.n_swaps(), 2);
+        let m = CostModel::cori_aries(8192);
+        let (r, total) = m.cost(&s, 16);
+        assert_eq!(total, m.swap_seconds(&r) + m.stage_seconds(&r));
+        let comm_frac = m.swap_seconds(&r) / total;
+        assert!(
+            comm_frac > 0.6 && comm_frac < 0.9,
+            "comm fraction {comm_frac}"
+        );
+        assert!(total > 300.0 && total < 1200.0, "total {total}");
+        // Injection-bound on a small partition, bisection-bound at scale:
+        // a byte costs the machine less per node-second at 16 nodes.
+        let small = CostModel::cori_aries(16);
+        assert!((1.0 / (16.0 * small.swap_byte_seconds) - 2.2e9).abs() < 1.0);
+        assert!(8192.0 * m.swap_byte_seconds > 16.0 * small.swap_byte_seconds);
     }
 }

@@ -135,8 +135,8 @@ impl Progress {
     /// Seed the cost-model predicted wall seconds of `phase` (planner /
     /// CLI side).
     ///
-    /// A degenerate cost-model prior (uncalibrated weights, a zero-time
-    /// probe) can produce NaN or ±∞ here. The `as u64` cast saturates —
+    /// A degenerate cost-model prior (a zero or non-finite weight in a
+    /// hand-built model) can produce NaN or ±∞ here. The `as u64` cast saturates —
     /// +∞ would become `u64::MAX` ns (~585 years), poisoning every ETA
     /// blend downstream — so non-finite inputs are dropped to 0 (i.e.
     /// "no prior"), which the ETA math already handles.

@@ -1,7 +1,7 @@
 //! Property tests over the live-progress ETA engine's numeric inputs.
 //!
 //! The cost-model prior arrives as an `f64` that nothing upstream
-//! sanitizes: an uncalibrated weight or a zero-time probe can hand
+//! sanitizes: a zero or non-finite weight in a hand-built model can hand
 //! `set_predicted_seconds` a NaN or ±∞. Before the clamp, the
 //! `(seconds * 1e9) as u64` cast saturated +∞ to `u64::MAX` ns (~585
 //! years), poisoning every ETA blend a monitoring surface would render.

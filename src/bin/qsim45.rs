@@ -81,10 +81,22 @@ fn main() {
     qsim45::telemetry::recorder::restore_default_sigpipe();
     let mode = std::env::args().nth(1).unwrap_or_default();
     match mode.as_str() {
-        "plan" => cmd_plan(),
-        "run" => cmd_run(),
-        "sample" => cmd_sample(),
-        "kernels" => cmd_kernels(),
+        "plan" => {
+            reject_unknown_flags("plan", &[GRID_FLAGS, &["--local", "--kmax"]]);
+            cmd_plan()
+        }
+        "run" => {
+            reject_unknown_flags("run", &[GRID_FLAGS, RUN_FLAGS]);
+            cmd_run()
+        }
+        "sample" => {
+            reject_unknown_flags("sample", &[GRID_FLAGS, &["--shots", "--sample-seed"]]);
+            cmd_sample()
+        }
+        "kernels" => {
+            reject_unknown_flags("kernels", &[&["--state-qubits"]]);
+            cmd_kernels()
+        }
         _ => {
             eprintln!("usage: qsim45 <plan|run|sample|kernels> [options]");
             eprintln!("  plan   --rows R --cols C --depth D --local L [--kmax K]");
@@ -104,6 +116,36 @@ fn main() {
 fn usage_error(msg: impl std::fmt::Display) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// The circuit flags every subcommand but `kernels` reads ([`spec`]).
+const GRID_FLAGS: &[&str] = &["--rows", "--cols", "--depth", "--seed"];
+
+const RUN_FLAGS: &[&str] = &[
+    "--ranks",
+    "--backend",
+    "--precision",
+    "--compress",
+    "--kmax",
+    "--schedule",
+    "--search-budget",
+    "--checkpoint-dir",
+    "--resume",
+    "--trace-out",
+    "--metrics-out",
+    "--status-addr",
+    "--progress",
+];
+
+/// A mistyped flag must not run something else than was asked for
+/// (`run --rnks 4` used to run single-node and exit 0): any `--option`
+/// the subcommand does not define is a usage error.
+fn reject_unknown_flags(mode: &str, known: &[&[&str]]) {
+    for a in std::env::args().skip(2).filter(|a| a.starts_with("--")) {
+        if !known.iter().any(|set| set.contains(&a.as_str())) {
+            usage_error(format!("unknown option '{a}' for `qsim45 {mode}`"));
+        }
+    }
 }
 
 fn arg(name: &str, default: u32) -> u32 {

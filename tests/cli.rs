@@ -20,18 +20,25 @@ fn observables(stdout: &[u8]) -> String {
         .join("\n")
 }
 
+/// Lookup in one section (`"counters"`, `"gauges"`) of the
+/// `--metrics-out` document at `path`.
+fn metrics(path: &std::path::Path, section: &'static str) -> impl Fn(&str) -> f64 {
+    let doc = std::fs::read_to_string(path).expect("metrics written");
+    let json = qsim45::telemetry::json::parse(&doc).expect("metrics are valid JSON");
+    move |name| {
+        json.get(section)
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("no {name} under {section} in {doc}"))
+    }
+}
+
 /// Counter lookup in the `--metrics-out` document at `path` (removed
 /// after reading).
 fn counters(path: &std::path::Path) -> impl Fn(&str) -> f64 {
-    let doc = std::fs::read_to_string(path).expect("metrics written");
+    let get = metrics(path, "counters");
     let _ = std::fs::remove_file(path);
-    let json = qsim45::telemetry::json::parse(&doc).expect("metrics are valid JSON");
-    move |name| {
-        json.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("no counter {name} in {doc}"))
-    }
+    get
 }
 
 #[test]
@@ -41,7 +48,9 @@ fn resume_without_a_checkpoint_dir_is_a_usage_error() {
     // believed it picked up where it left off. It must be a hard
     // usage error instead.
     let out = qsim45()
-        .args(["run", "--qubits", "8", "--depth", "4", "--resume"])
+        .args([
+            "run", "--rows", "2", "--cols", "4", "--depth", "4", "--resume",
+        ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "usage errors exit with 2");
@@ -66,8 +75,10 @@ fn resume_with_a_checkpoint_dir_is_accepted() {
     let _ = std::fs::remove_dir_all(&dir);
     let args = [
         "run",
-        "--qubits",
-        "8",
+        "--rows",
+        "2",
+        "--cols",
+        "4",
         "--depth",
         "4",
         "--checkpoint-dir",
@@ -143,7 +154,7 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 20] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
@@ -164,13 +175,20 @@ fn misuse_is_a_one_line_usage_error() {
             &["kernels", "--state-qubits", "40"],
             "bad --state-qubits 40",
         ),
+        // A flag the subcommand does not define — a typo, or another
+        // subcommand's — must not run something else than was asked for.
+        (&["run", "--rnks", "4"], "unknown option '--rnks'"),
+        (&["run", "--qubits", "8"], "unknown option '--qubits'"),
+        (&["run", "--shots", "4"], "unknown option '--shots'"),
+        (&["plan", "--ranks", "4"], "unknown option '--ranks'"),
+        (&["sample", "--local", "4"], "unknown option '--local'"),
     ];
     for (args, names) in cases {
         // The grid goes last: `arg()` reads a flag's first occurrence,
-        // so a case's own `--rows`/`--cols` wins.
+        // so a case's own `--rows`/`--cols` wins. `kernels` has no grid.
+        let grid: &[&str] = if args[0] == "kernels" { &[] } else { &grid };
         let out = qsim45()
-            .arg(args[0])
-            .args(&args[1..])
+            .args(args)
             .args(grid)
             .output()
             .expect("binary runs");
@@ -234,6 +252,42 @@ fn fresh_processes_run_the_same_configuration() {
     assert!(first.1.contains("entropy") && first.1.contains("norm"));
     for i in 1..3 {
         assert_eq!(run(i), first, "process {i} differs from process 0");
+    }
+
+    // Nor does planning measure anything: the cost model is a table of
+    // constants, so a search-mode run examines the same candidates,
+    // reaches the same verdict and publishes the same modeled seconds in
+    // every process (a timed kernel ladder used to move the last by
+    // ±15 %). Bits, not tolerances: the f64s are compared by `to_bits`.
+    let search = |i: usize| {
+        let path =
+            std::env::temp_dir().join(format!("qsim_cli_search{i}_{}.json", std::process::id()));
+        let out = qsim45()
+            .args(["run", "--rows", "4", "--cols", "5", "--depth", "25"])
+            .args(["--ranks", "4", "--schedule", "search"])
+            .args(["--metrics-out", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "search run {i} failed");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        // "schedule    : search (S swaps, T s plan[, searched plan adopted])":
+        // everything but the plan's own wall-clock.
+        let line = stdout.lines().next().expect("schedule line");
+        let (swaps, rest) = line.split_once(" swaps").expect("swap count");
+        assert!(swaps.starts_with("schedule    : search ("), "{line}");
+        let verdict = (swaps.to_owned(), rest.contains("adopted"));
+        let predicted = metrics(&path, "gauges")("sched.predicted_seconds");
+        assert!(predicted > 0.0);
+        (
+            verdict,
+            predicted.to_bits(),
+            counters(&path)("sched.search_candidates").to_bits(),
+            observables(&out.stdout),
+        )
+    };
+    let first = search(0);
+    for i in 1..3 {
+        assert_eq!(search(i), first, "search process {i} differs");
     }
 }
 
