@@ -1,11 +1,13 @@
 //! The [`Backend`] surface — the only way to execute a schedule.
 //!
 //! The paper's central claim is that the slow tier (network or SSD) is
-//! interchangeable once the schedule needs only two all-to-alls. The
-//! three engines embody it: each has exactly one run function, taking a
-//! [`BackendPlan`] and returning a [`BackendOutcome`], and the CLI, the
-//! test suites, the benchmark and any future backend (e.g. qsimh-style
-//! path slices) reach it through this one trait.
+//! interchangeable once the schedule needs only two all-to-alls. Two
+//! engines embody it — in memory over `P ≥ 1` partitions (a single node
+//! is `P = 1`) and out of core — each with exactly one run function,
+//! taking a [`BackendPlan`] and returning a [`BackendOutcome`]. The
+//! three backends (single-node, distributed, out-of-core) wrap them, and
+//! the CLI, the test suites, the benchmark and any future backend (e.g.
+//! qsimh-style path slices) reach them through this one trait.
 //!
 //! ## Contract
 //!
@@ -14,12 +16,12 @@
 //!   schedule, kernel config and tile budget the amplitudes agree bit
 //!   for bit across engines (`max_dist == 0.0` in the equivalence
 //!   suites).
-//! * **Checkpoint granularity** is engine-defined: the single-node
-//!   engine checkpoints per *stage*, the distributed and out-of-core
-//!   engines per *stage run* (the unit between all-to-alls; out of core
-//!   it is also one streaming pass). [`Backend::total_units`] reports
-//!   the unit count so callers can pick a valid `run_to_stage` stop
-//!   point without knowing which engine they hold.
+//! * **Checkpoint granularity** is engine-defined: in memory (single
+//!   node and distributed) the unit is the *stage*, with the swap that
+//!   closes it; out of core it is the *stage run* (the stages between
+//!   two all-to-alls, one streaming pass). [`Backend::total_units`]
+//!   reports the unit count so callers can pick a valid `run_to_stage`
+//!   stop point without knowing which engine they hold.
 //! * **One checkpoint policy.** [`Backend::checkpoint`] takes the
 //!   [`CheckpointPolicy`] (`{dir, resume}`) all three engines share.
 //! * **Kill/resume.** `run_to_stage(plan, Some(u))` completes `u` units,
@@ -164,8 +166,12 @@ pub trait Backend<R: SweepDispatch> {
     /// The engine's telemetry handle (cloned; handles share state).
     fn telemetry(&self) -> Telemetry;
 
-    /// Which cost-model phase split prices this engine's ETA.
-    fn progress_backend(&self) -> ProgressBackend;
+    /// Which cost-model phase split prices this engine's ETA. Provided:
+    /// the in-memory stage + swap split; the out-of-core engine
+    /// overrides it.
+    fn progress_backend(&self) -> ProgressBackend {
+        ProgressBackend::Dist
+    }
 
     /// Checkpoint every completed unit under `policy` (and resume from
     /// its directory's manifest when the policy says so).
@@ -180,10 +186,13 @@ pub trait Backend<R: SweepDispatch> {
     /// cannot be split into is [`std::io::ErrorKind::InvalidInput`].
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError>;
 
-    /// Checkpoint units this engine executes `plan` in (stages / stage
-    /// runs — see the module docs on granularity). Valid
-    /// `run_to_stage` stop points are `1..=total_units`.
-    fn total_units(&self, plan: &BackendPlan) -> usize;
+    /// Checkpoint units this engine executes `plan` in. Valid
+    /// `run_to_stage` stop points are `1..=total_units`. Provided: one
+    /// per stage, the in-memory unit; the out-of-core engine overrides
+    /// it with one per stage run (see the module docs on granularity).
+    fn total_units(&self, plan: &BackendPlan) -> usize {
+        plan.schedule.stages.len()
+    }
 
     /// Execute `plan` — the only way to run a schedule — stopping with
     /// [`SimError::InjectedStop`] after `stop_after` checkpoint units
@@ -219,8 +228,8 @@ pub trait Backend<R: SweepDispatch> {
     }
 }
 
-/// [`Backend`] over the single-node engine. Checkpoint unit: one
-/// *stage*.
+/// [`Backend`] over the in-memory engine on one partition, the whole
+/// register. Checkpoint unit: one *stage*.
 pub struct SingleBackend {
     pub sim: SingleNodeSimulator,
     gather: bool,
@@ -241,10 +250,6 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
         self.sim.telemetry.clone()
     }
 
-    fn progress_backend(&self) -> ProgressBackend {
-        ProgressBackend::Single
-    }
-
     fn checkpoint(&mut self, policy: CheckpointPolicy) {
         self.sim.checkpoint = Some(policy);
     }
@@ -257,31 +262,20 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
         Ok(self.sim.plan::<R>(circuit))
     }
 
-    fn total_units(&self, plan: &BackendPlan) -> usize {
-        plan.schedule.stages.len()
-    }
-
     fn run_to_stage(
         &mut self,
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        let (mut out, state) = self.sim.run_plan::<R>(plan, stop_after)?;
-        // The engine holds the full state either way; the logical-order
-        // copy is made only on request (it doubles the footprint).
-        if self.gather {
-            out.state = Some(crate::dist::physical_to_logical(
-                state.amplitudes(),
-                plan.schedule.final_mapping(),
-            ));
-        }
-        Ok(out)
+        self.sim
+            .one_partition(self.gather)
+            .run_plan("single", plan, stop_after)
     }
 }
 
-/// [`Backend`] over the distributed engine. Checkpoint unit: one *stage
-/// run* (the stretch between all-to-alls). Planning knobs live here —
-/// the engine itself takes a pre-planned schedule.
+/// [`Backend`] over the in-memory engine on `2^g` ranks. Checkpoint
+/// unit: one *stage*, with the swap that closes it. Planning knobs live
+/// here — the engine itself takes a pre-planned schedule.
 pub struct DistBackend {
     pub sim: DistSimulator,
     pub kmax: u32,
@@ -307,10 +301,6 @@ impl<R: SweepDispatch> Backend<R> for DistBackend {
         self.sim.config.telemetry.clone()
     }
 
-    fn progress_backend(&self) -> ProgressBackend {
-        ProgressBackend::Dist
-    }
-
     fn checkpoint(&mut self, policy: CheckpointPolicy) {
         self.sim.config.checkpoint = Some(policy);
     }
@@ -331,16 +321,12 @@ impl<R: SweepDispatch> Backend<R> for DistBackend {
         )
     }
 
-    fn total_units(&self, plan: &BackendPlan) -> usize {
-        qsim_sched::plan_runs(&plan.schedule).len()
-    }
-
     fn run_to_stage(
         &mut self,
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        self.sim.run_plan::<R>(plan, stop_after)
+        self.sim.run_plan("dist", plan, stop_after)
     }
 }
 

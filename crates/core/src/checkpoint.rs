@@ -1,12 +1,11 @@
-//! Checkpoint/restart primitives shared by the three engines.
+//! Checkpoint/restart primitives shared by the engines.
 //!
 //! The paper's stage segmentation (§3.6.1) exists so a petascale
 //! traversal can be cut at communication boundaries; this module is the
 //! on-disk half of that promise. A checkpoint is a [`Manifest`] — a
 //! small JSON document recording the schedule fingerprint, a *unit*
-//! cursor (stage, stage run or streaming pass, depending on the engine)
-//! and one digest per durable artifact (chunk file, rank slice or state
-//! snapshot).
+//! cursor (a stage in memory, a stage run — one streaming pass — out of
+//! core) and one digest per durable artifact (rank slice or chunk file).
 //!
 //! Durability protocol (every engine follows the same ordering):
 //!
@@ -282,8 +281,8 @@ impl Manifest {
     }
 
     /// Check that this manifest belongs to the run `key` describes;
-    /// returns where to restart — the first *unit* (stage / stage run /
-    /// pass) whose effects are NOT yet durable on disk.
+    /// returns where to restart — the first *unit* (stage / stage run)
+    /// whose effects are NOT yet durable on disk.
     pub fn validate(&self, key: &RunKey) -> Result<usize, CheckpointError> {
         let fail = |m: String| Err(CheckpointError::Mismatch(m));
         let schedule = key.schedule;
@@ -638,8 +637,8 @@ pub fn schedule_fingerprint(schedule: &Schedule) -> u64 {
     h.finish()
 }
 
-/// Path of a generation-named state snapshot (single-node engine) or
-/// rank slice (distributed engine) inside a checkpoint directory.
+/// Path of a generation-named rank slice snapshot (the whole register
+/// on a single node) inside a checkpoint directory.
 pub fn snapshot_path(dir: &Path, artifact: usize, unit: usize) -> PathBuf {
     dir.join(format!("state_a{artifact:03}.u{unit:06}.amps"))
 }

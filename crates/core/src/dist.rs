@@ -1,8 +1,11 @@
-//! The distributed simulator (§3.4–3.6).
+//! The in-memory engine (§3.4–3.6): the distributed simulator, and the
+//! single-node one as its `g = 0` case.
 //!
-//! Executes a [`Schedule`] across `2^g` fabric ranks. Each rank owns a
+//! Executes a [`qsim_sched::Schedule`] across `2^g` fabric ranks. Each rank owns a
 //! 2^l-amplitude slice of the physical state: bit positions `0..l` index
-//! within the slice, positions `l..n` are the rank id. Per stage:
+//! within the slice, positions `l..n` are the rank id. A single-node run
+//! is one rank holding the whole register, where the swap, the
+//! all-reduce and the barrier have no peer and do nothing. Per stage:
 //!
 //! * **clusters** run the fused k-qubit kernels on the local slice — all
 //!   ranks execute identical operations (SPMD);
@@ -36,7 +39,7 @@ use qsim_net::collective::{
 };
 use qsim_net::fabric::{try_run_cluster_hooked, RankCtx};
 use qsim_net::{FaultPlan, PoisonHook, SimError};
-use qsim_sched::{plan_runs, StageRun, SwapOp};
+use qsim_sched::SwapOp;
 use qsim_telemetry::{Phase, RunState, Telemetry, TrackHandle};
 use qsim_util::bits::BitPermutation;
 use qsim_util::complex::Complex;
@@ -49,13 +52,9 @@ pub struct DistConfig {
     /// Rank count; must equal `2^(n − schedule.local_qubits)`.
     pub n_ranks: usize,
     pub kernel: KernelConfig,
-    /// Gather the full state to rank 0 and return it in logical basis
-    /// order (small n only; used by tests and examples).
+    /// The outcome carries the full state in logical basis order (small
+    /// n only; used by tests and examples).
     pub gather_state: bool,
-    /// Pipeline depth of the fused swap engine (sub-chunks per peer
-    /// segment). `None` picks a size-based default per swap
-    /// ([`default_sub_chunks_sized`]).
-    pub sub_chunks: Option<usize>,
     /// Tile budget (log2 amplitudes) of the cache-tiled stage executor;
     /// `None` is [`crate::exec::resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
@@ -65,11 +64,12 @@ pub struct DistConfig {
     /// `SweepStats` under the `dist.*` metric prefix. The default
     /// disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
-    /// When set, every rank snapshots its slice at each stage-run
-    /// boundary and rank 0 publishes an atomic manifest in the policy's
-    /// directory, so a killed run can restart from the last completed
-    /// run instead of from scratch (and does, under `resume`, after the
-    /// manifest validates against the schedule fingerprint).
+    /// When set, every rank snapshots its slice after each stage (and
+    /// the swap that closes it) and rank 0 publishes an atomic manifest
+    /// in the policy's directory, so a killed run can restart from the
+    /// last completed stage instead of from scratch (and does, under
+    /// `resume`, after the manifest validates against the schedule
+    /// fingerprint).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Scripted rank failures for fault-injection testing (see
     /// [`qsim_net::FaultPlan`]); checked before every swap.
@@ -88,7 +88,6 @@ impl std::fmt::Debug for DistConfig {
             .field("n_ranks", &self.n_ranks)
             .field("kernel", &self.kernel)
             .field("gather_state", &self.gather_state)
-            .field("sub_chunks", &self.sub_chunks)
             .field("tile_qubits", &self.tile_qubits)
             .field("checkpoint", &self.checkpoint)
             .field("fault_plan", &self.fault_plan)
@@ -103,7 +102,6 @@ impl Default for DistConfig {
             n_ranks: 1,
             kernel: KernelConfig::default(),
             gather_state: false,
-            sub_chunks: None,
             tile_qubits: None,
             telemetry: Telemetry::disabled(),
             checkpoint: None,
@@ -113,7 +111,9 @@ impl Default for DistConfig {
     }
 }
 
-/// The distributed engine.
+/// The in-memory engine. A single-node run is this engine on one
+/// partition under the `"single"` tag (`SingleBackend`,
+/// `SingleNodeSimulator::try_run_t`).
 pub struct DistSimulator {
     pub config: DistConfig,
 }
@@ -123,24 +123,47 @@ impl DistSimulator {
         Self { config }
     }
 
-    /// The engine's one run function: execute `plan.schedule` across
-    /// `2^g` fabric ranks, starting from the uniform superposition when
-    /// `plan.init_uniform` (the §3.6 supremacy-circuit start), else
-    /// |0…0⟩. Every rank slice, compiled stage and swap wire buffer holds
-    /// `Complex<R>` amplitudes, so f32 runs move half the bytes end to
-    /// end.
-    ///
-    /// Injected faults, lost ranks and checkpoint IO surface as a typed
-    /// [`SimError`] after all rank threads have been joined — never a
-    /// panic or a hang. `stop_after` makes every rank return
-    /// [`SimError::InjectedStop`] after that many stage runs, past the
-    /// unit's checkpoint barrier, so the manifest for the unit is durable
-    /// and the run is resumable.
+    /// [`DistSimulator::run_partitions`], with the ranks' slices
+    /// reordered into the outcome's logical-order state under
+    /// `gather_state`.
     pub(crate) fn run_plan<R: SweepDispatch>(
         &self,
+        engine: &'static str,
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
+        let (mut out, parts) = self.run_partitions(engine, plan, stop_after)?;
+        if self.config.gather_state {
+            out.state = Some(gather_logical(&parts, plan.schedule.final_mapping()));
+        }
+        Ok(out)
+    }
+
+    /// The in-memory engine's one run function: execute `plan.schedule`
+    /// across `2^g` fabric ranks, starting from the uniform superposition
+    /// when `plan.init_uniform` (the §3.6 supremacy-circuit start), else
+    /// |0…0⟩. Every rank slice, compiled stage and swap wire buffer holds
+    /// `Complex<R>` amplitudes, so f32 runs move half the bytes end to
+    /// end. Returns the report and every rank's final slice, in rank
+    /// order (physical order).
+    ///
+    /// `engine` is what the run reports as: the manifest's engine tag,
+    /// the metric prefix, the track names and the [`BackendStats`]
+    /// variant (`"single"` or `"dist"`).
+    ///
+    /// The checkpoint unit is the stage (with the swap that closes it).
+    /// Injected faults, lost ranks and checkpoint IO surface as a typed
+    /// [`SimError`] after all rank threads have been joined — never a
+    /// panic or a hang. `stop_after` makes every rank return
+    /// [`SimError::InjectedStop`] after that many stages, past the unit's
+    /// checkpoint barrier, so the manifest for the unit is durable and
+    /// the run is resumable.
+    pub(crate) fn run_partitions<R: SweepDispatch>(
+        &self,
+        engine: &'static str,
+        plan: &BackendPlan,
+        stop_after: Option<usize>,
+    ) -> Result<(BackendOutcome<R>, Vec<StateVector<R>>), SimError> {
         let schedule = &plan.schedule;
         let n = schedule.n_qubits;
         let l = schedule.local_qubits;
@@ -156,25 +179,23 @@ impl DistSimulator {
         }
         check_stop_point(self.config.checkpoint.as_ref(), stop_after)?;
         let cfg = &self.config.kernel;
-        let gather = self.config.gather_state;
         let tele = &self.config.telemetry;
         let tile_qubits = self.config.tile_qubits;
-        let runs = plan_runs(schedule);
         let key = RunKey {
-            engine: "dist",
+            engine,
             schedule,
             precision: R::NAME,
             codec: "none",
             init_uniform: plan.init_uniform,
-            total_units: runs.len(),
+            total_units: schedule.stages.len(),
             n_artifacts: self.config.n_ranks,
         };
 
         // Resolve checkpoint/resume state on the driver before any rank
         // spawns, so a mismatched manifest fails fast and loudly.
+        let driver = tele.track(&track_name(engine, None));
         let resume = match &self.config.checkpoint {
             Some(cp) => {
-                let driver = tele.track("dist driver");
                 let _s = driver.span("resume.validate");
                 key.resume_point(cp)?
             }
@@ -184,24 +205,21 @@ impl DistSimulator {
         // Prepare the stages ONCE on the driver: the SPMD ranks run
         // identical ops, so they share the packed matrices and tile
         // plans instead of re-deriving them 2^g times.
-        let exec = StageExecutor::<R>::new(&schedule.stages, l, cfg, tile_qubits);
+        let exec = {
+            let _s = driver.span("compile");
+            StageExecutor::<R>::new(&schedule.stages, l, cfg, tile_qubits)
+        };
 
         // Seed the live-progress denominators with the units this run
         // will actually execute (a resume pre-credits nothing: skipped
-        // runs are simply not planned). Only rank 0 reports completions,
+        // stages are simply not planned). Only rank 0 reports completions,
         // so planned counts are schedule-level, not ×2^g.
-        let start_run = resume.as_ref().map_or(0, |(unit, _)| *unit);
+        let start = resume.as_ref().map_or(0, |(unit, _)| *unit);
         if let Some(p) = tele.progress() {
-            let stage_units: u64 = runs[start_run..]
-                .iter()
-                .map(|r| r.stages.len() as u64)
-                .sum();
-            let swap_units = runs[start_run..]
-                .iter()
-                .filter(|r| r.swap.is_some())
-                .count();
-            p.set_planned_units(Phase::Stage, stage_units);
-            p.set_planned_units(Phase::Swap, swap_units as u64);
+            let rest = &schedule.stages[start..];
+            let swaps = rest.iter().filter(|s| s.swap.is_some()).count();
+            p.set_planned_units(Phase::Stage, rest.len() as u64);
+            p.set_planned_units(Phase::Swap, swaps as u64);
             crate::planner::seed_progress(
                 tele,
                 schedule,
@@ -214,9 +232,7 @@ impl DistSimulator {
 
         let shared = RankShared {
             key,
-            runs: &runs,
-            gather,
-            sub_chunks: self.config.sub_chunks,
+            parallel_init: cfg.threads > 1,
             exec: &exec,
             tele,
             checkpoint: self.config.checkpoint.as_ref(),
@@ -229,20 +245,14 @@ impl DistSimulator {
             self.config.poison_hook.clone(),
             |ctx| run_rank(ctx, &shared),
         );
-        let (rank_results, fabric) = match cluster {
-            Ok(out) => out,
-            Err(e) => {
-                if let Some(p) = tele.progress() {
-                    p.set_state(RunState::Failed);
-                }
-                tele.publish_progress_gauges();
-                return Err(e);
-            }
-        };
         if let Some(p) = tele.progress() {
-            p.set_state(RunState::Done);
+            p.set_state(match cluster {
+                Ok(_) => RunState::Done,
+                Err(_) => RunState::Failed,
+            });
         }
         tele.publish_progress_gauges();
+        let (rank_results, fabric) = cluster?;
 
         // Wall-clock of the rank bodies / of the entropy all-reduce
         // alone (the paper reports 8.1 s of 99 s for that step): max
@@ -261,39 +271,56 @@ impl DistSimulator {
             ..
         } = rank_results[0];
         if let Some(m) = tele.metrics() {
-            fabric.publish_into(m, "dist.fabric");
-            sweep.publish_into(m, "dist.sweep");
-            m.gauge_set("dist.sim_seconds", sim_seconds);
-            m.gauge_set("dist.entropy_seconds", entropy_seconds);
-            m.gauge_set(
-                "dist.bytes_per_amp",
-                std::mem::size_of::<Complex<R>>() as f64,
-            );
-            m.gauge_set("dist.precision_bits", (R::BYTES * 8) as f64);
-            m.counter_add("dist.swap_bytes_copied", swap_bytes_copied);
-        }
-        let state = gather.then(|| {
-            // Assemble physical slices, then reorder into logical basis.
-            let mut physical = vec![Complex::<R>::zero(); 1usize << n];
-            for (r, res) in rank_results.iter().enumerate() {
-                let slice = res.slice.as_ref().expect("gather requested");
-                physical[r << l..(r + 1) << l].copy_from_slice(slice);
+            fabric.publish_into(m, &format!("{engine}.fabric"));
+            sweep.publish_into(m, &format!("{engine}.sweep"));
+            m.counter_add(&format!("{engine}.swap_bytes_copied"), swap_bytes_copied);
+            for (gauge, value) in [
+                ("plan_seconds", plan.plan_seconds),
+                ("sim_seconds", sim_seconds),
+                ("entropy_seconds", entropy_seconds),
+                ("bytes_per_amp", std::mem::size_of::<Complex<R>>() as f64),
+                ("precision_bits", (R::BYTES * 8) as f64),
+            ] {
+                m.gauge_set(&format!("{engine}.{gauge}"), value);
             }
-            physical_to_logical(&physical, schedule.final_mapping())
-        });
-        Ok(BackendOutcome {
-            norm,
-            entropy,
-            sim_seconds,
-            stats: BackendStats::Dist {
+        }
+        let stats = match engine {
+            "single" => BackendStats::Single { sweep },
+            _ => BackendStats::Dist {
                 fabric,
                 sweep,
                 swap_bytes_copied,
                 entropy_seconds,
             },
-            state,
-        })
+        };
+        let out = BackendOutcome {
+            norm,
+            entropy,
+            sim_seconds,
+            stats,
+            state: None,
+        };
+        Ok((out, rank_results.into_iter().map(|r| r.state).collect()))
     }
+}
+
+/// Timeline rows of an in-memory run: a single-node run records on its
+/// one `single` track; a distributed run on `dist driver` (`rank: None`)
+/// and one `rank {r}` track per rank.
+fn track_name(engine: &str, rank: Option<usize>) -> String {
+    match (engine, rank) {
+        ("single", _) => engine.to_string(),
+        (_, Some(r)) => format!("rank {r}"),
+        (_, None) => format!("{engine} driver"),
+    }
+}
+
+/// The full state in logical basis order, read straight from the rank
+/// slices (physical order, rank `r` holding indices `r·2^l..`).
+fn gather_logical<R: SweepDispatch>(parts: &[StateVector<R>], mapping: &[u32]) -> Vec<Complex<R>> {
+    let l = parts[0].n_qubits();
+    let mask = (1usize << l) - 1;
+    logical_order(mapping, |p| parts[p >> l].amplitudes()[p & mask])
 }
 
 struct RankResult<R: SweepDispatch> {
@@ -303,16 +330,17 @@ struct RankResult<R: SweepDispatch> {
     entropy_seconds: f64,
     swap_bytes_copied: u64,
     sweep: SweepStats,
-    slice: Option<Vec<Complex<R>>>,
+    state: StateVector<R>,
 }
 
 /// Read-only inputs shared by every rank body (the SPMD program).
 struct RankShared<'a, R: SweepDispatch> {
-    /// The run's identity (schedule, precision, start state, units).
+    /// The run's identity (engine, schedule, precision, start state,
+    /// units).
     key: RunKey<'a>,
-    runs: &'a [StageRun],
-    gather: bool,
-    sub_chunks: Option<usize>,
+    /// The kernel runs more than one thread, so the same pool writes the
+    /// start state (first touch, §3.3); otherwise the rank thread does.
+    parallel_init: bool,
     exec: &'a StageExecutor<'a, R>,
     tele: &'a Telemetry,
     checkpoint: Option<&'a CheckpointPolicy>,
@@ -327,24 +355,26 @@ fn run_rank<R: SweepDispatch>(
     sh: &RankShared<'_, R>,
 ) -> Result<RankResult<R>, SimError> {
     let schedule = sh.key.schedule;
+    let stages = &schedule.stages;
     let n = schedule.n_qubits;
     let l = schedule.local_qubits;
     let rank = ctx.rank();
-    let track = sh.tele.track(&format!("rank {rank}"));
+    let track = sh.tele.track(&track_name(sh.key.engine, Some(rank)));
     let _rank_span = track.span_id("rank", rank as u64);
     let t0 = Instant::now();
 
-    // Resume loads the slice snapshot of the last completed stage run,
+    // Resume loads the slice snapshot of the last completed stage,
     // verified against the digest the manifest recorded for this rank.
     // Otherwise start from the §3.6 initial state.
-    let (mut state, start_run) = match (sh.checkpoint, sh.resume) {
+    let (mut state, start) = match (sh.checkpoint, sh.resume) {
         (Some(cp), Some((unit, digests))) if *unit > 0 => {
             let amps = load_snapshot::<R>(&cp.dir, rank, *unit, 1usize << l, digests[rank])?;
             (StateVector::from_amplitudes(amps), *unit)
         }
         _ => {
+            let _s = track.span("init");
             let state = if sh.key.init_uniform {
-                StateVector::<R>::uniform_slice(l, n)
+                StateVector::<R>::uniform_part(l, n, sh.parallel_init)
             } else if rank == 0 {
                 StateVector::<R>::zero(l)
             } else {
@@ -356,38 +386,34 @@ fn run_rank<R: SweepDispatch>(
 
     // One scratch for the whole run: every swap reuses it (and the
     // fabric's wire pools), so only the first swap pays any allocation.
-    let mut swap_bufs = SwapBuffers::new(sh.sub_chunks);
+    let mut swap_bufs = SwapBuffers::new(None);
     let mut sweep = SweepStats::default();
     // Swap indices are absolute over the schedule (fault points and the
     // paper's swap count are schedule-level), so count the ones the
     // resume skipped.
-    let mut swap_index = sh.runs[..start_run]
-        .iter()
-        .filter(|r| r.swap.is_some())
-        .count();
+    let mut swap_index = stages[..start].iter().filter(|s| s.swap.is_some()).count();
 
-    for (ri, run) in sh.runs.iter().enumerate().skip(start_run) {
+    for (si, stage) in stages.iter().enumerate().skip(start) {
         if rank == 0 {
             if let Some(p) = sh.tele.progress() {
-                p.set_stage(ri as u64, sh.runs.len() as u64);
+                p.set_stage(si as u64, stages.len() as u64);
             }
         }
-        for si in run.stages.clone() {
-            let t_stage = Instant::now();
+        let t_stage = Instant::now();
+        {
             let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
             // Rank bits resolve global diagonal operands.
             sh.exec
                 .apply(si..si + 1, state.amplitudes_mut(), rank, &mut sweep);
-            // Rank 0 speaks for the SPMD cluster: all ranks run the same
-            // stage, so one completion report per stage is the truth.
-            if rank == 0 {
-                sh.tele
-                    .progress_unit(Phase::Stage, t_stage.elapsed().as_nanos() as u64);
-            }
         }
-        if let Some(swap) = &run.swap {
+        // Rank 0 speaks for the SPMD cluster: all ranks run the same
+        // stage, so one completion report per stage is the truth.
+        if rank == 0 {
+            sh.tele
+                .progress_unit(Phase::Stage, t_stage.elapsed().as_nanos() as u64);
+        }
+        if let Some(swap) = &stage.swap {
             ctx.fault_point(swap_index)?;
-            let si = run.stages.end - 1;
             let t_swap = Instant::now();
             let _s = track.span_timed("swap", si as u64, "swap_ns");
             perform_swap(ctx, &mut state, swap, l, &mut swap_bufs);
@@ -397,19 +423,20 @@ fn run_rank<R: SweepDispatch>(
                     .progress_unit(Phase::Swap, t_swap.elapsed().as_nanos() as u64);
             }
         }
+        let unit = si + 1;
         if let Some(cp) = sh.checkpoint {
-            checkpoint_unit(ctx, cp, &sh.key, &track, &state, ri + 1)?;
+            checkpoint_unit(ctx, cp, &sh.key, &track, &state, unit)?;
         }
         // Injected stop: every rank returns the same typed error at the
-        // same run boundary (post-barrier, so the manifest for the unit
+        // same stage boundary (post-barrier, so the manifest for the unit
         // is already durable everywhere).
-        if sh.stop_after == Some(ri + 1) {
-            return Err(SimError::InjectedStop { unit: ri + 1 });
+        if sh.stop_after == Some(unit) {
+            return Err(SimError::InjectedStop { unit });
         }
-        // Per-rank straggler gauges, refreshed at every stage-run
-        // boundary so /status shows live comm/blocked skew across ranks
-        // mid-run. Keys are distinct per rank, so concurrent sets from
-        // the 2^g rank threads never collide.
+        // Per-rank straggler gauges, refreshed at every stage boundary
+        // so /status shows live comm/blocked skew across ranks mid-run.
+        // Keys are distinct per rank, so concurrent sets from the 2^g
+        // rank threads never collide.
         if let Some(m) = sh.tele.metrics() {
             m.gauge_set(&format!("live.rank{rank}.comm_seconds"), ctx.comm_seconds());
             m.gauge_set(
@@ -442,11 +469,11 @@ fn run_rank<R: SweepDispatch>(
         entropy_seconds,
         swap_bytes_copied: swap_bufs.bytes_copied,
         sweep,
-        slice: sh.gather.then(|| state.amplitudes().to_vec()),
+        state,
     })
 }
 
-/// Publish one completed stage run (`unit` = runs finished so far).
+/// Publish one completed stage (`unit` = stages finished so far).
 ///
 /// Ordering is the crux: every rank makes its own snapshot durable
 /// (`write_amps_snapshot` fsyncs) and ships its digest to rank 0, rank 0
@@ -663,14 +690,17 @@ pub fn slots_to_top_permutation(slots: &[u32], l: u32) -> BitPermutation {
 /// `out[b] = physical[p]` with `p`'s bit `mapping[q]` equal to `b`'s bit
 /// `q`.
 pub fn physical_to_logical<R: Real>(physical: &[Complex<R>], mapping: &[u32]) -> Vec<Complex<R>> {
-    let n = mapping.len();
-    assert_eq!(physical.len(), 1usize << n);
+    assert_eq!(physical.len(), 1usize << mapping.len());
+    logical_order(mapping, |p| physical[p])
+}
+
+/// `out[b] = amp(p)` over the register, `p` as in
+/// [`physical_to_logical`].
+fn logical_order<R: Real>(mapping: &[u32], amp: impl Fn(usize) -> Complex<R>) -> Vec<Complex<R>> {
     let perm = BitPermutation::new(mapping.to_vec());
-    let mut out = vec![Complex::<R>::zero(); physical.len()];
-    for b in 0..physical.len() {
-        out[b] = physical[perm.apply(b)];
-    }
-    out
+    (0..1usize << mapping.len())
+        .map(|b| amp(perm.apply(b)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -706,13 +736,14 @@ mod tests {
             n_ranks: 1usize << (n - l),
             kernel: KernelConfig::sequential(),
             gather_state: true,
-            // Exercise the pipelined exchange (odd depth, non-divisible
-            // sub-ranges) in every equivalence test.
-            sub_chunks: Some(3),
             ..Default::default()
         });
         let out = sim
-            .run_plan(&BackendPlan::from_schedule(exec, schedule, true), None)
+            .run_plan(
+                "dist",
+                &BackendPlan::from_schedule(exec, schedule, true),
+                None,
+            )
             .unwrap();
         // Reference: single-node run of the same circuit.
         let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
@@ -813,7 +844,11 @@ mod tests {
             ..Default::default()
         });
         let out = sim
-            .run_plan::<f64>(&BackendPlan::from_schedule(c, schedule, false), None)
+            .run_plan::<f64>(
+                "dist",
+                &BackendPlan::from_schedule(c, schedule, false),
+                None,
+            )
             .unwrap();
         let state = out.state.unwrap();
         assert!((state[0] - c64::one()).abs() < 1e-12);

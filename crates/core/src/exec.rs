@@ -169,9 +169,9 @@ pub fn resolve_tile_qubits(requested: Option<u32>, local_qubits: u32, threads: u
 }
 
 /// A slice of stages prepared for execution on partitions of
-/// `2^local_qubits` amplitudes. Built once per residency (per run on a
-/// single node, per SPMD run on the distributed driver, per stage run
-/// out of core) and shared read-only by every partition.
+/// `2^local_qubits` amplitudes. Built once per residency (per run on the
+/// in-memory driver, per stage run out of core) and shared read-only by
+/// every partition.
 pub struct StageExecutor<'a, R: SweepDispatch = f64> {
     stages: &'a [Stage],
     /// Index-aligned with `stages`; `None` is per-gate mode.

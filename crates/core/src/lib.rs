@@ -1,15 +1,16 @@
 //! # qsim-core
 //!
-//! The simulators. Three execution engines share the kernels, circuits
+//! The simulators. The execution engines share the kernels, circuits
 //! and schedules of the sibling crates:
 //!
-//! * [`single`] — single-node simulator: plans the circuit (clustering
-//!   only, no swaps) and executes fused k-qubit kernels with rayon
-//!   parallelism — the paper's §3.1–3.3 stack.
-//! * [`dist`] — the distributed simulator: executes a [`qsim_sched`]
+//! * [`dist`] — the in-memory engine: executes a [`qsim_sched`]
 //!   schedule across `2^g` ranks of the [`qsim_net`] fabric, realizing
 //!   global-to-local swaps as local bit permutations around all-to-alls
 //!   (§3.4) and diagonal global gates as rank-conditional phases (§3.5).
+//! * [`single`] — single-node simulator: plans the circuit (clustering
+//!   only, no swaps) and runs it as the in-memory engine's one partition,
+//!   fused k-qubit kernels with rayon parallelism — the paper's §3.1–3.3
+//!   stack.
 //! * [`baseline`] — the prior-art comparator (\[5\]/\[19\]): per-gate
 //!   execution, no fusion, global gates via two pairwise half-state
 //!   exchanges. Table 2's speedups are measured against this engine.

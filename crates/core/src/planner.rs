@@ -98,11 +98,10 @@ fn host_threads() -> usize {
 }
 
 /// Which engine a progress seed prices for — the live phases differ:
-/// single-node runs are pure stage work, distributed runs split into
-/// stage + swap phases, and the out-of-core engine streams everything.
+/// in-memory runs split into stage + swap phases (a single node's swap
+/// phase prices at 0 s), and the out-of-core engine streams everything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProgressBackend {
-    Single,
     Dist,
     Ooc,
 }
@@ -129,7 +128,6 @@ pub fn seed_progress(
     let r = qsim_sched::plan_resources(schedule, amp_bytes, tile_qubits);
     let model = process_cost_model();
     match backend {
-        ProgressBackend::Single => p.set_predicted_seconds(Phase::Stage, model.stage_seconds(&r)),
         ProgressBackend::Dist => {
             p.set_predicted_seconds(Phase::Stage, model.stage_seconds(&r));
             p.set_predicted_seconds(Phase::Swap, model.swap_seconds(&r));

@@ -1,18 +1,15 @@
 //! Single-node simulator (§3.1–3.3 stack).
 //!
 //! Plans the circuit with the scheduler (pure clustering — with every
-//! qubit local there are no swaps), then sweeps fused k-qubit kernels
-//! over the state with rayon parallelism. The qubit-mapping heuristic
-//! (§3.6.2) can be applied first; the plan is translated back, so the
-//! gathered state keeps the caller's qubit order.
+//! qubit local there are no swaps), then runs it as the in-memory
+//! engine's one partition ([`crate::dist`] at `g = 0`): fused k-qubit
+//! kernels swept over the whole register with rayon parallelism. The
+//! qubit-mapping heuristic (§3.6.2) can be applied first; the plan is
+//! translated back, so the gathered state keeps the caller's qubit order.
 
-use crate::backend::{BackendOutcome, BackendPlan, BackendStats};
-use crate::checkpoint::{
-    check_stop_point, load_snapshot, retire_snapshot, save_snapshot, CheckpointError,
-    CheckpointPolicy, RunKey,
-};
-use crate::exec::{resolve_tile_qubits, StageExecutor};
-use crate::observables::norm_entropy;
+use crate::backend::BackendPlan;
+use crate::checkpoint::CheckpointPolicy;
+use crate::dist::{DistConfig, DistSimulator};
 use crate::planner::{plan_schedule, PlanOptions};
 use crate::state::StateVector;
 use qsim_circuit::Circuit;
@@ -20,8 +17,7 @@ use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::SimError;
 use qsim_sched::{Schedule, SchedulerConfig};
-use qsim_telemetry::{Phase, RunState, Telemetry};
-use std::time::Instant;
+use qsim_telemetry::Telemetry;
 
 /// What [`SingleNodeSimulator::try_run_t`] hands back: the owned state
 /// (physical order) for the library's observables, measurement and noise
@@ -51,10 +47,10 @@ pub struct SingleNodeSimulator {
     /// `single` track and publishes `SweepStats` under `single.sweep`.
     /// The default disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
-    /// Stage-granular checkpoint/restart (single-node schedules have no
-    /// swaps, so the unit is a *stage*): a run killed between stages
-    /// resumes from the last completed one. `None` (the default) takes
-    /// no durability step.
+    /// Stage-granular checkpoint/restart (the in-memory unit, as in the
+    /// distributed engine): a run killed between stages resumes from the
+    /// last completed one. `None` (the default) takes no durability
+    /// step.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Schedule policy: greedy (the default, bit-identical to the
     /// pre-search engine) or cost-guided search under a budget.
@@ -97,9 +93,12 @@ impl SingleNodeSimulator {
         let track = self.telemetry.track("single");
         let _run_span = track.span("run");
         let plan = self.plan::<R>(circuit);
-        let (out, state) = self.run_plan::<R>(&plan, None)?;
+        let (out, mut parts) = self
+            .one_partition(false)
+            .run_partitions::<R>("single", &plan, None)?;
         Ok(SingleOutcome {
-            state,
+            // The one rank's slice is the whole register.
+            state: parts.swap_remove(0),
             schedule: plan.schedule,
             sim_seconds: out.sim_seconds,
             plan_seconds: plan.plan_seconds,
@@ -137,146 +136,19 @@ impl SingleNodeSimulator {
         BackendPlan::from_planned(exec, init_uniform, planned)
     }
 
-    /// The engine's one run function: apply `plan`'s stages to the full
-    /// register, one [`StageExecutor`] call per stage, with an optional
-    /// checkpoint step after each. Returns the report and the state
-    /// (physical order) it describes.
-    ///
-    /// Under a checkpoint policy the snapshot for stage `u` is made
-    /// durable *before* the manifest naming it, and the previous snapshot
-    /// is deleted only after the new manifest is on disk, so a crash at
-    /// any instant leaves a consistent (snapshot, manifest) pair to
-    /// resume from. `stop_after` returns [`SimError::InjectedStop`] once
-    /// that many stages are durable.
-    pub(crate) fn run_plan<R: SweepDispatch>(
-        &self,
-        plan: &BackendPlan,
-        stop_after: Option<usize>,
-    ) -> Result<(BackendOutcome<R>, StateVector<R>), SimError> {
-        check_stop_point(self.checkpoint.as_ref(), stop_after)?;
-        if let Some(p) = self.telemetry.progress() {
-            crate::planner::seed_progress(
-                &self.telemetry,
-                &plan.schedule,
-                2 * R::BYTES as u64,
-                resolve_tile_qubits(
-                    self.tile_qubits,
-                    plan.schedule.n_qubits,
-                    self.kernel.threads,
-                ),
-                crate::planner::ProgressBackend::Single,
-            );
-            p.set_state(RunState::Running);
-        }
-        let out = self.run_stages::<R>(plan, stop_after);
-        if let Some(p) = self.telemetry.progress() {
-            p.set_state(if out.is_ok() {
-                RunState::Done
-            } else {
-                RunState::Failed
-            });
-        }
-        self.telemetry.publish_progress_gauges();
-        out
-    }
-
-    fn run_stages<R: SweepDispatch>(
-        &self,
-        plan: &BackendPlan,
-        stop_after: Option<usize>,
-    ) -> Result<(BackendOutcome<R>, StateVector<R>), SimError> {
-        let schedule = &plan.schedule;
-        assert_eq!(schedule.n_swaps(), 0, "local execution cannot swap");
-        let n = schedule.n_qubits;
-        let total_units = schedule.stages.len();
-        let track = self.telemetry.track("single");
-        let key = RunKey {
-            engine: "single",
-            schedule,
-            precision: R::NAME,
-            codec: "none",
-            init_uniform: plan.init_uniform,
-            total_units,
-            n_artifacts: 1,
-        };
-        let resume = match &self.checkpoint {
-            Some(cp) => {
-                let _s = track.span("resume.validate");
-                key.resume_point(cp)?
-            }
-            None => None,
-        };
-        let (mut state, start_stage) = match (&self.checkpoint, resume) {
-            (Some(cp), Some((unit, digests))) if unit > 0 => {
-                let amps = load_snapshot::<R>(&cp.dir, 0, unit, 1usize << n, digests[0])?;
-                (StateVector::from_amplitudes(amps), unit)
-            }
-            _ => {
-                let _s = track.span("init");
-                let state = if plan.init_uniform {
-                    StateVector::<R>::uniform(n)
-                } else {
-                    StateVector::<R>::zero(n)
-                };
-                (state, 0)
-            }
-        };
-
-        let t1 = Instant::now();
-        let exec = {
-            let _s = track.span("compile");
-            StageExecutor::<R>::new(&schedule.stages, n, &self.kernel, self.tile_qubits)
-        };
-        // Seed the live-progress denominator with the stages this run
-        // will actually execute — a resume pre-credits nothing.
-        if let Some(p) = self.telemetry.progress() {
-            p.set_planned_units(Phase::Stage, (total_units - start_stage) as u64);
-        }
-        let mut sweep = SweepStats::default();
-        for si in start_stage..total_units {
-            if let Some(p) = self.telemetry.progress() {
-                p.set_stage(si as u64, total_units as u64);
-            }
-            let t_stage = Instant::now();
-            {
-                let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
-                exec.apply(si..si + 1, state.amplitudes_mut(), 0, &mut sweep);
-            }
-            self.telemetry
-                .progress_unit(Phase::Stage, t_stage.elapsed().as_nanos() as u64);
-            let unit = si + 1;
-            if let Some(cp) = &self.checkpoint {
-                let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
-                let digest = save_snapshot(&cp.dir, 0, unit, state.amplitudes())?;
-                key.manifest(unit, vec![digest])
-                    .write_atomic(&cp.dir)
-                    .map_err(CheckpointError::Io)?;
-                retire_snapshot(&cp.dir, 0, unit);
-            }
-            if stop_after == Some(unit) {
-                return Err(SimError::InjectedStop { unit });
-            }
-        }
-        let sim_seconds = t1.elapsed().as_secs_f64();
-        if let Some(m) = self.telemetry.metrics() {
-            sweep.publish_into(m, "single.sweep");
-            m.gauge_set("single.plan_seconds", plan.plan_seconds);
-            m.gauge_set("single.sim_seconds", sim_seconds);
-            m.gauge_set(
-                "single.bytes_per_amp",
-                std::mem::size_of::<qsim_util::Complex<R>>() as f64,
-            );
-            m.gauge_set("single.precision_bits", (R::BYTES * 8) as f64);
-        }
-        let (norm, entropy) = norm_entropy(state.amplitudes());
-        let out = BackendOutcome {
-            norm,
-            entropy,
-            sim_seconds,
-            stats: BackendStats::Single { sweep },
-            state: None,
-        };
-        Ok((out, state))
+    /// This engine as the in-memory engine's one partition: a single
+    /// node is the distributed engine at `g = 0`, where swap, all-reduce
+    /// and barrier have no peer.
+    pub(crate) fn one_partition(&self, gather_state: bool) -> DistSimulator {
+        DistSimulator::new(DistConfig {
+            n_ranks: 1,
+            kernel: self.kernel,
+            gather_state,
+            tile_qubits: self.tile_qubits,
+            telemetry: self.telemetry.clone(),
+            checkpoint: self.checkpoint.clone(),
+            ..DistConfig::default()
+        })
     }
 }
 
@@ -382,7 +254,7 @@ mod tests {
 
     #[test]
     fn mapping_optimization_gathers_the_callers_qubit_order() {
-        use crate::backend::{Backend, SingleBackend};
+        use crate::backend::{Backend, BackendOutcome, SingleBackend};
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 3,

@@ -41,15 +41,29 @@ impl<T: SweepDispatch> StateVector<T> {
 
     /// The uniform superposition 2^{−n/2}(1,…,1)ᵀ — the state after the
     /// initial Hadamard layer, which the simulator writes directly
-    /// instead of executing the H gates (§3.6).
-    ///
-    /// From [`PAR_THRESHOLD`] amplitudes up the pool that will sweep the
-    /// state writes it, each thread faulting in the pages it fills — the
-    /// paper's first-touch initialization (§3.3).
+    /// instead of executing the H gates (§3.6). Written in parallel.
     pub fn uniform(n_qubits: u32) -> Self {
-        let len = 1usize << n_qubits;
-        let amp = Complex::new(T::ONE / T::from_usize(len).sqrt(), T::ZERO);
-        let amps = if len < PAR_THRESHOLD {
+        Self::uniform_part(n_qubits, n_qubits, true)
+    }
+
+    /// Uniform amplitude value for a SLICE of a larger uniform state:
+    /// every amplitude is 2^{−total/2}. Written by the calling thread: a
+    /// rank fills its own slice, and the ranks are the parallelism.
+    pub fn uniform_slice(local_qubits: u32, total_qubits: u32) -> Self {
+        Self::uniform_part(local_qubits, total_qubits, false)
+    }
+
+    /// `2^local` amplitudes of the `total`-qubit uniform superposition.
+    /// With `parallel`, from [`PAR_THRESHOLD`] amplitudes up the pool that
+    /// will sweep the partition writes it, each thread faulting in the
+    /// pages it fills — the paper's first-touch initialization (§3.3).
+    pub(crate) fn uniform_part(local_qubits: u32, total_qubits: u32, parallel: bool) -> Self {
+        let len = 1usize << local_qubits;
+        let amp = Complex::new(
+            T::ONE / T::from_usize(1usize << total_qubits).sqrt(),
+            T::ZERO,
+        );
+        let amps = if !parallel || len < PAR_THRESHOLD {
             AlignedVec::from_fn(len, |_| amp)
         } else {
             AlignedVec::from_fn_with(
@@ -63,19 +77,8 @@ impl<T: SweepDispatch> StateVector<T> {
                 |_| amp,
             )
         };
-        Self { amps, n_qubits }
-    }
-
-    /// Uniform amplitude value for a SLICE of a larger uniform state:
-    /// every amplitude is 2^{−total/2}. Written by the calling thread: a
-    /// rank fills its own slice, and the ranks are the parallelism.
-    pub fn uniform_slice(local_qubits: u32, total_qubits: u32) -> Self {
-        let amp = Complex::new(
-            T::ONE / T::from_usize(1usize << total_qubits).sqrt(),
-            T::ZERO,
-        );
         Self {
-            amps: AlignedVec::from_fn(1usize << local_qubits, |_| amp),
+            amps,
             n_qubits: local_qubits,
         }
     }

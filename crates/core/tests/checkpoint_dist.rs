@@ -17,7 +17,7 @@ use qsim_core::{
 };
 use qsim_kernels::apply::KernelConfig;
 use qsim_net::{FaultPlan, SimError};
-use qsim_sched::{plan, plan_runs, Schedule, SchedulerConfig};
+use qsim_sched::{plan, plan_runs, segment_stages, Schedule, SchedulerConfig};
 use qsim_telemetry::{FlightRecorder, Telemetry};
 use qsim_util::complex::max_dist;
 
@@ -52,7 +52,6 @@ fn config(schedule: &Schedule) -> DistConfig {
         n_ranks: 1usize << (schedule.n_qubits - schedule.local_qubits),
         kernel: KernelConfig::sequential(),
         gather_state: true,
-        sub_chunks: Some(3),
         ..Default::default()
     }
 }
@@ -77,7 +76,7 @@ fn injected_kill_then_resume_is_bit_exact() {
         .unwrap();
 
     // Checkpointed run, killed at the second swap: at least one stage
-    // run has completed and published a manifest by then.
+    // has completed and published a manifest by then.
     let dir = tmpdir("kill_resume");
     let mut cfg = config(&schedule);
     cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
@@ -91,7 +90,7 @@ fn injected_kill_then_resume_is_bit_exact() {
     }
     assert!(
         dir.join("MANIFEST.json").exists(),
-        "a completed stage run must have published a manifest"
+        "a completed stage must have published a manifest"
     );
 
     // Resume from the manifest: the final state must equal the
@@ -120,7 +119,7 @@ fn resume_of_a_finished_run_replays_nothing_and_matches() {
     let expect = first.state.unwrap();
 
     // The manifest now records every unit complete; a resume loads the
-    // final snapshots, skips all stage runs, and reduces.
+    // final snapshots, skips all stages, and reduces.
     let mut cfg = config(&schedule);
     cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
     let out = run(cfg, &exec, &schedule).expect("resume of finished run");
@@ -246,5 +245,35 @@ fn resume_flag_without_a_manifest_is_a_fresh_start() {
     cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
     let out = run(cfg, &exec, &schedule).expect("fresh start");
     assert_eq!(max_dist(&out.state.unwrap(), &baseline), 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_segmented_stage_is_a_checkpoint_unit() {
+    // Planner output closes every stage with a swap, so stages and stage
+    // runs coincide there; `segment_stages` splits them apart. The
+    // in-memory unit is the stage, so a stop strictly inside a run is a
+    // durable checkpoint, and resuming from it is bit-exact.
+    let (exec, schedule) = planned(7, 3);
+    let schedule = segment_stages(&schedule, 2);
+    let runs = plan_runs(&schedule);
+    let plan = BackendPlan::from_schedule(exec, schedule.clone(), true);
+    let b: &mut dyn Backend<f64> = &mut DistBackend::new(DistSimulator::new(config(&schedule)));
+    let total = b.total_units(&plan);
+    assert_eq!(total, schedule.stages.len());
+    assert!(total > runs.len(), "{total} stages in {} runs", runs.len());
+    let baseline = b.run(&plan).unwrap().state.unwrap();
+
+    let run = runs.iter().find(|r| r.len() >= 2).expect("a segmented run");
+    let stop = run.stages.start + 1;
+    let dir = tmpdir("segmented");
+    b.checkpoint(CheckpointPolicy::new(&dir));
+    match b.run_to_stage(&plan, Some(stop)) {
+        Err(SimError::InjectedStop { unit }) => assert_eq!(unit, stop),
+        other => panic!("expected InjectedStop, got {:?}", other.map(|_| ())),
+    }
+    b.checkpoint(CheckpointPolicy::resume(&dir));
+    let resumed = b.run(&plan).unwrap().state.unwrap();
+    assert_eq!(max_dist(&resumed, &baseline), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -46,8 +46,8 @@ const RANKS: usize = 16;
 /// Every [`Backend`] implementation in the workspace, built over the
 /// same telemetry handle with sequential kernels (determinism across
 /// repeated runs is part of what the harness asserts). The single-node
-/// engine gets a small `kmax` so clustering leaves it more than one
-/// stage (its checkpoint unit) on this workload.
+/// plan of this workload is one swap-free stage, so its one checkpoint
+/// unit is the whole run.
 fn backends<R: SweepDispatch>(t: &Telemetry) -> Vec<Box<dyn Backend<R>>> {
     vec![
         Box::new(SingleBackend::new(SingleNodeSimulator {
@@ -83,9 +83,9 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
 
         // Plan: a valid schedule with a positive unit count. Swapful
         // plans (dist, ooc) must expose more than one checkpoint unit
-        // so the kill below lands strictly mid-run; a single-node
-        // schedule is one swap-free stage, so its unit is the whole
-        // run and the kill fires after the final stage instead.
+        // so the kill below lands strictly mid-run; the single-node
+        // plan has one unit, so its kill fires after its one stage,
+        // at the end of the run.
         let plan = b.plan(&c).expect(name);
         let total_units = b.total_units(&plan);
         assert!(total_units >= 1, "{name}: empty plan");
@@ -295,4 +295,13 @@ fn bad_partition_counts_are_typed_errors_not_panics() {
     assert_invalid_input("dist run, l < g", Backend::<f64>::run(&mut wide, &narrow));
     let mut ooc = OocBackend::new(OocSimulator::<f64>::new(OocConfig::sequential()), 8);
     assert_invalid_input("ooc run, l < g", ooc.run(&narrow));
+    // A swapful hand-planned schedule (l < n) on the single-node engine,
+    // whose one partition is the whole register.
+    assert!(plan.schedule.n_swaps() > 0);
+    let swapful = BackendPlan::from_schedule(plan.exec.clone(), plan.schedule.clone(), true);
+    let mut single = SingleBackend::new(SingleNodeSimulator::default());
+    assert_invalid_input(
+        "single run, 4-way plan",
+        Backend::<f64>::run(&mut single, &swapful),
+    );
 }
