@@ -151,7 +151,7 @@ fn all_engines_emit_spans_and_metrics() {
     }
     assert!(count(&spans, "ooc.prefetch", "synthesise") >= 1);
     assert!(count(&spans, "ooc.prefetch", "read") >= 1);
-    assert!(count(&spans, "ooc.writeback", "write staged") >= 1);
+    assert!(count(&spans, "ooc.writeback", "write piece") >= 1);
     assert!(count(&spans, "ooc.writeback", "write") >= 1);
 
     // --- Coverage: the single-node root span accounts for ≥ 75% of the

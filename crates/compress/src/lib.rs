@@ -220,7 +220,7 @@ pub fn encode_frame<R: Real>(
 }
 
 /// Decode a sequence of frames into `out`. Frames may land at any
-/// offsets (a scattered staged file appends one frame per piece) but
+/// offsets (a scattered chunk file appends one frame per piece) but
 /// must jointly cover `out` exactly: total decoded amplitudes ==
 /// `out.len()`. All malformed inputs are [`io::ErrorKind::InvalidData`],
 /// never a panic — these bytes come straight from disk.

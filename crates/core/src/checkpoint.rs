@@ -7,18 +7,25 @@
 //! cursor (a stage in memory, a stage run — one streaming pass — out of
 //! core) and one digest per durable artifact (rank slice or chunk file).
 //!
-//! Durability protocol (every engine follows the same ordering):
+//! Durability protocol (every engine, every unit). Each engine keeps
+//! two generations of its artifacts, named by the parity of the unit
+//! that wrote them (`state_a002.g0.amps`, `chunk_000003.g1.amps`). Unit
+//! `u` reads generation `u − 1` and writes generation `u` into the
+//! parity the durable manifest does not name; then
 //!
-//! 1. write the new state artifacts and `sync_all` each;
-//! 2. write the manifest *atomically* — temp file → `sync_all` →
-//!    rename over [`MANIFEST_FILE`] → directory fsync — so a crash
-//!    leaves either the old or the new manifest, never a torn one;
-//! 3. only then retire artifacts the old manifest referenced.
+//! 1. `sync_all` each new artifact and digest it as stored;
+//! 2. publish the manifest naming `u` *atomically* — temp file →
+//!    `sync_all` → rename over [`MANIFEST_FILE`] → directory fsync, which
+//!    also makes the directory entries of newly created artifacts durable.
 //!
-//! A crash between (1) and (2) is invisible: the old manifest still
-//! points at intact old-generation artifacts. A crash inside (2) is
-//! resolved by the atomicity of `rename`. A crash during (3) is rolled
-//! forward on open (see `ChunkStore::open_verified` in `qsim-ooc`).
+//! The manifest flip is the only commit. A crash at any byte of unit `u`
+//! leaves the manifest naming the intact generation `u − 1` next to
+//! garbage in the other parity, which resume ignores and the replay
+//! overwrites; a crash inside (2) is resolved by the atomicity of
+//! `rename`. No rank or pass may start unit `u + 1` — overwriting
+//! generation `u − 1` — before the manifest naming `u` is durable. A
+//! fresh start deletes any older manifest first ([`RunKey::resume_point`]),
+//! because it reuses the names that manifest points at.
 //!
 //! u64 values (hashes, digests, seeds) are serialized as *hex strings*:
 //! the in-workspace JSON parser ([`qsim_telemetry::json`]) reads numbers
@@ -40,7 +47,10 @@ use std::path::{Path, PathBuf};
 /// load-bearing as `n_qubits`. Version 3 added `codec`: under a chunk
 /// codec the artifacts hold encoded frames and their digests hash those
 /// encoded bytes, so resuming across codecs would mis-read every chunk.
-pub const MANIFEST_VERSION: u32 = 3;
+/// Version 4 names artifacts by generation parity instead of by unit (or
+/// by a staged/live pair), so a version-3 directory is a
+/// [`CheckpointError::Mismatch`], not a missing file.
+pub const MANIFEST_VERSION: u32 = 4;
 
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -177,74 +187,60 @@ impl Manifest {
 
     /// Parse the on-disk JSON document.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let doc = json::parse(text).map_err(CheckpointError::Corrupt)?;
-        let num = |key: &str| -> Result<f64, CheckpointError> {
+        let corrupt = CheckpointError::Corrupt;
+        let doc = json::parse(text).map_err(corrupt)?;
+        let field = |key: &str| {
             doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| CheckpointError::Corrupt(format!("missing number '{key}'")))
+                .ok_or_else(|| corrupt(format!("missing '{key}'")))
         };
-        let hex = |key: &str| -> Result<u64, CheckpointError> {
-            let s = doc
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| CheckpointError::Corrupt(format!("missing hex field '{key}'")))?;
-            u64::from_str_radix(s, 16)
-                .map_err(|e| CheckpointError::Corrupt(format!("bad hex in '{key}': {e}")))
+        let string = |key: &str| -> Result<String, CheckpointError> {
+            let s = field(key)?.as_str().map(str::to_string);
+            s.ok_or_else(|| corrupt(format!("'{key}' is not a string")))
         };
-        let version = num("version")? as u32;
+        let hex = |s: &str| {
+            u64::from_str_radix(s, 16).map_err(|e| corrupt(format!("bad hex '{s}': {e}")))
+        };
+        // Integer fields must be exact integers in `0..2^32 − 1`, so the
+        // casts below are lossless: `-1` or `4.5` is corruption, not 0 or 4.
+        let int = |key: &str| match field(key)?.as_f64() {
+            Some(x) if x >= 0.0 && x.fract() == 0.0 && x < u32::MAX as f64 => Ok(x as u64),
+            _ => Err(corrupt(format!("'{key}' is not a non-negative integer"))),
+        };
+        let version = int("version")? as u32;
         if version != MANIFEST_VERSION {
             return Err(CheckpointError::Mismatch(format!(
                 "manifest version {version}, this build reads {MANIFEST_VERSION}"
             )));
         }
-        let engine = doc
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CheckpointError::Corrupt("missing 'engine'".into()))?
-            .to_string();
-        let init_uniform = match doc.get("init_uniform") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(CheckpointError::Corrupt("missing 'init_uniform'".into())),
+        let Some(&Json::Bool(init_uniform)) = doc.get("init_uniform") else {
+            return Err(corrupt("missing 'init_uniform'".into()));
         };
-        let digests = doc
-            .get("digests")
-            .and_then(Json::as_array)
-            .ok_or_else(|| CheckpointError::Corrupt("missing 'digests'".into()))?
+        let digests = field("digests")?
+            .as_array()
+            .ok_or_else(|| corrupt("'digests' is not an array".into()))?
             .iter()
             .map(|j| {
-                let s = j
+                hex(j
                     .as_str()
-                    .ok_or_else(|| CheckpointError::Corrupt("non-string digest".into()))?;
-                u64::from_str_radix(s, 16)
-                    .map_err(|e| CheckpointError::Corrupt(format!("bad digest: {e}")))
+                    .ok_or_else(|| corrupt("non-string digest".into()))?)
             })
             .collect::<Result<Vec<u64>, _>>()?;
-        let precision = doc
-            .get("precision")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CheckpointError::Corrupt("missing 'precision'".into()))?
-            .to_string();
-        let codec = doc
-            .get("codec")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CheckpointError::Corrupt("missing 'codec'".into()))?
-            .to_string();
         let m = Manifest {
             version,
-            engine,
-            schedule_hash: hex("schedule_hash")?,
-            n_qubits: num("n_qubits")? as u32,
-            local_qubits: num("local_qubits")? as u32,
-            precision,
-            codec,
+            engine: string("engine")?,
+            schedule_hash: hex(&string("schedule_hash")?)?,
+            n_qubits: int("n_qubits")? as u32,
+            local_qubits: int("local_qubits")? as u32,
+            precision: string("precision")?,
+            codec: string("codec")?,
             init_uniform,
-            rng_seed: hex("rng_seed")?,
-            next_unit: num("next_unit")? as usize,
-            total_units: num("total_units")? as usize,
+            rng_seed: hex(&string("rng_seed")?)?,
+            next_unit: int("next_unit")? as usize,
+            total_units: int("total_units")? as usize,
             digests,
         };
         if m.next_unit > m.total_units {
-            return Err(CheckpointError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "cursor {} past total {}",
                 m.next_unit, m.total_units
             )));
@@ -272,12 +268,19 @@ impl Manifest {
     /// checkpoint has been published there yet.
     pub fn load(dir: &Path) -> Result<Option<Self>, CheckpointError> {
         let path = dir.join(MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CheckpointError::Io(e)),
-        };
-        Self::from_json(&text).map(Some)
+        match std::fs::read(&path) {
+            Ok(bytes) => Self::from_bytes(&bytes).map(Some),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(CheckpointError::Io(e)),
+        }
+    }
+
+    /// [`Manifest::from_json`] over the file's raw bytes: bytes that are
+    /// not UTF-8 are a corrupt manifest, not an IO failure.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
+        Self::from_json(text)
     }
 
     /// Check that this manifest belongs to the run `key` describes;
@@ -431,15 +434,26 @@ impl RunKey<'_> {
     /// `resume` load and validate its manifest. Returns the first unit
     /// still to run and the artifact digests the manifest promises;
     /// `None` is a fresh start.
+    ///
+    /// A fresh start (not `resume`) durably deletes any manifest already
+    /// there before the run writes an artifact: the new run reuses the
+    /// generation names, so a crash in its first unit could otherwise
+    /// tear files an older run's manifest still names.
     pub fn resume_point(
         &self,
         policy: &CheckpointPolicy,
     ) -> Result<Option<(usize, Vec<u64>)>, CheckpointError> {
-        std::fs::create_dir_all(&policy.dir).map_err(|e| at_path(&policy.dir, e))?;
+        let dir = &policy.dir;
+        std::fs::create_dir_all(dir).map_err(|e| at_path(dir, e))?;
         if !policy.resume {
+            match std::fs::remove_file(dir.join(MANIFEST_FILE)) {
+                Ok(()) => fsync_dir(dir).map_err(|e| at_path(dir, e))?,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(at_path(dir, e)),
+            }
             return Ok(None);
         }
-        let Some(m) = Manifest::load(&policy.dir)? else {
+        let Some(m) = Manifest::load(dir)? else {
             return Ok(None);
         };
         let next_unit = m.validate(self)?;
@@ -451,8 +465,11 @@ fn at_path(path: &Path, e: io::Error) -> CheckpointError {
     CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
-/// Durably write artifact `artifact`'s snapshot for cursor `unit` (the
-/// in-memory engines' per-unit step 1); returns its digest.
+/// Durably write artifact `artifact`'s snapshot of generation `unit`
+/// (the in-memory engines' per-unit step 1) over whatever generation
+/// `unit − 2` left under that parity, and return its digest. Bytes are
+/// little-endian `(re, im)` scalar pairs at the state's precision — the
+/// same layout as the chunk store on every supported target.
 pub fn save_snapshot<R: Real>(
     dir: &Path,
     artifact: usize,
@@ -460,10 +477,23 @@ pub fn save_snapshot<R: Real>(
     amps: &[Complex<R>],
 ) -> Result<u64, CheckpointError> {
     let path = snapshot_path(dir, artifact, unit);
-    write_amps_snapshot(&path, amps).map_err(|e| at_path(&path, e))
+    let write = || -> io::Result<u64> {
+        let mut f = io::BufWriter::new(File::create(&path)?);
+        let mut h = Fnv1a::new();
+        for a in amps {
+            for x in [a.re, a.im] {
+                let bytes = &x.to_bits_u64().to_le_bytes()[..R::BYTES];
+                f.write_all(bytes)?;
+                h.write(bytes);
+            }
+        }
+        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        Ok(h.finish())
+    };
+    write().map_err(|e| at_path(&path, e))
 }
 
-/// Load artifact `artifact`'s snapshot for cursor `unit` and verify it
+/// Load artifact `artifact`'s snapshot of generation `unit` and verify it
 /// against the digest the manifest recorded — a torn or stale snapshot
 /// is a typed error, never silently wrong amplitudes.
 pub fn load_snapshot<R: Real>(
@@ -474,7 +504,21 @@ pub fn load_snapshot<R: Real>(
     want: u64,
 ) -> Result<Vec<Complex<R>>, CheckpointError> {
     let path = snapshot_path(dir, artifact, unit);
-    let (amps, digest) = read_amps_snapshot::<R>(&path, len).map_err(|e| at_path(&path, e))?;
+    let read = || -> io::Result<(Vec<Complex<R>>, u64)> {
+        let mut f = io::BufReader::new(File::open(&path)?);
+        let mut h = Fnv1a::new();
+        let mut scalar = || -> io::Result<R> {
+            let mut b = [0u8; 8];
+            f.read_exact(&mut b[..R::BYTES])?;
+            h.write(&b[..R::BYTES]);
+            Ok(R::from_bits_u64(u64::from_le_bytes(b)))
+        };
+        let amps = (0..len)
+            .map(|_| Ok(Complex::new(scalar()?, scalar()?)))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok((amps, h.finish()))
+    };
+    let (amps, digest) = read().map_err(|e| at_path(&path, e))?;
     if digest != want {
         return Err(CheckpointError::Mismatch(format!(
             "snapshot {} does not match the manifest digest",
@@ -482,14 +526,6 @@ pub fn load_snapshot<R: Real>(
         )));
     }
     Ok(amps)
-}
-
-/// Step 3 of the protocol for a snapshot artifact: once the manifest
-/// naming `unit` is durable, the previous generation is dead weight.
-pub fn retire_snapshot(dir: &Path, artifact: usize, unit: usize) {
-    if unit > 1 {
-        let _ = std::fs::remove_file(snapshot_path(dir, artifact, unit - 1));
-    }
 }
 
 /// fsync a directory so preceding renames/creates in it are durable.
@@ -637,52 +673,11 @@ pub fn schedule_fingerprint(schedule: &Schedule) -> u64 {
     h.finish()
 }
 
-/// Path of a generation-named rank slice snapshot (the whole register
-/// on a single node) inside a checkpoint directory.
+/// Path of a rank slice snapshot (the whole register on a single node)
+/// of generation `unit` inside a checkpoint directory: named by the
+/// unit's parity, so two generations alternate between two files.
 pub fn snapshot_path(dir: &Path, artifact: usize, unit: usize) -> PathBuf {
-    dir.join(format!("state_a{artifact:03}.u{unit:06}.amps"))
-}
-
-/// Write an amplitude snapshot durably (`sync_all` before returning)
-/// and report its digest. Bytes are little-endian `(re, im)` scalar
-/// pairs at the state's precision — the same layout as the chunk store
-/// on every supported target.
-pub fn write_amps_snapshot<R: Real>(path: &Path, amps: &[Complex<R>]) -> io::Result<u64> {
-    let mut f = io::BufWriter::new(File::create(path)?);
-    let mut h = Fnv1a::new();
-    for a in amps {
-        let re = a.re.to_bits_u64().to_le_bytes();
-        let im = a.im.to_bits_u64().to_le_bytes();
-        f.write_all(&re[..R::BYTES])?;
-        f.write_all(&im[..R::BYTES])?;
-        h.write(&re[..R::BYTES]);
-        h.write(&im[..R::BYTES]);
-    }
-    let f = f.into_inner().map_err(|e| e.into_error())?;
-    f.sync_all()?;
-    Ok(h.finish())
-}
-
-/// Read an amplitude snapshot back, returning the amplitudes and the
-/// digest of the bytes actually read (callers verify it against the
-/// manifest before trusting the state).
-pub fn read_amps_snapshot<R: Real>(path: &Path, len: usize) -> io::Result<(Vec<Complex<R>>, u64)> {
-    let mut f = io::BufReader::new(File::open(path)?);
-    let mut amps = Vec::with_capacity(len);
-    let mut h = Fnv1a::new();
-    for _ in 0..len {
-        let mut re = [0u8; 8];
-        f.read_exact(&mut re[..R::BYTES])?;
-        h.write(&re[..R::BYTES]);
-        let mut im = [0u8; 8];
-        f.read_exact(&mut im[..R::BYTES])?;
-        h.write(&im[..R::BYTES]);
-        amps.push(Complex::new(
-            R::from_bits_u64(u64::from_le_bytes(re)),
-            R::from_bits_u64(u64::from_le_bytes(im)),
-        ));
-    }
-    Ok((amps, h.finish()))
+    dir.join(format!("state_a{artifact:03}.g{}.amps", unit % 2))
 }
 
 #[cfg(test)]
@@ -765,21 +760,96 @@ mod tests {
             Manifest::load(&dir),
             Err(CheckpointError::Corrupt(_))
         ));
+        // 200,000 nested arrays: a typed error, not a stack overflow.
+        std::fs::write(dir.join(MANIFEST_FILE), "[".repeat(200_000)).unwrap();
+        assert!(matches!(
+            Manifest::load(&dir),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn key(sched: &Schedule) -> RunKey<'_> {
+        RunKey {
+            engine: "ooc",
+            schedule: sched,
+            precision: "f64",
+            codec: "none",
+            init_uniform: true,
+            total_units: 2,
+            n_artifacts: 2,
+        }
+    }
+
+    #[test]
+    fn manifest_integers_must_be_exact_and_non_negative() {
+        let sched = tiny_schedule();
+        let good = key(&sched).manifest(1, vec![7, 8]).to_json();
+        for (field, bad) in [
+            ("\"next_unit\": 1", "\"next_unit\": -1"),
+            ("\"next_unit\": 1", "\"next_unit\": 0.5"),
+            ("\"version\": 4", "\"version\": 4.5"),
+            ("\"n_qubits\": 3", "\"n_qubits\": 1e300"),
+            ("\"total_units\": 2", "\"total_units\": 4294967296"),
+        ] {
+            let text = good.replace(field, bad);
+            assert_ne!(text, good, "{field}");
+            assert!(
+                matches!(Manifest::from_json(&text), Err(CheckpointError::Corrupt(_))),
+                "{bad}"
+            );
+        }
+        // A version-3 manifest is a foreign format, not a torn file.
+        let v3 = good.replace("\"version\": 4", "\"version\": 3");
+        assert!(matches!(
+            Manifest::from_json(&v3),
+            Err(CheckpointError::Mismatch(_))
+        ));
+    }
+
+    #[test]
+    fn every_truncation_and_byte_corruption_is_typed() {
+        let sched = tiny_schedule();
+        let good = key(&sched).manifest(1, vec![7, u64::MAX]).to_json();
+        let typed = |bytes: &[u8]| match Manifest::from_bytes(bytes) {
+            Ok(_) | Err(CheckpointError::Corrupt(_) | CheckpointError::Mismatch(_)) => true,
+            Err(CheckpointError::Io(_)) => false,
+        };
+        for len in 0..good.len() {
+            assert!(typed(&good.as_bytes()[..len]), "prefix of {len} bytes");
+        }
+        let mut bytes = good.clone().into_bytes();
+        for i in 0..bytes.len() {
+            let orig = bytes[i];
+            for b in 0..=255u8 {
+                bytes[i] = b;
+                assert!(typed(&bytes), "byte {i} = {b:#04x}");
+            }
+            bytes[i] = orig;
+        }
+    }
+
+    #[test]
+    fn a_fresh_start_removes_an_existing_manifest() {
+        let dir = tmpdir("fresh");
+        let sched = tiny_schedule();
+        let key = key(&sched);
+        key.manifest(1, vec![7, 8]).write_atomic(&dir).unwrap();
+        let resume = CheckpointPolicy::resume(&dir);
+        assert_eq!(key.resume_point(&resume).unwrap(), Some((1, vec![7, 8])));
+        assert_eq!(
+            key.resume_point(&CheckpointPolicy::new(&dir)).unwrap(),
+            None
+        );
+        assert!(!dir.join(MANIFEST_FILE).exists());
+        assert_eq!(key.resume_point(&resume).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn validate_rejects_foreign_runs() {
         let sched = tiny_schedule();
-        let key = RunKey {
-            engine: "ooc",
-            schedule: &sched,
-            precision: "f64",
-            codec: "none",
-            init_uniform: true,
-            total_units: 2,
-            n_artifacts: 2,
-        };
+        let key = key(&sched);
         let m = key.manifest(1, vec![7, 8]);
         assert_eq!(m.validate(&key).unwrap(), 1);
         let foreign = [
@@ -860,39 +930,36 @@ mod tests {
         assert_ne!(schedule_fingerprint(&a), schedule_fingerprint(&d));
     }
 
-    #[test]
-    fn snapshot_round_trip_matches_digests() {
-        let dir = tmpdir("snap");
-        let amps: Vec<c64> = (0..32)
-            .map(|i| c64::new(i as f64 * 0.25, -(i as f64)))
-            .collect();
-        let p = snapshot_path(&dir, 0, 4);
-        let wrote = write_amps_snapshot(&p, &amps).unwrap();
-        assert_eq!(wrote, digest_amps(&amps));
-        // The file digest matches the raw bytes on disk too.
-        assert_eq!(wrote, fnv1a64(&std::fs::read(&p).unwrap()));
-        let (back, read) = read_amps_snapshot(&p, amps.len()).unwrap();
+    /// A snapshot is `2 * R::BYTES` raw bytes per amplitude whose file
+    /// digest is [`digest_amps`], and loads back only under that digest.
+    fn snapshot_round_trip<R: Real>(amps: &[Complex<R>]) {
+        let dir = tmpdir(R::NAME);
+        assert_eq!(snapshot_path(&dir, 0, 5), snapshot_path(&dir, 0, 3));
+        let wrote = save_snapshot(&dir, 0, 5, amps).unwrap();
+        let raw = std::fs::read(snapshot_path(&dir, 0, 5)).unwrap();
+        assert_eq!(raw.len(), amps.len() * 2 * R::BYTES);
+        assert_eq!((wrote, fnv1a64(&raw)), (digest_amps(amps), wrote));
+        let back = load_snapshot::<R>(&dir, 0, 5, amps.len(), wrote).unwrap();
         assert_eq!(back, amps);
-        assert_eq!(read, wrote);
+        assert!(matches!(
+            load_snapshot::<R>(&dir, 0, 5, amps.len(), !wrote),
+            Err(CheckpointError::Mismatch(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn f32_snapshot_round_trip_is_half_size() {
+    fn snapshots_round_trip_at_both_precisions() {
         use qsim_util::c32;
-        let dir = tmpdir("snap32");
-        let amps: Vec<c32> = (0..32)
-            .map(|i| c32::new(i as f32 * 0.25, -(i as f32)))
+        let amps: Vec<c64> = (0..32)
+            .map(|i| c64::new(i as f64 * 0.25, -(i as f64)))
             .collect();
-        let p = snapshot_path(&dir, 0, 1);
-        let wrote = write_amps_snapshot(&p, &amps).unwrap();
-        assert_eq!(wrote, digest_amps(&amps));
-        let raw = std::fs::read(&p).unwrap();
-        assert_eq!(raw.len(), amps.len() * 8, "2 * 4 bytes per f32 amp");
-        assert_eq!(wrote, fnv1a64(&raw));
-        let (back, read) = read_amps_snapshot::<f32>(&p, amps.len()).unwrap();
-        assert_eq!(back, amps);
-        assert_eq!(read, wrote);
-        let _ = std::fs::remove_dir_all(&dir);
+        snapshot_round_trip(&amps);
+        snapshot_round_trip(
+            &amps
+                .iter()
+                .map(|a| a.convert::<f32>())
+                .collect::<Vec<c32>>(),
+        );
     }
 }

@@ -25,8 +25,7 @@
 
 use crate::backend::{partition_geometry, BackendOutcome, BackendPlan, BackendStats};
 use crate::checkpoint::{
-    check_stop_point, load_snapshot, retire_snapshot, save_snapshot, CheckpointError,
-    CheckpointPolicy, RunKey,
+    check_stop_point, load_snapshot, save_snapshot, CheckpointError, CheckpointPolicy, RunKey,
 };
 use crate::exec::{resolve_tile_qubits, StageExecutor};
 use crate::observables::norm_entropy;
@@ -475,13 +474,11 @@ fn run_rank<R: SweepDispatch>(
 
 /// Publish one completed stage (`unit` = stages finished so far).
 ///
-/// Ordering is the crux: every rank makes its own snapshot durable
-/// (`write_amps_snapshot` fsyncs) and ships its digest to rank 0, rank 0
-/// writes the manifest atomically, and only after a barrier — i.e. only
-/// once the manifest naming the new generation is on disk — does anyone
-/// delete the previous generation. A crash at any point leaves either the
-/// old manifest with the old snapshots intact, or the new manifest with
-/// the new snapshots intact.
+/// Every rank writes its slice as generation `unit` — into the parity
+/// the durable manifest does not name — fsyncs it and ships its digest to
+/// rank 0, which publishes the manifest naming `unit`: that flip is the
+/// commit. A crash at any point leaves either the old manifest naming the
+/// intact generation `unit − 1`, or the new one naming this generation.
 fn checkpoint_unit<R: SweepDispatch>(
     ctx: &mut RankCtx,
     cp: &CheckpointPolicy,
@@ -505,10 +502,9 @@ fn checkpoint_unit<R: SweepDispatch>(
     } else {
         ctx.send_with::<u64>(0, 1, |wire| wire[0] = digest);
     }
-    // Barrier: the manifest for `unit` is durable everywhere beyond this
-    // point, so the previous generation's snapshots are dead weight.
+    // Barrier: no rank overwrites generation `unit − 1` (the next unit's
+    // parity) before the manifest naming `unit` is durable.
     ctx.barrier();
-    retire_snapshot(&cp.dir, rank, unit);
     Ok(())
 }
 

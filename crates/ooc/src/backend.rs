@@ -6,10 +6,10 @@
 //! unit: one *stage run* (= one streaming pass), exactly as on
 //! [`qsim_core::DistBackend`].
 
-use crate::exec::{CrashPoint, OocSimulator};
+use crate::exec::OocSimulator;
 use qsim_circuit::Circuit;
 use qsim_core::backend::{plan_partitioned, Backend, BackendOutcome, BackendPlan};
-use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy};
+use qsim_core::checkpoint::CheckpointPolicy;
 use qsim_core::planner::{PlanOptions, ProgressBackend};
 use qsim_core::SimError;
 use qsim_kernels::SweepDispatch;
@@ -85,10 +85,6 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        check_stop_point(self.sim.config.checkpoint.as_ref(), stop_after)?;
-        // The injected stop is the crash fired right after pass
-        // `stop − 1` committed.
-        let crash = stop_after.map(|stop| (stop - 1, CrashPoint::AfterCommit));
-        self.sim.run_plan(plan, self.gather, crash)
+        self.sim.run_plan(plan, self.gather, stop_after)
     }
 }

@@ -8,6 +8,19 @@
 //! (little-endian on every supported target); all IO is counted for the
 //! bandwidth analysis of the §5 SSD argument.
 //!
+//! ## Two generations
+//!
+//! The store holds the state twice over: chunk files are named by the
+//! parity of the generation that wrote them (`chunk_000003.g1.amps`).
+//! Direct store IO and [`ChunkReader`] views address the *current*
+//! generation; a [`ChunkWriter`] view writes the next one into the other
+//! parity, and `ChunkStore::advance` makes it current once every chunk
+//! is written. A streaming pass therefore never overwrites what it reads,
+//! and a checkpoint is just `ChunkStore::sync_digests` of the current
+//! generation plus a manifest naming it — whatever the other parity holds
+//! (an older generation, a torn write, nothing) is overwritten by the
+//! next writer and never read.
+//!
 //! The store is generic over the scalar precision `R`: chunk files hold
 //! raw `Complex<R>` pairs (8 bytes per amplitude at f32, 16 at f64), so
 //! an f32 run halves both the on-disk footprint and every pass's disk
@@ -21,8 +34,8 @@
 //! write that the store and its views share. The pipelined engine's IO threads use
 //! [`ChunkReader`] / [`ChunkWriter`] views, which hold their own file
 //! handles (independent cursors) opened at most once per pass — the
-//! writer's lazily, since no live chunk exists before a run's first
-//! write or commit — plus local [`IoStats`] merged back on completion.
+//! writer's lazily, one per chunk on its first write — plus local
+//! [`IoStats`] merged back on completion.
 //! Buffers come from a [`BufferPool`] of 64-byte-aligned allocations
 //! recycled across chunks, passes and engine runs, so the steady-state
 //! chunk loop performs no heap allocation (asserted by
@@ -32,17 +45,16 @@
 //!
 //! With a non-[`Codec::None`] codec every chunk file becomes a sequence
 //! of self-describing `qsim-compress` frames instead of fixed-offset raw
-//! scalars: a full-chunk write is one frame, a scattered staged file is
-//! one frame per piece (appended in write order, each carrying its
-//! amplitude offset). Reads slurp the whole file and decode; writes
-//! encode into a reusable buffer and truncate to the new length, since
-//! encoded sizes vary per generation. The `bytes_read`/`bytes_written`
-//! counters stay *physical* (on-disk bytes — the quantity the bandwidth
-//! analysis cares about) while `logical_bytes_*` record the amplitude
-//! bytes moved; their ratio is [`IoStats::compression_ratio`]. Digests
-//! ([`ChunkStore::chunk_digest`]/[`ChunkStore::staged_digest`]) hash the
-//! file bytes as stored, i.e. the *encoded* bytes, so the PR 5 staged →
-//! manifest → commit crash-consistency protocol is codec-oblivious.
+//! scalars: a full-chunk write is one frame, a scattered chunk is one
+//! frame per piece (appended in write order, each carrying its amplitude
+//! offset). Reads slurp the whole file and decode; a writer truncates
+//! each file on first touch, since encoded sizes vary per generation. The
+//! `bytes_read`/`bytes_written` counters stay *physical* (on-disk bytes —
+//! the quantity the bandwidth analysis cares about) while
+//! `logical_bytes_*` record the amplitude bytes moved; their ratio is
+//! [`IoStats::compression_ratio`]. Digests ([`ChunkStore::chunk_digest`])
+//! hash the file bytes as stored, i.e. the *encoded* bytes, so the
+//! checkpoint protocol is codec-oblivious.
 
 use qsim_compress::{decode_frames, encode_frame, Codec, CodecScratch};
 use qsim_util::align::AlignedVec;
@@ -248,13 +260,16 @@ impl<R: Real> BufferPool<R> {
     }
 }
 
-/// A directory of 2^g chunk files, each holding 2^l `Complex<R>`
-/// amplitudes — raw scalars at [`Codec::None`] (byte-identical to the
-/// pre-codec format), encoded frames otherwise.
+/// A directory of 2^g chunk files per generation, each holding 2^l
+/// `Complex<R>` amplitudes — raw scalars at [`Codec::None`], encoded
+/// frames otherwise.
 pub struct ChunkStore<R: Real = f64> {
     dir: PathBuf,
     local_qubits: u32,
     global_qubits: u32,
+    /// The current generation: what reads address. Its files carry the
+    /// parity `generation % 2`; a writer view writes `generation + 1`.
+    generation: usize,
     io: ChunkIo<R>,
 }
 
@@ -264,12 +279,13 @@ impl<R: Real> ChunkStore<R> {
             dir: dir.to_path_buf(),
             local_qubits,
             global_qubits,
+            generation: 0,
             io: ChunkIo::new(codec),
         }
     }
 
     /// Create a store under `dir` (created if missing; existing chunk
-    /// files are overwritten) initialized to the given state.
+    /// files are overwritten) whose generation 0 is the given state.
     ///
     /// `init`: amplitude value for every basis state, or use
     /// [`ChunkStore::create_zero_state`] / [`ChunkStore::create_uniform`].
@@ -299,9 +315,9 @@ impl<R: Real> ChunkStore<R> {
         Ok(store)
     }
 
-    /// A store with no chunk files yet (directory created if missing):
-    /// the engine synthesises the start state in its first pass, so live
-    /// chunks first appear when that pass writes or commits them.
+    /// A store at generation 0 with no chunk files (directory created if
+    /// missing): the engine synthesises the start state in its first
+    /// pass, so chunks first appear when that pass writes generation 1.
     pub fn create_empty_with(
         dir: &Path,
         local_qubits: u32,
@@ -310,37 +326,6 @@ impl<R: Real> ChunkStore<R> {
     ) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(Self::bare(dir, local_qubits, global_qubits, codec))
-    }
-
-    /// Open an existing store (files must have been created by a prior
-    /// `create_*` with the same geometry and codec mode). Raw stores are
-    /// size-checked per chunk; framed stores vary in size, so only the
-    /// frame headers can vouch for them (verified on every read).
-    pub fn open_with(
-        dir: &Path,
-        local_qubits: u32,
-        global_qubits: u32,
-        codec: Codec,
-    ) -> std::io::Result<Self> {
-        let store = Self::bare(dir, local_qubits, global_qubits, codec);
-        for c in 0..store.n_chunks() {
-            let p = store.chunk_path(c);
-            let len = std::fs::metadata(&p)?.len();
-            let want = (store.chunk_len() * amp_bytes::<R>()) as u64;
-            let fault = if codec.is_none() {
-                (len != want).then(|| format!("this geometry/precision needs {want}"))
-            } else {
-                (len < qsim_compress::FRAME_HEADER_LEN as u64)
-                    .then(|| "too short to hold a frame (not a codec store?)".to_string())
-            };
-            if let Some(why) = fault {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("chunk {c} holds {len} bytes: {why}"),
-                ));
-            }
-        }
-        Ok(store)
     }
 
     /// |0…0⟩: amplitude 1 in chunk 0 slot 0, zero elsewhere.
@@ -388,12 +373,21 @@ impl<R: Real> ChunkStore<R> {
         self.io.stats.traversals += 1;
     }
 
-    fn chunk_path(&self, c: usize) -> PathBuf {
-        self.dir.join(format!("chunk_{c:06}.amps"))
+    /// The file of chunk `c` in generation `generation`.
+    fn path_in(&self, generation: usize, c: usize) -> PathBuf {
+        self.dir
+            .join(format!("chunk_{c:06}.g{}.amps", generation % 2))
     }
 
-    fn staged_path(&self, c: usize) -> PathBuf {
-        self.dir.join(format!("chunk_{c:06}.amps.staged"))
+    /// The file of chunk `c` in the current generation.
+    fn chunk_path(&self, c: usize) -> PathBuf {
+        self.path_in(self.generation, c)
+    }
+
+    /// Make the generation the last [`ChunkStore::writer`] view wrote
+    /// current, once that view has written every chunk of it.
+    pub(crate) fn advance(&mut self) {
+        self.generation += 1;
     }
 
     /// Read chunk `c` directly into a caller-owned buffer. Direct store
@@ -415,7 +409,8 @@ impl<R: Real> ChunkStore<R> {
         Ok(out)
     }
 
-    /// Overwrite chunk `c` from a caller-owned buffer.
+    /// Overwrite chunk `c` of the current generation in place from a
+    /// caller-owned buffer.
     pub fn write_chunk_from(&mut self, c: usize, amps: &[Complex<R>]) -> std::io::Result<()> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
         assert_eq!(amps.len(), self.chunk_len(), "chunk size mismatch");
@@ -427,67 +422,12 @@ impl<R: Real> ChunkStore<R> {
         Ok(())
     }
 
-    /// Promote all staged chunks written through a [`ChunkWriter`] view,
-    /// renaming each over its live counterpart.
-    ///
-    /// Crash-consistent ordering: every staged file is `sync_all`ed
-    /// *before* the first rename, and the directory is fsynced after the
-    /// last, so a crash anywhere in the commit leaves each chunk either
-    /// fully old or fully new — never a renamed file whose contents were
-    /// still in the page cache. (A *mix* of old and new chunks across the
-    /// store is still possible mid-commit; the checkpoint manifest's
-    /// per-chunk digests let [`ChunkStore::open_verified_with`] roll that
-    /// forward.)
-    pub fn commit_staged(&mut self) -> std::io::Result<()> {
-        self.promote_staged(true)
-    }
-
-    /// [`ChunkStore::commit_staged`], taking the fsyncs only when
-    /// `durable`: a run that publishes no manifest cannot be resumed, so
-    /// there is no generation for them to protect.
-    pub(crate) fn promote_staged(&mut self, durable: bool) -> std::io::Result<()> {
-        let t = Instant::now();
-        let mut renamed = false;
-        for c in 0..self.n_chunks() {
-            let staged = self.staged_path(c);
-            if staged.exists() {
-                if durable {
-                    File::open(&staged)?.sync_all()?;
-                }
-                std::fs::rename(staged, self.chunk_path(c))?;
-                renamed = true;
-            }
-        }
-        if renamed && durable {
-            File::open(&self.dir)?.sync_all()?;
-        }
-        let dt = t.elapsed().as_secs_f64();
-        self.io.stats.write_seconds += dt;
-        self.io.stats.io_wait_seconds += dt;
-        Ok(())
-    }
-
-    /// FNV-1a digest of live chunk `c`'s current on-disk bytes.
+    /// FNV-1a digest of chunk `c`'s on-disk bytes in the current
+    /// generation (a synchronous, counted read).
     pub fn chunk_digest(&mut self, c: usize) -> std::io::Result<u64> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
-        self.file_digest(&self.chunk_path(c))
-    }
-
-    /// FNV-1a digest of chunk `c`'s *staged* file (the bytes that would
-    /// become live at the next [`ChunkStore::commit_staged`]); falls back
-    /// to the live chunk when nothing is staged.
-    pub fn staged_digest(&mut self, c: usize) -> std::io::Result<u64> {
-        let staged = self.staged_path(c);
-        if !staged.exists() {
-            return self.chunk_digest(c);
-        }
-        self.file_digest(&staged)
-    }
-
-    /// Read and hash one file as stored (a synchronous, counted read).
-    fn file_digest(&mut self, path: &Path) -> std::io::Result<u64> {
         let t = Instant::now();
-        let bytes = std::fs::read(path)?;
+        let bytes = std::fs::read(self.chunk_path(c))?;
         let dt = t.elapsed().as_secs_f64();
         self.io.stats.read_seconds += dt;
         self.io.stats.io_wait_seconds += dt;
@@ -495,71 +435,37 @@ impl<R: Real> ChunkStore<R> {
         Ok(qsim_core::checkpoint::fnv1a64(&bytes))
     }
 
-    /// `sync_all` every staged file so its bytes are durable before a
-    /// manifest referencing them is published.
-    pub fn sync_staged(&self) -> std::io::Result<()> {
-        for c in 0..self.n_chunks() {
-            let staged = self.staged_path(c);
-            if staged.exists() {
-                File::open(staged)?.sync_all()?;
-            }
-        }
-        Ok(())
+    /// Make the current generation durable and digest it: `sync_all`
+    /// each chunk file, then hash its bytes as stored — what a manifest
+    /// naming this generation records.
+    pub(crate) fn sync_digests(&mut self) -> std::io::Result<Vec<u64>> {
+        (0..self.n_chunks())
+            .map(|c| {
+                File::open(self.chunk_path(c))?.sync_all()?;
+                self.chunk_digest(c)
+            })
+            .collect()
     }
 
-    /// Delete every stray staged file. A fresh checkpointed run over a
-    /// reused directory must start from live chunks only — a leftover
-    /// shadow from an abandoned pass would otherwise be folded into the
-    /// next `commit_staged`.
-    pub fn clear_staged(&mut self) -> std::io::Result<()> {
-        for c in 0..self.n_chunks() {
-            let staged = self.staged_path(c);
-            if staged.exists() {
-                std::fs::remove_file(staged)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Open a store and reconcile it against a manifest's per-chunk
-    /// `digests`, recovering from a crash at any point of the commit
-    /// protocol:
-    ///
-    /// * a staged file whose digest matches the manifest is rolled
-    ///   *forward* (synced and renamed live) — the crash hit after the
-    ///   manifest was published but before the rename;
-    /// * any other staged file is deleted — the crash hit before the
-    ///   manifest flipped, so the staged bytes belong to an abandoned
-    ///   pass;
-    /// * every live chunk must then match its digest, or the store is
-    ///   rejected as torn ([`std::io::ErrorKind::InvalidData`]).
-    ///
-    /// No live file need exist beforehand: the first pass of a run reads
-    /// none, so a crash between its manifest and its commit leaves only
-    /// staged files, all of which roll forward. The digests hash the bytes
-    /// as stored — encoded frames under a codec — so the protocol is
-    /// identical at every codec.
+    /// Open the store at the generation a manifest names and check every
+    /// chunk of it against the manifest's `digests`: a mismatch is a torn
+    /// store ([`std::io::ErrorKind::InvalidData`]). The other parity is
+    /// never looked at — it holds an abandoned or older generation, which
+    /// the next pass overwrites. The digests hash the bytes as stored
+    /// (encoded frames under a codec), so the check is the same at every
+    /// codec.
     pub fn open_verified_with(
         dir: &Path,
         local_qubits: u32,
         global_qubits: u32,
+        generation: usize,
         digests: &[u64],
         codec: Codec,
     ) -> std::io::Result<Self> {
         let mut store = Self::bare(dir, local_qubits, global_qubits, codec);
+        store.generation = generation;
         assert_eq!(digests.len(), store.n_chunks(), "digest count mismatch");
-        let mut renamed = false;
         for (c, &want) in digests.iter().enumerate() {
-            let staged = store.staged_path(c);
-            if staged.exists() && store.staged_digest(c)? == want {
-                File::open(&staged)?.sync_all()?;
-                std::fs::rename(&staged, store.chunk_path(c))?;
-                renamed = true;
-                continue;
-            }
-            if staged.exists() {
-                std::fs::remove_file(&staged)?;
-            }
             let got = store.chunk_digest(c)?;
             if got != want {
                 return Err(std::io::Error::new(
@@ -568,24 +474,24 @@ impl<R: Real> ChunkStore<R> {
                 ));
             }
         }
-        if renamed {
-            File::open(dir)?.sync_all()?;
-        }
         Ok(store)
     }
 
-    /// Delete all chunk files (cleanup helper for tests/examples).
+    /// Delete the chunk files of both generations (cleanup helper for
+    /// tests/examples).
     pub fn remove_files(&self) -> std::io::Result<()> {
-        for c in 0..self.n_chunks() {
-            let p = self.chunk_path(c);
-            if p.exists() {
-                std::fs::remove_file(p)?;
+        for generation in 0..2 {
+            for c in 0..self.n_chunks() {
+                let p = self.path_in(generation, c);
+                if p.exists() {
+                    std::fs::remove_file(p)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// Load the full state into memory (small n; testing).
+    /// Load the current generation's full state into memory (small n).
     pub fn to_vec(&mut self) -> std::io::Result<Vec<Complex<R>>> {
         let mut out = vec![Complex::<R>::zero(); self.chunk_len() * self.n_chunks()];
         for c in 0..self.n_chunks() {
@@ -596,9 +502,10 @@ impl<R: Real> ChunkStore<R> {
         Ok(out)
     }
 
-    /// A read view with its own file handles (one per chunk, opened
-    /// eagerly) and local counters — safe to move onto a prefetch thread
-    /// while a [`ChunkWriter`] writes other chunks of the same store.
+    /// A read view of the current generation with its own file handles
+    /// (one per chunk, opened eagerly) and local counters — safe to move
+    /// onto a prefetch thread while a [`ChunkWriter`] writes the next
+    /// generation.
     pub fn reader(&self) -> std::io::Result<ChunkReader<R>> {
         let files = (0..self.n_chunks())
             .map(|c| File::open(self.chunk_path(c)))
@@ -610,19 +517,20 @@ impl<R: Real> ChunkStore<R> {
         })
     }
 
-    /// A write view with its own lazily created live and staged files
-    /// (no live chunk exists before a run's first write or commit).
-    /// Cursor state is private to the view, so a writeback thread never
-    /// races the reader's seeks.
-    pub fn writer(&self) -> std::io::Result<ChunkWriter<R>> {
-        Ok(ChunkWriter {
-            live_paths: (0..self.n_chunks()).map(|c| self.chunk_path(c)).collect(),
-            staged_paths: (0..self.n_chunks()).map(|c| self.staged_path(c)).collect(),
-            live: (0..self.n_chunks()).map(|_| None).collect(),
-            staged: (0..self.n_chunks()).map(|_| None).collect(),
+    /// A write view of the next generation (`generation + 1`, the other
+    /// parity), one lazily opened handle per chunk. Cursor state is
+    /// private to the view, so a writeback thread never races the
+    /// reader's seeks.
+    pub fn writer(&self) -> ChunkWriter<R> {
+        let next = self.generation + 1;
+        ChunkWriter {
+            paths: (0..self.n_chunks())
+                .map(|c| self.path_in(next, c))
+                .collect(),
+            files: (0..self.n_chunks()).map(|_| None).collect(),
             chunk_len: self.chunk_len(),
             io: ChunkIo::new(self.io.codec),
-        })
+        }
     }
 }
 
@@ -655,52 +563,24 @@ impl<R: Real> ChunkReader<R> {
     }
 }
 
-/// Cached-handle write view of a [`ChunkStore`] (see
+/// Cached-handle write view of a [`ChunkStore`]'s next generation (see
 /// [`ChunkStore::writer`]). Writes are zero-copy and allocation-free
-/// once the first write per chunk has created (or opened) its live or
-/// shadow file.
+/// once the first write per chunk has opened its file.
 pub struct ChunkWriter<R: Real = f64> {
-    live_paths: Vec<PathBuf>,
-    staged_paths: Vec<PathBuf>,
-    live: Vec<Option<File>>,
-    staged: Vec<Option<File>>,
+    paths: Vec<PathBuf>,
+    files: Vec<Option<File>>,
     chunk_len: usize,
     io: ChunkIo<R>,
 }
 
 impl<R: Real> ChunkWriter<R> {
-    /// Overwrite live chunk `c` through the cached handle, creating the
-    /// file on first touch.
-    pub fn write_chunk_from(&mut self, c: usize, amps: &[Complex<R>]) -> std::io::Result<()> {
-        assert_eq!(amps.len(), self.chunk_len, "chunk size mismatch");
-        let (slot, path) = (&mut self.live[c], &self.live_paths[c]);
-        self.io.write(0, amps, |bytes| {
-            let f = match slot {
-                Some(f) => f,
-                slot => slot.insert(
-                    OpenOptions::new()
-                        .write(true)
-                        .create(true)
-                        .truncate(false)
-                        .open(path)?,
-                ),
-            };
-            f.seek(SeekFrom::Start(0))?;
-            f.write_all(bytes)?;
-            // The handle doesn't truncate on open: chop any stale tail left
-            // by a longer previous generation (encoded sizes vary; a reused
-            // directory may hold another geometry's chunk), or the next read
-            // would see trailing garbage.
-            f.set_len(bytes.len() as u64)
-        })?;
-        Ok(())
-    }
-
-    /// Write `[off, off+len)` of chunk `c`'s shadow file, creating and
-    /// sizing it on first touch. Under a codec the shadow is a sequence
-    /// of offset-carrying frames instead: first touch truncates, every
-    /// piece appends one frame through the retained handle.
-    pub fn write_staged_range(
+    /// Write `amps` at amplitude offset `off` of chunk `c` — a whole
+    /// chunk is `off = 0`. The first write to a chunk opens its file and
+    /// discards whatever an older generation (or a torn write) left
+    /// there: a raw file is sized to one chunk, and every range is then
+    /// written in place; a framed file is truncated, and every write
+    /// appends one offset-carrying frame through the retained handle.
+    pub fn write_range(
         &mut self,
         c: usize,
         off: usize,
@@ -709,7 +589,7 @@ impl<R: Real> ChunkWriter<R> {
         assert!(off + amps.len() <= self.chunk_len);
         let raw = self.io.codec.is_none();
         let chunk_bytes = (self.chunk_len * amp_bytes::<R>()) as u64;
-        let (slot, path) = (&mut self.staged[c], &self.staged_paths[c]);
+        let (slot, path) = (&mut self.files[c], &self.paths[c]);
         self.io.write(off, amps, |bytes| {
             let f = match slot {
                 Some(f) => f,
@@ -725,9 +605,6 @@ impl<R: Real> ChunkWriter<R> {
                     slot.insert(f)
                 }
             };
-            // Under a codec the retained handle's cursor already sits at
-            // the end of the previous frame, so pieces append in write
-            // order.
             if raw {
                 f.seek(SeekFrom::Start((off * amp_bytes::<R>()) as u64))?;
             }
@@ -779,59 +656,98 @@ mod tests {
         assert!((norm - 1.0).abs() < 1e-12);
     }
 
+    /// Write every chunk of the next generation through one writer view
+    /// (chunk `c` holds `fill(c)`), then make it current.
+    fn write_generation(store: &mut ChunkStore, fill: impl Fn(usize) -> Vec<c64>) {
+        let mut writer = store.writer();
+        for c in 0..store.n_chunks() {
+            writer.write_range(c, 0, &fill(c)).unwrap();
+        }
+        store.absorb(&writer.stats());
+        store.advance();
+    }
+
     #[test]
     fn reader_writer_views_round_trip() {
         let dir = ScratchDir::new("store_views");
         let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap();
-        let pattern: Vec<c64> = (0..8).map(|i| c64::new(i as f64, 0.5)).collect();
-        let mut writer = store.writer().unwrap();
-        writer.write_chunk_from(2, &pattern).unwrap();
-        let wstats = writer.stats();
-        assert_eq!(wstats.bytes_written, 8 * 16);
+        let pattern = |c: usize| (0..8).map(|i| c64::new(i as f64, c as f64)).collect();
+        write_generation(&mut store, pattern);
+        assert_eq!(
+            store.stats().bytes_written,
+            2 * 4 * 8 * 16,
+            "create + 1 generation"
+        );
         let mut reader = store.reader().unwrap();
         let mut buf = vec![c64::zero(); 8];
         reader.read_into(2, &mut buf).unwrap();
-        assert_eq!(buf, pattern);
+        assert_eq!(buf, pattern(2));
         // Re-reads through the same cached handle work (seek resets).
         reader.read_into(2, &mut buf).unwrap();
-        assert_eq!(buf, pattern);
+        assert_eq!(buf, pattern(2));
         store.absorb(&reader.stats());
-        store.absorb(&wstats);
         assert_eq!(store.stats().bytes_read, 2 * 8 * 16);
     }
 
     #[test]
-    fn staged_range_assembly_commits_atomically() {
-        let dir = ScratchDir::new("store_staged");
-        let mut store = ChunkStore::create_filled(dir.path(), 3, 1, c64::one()).unwrap();
-        // Assemble chunk 0's shadow from two half-chunk pieces, out of
-        // order; the live chunk must be untouched until commit.
-        let hi = vec![c64::new(2.0, 0.0); 4];
-        let lo = vec![c64::new(3.0, 0.0); 4];
-        let mut writer = store.writer().unwrap();
-        writer.write_staged_range(0, 4, &hi).unwrap();
-        writer.write_staged_range(0, 0, &lo).unwrap();
-        let wstats = writer.stats();
-        drop(writer);
-        assert_eq!(store.read_chunk(0).unwrap(), vec![c64::one(); 8]);
-        store.absorb(&wstats);
-        store.commit_staged().unwrap();
-        let got = store.read_chunk(0).unwrap();
-        assert_eq!(&got[..4], &lo[..]);
-        assert_eq!(&got[4..], &hi[..]);
+    fn ranges_assemble_the_next_generation_behind_the_current_one() {
+        for codec in [Codec::None, Codec::ShuffleRle] {
+            let dir = ScratchDir::new("store_ranges");
+            let mut store =
+                ChunkStore::create_filled_with(dir.path(), 3, 1, c64::one(), codec).unwrap();
+            // Chunk 0 from two half-chunk pieces, out of order; chunk 1
+            // whole.
+            let hi = vec![c64::new(2.0, 0.0); 4];
+            let lo = vec![c64::new(3.0, 0.0); 4];
+            let whole = [lo.clone(), hi.clone()].concat();
+            let mut writer = store.writer();
+            writer.write_range(0, 4, &hi).unwrap();
+            writer.write_range(0, 0, &lo).unwrap();
+            writer.write_range(1, 0, &whole).unwrap();
+            drop(writer);
+            assert_eq!(store.to_vec().unwrap(), vec![c64::one(); 16], "{codec:?}");
+            store.advance();
+            let want = [whole.clone(), whole].concat();
+            assert_eq!(store.to_vec().unwrap(), want, "{codec:?}");
+            // Reopened at that generation, its digests check out.
+            let digests = store.sync_digests().unwrap();
+            let mut re =
+                ChunkStore::<f64>::open_verified_with(dir.path(), 3, 1, 1, &digests, codec)
+                    .unwrap();
+            assert_eq!(re.to_vec().unwrap(), want, "{codec:?}");
+        }
     }
 
     #[test]
-    fn open_rejects_a_truncated_chunk_with_a_typed_error() {
-        // The state gather reopens the store through `open_with`; a short
-        // chunk file must come back as `InvalidData`, not a panic.
-        let dir = ScratchDir::new("store_short");
-        drop(ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap());
-        std::fs::write(dir.path().join("chunk_000002.amps"), b"short").unwrap();
+    fn a_writer_overwrites_whatever_the_other_parity_held() {
+        // Longer, shorter and same-length leftovers of an older or torn
+        // generation, and a missing file: the new generation reads back
+        // exactly what was written.
         for codec in [Codec::None, Codec::ShuffleRle] {
-            let e = ChunkStore::<f64>::open_with(dir.path(), 3, 2, codec)
+            let dir = ScratchDir::new("store_leftovers");
+            let mut store =
+                ChunkStore::create_filled_with(dir.path(), 6, 2, c64::one(), codec).unwrap();
+            std::fs::write(store.path_in(1, 0), vec![0xa5u8; 64 * 16 + 999]).unwrap();
+            std::fs::write(store.path_in(1, 1), b"short").unwrap();
+            std::fs::write(store.path_in(1, 2), vec![0x5au8; 64 * 16]).unwrap();
+            let fill = |c: usize| vec![c64::new(c as f64, -0.5); 64];
+            write_generation(&mut store, fill);
+            let want: Vec<c64> = (0..4).flat_map(fill).collect();
+            assert_eq!(store.to_vec().unwrap(), want, "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn open_verified_rejects_a_torn_chunk_with_a_typed_error() {
+        for codec in [Codec::None, Codec::ShuffleRle] {
+            let dir = ScratchDir::new("store_torn");
+            let mut store =
+                ChunkStore::<f64>::create_filled_with(dir.path(), 3, 2, c64::one(), codec).unwrap();
+            let digests = store.sync_digests().unwrap();
+            std::fs::write(store.chunk_path(2), b"short").unwrap();
+            let e = ChunkStore::<f64>::open_verified_with(dir.path(), 3, 2, 0, &digests, codec)
                 .err()
-                .expect("truncated chunk must not open");
+                .expect("torn chunk must not open");
             assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
             assert!(e.to_string().contains("chunk 2"), "{e}");
         }
@@ -877,9 +793,14 @@ mod tests {
     #[test]
     fn codec_store_round_trips_and_compresses() {
         let dir = ScratchDir::new("store_codec");
-        let mut store =
-            ChunkStore::create_filled_with(dir.path(), 6, 2, uniform_amp(8), Codec::ShuffleRle)
-                .unwrap();
+        let mut store = ChunkStore::<f64>::create_filled_with(
+            dir.path(),
+            6,
+            2,
+            uniform_amp(8),
+            Codec::ShuffleRle,
+        )
+        .unwrap();
         // The uniform state is maximally degenerate: far fewer encoded
         // bytes than the 64 * 16 raw bytes per chunk.
         let created = store.stats();
@@ -894,66 +815,7 @@ mod tests {
         let v = store.to_vec().unwrap();
         let amp = 1.0 / 16.0;
         assert!(v.iter().all(|a| a.re == amp && a.im == 0.0));
-
-        // Shrinking rewrites through the cached writer handle must not
-        // leave stale frame tails behind.
-        let mut writer = store.writer().unwrap();
-        let noise: Vec<c64> = (0..64)
-            .map(|i| {
-                let mut s = qsim_util::SplitMix64::new(i as u64 + 7);
-                c64::new(f64::from_bits(s.next_u64()), f64::from_bits(s.next_u64()))
-            })
-            .collect();
-        writer.write_chunk_from(1, &noise).unwrap(); // incompressible (long file)
-        writer.write_chunk_from(1, &vec![c64::zero(); 64]).unwrap(); // tiny (short file)
-        let wstats = writer.stats();
-        drop(writer);
-        store.absorb(&wstats);
-        let mut back = vec![c64::one(); 64];
-        store.read_chunk_into(1, &mut back).unwrap();
-        assert!(back.iter().all(|&a| a == c64::zero()));
-        assert!(store.stats().encode_seconds >= 0.0);
         assert!(store.stats().decode_seconds >= 0.0);
-    }
-
-    #[test]
-    fn codec_staged_scatter_commits_and_reopens() {
-        let dir = ScratchDir::new("store_codec_staged");
-        let mut store =
-            ChunkStore::create_filled_with(dir.path(), 3, 1, c64::one(), Codec::ShuffleRle)
-                .unwrap();
-        let hi = vec![c64::new(2.0, 0.0); 4];
-        let lo = vec![c64::new(3.0, 0.0); 4];
-        let mut writer = store.writer().unwrap();
-        writer.write_staged_range(0, 4, &hi).unwrap();
-        writer.write_staged_range(0, 0, &lo).unwrap();
-        drop(writer);
-        // Live chunk untouched until commit.
-        assert_eq!(store.read_chunk(0).unwrap(), vec![c64::one(); 8]);
-        store.commit_staged().unwrap();
-        let got = store.read_chunk(0).unwrap();
-        assert_eq!(&got[..4], &lo[..]);
-        assert_eq!(&got[4..], &hi[..]);
-        // A second scatter generation (a fresh writer view) truncates on
-        // first touch: it must not inherit old frames.
-        let mut writer = store.writer().unwrap();
-        writer.write_staged_range(1, 0, &lo).unwrap();
-        writer.write_staged_range(1, 4, &hi).unwrap();
-        drop(writer);
-        store.commit_staged().unwrap();
-        let got = store.read_chunk(1).unwrap();
-        assert_eq!(&got[..4], &lo[..]);
-        assert_eq!(&got[4..], &hi[..]);
-        // Reopen with the matching codec and verify digests round-trip.
-        let d0 = store.chunk_digest(0).unwrap();
-        let d1 = store.chunk_digest(1).unwrap();
-        drop(store);
-        let mut re =
-            ChunkStore::<f64>::open_verified_with(dir.path(), 3, 1, &[d0, d1], Codec::ShuffleRle)
-                .unwrap();
-        let got = re.read_chunk(1).unwrap();
-        assert_eq!(&got[..4], &lo[..]);
-        assert_eq!(&got[4..], &hi[..]);
     }
 
     #[test]

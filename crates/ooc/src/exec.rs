@@ -20,10 +20,19 @@
 //! in-memory `perform_swap`, with file ranges as the network — rides in
 //! the two passes around it. Its fused permute-scatter closes the run
 //! before it (each computed chunk's permuted piece for every destination
-//! goes straight into the destination's staged file); its fused
-//! gather-unpermute opens the run after it (skipped entirely when the
-//! slots already sit at the top positions). See
+//! goes straight into the destination's file of the next generation);
+//! its fused gather-unpermute opens the run after it (skipped entirely
+//! when the slots already sit at the top positions). See
 //! [`OocSimulator::run_plan`].
+//!
+//! Pass `u` reads generation `u` of the chunk store and writes generation
+//! `u + 1` into the other file parity, so it never overwrites what it
+//! reads. That is also the whole checkpoint protocol: with a
+//! [`CheckpointPolicy`] each pass ends by fsyncing and digesting the
+//! generation it wrote and publishing the manifest naming it — the flip
+//! is the commit. A crash anywhere in pass `u` leaves the manifest naming
+//! generation `u`, intact, beside garbage that the replay of pass `u`
+//! overwrites.
 //!
 //! Disk traffic for a schedule with `S` swaps is thus `2S + 1` state
 //! transfers — one write per swap, one read and one write per later run
@@ -45,7 +54,7 @@ use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_sched::{plan_runs, StageRun, SwapOp};
-use qsim_telemetry::{Telemetry, TrackHandle};
+use qsim_telemetry::Telemetry;
 use qsim_util::align::AlignedVec;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
@@ -76,61 +85,14 @@ pub struct OocConfig {
     /// the default disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
     /// Crash-consistent checkpointing: after every streaming *pass*
-    /// (= stage run), publish a manifest and promote the pass's staged
-    /// chunks, so a crash anywhere resumes from the last completed pass.
-    /// The policy's directory *is* the chunk store — the manifest sits
-    /// next to the chunk files it describes. `None` (the default) runs
-    /// in a self-cleaning scratch store and takes no durability step at
-    /// all: the last run overwrites live chunks in place and commits
-    /// skip their fsyncs.
+    /// (= stage run), make the generation it wrote durable and publish a
+    /// manifest naming it, so a crash anywhere resumes from the last
+    /// completed pass. The policy's directory *is* the chunk store — the
+    /// manifest sits next to the chunk files it describes. `None` (the
+    /// default) runs the same passes in a self-cleaning scratch store and
+    /// takes no durability step at all.
     pub checkpoint: Option<CheckpointPolicy>,
 }
-
-/// Where in a pass's commit protocol an injected crash fires. The three
-/// points bracket the two durability steps (manifest publish, staged
-/// commit), covering every distinct recovery window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// After the pass's staged chunks are durable but before the
-    /// manifest flips: recovery discards the staged files and replays
-    /// the pass from the previous checkpoint.
-    BeforeManifest,
-    /// After the manifest flips but before the staged chunks are
-    /// renamed live: recovery rolls the staged files forward by digest.
-    BeforeCommit,
-    /// After the commit completes: recovery resumes at the next pass.
-    AfterCommit,
-}
-
-/// Typed payload of an injected crash, carried inside the
-/// [`std::io::ErrorKind::Interrupted`] error the pass loop raises so
-/// [`OocSimulator::run_plan`] can report *which* checkpoint units were
-/// durable when the crash fired — without parsing the error message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InjectedCrash {
-    /// The streaming pass whose commit protocol the crash fired in.
-    pub pass: usize,
-    pub point: CrashPoint,
-}
-
-impl InjectedCrash {
-    /// Checkpoint units durable at the instant the crash fired: the
-    /// pass's own unit counts only once its commit completed.
-    pub fn durable_units(&self) -> usize {
-        match self.point {
-            CrashPoint::AfterCommit => self.pass + 1,
-            CrashPoint::BeforeManifest | CrashPoint::BeforeCommit => self.pass,
-        }
-    }
-}
-
-impl std::fmt::Display for InjectedCrash {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "injected crash at pass {} ({:?})", self.pass, self.point)
-    }
-}
-
-impl std::error::Error for InjectedCrash {}
 
 impl Default for OocConfig {
     fn default() -> Self {
@@ -200,12 +162,9 @@ impl<R: SweepDispatch> OocSimulator<R> {
     /// configured, a fresh self-cleaning [`ScratchDir`] otherwise — and,
     /// on request, gather the full state in logical order (small n).
     ///
-    /// `crash` injects a failure at the given point of the given pass's
-    /// commit protocol (requires a checkpoint policy). It surfaces as
-    /// [`SimError::InjectedStop`] with `unit` = the passes durable at
-    /// that instant; [`qsim_core::Backend::run_to_stage`]'s `stop_after
-    /// = u` is `(u − 1, CrashPoint::AfterCommit)`, and the two
-    /// intra-commit points exist for the crash-window tests. Bad
+    /// `stop_after = Some(u)` (requires a checkpoint policy) returns
+    /// [`SimError::InjectedStop`] right after pass `u − 1` published the
+    /// manifest naming unit `u`, as the in-memory engine does. Bad
     /// geometry is [`std::io::ErrorKind::InvalidInput`], a rejected
     /// manifest or chunk digest [`SimError::Checkpoint`], any other IO
     /// failure [`SimError::Io`].
@@ -213,12 +172,9 @@ impl<R: SweepDispatch> OocSimulator<R> {
         &mut self,
         plan: &BackendPlan,
         gather: bool,
-        crash: Option<(usize, CrashPoint)>,
+        stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        check_stop_point(
-            self.config.checkpoint.as_ref(),
-            crash.map(|(pass, _)| pass + 1),
-        )?;
+        check_stop_point(self.config.checkpoint.as_ref(), stop_after)?;
         let scratch;
         let dir = match &self.config.checkpoint {
             Some(cp) => cp.dir.clone(),
@@ -227,35 +183,37 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 scratch.path().to_path_buf()
             }
         };
-        self.run_in(&dir, plan, gather, crash).map_err(io_to_sim)
+        self.run_in(&dir, plan, gather, stop_after)
+            .map_err(io_to_sim)?
     }
 
     /// [`OocSimulator::run_plan`] against the chunk store rooted at `dir`:
     /// one streaming pass per stage run. For each chunk, pass `r` takes
     /// its source (pass 0 synthesises the start state; every later pass
-    /// reads the live chunk the previous pass committed), applies the
+    /// reads the generation the previous pass wrote), applies the
     /// gather-unpermute half of swap `r − 1`, the run's stages, and then
-    /// either the permute-scatter half of swap `r` into staged files or —
-    /// on the last run — the final chunk write with the norm/entropy
-    /// reduction folded in.
+    /// either the permute-scatter half of swap `r` into the next
+    /// generation's files or — on the last run — the final chunk write
+    /// with the norm/entropy reduction folded in. The outer error is an
+    /// IO failure, the inner one the injected stop.
     ///
     /// Writing `p` for a swap's slots→top permutation and `q = p⁻¹`,
     /// destination chunk `d` must end up holding `final[x] = buf[p(x)]`
     /// where piece `s` of `d`'s exchange buffer is `buf[s·piece + t] =
     /// chunk_s[q(d·piece + t)]`. The scatter writes every `buf` piece of
-    /// one source chunk (chunk-local in the source); the commit renames
-    /// the assembled buffers live; the next pass applies the `p`-gather
-    /// (chunk-local in the destination, skipped when `p` is the
-    /// identity). The slow tier therefore sees one write per swap plus
-    /// one read and one write per later run: `2S + 1` state transfers
-    /// for `S` swaps.
+    /// one source chunk (chunk-local in the source) into the next
+    /// generation; the next pass reads the assembled buffers and applies
+    /// the `p`-gather (chunk-local in the destination, skipped when `p`
+    /// is the identity). The slow tier therefore sees one write per swap
+    /// plus one read and one write per later run: `2S + 1` state
+    /// transfers for `S` swaps.
     fn run_in(
         &mut self,
         dir: &Path,
         plan: &BackendPlan,
         gather: bool,
-        crash: Option<(usize, CrashPoint)>,
-    ) -> std::io::Result<BackendOutcome<R>> {
+        stop_after: Option<usize>,
+    ) -> std::io::Result<Result<BackendOutcome<R>, SimError>> {
         let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
         let schedule = &plan.schedule;
         let init_uniform = plan.init_uniform;
@@ -296,13 +254,13 @@ impl<R: SweepDispatch> OocSimulator<R> {
             total_units: total_passes,
             n_artifacts: 1 << g,
         };
-        let checkpointing = self.config.checkpoint.is_some();
         let resumed = match &self.config.checkpoint {
             Some(cp) => {
                 let _s = track.span("resume.validate");
                 match key.resume_point(cp)? {
                     Some((unit, digests)) => {
-                        let store = ChunkStore::open_verified_with(dir, l, g, &digests, codec)?;
+                        let store =
+                            ChunkStore::open_verified_with(dir, l, g, unit, &digests, codec)?;
                         Some((store, unit))
                     }
                     None => None,
@@ -312,14 +270,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
         };
         let (mut store, cursor) = match resumed {
             Some(sc) => sc,
-            None => {
-                let mut store = ChunkStore::create_empty_with(dir, l, g, codec)?;
-                // A reused directory may hold shadow files from an
-                // abandoned pass; they must not survive into the first
-                // commit.
-                store.clear_staged()?;
-                (store, 0)
-            }
+            None => (ChunkStore::create_empty_with(dir, l, g, codec)?, 0),
         };
         // Seed the live-progress denominator: the unit of OOC progress
         // is the stage run, and a resume pre-credits nothing (only the
@@ -380,8 +331,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
         // bit.
         let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
         let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
-        // Scatter + commit time of the swap the next pass's unpermute
-        // completes: `swap_ns` gets one sample per swap, not per half.
+        // Scatter time of the swap the next pass's unpermute completes:
+        // `swap_ns` gets one sample per swap, not per half.
         let mut swap_carry = Duration::ZERO;
         for (ri, run) in runs.iter().enumerate().skip(cursor) {
             let _rs = track.span_id("stage run", ri as u64);
@@ -390,7 +341,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             let exec = StageExecutor::new(stages, l, &kernel, Some(tile));
             let prev_swap = ri.checked_sub(1).and_then(|p| runs[p].swap.as_ref());
             // `final[x] = buf[p(x)]` places the previous swap's incoming
-            // qubits at its slots; an identity `p` means the committed
+            // qubits at its slots; an identity `p` means the written
             // assembly is already final.
             let unpermute = prev_swap.map(slots_to_top).filter(|p| !p.is_identity());
             let scatter = run.swap.as_ref().map(|s| slots_to_top(s).inverse());
@@ -428,22 +379,15 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     }
                     let Some(inv) = &scatter else {
                         // Last run: fold the final reduction into the
-                        // pass — it costs no extra traversal. Under
-                        // checkpointing live chunks stay untouched until
-                        // the manifest is durable.
+                        // pass — it costs no extra traversal.
                         partials[c] = norm_entropy(&buf);
-                        let dest = if checkpointing {
-                            Dest::Shadow(c)
-                        } else {
-                            Dest::Live(c)
-                        };
-                        sink.retire(dest, buf);
+                        sink.retire(Dest::Chunk(c), buf);
                         return Ok(());
                     };
                     // Fused permute-scatter: this chunk's permuted piece
                     // for destination `dst` lands at offset `c·piece` of
-                    // `dst`'s staged file. Staging keeps the live chunks
-                    // readable until the whole exchange is assembled.
+                    // `dst` in the next generation, behind the one this
+                    // pass still reads.
                     let _s = track.span_id("scatter", c as u64);
                     let t = Instant::now();
                     for dst in 0..n_chunks {
@@ -464,15 +408,15 @@ impl<R: SweepDispatch> OocSimulator<R> {
             if prev_swap.is_some() {
                 telemetry.record_duration_ns("swap_ns", swap_t.as_nanos() as u64);
             }
-            let t_commit = Instant::now();
-            if checkpointing {
-                // The pass's commit is the checkpoint commit.
-                checkpoint_pass(&mut store, &key, dir, crash, ri, &track)?;
-            } else if scatter.is_some() {
-                let _s = track.span_id("commit", ri as u64);
-                store.promote_staged(false)?;
+            if self.config.checkpoint.is_some() {
+                let _s = track.span_timed("checkpoint.write", ri as u64, "checkpoint_ns");
+                let digests = store.sync_digests()?;
+                key.manifest(ri + 1, digests).write_atomic(dir)?;
             }
-            swap_carry = scatter_t + t_commit.elapsed();
+            if stop_after == Some(ri + 1) {
+                return Ok(Err(SimError::InjectedStop { unit: ri + 1 }));
+            }
+            swap_carry = scatter_t;
             live_pass_done(
                 &telemetry,
                 &store,
@@ -517,12 +461,14 @@ impl<R: SweepDispatch> OocSimulator<R> {
         }
         telemetry.publish_progress_gauges();
         let state = if gather {
-            let physical = ChunkStore::<R>::open_with(dir, l, g, codec)?.to_vec()?;
-            Some(physical_to_logical(&physical, schedule.final_mapping()))
+            Some(physical_to_logical(
+                &store.to_vec()?,
+                schedule.final_mapping(),
+            ))
         } else {
             None
         };
-        Ok(BackendOutcome {
+        Ok(Ok(BackendOutcome {
             norm,
             entropy,
             sim_seconds,
@@ -532,24 +478,17 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 runs: runs.len(),
             },
             state,
-        })
+        }))
     }
 }
 
-/// Map an OOC engine IO failure onto the typed [`SimError`] surface: an
-/// [`InjectedCrash`] becomes the uniform [`SimError::InjectedStop`]
-/// (with `unit` = the passes durable at the crash), everything else
-/// stays an IO error.
+/// Map an OOC engine IO failure onto the typed [`SimError`] surface.
+/// Manifest and chunk-digest validation surface as `InvalidData` (see
+/// `CheckpointError`'s io conversion): normalize them to the typed
+/// checkpoint error the in-memory engines return, so callers match one
+/// variant for "durable state rejected" on every backend. Everything
+/// else stays an IO error.
 fn io_to_sim(e: std::io::Error) -> SimError {
-    if let Some(c) = e.get_ref().and_then(|r| r.downcast_ref::<InjectedCrash>()) {
-        return SimError::InjectedStop {
-            unit: c.durable_units(),
-        };
-    }
-    // Manifest and chunk-digest validation surface as `InvalidData`
-    // (see `CheckpointError`'s io conversion): normalize them to the
-    // typed checkpoint error the in-memory engines return, so callers
-    // match one variant for "durable state rejected" on every backend.
     if e.kind() == std::io::ErrorKind::InvalidData {
         return SimError::Checkpoint(e.to_string());
     }
@@ -581,43 +520,6 @@ fn live_pass_done<R: Real>(
         m.gauge_set("live.ooc.bytes_read", io.bytes_read as f64);
         m.gauge_set("live.ooc.bytes_written", io.bytes_written as f64);
     }
-}
-
-/// Commit one completed pass as a checkpoint: staged bytes durable →
-/// manifest flip → staged promote. A crash between any two steps is
-/// recoverable (see [`CrashPoint`]): before the manifest flips the old
-/// generation is intact and named; after, `open_verified_with` rolls the
-/// staged files forward by digest.
-fn checkpoint_pass<R: Real>(
-    store: &mut ChunkStore<R>,
-    key: &RunKey<'_>,
-    dir: &Path,
-    crash: Option<(usize, CrashPoint)>,
-    pass: usize,
-    track: &TrackHandle,
-) -> std::io::Result<()> {
-    // Fire the injected crash when this pass/point is its target.
-    let crash_at = |point: CrashPoint| -> std::io::Result<()> {
-        if crash == Some((pass, point)) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                InjectedCrash { pass, point },
-            ));
-        }
-        Ok(())
-    };
-    let _s = track.span_timed("checkpoint.write", pass as u64, "checkpoint_ns");
-    store.sync_staged()?;
-    let mut digests = Vec::with_capacity(store.n_chunks());
-    for c in 0..store.n_chunks() {
-        digests.push(store.staged_digest(c)?);
-    }
-    crash_at(CrashPoint::BeforeManifest)?;
-    key.manifest(pass + 1, digests).write_atomic(dir)?;
-    crash_at(CrashPoint::BeforeCommit)?;
-    store.commit_staged()?;
-    crash_at(CrashPoint::AfterCommit)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -806,7 +708,7 @@ mod tests {
     #[test]
     fn op_free_schedule_leaves_a_readable_store() {
         // Nothing to apply: the single pass synthesises the start state,
-        // reduces it and writes it, so the gather finds live chunks.
+        // reduces it and writes it, so the gather finds chunk files.
         for uniform in [true, false] {
             let circ = Circuit::new(5);
             let schedule = plan(&circ, &SchedulerConfig::distributed(3, 2));

@@ -41,6 +41,6 @@ pub mod scratch;
 
 pub use backend::OocBackend;
 pub use chunkstore::{BufferPool, ChunkReader, ChunkStore, ChunkWriter, IoStats};
-pub use exec::{CrashPoint, InjectedCrash, OocConfig, OocSimulator};
+pub use exec::{OocConfig, OocSimulator};
 pub use qsim_compress::Codec;
 pub use scratch::ScratchDir;

@@ -4,12 +4,13 @@
 //! both halves of its neighbouring swaps folded in — streams all 2^g
 //! chunks through memory. [`run_pass`] drives that stream as a
 //! three-thread pipeline: a *prefetch* thread fills chunk `c+1..c+depth`
-//! ahead (read from the live files, or synthesised for the start state),
-//! the caller's compute closure runs on the main thread, and a
-//! *writeback* thread retires chunk `c−1` — so disk time hides behind
-//! compute. `depth` chunk buffers circulate; at depth 1 there is one, so
-//! read → compute → write of consecutive chunks serialise through the
-//! same three threads — the synchronous case is a depth, not a mode.
+//! ahead (read from the store's current generation, or synthesised for
+//! the start state), the caller's compute closure runs on the main
+//! thread, and a *writeback* thread retires chunk `c−1` into the next
+//! generation — so disk time hides behind compute. `depth` chunk buffers
+//! circulate; at depth 1 there is one, so read → compute → write of
+//! consecutive chunks serialise through the same three threads — the
+//! synchronous case is a depth, not a mode.
 //!
 //! Buffers travel a closed loop of bounded [`Pipe`]s (hand-rolled
 //! Mutex+Condvar ring; the queue storage is preallocated, so steady
@@ -134,17 +135,14 @@ impl<T> Pipe<T> {
     }
 }
 
-/// Where a retired buffer's bytes go. The variant also says which pool
-/// the buffer returns to: only [`Dest::Piece`] carries a wire buffer.
+/// Where a retired buffer's bytes go in the generation the pass writes.
+/// The variant also says which pool the buffer returns to: only
+/// [`Dest::Piece`] carries a wire buffer.
 #[derive(Clone, Copy)]
 pub(crate) enum Dest {
-    /// Overwrite live chunk `c`.
-    Live(usize),
-    /// The complete staged contents of chunk `c`: the live chunk stays
-    /// untouched until the commit (checkpointed passes, where the
-    /// manifest must be durable first).
-    Shadow(usize),
-    /// Piece-offset `off` of chunk `c`'s staged file.
+    /// All of chunk `c`.
+    Chunk(usize),
+    /// Amplitude offset `off` of chunk `c` (one scattered piece).
     Piece { c: usize, off: usize },
     /// Nothing to write: recycle a chunk buffer (scatter sources).
     Nowhere,
@@ -158,29 +156,20 @@ impl Dest {
         track: &TrackHandle,
         buf: &[Complex<R>],
     ) -> std::io::Result<()> {
-        let staged = |c: usize| track.span_timed("write staged", c as u64, "chunk_io_ns");
-        match self {
-            Dest::Live(c) => {
-                let _s = track.span_timed("write", c as u64, "chunk_io_ns");
-                writer.write_chunk_from(c, buf)
-            }
-            Dest::Shadow(c) => {
-                let _s = staged(c);
-                writer.write_staged_range(c, 0, buf)
-            }
-            Dest::Piece { c, off } => {
-                let _s = staged(c);
-                writer.write_staged_range(c, off, buf)
-            }
-            Dest::Nowhere => Ok(()),
-        }
+        let (name, c, off) = match self {
+            Dest::Chunk(c) => ("write", c, 0),
+            Dest::Piece { c, off } => ("write piece", c, off),
+            Dest::Nowhere => return Ok(()),
+        };
+        let _s = track.span_timed(name, c as u64, "chunk_io_ns");
+        writer.write_range(c, off, buf)
     }
 }
 
 /// Where a pass's chunks come from.
 #[derive(Clone, Copy)]
 pub(crate) enum PassSource {
-    /// The live chunk files the previous pass wrote or committed.
+    /// The store's current generation: what the previous pass wrote.
     Live,
     /// No chunk file exists yet: the start state is a formula (the
     /// uniform superposition, or |0…0⟩), so the first pass synthesises
@@ -323,8 +312,10 @@ fn thread_panic_err(which: &str, payload: Box<dyn std::any::Any + Send>) -> std:
 /// Stream every chunk of `cfg.source` through `compute` once. The closure
 /// receives `(chunk_index, chunk_buffer, sink)` in ascending chunk order
 /// and must hand the buffer back through the sink (as a write or a
-/// recycle). IO counters, wait/compute split and the traversal count
-/// are absorbed into the store's stats.
+/// recycle); its writes must cover every chunk of the next generation,
+/// which becomes the store's current one when the pass succeeds. IO
+/// counters, wait/compute split and the traversal count are absorbed
+/// into the store's stats.
 pub(crate) fn run_pass<R: Real, F>(
     store: &mut ChunkStore<R>,
     chunk_pool: &mut BufferPool<R>,
@@ -339,7 +330,7 @@ where
     let depth = cfg.depth;
     assert!(depth >= 1, "a pass needs a chunk buffer to circulate");
     let feed = Feed::open(store, cfg.source)?;
-    let writer = store.writer()?;
+    let writer = store.writer();
 
     // Capacities are sized so no pipe can ever reject a buffer that
     // exists: `depth + 1` chunk buffers circulate (+1 for a compute-held
@@ -487,7 +478,10 @@ where
     store.count_traversal();
     match err.into_inner() {
         Some(e) => Err(e),
-        None => Ok(()),
+        None => {
+            store.advance();
+            Ok(())
+        }
     }
 }
 
@@ -560,7 +554,7 @@ mod tests {
                     for a in buf.iter_mut() {
                         *a *= c64::new(2.0, 0.0);
                     }
-                    sink.retire(Dest::Live(c), buf);
+                    sink.retire(Dest::Chunk(c), buf);
                     Ok(())
                 },
             )
@@ -580,7 +574,7 @@ mod tests {
 
     /// A `Start` source reads nothing and needs no file: the pass
     /// synthesises the bytes `create_uniform` / `create_zero_state` would
-    /// have written, and the live chunks come into being on write.
+    /// have written, and the chunk files come into being on write.
     #[test]
     fn start_source_synthesises_what_create_would_write() {
         for (uniform, depth) in [(true, 1usize), (true, 2), (false, 1), (false, 2)] {
@@ -611,7 +605,7 @@ mod tests {
                 &mut wire_pool,
                 &cfg,
                 |c, buf, sink| {
-                    sink.retire(Dest::Live(c), buf);
+                    sink.retire(Dest::Chunk(c), buf);
                     Ok(())
                 },
             )
@@ -627,11 +621,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_writes_commit() {
+    fn scattered_pieces_become_the_next_generation() {
         // One wire buffer under one chunk buffer is the tightest loop the
         // scatter can run in; two of each is the overlapped one.
         for (depth, wires) in [(1usize, 1usize), (2, 2)] {
-            let dir = ScratchDir::new("pass_staged");
+            let dir = ScratchDir::new("pass_pieces");
             let mut store = ChunkStore::create_filled(dir.path(), 3, 1, c64::zero()).unwrap();
             let mut chunk_pool = BufferPool::new(store.chunk_len());
             let mut wire_pool = BufferPool::new(store.chunk_len() / 2);
@@ -642,7 +636,7 @@ mod tests {
                 wires,
                 telemetry: Telemetry::disabled(),
             };
-            // Transpose-like: piece `src` of staged chunk `dst` = src id.
+            // Transpose-like: piece `src` of chunk `dst` = src id.
             run_pass(
                 &mut store,
                 &mut chunk_pool,
@@ -662,7 +656,6 @@ mod tests {
                 },
             )
             .unwrap();
-            store.commit_staged().unwrap();
             let v = store.to_vec().unwrap();
             for dst in 0..2usize {
                 for src in 0..2usize {
@@ -681,7 +674,7 @@ mod tests {
             let dir = ScratchDir::new("pass_err");
             let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap();
             // Truncate one chunk so the prefetch read fails mid-pass.
-            let bad = dir.path().join("chunk_000002.amps");
+            let bad = dir.path().join("chunk_000002.g0.amps");
             std::fs::write(&bad, b"short").unwrap();
             let mut chunk_pool = BufferPool::new(store.chunk_len());
             let mut wire_pool = BufferPool::new(1);
@@ -697,7 +690,7 @@ mod tests {
                 &mut wire_pool,
                 &cfg,
                 |c, buf, sink| {
-                    sink.retire(Dest::Live(c), buf);
+                    sink.retire(Dest::Chunk(c), buf);
                     Ok(())
                 },
             );

@@ -1,17 +1,21 @@
-//! Crash-consistency tests for the out-of-core engine: an injected
-//! crash at *any* point of *any* pass's commit protocol (before the
-//! manifest flips, between manifest and staged commit, after the
-//! commit) must leave a directory that resumes to the bit-exact final
-//! state of an uninterrupted run (`max_dist == 0.0`, not a tolerance).
+//! Crash-consistency tests for the out-of-core engine: a kill at *any*
+//! byte of *any* pass — which leaves the manifest naming the previous
+//! pass's generation next to whatever the killed pass left in the other
+//! file parity — must leave a directory that resumes to the bit-exact
+//! final state of an uninterrupted run (`max_dist == 0.0`, not a
+//! tolerance).
+
+use std::path::Path;
 
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
+use qsim_core::checkpoint::{Manifest, MANIFEST_FILE};
 use qsim_core::single::strip_initial_hadamards;
 use qsim_core::{
     Backend, BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig,
     DistSimulator, SimError,
 };
 use qsim_kernels::{KernelConfig, SweepDispatch};
-use qsim_ooc::{Codec, CrashPoint, InjectedCrash, OocConfig, OocSimulator, ScratchDir};
+use qsim_ooc::{Codec, OocConfig, OocSimulator, ScratchDir};
 use qsim_sched::{plan, SchedulerConfig};
 use qsim_util::c64;
 use qsim_util::complex::max_dist;
@@ -95,22 +99,80 @@ fn checkpointing_does_not_change_a_single_bit() {
     }
 }
 
-/// Crash at every pass × point under `codec`, resume, and compare with
-/// the uninterrupted uncompressed oracle (`codec` must be lossless).
+/// What a kill inside the pass writing a generation can leave in its
+/// files.
+#[derive(Clone, Copy, Debug)]
+enum Leftover {
+    Garbage,
+    Truncated,
+    Longer,
+    Deleted,
+}
+
+const LEFTOVERS: [Leftover; 4] = [
+    Leftover::Garbage,
+    Leftover::Truncated,
+    Leftover::Longer,
+    Leftover::Deleted,
+];
+
+/// Replace each file of the generation the manifest does not name (the
+/// `*.g{other}.amps` twin of every `*.g{named}.amps`) with `how`;
+/// returns how many were replaced.
+fn tear_unnamed_generation(dir: &Path, named: usize, how: Leftover) -> usize {
+    let keep = format!(".g{}.amps", named % 2);
+    let tear = format!(".g{}.amps", (named + 1) % 2);
+    let named_files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_str().unwrap().ends_with(&keep))
+        .collect();
+    for path in &named_files {
+        let len = std::fs::metadata(path).unwrap().len();
+        let victim = dir.join(
+            path.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .replace(&keep, &tear),
+        );
+        let garbage = |len: u64| (0..len).map(|i| (i * 151 + 7) as u8).collect::<Vec<_>>();
+        match how {
+            Leftover::Garbage => std::fs::write(&victim, garbage(len)).unwrap(),
+            Leftover::Truncated => std::fs::OpenOptions::new()
+                .create(true)
+                .truncate(false)
+                .write(true)
+                .open(&victim)
+                .and_then(|f| f.set_len(len / 3))
+                .unwrap(),
+            Leftover::Longer => std::fs::write(&victim, garbage(len + 4099)).unwrap(),
+            Leftover::Deleted => {
+                let _ = std::fs::remove_file(&victim);
+            }
+        }
+    }
+    named_files.len()
+}
+
+/// Stop after every pass under `codec`, leave the other file parity in
+/// every state a kill in the next pass can leave it, resume, and compare
+/// with the uninterrupted uncompressed oracle (`codec` must be lossless).
 ///
-/// The protocol digests chunk bytes *as stored*, so it has to hold
-/// unchanged when the store holds codec frames. Two windows get an
-/// explicit look: pass 0, which reads no chunk — before its commit the
-/// directory holds staged files only, and a crash before the manifest
-/// leaves nothing to resume from — and every later pass, whose resume
-/// finds live chunks holding the previous swap's exchange buffers, still
-/// awaiting their unpermute.
-fn crash_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
+/// Stop `u` plus a torn parity is a kill at any byte of pass `u`: its
+/// manifest cursor names the generation pass `u − 1` wrote, and the torn
+/// files are the ones pass `u` was writing. Stop 0 is a kill in pass 0 of
+/// a fresh start over an older run's store: no manifest, old chunk files
+/// in both parities, so the resume starts over. The protocol digests
+/// chunk bytes *as stored*, so it has to hold unchanged when the store
+/// holds codec frames.
+fn kill_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
     // Three swaps (the first an identity slots→top permutation, so its
     // unpermute is skipped), four passes.
     let plan = planned_for(3, 3, 25, 5, 3);
-    let n_swaps = plan.schedule.n_swaps();
-    assert!(n_swaps >= 2, "want a middle pass to resume into");
+    let runs = plan.schedule.n_swaps() + 1;
+    assert!(runs >= 3, "want a middle pass to resume into");
+    let n_chunks = 1usize << (plan.schedule.n_qubits - plan.schedule.local_qubits);
     let expect = oracle(&plan);
     let sim = |checkpoint: CheckpointPolicy| {
         OocSimulator::<f64>::new(OocConfig {
@@ -120,62 +182,72 @@ fn crash_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
             ..OocConfig::sequential()
         })
     };
-    for point in [
-        CrashPoint::BeforeManifest,
-        CrashPoint::BeforeCommit,
-        CrashPoint::AfterCommit,
-    ] {
-        // Walk crash targets upward until one no longer fires (the run
-        // has fewer passes than that index).
-        let mut pass = 0usize;
-        loop {
-            let dir = ScratchDir::new("ooc_ckpt_crash");
-            match sim(fresh(&dir)).run_plan(&plan, false, Some((pass, point))) {
-                Ok(_) => break, // past the last pass: nothing to crash
-                Err(SimError::InjectedStop { unit }) => assert_eq!(
-                    unit,
-                    InjectedCrash { pass, point }.durable_units(),
-                    "pass {pass} ({point:?})"
-                ),
-                Err(e) => panic!("injected crash must surface typed: {e}"),
+    for stop in 0..=runs {
+        for how in LEFTOVERS {
+            let at = format!("{codec:?} depth {prefetch_depth}, stop {stop}, {how:?}");
+            let dir = ScratchDir::new("ooc_ckpt_kill");
+            if stop == 0 {
+                sim(fresh(&dir)).run_plan(&plan, false, None).unwrap();
+                std::fs::remove_file(dir.path().join(MANIFEST_FILE)).unwrap();
+            } else {
+                match sim(fresh(&dir)).run_plan(&plan, false, Some(stop)) {
+                    Err(SimError::InjectedStop { unit }) => assert_eq!(unit, stop, "{at}"),
+                    Err(e) => panic!("{at}: stop must surface typed: {e}"),
+                    Ok(_) => panic!("{at}: stop never fired"),
+                }
+                let m = Manifest::load(dir.path()).unwrap().expect("manifest");
+                assert_eq!(m.next_unit, stop, "{at}");
             }
-            let live = dir.path().join("chunk_000000.amps").exists();
-            let manifest = dir.path().join("MANIFEST.json").exists();
-            let want = match (pass, point) {
-                (0, CrashPoint::BeforeManifest) => (false, false),
-                (0, CrashPoint::BeforeCommit) => (false, true),
-                _ => (true, true),
-            };
-            assert_eq!((live, manifest), want, "pass {pass} ({point:?})");
+            assert_eq!(
+                tear_unnamed_generation(dir.path(), stop, how),
+                n_chunks,
+                "{at}"
+            );
             let out = sim(resume(&dir)).run_plan(&plan, true, None).unwrap();
             assert_eq!(
                 max_dist(out.state.as_ref().unwrap(), &expect),
                 0.0,
-                "{codec:?}: resume after crash at pass {pass} ({point:?}) diverged"
+                "{at}: resume diverged"
             );
             // Only the passes past the durable ones run again.
-            let durable = pass + usize::from(point != CrashPoint::BeforeManifest);
             let (traversals, _, runs) = io_of(&out);
-            assert_eq!(
-                traversals as usize,
-                (runs - durable).max(1),
-                "pass {pass} ({point:?})"
-            );
-            pass += 1;
+            assert_eq!(traversals as usize, (runs - stop).max(1), "{at}");
         }
-        assert_eq!(pass, n_swaps + 1, "one crash window per stage run");
     }
 }
 
 #[test]
-fn crash_at_every_pass_and_point_then_resume_is_bit_exact() {
-    crash_everywhere_then_resume(Codec::None, 1);
-    crash_everywhere_then_resume(Codec::None, 3);
+fn a_kill_in_any_pass_resumes_bit_exactly() {
+    kill_everywhere_then_resume(Codec::None, 1);
+    kill_everywhere_then_resume(Codec::None, 3);
 }
 
 #[test]
 fn compressed_crash_resume_is_bit_exact() {
-    crash_everywhere_then_resume(Codec::ShuffleRle, 3);
+    kill_everywhere_then_resume(Codec::ShuffleRle, 1);
+    kill_everywhere_then_resume(Codec::ShuffleRle, 3);
+}
+
+#[test]
+fn a_version_3_manifest_is_a_typed_mismatch() {
+    // Version 3 named staged/live chunk files this build never reads:
+    // a directory it wrote is a foreign format, not a missing file.
+    let plan = planned(6, 3);
+    let dir = ScratchDir::new("ooc_ckpt_v3");
+    ckpt_sim(3, fresh(&dir))
+        .run_plan(&plan, false, Some(1))
+        .expect_err("stop fires");
+    let path = dir.path().join(MANIFEST_FILE);
+    let v4 = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, v4.replace("\"version\": 4", "\"version\": 3")).unwrap();
+    let err = ckpt_sim(3, resume(&dir))
+        .run_plan(&plan, false, None)
+        .expect_err("a v3 manifest must be rejected");
+    assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
+    assert!(
+        err.to_string().contains("version 3"),
+        "unhelpful error: {err}"
+    );
 }
 
 #[test]
@@ -183,14 +255,14 @@ fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
     let plan = planned_for(3, 3, 25, 5, 3);
     let runs = plan.schedule.n_swaps() as u64 + 1;
     // Stream-phase (planned, done) units and swap_ns samples of one run.
-    let observe = |checkpoint: CheckpointPolicy, crash: Option<(usize, CrashPoint)>| {
+    let observe = |checkpoint: CheckpointPolicy, stop: Option<usize>| {
         let telemetry = qsim_telemetry::Telemetry::enabled();
         let mut sim = OocSimulator::<f64>::new(OocConfig {
             checkpoint: Some(checkpoint),
             telemetry: telemetry.clone(),
             ..OocConfig::sequential()
         });
-        let result = sim.run_plan(&plan, false, crash);
+        let result = sim.run_plan(&plan, false, stop);
         let snap = telemetry.progress().unwrap().snapshot();
         let stream = snap.phases.iter().find(|p| p.name == "stream").unwrap();
         let swaps = match telemetry.metrics().unwrap().get("swap_ns") {
@@ -206,11 +278,9 @@ fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
         "a fresh run plans one unit per stage run, one swap_ns sample per swap"
     );
     let dir = ScratchDir::new("ooc_ckpt_progress_crash");
-    // (The crash fires inside pass 1's commit, before it reports done.)
-    assert_eq!(
-        observe(fresh(&dir), Some((1, CrashPoint::AfterCommit))),
-        (false, runs, 1, 1)
-    );
+    // (The stop fires right after pass 1's manifest, before it reports
+    // done.)
+    assert_eq!(observe(fresh(&dir), Some(2)), (false, runs, 1, 1));
     assert_eq!(
         observe(resume(&dir), None),
         (true, runs - 2, runs - 2, runs - 2),

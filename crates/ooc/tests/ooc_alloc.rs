@@ -3,7 +3,7 @@
 //! open, streaming every chunk through read → compiled compute → write
 //! performs no heap allocations at all — file IO goes straight between
 //! the chunk files and pooled aligned buffers (no intermediate byte
-//! vectors), and the staged scatter path reuses pooled wire buffers.
+//! vectors), and the scatter path reuses pooled wire buffers.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`.
@@ -70,7 +70,7 @@ fn steady_state_chunk_loop_does_not_allocate() {
     chunk_pool.prewarm(2);
     wire_pool.prewarm(2);
     let reader = store.reader().unwrap();
-    let writer = store.writer().unwrap();
+    let writer = store.writer();
     let stats = SweepStats::default();
 
     struct Loop<'a> {
@@ -92,13 +92,11 @@ fn steady_state_chunk_loop_does_not_allocate() {
                 let mut buf = self.chunk_pool.get();
                 self.reader.read_into(c, &mut buf).unwrap();
                 execute_compiled_stage(&mut buf, stage, c, 1, &mut self.stats);
-                self.writer.write_chunk_from(c, &buf).unwrap();
+                self.writer.write_range(c, 0, &buf).unwrap();
                 for dst in 0..n_chunks {
                     let mut wire = self.wire_pool.get();
                     wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
-                    self.writer
-                        .write_staged_range(dst, c * piece, &wire)
-                        .unwrap();
+                    self.writer.write_range(dst, c * piece, &wire).unwrap();
                     self.wire_pool.put(wire);
                 }
                 self.chunk_pool.put(buf);
@@ -114,7 +112,7 @@ fn steady_state_chunk_loop_does_not_allocate() {
         stats,
     };
 
-    // One warm-up traversal: first use opens the lazy staged file
+    // One warm-up traversal: first use opens the lazy writer file
     // handles and settles any one-time kernel state.
     lp.sweep(n_chunks, piece, &stage);
     let allocs0 = lp.chunk_pool.allocs() + lp.wire_pool.allocs();

@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX=264
+MAX=252
 
 count="$(grep -rE 'unwrap\(\)|expect\(' crates/*/src src | wc -l)"
 if [ "$count" -gt "$MAX" ]; then

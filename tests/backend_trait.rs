@@ -4,9 +4,11 @@
 //! precisions. This is the contract a fourth backend must satisfy to
 //! plug into the CLI (DESIGN.md §16): plan once, run bit-exactly with
 //! or without checkpointing, die with a typed `InjectedStop` at the
-//! requested unit, and resume to the bit-exact uninterrupted state.
+//! requested unit, and resume to the bit-exact uninterrupted state —
+//! whatever a kill in the next unit left in the generation the manifest
+//! does not name.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
@@ -72,6 +74,55 @@ fn backends<R: SweepDispatch>(t: &Telemetry) -> Vec<Box<dyn Backend<R>>> {
     ]
 }
 
+/// What a kill inside the unit writing a generation can leave in its
+/// files.
+#[derive(Clone, Copy, Debug)]
+enum Leftover {
+    Garbage,
+    Truncated,
+    Longer,
+    Deleted,
+}
+
+/// Replace each file of the generation the manifest does not name (the
+/// `*.g{other}.amps` twin of every `*.g{named}.amps`, for rank snapshots
+/// and chunk files alike) with `how`; returns how many were replaced.
+fn tear_unnamed_generation(dir: &Path, named: usize, how: Leftover) -> usize {
+    let keep = format!(".g{}.amps", named % 2);
+    let tear = format!(".g{}.amps", (named + 1) % 2);
+    let named_files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_str().unwrap().ends_with(&keep))
+        .collect();
+    for path in &named_files {
+        let len = std::fs::metadata(path).unwrap().len();
+        let victim = dir.join(
+            path.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .replace(&keep, &tear),
+        );
+        let garbage = |len: u64| (0..len).map(|i| (i * 151 + 7) as u8).collect::<Vec<_>>();
+        match how {
+            Leftover::Garbage => std::fs::write(&victim, garbage(len)).unwrap(),
+            Leftover::Truncated => std::fs::OpenOptions::new()
+                .create(true)
+                .truncate(false)
+                .write(true)
+                .open(&victim)
+                .and_then(|f| f.set_len(len / 3))
+                .unwrap(),
+            Leftover::Longer => std::fs::write(&victim, garbage(len + 4099)).unwrap(),
+            Leftover::Deleted => {
+                let _ = std::fs::remove_file(&victim);
+            }
+        }
+    }
+    named_files.len()
+}
+
 /// The shared conformance pass: replaces the per-engine copies that
 /// used to live in `tests/backends.rs` and the engine-specific halves
 /// of the checkpoint suites.
@@ -131,29 +182,41 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
         );
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Kill mid-run: a typed InjectedStop naming exactly the unit
-        // count that is durable in the checkpoint directory...
-        let dir = tmpdir(&format!("{name}_kill"));
-        b.checkpoint(CheckpointPolicy::new(&dir));
-        let stop = (total_units / 2).max(1);
-        match b.run_to_stage(&plan, Some(stop)) {
-            Err(SimError::InjectedStop { unit }) => {
-                assert_eq!(unit, stop, "{name}: stop landed on the wrong unit")
-            }
-            Err(e) => panic!("{name}: expected InjectedStop, got {e}"),
-            Ok(_) => panic!("{name}: kill at unit {stop} never fired"),
-        }
+        // At every unit: a kill lands as a typed InjectedStop naming
+        // exactly the unit count that is durable in the checkpoint
+        // directory...
+        for stop in 1..=total_units {
+            for how in [
+                Leftover::Garbage,
+                Leftover::Truncated,
+                Leftover::Longer,
+                Leftover::Deleted,
+            ] {
+                let at = format!("{name}: kill at {stop}/{total_units}, {how:?}");
+                let dir = tmpdir(&format!("{name}_kill"));
+                b.checkpoint(CheckpointPolicy::new(&dir));
+                match b.run_to_stage(&plan, Some(stop)) {
+                    Err(SimError::InjectedStop { unit }) => assert_eq!(unit, stop, "{at}"),
+                    Err(e) => panic!("{at}: expected InjectedStop, got {e}"),
+                    Ok(_) => panic!("{at}: the stop never fired"),
+                }
+                // ...the generation being written when the next unit
+                // dies is in any state...
+                assert!(tear_unnamed_generation(&dir, stop, how) > 0, "{at}");
 
-        // ...and resume replays the identical tail: bit-exact. (The stop
-        // point was an argument of that one call: this run completes.)
-        b.checkpoint(CheckpointPolicy::resume(&dir));
-        let resumed = b.run(&plan).expect(name).state.expect("gathered state");
-        assert_eq!(
-            max_dist(&resumed, &plain).to_f64(),
-            0.0,
-            "{name}: kill at {stop}/{total_units} + resume diverged"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+                // ...and resume replays the identical tail: bit-exact.
+                // (The stop point was an argument of that one call: this
+                // run completes.)
+                b.checkpoint(CheckpointPolicy::resume(&dir));
+                let resumed = b.run(&plan).expect(name).state.expect("gathered state");
+                assert_eq!(
+                    max_dist(&resumed, &plain).to_f64(),
+                    0.0,
+                    "{at}: resume diverged"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Regressions for the panic-path sweep: a checkpoint IO failure, a dead
-//! chunk-store directory and an injected crash must each surface as a
+//! chunk-store directory and an injected stop must each surface as a
 //! typed [`SimError`] through the [`Backend`] trait — a run may fail,
 //! but never by panicking. (The CLI turns the typed error into a flight
 //! record and exit code 1.)
@@ -82,7 +82,7 @@ fn checkpoint_io_failures_are_typed() {
     }
 
     // 3. The OOC engine normalizes its io-flavored failures: a dead
-    // store directory is `SimError::Io`, an injected crash is the same
+    // store directory is `SimError::Io`, an injected stop is the same
     // typed `InjectedStop` the other engines return.
     match run_into(ooc(), dead_checkpoint_dir(&scratch, "ooc"), None) {
         Err(SimError::Io(_)) => {}
@@ -92,6 +92,6 @@ fn checkpoint_io_failures_are_typed() {
     match run_into(ooc(), scratch.path().join("ooc_store"), Some(1)) {
         Err(SimError::InjectedStop { unit }) => assert_eq!(unit, 1),
         Err(e) => panic!("expected InjectedStop, got {e}"),
-        Ok(_) => panic!("injected crash must fire"),
+        Ok(_) => panic!("injected stop must fire"),
     }
 }
