@@ -146,7 +146,7 @@ fn all_engines_emit_spans_and_metrics() {
     // OOC pipeline phases across all three threads.
     // Both swap halves ride inside the stage-run passes, and pass 0
     // synthesises its chunks instead of reading them.
-    for name in ["stage run", "compute", "scatter", "unpermute"] {
+    for name in ["stage", "compute", "scatter", "unpermute"] {
         assert!(count(&spans, "ooc.compute", name) >= 1, "no {name} span");
     }
     assert!(count(&spans, "ooc.prefetch", "synthesise") >= 1);

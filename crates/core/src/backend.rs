@@ -16,12 +16,13 @@
 //!   schedule, kernel config and tile budget the amplitudes agree bit
 //!   for bit across engines (`max_dist == 0.0` in the equivalence
 //!   suites).
-//! * **Checkpoint granularity** is engine-defined: in memory (single
-//!   node and distributed) the unit is the *stage*, with the swap that
-//!   closes it; out of core it is the *stage run* (the stages between
-//!   two all-to-alls, one streaming pass). [`Backend::total_units`]
-//!   reports the unit count so callers can pick a valid `run_to_stage`
-//!   stop point without knowing which engine they hold.
+//! * **One unit.** Every engine executes, checkpoints and reports
+//!   progress in the same unit: the *stage*, with the swap that closes
+//!   it — in memory one stage application plus one all-to-all, out of
+//!   core one streaming pass. A plan has `plan.schedule.stages.len()`
+//!   units, so callers pick a valid `run_to_stage` stop point without
+//!   knowing which engine they hold. Every engine runs only plans of the
+//!   one executable shape ([`check_plan`]).
 //! * **One checkpoint policy.** [`Backend::checkpoint`] takes the
 //!   [`CheckpointPolicy`] (`{dir, resume}`) all three engines share.
 //! * **Kill/resume.** `run_to_stage(plan, Some(u))` completes `u` units,
@@ -41,7 +42,7 @@
 //!   checkpoint error in every engine.
 
 use crate::checkpoint::CheckpointPolicy;
-use crate::planner::{PlanOptions, PlannedSchedule, ProgressBackend};
+use crate::planner::{PlanOptions, PlannedSchedule};
 use crate::{DistSimulator, SingleNodeSimulator};
 use qsim_circuit::Circuit;
 use qsim_kernels::{SweepDispatch, SweepStats};
@@ -110,7 +111,9 @@ pub enum BackendStats {
     Ooc {
         io: IoStats,
         sweep: SweepStats,
-        /// Stage runs executed (`== io.traversals`: one pass each).
+        /// Stages executed, one streaming pass each (`== io.traversals`,
+        /// except that resuming a finished run executes none and reads
+        /// the state once to reduce it).
         runs: usize,
     },
 }
@@ -166,13 +169,6 @@ pub trait Backend<R: SweepDispatch> {
     /// The engine's telemetry handle (cloned; handles share state).
     fn telemetry(&self) -> Telemetry;
 
-    /// Which cost-model phase split prices this engine's ETA. Provided:
-    /// the in-memory stage + swap split; the out-of-core engine
-    /// overrides it.
-    fn progress_backend(&self) -> ProgressBackend {
-        ProgressBackend::Dist
-    }
-
     /// Checkpoint every completed unit under `policy` (and resume from
     /// its directory's manifest when the policy says so).
     fn checkpoint(&mut self, policy: CheckpointPolicy);
@@ -186,18 +182,12 @@ pub trait Backend<R: SweepDispatch> {
     /// cannot be split into is [`std::io::ErrorKind::InvalidInput`].
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError>;
 
-    /// Checkpoint units this engine executes `plan` in. Valid
-    /// `run_to_stage` stop points are `1..=total_units`. Provided: one
-    /// per stage, the in-memory unit; the out-of-core engine overrides
-    /// it with one per stage run (see the module docs on granularity).
-    fn total_units(&self, plan: &BackendPlan) -> usize {
-        plan.schedule.stages.len()
-    }
-
     /// Execute `plan` — the only way to run a schedule — stopping with
-    /// [`SimError::InjectedStop`] after `stop_after` checkpoint units
-    /// when set (kill-point injection for resume testing; requires a
-    /// checkpoint directory).
+    /// [`SimError::InjectedStop`] after `stop_after` stages when set
+    /// (kill-point injection for resume testing; requires a checkpoint
+    /// directory; valid stop points are `1..=plan.schedule.stages.len()`).
+    /// A plan the engine cannot execute ([`check_plan`]) is
+    /// [`std::io::ErrorKind::InvalidInput`].
     fn run_to_stage(
         &mut self,
         plan: &BackendPlan,
@@ -209,10 +199,10 @@ pub trait Backend<R: SweepDispatch> {
         self.run_to_stage(plan, None)
     }
 
-    /// Seed the live-progress engine's predicted-seconds denominators
-    /// from the plan's cost model (PR 9's ETA prior), through one
-    /// engine-agnostic path. A disabled telemetry handle makes this a
-    /// no-op; engines re-seed identically at run start, so calling it
+    /// Seed the live-progress engine with the plan's stages and their
+    /// cost-model price (the ETA prior), through one engine-agnostic
+    /// path. A disabled telemetry handle makes this a no-op; engines
+    /// re-seed at run start (with their resume point), so calling it
     /// early (e.g. between plan and run, while the CLI prints the plan)
     /// is idempotent.
     fn seed_progress(&self, plan: &BackendPlan) {
@@ -223,13 +213,13 @@ pub trait Backend<R: SweepDispatch> {
             // The engine's own tile pin and thread count arrive with its
             // re-seed at run start.
             crate::exec::resolve_tile_qubits(None, plan.schedule.local_qubits, 1),
-            self.progress_backend(),
+            0,
         );
     }
 }
 
 /// [`Backend`] over the in-memory engine on one partition, the whole
-/// register. Checkpoint unit: one *stage*.
+/// register.
 pub struct SingleBackend {
     pub sim: SingleNodeSimulator,
     gather: bool,
@@ -273,9 +263,8 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
     }
 }
 
-/// [`Backend`] over the in-memory engine on `2^g` ranks. Checkpoint
-/// unit: one *stage*, with the swap that closes it. Planning knobs live
-/// here — the engine itself takes a pre-planned schedule.
+/// [`Backend`] over the in-memory engine on `2^g` ranks. Planning knobs
+/// live here — the engine itself takes a pre-planned schedule.
 pub struct DistBackend {
     pub sim: DistSimulator,
     pub kmax: u32,
@@ -355,6 +344,24 @@ pub fn partition_geometry(n: u32, n_parts: usize) -> std::io::Result<(u32, u32)>
         ));
     }
     Ok((l, g))
+}
+
+/// The one check every engine makes before it executes `schedule` on
+/// `n_parts` partitions (ranks or chunks): the register splits that way
+/// ([`partition_geometry`]) into exactly the schedule's local qubits, and
+/// the schedule has the executable shape ([`Schedule::check_shape`]).
+/// Anything else is [`std::io::ErrorKind::InvalidInput`], on every
+/// engine, before any partition is touched.
+pub fn check_plan(schedule: &Schedule, n_parts: usize) -> std::io::Result<()> {
+    let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
+    let (l, _) = partition_geometry(schedule.n_qubits, n_parts)?;
+    if l != schedule.local_qubits {
+        return Err(invalid(format!(
+            "partition count must be 2^(n-l): {n_parts} partitions for n = {}, l = {}",
+            schedule.n_qubits, schedule.local_qubits
+        )));
+    }
+    schedule.check_shape().map_err(invalid)
 }
 
 /// Shared planning path of the partitioned engines (dist and OOC): both

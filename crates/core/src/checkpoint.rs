@@ -4,8 +4,8 @@
 //! traversal can be cut at communication boundaries; this module is the
 //! on-disk half of that promise. A checkpoint is a [`Manifest`] — a
 //! small JSON document recording the schedule fingerprint, a *unit*
-//! cursor (a stage in memory, a stage run — one streaming pass — out of
-//! core) and one digest per durable artifact (rank slice or chunk file).
+//! cursor (the stage, with the swap that closes it, on every engine) and
+//! one digest per durable artifact (rank slice or chunk file).
 //!
 //! Durability protocol (every engine, every unit). Each engine keeps
 //! two generations of its artifacts, named by the parity of the unit
@@ -284,8 +284,8 @@ impl Manifest {
     }
 
     /// Check that this manifest belongs to the run `key` describes;
-    /// returns where to restart — the first *unit* (stage / stage run)
-    /// whose effects are NOT yet durable on disk.
+    /// returns where to restart — the first stage whose effects are NOT
+    /// yet durable on disk.
     pub fn validate(&self, key: &RunKey) -> Result<usize, CheckpointError> {
         let fail = |m: String| Err(CheckpointError::Mismatch(m));
         let schedule = key.schedule;
@@ -325,10 +325,11 @@ impl Manifest {
                 self.init_uniform, key.init_uniform
             ));
         }
-        if self.total_units != key.total_units {
+        if self.total_units != schedule.stages.len() {
             return fail(format!(
                 "plan has {} units, manifest recorded {}",
-                key.total_units, self.total_units
+                schedule.stages.len(),
+                self.total_units
             ));
         }
         if self.digests.len() != key.n_artifacts {
@@ -393,7 +394,8 @@ pub fn check_stop_point(
 
 /// Everything that makes two executions "the same run": what a manifest
 /// records when it is written and what [`Manifest::validate`] compares
-/// on resume. Each engine builds one per run.
+/// on resume. Each engine builds one per run. The unit count is the
+/// schedule's stage count on every engine.
 #[derive(Clone, Copy, Debug)]
 pub struct RunKey<'a> {
     /// `"single"`, `"dist"` or `"ooc"`.
@@ -404,14 +406,12 @@ pub struct RunKey<'a> {
     /// Chunk codec name (`"none"` for the in-memory engines).
     pub codec: &'a str,
     pub init_uniform: bool,
-    /// Checkpoint units in the plan (stages / stage runs).
-    pub total_units: usize,
     /// Durable artifacts per generation (1, ranks, or chunks).
     pub n_artifacts: usize,
 }
 
 impl RunKey<'_> {
-    /// The manifest for "`unit` of `total_units` units done", with one
+    /// The manifest for "`unit` of the schedule's stages done", with one
     /// digest per artifact.
     pub fn manifest(&self, unit: usize, digests: Vec<u64>) -> Manifest {
         Manifest {
@@ -425,7 +425,7 @@ impl RunKey<'_> {
             init_uniform: self.init_uniform,
             rng_seed: 0,
             next_unit: unit,
-            total_units: self.total_units,
+            total_units: self.schedule.stages.len(),
             digests,
         }
     }
@@ -776,7 +776,6 @@ mod tests {
             precision: "f64",
             codec: "none",
             init_uniform: true,
-            total_units: 2,
             n_artifacts: 2,
         }
     }
@@ -859,10 +858,6 @@ mod tests {
             },
             RunKey {
                 init_uniform: false,
-                ..key
-            },
-            RunKey {
-                total_units: 3,
                 ..key
             },
             RunKey {

@@ -23,7 +23,7 @@
 //!   [`perform_swap_reference`] keeps the textbook three-pass path as the
 //!   equivalence oracle.
 
-use crate::backend::{partition_geometry, BackendOutcome, BackendPlan, BackendStats};
+use crate::backend::{check_plan, BackendOutcome, BackendPlan, BackendStats};
 use crate::checkpoint::{
     check_stop_point, load_snapshot, save_snapshot, CheckpointError, CheckpointPolicy, RunKey,
 };
@@ -39,7 +39,7 @@ use qsim_net::collective::{
 use qsim_net::fabric::{try_run_cluster_hooked, RankCtx};
 use qsim_net::{FaultPlan, PoisonHook, SimError};
 use qsim_sched::SwapOp;
-use qsim_telemetry::{Phase, RunState, Telemetry, TrackHandle};
+use qsim_telemetry::{RunState, Telemetry, TrackHandle};
 use qsim_util::bits::BitPermutation;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
@@ -58,10 +58,10 @@ pub struct DistConfig {
     /// `None` is [`crate::exec::resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
     /// Span/metrics sink: each rank records stage/swap/reduce spans on
-    /// its own `rank {r}` track (feeding the `stage_apply_ns` and
-    /// `swap_ns` histograms), and the driver publishes `FabricStats` and
-    /// `SweepStats` under the `dist.*` metric prefix. The default
-    /// disabled handle makes all of it a no-op.
+    /// its own `rank {r}` track (feeding the `stage_apply_ns` histogram;
+    /// rank 0's swaps feed `swap_ns`), and the driver publishes
+    /// `FabricStats` and `SweepStats` under the `dist.*` metric prefix.
+    /// The default disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
     /// When set, every rank snapshots its slice after each stage (and
     /// the swap that closes it) and rank 0 publishes an atomic manifest
@@ -150,8 +150,10 @@ impl DistSimulator {
     /// the metric prefix, the track names and the [`BackendStats`]
     /// variant (`"single"` or `"dist"`).
     ///
-    /// The checkpoint unit is the stage (with the swap that closes it).
-    /// Injected faults, lost ranks and checkpoint IO surface as a typed
+    /// The unit of execution, checkpoint and progress is the stage (with
+    /// the swap that closes it). A plan [`check_plan`] rejects for this
+    /// rank count is `InvalidInput` before any rank spawns. Injected
+    /// faults, lost ranks and checkpoint IO surface as a typed
     /// [`SimError`] after all rank threads have been joined — never a
     /// panic or a hang. `stop_after` makes every rank return
     /// [`SimError::InjectedStop`] after that many stages, past the unit's
@@ -164,18 +166,8 @@ impl DistSimulator {
         stop_after: Option<usize>,
     ) -> Result<(BackendOutcome<R>, Vec<StateVector<R>>), SimError> {
         let schedule = &plan.schedule;
-        let n = schedule.n_qubits;
         let l = schedule.local_qubits;
-        if partition_geometry(n, self.config.n_ranks)?.0 != l {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "rank count must be 2^(n-l): {} ranks for n = {n}, l = {l}",
-                    self.config.n_ranks
-                ),
-            )
-            .into());
-        }
+        check_plan(schedule, self.config.n_ranks)?;
         check_stop_point(self.config.checkpoint.as_ref(), stop_after)?;
         let cfg = &self.config.kernel;
         let tele = &self.config.telemetry;
@@ -186,7 +178,6 @@ impl DistSimulator {
             precision: R::NAME,
             codec: "none",
             init_uniform: plan.init_uniform,
-            total_units: schedule.stages.len(),
             n_artifacts: self.config.n_ranks,
         };
 
@@ -209,22 +200,16 @@ impl DistSimulator {
             StageExecutor::<R>::new(&schedule.stages, l, cfg, tile_qubits)
         };
 
-        // Seed the live-progress denominators with the units this run
-        // will actually execute (a resume pre-credits nothing: skipped
-        // stages are simply not planned). Only rank 0 reports completions,
-        // so planned counts are schedule-level, not ×2^g.
-        let start = resume.as_ref().map_or(0, |(unit, _)| *unit);
+        // Seed the live progress with the stages this run will actually
+        // execute. Only rank 0 reports completions, so planned counts are
+        // schedule-level, not ×2^g.
         if let Some(p) = tele.progress() {
-            let rest = &schedule.stages[start..];
-            let swaps = rest.iter().filter(|s| s.swap.is_some()).count();
-            p.set_planned_units(Phase::Stage, rest.len() as u64);
-            p.set_planned_units(Phase::Swap, swaps as u64);
             crate::planner::seed_progress(
                 tele,
                 schedule,
                 2 * R::BYTES as u64,
                 resolve_tile_qubits(tile_qubits, l, cfg.threads),
-                crate::planner::ProgressBackend::Dist,
+                resume.as_ref().map_or(0, |(unit, _)| *unit),
             );
             p.set_state(RunState::Running);
         }
@@ -392,39 +377,38 @@ fn run_rank<R: SweepDispatch>(
     // resume skipped.
     let mut swap_index = stages[..start].iter().filter(|s| s.swap.is_some()).count();
 
+    // One unit per stage: the stage, the swap that closes it, and its
+    // checkpoint.
     for (si, stage) in stages.iter().enumerate().skip(start) {
-        if rank == 0 {
-            if let Some(p) = sh.tele.progress() {
-                p.set_stage(si as u64, stages.len() as u64);
-            }
-        }
-        let t_stage = Instant::now();
+        let t_unit = Instant::now();
         {
             let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
             // Rank bits resolve global diagonal operands.
             sh.exec
                 .apply(si..si + 1, state.amplitudes_mut(), rank, &mut sweep);
         }
-        // Rank 0 speaks for the SPMD cluster: all ranks run the same
-        // stage, so one completion report per stage is the truth.
-        if rank == 0 {
-            sh.tele
-                .progress_unit(Phase::Stage, t_stage.elapsed().as_nanos() as u64);
-        }
         if let Some(swap) = &stage.swap {
             ctx.fault_point(swap_index)?;
-            let t_swap = Instant::now();
-            let _s = track.span_timed("swap", si as u64, "swap_ns");
+            // Rank 0 speaks for the SPMD cluster in `swap_ns`: one sample
+            // per swap.
+            let _s = match rank {
+                0 => track.span_timed("swap", si as u64, "swap_ns"),
+                _ => track.span_id("swap", si as u64),
+            };
             perform_swap(ctx, &mut state, swap, l, &mut swap_bufs);
             swap_index += 1;
-            if rank == 0 {
-                sh.tele
-                    .progress_unit(Phase::Swap, t_swap.elapsed().as_nanos() as u64);
-            }
         }
         let unit = si + 1;
         if let Some(cp) = sh.checkpoint {
             checkpoint_unit(ctx, cp, &sh.key, &track, &state, unit)?;
+        }
+        // Rank 0 speaks for the SPMD cluster: all ranks run the same
+        // stage, so one completion report per stage is the truth.
+        if rank == 0 {
+            if let Some(p) = sh.tele.progress() {
+                p.set_stage(unit as u64, stages.len() as u64);
+                p.unit_done(t_unit.elapsed().as_nanos() as u64);
+            }
         }
         // Injected stop: every rank returns the same typed error at the
         // same stage boundary (post-barrier, so the manifest for the unit

@@ -139,9 +139,9 @@ pub fn execute_compiled_stage<R: SweepDispatch>(
 }
 
 /// Compile a consecutive slice of stages under one tile budget — the
-/// shared entry point for engines that execute several stages per state
-/// residency (the distributed driver compiling once for all SPMD ranks,
-/// the out-of-core engine compiling once per stage-run).
+/// shared entry point of the engines (the in-memory driver compiling the
+/// whole schedule once for all SPMD ranks, the out-of-core engine
+/// compiling one stage per streaming pass).
 pub fn compile_stages<R: SweepDispatch>(
     stages: &[qsim_sched::Stage],
     local_qubits: u32,
@@ -170,7 +170,7 @@ pub fn resolve_tile_qubits(requested: Option<u32>, local_qubits: u32, threads: u
 
 /// A slice of stages prepared for execution on partitions of
 /// `2^local_qubits` amplitudes. Built once per residency (per run on the
-/// in-memory driver, per stage run out of core) and shared read-only by
+/// in-memory driver, per stage out of core) and shared read-only by
 /// every partition.
 pub struct StageExecutor<'a, R: SweepDispatch = f64> {
     stages: &'a [Stage],

@@ -43,8 +43,8 @@ pub mod single;
 pub mod state;
 
 pub use backend::{
-    partition_geometry, plan_partitioned, Backend, BackendOutcome, BackendPlan, BackendStats,
-    DistBackend, SingleBackend,
+    check_plan, partition_geometry, plan_partitioned, Backend, BackendOutcome, BackendPlan,
+    BackendStats, DistBackend, SingleBackend,
 };
 pub use baseline::BaselineSimulator;
 pub use checkpoint::{CheckpointError, CheckpointPolicy, Manifest, RunKey};
@@ -52,9 +52,7 @@ pub use dist::{DistConfig, DistSimulator};
 pub use exec::{
     compile_stage, compile_stages, execute_compiled_stage, CompiledStage, StageExecutor,
 };
-pub use planner::{
-    plan_schedule, seed_progress, PlanOptions, PlannedSchedule, ProgressBackend, ScheduleMode,
-};
+pub use planner::{plan_schedule, seed_progress, PlanOptions, PlannedSchedule, ScheduleMode};
 pub use qsim_net::SimError;
 pub use single::{SingleNodeSimulator, SingleOutcome};
 pub use state::StateVector;

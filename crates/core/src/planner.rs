@@ -17,7 +17,7 @@
 use qsim_circuit::Circuit;
 use qsim_kernels::Simd;
 use qsim_sched::{plan, search_plan, CostModel, Schedule, SchedulerConfig, SearchConfig};
-use qsim_telemetry::{Phase, RunState, Telemetry};
+use qsim_telemetry::{RunState, Telemetry};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -97,43 +97,26 @@ fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Which engine a progress seed prices for — the live phases differ:
-/// in-memory runs split into stage + swap phases (a single node's swap
-/// phase prices at 0 s), and the out-of-core engine streams everything.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProgressBackend {
-    Dist,
-    Ooc,
-}
-
-/// Price `schedule` with the [`process_cost_model`] and seed the
-/// telemetry progress engine's predicted-seconds denominators (the
-/// cost-model prior the live ETA starts from, before measured unit
-/// times take over). The split is the model's own: the Stage phase gets
-/// [`CostModel::stage_seconds`], the Swap phase
-/// [`CostModel::swap_seconds`], and the OOC Stream phase the full modeled
-/// seconds. Planned *unit counts* are seeded by the engines
-/// themselves, which know their unit structure; this only prices them.
-/// A disabled telemetry handle makes it a no-op.
+/// Seed the telemetry progress engine for a run of `schedule` that
+/// starts at stage `start`: the planned units are the stages still to
+/// run (a resume pre-credits nothing), and the prior the live ETA starts
+/// from, before measured unit times take over, is the plan priced by the
+/// [`process_cost_model`] — [`CostModel::seconds`], the model's one
+/// prediction. The unit is the stage, with the swap that closes it, on
+/// every engine. A disabled telemetry handle makes it a no-op.
 pub fn seed_progress(
     telemetry: &Telemetry,
     schedule: &Schedule,
     amp_bytes: u64,
     tile_qubits: u32,
-    backend: ProgressBackend,
+    start: usize,
 ) {
     let Some(p) = telemetry.progress() else {
         return;
     };
     let r = qsim_sched::plan_resources(schedule, amp_bytes, tile_qubits);
-    let model = process_cost_model();
-    match backend {
-        ProgressBackend::Dist => {
-            p.set_predicted_seconds(Phase::Stage, model.stage_seconds(&r));
-            p.set_predicted_seconds(Phase::Swap, model.swap_seconds(&r));
-        }
-        ProgressBackend::Ooc => p.set_predicted_seconds(Phase::Stream, model.seconds(&r)),
-    }
+    p.set_planned_units(schedule.stages.len().saturating_sub(start) as u64);
+    p.set_predicted_seconds(process_cost_model().seconds(&r));
     telemetry.publish_progress_gauges();
 }
 

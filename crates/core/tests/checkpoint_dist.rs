@@ -17,7 +17,7 @@ use qsim_core::{
 };
 use qsim_kernels::apply::KernelConfig;
 use qsim_net::{FaultPlan, SimError};
-use qsim_sched::{plan, plan_runs, segment_stages, Schedule, SchedulerConfig};
+use qsim_sched::{plan, Schedule, SchedulerConfig};
 use qsim_telemetry::{FlightRecorder, Telemetry};
 use qsim_util::complex::max_dist;
 
@@ -65,9 +65,7 @@ fn run(cfg: DistConfig, exec: &Circuit, schedule: &Schedule) -> Result<BackendOu
 #[test]
 fn injected_kill_then_resume_is_bit_exact() {
     let (exec, schedule) = planned(7, 3);
-    let runs = plan_runs(&schedule);
-    let n_swaps = runs.iter().filter(|r| r.swap.is_some()).count();
-    assert!(n_swaps >= 2, "test needs a multi-swap schedule");
+    assert!(schedule.n_swaps() >= 2, "test needs a multi-swap schedule");
 
     // Uninterrupted baseline.
     let baseline = run(config(&schedule), &exec, &schedule)
@@ -245,35 +243,5 @@ fn resume_flag_without_a_manifest_is_a_fresh_start() {
     cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
     let out = run(cfg, &exec, &schedule).expect("fresh start");
     assert_eq!(max_dist(&out.state.unwrap(), &baseline), 0.0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_segmented_stage_is_a_checkpoint_unit() {
-    // Planner output closes every stage with a swap, so stages and stage
-    // runs coincide there; `segment_stages` splits them apart. The
-    // in-memory unit is the stage, so a stop strictly inside a run is a
-    // durable checkpoint, and resuming from it is bit-exact.
-    let (exec, schedule) = planned(7, 3);
-    let schedule = segment_stages(&schedule, 2);
-    let runs = plan_runs(&schedule);
-    let plan = BackendPlan::from_schedule(exec, schedule.clone(), true);
-    let b: &mut dyn Backend<f64> = &mut DistBackend::new(DistSimulator::new(config(&schedule)));
-    let total = b.total_units(&plan);
-    assert_eq!(total, schedule.stages.len());
-    assert!(total > runs.len(), "{total} stages in {} runs", runs.len());
-    let baseline = b.run(&plan).unwrap().state.unwrap();
-
-    let run = runs.iter().find(|r| r.len() >= 2).expect("a segmented run");
-    let stop = run.stages.start + 1;
-    let dir = tmpdir("segmented");
-    b.checkpoint(CheckpointPolicy::new(&dir));
-    match b.run_to_stage(&plan, Some(stop)) {
-        Err(SimError::InjectedStop { unit }) => assert_eq!(unit, stop),
-        other => panic!("expected InjectedStop, got {:?}", other.map(|_| ())),
-    }
-    b.checkpoint(CheckpointPolicy::resume(&dir));
-    let resumed = b.run(&plan).unwrap().state.unwrap();
-    assert_eq!(max_dist(&resumed, &baseline), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }

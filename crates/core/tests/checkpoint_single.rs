@@ -68,7 +68,7 @@ fn run<R: SweepDispatch>(
     });
     Backend::<R>::gather_state(&mut b, true);
     let plan = Backend::<R>::plan(&b, c)?;
-    let total = Backend::<R>::total_units(&b, &plan);
+    let total = plan.schedule.stages.len();
     let out: qsim_core::BackendOutcome<R> = b.run_to_stage(&plan, stop)?;
     Ok((out.state.expect("gathered state"), total))
 }

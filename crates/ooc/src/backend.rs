@@ -2,15 +2,15 @@
 //!
 //! Lives here rather than in `qsim_core::backend` because the OOC
 //! engine sits above the core crate in the dependency order; the trait
-//! itself (and the single/dist impls) are defined below. Checkpoint
-//! unit: one *stage run* (= one streaming pass), exactly as on
-//! [`qsim_core::DistBackend`].
+//! itself (and the single/dist impls) are defined below. The unit of
+//! execution, checkpoint and progress is one *stage* (= one streaming
+//! pass), exactly as on [`qsim_core::DistBackend`].
 
 use crate::exec::OocSimulator;
 use qsim_circuit::Circuit;
 use qsim_core::backend::{plan_partitioned, Backend, BackendOutcome, BackendPlan};
 use qsim_core::checkpoint::CheckpointPolicy;
-use qsim_core::planner::{PlanOptions, ProgressBackend};
+use qsim_core::planner::PlanOptions;
 use qsim_core::SimError;
 use qsim_kernels::SweepDispatch;
 use qsim_telemetry::Telemetry;
@@ -52,10 +52,6 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
         self.sim.config.telemetry.clone()
     }
 
-    fn progress_backend(&self) -> ProgressBackend {
-        ProgressBackend::Ooc
-    }
-
     fn checkpoint(&mut self, policy: CheckpointPolicy) {
         self.sim.config.checkpoint = Some(policy);
     }
@@ -74,10 +70,6 @@ impl<R: SweepDispatch> Backend<R> for OocBackend<R> {
                 ..self.plan_options.clone()
             },
         )
-    }
-
-    fn total_units(&self, plan: &BackendPlan) -> usize {
-        qsim_sched::plan_runs(&plan.schedule).len()
     }
 
     fn run_to_stage(

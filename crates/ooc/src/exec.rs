@@ -1,29 +1,27 @@
 //! Out-of-core schedule execution.
 //!
 //! The distributed engine's rank loop with chunk files in place of
-//! ranks. There is one pass shape: consecutive swap-free stages form a
-//! *run* ([`qsim_sched::plan_runs`], `runs == n_swaps() + 1` however
-//! finely the schedule was segmented); each run streams every chunk once
-//! through the prefetch/compute/writeback pipeline of [`crate::pipeline`]
+//! ranks, over the same unit: one *stage*, with the swap that closes it,
+//! is one streaming pass. Each pass streams every chunk once through the
+//! prefetch/compute/writeback pipeline of [`crate::pipeline`]
 //! (`read(c+1)` / `write(c−1)` hidden behind `compute(c)`, pooled aligned
-//! buffers, zero steady-state allocations); and each chunk residency
-//! applies the whole run through `qsim_core::exec`'s [`StageExecutor`],
-//! prepared once per run and reused for all 2^g chunks (the chunk index
+//! buffers, zero steady-state allocations), and each chunk residency
+//! applies the stage through `qsim_core::exec`'s [`StageExecutor`],
+//! prepared once per pass and reused for all 2^g chunks (the chunk index
 //! *is* the rank id). [`OocConfig::prefetch_depth`] is the only
 //! pass-shape value: at depth 1 a single chunk buffer circulates and
 //! read → compute → write serialise — the synchronous case of the same
 //! path ([`OocConfig::sync_baseline`]).
 //!
-//! One streaming pass *is* one stage run: the start state is synthesised
-//! in the first pass's prefetch stage instead of being written and read
-//! back, and each global-to-local swap — the same data path as the
-//! in-memory `perform_swap`, with file ranges as the network — rides in
-//! the two passes around it. Its fused permute-scatter closes the run
-//! before it (each computed chunk's permuted piece for every destination
-//! goes straight into the destination's file of the next generation);
-//! its fused gather-unpermute opens the run after it (skipped entirely
-//! when the slots already sit at the top positions). See
-//! [`OocSimulator::run_plan`].
+//! The start state is synthesised in the first pass's prefetch stage
+//! instead of being written and read back, and each global-to-local swap
+//! — the same data path as the in-memory `perform_swap`, with file
+//! ranges as the network — rides in the two passes around it. Its fused
+//! permute-scatter closes the stage before it (each computed chunk's
+//! permuted piece for every destination goes straight into the
+//! destination's file of the next generation); its fused gather-unpermute
+//! opens the stage after it (skipped entirely when the slots already sit
+//! at the top positions). See [`OocSimulator::run_plan`].
 //!
 //! Pass `u` reads generation `u` of the chunk store and writes generation
 //! `u + 1` into the other file parity, so it never overwrites what it
@@ -35,10 +33,10 @@
 //! overwrites.
 //!
 //! Disk traffic for a schedule with `S` swaps is thus `2S + 1` state
-//! transfers — one write per swap, one read and one write per later run
+//! transfers — one write per swap, one read and one write per later stage
 //! — which is the minimum an all-to-all through files can take, and why
 //! the paper's 2-swap schedules make SSD-resident states viable (§5).
-//! The final norm/entropy reduction is folded into the last run's pass,
+//! The final norm/entropy reduction is folded into the last stage's pass,
 //! so it costs no extra traversal.
 
 use crate::chunkstore::{BufferPool, ChunkStore};
@@ -49,11 +47,11 @@ use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy, RunKey};
 use qsim_core::dist::{physical_to_logical, slots_to_top_permutation};
 use qsim_core::exec::{resolve_tile_qubits, StageExecutor};
 use qsim_core::observables::{norm_entropy, tree_sum};
-use qsim_core::{partition_geometry, BackendOutcome, BackendPlan, BackendStats, SimError};
+use qsim_core::{check_plan, BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
 use qsim_kernels::{SweepDispatch, SweepStats};
-use qsim_sched::{plan_runs, StageRun, SwapOp};
+use qsim_sched::SwapOp;
 use qsim_telemetry::Telemetry;
 use qsim_util::align::AlignedVec;
 use qsim_util::complex::Complex;
@@ -85,7 +83,7 @@ pub struct OocConfig {
     /// the default disabled handle makes all of it a no-op.
     pub telemetry: Telemetry,
     /// Crash-consistent checkpointing: after every streaming *pass*
-    /// (= stage run), make the generation it wrote durable and publish a
+    /// (= stage), make the generation it wrote durable and publish a
     /// manifest naming it, so a crash anywhere resumes from the last
     /// completed pass. The policy's directory *is* the chunk store — the
     /// manifest sits next to the chunk files it describes. `None` (the
@@ -164,8 +162,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
     ///
     /// `stop_after = Some(u)` (requires a checkpoint policy) returns
     /// [`SimError::InjectedStop`] right after pass `u − 1` published the
-    /// manifest naming unit `u`, as the in-memory engine does. Bad
-    /// geometry is [`std::io::ErrorKind::InvalidInput`], a rejected
+    /// manifest naming unit `u`, as the in-memory engine does. A plan
+    /// [`check_plan`] rejects is [`std::io::ErrorKind::InvalidInput`], a rejected
     /// manifest or chunk digest [`SimError::Checkpoint`], any other IO
     /// failure [`SimError::Io`].
     pub fn run_plan(
@@ -188,14 +186,14 @@ impl<R: SweepDispatch> OocSimulator<R> {
     }
 
     /// [`OocSimulator::run_plan`] against the chunk store rooted at `dir`:
-    /// one streaming pass per stage run. For each chunk, pass `r` takes
-    /// its source (pass 0 synthesises the start state; every later pass
-    /// reads the generation the previous pass wrote), applies the
-    /// gather-unpermute half of swap `r − 1`, the run's stages, and then
-    /// either the permute-scatter half of swap `r` into the next
-    /// generation's files or — on the last run — the final chunk write
-    /// with the norm/entropy reduction folded in. The outer error is an
-    /// IO failure, the inner one the injected stop.
+    /// one streaming pass per stage. For each chunk, pass `s` takes its
+    /// source (pass 0 synthesises the start state; every later pass reads
+    /// the generation the previous pass wrote), applies the
+    /// gather-unpermute half of swap `s − 1`, stage `s`, and then either
+    /// the permute-scatter half of swap `s` into the next generation's
+    /// files or — on the last stage — the final chunk write with the
+    /// norm/entropy reduction folded in. The outer error is an IO
+    /// failure, the inner one the injected stop.
     ///
     /// Writing `p` for a swap's slots→top permutation and `q = p⁻¹`,
     /// destination chunk `d` must end up holding `final[x] = buf[p(x)]`
@@ -205,7 +203,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
     /// generation; the next pass reads the assembled buffers and applies
     /// the `p`-gather (chunk-local in the destination, skipped when `p`
     /// is the identity). The slow tier therefore sees one write per swap
-    /// plus one read and one write per later run: `2S + 1` state
+    /// plus one read and one write per later stage: `2S + 1` state
     /// transfers for `S` swaps.
     fn run_in(
         &mut self,
@@ -214,35 +212,20 @@ impl<R: SweepDispatch> OocSimulator<R> {
         gather: bool,
         stop_after: Option<usize>,
     ) -> std::io::Result<Result<BackendOutcome<R>, SimError>> {
-        let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
         let schedule = &plan.schedule;
+        let stages = &schedule.stages;
         let init_uniform = plan.init_uniform;
         let l = schedule.local_qubits;
         let g = schedule.n_qubits - l;
-        partition_geometry(schedule.n_qubits, 1usize << g)?;
-        let runs: Vec<StageRun> = plan_runs(schedule);
-        if runs.last().is_none_or(|r| r.swap.is_some()) {
-            return Err(invalid(
-                "schedule must end in a swap-free stage (nothing would apply the last unpermute)"
-                    .into(),
-            ));
-        }
-        let mut swaps = runs.iter().filter_map(|r| r.swap.as_ref());
-        if let Some(s) = swaps.find(|s| s.local_slots.len() != g as usize) {
-            return Err(invalid(format!(
-                "full swap expected: {} slots for g = {g}",
-                s.local_slots.len()
-            )));
-        }
+        check_plan(schedule, 1usize << g)?;
         let t0 = Instant::now();
         let telemetry = self.config.telemetry.clone();
         let track = telemetry.track("ooc.compute");
         let _run_span = track.span("run");
-        // The checkpoint unit is the pass, i.e. the stage run: each pass
-        // leaves the store in exactly one durable generation (final
-        // chunks, or exchange buffers awaiting the next pass's
-        // unpermute), which is what a manifest can name.
-        let total_passes = runs.len();
+        // The unit is the pass, i.e. the stage: each pass leaves the store
+        // in exactly one durable generation (final chunks, or exchange
+        // buffers awaiting the next pass's unpermute), which is what a
+        // manifest can name.
         let codec = self.config.compress;
         let codec_name = codec.name();
         let key = RunKey {
@@ -251,7 +234,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
             precision: R::NAME,
             codec: &codec_name,
             init_uniform,
-            total_units: total_passes,
             n_artifacts: 1 << g,
         };
         let resumed = match &self.config.checkpoint {
@@ -272,16 +254,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
             Some(sc) => sc,
             None => (ChunkStore::create_empty_with(dir, l, g, codec)?, 0),
         };
-        // Seed the live-progress denominator: the unit of OOC progress
-        // is the stage run, and a resume pre-credits nothing (only the
-        // runs beyond the manifest cursor are planned).
-        if let Some(p) = telemetry.progress() {
-            p.set_planned_units(
-                qsim_telemetry::Phase::Stream,
-                total_passes.saturating_sub(cursor) as u64,
-            );
-            p.set_state(qsim_telemetry::RunState::Running);
-        }
         let n_chunks = store.n_chunks();
         let chunk_len = store.chunk_len();
         let piece = chunk_len / n_chunks;
@@ -312,16 +284,17 @@ impl<R: SweepDispatch> OocSimulator<R> {
 
         let kernel = self.config.kernel;
         let tile = resolve_tile_qubits(self.config.tile_qubits, l, kernel.threads);
-        // Price the planned passes with the cost model so the live ETA
-        // has a prior before measured pass times take over.
-        if telemetry.progress().is_some() {
+        // Seed the live progress with the stages this run will execute
+        // (only those beyond the manifest cursor) and their model price.
+        if let Some(p) = telemetry.progress() {
             qsim_core::planner::seed_progress(
                 &telemetry,
                 schedule,
                 std::mem::size_of::<Complex<R>>() as u64,
                 tile,
-                qsim_core::planner::ProgressBackend::Ooc,
+                cursor,
             );
+            p.set_state(qsim_telemetry::RunState::Running);
         }
 
         let mut sweep = SweepStats::default();
@@ -331,22 +304,18 @@ impl<R: SweepDispatch> OocSimulator<R> {
         // bit.
         let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
         let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
-        // Scatter time of the swap the next pass's unpermute completes:
-        // `swap_ns` gets one sample per swap, not per half.
-        let mut swap_carry = Duration::ZERO;
-        for (ri, run) in runs.iter().enumerate().skip(cursor) {
-            let _rs = track.span_id("stage run", ri as u64);
+        for (si, stage) in stages.iter().enumerate().skip(cursor) {
+            let _ss = track.span_id("stage", si as u64);
             let t_pass = Instant::now();
-            let stages = &schedule.stages[run.stages.clone()];
-            let exec = StageExecutor::new(stages, l, &kernel, Some(tile));
-            let prev_swap = ri.checked_sub(1).and_then(|p| runs[p].swap.as_ref());
+            let exec = StageExecutor::new(std::slice::from_ref(stage), l, &kernel, Some(tile));
+            let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
             // `final[x] = buf[p(x)]` places the previous swap's incoming
             // qubits at its slots; an identity `p` means the written
             // assembly is already final.
             let unpermute = prev_swap.map(slots_to_top).filter(|p| !p.is_identity());
-            let scatter = run.swap.as_ref().map(|s| slots_to_top(s).inverse());
+            let scatter = stage.swap.as_ref().map(|s| slots_to_top(s).inverse());
             let cfg = PassConfig {
-                source: if ri == 0 {
+                source: if si == 0 {
                     PassSource::Start {
                         uniform: init_uniform,
                     }
@@ -357,9 +326,10 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 wires: if scatter.is_some() { wires } else { 0 },
                 telemetry: telemetry.clone(),
             };
-            // Time on the previous swap (its carry + this pass's unpermutes)
-            // and on this run's scatters.
-            let (mut swap_t, mut scatter_t) = (swap_carry, Duration::ZERO);
+            // `swap_ns` gets one sample per swap, from the unit the swap
+            // closes: its permute-scatter half. (The gather-unpermute half
+            // opens the next pass, under its `unpermute` spans.)
+            let mut scatter_t = Duration::ZERO;
             run_pass(
                 &mut store,
                 chunk_pool,
@@ -368,17 +338,15 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 |c, mut buf, sink| {
                     if let Some(perm) = &unpermute {
                         let _s = track.span_id("unpermute", c as u64);
-                        let t = Instant::now();
                         par_gather(&buf, scratch, |x| perm.apply(x));
                         std::mem::swap(&mut buf, scratch);
-                        swap_t += t.elapsed();
                     }
                     {
                         let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
-                        exec.apply(0..stages.len(), &mut buf, c, &mut sweep);
+                        exec.apply(0..1, &mut buf, c, &mut sweep);
                     }
                     let Some(inv) = &scatter else {
-                        // Last run: fold the final reduction into the
+                        // Last stage: fold the final reduction into the
                         // pass — it costs no extra traversal.
                         partials[c] = norm_entropy(&buf);
                         sink.retire(Dest::Chunk(c), buf);
@@ -405,27 +373,26 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     Ok(())
                 },
             )?;
-            if prev_swap.is_some() {
-                telemetry.record_duration_ns("swap_ns", swap_t.as_nanos() as u64);
+            if scatter.is_some() {
+                telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64);
             }
             if self.config.checkpoint.is_some() {
-                let _s = track.span_timed("checkpoint.write", ri as u64, "checkpoint_ns");
+                let _s = track.span_timed("checkpoint.write", si as u64, "checkpoint_ns");
                 let digests = store.sync_digests()?;
-                key.manifest(ri + 1, digests).write_atomic(dir)?;
+                key.manifest(si + 1, digests).write_atomic(dir)?;
             }
-            if stop_after == Some(ri + 1) {
-                return Ok(Err(SimError::InjectedStop { unit: ri + 1 }));
-            }
-            swap_carry = scatter_t;
             live_pass_done(
                 &telemetry,
                 &store,
-                ri,
-                total_passes,
+                si + 1,
+                stages.len(),
                 t_pass.elapsed().as_nanos() as u64,
             );
+            if stop_after == Some(si + 1) {
+                return Ok(Err(SimError::InjectedStop { unit: si + 1 }));
+            }
         }
-        if cursor >= total_passes {
+        if cursor >= stages.len() {
             // Resume of a finished run: no pass is left to fold the
             // reduction into, so read the final chunks once. Bitwise
             // identical to the folded reduction — same bytes, same fold
@@ -439,6 +406,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             store.count_traversal();
         }
         let (norm, entropy) = tree_sum(partials);
+        let executed = stages.len().saturating_sub(cursor);
 
         let mut io = store.stats();
         io.buffer_allocs = chunk_pool.allocs() + self.wire_pool.allocs() - allocs0;
@@ -452,7 +420,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 std::mem::size_of::<Complex<R>>() as f64,
             );
             m.gauge_set("ooc.precision_bits", (R::BYTES * 8) as f64);
-            m.counter_add("ooc.runs", runs.len() as u64);
+            m.counter_add("ooc.runs", executed as u64);
             m.counter_add("ooc.compressed_bytes", io.bytes_written);
             m.gauge_set("ooc.compression_ratio", io.compression_ratio());
         }
@@ -475,7 +443,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             stats: BackendStats::Ooc {
                 io,
                 sweep,
-                runs: runs.len(),
+                runs: executed,
             },
             state,
         }))
@@ -495,21 +463,21 @@ fn io_to_sim(e: std::io::Error) -> SimError {
     SimError::Io(e)
 }
 
-/// One streaming pass completed: report it to the live progress engine
-/// (the Stream phase's unit) and refresh the `live.ooc.*` gauges that
-/// `/status` reads mid-run — the prefetch/compute/writeback thread
-/// split, overlap fraction, and cumulative disk traffic so far.
+/// Stage `unit − 1`'s pass completed: report the unit to the live
+/// progress engine and refresh the `live.ooc.*` gauges that `/status`
+/// reads mid-run — the prefetch/compute/writeback thread split, overlap
+/// fraction, and cumulative disk traffic so far.
 fn live_pass_done<R: Real>(
     telemetry: &Telemetry,
     store: &ChunkStore<R>,
-    pass: usize,
-    total_passes: usize,
+    unit: usize,
+    total: usize,
     pass_ns: u64,
 ) {
     if let Some(p) = telemetry.progress() {
-        p.set_stage(pass as u64 + 1, total_passes as u64);
+        p.set_stage(unit as u64, total as u64);
+        p.unit_done(pass_ns);
     }
-    telemetry.progress_unit(qsim_telemetry::Phase::Stream, pass_ns);
     if let Some(m) = telemetry.metrics() {
         let io = store.stats();
         m.gauge_set("live.ooc.io_wait_seconds", io.io_wait_seconds);
@@ -530,7 +498,7 @@ mod tests {
     use qsim_circuit::Circuit;
     use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
     use qsim_core::{Backend, DistBackend, DistConfig, DistSimulator};
-    use qsim_sched::{plan, segment_stages, Schedule, SchedulerConfig};
+    use qsim_sched::{plan, Schedule, SchedulerConfig};
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
 
@@ -607,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn one_traversal_per_swap_boundary_at_every_depth() {
+    fn one_traversal_per_stage_at_every_depth() {
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 3,
@@ -616,21 +584,17 @@ mod tests {
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(7, 3));
-        // Segment to one op per stage: each swap-free span must still
-        // collapse into a single traversal.
-        let seg = segment_stages(&schedule, 1);
-        seg.verify(&exec);
-        assert!(seg.stages.len() > schedule.stages.len());
-        let swaps = seg.n_swaps() as u64;
-        let want = dist_oracle(&exec, &seg, uniform);
+        let swaps = schedule.n_swaps() as u64;
+        assert!(swaps >= 1, "want several stages");
+        let want = dist_oracle(&exec, &schedule, uniform);
         let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
 
         for depth in [1usize, 3] {
-            let out = run(&mut at_depth(depth), &exec, &seg, uniform).unwrap();
+            let out = run(&mut at_depth(depth), &exec, &schedule, uniform).unwrap();
             let (io, runs) = ooc_stats(&out);
-            assert_eq!(runs, swaps as usize + 1, "runs = swap boundaries + 1");
-            // One traversal per run: both halves of every swap ride inside
-            // the runs around it.
+            assert_eq!(runs, schedule.stages.len(), "one unit per stage");
+            // One traversal per stage: both halves of every swap ride
+            // inside the passes around it.
             assert_eq!(io.traversals, swaps + 1, "depth {depth}");
             assert_eq!(out.state, want.state, "depth {depth}");
             assert_eq!(out.norm.to_bits(), want.norm.to_bits(), "depth {depth}");
@@ -676,9 +640,9 @@ mod tests {
     fn io_traffic_is_constant_per_swap() {
         // The §5 argument: disk traffic scales with swaps, not gates —
         // and at exactly the all-to-all's own minimum. Each swap costs
-        // one state write (scatter) and the run after it one read and
+        // one state write (scatter) and the stage after it one read and
         // one write; the start state is never written and the final
-        // reduction is folded into the last run.
+        // reduction is folded into the last stage.
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 4,
@@ -741,7 +705,7 @@ mod tests {
         let mut sim = sequential();
         let e = run(&mut sim, &circ, &narrow, false).unwrap_err();
         assert!(invalid_input(e));
-        // A schedule ending in a swap has no run to apply its unpermute.
+        // A schedule ending in a swap has no stage to apply its unpermute.
         let mut open = plan(&circ, &SchedulerConfig::distributed(3, 2));
         open.stages.last_mut().unwrap().swap = Some(SwapOp {
             local_slots: vec![0],

@@ -20,16 +20,17 @@
 //!   chunk files, whose scatter closes the streaming pass before it and
 //!   whose gather-unpermute opens the pass after it.
 //!
-//! The engine is a *pipelined data path*: consecutive swap-free stages
-//! batch into a single traversal ([`qsim_sched::plan_runs`]), which is
-//! the only kind of pass there is — the start state is synthesised, not
-//! written, so `S` swaps cost `2S + 1` state transfers — each pass
-//! overlaps prefetch/compute/writeback on dedicated threads with pooled
-//! aligned buffers, and per-chunk compute runs through the compiled
-//! tiled stage executor.
+//! The engine is a *pipelined data path*. Each stage of the schedule,
+//! with the swap that closes it, is one traversal, the only kind of pass
+//! there is. The start state is synthesised, not written, so `S` swaps
+//! cost `2S + 1` state transfers. Each pass overlaps
+//! prefetch/compute/writeback on dedicated threads with pooled aligned
+//! buffers, and per-chunk compute runs through the compiled tiled stage
+//! executor.
 //!
 //! [`ChunkStore`] is the storage substrate with byte-level IO accounting;
-//! [`OocSimulator`] executes any [`qsim_sched::Schedule`] against it and
+//! [`OocSimulator`] executes any [`qsim_sched::Schedule`] of the one
+//! executable shape ([`qsim_sched::Schedule::check_shape`]) against it and
 //! must produce bit-identical amplitudes to the in-memory engines (tested
 //! against both). [`ScratchDir`] keeps test/bench stores self-cleaning.
 

@@ -1,6 +1,6 @@
 //! The chunk pipeline: the one way a pass streams the state.
 //!
-//! Every full-state pass of the out-of-core engine — one stage run, with
+//! Every full-state pass of the out-of-core engine — one stage, with
 //! both halves of its neighbouring swaps folded in — streams all 2^g
 //! chunks through memory. [`run_pass`] drives that stream as a
 //! three-thread pipeline: a *prefetch* thread fills chunk `c+1..c+depth`

@@ -55,7 +55,7 @@ fn resume(dir: &ScratchDir) -> CheckpointPolicy {
     CheckpointPolicy::resume(dir.path())
 }
 
-/// (traversals, bytes written, runs) of an OOC outcome.
+/// (traversals, bytes written, stages executed) of an OOC outcome.
 fn io_of<R: SweepDispatch>(out: &BackendOutcome<R>) -> (u64, u64, usize) {
     match &out.stats {
         BackendStats::Ooc { io, runs, .. } => (io.traversals, io.bytes_written, *runs),
@@ -170,8 +170,8 @@ fn kill_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
     // Three swaps (the first an identity slots→top permutation, so its
     // unpermute is skipped), four passes.
     let plan = planned_for(3, 3, 25, 5, 3);
-    let runs = plan.schedule.n_swaps() + 1;
-    assert!(runs >= 3, "want a middle pass to resume into");
+    let units = plan.schedule.stages.len();
+    assert!(units >= 3, "want a middle pass to resume into");
     let n_chunks = 1usize << (plan.schedule.n_qubits - plan.schedule.local_qubits);
     let expect = oracle(&plan);
     let sim = |checkpoint: CheckpointPolicy| {
@@ -182,7 +182,7 @@ fn kill_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
             ..OocConfig::sequential()
         })
     };
-    for stop in 0..=runs {
+    for stop in 0..=units {
         for how in LEFTOVERS {
             let at = format!("{codec:?} depth {prefetch_depth}, stop {stop}, {how:?}");
             let dir = ScratchDir::new("ooc_ckpt_kill");
@@ -210,8 +210,9 @@ fn kill_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
                 "{at}: resume diverged"
             );
             // Only the passes past the durable ones run again.
-            let (traversals, _, runs) = io_of(&out);
-            assert_eq!(traversals as usize, (runs - stop).max(1), "{at}");
+            let (traversals, _, executed) = io_of(&out);
+            assert_eq!(executed, units - stop, "{at}");
+            assert_eq!(traversals as usize, executed.max(1), "{at}");
         }
     }
 }
@@ -251,44 +252,6 @@ fn a_version_3_manifest_is_a_typed_mismatch() {
 }
 
 #[test]
-fn live_progress_plans_stage_runs_and_a_resume_pre_credits_nothing() {
-    let plan = planned_for(3, 3, 25, 5, 3);
-    let runs = plan.schedule.n_swaps() as u64 + 1;
-    // Stream-phase (planned, done) units and swap_ns samples of one run.
-    let observe = |checkpoint: CheckpointPolicy, stop: Option<usize>| {
-        let telemetry = qsim_telemetry::Telemetry::enabled();
-        let mut sim = OocSimulator::<f64>::new(OocConfig {
-            checkpoint: Some(checkpoint),
-            telemetry: telemetry.clone(),
-            ..OocConfig::sequential()
-        });
-        let result = sim.run_plan(&plan, false, stop);
-        let snap = telemetry.progress().unwrap().snapshot();
-        let stream = snap.phases.iter().find(|p| p.name == "stream").unwrap();
-        let swaps = match telemetry.metrics().unwrap().get("swap_ns") {
-            Some(qsim_telemetry::Metric::Histogram(h)) => h.count,
-            _ => 0,
-        };
-        (result.is_ok(), stream.planned, stream.done, swaps)
-    };
-    let dir = ScratchDir::new("ooc_ckpt_progress");
-    assert_eq!(
-        observe(fresh(&dir), None),
-        (true, runs, runs, runs - 1),
-        "a fresh run plans one unit per stage run, one swap_ns sample per swap"
-    );
-    let dir = ScratchDir::new("ooc_ckpt_progress_crash");
-    // (The stop fires right after pass 1's manifest, before it reports
-    // done.)
-    assert_eq!(observe(fresh(&dir), Some(2)), (false, runs, 1, 1));
-    assert_eq!(
-        observe(resume(&dir), None),
-        (true, runs - 2, runs - 2, runs - 2),
-        "only the runs past the manifest cursor are planned"
-    );
-}
-
-#[test]
 fn resume_of_a_finished_run_replays_no_pass() {
     let plan = planned(6, 3);
     let dir = ScratchDir::new("ooc_ckpt_done");
@@ -302,9 +265,9 @@ fn resume_of_a_finished_run_replays_no_pass() {
     // Every pass is skipped: the only traffic is the resume
     // verification read plus one reduction read (no pass is left to fold
     // it into) — no writes.
-    let (traversals, bytes_written, _) = io_of(&out);
+    let (traversals, bytes_written, executed) = io_of(&out);
     assert_eq!(bytes_written, 0, "a finished run must not re-run");
-    assert_eq!(traversals, 1);
+    assert_eq!((traversals, executed), (1, 0));
 }
 
 #[test]

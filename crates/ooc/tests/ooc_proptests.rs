@@ -1,13 +1,12 @@
 //! Property-based bit-exactness of the out-of-core engine.
 //!
-//! The OOC data path — batched stage runs, pipelined IO, the fused
+//! The OOC data path — one pass per stage, pipelined IO, the fused
 //! external all-to-all — is pure data movement around the exact same
 //! compiled-stage kernels the distributed engine runs, so for the same
 //! schedule, kernel config and tile budget the amplitudes, norm and
 //! entropy must be **bitwise** identical (`max_dist == 0.0`, not a
 //! tolerance) to a [`DistBackend`] run, across random circuits, chunk
-//! counts, prefetch depths (1 = serialised, ≥ 2 = overlapped) and stage
-//! segmentation.
+//! counts and prefetch depths (1 = serialised, ≥ 2 = overlapped).
 //!
 //! Against the *single-node* oracle the schedules differ (different
 //! fusion clustering ⇒ different FP evaluation order), so that
@@ -18,7 +17,7 @@ use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
 use qsim_core::{Backend, BackendPlan, BackendStats, DistBackend, DistConfig, DistSimulator};
 use qsim_kernels::apply::KernelConfig;
 use qsim_ooc::{OocConfig, OocSimulator};
-use qsim_sched::{plan, segment_stages, SchedulerConfig};
+use qsim_sched::{plan, SchedulerConfig};
 use qsim_util::complex::max_dist;
 use qsim_util::Xoshiro256;
 
@@ -48,14 +47,7 @@ fn random_circuit(n: u32, n_gates: usize, seed: u64) -> qsim_circuit::Circuit {
     c
 }
 
-fn assert_ooc_bit_exact(
-    n: u32,
-    n_gates: usize,
-    seed: u64,
-    g: u32,
-    prefetch_depth: usize,
-    segment_ops: usize,
-) {
+fn assert_ooc_bit_exact(n: u32, n_gates: usize, seed: u64, g: u32, prefetch_depth: usize) {
     let c = random_circuit(n, n_gates, seed);
     let (exec, uniform) = strip_initial_hadamards(&c);
     let l = n - g;
@@ -66,7 +58,6 @@ fn assert_ooc_bit_exact(
         plan(&exec, &SchedulerConfig::distributed(l, 3))
     }));
     let Ok(schedule) = planned else { return };
-    let schedule = segment_stages(&schedule, segment_ops);
     schedule.verify(&exec);
     // Pin the tile explicitly so OOC and dist compile identical stage
     // plans regardless of what auto-tuning would pick.
@@ -95,8 +86,7 @@ fn assert_ooc_bit_exact(
     assert_eq!(
         max_dist(state, oracle),
         0.0,
-        "OOC (depth={prefetch_depth}, seg={segment_ops}) \
-         diverged bitwise from the distributed engine"
+        "OOC (depth={prefetch_depth}) diverged bitwise from the distributed engine"
     );
     assert_eq!(out.norm.to_bits(), dist.norm.to_bits());
     assert_eq!(out.entropy.to_bits(), dist.entropy.to_bits());
@@ -110,7 +100,7 @@ fn assert_ooc_bit_exact(
         (0.0..=1.0).contains(&f),
         "depth {prefetch_depth} reported overlap_fraction {f} outside [0, 1]"
     );
-    // However finely the schedule is segmented, one pass per stage run.
+    // One pass per stage.
     assert_eq!(*runs, plan.schedule.n_swaps() + 1);
     assert_eq!(io.traversals as usize, *runs);
 
@@ -132,9 +122,8 @@ proptest! {
         seed in 0u64..10_000,
         g in 1u32..=3,
         prefetch_depth in 1usize..=4,
-        segment_ops in 1usize..=3,
     ) {
-        assert_ooc_bit_exact(n, n_gates, seed, g, prefetch_depth, segment_ops);
+        assert_ooc_bit_exact(n, n_gates, seed, g, prefetch_depth);
     }
 }
 
@@ -179,6 +168,6 @@ proptest! {
 /// exercises the full matrix even if proptest shrinks elsewhere.
 #[test]
 fn ooc_bit_exact_pinned_case() {
-    assert_ooc_bit_exact(8, 32, 4321, 2, 1, 1);
-    assert_ooc_bit_exact(8, 32, 4321, 2, 2, 1);
+    assert_ooc_bit_exact(8, 32, 4321, 2, 1);
+    assert_ooc_bit_exact(8, 32, 4321, 2, 2);
 }

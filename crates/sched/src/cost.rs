@@ -3,18 +3,20 @@
 //! The planner's greedy heuristics minimize swap *count*; the search
 //! layer ([`crate::search`]) needs a single scalar that also weighs the
 //! quantities a swap count cannot see — streaming passes of the tiled
-//! executor and disk traversals of the out-of-core engine — so that
-//! trading one resource for another is a principled decision instead of
-//! a tie-break. [`PlanResources`] extracts the machine-independent
-//! counts from a schedule (swap bytes via [`CommStats`], stage passes
-//! and streamed bytes via the sweep planner, traversal count via
-//! [`plan_runs`]); [`CostModel`] converts them to modeled seconds with
+//! executor and the per-stage overhead of every engine (one disk
+//! traversal per stage out of core) — so that trading one resource for
+//! another is a principled decision instead of a tie-break.
+//! [`PlanResources`] extracts the machine-independent counts from a
+//! schedule (swap bytes via [`CommStats`], stage passes and streamed
+//! bytes via the sweep planner; a valid schedule has `n_swaps + 1`
+//! stages); [`CostModel`] converts them to modeled seconds with
 //! per-machine weights. There is one model and it measures nothing: the
 //! weights are constants — [`CostModel::host`] for the machine a run is
 //! on (kernel rate by vector width, recorded offline as the paper
 //! benchmarks its generated kernels, §3.2), [`CostModel::cori_aries`]
-//! for the paper's machine — so a plan, its ETA prior and a search
-//! outcome are functions of (circuit, host class) alone.
+//! for the paper's machine — so a plan, its ETA prior (priced by
+//! [`CostModel::seconds`] on every engine) and a search outcome are
+//! functions of (circuit, host class) alone.
 //!
 //! The model does not need to be *accurate* — only *monotone enough*
 //! that ranking candidate plans by modeled seconds ranks them by real
@@ -22,7 +24,6 @@
 //! fixed per-pass overheads.
 
 use crate::comm::CommStats;
-use crate::runs::plan_runs;
 use crate::schedule::Schedule;
 use crate::sweep::{plan_stage_sweeps, DEFAULT_TILE_QUBITS};
 
@@ -38,9 +39,6 @@ pub struct PlanResources {
     /// Bytes streamed through memory by those passes (passes × state
     /// bytes — every pass touches the whole register once).
     pub streamed_bytes: u64,
-    /// Full-state traversals of the out-of-core engine
-    /// (`plan_runs().len()`).
-    pub ooc_runs: usize,
     /// Dense kernel flops: Σ over clusters of `8 · 2^k · 2^n` — the term
     /// that keeps `kmax` a genuine trade-off (a bigger cluster saves a
     /// pass but squares its matrix work).
@@ -94,7 +92,6 @@ pub fn plan_resources(schedule: &Schedule, amp_bytes: u64, tile_qubits: u32) -> 
         stage_passes,
         // Each pass reads and writes the full register once.
         streamed_bytes: 2 * state_bytes * stage_passes as u64,
-        ooc_runs: plan_runs(schedule).len(),
         cluster_flops,
         flops_by_k,
     }
@@ -110,7 +107,8 @@ pub struct CostModel {
     pub stream_byte_seconds: f64,
     /// Fixed overhead per streaming pass (tile scheduling, barriers).
     pub pass_seconds: f64,
-    /// Fixed overhead per out-of-core traversal (handle churn, seeks).
+    /// Fixed overhead per stage, the unit every engine executes (one
+    /// out-of-core traversal: handle churn, seeks).
     pub run_seconds: f64,
     /// Seconds per dense kernel flop, per cluster width k (reciprocal
     /// effective GFLOPS of the k-qubit kernel). Small-k kernels pay more
@@ -215,9 +213,10 @@ impl CostModel {
         r.swap_bytes as f64 * self.swap_byte_seconds
     }
 
-    /// Modeled seconds of a plan with resource counts `r`.
+    /// Modeled seconds of a plan with resource counts `r`: swaps, compute
+    /// passes, and the per-stage overhead of its `n_swaps + 1` stages.
     pub fn seconds(&self, r: &PlanResources) -> f64 {
-        self.swap_seconds(r) + self.stage_seconds(r) + r.ooc_runs as f64 * self.run_seconds
+        self.swap_seconds(r) + self.stage_seconds(r) + (r.n_swaps + 1) as f64 * self.run_seconds
     }
 
     /// Convenience: resources + modeled seconds of `schedule`.
@@ -250,7 +249,7 @@ mod tests {
         let s = plan(&c, &SchedulerConfig::distributed(9, 4));
         let r = plan_resources(&s, 16, DEFAULT_TILE_QUBITS);
         assert_eq!(r.n_swaps, s.n_swaps());
-        assert_eq!(r.ooc_runs, plan_runs(&s).len());
+        assert_eq!(r.n_swaps + 1, s.stages.len());
         assert!(
             r.stage_passes >= s.stages.len() - s.stages.iter().filter(|x| x.ops.is_empty()).count()
         );
@@ -271,7 +270,7 @@ mod tests {
         let r = plan_resources(&s, 16, DEFAULT_TILE_QUBITS);
         assert_eq!(r.n_swaps, 0);
         assert_eq!(r.swap_bytes, 0);
-        assert_eq!(r.ooc_runs, 1);
+        assert_eq!(s.stages.len(), 1);
         assert!(r.stage_passes > 0);
     }
 
@@ -299,7 +298,6 @@ mod tests {
             swap_bytes: 1 << 20,
             stage_passes: 10,
             streamed_bytes: 1 << 24,
-            ooc_runs: 3,
             cluster_flops: 1 << 30,
             flops_by_k: flops_in_bin(4, 1 << 30),
         };
@@ -317,7 +315,7 @@ mod tests {
                 ..base
             },
             PlanResources {
-                ooc_runs: base.ooc_runs + 1,
+                n_swaps: base.n_swaps + 1,
                 ..base
             },
             PlanResources {
@@ -342,7 +340,6 @@ mod tests {
             swap_bytes: 0,
             stage_passes: 4,
             streamed_bytes: 1 << 24,
-            ooc_runs: 1,
             cluster_flops: 1 << 30,
             flops_by_k: flops_in_bin(4, 1 << 30),
         };

@@ -4,9 +4,11 @@
 //! happens *before* any amplitude is touched, turning a gate list into a
 //! communication-minimal execution plan.
 //!
-//! * [`schedule`] — the plan data model: stages of fused operations
-//!   separated by global-to-local swaps, with the logical→physical qubit
-//!   mapping tracked per stage.
+//! * [`schedule`] — the plan data model: stages of fused operations,
+//!   each but the last closed by a global-to-local swap
+//!   ([`Schedule::check_shape`]), with the logical→physical qubit mapping
+//!   tracked per stage. The stage with its closing swap is the unit every
+//!   engine executes, checkpoints and reports progress in.
 //! * [`stage`] — stage finding (§3.6.1 step 1): greedy commutation-aware
 //!   reordering that maximizes the run of gates executable without
 //!   communication, with diagonal-gate specialization on global qubits
@@ -21,9 +23,6 @@
 //! * [`comm`] — communication statistics: swap counts, per-gate global
 //!   gate counts (the comparison baseline of Fig. 5), and byte-volume
 //!   models.
-//! * [`runs`] — stage-run planning for out-of-core execution: maximal
-//!   swap-free runs (one disk traversal each) and stage segmentation for
-//!   checkpoint granularity.
 //! * [`sweep`] — stage-sweep planning for the cache-tiled executor:
 //!   footprint-aware op ordering and grouping of consecutive ops into
 //!   single streaming passes.
@@ -43,7 +42,6 @@ pub mod config;
 pub mod cost;
 pub mod fuse;
 pub mod mapping;
-pub mod runs;
 pub mod schedule;
 pub mod search;
 pub mod stage;
@@ -52,7 +50,6 @@ pub mod sweep;
 pub use comm::{global_gate_count, CommStats};
 pub use config::SchedulerConfig;
 pub use cost::{plan_resources, CostModel, PlanResources};
-pub use runs::{plan_runs, segment_stages, StageRun};
 pub use schedule::{Cluster, DiagonalOp, Schedule, Stage, StageOp, SwapOp};
 pub use search::{search_plan, SearchConfig, SearchOutcome};
 pub use stage::plan;

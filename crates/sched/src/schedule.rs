@@ -1,8 +1,11 @@
 //! The execution-plan data model.
 //!
 //! A [`Schedule`] is a sequence of [`Stage`]s separated by global-to-local
-//! [`SwapOp`]s (§3.4/§3.6.1). Within a stage, [`StageOp`]s execute in
-//! order on every rank:
+//! [`SwapOp`]s (§3.4/§3.6.1): every stage but the last is closed by a
+//! full swap, and the last by none ([`Schedule::check_shape`]). The paper
+//! cuts a run only at those swaps, so a stage together with its closing
+//! swap is the one unit of execution, checkpoint and progress on every
+//! engine. Within a stage, [`StageOp`]s execute in order on every rank:
 //!
 //! * [`Cluster`] — a fused dense k-qubit gate on *local* physical bit
 //!   positions;
@@ -149,13 +152,47 @@ impl Schedule {
         &self.stages.last().expect("empty schedule").mapping
     }
 
+    /// The one shape every executable plan has: at least one stage, every
+    /// stage but the last closed by a full `g`-slot swap, the last by
+    /// none. Every plan the planner produces has it, and the engines
+    /// execute nothing else; `Err` says which stage breaks it.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let g = self.n_qubits.saturating_sub(self.local_qubits) as usize;
+        let Some(last) = self.stages.len().checked_sub(1) else {
+            return Err("schedule has no stage".into());
+        };
+        for (si, stage) in self.stages.iter().enumerate() {
+            match (&stage.swap, si == last) {
+                (None, false) => {
+                    return Err(format!(
+                        "stage {si} of {} is not closed by a swap (only the last stage may be swap-free)",
+                        self.stages.len()
+                    ))
+                }
+                (Some(_), true) => {
+                    return Err("the last stage ends in a swap (nothing would apply it)".into())
+                }
+                (Some(s), false) if s.local_slots.len() != g => {
+                    return Err(format!(
+                        "stage {si}: full swap expected, {} slots for g = {g}",
+                        s.local_slots.len()
+                    ))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Validate the plan against its source circuit. Checks:
-    /// 1. every circuit gate appears in exactly one op, in a position
+    /// 1. the plan has the executable shape ([`Schedule::check_shape`]);
+    /// 2. every circuit gate appears in exactly one op, in a position
     ///    consistent with per-qubit program order;
-    /// 2. cluster operands are local and within kmax;
-    /// 3. diagonal ops only contain diagonal gates;
-    /// 4. swaps are well-formed;
-    /// 5. cluster matrices are unitary.
+    /// 3. cluster operands are local and within kmax;
+    /// 4. diagonal ops only contain diagonal gates;
+    /// 5. swaps are well-formed and each stage's mapping is the previous
+    ///    one moved through its swap;
+    /// 6. cluster matrices are unitary.
     ///
     /// Panics with a description on the first violation (test/debug aid).
     pub fn verify(&self, circuit: &Circuit) {
@@ -163,8 +200,12 @@ impl Schedule {
         let l = self.local_qubits;
         let g = n - l;
         assert_eq!(circuit.n_qubits(), n, "qubit count mismatch");
+        if let Err(why) = self.check_shape() {
+            panic!("{why}");
+        }
         let mut tracker = DependencyTracker::new(circuit);
-        let mut mapping: Option<&[u32]> = None;
+        // The previous stage's mapping moved through its closing swap.
+        let mut expected: Option<Vec<u32>> = None;
         for (si, stage) in self.stages.iter().enumerate() {
             assert_eq!(stage.mapping.len(), n as usize, "stage {si} mapping arity");
             // Mapping must be a bijection.
@@ -177,17 +218,10 @@ impl Schedule {
                 seen[p as usize] = true;
             }
             // Mapping continuity: stage 0 free; later stages must equal
-            // the previous mapping transformed by the previous swap. A
-            // swap-free interior stage (a run segment, see `runs`) is
-            // legal iff it leaves the mapping unchanged.
-            if let Some(prev) = mapping {
-                let stage_prev = &self.stages[si - 1];
-                let expected = match &stage_prev.swap {
-                    Some(swap) => apply_swap_to_mapping(prev, swap, l, g),
-                    None => prev.to_vec(),
-                };
+            // the previous mapping transformed by the previous swap.
+            if let Some(want) = &expected {
                 assert_eq!(
-                    stage.mapping, expected,
+                    &stage.mapping, want,
                     "stage {si} mapping inconsistent with swap"
                 );
             }
@@ -247,7 +281,6 @@ impl Schedule {
                 }
             }
             if let Some(swap) = &stage.swap {
-                assert_eq!(swap.local_slots.len(), g as usize, "swap arity");
                 assert!(
                     swap.local_slots.windows(2).all(|w| w[0] < w[1]),
                     "swap slots unsorted"
@@ -256,8 +289,8 @@ impl Schedule {
                     swap.local_slots.iter().all(|&s| s < l),
                     "swap slot not local"
                 );
+                expected = Some(apply_swap_to_mapping(&stage.mapping, swap, l, g));
             }
-            mapping = Some(&stage.mapping);
         }
         assert!(
             tracker.is_done(),
@@ -345,5 +378,34 @@ mod tests {
         assert_eq!(sched.n_diagonal_ops(), 1);
         assert!((sched.gates_per_cluster() - 3.0).abs() < 1e-12);
         assert_eq!(sched.final_mapping(), &[0, 1]);
+    }
+
+    #[test]
+    fn only_swap_closed_stages_then_one_open_stage_have_the_shape() {
+        // n = 3, l = 2, g = 1.
+        let stage = |swap: Option<Vec<u32>>| Stage {
+            mapping: vec![0, 1, 2],
+            ops: vec![],
+            swap: swap.map(|local_slots| SwapOp { local_slots }),
+        };
+        let shaped = |stages: Vec<Stage>| {
+            Schedule {
+                n_qubits: 3,
+                local_qubits: 2,
+                kmax: 2,
+                stages,
+            }
+            .check_shape()
+        };
+        assert!(shaped(vec![stage(None)]).is_ok());
+        assert!(shaped(vec![stage(Some(vec![0])), stage(None)]).is_ok());
+        for bad in [
+            vec![],
+            vec![stage(Some(vec![0]))],
+            vec![stage(None), stage(None)],
+            vec![stage(Some(vec![0, 1])), stage(None)],
+        ] {
+            assert!(shaped(bad.clone()).is_err(), "{bad:?}");
+        }
     }
 }

@@ -47,7 +47,7 @@ pub mod recorder;
 mod span;
 
 pub use iostats::IoStats;
-pub use live::{Phase, Progress, ProgressTicker, RunState, StatusServer};
+pub use live::{Progress, ProgressTicker, RunState, StatusServer};
 pub use metrics::{
     Histogram, Metric, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS, SUMMARY_QUANTILES,
 };
@@ -145,14 +145,6 @@ impl Telemetry {
     /// The live progress/ETA state, when enabled.
     pub fn progress(&self) -> Option<&live::Progress> {
         self.inner.as_deref().map(|i| &i.progress)
-    }
-
-    /// Record one completed progress unit (no-op when disabled) — the
-    /// engines' tap at stage/swap/pass boundaries.
-    pub fn progress_unit(&self, phase: live::Phase, measured_ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.progress.unit_done(phase, measured_ns);
-        }
     }
 
     /// Publish the derived progress gauges (`run.progress_permille`,

@@ -5,18 +5,17 @@
 //! in-flight half. The design splits the denominator from the
 //! numerator:
 //!
-//! * **Planned work** comes from the schedule planner: each engine
-//!   seeds the *unit count* of its phases (stage applications, swaps,
-//!   streaming passes) at run start via [`Progress::set_planned_units`],
-//!   and the CLI/bench layer prices those phases in predicted seconds
-//!   from the PR 8 cost model via [`Progress::set_predicted_seconds`].
-//! * **Live counters** are fed from the engines' existing span
-//!   boundaries ([`Progress::unit_done`]) — one relaxed atomic add per
-//!   stage/swap/pass, so the taps are far off the per-amplitude hot
-//!   path.
+//! * **Planned work** comes from the schedule: the unit of progress is
+//!   the stage (with the swap that closes it) on every engine. At run
+//!   start the engine seeds the stages it will execute via
+//!   [`Progress::set_planned_units`] and their cost-model price via
+//!   [`Progress::set_predicted_seconds`].
+//! * **Live counters** are fed at the engines' unit boundaries
+//!   ([`Progress::unit_done`]) — one relaxed atomic add per stage, so the
+//!   taps are far off the per-amplitude hot path.
 //!
 //! The ETA blends the cost-model prior with measured unit times as a
-//! pseudo-count average (see [`PhaseProgress::unit_estimate_seconds`]):
+//! pseudo-count average (see [`ProgressSnapshot::unit_estimate_seconds`]):
 //! before any unit completes the estimate is pure model; each completed
 //! unit shifts weight toward the measured mean, so the ETA tightens
 //! monotonically under steady unit times and can never go negative
@@ -26,7 +25,7 @@
 //! thread, blocking per-request handling, `Connection: close`. It
 //! serves `/metrics` (Prometheus text exposition via [`crate::prom`])
 //! and `/status` (a JSON document of run state, progress, ETA and the
-//! `live.*` gauges the engines refresh at phase boundaries — per-rank
+//! `live.*` gauges the engines refresh at unit boundaries — per-rank
 //! straggler stats, per-pipeline-thread overlap).
 
 use crate::metrics::Metric;
@@ -38,22 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// The work phases the progress engine tracks. `Stage` is one compiled
-/// stage application (single/dist), `Swap` one global-to-local swap
-/// (dist), `Stream` one full-state streaming pass (OOC, including swap
-/// scatter and unpermute passes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
-    Stage = 0,
-    Swap = 1,
-    Stream = 2,
-}
-
-/// Number of [`Phase`] variants.
-pub const PHASES: usize = 3;
-
-const PHASE_NAMES: [&str; PHASES] = ["stage", "swap", "stream"];
 
 /// Coarse run state reported on `/status`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,11 +80,12 @@ const PRIOR_WEIGHT: f64 = 2.0;
 /// engines' taps are single adds, the status thread reads are
 /// tear-tolerant monitoring data.
 pub struct Progress {
-    planned: [AtomicU64; PHASES],
-    /// Total predicted nanoseconds per phase (cost-model priced).
-    predicted_ns: [AtomicU64; PHASES],
-    done: [AtomicU64; PHASES],
-    measured_ns: [AtomicU64; PHASES],
+    planned: AtomicU64,
+    /// Total predicted nanoseconds of the planned units (cost-model
+    /// priced).
+    predicted_ns: AtomicU64,
+    done: AtomicU64,
+    measured_ns: AtomicU64,
     state: AtomicUsize,
     stage: AtomicU64,
     stages_total: AtomicU64,
@@ -116,40 +100,39 @@ impl Default for Progress {
 impl Progress {
     pub fn new() -> Self {
         Self {
-            planned: std::array::from_fn(|_| AtomicU64::new(0)),
-            predicted_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            done: std::array::from_fn(|_| AtomicU64::new(0)),
-            measured_ns: std::array::from_fn(|_| AtomicU64::new(0)),
+            planned: AtomicU64::new(0),
+            predicted_ns: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            measured_ns: AtomicU64::new(0),
             state: AtomicUsize::new(RunState::Idle as usize),
             stage: AtomicU64::new(0),
             stages_total: AtomicU64::new(0),
         }
     }
 
-    /// Seed the planned unit count of `phase` (engine side, at run
-    /// start — the engine knows its own unit structure).
-    pub fn set_planned_units(&self, phase: Phase, units: u64) {
-        self.planned[phase as usize].store(units, Ordering::Relaxed);
+    /// Seed the planned unit count (engine side, at run start: the
+    /// stages this run will execute).
+    pub fn set_planned_units(&self, units: u64) {
+        self.planned.store(units, Ordering::Relaxed);
     }
 
-    /// Seed the cost-model predicted wall seconds of `phase` (planner /
-    /// CLI side).
+    /// Seed the cost-model predicted wall seconds of the planned units.
     ///
     /// A degenerate cost-model prior (a zero or non-finite weight in a
     /// hand-built model) can produce NaN or ±∞ here. The `as u64` cast saturates —
     /// +∞ would become `u64::MAX` ns (~585 years), poisoning every ETA
     /// blend downstream — so non-finite inputs are dropped to 0 (i.e.
     /// "no prior"), which the ETA math already handles.
-    pub fn set_predicted_seconds(&self, phase: Phase, seconds: f64) {
+    pub fn set_predicted_seconds(&self, seconds: f64) {
         let seconds = if seconds.is_finite() { seconds } else { 0.0 };
         let ns = (seconds.max(0.0) * 1e9) as u64;
-        self.predicted_ns[phase as usize].store(ns, Ordering::Relaxed);
+        self.predicted_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Record one completed unit of `phase` that took `measured_ns`.
-    pub fn unit_done(&self, phase: Phase, measured_ns: u64) {
-        self.done[phase as usize].fetch_add(1, Ordering::Relaxed);
-        self.measured_ns[phase as usize].fetch_add(measured_ns, Ordering::Relaxed);
+    /// Record one completed unit that took `measured_ns`.
+    pub fn unit_done(&self, measured_ns: u64) {
+        self.done.fetch_add(1, Ordering::Relaxed);
+        self.measured_ns.fetch_add(measured_ns, Ordering::Relaxed);
     }
 
     pub fn set_state(&self, s: RunState) {
@@ -160,8 +143,8 @@ impl Progress {
         RunState::from_usize(self.state.load(Ordering::Relaxed))
     }
 
-    /// Update the coarse position indicator (current unit / total units
-    /// of the driving loop — stages, stage runs or streaming passes).
+    /// Update the coarse position indicator (current stage / total
+    /// stages of the driving loop).
     pub fn set_stage(&self, stage: u64, total: u64) {
         self.stage.store(stage, Ordering::Relaxed);
         self.stages_total.store(total, Ordering::Relaxed);
@@ -171,26 +154,22 @@ impl Progress {
     /// atomically read; cross-field skew of one unit is fine for
     /// monitoring).
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let phase = |i: usize| PhaseProgress {
-            name: PHASE_NAMES[i],
-            planned: self.planned[i].load(Ordering::Relaxed),
-            done: self.done[i].load(Ordering::Relaxed),
-            predicted_seconds: self.predicted_ns[i].load(Ordering::Relaxed) as f64 / 1e9,
-            measured_seconds: self.measured_ns[i].load(Ordering::Relaxed) as f64 / 1e9,
-        };
         ProgressSnapshot {
             state: self.state(),
             stage: self.stage.load(Ordering::Relaxed),
             stages_total: self.stages_total.load(Ordering::Relaxed),
-            phases: std::array::from_fn(phase),
+            planned: self.planned.load(Ordering::Relaxed),
+            done: self.done.load(Ordering::Relaxed),
+            predicted_seconds: self.predicted_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            measured_seconds: self.measured_ns.load(Ordering::Relaxed) as f64 / 1e9,
         }
     }
 
     /// Publish the derived progress gauges into `m`:
-    /// `run.progress_permille`, `run.state` and (once any phase is
-    /// seeded) `sched.eta_seconds` + `sched.predicted_seconds`. Called
-    /// by the ticker, the status server and the engines' run epilogues,
-    /// so `/metrics`, `BENCH_*.json` and `--metrics-out` all carry them.
+    /// `run.progress_permille`, `run.state` and (once seeded)
+    /// `sched.eta_seconds` + `sched.predicted_seconds`. Called by the
+    /// ticker, the status server and the engines' run epilogues, so
+    /// `/metrics`, `BENCH_*.json` and `--metrics-out` all carry them.
     pub fn publish_gauges(&self, m: &MetricsRegistry) {
         let snap = self.snapshot();
         m.gauge_set("run.progress_permille", snap.permille() as f64);
@@ -198,24 +177,25 @@ impl Progress {
         if let Some(eta) = snap.eta_seconds() {
             m.gauge_set("sched.eta_seconds", eta);
         }
-        let predicted: f64 = snap.phases.iter().map(|p| p.predicted_seconds).sum();
-        if predicted > 0.0 {
-            m.gauge_set("sched.predicted_seconds", predicted);
+        if snap.predicted_seconds > 0.0 {
+            m.gauge_set("sched.predicted_seconds", snap.predicted_seconds);
         }
     }
 }
 
-/// One phase's progress at snapshot time.
+/// Point-in-time progress.
 #[derive(Clone, Copy, Debug)]
-pub struct PhaseProgress {
-    pub name: &'static str,
+pub struct ProgressSnapshot {
+    pub state: RunState,
+    pub stage: u64,
+    pub stages_total: u64,
     pub planned: u64,
     pub done: u64,
     pub predicted_seconds: f64,
     pub measured_seconds: f64,
 }
 
-impl PhaseProgress {
+impl ProgressSnapshot {
     /// Blended per-unit estimate: the cost-model prior weighted as
     /// [`PRIOR_WEIGHT`] virtual units, averaged with the measured unit
     /// times. Pure prior before the first sample, asymptotically the
@@ -242,56 +222,12 @@ impl PhaseProgress {
         self.planned.saturating_sub(self.done)
     }
 
-    /// Estimated seconds to finish this phase (≥ 0 by construction).
-    pub fn eta_seconds(&self) -> f64 {
-        self.remaining_units() as f64 * self.unit_estimate_seconds()
-    }
-
-    /// Completion fraction in `[0, 1]` (1 when nothing was planned but
-    /// units completed anyway, 0 when idle).
+    /// Completion fraction in `[0, 1]` (0 before any unit is planned).
     pub fn fraction(&self) -> f64 {
         if self.planned == 0 {
-            if self.done > 0 {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            (self.done as f64 / self.planned as f64).min(1.0)
-        }
-    }
-}
-
-/// Point-in-time progress across all phases.
-#[derive(Clone, Copy, Debug)]
-pub struct ProgressSnapshot {
-    pub state: RunState,
-    pub stage: u64,
-    pub stages_total: u64,
-    pub phases: [PhaseProgress; PHASES],
-}
-
-impl ProgressSnapshot {
-    /// Overall completion fraction: phases weighted by their predicted
-    /// seconds when the cost model priced them, else by unit counts.
-    pub fn fraction(&self) -> f64 {
-        let seeded: Vec<&PhaseProgress> = self.phases.iter().filter(|p| p.planned > 0).collect();
-        if seeded.is_empty() {
             return 0.0;
         }
-        let total_pred: f64 = seeded.iter().map(|p| p.predicted_seconds).sum();
-        if total_pred > 0.0 {
-            seeded
-                .iter()
-                .map(|p| p.predicted_seconds * p.fraction())
-                .sum::<f64>()
-                / total_pred
-        } else {
-            let (done, planned) = seeded.iter().fold((0u64, 0u64), |(d, pl), p| {
-                (d + p.done.min(p.planned), pl + p.planned)
-            });
-            done as f64 / planned as f64
-        }
+        (self.done as f64 / self.planned as f64).min(1.0)
     }
 
     /// `fraction()` in integer permille (0..=1000).
@@ -299,13 +235,10 @@ impl ProgressSnapshot {
         (self.fraction() * 1000.0).round().clamp(0.0, 1000.0) as u64
     }
 
-    /// Estimated remaining wall seconds, or `None` before any phase is
-    /// seeded. Never negative.
+    /// Estimated remaining wall seconds (≥ 0 by construction), or `None`
+    /// before any unit is planned.
     pub fn eta_seconds(&self) -> Option<f64> {
-        if self.phases.iter().all(|p| p.planned == 0) {
-            return None;
-        }
-        Some(self.phases.iter().map(|p| p.eta_seconds()).sum())
+        (self.planned > 0).then(|| self.remaining_units() as f64 * self.unit_estimate_seconds())
     }
 
     /// The `/status` fragment for this snapshot (an object, no trailing
@@ -314,7 +247,7 @@ impl ProgressSnapshot {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"state\":\"{}\",\"stage\":{},\"stages_total\":{},\"progress\":{},\"progress_permille\":{},\"eta_seconds\":{},\"phases\":{{",
+            "{{\"state\":\"{}\",\"stage\":{},\"stages_total\":{},\"progress\":{},\"progress_permille\":{},\"eta_seconds\":{},\"planned\":{},\"done\":{},\"predicted_seconds\":{},\"measured_seconds\":{}}}",
             self.state.name(),
             self.stage,
             self.stages_total,
@@ -324,23 +257,11 @@ impl ProgressSnapshot {
                 Some(eta) => crate::export::fmt_f64(eta),
                 None => "null".to_string(),
             },
+            self.planned,
+            self.done,
+            crate::export::fmt_f64(self.predicted_seconds),
+            crate::export::fmt_f64(self.measured_seconds),
         );
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"planned\":{},\"done\":{},\"predicted_seconds\":{},\"measured_seconds\":{},\"eta_seconds\":{}}}",
-                p.name,
-                p.planned,
-                p.done,
-                crate::export::fmt_f64(p.predicted_seconds),
-                crate::export::fmt_f64(p.measured_seconds),
-                crate::export::fmt_f64(p.eta_seconds()),
-            );
-        }
-        out.push_str("}}");
         out
     }
 }
@@ -612,8 +533,8 @@ mod tests {
         let p = Progress::new();
         // The cost model predicts 2 s/unit over 10 units; the "real"
         // machine does 1 s/unit.
-        p.set_planned_units(Phase::Stage, 10);
-        p.set_predicted_seconds(Phase::Stage, 20.0);
+        p.set_planned_units(10);
+        p.set_predicted_seconds(20.0);
         let true_unit_ns = 1_000_000_000u64;
         let mut clock = SyntheticClock::new();
 
@@ -623,7 +544,7 @@ mod tests {
 
         let mut prev_err = f64::INFINITY;
         for k in 1..=10u64 {
-            p.unit_done(Phase::Stage, clock.tick(true_unit_ns));
+            p.unit_done(clock.tick(true_unit_ns));
             let snap = p.snapshot();
             let eta = snap.eta_seconds().unwrap();
             let true_remaining = (10 - k) as f64;
@@ -651,11 +572,11 @@ mod tests {
         // The engine runs MORE units than planned (replans, retries):
         // remaining saturates at zero instead of going negative.
         let p = Progress::new();
-        p.set_planned_units(Phase::Stream, 3);
-        p.set_predicted_seconds(Phase::Stream, 3.0);
+        p.set_planned_units(3);
+        p.set_predicted_seconds(3.0);
         let mut clock = SyntheticClock::new();
         for _ in 0..7 {
-            p.unit_done(Phase::Stream, clock.tick(2_000_000_000));
+            p.unit_done(clock.tick(2_000_000_000));
             let snap = p.snapshot();
             assert!(snap.eta_seconds().unwrap() >= 0.0);
             assert!(snap.fraction() <= 1.0);
@@ -668,11 +589,11 @@ mod tests {
         // Prior says 1 ms/unit, reality is 100 ms/unit: after a handful
         // of samples the ETA must be within 25% of truth.
         let p = Progress::new();
-        p.set_planned_units(Phase::Stage, 100);
-        p.set_predicted_seconds(Phase::Stage, 0.1); // 1 ms/unit prior
+        p.set_planned_units(100);
+        p.set_predicted_seconds(0.1); // 1 ms/unit prior
         let mut clock = SyntheticClock::new();
         for _ in 0..20 {
-            p.unit_done(Phase::Stage, clock.tick(100_000_000));
+            p.unit_done(clock.tick(100_000_000));
         }
         let eta = p.snapshot().eta_seconds().unwrap();
         let truth = 80.0 * 0.1; // 80 units × 100 ms
@@ -689,35 +610,20 @@ mod tests {
         assert_eq!(p.snapshot().permille(), 0);
         // Units completing against an unseeded plan still never go
         // negative / above 1.
-        p.unit_done(Phase::Swap, 5);
+        p.unit_done(5);
         let snap = p.snapshot();
         assert!(snap.fraction() <= 1.0);
-    }
-
-    #[test]
-    fn mixed_phase_fraction_weights_by_predicted_seconds() {
-        let p = Progress::new();
-        p.set_planned_units(Phase::Stage, 10);
-        p.set_predicted_seconds(Phase::Stage, 90.0);
-        p.set_planned_units(Phase::Swap, 10);
-        p.set_predicted_seconds(Phase::Swap, 10.0);
-        // All swaps done, no stages: 10% of predicted work complete.
-        for _ in 0..10 {
-            p.unit_done(Phase::Swap, 1_000_000_000);
-        }
-        let f = p.snapshot().fraction();
-        assert!((f - 0.10).abs() < 1e-9, "fraction {f}");
     }
 
     #[test]
     fn status_json_is_valid_and_carries_live_gauges() {
         let t = Telemetry::enabled();
         let p = t.progress().unwrap();
-        p.set_planned_units(Phase::Stage, 4);
-        p.set_predicted_seconds(Phase::Stage, 8.0);
+        p.set_planned_units(4);
+        p.set_predicted_seconds(8.0);
         p.set_state(RunState::Running);
         p.set_stage(1, 4);
-        p.unit_done(Phase::Stage, 2_000_000_000);
+        p.unit_done(2_000_000_000);
         let m = t.metrics().unwrap();
         m.gauge_set("live.rank0.comm_seconds", 0.5);
         m.gauge_set("live.rank1.comm_seconds", 1.5);
@@ -731,17 +637,15 @@ mod tests {
         let progress = j.get("progress").unwrap();
         assert_eq!(progress.get("state").unwrap().as_str(), Some("running"));
         assert_eq!(progress.get("stages_total").unwrap().as_f64(), Some(4.0));
-        assert_eq!(
-            progress
-                .get("phases")
-                .unwrap()
-                .get("stage")
-                .unwrap()
-                .get("done")
-                .unwrap()
-                .as_f64(),
-            Some(1.0)
-        );
+        for (field, want) in [
+            ("planned", 4.0),
+            ("done", 1.0),
+            ("predicted_seconds", 8.0),
+            ("measured_seconds", 2.0),
+        ] {
+            assert_eq!(progress.get(field).unwrap().as_f64(), Some(want), "{field}");
+        }
+        assert!(progress.get("phases").is_none());
         assert!(progress.get("eta_seconds").unwrap().as_f64().unwrap() >= 0.0);
         let live = j.get("live").unwrap();
         assert_eq!(live.get("rank1.comm_seconds").unwrap().as_f64(), Some(1.5));
@@ -755,9 +659,9 @@ mod tests {
     fn status_server_serves_metrics_and_status() {
         let t = Telemetry::enabled();
         let p = t.progress().unwrap();
-        p.set_planned_units(Phase::Stream, 8);
-        p.set_predicted_seconds(Phase::Stream, 4.0);
-        p.unit_done(Phase::Stream, 500_000_000);
+        p.set_planned_units(8);
+        p.set_predicted_seconds(4.0);
+        p.unit_done(500_000_000);
         t.metrics().unwrap().counter_add("ooc.runs", 2);
         let server = StatusServer::bind(t.clone(), "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
@@ -798,12 +702,12 @@ mod tests {
     #[test]
     fn progress_line_is_humane() {
         let p = Progress::new();
-        p.set_planned_units(Phase::Stage, 4);
-        p.set_predicted_seconds(Phase::Stage, 8.0);
+        p.set_planned_units(4);
+        p.set_predicted_seconds(8.0);
         p.set_state(RunState::Running);
         p.set_stage(2, 4);
-        p.unit_done(Phase::Stage, 2_000_000_000);
-        p.unit_done(Phase::Stage, 2_000_000_000);
+        p.unit_done(2_000_000_000);
+        p.unit_done(2_000_000_000);
         let line = progress_line(&p.snapshot(), 4.0);
         assert!(line.contains("50.0%"), "{line}");
         assert!(line.contains("unit 2/4"), "{line}");

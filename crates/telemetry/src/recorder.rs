@@ -282,7 +282,7 @@ pub fn install_sigterm_recorder() -> bool {
 mod tests {
     use super::*;
     use crate::json::{parse, Json};
-    use crate::live::{Phase, RunState};
+    use crate::live::RunState;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("qsim-flight-{tag}-{}", std::process::id()));
@@ -300,10 +300,10 @@ mod tests {
             .unwrap()
             .counter_add("dist.swap_bytes_copied", 4096);
         if let Some(p) = t.progress() {
-            p.set_planned_units(Phase::Stage, 8);
+            p.set_planned_units(8);
             p.set_state(RunState::Running);
             for _ in 0..3 {
-                p.unit_done(Phase::Stage, 1000);
+                p.unit_done(1000);
             }
         }
         t

@@ -10,7 +10,7 @@
 //! snapshot math stays finite and non-negative.
 
 use proptest::prelude::*;
-use qsim_telemetry::{Phase, Progress};
+use qsim_telemetry::Progress;
 
 /// A seed drawn from the classes a degenerate cost model can produce:
 /// the non-finite specials explicitly, plus arbitrary positive and
@@ -36,25 +36,23 @@ proptest! {
     ) {
         let seed = seed_class(class, bits);
         let p = Progress::new();
-        p.set_planned_units(Phase::Stage, planned);
-        p.set_predicted_seconds(Phase::Stage, seed);
+        p.set_planned_units(planned);
+        p.set_predicted_seconds(seed);
         for _ in 0..done_units.min(planned) {
-            p.unit_done(Phase::Stage, 1_000_000);
+            p.unit_done(1_000_000);
         }
         let snap = p.snapshot();
-        for phase in &snap.phases {
-            prop_assert!(
-                phase.predicted_seconds.is_finite() && phase.predicted_seconds >= 0.0,
-                "stored prior not finite: {} (seed {seed:e})",
-                phase.predicted_seconds
-            );
-            // A degenerate prior means "no prior", never a 585-year one.
-            prop_assert!(
-                phase.predicted_seconds < 1e18,
-                "saturated cast leaked through: {}",
-                phase.predicted_seconds
-            );
-        }
+        prop_assert!(
+            snap.predicted_seconds.is_finite() && snap.predicted_seconds >= 0.0,
+            "stored prior not finite: {} (seed {seed:e})",
+            snap.predicted_seconds
+        );
+        // A degenerate prior means "no prior", never a 585-year one.
+        prop_assert!(
+            snap.predicted_seconds < 1e18,
+            "saturated cast leaked through: {}",
+            snap.predicted_seconds
+        );
         if let Some(eta) = snap.eta_seconds() {
             prop_assert!(
                 eta.is_finite() && eta >= 0.0,
@@ -68,13 +66,7 @@ proptest! {
     fn non_finite_seeds_are_dropped_to_no_prior(kind in 0usize..3) {
         let seed = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
         let p = Progress::new();
-        p.set_predicted_seconds(Phase::Stage, seed);
-        let snap = p.snapshot();
-        let stage = snap
-            .phases
-            .iter()
-            .find(|ph| ph.name == "stage")
-            .expect("stage phase");
-        prop_assert_eq!(stage.predicted_seconds, 0.0);
+        p.set_predicted_seconds(seed);
+        prop_assert_eq!(p.snapshot().predicted_seconds, 0.0);
     }
 }

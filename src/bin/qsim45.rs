@@ -35,8 +35,8 @@
 //! `--search-budget N` caps the extra planning evaluations.
 //!
 //! `--checkpoint-dir` makes the run crash-recoverable: every engine
-//! publishes an atomic manifest per completed unit of work (stage,
-//! stage run, or streaming pass), and `--resume` picks the run back up
+//! publishes an atomic manifest per completed unit of work (a stage,
+//! with the swap that closes it), and `--resume` picks the run back up
 //! from the last one — bit-exact with an uninterrupted run. A missing
 //! manifest under `--resume` is a fresh start, so the flag pair is safe
 //! to use unconditionally in retry loops.

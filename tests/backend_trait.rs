@@ -6,7 +6,8 @@
 //! or without checkpointing, die with a typed `InjectedStop` at the
 //! requested unit, and resume to the bit-exact uninterrupted state —
 //! whatever a kill in the next unit left in the generation the manifest
-//! does not name.
+//! does not name. The unit is the stage, with the swap that closes it,
+//! on every engine: progress counts it and checkpoints cut at it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,8 @@ use qsim45::core::{
 };
 use qsim45::kernels::{KernelConfig, SweepDispatch};
 use qsim45::ooc::{OocBackend, OocConfig, OocSimulator};
-use qsim45::telemetry::Telemetry;
+use qsim45::sched::{Stage, SwapOp};
+use qsim45::telemetry::{Metric, Telemetry};
 use qsim45::util::complex::max_dist;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -45,12 +47,12 @@ fn workload() -> Circuit {
 /// has a genuine mid-run checkpoint unit to kill at.
 const RANKS: usize = 16;
 
-/// Every [`Backend`] implementation in the workspace, built over the
-/// same telemetry handle with sequential kernels (determinism across
-/// repeated runs is part of what the harness asserts). The single-node
-/// plan of this workload is one swap-free stage, so its one checkpoint
-/// unit is the whole run.
-fn backends<R: SweepDispatch>(t: &Telemetry) -> Vec<Box<dyn Backend<R>>> {
+/// Every [`Backend`] implementation in the workspace, the partitioned
+/// ones over `ranks` ranks / chunks, built over the same telemetry
+/// handle with sequential kernels (determinism across repeated runs is
+/// part of what the harness asserts). The single-node plan of this
+/// workload is one swap-free stage, so its one unit is the whole run.
+fn backends<R: SweepDispatch>(t: &Telemetry, ranks: usize) -> Vec<Box<dyn Backend<R>>> {
     vec![
         Box::new(SingleBackend::new(SingleNodeSimulator {
             kernel: KernelConfig::sequential(),
@@ -59,7 +61,7 @@ fn backends<R: SweepDispatch>(t: &Telemetry) -> Vec<Box<dyn Backend<R>>> {
             ..Default::default()
         })),
         Box::new(DistBackend::new(DistSimulator::new(DistConfig {
-            n_ranks: RANKS,
+            n_ranks: ranks,
             kernel: KernelConfig::sequential(),
             telemetry: t.clone(),
             ..Default::default()
@@ -69,7 +71,7 @@ fn backends<R: SweepDispatch>(t: &Telemetry) -> Vec<Box<dyn Backend<R>>> {
                 telemetry: t.clone(),
                 ..OocConfig::sequential()
             }),
-            RANKS,
+            ranks,
         )),
     ]
 }
@@ -123,22 +125,42 @@ fn tear_unnamed_generation(dir: &Path, named: usize, how: Leftover) -> usize {
     named_files.len()
 }
 
+/// Progress `(planned, done)` units and `swap_ns` samples of one run of
+/// backend `which` (its index in [`backends`]) on fresh telemetry.
+fn progress_of<R: SweepDispatch>(
+    which: usize,
+    plan: &BackendPlan,
+    policy: CheckpointPolicy,
+    stop: Option<usize>,
+) -> (u64, u64, u64) {
+    let t = Telemetry::enabled();
+    let mut b = backends::<R>(&t, RANKS).swap_remove(which);
+    b.checkpoint(policy);
+    let _ = b.run_to_stage(plan, stop);
+    let snap = t.progress().expect("enabled telemetry").snapshot();
+    let swaps = match t.metrics().expect("enabled telemetry").get("swap_ns") {
+        Some(Metric::Histogram(h)) => h.count,
+        _ => 0,
+    };
+    (snap.planned, snap.done, swaps)
+}
+
 /// The shared conformance pass: replaces the per-engine copies that
 /// used to live in `tests/backends.rs` and the engine-specific halves
 /// of the checkpoint suites.
 fn conformance<R: SweepDispatch>(norm_tol: f64) {
     let c = workload();
     let t = Telemetry::enabled();
-    for mut b in backends::<R>(&t) {
+    for (which, mut b) in backends::<R>(&t, RANKS).into_iter().enumerate() {
         let name = b.name();
 
-        // Plan: a valid schedule with a positive unit count. Swapful
-        // plans (dist, ooc) must expose more than one checkpoint unit
-        // so the kill below lands strictly mid-run; the single-node
-        // plan has one unit, so its kill fires after its one stage,
-        // at the end of the run.
+        // Plan: a valid schedule, one unit per stage. Swapful plans
+        // (dist, ooc) must have more than one stage so the kill below
+        // lands strictly mid-run; the single-node plan has one, so its
+        // kill fires after its one stage, at the end of the run.
         let plan = b.plan(&c).expect(name);
-        let total_units = b.total_units(&plan);
+        let stages = &plan.schedule.stages;
+        let total_units = stages.len();
         assert!(total_units >= 1, "{name}: empty plan");
         if name != "single" {
             assert!(
@@ -148,14 +170,41 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
         }
         plan.schedule.verify(&plan.exec);
 
-        // Progress seeding: the cost-model prior must land in the live
-        // progress engine before any unit executes.
+        // Progress seeding: one unit per stage, and the cost-model prior
+        // must land in the live progress engine before any unit executes.
         b.seed_progress(&plan);
         let snap = t.progress().expect("enabled telemetry").snapshot();
+        assert_eq!(snap.planned, total_units as u64, "{name}");
         assert!(
-            snap.phases.iter().any(|p| p.predicted_seconds > 0.0),
+            snap.predicted_seconds > 0.0,
             "{name}: seed_progress left no cost-model prior"
         );
+
+        // Progress accounting: a fresh run plans and completes one unit
+        // per stage with one `swap_ns` sample per swap executed; a kill
+        // at unit `k` has completed `k`; the resume plans only the
+        // stages past the manifest cursor — it pre-credits nothing.
+        let swaps_in = |s: &[Stage]| s.iter().filter(|s| s.swap.is_some()).count() as u64;
+        let units = total_units as u64;
+        let dir = tmpdir(&format!("{name}_progress"));
+        assert_eq!(
+            progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), None),
+            (units, units, swaps_in(stages)),
+            "{name}: fresh run"
+        );
+        let k = (total_units / 2).max(1);
+        assert_eq!(
+            progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), Some(k)),
+            (units, k as u64, swaps_in(&stages[..k])),
+            "{name}: killed at unit {k}"
+        );
+        let rest = &stages[k..];
+        assert_eq!(
+            progress_of::<R>(which, &plan, CheckpointPolicy::resume(&dir), None),
+            (rest.len() as u64, rest.len() as u64, swaps_in(rest)),
+            "{name}: resumed from unit {k}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
 
         // Plain gathered run: normalized state, stats tagged with the
         // engine that produced them.
@@ -239,7 +288,7 @@ fn backends_agree_with_each_other_through_the_trait() {
     let c = workload();
     let t = Telemetry::default();
     let mut states = Vec::new();
-    for mut b in backends::<f64>(&t) {
+    for mut b in backends::<f64>(&t, RANKS) {
         b.gather_state(true);
         let plan = b.plan(&c).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         let out = b.run(&plan).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
@@ -259,7 +308,7 @@ fn a_stop_point_requires_a_checkpoint_directory() {
     // not run-and-discard.
     let c = workload();
     let t = Telemetry::default();
-    for mut b in backends::<f64>(&t) {
+    for mut b in backends::<f64>(&t, RANKS) {
         let name = b.name();
         let plan = b.plan(&c).expect(name);
         match b.run_to_stage(&plan, Some(1)) {
@@ -277,12 +326,15 @@ fn resume_rejects_cross_precision_checkpoints_through_the_trait() {
     // this into a typed rejection on every engine.
     let c = workload();
     let t = Telemetry::default();
-    for (mut b64, mut b32) in backends::<f64>(&t).into_iter().zip(backends::<f32>(&t)) {
+    for (mut b64, mut b32) in backends::<f64>(&t, RANKS)
+        .into_iter()
+        .zip(backends::<f32>(&t, RANKS))
+    {
         let name = b64.name();
         let dir = tmpdir(&format!("{name}_xprec"));
         b64.checkpoint(CheckpointPolicy::new(&dir));
         let plan = b64.plan(&c).expect(name);
-        let stop = (b64.total_units(&plan) / 2).max(1);
+        let stop = (plan.schedule.stages.len() / 2).max(1);
         match b64.run_to_stage(&plan, Some(stop)) {
             Err(SimError::InjectedStop { .. }) => {}
             other => panic!("{name}: expected InjectedStop, got {:?}", other.map(|_| ())),
@@ -367,4 +419,39 @@ fn bad_partition_counts_are_typed_errors_not_panics() {
         "single run, 4-way plan",
         Backend::<f64>::run(&mut single, &swapful),
     );
+}
+
+#[test]
+fn schedules_of_the_wrong_shape_are_typed_errors_on_every_backend() {
+    // x(0) on 4 qubits, each engine's own plan reshaped two ways the
+    // planner never produces. A trailing swap (on the slot holding qubit
+    // 0) would leave the state relabelled behind the final mapping; a
+    // swap-free interior stage would be a unit no swap closes. Both are
+    // the one typed error on every engine, before any amplitude moves.
+    let mut c = Circuit::new(4);
+    c.x(0);
+    let t = Telemetry::default();
+    for mut b in backends::<f64>(&t, 2) {
+        let name = b.name();
+        b.gather_state(true);
+        let plan = b.plan(&c).expect(name);
+        assert_eq!(plan.schedule.stages.len(), 1, "{name}");
+        let g = (plan.schedule.n_qubits - plan.schedule.local_qubits) as usize;
+
+        let mut trailing = plan.clone();
+        let last = &mut trailing.schedule.stages[0];
+        last.swap = Some(SwapOp {
+            local_slots: vec![last.mapping[0]; g],
+        });
+        assert_invalid_input(&format!("{name}, trailing swap"), b.run(&trailing));
+
+        let mut open = plan.clone();
+        let first = Stage {
+            mapping: open.schedule.stages[0].mapping.clone(),
+            ops: Vec::new(),
+            swap: None,
+        };
+        open.schedule.stages.insert(0, first);
+        assert_invalid_input(&format!("{name}, swap-free interior stage"), b.run(&open));
+    }
 }

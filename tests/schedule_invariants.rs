@@ -1,9 +1,14 @@
 //! Full-scale scheduling invariants: the paper's communication claims are
 //! pure pre-computation, so they are asserted here at the real 30–49
-//! qubit sizes (no amplitudes are ever allocated).
+//! qubit sizes (no amplitudes are ever allocated). Plus the one shape
+//! every engine executes, over random circuits and geometries.
 
+use proptest::prelude::*;
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
+use qsim45::circuit::Circuit;
+use qsim45::core::{plan_schedule, PlanOptions, ScheduleMode};
 use qsim45::sched::{global_gate_count, plan, CommStats, SchedulerConfig, StageOp};
+use qsim45::util::Xoshiro256;
 use std::time::Instant;
 
 fn circuit(rows: u32, cols: u32, depth: u32) -> qsim45::circuit::Circuit {
@@ -172,5 +177,67 @@ fn deeper_circuits_need_monotonically_more_comm() {
         let gg = global_gate_count(&c, 30, true);
         assert!(gg >= prev_gg, "depth {depth}: global gates decreased");
         prev_gg = gg;
+    }
+}
+
+/// A random circuit over the supremacy gate set plus CNOT.
+fn random_circuit(n: u32, n_gates: usize, seed: u64) -> Circuit {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut c = Circuit::new(n);
+    for _ in 0..n_gates {
+        let q = (rng.next_u64() % n as u64) as u32;
+        let q2 = (q + 1 + (rng.next_u64() % (n as u64 - 1)) as u32) % n;
+        match rng.next_u64() % 6 {
+            0 => c.h(q),
+            1 => c.t(q),
+            2 => c.sqrt_x(q),
+            3 => c.sqrt_y(q),
+            4 => c.cz(q, q2),
+            _ => c.cnot(q, q2),
+        };
+    }
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every stage but the last is closed by a full swap and the last by
+    /// none — the shape the engines require ([`qsim45::core::check_plan`])
+    /// is one the planner always produces: greedy with the swap search
+    /// on and off, the single-node plan, and the cost-guided search.
+    // (n ≥ 5 keeps l > g: at l = g = 2 the greedy stage finder
+    // livelocks on random two-qubit gates before it plans anything.)
+    #[test]
+    fn every_planned_schedule_has_the_executable_shape(
+        n in 5u32..=9,
+        g in 0u32..=2,
+        n_gates in 0usize..48,
+        seed in 0u64..100_000,
+        kmax in 2u32..=4,
+    ) {
+        let c = random_circuit(n, n_gates, seed);
+        let l = n - g;
+        let mut naive_search = SchedulerConfig::distributed(l, kmax);
+        naive_search.swap_search = false;
+        for cfg in [
+            SchedulerConfig::distributed(l, kmax),
+            naive_search,
+            SchedulerConfig::single_node(n, kmax),
+        ] {
+            let s = plan(&c, &cfg);
+            prop_assert_eq!(s.check_shape(), Ok(()), "{:?}", cfg);
+            s.verify(&c);
+        }
+        let searched = plan_schedule(
+            &c,
+            &SchedulerConfig::distributed(l, kmax),
+            &PlanOptions {
+                mode: ScheduleMode::Search,
+                search_budget: 4,
+                ..PlanOptions::default()
+            },
+        );
+        prop_assert_eq!(searched.schedule.check_shape(), Ok(()));
     }
 }
