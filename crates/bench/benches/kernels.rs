@@ -5,8 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qsim_bench::harness::{high_order_qubits, low_order_qubits, random_gate, random_state};
-use qsim_kernels::apply::{apply_gate, KernelConfig, OptLevel, Simd};
+use qsim_kernels::apply::{apply_gate, KernelConfig, Simd};
 use qsim_kernels::avx::apply_avx_eq1;
+use qsim_kernels::opt::{apply_inplace, apply_twovec};
 use qsim_util::flops::gate_flops;
 
 const N: u32 = 18;
@@ -16,29 +17,33 @@ fn bench_opt_steps(c: &mut Criterion) {
     group.throughput(Throughput::Elements(gate_flops(N, 4)));
     let m = random_gate(4, 1);
     let qubits = low_order_qubits(4);
-    let configs = [
-        ("step0_twovec", OptLevel::TwoVector, Simd::Scalar),
-        ("step1_inplace", OptLevel::InPlace, Simd::Scalar),
-        ("step3_blocked_scalar", OptLevel::Blocked, Simd::Scalar),
-        ("step3_lanes256", OptLevel::Blocked, Simd::Avx2),
-        ("step4_lanes512", OptLevel::Blocked, Simd::Auto),
-    ];
-    for (name, opt, simd) in configs {
-        let cfg = KernelConfig {
-            opt,
-            simd,
-            threads: 1,
-        };
-        let mut state = random_state(N, 2);
+    // Steps 0–2 are reference kernels, called directly; the two-vector
+    // step writes a second state and copies it back, the traffic step 1
+    // removes.
+    let mut state = random_state(N, 2);
+    let mut dst = state.clone();
+    group.bench_function("step0_twovec", |b| {
+        b.iter(|| {
+            apply_twovec(&state, &mut dst, &qubits, &m);
+            state.copy_from_slice(&dst);
+        });
+    });
+    group.bench_function("step1_inplace", |b| {
+        b.iter(|| apply_inplace(&mut state, &qubits, &m));
+    });
+    group.bench_function("step2_avx_eq1", |b| {
+        b.iter(|| apply_avx_eq1(&mut state, &qubits, &m));
+    });
+    for (name, simd) in [
+        ("step3_blocked_scalar", Simd::Scalar),
+        ("step3_lanes256", Simd::Avx2),
+        ("step4_lanes512", Simd::Auto),
+    ] {
+        let cfg = KernelConfig { simd, threads: 1 };
         group.bench_function(name, |b| {
             b.iter(|| apply_gate(&mut state, &qubits, &m, &cfg));
         });
     }
-    // The Eq.-(1) vectorized step measured through its dedicated kernel.
-    let mut state = random_state(N, 2);
-    group.bench_function("step2_avx_eq1", |b| {
-        b.iter(|| apply_avx_eq1(&mut state, &qubits, &m));
-    });
     group.finish();
 }
 

@@ -28,8 +28,11 @@
 //!     followed by the k = 4 constants `CostModel::host` holds for them.
 
 use qsim_bench::harness::*;
-use qsim_kernels::apply::{KernelConfig, OptLevel, Simd};
+use qsim_kernels::apply::{KernelConfig, Simd};
+use qsim_kernels::avx::apply_avx_eq1;
+use qsim_kernels::opt::{apply_inplace, apply_twovec};
 use qsim_kernels::sweep::PreparedGate;
+use qsim_util::c64;
 use qsim_util::flops::{gate_flops, gflops, operational_intensity, roofline_bound};
 use qsim_util::stats::{black_box, summarize, time_reps};
 
@@ -56,37 +59,47 @@ fn main() {
         cell("roof[GFLOPS]", 13),
     ]);
 
-    let cfg = |opt, simd| KernelConfig { opt, simd, threads };
-    let steps = [
-        ("0 two-vector", cfg(OptLevel::TwoVector, Simd::Scalar)),
-        ("1 in-place (lazy)", cfg(OptLevel::InPlace, Simd::Scalar)),
-        // Marker config: the measurement below routes this step to the
-        // dedicated Eq.-(1) SIMD kernel.
-        ("2 +vectorized Eq.(1)", cfg(OptLevel::Fma, Simd::Auto)),
-        ("3 lanes@256", cfg(OptLevel::Blocked, Simd::Avx2)),
-        ("4 lanes@512", cfg(OptLevel::Blocked, Simd::Auto)),
-    ];
-
+    // Steps 0–2 are reference kernels, called directly (one thread);
+    // steps 3–4 are `apply_gate` at the two vector widths.
+    let lanes = |simd| KernelConfig { simd, threads };
     for k in [1u32, 4] {
         let qubits = low_order_qubits(k);
-        // Two-vector traffic is 3 passes; in-place is 2.
-        for (name, cfg) in &steps {
-            let gf = if name.starts_with("2 ") {
-                let m = random_gate(k, 0xbeef ^ k as u64);
-                measure_fn_gflops(n, &qubits, 1, 3, |state, qs| {
-                    qsim_kernels::avx::apply_avx_eq1(state, qs, &m);
-                })
-            } else {
-                measure_kernel_gflops(n, &qubits, cfg, 1, 3)
-            };
-            let oi = match cfg.opt {
-                OptLevel::TwoVector => qsim_util::flops::flops_per_amplitude(k) as f64 / 48.0,
+        let m = random_gate(k, 0xbeef ^ k as u64);
+        // Two-vector traffic is 3 passes (the second vector written, then
+        // copied back — the traffic step 1 removes); in-place is 2.
+        let mut dst = vec![c64::zero(); 1 << n];
+        let two_vector = measure_fn_gflops(n, &qubits, 1, 3, |state, qs| {
+            apply_twovec(state, &mut dst, qs, &m);
+            state.copy_from_slice(&dst);
+        });
+        let steps = [
+            ("0 two-vector", two_vector),
+            (
+                "1 in-place (lazy)",
+                measure_fn_gflops(n, &qubits, 1, 3, |state, qs| apply_inplace(state, qs, &m)),
+            ),
+            (
+                "2 +vectorized Eq.(1)",
+                measure_fn_gflops(n, &qubits, 1, 3, |state, qs| apply_avx_eq1(state, qs, &m)),
+            ),
+            (
+                "3 lanes@256",
+                measure_kernel_gflops(n, &qubits, &lanes(Simd::Avx2), 1, 3),
+            ),
+            (
+                "4 lanes@512",
+                measure_kernel_gflops(n, &qubits, &lanes(Simd::Auto), 1, 3),
+            ),
+        ];
+        for (step, (name, gf)) in steps.into_iter().enumerate() {
+            let oi = match step {
+                0 => qsim_util::flops::flops_per_amplitude(k) as f64 / 48.0,
                 _ => operational_intensity(k, 8),
             };
             let roof = roofline_bound(f64::INFINITY, bw, oi);
             row(&[
                 cell(format!("k={k}"), 8),
-                cell(*name, 24),
+                cell(name, 24),
                 cell(format!("{oi:.3}"), 9),
                 cell(format!("{gf:.2}"), 9),
                 cell(format!("{roof:.1}"), 13),
@@ -145,11 +158,7 @@ fn tile_resident_rows() {
         ];
         let mut cells = vec![cell(k, 3)];
         for simd in [Simd::Avx2, Simd::Auto] {
-            let cfg = KernelConfig {
-                opt: OptLevel::Blocked,
-                simd,
-                threads: 1,
-            };
+            let cfg = KernelConfig { simd, threads: 1 };
             for (qubits, width) in operands.iter().zip([8, 11, 8]) {
                 let gate = PreparedGate::new(qubits, &m, &cfg);
                 // ~20 µs per application: time batches, keep the fastest.

@@ -4,7 +4,7 @@
 //! is `Simd::Auto` on an AVX-512 host (elsewhere the column repeats the
 //! widest form there is).
 use qsim_bench::harness::*;
-use qsim_kernels::apply::{KernelConfig, OptLevel, Simd};
+use qsim_kernels::apply::{KernelConfig, Simd};
 
 fn main() {
     let n = arg_u32("--state-qubits", 22);
@@ -23,11 +23,7 @@ fn main() {
     for k in 1..=5u32 {
         let q = low_order_qubits(k);
         let gf = |simd| {
-            let cfg = KernelConfig {
-                opt: OptLevel::Blocked,
-                simd,
-                threads: 1,
-            };
+            let cfg = KernelConfig { simd, threads: 1 };
             cell(
                 format!("{:.2}", measure_kernel_gflops(n, &q, &cfg, 1, 3)),
                 9,

@@ -3,11 +3,12 @@
 //! The paper's central claim is that the slow tier (network or SSD) is
 //! interchangeable once the schedule needs only two all-to-alls. Two
 //! engines embody it — in memory over `P ≥ 1` partitions (a single node
-//! is `P = 1`) and out of core — each with exactly one run function,
-//! taking a [`BackendPlan`] and returning a [`BackendOutcome`]. The
-//! three backends (single-node, distributed, out-of-core) wrap them, and
-//! the CLI, the test suites, the benchmark and any future backend (e.g.
-//! qsimh-style path slices) reach them through this one trait.
+//! is `P = 1`) and out of core — each running its stages inside the one
+//! run frame ([`crate::run::Run`]), taking a [`BackendPlan`] and
+//! returning a [`BackendOutcome`]. The three backends (single-node,
+//! distributed, out-of-core) wrap them, and the CLI, the test suites, the
+//! benchmark and any future backend (e.g. qsimh-style path slices) reach
+//! them through this one trait.
 //!
 //! ## Contract
 //!
@@ -22,7 +23,11 @@
 //!   core one streaming pass. A plan has `plan.schedule.stages.len()`
 //!   units, so callers pick a valid `run_to_stage` stop point without
 //!   knowing which engine they hold. Every engine runs only plans of the
-//!   one executable shape ([`check_plan`]).
+//!   one executable shape, split into its partitions
+//!   ([`crate::run::Run::begin`]).
+//! * **One run state.** `/status` reports `running` from the first unit
+//!   on, then `done`, or `failed` after any error, a stop included — on
+//!   every engine, because the frame sets it.
 //! * **One checkpoint policy.** [`Backend::checkpoint`] takes the
 //!   [`CheckpointPolicy`] (`{dir, resume}`) all three engines share.
 //! * **Kill/resume.** `run_to_stage(plan, Some(u))` completes `u` units,
@@ -186,7 +191,7 @@ pub trait Backend<R: SweepDispatch> {
     /// [`SimError::InjectedStop`] after `stop_after` stages when set
     /// (kill-point injection for resume testing; requires a checkpoint
     /// directory; valid stop points are `1..=plan.schedule.stages.len()`).
-    /// A plan the engine cannot execute ([`check_plan`]) is
+    /// A plan the engine cannot execute ([`crate::run::Run::begin`]) is
     /// [`std::io::ErrorKind::InvalidInput`].
     fn run_to_stage(
         &mut self,
@@ -259,7 +264,8 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
     ) -> Result<BackendOutcome<R>, SimError> {
         self.sim
             .one_partition(self.gather)
-            .run_plan("single", plan, stop_after)
+            .run_partitions("single", plan, stop_after)
+            .map(|(out, _)| out)
     }
 }
 
@@ -315,7 +321,9 @@ impl<R: SweepDispatch> Backend<R> for DistBackend {
         plan: &BackendPlan,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        self.sim.run_plan("dist", plan, stop_after)
+        self.sim
+            .run_partitions("dist", plan, stop_after)
+            .map(|(out, _)| out)
     }
 }
 
@@ -344,24 +352,6 @@ pub fn partition_geometry(n: u32, n_parts: usize) -> std::io::Result<(u32, u32)>
         ));
     }
     Ok((l, g))
-}
-
-/// The one check every engine makes before it executes `schedule` on
-/// `n_parts` partitions (ranks or chunks): the register splits that way
-/// ([`partition_geometry`]) into exactly the schedule's local qubits, and
-/// the schedule has the executable shape ([`Schedule::check_shape`]).
-/// Anything else is [`std::io::ErrorKind::InvalidInput`], on every
-/// engine, before any partition is touched.
-pub fn check_plan(schedule: &Schedule, n_parts: usize) -> std::io::Result<()> {
-    let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
-    let (l, _) = partition_geometry(schedule.n_qubits, n_parts)?;
-    if l != schedule.local_qubits {
-        return Err(invalid(format!(
-            "partition count must be 2^(n-l): {n_parts} partitions for n = {}, l = {}",
-            schedule.n_qubits, schedule.local_qubits
-        )));
-    }
-    schedule.check_shape().map_err(invalid)
 }
 
 /// Shared planning path of the partitioned engines (dist and OOC): both

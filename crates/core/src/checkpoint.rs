@@ -13,10 +13,12 @@
 //! `u` reads generation `u − 1` and writes generation `u` into the
 //! parity the durable manifest does not name; then
 //!
-//! 1. `sync_all` each new artifact and digest it as stored;
+//! 1. `sync_all` each new artifact and digest it as stored (the engine's
+//!    half: [`save_snapshot`] per rank, the chunk store's `sync_digests`);
 //! 2. publish the manifest naming `u` *atomically* — temp file →
 //!    `sync_all` → rename over [`MANIFEST_FILE`] → directory fsync, which
 //!    also makes the directory entries of newly created artifacts durable.
+//!    The run frame does this, and only it: [`crate::run::Run::publish`].
 //!
 //! The manifest flip is the only commit. A crash at any byte of unit `u`
 //! leaves the manifest naming the intact generation `u − 1` next to
@@ -24,8 +26,9 @@
 //! overwrites; a crash inside (2) is resolved by the atomicity of
 //! `rename`. No rank or pass may start unit `u + 1` — overwriting
 //! generation `u − 1` — before the manifest naming `u` is durable. A
-//! fresh start deletes any older manifest first ([`RunKey::resume_point`]),
-//! because it reuses the names that manifest points at.
+//! fresh start deletes any older manifest first ([`RunKey::resume_point`],
+//! called by [`crate::run::Run::begin`]), because it reuses the names that
+//! manifest points at.
 //!
 //! u64 values (hashes, digests, seeds) are serialized as *hex strings*:
 //! the in-workspace JSON parser ([`qsim_telemetry::json`]) reads numbers
@@ -95,20 +98,11 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// The in-memory engines report every checkpoint failure as the one
-/// typed variant callers match for "durable state rejected".
+/// Every engine reports a rejected or failed checkpoint as the one typed
+/// variant callers match for "durable state rejected".
 impl From<CheckpointError> for SimError {
     fn from(e: CheckpointError) -> Self {
         SimError::Checkpoint(e.to_string())
-    }
-}
-
-impl From<CheckpointError> for io::Error {
-    fn from(e: CheckpointError) -> Self {
-        match e {
-            CheckpointError::Io(e) => e,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
     }
 }
 
@@ -374,28 +368,11 @@ impl CheckpointPolicy {
     }
 }
 
-/// A `stop_after` kill point is only meaningful when the completed units
-/// are durable and at least one unit completes: every engine's run
-/// function rejects anything else up front.
-pub fn check_stop_point(
-    policy: Option<&CheckpointPolicy>,
-    stop_after: Option<usize>,
-) -> Result<(), SimError> {
-    match stop_after {
-        Some(_) if policy.is_none() => Err(SimError::Checkpoint(
-            "run_to_stage with a stop point requires a checkpoint directory".into(),
-        )),
-        Some(0) => Err(SimError::Checkpoint(
-            "stop point must name at least one completed unit".into(),
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// Everything that makes two executions "the same run": what a manifest
 /// records when it is written and what [`Manifest::validate`] compares
-/// on resume. Each engine builds one per run. The unit count is the
-/// schedule's stage count on every engine.
+/// on resume. Each engine builds one per run and opens its
+/// [`crate::run::Run`] with it. The unit count is the schedule's stage
+/// count on every engine.
 #[derive(Clone, Copy, Debug)]
 pub struct RunKey<'a> {
     /// `"single"`, `"dist"` or `"ooc"`.
@@ -466,7 +443,7 @@ fn at_path(path: &Path, e: io::Error) -> CheckpointError {
 }
 
 /// Durably write artifact `artifact`'s snapshot of generation `unit`
-/// (the in-memory engines' per-unit step 1) over whatever generation
+/// (the in-memory engine's per-unit step 1) over whatever generation
 /// `unit − 2` left under that parity, and return its digest. Bytes are
 /// little-endian `(re, im)` scalar pairs at the state's precision — the
 /// same layout as the chunk store on every supported target.
@@ -588,19 +565,6 @@ impl Fnv1a {
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
-    h.finish()
-}
-
-/// Digest of an amplitude buffer, bit-identical to [`fnv1a64`] over the
-/// raw bytes the chunk store would write for it: `R::BYTES` little-
-/// endian bytes per scalar, so the digest stream matches the on-disk
-/// layout in both precisions.
-pub fn digest_amps<R: Real>(amps: &[Complex<R>]) -> u64 {
-    let mut h = Fnv1a::new();
-    for a in amps {
-        h.write(&a.re.to_bits_u64().to_le_bytes()[..R::BYTES]);
-        h.write(&a.im.to_bits_u64().to_le_bytes()[..R::BYTES]);
-    }
     h.finish()
 }
 
@@ -925,15 +889,16 @@ mod tests {
         assert_ne!(schedule_fingerprint(&a), schedule_fingerprint(&d));
     }
 
-    /// A snapshot is `2 * R::BYTES` raw bytes per amplitude whose file
-    /// digest is [`digest_amps`], and loads back only under that digest.
+    /// A snapshot is `2 * R::BYTES` raw bytes per amplitude, its digest is
+    /// [`fnv1a64`] of the written file, and it loads back only under that
+    /// digest.
     fn snapshot_round_trip<R: Real>(amps: &[Complex<R>]) {
         let dir = tmpdir(R::NAME);
         assert_eq!(snapshot_path(&dir, 0, 5), snapshot_path(&dir, 0, 3));
         let wrote = save_snapshot(&dir, 0, 5, amps).unwrap();
         let raw = std::fs::read(snapshot_path(&dir, 0, 5)).unwrap();
         assert_eq!(raw.len(), amps.len() * 2 * R::BYTES);
-        assert_eq!((wrote, fnv1a64(&raw)), (digest_amps(amps), wrote));
+        assert_eq!(wrote, fnv1a64(&raw));
         let back = load_snapshot::<R>(&dir, 0, 5, amps.len(), wrote).unwrap();
         assert_eq!(back, amps);
         assert!(matches!(

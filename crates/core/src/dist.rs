@@ -5,7 +5,10 @@
 //! 2^l-amplitude slice of the physical state: bit positions `0..l` index
 //! within the slice, positions `l..n` are the rank id. A single-node run
 //! is one rank holding the whole register, where the swap, the
-//! all-reduce and the barrier have no peer and do nothing. Per stage:
+//! all-reduce and the barrier have no peer and do nothing. The run frame
+//! ([`crate::run::Run`]) opens the run before any rank spawns and owns
+//! everything around a stage; each rank hands it its stage as a closure.
+//! Per stage:
 //!
 //! * **clusters** run the fused k-qubit kernels on the local slice — all
 //!   ranks execute identical operations (SPMD);
@@ -21,14 +24,17 @@
 //!   no separate permutation passes, and zero heap allocations in steady
 //!   state. The self segment is an exact identity and is never touched.
 //!   [`perform_swap_reference`] keeps the textbook three-pass path as the
-//!   equivalence oracle.
+//!   equivalence oracle;
+//! * **checkpoint** (under a policy): every rank fsyncs its slice as the
+//!   next generation and sends rank 0 its digest, rank 0 commits the unit
+//!   ([`crate::run::Run::publish`]), and a barrier keeps every rank off
+//!   the old generation until the commit is durable.
 
-use crate::backend::{check_plan, BackendOutcome, BackendPlan, BackendStats};
-use crate::checkpoint::{
-    check_stop_point, load_snapshot, save_snapshot, CheckpointError, CheckpointPolicy, RunKey,
-};
+use crate::backend::{BackendOutcome, BackendPlan, BackendStats};
+use crate::checkpoint::{load_snapshot, save_snapshot, CheckpointPolicy, RunKey};
 use crate::exec::{resolve_tile_qubits, StageExecutor};
 use crate::observables::norm_entropy;
+use crate::run::Run;
 use crate::state::StateVector;
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::{par_gather, par_scatter};
@@ -39,7 +45,7 @@ use qsim_net::collective::{
 use qsim_net::fabric::{try_run_cluster_hooked, RankCtx};
 use qsim_net::{FaultPlan, PoisonHook, SimError};
 use qsim_sched::SwapOp;
-use qsim_telemetry::{RunState, Telemetry, TrackHandle};
+use qsim_telemetry::Telemetry;
 use qsim_util::bits::BitPermutation;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
@@ -122,43 +128,21 @@ impl DistSimulator {
         Self { config }
     }
 
-    /// [`DistSimulator::run_partitions`], with the ranks' slices
-    /// reordered into the outcome's logical-order state under
-    /// `gather_state`.
-    pub(crate) fn run_plan<R: SweepDispatch>(
-        &self,
-        engine: &'static str,
-        plan: &BackendPlan,
-        stop_after: Option<usize>,
-    ) -> Result<BackendOutcome<R>, SimError> {
-        let (mut out, parts) = self.run_partitions(engine, plan, stop_after)?;
-        if self.config.gather_state {
-            out.state = Some(gather_logical(&parts, plan.schedule.final_mapping()));
-        }
-        Ok(out)
-    }
-
-    /// The in-memory engine's one run function: execute `plan.schedule`
-    /// across `2^g` fabric ranks, starting from the uniform superposition
-    /// when `plan.init_uniform` (the §3.6 supremacy-circuit start), else
-    /// |0…0⟩. Every rank slice, compiled stage and swap wire buffer holds
-    /// `Complex<R>` amplitudes, so f32 runs move half the bytes end to
-    /// end. Returns the report and every rank's final slice, in rank
-    /// order (physical order).
+    /// Execute `plan.schedule` across `2^g` fabric ranks, starting from
+    /// the uniform superposition when `plan.init_uniform` (the §3.6
+    /// supremacy-circuit start), else |0…0⟩, at precision `R` end to end.
+    /// Returns the report — with the full state in logical order under
+    /// `gather_state` — and every rank's final slice in rank (physical)
+    /// order. `engine` (`"single"` or `"dist"`) names the manifest's
+    /// engine, the metric prefix, the tracks and the [`BackendStats`]
+    /// variant.
     ///
-    /// `engine` is what the run reports as: the manifest's engine tag,
-    /// the metric prefix, the track names and the [`BackendStats`]
-    /// variant (`"single"` or `"dist"`).
-    ///
-    /// The unit of execution, checkpoint and progress is the stage (with
-    /// the swap that closes it). A plan [`check_plan`] rejects for this
-    /// rank count is `InvalidInput` before any rank spawns. Injected
-    /// faults, lost ranks and checkpoint IO surface as a typed
-    /// [`SimError`] after all rank threads have been joined — never a
-    /// panic or a hang. `stop_after` makes every rank return
-    /// [`SimError::InjectedStop`] after that many stages, past the unit's
-    /// checkpoint barrier, so the manifest for the unit is durable and
-    /// the run is resumable.
+    /// The run frame ([`Run`]) opens the run before any rank spawns, and
+    /// every rank runs its stages inside it. Injected faults, lost ranks
+    /// and checkpoint IO surface as a typed [`SimError`] after all rank
+    /// threads have been joined — never a panic or a hang; at a
+    /// `stop_after` point every rank returns [`SimError::InjectedStop`]
+    /// past the unit's checkpoint barrier.
     pub(crate) fn run_partitions<R: SweepDispatch>(
         &self,
         engine: &'static str,
@@ -166,9 +150,8 @@ impl DistSimulator {
         stop_after: Option<usize>,
     ) -> Result<(BackendOutcome<R>, Vec<StateVector<R>>), SimError> {
         let schedule = &plan.schedule;
-        let l = schedule.local_qubits;
-        check_plan(schedule, self.config.n_ranks)?;
-        check_stop_point(self.config.checkpoint.as_ref(), stop_after)?;
+        let stages = &schedule.stages;
+        let (n, l) = (schedule.n_qubits, schedule.local_qubits);
         let cfg = &self.config.kernel;
         let tele = &self.config.telemetry;
         let tile_qubits = self.config.tile_qubits;
@@ -180,111 +163,193 @@ impl DistSimulator {
             init_uniform: plan.init_uniform,
             n_artifacts: self.config.n_ranks,
         };
-
-        // Resolve checkpoint/resume state on the driver before any rank
-        // spawns, so a mismatched manifest fails fast and loudly.
-        let driver = tele.track(&track_name(engine, None));
-        let resume = match &self.config.checkpoint {
-            Some(cp) => {
-                let _s = driver.span("resume.validate");
-                key.resume_point(cp)?
-            }
-            None => None,
-        };
+        let run_track = tele.track(&track_name(engine, None));
+        let run = Run::<R>::begin(
+            key,
+            tele,
+            &run_track,
+            self.config.checkpoint.as_ref(),
+            stop_after,
+            resolve_tile_qubits(tile_qubits, l, cfg.threads),
+        )?;
 
         // Prepare the stages ONCE on the driver: the SPMD ranks run
         // identical ops, so they share the packed matrices and tile
         // plans instead of re-deriving them 2^g times.
         let exec = {
-            let _s = driver.span("compile");
-            StageExecutor::<R>::new(&schedule.stages, l, cfg, tile_qubits)
+            let _s = run_track.span("compile");
+            StageExecutor::<R>::new(stages, l, cfg, tile_qubits)
         };
 
-        // Seed the live progress with the stages this run will actually
-        // execute. Only rank 0 reports completions, so planned counts are
-        // schedule-level, not ×2^g.
-        if let Some(p) = tele.progress() {
-            crate::planner::seed_progress(
-                tele,
-                schedule,
-                2 * R::BYTES as u64,
-                resolve_tile_qubits(tile_qubits, l, cfg.threads),
-                resume.as_ref().map_or(0, |(unit, _)| *unit),
-            );
-            p.set_state(RunState::Running);
-        }
-
-        let shared = RankShared {
-            key,
-            parallel_init: cfg.threads > 1,
-            exec: &exec,
-            tele,
-            checkpoint: self.config.checkpoint.as_ref(),
-            resume: resume.as_ref(),
-            stop_after,
-        };
         let cluster = try_run_cluster_hooked(
             self.config.n_ranks,
             self.config.fault_plan.clone(),
             self.config.poison_hook.clone(),
-            |ctx| run_rank(ctx, &shared),
-        );
-        if let Some(p) = tele.progress() {
-            p.set_state(match cluster {
-                Ok(_) => RunState::Done,
-                Err(_) => RunState::Failed,
-            });
-        }
-        tele.publish_progress_gauges();
-        let (rank_results, fabric) = cluster?;
+            |ctx| {
+                let rank = ctx.rank();
+                let track = tele.track(&track_name(engine, Some(rank)));
+                let _rank_span = track.span_id("rank", rank as u64);
+                let t0 = Instant::now();
 
-        // Wall-clock of the rank bodies / of the entropy all-reduce
-        // alone (the paper reports 8.1 s of 99 s for that step): max
-        // over ranks. Swap copies and sweep counters are ONE rank's —
-        // all ranks run identical passes.
-        let sim_seconds = rank_results.iter().map(|r| r.seconds).fold(0.0, f64::max);
-        let entropy_seconds = rank_results
-            .iter()
-            .map(|r| r.entropy_seconds)
-            .fold(0.0, f64::max);
-        let RankResult {
-            norm,
-            entropy,
-            swap_bytes_copied,
-            sweep,
-            ..
-        } = rank_results[0];
-        if let Some(m) = tele.metrics() {
-            fabric.publish_into(m, &format!("{engine}.fabric"));
-            sweep.publish_into(m, &format!("{engine}.sweep"));
-            m.counter_add(&format!("{engine}.swap_bytes_copied"), swap_bytes_copied);
-            for (gauge, value) in [
-                ("plan_seconds", plan.plan_seconds),
-                ("sim_seconds", sim_seconds),
-                ("entropy_seconds", entropy_seconds),
-                ("bytes_per_amp", std::mem::size_of::<Complex<R>>() as f64),
-                ("precision_bits", (R::BYTES * 8) as f64),
-            ] {
-                m.gauge_set(&format!("{engine}.{gauge}"), value);
-            }
-        }
-        let stats = match engine {
-            "single" => BackendStats::Single { sweep },
-            _ => BackendStats::Dist {
-                fabric,
-                sweep,
-                swap_bytes_copied,
-                entropy_seconds,
+                // Resume loads the slice snapshot of the last completed
+                // stage, verified against the digest the manifest
+                // recorded for this rank. Otherwise start from the §3.6
+                // initial state; with more than one kernel thread the same
+                // pool writes it (first touch, §3.3).
+                let mut state = match run.resumed() {
+                    Some((dir, digests)) => StateVector::from_amplitudes(load_snapshot::<R>(
+                        dir,
+                        rank,
+                        run.cursor(),
+                        1usize << l,
+                        digests[rank],
+                    )?),
+                    None => {
+                        let _s = track.span("init");
+                        if plan.init_uniform {
+                            StateVector::<R>::uniform_part(l, n, cfg.threads > 1)
+                        } else if rank == 0 {
+                            StateVector::<R>::zero(l)
+                        } else {
+                            StateVector::<R>::null(l)
+                        }
+                    }
+                };
+
+                // One scratch for the whole run: every swap reuses it (and
+                // the fabric's wire pools), so only the first swap pays any
+                // allocation.
+                let mut swap_bufs = SwapBuffers::new(None);
+                let mut sweep = SweepStats::default();
+                // Swap indices are absolute over the schedule (fault points
+                // and the paper's swap count are schedule-level), so count
+                // the ones the resume skipped.
+                let skipped = &stages[..run.cursor()];
+                let mut swap_index = skipped.iter().filter(|s| s.swap.is_some()).count();
+
+                // Rank 0 speaks for the SPMD cluster in the progress
+                // report: all ranks run the same stage.
+                run.units(rank == 0, |si| {
+                    {
+                        let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
+                        // Rank bits resolve global diagonal operands.
+                        exec.apply(si..si + 1, state.amplitudes_mut(), rank, &mut sweep);
+                    }
+                    if let Some(swap) = &stages[si].swap {
+                        ctx.fault_point(swap_index)?;
+                        // Rank 0 speaks for the cluster in `swap_ns` too:
+                        // one sample per swap.
+                        let _s = match rank {
+                            0 => track.span_timed("swap", si as u64, "swap_ns"),
+                            _ => track.span_id("swap", si as u64),
+                        };
+                        perform_swap(ctx, &mut state, swap, l, &mut swap_bufs);
+                        swap_index += 1;
+                    }
+                    if let Some(dir) = run.checkpoint_dir() {
+                        // Every rank writes its slice as generation `unit`
+                        // and ships its digest to rank 0, which commits the
+                        // unit.
+                        let unit = si + 1;
+                        let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
+                        let digest = save_snapshot(dir, rank, unit, state.amplitudes())?;
+                        if rank == 0 {
+                            let peers =
+                                (1..ctx.n_ranks()).map(|r| ctx.recv_with::<u64, _>(r, |w| w[0]));
+                            let digests = std::iter::once(digest).chain(peers).collect();
+                            run.publish(unit, digests)?;
+                        } else {
+                            ctx.send_with::<u64>(0, 1, |wire| wire[0] = digest);
+                        }
+                        // No rank overwrites generation `unit − 1` (the next
+                        // unit's parity) before the manifest naming `unit`
+                        // is durable.
+                        ctx.barrier();
+                    }
+                    // Per-rank straggler gauges, refreshed at every stage
+                    // boundary so /status shows live comm/blocked skew
+                    // across ranks mid-run. Keys are distinct per rank, so
+                    // concurrent sets from the 2^g rank threads never
+                    // collide.
+                    if let Some(m) = tele.metrics() {
+                        for (gauge, value) in [
+                            ("comm_seconds", ctx.comm_seconds()),
+                            ("blocked_seconds", ctx.blocked_seconds()),
+                            ("bytes_sent", ctx.bytes_sent() as f64),
+                        ] {
+                            m.gauge_set(&format!("live.rank{rank}.{gauge}"), value);
+                        }
+                    }
+                    Ok(())
+                })?;
+
+                // Reductions (§4.2.2: the entropy needs a final
+                // all-reduce): one traversal of the slice for both
+                // partials, in f64 regardless of R.
+                let (local_norm, local_entropy) = norm_entropy(state.amplitudes());
+                let seconds = t0.elapsed().as_secs_f64();
+                let t1 = Instant::now();
+                let _s = track.span("reduce");
+                let norm = all_reduce_sum(ctx, local_norm);
+                let entropy = all_reduce_sum(ctx, local_entropy);
+                Ok(RankResult {
+                    norm,
+                    entropy,
+                    seconds,
+                    entropy_seconds: t1.elapsed().as_secs_f64(),
+                    swap_bytes_copied: swap_bufs.bytes_copied,
+                    sweep,
+                    state,
+                })
             },
-        };
-        let out = BackendOutcome {
-            norm,
-            entropy,
-            sim_seconds,
-            stats,
-            state: None,
-        };
-        Ok((out, rank_results.into_iter().map(|r| r.state).collect()))
+        );
+
+        let mut parts = Vec::new();
+        let ran = cluster.map(|(ranks, fabric)| {
+            // Wall-clock of the rank bodies / of the entropy all-reduce
+            // alone (the paper reports 8.1 s of 99 s for that step): max
+            // over ranks. Swap copies and sweep counters are ONE rank's —
+            // all ranks run identical passes.
+            let max = |f: fn(&RankResult<R>) -> f64| ranks.iter().map(f).fold(0.0, f64::max);
+            let (sim_seconds, entropy_seconds) = (max(|r| r.seconds), max(|r| r.entropy_seconds));
+            let RankResult {
+                norm,
+                entropy,
+                swap_bytes_copied,
+                sweep,
+                ..
+            } = ranks[0];
+            if let Some(m) = tele.metrics() {
+                fabric.publish_into(m, &format!("{engine}.fabric"));
+                m.counter_add(&format!("{engine}.swap_bytes_copied"), swap_bytes_copied);
+                m.gauge_set(&format!("{engine}.plan_seconds"), plan.plan_seconds);
+                m.gauge_set(&format!("{engine}.entropy_seconds"), entropy_seconds);
+            }
+            parts = ranks.into_iter().map(|r| r.state).collect();
+            let mask = (1usize << l) - 1;
+            let state = self.config.gather_state.then(|| {
+                logical_order(schedule.final_mapping(), |p| {
+                    parts[p >> l].amplitudes()[p & mask]
+                })
+            });
+            let stats = match engine {
+                "single" => BackendStats::Single { sweep },
+                _ => BackendStats::Dist {
+                    fabric,
+                    sweep,
+                    swap_bytes_copied,
+                    entropy_seconds,
+                },
+            };
+            BackendOutcome {
+                norm,
+                entropy,
+                sim_seconds,
+                stats,
+                state,
+            }
+        });
+        Ok((run.end(ran)?, parts))
     }
 }
 
@@ -299,14 +364,6 @@ fn track_name(engine: &str, rank: Option<usize>) -> String {
     }
 }
 
-/// The full state in logical basis order, read straight from the rank
-/// slices (physical order, rank `r` holding indices `r·2^l..`).
-fn gather_logical<R: SweepDispatch>(parts: &[StateVector<R>], mapping: &[u32]) -> Vec<Complex<R>> {
-    let l = parts[0].n_qubits();
-    let mask = (1usize << l) - 1;
-    logical_order(mapping, |p| parts[p >> l].amplitudes()[p & mask])
-}
-
 struct RankResult<R: SweepDispatch> {
     norm: f64,
     entropy: f64,
@@ -317,183 +374,8 @@ struct RankResult<R: SweepDispatch> {
     state: StateVector<R>,
 }
 
-/// Read-only inputs shared by every rank body (the SPMD program).
-struct RankShared<'a, R: SweepDispatch> {
-    /// The run's identity (engine, schedule, precision, start state,
-    /// units).
-    key: RunKey<'a>,
-    /// The kernel runs more than one thread, so the same pool writes the
-    /// start state (first touch, §3.3); otherwise the rank thread does.
-    parallel_init: bool,
-    exec: &'a StageExecutor<'a, R>,
-    tele: &'a Telemetry,
-    checkpoint: Option<&'a CheckpointPolicy>,
-    /// Validated resume cursor and the per-rank snapshot digests the
-    /// manifest promises, resolved once by the driver.
-    resume: Option<&'a (usize, Vec<u64>)>,
-    stop_after: Option<usize>,
-}
-
-fn run_rank<R: SweepDispatch>(
-    ctx: &mut RankCtx,
-    sh: &RankShared<'_, R>,
-) -> Result<RankResult<R>, SimError> {
-    let schedule = sh.key.schedule;
-    let stages = &schedule.stages;
-    let n = schedule.n_qubits;
-    let l = schedule.local_qubits;
-    let rank = ctx.rank();
-    let track = sh.tele.track(&track_name(sh.key.engine, Some(rank)));
-    let _rank_span = track.span_id("rank", rank as u64);
-    let t0 = Instant::now();
-
-    // Resume loads the slice snapshot of the last completed stage,
-    // verified against the digest the manifest recorded for this rank.
-    // Otherwise start from the §3.6 initial state.
-    let (mut state, start) = match (sh.checkpoint, sh.resume) {
-        (Some(cp), Some((unit, digests))) if *unit > 0 => {
-            let amps = load_snapshot::<R>(&cp.dir, rank, *unit, 1usize << l, digests[rank])?;
-            (StateVector::from_amplitudes(amps), *unit)
-        }
-        _ => {
-            let _s = track.span("init");
-            let state = if sh.key.init_uniform {
-                StateVector::<R>::uniform_part(l, n, sh.parallel_init)
-            } else if rank == 0 {
-                StateVector::<R>::zero(l)
-            } else {
-                StateVector::<R>::null(l)
-            };
-            (state, 0)
-        }
-    };
-
-    // One scratch for the whole run: every swap reuses it (and the
-    // fabric's wire pools), so only the first swap pays any allocation.
-    let mut swap_bufs = SwapBuffers::new(None);
-    let mut sweep = SweepStats::default();
-    // Swap indices are absolute over the schedule (fault points and the
-    // paper's swap count are schedule-level), so count the ones the
-    // resume skipped.
-    let mut swap_index = stages[..start].iter().filter(|s| s.swap.is_some()).count();
-
-    // One unit per stage: the stage, the swap that closes it, and its
-    // checkpoint.
-    for (si, stage) in stages.iter().enumerate().skip(start) {
-        let t_unit = Instant::now();
-        {
-            let _s = track.span_timed("stage", si as u64, "stage_apply_ns");
-            // Rank bits resolve global diagonal operands.
-            sh.exec
-                .apply(si..si + 1, state.amplitudes_mut(), rank, &mut sweep);
-        }
-        if let Some(swap) = &stage.swap {
-            ctx.fault_point(swap_index)?;
-            // Rank 0 speaks for the SPMD cluster in `swap_ns`: one sample
-            // per swap.
-            let _s = match rank {
-                0 => track.span_timed("swap", si as u64, "swap_ns"),
-                _ => track.span_id("swap", si as u64),
-            };
-            perform_swap(ctx, &mut state, swap, l, &mut swap_bufs);
-            swap_index += 1;
-        }
-        let unit = si + 1;
-        if let Some(cp) = sh.checkpoint {
-            checkpoint_unit(ctx, cp, &sh.key, &track, &state, unit)?;
-        }
-        // Rank 0 speaks for the SPMD cluster: all ranks run the same
-        // stage, so one completion report per stage is the truth.
-        if rank == 0 {
-            if let Some(p) = sh.tele.progress() {
-                p.set_stage(unit as u64, stages.len() as u64);
-                p.unit_done(t_unit.elapsed().as_nanos() as u64);
-            }
-        }
-        // Injected stop: every rank returns the same typed error at the
-        // same stage boundary (post-barrier, so the manifest for the unit
-        // is already durable everywhere).
-        if sh.stop_after == Some(unit) {
-            return Err(SimError::InjectedStop { unit });
-        }
-        // Per-rank straggler gauges, refreshed at every stage boundary
-        // so /status shows live comm/blocked skew across ranks mid-run.
-        // Keys are distinct per rank, so concurrent sets from the 2^g
-        // rank threads never collide.
-        if let Some(m) = sh.tele.metrics() {
-            m.gauge_set(&format!("live.rank{rank}.comm_seconds"), ctx.comm_seconds());
-            m.gauge_set(
-                &format!("live.rank{rank}.blocked_seconds"),
-                ctx.blocked_seconds(),
-            );
-            m.gauge_set(
-                &format!("live.rank{rank}.bytes_sent"),
-                ctx.bytes_sent() as f64,
-            );
-        }
-    }
-
-    // Reductions (§4.2.2: the entropy needs a final all-reduce): one
-    // traversal of the slice for both partials, in f64 regardless of R.
-    let (local_norm, local_entropy) = norm_entropy(state.amplitudes());
-    let seconds = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let (norm, entropy) = {
-        let _s = track.span("reduce");
-        let norm = all_reduce_sum(ctx, local_norm);
-        let entropy = all_reduce_sum(ctx, local_entropy);
-        (norm, entropy)
-    };
-    let entropy_seconds = t1.elapsed().as_secs_f64();
-    Ok(RankResult {
-        norm,
-        entropy,
-        seconds,
-        entropy_seconds,
-        swap_bytes_copied: swap_bufs.bytes_copied,
-        sweep,
-        state,
-    })
-}
-
-/// Publish one completed stage (`unit` = stages finished so far).
-///
-/// Every rank writes its slice as generation `unit` — into the parity
-/// the durable manifest does not name — fsyncs it and ships its digest to
-/// rank 0, which publishes the manifest naming `unit`: that flip is the
-/// commit. A crash at any point leaves either the old manifest naming the
-/// intact generation `unit − 1`, or the new one naming this generation.
-fn checkpoint_unit<R: SweepDispatch>(
-    ctx: &mut RankCtx,
-    cp: &CheckpointPolicy,
-    key: &RunKey<'_>,
-    track: &TrackHandle,
-    state: &StateVector<R>,
-    unit: usize,
-) -> Result<(), SimError> {
-    let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
-    let rank = ctx.rank();
-    let digest = save_snapshot(&cp.dir, rank, unit, state.amplitudes())?;
-    if rank == 0 {
-        let mut digests = vec![digest; 1];
-        digests.resize(ctx.n_ranks(), 0);
-        for (r, d) in digests.iter_mut().enumerate().skip(1) {
-            *d = ctx.recv_with::<u64, _>(r, |wire| wire[0]);
-        }
-        key.manifest(unit, digests)
-            .write_atomic(&cp.dir)
-            .map_err(CheckpointError::Io)?;
-    } else {
-        ctx.send_with::<u64>(0, 1, |wire| wire[0] = digest);
-    }
-    // Barrier: no rank overwrites generation `unit − 1` (the next unit's
-    // parity) before the manifest naming `unit` is durable.
-    ctx.barrier();
-    Ok(())
-}
-
 /// Per-rank scratch and tuning state of the fused swap engine. Allocated
-/// once (by `run_rank` or the caller) and reused across every swap of a
+/// once (by the rank body or the caller) and reused across every swap of a
 /// run: together with the fabric's recycled wire buffers this makes
 /// steady-state swaps allocation-free.
 #[derive(Clone, Debug, Default)]
@@ -718,13 +600,8 @@ mod tests {
             gather_state: true,
             ..Default::default()
         });
-        let out = sim
-            .run_plan(
-                "dist",
-                &BackendPlan::from_schedule(exec, schedule, true),
-                None,
-            )
-            .unwrap();
+        let plan = BackendPlan::from_schedule(exec, schedule, true);
+        let (out, _) = sim.run_partitions("dist", &plan, None).unwrap();
         // Reference: single-node run of the same circuit.
         let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
         (single.state.amplitudes().to_vec(), out)
@@ -823,13 +700,8 @@ mod tests {
             gather_state: true,
             ..Default::default()
         });
-        let out = sim
-            .run_plan::<f64>(
-                "dist",
-                &BackendPlan::from_schedule(c, schedule, false),
-                None,
-            )
-            .unwrap();
+        let plan = BackendPlan::from_schedule(c, schedule, false);
+        let (out, _) = sim.run_partitions::<f64>("dist", &plan, None).unwrap();
         let state = out.state.unwrap();
         assert!((state[0] - c64::one()).abs() < 1e-12);
         assert!((out.norm - 1.0).abs() < 1e-12);

@@ -10,9 +10,10 @@
 //! Two modes, bit-identical to each other (asserted by the proptests in
 //! `tests/sweep_proptests.rs`):
 //!
-//! * **compiled** ([`OptLevel::Blocked`], the default): the glue between
-//!   the scheduler's sweep plan ([`qsim_sched::sweep`]) and the kernel
-//!   crate's tiled executor ([`qsim_kernels::sweep`]). [`compile_stage`]
+//! * **compiled** ([`StageExecutor::new`], what every engine runs): the
+//!   glue between the scheduler's sweep plan ([`qsim_sched::sweep`]) and
+//!   the kernel crate's tiled executor ([`qsim_kernels::sweep`]).
+//!   [`compile_stage`]
 //!   turns a stage's op list into prepared passes: gate matrices are
 //!   permuted/packed ONCE (per stage, not per apply), and diagonal ops —
 //!   including fused clusters whose matrix happens to be diagonal — fold
@@ -21,10 +22,9 @@
 //!   [`execute_compiled_stage`] then streams the partition once per
 //!   pass. Compiled stages are immutable, so the distributed driver
 //!   compiles once and shares them across all SPMD ranks.
-//! * **per-gate** (the lower ladder rungs, which have no packed range
-//!   kernels, and the oracle the compiled mode is tested against): one
-//!   full traversal per op through `apply_gate` / the specialized
-//!   diagonal kernels.
+//! * **per-gate** ([`StageExecutor::per_gate`], the oracle the compiled
+//!   mode is tested against): one full traversal per op through
+//!   `apply_gate` / the specialized diagonal kernels.
 //!
 //! In both modes a diagonal operand at a position ≥ l is a *global*
 //! qubit: its bit comes from the partition index (§3.5).
@@ -34,7 +34,7 @@
 //! and the diagonal fold mirrors `specialized::apply_diagonal` and the
 //! rank-conditional reduction below branch for branch.
 
-use qsim_kernels::apply::{apply_gate, KernelConfig, OptLevel};
+use qsim_kernels::apply::{apply_gate, KernelConfig};
 use qsim_kernels::specialized;
 use qsim_kernels::sweep::{
     effective_tile_qubits, run_full_pass, PreparedDiag, PreparedGate, SweepDispatch, SweepStats,
@@ -181,26 +181,21 @@ pub struct StageExecutor<'a, R: SweepDispatch = f64> {
 }
 
 impl<'a, R: SweepDispatch> StageExecutor<'a, R> {
-    /// Compiled under `tile_qubits` (see [`resolve_tile_qubits`]) when
-    /// `kernel` sits on the blocked ladder rung, per-gate otherwise.
+    /// Compiled under `tile_qubits` (see [`resolve_tile_qubits`]).
     pub fn new(
         stages: &'a [Stage],
         local_qubits: u32,
         kernel: &KernelConfig,
         tile_qubits: Option<u32>,
     ) -> Self {
-        let compiled = (kernel.opt == OptLevel::Blocked).then(|| {
-            let tile = resolve_tile_qubits(tile_qubits, local_qubits, kernel.threads);
-            compile_stages(stages, local_qubits, kernel, tile)
-        });
+        let tile = resolve_tile_qubits(tile_qubits, local_qubits, kernel.threads);
         Self {
-            compiled,
+            compiled: Some(compile_stages(stages, local_qubits, kernel, tile)),
             ..Self::per_gate(stages, local_qubits, kernel)
         }
     }
 
-    /// Per-gate mode whatever the kernel rung: the oracle of the
-    /// bit-exactness suites.
+    /// Per-gate mode: the oracle of the bit-exactness suites.
     pub fn per_gate(stages: &'a [Stage], local_qubits: u32, kernel: &KernelConfig) -> Self {
         Self {
             stages,

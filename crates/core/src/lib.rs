@@ -20,8 +20,10 @@
 //! communication-free stages through [`exec::StageExecutor`]: stages are
 //! compiled once (matrices packed, ops grouped into streaming passes)
 //! and each pass applies a whole group of fused gates per traversal of a
-//! partition. [`checkpoint`] holds the one checkpoint policy and
-//! manifest protocol they share.
+//! partition. [`run::Run`] is the frame both engines run their stages
+//! in — resume, progress, the manifest flip, the stop and the run state
+//! — and [`checkpoint`] holds the one checkpoint policy and manifest
+//! protocol it commits through.
 //!
 //! Supporting modules: [`state`] (aligned state-vector container),
 //! [`observables`] (probabilities, entropy, sampling, cross-entropy —
@@ -39,12 +41,13 @@ pub mod measure;
 pub mod noise;
 pub mod observables;
 pub mod planner;
+pub mod run;
 pub mod single;
 pub mod state;
 
 pub use backend::{
-    check_plan, partition_geometry, plan_partitioned, Backend, BackendOutcome, BackendPlan,
-    BackendStats, DistBackend, SingleBackend,
+    partition_geometry, plan_partitioned, Backend, BackendOutcome, BackendPlan, BackendStats,
+    DistBackend, SingleBackend,
 };
 pub use baseline::BaselineSimulator;
 pub use checkpoint::{CheckpointError, CheckpointPolicy, Manifest, RunKey};

@@ -55,11 +55,7 @@ fn assert_sweep_bit_exact(
     simd: Simd,
 ) {
     let c = random_circuit(n, n_gates, seed);
-    let cfg = KernelConfig {
-        simd,
-        threads,
-        ..KernelConfig::default()
-    };
+    let cfg = KernelConfig { simd, threads };
     let mut engine = SingleBackend::new(SingleNodeSimulator {
         kernel: cfg,
         kmax,

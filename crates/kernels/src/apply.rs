@@ -1,35 +1,22 @@
 //! Unified gate-application entry point.
 //!
-//! Simulators call [`apply_gate`] with a [`KernelConfig`]: which rung of
-//! the §3.1–3.2 ladder, which vector width, how many threads. Step 3 —
-//! the production rung — packs the gate once ([`PackedDense`]) and runs
-//! the block-lane kernel ([`crate::lane`]) over whole lane groups and the
+//! Simulators call [`apply_gate`] with a [`KernelConfig`]: which vector
+//! width, how many threads. It runs step 3 of the §3.1–3.2 ladder — the
+//! production rung: it packs the gate once ([`PackedDense`]) and runs the
+//! block-lane kernel ([`crate::lane`]) over whole lane groups and the
 //! scalar blocked kernel ([`crate::opt`]) over what is left, under the
 //! parallel range driver. Nothing here is measured: the width follows
-//! from `simd` and CPUID. The benchmark harnesses set the rungs by hand
-//! for Fig. 2.
+//! from `simd` and CPUID. The lower rungs are reference kernels the
+//! Fig. 2 harness calls directly: [`crate::opt::apply_twovec`] (step 0),
+//! [`crate::opt::apply_inplace`] (step 1), [`crate::opt::apply_fma`] and
+//! [`crate::avx::apply_avx_eq1`] (step 2).
 
 use crate::matrix::GateMatrix;
 use crate::opt;
 use crate::sweep::{PackedDense, SweepDispatch};
 use qsim_util::complex::Complex;
 
-/// Which rung of the §3.1–3.2 optimization ladder to run.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum OptLevel {
-    /// Step 0: two state vectors, textbook product (needs external dst —
-    /// `apply_gate` emulates it with an internal scratch copy).
-    TwoVector,
-    /// Step 1: in-place, lazy evaluation.
-    InPlace,
-    /// Step 2: + Eq. (2)–(3) FMA re-association.
-    Fma,
-    /// Step 3: + register blocking and packed pre-permuted matrix.
-    Blocked,
-}
-
-/// SIMD selection. Only meaningful at `OptLevel::Blocked`; every value
-/// produces the same bits.
+/// SIMD selection; every value produces the same bits.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Simd {
     /// The scalar blocked kernel alone (FMA-compiled where the host has
@@ -47,7 +34,6 @@ pub enum Simd {
 /// Kernel dispatch configuration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct KernelConfig {
-    pub opt: OptLevel,
     pub simd: Simd,
     /// Worker-thread hint; 1 forces sequential execution.
     pub threads: usize,
@@ -56,7 +42,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         Self {
-            opt: OptLevel::Blocked,
             simd: Simd::Auto,
             threads: rayon::current_num_threads(),
         }
@@ -67,15 +52,13 @@ impl KernelConfig {
     /// Fully sequential, portable configuration (reference runs, tests).
     pub fn sequential() -> Self {
         Self {
-            opt: OptLevel::Blocked,
             simd: Simd::Scalar,
             threads: 1,
         }
     }
 }
 
-/// Apply a dense k-qubit gate to `state` at `qubits` under `cfg`: the
-/// portable kernels on the first three ladder rungs, and at step 3 the
+/// Apply a dense k-qubit gate to `state` at `qubits` under `cfg`, in the
 /// packed form the tiled sweep executor also uses ([`PackedDense`]), so
 /// the per-gate path and the executor run the same kernels by
 /// construction.
@@ -85,21 +68,8 @@ pub fn apply_gate<T: SweepDispatch>(
     m: &GateMatrix<T>,
     cfg: &KernelConfig,
 ) {
-    match cfg.opt {
-        OptLevel::TwoVector => {
-            // Emulate the two-vector baseline: write into scratch, copy
-            // back. The extra copy is part of what Fig. 2's step 1 removes.
-            let mut dst = vec![Complex::<T>::zero(); state.len()];
-            opt::apply_twovec(state, &mut dst, qubits, m);
-            state.copy_from_slice(&dst);
-        }
-        OptLevel::InPlace => opt::apply_inplace(state, qubits, m),
-        OptLevel::Fma => opt::apply_fma(state, qubits, m),
-        OptLevel::Blocked => {
-            let (exp, pm) = opt::prepare(state.len(), qubits, m);
-            PackedDense::pack(&pm, cfg).apply_full(state, &exp, cfg.threads);
-        }
-    }
+    let (exp, pm) = opt::prepare(state.len(), qubits, m);
+    PackedDense::pack(&pm, cfg).apply_full(state, &exp, cfg.threads);
 }
 
 #[cfg(test)]
@@ -128,7 +98,7 @@ mod tests {
     }
 
     #[test]
-    fn all_config_combinations_agree() {
+    fn every_rung_and_config_agrees() {
         let n = 12;
         let m = random_matrix(3, 5);
         let qubits = vec![1u32, 7, 10];
@@ -136,23 +106,20 @@ mod tests {
         let mut reference = state0.clone();
         opt::apply_fma(&mut reference, &qubits, &m);
 
-        for opt_level in [
-            OptLevel::TwoVector,
-            OptLevel::InPlace,
-            OptLevel::Fma,
-            OptLevel::Blocked,
-        ] {
-            for simd in SIMDS {
-                for threads in [1usize, 4] {
-                    let cfg = KernelConfig {
-                        opt: opt_level,
-                        simd,
-                        threads,
-                    };
-                    let mut s = state0.clone();
-                    apply_gate(&mut s, &qubits, &m, &cfg);
-                    assert!(max_dist(&s, &reference) < 1e-12, "cfg mismatch: {cfg:?}");
-                }
+        // The lower rungs of the ladder, called directly.
+        let mut two_vector = vec![c64::zero(); state0.len()];
+        opt::apply_twovec(&state0, &mut two_vector, &qubits, &m);
+        let mut in_place = state0.clone();
+        opt::apply_inplace(&mut in_place, &qubits, &m);
+        for s in [two_vector, in_place] {
+            assert!(max_dist(&s, &reference) < 1e-12);
+        }
+        for simd in SIMDS {
+            for threads in [1usize, 4] {
+                let cfg = KernelConfig { simd, threads };
+                let mut s = state0.clone();
+                apply_gate(&mut s, &qubits, &m, &cfg);
+                assert!(max_dist(&s, &reference) < 1e-12, "cfg mismatch: {cfg:?}");
             }
         }
         // Step 3 is one FMA chain at every width: bits, not a tolerance.
@@ -164,7 +131,7 @@ mod tests {
 
     const SIMDS: [Simd; 3] = [Simd::Scalar, Simd::Avx2, Simd::Auto];
 
-    /// `Scalar`, `Avx2` and `Auto` at `OptLevel::Blocked`, `to_bits()`-equal:
+    /// `Scalar`, `Avx2` and `Auto`, `to_bits()`-equal:
     /// through `apply_gate` at one and four threads, and over block ranges
     /// whose ends are whole lane groups at 256 bits but ragged at 512, and
     /// ragged at both.
@@ -178,11 +145,7 @@ mod tests {
         let low: Vec<u32> = (0..k).rev().collect();
         let spread: Vec<u32> = (0..k).map(|j| (j * n + n / 2) / k).collect();
         for qubits in [low, spread] {
-            let cfg = |simd, threads| KernelConfig {
-                opt: OptLevel::Blocked,
-                simd,
-                threads,
-            };
+            let cfg = |simd, threads| KernelConfig { simd, threads };
             let mut want = state0.clone();
             apply_gate(&mut want, &qubits, &m, &cfg(Simd::Scalar, 1));
             for simd in SIMDS {
@@ -231,7 +194,6 @@ mod tests {
     #[test]
     fn default_config_is_fast_path() {
         let cfg = KernelConfig::default();
-        assert_eq!(cfg.opt, OptLevel::Blocked);
         assert_eq!(cfg.simd, Simd::Auto);
         assert!(cfg.threads >= 1);
     }

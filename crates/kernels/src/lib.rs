@@ -41,7 +41,7 @@ pub mod sweep;
 #[cfg(test)]
 mod testutil;
 
-pub use apply::{apply_gate, KernelConfig, OptLevel, Simd};
+pub use apply::{apply_gate, KernelConfig, Simd};
 pub use lane::vector_bits;
 pub use matrix::{GateMatrix, PackedMatrix};
 pub use sweep::{tune_tile_qubits, SweepDispatch, SweepStats};

@@ -27,7 +27,7 @@
 //! one) the untouched half. The proptests in `qsim-core` assert
 //! `max_dist == 0.0`.
 
-use crate::apply::{KernelConfig, OptLevel};
+use crate::apply::KernelConfig;
 use crate::lane::{LaneKernel, PackedLane};
 use crate::matrix::{GateMatrix, PackedMatrix};
 use crate::opt::{self, apply_blocked_packed_range, MAX_K};
@@ -191,15 +191,8 @@ pub struct PreparedGate<R: SweepDispatch = f64> {
 }
 
 impl<R: SweepDispatch> PreparedGate<R> {
-    /// Prepare a gate at physical positions `qubits` under `cfg`. Only
-    /// meaningful at `OptLevel::Blocked` — the other ladder rungs have no
-    /// packed range kernels.
+    /// Prepare a gate at physical positions `qubits` under `cfg`.
     pub fn new(qubits: &[u32], m: &GateMatrix<R>, cfg: &KernelConfig) -> Self {
-        assert_eq!(
-            cfg.opt,
-            OptLevel::Blocked,
-            "tiled sweep requires the blocked kernel ladder"
-        );
         let (exp, pm) = opt::prepare_free(qubits, m);
         let k = pm.k();
         let offs = opt::offsets(&exp, pm.dim());
@@ -619,11 +612,7 @@ mod tests {
     fn contiguous_pass_is_bit_exact_vs_per_gate() {
         let n = 10u32;
         for simd in [Simd::Scalar, Simd::Avx2, Simd::Auto] {
-            let cfg = KernelConfig {
-                opt: OptLevel::Blocked,
-                simd,
-                threads: 1,
-            };
+            let cfg = KernelConfig { simd, threads: 1 };
             let m1 = random_matrix(2, 1);
             let m2 = random_matrix(3, 2);
             let state0 = random_state(n, 3);
@@ -659,11 +648,7 @@ mod tests {
     fn f32_pass_is_bit_exact_vs_per_gate_f32() {
         let n = 10u32;
         for simd in [Simd::Scalar, Simd::Avx2, Simd::Auto] {
-            let cfg = KernelConfig {
-                opt: OptLevel::Blocked,
-                simd,
-                threads: 1,
-            };
+            let cfg = KernelConfig { simd, threads: 1 };
             let m1 = random_matrix(2, 41).convert::<f32>();
             let m2 = random_matrix(3, 42).convert::<f32>();
             let state0: Vec<c32> = random_state(n, 43).iter().map(|a| a.convert()).collect();

@@ -3,9 +3,9 @@
 //! and operand choices.
 
 use proptest::prelude::*;
-use qsim_kernels::apply::{apply_gate, KernelConfig, OptLevel, Simd};
+use qsim_kernels::apply::{apply_gate, KernelConfig, Simd};
 use qsim_kernels::matrix::GateMatrix;
-use qsim_kernels::opt::apply_inplace;
+use qsim_kernels::opt::{apply_fma, apply_inplace, apply_twovec};
 use qsim_util::c64;
 use qsim_util::complex::max_dist;
 
@@ -45,19 +45,20 @@ proptest! {
         let mut reference = seedless_state.clone();
         apply_inplace(&mut reference, &qubits, &m);
 
-        for (opt, simd) in [
-            (OptLevel::TwoVector, Simd::Scalar),
-            (OptLevel::Fma, Simd::Scalar),
-            (OptLevel::Blocked, Simd::Scalar),
-            (OptLevel::Blocked, Simd::Avx2),
-            (OptLevel::Blocked, Simd::Auto),
-        ] {
-            let cfg = KernelConfig { opt, simd, threads: 1 };
+        let mut two_vector = vec![c64::zero(); seedless_state.len()];
+        apply_twovec(&seedless_state, &mut two_vector, &qubits, &m);
+        let mut fma = seedless_state.clone();
+        apply_fma(&mut fma, &qubits, &m);
+        for (rung, s) in [("two-vector", two_vector), ("fma", fma)] {
+            prop_assert!(max_dist(&s, &reference) < 1e-10, "{} diverges", rung);
+        }
+        for simd in [Simd::Scalar, Simd::Avx2, Simd::Auto] {
+            let cfg = KernelConfig { simd, threads: 1 };
             let mut s = seedless_state.clone();
             apply_gate(&mut s, &qubits, &m, &cfg);
             prop_assert!(
                 max_dist(&s, &reference) < 1e-10,
-                "cfg {:?}/{:?} diverges: {}", opt, simd, max_dist(&s, &reference)
+                "{:?} diverges: {}", simd, max_dist(&s, &reference)
             );
         }
     }

@@ -11,11 +11,11 @@
 //! (packing straight into pooled wire buffers) before draining the
 //! matching receives (unpacking straight out of them), so payload work
 //! overlaps with other ranks' progress and nothing is buffered twice.
-//! [`all_to_all_into`] / [`all_to_all_inplace`] are the borrowed,
-//! allocation-free entry points; [`all_to_all`] keeps the classic
-//! allocate-and-return signature on top. [`all_reduce_sum`] backs the
-//! entropy/norm reductions (§4.2.2); the pairwise half-state exchange of
-//! \[19\] the baseline simulator uses is [`RankCtx::exchange`] itself.
+//! [`all_to_all_inplace`] is the borrowed, allocation-free entry point;
+//! [`all_to_all`] keeps the classic allocate-and-return signature on
+//! top. [`all_reduce_sum`] backs the entropy/norm reductions (§4.2.2);
+//! the pairwise half-state exchange of \[19\] the baseline simulator
+//! uses is [`RankCtx::exchange`] itself.
 
 use crate::fabric::RankCtx;
 use std::ops::Range;
@@ -99,35 +99,6 @@ pub fn all_to_all_with<T: Copy, D: ?Sized>(
     }
 }
 
-/// All-to-all into caller-provided storage: `send` is split into
-/// `comm.size` equal segments, segment `j` goes to rank `j`, and
-/// `out` receives the segments in rank order — with zero allocations in
-/// steady state and `sub_chunks`-deep pipelining. `send` and `out` must
-/// not alias (use [`all_to_all_inplace`] for the aliased case).
-pub fn all_to_all_into<T: Copy>(
-    ctx: &mut RankCtx,
-    comm: Communicator,
-    send: &[T],
-    out: &mut [T],
-    sub_chunks: usize,
-) {
-    let p = comm.size;
-    assert_eq!(send.len() % p, 0, "payload not divisible into {p} chunks");
-    assert_eq!(out.len(), send.len(), "output length mismatch");
-    let seg = send.len() / p;
-    let me = ctx.rank();
-    out[me * seg..(me + 1) * seg].copy_from_slice(&send[me * seg..(me + 1) * seg]);
-    all_to_all_with::<T, [T]>(
-        ctx,
-        comm,
-        seg,
-        sub_chunks,
-        out,
-        |_, j, r, wire| wire.copy_from_slice(&send[j * seg + r.start..j * seg + r.end]),
-        |out, i, r, wire| out[i * seg + r.start..i * seg + r.end].copy_from_slice(wire),
-    );
-}
-
 /// All-to-all exchanging the segments of `buf` in place (the swap data
 /// path when the outgoing qubits already sit at the top local positions:
 /// segment contents swap between ranks without local reordering, and the
@@ -153,7 +124,7 @@ pub fn all_to_all_inplace<T: Copy>(
 }
 
 /// All-to-all over `comm` with the classic allocate-and-return signature;
-/// see [`all_to_all_into`] for the allocation-free variant. An empty
+/// see [`all_to_all_inplace`] for the allocation-free variant. An empty
 /// payload is a no-op returning an empty vector.
 pub fn all_to_all<T: Copy>(ctx: &mut RankCtx, comm: Communicator, send: &[T]) -> Vec<T> {
     let mut out = send.to_vec();
@@ -236,39 +207,29 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_into_matches_all_to_all_at_any_depth() {
-        // The pipelined borrowed path must equal the classic collective
-        // regardless of sub-chunk depth (including depths exceeding the
-        // segment, which clamp).
-        for sub_chunks in [1usize, 2, 3, 5, 100] {
-            let (results, stats) = run_cluster(4, |ctx| {
-                let send: Vec<u64> = (0..24).map(|j| (ctx.rank() * 100 + j) as u64).collect();
-                let expect = all_to_all(ctx, Communicator::world(ctx), &send);
-                let mut out = vec![0u64; send.len()];
-                all_to_all_into(ctx, Communicator::world(ctx), &send, &mut out, sub_chunks);
-                (expect, out)
-            });
-            for (expect, out) in results {
-                assert_eq!(expect, out, "sub_chunks={sub_chunks}");
+    fn all_to_all_inplace_matches_all_to_all_at_any_depth() {
+        // The pipelined in-place path must equal the classic collective
+        // regardless of rank count and sub-chunk depth (including depths
+        // exceeding the segment, which clamp).
+        for ranks in [4usize, 8] {
+            for sub_chunks in [1usize, 2, 3, 5, 100] {
+                let (results, stats) = run_cluster(ranks, |ctx| {
+                    let comm = Communicator::world(ctx);
+                    let send: Vec<u64> = (0..24).map(|j| (ctx.rank() * 100 + j) as u64).collect();
+                    let expect = all_to_all(ctx, comm, &send);
+                    let mut buf = send.clone();
+                    all_to_all_inplace(ctx, comm, &mut buf, sub_chunks);
+                    (expect, buf)
+                });
+                for (expect, buf) in results {
+                    assert_eq!(expect, buf, "{ranks} ranks, sub_chunks={sub_chunks}");
+                }
+                // Sub-chunking splits messages but never changes byte
+                // totals: two all-to-alls of every rank sending each peer
+                // its 24/ranks-element segment of 8-byte elements.
+                let per_run = ranks * (ranks - 1) * (24 / ranks) * 8;
+                assert_eq!(stats.total_bytes_sent as usize, 2 * per_run);
             }
-            // Sub-chunking splits messages but never changes byte totals:
-            // two all-to-alls of 4 ranks x 3 peers x 6 elements x 8 bytes.
-            assert_eq!(stats.total_bytes_sent, 2 * 4 * 3 * 6 * 8);
-        }
-    }
-
-    #[test]
-    fn all_to_all_inplace_matches_out_of_place() {
-        let (results, _) = run_cluster(8, |ctx| {
-            let comm = Communicator::world(ctx);
-            let send: Vec<u64> = (0..16).map(|j| (ctx.rank() * 100 + j) as u64).collect();
-            let expect = all_to_all(ctx, comm, &send);
-            let mut buf = send.clone();
-            all_to_all_inplace(ctx, comm, &mut buf, 3);
-            (expect, buf)
-        });
-        for (expect, buf) in results {
-            assert_eq!(expect, buf);
         }
     }
 

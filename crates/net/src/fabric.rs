@@ -275,7 +275,9 @@ impl Fabric {
 
     /// Generation barrier that aborts when the fabric is poisoned
     /// (`std::sync::Barrier` cannot be interrupted, which is exactly the
-    /// hang this replaces).
+    /// hang this replaces). A waiter whose generation has advanced was
+    /// released: it returns `Ok` even if a peer failed right after
+    /// passing the barrier.
     fn barrier_wait(&self) -> Result<(), usize> {
         let mut s = self.barrier.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(p) = self.poisoner() {
@@ -290,10 +292,10 @@ impl Fabric {
         }
         let generation = s.generation;
         while s.generation == generation {
-            s = self.barrier_cv.wait(s).unwrap_or_else(|e| e.into_inner());
             if let Some(p) = self.poisoner() {
                 return Err(p);
             }
+            s = self.barrier_cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
         Ok(())
     }
@@ -914,6 +916,25 @@ mod tests {
             matches!(res, Err(SimError::InjectedFault { rank: 1, .. })),
             "got {res:?}"
         );
+    }
+
+    #[test]
+    fn a_failure_after_the_barrier_does_not_fail_released_waiters() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Every rank passes the barrier, then fails: the first failure
+        // poisons the fabric while released waiters may not yet have
+        // woken. Each must still leave the barrier normally.
+        let passed = AtomicUsize::new(0);
+        let res = try_run::<()>(16, None, |ctx| {
+            ctx.barrier();
+            passed.fetch_add(1, Ordering::SeqCst);
+            Err(SimError::InjectedStop { unit: 1 })
+        });
+        assert!(
+            matches!(res, Err(SimError::InjectedStop { unit: 1 })),
+            "got {res:?}"
+        );
+        assert_eq!(passed.load(Ordering::SeqCst), 16);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Out-of-core schedule execution.
 //!
 //! The distributed engine's rank loop with chunk files in place of
-//! ranks, over the same unit: one *stage*, with the swap that closes it,
-//! is one streaming pass. Each pass streams every chunk once through the
-//! prefetch/compute/writeback pipeline of [`crate::pipeline`]
+//! ranks, over the same unit and inside the same run frame ([`Run`]):
+//! one *stage*, with the swap that closes it, is one streaming pass, the
+//! closure of [`Run::units`]. Each pass streams every chunk once through
+//! the prefetch/compute/writeback pipeline of [`crate::pipeline`]
 //! (`read(c+1)` / `write(c−1)` hidden behind `compute(c)`, pooled aligned
 //! buffers, zero steady-state allocations), and each chunk residency
 //! applies the stage through `qsim_core::exec`'s [`StageExecutor`],
@@ -27,8 +28,8 @@
 //! `u + 1` into the other file parity, so it never overwrites what it
 //! reads. That is also the whole checkpoint protocol: with a
 //! [`CheckpointPolicy`] each pass ends by fsyncing and digesting the
-//! generation it wrote and publishing the manifest naming it — the flip
-//! is the commit. A crash anywhere in pass `u` leaves the manifest naming
+//! generation it wrote, and the frame publishes the manifest naming it
+//! ([`Run::publish`]) — the flip is the commit. A crash anywhere in pass `u` leaves the manifest naming
 //! generation `u`, intact, beside garbage that the replay of pass `u`
 //! overwrites.
 //!
@@ -43,11 +44,12 @@ use crate::chunkstore::{BufferPool, ChunkStore};
 use crate::pipeline::{run_pass, Dest, PassConfig, PassSource};
 use crate::scratch::ScratchDir;
 use qsim_compress::Codec;
-use qsim_core::checkpoint::{check_stop_point, CheckpointPolicy, RunKey};
+use qsim_core::checkpoint::{CheckpointPolicy, RunKey};
 use qsim_core::dist::{physical_to_logical, slots_to_top_permutation};
 use qsim_core::exec::{resolve_tile_qubits, StageExecutor};
 use qsim_core::observables::{norm_entropy, tree_sum};
-use qsim_core::{check_plan, BackendOutcome, BackendPlan, BackendStats, SimError};
+use qsim_core::run::Run;
+use qsim_core::{BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
 use qsim_kernels::{SweepDispatch, SweepStats};
@@ -55,8 +57,6 @@ use qsim_sched::SwapOp;
 use qsim_telemetry::Telemetry;
 use qsim_util::align::AlignedVec;
 use qsim_util::complex::Complex;
-use qsim_util::Real;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Out-of-core engine configuration.
@@ -155,77 +155,52 @@ impl<R: SweepDispatch> OocSimulator<R> {
         }
     }
 
-    /// The engine's one run function: execute `plan.schedule` against
-    /// the chunk store — the checkpoint policy's directory when one is
-    /// configured, a fresh self-cleaning [`ScratchDir`] otherwise — and,
-    /// on request, gather the full state in logical order (small n).
+    /// Execute `plan.schedule` against the chunk store — the checkpoint
+    /// policy's directory when one is configured, a fresh self-cleaning
+    /// [`ScratchDir`] otherwise — inside the run frame ([`Run`]), one
+    /// streaming pass per stage (module docs), and, on request, gather the
+    /// full state in logical order (small n).
+    ///
+    /// Pass `s`, for each chunk, takes its source, applies the
+    /// gather-unpermute half of swap `s − 1`, stage `s`, and then either
+    /// the permute-scatter half of swap `s` into the next generation's
+    /// files or — on the last stage — the final chunk write with the
+    /// norm/entropy reduction folded in. Writing `p` for a swap's
+    /// slots→top permutation, destination chunk `d` must end up holding
+    /// `final[x] = buf[p(x)]` where piece `s` of its exchange buffer is
+    /// `buf[s·piece + t] = chunk_s[p⁻¹(d·piece + t)]`.
     ///
     /// `stop_after = Some(u)` (requires a checkpoint policy) returns
     /// [`SimError::InjectedStop`] right after pass `u − 1` published the
-    /// manifest naming unit `u`, as the in-memory engine does. A plan
-    /// [`check_plan`] rejects is [`std::io::ErrorKind::InvalidInput`], a rejected
-    /// manifest or chunk digest [`SimError::Checkpoint`], any other IO
-    /// failure [`SimError::Io`].
+    /// manifest naming unit `u`. A plan the frame rejects is
+    /// [`std::io::ErrorKind::InvalidInput`], a rejected manifest or chunk
+    /// digest [`SimError::Checkpoint`], any other IO failure
+    /// [`SimError::Io`].
     pub fn run_plan(
         &mut self,
         plan: &BackendPlan,
         gather: bool,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        check_stop_point(self.config.checkpoint.as_ref(), stop_after)?;
-        let scratch;
-        let dir = match &self.config.checkpoint {
-            Some(cp) => cp.dir.clone(),
-            None => {
-                scratch = ScratchDir::new("run");
-                scratch.path().to_path_buf()
-            }
-        };
-        self.run_in(&dir, plan, gather, stop_after)
-            .map_err(io_to_sim)?
-    }
-
-    /// [`OocSimulator::run_plan`] against the chunk store rooted at `dir`:
-    /// one streaming pass per stage. For each chunk, pass `s` takes its
-    /// source (pass 0 synthesises the start state; every later pass reads
-    /// the generation the previous pass wrote), applies the
-    /// gather-unpermute half of swap `s − 1`, stage `s`, and then either
-    /// the permute-scatter half of swap `s` into the next generation's
-    /// files or — on the last stage — the final chunk write with the
-    /// norm/entropy reduction folded in. The outer error is an IO
-    /// failure, the inner one the injected stop.
-    ///
-    /// Writing `p` for a swap's slots→top permutation and `q = p⁻¹`,
-    /// destination chunk `d` must end up holding `final[x] = buf[p(x)]`
-    /// where piece `s` of `d`'s exchange buffer is `buf[s·piece + t] =
-    /// chunk_s[q(d·piece + t)]`. The scatter writes every `buf` piece of
-    /// one source chunk (chunk-local in the source) into the next
-    /// generation; the next pass reads the assembled buffers and applies
-    /// the `p`-gather (chunk-local in the destination, skipped when `p`
-    /// is the identity). The slow tier therefore sees one write per swap
-    /// plus one read and one write per later stage: `2S + 1` state
-    /// transfers for `S` swaps.
-    fn run_in(
-        &mut self,
-        dir: &Path,
-        plan: &BackendPlan,
-        gather: bool,
-        stop_after: Option<usize>,
-    ) -> std::io::Result<Result<BackendOutcome<R>, SimError>> {
         let schedule = &plan.schedule;
         let stages = &schedule.stages;
-        let init_uniform = plan.init_uniform;
         let l = schedule.local_qubits;
         let g = schedule.n_qubits - l;
-        check_plan(schedule, 1usize << g)?;
-        let t0 = Instant::now();
         let telemetry = self.config.telemetry.clone();
         let track = telemetry.track("ooc.compute");
         let _run_span = track.span("run");
-        // The unit is the pass, i.e. the stage: each pass leaves the store
-        // in exactly one durable generation (final chunks, or exchange
-        // buffers awaiting the next pass's unpermute), which is what a
-        // manifest can name.
+        let checkpoint = self.config.checkpoint.clone();
+        let scratch_dir;
+        let dir = match &checkpoint {
+            Some(cp) => cp.dir.clone(),
+            None => {
+                scratch_dir = ScratchDir::new("run");
+                scratch_dir.path().to_path_buf()
+            }
+        };
+        // The directory is the chunk store: a dead one is the store's IO
+        // failure, before the frame looks for a manifest in it.
+        std::fs::create_dir_all(&dir)?;
         let codec = self.config.compress;
         let codec_name = codec.name();
         let key = RunKey {
@@ -233,227 +208,211 @@ impl<R: SweepDispatch> OocSimulator<R> {
             schedule,
             precision: R::NAME,
             codec: &codec_name,
-            init_uniform,
+            init_uniform: plan.init_uniform,
             n_artifacts: 1 << g,
         };
-        let resumed = match &self.config.checkpoint {
-            Some(cp) => {
-                let _s = track.span("resume.validate");
-                match key.resume_point(cp)? {
-                    Some((unit, digests)) => {
-                        let store =
-                            ChunkStore::open_verified_with(dir, l, g, unit, &digests, codec)?;
-                        Some((store, unit))
-                    }
-                    None => None,
-                }
-            }
-            None => None,
-        };
-        let (mut store, cursor) = match resumed {
-            Some(sc) => sc,
-            None => (ChunkStore::create_empty_with(dir, l, g, codec)?, 0),
-        };
-        let n_chunks = store.n_chunks();
-        let chunk_len = store.chunk_len();
-        let piece = chunk_len / n_chunks;
-
-        // Pool setup: `depth` chunk buffers feed the pipeline, one more
-        // is the unpermute scratch; wire buffers stage all-to-all
-        // pieces. Prewarming here makes the passes themselves miss-free
-        // (`io.buffer_allocs` counts any slip).
-        let depth = self.config.prefetch_depth.max(1);
-        let wires = (2 * depth).min(n_chunks);
-        self.chunk_pool.ensure_len(chunk_len);
-        self.wire_pool.ensure_len(piece);
-        if self.scratch.as_ref().is_some_and(|s| s.len() != chunk_len) {
-            self.scratch = None;
-        }
-        // The engine-held unpermute scratch counts toward the chunk
-        // population: prewarm one extra only when it must be (re)built,
-        // so a repeat run over the same geometry prewarms exactly what
-        // the free list already holds.
-        self.chunk_pool
-            .prewarm(depth + usize::from(self.scratch.is_none()));
-        self.wire_pool.prewarm(wires);
-        let chunk_pool = &mut self.chunk_pool;
-        // Double-buffers the unpermute gather, trading places with the
-        // pipeline's chunk buffer on every use.
-        let scratch = self.scratch.get_or_insert_with(|| chunk_pool.get());
-        let allocs0 = chunk_pool.allocs() + self.wire_pool.allocs();
-
         let kernel = self.config.kernel;
         let tile = resolve_tile_qubits(self.config.tile_qubits, l, kernel.threads);
-        // Seed the live progress with the stages this run will execute
-        // (only those beyond the manifest cursor) and their model price.
-        if let Some(p) = telemetry.progress() {
-            qsim_core::planner::seed_progress(
-                &telemetry,
-                schedule,
-                std::mem::size_of::<Complex<R>>() as u64,
-                tile,
-                cursor,
-            );
-            p.set_state(qsim_telemetry::RunState::Running);
-        }
+        let t0 = Instant::now();
+        let run = Run::<R>::begin(
+            key,
+            &telemetry,
+            &track,
+            checkpoint.as_ref(),
+            stop_after,
+            tile,
+        )?;
 
-        let mut sweep = SweepStats::default();
-        // Per-chunk reduction partials, `tree_sum`med afterwards: the
-        // chunk is the rank analogue, so this reproduces the distributed
-        // engine's `norm_entropy` + recursive-doubling all-reduce bit for
-        // bit.
-        let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
-        let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
-        for (si, stage) in stages.iter().enumerate().skip(cursor) {
-            let _ss = track.span_id("stage", si as u64);
-            let t_pass = Instant::now();
-            let exec = StageExecutor::new(std::slice::from_ref(stage), l, &kernel, Some(tile));
-            let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
-            // `final[x] = buf[p(x)]` places the previous swap's incoming
-            // qubits at its slots; an identity `p` means the written
-            // assembly is already final.
-            let unpermute = prev_swap.map(slots_to_top).filter(|p| !p.is_identity());
-            let scatter = stage.swap.as_ref().map(|s| slots_to_top(s).inverse());
-            let cfg = PassConfig {
-                source: if si == 0 {
-                    PassSource::Start {
-                        uniform: init_uniform,
-                    }
-                } else {
-                    PassSource::Live
-                },
-                depth,
-                wires: if scatter.is_some() { wires } else { 0 },
-                telemetry: telemetry.clone(),
-            };
-            // `swap_ns` gets one sample per swap, from the unit the swap
-            // closes: its permute-scatter half. (The gather-unpermute half
-            // opens the next pass, under its `unpermute` spans.)
-            let mut scatter_t = Duration::ZERO;
-            run_pass(
-                &mut store,
-                chunk_pool,
-                &mut self.wire_pool,
-                &cfg,
-                |c, mut buf, sink| {
-                    if let Some(perm) = &unpermute {
-                        let _s = track.span_id("unpermute", c as u64);
-                        par_gather(&buf, scratch, |x| perm.apply(x));
-                        std::mem::swap(&mut buf, scratch);
-                    }
-                    {
-                        let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
-                        exec.apply(0..1, &mut buf, c, &mut sweep);
-                    }
-                    let Some(inv) = &scatter else {
-                        // Last stage: fold the final reduction into the
-                        // pass — it costs no extra traversal.
-                        partials[c] = norm_entropy(&buf);
-                        sink.retire(Dest::Chunk(c), buf);
-                        return Ok(());
-                    };
-                    // Fused permute-scatter: this chunk's permuted piece
-                    // for destination `dst` lands at offset `c·piece` of
-                    // `dst` in the next generation, behind the one this
-                    // pass still reads.
-                    let _s = track.span_id("scatter", c as u64);
-                    let t = Instant::now();
-                    for dst in 0..n_chunks {
-                        let mut wire = sink.take_wire()?;
-                        if inv.is_identity() {
-                            wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
-                        } else {
-                            par_gather(&buf, &mut wire, |t| inv.apply(dst * piece + t));
+        let out = (|| -> Result<BackendOutcome<R>, SimError> {
+            let mut store = match run.resumed() {
+                Some((dir, digests)) => {
+                    ChunkStore::open_verified_with(dir, l, g, run.cursor(), digests, codec)
+                }
+                None => ChunkStore::create_empty_with(&dir, l, g, codec),
+            }
+            .map_err(io_to_sim)?;
+            let n_chunks = store.n_chunks();
+            let chunk_len = store.chunk_len();
+            let piece = chunk_len / n_chunks;
+
+            // Pool setup: `depth` chunk buffers feed the pipeline, one
+            // more is the unpermute scratch; wire buffers stage all-to-all
+            // pieces. Prewarming here makes the passes themselves
+            // miss-free (`io.buffer_allocs` counts any slip).
+            let depth = self.config.prefetch_depth.max(1);
+            let wires = (2 * depth).min(n_chunks);
+            self.chunk_pool.ensure_len(chunk_len);
+            self.wire_pool.ensure_len(piece);
+            if self.scratch.as_ref().is_some_and(|s| s.len() != chunk_len) {
+                self.scratch = None;
+            }
+            // The engine-held unpermute scratch counts toward the chunk
+            // population: prewarm one extra only when it must be
+            // (re)built, so a repeat run over the same geometry prewarms
+            // exactly what the free list already holds.
+            self.chunk_pool
+                .prewarm(depth + usize::from(self.scratch.is_none()));
+            self.wire_pool.prewarm(wires);
+            let chunk_pool = &mut self.chunk_pool;
+            let wire_pool = &mut self.wire_pool;
+            // Double-buffers the unpermute gather, trading places with the
+            // pipeline's chunk buffer on every use.
+            let scratch = self.scratch.get_or_insert_with(|| chunk_pool.get());
+            let allocs0 = chunk_pool.allocs() + wire_pool.allocs();
+
+            let mut sweep = SweepStats::default();
+            // Per-chunk reduction partials, `tree_sum`med afterwards: the
+            // chunk is the rank analogue, so this reproduces the
+            // distributed engine's `norm_entropy` + recursive-doubling
+            // all-reduce bit for bit.
+            let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
+            let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
+            run.units(true, |si| {
+                let stage = &stages[si];
+                let _ss = track.span_id("stage", si as u64);
+                let exec = StageExecutor::new(std::slice::from_ref(stage), l, &kernel, Some(tile));
+                let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
+                // `final[x] = buf[p(x)]` places the previous swap's
+                // incoming qubits at its slots; an identity `p` means the
+                // written assembly is already final.
+                let unpermute = prev_swap.map(slots_to_top).filter(|p| !p.is_identity());
+                let scatter = stage.swap.as_ref().map(|s| slots_to_top(s).inverse());
+                let source = match si {
+                    0 => PassSource::Start {
+                        uniform: plan.init_uniform,
+                    },
+                    _ => PassSource::Live,
+                };
+                let cfg = PassConfig {
+                    source,
+                    depth,
+                    wires: if scatter.is_some() { wires } else { 0 },
+                    telemetry: telemetry.clone(),
+                };
+                // `swap_ns` gets one sample per swap, from the unit the
+                // swap closes: its permute-scatter half. (The
+                // gather-unpermute half opens the next pass, under its
+                // `unpermute` spans.)
+                let mut scatter_t = Duration::ZERO;
+                run_pass(
+                    &mut store,
+                    chunk_pool,
+                    wire_pool,
+                    &cfg,
+                    |c, mut buf, sink| {
+                        if let Some(perm) = &unpermute {
+                            let _s = track.span_id("unpermute", c as u64);
+                            par_gather(&buf, scratch, |x| perm.apply(x));
+                            std::mem::swap(&mut buf, scratch);
                         }
-                        let off = c * piece;
-                        sink.retire(Dest::Piece { c: dst, off }, wire);
+                        {
+                            let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
+                            exec.apply(0..1, &mut buf, c, &mut sweep);
+                        }
+                        let Some(inv) = &scatter else {
+                            // Last stage: fold the final reduction into the
+                            // pass — it costs no extra traversal.
+                            partials[c] = norm_entropy(&buf);
+                            sink.retire(Dest::Chunk(c), buf);
+                            return Ok(());
+                        };
+                        // Fused permute-scatter: this chunk's permuted piece
+                        // for destination `dst` lands at offset `c·piece` of
+                        // `dst` in the next generation, behind the one this
+                        // pass still reads.
+                        let _s = track.span_id("scatter", c as u64);
+                        let t = Instant::now();
+                        for dst in 0..n_chunks {
+                            let mut wire = sink.take_wire()?;
+                            if inv.is_identity() {
+                                wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
+                            } else {
+                                par_gather(&buf, &mut wire, |t| inv.apply(dst * piece + t));
+                            }
+                            let off = c * piece;
+                            sink.retire(Dest::Piece { c: dst, off }, wire);
+                        }
+                        scatter_t += t.elapsed();
+                        sink.retire(Dest::Nowhere, buf);
+                        Ok(())
+                    },
+                )
+                .map_err(io_to_sim)?;
+                if scatter.is_some() {
+                    telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64);
+                }
+                if run.checkpoint_dir().is_some() {
+                    let _s = track.span_timed("checkpoint.write", si as u64, "checkpoint_ns");
+                    run.publish(si + 1, store.sync_digests().map_err(io_to_sim)?)?;
+                }
+                // The `live.ooc.*` gauges `/status` reads mid-run: the
+                // prefetch/compute/writeback thread split, overlap
+                // fraction, and cumulative disk traffic so far.
+                if let Some(m) = telemetry.metrics() {
+                    let io = store.stats();
+                    for (gauge, value) in [
+                        ("io_wait_seconds", io.io_wait_seconds),
+                        ("compute_seconds", io.compute_seconds),
+                        ("read_seconds", io.read_seconds),
+                        ("write_seconds", io.write_seconds),
+                        ("overlap_fraction", io.overlap_fraction()),
+                        ("bytes_read", io.bytes_read as f64),
+                        ("bytes_written", io.bytes_written as f64),
+                    ] {
+                        m.gauge_set(&format!("live.ooc.{gauge}"), value);
                     }
-                    scatter_t += t.elapsed();
-                    sink.retire(Dest::Nowhere, buf);
-                    Ok(())
-                },
-            )?;
-            if scatter.is_some() {
-                telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64);
+                }
+                Ok(())
+            })?;
+            if run.cursor() >= stages.len() {
+                // Resume of a finished run: no pass is left to fold the
+                // reduction into, so read the final chunks once. Bitwise
+                // identical to the folded reduction — same bytes, same
+                // fold order.
+                let mut buf = chunk_pool.get();
+                for (c, partial) in partials.iter_mut().enumerate() {
+                    store.read_chunk_into(c, &mut buf).map_err(io_to_sim)?;
+                    *partial = norm_entropy(&buf);
+                }
+                chunk_pool.put(buf);
+                store.count_traversal();
             }
-            if self.config.checkpoint.is_some() {
-                let _s = track.span_timed("checkpoint.write", si as u64, "checkpoint_ns");
-                let digests = store.sync_digests()?;
-                key.manifest(si + 1, digests).write_atomic(dir)?;
-            }
-            live_pass_done(
-                &telemetry,
-                &store,
-                si + 1,
-                stages.len(),
-                t_pass.elapsed().as_nanos() as u64,
-            );
-            if stop_after == Some(si + 1) {
-                return Ok(Err(SimError::InjectedStop { unit: si + 1 }));
-            }
-        }
-        if cursor >= stages.len() {
-            // Resume of a finished run: no pass is left to fold the
-            // reduction into, so read the final chunks once. Bitwise
-            // identical to the folded reduction — same bytes, same fold
-            // order.
-            let mut buf = chunk_pool.get();
-            for (c, partial) in partials.iter_mut().enumerate() {
-                store.read_chunk_into(c, &mut buf)?;
-                *partial = norm_entropy(&buf);
-            }
-            chunk_pool.put(buf);
-            store.count_traversal();
-        }
-        let (norm, entropy) = tree_sum(partials);
-        let executed = stages.len().saturating_sub(cursor);
+            let (norm, entropy) = tree_sum(partials);
+            let executed = stages.len().saturating_sub(run.cursor());
 
-        let mut io = store.stats();
-        io.buffer_allocs = chunk_pool.allocs() + self.wire_pool.allocs() - allocs0;
-        let sim_seconds = t0.elapsed().as_secs_f64();
-        if let Some(m) = telemetry.metrics() {
-            io.publish_into(m, "ooc.io");
-            sweep.publish_into(m, "ooc.sweep");
-            m.gauge_set("ooc.sim_seconds", sim_seconds);
-            m.gauge_set(
-                "ooc.bytes_per_amp",
-                std::mem::size_of::<Complex<R>>() as f64,
-            );
-            m.gauge_set("ooc.precision_bits", (R::BYTES * 8) as f64);
-            m.counter_add("ooc.runs", executed as u64);
-            m.counter_add("ooc.compressed_bytes", io.bytes_written);
-            m.gauge_set("ooc.compression_ratio", io.compression_ratio());
-        }
-        if let Some(p) = telemetry.progress() {
-            p.set_state(qsim_telemetry::RunState::Done);
-        }
-        telemetry.publish_progress_gauges();
-        let state = if gather {
-            Some(physical_to_logical(
-                &store.to_vec()?,
-                schedule.final_mapping(),
-            ))
-        } else {
-            None
-        };
-        Ok(Ok(BackendOutcome {
-            norm,
-            entropy,
-            sim_seconds,
-            stats: BackendStats::Ooc {
-                io,
-                sweep,
-                runs: executed,
-            },
-            state,
-        }))
+            let mut io = store.stats();
+            io.buffer_allocs = chunk_pool.allocs() + wire_pool.allocs() - allocs0;
+            let sim_seconds = t0.elapsed().as_secs_f64();
+            if let Some(m) = telemetry.metrics() {
+                io.publish_into(m, "ooc.io");
+                m.counter_add("ooc.runs", executed as u64);
+                m.counter_add("ooc.compressed_bytes", io.bytes_written);
+                m.gauge_set("ooc.compression_ratio", io.compression_ratio());
+            }
+            let state = gather
+                .then(|| store.to_vec())
+                .transpose()
+                .map_err(io_to_sim)?;
+            Ok(BackendOutcome {
+                norm,
+                entropy,
+                sim_seconds,
+                stats: BackendStats::Ooc {
+                    io,
+                    sweep,
+                    runs: executed,
+                },
+                state: state.map(|s| physical_to_logical(&s, schedule.final_mapping())),
+            })
+        })();
+        run.end(out)
     }
 }
 
 /// Map an OOC engine IO failure onto the typed [`SimError`] surface.
-/// Manifest and chunk-digest validation surface as `InvalidData` (see
-/// `CheckpointError`'s io conversion): normalize them to the typed
-/// checkpoint error the in-memory engines return, so callers match one
+/// A torn chunk (`ChunkStore::open_verified_with`) or an undecodable
+/// frame surfaces as `InvalidData`: normalize it to the typed checkpoint
+/// error the frame returns for a rejected manifest, so callers match one
 /// variant for "durable state rejected" on every backend. Everything
 /// else stays an IO error.
 fn io_to_sim(e: std::io::Error) -> SimError {
@@ -461,33 +420,6 @@ fn io_to_sim(e: std::io::Error) -> SimError {
         return SimError::Checkpoint(e.to_string());
     }
     SimError::Io(e)
-}
-
-/// Stage `unit − 1`'s pass completed: report the unit to the live
-/// progress engine and refresh the `live.ooc.*` gauges that `/status`
-/// reads mid-run — the prefetch/compute/writeback thread split, overlap
-/// fraction, and cumulative disk traffic so far.
-fn live_pass_done<R: Real>(
-    telemetry: &Telemetry,
-    store: &ChunkStore<R>,
-    unit: usize,
-    total: usize,
-    pass_ns: u64,
-) {
-    if let Some(p) = telemetry.progress() {
-        p.set_stage(unit as u64, total as u64);
-        p.unit_done(pass_ns);
-    }
-    if let Some(m) = telemetry.metrics() {
-        let io = store.stats();
-        m.gauge_set("live.ooc.io_wait_seconds", io.io_wait_seconds);
-        m.gauge_set("live.ooc.compute_seconds", io.compute_seconds);
-        m.gauge_set("live.ooc.read_seconds", io.read_seconds);
-        m.gauge_set("live.ooc.write_seconds", io.write_seconds);
-        m.gauge_set("live.ooc.overlap_fraction", io.overlap_fraction());
-        m.gauge_set("live.ooc.bytes_read", io.bytes_read as f64);
-        m.gauge_set("live.ooc.bytes_written", io.bytes_written as f64);
-    }
 }
 
 #[cfg(test)]
@@ -690,28 +622,6 @@ mod tests {
             assert_eq!(io.logical_bytes_read, 0);
             assert!((out.norm - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn bad_geometry_and_open_schedules_are_typed_errors() {
-        let invalid_input = |e: SimError| match e {
-            SimError::Io(e) => e.kind() == std::io::ErrorKind::InvalidInput,
-            _ => false,
-        };
-        let mut circ = Circuit::new(4);
-        circ.t(0).h(1);
-        // g = 3 > l = 1: the all-to-all cannot split a chunk 8 ways.
-        let narrow = plan(&circ, &SchedulerConfig::distributed(1, 1));
-        let mut sim = sequential();
-        let e = run(&mut sim, &circ, &narrow, false).unwrap_err();
-        assert!(invalid_input(e));
-        // A schedule ending in a swap has no stage to apply its unpermute.
-        let mut open = plan(&circ, &SchedulerConfig::distributed(3, 2));
-        open.stages.last_mut().unwrap().swap = Some(SwapOp {
-            local_slots: vec![0],
-        });
-        let e = run(&mut sim, &circ, &open, false).unwrap_err();
-        assert!(invalid_input(e));
     }
 
     #[test]

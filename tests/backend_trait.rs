@@ -21,7 +21,7 @@ use qsim45::core::{
 use qsim45::kernels::{KernelConfig, SweepDispatch};
 use qsim45::ooc::{OocBackend, OocConfig, OocSimulator};
 use qsim45::sched::{Stage, SwapOp};
-use qsim45::telemetry::{Metric, Telemetry};
+use qsim45::telemetry::{Metric, RunState, Telemetry};
 use qsim45::util::complex::max_dist;
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -125,14 +125,28 @@ fn tear_unnamed_generation(dir: &Path, named: usize, how: Leftover) -> usize {
     named_files.len()
 }
 
-/// Progress `(planned, done)` units and `swap_ns` samples of one run of
-/// backend `which` (its index in [`backends`]) on fresh telemetry.
+/// Overwrite every file of the generation the manifest names with 4
+/// bytes: a resume from it must be rejected.
+fn tear_named_generation(dir: &Path, named: usize) {
+    let keep = format!(".g{}.amps", named % 2);
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.to_str().unwrap().ends_with(&keep) {
+            std::fs::write(&path, [0u8; 4]).unwrap();
+        }
+    }
+}
+
+/// What `/status` and the trace show of one run of backend `which` (its
+/// index in [`backends`]) on fresh telemetry: progress `(planned, done)`
+/// units, `swap_ns` samples, the final run state and the number of
+/// `resume.validate` spans.
 fn progress_of<R: SweepDispatch>(
     which: usize,
     plan: &BackendPlan,
     policy: CheckpointPolicy,
     stop: Option<usize>,
-) -> (u64, u64, u64) {
+) -> (u64, u64, u64, RunState, usize) {
     let t = Telemetry::enabled();
     let mut b = backends::<R>(&t, RANKS).swap_remove(which);
     b.checkpoint(policy);
@@ -142,7 +156,13 @@ fn progress_of<R: SweepDispatch>(
         Some(Metric::Histogram(h)) => h.count,
         _ => 0,
     };
-    (snap.planned, snap.done, swaps)
+    let validations = t
+        .tracks_snapshot()
+        .iter()
+        .flat_map(|(_, events, _)| events)
+        .filter(|e| e.name == "resume.validate")
+        .count();
+    (snap.planned, snap.done, swaps, snap.state, validations)
 }
 
 /// The shared conformance pass: replaces the per-engine copies that
@@ -183,27 +203,37 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
         // Progress accounting: a fresh run plans and completes one unit
         // per stage with one `swap_ns` sample per swap executed; a kill
         // at unit `k` has completed `k`; the resume plans only the
-        // stages past the manifest cursor — it pre-credits nothing.
+        // stages past the manifest cursor — it pre-credits nothing. The
+        // run state ends `done` after a full run and `failed` after a
+        // stop or a torn resume, and every checkpointed run validates
+        // its directory exactly once.
         let swaps_in = |s: &[Stage]| s.iter().filter(|s| s.swap.is_some()).count() as u64;
         let units = total_units as u64;
         let dir = tmpdir(&format!("{name}_progress"));
+        let (done, failed) = (RunState::Done, RunState::Failed);
         assert_eq!(
             progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), None),
-            (units, units, swaps_in(stages)),
+            (units, units, swaps_in(stages), done, 1),
             "{name}: fresh run"
         );
         let k = (total_units / 2).max(1);
         assert_eq!(
             progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), Some(k)),
-            (units, k as u64, swaps_in(&stages[..k])),
+            (units, k as u64, swaps_in(&stages[..k]), failed, 1),
             "{name}: killed at unit {k}"
         );
         let rest = &stages[k..];
+        let rest_units = rest.len() as u64;
         assert_eq!(
             progress_of::<R>(which, &plan, CheckpointPolicy::resume(&dir), None),
-            (rest.len() as u64, rest.len() as u64, swaps_in(rest)),
+            (rest_units, rest_units, swaps_in(rest), done, 1),
             "{name}: resumed from unit {k}"
         );
+        progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), Some(k));
+        tear_named_generation(&dir, k);
+        let (.., state, validations) =
+            progress_of::<R>(which, &plan, CheckpointPolicy::resume(&dir), None);
+        assert_eq!((state, validations), (failed, 1), "{name}: torn resume");
         let _ = std::fs::remove_dir_all(&dir);
 
         // Plain gathered run: normalized state, stats tagged with the
@@ -384,7 +414,7 @@ fn bad_partition_counts_are_typed_errors_not_panics() {
     }
 
     // A hand-planned schedule whose geometry disagrees with the engine
-    // is the same error from the run function, before any rank spawns.
+    // is the same error when the run opens, before any rank spawns.
     let mut four = DistBackend::new(DistSimulator::new(DistConfig {
         n_ranks: 4,
         ..Default::default()
