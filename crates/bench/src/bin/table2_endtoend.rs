@@ -83,7 +83,9 @@ fn main() {
         else {
             unreachable!("the distributed engine reports Dist stats")
         };
-        let comm_pct = 100.0 * fabric.max_comm_seconds / out.sim_seconds.max(1e-12);
+        // Comm time runs through the final all-reduce (`entropy_seconds`).
+        let wall = out.sim_seconds + entropy_seconds;
+        let comm_pct = 100.0 * fabric.max_comm_seconds / wall.max(1e-12);
 
         // Baseline engine ([5]/[19]-style).
         let base = BaselineSimulator::new(ranks, kernel).run(&c);

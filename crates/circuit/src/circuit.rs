@@ -20,6 +20,8 @@ pub struct Circuit {
 }
 
 impl Circuit {
+    /// An empty `n_qubits`-qubit circuit; `1 ≤ n ≤ 63`, the bound the
+    /// scheduler's `u64` position masks rely on.
     pub fn new(n_qubits: u32) -> Self {
         assert!((1..=63).contains(&n_qubits), "unsupported qubit count");
         Self {
@@ -52,15 +54,13 @@ impl Circuit {
     /// Append a gate, validating operands.
     pub fn push(&mut self, g: Gate) -> &mut Self {
         let qs = g.qubits();
-        for &q in &qs {
+        for (i, &q) in qs.iter().enumerate() {
             assert!(
                 q < self.n_qubits,
                 "qubit {q} out of range (n={})",
                 self.n_qubits
             );
-        }
-        if qs.len() == 2 {
-            assert_ne!(qs[0], qs[1], "two-qubit gate needs distinct operands");
+            assert!(!qs[..i].contains(&q), "gate needs distinct operands");
         }
         self.gates.push(g);
         self

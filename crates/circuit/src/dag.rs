@@ -9,65 +9,79 @@
 //! for the scheduler's greedy passes.
 
 use crate::circuit::Circuit;
+use crate::gate::{Gate, Operands};
+use std::sync::Arc;
 
 /// Tracks which gates are ready/executed under per-qubit ordering.
+///
+/// The chains and operand lists are immutable and shared, so a clone
+/// (one per scheduler search branch) copies only the cursors and the
+/// executed flags.
 #[derive(Clone, Debug)]
 pub struct DependencyTracker {
     /// Gate indices touching each qubit, in program order.
-    chains: Vec<Vec<usize>>,
+    chains: Arc<[Vec<usize>]>,
+    /// Qubits of each gate.
+    gate_qubits: Arc<[Operands]>,
     /// Next unexecuted position within each qubit's chain.
     cursor: Vec<usize>,
-    /// Qubits of each gate (cached).
-    gate_qubits: Vec<Vec<u32>>,
     executed: Vec<bool>,
     n_executed: usize,
 }
 
 impl DependencyTracker {
     pub fn new(circuit: &Circuit) -> Self {
-        let n = circuit.n_qubits() as usize;
-        let mut chains = vec![Vec::new(); n];
-        let mut gate_qubits = Vec::with_capacity(circuit.len());
-        for (gi, g) in circuit.gates().iter().enumerate() {
-            let qs = g.qubits();
-            for &q in &qs {
-                chains[q as usize].push(gi);
-            }
-            gate_qubits.push(qs);
-        }
-        Self {
-            cursor: vec![0; n],
-            executed: vec![false; circuit.len()],
-            n_executed: 0,
-            chains,
-            gate_qubits,
-        }
+        let gate_qubits = circuit.gates().iter().map(Gate::qubits).collect();
+        Self::over(circuit.n_qubits(), gate_qubits)
     }
 
-    /// Total number of gates.
-    pub fn n_gates(&self) -> usize {
-        self.executed.len()
+    /// A tracker over any gate list on `n_qubits` qubits, given each
+    /// gate's operands (one stage's share of a circuit, say).
+    pub fn over(n_qubits: u32, gate_qubits: Vec<Operands>) -> Self {
+        let mut chains = vec![Vec::new(); n_qubits as usize];
+        for (gi, qs) in gate_qubits.iter().enumerate() {
+            for &q in qs.iter() {
+                chains[q as usize].push(gi);
+            }
+        }
+        Self {
+            cursor: vec![0; chains.len()],
+            executed: vec![false; gate_qubits.len()],
+            n_executed: 0,
+            chains: chains.into(),
+            gate_qubits: gate_qubits.into(),
+        }
     }
 
     /// Is gate `gi` at the front of all its qubits' chains?
     pub fn is_ready(&self, gi: usize) -> bool {
         !self.executed[gi]
-            && self.gate_qubits[gi].iter().all(|&q| {
-                let chain = &self.chains[q as usize];
-                let cur = self.cursor[q as usize];
-                cur < chain.len() && chain[cur] == gi
-            })
+            && self.gate_qubits[gi]
+                .iter()
+                .all(|&q| self.next_on_qubit(q) == Some(gi))
     }
 
     /// Mark a ready gate as executed, advancing its qubits' cursors.
     /// Panics if the gate is not ready (scheduling bug).
     pub fn execute(&mut self, gi: usize) {
         assert!(self.is_ready(gi), "gate {gi} executed out of order");
-        for &q in &self.gate_qubits[gi] {
+        for q in self.gate_qubits[gi] {
             self.cursor[q as usize] += 1;
         }
         self.executed[gi] = true;
         self.n_executed += 1;
+    }
+
+    /// Undo [`DependencyTracker::execute`] of `gi`, which must be the
+    /// latest gate executed on each of its qubits: trials roll back in
+    /// reverse execution order.
+    pub fn unexecute(&mut self, gi: usize) {
+        for q in self.gate_qubits[gi] {
+            self.cursor[q as usize] -= 1;
+        }
+        self.executed[gi] = false;
+        self.n_executed -= 1;
+        debug_assert!(self.is_ready(gi), "gate {gi} unexecuted out of order");
     }
 
     /// Has gate `gi` been executed?
@@ -86,18 +100,25 @@ impl DependencyTracker {
 
     /// Current frontier: every ready gate, in program order.
     pub fn ready_gates(&self) -> Vec<usize> {
-        // The frontier is a subset of the chain fronts; dedupe via scan.
         let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for (q, chain) in self.chains.iter().enumerate() {
-            if let Some(&gi) = chain.get(self.cursor[q]) {
-                if seen.insert(gi) && self.is_ready(gi) {
+        self.ready_gates_into(&mut out);
+        out
+    }
+
+    /// [`DependencyTracker::ready_gates`] into a caller-owned buffer. The
+    /// frontier is a subset of the chain fronts, and a gate ready on k
+    /// qubits fronts k chains: sort and dedup.
+    pub fn ready_gates_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        for q in 0..self.cursor.len() as u32 {
+            if let Some(gi) = self.next_on_qubit(q) {
+                if self.is_ready(gi) {
                     out.push(gi);
                 }
             }
         }
         out.sort_unstable();
-        out
+        out.dedup();
     }
 
     /// Next unexecuted gate on qubit `q`, if any.
@@ -105,11 +126,6 @@ impl DependencyTracker {
         self.chains[q as usize]
             .get(self.cursor[q as usize])
             .copied()
-    }
-
-    /// The qubits of gate `gi` (cached accessor for schedulers).
-    pub fn qubits_of(&self, gi: usize) -> &[u32] {
-        &self.gate_qubits[gi]
     }
 }
 
@@ -157,6 +173,22 @@ mod tests {
         t.execute(3);
         assert!(t.is_done());
         assert_eq!(t.n_remaining(), 0);
+    }
+
+    #[test]
+    fn unexecute_rolls_back_and_clones_are_independent() {
+        let mut t = DependencyTracker::new(&sample());
+        t.execute(0);
+        let mut copy = t.clone();
+        for gi in [2, 3, 4] {
+            t.execute(gi);
+        }
+        for gi in [4, 3, 2] {
+            t.unexecute(gi);
+        }
+        assert_eq!(t.ready_gates(), vec![1, 2]);
+        copy.execute(2);
+        assert!(copy.is_executed(2) && !t.is_executed(2));
     }
 
     #[test]

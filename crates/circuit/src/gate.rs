@@ -64,11 +64,35 @@ pub enum Gate {
     U2(u32, u32, Box<GateMatrix<f64>>),
 }
 
+/// A gate's operand list, held inline (no gate has more than three
+/// operands). Derefs to `&[u32]`; iterating it by value yields the
+/// qubits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Operands {
+    qs: [u32; 3],
+    len: u8,
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.qs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = u32;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u32, 3>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.qs.into_iter().take(self.len as usize)
+    }
+}
+
 impl Gate {
     /// Operand qubits, in matrix (little-endian) order.
-    pub fn qubits(&self) -> Vec<u32> {
+    pub fn qubits(&self) -> Operands {
         use Gate::*;
-        match *self {
+        let (qs, len) = match *self {
             H(q)
             | T(q)
             | Tdg(q)
@@ -82,12 +106,13 @@ impl Gate {
             | Rz(q, _)
             | Rx(q, _)
             | Ry(q, _)
-            | U1(q, _) => vec![q],
-            CZ(a, b) | Swap(a, b) | CPhase(a, b, _) | U2(a, b, _) => vec![a, b],
-            CNot { target, control } => vec![target, control],
-            CCZ(a, b, c) => vec![a, b, c],
-            Toffoli { target, c1, c2 } => vec![target, c1, c2],
-        }
+            | U1(q, _) => ([q, 0, 0], 1),
+            CZ(a, b) | Swap(a, b) | CPhase(a, b, _) | U2(a, b, _) => ([a, b, 0], 2),
+            CNot { target, control } => ([target, control, 0], 2),
+            CCZ(a, b, c) => ([a, b, c], 3),
+            Toffoli { target, c1, c2 } => ([target, c1, c2], 3),
+        };
+        Operands { qs, len }
     }
 
     /// Number of operand qubits.
@@ -422,8 +447,8 @@ mod tests {
                 target: 5,
                 control: 9
             }
-            .qubits(),
-            vec![5, 9]
+            .qubits()[..],
+            [5, 9]
         );
         // |control=1, target=0> = index 2 maps to index 3.
         assert_eq!(m.get(3, 2), c64::one());
@@ -461,7 +486,7 @@ mod tests {
             control: 4,
         };
         let mapped = g.map_qubits(|q| q + 10);
-        assert_eq!(mapped.qubits(), vec![11, 14]);
+        assert_eq!(mapped.qubits()[..], [11, 14]);
         assert_eq!(mapped.name(), "CNOT");
         // Matrix is label-independent.
         let a: GateMatrix<f64> = g.matrix();

@@ -26,5 +26,5 @@ pub mod supremacy;
 
 pub use circuit::Circuit;
 pub use dag::DependencyTracker;
-pub use gate::Gate;
+pub use gate::{Gate, Operands};
 pub use supremacy::{supremacy_circuit, SupremacySpec};

@@ -119,7 +119,7 @@ fn run_rank_baseline(
         if gate.is_diagonal() {
             let m: GateMatrix<f64> = gate.matrix();
             let d = DiagonalOp {
-                positions: qubits.clone(),
+                positions: qubits.to_vec(),
                 diag: m.as_diagonal().expect("diagonal gate"),
                 gate_indices: vec![],
             };

@@ -11,87 +11,150 @@
 //! Diagonal gates with a global operand cannot join a dense cluster
 //! (their operand is not addressable by a local kernel); they are emitted
 //! as §3.5 specialized [`DiagonalOp`]s, interleaved in dependency order.
+//!
+//! Qubit sets are `u64` position masks (`Circuit::new` caps n at 63), and
+//! every trial runs on the live tracker and rolls back through its
+//! execution log, so growing a cluster allocates nothing.
 
 use crate::config::SchedulerConfig;
 use crate::fuse::{diagonal_of, fuse_gates};
-use crate::schedule::{Cluster, DiagonalOp, StageOp};
-use qsim_circuit::{Circuit, Gate};
-use std::collections::BTreeSet;
+use crate::schedule::{mask_of, positions_of, Cluster, DiagonalOp, StageOp};
+use qsim_circuit::{Circuit, DependencyTracker, Gate, Operands};
 
-/// Per-stage dependency tracker over a gate-index subsequence.
+/// One stage's frontier: a [`DependencyTracker`] over the stage's gate
+/// list (a gate is known by its position in the list), every position's
+/// physical footprint, and the log of executed positions that a trial
+/// rolls back through ([`StageTracker::undo`]).
 struct StageTracker {
-    /// Positions (into the stage list) per qubit, in order.
-    chains: Vec<Vec<usize>>,
-    cursor: Vec<usize>,
-    done: Vec<bool>,
-    n_done: usize,
-    qubit_cache: Vec<Vec<u32>>,
+    deps: DependencyTracker,
+    /// Physical footprint of each position under the stage mapping.
+    masks: Vec<u64>,
+    /// Executed positions, in execution order.
+    log: Vec<usize>,
+    /// The ready frontier, ascending ([`StageTracker::fill_ready`]).
+    ready: Vec<usize>,
 }
 
 impl StageTracker {
-    fn new(circuit: &Circuit, stage_gates: &[usize]) -> Self {
-        let n = circuit.n_qubits() as usize;
-        let mut chains = vec![Vec::new(); n];
-        let mut qubit_cache = Vec::with_capacity(stage_gates.len());
-        for (pos, &gi) in stage_gates.iter().enumerate() {
-            let qs = circuit.gates()[gi].qubits();
-            for &q in &qs {
-                chains[q as usize].push(pos);
-            }
-            qubit_cache.push(qs);
-        }
+    fn new(circuit: &Circuit, stage_gates: &[usize], mapping: &[u32]) -> Self {
+        let operands: Vec<Operands> = stage_gates
+            .iter()
+            .map(|&gi| circuit.gates()[gi].qubits())
+            .collect();
+        let masks = operands
+            .iter()
+            .map(|qs| mask_of(qs.into_iter().map(|q| mapping[q as usize])))
+            .collect();
         Self {
-            cursor: vec![0; n],
-            done: vec![false; stage_gates.len()],
-            n_done: 0,
-            chains,
-            qubit_cache,
+            deps: DependencyTracker::over(circuit.n_qubits(), operands),
+            masks,
+            log: Vec::with_capacity(stage_gates.len()),
+            ready: Vec::new(),
         }
-    }
-
-    fn is_ready(&self, pos: usize) -> bool {
-        !self.done[pos]
-            && self.qubit_cache[pos].iter().all(|&q| {
-                let ch = &self.chains[q as usize];
-                let cur = self.cursor[q as usize];
-                cur < ch.len() && ch[cur] == pos
-            })
     }
 
     fn execute(&mut self, pos: usize) {
-        debug_assert!(self.is_ready(pos));
-        for &q in &self.qubit_cache[pos] {
-            self.cursor[q as usize] += 1;
-        }
-        self.done[pos] = true;
-        self.n_done += 1;
+        self.deps.execute(pos);
+        self.log.push(pos);
     }
 
-    fn ready_positions(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::new();
-        for (q, ch) in self.chains.iter().enumerate() {
-            if let Some(&pos) = ch.get(self.cursor[q]) {
-                if self.is_ready(pos) && !out.contains(&pos) {
-                    out.push(pos);
+    /// A point [`StageTracker::undo`] can roll back to.
+    fn mark(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Un-execute everything executed since `mark`, latest first.
+    fn undo(&mut self, mark: usize) {
+        for pos in self.log.drain(mark..).rev() {
+            self.deps.unexecute(pos);
+        }
+    }
+
+    fn fill_ready(&mut self) {
+        self.deps.ready_gates_into(&mut self.ready);
+    }
+
+    /// Execute every ready position whose footprint lies inside `qset`,
+    /// round by round to a fixpoint (a round can unblock deeper gates on
+    /// the same qubits); returns how many ran.
+    fn absorb(&mut self, qset: u64) -> usize {
+        let start = self.log.len();
+        loop {
+            let round = self.log.len();
+            self.fill_ready();
+            for i in 0..self.ready.len() {
+                let pos = self.ready[i];
+                if self.masks[pos] & !qset == 0 {
+                    self.execute(pos);
                 }
             }
+            if self.log.len() == round {
+                return round - start;
+            }
         }
-        out.sort_unstable();
-        out
     }
 
-    fn is_done(&self) -> bool {
-        self.n_done == self.done.len()
-    }
-
-    fn snapshot(&self) -> (Vec<usize>, Vec<bool>, usize) {
-        (self.cursor.clone(), self.done.clone(), self.n_done)
-    }
-
-    fn restore(&mut self, snap: (Vec<usize>, Vec<bool>, usize)) {
-        self.cursor = snap.0;
-        self.done = snap.1;
-        self.n_done = snap.2;
+    /// Greedily grow a cluster from `seed`, executing its members: they
+    /// are the log's tail from the call on, in execution order.
+    fn grow_cluster(
+        &mut self,
+        seed: usize,
+        local: u64,
+        cfg: &SchedulerConfig,
+        cands: &mut Vec<(u32, usize)>,
+    ) {
+        let mut qset = self.masks[seed];
+        // Global-diagonal gates are drained before seeding (build_stage_ops).
+        debug_assert!(
+            qset & !local == 0,
+            "global-diagonal gate reached cluster seeding"
+        );
+        // A single gate wider than kmax still has to execute: the cap is
+        // max(kmax, seed arity).
+        let cap = cfg.kmax.max(qset.count_ones());
+        self.execute(seed);
+        loop {
+            // Phase 1: absorb every ready gate already contained in Q —
+            // these are free (no qubit budget) and unblock deeper gates on
+            // the same qubits, so run to a fixpoint before spending budget.
+            self.absorb(qset);
+            // Phase 2: expand Q. Candidates are ready gates that fit in the
+            // kmax budget; each is scored by a one-step lookahead (how many
+            // contained gates the expansion immediately unlocks), preferring
+            // fewer new qubits on ties — the "small local search" of §3.6.1.
+            self.fill_ready();
+            cands.clear();
+            for &pos in &self.ready {
+                let m = self.masks[pos];
+                if m & !local != 0 {
+                    continue; // global-diagonal: separate op
+                }
+                let new = (m & !qset).count_ones();
+                debug_assert!(new > 0, "contained gate survived phase 1");
+                if qset.count_ones() + new <= cap {
+                    cands.push((new, pos));
+                }
+            }
+            cands.sort_unstable();
+            cands.truncate(cfg.cluster_trials.max(1));
+            // (score, pos): every trial scores at least 1, so the first
+            // candidate with the strictly highest score wins.
+            let mut best = (0usize, 0usize);
+            for &(_, pos) in cands.iter() {
+                let mark = self.mark();
+                self.execute(pos);
+                let score = 1 + self.absorb(qset | self.masks[pos]);
+                self.undo(mark);
+                if score > best.0 {
+                    best = (score, pos);
+                }
+            }
+            if best.0 == 0 {
+                return;
+            }
+            qset |= self.masks[best.1];
+            self.execute(best.1);
+        }
     }
 }
 
@@ -106,31 +169,22 @@ pub fn build_stage_ops(
     cfg: &SchedulerConfig,
 ) -> Vec<StageOp> {
     let l = cfg.local_qubits;
-    let mut tr = StageTracker::new(circuit, stage_gates);
+    let local = mask_of(0..l);
+    let mut tr = StageTracker::new(circuit, stage_gates, mapping);
     let mut ops: Vec<StageOp> = Vec::new();
+    let (mut seeds, mut members, mut cands) = (Vec::new(), Vec::new(), Vec::new());
 
-    let phys = |gi: usize| -> Vec<u32> {
-        circuit.gates()[gi]
-            .qubits()
-            .iter()
-            .map(|&q| mapping[q as usize])
-            .collect()
-    };
-    let is_global_diag = |gi: usize| -> bool { phys(gi).iter().any(|&p| p >= l) };
-
-    while !tr.is_done() {
-        let ready = tr.ready_positions();
-        debug_assert!(!ready.is_empty(), "stage tracker stuck");
+    while !tr.deps.is_done() {
+        tr.fill_ready();
+        debug_assert!(!tr.ready.is_empty(), "stage tracker stuck");
 
         // Emit any ready specialized diagonal ops first: they are cheap
         // and unblock chains for clustering.
         let mut emitted_diag = false;
-        for &pos in &ready {
-            if tr.done[pos] {
-                continue;
-            }
-            let gi = stage_gates[pos];
-            if is_global_diag(gi) {
+        for i in 0..tr.ready.len() {
+            let pos = tr.ready[i];
+            if tr.masks[pos] & !local != 0 {
+                let gi = stage_gates[pos];
                 debug_assert!(
                     circuit.gates()[gi].is_diagonal(),
                     "global dense gate in stage"
@@ -150,37 +204,28 @@ pub fn build_stage_ops(
         }
 
         // Local search over seeds: grow a candidate cluster from each of
-        // the first `cluster_trials` ready gates, keep the biggest.
-        let seeds: Vec<usize> = ready
-            .iter()
-            .copied()
-            .filter(|&p| !tr.done[p])
-            .take(cfg.cluster_trials.max(1))
-            .collect();
-        debug_assert!(!seeds.is_empty());
-        let mut best: Option<Vec<usize>> = None;
+        // the first `cluster_trials` ready gates and keep the biggest (the
+        // first on ties). Every trial is rolled back; the winner is then
+        // re-executed to commit it.
+        seeds.clear();
+        seeds.extend(tr.ready.iter().take(cfg.cluster_trials.max(1)));
+        members.clear();
         for &seed in &seeds {
-            let snap = tr.snapshot();
-            let members = grow_cluster(circuit, stage_gates, &mut tr, seed, mapping, cfg);
-            tr.restore(snap);
-            if best.as_ref().is_none_or(|b| members.len() > b.len()) {
-                best = Some(members);
+            let mark = tr.mark();
+            tr.grow_cluster(seed, local, cfg, &mut cands);
+            if tr.log.len() - mark > members.len() {
+                members.clear();
+                members.extend_from_slice(&tr.log[mark..]);
             }
+            tr.undo(mark);
         }
-        let members = best.unwrap();
-        // Commit: re-execute the chosen members.
         for &pos in &members {
             tr.execute(pos);
         }
         let gate_indices: Vec<usize> = members.iter().map(|&p| stage_gates[p]).collect();
-        let mut qset: BTreeSet<u32> = BTreeSet::new();
-        for &gi in &gate_indices {
-            for p in phys(gi) {
-                qset.insert(p);
-            }
-        }
-        let qubits: Vec<u32> = qset.into_iter().collect();
-        debug_assert!(qubits.iter().all(|&p| p < l));
+        let footprint = members.iter().fold(0, |m, &p| m | tr.masks[p]);
+        debug_assert!(footprint & !local == 0);
+        let qubits = positions_of(footprint);
         let gates_ref: Vec<(usize, &Gate)> = gate_indices
             .iter()
             .map(|&gi| (gi, &circuit.gates()[gi]))
@@ -200,110 +245,6 @@ pub fn build_stage_ops(
         ops = crate::sweep::order_ops_for_sweep(ops, crate::sweep::DEFAULT_TILE_QUBITS.min(l));
     }
     ops
-}
-
-/// Greedily grow a cluster from `seed`; returns the member positions in
-/// execution order. Mutates the tracker (caller snapshots/restores for
-/// trials, then re-executes to commit).
-fn grow_cluster(
-    circuit: &Circuit,
-    stage_gates: &[usize],
-    tr: &mut StageTracker,
-    seed: usize,
-    mapping: &[u32],
-    cfg: &SchedulerConfig,
-) -> Vec<usize> {
-    let l = cfg.local_qubits;
-    let phys = |pos: usize| -> Vec<u32> {
-        circuit.gates()[stage_gates[pos]]
-            .qubits()
-            .iter()
-            .map(|&q| mapping[q as usize])
-            .collect()
-    };
-    let seed_phys = phys(seed);
-    // Global-diagonal gates are drained before seeding (build_stage_ops).
-    debug_assert!(
-        seed_phys.iter().all(|&p| p < l),
-        "global-diagonal gate reached cluster seeding"
-    );
-    let mut qset: BTreeSet<u32> = seed_phys.into_iter().collect();
-    // A single gate wider than kmax still has to execute: the cap is
-    // max(kmax, seed arity).
-    let cap = (cfg.kmax as usize).max(qset.len());
-    let mut members = vec![seed];
-    tr.execute(seed);
-    loop {
-        // Phase 1: absorb every ready gate already contained in Q — these
-        // are free (no qubit budget) and unblock deeper gates on the same
-        // qubits, so run to a fixpoint before spending budget.
-        let mut absorbed = true;
-        while absorbed {
-            absorbed = false;
-            for pos in tr.ready_positions() {
-                let ps = phys(pos);
-                if ps.iter().all(|p| qset.contains(p)) {
-                    members.push(pos);
-                    tr.execute(pos);
-                    absorbed = true;
-                }
-            }
-        }
-        // Phase 2: expand Q. Candidates are ready gates that fit in the
-        // kmax budget; each is scored by a one-step lookahead (how many
-        // contained gates the expansion immediately unlocks), preferring
-        // fewer new qubits on ties — the "small local search" of §3.6.1.
-        let mut candidates: Vec<(usize, usize, Vec<u32>)> = Vec::new(); // (new, pos, ps)
-        for pos in tr.ready_positions() {
-            let ps = phys(pos);
-            if ps.iter().any(|&p| p >= l) {
-                continue; // global-diagonal: separate op
-            }
-            let new = ps.iter().filter(|p| !qset.contains(p)).count();
-            debug_assert!(new > 0, "contained gate survived phase 1");
-            if qset.len() + new <= cap {
-                candidates.push((new, pos, ps));
-            }
-        }
-        if candidates.is_empty() {
-            return members;
-        }
-        candidates.sort_by_key(|c| (c.0, c.1));
-        candidates.truncate(cfg.cluster_trials.max(1));
-        let mut best: Option<(usize, usize)> = None; // (score, candidate idx)
-        for (ci, (_, pos, ps)) in candidates.iter().enumerate() {
-            let snap = tr.snapshot();
-            let mut q2 = qset.clone();
-            for p in ps {
-                q2.insert(*p);
-            }
-            tr.execute(*pos);
-            // Count the contained gates this expansion unlocks.
-            let mut score = 1usize;
-            let mut absorbed = true;
-            while absorbed {
-                absorbed = false;
-                for p2 in tr.ready_positions() {
-                    let ps2 = phys(p2);
-                    if ps2.iter().all(|p| q2.contains(p)) {
-                        tr.execute(p2);
-                        score += 1;
-                        absorbed = true;
-                    }
-                }
-            }
-            tr.restore(snap);
-            if best.is_none_or(|(s, _)| score > s) {
-                best = Some((score, ci));
-            }
-        }
-        let (_, pos, ps) = &candidates[best.unwrap().1];
-        for p in ps {
-            qset.insert(*p);
-        }
-        members.push(*pos);
-        tr.execute(*pos);
-    }
 }
 
 #[cfg(test)]

@@ -300,6 +300,17 @@ impl Schedule {
     }
 }
 
+/// A set of physical positions as a mask: bit `p` is position `p`.
+/// `Circuit::new` caps n at 63, so every position fits.
+pub(crate) fn mask_of(positions: impl IntoIterator<Item = u32>) -> u64 {
+    positions.into_iter().fold(0, |m, p| m | 1 << p)
+}
+
+/// The positions of a mask, ascending.
+pub(crate) fn positions_of(mask: u64) -> Vec<u32> {
+    (0..64).filter(|&p| mask >> p & 1 == 1).collect()
+}
+
 /// Transform a logical→physical mapping through a full swap: qubits at
 /// `swap.local_slots[i]` and global position `l + i` exchange places.
 pub fn apply_swap_to_mapping(mapping: &[u32], swap: &SwapOp, l: u32, g: u32) -> Vec<u32> {

@@ -25,7 +25,9 @@
 
 use crate::cluster::build_stage_ops;
 use crate::config::SchedulerConfig;
-use crate::schedule::{apply_swap_to_mapping, Schedule, Stage, StageOp, SwapOp};
+use crate::schedule::{
+    apply_swap_to_mapping, mask_of, positions_of, Schedule, Stage, StageOp, SwapOp,
+};
 use qsim_circuit::{Circuit, DependencyTracker, Gate};
 
 /// Plan a circuit: stage finding + clustering + swap adjustment.
@@ -54,15 +56,23 @@ pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
     // plan with the fewest swaps; otherwise a single greedy pass with the
     // paper's lowest-order-slot swaps.
     let mut raw_stages = if cfg.swap_search {
+        // The opposite worst-case flag's density, for candidate diversity
+        // (see `candidate_swaps`); it depends on the circuit only.
+        let alt_cfg = SchedulerConfig {
+            worst_case_dense: !cfg.worst_case_dense,
+            ..*cfg
+        };
         let mut search = SwapSearch {
             circuit,
             cfg,
             treat_dense: &treat_dense,
+            alt_cfg,
+            alt_dense: dense_for_scheduling(circuit, &alt_cfg),
             best: None,
             budget: 4000,
         };
         let tracker = DependencyTracker::new(circuit);
-        search.dfs(tracker, mapping.clone(), Vec::new(), 0);
+        search.dfs(tracker, mapping.clone(), &mut Vec::new(), 0);
         // The DFS can exhaust its budget on adversarial configurations
         // (e.g. many blocked two-qubit gates with specialization off);
         // the greedy pass always terminates and is the guaranteed
@@ -81,31 +91,21 @@ pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
     // consecutive stages.
     let mut stages: Vec<Stage> = Vec::new();
     let mut carried: Vec<usize> = Vec::new();
-    for (si, (gates, swap, map)) in raw_stages.iter().enumerate() {
+    for (gates, swap, mapping) in raw_stages {
         let mut stage_gates = std::mem::take(&mut carried);
-        stage_gates.extend_from_slice(gates);
-        let mut ops = build_stage_ops(circuit, &stage_gates, map, cfg);
+        stage_gates.extend_from_slice(&gates);
+        let mut ops = build_stage_ops(circuit, &stage_gates, &mapping, cfg);
         if cfg.adjust_swaps {
-            if let Some(sw) = swap {
-                let moved = pop_movable_suffix(&mut ops, sw, cfg);
-                carried = moved;
-                // Re-check: gates carried forward keep their physical
-                // positions (their slots are disjoint from the swap).
-                let _ = si;
+            if let Some(sw) = &swap {
+                // Gates carried forward keep their physical positions
+                // (their slots are disjoint from the swap).
+                carried = pop_movable_suffix(&mut ops, sw, cfg);
             }
         }
-        stages.push(Stage {
-            mapping: map.clone(),
-            ops,
-            swap: swap.clone(),
-        });
+        stages.push(Stage { mapping, ops, swap });
     }
-    // Any carry left after the final stage belongs to the final stage.
-    if !carried.is_empty() {
-        let last = stages.last_mut().unwrap();
-        let extra = build_stage_ops(circuit, &carried, &last.mapping.clone(), cfg);
-        last.ops.extend(extra);
-    }
+    // Only a swap carries gates forward, and the last stage has none.
+    debug_assert!(carried.is_empty());
 
     Schedule {
         n_qubits: n,
@@ -125,17 +125,17 @@ fn collect_stage(
     treat_dense: &[bool],
 ) -> Vec<usize> {
     let mut out = Vec::new();
+    let mut ready = Vec::new();
     loop {
-        let ready = tracker.ready_gates();
-        let mut progressed = false;
-        for gi in ready {
+        tracker.ready_gates_into(&mut ready);
+        let before = out.len();
+        for &gi in &ready {
             if is_executable(&circuit.gates()[gi], gi, mapping, cfg, treat_dense) {
                 tracker.execute(gi);
                 out.push(gi);
-                progressed = true;
             }
         }
-        if !progressed {
+        if out.len() == before {
             return out;
         }
     }
@@ -367,16 +367,21 @@ struct SwapSearch<'a> {
     circuit: &'a Circuit,
     cfg: &'a SchedulerConfig,
     treat_dense: &'a [bool],
+    /// `cfg` with the opposite worst-case flag, and its density.
+    alt_cfg: SchedulerConfig,
+    alt_dense: Vec<bool>,
     best: Option<Vec<RawStage>>,
     budget: usize,
 }
 
 impl SwapSearch<'_> {
+    /// Explore from `tracker` under `mapping`; `acc` holds the stages
+    /// (each closed by its swap) leading here and is restored on return.
     fn dfs(
         &mut self,
         mut tracker: DependencyTracker,
         mapping: Vec<u32>,
-        mut acc: Vec<RawStage>,
+        acc: &mut Vec<RawStage>,
         empty_streak: usize,
     ) {
         if self.budget == 0 || empty_streak >= 2 {
@@ -387,12 +392,11 @@ impl SwapSearch<'_> {
             return;
         }
         self.budget -= 1;
-        // Prune: already as many swaps as the best complete plan.
-        if let Some(best) = &self.best {
-            let best_swaps = best.iter().filter(|s| s.1.is_some()).count();
-            if acc.len() >= best_swaps {
-                return;
-            }
+        // Prune: already as many swaps as the best complete plan (every
+        // stage in `acc` is closed by one).
+        let best_swaps = self.best.as_ref().map_or(usize::MAX, |b| b.len() - 1);
+        if acc.len() >= best_swaps {
+            return;
         }
         let stage_gates = collect_stage(
             self.circuit,
@@ -402,143 +406,132 @@ impl SwapSearch<'_> {
             self.treat_dense,
         );
         if tracker.is_done() {
-            acc.push((stage_gates, None, mapping));
-            let swaps = acc.iter().filter(|s| s.1.is_some()).count();
-            let better = match &self.best {
-                None => true,
-                Some(b) => swaps < b.iter().filter(|s| s.1.is_some()).count(),
-            };
-            if better {
-                self.best = Some(acc);
-            }
+            // The prune above lets only strictly better plans get here.
+            let mut plan = acc.clone();
+            plan.push((stage_gates, None, mapping));
+            self.best = Some(plan);
             return;
         }
         // Guard against livelock: a swap must change the mapping.
         let l = self.cfg.local_qubits;
         let g = self.circuit.n_qubits() - l;
-        let swaps = candidate_swaps(self.circuit, &tracker, &mapping, self.cfg, self.treat_dense);
+        let swaps = self.candidate_swaps(&tracker, &mapping);
+        let streak = if stage_gates.is_empty() {
+            empty_streak + 1
+        } else {
+            0
+        };
+        let depth = acc.len();
+        acc.push((stage_gates, None, mapping));
         for swap in swaps {
-            let next = apply_swap_to_mapping(&mapping, &swap, l, g);
-            if next == mapping && stage_gates.is_empty() {
+            let (stage_gates, _, mapping) = &acc[depth];
+            let next = apply_swap_to_mapping(mapping, &swap, l, g);
+            if next == *mapping && stage_gates.is_empty() {
                 continue; // no progress possible down this branch
             }
-            let mut acc2 = acc.clone();
-            acc2.push((stage_gates.clone(), Some(swap), mapping.clone()));
-            let streak = if stage_gates.is_empty() {
-                empty_streak + 1
-            } else {
-                0
-            };
-            self.dfs(tracker.clone(), next, acc2, streak);
+            acc[depth].1 = Some(swap);
+            self.dfs(tracker.clone(), next, acc, streak);
         }
+        acc.truncate(depth);
     }
-}
 
-/// Candidate swaps at a stall point, deduplicated.
-fn candidate_swaps(
-    circuit: &Circuit,
-    tracker: &DependencyTracker,
-    mapping: &[u32],
-    cfg: &SchedulerConfig,
-    treat_dense: &[bool],
-) -> Vec<SwapOp> {
-    let n = circuit.n_qubits();
-    let l = cfg.local_qubits;
-    let g = n - l;
+    /// Candidate swaps at a stall point, deduplicated.
+    fn candidate_swaps(&self, tracker: &DependencyTracker, mapping: &[u32]) -> Vec<SwapOp> {
+        let (circuit, cfg, treat_dense) = (self.circuit, self.cfg, self.treat_dense);
+        let n = circuit.n_qubits();
+        let l = cfg.local_qubits;
+        let g = n - l;
 
-    debug_assert!(g > 0, "no swap possible without global qubits");
-    // Candidate scores, each turned into a candidate global set:
-    // (a) Belady — next local-requiring gate per qubit, furthest first;
-    // (b) nearly-finished — fewest remaining local-requiring gates (the
-    //     right choice before a potential final stage);
-    // (c) the paper's upper bound — lowest-order local slots.
-    let mut next_need = vec![usize::MAX; n as usize];
-    let mut remaining_need = vec![0usize; n as usize];
-    // A second score set under the opposite worst-case flag, giving the
-    // search candidate diversity: the worst-case plan is always legal
-    // under median rules, so its swap targets are worth trying there too
-    // (and vice versa).
-    let mut alt_cfg = *cfg;
-    alt_cfg.worst_case_dense = !cfg.worst_case_dense;
-    let alt_dense = dense_for_scheduling(circuit, &alt_cfg);
-    let mut next_need_strict = vec![usize::MAX; n as usize];
-    let mut remaining_strict = vec![0usize; n as usize];
-    for gi in 0..circuit.len() {
-        if tracker.is_executed(gi) {
-            continue;
-        }
-        let gate = &circuit.gates()[gi];
-        if needs_local(gate, gi, cfg, treat_dense) {
-            for q in gate.qubits() {
-                if next_need[q as usize] == usize::MAX {
-                    next_need[q as usize] = gi;
+        debug_assert!(g > 0, "no swap possible without global qubits");
+        // Candidate scores, each turned into a candidate global set:
+        // (a) Belady — next local-requiring gate per qubit, furthest first;
+        // (b) nearly-finished — fewest remaining local-requiring gates (the
+        //     right choice before a potential final stage);
+        // (c) the paper's upper bound — lowest-order local slots.
+        let mut next_need = vec![usize::MAX; n as usize];
+        let mut remaining_need = vec![0usize; n as usize];
+        // A second score set under the opposite worst-case flag, giving the
+        // search candidate diversity: the worst-case plan is always legal
+        // under median rules, so its swap targets are worth trying there
+        // too (and vice versa).
+        let mut next_need_strict = vec![usize::MAX; n as usize];
+        let mut remaining_strict = vec![0usize; n as usize];
+        for (gi, gate) in circuit.gates().iter().enumerate() {
+            if tracker.is_executed(gi) {
+                continue;
+            }
+            if needs_local(gate, gi, cfg, treat_dense) {
+                for q in gate.qubits() {
+                    if next_need[q as usize] == usize::MAX {
+                        next_need[q as usize] = gi;
+                    }
+                    remaining_need[q as usize] += 1;
                 }
-                remaining_need[q as usize] += 1;
             }
-        }
-        if needs_local(gate, gi, &alt_cfg, &alt_dense) {
-            for q in gate.qubits() {
-                if next_need_strict[q as usize] == usize::MAX {
-                    next_need_strict[q as usize] = gi;
+            if needs_local(gate, gi, &self.alt_cfg, &self.alt_dense) {
+                for q in gate.qubits() {
+                    if next_need_strict[q as usize] == usize::MAX {
+                        next_need_strict[q as usize] = gi;
+                    }
+                    remaining_strict[q as usize] += 1;
                 }
-                remaining_strict[q as usize] += 1;
             }
         }
-    }
-    // Qubits involved in currently blocked frontier gates must come (or
-    // stay) local: force their scores to "needed immediately".
-    for gi in tracker.ready_gates() {
-        let gate = &circuit.gates()[gi];
-        if !is_executable(gate, gi, mapping, cfg, treat_dense) {
-            for q in gate.qubits() {
-                next_need[q as usize] = 0;
-                remaining_need[q as usize] = usize::MAX;
-                next_need_strict[q as usize] = 0;
-                remaining_strict[q as usize] = usize::MAX;
+        // Qubits involved in currently blocked frontier gates must come (or
+        // stay) local: force their scores to "needed immediately".
+        for gi in tracker.ready_gates() {
+            let gate = &circuit.gates()[gi];
+            if !is_executable(gate, gi, mapping, cfg, treat_dense) {
+                for q in gate.qubits() {
+                    next_need[q as usize] = 0;
+                    remaining_need[q as usize] = usize::MAX;
+                    next_need_strict[q as usize] = 0;
+                    remaining_strict[q as usize] = usize::MAX;
+                }
             }
         }
-    }
-    // Nearly-finished score: invert remaining counts (fewer = better
-    // global candidate = larger score).
-    let max_rem = circuit.len() + 1;
-    let invert =
-        |v: &[usize]| -> Vec<usize> { v.iter().map(|&r| max_rem.saturating_sub(r)).collect() };
-    let mut candidates: Vec<Vec<u32>> = vec![
-        build_mapping_from_scores(&next_need, n, l),
-        build_mapping_from_scores(&invert(&remaining_need), n, l),
-        build_mapping_from_scores(&next_need_strict, n, l),
-        build_mapping_from_scores(&invert(&remaining_strict), n, l),
-    ];
-    // (c) the basic lowest-order slot swap relative to the current map
-    // (with blocked-frontier qubits protected from eviction), and
-    // (d) its eviction twin — step one of the two-swap juggle for
-    // blocked gates too wide to satisfy in one swap.
-    for evict in [false, true] {
-        candidates.push(apply_swap_to_mapping(
-            mapping,
-            &basic_swap(circuit, tracker, mapping, cfg, treat_dense, evict),
-            l,
-            g,
-        ));
-    }
-    // Order candidates best-first by simulated next-stage progress so the
-    // DFS finds a good plan early (tightening its pruning bound).
-    let mut scored: Vec<(usize, usize, Vec<u32>)> = candidates
-        .into_iter()
-        .map(|m| {
-            let (gates, done) = simulate_stage(circuit, tracker, &m, cfg, treat_dense);
-            (done as usize, gates, m)
-        })
-        .collect();
-    scored.sort_by_key(|s| (std::cmp::Reverse(s.0), std::cmp::Reverse(s.1)));
-    let mut out: Vec<SwapOp> = Vec::new();
-    for (_, _, target) in scored {
-        let swap = mapping_pair_to_swap(mapping, &target, l, g);
-        if !out.contains(&swap) {
-            out.push(swap);
+        // Nearly-finished score: invert remaining counts (fewer = better
+        // global candidate = larger score).
+        let max_rem = circuit.len() + 1;
+        let invert =
+            |v: &[usize]| -> Vec<usize> { v.iter().map(|&r| max_rem.saturating_sub(r)).collect() };
+        let mut candidates: Vec<Vec<u32>> = vec![
+            build_mapping_from_scores(&next_need, n, l),
+            build_mapping_from_scores(&invert(&remaining_need), n, l),
+            build_mapping_from_scores(&next_need_strict, n, l),
+            build_mapping_from_scores(&invert(&remaining_strict), n, l),
+        ];
+        // (c) the basic lowest-order slot swap relative to the current map
+        // (with blocked-frontier qubits protected from eviction), and
+        // (d) its eviction twin — step one of the two-swap juggle for
+        // blocked gates too wide to satisfy in one swap.
+        for evict in [false, true] {
+            candidates.push(apply_swap_to_mapping(
+                mapping,
+                &basic_swap(circuit, tracker, mapping, cfg, treat_dense, evict),
+                l,
+                g,
+            ));
         }
+        // Order candidates best-first by simulated next-stage progress so
+        // the DFS finds a good plan early (tightening its pruning bound).
+        let mut scored: Vec<(usize, usize, Vec<u32>)> = candidates
+            .into_iter()
+            .map(|m| {
+                let (gates, done) = simulate_stage(circuit, tracker, &m, cfg, treat_dense);
+                (done as usize, gates, m)
+            })
+            .collect();
+        scored.sort_by_key(|s| (std::cmp::Reverse(s.0), std::cmp::Reverse(s.1)));
+        let mut out: Vec<SwapOp> = Vec::new();
+        for (_, _, target) in scored {
+            let swap = mapping_pair_to_swap(mapping, &target, l, g);
+            if !out.contains(&swap) {
+                out.push(swap);
+            }
+        }
+        out
     }
-    out
 }
 
 /// Convert (current mapping, target mapping) into a full SwapOp: the new
@@ -547,24 +540,20 @@ fn candidate_swaps(
 /// keep a qubit global it is still cycled through a local slot (padded
 /// with the lowest-order free local positions).
 fn mapping_pair_to_swap(mapping: &[u32], target: &[u32], l: u32, g: u32) -> SwapOp {
-    let n = mapping.len() as u32;
-    let mut slots: Vec<u32> = (0..n)
-        .filter(|&q| target[q as usize] >= l && mapping[q as usize] < l)
-        .map(|q| mapping[q as usize])
-        .collect();
-    slots.sort_unstable();
-    let mut extra = 0u32;
-    while (slots.len() as u32) < g {
-        // Pad with unused low-order local positions.
-        while slots.contains(&extra) {
-            extra += 1;
+    let mut slots = mask_of(
+        (0..mapping.len())
+            .filter(|&q| target[q] >= l && mapping[q] < l)
+            .map(|q| mapping[q]),
+    );
+    for p in 0..64 {
+        if slots.count_ones() >= g {
+            break;
         }
-        slots.push(extra);
-        slots.sort_unstable();
-        extra += 1;
+        slots |= 1 << p;
     }
-    slots.truncate(g as usize);
-    SwapOp { local_slots: slots }
+    let mut local_slots = positions_of(slots);
+    local_slots.truncate(g as usize);
+    SwapOp { local_slots }
 }
 
 /// Shared helper: given per-qubit scores (higher = better global
@@ -575,12 +564,12 @@ fn build_mapping_from_scores(score: &[usize], n: u32, l: u32) -> Vec<u32> {
     let mut order: Vec<u32> = (0..n).collect();
     // Stable: later-needed qubits first; ties by qubit id.
     order.sort_by_key(|&q| (std::cmp::Reverse(score[q as usize]), q));
-    let global_set: std::collections::HashSet<u32> = order[..g].iter().copied().collect();
+    let global_set = mask_of(order[..g].iter().copied());
     let mut mapping = vec![0u32; n as usize];
     let mut next_local = 0u32;
     let mut next_global = l;
     for q in 0..n {
-        if global_set.contains(&q) {
+        if global_set >> q & 1 == 1 {
             mapping[q as usize] = next_global;
             next_global += 1;
         } else {

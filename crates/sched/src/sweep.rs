@@ -20,8 +20,7 @@
 //! is what makes the tiled executor bit-exact against the per-gate
 //! oracle (both walk the same op order).
 
-use crate::schedule::StageOp;
-use std::collections::BTreeSet;
+use crate::schedule::{mask_of, positions_of, StageOp};
 
 /// Default tile budget (log2 amplitudes) of the footprint-ordering
 /// pass, the cost model's pass counts and the stage executor alike
@@ -73,32 +72,30 @@ fn is_diagonal_like(op: &StageOp) -> bool {
 
 /// Group a stage's ops into sweep passes under a `tile_qubits` budget.
 pub fn plan_stage_sweeps(ops: &[StageOp], local_qubits: u32, tile_qubits: u32) -> SweepPlan {
-    let cap = tile_qubits.min(local_qubits).max(1) as usize;
+    let cap = tile_qubits.min(local_qubits).max(1);
     let mut passes: Vec<SweepPass> = Vec::new();
     let mut group: Vec<usize> = Vec::new();
-    let mut union: BTreeSet<u32> = BTreeSet::new();
+    let mut union = 0u64;
 
-    let flush = |group: &mut Vec<usize>, union: &mut BTreeSet<u32>, passes: &mut Vec<SweepPass>| {
+    let flush = |group: &mut Vec<usize>, union: &mut u64, passes: &mut Vec<SweepPass>| {
         if group.is_empty() {
             return;
         }
         // Pad the dense union with the lowest unused local positions up
         // to the full tile budget: bigger tiles amortize the gather, and
         // a union within {0..cap} yields a contiguous (zero-copy) tile.
-        let mut tile: Vec<u32> = union.iter().copied().collect();
-        let mut next = 0u32;
-        while tile.len() < cap && next < local_qubits {
-            if !union.contains(&next) {
-                tile.push(next);
+        let mut tile = *union;
+        for p in 0..local_qubits {
+            if tile.count_ones() >= cap {
+                break;
             }
-            next += 1;
+            tile |= 1 << p;
         }
-        tile.sort_unstable();
         passes.push(SweepPass::Tiled {
             op_indices: std::mem::take(group),
-            tile,
+            tile: positions_of(tile),
         });
-        union.clear();
+        *union = 0;
     };
 
     for (oi, op) in ops.iter().enumerate() {
@@ -107,23 +104,23 @@ pub fn plan_stage_sweeps(ops: &[StageOp], local_qubits: u32, tile_qubits: u32) -
             continue;
         }
         let qs = op_positions(op);
-        if qs.len() > cap {
+        if qs.len() > cap as usize {
             flush(&mut group, &mut union, &mut passes);
             passes.push(SweepPass::Full { op_index: oi });
             continue;
         }
-        let grown = qs.iter().filter(|p| !union.contains(p)).count();
-        if union.len() + grown > cap {
+        let m = mask_of(qs.iter().copied());
+        if (union | m).count_ones() > cap {
             flush(&mut group, &mut union, &mut passes);
         }
-        union.extend(qs.iter().copied());
+        union |= m;
         group.push(oi);
     }
     flush(&mut group, &mut union, &mut passes);
 
     SweepPlan {
         passes,
-        tile_qubits: cap as u32,
+        tile_qubits: cap,
         n_ops: ops.len(),
     }
 }
@@ -143,53 +140,56 @@ pub fn order_ops_for_sweep(ops: Vec<StageOp>, tile_qubits: u32) -> Vec<StageOp> 
     if n <= 1 {
         return ops;
     }
-    let budget = tile_qubits.max(1) as usize;
-    let conflicts: Vec<Vec<usize>> = (0..n)
-        .map(|j| {
-            let pj = op_positions(&ops[j]);
-            (0..j)
-                .filter(|&i| op_positions(&ops[i]).iter().any(|p| pj.contains(p)))
-                .collect()
-        })
+    let budget = tile_qubits.max(1);
+    // Footprints as position masks: global-diagonal positions are < n
+    // ≤ 63 too.
+    let masks: Vec<u64> = ops
+        .iter()
+        .map(|op| mask_of(op_positions(op).iter().copied()))
         .collect();
     let diag_like: Vec<bool> = ops.iter().map(is_diagonal_like).collect();
 
     let mut emitted = vec![false; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut union: BTreeSet<u32> = BTreeSet::new();
+    let mut union = 0u64;
     while order.len() < n {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&j| !emitted[j] && conflicts[j].iter().all(|&i| emitted[i]))
-            .collect();
-        debug_assert!(!ready.is_empty(), "footprint ordering stuck");
-        // Diagonals first, in index order: free to fold into any pass.
+        // One scan: op j is ready when no earlier unemitted op shares a
+        // position with it (`blocked`). Ready diagonals are emitted in
+        // index order — free to fold into any pass — and otherwise the
+        // ready cluster that grows the union least (lowest index on
+        // ties) goes next.
+        let mut blocked = 0u64;
         let mut took_diag = false;
-        for &j in &ready {
-            if diag_like[j] {
+        let mut best: Option<(u32, usize)> = None;
+        for j in 0..n {
+            if emitted[j] {
+                continue;
+            }
+            let ready = masks[j] & blocked == 0;
+            blocked |= masks[j];
+            if ready && diag_like[j] {
                 emitted[j] = true;
                 order.push(j);
                 took_diag = true;
+            } else if ready {
+                let grown = (masks[j] & !union).count_ones();
+                if best.is_none_or(|(g, _)| grown < g) {
+                    best = Some((grown, j));
+                }
             }
         }
         if took_diag {
             continue;
         }
-        let &best = ready
-            .iter()
-            .min_by_key(|&&j| {
-                let qs = op_positions(&ops[j]);
-                let grown = qs.iter().filter(|p| !union.contains(p)).count();
-                (grown, j)
-            })
-            .unwrap();
-        let qs = op_positions(&ops[best]);
-        let grown = qs.iter().filter(|p| !union.contains(p)).count();
-        if union.len() + grown > budget {
-            union.clear();
+        let Some((grown, j)) = best else {
+            unreachable!("footprint ordering stuck");
+        };
+        if union.count_ones() + grown > budget {
+            union = 0;
         }
-        union.extend(qs.iter().copied());
-        emitted[best] = true;
-        order.push(best);
+        union |= masks[j];
+        emitted[j] = true;
+        order.push(j);
     }
 
     let mut slots: Vec<Option<StageOp>> = ops.into_iter().map(Some).collect();

@@ -232,15 +232,34 @@ fn spec() -> SupremacySpec {
     if s.depth == 0 {
         usage_error("bad --depth 0 (expected at least one CZ cycle)");
     }
+    // `Circuit::new` asserts this too: the scheduler keeps position sets
+    // in `u64` masks.
+    if s.rows.checked_mul(s.cols).is_none_or(|n| n > 63) {
+        usage_error(format!(
+            "bad --rows/--cols: the {}x{} grid has more than 63 qubits",
+            s.rows, s.cols
+        ));
+    }
     s
+}
+
+/// The `--local` values `plan` accepts for `n` qubits: every two-qubit
+/// gate must fit locally (l ≥ 2), and a full swap gives up one local
+/// position per global qubit (2·l ≥ n).
+fn local_range(n: u32) -> std::ops::RangeInclusive<u32> {
+    n.div_ceil(2).max(n.min(2))..=n
 }
 
 fn cmd_plan() {
     let s = spec();
     let n = s.n_qubits();
-    let l = arg("--local", n.saturating_sub(2).max(1));
-    if !(1..=n).contains(&l) {
-        usage_error(format!("bad --local {l} (expected 1..={n})"));
+    let valid = local_range(n);
+    let l = arg("--local", n.saturating_sub(2).max(*valid.start()));
+    if !valid.contains(&l) {
+        usage_error(format!(
+            "bad --local {l} (expected {}..={n} for {n} qubits: l >= 2 and 2*l >= n)",
+            valid.start()
+        ));
     }
     let kmax = kmax_arg(false);
     let circuit = supremacy_circuit(&s);
@@ -450,12 +469,19 @@ fn run_at<R: SweepDispatch>() {
                 plan.plan_seconds
             );
         }
-        BackendStats::Dist { fabric, .. } => {
+        BackendStats::Dist {
+            fabric,
+            entropy_seconds,
+            ..
+        } => {
+            // The fabric's comm time runs through the final norm/entropy
+            // all-reduce, which `sim_seconds` stops short of.
+            let wall = out.sim_seconds + entropy_seconds;
             println!(
                 "distributed ({ranks} ranks, {}): {:.3} s ({:.1}% comm, {} swaps)",
                 R::NAME,
                 out.sim_seconds,
-                100.0 * fabric.max_comm_seconds / out.sim_seconds.max(1e-12),
+                100.0 * fabric.max_comm_seconds / wall.max(1e-12),
                 plan.schedule.n_swaps()
             );
         }

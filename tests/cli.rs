@@ -154,7 +154,7 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 20] = [
+    let cases: [(&[&str], &str); 24] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
@@ -165,6 +165,19 @@ fn misuse_is_a_one_line_usage_error() {
         (&["sample", "--shots", "0"], "--shots"),
         (&["plan", "--local", "0"], "--local"),
         (&["plan", "--local", "12"], "--local"),
+        // Geometry the planner cannot schedule (each used to panic in it):
+        // 2·l < n leaves no room for a full swap, l = 1 cannot hold a CZ,
+        // and more than 63 qubits overflow its position masks.
+        (
+            &["plan", "--rows", "5", "--cols", "9", "--local", "22"],
+            "--local",
+        ),
+        (
+            &["plan", "--rows", "2", "--cols", "2", "--local", "1"],
+            "--local",
+        ),
+        (&["plan", "--rows", "8", "--cols", "8"], "--rows/--cols"),
+        (&["plan", "--rows", "5", "--cols", "13"], "--rows/--cols"),
         (&["run", "--rows", "6", "--cols", "6"], "--rows"),
         (&["sample", "--rows", "6", "--cols", "5"], "--rows"),
         (&["run", "--compress", "bogus"], "--compress"),
@@ -205,6 +218,57 @@ fn misuse_is_a_one_line_usage_error() {
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "plan --kmax 7 must be accepted");
+    // Both ends of the `--local` range plan: l = ⌈n/2⌉ and l = 2.
+    for grid in [
+        ["--rows", "5", "--cols", "9", "--local", "23"],
+        ["--rows", "2", "--cols", "2", "--local", "2"],
+    ] {
+        let out = qsim45()
+            .arg("plan")
+            .args(grid)
+            .args(["--depth", "8"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{grid:?} must be accepted");
+    }
+}
+
+#[test]
+fn the_comm_share_is_a_share() {
+    // The fabric's comm time runs through the final all-reduce, which
+    // `sim_seconds` stops short of: small runs printed 247.9 % and
+    // 2061.1 % comm.
+    let cases: [&[&str]; 2] = [
+        &[
+            "--rows",
+            "3",
+            "--cols",
+            "3",
+            "--ranks",
+            "2",
+            "--schedule",
+            "search",
+        ],
+        &["--rows", "2", "--cols", "2", "--ranks", "4"],
+    ];
+    for args in cases {
+        let out = qsim45()
+            .arg("run")
+            .args(args)
+            .args(["--depth", "5"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("distributed"))
+            .expect("distributed report");
+        let (_, rest) = line.split_once(" s (").expect("report shape");
+        let (share, _) = rest.split_once("% comm").expect("comm share");
+        let share: f64 = share.parse().expect("a number");
+        assert!((0.0..=100.0).contains(&share), "{line}");
+    }
 }
 
 #[test]
