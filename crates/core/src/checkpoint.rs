@@ -662,6 +662,7 @@ mod tests {
                     ops: vec![StageOp::Cluster(Cluster {
                         qubits: vec![0, 1],
                         gate_indices: vec![0],
+                        diagonal: false,
                         matrix: GateMatrix::identity(2),
                     })],
                     swap: Some(SwapOp {

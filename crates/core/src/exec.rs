@@ -16,7 +16,7 @@
 //!   [`compile_stage`]
 //!   turns a stage's op list into prepared passes: gate matrices are
 //!   permuted/packed ONCE (per stage, not per apply), and diagonal ops —
-//!   including fused clusters whose matrix happens to be diagonal — fold
+//!   including clusters of diagonal gates (`Cluster::diagonal`) — fold
 //!   into the sweep as phase multiplications; `TiledPass` resolves both
 //!   kinds of operand against the tile it stages.
 //!   [`execute_compiled_stage`] then streams the partition once per
@@ -41,7 +41,7 @@ use qsim_kernels::sweep::{
     TileOp, TiledPass,
 };
 use qsim_sched::sweep::DEFAULT_TILE_QUBITS;
-use qsim_sched::{plan_stage_sweeps, DiagonalOp, Stage, StageOp, SweepPass};
+use qsim_sched::{plan_stage_sweeps, Cluster, DiagonalOp, Stage, StageOp, SweepPass};
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 use std::ops::Range;
@@ -84,20 +84,18 @@ pub fn compile_stage<R: SweepDispatch>(
                 let tile_ops = op_indices
                     .iter()
                     .map(|&oi| match &ops[oi] {
-                        StageOp::Cluster(c) => match c.matrix.as_diagonal() {
-                            // Diagonal fused cluster: fold as phases
-                            // (same deterministic test as the planner).
-                            Some(diag) => {
-                                let diag: Vec<Complex<R>> =
-                                    diag.iter().map(|a| a.convert()).collect();
-                                TileOp::Diag(PreparedDiag::new(&c.qubits, diag, local_qubits))
-                            }
-                            None => TileOp::Dense(PreparedGate::new(
-                                &c.qubits,
-                                &c.matrix.convert::<R>(),
-                                kernel,
-                            )),
-                        },
+                        // A cluster of diagonal gates folds as phases
+                        // (`Cluster::diagonal`, the planner's test).
+                        StageOp::Cluster(c) if c.diagonal => TileOp::Diag(PreparedDiag::new(
+                            &c.qubits,
+                            cluster_diagonal(c),
+                            local_qubits,
+                        )),
+                        StageOp::Cluster(c) => TileOp::Dense(PreparedGate::new(
+                            &c.qubits,
+                            &c.matrix.convert::<R>(),
+                            kernel,
+                        )),
                         StageOp::Diagonal(d) => TileOp::Diag(PreparedDiag::new(
                             &d.positions,
                             d.diag.iter().map(|a| a.convert()).collect(),
@@ -120,6 +118,13 @@ pub fn compile_stage<R: SweepDispatch>(
         }
     }
     CompiledStage { passes }
+}
+
+/// The diagonal of a cluster flagged `diagonal`, rounded to `R`.
+fn cluster_diagonal<R: Real>(c: &Cluster) -> Vec<Complex<R>> {
+    (0..c.matrix.dim())
+        .map(|i| c.matrix.get(i, i).convert())
+        .collect()
 }
 
 /// Execute a compiled stage on one rank's slice.
@@ -224,19 +229,15 @@ impl<'a, R: SweepDispatch> StageExecutor<'a, R> {
             None => {
                 for op in self.stages[range].iter().flat_map(|s| &s.ops) {
                     match op {
-                        // Diagonal fused clusters take the specialized
-                        // phase-multiply kernel (§3.5) — the same test
-                        // `compile_stage` applies.
-                        StageOp::Cluster(c) => match c.matrix.as_diagonal() {
-                            Some(diag) => {
-                                let diag: Vec<Complex<R>> =
-                                    diag.iter().map(|a| a.convert()).collect();
-                                specialized::apply_diagonal(amps, &c.qubits, &diag)
-                            }
-                            None => {
-                                apply_gate(amps, &c.qubits, &c.matrix.convert::<R>(), &self.kernel)
-                            }
-                        },
+                        // Clusters of diagonal gates take the specialized
+                        // phase-multiply kernel (§3.5) — the flag
+                        // `compile_stage` reads, `Cluster::diagonal`.
+                        StageOp::Cluster(c) if c.diagonal => {
+                            specialized::apply_diagonal(amps, &c.qubits, &cluster_diagonal(c))
+                        }
+                        StageOp::Cluster(c) => {
+                            apply_gate(amps, &c.qubits, &c.matrix.convert::<R>(), &self.kernel)
+                        }
                         StageOp::Diagonal(d) => {
                             apply_rank_diagonal(amps, d, partition, self.local_qubits)
                         }
@@ -290,6 +291,7 @@ mod tests {
     use crate::single::strip_initial_hadamards;
     use crate::state::StateVector;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
+    use qsim_circuit::Circuit;
     use qsim_sched::{plan, Schedule, SchedulerConfig};
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
@@ -348,6 +350,47 @@ mod tests {
             stats.pass_ratio()
         );
         assert!(stats.bytes_streamed < stats.baseline_bytes);
+    }
+
+    #[test]
+    fn the_cluster_flag_is_the_one_diagonal_predicate() {
+        // T·CZ·T: every gate diagonal, so the cluster folds as phases in
+        // the sweep planner (it costs no tile budget: the pass's 1-qubit
+        // tile is padded from position 0) and in the executor.
+        let mut tczt = Circuit::new(2);
+        tczt.t(0).cz(0, 1).t(1);
+        // H(1)·H(1) fuses to the identity, numerically diagonal, but H is
+        // dense, so the cluster is dense in both. This is deliberate: the
+        // fused matrix's numeric test used to decide, and folded such
+        // clusters; on supremacy circuits the two tests agree.
+        let mut hh = Circuit::new(2);
+        hh.h(1).h(1);
+        let cfg = KernelConfig {
+            threads: 1,
+            ..KernelConfig::default()
+        };
+        for (c, diagonal, tile) in [(tczt, true, 0), (hh, false, 1)] {
+            let s = plan(&c, &SchedulerConfig::single_node(2, 2));
+            let [StageOp::Cluster(cl)] = &s.stages[0].ops[..] else {
+                panic!("one cluster expected");
+            };
+            assert_eq!(cl.diagonal, diagonal);
+            assert!(cl.matrix.as_diagonal().is_some());
+            let sweeps = plan_stage_sweeps(&s.stages[0].ops, 2, 1);
+            let want = SweepPass::Tiled {
+                op_indices: vec![0],
+                tile: vec![tile],
+            };
+            assert_eq!(sweeps.passes, vec![want]);
+            let compiled = compile_stage::<f64>(&s.stages[0].ops, 2, &cfg, 1);
+            let mut state = StateVector::<f64>::uniform(2);
+            let mut stats = SweepStats::default();
+            execute_compiled_stage(state.amplitudes_mut(), &compiled, 0, 1, &mut stats);
+            assert_eq!(stats.diagonals_folded, diagonal as u64);
+            assert_eq!(stats.tile_local_gates, !diagonal as u64);
+            let (oracle, _) = run_uniform(&StageExecutor::per_gate(&s.stages, 2, &cfg), 2);
+            assert_eq!(max_dist(state.amplitudes(), &oracle), 0.0);
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! execution log, so growing a cluster allocates nothing.
 
 use crate::config::SchedulerConfig;
-use crate::fuse::{diagonal_of, fuse_gates};
+use crate::fuse::diagonal_of;
 use crate::schedule::{mask_of, positions_of, Cluster, DiagonalOp, StageOp};
-use qsim_circuit::{Circuit, DependencyTracker, Gate, Operands};
+use qsim_circuit::{Circuit, DependencyTracker, Operands};
+use qsim_util::matrix::GateMatrix;
 
 /// One stage's frontier: a [`DependencyTracker`] over the stage's gate
 /// list (a gate is known by its position in the list), every position's
@@ -29,6 +30,8 @@ struct StageTracker {
     deps: DependencyTracker,
     /// Physical footprint of each position under the stage mapping.
     masks: Vec<u64>,
+    /// The logical qubit (dependency chain) at each physical position.
+    logical: Vec<u32>,
     /// Executed positions, in execution order.
     log: Vec<usize>,
     /// The ready frontier, ascending ([`StageTracker::fill_ready`]).
@@ -45,9 +48,14 @@ impl StageTracker {
             .iter()
             .map(|qs| mask_of(qs.into_iter().map(|q| mapping[q as usize])))
             .collect();
+        let mut logical = vec![0; mapping.len()];
+        for (q, &p) in mapping.iter().enumerate() {
+            logical[p as usize] = q as u32;
+        }
         Self {
             deps: DependencyTracker::over(circuit.n_qubits(), operands),
             masks,
+            logical,
             log: Vec::with_capacity(stage_gates.len()),
             ready: Vec::new(),
         }
@@ -76,20 +84,31 @@ impl StageTracker {
 
     /// Execute every ready position whose footprint lies inside `qset`,
     /// round by round to a fixpoint (a round can unblock deeper gates on
-    /// the same qubits); returns how many ran.
+    /// the same qubits); returns how many ran. Such a position fronts
+    /// its operands' chains, all in `qset`, so a round reads only those
+    /// fronts, and runs them ascending, as a full frontier scan would.
     fn absorb(&mut self, qset: u64) -> usize {
         let start = self.log.len();
         loop {
-            let round = self.log.len();
-            self.fill_ready();
-            for i in 0..self.ready.len() {
-                let pos = self.ready[i];
-                if self.masks[pos] & !qset == 0 {
-                    self.execute(pos);
+            self.ready.clear();
+            let mut bits = qset;
+            while bits != 0 {
+                let q = self.logical[bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                if let Some(pos) = self.deps.next_on_qubit(q) {
+                    if self.masks[pos] & !qset == 0 && self.deps.is_ready(pos) {
+                        self.ready.push(pos);
+                    }
                 }
             }
-            if self.log.len() == round {
-                return round - start;
+            if self.ready.is_empty() {
+                return self.log.len() - start;
+            }
+            self.ready.sort_unstable();
+            self.ready.dedup();
+            for i in 0..self.ready.len() {
+                let pos = self.ready[i];
+                self.execute(pos);
             }
         }
     }
@@ -158,11 +177,11 @@ impl StageTracker {
     }
 }
 
-/// Build the ordered op list for one stage.
+/// Build the ordered op list for one stage, its clusters unfused.
 ///
 /// `stage_gates` are circuit gate indices in a dependency-consistent
 /// order; `mapping[logical] = physical`.
-pub fn build_stage_ops(
+pub(crate) fn build_stage_ops(
     circuit: &Circuit,
     stage_gates: &[usize],
     mapping: &[u32],
@@ -225,16 +244,15 @@ pub fn build_stage_ops(
         let gate_indices: Vec<usize> = members.iter().map(|&p| stage_gates[p]).collect();
         let footprint = members.iter().fold(0, |m, &p| m | tr.masks[p]);
         debug_assert!(footprint & !local == 0);
-        let qubits = positions_of(footprint);
-        let gates_ref: Vec<(usize, &Gate)> = gate_indices
+        let diagonal = gate_indices
             .iter()
-            .map(|&gi| (gi, &circuit.gates()[gi]))
-            .collect();
-        let matrix = fuse_gates(&gates_ref, &qubits, mapping);
+            .all(|&gi| circuit.gates()[gi].is_diagonal());
         ops.push(StageOp::Cluster(Cluster {
-            qubits,
+            qubits: positions_of(footprint),
             gate_indices,
-            matrix,
+            diagonal,
+            // Placeholder (k = 0): `fuse_schedule` fills it.
+            matrix: GateMatrix::identity(0),
         }));
     }
     if cfg.sweep_order {
@@ -273,7 +291,7 @@ mod tests {
         if let StageOp::Cluster(cl) = &ops[0] {
             assert_eq!(cl.gate_indices.len(), 7);
             assert_eq!(cl.qubits, vec![0, 1, 2]);
-            assert!(cl.matrix.unitarity_residual() < 1e-10);
+            assert!(!cl.diagonal, "H and X^1/2 are dense");
         } else {
             panic!("not a cluster");
         }

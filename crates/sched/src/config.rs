@@ -13,7 +13,8 @@ pub struct SchedulerConfig {
     pub kmax: u32,
     /// §3.5 gate specialization: diagonal gates (CZ, T, Rz, …) on global
     /// qubits execute without communication. Disabling forces every gate
-    /// onto local qubits — the ablation for "3 swaps instead of 2".
+    /// onto local qubits — the ablation for "3 swaps instead of 2" — and
+    /// leaves `2 · local_qubits == n` unschedulable (`plan`'s `# Panics`).
     pub specialize_diagonal: bool,
     /// Worst-case stage finding (§3.6.1): *randomly drawn* single-qubit
     /// gates are assumed dense even if the instance happened to draw a T.
@@ -60,7 +61,8 @@ impl SchedulerConfig {
     }
 
     /// The unoptimized upper-bound configuration (no search, no
-    /// specialization, no adjustment) — the ablation baseline.
+    /// specialization, no adjustment) — the ablation baseline; see
+    /// `specialize_diagonal` for `2 · local_qubits == n`.
     pub fn naive(local_qubits: u32, kmax: u32) -> Self {
         Self {
             local_qubits,

@@ -7,14 +7,28 @@
 //! sorted position list, embedded to the cluster arity, and multiplied
 //! onto the accumulated product (later gates on the left).
 
-use qsim_circuit::Gate;
+use crate::schedule::{Schedule, StageOp};
+use qsim_circuit::{Circuit, Gate};
 use qsim_util::c64;
 use qsim_util::matrix::GateMatrix;
 
+/// The planner's one fuse step: fill every cluster matrix of `schedule`,
+/// a plan of `circuit` built unfused, under its stage's mapping.
+pub(crate) fn fuse_schedule(circuit: &Circuit, schedule: &mut Schedule) {
+    for stage in &mut schedule.stages {
+        for op in &mut stage.ops {
+            if let StageOp::Cluster(c) = op {
+                let gates = c.gate_indices.iter().map(|&gi| &circuit.gates()[gi]);
+                c.matrix = fuse_gates(gates, &c.qubits, &stage.mapping);
+            }
+        }
+    }
+}
+
 /// Fuse `gates` (in application order) into one matrix over the sorted
 /// physical positions `cluster_qubits`. `mapping[logical] = physical`.
-pub fn fuse_gates(
-    gates: &[(usize, &Gate)],
+pub fn fuse_gates<'a>(
+    gates: impl IntoIterator<Item = &'a Gate>,
     cluster_qubits: &[u32],
     mapping: &[u32],
 ) -> GateMatrix<f64> {
@@ -22,7 +36,7 @@ pub fn fuse_gates(
     assert!(k >= 1, "empty cluster");
     debug_assert!(cluster_qubits.windows(2).all(|w| w[0] < w[1]));
     let mut fused = GateMatrix::<f64>::identity(k);
-    for &(_, g) in gates {
+    for g in gates {
         let embedded = embed_gate(g, cluster_qubits, mapping);
         // Later gates act after: |ψ⟩ → G·fused·|ψ⟩.
         fused = embedded.matmul(&fused);
@@ -91,8 +105,7 @@ mod tests {
         // H(0), CZ(0,1), T(1), X^1/2(0) fused over cluster {0,1}.
         let gates = vec![Gate::H(0), Gate::CZ(0, 1), Gate::T(1), Gate::SqrtX(0)];
         let mapping = vec![0u32, 1, 2];
-        let refs: Vec<(usize, &Gate)> = gates.iter().enumerate().collect();
-        let fused = fuse_gates(&refs, &[0, 1], &mapping);
+        let fused = fuse_gates(&gates, &[0, 1], &mapping);
         assert!(fused.unitarity_residual() < 1e-12);
 
         let n = 3;
@@ -114,9 +127,7 @@ mod tests {
         // Logical qubit 2 mapped to physical 0; H(2) must land on slot 0
         // of cluster {0}.
         let mapping = vec![2u32, 1, 0];
-        let g = Gate::H(2);
-        let refs = vec![(0usize, &g)];
-        let fused = fuse_gates(&refs, &[0], &mapping);
+        let fused = fuse_gates(&[Gate::H(2)], &[0], &mapping);
         let h: GateMatrix<f64> = Gate::H(0).matrix();
         assert_eq!(fused, h);
     }
@@ -127,8 +138,8 @@ mod tests {
         let h = Gate::H(0);
         let t = Gate::T(0);
         let mapping = vec![0u32];
-        let ht = fuse_gates(&[(0, &h), (1, &t)], &[0], &mapping);
-        let th = fuse_gates(&[(0, &t), (1, &h)], &[0], &mapping);
+        let ht = fuse_gates([&h, &t], &[0], &mapping);
+        let th = fuse_gates([&t, &h], &[0], &mapping);
         assert!(max_dist(ht.entries(), th.entries()) > 0.1);
         // ht = T·H as matrices.
         let tm: GateMatrix<f64> = t.matrix();
@@ -177,8 +188,7 @@ mod tests {
             Gate::T(2),
         ];
         let mapping = vec![0u32, 1, 2, 3];
-        let refs: Vec<(usize, &Gate)> = gates.iter().enumerate().collect();
-        let fused = fuse_gates(&refs, &[0, 1, 2, 3], &mapping);
+        let fused = fuse_gates(&gates, &[0, 1, 2, 3], &mapping);
         assert!(fused.unitarity_residual() < 1e-10);
     }
 }

@@ -30,6 +30,9 @@ pub struct Cluster {
     /// Indices into the source circuit of the merged gates, in
     /// application order.
     pub gate_indices: Vec<usize>,
+    /// Every merged gate is diagonal (`Gate::is_diagonal`): the one test
+    /// by which the sweep planner and the executor fold it as phases.
+    pub diagonal: bool,
     /// The fused 2^k × 2^k unitary.
     pub matrix: GateMatrix<f64>,
 }
@@ -192,7 +195,7 @@ impl Schedule {
     /// 4. diagonal ops only contain diagonal gates;
     /// 5. swaps are well-formed and each stage's mapping is the previous
     ///    one moved through its swap;
-    /// 6. cluster matrices are unitary.
+    /// 6. cluster matrices are unitary, and diagonal where flagged.
     ///
     /// Panics with a description on the first violation (test/debug aid).
     pub fn verify(&self, circuit: &Circuit) {
@@ -254,6 +257,10 @@ impl Schedule {
                         assert!(
                             c.matrix.unitarity_residual() < 1e-9,
                             "cluster matrix not unitary"
+                        );
+                        assert!(
+                            !c.diagonal || c.matrix.as_diagonal().is_some(),
+                            "stage {si} op {oi}: cluster flagged diagonal is dense"
                         );
                         for &gi in &c.gate_indices {
                             // Gate qubits must lie inside the cluster under
@@ -373,6 +380,7 @@ mod tests {
                     StageOp::Cluster(Cluster {
                         qubits: vec![0, 1],
                         gate_indices: vec![0, 1, 2],
+                        diagonal: false,
                         matrix: GateMatrix::identity(2),
                     }),
                     StageOp::Diagonal(DiagonalOp {

@@ -16,8 +16,9 @@
 //! A relabeled plan is translated back into a schedule of the *original*
 //! circuit (see [`unpermute_schedule`]): stage ops and swaps live in
 //! physical space and carry over unchanged; only the logical→physical
-//! mappings are composed with the relabeling. The result is `verify`'d
-//! against the original circuit before it can be adopted.
+//! mappings are composed with the relabeling. Candidates are priced
+//! unfused; only the returned schedule is fused, against the original
+//! circuit (same physical positions, same bits), and, if adopted, `verify`'d.
 //!
 //! Greedy is the floor: the searched plan is adopted only if its modeled
 //! cost clears an adoption margin below greedy's
@@ -28,8 +29,9 @@
 
 use crate::config::SchedulerConfig;
 use crate::cost::{plan_resources, CostModel, PlanResources};
+use crate::fuse::fuse_schedule;
 use crate::schedule::Schedule;
-use crate::stage::plan;
+use crate::stage::plan_unfused;
 use crate::sweep::DEFAULT_TILE_QUBITS;
 use qsim_circuit::Circuit;
 use qsim_util::Xoshiro256;
@@ -135,12 +137,8 @@ fn identity_perm(n: u32) -> Vec<u32> {
     (0..n).collect()
 }
 
-fn is_identity(perm: &[u32]) -> bool {
-    perm.iter().enumerate().all(|(i, &p)| p == i as u32)
-}
-
 /// Plan `circuit` under `cfg` with logical labels permuted by `perm`,
-/// returning a schedule of the *original* circuit plus its score.
+/// returning an unfused schedule of the *original* circuit and its score.
 fn evaluate(
     circuit: &Circuit,
     cfg: &SchedulerConfig,
@@ -148,11 +146,7 @@ fn evaluate(
     model: &CostModel,
     search: &SearchConfig,
 ) -> Candidate {
-    let schedule = if is_identity(perm) {
-        plan(circuit, cfg)
-    } else {
-        unpermute_schedule(plan(&circuit.remapped(perm), cfg), perm)
-    };
+    let schedule = unpermute_schedule(plan_unfused(&circuit.remapped(perm), cfg), perm);
     let resources = plan_resources(&schedule, search.amp_bytes, search.tile_qubits);
     let cost = model.seconds(&resources);
     Candidate {
@@ -278,35 +272,29 @@ pub fn search_plan(
     // margin (the model ranks, it does not resolve sub-percent deltas),
     // and never a plan that fails structural validation against the
     // original circuit.
-    let adopted = best.cost < greedy_cost * (1.0 - search.adopt_margin.max(0.0))
-        && (is_identity(&best.perm) || !best.schedule.stages.is_empty());
+    let adopted = best.cost < greedy_cost * (1.0 - search.adopt_margin.max(0.0));
+    let best = if adopted { best } else { greedy };
+    let mut schedule = best.schedule;
+    fuse_schedule(circuit, &mut schedule);
     if adopted {
-        best.schedule.verify(circuit);
-        SearchOutcome {
-            schedule: best.schedule,
-            adopted: true,
-            candidates,
-            greedy_cost,
-            best_cost: best.cost,
-            greedy_resources,
-            best_resources: best.resources,
-        }
-    } else {
-        SearchOutcome {
-            schedule: greedy.schedule,
-            adopted: false,
-            candidates,
-            greedy_cost,
-            best_cost: greedy_cost,
-            greedy_resources,
-            best_resources: greedy_resources,
-        }
+        schedule.verify(circuit);
+    }
+    SearchOutcome {
+        schedule,
+        adopted,
+        candidates,
+        greedy_cost,
+        best_cost: best.cost,
+        greedy_resources,
+        best_resources: best.resources,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::StageOp;
+    use crate::stage::plan;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 
     fn workload(rows: u32, cols: u32, depth: u32, seed: u64) -> Circuit {
@@ -417,6 +405,44 @@ mod tests {
         let cfg = SchedulerConfig::distributed(9, 4);
         let s = unpermute_schedule(plan(&c.remapped(&perm), &cfg), &perm);
         s.verify(&c);
+    }
+
+    /// The bits of every cluster matrix entry, in op order.
+    fn matrix_bits(s: &Schedule) -> Vec<u64> {
+        s.stages
+            .iter()
+            .flat_map(|st| &st.ops)
+            .filter_map(|op| match op {
+                StageOp::Cluster(c) => Some(c.matrix.entries()),
+                StageOp::Diagonal(_) => None,
+            })
+            .flatten()
+            .flat_map(|e| [e.re.to_bits(), e.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn fusing_late_equals_fusing_in_place_for_a_relabeled_plan() {
+        // Search fuses a relabeled candidate against the original circuit
+        // after unpermuting it; `plan` fuses it against the relabeled
+        // circuit. Every gate sits at the same physical positions.
+        let c = workload(3, 4, 20, 9);
+        let perm: Vec<u32> = (0..c.n_qubits()).rev().collect();
+        let cfg = SchedulerConfig::distributed(9, 4);
+        let relabeled = c.remapped(&perm);
+        let in_place = unpermute_schedule(plan(&relabeled, &cfg), &perm);
+        let mut late = unpermute_schedule(plan_unfused(&relabeled, &cfg), &perm);
+        fuse_schedule(&c, &mut late);
+        late.verify(&c);
+        assert_eq!(late.n_clusters(), 15);
+        let bits = matrix_bits(&late);
+        assert_eq!(bits, matrix_bits(&in_place));
+        // FNV-style hash of `bits` for `unpermute_schedule(plan(..))`,
+        // captured while clustering still fused every cluster in place.
+        let hash = bits.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+            (h ^ x).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(hash, 0xb0951ab83cdf20b1);
     }
 
     #[test]

@@ -25,13 +25,31 @@
 
 use crate::cluster::build_stage_ops;
 use crate::config::SchedulerConfig;
+use crate::fuse::fuse_schedule;
 use crate::schedule::{
     apply_swap_to_mapping, mask_of, positions_of, Schedule, Stage, StageOp, SwapOp,
 };
 use qsim_circuit::{Circuit, DependencyTracker, Gate};
 
-/// Plan a circuit: stage finding + clustering + swap adjustment.
+/// Plan a circuit: stage finding + clustering + swap adjustment, then
+/// fusion of every cluster's matrix.
+///
+/// # Panics
+///
+/// On `local_qubits` outside `1..=n`, `kmax == 0`, a gate wider than
+/// `local_qubits`, and at `2 · local_qubits == n` on a gate that must run
+/// local but spans the two halves of the initial mapping: every swap
+/// exchanges the halves, so it never runs (every CZ across them when
+/// `specialize_diagonal` is off).
 pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
+    let mut schedule = plan_unfused(circuit, cfg);
+    fuse_schedule(circuit, &mut schedule);
+    schedule
+}
+
+/// [`plan`] without the fusion step: cluster matrices are placeholders
+/// (`Schedule::verify` rejects them), so the plan is for pricing only.
+pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
     let n = circuit.n_qubits();
     let l = cfg.local_qubits;
     assert!(l >= 1 && l <= n, "local qubits {l} out of range (n={n})");
@@ -50,6 +68,18 @@ pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
 
     let treat_dense = dense_for_scheduling(circuit, cfg);
     let mapping = initial_mapping(circuit, cfg, &treat_dense);
+    if 2 * l == n {
+        // Every swap exchanges the two halves (see `# Panics`).
+        let local = mask_of(0..l);
+        let spanning = circuit.gates().iter().enumerate().find(|&(gi, g)| {
+            let m = mask_of(g.qubits().into_iter().map(|q| mapping[q as usize]));
+            needs_local(g, gi, cfg, &treat_dense) && m & local != 0 && m & !local != 0
+        });
+        if let Some((gi, g)) = spanning {
+            let qs = &g.qubits()[..];
+            panic!("unschedulable at local_qubits = n/2 = {l}: every swap exchanges the halves, and gate {gi} ({} on {qs:?}) must run local but spans them", g.name());
+        }
+    }
 
     // Phase 1: stage finding on raw gate lists. With the cheap search on,
     // a bounded DFS explores the per-stall candidate swaps and keeps the

@@ -61,12 +61,12 @@ fn op_positions(op: &StageOp) -> &[u32] {
 }
 
 /// True when the op folds into a pass as per-tile phases: specialized
-/// diagonal ops, and fused clusters whose matrix happens to be diagonal
-/// (the same deterministic test the executor uses).
+/// diagonal ops, and clusters of diagonal gates (`Cluster::diagonal`,
+/// the flag the executor reads too).
 fn is_diagonal_like(op: &StageOp) -> bool {
     match op {
         StageOp::Diagonal(_) => true,
-        StageOp::Cluster(c) => c.matrix.as_diagonal().is_some(),
+        StageOp::Cluster(c) => c.diagonal,
     }
 }
 
@@ -225,6 +225,7 @@ mod tests {
         StageOp::Cluster(Cluster {
             qubits,
             gate_indices: vec![],
+            diagonal: false,
             matrix: m,
         })
     }
@@ -243,6 +244,7 @@ mod tests {
             matrix: GateMatrix::identity(qubits.len() as u32),
             qubits,
             gate_indices: vec![],
+            diagonal: true,
         })
     }
 

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::circuit::Circuit;
+use qsim45::core::single::strip_initial_hadamards;
 use qsim45::core::{plan_schedule, PlanOptions, ScheduleMode};
 use qsim45::sched::{global_gate_count, plan, CommStats, SchedulerConfig, StageOp};
 use qsim45::util::Xoshiro256;
@@ -180,6 +181,42 @@ fn deeper_circuits_need_monotonically_more_comm() {
     }
 }
 
+/// Plan `rows × cols` at depth 10 with half the qubits local. At
+/// 2·l = n every full swap exchanges the two halves, so a gate that must
+/// run local and spans them can never run: `plan` names it up front.
+fn plan_at_half(rows: u32, cols: u32, specialize_diagonal: bool) {
+    let c = circuit(rows, cols, 10);
+    let mut cfg = SchedulerConfig::distributed(rows * cols / 2, 4);
+    cfg.specialize_diagonal = specialize_diagonal;
+    plan(&c, &cfg).verify(&c);
+}
+
+#[test]
+#[should_panic(expected = "unschedulable at local_qubits = n/2 = 3")]
+fn half_local_without_specialization_panics_at_6_qubits() {
+    plan_at_half(2, 3, false);
+}
+
+#[test]
+#[should_panic(expected = "unschedulable at local_qubits = n/2 = 6")]
+fn half_local_without_specialization_panics_at_12_qubits() {
+    plan_at_half(3, 4, false);
+}
+
+#[test]
+#[should_panic(expected = "unschedulable at local_qubits = n/2 = 8")]
+fn half_local_without_specialization_panics_at_16_qubits() {
+    plan_at_half(4, 4, false);
+}
+
+#[test]
+fn half_local_with_specialization_plans() {
+    // CZs are diagonal and never need locality: the halves are no bar.
+    for (rows, cols) in [(2, 3), (3, 4), (4, 4)] {
+        plan_at_half(rows, cols, true);
+    }
+}
+
 /// A random circuit over the supremacy gate set plus CNOT.
 fn random_circuit(n: u32, n_gates: usize, seed: u64) -> Circuit {
     let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -206,8 +243,8 @@ proptest! {
     /// none — the shape the engines require ([`qsim45::core::run::Run::begin`])
     /// is one the planner always produces: greedy with the swap search
     /// on and off, the single-node plan, and the cost-guided search.
-    // (n ≥ 5 keeps l > g: at l = g = 2 the greedy stage finder
-    // livelocks on random two-qubit gates before it plans anything.)
+    // (n ≥ 5 keeps l > g: at l = g = 2 a random CNOT across the two
+    // halves is unschedulable, `plan`'s `# Panics`.)
     #[test]
     fn every_planned_schedule_has_the_executable_shape(
         n in 5u32..=9,
@@ -239,5 +276,36 @@ proptest! {
             },
         );
         prop_assert_eq!(searched.schedule.check_shape(), Ok(()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Cluster::diagonal` (every member gate diagonal) is the one
+    /// diagonal predicate of the sweep planner and the executor; on
+    /// supremacy circuits it agrees with the fused matrix's numeric test
+    /// cluster by cluster, so the structural test moves no plan.
+    #[test]
+    fn the_structural_diagonal_flag_matches_the_fused_matrix(
+        rows in 3u32..=5,
+        cols in 3u32..=9,
+        depth in 10u32..=40,
+        seed in 0u64..12,
+        strip_h in 0u8..2,
+        kmax in 2u32..=5,
+        specialize in 0u8..2,
+        g in 0u32..=3,
+    ) {
+        let full = supremacy_circuit(&SupremacySpec { rows, cols, depth, seed });
+        let c = if strip_h == 1 { strip_initial_hadamards(&full).0 } else { full };
+        let mut cfg = SchedulerConfig::distributed(rows * cols - g, kmax);
+        cfg.specialize_diagonal = specialize == 1;
+        let s = plan(&c, &cfg);
+        for op in s.stages.iter().flat_map(|st| &st.ops) {
+            if let StageOp::Cluster(cl) = op {
+                prop_assert_eq!(cl.diagonal, cl.matrix.as_diagonal().is_some());
+            }
+        }
     }
 }
