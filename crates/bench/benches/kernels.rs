@@ -72,9 +72,6 @@ fn bench_kernel_sizes(c: &mut Criterion) {
 fn bench_diagonal_specialization(c: &mut Criterion) {
     let mut group = c.benchmark_group("specialized");
     let mut state = random_state(N, 3);
-    group.bench_function("cz_kernel", |b| {
-        b.iter(|| qsim_kernels::specialized::apply_cz(&mut state, 2, 9));
-    });
     let t_diag = [
         qsim_util::c64::one(),
         qsim_util::c64::from_polar(1.0, std::f64::consts::FRAC_PI_4),

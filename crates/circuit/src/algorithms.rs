@@ -1,13 +1,6 @@
-//! Textbook circuit constructions used by examples, tests and the
-//! emulation comparison.
-//!
-//! The paper contrasts gate-level simulation with *emulation* — classical
-//! shortcuts for operations whose action is known in advance, its example
-//! being "the quantum Fourier transform, which can be emulated by
-//! applying a fast Fourier transform to the state vector" (§1, ref \[7\]).
-//! [`qft`] provides the gate-level circuit; `qsim_core::emulate` provides
-//! the FFT shortcut; supremacy circuits, by design, admit no such
-//! shortcut.
+//! Textbook circuit constructions for tests: the quantum Fourier
+//! transform, GHZ preparation and a 1-D CZ brickwork — structured
+//! workloads beside the supremacy circuits the paper simulates.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;

@@ -125,15 +125,6 @@ impl Circuit {
         self.gates.iter().filter(|g| pred(g)).count()
     }
 
-    /// Total FLOP to execute every gate individually with dense kernels on
-    /// a 2^n state — the per-gate cost model used in speedup estimates.
-    pub fn dense_flops(&self) -> u64 {
-        self.gates
-            .iter()
-            .map(|g| qsim_util::flops::gate_flops(self.n_qubits, g.arity() as u32))
-            .sum()
-    }
-
     /// Relabel all qubits through a mapping (§3.6.2 qubit remapping).
     /// `map[old] = new`; must be a bijection on `0..n`.
     pub fn remapped(&self, map: &[u32]) -> Circuit {
@@ -205,14 +196,6 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0);
         let _ = c.remapped(&[0, 0]);
-    }
-
-    #[test]
-    fn dense_flops_counts_by_arity() {
-        let mut c = Circuit::new(4);
-        c.h(0).cz(0, 1);
-        let expect = qsim_util::flops::gate_flops(4, 1) + qsim_util::flops::gate_flops(4, 2);
-        assert_eq!(c.dense_flops(), expect);
     }
 
     #[test]

@@ -25,20 +25,15 @@
 //! — and [`checkpoint`] holds the one checkpoint policy and manifest
 //! protocol it commits through.
 //!
-//! Supporting modules: [`state`] (aligned state-vector container),
-//! [`observables`] (probabilities, entropy, sampling, cross-entropy —
-//! §4.2.2's measured quantities), [`measure`] (projective measurement and
-//! collapse) and [`noise`] (stochastic-Pauli trajectory simulation for
-//! the noise studies the paper motivates in §1).
+//! Supporting modules: [`state`] (aligned state-vector container) and
+//! [`observables`] (entropy, sampling, cross-entropy — §4.2.2's measured
+//! quantities).
 
 pub mod backend;
 pub mod baseline;
 pub mod checkpoint;
 pub mod dist;
-pub mod emulate;
 pub mod exec;
-pub mod measure;
-pub mod noise;
 pub mod observables;
 pub mod planner;
 pub mod run;

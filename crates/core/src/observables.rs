@@ -107,17 +107,6 @@ pub fn sample_bitstrings(
     out
 }
 
-/// Shannon entropy (bits) of an explicit probability vector.
-pub fn entropy_of(probs: &[f64]) -> f64 {
-    let mut h = 0.0;
-    for &p in probs {
-        if p > 0.0 {
-            h -= p * p.log2();
-        }
-    }
-    h
-}
-
 /// The linear cross-entropy benchmarking fidelity (XEB) of a set of
 /// sampled bitstrings against the simulated distribution:
 /// `F = 2^n · ⟨p(x_i)⟩ − 1`. Sampling from the circuit's own output
@@ -300,13 +289,6 @@ mod tests {
         // Uniform superposition is far from Porter–Thomas (entropy = n).
         let uniform = StateVector::<f64>::uniform(9);
         assert!(porter_thomas_entropy_gap(&uniform) > 0.5);
-    }
-
-    #[test]
-    fn entropy_of_matches_statevector_entropy() {
-        let state = deep_state(2, 3, 12);
-        let h1 = entropy_of(&state.probabilities());
-        assert!((h1 - state.entropy()).abs() < 1e-12);
     }
 
     #[test]

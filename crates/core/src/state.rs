@@ -3,8 +3,8 @@
 //! Wraps a 64-byte-aligned amplitude buffer with the operations every
 //! engine needs: initialization (|0…0⟩ or the uniform superposition the
 //! paper starts supremacy runs from, §3.6), gate application through the
-//! kernel dispatch, diagonal/specialized operations, norms and
-//! probabilities. Generic over precision (f64 default; f32 per §5).
+//! kernel dispatch, local qubit permutation, norm, marginals and
+//! entropy. Generic over precision (f64 default; f32 per §5).
 
 use crate::observables::norm_entropy;
 use qsim_kernels::apply::{apply_gate, KernelConfig};
@@ -122,16 +122,6 @@ impl<T: SweepDispatch> StateVector<T> {
         apply_gate(&mut self.amps, qubits, m, cfg);
     }
 
-    /// Apply a diagonal gate (specialized kernel, §3.5).
-    pub fn apply_diagonal(&mut self, qubits: &[u32], diag: &[Complex<T>]) {
-        specialized::apply_diagonal(&mut self.amps, qubits, diag);
-    }
-
-    /// Multiply the whole vector by a phase.
-    pub fn apply_global_phase(&mut self, phase: Complex<T>) {
-        specialized::apply_global_phase(&mut self.amps, phase);
-    }
-
     /// In-place bit-position permutation (local qubit reordering, §3.4).
     pub fn permute_qubits(&mut self, perm: &BitPermutation) {
         specialized::permute_qubits_inplace(&mut self.amps, perm);
@@ -146,11 +136,6 @@ impl<T: SweepDispatch> StateVector<T> {
     /// Probability that qubit (bit position) `q` reads 1.
     pub fn prob_one(&self, q: u32) -> T {
         specialized::prob_one(&self.amps, q)
-    }
-
-    /// All 2^n outcome probabilities (small n only).
-    pub fn probabilities(&self) -> Vec<T> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
     /// Shannon entropy (bits) of the outcome distribution, accumulated
@@ -256,17 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_and_phase() {
-        let mut s = StateVector::<f64>::uniform(2);
-        s.apply_diagonal(&[0], &[c64::one(), -c64::one()]); // Z on qubit 0
-        assert!((s.amplitudes()[1].re + 0.5).abs() < 1e-12);
-        assert!((s.amplitudes()[0].re - 0.5).abs() < 1e-12);
-        s.apply_global_phase(c64::i());
-        assert!((s.amplitudes()[0].im - 0.5).abs() < 1e-12);
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn permutation_moves_marginals() {
         let mut s = StateVector::<f64>::zero(3);
         let cfg = KernelConfig::sequential();
@@ -281,7 +255,11 @@ mod tests {
     #[test]
     fn precision_conversion_round_trip() {
         let mut s = StateVector::<f64>::uniform(3);
-        s.apply_diagonal(&[1], &[c64::one(), c64::from_polar(1.0, 0.5)]);
+        for (i, a) in s.amplitudes_mut().iter_mut().enumerate() {
+            if i & 0b10 != 0 {
+                *a *= c64::from_polar(1.0, 0.5);
+            }
+        }
         let s32: StateVector<f32> = s.convert();
         let back: StateVector<f64> = s32.convert();
         assert!(qsim_util::complex::max_dist(s.amplitudes(), back.amplitudes()) < 1e-6);

@@ -8,7 +8,7 @@
 //! the *same* gate-local amplitude `x` of `L` consecutive blocks, matrix
 //! entries enter as broadcast operands, and inputs and outputs move as
 //! whole vectors. The paper generated its AVX and AVX-512 kernels from
-//! one generator (§3.2); here that generator is [`x86::LaneVec`], with
+//! one generator (§3.2); here that generator is `x86::LaneVec`, with
 //! four impls:
 //!
 //! | vector    | ISA        | blocks `L` | `LANE_BITS` | rows × groups at k = 1 / 2 / ≥ 3 |

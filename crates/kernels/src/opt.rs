@@ -112,7 +112,7 @@ const BLOCK: usize = 4;
 /// Step 3: step 2 plus register blocking over inputs and the packed
 /// `(m_R,m_R)/(−m_I,m_I)` matrix built once per call.
 ///
-/// For each input block, [`BLOCK`] gathered amplitudes (and their swapped
+/// For each input block, `BLOCK` gathered amplitudes (and their swapped
 /// copies) stay live in registers while all 2^k outputs are updated — the
 /// §3.2 scheme `ṽ_l += Σ_{j<B} m_{l,i(b,j)} v_{i(b,j)}`.
 pub fn apply_blocked<T: Real>(state: &mut [Complex<T>], qubits: &[u32], m: &GateMatrix<T>) {

@@ -101,7 +101,7 @@ pub fn par_gather<T: Real>(
 /// fused gather-unpermute swap data path (contiguous reads, scattered
 /// writes). `index` must be injective on `0..src.len()`: callers pass bit
 /// permutations, which are bijective, so distinct source positions write
-/// disjoint destinations (the same contract as [`DisjointSlice`]).
+/// disjoint destinations (the same contract as `DisjointSlice`).
 /// Sequential below [`PAR_THRESHOLD`] source elements.
 pub fn par_scatter<T: Real>(
     src: &[Complex<T>],

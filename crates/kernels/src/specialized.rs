@@ -50,24 +50,6 @@ pub fn apply_diagonal<T: Real>(state: &mut [Complex<T>], qubits: &[u32], diag: &
     }
 }
 
-/// Apply a controlled-Z on (`a`, `b`): phase −1 on basis states with both
-/// bits set. The most common gate of supremacy circuits gets its own
-/// kernel: no gather, no temporary, one conditional negate.
-pub fn apply_cz<T: Real>(state: &mut [Complex<T>], a: u32, b: u32) {
-    assert_ne!(a, b, "CZ needs distinct qubits");
-    let n = qsim_util::bits::log2_exact(state.len());
-    assert!(a < n && b < n, "qubit out of range");
-    // Walk only the quarter of the state with both bits set.
-    let (lo, hi) = (a.min(b), a.max(b));
-    let exp = IndexExpander::new(&[lo, hi]);
-    let both = (1usize << lo) + (1usize << hi);
-    let blocks = state.len() >> 2;
-    for c in 0..blocks {
-        let idx = exp.expand(c) + both;
-        state[idx] = -state[idx];
-    }
-}
-
 /// Swap the amplitudes of two qubit positions in place: the SWAP gate, and
 /// the unit step of local qubit reordering (§3.4: "we first use our
 /// optimized kernels to achieve local swaps").
@@ -98,7 +80,7 @@ pub fn permute_qubits_inplace<T: Real>(state: &mut [Complex<T>], perm: &BitPermu
     }
 }
 
-/// Probability of qubit `q` being 1 — used by measurement and by tests.
+/// Probability of qubit `q` being 1 — the single-qubit marginal.
 pub fn prob_one<T: Real>(state: &[Complex<T>], q: u32) -> T {
     let n = qsim_util::bits::log2_exact(state.len());
     assert!(q < n);
@@ -158,27 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn cz_kernel_matches_dense_and_is_symmetric() {
-        let state0 = random_state(6, 7);
-        let mut a = state0.clone();
-        apply_cz(&mut a, 1, 4);
-        let mut b = state0.clone();
-        apply_fma(&mut b, &[1, 4], &cz_matrix());
-        assert!(max_dist(&a, &b) < 1e-14);
-        // Symmetry: CZ(a,b) == CZ(b,a).
-        let mut c = state0;
-        apply_cz(&mut c, 4, 1);
-        assert!(max_dist(&a, &c) == 0.0);
-    }
-
-    #[test]
     fn multi_qubit_diagonal() {
         // CZ as a 2-qubit diagonal.
         let state0 = random_state(5, 9);
         let mut a = state0.clone();
         apply_diagonal(&mut a, &[0, 3], &cz_matrix().as_diagonal().unwrap());
         let mut b = state0;
-        apply_cz(&mut b, 0, 3);
+        apply_fma(&mut b, &[0, 3], &cz_matrix());
         assert!(max_dist(&a, &b) < 1e-15);
     }
 

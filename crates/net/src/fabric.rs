@@ -371,23 +371,14 @@ impl<'a> RankCtx<'a> {
     }
 
     /// Execute the scripted fault (if any) for this rank at `swap_index`:
-    /// a delay sleeps here; a kill poisons the fabric (unblocking every
-    /// peer) and returns the typed error the driver will surface.
+    /// a kill poisons the fabric (unblocking every peer) and returns the
+    /// typed error the driver will surface.
     pub fn fault_point(&mut self, swap_index: usize) -> Result<(), SimError> {
         let Some(plan) = &self.fabric.faults else {
             return Ok(());
         };
         match plan.action(self.rank, swap_index) {
             FaultAction::None => Ok(()),
-            FaultAction::Delay(by) => {
-                let t0 = Instant::now();
-                std::thread::sleep(by);
-                let dt = t0.elapsed().as_nanos() as u64;
-                let c = &self.fabric.counters[self.rank];
-                c.comm_nanos.fetch_add(dt, Ordering::Relaxed);
-                c.blocked_nanos.fetch_add(dt, Ordering::Relaxed);
-                Ok(())
-            }
             FaultAction::Kill => {
                 self.fabric.poison(self.rank);
                 Err(SimError::InjectedFault {
@@ -866,22 +857,6 @@ mod tests {
             }
             other => panic!("expected InjectedFault, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn injected_delay_still_completes() {
-        let plan = FaultPlan::new().delay(0, 0, std::time::Duration::from_millis(15));
-        let (vals, stats) = try_run(2, Some(plan), |ctx| {
-            ctx.fault_point(0)?;
-            let partner = 1 - ctx.rank();
-            Ok(ctx.exchange(partner, &[ctx.rank() as u64])[0])
-        })
-        .unwrap();
-        assert_eq!(vals, vec![1, 0]);
-        assert!(
-            stats.max_blocked_seconds >= 0.01,
-            "delay must be accounted as blocked time"
-        );
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Fault-injection plans for the rank fabric.
 //!
-//! A [`FaultPlan`] scripts failures at *swap indices* — the natural
+//! A [`FaultPlan`] scripts rank deaths at *swap indices* — the natural
 //! failure boundary of the paper's execution model, since swaps are the
 //! only points where ranks are mutually dependent. Rank bodies opt in by
-//! calling `RankCtx::fault_point(swap_index)` before each swap; the
-//! fabric then either delays the rank (modelling a straggler / slow
-//! link) or kills it (modelling node loss), poisoning the fabric so
-//! peers unblock with a typed [`crate::SimError`] instead of hanging.
-
-use std::time::Duration;
+//! calling `RankCtx::fault_point(swap_index)` before each swap; a
+//! scripted rank then dies there (modelling node loss), poisoning the
+//! fabric so peers unblock with a typed [`crate::SimError`] instead of
+//! hanging.
 
 /// What a fault point should do for a given (rank, swap index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// Proceed normally.
     None,
-    /// Sleep before participating in the swap (delayed delivery).
-    Delay(Duration),
     /// Die at this boundary with [`crate::SimError::InjectedFault`].
     Kill,
 }
@@ -25,7 +21,6 @@ pub enum FaultAction {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     kills: Vec<(usize, usize)>,
-    delays: Vec<(usize, usize, Duration)>,
 }
 
 impl FaultPlan {
@@ -39,31 +34,13 @@ impl FaultPlan {
         self
     }
 
-    /// Delay `rank` by `by` when it reaches swap `swap_index`.
-    pub fn delay(mut self, rank: usize, swap_index: usize, by: Duration) -> Self {
-        self.delays.push((rank, swap_index, by));
-        self
-    }
-
-    /// Resolve the scripted action for this (rank, swap index); a kill
-    /// takes precedence over a delay at the same point.
+    /// Resolve the scripted action for this (rank, swap index).
     pub fn action(&self, rank: usize, swap_index: usize) -> FaultAction {
         if self.kills.contains(&(rank, swap_index)) {
-            return FaultAction::Kill;
+            FaultAction::Kill
+        } else {
+            FaultAction::None
         }
-        match self
-            .delays
-            .iter()
-            .find(|&&(r, s, _)| (r, s) == (rank, swap_index))
-        {
-            Some(&(_, _, by)) => FaultAction::Delay(by),
-            None => FaultAction::None,
-        }
-    }
-
-    /// True when the plan scripts nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty() && self.delays.is_empty()
     }
 }
 
@@ -72,18 +49,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resolves_actions_with_kill_precedence() {
-        let plan = FaultPlan::new()
-            .delay(1, 0, Duration::from_millis(5))
-            .kill(2, 1)
-            .delay(2, 1, Duration::from_millis(9));
+    fn resolves_scripted_kills() {
+        let plan = FaultPlan::new().kill(2, 1).kill(0, 3);
         assert_eq!(plan.action(0, 0), FaultAction::None);
-        assert_eq!(
-            plan.action(1, 0),
-            FaultAction::Delay(Duration::from_millis(5))
-        );
-        assert_eq!(plan.action(2, 1), FaultAction::Kill, "kill wins over delay");
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new().is_empty());
+        assert_eq!(plan.action(2, 0), FaultAction::None, "only at its swap");
+        assert_eq!(plan.action(2, 1), FaultAction::Kill);
+        assert_eq!(plan.action(0, 3), FaultAction::Kill);
+        assert_eq!(FaultPlan::new().action(0, 0), FaultAction::None);
     }
 }

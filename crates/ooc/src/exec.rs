@@ -4,7 +4,7 @@
 //! ranks, over the same unit and inside the same run frame ([`Run`]):
 //! one *stage*, with the swap that closes it, is one streaming pass, the
 //! closure of [`Run::units`]. Each pass streams every chunk once through
-//! the prefetch/compute/writeback pipeline of [`crate::pipeline`]
+//! the prefetch/compute/writeback pipeline of `crate::pipeline`
 //! (`read(c+1)` / `write(c−1)` hidden behind `compute(c)`, pooled aligned
 //! buffers, zero steady-state allocations), and each chunk residency
 //! applies the stage through `qsim_core::exec`'s [`StageExecutor`],

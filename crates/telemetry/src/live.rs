@@ -197,7 +197,7 @@ pub struct ProgressSnapshot {
 
 impl ProgressSnapshot {
     /// Blended per-unit estimate: the cost-model prior weighted as
-    /// [`PRIOR_WEIGHT`] virtual units, averaged with the measured unit
+    /// `PRIOR_WEIGHT` virtual units, averaged with the measured unit
     /// times. Pure prior before the first sample, asymptotically the
     /// measured mean.
     pub fn unit_estimate_seconds(&self) -> f64 {

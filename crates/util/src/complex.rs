@@ -217,15 +217,6 @@ impl<T: Real> From<T> for Complex<T> {
     }
 }
 
-/// Reinterpret a slice of complex amplitudes as a flat slice of scalars
-/// (`[re0, im0, re1, im1, ...]`). Sound because `Complex<T>` is `#[repr(C)]`
-/// with exactly two `T` fields and no padding.
-#[inline]
-pub fn as_scalars<T: Real>(v: &[Complex<T>]) -> &[T] {
-    // SAFETY: Complex<T> is repr(C) { re: T, im: T }: size 2*T, align of T.
-    unsafe { core::slice::from_raw_parts(v.as_ptr().cast::<T>(), v.len() * 2) }
-}
-
 /// Max norm distance between two complex vectors; the workhorse assertion
 /// of the test suites ("agrees with the dense reference to 1e-12").
 pub fn max_dist<T: Real>(a: &[Complex<T>], b: &[Complex<T>]) -> T {
@@ -295,12 +286,6 @@ mod tests {
             let expect = c64::new(0.1, 0.2) + v * m;
             assert!((acc - expect).abs() < 1e-15, "{acc:?} vs {expect:?}");
         }
-    }
-
-    #[test]
-    fn scalar_reinterpret_is_interleaved() {
-        let v = vec![c64::new(1.0, 2.0), c64::new(3.0, 4.0)];
-        assert_eq!(as_scalars(&v), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::core::observables::{entropy_of, sample_bitstrings};
+use qsim45::core::observables::{norm_entropy, sample_bitstrings};
 use qsim45::core::{
     Backend, BackendStats, DistBackend, DistConfig, DistSimulator, SingleNodeSimulator,
 };
@@ -68,7 +68,7 @@ fn main() {
     // The gathered distributed state matches, amplitude for amplitude.
     let gathered = out.state.as_ref().expect("gather_state requested");
     let dist_probs: Vec<f64> = gathered.iter().map(|a| a.norm_sqr()).collect();
-    assert!((entropy_of(&dist_probs) - out.entropy).abs() < 1e-9);
+    assert!((norm_entropy(gathered).1 - out.entropy).abs() < 1e-9);
 
     // Sample bitstrings (what a supremacy experiment would measure).
     let mut rng = Xoshiro256::seed_from_u64(1);

@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX=245
+MAX=239
 
 count="$(grep -rE 'unwrap\(\)|expect\(' crates/*/src src | wc -l)"
 if [ "$count" -gt "$MAX" ]; then

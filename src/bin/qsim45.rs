@@ -1,16 +1,19 @@
 //! `qsim45` — command-line driver for the workspace.
 //!
 //! ```text
-//! qsim45 plan   --rows 9 --cols 5 --depth 25 --local 30 [--kmax 4]
-//! qsim45 run    --rows 4 --cols 5 --depth 25 [--ranks 4] [--backend mem|ooc]
+//! qsim45 plan   --rows 9 --cols 5 --depth 25 [--seed S] --local 30 [--kmax 4]
+//! qsim45 run    --rows 4 --cols 5 --depth 25 [--seed S] [--ranks 4] [--backend mem|ooc]
 //!               [--precision f64|f32] [--compress none|shuffle-rle|lossy-<bits>]
-//!               [--schedule greedy|search] [--search-budget N]
+//!               [--kmax K] [--schedule greedy|search] [--search-budget N]
 //!               [--checkpoint-dir DIR [--resume]]
 //!               [--trace-out trace.json] [--metrics-out metrics.json]
 //!               [--status-addr HOST:PORT] [--progress]
-//! qsim45 sample --rows 4 --cols 4 --depth 25 --shots 16
+//! qsim45 sample --rows 4 --cols 4 --depth 25 [--seed S] --shots 16 [--sample-seed S]
 //! qsim45 kernels [--state-qubits 22]
 //! ```
+//!
+//! `--seed` picks the random circuit; `sample` draws its shots with a
+//! separate generator seeded by `--sample-seed` (default 1).
 //!
 //! `plan` works at the paper's full scale (pure pre-computation); `run`
 //! allocates amplitudes and should stay ≤ ~26 qubits on a laptop.
@@ -80,36 +83,11 @@ fn main() {
     // `qsim45 run … | head -1` ends quietly, not in a `println!` panic.
     qsim45::telemetry::recorder::restore_default_sigpipe();
     let mode = std::env::args().nth(1).unwrap_or_default();
-    match mode.as_str() {
-        "plan" => {
-            reject_unknown_flags("plan", &[GRID_FLAGS, &["--local", "--kmax"]]);
-            cmd_plan()
-        }
-        "run" => {
-            reject_unknown_flags("run", &[GRID_FLAGS, RUN_FLAGS]);
-            cmd_run()
-        }
-        "sample" => {
-            reject_unknown_flags("sample", &[GRID_FLAGS, &["--shots", "--sample-seed"]]);
-            cmd_sample()
-        }
-        "kernels" => {
-            reject_unknown_flags("kernels", &[&["--state-qubits"]]);
-            cmd_kernels()
-        }
-        _ => {
-            eprintln!("usage: qsim45 <plan|run|sample|kernels> [options]");
-            eprintln!("  plan   --rows R --cols C --depth D --local L [--kmax K]");
-            eprintln!("  run    --rows R --cols C --depth D [--ranks N] [--backend mem|ooc]");
-            eprintln!("         [--precision f64|f32] [--compress none|shuffle-rle|lossy-<bits>]");
-            eprintln!("         [--schedule greedy|search] [--search-budget N]");
-            eprintln!("         [--checkpoint-dir DIR [--resume]]");
-            eprintln!("         [--status-addr HOST:PORT] [--progress]");
-            eprintln!("  sample --rows R --cols C --depth D [--shots S] [--seed X]");
-            eprintln!("  kernels [--state-qubits N]");
-            std::process::exit(2);
-        }
-    }
+    let Some(&(_, flags, cmd)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == mode) else {
+        usage()
+    };
+    reject_unknown_flags(&mode, flags);
+    cmd()
 }
 
 /// Misuse, not a failed run: one line on stderr, exit code 2.
@@ -118,31 +96,81 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// The circuit flags every subcommand but `kernels` reads ([`spec`]).
-const GRID_FLAGS: &[&str] = &["--rows", "--cols", "--depth", "--seed"];
+/// A flag as the usage text shows it: its name and its value's
+/// placeholder (empty for a switch).
+type Flag = (&'static str, &'static str);
 
-const RUN_FLAGS: &[&str] = &[
-    "--ranks",
-    "--backend",
-    "--precision",
-    "--compress",
-    "--kmax",
-    "--schedule",
-    "--search-budget",
-    "--checkpoint-dir",
-    "--resume",
-    "--trace-out",
-    "--metrics-out",
-    "--status-addr",
-    "--progress",
+/// The circuit flags every subcommand but `kernels` reads ([`spec`]).
+const GRID_FLAGS: &[Flag] = &[
+    ("--rows", "R"),
+    ("--cols", "C"),
+    ("--depth", "D"),
+    ("--seed", "S"),
 ];
+
+const RUN_FLAGS: &[Flag] = &[
+    ("--ranks", "N"),
+    ("--backend", "mem|ooc"),
+    ("--precision", "f64|f32"),
+    ("--compress", "none|shuffle-rle|lossy-<bits>"),
+    ("--kmax", "K"),
+    ("--schedule", "greedy|search"),
+    ("--search-budget", "N"),
+    ("--checkpoint-dir", "DIR"),
+    ("--resume", ""),
+    ("--trace-out", "FILE"),
+    ("--metrics-out", "FILE"),
+    ("--status-addr", "HOST:PORT"),
+    ("--progress", ""),
+];
+
+/// A subcommand: its name, its flag tables and its body.
+type Subcommand = (&'static str, &'static [&'static [Flag]], fn());
+
+/// Every subcommand: the one list both [`reject_unknown_flags`] and
+/// [`usage`] read.
+const SUBCOMMANDS: &[Subcommand] = &[
+    (
+        "plan",
+        &[GRID_FLAGS, &[("--local", "L"), ("--kmax", "K")]],
+        cmd_plan,
+    ),
+    ("run", &[GRID_FLAGS, RUN_FLAGS], cmd_run),
+    (
+        "sample",
+        &[GRID_FLAGS, &[("--shots", "N"), ("--sample-seed", "S")]],
+        cmd_sample,
+    ),
+    ("kernels", &[&[("--state-qubits", "N")]], cmd_kernels),
+];
+
+/// Every subcommand with every flag it accepts, wrapped at 80 columns.
+fn usage() -> ! {
+    eprintln!("usage: qsim45 <plan|run|sample|kernels> [options]");
+    for &(name, flags, _) in SUBCOMMANDS {
+        let mut line = format!("  {name:<7}");
+        for &(flag, value) in flags.iter().copied().flatten() {
+            let item = match value {
+                "" => format!(" [{flag}]"),
+                _ => format!(" [{flag} {value}]"),
+            };
+            if line.len() + item.len() > 80 {
+                eprintln!("{line}");
+                line = " ".repeat(9);
+            }
+            line.push_str(&item);
+        }
+        eprintln!("{line}");
+    }
+    std::process::exit(2);
+}
 
 /// A mistyped flag must not run something else than was asked for
 /// (`run --rnks 4` used to run single-node and exit 0): any `--option`
 /// the subcommand does not define is a usage error.
-fn reject_unknown_flags(mode: &str, known: &[&[&str]]) {
+fn reject_unknown_flags(mode: &str, known: &[&[Flag]]) {
     for a in std::env::args().skip(2).filter(|a| a.starts_with("--")) {
-        if !known.iter().any(|set| set.contains(&a.as_str())) {
+        if !known.iter().copied().flatten().any(|&(flag, _)| flag == a) {
             usage_error(format!("unknown option '{a}' for `qsim45 {mode}`"));
         }
     }

@@ -149,6 +149,53 @@ fn bad_partition_counts_are_usage_errors_not_panics() {
     }
 }
 
+/// The usage text is read from the same flag tables as the
+/// unknown-flag check, so every flag a subcommand accepts is named under
+/// that subcommand.
+#[test]
+fn the_usage_text_names_every_accepted_flag() {
+    let out = qsim45().output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // Each subcommand's entry: its first line and the indented ones after.
+    let entry = |name: &str| -> String {
+        let mut lines = stderr
+            .lines()
+            .skip_while(|l| !l.starts_with(&format!("  {name} ")));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no `{name}` in {stderr}"));
+        let rest = lines.take_while(|l| l.starts_with("         "));
+        std::iter::once(first)
+            .chain(rest)
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for (name, flags) in [
+        ("plan", &["--seed", "--local", "--kmax"][..]),
+        (
+            "run",
+            &[
+                "--seed",
+                "--kmax",
+                "--trace-out",
+                "--metrics-out",
+                "--ranks",
+            ],
+        ),
+        ("sample", &["--seed", "--shots", "--sample-seed"]),
+        ("kernels", &["--state-qubits"]),
+    ] {
+        let entry = entry(name);
+        for flag in flags {
+            assert!(
+                entry.contains(&format!("[{flag} ")),
+                "{name} lacks {flag}: {entry}"
+            );
+        }
+    }
+}
+
 #[test]
 fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
