@@ -187,15 +187,13 @@ fn arg(name: &str, default: u32) -> u32 {
     }
 }
 
-/// `--kmax`. `plan` only counts clusters, so any width goes; `run`
-/// executes them (`executes`) and the kernels stop at `MAX_K`.
-fn kmax_arg(executes: bool) -> u32 {
+/// `--kmax`, the widest cluster: `1..=MAX_K`, the widest kernel, on
+/// every subcommand. `plan` fuses each cluster into a dense 2^k × 2^k
+/// matrix too, so a wider k costs it time and memory exponentially.
+fn kmax_arg() -> u32 {
     match arg("--kmax", 4) {
-        0 => usage_error("bad --kmax 0 (expected at least 1)"),
-        k if executes && k > MAX_K => {
-            usage_error(format!("bad --kmax {k} (kernels support 1..={MAX_K})"))
-        }
-        k => k,
+        k @ 1..=MAX_K => k,
+        k => usage_error(format!("bad --kmax {k} (kernels support 1..={MAX_K})")),
     }
 }
 
@@ -289,7 +287,7 @@ fn cmd_plan() {
             valid.start()
         ));
     }
-    let kmax = kmax_arg(false);
+    let kmax = kmax_arg();
     let circuit = supremacy_circuit(&s);
     let t0 = std::time::Instant::now();
     let schedule = plan(&circuit, &SchedulerConfig::distributed(l, kmax));
@@ -409,7 +407,7 @@ fn run_at<R: SweepDispatch>() {
         ..PlanOptions::default()
     };
     let circuit = supremacy_circuit(&s);
-    let kmax = kmax_arg(true);
+    let kmax = kmax_arg();
     // Only the out-of-core engine has a chunk codec to hand this to.
     let compress = qsim45::ooc::Codec::parse(&arg_str("--compress", "none"))
         .unwrap_or_else(|e| usage_error(format!("bad --compress: {e}")));

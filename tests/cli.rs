@@ -201,14 +201,18 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 24] = [
+    let cases: [(&[&str], &str); 26] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
         (&["run", "--kmax", "0"], "--kmax"),
-        // One past the widest kernel (`plan` alone may go wider).
+        // One past the widest kernel, on every subcommand: `plan` fuses
+        // each cluster into a dense 2^k × 2^k matrix too (k = 16 aborted
+        // on a 64 GiB allocation, k = 30 overflowed, k = 99 panicked).
         (&["run", "--kmax", "7"], "kernels support 1..=6"),
         (&["run", "--kmax", "7", "--ranks", "2"], "--kmax 7"),
+        (&["plan", "--kmax", "7"], "kernels support 1..=6"),
+        (&["plan", "--kmax", "16"], "--kmax 16"),
         (&["sample", "--shots", "0"], "--shots"),
         (&["plan", "--local", "0"], "--local"),
         (&["plan", "--local", "12"], "--local"),
@@ -258,13 +262,6 @@ fn misuse_is_a_one_line_usage_error() {
         assert!(stderr.contains(names), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not have run");
     }
-    // Pure planning never builds a cluster matrix: wider is fine.
-    let out = qsim45()
-        .args(["plan", "--kmax", "7"])
-        .args(grid)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "plan --kmax 7 must be accepted");
     // Both ends of the `--local` range plan: l = ⌈n/2⌉ and l = 2.
     for grid in [
         ["--rows", "5", "--cols", "9", "--local", "23"],
