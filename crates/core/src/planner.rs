@@ -50,8 +50,6 @@ impl ScheduleMode {
 #[derive(Clone, Debug)]
 pub struct PlanOptions {
     pub mode: ScheduleMode,
-    /// Search budget in `plan()` evaluations.
-    pub search_budget: usize,
     /// Bytes per amplitude of the target precision (16 f64, 8 f32).
     pub amp_bytes: u64,
     pub telemetry: Telemetry,
@@ -61,7 +59,6 @@ impl Default for PlanOptions {
     fn default() -> Self {
         Self {
             mode: ScheduleMode::Greedy,
-            search_budget: SearchConfig::default().budget,
             amp_bytes: 16,
             telemetry: Telemetry::disabled(),
         }
@@ -164,14 +161,12 @@ fn plan_inner(
     }
 
     let search_cfg = SearchConfig {
-        budget: opts.search_budget,
         amp_bytes: opts.amp_bytes,
         // The single-node engine reads the final state in physical
         // order without translating through the schedule's mapping, so
         // the relabeling axis is only sound when globals exist and every
         // consumer translates via final_mapping.
         permute_labels: base.local_qubits < circuit.n_qubits(),
-        ..SearchConfig::default()
     };
     let outcome = search_plan(circuit, base, process_cost_model(), &search_cfg);
     PlannedSchedule {
@@ -252,7 +247,6 @@ mod tests {
             &base,
             &PlanOptions {
                 mode: ScheduleMode::Search,
-                search_budget: 10,
                 ..PlanOptions::default()
             },
         );
@@ -265,7 +259,6 @@ mod tests {
         let tel = Telemetry::enabled();
         let opts = PlanOptions {
             mode: ScheduleMode::Search,
-            search_budget: 6,
             telemetry: tel.clone(),
             ..PlanOptions::default()
         };

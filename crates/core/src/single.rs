@@ -3,9 +3,7 @@
 //! Plans the circuit with the scheduler (pure clustering — with every
 //! qubit local there are no swaps), then runs it as the in-memory
 //! engine's one partition ([`crate::dist`] at `g = 0`): fused k-qubit
-//! kernels swept over the whole register with rayon parallelism. The
-//! qubit-mapping heuristic (§3.6.2) can be applied first; the plan is
-//! translated back, so the gathered state keeps the caller's qubit order.
+//! kernels swept over the whole register with rayon parallelism.
 
 use crate::backend::BackendPlan;
 use crate::checkpoint::CheckpointPolicy;
@@ -38,8 +36,6 @@ pub struct SingleOutcome<R: SweepDispatch = f64> {
 pub struct SingleNodeSimulator {
     pub kernel: KernelConfig,
     pub kmax: u32,
-    /// Apply the §3.6.2 qubit-mapping heuristic before planning.
-    pub optimize_mapping: bool,
     /// Tile budget (log2 amplitudes) of the cache-tiled stage executor;
     /// `None` is [`crate::exec::resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
@@ -53,7 +49,7 @@ pub struct SingleNodeSimulator {
     /// step.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Schedule policy: greedy (the default, bit-identical to the
-    /// pre-search engine) or cost-guided search under a budget.
+    /// pre-search engine) or cost-guided search.
     pub plan_options: PlanOptions,
 }
 
@@ -62,7 +58,6 @@ impl Default for SingleNodeSimulator {
         Self {
             kernel: KernelConfig::default(),
             kmax: 4,
-            optimize_mapping: false,
             tile_qubits: None,
             telemetry: Telemetry::disabled(),
             checkpoint: None,
@@ -106,22 +101,16 @@ impl SingleNodeSimulator {
         })
     }
 
-    /// Hadamard-layer strip, optional §3.6.2 qubit remapping, schedule
-    /// planning. A remapped plan is translated back, so the schedule is
-    /// always one of the stripped circuit and its `final_mapping` takes
-    /// the physical state to the caller's qubit order.
+    /// Hadamard-layer strip, then schedule planning of the stripped
+    /// circuit.
     pub(crate) fn plan<R: SweepDispatch>(&self, circuit: &Circuit) -> BackendPlan {
         let cfg = SchedulerConfig::single_node(circuit.n_qubits(), self.kmax);
         let (exec, init_uniform) = strip_initial_hadamards(circuit);
-        let map = self
-            .optimize_mapping
-            .then(|| qsim_sched::mapping::optimize_qubit_mapping(&exec, &cfg));
-        let remapped = map.as_ref().map(|m| exec.remapped(m));
         let track = self.telemetry.track("single");
-        let mut planned = {
+        let planned = {
             let _s = track.span("plan");
             plan_schedule(
-                remapped.as_ref().unwrap_or(&exec),
+                &exec,
                 &cfg,
                 &PlanOptions {
                     amp_bytes: 2 * R::BYTES as u64,
@@ -130,9 +119,6 @@ impl SingleNodeSimulator {
                 },
             )
         };
-        if let Some(map) = &map {
-            planned.schedule = qsim_sched::search::unpermute_schedule(planned.schedule, map);
-        }
         BackendPlan::from_planned(exec, init_uniform, planned)
     }
 
@@ -250,35 +236,6 @@ mod tests {
                 reference = Some(amps);
             }
         }
-    }
-
-    #[test]
-    fn mapping_optimization_gathers_the_callers_qubit_order() {
-        use crate::backend::{Backend, BackendOutcome, SingleBackend};
-        let c = supremacy_circuit(&SupremacySpec {
-            rows: 3,
-            cols: 3,
-            depth: 12,
-            seed: 5,
-        });
-        let mut backend = SingleBackend::new(SingleNodeSimulator {
-            optimize_mapping: true,
-            ..Default::default()
-        });
-        Backend::<f64>::gather_state(&mut backend, true);
-        let plan = Backend::<f64>::plan(&backend, &c).unwrap();
-        // The heuristic did relabel, and the plan is still one of the
-        // caller's circuit.
-        assert_ne!(plan.schedule.final_mapping(), (0..9).collect::<Vec<u32>>());
-        plan.schedule.verify(&plan.exec);
-        let out: BackendOutcome = backend.run(&plan).unwrap();
-        let got = out.state.unwrap();
-        let expect = simulate_dense::<f64>(&c);
-        assert!(
-            max_dist(&got, &expect) < 1e-10,
-            "{}",
-            max_dist(&got, &expect)
-        );
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   maximize gates per cluster, and the step-3 swap-point adjustment.
 //! * [`fuse`] — matrix fusion: embedding and multiplying gate matrices
 //!   into one 2^k × 2^k cluster matrix.
-//! * [`mapping`] — the §3.6.2 qubit-mapping heuristic assigning hot qubits
-//!   to low-order bit locations.
 //! * [`comm`] — communication statistics: swap counts, per-gate global
 //!   gate counts (the comparison baseline of Fig. 5), and byte-volume
 //!   models.
@@ -41,7 +39,6 @@ pub mod comm;
 pub mod config;
 pub mod cost;
 pub mod fuse;
-pub mod mapping;
 pub mod schedule;
 pub mod search;
 pub mod stage;

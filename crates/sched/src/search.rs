@@ -14,18 +14,21 @@
 //!    clusters, accepted by simulated annealing on modeled cost.
 //!
 //! A relabeled plan is translated back into a schedule of the *original*
-//! circuit (see [`unpermute_schedule`]): stage ops and swaps live in
+//! circuit (`unpermute_schedule`): stage ops and swaps live in
 //! physical space and carry over unchanged; only the logical→physical
 //! mappings are composed with the relabeling. Candidates are priced
 //! unfused; only the returned schedule is fused, against the original
 //! circuit (same physical positions, same bits), and, if adopted, `verify`'d.
 //!
 //! Greedy is the floor: the searched plan is adopted only if its modeled
-//! cost clears an adoption margin below greedy's
-//! ([`SearchConfig::adopt_margin`]), and never if it schedules *more*
-//! swaps than greedy — so enabling search can never make the modeled
-//! plan worse, and noise-level model deltas cannot trade away the
-//! paper's primary objective.
+//! cost clears an adoption margin below greedy's (`ADOPT_MARGIN`, 2 %),
+//! and never if it schedules *more* swaps than greedy — so enabling
+//! search can never make the modeled plan worse, and noise-level model
+//! deltas cannot trade away the paper's primary objective.
+//!
+//! The budget (32 evaluations beyond greedy), beam width (2), annealing
+//! seed and margin are constants: search is one fixed policy, pinned to
+//! the bit by `tests/golden_plans.rs`.
 
 use crate::config::SchedulerConfig;
 use crate::cost::{plan_resources, CostModel, PlanResources};
@@ -36,19 +39,27 @@ use crate::sweep::DEFAULT_TILE_QUBITS;
 use qsim_circuit::Circuit;
 use qsim_util::Xoshiro256;
 
-/// Knobs of one search run.
+/// Evaluations of `plan()` beyond the greedy baseline. Each is a full
+/// greedy plan of the circuit, so search time is roughly `BUDGET ×`
+/// greedy planning time.
+const BUDGET: usize = 32;
+/// Beam width of the configuration sweep: the best `BEAM_WIDTH`
+/// configurations each get an annealing refinement pass.
+const BEAM_WIDTH: usize = 2;
+/// Seed of the annealing proposal stream: search is a pure function of
+/// its inputs.
+const SEED: u64 = 0x5eed_5eed;
+/// Minimum *relative* modeled improvement required for adoption: the
+/// searched plan must model below `greedy × (1 − ADOPT_MARGIN)`. The
+/// cost model is only trusted for ranking, not for resolving sub-percent
+/// differences — without a margin the search happily trades real
+/// resources for noise-level flop shavings.
+const ADOPT_MARGIN: f64 = 0.02;
+
+/// What a search run derives from its caller: the target precision and
+/// whether the consumer translates through the final mapping.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SearchConfig {
-    /// Maximum number of `plan()` evaluations beyond the greedy baseline.
-    /// Each evaluation is a full greedy plan of the circuit, so search
-    /// time is roughly `budget ×` greedy planning time.
-    pub budget: usize,
-    /// Beam width of the configuration sweep: the best `beam_width`
-    /// configurations each get an annealing refinement pass.
-    pub beam_width: usize,
-    /// Seed of the annealing proposal stream (search is deterministic
-    /// for a fixed seed + budget).
-    pub seed: u64,
     /// Bytes per amplitude under the target precision (16 for f64, 8
     /// for f32) — feeds the cost model's byte counts.
     pub amp_bytes: u64,
@@ -56,26 +67,13 @@ pub struct SearchConfig {
     /// read the final state in *physical* order without translating
     /// through the schedule's final mapping (the single-node engine).
     pub permute_labels: bool,
-    /// Tile budget the pass counts are modeled under.
-    pub tile_qubits: u32,
-    /// Minimum *relative* modeled improvement required for adoption:
-    /// the searched plan must model below `greedy × (1 − adopt_margin)`.
-    /// The cost model is only trusted for ranking, not for resolving
-    /// sub-percent differences — without a margin the search happily
-    /// trades real resources for noise-level flop shavings.
-    pub adopt_margin: f64,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
         Self {
-            budget: 32,
-            beam_width: 2,
-            seed: 0x5eed_5eed,
             amp_bytes: 16,
             permute_labels: true,
-            tile_qubits: DEFAULT_TILE_QUBITS,
-            adopt_margin: 0.02,
         }
     }
 }
@@ -123,7 +121,7 @@ struct Candidate {
 /// mention labels: the relabeled plan sends label `perm[q]` to physical
 /// slot `mapping[perm[q]]`, so the original logical qubit `q` lives at
 /// `mapping[perm[q]]`.
-pub fn unpermute_schedule(mut schedule: Schedule, perm: &[u32]) -> Schedule {
+fn unpermute_schedule(mut schedule: Schedule, perm: &[u32]) -> Schedule {
     for stage in &mut schedule.stages {
         let old = stage.mapping.clone();
         for (q, slot) in stage.mapping.iter_mut().enumerate() {
@@ -147,7 +145,7 @@ fn evaluate(
     search: &SearchConfig,
 ) -> Candidate {
     let schedule = unpermute_schedule(plan_unfused(&circuit.remapped(perm), cfg), perm);
-    let resources = plan_resources(&schedule, search.amp_bytes, search.tile_qubits);
+    let resources = plan_resources(&schedule, search.amp_bytes, DEFAULT_TILE_QUBITS);
     let cost = model.seconds(&resources);
     Candidate {
         cfg: *cfg,
@@ -203,7 +201,6 @@ pub fn search_plan(
     let greedy_cost = greedy.cost;
     let greedy_resources = greedy.resources;
     let mut candidates = 1usize;
-    let mut budget = search.budget;
 
     // Swaps are the paper's primary objective and the model's weakest
     // axis (the slow tier of a real cluster is far worse than any probe
@@ -211,13 +208,10 @@ pub fn search_plan(
     // greedy is never viable no matter how cheap it models.
     let viable = |c: &Candidate| c.resources.n_swaps <= greedy_resources.n_swaps;
 
-    // Phase 1: beam over planner configurations.
+    // Phase 1: beam over planner configurations (at most six, well
+    // inside the budget).
     let mut beam: Vec<Candidate> = vec![greedy.clone()];
     for cfg in config_variants(base, circuit) {
-        if budget == 0 {
-            break;
-        }
-        budget -= 1;
         candidates += 1;
         let cand = evaluate(circuit, &cfg, &ident, model, search);
         if viable(&cand) {
@@ -225,21 +219,18 @@ pub fn search_plan(
         }
     }
     beam.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    beam.truncate(search.beam_width.max(1));
+    beam.truncate(BEAM_WIDTH);
 
     // Phase 2: annealing over logical relabelings, refining each beam
-    // survivor with an equal share of the remaining budget.
+    // survivor with an equal share of the remaining budget (the first
+    // also takes the remainder).
     let mut best = beam[0].clone();
-    if search.permute_labels && n >= 2 && budget > 0 {
+    if search.permute_labels && n >= 2 {
+        let budget = BUDGET + 1 - candidates;
         let share = budget / beam.len();
-        let mut leftover = budget - share * beam.len();
         for (b, seed_lane) in beam.iter().enumerate() {
-            let steps = share + if b == 0 { leftover } else { 0 };
-            leftover = 0;
-            if steps == 0 {
-                continue;
-            }
-            let mut rng = Xoshiro256::seed_from_u64(search.seed ^ (b as u64).wrapping_mul(0x9e37));
+            let steps = share + if b == 0 { budget % beam.len() } else { 0 };
+            let mut rng = Xoshiro256::seed_from_u64(SEED ^ (b as u64).wrapping_mul(0x9e37));
             let mut current = seed_lane.clone();
             // Temperature starts at a fifth of the greedy cost and decays
             // geometrically to ~1% of that over the lane's steps.
@@ -272,7 +263,7 @@ pub fn search_plan(
     // margin (the model ranks, it does not resolve sub-percent deltas),
     // and never a plan that fails structural validation against the
     // original circuit.
-    let adopted = best.cost < greedy_cost * (1.0 - search.adopt_margin.max(0.0));
+    let adopted = best.cost < greedy_cost * (1.0 - ADOPT_MARGIN);
     let best = if adopted { best } else { greedy };
     let mut schedule = best.schedule;
     fuse_schedule(circuit, &mut schedule);
@@ -312,15 +303,7 @@ mod tests {
         for (l, seed) in [(9u32, 1u64), (9, 2), (10, 3), (12, 4)] {
             let c = workload(3, 4, 20, seed);
             let base = SchedulerConfig::distributed(l, 4);
-            let out = search_plan(
-                &c,
-                &base,
-                &model,
-                &SearchConfig {
-                    budget: 12,
-                    ..SearchConfig::default()
-                },
-            );
+            let out = search_plan(&c, &base, &model, &SearchConfig::default());
             assert!(out.best_cost <= out.greedy_cost);
             if out.adopted {
                 assert!(out.best_cost < out.greedy_cost);
@@ -332,68 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn adopt_margin_blocks_noise_level_wins() {
-        // With a 100% margin no candidate can clear the bar, so search
-        // must fall back to greedy no matter what it finds.
-        let c = workload(3, 4, 24, 3);
-        let base = SchedulerConfig::distributed(8, 4);
-        let out = search_plan(
-            &c,
-            &base,
-            &CostModel::analytic(),
-            &SearchConfig {
-                budget: 16,
-                adopt_margin: 1.0,
-                ..SearchConfig::default()
-            },
-        );
-        assert!(!out.adopted);
-        assert_eq!(out.best_cost, out.greedy_cost);
-    }
-
-    #[test]
-    fn search_is_deterministic_for_fixed_seed() {
-        let c = workload(3, 4, 16, 7);
-        let base = SchedulerConfig::distributed(9, 4);
-        let model = CostModel::analytic();
-        let cfg = SearchConfig {
-            budget: 10,
-            seed: 42,
-            ..SearchConfig::default()
-        };
-        let a = search_plan(&c, &base, &model, &cfg);
-        let b = search_plan(&c, &base, &model, &cfg);
-        assert_eq!(a.candidates, b.candidates);
-        assert_eq!(a.adopted, b.adopted);
-        assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
-        assert_eq!(a.schedule.n_swaps(), b.schedule.n_swaps());
-    }
-
-    #[test]
     fn budget_bounds_evaluations() {
         let c = workload(3, 3, 12, 5);
         let base = SchedulerConfig::distributed(7, 4);
-        let out = search_plan(
-            &c,
-            &base,
-            &CostModel::analytic(),
-            &SearchConfig {
-                budget: 5,
-                ..SearchConfig::default()
-            },
-        );
-        assert!(out.candidates <= 6, "greedy + budget: {}", out.candidates);
-        let zero = search_plan(
-            &c,
-            &base,
-            &CostModel::analytic(),
-            &SearchConfig {
-                budget: 0,
-                ..SearchConfig::default()
-            },
-        );
-        assert_eq!(zero.candidates, 1);
-        assert!(!zero.adopted);
+        let out = search_plan(&c, &base, &CostModel::analytic(), &SearchConfig::default());
+        assert_eq!(out.candidates, BUDGET + 1, "greedy + budget");
     }
 
     #[test]
@@ -457,7 +383,6 @@ mod tests {
             &base,
             &CostModel::analytic(),
             &SearchConfig {
-                budget: 8,
                 permute_labels: false,
                 ..SearchConfig::default()
             },
@@ -478,15 +403,7 @@ mod tests {
         for seed in 1..=6u64 {
             let c = workload(4, 4, 24, seed);
             let base = SchedulerConfig::distributed(12, 3);
-            let out = search_plan(
-                &c,
-                &base,
-                &model,
-                &SearchConfig {
-                    budget: 24,
-                    ..SearchConfig::default()
-                },
-            );
+            let out = search_plan(&c, &base, &model, &SearchConfig::default());
             assert!(out.best_resources.n_swaps <= out.greedy_resources.n_swaps);
             if out.adopted
                 && (out.best_resources.n_swaps < out.greedy_resources.n_swaps

@@ -4,7 +4,7 @@
 //! qsim45 plan   --rows 9 --cols 5 --depth 25 [--seed S] --local 30 [--kmax 4]
 //! qsim45 run    --rows 4 --cols 5 --depth 25 [--seed S] [--ranks 4] [--backend mem|ooc]
 //!               [--precision f64|f32] [--compress none|shuffle-rle|lossy-<bits>]
-//!               [--kmax K] [--schedule greedy|search] [--search-budget N]
+//!               [--kmax K] [--schedule greedy|search]
 //!               [--checkpoint-dir DIR [--resume]]
 //!               [--trace-out trace.json] [--metrics-out metrics.json]
 //!               [--status-addr HOST:PORT] [--progress]
@@ -34,8 +34,11 @@
 //!
 //! `--schedule search` runs the cost-model-guided schedule search on
 //! top of the greedy planner (greedy stays the floor: a searched plan is
-//! adopted only when its modeled cost is strictly lower).
-//! `--search-budget N` caps the extra planning evaluations.
+//! adopted only when its modeled cost is more than 2 % lower), spending
+//! a fixed 32 extra planning evaluations.
+//!
+//! A value flag must be followed by its value: a flag given last, or
+//! followed by another `--flag`, is a usage error.
 //!
 //! `--checkpoint-dir` makes the run crash-recoverable: every engine
 //! publishes an atomic manifest per completed unit of work (a stage,
@@ -75,7 +78,7 @@ use qsim45::kernels::apply::KernelConfig;
 use qsim45::kernels::opt::MAX_K;
 use qsim45::kernels::SweepDispatch;
 use qsim45::ooc::{OocBackend, OocConfig, OocSimulator};
-use qsim45::sched::{global_gate_count, plan, SchedulerConfig, SearchConfig};
+use qsim45::sched::{global_gate_count, plan, SchedulerConfig};
 use qsim45::telemetry::Telemetry;
 use qsim45::util::Xoshiro256;
 
@@ -115,7 +118,6 @@ const RUN_FLAGS: &[Flag] = &[
     ("--compress", "none|shuffle-rle|lossy-<bits>"),
     ("--kmax", "K"),
     ("--schedule", "greedy|search"),
-    ("--search-budget", "N"),
     ("--checkpoint-dir", "DIR"),
     ("--resume", ""),
     ("--trace-out", "FILE"),
@@ -176,15 +178,28 @@ fn reject_unknown_flags(mode: &str, known: &[&[Flag]]) {
     }
 }
 
-fn arg(name: &str, default: u32) -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == name) {
-        None => default,
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage_error(format!("bad {name} (expected an unsigned integer)"))),
+/// The value of `name`'s first occurrence, `None` when the flag is
+/// absent: the one lookup behind every value flag. A flag with no value
+/// after it — the last argument, or followed by another `--flag` — is a
+/// usage error, never a default or the next flag's name.
+fn arg_opt(name: &str) -> Option<String> {
+    let mut rest = std::env::args().skip_while(|a| a != name);
+    rest.next()?;
+    match rest.next() {
+        Some(v) if !v.starts_with("--") => Some(v),
+        _ => usage_error(format!("missing value for {name}")),
     }
+}
+
+fn arg(name: &str, default: u32) -> u32 {
+    arg_opt(name).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(format!("bad {name} (expected an unsigned integer)")))
+    })
+}
+
+fn arg_str(name: &str, default: &str) -> String {
+    arg_opt(name).unwrap_or_else(|| default.into())
 }
 
 /// `--kmax`, the widest cluster: `1..=MAX_K`, the widest kernel, on
@@ -207,23 +222,6 @@ fn check_allocatable(s: &SupremacySpec, max: u32) {
              (at most {max} qubits; use `plan` for full scale)"
         ));
     }
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned().unwrap_or_else(|| default.into());
-        }
-    }
-    default.into()
-}
-
-fn arg_opt(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn flag(name: &str) -> bool {
@@ -403,7 +401,6 @@ fn run_at<R: SweepDispatch>() {
     };
     let plan_options = PlanOptions {
         mode: schedule_mode,
-        search_budget: arg("--search-budget", SearchConfig::default().budget as u32) as usize,
         ..PlanOptions::default()
     };
     let circuit = supremacy_circuit(&s);
@@ -546,9 +543,11 @@ fn run_at<R: SweepDispatch>() {
 fn cmd_sample() {
     let s = spec();
     check_allocatable(&s, 26);
+    // The shots are collected in memory before they are printed.
+    const MAX_SHOTS: u32 = 1 << 24;
     let shots = match arg("--shots", 16) {
-        0 => usage_error("bad --shots 0 (expected at least 1)"),
-        n => n as usize,
+        n @ 1..=MAX_SHOTS => n as usize,
+        n => usage_error(format!("bad --shots {n} (expected 1..=2^24 = {MAX_SHOTS})")),
     };
     let circuit = supremacy_circuit(&s);
     let out = SingleNodeSimulator::default()

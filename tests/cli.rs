@@ -201,7 +201,7 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 26] = [
+    let cases: [(&[&str], &str); 30] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
@@ -214,6 +214,9 @@ fn misuse_is_a_one_line_usage_error() {
         (&["plan", "--kmax", "7"], "kernels support 1..=6"),
         (&["plan", "--kmax", "16"], "--kmax 16"),
         (&["sample", "--shots", "0"], "--shots"),
+        // The shots are collected in memory: 2^32 of them aborted on a
+        // 32 GiB allocation.
+        (&["sample", "--shots", "16777217"], "2^24"),
         (&["plan", "--local", "0"], "--local"),
         (&["plan", "--local", "12"], "--local"),
         // Geometry the planner cannot schedule (each used to panic in it):
@@ -246,6 +249,18 @@ fn misuse_is_a_one_line_usage_error() {
         (&["run", "--shots", "4"], "unknown option '--shots'"),
         (&["plan", "--ranks", "4"], "unknown option '--ranks'"),
         (&["sample", "--local", "4"], "unknown option '--local'"),
+        // A value flag without its value: it used to be dropped (no
+        // checkpoint, the default backend) or to swallow the next flag
+        // (metrics written to a file named `--progress`).
+        (
+            &["run", "--checkpoint-dir"],
+            "missing value for --checkpoint-dir",
+        ),
+        (&["run", "--backend"], "missing value for --backend"),
+        (
+            &["run", "--metrics-out", "--progress"],
+            "missing value for --metrics-out",
+        ),
     ];
     for (args, names) in cases {
         // The grid goes last: `arg()` reads a flag's first occurrence,

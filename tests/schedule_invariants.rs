@@ -271,7 +271,6 @@ proptest! {
             &SchedulerConfig::distributed(l, kmax),
             &PlanOptions {
                 mode: ScheduleMode::Search,
-                search_budget: 4,
                 ..PlanOptions::default()
             },
         );

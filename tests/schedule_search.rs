@@ -27,10 +27,9 @@ fn workload(seed: u64) -> Circuit {
     })
 }
 
-fn search_opts(budget: usize) -> PlanOptions {
+fn search_opts() -> PlanOptions {
     PlanOptions {
         mode: ScheduleMode::Search,
-        search_budget: budget,
         ..PlanOptions::default()
     }
 }
@@ -58,7 +57,7 @@ fn searched_schedule_is_bit_exact_across_engines() {
     let (exec, uniform) = strip_initial_hadamards(&c);
     for g in [2u32, 3] {
         let base = SchedulerConfig::distributed(n - g, 4);
-        let planned = plan_schedule(&exec, &base, &search_opts(16));
+        let planned = plan_schedule(&exec, &base, &search_opts());
         planned.schedule.verify(&exec);
 
         let plan = BackendPlan::from_schedule(exec.clone(), planned.schedule, uniform);
@@ -91,7 +90,7 @@ fn search_is_cost_monotone_across_geometries() {
         let (exec, _) = strip_initial_hadamards(&c);
         let base = SchedulerConfig::distributed(n - g, kmax);
         let greedy = plan(&exec, &base);
-        let planned = plan_schedule(&exec, &base, &search_opts(12));
+        let planned = plan_schedule(&exec, &base, &search_opts());
         planned.schedule.verify(&exec);
         assert!(
             planned.best_cost <= planned.greedy_cost,
@@ -115,9 +114,9 @@ fn repeated_search_returns_the_same_plan() {
     let (exec, _) = strip_initial_hadamards(&c);
     let base = SchedulerConfig::distributed(n - 2, 4);
 
-    let first = plan_schedule(&exec, &base, &search_opts(12));
+    let first = plan_schedule(&exec, &base, &search_opts());
     assert!(first.candidates > 1, "must actually search");
-    let second = plan_schedule(&exec, &base, &search_opts(12));
+    let second = plan_schedule(&exec, &base, &search_opts());
     assert_eq!(second.candidates, first.candidates);
     assert_eq!(
         schedule_fingerprint(&second.schedule),
