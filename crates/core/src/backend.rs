@@ -184,7 +184,8 @@ pub trait Backend<R: SweepDispatch> {
     /// Plan `circuit` for this engine: strip the initial Hadamard
     /// layer, produce the schedule (greedy or search, per the backend's
     /// [`PlanOptions`]). A partition count the circuit
-    /// cannot be split into is [`std::io::ErrorKind::InvalidInput`].
+    /// cannot be split into, or a circuit the planner cannot schedule at
+    /// that partition count, is [`std::io::ErrorKind::InvalidInput`].
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError>;
 
     /// Execute `plan` — the only way to run a schedule — stopping with
@@ -357,7 +358,10 @@ pub fn partition_geometry(n: u32, n_parts: usize) -> std::io::Result<(u32, u32)>
 /// Shared planning path of the partitioned engines (dist and OOC): both
 /// execute `2^g`-way schedules with `l = n − g` local/chunk qubits, so
 /// they plan identically and differ only in which tier holds the
-/// non-resident amplitudes. `opts.amp_bytes` is set from `R` here.
+/// non-resident amplitudes. `opts.amp_bytes` is set from `R` here. A
+/// circuit the planner cannot schedule at this geometry
+/// ([`qsim_sched::check_schedulable`]) is
+/// [`std::io::ErrorKind::InvalidInput`].
 pub fn plan_partitioned<R: SweepDispatch>(
     circuit: &Circuit,
     n_parts: usize,
@@ -366,9 +370,12 @@ pub fn plan_partitioned<R: SweepDispatch>(
 ) -> Result<BackendPlan, SimError> {
     let (l, _) = partition_geometry(circuit.n_qubits(), n_parts)?;
     let (exec, init_uniform) = crate::single::strip_initial_hadamards(circuit);
+    let cfg = qsim_sched::SchedulerConfig::distributed(l, kmax);
+    qsim_sched::check_schedulable(&exec, &cfg)
+        .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
     let planned = crate::planner::plan_schedule(
         &exec,
-        &qsim_sched::SchedulerConfig::distributed(l, kmax),
+        &cfg,
         &PlanOptions {
             amp_bytes: 2 * R::BYTES as u64,
             ..opts.clone()

@@ -10,11 +10,8 @@ use std::path::Path;
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_core::checkpoint::{Manifest, MANIFEST_FILE};
 use qsim_core::single::strip_initial_hadamards;
-use qsim_core::{
-    Backend, BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig,
-    DistSimulator, SimError,
-};
-use qsim_kernels::{KernelConfig, SweepDispatch};
+use qsim_core::{BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, SimError};
+use qsim_kernels::SweepDispatch;
 use qsim_ooc::{Codec, OocConfig, OocSimulator, ScratchDir};
 use qsim_sched::{plan, SchedulerConfig};
 use qsim_util::c64;
@@ -68,35 +65,6 @@ fn oracle(plan: &BackendPlan) -> Vec<c64> {
     let dir = ScratchDir::new("ooc_ckpt_oracle");
     let out = ckpt_sim(3, fresh(&dir)).run_plan(plan, true, None);
     out.unwrap().state.unwrap()
-}
-
-#[test]
-fn checkpointing_does_not_change_a_single_bit() {
-    let plan = planned(6, 3);
-    // The oracle is the distributed engine on the same plan.
-    let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
-        n_ranks: 1 << (plan.schedule.n_qubits - plan.schedule.local_qubits),
-        kernel: KernelConfig::sequential(),
-        gather_state: true,
-        ..Default::default()
-    }));
-    let pout = Backend::<f64>::run(&mut dist, &plan).unwrap();
-    for depth in [1usize, 3] {
-        let dir = ScratchDir::new("ooc_ckpt_on");
-        let cout = ckpt_sim(depth, fresh(&dir))
-            .run_plan(&plan, true, None)
-            .unwrap();
-        assert_eq!(
-            max_dist(cout.state.as_ref().unwrap(), pout.state.as_ref().unwrap()),
-            0.0,
-            "checkpoint mode must be bit-exact (depth {depth})"
-        );
-        assert_eq!(cout.norm, pout.norm, "bitwise-equal reductions");
-        assert!(
-            dir.path().join("MANIFEST.json").exists(),
-            "a finished run leaves its final manifest"
-        );
-    }
 }
 
 /// What a kill inside the pass writing a generation can leave in its

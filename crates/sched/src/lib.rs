@@ -49,5 +49,5 @@ pub use config::SchedulerConfig;
 pub use cost::{plan_resources, CostModel, PlanResources};
 pub use schedule::{Cluster, DiagonalOp, Schedule, Stage, StageOp, SwapOp};
 pub use search::{search_plan, SearchConfig, SearchOutcome};
-pub use stage::plan;
+pub use stage::{check_schedulable, plan};
 pub use sweep::{plan_stage_sweeps, SweepPass, SweepPlan};

@@ -34,7 +34,7 @@ use crate::config::SchedulerConfig;
 use crate::cost::{plan_resources, CostModel, PlanResources};
 use crate::fuse::fuse_schedule;
 use crate::schedule::Schedule;
-use crate::stage::plan_unfused;
+use crate::stage::{check_schedulable, plan_unfused};
 use crate::sweep::DEFAULT_TILE_QUBITS;
 use qsim_circuit::Circuit;
 use qsim_util::Xoshiro256;
@@ -245,11 +245,16 @@ pub fn search_plan(
                     j += 1;
                 }
                 perm.swap(i, j);
-                candidates += 1;
-                let cand = evaluate(circuit, &current.cfg, &perm, model, search);
-                let delta = cand.cost - current.cost;
-                if viable(&cand) && (delta < 0.0 || rng.next_f64() < (-delta / t).exp()) {
-                    current = cand;
+                // At 2·l = n a relabeling can move a gate that must run
+                // local across the two halves, which no plan schedules.
+                let halves = 2 * current.cfg.local_qubits == n;
+                if !halves || check_schedulable(&circuit.remapped(&perm), &current.cfg).is_ok() {
+                    candidates += 1;
+                    let cand = evaluate(circuit, &current.cfg, &perm, model, search);
+                    let delta = cand.cost - current.cost;
+                    if viable(&cand) && (delta < 0.0 || rng.next_f64() < (-delta / t).exp()) {
+                        current = cand;
+                    }
                 }
                 if current.cost < best.cost {
                     best = current.clone();

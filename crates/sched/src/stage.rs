@@ -36,30 +36,67 @@ use qsim_circuit::{Circuit, DependencyTracker, Gate};
 ///
 /// # Panics
 ///
-/// On `local_qubits` outside `1..=n`, `kmax == 0`, a gate wider than
-/// `local_qubits`, and at `2 · local_qubits == n` on a gate that must run
-/// local but spans the two halves of the initial mapping: every swap
-/// exchanges the halves, so it never runs (every CZ across them when
-/// `specialize_diagonal` is off).
+/// When [`check_schedulable`] rejects `circuit` under `cfg`.
 pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
     let mut schedule = plan_unfused(circuit, cfg);
     fuse_schedule(circuit, &mut schedule);
     schedule
 }
 
-/// [`plan`] without the fusion step: cluster matrices are placeholders
-/// (`Schedule::verify` rejects them), so the plan is for pricing only.
-pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
+/// Can [`plan`] schedule `circuit` under `cfg`? It cannot with
+/// `local_qubits` outside `1..=n`, `kmax == 0`, a gate wider than
+/// `local_qubits`, or at `2 · local_qubits == n` a gate that must run
+/// local but spans the two halves of the initial mapping: every swap
+/// exchanges the halves, so it never runs (every CZ across them when
+/// `specialize_diagonal` is off). The error names the reason.
+pub fn check_schedulable(circuit: &Circuit, cfg: &SchedulerConfig) -> Result<(), String> {
     let n = circuit.n_qubits();
     let l = cfg.local_qubits;
-    assert!(l >= 1 && l <= n, "local qubits {l} out of range (n={n})");
-    assert!(cfg.kmax >= 1, "kmax must be positive");
-    if let Some(widest) = circuit.gates().iter().map(|g| g.arity() as u32).max() {
-        assert!(
-            widest <= l,
-            "a {widest}-qubit gate cannot run with only {l} local qubits"
-        );
+    if l < 1 || l > n {
+        return Err(format!("local qubits {l} out of range (n={n})"));
     }
+    if cfg.kmax < 1 {
+        return Err("kmax must be positive".into());
+    }
+    if let Some(widest) = circuit.gates().iter().map(|g| g.arity() as u32).max() {
+        if widest > l {
+            return Err(format!(
+                "a {widest}-qubit gate cannot run with only {l} local qubits"
+            ));
+        }
+    }
+    if 2 * l != n {
+        return Ok(());
+    }
+    let treat_dense = dense_for_scheduling(circuit, cfg);
+    let mapping = initial_mapping(circuit, cfg, &treat_dense);
+    let local = mask_of(0..l);
+    let spanning = circuit.gates().iter().enumerate().find(|&(gi, g)| {
+        let m = mask_of(g.qubits().into_iter().map(|q| mapping[q as usize]));
+        needs_local(g, gi, cfg, &treat_dense) && m & local != 0 && m & !local != 0
+    });
+    match spanning {
+        Some((gi, g)) => Err(format!(
+            "unschedulable at local_qubits = n/2 = {l}: every swap exchanges the halves, and gate {gi} ({} on {:?}) must run local but spans them",
+            g.name(),
+            &g.qubits()[..]
+        )),
+        None => Ok(()),
+    }
+}
+
+/// [`plan`] without the fusion step: cluster matrices are placeholders
+/// (`Schedule::verify` rejects them), so the plan is for pricing only.
+///
+/// # Panics
+///
+/// When [`check_schedulable`] rejects `circuit` under `cfg`.
+pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
+    if let Err(why) = check_schedulable(circuit, cfg) {
+        panic!("{why}");
+    }
+    let n = circuit.n_qubits();
+    let l = cfg.local_qubits;
     // Clusters can never exceed the local qubit count.
     let cfg = &SchedulerConfig {
         kmax: cfg.kmax.min(l),
@@ -68,18 +105,6 @@ pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule
 
     let treat_dense = dense_for_scheduling(circuit, cfg);
     let mapping = initial_mapping(circuit, cfg, &treat_dense);
-    if 2 * l == n {
-        // Every swap exchanges the two halves (see `# Panics`).
-        let local = mask_of(0..l);
-        let spanning = circuit.gates().iter().enumerate().find(|&(gi, g)| {
-            let m = mask_of(g.qubits().into_iter().map(|q| mapping[q as usize]));
-            needs_local(g, gi, cfg, &treat_dense) && m & local != 0 && m & !local != 0
-        });
-        if let Some((gi, g)) = spanning {
-            let qs = &g.qubits()[..];
-            panic!("unschedulable at local_qubits = n/2 = {l}: every swap exchanges the halves, and gate {gi} ({} on {qs:?}) must run local but spans them", g.name());
-        }
-    }
 
     // Phase 1: stage finding on raw gate lists. With the cheap search on,
     // a bounded DFS explores the per-stall candidate swaps and keeps the

@@ -126,3 +126,47 @@ impl IoStats {
         );
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::IoStats;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `overlap_fraction` is a derived ratio and must stay in [0, 1]
+        /// for *any* accumulation of non-negative counters — including
+        /// blocked time exceeding raw IO time (clock skew between the
+        /// compute loop and the IO threads) and the zero-IO degenerate
+        /// case.
+        #[test]
+        fn io_stats_overlap_fraction_bounded(
+            read in 0.0f64..1e6,
+            write in 0.0f64..1e6,
+            wait in 0.0f64..4e6,
+            compute in 0.0f64..1e6,
+            bytes_read in 0u64..=1u64 << 40,
+            bytes_written in 0u64..=1u64 << 40,
+            loops in prop::collection::vec((0.0f64..1e3, 0.0f64..1e3), 0..8),
+        ) {
+            let mut io = IoStats {
+                bytes_read,
+                bytes_written,
+                read_seconds: read,
+                write_seconds: write,
+                io_wait_seconds: wait,
+                compute_seconds: compute,
+                ..IoStats::default()
+            };
+            let f = io.overlap_fraction();
+            prop_assert!((0.0..=1.0).contains(&f), "overlap_fraction {} out of [0, 1]", f);
+            // Folding in compute-loop contributions must preserve the bound.
+            for (w, c) in loops {
+                io.merge(&IoStats::compute_loop(w, c));
+                let f = io.overlap_fraction();
+                prop_assert!((0.0..=1.0).contains(&f), "after merge: overlap_fraction {} out of [0, 1]", f);
+            }
+        }
+    }
+}

@@ -9,29 +9,19 @@
 //! does not name. The unit is the stage, with the swap that closes it,
 //! on every engine: progress counts it and checkpoints cut at it.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::circuit::Circuit;
+use qsim45::circuit::{Circuit, Gate};
 use qsim45::core::{
     Backend, BackendPlan, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, SimError,
     SingleBackend, SingleNodeSimulator,
 };
 use qsim45::kernels::{KernelConfig, SweepDispatch};
-use qsim45::ooc::{OocBackend, OocConfig, OocSimulator};
+use qsim45::ooc::{OocBackend, OocConfig, OocSimulator, ScratchDir};
 use qsim45::sched::{Stage, SwapOp};
 use qsim45::telemetry::{Metric, RunState, Telemetry};
 use qsim45::util::complex::max_dist;
-
-static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let id = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!("qsim_backend_{tag}_{}_{id}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
 
 fn workload() -> Circuit {
     supremacy_circuit(&SupremacySpec {
@@ -165,9 +155,7 @@ fn progress_of<R: SweepDispatch>(
     (snap.planned, snap.done, swaps, snap.state, validations)
 }
 
-/// The shared conformance pass: replaces the per-engine copies that
-/// used to live in `tests/backends.rs` and the engine-specific halves
-/// of the checkpoint suites.
+/// The shared conformance pass, the same for every engine.
 fn conformance<R: SweepDispatch>(norm_tol: f64) {
     let c = workload();
     let t = Telemetry::enabled();
@@ -209,32 +197,31 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
         // its directory exactly once.
         let swaps_in = |s: &[Stage]| s.iter().filter(|s| s.swap.is_some()).count() as u64;
         let units = total_units as u64;
-        let dir = tmpdir(&format!("{name}_progress"));
+        let dir = ScratchDir::new(&format!("{name}_progress"));
         let (done, failed) = (RunState::Done, RunState::Failed);
         assert_eq!(
-            progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), None),
+            progress_of::<R>(which, &plan, CheckpointPolicy::new(dir.path()), None),
             (units, units, swaps_in(stages), done, 1),
             "{name}: fresh run"
         );
         let k = (total_units / 2).max(1);
         assert_eq!(
-            progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), Some(k)),
+            progress_of::<R>(which, &plan, CheckpointPolicy::new(dir.path()), Some(k)),
             (units, k as u64, swaps_in(&stages[..k]), failed, 1),
             "{name}: killed at unit {k}"
         );
         let rest = &stages[k..];
         let rest_units = rest.len() as u64;
         assert_eq!(
-            progress_of::<R>(which, &plan, CheckpointPolicy::resume(&dir), None),
+            progress_of::<R>(which, &plan, CheckpointPolicy::resume(dir.path()), None),
             (rest_units, rest_units, swaps_in(rest), done, 1),
             "{name}: resumed from unit {k}"
         );
-        progress_of::<R>(which, &plan, CheckpointPolicy::new(&dir), Some(k));
-        tear_named_generation(&dir, k);
+        progress_of::<R>(which, &plan, CheckpointPolicy::new(dir.path()), Some(k));
+        tear_named_generation(dir.path(), k);
         let (.., state, validations) =
-            progress_of::<R>(which, &plan, CheckpointPolicy::resume(&dir), None);
+            progress_of::<R>(which, &plan, CheckpointPolicy::resume(dir.path()), None);
         assert_eq!((state, validations), (failed, 1), "{name}: torn resume");
-        let _ = std::fs::remove_dir_all(&dir);
 
         // Plain gathered run: normalized state, stats tagged with the
         // engine that produced them.
@@ -251,15 +238,14 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
 
         // Checkpointed uninterrupted run: checkpointing must be bitwise
         // invisible to the physics.
-        let dir = tmpdir(&format!("{name}_base"));
-        b.checkpoint(CheckpointPolicy::new(&dir));
+        let dir = ScratchDir::new(&format!("{name}_base"));
+        b.checkpoint(CheckpointPolicy::new(dir.path()));
         let base = b.run(&plan).expect(name).state.expect("gathered state");
         assert_eq!(
             max_dist(&base, &plain).to_f64(),
             0.0,
             "{name}: checkpointed run diverged from the plain run"
         );
-        let _ = std::fs::remove_dir_all(&dir);
 
         // At every unit: a kill lands as a typed InjectedStop naming
         // exactly the unit count that is durable in the checkpoint
@@ -272,8 +258,8 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
                 Leftover::Deleted,
             ] {
                 let at = format!("{name}: kill at {stop}/{total_units}, {how:?}");
-                let dir = tmpdir(&format!("{name}_kill"));
-                b.checkpoint(CheckpointPolicy::new(&dir));
+                let dir = ScratchDir::new(&format!("{name}_kill"));
+                b.checkpoint(CheckpointPolicy::new(dir.path()));
                 match b.run_to_stage(&plan, Some(stop)) {
                     Err(SimError::InjectedStop { unit }) => assert_eq!(unit, stop, "{at}"),
                     Err(e) => panic!("{at}: expected InjectedStop, got {e}"),
@@ -281,19 +267,18 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
                 }
                 // ...the generation being written when the next unit
                 // dies is in any state...
-                assert!(tear_unnamed_generation(&dir, stop, how) > 0, "{at}");
+                assert!(tear_unnamed_generation(dir.path(), stop, how) > 0, "{at}");
 
                 // ...and resume replays the identical tail: bit-exact.
                 // (The stop point was an argument of that one call: this
                 // run completes.)
-                b.checkpoint(CheckpointPolicy::resume(&dir));
+                b.checkpoint(CheckpointPolicy::resume(dir.path()));
                 let resumed = b.run(&plan).expect(name).state.expect("gathered state");
                 assert_eq!(
                     max_dist(&resumed, &plain).to_f64(),
                     0.0,
                     "{at}: resume diverged"
                 );
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }
@@ -309,26 +294,6 @@ fn every_backend_conforms_at_f32() {
     // Norm and entropy accumulate in f64 on every engine, so the f32
     // tier's reported norm carries only the state's own rounding.
     conformance::<f32>(1e-6);
-}
-
-#[test]
-fn backends_agree_with_each_other_through_the_trait() {
-    // The equivalence half of the old per-engine suite, restated once
-    // over the trait: every backend's gathered state against the first.
-    let c = workload();
-    let t = Telemetry::default();
-    let mut states = Vec::new();
-    for mut b in backends::<f64>(&t, RANKS) {
-        b.gather_state(true);
-        let plan = b.plan(&c).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-        let out = b.run(&plan).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-        states.push((b.name(), out.state.expect("gathered state")));
-    }
-    let (ref_name, reference) = &states[0];
-    for (name, state) in &states[1..] {
-        let d = max_dist(state, reference);
-        assert!(d < 1e-9, "{name} vs {ref_name}: max dist {d:e}");
-    }
 }
 
 #[test]
@@ -361,8 +326,8 @@ fn resume_rejects_cross_precision_checkpoints_through_the_trait() {
         .zip(backends::<f32>(&t, RANKS))
     {
         let name = b64.name();
-        let dir = tmpdir(&format!("{name}_xprec"));
-        b64.checkpoint(CheckpointPolicy::new(&dir));
+        let dir = ScratchDir::new(&format!("{name}_xprec"));
+        b64.checkpoint(CheckpointPolicy::new(dir.path()));
         let plan = b64.plan(&c).expect(name);
         let stop = (plan.schedule.stages.len() / 2).max(1);
         match b64.run_to_stage(&plan, Some(stop)) {
@@ -370,7 +335,7 @@ fn resume_rejects_cross_precision_checkpoints_through_the_trait() {
             other => panic!("{name}: expected InjectedStop, got {:?}", other.map(|_| ())),
         }
 
-        b32.checkpoint(CheckpointPolicy::resume(&dir));
+        b32.checkpoint(CheckpointPolicy::resume(dir.path()));
         let plan32 = b32.plan(&c).expect(name);
         match b32.run(&plan32) {
             Err(SimError::Checkpoint(m)) => {
@@ -379,7 +344,6 @@ fn resume_rejects_cross_precision_checkpoints_through_the_trait() {
             Err(e) => panic!("{name}: expected Checkpoint error, got {e}"),
             Ok(_) => panic!("{name}: cross-precision resume must be rejected"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -449,6 +413,31 @@ fn bad_partition_counts_are_typed_errors_not_panics() {
         "single run, 4-way plan",
         Backend::<f64>::run(&mut single, &swapful),
     );
+}
+
+#[test]
+fn unschedulable_circuits_are_typed_errors_not_panics() {
+    // At 4 ranks or chunks a 4-qubit register keeps l = 2 qubits local. A
+    // CNOT mesh must run some CNOT across the two halves, which every swap
+    // exchanges; a Toffoli is wider than the local qubits. The planner
+    // refuses both with the typed error, on dist and OOC alike.
+    let (mut mesh, mut toffoli) = (Circuit::new(4), Circuit::new(4));
+    for (control, target) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
+        if control != target {
+            mesh.cnot(control, target);
+        }
+    }
+    toffoli.push(Gate::Toffoli {
+        target: 0,
+        c1: 1,
+        c2: 2,
+    });
+    let t = Telemetry::default();
+    for c in [&mesh, &toffoli] {
+        for b in backends::<f64>(&t, 4).into_iter().skip(1) {
+            assert_invalid_input(&format!("{} plan, {:?}", b.name(), c.gates()[0]), b.plan(c));
+        }
+    }
 }
 
 #[test]

@@ -3,13 +3,14 @@
 //! qubit sizes (no amplitudes are ever allocated). Plus the one shape
 //! every engine executes, over random circuits and geometries.
 
+mod common;
+
+use common::random_circuit;
 use proptest::prelude::*;
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
-use qsim45::circuit::Circuit;
 use qsim45::core::single::strip_initial_hadamards;
 use qsim45::core::{plan_schedule, PlanOptions, ScheduleMode};
 use qsim45::sched::{global_gate_count, plan, CommStats, SchedulerConfig, StageOp};
-use qsim45::util::Xoshiro256;
 use std::time::Instant;
 
 fn circuit(rows: u32, cols: u32, depth: u32) -> qsim45::circuit::Circuit {
@@ -215,25 +216,6 @@ fn half_local_with_specialization_plans() {
     for (rows, cols) in [(2, 3), (3, 4), (4, 4)] {
         plan_at_half(rows, cols, true);
     }
-}
-
-/// A random circuit over the supremacy gate set plus CNOT.
-fn random_circuit(n: u32, n_gates: usize, seed: u64) -> Circuit {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let mut c = Circuit::new(n);
-    for _ in 0..n_gates {
-        let q = (rng.next_u64() % n as u64) as u32;
-        let q2 = (q + 1 + (rng.next_u64() % (n as u64 - 1)) as u32) % n;
-        match rng.next_u64() % 6 {
-            0 => c.h(q),
-            1 => c.t(q),
-            2 => c.sqrt_x(q),
-            3 => c.sqrt_y(q),
-            4 => c.cz(q, q2),
-            _ => c.cnot(q, q2),
-        };
-    }
-    c
 }
 
 proptest! {
