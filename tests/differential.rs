@@ -388,7 +388,7 @@ fn sweep(cases: impl Iterator<Item = u64>) -> [usize; 4] {
                     simd: *rng.choose(&[Simd::Scalar, Simd::Avx2, Simd::Auto]),
                     threads: 1 + rng.next_below(2) as usize,
                     tile: (rng.next_below(2) == 1).then(|| 1 + rng.next_below(l as u64) as u32),
-                    prefetch: 1 + rng.next_below(3) as usize,
+                    prefetch: 1 + rng.next_below(4) as usize,
                     codec: *rng.choose(&[Codec::None, Codec::ShuffleRle][..1 + usize::from(ooc)]),
                     stop: (rng.next_below(4) == 0).then(|| 1 + rng.next_below(3) as usize),
                 };
