@@ -297,6 +297,26 @@ fn every_backend_conforms_at_f32() {
 }
 
 #[test]
+fn backends_agree_with_each_other_through_the_trait() {
+    // The equivalence half of the old per-engine suite, restated once
+    // over the trait: every backend's gathered state against the first.
+    let c = workload();
+    let t = Telemetry::default();
+    let mut states = Vec::new();
+    for mut b in backends::<f64>(&t, RANKS) {
+        b.gather_state(true);
+        let plan = b.plan(&c).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+        let out = b.run(&plan).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+        states.push((b.name(), out.state.expect("gathered state")));
+    }
+    let (ref_name, reference) = &states[0];
+    for (name, state) in &states[1..] {
+        let d = max_dist(state, reference);
+        assert!(d < 1e-9, "{name} vs {ref_name}: max dist {d:e}");
+    }
+}
+
+#[test]
 fn a_stop_point_requires_a_checkpoint_directory() {
     // Killing a run that has nowhere to persist its progress would lose
     // the state: every backend must refuse up front with a typed error,

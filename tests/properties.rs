@@ -1,19 +1,122 @@
-//! Property-based tests (proptest) on the planner's and the baseline's
-//! invariants: random circuits, random bit permutations, random cluster
-//! fusions. (Engine results against the dense reference are the
-//! differential oracle's, `tests/differential.rs`.)
+//! Property-based tests (proptest) on the core invariants:
+//! random circuits through every engine, random bit permutations, random
+//! cluster fusions — all must preserve unitarity/norm and agree with the
+//! dense reference.
 
 mod common;
 
 use common::random_circuit;
 use proptest::prelude::*;
-use qsim45::core::SingleNodeSimulator;
+use qsim45::circuit::dense::simulate_dense;
+use qsim45::circuit::Circuit;
+use qsim45::core::single::strip_initial_hadamards;
+use qsim45::core::{
+    Backend, BackendOutcome, BackendPlan, DistBackend, DistConfig, DistSimulator,
+    SingleNodeSimulator, SingleOutcome,
+};
 use qsim45::kernels::apply::KernelConfig;
+use qsim45::kernels::SweepDispatch;
+use qsim45::sched::Schedule;
 use qsim45::sched::{plan, SchedulerConfig};
 use qsim45::util::bits::BitPermutation;
+use qsim45::util::complex::max_dist;
+
+fn run_single(c: &Circuit) -> SingleOutcome {
+    SingleNodeSimulator::default().try_run_t(c).unwrap()
+}
+
+/// A hand-planned schedule on four sequential-kernel ranks, gathered.
+fn run_dist4<R: SweepDispatch>(
+    exec: &Circuit,
+    schedule: &Schedule,
+    uniform: bool,
+) -> BackendOutcome<R> {
+    let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), uniform);
+    DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks: 4,
+        kernel: KernelConfig::sequential(),
+        gather_state: true,
+        ..Default::default()
+    }))
+    .run(&plan)
+    .unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn single_node_matches_dense_on_random_circuits(n_gates in 1usize..40, seed in 0u64..100_000) {
+        let c = random_circuit(6, n_gates, seed);
+        let reference = simulate_dense::<f64>(&c);
+        let out = run_single(&c);
+        prop_assert!(max_dist(out.state.amplitudes(), &reference) < 1e-9);
+    }
+
+    #[test]
+    fn distributed_matches_dense_on_random_circuits(n_gates in 1usize..30, seed in 0u64..100_000) {
+        let c = random_circuit(6, n_gates, seed);
+        let reference = simulate_dense::<f64>(&c);
+        let (exec, uniform) = strip_initial_hadamards(&c);
+        let schedule = plan(&exec, &SchedulerConfig::distributed(4, 3));
+        schedule.verify(&exec);
+        let state = run_dist4::<f64>(&exec, &schedule, uniform).state.unwrap();
+        prop_assert!(max_dist(&state, &reference) < 1e-9,
+            "distance {}", max_dist(&state, &reference));
+    }
+
+    #[test]
+    fn f32_tracks_f64_within_depth_scaled_bound(n_gates in 1usize..40, seed in 0u64..100_000) {
+        let c = random_circuit(6, n_gates, seed);
+        let f64_out = run_single(&c);
+        let f32_out = SingleNodeSimulator::default().try_run_t::<f32>(&c).unwrap();
+        let norm = f32_out.state.norm_sqr() as f64;
+        prop_assert!((norm - 1.0).abs() < 1e-4, "f32 norm {}", norm);
+        // Both tiers execute the identical compiled passes, and
+        // Complex<f32> is exactly half the bytes of Complex<f64>: the
+        // f32 run streams exactly half the bytes.
+        prop_assert_eq!(f32_out.sweep.sweep_passes, f64_out.sweep.sweep_passes);
+        prop_assert_eq!(2 * f32_out.sweep.bytes_streamed, f64_out.sweep.bytes_streamed);
+        // Rounding error grows with circuit depth; a unitary circuit
+        // accumulates O(eps) per gate, so budget eps-per-gate with
+        // headroom rather than a flat tolerance.
+        let bound = 2e-6 * (c.len() as f64 + 1.0);
+        let mut worst = 0.0f64;
+        for (a, b) in f64_out.state.amplitudes().iter().zip(f32_out.state.amplitudes()) {
+            worst = worst
+                .max((a.re - b.re as f64).abs())
+                .max((a.im - b.im as f64).abs());
+        }
+        prop_assert!(worst < bound, "f32 drift {:e} exceeds {:e} at {} gates",
+            worst, bound, c.len());
+    }
+
+    #[test]
+    fn f32_distributed_matches_f32_single_node(n_gates in 1usize..30, seed in 0u64..100_000) {
+        let c = random_circuit(6, n_gates, seed);
+        let single = SingleNodeSimulator {
+            kernel: KernelConfig::sequential(),
+            ..Default::default()
+        }.try_run_t::<f32>(&c).unwrap();
+        let (exec, uniform) = strip_initial_hadamards(&c);
+        let schedule = plan(&exec, &SchedulerConfig::distributed(4, 3));
+        let state = run_dist4::<f32>(&exec, &schedule, uniform).state.unwrap();
+        let mut worst = 0.0f64;
+        for (a, b) in single.state.amplitudes().iter().zip(&state) {
+            worst = worst
+                .max((a.re as f64 - b.re as f64).abs())
+                .max((a.im as f64 - b.im as f64).abs());
+        }
+        prop_assert!(worst < 2e-6 * (c.len() as f64 + 1.0), "drift {:e}", worst);
+    }
+
+    #[test]
+    fn norm_preserved_under_random_circuits(n_gates in 1usize..60, seed in 0u64..100_000) {
+        let c = random_circuit(8, n_gates, seed);
+        let out = run_single(&c);
+        let norm = out.state.norm_sqr();
+        prop_assert!((norm - 1.0).abs() < 1e-8, "norm {norm}");
+    }
 
     #[test]
     fn schedule_covers_every_gate_exactly_once(
@@ -74,7 +177,7 @@ proptest! {
     #[test]
     fn baseline_and_scheduled_agree_on_entropy(n_gates in 1usize..30, seed in 0u64..100_000) {
         let c = random_circuit(6, n_gates, seed);
-        let single = SingleNodeSimulator::default().try_run_t::<f64>(&c).unwrap();
+        let single = run_single(&c);
         let mut base = qsim45::core::BaselineSimulator::new(
             1,
             KernelConfig::sequential(),
