@@ -189,6 +189,25 @@ mod tests {
     }
 
     #[test]
+    fn matches_dense_reference_on_supremacy_circuits() {
+        for seed in [0u64, 1, 2] {
+            let c = supremacy_circuit(&SupremacySpec {
+                rows: 3,
+                cols: 3,
+                depth: 14,
+                seed,
+            });
+            let expect = simulate_dense::<f64>(&c);
+            let got = amps_of(&c);
+            assert!(
+                max_dist(&got, &expect) < 1e-10,
+                "seed {seed}: {}",
+                max_dist(&got, &expect)
+            );
+        }
+    }
+
+    #[test]
     fn matches_dense_on_structured_circuit() {
         let mut c = Circuit::new(4);
         c.h(0).cnot(0, 1).t(1).cz(1, 2).sqrt_y(3).cnot(2, 3).z(0);

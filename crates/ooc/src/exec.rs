@@ -428,9 +428,11 @@ mod tests {
     use crate::chunkstore::IoStats;
     use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
     use qsim_circuit::Circuit;
-    use qsim_core::single::strip_initial_hadamards;
+    use qsim_core::single::{strip_initial_hadamards, SingleNodeSimulator};
+    use qsim_core::{Backend, DistBackend, DistConfig, DistSimulator};
     use qsim_sched::{plan, Schedule, SchedulerConfig};
     use qsim_util::c64;
+    use qsim_util::complex::max_dist;
 
     fn sequential() -> OocSimulator {
         OocSimulator::new(OocConfig::sequential())
@@ -454,6 +456,19 @@ mod tests {
         }
     }
 
+    /// The distributed engine on the same hand-planned schedule: the
+    /// oracle for state, norm and entropy.
+    fn dist_oracle(exec: &Circuit, schedule: &Schedule, uniform: bool) -> BackendOutcome {
+        let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+            n_ranks: 1 << (schedule.n_qubits - schedule.local_qubits),
+            kernel: KernelConfig::sequential(),
+            gather_state: true,
+            ..Default::default()
+        }));
+        let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), uniform);
+        Backend::<f64>::run(&mut dist, &plan).unwrap()
+    }
+
     fn at_depth(prefetch_depth: usize) -> OocSimulator {
         OocSimulator::new(OocConfig {
             prefetch_depth,
@@ -473,6 +488,9 @@ mod tests {
         let schedule = plan(&exec, &SchedulerConfig::distributed(7, 3));
         let swaps = schedule.n_swaps() as u64;
         assert!(swaps >= 1, "want several stages");
+        let want = dist_oracle(&exec, &schedule, uniform);
+        let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
+
         for depth in [1usize, 2, 3, 4] {
             let mut sim = at_depth(depth);
             let out = run(&mut sim, &exec, &schedule, uniform).unwrap();
@@ -485,6 +503,47 @@ mod tests {
             // One traversal per stage: both halves of every swap ride
             // inside the passes around it.
             assert_eq!(io.traversals, swaps + 1, "depth {depth}");
+            assert_eq!(out.state, want.state, "depth {depth}");
+            assert_eq!(out.norm.to_bits(), want.norm.to_bits(), "depth {depth}");
+            assert_eq!(
+                out.entropy.to_bits(),
+                want.entropy.to_bits(),
+                "depth {depth}"
+            );
+            assert!(max_dist(out.state.as_ref().unwrap(), single.state.amplitudes()) < 1e-10);
+        }
+    }
+
+    #[test]
+    fn io_traffic_is_constant_per_swap() {
+        // The §5 argument: disk traffic scales with swaps, not gates —
+        // and at exactly the all-to-all's own minimum. Each swap costs
+        // one state write (scatter) and the stage after it one read and
+        // one write; the start state is never written and the final
+        // reduction is folded into the last stage.
+        let c = supremacy_circuit(&SupremacySpec {
+            rows: 3,
+            cols: 4,
+            depth: 25,
+            seed: 1,
+        });
+        let (exec, uniform) = strip_initial_hadamards(&c);
+        let state_bytes = (1u64 << 12) * 16;
+        for g in [1u32, 2, 3] {
+            let schedule = plan(&exec, &SchedulerConfig::distributed(12 - g, 4));
+            let swaps = schedule.n_swaps() as u64;
+            assert!(swaps >= 1, "g={g}: want a swap to count");
+            let plan = BackendPlan::from_schedule(exec.clone(), schedule, uniform);
+            let out = sequential().run_plan(&plan, false, None).unwrap();
+            let (io, runs) = ooc_stats(&out);
+            assert_eq!(
+                io.logical_bytes_read + io.logical_bytes_written,
+                (2 * swaps + 1) * state_bytes,
+                "g={g}: 2S + 1 state transfers, exactly"
+            );
+            assert_eq!(io.logical_bytes_read, swaps * state_bytes, "g={g}");
+            assert_eq!(runs as u64, swaps + 1, "g={g}");
+            assert_eq!(io.traversals, swaps + 1, "g={g}");
         }
     }
 
