@@ -34,7 +34,7 @@ use crate::config::SchedulerConfig;
 use crate::cost::{plan_resources, CostModel, PlanResources};
 use crate::fuse::fuse_schedule;
 use crate::schedule::Schedule;
-use crate::stage::{check_schedulable, plan_unfused};
+use crate::stage::plan_unfused;
 use crate::sweep::DEFAULT_TILE_QUBITS;
 use qsim_circuit::Circuit;
 use qsim_util::Xoshiro256;
@@ -136,24 +136,25 @@ fn identity_perm(n: u32) -> Vec<u32> {
 }
 
 /// Plan `circuit` under `cfg` with logical labels permuted by `perm`,
-/// returning an unfused schedule of the *original* circuit and its score.
+/// returning an unfused schedule of the *original* circuit and its score,
+/// or why the relabeled circuit cannot be planned.
 fn evaluate(
     circuit: &Circuit,
     cfg: &SchedulerConfig,
     perm: &[u32],
     model: &CostModel,
     search: &SearchConfig,
-) -> Candidate {
-    let schedule = unpermute_schedule(plan_unfused(&circuit.remapped(perm), cfg), perm);
+) -> Result<Candidate, String> {
+    let schedule = unpermute_schedule(plan_unfused(&circuit.remapped(perm), cfg)?, perm);
     let resources = plan_resources(&schedule, search.amp_bytes, DEFAULT_TILE_QUBITS);
     let cost = model.seconds(&resources);
-    Candidate {
+    Ok(Candidate {
         cfg: *cfg,
         perm: perm.to_vec(),
         schedule,
         resources,
         cost,
-    }
+    })
 }
 
 /// Neighboring planner configurations of `base`: `kmax ± 1` (clamped to
@@ -189,6 +190,10 @@ fn config_variants(base: &SchedulerConfig, circuit: &Circuit) -> Vec<SchedulerCo
 /// `base`. See the module docs for the algorithm; the returned outcome
 /// always contains a schedule that `verify`s against `circuit`, and its
 /// modeled cost is never above greedy's.
+///
+/// # Panics
+///
+/// When [`crate::check_schedulable`] rejects `circuit` under `base`.
 pub fn search_plan(
     circuit: &Circuit,
     base: &SchedulerConfig,
@@ -197,7 +202,8 @@ pub fn search_plan(
 ) -> SearchOutcome {
     let n = circuit.n_qubits();
     let ident = identity_perm(n);
-    let greedy = evaluate(circuit, base, &ident, model, search);
+    let greedy =
+        evaluate(circuit, base, &ident, model, search).unwrap_or_else(|why| panic!("{why}"));
     let greedy_cost = greedy.cost;
     let greedy_resources = greedy.resources;
     let mut candidates = 1usize;
@@ -213,9 +219,9 @@ pub fn search_plan(
     let mut beam: Vec<Candidate> = vec![greedy.clone()];
     for cfg in config_variants(base, circuit) {
         candidates += 1;
-        let cand = evaluate(circuit, &cfg, &ident, model, search);
-        if viable(&cand) {
-            beam.push(cand);
+        match evaluate(circuit, &cfg, &ident, model, search) {
+            Ok(cand) if viable(&cand) => beam.push(cand),
+            _ => {}
         }
     }
     beam.sort_by(|a, b| a.cost.total_cmp(&b.cost));
@@ -247,10 +253,8 @@ pub fn search_plan(
                 perm.swap(i, j);
                 // At 2·l = n a relabeling can move a gate that must run
                 // local across the two halves, which no plan schedules.
-                let halves = 2 * current.cfg.local_qubits == n;
-                if !halves || check_schedulable(&circuit.remapped(&perm), &current.cfg).is_ok() {
+                if let Ok(cand) = evaluate(circuit, &current.cfg, &perm, model, search) {
                     candidates += 1;
-                    let cand = evaluate(circuit, &current.cfg, &perm, model, search);
                     let delta = cand.cost - current.cost;
                     if viable(&cand) && (delta < 0.0 || rng.next_f64() < (-delta / t).exp()) {
                         current = cand;
@@ -362,7 +366,7 @@ mod tests {
         let cfg = SchedulerConfig::distributed(9, 4);
         let relabeled = c.remapped(&perm);
         let in_place = unpermute_schedule(plan(&relabeled, &cfg), &perm);
-        let mut late = unpermute_schedule(plan_unfused(&relabeled, &cfg), &perm);
+        let mut late = unpermute_schedule(plan_unfused(&relabeled, &cfg).unwrap(), &perm);
         fuse_schedule(&c, &mut late);
         late.verify(&c);
         assert_eq!(late.n_clusters(), 15);

@@ -38,7 +38,7 @@ use qsim_circuit::{Circuit, DependencyTracker, Gate};
 ///
 /// When [`check_schedulable`] rejects `circuit` under `cfg`.
 pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
-    let mut schedule = plan_unfused(circuit, cfg);
+    let mut schedule = plan_unfused(circuit, cfg).unwrap_or_else(|why| panic!("{why}"));
     fuse_schedule(circuit, &mut schedule);
     schedule
 }
@@ -50,6 +50,18 @@ pub fn plan(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
 /// exchanges the halves, so it never runs (every CZ across them when
 /// `specialize_diagonal` is off). The error names the reason.
 pub fn check_schedulable(circuit: &Circuit, cfg: &SchedulerConfig) -> Result<(), String> {
+    check_widths(circuit, cfg)?;
+    if 2 * cfg.local_qubits != circuit.n_qubits() {
+        return Ok(());
+    }
+    let treat_dense = dense_for_scheduling(circuit, cfg);
+    let mapping = initial_mapping(circuit, cfg, &treat_dense);
+    check_halves(circuit, cfg, &treat_dense, &mapping)
+}
+
+/// The cheap half of [`check_schedulable`]: `local_qubits`, `kmax` and
+/// the widest gate.
+fn check_widths(circuit: &Circuit, cfg: &SchedulerConfig) -> Result<(), String> {
     let n = circuit.n_qubits();
     let l = cfg.local_qubits;
     if l < 1 || l > n {
@@ -58,22 +70,30 @@ pub fn check_schedulable(circuit: &Circuit, cfg: &SchedulerConfig) -> Result<(),
     if cfg.kmax < 1 {
         return Err("kmax must be positive".into());
     }
-    if let Some(widest) = circuit.gates().iter().map(|g| g.arity() as u32).max() {
-        if widest > l {
-            return Err(format!(
-                "a {widest}-qubit gate cannot run with only {l} local qubits"
-            ));
-        }
+    match circuit.gates().iter().map(|g| g.arity() as u32).max() {
+        Some(widest) if widest > l => Err(format!(
+            "a {widest}-qubit gate cannot run with only {l} local qubits"
+        )),
+        _ => Ok(()),
     }
-    if 2 * l != n {
+}
+
+/// The spanning-gate half of [`check_schedulable`] under the initial
+/// `mapping`; a no-op unless `2 · local_qubits == n`.
+fn check_halves(
+    circuit: &Circuit,
+    cfg: &SchedulerConfig,
+    treat_dense: &[bool],
+    mapping: &[u32],
+) -> Result<(), String> {
+    let l = cfg.local_qubits;
+    if 2 * l != circuit.n_qubits() {
         return Ok(());
     }
-    let treat_dense = dense_for_scheduling(circuit, cfg);
-    let mapping = initial_mapping(circuit, cfg, &treat_dense);
     let local = mask_of(0..l);
     let spanning = circuit.gates().iter().enumerate().find(|&(gi, g)| {
         let m = mask_of(g.qubits().into_iter().map(|q| mapping[q as usize]));
-        needs_local(g, gi, cfg, &treat_dense) && m & local != 0 && m & !local != 0
+        needs_local(g, gi, cfg, treat_dense) && m & local != 0 && m & !local != 0
     });
     match spanning {
         Some((gi, g)) => Err(format!(
@@ -87,14 +107,9 @@ pub fn check_schedulable(circuit: &Circuit, cfg: &SchedulerConfig) -> Result<(),
 
 /// [`plan`] without the fusion step: cluster matrices are placeholders
 /// (`Schedule::verify` rejects them), so the plan is for pricing only.
-///
-/// # Panics
-///
-/// When [`check_schedulable`] rejects `circuit` under `cfg`.
-pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule {
-    if let Err(why) = check_schedulable(circuit, cfg) {
-        panic!("{why}");
-    }
+/// The error is [`check_schedulable`]'s.
+pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Result<Schedule, String> {
+    check_widths(circuit, cfg)?;
     let n = circuit.n_qubits();
     let l = cfg.local_qubits;
     // Clusters can never exceed the local qubit count.
@@ -105,6 +120,7 @@ pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule
 
     let treat_dense = dense_for_scheduling(circuit, cfg);
     let mapping = initial_mapping(circuit, cfg, &treat_dense);
+    check_halves(circuit, cfg, &treat_dense, &mapping)?;
 
     // Phase 1: stage finding on raw gate lists. With the cheap search on,
     // a bounded DFS explores the per-stall candidate swaps and keeps the
@@ -162,12 +178,12 @@ pub(crate) fn plan_unfused(circuit: &Circuit, cfg: &SchedulerConfig) -> Schedule
     // Only a swap carries gates forward, and the last stage has none.
     debug_assert!(carried.is_empty());
 
-    Schedule {
+    Ok(Schedule {
         n_qubits: n,
         local_qubits: l,
         kmax: cfg.kmax,
         stages,
-    }
+    })
 }
 
 /// Greedily execute every currently-executable gate; returns them in
