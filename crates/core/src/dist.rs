@@ -327,10 +327,16 @@ impl DistSimulator {
             }
             parts = ranks.into_iter().map(|r| r.state).collect();
             let mask = (1usize << l) - 1;
+            // `out[b] = physical[p]` as in `physical_to_logical`, read
+            // across the rank slices.
             let state = self.config.gather_state.then(|| {
-                logical_order(schedule.final_mapping(), |p| {
-                    parts[p >> l].amplitudes()[p & mask]
-                })
+                let perm = BitPermutation::new(schedule.final_mapping().to_vec());
+                (0..1usize << perm.n_bits())
+                    .map(|b| {
+                        let p = perm.apply(b);
+                        parts[p >> l].amplitudes()[p & mask]
+                    })
+                    .collect()
             });
             let stats = match engine {
                 "single" => BackendStats::Single { sweep },
@@ -396,7 +402,8 @@ pub struct SwapBuffers {
 struct PermCache {
     slots: Vec<u32>,
     l: u32,
-    perm: BitPermutation,
+    /// The slots already sit at the top local positions.
+    identity: bool,
     inv: BitPermutation,
 }
 
@@ -426,21 +433,22 @@ impl SwapBuffers {
     /// common steady-state case of a schedule reusing one swap shape, and
     /// the zero-alloc invariant's precondition) is allocation-free.
     fn perm_for(&mut self, slots: &[u32], l: u32) -> &PermCache {
-        let hit = self
+        if !self
             .cache
             .as_ref()
-            .is_some_and(|c| c.l == l && c.slots == slots);
-        if !hit {
+            .is_some_and(|c| c.l == l && c.slots == slots)
+        {
+            self.cache = None;
+        }
+        self.cache.get_or_insert_with(|| {
             let perm = slots_to_top_permutation(slots, l);
-            let inv = perm.inverse();
-            self.cache = Some(PermCache {
+            PermCache {
                 slots: slots.to_vec(),
                 l,
-                perm,
-                inv,
-            });
-        }
-        self.cache.as_ref().unwrap()
+                identity: perm.is_identity(),
+                inv: perm.inverse(),
+            }
+        })
     }
 }
 
@@ -485,7 +493,7 @@ pub fn perform_swap<R: SweepDispatch>(
     let depth = bufs.depth_for(seg, amp_bytes);
     {
         let cache = bufs.perm_for(&swap.local_slots, l);
-        if cache.perm.is_identity() {
+        if cache.identity {
             // The outgoing qubits already sit at the top local positions:
             // the index mapping is trivial and pack/unpack degenerate to
             // memcpy.
@@ -498,8 +506,8 @@ pub fn perform_swap<R: SweepDispatch>(
                 seg,
                 depth,
                 state.amplitudes_mut(),
-                |amps, d, r, wire| par_gather(amps, wire, |t| inv.apply(d * seg + r.start + t)),
-                |amps, i, r, wire| par_scatter(wire, amps, |t| inv.apply(i * seg + r.start + t)),
+                |amps, d, r, wire| par_gather(amps, wire, inv, d * seg + r.start),
+                |amps, i, r, wire| par_scatter(wire, amps, inv, i * seg + r.start),
             );
         }
     }
@@ -553,16 +561,10 @@ pub fn slots_to_top_permutation(slots: &[u32], l: u32) -> BitPermutation {
 /// `q`.
 pub fn physical_to_logical<R: Real>(physical: &[Complex<R>], mapping: &[u32]) -> Vec<Complex<R>> {
     assert_eq!(physical.len(), 1usize << mapping.len());
-    logical_order(mapping, |p| physical[p])
-}
-
-/// `out[b] = amp(p)` over the register, `p` as in
-/// [`physical_to_logical`].
-fn logical_order<R: Real>(mapping: &[u32], amp: impl Fn(usize) -> Complex<R>) -> Vec<Complex<R>> {
     let perm = BitPermutation::new(mapping.to_vec());
-    (0..1usize << mapping.len())
-        .map(|b| amp(perm.apply(b)))
-        .collect()
+    let mut out = vec![Complex::zero(); physical.len()];
+    par_gather(physical, &mut out, &perm, 0);
+    out
 }
 
 #[cfg(test)]

@@ -37,6 +37,48 @@ fn random_slice(len: usize, seed: u64) -> Vec<c64> {
         .collect()
 }
 
+/// Run the fused and the reference swap over `slots` on `2^g` ranks of
+/// `2^l` amplitudes each, from the same seeded slices, and compare every
+/// rank's result bit for bit.
+fn check_fused_swap(g: u32, l: u32, slots: Vec<u32>, sub_chunks: usize, seed: u64) {
+    let ranks = 1usize << g;
+    let swap = SwapOp { local_slots: slots };
+    let slice = 1usize << l;
+    let start = |rank: usize| {
+        StateVector::from_amplitudes(random_slice(slice, seed ^ ((rank as u64) << 8)))
+    };
+    let (reference, _) = run_cluster(ranks, |ctx| {
+        let mut state = start(ctx.rank());
+        perform_swap_reference(ctx, &mut state, &swap, l);
+        state.amplitudes().to_vec()
+    });
+    let (fused, _) = run_cluster(ranks, |ctx| {
+        let mut bufs = SwapBuffers::new(Some(sub_chunks));
+        let mut state = start(ctx.rank());
+        perform_swap(ctx, &mut state, &swap, l, &mut bufs);
+        state.amplitudes().to_vec()
+    });
+    let bits =
+        |v: &[c64]| -> Vec<_> { v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect() };
+    for (r, (a, b)) in reference.iter().zip(fused.iter()).enumerate() {
+        assert!(
+            bits(a) == bits(b),
+            "rank {r} diverged: g={g} l={l} slots={:?} sub_chunks={sub_chunks} seed={seed}",
+            swap.local_slots
+        );
+    }
+}
+
+/// The planner's shape at n = 21 (one swap slot at bit 0, `g = 1`), wide
+/// enough that whole sub-chunks take the parallel block path (`S = 1`)
+/// and, at `S = 3`, start off the 256-amplitude grid.
+#[test]
+fn fused_swap_matches_reference_at_the_planner_shape() {
+    for sub_chunks in [1, 3] {
+        check_fused_swap(1, 16, vec![0], sub_chunks, 21);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -49,31 +91,21 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let l = g.max(1) + l_extra;
-        let ranks = 1usize << g;
-        let slots = random_slots(g, l, seed);
-        let swap = SwapOp { local_slots: slots };
-        let slice = 1usize << l;
+        check_fused_swap(g, l, random_slots(g, l, seed), sub_chunks, seed);
+    }
 
-        let (reference, _) = run_cluster(ranks, |ctx| {
-            let mut state = StateVector::from_amplitudes(random_slice(
-                slice,
-                seed ^ ((ctx.rank() as u64) << 8),
-            ));
-            perform_swap_reference(ctx, &mut state, &swap, l);
-            state.amplitudes().to_vec()
-        });
-        let (fused, _) = run_cluster(ranks, |ctx| {
-            let mut bufs = SwapBuffers::new(Some(sub_chunks));
-            let mut state = StateVector::from_amplitudes(random_slice(
-                slice,
-                seed ^ ((ctx.rank() as u64) << 8),
-            ));
-            perform_swap(ctx, &mut state, &swap, l, &mut bufs);
-            state.amplitudes().to_vec()
-        });
-        for (r, (a, b)) in reference.iter().zip(fused.iter()).enumerate() {
-            prop_assert_eq!(a, b, "rank {} diverged", r);
-        }
+    /// The same at l = 9..=14 on 2 or 4 ranks, where pack and unpack walk
+    /// whole 256-amplitude blocks; 3 and 5 sub-chunks put the sub-chunk
+    /// starts off the block grid.
+    #[test]
+    fn fused_swap_matches_reference_on_the_block_path(
+        g in 1u32..=2,
+        l in 9u32..=14,
+        depth in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let sub_chunks = [1, 3, 5][depth];
+        check_fused_swap(g, l, random_slots(g, l, seed), sub_chunks, seed);
     }
 
     /// `all_to_all_inplace` on a copy, at any pipeline depth == the naive

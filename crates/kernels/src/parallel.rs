@@ -12,6 +12,8 @@
 //! index sets — is exactly the kernel indexing theorem tested in
 //! `qsim_util::bits` (`expander_enumerates_disjoint_blocks`).
 
+use core::ops::Range;
+use qsim_util::bits::BitPermutation;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 use rayon::prelude::*;
@@ -74,56 +76,113 @@ pub(crate) fn par_block_ranges<T: Send>(
         });
 }
 
-/// Parallel gather: `dst[t] = src[index(t)]` — the pack half of the fused
-/// permute-scatter swap data path (contiguous writes, scattered reads).
-/// Sequential below [`PAR_THRESHOLD`] destination elements.
+/// Amplitudes per block of the table walk: one low-byte table's worth.
+const PERM_BLOCK: usize = 256;
+
+/// Cover `range` with runs `f(t, hi, lo)`: for `j < lo.len()`,
+/// `perm.apply(base + t + j) == hi | lo[j]`. Where `base + t` is
+/// 256-aligned and a whole block fits in `range`, one run takes the block
+/// with `lo` the low-byte table (a bit permutation moves the low byte
+/// independently of the rest), so the block costs one `apply`. Ragged
+/// ends, and permutations of under 8 bits, go one element per run.
+#[inline(always)]
+fn for_each_run(
+    perm: &BitPermutation,
+    base: usize,
+    range: Range<usize>,
+    mut f: impl FnMut(usize, usize, &[usize]),
+) {
+    let Range { mut start, end } = range;
+    if let Some(lo) = perm.low_byte_table() {
+        let head = (base + start).next_multiple_of(PERM_BLOCK) - base;
+        while start < head.min(end) {
+            f(start, perm.apply(base + start), &[0]);
+            start += 1;
+        }
+        while start + PERM_BLOCK <= end {
+            f(start, perm.apply(base + start), lo);
+            start += PERM_BLOCK;
+        }
+    }
+    for t in start..end {
+        f(t, perm.apply(base + t), &[0]);
+    }
+}
+
+/// Elements per parallel chunk of a gather/scatter of `len` elements: a
+/// multiple of 256, so only the ends of the whole range can be ragged
+/// when `base` is aligned.
+fn perm_chunk(len: usize) -> usize {
+    (len / (rayon::current_num_threads() * 8))
+        .max(1024)
+        .next_multiple_of(PERM_BLOCK)
+}
+
+/// Parallel gather: `dst[t] = src[perm.apply(base + t)]` — the pack half
+/// of the fused permute-scatter swap data path (contiguous writes,
+/// scattered reads). Sequential below [`PAR_THRESHOLD`] destination
+/// elements.
 pub fn par_gather<T: Real>(
     src: &[Complex<T>],
     dst: &mut [Complex<T>],
-    index: impl Fn(usize) -> usize + Sync,
+    perm: &BitPermutation,
+    base: usize,
 ) {
+    let gather = |t0: usize, ch: &mut [Complex<T>]| {
+        for_each_run(perm, base, t0..t0 + ch.len(), |t, hi, lo| {
+            for (d, &l) in ch[t - t0..].iter_mut().zip(lo) {
+                *d = src[hi | l];
+            }
+        })
+    };
     if dst.len() < PAR_THRESHOLD {
-        for (t, d) in dst.iter_mut().enumerate() {
-            *d = src[index(t)];
-        }
+        gather(0, dst);
         return;
     }
-    let chunk = (dst.len() / (rayon::current_num_threads() * 8)).max(1024);
-    dst.par_chunks_mut(chunk).enumerate().for_each(|(ci, ch)| {
-        let base = ci * chunk;
-        for (j, d) in ch.iter_mut().enumerate() {
-            *d = src[index(base + j)];
-        }
-    });
+    let chunk = perm_chunk(dst.len());
+    dst.par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(ci, ch)| gather(ci * chunk, ch));
 }
 
-/// Parallel scatter: `dst[index(t)] = src[t]` — the unpack half of the
-/// fused gather-unpermute swap data path (contiguous reads, scattered
-/// writes). `index` must be injective on `0..src.len()`: callers pass bit
-/// permutations, which are bijective, so distinct source positions write
-/// disjoint destinations (the same contract as `DisjointSlice`).
-/// Sequential below [`PAR_THRESHOLD`] source elements.
+/// Parallel scatter: `dst[perm.apply(base + t)] = src[t]` — the unpack
+/// half of the fused gather-unpermute swap data path (contiguous reads,
+/// scattered writes). A bit permutation is a bijection on `0..2^n`, so
+/// distinct source positions write disjoint destinations (the same
+/// contract as `DisjointSlice`). Sequential below [`PAR_THRESHOLD`]
+/// source elements.
+///
+/// Panics unless `base + src.len() ≤ 2^n`: past it, `apply` drops the
+/// high bits and two positions would write one destination.
 pub fn par_scatter<T: Real>(
     src: &[Complex<T>],
     dst: &mut [Complex<T>],
-    index: impl Fn(usize) -> usize + Sync,
+    perm: &BitPermutation,
+    base: usize,
 ) {
+    assert!(
+        base + src.len() <= 1usize << perm.n_bits(),
+        "scatter range past the permutation's 2^n indices"
+    );
+    let scatter = |t0: usize, ch: &[Complex<T>], d: &mut [Complex<T>]| {
+        for_each_run(perm, base, t0..t0 + ch.len(), |t, hi, lo| {
+            for (&v, &l) in ch[t - t0..].iter().zip(lo) {
+                d[hi | l] = v;
+            }
+        })
+    };
     if src.len() < PAR_THRESHOLD {
-        for (t, &v) in src.iter().enumerate() {
-            dst[index(t)] = v;
-        }
+        scatter(0, src, dst);
         return;
     }
     let shared = DisjointSlice(dst.as_mut_ptr(), dst.len());
-    let chunk = (src.len() / (rayon::current_num_threads() * 8)).max(1024);
+    let chunk = perm_chunk(src.len());
     src.par_chunks(chunk).enumerate().for_each(|(ci, ch)| {
-        // SAFETY: source chunks are disjoint and `index` is injective, so
-        // no two workers write the same destination element.
+        // SAFETY: source chunks are disjoint, `base + t` stays below 2^n
+        // (asserted above) and `perm` is a bijection there, so no two
+        // workers write the same destination element.
         let d = unsafe { shared.slice() };
-        let base = ci * chunk;
-        for (j, &v) in ch.iter().enumerate() {
-            d[index(base + j)] = v;
-        }
+        scatter(ci * chunk, ch, d);
     });
 }
 
@@ -225,21 +284,87 @@ mod tests {
 
     #[test]
     fn gather_scatter_invert_each_other() {
-        use qsim_util::bits::BitPermutation;
         for n in [10u32, 15] {
             // n=15 exceeds PAR_THRESHOLD and exercises the parallel paths.
             let src = random_state(n, 31 + n as u64);
             let perm = BitPermutation::new((0..n).map(|i| (i + 3) % n).collect());
             let mut gathered = vec![c64::zero(); src.len()];
-            par_gather(&src, &mut gathered, |t| perm.apply(t));
+            par_gather(&src, &mut gathered, &perm, 0);
             let mut back = vec![c64::zero(); src.len()];
-            par_scatter(&gathered, &mut back, |t| perm.apply(t));
+            par_scatter(&gathered, &mut back, &perm, 0);
             assert_eq!(back, src, "n={n}");
             // Gather by perm equals the inverse permutation's permute_slice.
             let mut expect = vec![c64::zero(); src.len()];
             perm.inverse().permute_slice(&src, &mut expect);
             assert_eq!(gathered, expect, "n={n}");
         }
+    }
+
+    fn bits<T: Real>(v: &[Complex<T>]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|c| (c.re.to_bits_u64(), c.im.to_bits_u64()))
+            .collect()
+    }
+
+    /// Gather and scatter against the per-element definition, bit for
+    /// bit, over every (length, base) pair around the 256-amplitude block
+    /// and the parallel threshold — aligned and unaligned bases, ragged
+    /// heads and tails — plus a permutation too narrow for the block path.
+    fn gather_scatter_match_per_element<T: Real>() {
+        let random = |len: usize, seed: u64| -> Vec<Complex<T>> {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            (0..len)
+                .map(|_| Complex::new(T::from_f64(rng.next_f64()), T::from_f64(rng.next_f64())))
+                .collect()
+        };
+        let t = PAR_THRESHOLD;
+        let lens = [1, 255, 256, 257, 1000, t - 1, t, t + 300];
+        let bases = [0, 1, 255, 256, 300, 4096, t - 7, t + 256];
+        let cases = [
+            (16u32, &lens[..], &bases[..]),
+            (5, &[1, 7, 32][..], &[0, 3][..]),
+        ];
+        for (n, lens, bases) in cases {
+            let mut map: Vec<u32> = (0..n).collect();
+            Xoshiro256::seed_from_u64(n as u64).shuffle(&mut map);
+            let perm = BitPermutation::new(map);
+            let state = random(1 << n, 5);
+            for &len in lens {
+                for &base in bases.iter().filter(|&&b| b + len <= 1 << n) {
+                    let mut got = vec![Complex::zero(); len];
+                    par_gather(&state, &mut got, &perm, base);
+                    let want: Vec<_> = (0..len).map(|t| state[perm.apply(base + t)]).collect();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "gather n={n} len={len} base={base}"
+                    );
+
+                    let piece = random(len, 7 + len as u64);
+                    let mut got = state.clone();
+                    par_scatter(&piece, &mut got, &perm, base);
+                    let mut want = state.clone();
+                    for (t, &v) in piece.iter().enumerate() {
+                        want[perm.apply(base + t)] = v;
+                    }
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "scatter n={n} len={len} base={base}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_scatter_match_per_element_f64() {
+        gather_scatter_match_per_element::<f64>();
+    }
+
+    #[test]
+    fn gather_scatter_match_per_element_f32() {
+        gather_scatter_match_per_element::<f32>();
     }
 
     #[test]

@@ -114,17 +114,60 @@ impl IndexExpander {
 /// `map[i] = j` means: the bit at position `i` of the old index moves to
 /// position `j` of the new index. Used to reorder local qubits before and
 /// after global-to-local swaps, and by the qubit-mapping heuristic (§3.6.2).
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Construction also builds one 256-entry lookup table per byte of the
+/// index: a bit permutation moves disjoint bits independently, so the
+/// image of an index is the OR of the images of its bytes, and
+/// [`apply`](Self::apply) is ⌈n/8⌉ table loads instead of a loop over all
+/// n positions. The tables are a function of `map`, which alone defines
+/// equality.
+#[derive(Clone)]
 pub struct BitPermutation {
     map: Vec<u32>,
+    /// `tables[k][v]` is the image of byte value `v` at byte `k` of the
+    /// index; bits at or above n map to nothing.
+    tables: Vec<[usize; 256]>,
+}
+
+impl PartialEq for BitPermutation {
+    fn eq(&self, other: &Self) -> bool {
+        self.map == other.map
+    }
+}
+
+impl Eq for BitPermutation {}
+
+impl std::fmt::Debug for BitPermutation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BitPermutation")
+            .field("map", &self.map)
+            .finish()
+    }
 }
 
 impl BitPermutation {
+    /// Wrap a map already known to be a permutation, building its tables.
+    fn from_map(map: Vec<u32>) -> Self {
+        let tables = map
+            .chunks(8)
+            .map(|byte| {
+                let mut t = [0usize; 256];
+                for v in 1..256usize {
+                    // Extend the entry without v's lowest set bit by that
+                    // bit's image (zero for positions past the last chunk).
+                    let b = v.trailing_zeros() as usize;
+                    let bit = byte.get(b).map_or(0, |&j| 1usize << j);
+                    t[v] = t[v & (v - 1)] | bit;
+                }
+                t
+            })
+            .collect();
+        Self { map, tables }
+    }
+
     /// Identity permutation on `n` bits.
     pub fn identity(n: usize) -> Self {
-        Self {
-            map: (0..n as u32).collect(),
-        }
+        Self::from_map((0..n as u32).collect())
     }
 
     /// Build from an explicit map; must be a permutation of `0..n`.
@@ -136,14 +179,14 @@ impl BitPermutation {
             assert!(!seen[j as usize], "duplicate target {j}");
             seen[j as usize] = true;
         }
-        Self { map }
+        Self::from_map(map)
     }
 
     /// Transposition of bit positions `a` and `b` on `n` bits.
     pub fn transposition(n: usize, a: u32, b: u32) -> Self {
-        let mut p = Self::identity(n);
-        p.map.swap(a as usize, b as usize);
-        Self::new(p.map) // re-validate range
+        let mut map: Vec<u32> = (0..n as u32).collect();
+        map.swap(a as usize, b as usize);
+        Self::new(map) // re-validate range
     }
 
     #[inline(always)]
@@ -163,14 +206,26 @@ impl BitPermutation {
     }
 
     /// Apply to an index: bit `i` of `idx` becomes bit `map[i]` of the
-    /// result.
+    /// result. Bits at or above n are dropped.
     #[inline]
     pub fn apply(&self, idx: usize) -> usize {
         let mut out = 0usize;
-        for (i, &j) in self.map.iter().enumerate() {
-            out |= ((idx >> i) & 1) << j;
+        for (k, t) in self.tables.iter().enumerate() {
+            out |= t[(idx >> (8 * k)) & 0xff];
         }
         out
+    }
+
+    /// The images of the 256 values of the index's low byte, when n ≥ 8:
+    /// for an index `i` with a zero low byte, `apply(i + j)` is
+    /// `apply(i) | table[j]`. Block copies read it once per 256 indices.
+    #[inline]
+    pub fn low_byte_table(&self) -> Option<&[usize; 256]> {
+        if self.n_bits() >= 8 {
+            self.tables.first()
+        } else {
+            None
+        }
     }
 
     /// Inverse permutation.
@@ -179,15 +234,13 @@ impl BitPermutation {
         for (i, &j) in self.map.iter().enumerate() {
             inv[j as usize] = i as u32;
         }
-        Self { map: inv }
+        Self::from_map(inv)
     }
 
     /// Composition: apply `self` first, then `after`.
     pub fn then(&self, after: &Self) -> Self {
         assert_eq!(self.n_bits(), after.n_bits());
-        Self {
-            map: self.map.iter().map(|&j| after.map[j as usize]).collect(),
-        }
+        Self::from_map(self.map.iter().map(|&j| after.map[j as usize]).collect())
     }
 
     /// Permute a full vector of 2^n elements out-of-place:

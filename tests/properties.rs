@@ -20,6 +20,7 @@ use qsim45::sched::Schedule;
 use qsim45::sched::{plan, SchedulerConfig};
 use qsim45::util::bits::BitPermutation;
 use qsim45::util::complex::max_dist;
+use qsim45::util::Xoshiro256;
 
 fn run_single(c: &Circuit) -> SingleOutcome {
     SingleNodeSimulator::default().try_run_t(c).unwrap()
@@ -158,6 +159,38 @@ proptest! {
         }
         for i in 0..256usize {
             prop_assert_eq!(q.apply(i), p.apply(i));
+        }
+    }
+
+    /// The table form of `apply` equals the bit-loop definition, inverts
+    /// through `inverse`, and composes through `then`, on random
+    /// permutations at widths around and across the byte boundaries.
+    #[test]
+    fn bit_permutation_tables_match_the_bit_loop(seed in 0u64..1_000_000) {
+        let bit_loop = |map: &[u32], idx: usize| {
+            let mut out = 0usize;
+            for (i, &j) in map.iter().enumerate() {
+                out |= ((idx >> i) & 1) << j;
+            }
+            out
+        };
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        for n in [0usize, 1, 7, 8, 9, 16, 17, 20, 24, 30] {
+            let mut map: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut map);
+            let mut other = map.clone();
+            rng.shuffle(&mut other);
+            let (p, q) = (BitPermutation::new(map.clone()), BitPermutation::new(other));
+            let (inv, pq) = (p.inverse(), p.then(&q));
+            let mask = (1usize << n) - 1;
+            for _ in 0..64 {
+                // Bits at or above n are dropped by both forms.
+                let wide = rng.next_u64() as usize;
+                prop_assert_eq!(p.apply(wide), bit_loop(&map, wide), "n = {}", n);
+                let x = wide & mask;
+                prop_assert_eq!(inv.apply(p.apply(x)), x, "n = {}", n);
+                prop_assert_eq!(pq.apply(x), q.apply(p.apply(x)), "n = {}", n);
+            }
         }
     }
 
