@@ -80,11 +80,11 @@ pub(crate) fn par_block_ranges<T: Send>(
 const PERM_BLOCK: usize = 256;
 
 /// Cover `range` with runs `f(t, hi, lo)`: for `j < lo.len()`,
-/// `perm.apply(base + t + j) == hi | lo[j]`. Where `base + t` is
-/// 256-aligned and a whole block fits in `range`, one run takes the block
-/// with `lo` the low-byte table (a bit permutation moves the low byte
-/// independently of the rest), so the block costs one `apply`. Ragged
-/// ends, and permutations of under 8 bits, go one element per run.
+/// `perm.apply(base + t + j) == hi | lo[j]`. A run is the part of one
+/// 256-aligned block of `base + t` that falls in `range`, and `lo` the
+/// matching slice of the low-byte table (a bit permutation moves the low
+/// byte independently of the rest), so each block costs one `apply`
+/// however `base` and the range ends sit on the block grid.
 #[inline(always)]
 fn for_each_run(
     perm: &BitPermutation,
@@ -92,26 +92,19 @@ fn for_each_run(
     range: Range<usize>,
     mut f: impl FnMut(usize, usize, &[usize]),
 ) {
-    let Range { mut start, end } = range;
-    if let Some(lo) = perm.low_byte_table() {
-        let head = (base + start).next_multiple_of(PERM_BLOCK) - base;
-        while start < head.min(end) {
-            f(start, perm.apply(base + start), &[0]);
-            start += 1;
-        }
-        while start + PERM_BLOCK <= end {
-            f(start, perm.apply(base + start), lo);
-            start += PERM_BLOCK;
-        }
-    }
-    for t in start..end {
-        f(t, perm.apply(base + t), &[0]);
+    let lo = perm.low_byte_table();
+    let mut t = range.start;
+    while t < range.end {
+        let i = base + t;
+        let off = i % PERM_BLOCK;
+        let len = (PERM_BLOCK - off).min(range.end - t);
+        f(t, perm.apply(i - off), &lo[off..off + len]);
+        t += len;
     }
 }
 
 /// Elements per parallel chunk of a gather/scatter of `len` elements: a
-/// multiple of 256, so only the ends of the whole range can be ragged
-/// when `base` is aligned.
+/// multiple of 256, so a chunk splits no block when `base` is aligned.
 fn perm_chunk(len: usize) -> usize {
     (len / (rayon::current_num_threads() * 8))
         .max(1024)
@@ -309,7 +302,8 @@ mod tests {
     /// Gather and scatter against the per-element definition, bit for
     /// bit, over every (length, base) pair around the 256-amplitude block
     /// and the parallel threshold — aligned and unaligned bases, ragged
-    /// heads and tails — plus a permutation too narrow for the block path.
+    /// heads and tails — plus a permutation of under 8 bits, whose one
+    /// table is narrower than a block.
     fn gather_scatter_match_per_element<T: Real>() {
         let random = |len: usize, seed: u64| -> Vec<Complex<T>> {
             let mut rng = Xoshiro256::seed_from_u64(seed);

@@ -216,16 +216,13 @@ impl BitPermutation {
         out
     }
 
-    /// The images of the 256 values of the index's low byte, when n ≥ 8:
-    /// for an index `i` with a zero low byte, `apply(i + j)` is
+    /// The images of the 256 values of the index's low byte: for an index
+    /// `i` with a zero low byte and `j < 256`, `apply(i + j)` is
     /// `apply(i) | table[j]`. Block copies read it once per 256 indices.
     #[inline]
-    pub fn low_byte_table(&self) -> Option<&[usize; 256]> {
-        if self.n_bits() >= 8 {
-            self.tables.first()
-        } else {
-            None
-        }
+    pub fn low_byte_table(&self) -> &[usize; 256] {
+        // n = 0 has no byte, and every index maps to 0.
+        self.tables.first().unwrap_or(&[0; 256])
     }
 
     /// Inverse permutation.

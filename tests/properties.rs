@@ -162,9 +162,10 @@ proptest! {
         }
     }
 
-    /// The table form of `apply` equals the bit-loop definition, inverts
-    /// through `inverse`, and composes through `then`, on random
-    /// permutations at widths around and across the byte boundaries.
+    /// The table form of `apply` equals the bit-loop definition, splits
+    /// at the low byte as block copies read it, inverts through `inverse`
+    /// and composes through `then`, on random permutations at widths
+    /// around and across the byte boundaries.
     #[test]
     fn bit_permutation_tables_match_the_bit_loop(seed in 0u64..1_000_000) {
         let bit_loop = |map: &[u32], idx: usize| {
@@ -188,6 +189,8 @@ proptest! {
                 let wide = rng.next_u64() as usize;
                 prop_assert_eq!(p.apply(wide), bit_loop(&map, wide), "n = {}", n);
                 let x = wide & mask;
+                let lo = p.low_byte_table()[x & 0xff];
+                prop_assert_eq!(p.apply(x & !0xff) | lo, p.apply(x), "n = {}", n);
                 prop_assert_eq!(inv.apply(p.apply(x)), x, "n = {}", n);
                 prop_assert_eq!(pq.apply(x), q.apply(p.apply(x)), "n = {}", n);
             }
