@@ -405,6 +405,11 @@ struct PermCache {
     /// The slots already sit at the top local positions.
     identity: bool,
     inv: BitPermutation,
+    /// Pack/unpack threads per rank. The 2^g ranks are threads of one
+    /// process sharing its cores, so each takes its share of the pool: at
+    /// one thread per rank a parallel pack only oversubscribes them.
+    /// (Counted here, on a miss, because counting the cores allocates.)
+    threads: usize,
 }
 
 impl SwapBuffers {
@@ -447,6 +452,7 @@ impl SwapBuffers {
                 l,
                 identity: perm.is_identity(),
                 inv: perm.inverse(),
+                threads: (rayon::current_num_threads() >> slots.len()).max(1),
             }
         })
     }
@@ -499,15 +505,15 @@ pub fn perform_swap<R: SweepDispatch>(
             // memcpy.
             all_to_all_inplace(ctx, comm, state.amplitudes_mut(), depth);
         } else {
-            let inv = &cache.inv;
+            let (inv, threads) = (&cache.inv, cache.threads);
             all_to_all_with::<Complex<R>, [Complex<R>]>(
                 ctx,
                 comm,
                 seg,
                 depth,
                 state.amplitudes_mut(),
-                |amps, d, r, wire| par_gather(amps, wire, inv, d * seg + r.start),
-                |amps, i, r, wire| par_scatter(wire, amps, inv, i * seg + r.start),
+                |amps, d, r, wire| par_gather(amps, wire, inv, d * seg + r.start, threads),
+                |amps, i, r, wire| par_scatter(wire, amps, inv, i * seg + r.start, threads),
             );
         }
     }
@@ -563,7 +569,7 @@ pub fn physical_to_logical<R: Real>(physical: &[Complex<R>], mapping: &[u32]) ->
     assert_eq!(physical.len(), 1usize << mapping.len());
     let perm = BitPermutation::new(mapping.to_vec());
     let mut out = vec![Complex::zero(); physical.len()];
-    par_gather(physical, &mut out, &perm, 0);
+    par_gather(physical, &mut out, &perm, 0, rayon::current_num_threads());
     out
 }
 

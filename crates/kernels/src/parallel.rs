@@ -113,13 +113,14 @@ fn perm_chunk(len: usize) -> usize {
 
 /// Parallel gather: `dst[t] = src[perm.apply(base + t)]` — the pack half
 /// of the fused permute-scatter swap data path (contiguous writes,
-/// scattered reads). Sequential below [`PAR_THRESHOLD`] destination
-/// elements.
+/// scattered reads). Sequential at one thread or below [`PAR_THRESHOLD`]
+/// destination elements.
 pub fn par_gather<T: Real>(
     src: &[Complex<T>],
     dst: &mut [Complex<T>],
     perm: &BitPermutation,
     base: usize,
+    threads: usize,
 ) {
     let gather = |t0: usize, ch: &mut [Complex<T>]| {
         for_each_run(perm, base, t0..t0 + ch.len(), |t, hi, lo| {
@@ -128,7 +129,7 @@ pub fn par_gather<T: Real>(
             }
         })
     };
-    if dst.len() < PAR_THRESHOLD {
+    if dst.len() < PAR_THRESHOLD || threads <= 1 {
         gather(0, dst);
         return;
     }
@@ -142,8 +143,8 @@ pub fn par_gather<T: Real>(
 /// half of the fused gather-unpermute swap data path (contiguous reads,
 /// scattered writes). A bit permutation is a bijection on `0..2^n`, so
 /// distinct source positions write disjoint destinations (the same
-/// contract as `DisjointSlice`). Sequential below [`PAR_THRESHOLD`]
-/// source elements.
+/// contract as `DisjointSlice`). Sequential at one thread or below
+/// [`PAR_THRESHOLD`] source elements.
 ///
 /// Panics unless `base + src.len() ≤ 2^n`: past it, `apply` drops the
 /// high bits and two positions would write one destination.
@@ -152,6 +153,7 @@ pub fn par_scatter<T: Real>(
     dst: &mut [Complex<T>],
     perm: &BitPermutation,
     base: usize,
+    threads: usize,
 ) {
     assert!(
         base + src.len() <= 1usize << perm.n_bits(),
@@ -164,7 +166,7 @@ pub fn par_scatter<T: Real>(
             }
         })
     };
-    if src.len() < PAR_THRESHOLD {
+    if src.len() < PAR_THRESHOLD || threads <= 1 {
         scatter(0, src, dst);
         return;
     }
@@ -282,9 +284,9 @@ mod tests {
             let src = random_state(n, 31 + n as u64);
             let perm = BitPermutation::new((0..n).map(|i| (i + 3) % n).collect());
             let mut gathered = vec![c64::zero(); src.len()];
-            par_gather(&src, &mut gathered, &perm, 0);
+            par_gather(&src, &mut gathered, &perm, 0, 8);
             let mut back = vec![c64::zero(); src.len()];
-            par_scatter(&gathered, &mut back, &perm, 0);
+            par_scatter(&gathered, &mut back, &perm, 0, 8);
             assert_eq!(back, src, "n={n}");
             // Gather by perm equals the inverse permutation's permute_slice.
             let mut expect = vec![c64::zero(); src.len()];
@@ -302,8 +304,8 @@ mod tests {
     /// Gather and scatter against the per-element definition, bit for
     /// bit, over every (length, base) pair around the 256-amplitude block
     /// and the parallel threshold — aligned and unaligned bases, ragged
-    /// heads and tails — plus a permutation of under 8 bits, whose one
-    /// table is narrower than a block.
+    /// heads and tails — at one thread and eight, plus a permutation of
+    /// under 8 bits, whose one table is narrower than a block.
     fn gather_scatter_match_per_element<T: Real>() {
         let random = |len: usize, seed: u64| -> Vec<Complex<T>> {
             let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -323,29 +325,22 @@ mod tests {
             Xoshiro256::seed_from_u64(n as u64).shuffle(&mut map);
             let perm = BitPermutation::new(map);
             let state = random(1 << n, 5);
-            for &len in lens {
+            for (&len, threads) in lens.iter().flat_map(|l| [(l, 1), (l, 8)]) {
                 for &base in bases.iter().filter(|&&b| b + len <= 1 << n) {
+                    let at = format!("n={n} len={len} base={base} threads={threads}");
                     let mut got = vec![Complex::zero(); len];
-                    par_gather(&state, &mut got, &perm, base);
+                    par_gather(&state, &mut got, &perm, base, threads);
                     let want: Vec<_> = (0..len).map(|t| state[perm.apply(base + t)]).collect();
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "gather n={n} len={len} base={base}"
-                    );
+                    assert_eq!(bits(&got), bits(&want), "gather {at}");
 
                     let piece = random(len, 7 + len as u64);
                     let mut got = state.clone();
-                    par_scatter(&piece, &mut got, &perm, base);
+                    par_scatter(&piece, &mut got, &perm, base, threads);
                     let mut want = state.clone();
                     for (t, &v) in piece.iter().enumerate() {
                         want[perm.apply(base + t)] = v;
                     }
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "scatter n={n} len={len} base={base}"
-                    );
+                    assert_eq!(bits(&got), bits(&want), "scatter {at}");
                 }
             }
         }

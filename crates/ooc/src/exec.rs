@@ -302,7 +302,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     |c, mut buf, sink| {
                         if let Some(perm) = &unpermute {
                             let _s = track.span_id("unpermute", c as u64);
-                            par_gather(&buf, scratch, perm, 0);
+                            par_gather(&buf, scratch, perm, 0, kernel.threads);
                             std::mem::swap(&mut buf, scratch);
                         }
                         {
@@ -327,7 +327,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                             if inv.is_identity() {
                                 wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
                             } else {
-                                par_gather(&buf, &mut wire, inv, dst * piece);
+                                par_gather(&buf, &mut wire, inv, dst * piece, kernel.threads);
                             }
                             let off = c * piece;
                             sink.retire(Dest::Piece { c: dst, off }, wire);
