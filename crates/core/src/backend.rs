@@ -204,24 +204,6 @@ pub trait Backend<R: SweepDispatch> {
     fn run(&mut self, plan: &BackendPlan) -> Result<BackendOutcome<R>, SimError> {
         self.run_to_stage(plan, None)
     }
-
-    /// Seed the live-progress engine with the plan's stages and their
-    /// cost-model price (the ETA prior), through one engine-agnostic
-    /// path. A disabled telemetry handle makes this a no-op; engines
-    /// re-seed at run start (with their resume point), so calling it
-    /// early (e.g. between plan and run, while the CLI prints the plan)
-    /// is idempotent.
-    fn seed_progress(&self, plan: &BackendPlan) {
-        crate::planner::seed_progress(
-            &self.telemetry(),
-            &plan.schedule,
-            2 * R::BYTES as u64,
-            // The engine's own tile pin and thread count arrive with its
-            // re-seed at run start.
-            crate::exec::resolve_tile_qubits(None, plan.schedule.local_qubits, 1),
-            0,
-        );
-    }
 }
 
 /// [`Backend`] over the in-memory engine on one partition, the whole

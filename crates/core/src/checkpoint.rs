@@ -8,13 +8,16 @@
 //! one digest per durable artifact (rank slice or chunk file).
 //!
 //! Durability protocol (every engine, every unit). Each engine keeps
-//! two generations of its artifacts, named by the parity of the unit
-//! that wrote them (`state_a002.g0.amps`, `chunk_000003.g1.amps`). Unit
-//! `u` reads generation `u − 1` and writes generation `u` into the
+//! two generations of its *partition artifacts* — one file per rank slice
+//! in memory, per chunk out of core (§5: the chunk index is the rank id)
+//! — named by [`part_path`] from the parity of the unit that wrote them.
+//! Unit `u` reads generation `u − 1` and writes generation `u` into the
 //! parity the durable manifest does not name; then
 //!
-//! 1. `sync_all` each new artifact and digest it as stored (the engine's
-//!    half: [`save_snapshot`] per rank, the chunk store's `sync_digests`);
+//! 1. `sync_all` each new artifact and digest the whole file as stored
+//!    (the engine's half: [`write_part`] per rank, the chunk store's
+//!    `sync_digests`) — what resume's one verifier, [`verify_part`],
+//!    compares;
 //! 2. publish the manifest naming `u` *atomically* — temp file →
 //!    `sync_all` → rename over [`MANIFEST_FILE`] → directory fsync, which
 //!    also makes the directory entries of newly created artifacts durable.
@@ -30,14 +33,14 @@
 //! called by [`crate::run::Run::begin`]), because it reuses the names that
 //! manifest points at.
 //!
-//! u64 values (hashes, digests, seeds) are serialized as *hex strings*:
+//! u64 values (hashes, digests) are serialized as *hex strings*:
 //! the in-workspace JSON parser ([`qsim_telemetry::json`]) reads numbers
 //! as f64, which would silently lose bits above 2^53.
 
 use qsim_net::SimError;
 use qsim_sched::{Schedule, StageOp};
 use qsim_telemetry::json::{self, Json};
-use qsim_util::complex::Complex;
+use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
 use std::fmt;
 use std::fs::File;
@@ -52,8 +55,9 @@ use std::path::{Path, PathBuf};
 /// encoded bytes, so resuming across codecs would mis-read every chunk.
 /// Version 4 names artifacts by generation parity instead of by unit (or
 /// by a staged/live pair), so a version-3 directory is a
-/// [`CheckpointError::Mismatch`], not a missing file.
-pub const MANIFEST_VERSION: u32 = 4;
+/// [`CheckpointError::Mismatch`], not a missing file. Version 5: every
+/// engine's artifacts are [`part_path`]s; no seed field.
+pub const MANIFEST_VERSION: u32 = 5;
 
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -127,9 +131,6 @@ pub struct Manifest {
     /// Whether the run started from the uniform superposition (§3.6)
     /// rather than |0…0⟩.
     pub init_uniform: bool,
-    /// Seed of any stochastic stage (0 when unused) — recorded so a
-    /// resumed run reproduces the interrupted one exactly.
-    pub rng_seed: u64,
     /// First unit not yet applied durably.
     pub next_unit: usize,
     /// Total units in the plan (cursor sanity bound).
@@ -158,7 +159,6 @@ impl Manifest {
                 "  \"precision\": \"{}\",\n",
                 "  \"codec\": \"{}\",\n",
                 "  \"init_uniform\": {},\n",
-                "  \"rng_seed\": \"{:016x}\",\n",
                 "  \"next_unit\": {},\n",
                 "  \"total_units\": {},\n",
                 "  \"digests\": [{}]\n",
@@ -172,7 +172,6 @@ impl Manifest {
             self.precision,
             self.codec,
             self.init_uniform,
-            self.rng_seed,
             self.next_unit,
             self.total_units,
             digests.join(", "),
@@ -228,7 +227,6 @@ impl Manifest {
             precision: string("precision")?,
             codec: string("codec")?,
             init_uniform,
-            rng_seed: hex(&string("rng_seed")?)?,
             next_unit: int("next_unit")? as usize,
             total_units: int("total_units")? as usize,
             digests,
@@ -400,7 +398,6 @@ impl RunKey<'_> {
             precision: self.precision.to_string(),
             codec: self.codec.to_string(),
             init_uniform: self.init_uniform,
-            rng_seed: 0,
             next_unit: unit,
             total_units: self.schedule.stages.len(),
             digests,
@@ -442,67 +439,73 @@ fn at_path(path: &Path, e: io::Error) -> CheckpointError {
     CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
-/// Durably write artifact `artifact`'s snapshot of generation `unit`
-/// (the in-memory engine's per-unit step 1) over whatever generation
-/// `unit − 2` left under that parity, and return its digest. Bytes are
-/// little-endian `(re, im)` scalar pairs at the state's precision — the
-/// same layout as the chunk store on every supported target.
-pub fn save_snapshot<R: Real>(
-    dir: &Path,
-    artifact: usize,
-    unit: usize,
-    amps: &[Complex<R>],
-) -> Result<u64, CheckpointError> {
-    let path = snapshot_path(dir, artifact, unit);
-    let write = || -> io::Result<u64> {
-        let mut f = io::BufWriter::new(File::create(&path)?);
-        let mut h = Fnv1a::new();
-        for a in amps {
-            for x in [a.re, a.im] {
-                let bytes = &x.to_bits_u64().to_le_bytes()[..R::BYTES];
-                f.write_all(bytes)?;
-                h.write(bytes);
-            }
-        }
-        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        Ok(h.finish())
-    };
-    write().map_err(|e| at_path(&path, e))
+/// The file of partition `part` (rank slice or chunk) in generation
+/// `generation`: named by its parity, so two generations alternate
+/// between two files per partition.
+pub fn part_path(dir: &Path, part: usize, generation: usize) -> PathBuf {
+    dir.join(format!("part_{part:06}.g{}.amps", generation % 2))
 }
 
-/// Load artifact `artifact`'s snapshot of generation `unit` and verify it
-/// against the digest the manifest recorded — a torn or stale snapshot
-/// is a typed error, never silently wrong amplitudes.
-pub fn load_snapshot<R: Real>(
+/// Durably write partition `part` as generation `generation` (the
+/// in-memory engine's step 1): one `write_all` of its raw bytes
+/// ([`amps_as_bytes`], an uncompressed chunk file's format), `sync_all`,
+/// and the digest taken from memory — those bytes are the whole file.
+pub fn write_part<R: Real>(
     dir: &Path,
-    artifact: usize,
-    unit: usize,
-    len: usize,
+    part: usize,
+    generation: usize,
+    amps: &[Complex<R>],
+) -> Result<u64, CheckpointError> {
+    let path = part_path(dir, part, generation);
+    let bytes = amps_as_bytes(amps);
+    File::create(&path)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .map_err(|e| at_path(&path, e))?;
+    Ok(fnv1a64(bytes))
+}
+
+/// Read partition `part` of generation `generation` straight into `out`:
+/// a file of any size but `out`'s, or one [`verify_part`] rejects against
+/// the manifest's `want`, is a [`CheckpointError::Mismatch`].
+pub fn read_part<R: Real>(
+    dir: &Path,
+    part: usize,
+    generation: usize,
     want: u64,
-) -> Result<Vec<Complex<R>>, CheckpointError> {
-    let path = snapshot_path(dir, artifact, unit);
-    let read = || -> io::Result<(Vec<Complex<R>>, u64)> {
-        let mut f = io::BufReader::new(File::open(&path)?);
-        let mut h = Fnv1a::new();
-        let mut scalar = || -> io::Result<R> {
-            let mut b = [0u8; 8];
-            f.read_exact(&mut b[..R::BYTES])?;
-            h.write(&b[..R::BYTES]);
-            Ok(R::from_bits_u64(u64::from_le_bytes(b)))
-        };
-        let amps = (0..len)
-            .map(|_| Ok(Complex::new(scalar()?, scalar()?)))
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok((amps, h.finish()))
+    out: &mut [Complex<R>],
+) -> Result<(), CheckpointError> {
+    let path = part_path(dir, part, generation);
+    let bytes = amps_as_bytes_mut(out);
+    let mut read = || -> io::Result<u64> {
+        let mut f = File::open(&path)?;
+        let len = f.metadata()?.len();
+        if len == bytes.len() as u64 {
+            f.read_exact(bytes)?;
+        }
+        Ok(len)
     };
-    let (amps, digest) = read().map_err(|e| at_path(&path, e))?;
-    if digest != want {
+    let len = read().map_err(|e| at_path(&path, e))?;
+    if len != bytes.len() as u64 {
         return Err(CheckpointError::Mismatch(format!(
-            "snapshot {} does not match the manifest digest",
-            path.display()
+            "partition {part}: {} holds {len} bytes, not the partition's {}",
+            path.display(),
+            bytes.len()
         )));
     }
-    Ok(amps)
+    verify_part(part, bytes, want)
+}
+
+/// The one artifact verifier, on every engine: the [`fnv1a64`] digest of
+/// partition `part`'s whole file as stored (raw, or codec frames) must
+/// be the manifest's `want`.
+pub fn verify_part(part: usize, stored: &[u8], want: u64) -> Result<(), CheckpointError> {
+    let got = fnv1a64(stored);
+    if got != want {
+        return Err(CheckpointError::Mismatch(format!(
+            "partition {part} digest {got:016x} != manifest {want:016x} (torn artifact)"
+        )));
+    }
+    Ok(())
 }
 
 /// fsync a directory so preceding renames/creates in it are durable.
@@ -511,8 +514,7 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// Incremental FNV-1a (64-bit) over a byte stream. Multi-byte values
-/// are folded in little-endian, matching the raw-file digests of the
-/// chunk store on every supported target.
+/// are folded in little-endian, as partition artifacts store them.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
 
@@ -561,7 +563,8 @@ impl Fnv1a {
     }
 }
 
-/// FNV-1a of a byte slice (file-content digests).
+/// FNV-1a of a byte slice: the digest of a partition artifact's whole
+/// file ([`verify_part`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
@@ -637,13 +640,6 @@ pub fn schedule_fingerprint(schedule: &Schedule) -> u64 {
     h.finish()
 }
 
-/// Path of a rank slice snapshot (the whole register on a single node)
-/// of generation `unit` inside a checkpoint directory: named by the
-/// unit's parity, so two generations alternate between two files.
-pub fn snapshot_path(dir: &Path, artifact: usize, unit: usize) -> PathBuf {
-    dir.join(format!("state_a{artifact:03}.g{}.amps", unit % 2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,7 +697,6 @@ mod tests {
             precision: "f64".into(),
             codec: "shuffle-rle".into(),
             init_uniform: true,
-            rng_seed: u64::MAX, // exercises full 64-bit width
             next_unit: 3,
             total_units: 9,
             digests: vec![0, 1, u64::MAX - 1, 0x8000_0000_0000_0001],
@@ -752,7 +747,7 @@ mod tests {
         for (field, bad) in [
             ("\"next_unit\": 1", "\"next_unit\": -1"),
             ("\"next_unit\": 1", "\"next_unit\": 0.5"),
-            ("\"version\": 4", "\"version\": 4.5"),
+            ("\"version\": 5", "\"version\": 5.5"),
             ("\"n_qubits\": 3", "\"n_qubits\": 1e300"),
             ("\"total_units\": 2", "\"total_units\": 4294967296"),
         ] {
@@ -763,11 +758,15 @@ mod tests {
                 "{bad}"
             );
         }
-        // A version-3 manifest is a foreign format, not a torn file.
-        let v3 = good.replace("\"version\": 4", "\"version\": 3");
+        // An older manifest is a foreign format, not a torn file.
+        let old = MANIFEST_VERSION - 1;
+        let text = good.replace(
+            &format!("\"version\": {MANIFEST_VERSION}"),
+            &format!("\"version\": {old}"),
+        );
         assert!(matches!(
-            Manifest::from_json(&v3),
-            Err(CheckpointError::Mismatch(_))
+            Manifest::from_json(&text),
+            Err(CheckpointError::Mismatch(m)) if m.contains(&format!("version {old}"))
         ));
     }
 
@@ -890,37 +889,53 @@ mod tests {
         assert_ne!(schedule_fingerprint(&a), schedule_fingerprint(&d));
     }
 
-    /// A snapshot is `2 * R::BYTES` raw bytes per amplitude, its digest is
-    /// [`fnv1a64`] of the written file, and it loads back only under that
-    /// digest.
-    fn snapshot_round_trip<R: Real>(amps: &[Complex<R>]) {
+    /// A partition artifact is `2 * R::BYTES` raw bytes per amplitude, its
+    /// digest is [`fnv1a64`] of the written file, and it reads back only
+    /// at exactly that size and under that digest.
+    fn part_round_trip<R: Real>(amps: &[Complex<R>]) -> Result<(), CheckpointError> {
         let dir = tmpdir(R::NAME);
-        assert_eq!(snapshot_path(&dir, 0, 5), snapshot_path(&dir, 0, 3));
-        let wrote = save_snapshot(&dir, 0, 5, amps).unwrap();
-        let raw = std::fs::read(snapshot_path(&dir, 0, 5)).unwrap();
+        assert_eq!(part_path(&dir, 0, 5), part_path(&dir, 0, 3));
+        assert_eq!(part_path(&dir, 7, 2), dir.join("part_000007.g0.amps"));
+        let wrote = write_part(&dir, 0, 5, amps)?;
+        let path = part_path(&dir, 0, 5);
+        let raw = std::fs::read(&path)?;
         assert_eq!(raw.len(), amps.len() * 2 * R::BYTES);
         assert_eq!(wrote, fnv1a64(&raw));
-        let back = load_snapshot::<R>(&dir, 0, 5, amps.len(), wrote).unwrap();
+        let mut back = vec![Complex::<R>::zero(); amps.len()];
+        read_part(&dir, 0, 5, wrote, &mut back)?;
         assert_eq!(back, amps);
-        assert!(matches!(
-            load_snapshot::<R>(&dir, 0, 5, amps.len(), !wrote),
-            Err(CheckpointError::Mismatch(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let mismatch = |r: Result<(), CheckpointError>| {
+            assert!(matches!(r, Err(CheckpointError::Mismatch(_))), "{r:?}")
+        };
+        mismatch(read_part(&dir, 0, 5, !wrote, &mut back));
+        // Extra bytes after the partition, or too few: rejected by size.
+        for len in [raw.len() + 4099, raw.len() + 1, raw.len() - 1, 0] {
+            let mut torn = raw.clone();
+            torn.resize(len, 0xa5);
+            std::fs::write(&path, &torn)?;
+            mismatch(read_part(&dir, 0, 5, wrote, &mut back));
+        }
+        // A missing file is the IO failure, with its path.
+        std::fs::remove_file(&path)?;
+        match read_part(&dir, 0, 5, wrote, &mut back) {
+            Err(CheckpointError::Io(e)) => assert!(e.to_string().contains("part_000000")),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        Ok(std::fs::remove_dir_all(&dir)?)
     }
 
     #[test]
-    fn snapshots_round_trip_at_both_precisions() {
+    fn partitions_round_trip_at_both_precisions() -> Result<(), CheckpointError> {
         use qsim_util::c32;
         let amps: Vec<c64> = (0..32)
             .map(|i| c64::new(i as f64 * 0.25, -(i as f64)))
             .collect();
-        snapshot_round_trip(&amps);
-        snapshot_round_trip(
+        part_round_trip(&amps)?;
+        part_round_trip(
             &amps
                 .iter()
                 .map(|a| a.convert::<f32>())
                 .collect::<Vec<c32>>(),
-        );
+        )
     }
 }

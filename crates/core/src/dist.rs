@@ -31,7 +31,7 @@
 //!   the old generation until the commit is durable.
 
 use crate::backend::{BackendOutcome, BackendPlan, BackendStats};
-use crate::checkpoint::{load_snapshot, save_snapshot, CheckpointPolicy, RunKey};
+use crate::checkpoint::{read_part, write_part, CheckpointPolicy, RunKey};
 use crate::exec::{resolve_tile_qubits, StageExecutor};
 use crate::observables::norm_entropy;
 use crate::run::Run;
@@ -191,19 +191,17 @@ impl DistSimulator {
                 let _rank_span = track.span_id("rank", rank as u64);
                 let t0 = Instant::now();
 
-                // Resume loads the slice snapshot of the last completed
-                // stage, verified against the digest the manifest
-                // recorded for this rank. Otherwise start from the §3.6
-                // initial state; with more than one kernel thread the same
-                // pool writes it (first touch, §3.3).
+                // Resume reads the slice of the last completed stage into
+                // the rank's buffer, verified against the digest the
+                // manifest recorded for this rank. Otherwise start from the
+                // §3.6 initial state; with more than one kernel thread the
+                // same pool writes it (first touch, §3.3).
                 let mut state = match run.resumed() {
-                    Some((dir, digests)) => StateVector::from_amplitudes(load_snapshot::<R>(
-                        dir,
-                        rank,
-                        run.cursor(),
-                        1usize << l,
-                        digests[rank],
-                    )?),
+                    Some((dir, want)) => {
+                        let mut state = StateVector::<R>::null(l);
+                        read_part(dir, rank, run.cursor(), want[rank], state.amplitudes_mut())?;
+                        state
+                    }
                     None => {
                         let _s = track.span("init");
                         if plan.init_uniform {
@@ -252,7 +250,7 @@ impl DistSimulator {
                         // unit.
                         let unit = si + 1;
                         let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
-                        let digest = save_snapshot(dir, rank, unit, state.amplitudes())?;
+                        let digest = write_part(dir, rank, unit, state.amplitudes())?;
                         if rank == 0 {
                             let peers =
                                 (1..ctx.n_ranks()).map(|r| ctx.recv_with::<u64, _>(r, |w| w[0]));

@@ -50,7 +50,7 @@ pub use dist::{DistConfig, DistSimulator};
 pub use exec::{
     compile_stage, compile_stages, execute_compiled_stage, CompiledStage, StageExecutor,
 };
-pub use planner::{plan_schedule, seed_progress, PlanOptions, PlannedSchedule, ScheduleMode};
+pub use planner::{plan_schedule, PlanOptions, PlannedSchedule, ScheduleMode};
 pub use qsim_net::SimError;
 pub use single::{SingleNodeSimulator, SingleOutcome};
 pub use state::StateVector;

@@ -81,28 +81,30 @@ pub fn tree_sum(mut partials: Vec<(f64, f64)>) -> (f64, f64) {
 
 /// Sample `shots` bitstrings from the outcome distribution.
 ///
-/// Inverse-CDF walk per shot over the amplitude array — O(2^n) per shot
-/// in the worst case but cache-friendly; fine for the 2^20-amplitude
-/// states the examples use.
+/// Inverse CDF: shot `k` draws `u_k` (the `k`-th `next_f64`) and lands on
+/// the first index whose prefix sum of |α|² exceeds it (the last index if
+/// none does). All draws are taken first and visited in increasing order,
+/// so one walk of the prefix sum serves every shot — one pass over the
+/// state, not one per shot — and the indices come back in draw order.
 pub fn sample_bitstrings(
     state: &StateVector<f64>,
     rng: &mut Xoshiro256,
     shots: usize,
 ) -> Vec<usize> {
     let amps = state.amplitudes();
-    let mut out = Vec::with_capacity(shots);
-    for _ in 0..shots {
-        let mut target = rng.next_f64();
-        let mut idx = amps.len() - 1;
-        for (i, a) in amps.iter().enumerate() {
-            let p = a.norm_sqr();
-            if target < p {
-                idx = i;
-                break;
-            }
-            target -= p;
+    let mut draws: Vec<(f64, usize)> = (0..shots).map(|k| (rng.next_f64(), k)).collect();
+    draws.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut out = vec![amps.len() - 1; shots];
+    let mut pending = draws.into_iter().peekable();
+    let mut prefix = 0.0;
+    for (i, a) in amps.iter().enumerate() {
+        if pending.peek().is_none() {
+            break;
         }
-        out.push(idx);
+        prefix += a.norm_sqr();
+        while let Some((_, k)) = pending.next_if(|&(u, _)| u < prefix) {
+            out[k] = i;
+        }
     }
     out
 }
@@ -253,6 +255,35 @@ mod tests {
         assert_eq!(zeros + threes, 2000, "only GHZ outcomes may appear");
         let frac = zeros as f64 / 2000.0;
         assert!((frac - 0.5).abs() < 0.05, "zeros fraction {frac}");
+    }
+
+    #[test]
+    fn sampling_is_the_per_shot_prefix_sum_scan() {
+        // The inverse CDF written out per shot: the first index whose
+        // running sum of |α|² exceeds the shot's draw.
+        fn scan(amps: &[Complex<f64>], u: f64) -> usize {
+            let mut prefix = 0.0;
+            for (i, a) in amps.iter().enumerate() {
+                prefix += a.norm_sqr();
+                if u < prefix {
+                    return i;
+                }
+            }
+            amps.len() - 1
+        }
+        for (seed, state) in [
+            (1, deep_state(3, 3, 20)),
+            (2, deep_state(2, 5, 16)),
+            (3, StateVector::from_amplitudes(random_amps(1 << 7, 3))),
+        ] {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let got = sample_bitstrings(&state, &mut rng, 3000);
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            for (k, &idx) in got.iter().enumerate() {
+                let want = scan(state.amplitudes(), rng.next_f64());
+                assert_eq!(idx, want, "seed {seed}, shot {k}");
+            }
+        }
     }
 
     #[test]

@@ -94,29 +94,6 @@ fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Seed the telemetry progress engine for a run of `schedule` that
-/// starts at stage `start`: the planned units are the stages still to
-/// run (a resume pre-credits nothing), and the prior the live ETA starts
-/// from, before measured unit times take over, is the plan priced by the
-/// [`process_cost_model`] — [`CostModel::seconds`], the model's one
-/// prediction. The unit is the stage, with the swap that closes it, on
-/// every engine. A disabled telemetry handle makes it a no-op.
-pub fn seed_progress(
-    telemetry: &Telemetry,
-    schedule: &Schedule,
-    amp_bytes: u64,
-    tile_qubits: u32,
-    start: usize,
-) {
-    let Some(p) = telemetry.progress() else {
-        return;
-    };
-    let r = qsim_sched::plan_resources(schedule, amp_bytes, tile_qubits);
-    p.set_planned_units(schedule.stages.len().saturating_sub(start) as u64);
-    p.set_predicted_seconds(process_cost_model().seconds(&r));
-    telemetry.publish_progress_gauges();
-}
-
 /// Plan `circuit` under `base` according to `opts`. See the module docs
 /// for the policy; the returned schedule always `verify`s against
 /// `circuit` (greedy by construction, searched plans are verified before

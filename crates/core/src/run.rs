@@ -13,6 +13,7 @@
 
 use crate::backend::{partition_geometry, BackendOutcome};
 use crate::checkpoint::{CheckpointError, CheckpointPolicy, RunKey};
+use crate::planner::process_cost_model;
 use qsim_kernels::SweepDispatch;
 use qsim_net::SimError;
 use qsim_sched::Schedule;
@@ -68,11 +69,16 @@ impl<'a, R: SweepDispatch> Run<'a, R> {
             }
         })();
         let (cursor, digests) = opened.inspect_err(|_| settle(telemetry, RunState::Failed))?;
-        let amp_bytes = 2 * R::BYTES as u64;
-        crate::planner::seed_progress(telemetry, key.schedule, amp_bytes, tile_qubits, cursor);
         if let Some(p) = telemetry.progress() {
+            // The units still to run (a resume pre-credits nothing) and
+            // the prior the live ETA starts from, before measured unit
+            // times take over: the plan priced by the process cost model.
+            let r = qsim_sched::plan_resources(key.schedule, 2 * R::BYTES as u64, tile_qubits);
+            p.set_planned_units((key.schedule.stages.len() - cursor) as u64);
+            p.set_predicted_seconds(process_cost_model().seconds(&r));
             p.set_state(RunState::Running);
         }
+        telemetry.publish_progress_gauges();
         Ok(Self {
             key,
             telemetry,

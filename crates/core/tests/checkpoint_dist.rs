@@ -12,8 +12,7 @@ use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_circuit::Circuit;
 use qsim_core::single::strip_initial_hadamards;
 use qsim_core::{
-    Backend, BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig,
-    DistSimulator,
+    Backend, BackendOutcome, BackendPlan, CheckpointPolicy, DistBackend, DistConfig, DistSimulator,
 };
 use qsim_kernels::apply::KernelConfig;
 use qsim_net::{FaultPlan, SimError};
@@ -107,31 +106,6 @@ fn injected_kill_then_resume_is_bit_exact() {
 }
 
 #[test]
-fn resume_of_a_finished_run_replays_nothing_and_matches() {
-    let (exec, schedule) = planned(7, 3);
-    let dir = tmpdir("finished");
-
-    let mut cfg = config(&schedule);
-    cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
-    let first = run(cfg, &exec, &schedule).expect("checkpointed run");
-    let expect = first.state.unwrap();
-
-    // The manifest now records every unit complete; a resume loads the
-    // final snapshots, skips all stages, and reduces.
-    let mut cfg = config(&schedule);
-    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
-    let out = run(cfg, &exec, &schedule).expect("resume of finished run");
-    assert_eq!(max_dist(&out.state.unwrap(), &expect), 0.0);
-    match out.stats {
-        BackendStats::Dist {
-            swap_bytes_copied, ..
-        } => assert_eq!(swap_bytes_copied, 0, "no swap may re-run"),
-        other => panic!("dist run reported {} stats", other.engine()),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn injected_kill_without_checkpoint_is_a_typed_error() {
     let (exec, schedule) = planned(7, 3);
     let mut cfg = config(&schedule);
@@ -147,34 +121,6 @@ fn injected_kill_without_checkpoint_is_a_typed_error() {
         ),
         "got {err}"
     );
-}
-
-#[test]
-fn resume_rejects_a_foreign_manifest() {
-    let (exec, schedule) = planned(7, 3);
-    let dir = tmpdir("foreign");
-    let mut cfg = config(&schedule);
-    cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
-    run(cfg, &exec, &schedule).expect("checkpointed run");
-
-    // A different circuit (and thus schedule fingerprint) must refuse
-    // to resume from this directory.
-    let (exec2, schedule2) = {
-        let c = supremacy_circuit(&SupremacySpec {
-            rows: 2,
-            cols: 5,
-            depth: 12,
-            seed: 8,
-        });
-        let (exec, _) = strip_initial_hadamards(&c);
-        let s = plan(&exec, &SchedulerConfig::distributed(7, 3));
-        (exec, s)
-    };
-    let mut cfg = config(&schedule2);
-    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
-    let err = run(cfg, &exec2, &schedule2).expect_err("foreign manifest must be rejected");
-    assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -225,23 +171,5 @@ fn injected_kill_flushes_a_flight_record() {
     // poison-time record.
     assert!(recorder.flush("error: late epilogue").unwrap().is_none());
     assert!(std::fs::read_to_string(&path).unwrap().contains("poisoned"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resume_flag_without_a_manifest_is_a_fresh_start() {
-    let (exec, schedule) = planned(7, 3);
-    let baseline = run(config(&schedule), &exec, &schedule)
-        .unwrap()
-        .state
-        .unwrap();
-
-    // --resume against an empty directory (the CI smoke's race window:
-    // the kill can land before the first checkpoint) just starts over.
-    let dir = tmpdir("fresh");
-    let mut cfg = config(&schedule);
-    cfg.checkpoint = Some(CheckpointPolicy::resume(&dir));
-    let out = run(cfg, &exec, &schedule).expect("fresh start");
-    assert_eq!(max_dist(&out.state.unwrap(), &baseline), 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }

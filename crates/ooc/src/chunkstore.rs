@@ -6,12 +6,15 @@
 //! (local) bits. Files live in a caller-supplied directory and hold raw
 //! `Complex<R>` component pairs (f64 or f32) in native byte order
 //! (little-endian on every supported target); all IO is counted for the
-//! bandwidth analysis of the §5 SSD argument.
+//! bandwidth analysis of the §5 SSD argument. A chunk file is the same
+//! partition artifact as an in-memory rank's checkpoint — same name
+//! ([`part_path`]), same raw bytes, same digest and verifier
+//! ([`verify_part`]) — so the chunk index is the rank id on disk too.
 //!
 //! ## Two generations
 //!
 //! The store holds the state twice over: chunk files are named by the
-//! parity of the generation that wrote them (`chunk_000003.g1.amps`).
+//! parity of the generation that wrote them (`part_000003.g1.amps`).
 //! Direct store IO and [`ChunkReader`] views address the *current*
 //! generation; a [`ChunkWriter`] view writes the next one into the other
 //! parity, and `ChunkStore::advance` makes it current once every chunk
@@ -28,9 +31,8 @@
 //! pre-tiering format.
 //!
 //! IO is zero-copy: reads and writes move bytes directly between the
-//! files and caller-owned amplitude buffers (`Complex<R>` is `#[repr(C)]`
-//! with no padding, so a `&[Complex<R>]` reinterprets soundly as `&[u8]`)
-//! — no intermediate byte `Vec`s — through one timed read and one timed
+//! files and caller-owned amplitude buffers ([`amps_as_bytes`]) — no
+//! intermediate byte `Vec`s — through one timed read and one timed
 //! write that the store and its views share. The pipelined engine's IO threads use
 //! [`ChunkReader`] / [`ChunkWriter`] views, which hold their own file
 //! handles (independent cursors) opened at most once per pass — the
@@ -52,13 +54,14 @@
 //! `bytes_read`/`bytes_written` counters stay *physical* (on-disk bytes —
 //! the quantity the bandwidth analysis cares about) while
 //! `logical_bytes_*` record the amplitude bytes moved; their ratio is
-//! [`IoStats::compression_ratio`]. Digests ([`ChunkStore::chunk_digest`])
+//! [`IoStats::compression_ratio`]. Digests (`ChunkStore::sync_digests`)
 //! hash the file bytes as stored, i.e. the *encoded* bytes, so the
 //! checkpoint protocol is codec-oblivious.
 
 use qsim_compress::{decode_frames, encode_frame, Codec, CodecScratch};
+use qsim_core::checkpoint::{fnv1a64, part_path, verify_part, CheckpointError};
 use qsim_util::align::AlignedVec;
-use qsim_util::complex::Complex;
+use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -71,30 +74,6 @@ use std::time::Instant;
 /// [`qsim_telemetry::IoStats`] for the field-by-field accounting
 /// contract.
 pub use qsim_telemetry::IoStats;
-
-/// Bytes per stored amplitude at precision `R` (16 for f64, 8 for f32).
-#[inline]
-pub(crate) fn amp_bytes<R: Real>() -> usize {
-    std::mem::size_of::<Complex<R>>()
-}
-
-/// Reinterpret amplitudes as raw bytes for file IO. Sound because
-/// `Complex<R>` is `#[repr(C)] { re: R, im: R }` with no padding.
-#[inline]
-pub(crate) fn amps_as_bytes<R: Real>(amps: &[Complex<R>]) -> &[u8] {
-    // SAFETY: Complex<R> is repr(C) with no padding; every byte is
-    // initialized.
-    unsafe { std::slice::from_raw_parts(amps.as_ptr().cast::<u8>(), std::mem::size_of_val(amps)) }
-}
-
-/// Mutable byte view of an amplitude buffer (for `read_exact`). Sound in
-/// the write direction too: every bit pattern is a valid float.
-#[inline]
-pub(crate) fn amps_as_bytes_mut<R: Real>(amps: &mut [Complex<R>]) -> &mut [u8] {
-    let len = std::mem::size_of_val(amps);
-    // SAFETY: see `amps_as_bytes`; any byte pattern is a valid Complex<R>.
-    unsafe { std::slice::from_raw_parts_mut(amps.as_mut_ptr().cast::<u8>(), len) }
-}
 
 /// Every amplitude of the n-qubit uniform superposition. The one
 /// expression (shared with `StateVector::uniform_slice`) behind both the
@@ -373,15 +352,9 @@ impl<R: Real> ChunkStore<R> {
         self.io.stats.traversals += 1;
     }
 
-    /// The file of chunk `c` in generation `generation`.
-    fn path_in(&self, generation: usize, c: usize) -> PathBuf {
-        self.dir
-            .join(format!("chunk_{c:06}.g{}.amps", generation % 2))
-    }
-
     /// The file of chunk `c` in the current generation.
     fn chunk_path(&self, c: usize) -> PathBuf {
-        self.path_in(self.generation, c)
+        part_path(&self.dir, c, self.generation)
     }
 
     /// Make the generation the last [`ChunkStore::writer`] view wrote
@@ -422,9 +395,9 @@ impl<R: Real> ChunkStore<R> {
         Ok(())
     }
 
-    /// FNV-1a digest of chunk `c`'s on-disk bytes in the current
-    /// generation (a synchronous, counted read).
-    pub fn chunk_digest(&mut self, c: usize) -> std::io::Result<u64> {
+    /// Chunk `c`'s whole file in the current generation, as stored (a
+    /// synchronous, counted read).
+    fn read_stored(&mut self, c: usize) -> std::io::Result<Vec<u8>> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
         let t = Instant::now();
         let bytes = std::fs::read(self.chunk_path(c))?;
@@ -432,28 +405,28 @@ impl<R: Real> ChunkStore<R> {
         self.io.stats.read_seconds += dt;
         self.io.stats.io_wait_seconds += dt;
         self.io.stats.bytes_read += bytes.len() as u64;
-        Ok(qsim_core::checkpoint::fnv1a64(&bytes))
+        Ok(bytes)
     }
 
     /// Make the current generation durable and digest it: `sync_all`
-    /// each chunk file, then hash its bytes as stored — what a manifest
-    /// naming this generation records.
+    /// each chunk file, then hash its bytes as stored ([`fnv1a64`]) —
+    /// what a manifest naming this generation records.
     pub(crate) fn sync_digests(&mut self) -> std::io::Result<Vec<u64>> {
         (0..self.n_chunks())
             .map(|c| {
                 File::open(self.chunk_path(c))?.sync_all()?;
-                self.chunk_digest(c)
+                Ok(fnv1a64(&self.read_stored(c)?))
             })
             .collect()
     }
 
     /// Open the store at the generation a manifest names and check every
-    /// chunk of it against the manifest's `digests`: a mismatch is a torn
-    /// store ([`std::io::ErrorKind::InvalidData`]). The other parity is
-    /// never looked at — it holds an abandoned or older generation, which
-    /// the next pass overwrites. The digests hash the bytes as stored
-    /// (encoded frames under a codec), so the check is the same at every
-    /// codec.
+    /// chunk of it against the manifest's `digests` with the one artifact
+    /// verifier ([`verify_part`]): a mismatch is a torn store
+    /// ([`CheckpointError::Mismatch`]). The other parity is never looked
+    /// at — it holds an abandoned or older generation, which the next
+    /// pass overwrites. The digests hash the bytes as stored (encoded
+    /// frames under a codec), so the check is the same at every codec.
     pub fn open_verified_with(
         dir: &Path,
         local_qubits: u32,
@@ -461,18 +434,12 @@ impl<R: Real> ChunkStore<R> {
         generation: usize,
         digests: &[u64],
         codec: Codec,
-    ) -> std::io::Result<Self> {
+    ) -> Result<Self, CheckpointError> {
         let mut store = Self::bare(dir, local_qubits, global_qubits, codec);
         store.generation = generation;
         assert_eq!(digests.len(), store.n_chunks(), "digest count mismatch");
         for (c, &want) in digests.iter().enumerate() {
-            let got = store.chunk_digest(c)?;
-            if got != want {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("chunk {c} digest {got:016x} != manifest {want:016x} (torn store)"),
-                ));
-            }
+            verify_part(c, &store.read_stored(c)?, want)?;
         }
         Ok(store)
     }
@@ -482,7 +449,7 @@ impl<R: Real> ChunkStore<R> {
     pub fn remove_files(&self) -> std::io::Result<()> {
         for generation in 0..2 {
             for c in 0..self.n_chunks() {
-                let p = self.path_in(generation, c);
+                let p = part_path(&self.dir, c, generation);
                 if p.exists() {
                     std::fs::remove_file(p)?;
                 }
@@ -525,7 +492,7 @@ impl<R: Real> ChunkStore<R> {
         let next = self.generation + 1;
         ChunkWriter {
             paths: (0..self.n_chunks())
-                .map(|c| self.path_in(next, c))
+                .map(|c| part_path(&self.dir, c, next))
                 .collect(),
             files: (0..self.n_chunks()).map(|_| None).collect(),
             chunk_len: self.chunk_len(),
@@ -588,7 +555,7 @@ impl<R: Real> ChunkWriter<R> {
     ) -> std::io::Result<()> {
         assert!(off + amps.len() <= self.chunk_len);
         let raw = self.io.codec.is_none();
-        let chunk_bytes = (self.chunk_len * amp_bytes::<R>()) as u64;
+        let amp_bytes = std::mem::size_of::<Complex<R>>() as u64;
         let (slot, path) = (&mut self.files[c], &self.paths[c]);
         self.io.write(off, amps, |bytes| {
             let f = match slot {
@@ -600,13 +567,13 @@ impl<R: Real> ChunkWriter<R> {
                         .truncate(!raw)
                         .open(path)?;
                     if raw {
-                        f.set_len(chunk_bytes)?;
+                        f.set_len(self.chunk_len as u64 * amp_bytes)?;
                     }
                     slot.insert(f)
                 }
             };
             if raw {
-                f.seek(SeekFrom::Start((off * amp_bytes::<R>()) as u64))?;
+                f.seek(SeekFrom::Start(off as u64 * amp_bytes))?;
             }
             f.write_all(bytes)
         })?;
@@ -727,9 +694,10 @@ mod tests {
             let dir = ScratchDir::new("store_leftovers");
             let mut store =
                 ChunkStore::create_filled_with(dir.path(), 6, 2, c64::one(), codec).unwrap();
-            std::fs::write(store.path_in(1, 0), vec![0xa5u8; 64 * 16 + 999]).unwrap();
-            std::fs::write(store.path_in(1, 1), b"short").unwrap();
-            std::fs::write(store.path_in(1, 2), vec![0x5au8; 64 * 16]).unwrap();
+            let other = |c: usize| part_path(dir.path(), c, 1);
+            std::fs::write(other(0), vec![0xa5u8; 64 * 16 + 999]).unwrap();
+            std::fs::write(other(1), b"short").unwrap();
+            std::fs::write(other(2), vec![0x5au8; 64 * 16]).unwrap();
             let fill = |c: usize| vec![c64::new(c as f64, -0.5); 64];
             write_generation(&mut store, fill);
             let want: Vec<c64> = (0..4).flat_map(fill).collect();
@@ -745,11 +713,11 @@ mod tests {
                 ChunkStore::<f64>::create_filled_with(dir.path(), 3, 2, c64::one(), codec).unwrap();
             let digests = store.sync_digests().unwrap();
             std::fs::write(store.chunk_path(2), b"short").unwrap();
-            let e = ChunkStore::<f64>::open_verified_with(dir.path(), 3, 2, 0, &digests, codec)
-                .err()
-                .expect("torn chunk must not open");
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
-            assert!(e.to_string().contains("chunk 2"), "{e}");
+            match ChunkStore::<f64>::open_verified_with(dir.path(), 3, 2, 0, &digests, codec) {
+                Err(CheckpointError::Mismatch(m)) => assert!(m.contains("partition 2"), "{m}"),
+                Err(e) => panic!("expected Mismatch, got {e}"),
+                Ok(_) => panic!("torn chunk must not open"),
+            }
         }
     }
 

@@ -226,11 +226,10 @@ impl<R: SweepDispatch> OocSimulator<R> {
         let out = (|| -> Result<BackendOutcome<R>, SimError> {
             let mut store = match run.resumed() {
                 Some((dir, digests)) => {
-                    ChunkStore::open_verified_with(dir, l, g, run.cursor(), digests, codec)
+                    ChunkStore::open_verified_with(dir, l, g, run.cursor(), digests, codec)?
                 }
-                None => ChunkStore::create_empty_with(&dir, l, g, codec),
-            }
-            .map_err(io_to_sim)?;
+                None => ChunkStore::create_empty_with(&dir, l, g, codec).map_err(io_to_sim)?,
+            };
             let n_chunks = store.n_chunks();
             let chunk_len = store.chunk_len();
             let piece = chunk_len / n_chunks;
@@ -410,11 +409,11 @@ impl<R: SweepDispatch> OocSimulator<R> {
 }
 
 /// Map an OOC engine IO failure onto the typed [`SimError`] surface.
-/// A torn chunk (`ChunkStore::open_verified_with`) or an undecodable
-/// frame surfaces as `InvalidData`: normalize it to the typed checkpoint
-/// error the frame returns for a rejected manifest, so callers match one
-/// variant for "durable state rejected" on every backend. Everything
-/// else stays an IO error.
+/// An undecodable frame surfaces as `InvalidData`: normalize it to the
+/// typed checkpoint error a rejected manifest or a torn chunk
+/// (`ChunkStore::open_verified_with`) is, so callers match one variant
+/// for "durable state rejected" on every backend. Everything else stays
+/// an IO error.
 fn io_to_sim(e: std::io::Error) -> SimError {
     if e.kind() == std::io::ErrorKind::InvalidData {
         return SimError::Checkpoint(e.to_string());

@@ -674,7 +674,7 @@ mod tests {
             let dir = ScratchDir::new("pass_err");
             let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap();
             // Truncate one chunk so the prefetch read fails mid-pass.
-            let bad = dir.path().join("chunk_000002.g0.amps");
+            let bad = qsim_core::checkpoint::part_path(dir.path(), 2, 0);
             std::fs::write(&bad, b"short").unwrap();
             let mut chunk_pool = BufferPool::new(store.chunk_len());
             let mut wire_pool = BufferPool::new(1);

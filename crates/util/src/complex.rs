@@ -3,7 +3,9 @@
 //! Amplitudes are stored interleaved (`re`, `im`) — the layout the paper's
 //! kernels assume. The type is `#[repr(C)]` so a `&[Complex<T>]` can be
 //! reinterpreted as `&[T]` of twice the length when a kernel wants to
-//! address the real/imaginary streams directly (see `qsim-kernels`).
+//! address the real/imaginary streams directly (see `qsim-kernels`), and
+//! as raw bytes when a partition goes to disk ([`amps_as_bytes`], the
+//! workspace's one such cast).
 //!
 //! Beyond the usual operators, [`Complex::mul_add_eq23`] implements the
 //! paper's Eq. (2)–(3) update: the accumulation
@@ -217,6 +219,25 @@ impl<T: Real> From<T> for Complex<T> {
     }
 }
 
+/// The bytes of an amplitude slice, for file IO: `(re, im)` scalar pairs
+/// in native byte order (little-endian on every supported target). Sound
+/// because `Complex<T>` is `#[repr(C)] { re: T, im: T }` over `f32` or
+/// `f64` ([`Real`]): no padding, every byte initialized.
+#[inline]
+pub fn amps_as_bytes<T: Real>(amps: &[Complex<T>]) -> &[u8] {
+    // SAFETY: see above; the byte length is exactly the slice's size.
+    unsafe { core::slice::from_raw_parts(amps.as_ptr().cast::<u8>(), core::mem::size_of_val(amps)) }
+}
+
+/// Mutable byte view of an amplitude slice (for `read_exact`). Sound in
+/// the write direction too: every bit pattern is a valid float.
+#[inline]
+pub fn amps_as_bytes_mut<T: Real>(amps: &mut [Complex<T>]) -> &mut [u8] {
+    let len = core::mem::size_of_val(amps);
+    // SAFETY: see `amps_as_bytes`; any byte pattern is a valid Complex<T>.
+    unsafe { core::slice::from_raw_parts_mut(amps.as_mut_ptr().cast::<u8>(), len) }
+}
+
 /// Max norm distance between two complex vectors; the workhorse assertion
 /// of the test suites ("agrees with the dense reference to 1e-12").
 pub fn max_dist<T: Real>(a: &[Complex<T>], b: &[Complex<T>]) -> T {
@@ -304,6 +325,24 @@ mod tests {
         b[2] = c64::new(0.0, 1.5);
         assert!((max_dist(&a, &b) - 0.5).abs() < 1e-15);
         assert_eq!(max_dist(&a, &a), 0.0);
+    }
+
+    #[test]
+    fn byte_views_are_little_endian_scalar_pairs() {
+        let mut v = vec![c64::new(1.5, -2.0), c64::new(0.0, 3.25)];
+        let want: Vec<u8> = v
+            .iter()
+            .flat_map(|a| [a.re, a.im])
+            .flat_map(f64::to_le_bytes)
+            .collect();
+        assert_eq!(amps_as_bytes(&v), want);
+        let w = vec![c32::new(0.5, 7.0)];
+        assert_eq!(
+            amps_as_bytes(&w),
+            [0.5f32.to_le_bytes(), 7.0f32.to_le_bytes()].concat()
+        );
+        amps_as_bytes_mut(&mut v)[..8].copy_from_slice(&(-4.0f64).to_le_bytes());
+        assert_eq!(v[0], c64::new(-4.0, -2.0));
     }
 
     #[test]

@@ -478,9 +478,6 @@ fn run_at<R: SweepDispatch>() {
             },
         );
     }
-    // Seed the live ETA from the plan before execution starts, so the
-    // status endpoint has a cost-model prior while the state allocates.
-    engine.seed_progress(&plan);
     let out = engine.run(&plan).unwrap_or_else(|e| fail(&e));
 
     match &out.stats {

@@ -1,23 +1,29 @@
 //! Conformance suite for the unified [`Backend`] trait: one generic
 //! harness drives every engine — single-node, distributed, out-of-core —
-//! through the same plan → seed → run → kill → resume sequence, at both
+//! through the same plan → run → kill → resume sequence, at both
 //! precisions. This is the contract a fourth backend must satisfy to
 //! plug into the CLI (DESIGN.md §16): plan once, run bit-exactly with
 //! or without checkpointing, die with a typed `InjectedStop` at the
 //! requested unit, and resume to the bit-exact uninterrupted state —
 //! whatever a kill in the next unit left in the generation the manifest
 //! does not name. The unit is the stage, with the swap that closes it,
-//! on every engine: progress counts it and checkpoints cut at it.
+//! on every engine: progress counts it and checkpoints cut at it. Every
+//! engine writes the same partition artifacts under the same manifest, so
+//! what a resume must refuse — another run's manifest, an older format,
+//! another precision, a damaged artifact — is checked here once, on all
+//! of them.
 
+use std::io::Write;
 use std::path::Path;
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::circuit::{Circuit, Gate};
+use qsim45::core::checkpoint::{MANIFEST_FILE, MANIFEST_VERSION};
 use qsim45::core::{
-    Backend, BackendPlan, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, SimError,
-    SingleBackend, SingleNodeSimulator,
+    Backend, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig, DistSimulator,
+    SimError, SingleBackend, SingleNodeSimulator,
 };
-use qsim45::kernels::{KernelConfig, SweepDispatch};
+use qsim45::kernels::{KernelConfig, SweepDispatch, SweepStats};
 use qsim45::ooc::{OocBackend, OocConfig, OocSimulator, ScratchDir};
 use qsim45::sched::{Stage, SwapOp};
 use qsim45::telemetry::{Metric, RunState, Telemetry};
@@ -115,14 +121,14 @@ fn tear_unnamed_generation(dir: &Path, named: usize, how: Leftover) -> usize {
     named_files.len()
 }
 
-/// Overwrite every file of the generation the manifest names with 4
-/// bytes: a resume from it must be rejected.
-fn tear_named_generation(dir: &Path, named: usize) {
+/// Apply `damage` to every file of the generation the manifest names: a
+/// resume from it must be rejected.
+fn damage_named_generation(dir: &Path, named: usize, damage: impl Fn(&Path)) {
     let keep = format!(".g{}.amps", named % 2);
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.to_str().unwrap().ends_with(&keep) {
-            std::fs::write(&path, [0u8; 4]).unwrap();
+            damage(&path);
         }
     }
 }
@@ -130,7 +136,8 @@ fn tear_named_generation(dir: &Path, named: usize) {
 /// What `/status` and the trace show of one run of backend `which` (its
 /// index in [`backends`]) on fresh telemetry: progress `(planned, done)`
 /// units, `swap_ns` samples, the final run state and the number of
-/// `resume.validate` spans.
+/// `resume.validate` spans. Every run, resumed or not, has the
+/// cost-model prior of its plan seeded before its first unit.
 fn progress_of<R: SweepDispatch>(
     which: usize,
     plan: &BackendPlan,
@@ -142,6 +149,7 @@ fn progress_of<R: SweepDispatch>(
     b.checkpoint(policy);
     let _ = b.run_to_stage(plan, stop);
     let snap = t.progress().expect("enabled telemetry").snapshot();
+    assert!(snap.predicted_seconds > 0.0, "no cost-model prior");
     let swaps = match t.metrics().expect("enabled telemetry").get("swap_ns") {
         Some(Metric::Histogram(h)) => h.count,
         _ => 0,
@@ -178,16 +186,6 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
         }
         plan.schedule.verify(&plan.exec);
 
-        // Progress seeding: one unit per stage, and the cost-model prior
-        // must land in the live progress engine before any unit executes.
-        b.seed_progress(&plan);
-        let snap = t.progress().expect("enabled telemetry").snapshot();
-        assert_eq!(snap.planned, total_units as u64, "{name}");
-        assert!(
-            snap.predicted_seconds > 0.0,
-            "{name}: seed_progress left no cost-model prior"
-        );
-
         // Progress accounting: a fresh run plans and completes one unit
         // per stage with one `swap_ns` sample per swap executed; a kill
         // at unit `k` has completed `k`; the resume plans only the
@@ -199,6 +197,12 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
         let units = total_units as u64;
         let dir = ScratchDir::new(&format!("{name}_progress"));
         let (done, failed) = (RunState::Done, RunState::Failed);
+        // The run frame seeds one unit per stage before the first runs.
+        assert_eq!(
+            progress_of::<R>(which, &plan, CheckpointPolicy::new(dir.path()), Some(1)).0,
+            units,
+            "{name}: seeded"
+        );
         assert_eq!(
             progress_of::<R>(which, &plan, CheckpointPolicy::new(dir.path()), None),
             (units, units, swaps_in(stages), done, 1),
@@ -218,7 +222,7 @@ fn conformance<R: SweepDispatch>(norm_tol: f64) {
             "{name}: resumed from unit {k}"
         );
         progress_of::<R>(which, &plan, CheckpointPolicy::new(dir.path()), Some(k));
-        tear_named_generation(dir.path(), k);
+        damage_named_generation(dir.path(), k, |p| std::fs::write(p, [0u8; 4]).unwrap());
         let (.., state, validations) =
             progress_of::<R>(which, &plan, CheckpointPolicy::resume(dir.path()), None);
         assert_eq!((state, validations), (failed, 1), "{name}: torn resume");
@@ -334,35 +338,167 @@ fn a_stop_point_requires_a_checkpoint_directory() {
     }
 }
 
+/// Resume `plan` on `b` from `dir`, which must be refused with a typed
+/// [`SimError::Checkpoint`] whose message names `why`.
+fn assert_resume_refused<R: SweepDispatch>(
+    b: &mut dyn Backend<R>,
+    plan: &BackendPlan,
+    dir: &Path,
+    why: &str,
+) {
+    let name = b.name();
+    b.checkpoint(CheckpointPolicy::resume(dir));
+    match b.run(plan) {
+        Err(SimError::Checkpoint(m)) => assert!(m.contains(why), "{name}: unhelpful message: {m}"),
+        Err(e) => panic!("{name}: expected a Checkpoint error naming {why}, got {e}"),
+        Ok(_) => panic!("{name}: resume must be refused ({why})"),
+    }
+}
+
+/// Checkpoint `c` on `writer` up to its middle unit, then resume it on
+/// `reader`, the same engine at the other precision.
+fn cross_precision<A: SweepDispatch, B: SweepDispatch>(
+    writer: &mut dyn Backend<A>,
+    reader: &mut dyn Backend<B>,
+    c: &Circuit,
+) {
+    let name = writer.name();
+    let dir = ScratchDir::new(&format!("{name}_xprec"));
+    writer.checkpoint(CheckpointPolicy::new(dir.path()));
+    let plan = writer.plan(c).expect(name);
+    let stop = (plan.schedule.stages.len() / 2).max(1);
+    match writer.run_to_stage(&plan, Some(stop)) {
+        Err(SimError::InjectedStop { .. }) => {}
+        other => panic!("{name}: expected InjectedStop, got {:?}", other.map(|_| ())),
+    }
+    let plan = reader.plan(c).expect(name);
+    assert_resume_refused(reader, &plan, dir.path(), "precision");
+}
+
 #[test]
 fn resume_rejects_cross_precision_checkpoints_through_the_trait() {
-    // An f64 checkpoint picked up by an f32 backend would reinterpret
-    // the raw amplitude bytes: the manifest's precision field must turn
-    // this into a typed rejection on every engine.
+    // A checkpoint picked up at the other precision would reinterpret the
+    // raw amplitude bytes: the manifest's precision field must turn this
+    // into a typed rejection on every engine, in both directions.
     let c = workload();
     let t = Telemetry::default();
     for (mut b64, mut b32) in backends::<f64>(&t, RANKS)
         .into_iter()
         .zip(backends::<f32>(&t, RANKS))
     {
-        let name = b64.name();
-        let dir = ScratchDir::new(&format!("{name}_xprec"));
-        b64.checkpoint(CheckpointPolicy::new(dir.path()));
-        let plan = b64.plan(&c).expect(name);
-        let stop = (plan.schedule.stages.len() / 2).max(1);
-        match b64.run_to_stage(&plan, Some(stop)) {
-            Err(SimError::InjectedStop { .. }) => {}
-            other => panic!("{name}: expected InjectedStop, got {:?}", other.map(|_| ())),
-        }
+        cross_precision(b64.as_mut(), b32.as_mut(), &c);
+        cross_precision(b32.as_mut(), b64.as_mut(), &c);
+    }
+}
 
-        b32.checkpoint(CheckpointPolicy::resume(dir.path()));
-        let plan32 = b32.plan(&c).expect(name);
-        match b32.run(&plan32) {
-            Err(SimError::Checkpoint(m)) => {
-                assert!(m.contains("precision"), "{name}: unhelpful message: {m}")
+#[test]
+fn resume_rejects_another_run_or_an_older_format() {
+    // A directory some other run wrote is a typed rejection, never a
+    // resume from it: a different circuit's manifest (its schedule
+    // fingerprint), or a manifest of the previous format version.
+    let c = workload();
+    let other = supremacy_circuit(&SupremacySpec {
+        rows: 3,
+        cols: 4,
+        depth: 12,
+        seed: 78,
+    });
+    let t = Telemetry::default();
+    for mut b in backends::<f64>(&t, RANKS) {
+        let name = b.name();
+        let plan = b.plan(&c).expect(name);
+        let dir = ScratchDir::new(&format!("{name}_foreign"));
+        b.checkpoint(CheckpointPolicy::new(dir.path()));
+        b.run(&plan).expect(name);
+        let foreign = b.plan(&other).expect(name);
+        assert_resume_refused(b.as_mut(), &foreign, dir.path(), "schedule hash");
+
+        let path = dir.path().join(MANIFEST_FILE);
+        let older = MANIFEST_VERSION - 1;
+        let text = std::fs::read_to_string(&path).unwrap().replace(
+            &format!("\"version\": {MANIFEST_VERSION}"),
+            &format!("\"version\": {older}"),
+        );
+        std::fs::write(&path, text).unwrap();
+        assert_resume_refused(b.as_mut(), &plan, dir.path(), &format!("version {older}"));
+    }
+}
+
+#[test]
+fn resume_rejects_bytes_appended_to_the_named_generation() {
+    // The named generation of a finished run, each artifact followed by
+    // 4,099 more bytes: the partition's bytes are intact, the file is not.
+    // One whole-file digest and one size make this a typed rejection on
+    // every engine, not a resume that reads the first bytes and stops.
+    let c = workload();
+    let t = Telemetry::default();
+    for mut b in backends::<f64>(&t, RANKS) {
+        let name = b.name();
+        let plan = b.plan(&c).expect(name);
+        let dir = ScratchDir::new(&format!("{name}_appended"));
+        b.checkpoint(CheckpointPolicy::new(dir.path()));
+        b.run(&plan).expect(name);
+        damage_named_generation(dir.path(), plan.schedule.stages.len(), |p| {
+            let mut f = std::fs::OpenOptions::new().append(true).open(p).unwrap();
+            f.write_all(&[0x5a; 4099]).unwrap();
+        });
+        assert_resume_refused(b.as_mut(), &plan, dir.path(), "partition");
+    }
+}
+
+#[test]
+fn resume_before_the_first_and_after_the_last_unit() {
+    // No manifest yet (the kill landed before the first commit): a resume
+    // is a fresh start. Every unit durable: a resume loads the final
+    // generation, re-runs no stage, swap or pass, and reduces — the same
+    // state on every engine. A stop point past the last unit never fires.
+    let c = workload();
+    let t = Telemetry::default();
+    for mut b in backends::<f64>(&t, RANKS) {
+        let name = b.name();
+        b.gather_state(true);
+        let plan = b.plan(&c).expect(name);
+        let total = plan.schedule.stages.len();
+        let plain = b.run(&plan).expect(name).state.expect("gathered state");
+        let dir = ScratchDir::new(&format!("{name}_bracket"));
+        for (policy, stop) in [
+            (CheckpointPolicy::resume(dir.path()), None),
+            (CheckpointPolicy::new(dir.path()), Some(total + 1)),
+            (CheckpointPolicy::new(dir.path()), Some(usize::MAX)),
+        ] {
+            b.checkpoint(policy);
+            let out = b.run_to_stage(&plan, stop);
+            let state = out
+                .unwrap_or_else(|e| panic!("{name}, stop {stop:?}: {e}"))
+                .state;
+            assert_eq!(
+                max_dist(&state.unwrap(), &plain),
+                0.0,
+                "{name}, stop {stop:?}"
+            );
+        }
+        b.checkpoint(CheckpointPolicy::resume(dir.path()));
+        let out = b.run(&plan).expect(name);
+        assert_eq!(
+            max_dist(&out.state.unwrap(), &plain),
+            0.0,
+            "{name}: finished"
+        );
+        assert_eq!(
+            *out.stats.sweep(),
+            SweepStats::default(),
+            "{name}: a stage re-ran"
+        );
+        match out.stats {
+            BackendStats::Dist {
+                swap_bytes_copied, ..
+            } => assert_eq!(swap_bytes_copied, 0, "dist: a swap re-ran"),
+            // The only traffic: the resume's digest reads and one read to
+            // reduce (no pass is left to fold it into) — no write.
+            BackendStats::Ooc { io, runs, .. } => {
+                assert_eq!((io.bytes_written, io.traversals, runs), (0, 1, 0), "ooc")
             }
-            Err(e) => panic!("{name}: expected Checkpoint error, got {e}"),
-            Ok(_) => panic!("{name}: cross-precision resume must be rejected"),
+            BackendStats::Single { .. } => {}
         }
     }
 }
