@@ -17,8 +17,6 @@
 //! Scheduling artifacts (Fig. 5, Table 1, the projection) run at the
 //! paper's **full scale** (30–49 qubits) because they never touch
 //! amplitudes; amplitude-bearing artifacts run scaled down per DESIGN.md.
-//! `cargo bench -p qsim-bench` additionally runs the criterion
-//! micro-benchmarks in `benches/`.
 
 //! The end-to-end and per-layer performance numbers (wall-clock, sweep
 //! passes, OOC traffic, codec ratio, schedule search) live in the

@@ -14,10 +14,13 @@
 //! Unit `u` reads generation `u − 1` and writes generation `u` into the
 //! parity the durable manifest does not name; then
 //!
-//! 1. `sync_all` each new artifact and digest the whole file as stored
-//!    (the engine's half: [`write_part`] per rank, the chunk store's
-//!    `sync_digests`) — what resume's one verifier, [`verify_part`],
-//!    compares;
+//! 1. `sync_all` each new artifact and digest the whole file as stored,
+//!    over the bytes the engine wrote — never by reading the file back
+//!    ([`write_part`] per rank; out of core, the chunk store's digesting
+//!    writer, which the commit fsyncs). Resume reads each artifact of the
+//!    named generation once, where it needs its bytes, and checks it as
+//!    it reads with the one verifier, [`verify_part`] ([`read_part`] per
+//!    rank, the first pass's chunk reads out of core);
 //! 2. publish the manifest naming `u` *atomically* — temp file →
 //!    `sync_all` → rename over [`MANIFEST_FILE`] → directory fsync, which
 //!    also makes the directory entries of newly created artifacts durable.
@@ -435,7 +438,9 @@ impl RunKey<'_> {
     }
 }
 
-fn at_path(path: &Path, e: io::Error) -> CheckpointError {
+/// An IO failure on `path`, with the path in its message (a partition
+/// file's name names the partition).
+pub fn at_path(path: &Path, e: io::Error) -> CheckpointError {
     CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
@@ -465,8 +470,9 @@ pub fn write_part<R: Real>(
 }
 
 /// Read partition `part` of generation `generation` straight into `out`:
-/// a file of any size but `out`'s, or one [`verify_part`] rejects against
-/// the manifest's `want`, is a [`CheckpointError::Mismatch`].
+/// a file of any size but `out`'s ([`check_part_len`]), or one
+/// [`verify_part`] rejects against the manifest's `want`, is a
+/// [`CheckpointError::Mismatch`].
 pub fn read_part<R: Real>(
     dir: &Path,
     part: usize,
@@ -476,23 +482,23 @@ pub fn read_part<R: Real>(
 ) -> Result<(), CheckpointError> {
     let path = part_path(dir, part, generation);
     let bytes = amps_as_bytes_mut(out);
-    let mut read = || -> io::Result<u64> {
-        let mut f = File::open(&path)?;
-        let len = f.metadata()?.len();
-        if len == bytes.len() as u64 {
-            f.read_exact(bytes)?;
-        }
-        Ok(len)
-    };
-    let len = read().map_err(|e| at_path(&path, e))?;
-    if len != bytes.len() as u64 {
+    let mut f = File::open(&path).map_err(|e| at_path(&path, e))?;
+    let len = f.metadata().map_err(|e| at_path(&path, e))?.len();
+    check_part_len(part, len, bytes.len())?;
+    f.read_exact(bytes).map_err(|e| at_path(&path, e))?;
+    verify_part(part, bytes, want)
+}
+
+/// A raw partition file holds exactly the partition's bytes: its size
+/// `len` must be `want` — fewer is a torn file, more is bytes the digest
+/// of the first `want` would not see.
+pub fn check_part_len(part: usize, len: u64, want: usize) -> Result<(), CheckpointError> {
+    if len != want as u64 {
         return Err(CheckpointError::Mismatch(format!(
-            "partition {part}: {} holds {len} bytes, not the partition's {}",
-            path.display(),
-            bytes.len()
+            "partition {part}: the file holds {len} bytes, not the partition's {want}"
         )));
     }
-    verify_part(part, bytes, want)
+    Ok(())
 }
 
 /// The one artifact verifier, on every engine: the [`fnv1a64`] digest of

@@ -19,10 +19,17 @@
 //! generation; a [`ChunkWriter`] view writes the next one into the other
 //! parity, and `ChunkStore::advance` makes it current once every chunk
 //! is written. A streaming pass therefore never overwrites what it reads,
-//! and a checkpoint is just `ChunkStore::sync_digests` of the current
-//! generation plus a manifest naming it — whatever the other parity holds
-//! (an older generation, a torn write, nothing) is overwritten by the
-//! next writer and never read.
+//! and whatever the other parity holds (an older generation, a torn
+//! write, nothing) is overwritten by the next writer and never read.
+//!
+//! The store follows the artifact IO rule of `write_part` / `read_part`:
+//! it digests the bytes it writes and verifies the bytes it reads. A
+//! pass that commits writes through a digesting writer, which folds
+//! every byte it hands a file into that chunk's running digest, so the
+//! commit (`ChunkStore::sync`) fsyncs and publishes without reading
+//! anything back. A store opened at the generation a manifest names
+//! ([`ChunkStore::open_named`]) reads nothing up front: each read of that
+//! generation checks the chunk it reads against the manifest.
 //!
 //! The store is generic over the scalar precision `R`: chunk files hold
 //! raw `Complex<R>` pairs (8 bytes per amplitude at f32, 16 at f64), so
@@ -54,12 +61,14 @@
 //! `bytes_read`/`bytes_written` counters stay *physical* (on-disk bytes —
 //! the quantity the bandwidth analysis cares about) while
 //! `logical_bytes_*` record the amplitude bytes moved; their ratio is
-//! [`IoStats::compression_ratio`]. Digests (`ChunkStore::sync_digests`)
-//! hash the file bytes as stored, i.e. the *encoded* bytes, so the
-//! checkpoint protocol is codec-oblivious.
+//! [`IoStats::compression_ratio`]. Digests hash the file bytes as
+//! stored, i.e. the *encoded* frames, so the checkpoint protocol is
+//! codec-oblivious.
 
 use qsim_compress::{decode_frames, encode_frame, Codec, CodecScratch};
-use qsim_core::checkpoint::{fnv1a64, part_path, verify_part, CheckpointError};
+use qsim_core::checkpoint::{
+    at_path, check_part_len, part_path, verify_part, CheckpointError, Fnv1a,
+};
 use qsim_util::align::AlignedVec;
 use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
@@ -109,27 +118,39 @@ impl<R: Real> ChunkIo<R> {
     }
 
     /// Read one whole chunk file — raw scalars, or every frame of it under
-    /// a codec — from the handle `open` yields (positioned at its start)
-    /// into `out`. Returns the seconds it took, IO plus decode, for callers
-    /// that waited on it.
-    fn read<F: Read>(
+    /// a codec — from `f` (positioned at its start) into `out`. Returns
+    /// the seconds it took, IO plus decode, for callers that waited on it.
+    ///
+    /// A chunk a manifest names (`named`: its index and promised digest)
+    /// is checked as `read_part` checks a rank: a raw file must hold
+    /// exactly the chunk's bytes ([`check_part_len`]), then [`verify_part`]
+    /// runs over the whole file.
+    fn read(
         &mut self,
-        open: impl FnOnce() -> std::io::Result<F>,
+        f: &mut File,
         out: &mut [Complex<R>],
+        named: Option<(usize, u64)>,
     ) -> std::io::Result<f64> {
         let logical = std::mem::size_of_val(out) as u64;
+        let raw = self.codec.is_none();
         let t = Instant::now();
-        let mut f = open()?;
-        let physical = if self.codec.is_none() {
+        let physical = if raw {
+            if let Some((c, _)) = named {
+                check_part_len(c, f.metadata()?.len(), logical as usize).map_err(rejected)?;
+            }
             f.read_exact(amps_as_bytes_mut(out))?;
             logical
         } else {
             self.enc.clear();
             f.read_to_end(&mut self.enc)? as u64
         };
+        if let Some((c, want)) = named {
+            let stored = if raw { amps_as_bytes(out) } else { &self.enc };
+            verify_part(c, stored, want).map_err(rejected)?;
+        }
         let io_dt = t.elapsed().as_secs_f64();
         let mut codec_dt = 0.0;
-        if !self.codec.is_none() {
+        if !raw {
             let t = Instant::now();
             decode_frames(&self.enc, &mut self.scratch, out)?;
             codec_dt = t.elapsed().as_secs_f64();
@@ -169,6 +190,13 @@ impl<R: Real> ChunkIo<R> {
         self.stats.logical_bytes_written += std::mem::size_of_val(amps) as u64;
         Ok(io_dt + codec_dt)
     }
+}
+
+/// A named chunk that is not what its manifest promised, as the IO error
+/// a pass returns: kind `InvalidData`, which the engine reports as
+/// `SimError::Checkpoint` ("durable state rejected") on every engine.
+fn rejected(e: CheckpointError) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
 /// A pool of fixed-length 64-byte-aligned amplitude buffers. `get`
@@ -249,6 +277,10 @@ pub struct ChunkStore<R: Real = f64> {
     /// The current generation: what reads address. Its files carry the
     /// parity `generation % 2`; a writer view writes `generation + 1`.
     generation: usize,
+    /// The digests the manifest the store was opened at promises for the
+    /// current generation ([`ChunkStore::open_named`]): what every read of
+    /// it checks. `None` once this store has written the generation.
+    named: Option<Vec<u64>>,
     io: ChunkIo<R>,
 }
 
@@ -259,6 +291,7 @@ impl<R: Real> ChunkStore<R> {
             local_qubits,
             global_qubits,
             generation: 0,
+            named: None,
             io: ChunkIo::new(codec),
         }
     }
@@ -361,18 +394,32 @@ impl<R: Real> ChunkStore<R> {
     /// current, once that view has written every chunk of it.
     pub(crate) fn advance(&mut self) {
         self.generation += 1;
+        self.named = None;
     }
 
-    /// Read chunk `c` directly into a caller-owned buffer. Direct store
-    /// IO is synchronous by definition: the caller waited for all of it
+    /// Read chunk `c` directly into a caller-owned buffer — checked
+    /// against its manifest digest when the store was opened at a named
+    /// generation ([`ChunkStore::open_named`]). Direct store IO is
+    /// synchronous by definition: the caller waited for all of it
     /// (pass-level IO instead attributes wait through the reader/writer
     /// views).
     pub fn read_chunk_into(&mut self, c: usize, out: &mut [Complex<R>]) -> std::io::Result<()> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
         assert_eq!(out.len(), self.chunk_len(), "chunk size mismatch");
-        let path = self.chunk_path(c);
-        self.io.stats.io_wait_seconds += self.io.read(|| File::open(path), out)?;
+        let mut f = self.open_chunk(c)?;
+        let named = self.named.as_ref().map(|d| (c, d[c]));
+        self.io.stats.io_wait_seconds += self.io.read(&mut f, out, named)?;
         Ok(())
+    }
+
+    /// Open chunk `c` of the current generation for reading. A named
+    /// chunk that cannot be opened — a missing file — is rejected.
+    fn open_chunk(&self, c: usize) -> std::io::Result<File> {
+        let path = self.chunk_path(c);
+        File::open(&path).map_err(|e| match self.named {
+            Some(_) => rejected(at_path(&path, e)),
+            None => e,
+        })
     }
 
     /// Read chunk `c` into a fresh `Vec`.
@@ -392,56 +439,42 @@ impl<R: Real> ChunkStore<R> {
         // generation of this chunk (encoded sizes vary).
         let put = |bytes: &[u8]| File::create(path)?.write_all(bytes);
         self.io.stats.io_wait_seconds += self.io.write(0, amps, put)?;
+        self.named = None;
         Ok(())
     }
 
-    /// Chunk `c`'s whole file in the current generation, as stored (a
-    /// synchronous, counted read).
-    fn read_stored(&mut self, c: usize) -> std::io::Result<Vec<u8>> {
-        assert!(c < self.n_chunks(), "chunk {c} out of range");
-        let t = Instant::now();
-        let bytes = std::fs::read(self.chunk_path(c))?;
-        let dt = t.elapsed().as_secs_f64();
-        self.io.stats.read_seconds += dt;
-        self.io.stats.io_wait_seconds += dt;
-        self.io.stats.bytes_read += bytes.len() as u64;
-        Ok(bytes)
+    /// Make the current generation durable for the commit that names it
+    /// with the digests its writer took ([`ChunkWriter::finish`]):
+    /// `sync_all` each chunk file. Nothing is read back.
+    pub(crate) fn sync(&self) -> std::io::Result<()> {
+        for c in 0..self.n_chunks() {
+            let f = OpenOptions::new().write(true).open(self.chunk_path(c))?;
+            f.sync_all()?;
+        }
+        Ok(())
     }
 
-    /// Make the current generation durable and digest it: `sync_all`
-    /// each chunk file, then hash its bytes as stored ([`fnv1a64`]) —
-    /// what a manifest naming this generation records.
-    pub(crate) fn sync_digests(&mut self) -> std::io::Result<Vec<u64>> {
-        (0..self.n_chunks())
-            .map(|c| {
-                File::open(self.chunk_path(c))?.sync_all()?;
-                Ok(fnv1a64(&self.read_stored(c)?))
-            })
-            .collect()
-    }
-
-    /// Open the store at the generation a manifest names and check every
-    /// chunk of it against the manifest's `digests` with the one artifact
-    /// verifier ([`verify_part`]): a mismatch is a torn store
-    /// ([`CheckpointError::Mismatch`]). The other parity is never looked
-    /// at — it holds an abandoned or older generation, which the next
-    /// pass overwrites. The digests hash the bytes as stored (encoded
-    /// frames under a codec), so the check is the same at every codec.
-    pub fn open_verified_with(
+    /// Open the store at the generation a manifest names, reading
+    /// nothing: each later read of that generation — the first pass's, or
+    /// a finished run's reduction — checks the chunk it reads against
+    /// `digests`, one per chunk, with the one artifact verifier
+    /// ([`verify_part`]). A missing, short, long or mismatched chunk is
+    /// an `InvalidData` error naming the partition. The other parity is
+    /// never looked at: it holds an abandoned or older generation, which
+    /// the next pass overwrites.
+    pub fn open_named(
         dir: &Path,
         local_qubits: u32,
         global_qubits: u32,
         generation: usize,
         digests: &[u64],
         codec: Codec,
-    ) -> Result<Self, CheckpointError> {
+    ) -> Self {
         let mut store = Self::bare(dir, local_qubits, global_qubits, codec);
-        store.generation = generation;
         assert_eq!(digests.len(), store.n_chunks(), "digest count mismatch");
-        for (c, &want) in digests.iter().enumerate() {
-            verify_part(c, &store.read_stored(c)?, want)?;
-        }
-        Ok(store)
+        store.generation = generation;
+        store.named = Some(digests.to_vec());
+        store
     }
 
     /// Delete the chunk files of both generations (cleanup helper for
@@ -472,13 +505,15 @@ impl<R: Real> ChunkStore<R> {
     /// A read view of the current generation with its own file handles
     /// (one per chunk, opened eagerly) and local counters — safe to move
     /// onto a prefetch thread while a [`ChunkWriter`] writes the next
-    /// generation.
+    /// generation. A view of a named generation checks each chunk it
+    /// reads, as [`ChunkStore::read_chunk_into`] does.
     pub fn reader(&self) -> std::io::Result<ChunkReader<R>> {
         let files = (0..self.n_chunks())
-            .map(|c| File::open(self.chunk_path(c)))
+            .map(|c| self.open_chunk(c))
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(ChunkReader {
             files,
+            named: self.named.clone(),
             chunk_len: self.chunk_len(),
             io: ChunkIo::new(self.io.codec),
         })
@@ -487,14 +522,16 @@ impl<R: Real> ChunkStore<R> {
     /// A write view of the next generation (`generation + 1`, the other
     /// parity), one lazily opened handle per chunk. Cursor state is
     /// private to the view, so a writeback thread never races the
-    /// reader's seeks.
-    pub fn writer(&self) -> ChunkWriter<R> {
+    /// reader's seeks. With `digest` (a pass that commits) the view
+    /// digests what it writes ([`ChunkWriter::finish`]).
+    pub fn writer(&self, digest: bool) -> ChunkWriter<R> {
         let next = self.generation + 1;
         ChunkWriter {
             paths: (0..self.n_chunks())
                 .map(|c| part_path(&self.dir, c, next))
                 .collect(),
             files: (0..self.n_chunks()).map(|_| None).collect(),
+            digests: digest.then(|| vec![(Fnv1a::new(), 0); self.n_chunks()]),
             chunk_len: self.chunk_len(),
             io: ChunkIo::new(self.io.codec),
         }
@@ -505,6 +542,8 @@ impl<R: Real> ChunkStore<R> {
 /// [`ChunkStore::reader`]). Reads are zero-copy and allocation-free.
 pub struct ChunkReader<R: Real = f64> {
     files: Vec<File>,
+    /// The manifest digests, when the view reads a named generation.
+    named: Option<Vec<u64>>,
     chunk_len: usize,
     io: ChunkIo<R>,
 }
@@ -514,8 +553,9 @@ impl<R: Real> ChunkReader<R> {
     pub fn read_into(&mut self, c: usize, out: &mut [Complex<R>]) -> std::io::Result<()> {
         assert_eq!(out.len(), self.chunk_len, "chunk size mismatch");
         let f = &mut self.files[c];
+        f.seek(SeekFrom::Start(0))?;
         self.io
-            .read(|| f.seek(SeekFrom::Start(0)).map(|_| f), out)?;
+            .read(f, out, self.named.as_ref().map(|d| (c, d[c])))?;
         Ok(())
     }
 
@@ -536,6 +576,10 @@ impl<R: Real> ChunkReader<R> {
 pub struct ChunkWriter<R: Real = f64> {
     paths: Vec<PathBuf>,
     files: Vec<Option<File>>,
+    /// When the pass commits: per chunk, the running digest of every byte
+    /// handed to its file, and the amplitude offset its next write must
+    /// start at.
+    digests: Option<Vec<(Fnv1a, usize)>>,
     chunk_len: usize,
     io: ChunkIo<R>,
 }
@@ -547,6 +591,11 @@ impl<R: Real> ChunkWriter<R> {
     /// there: a raw file is sized to one chunk, and every range is then
     /// written in place; a framed file is truncated, and every write
     /// appends one offset-carrying frame through the retained handle.
+    ///
+    /// A digesting view takes each chunk front to back — a write anywhere
+    /// but where the last one ended is an error — so its running digest
+    /// is the digest of the whole file: a raw file is its ranges in
+    /// order, a framed file its frames in append order.
     pub fn write_range(
         &mut self,
         c: usize,
@@ -554,6 +603,14 @@ impl<R: Real> ChunkWriter<R> {
         amps: &[Complex<R>],
     ) -> std::io::Result<()> {
         assert!(off + amps.len() <= self.chunk_len);
+        let mut digest = self.digests.as_mut().map(|d| &mut d[c]);
+        if let Some(&mut (_, next)) = digest.as_deref_mut() {
+            if off != next {
+                return Err(std::io::Error::other(format!(
+                    "chunk {c}: a digesting writer got amplitude {off}, not the next one, {next}"
+                )));
+            }
+        }
         let raw = self.io.codec.is_none();
         let amp_bytes = std::mem::size_of::<Complex<R>>() as u64;
         let (slot, path) = (&mut self.files[c], &self.paths[c]);
@@ -575,9 +632,37 @@ impl<R: Real> ChunkWriter<R> {
             if raw {
                 f.seek(SeekFrom::Start(off as u64 * amp_bytes))?;
             }
-            f.write_all(bytes)
+            f.write_all(bytes)?;
+            if let Some((h, next)) = digest {
+                h.write(bytes);
+                *next += amps.len();
+            }
+            Ok(())
         })?;
         Ok(())
+    }
+
+    /// The digests of the generation this view wrote, one per chunk, when
+    /// it digests (`None` otherwise). Every chunk must have been written
+    /// to its end: a chunk left short is an error, since its file is not
+    /// the bytes its digest covers.
+    pub fn finish(&self) -> std::io::Result<Option<Vec<u64>>> {
+        let Some(digests) = &self.digests else {
+            return Ok(None);
+        };
+        let len = self.chunk_len;
+        let finish = |(c, &(h, next)): (usize, &(Fnv1a, usize))| match next == len {
+            true => Ok(h.finish()),
+            false => Err(std::io::Error::other(format!(
+                "chunk {c} left short: {next} of {len} amplitudes written"
+            ))),
+        };
+        digests
+            .iter()
+            .enumerate()
+            .map(finish)
+            .collect::<std::io::Result<_>>()
+            .map(Some)
     }
 
     /// The chunk codec this view encodes with.
@@ -623,102 +708,169 @@ mod tests {
         assert!((norm - 1.0).abs() < 1e-12);
     }
 
-    /// Write every chunk of the next generation through one writer view
-    /// (chunk `c` holds `fill(c)`), then make it current.
-    fn write_generation(store: &mut ChunkStore, fill: impl Fn(usize) -> Vec<c64>) {
-        let mut writer = store.writer();
+    /// Write every chunk of the next generation through one digesting
+    /// writer view (chunk `c` holds `fill(c)`), then make it current;
+    /// returns the digests it took.
+    fn write_generation(
+        store: &mut ChunkStore,
+        fill: impl Fn(usize) -> Vec<c64>,
+    ) -> std::io::Result<Vec<u64>> {
+        let mut writer = store.writer(true);
         for c in 0..store.n_chunks() {
-            writer.write_range(c, 0, &fill(c)).unwrap();
+            writer.write_range(c, 0, &fill(c))?;
         }
         store.absorb(&writer.stats());
+        let digests = writer.finish()?.expect("a digesting writer");
         store.advance();
+        store.sync()?;
+        Ok(digests)
     }
 
     #[test]
-    fn reader_writer_views_round_trip() {
+    fn reader_writer_views_round_trip() -> std::io::Result<()> {
         let dir = ScratchDir::new("store_views");
-        let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one()).unwrap();
+        let mut store = ChunkStore::create_filled(dir.path(), 3, 2, c64::one())?;
         let pattern = |c: usize| (0..8).map(|i| c64::new(i as f64, c as f64)).collect();
-        write_generation(&mut store, pattern);
+        write_generation(&mut store, pattern)?;
         assert_eq!(
             store.stats().bytes_written,
             2 * 4 * 8 * 16,
             "create + 1 generation"
         );
-        let mut reader = store.reader().unwrap();
+        let mut reader = store.reader()?;
         let mut buf = vec![c64::zero(); 8];
-        reader.read_into(2, &mut buf).unwrap();
+        reader.read_into(2, &mut buf)?;
         assert_eq!(buf, pattern(2));
         // Re-reads through the same cached handle work (seek resets).
-        reader.read_into(2, &mut buf).unwrap();
+        reader.read_into(2, &mut buf)?;
         assert_eq!(buf, pattern(2));
         store.absorb(&reader.stats());
         assert_eq!(store.stats().bytes_read, 2 * 8 * 16);
+        Ok(())
     }
 
     #[test]
-    fn ranges_assemble_the_next_generation_behind_the_current_one() {
+    fn ranges_assemble_the_next_generation_behind_the_current_one() -> std::io::Result<()> {
         for codec in [Codec::None, Codec::ShuffleRle] {
             let dir = ScratchDir::new("store_ranges");
-            let mut store =
-                ChunkStore::create_filled_with(dir.path(), 3, 1, c64::one(), codec).unwrap();
+            let mut store = ChunkStore::create_filled_with(dir.path(), 3, 1, c64::one(), codec)?;
             // Chunk 0 from two half-chunk pieces, out of order; chunk 1
             // whole.
             let hi = vec![c64::new(2.0, 0.0); 4];
             let lo = vec![c64::new(3.0, 0.0); 4];
             let whole = [lo.clone(), hi.clone()].concat();
-            let mut writer = store.writer();
-            writer.write_range(0, 4, &hi).unwrap();
-            writer.write_range(0, 0, &lo).unwrap();
-            writer.write_range(1, 0, &whole).unwrap();
-            drop(writer);
-            assert_eq!(store.to_vec().unwrap(), vec![c64::one(); 16], "{codec:?}");
+            let mut writer = store.writer(false);
+            writer.write_range(0, 4, &hi)?;
+            writer.write_range(0, 0, &lo)?;
+            writer.write_range(1, 0, &whole)?;
+            assert_eq!(writer.finish()?, None, "only a digesting writer digests");
+            assert_eq!(store.to_vec()?, vec![c64::one(); 16], "{codec:?}");
             store.advance();
             let want = [whole.clone(), whole].concat();
-            assert_eq!(store.to_vec().unwrap(), want, "{codec:?}");
-            // Reopened at that generation, its digests check out.
-            let digests = store.sync_digests().unwrap();
-            let mut re =
-                ChunkStore::<f64>::open_verified_with(dir.path(), 3, 1, 1, &digests, codec)
-                    .unwrap();
-            assert_eq!(re.to_vec().unwrap(), want, "{codec:?}");
+            assert_eq!(store.to_vec()?, want, "{codec:?}");
         }
+        Ok(())
+    }
+
+    /// A digesting writer takes each chunk front to back, whole or in
+    /// pieces, and its digests are its files' whole-file digests. Out of
+    /// order or short, it refuses.
+    #[test]
+    fn a_digesting_writer_takes_the_digests_of_its_files() -> std::io::Result<()> {
+        for codec in [Codec::None, Codec::ShuffleRle] {
+            let dir = ScratchDir::new("store_digests");
+            let store = ChunkStore::create_filled_with(dir.path(), 3, 1, c64::one(), codec)?;
+            let piece = |k: usize| vec![c64::new(k as f64, 0.5); 4];
+            let mut writer = store.writer(true);
+            writer.write_range(0, 0, &piece(0))?;
+            writer.write_range(0, 4, &piece(1))?;
+            writer.write_range(1, 0, &[piece(2), piece(3)].concat())?;
+            let digests = writer.finish()?.expect("a digesting writer");
+            for (c, d) in digests.into_iter().enumerate() {
+                let file = std::fs::read(part_path(dir.path(), c, 1))?;
+                let whole = qsim_core::checkpoint::fnv1a64(&file);
+                assert_eq!(d, whole, "{codec:?} chunk {c}");
+            }
+            let mut writer = store.writer(true);
+            writer.write_range(0, 0, &piece(0))?;
+            let rewind = writer.write_range(0, 0, &piece(1));
+            assert!(rewind.is_err(), "{codec:?}: rewind");
+            let skip = writer.write_range(1, 4, &piece(1));
+            assert!(skip.is_err(), "{codec:?}: skip");
+            assert!(writer.finish().is_err(), "{codec:?}: short");
+        }
+        Ok(())
     }
 
     #[test]
-    fn a_writer_overwrites_whatever_the_other_parity_held() {
+    fn a_writer_overwrites_whatever_the_other_parity_held() -> std::io::Result<()> {
         // Longer, shorter and same-length leftovers of an older or torn
         // generation, and a missing file: the new generation reads back
         // exactly what was written.
         for codec in [Codec::None, Codec::ShuffleRle] {
             let dir = ScratchDir::new("store_leftovers");
-            let mut store =
-                ChunkStore::create_filled_with(dir.path(), 6, 2, c64::one(), codec).unwrap();
+            let mut store = ChunkStore::create_filled_with(dir.path(), 6, 2, c64::one(), codec)?;
             let other = |c: usize| part_path(dir.path(), c, 1);
-            std::fs::write(other(0), vec![0xa5u8; 64 * 16 + 999]).unwrap();
-            std::fs::write(other(1), b"short").unwrap();
-            std::fs::write(other(2), vec![0x5au8; 64 * 16]).unwrap();
+            std::fs::write(other(0), vec![0xa5u8; 64 * 16 + 999])?;
+            std::fs::write(other(1), b"short")?;
+            std::fs::write(other(2), vec![0x5au8; 64 * 16])?;
             let fill = |c: usize| vec![c64::new(c as f64, -0.5); 64];
-            write_generation(&mut store, fill);
+            write_generation(&mut store, fill)?;
             let want: Vec<c64> = (0..4).flat_map(fill).collect();
-            assert_eq!(store.to_vec().unwrap(), want, "{codec:?}");
+            assert_eq!(store.to_vec()?, want, "{codec:?}");
         }
+        Ok(())
     }
 
+    /// Opening a named generation reads nothing; each read of it checks
+    /// the chunk it reads, through the store and through a reader view.
     #[test]
-    fn open_verified_rejects_a_torn_chunk_with_a_typed_error() {
+    fn reads_of_a_named_generation_reject_a_damaged_chunk() -> std::io::Result<()> {
+        type Damage = fn(&Path) -> std::io::Result<()>;
+        let damages: [(&str, Damage); 4] = [
+            ("short", |p| std::fs::write(p, b"short")),
+            ("long", |p| {
+                OpenOptions::new()
+                    .append(true)
+                    .open(p)?
+                    .write_all(&[0x5a; 4099])
+            }),
+            ("flipped", |p| {
+                let mut bytes = std::fs::read(p)?;
+                bytes[9] ^= 1;
+                std::fs::write(p, bytes)
+            }),
+            ("missing", |p| std::fs::remove_file(p)),
+        ];
         for codec in [Codec::None, Codec::ShuffleRle] {
-            let dir = ScratchDir::new("store_torn");
-            let mut store =
-                ChunkStore::<f64>::create_filled_with(dir.path(), 3, 2, c64::one(), codec).unwrap();
-            let digests = store.sync_digests().unwrap();
-            std::fs::write(store.chunk_path(2), b"short").unwrap();
-            match ChunkStore::<f64>::open_verified_with(dir.path(), 3, 2, 0, &digests, codec) {
-                Err(CheckpointError::Mismatch(m)) => assert!(m.contains("partition 2"), "{m}"),
-                Err(e) => panic!("expected Mismatch, got {e}"),
-                Ok(_) => panic!("torn chunk must not open"),
+            for (what, damage) in damages {
+                let dir = ScratchDir::new("store_torn");
+                let mut store =
+                    ChunkStore::create_filled_with(dir.path(), 3, 2, c64::one(), codec)?;
+                let pattern = |c: usize| (0..8).map(|i| c64::new(i as f64, c as f64)).collect();
+                let digests = write_generation(&mut store, pattern)?;
+                damage(&part_path(dir.path(), 2, 1))?;
+                let mut named = ChunkStore::<f64>::open_named(dir.path(), 3, 2, 1, &digests, codec);
+                assert_eq!(named.stats().bytes_read, 0, "opening reads nothing");
+                let mut buf = vec![c64::zero(); 8];
+                named.read_chunk_into(1, &mut buf)?;
+                let through_reader = named.reader().and_then(|mut r| r.read_into(2, &mut buf));
+                for r in [named.read_chunk_into(2, &mut buf), through_reader] {
+                    let e = r.expect_err(what);
+                    assert_eq!(
+                        e.kind(),
+                        std::io::ErrorKind::InvalidData,
+                        "{codec:?} {what}"
+                    );
+                    let m = e.to_string();
+                    assert!(
+                        m.contains("partition 2") || m.contains("part_000002"),
+                        "{m}"
+                    );
+                }
             }
         }
+        Ok(())
     }
 
     #[test]

@@ -27,16 +27,20 @@
 //! Pass `u` reads generation `u` of the chunk store and writes generation
 //! `u + 1` into the other file parity, so it never overwrites what it
 //! reads. That is also the whole checkpoint protocol: with a
-//! [`CheckpointPolicy`] each pass ends by fsyncing and digesting the
-//! generation it wrote, and the frame publishes the manifest naming it
-//! ([`Run::publish`]) — the flip is the commit. A crash anywhere in pass `u` leaves the manifest naming
-//! generation `u`, intact, beside garbage that the replay of pass `u`
-//! overwrites.
+//! [`CheckpointPolicy`] each pass digests the bytes it writes as it
+//! writes them and ends by fsyncing the generation it wrote, and the
+//! frame publishes the manifest naming it with those digests
+//! ([`Run::publish`]) — the flip is the commit, and it reads nothing. A
+//! crash anywhere in pass `u` leaves the manifest naming generation `u`,
+//! intact, beside garbage that the replay of pass `u` overwrites. A
+//! resume opens the named generation without reading it; the first pass
+//! checks each chunk as it reads it.
 //!
 //! Disk traffic for a schedule with `S` swaps is thus `2S + 1` state
-//! transfers — one write per swap, one read and one write per later stage
-//! — which is the minimum an all-to-all through files can take, and why
-//! the paper's 2-swap schedules make SSD-resident states viable (§5).
+//! transfers, checkpointed or not — one write per swap, one read and one
+//! write per later stage — which is the minimum an all-to-all through
+//! files can take, and why the paper's 2-swap schedules make SSD-resident
+//! states viable (§5).
 //! The final norm/entropy reduction is folded into the last stage's pass,
 //! so it costs no extra traversal.
 
@@ -226,7 +230,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
         let out = (|| -> Result<BackendOutcome<R>, SimError> {
             let mut store = match run.resumed() {
                 Some((dir, digests)) => {
-                    ChunkStore::open_verified_with(dir, l, g, run.cursor(), digests, codec)?
+                    ChunkStore::open_named(dir, l, g, run.cursor(), digests, codec)
                 }
                 None => ChunkStore::create_empty_with(&dir, l, g, codec).map_err(io_to_sim)?,
             };
@@ -286,6 +290,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     source,
                     depth,
                     wires: if scatter.is_some() { wires } else { 0 },
+                    digest: run.checkpoint_dir().is_some(),
                     telemetry: telemetry.clone(),
                 };
                 // `swap_ns` gets one sample per swap, from the unit the
@@ -293,7 +298,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 // gather-unpermute half opens the next pass, under its
                 // `unpermute` spans.)
                 let mut scatter_t = Duration::ZERO;
-                run_pass(
+                let digests = run_pass(
                     &mut store,
                     chunk_pool,
                     wire_pool,
@@ -340,9 +345,10 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 if scatter.is_some() {
                     telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64);
                 }
-                if run.checkpoint_dir().is_some() {
+                if let Some(digests) = digests {
                     let _s = track.span_timed("checkpoint.write", si as u64, "checkpoint_ns");
-                    run.publish(si + 1, store.sync_digests().map_err(io_to_sim)?)?;
+                    store.sync().map_err(io_to_sim)?;
+                    run.publish(si + 1, digests)?;
                 }
                 // The `live.ooc.*` gauges `/status` reads mid-run: the
                 // prefetch/compute/writeback thread split, overlap
@@ -365,9 +371,9 @@ impl<R: SweepDispatch> OocSimulator<R> {
             })?;
             if run.cursor() >= stages.len() {
                 // Resume of a finished run: no pass is left to fold the
-                // reduction into, so read the final chunks once. Bitwise
-                // identical to the folded reduction — same bytes, same
-                // fold order.
+                // reduction into, so read the named final chunks once,
+                // each checked as it is read. Bitwise identical to the
+                // folded reduction — same bytes, same fold order.
                 let mut buf = chunk_pool.get();
                 for (c, partial) in partials.iter_mut().enumerate() {
                     store.read_chunk_into(c, &mut buf).map_err(io_to_sim)?;
@@ -409,9 +415,9 @@ impl<R: SweepDispatch> OocSimulator<R> {
 }
 
 /// Map an OOC engine IO failure onto the typed [`SimError`] surface.
-/// An undecodable frame surfaces as `InvalidData`: normalize it to the
-/// typed checkpoint error a rejected manifest or a torn chunk
-/// (`ChunkStore::open_verified_with`) is, so callers match one variant
+/// A named chunk the store rejects ([`ChunkStore::open_named`]) or an
+/// undecodable frame surfaces as `InvalidData`: normalize it to the typed
+/// checkpoint error a rejected manifest is, so callers match one variant
 /// for "durable state rejected" on every backend. Everything else stays
 /// an IO error.
 fn io_to_sim(e: std::io::Error) -> SimError {
@@ -527,22 +533,33 @@ mod tests {
             seed: 1,
         });
         let (exec, uniform) = strip_initial_hadamards(&c);
+        // A checkpoint changes none of it: the commit publishes the
+        // digests the writer took and reads nothing back.
         let state_bytes = (1u64 << 12) * 16;
         for g in [1u32, 2, 3] {
             let schedule = plan(&exec, &SchedulerConfig::distributed(12 - g, 4));
             let swaps = schedule.n_swaps() as u64;
             assert!(swaps >= 1, "g={g}: want a swap to count");
             let plan = BackendPlan::from_schedule(exec.clone(), schedule, uniform);
-            let out = sequential().run_plan(&plan, false, None).unwrap();
-            let (io, runs) = ooc_stats(&out);
-            assert_eq!(
-                io.logical_bytes_read + io.logical_bytes_written,
-                (2 * swaps + 1) * state_bytes,
-                "g={g}: 2S + 1 state transfers, exactly"
-            );
-            assert_eq!(io.logical_bytes_read, swaps * state_bytes, "g={g}");
-            assert_eq!(runs as u64, swaps + 1, "g={g}");
-            assert_eq!(io.traversals, swaps + 1, "g={g}");
+            let dir = ScratchDir::new("traffic_ckpt");
+            for checkpoint in [None, Some(CheckpointPolicy::new(dir.path()))] {
+                let at = format!("g={g}, checkpoint {}", checkpoint.is_some());
+                let mut sim = OocSimulator::new(OocConfig {
+                    checkpoint,
+                    ..OocConfig::sequential()
+                });
+                let out = sim.run_plan(&plan, false, None).unwrap();
+                let (io, runs) = ooc_stats(&out);
+                assert_eq!(
+                    io.logical_bytes_read + io.logical_bytes_written,
+                    (2 * swaps + 1) * state_bytes,
+                    "{at}: 2S + 1 state transfers, exactly"
+                );
+                assert_eq!(io.logical_bytes_read, swaps * state_bytes, "{at}");
+                assert_eq!(io.bytes_read, io.logical_bytes_read, "{at}");
+                assert_eq!(runs as u64, swaps + 1, "{at}");
+                assert_eq!(io.traversals, swaps + 1, "{at}");
+            }
         }
     }
 

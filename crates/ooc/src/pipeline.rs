@@ -253,6 +253,9 @@ pub(crate) struct PassConfig {
     pub depth: usize,
     /// Wire buffers in flight (0 for passes that stage nothing).
     pub wires: usize,
+    /// Whether the pass commits: its writer digests every byte it writes,
+    /// and the pass returns those digests ([`ChunkWriter::finish`]).
+    pub digest: bool,
     /// Span/metrics sink: the pipeline threads record per-chunk
     /// read/write spans on their own tracks (`ooc.prefetch`,
     /// `ooc.writeback`) and feed the `chunk_io_ns` histogram. Disabled
@@ -313,7 +316,8 @@ fn thread_panic_err(which: &str, payload: Box<dyn std::any::Any + Send>) -> std:
 /// receives `(chunk_index, chunk_buffer, sink)` in ascending chunk order
 /// and must hand the buffer back through the sink (as a write or a
 /// recycle); its writes must cover every chunk of the next generation,
-/// which becomes the store's current one when the pass succeeds. IO
+/// which becomes the store's current one when the pass succeeds. Returns
+/// the digests of the generation it wrote when `cfg.digest`. IO
 /// counters, wait/compute split and the traversal count are absorbed
 /// into the store's stats.
 pub(crate) fn run_pass<R: Real, F>(
@@ -322,7 +326,7 @@ pub(crate) fn run_pass<R: Real, F>(
     wire_pool: &mut BufferPool<R>,
     cfg: &PassConfig,
     mut compute: F,
-) -> std::io::Result<()>
+) -> std::io::Result<Option<Vec<u64>>>
 where
     F: FnMut(usize, Buf<R>, &mut PipeSink<'_, R>) -> std::io::Result<()>,
 {
@@ -330,7 +334,7 @@ where
     let depth = cfg.depth;
     assert!(depth >= 1, "a pass needs a chunk buffer to circulate");
     let feed = Feed::open(store, cfg.source)?;
-    let writer = store.writer();
+    let writer = store.writer(cfg.digest);
 
     // Capacities are sized so no pipe can ever reject a buffer that
     // exists: `depth + 1` chunk buffers circulate (+1 for a compute-held
@@ -347,7 +351,7 @@ where
     }
     let err: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
-    let (loop_stats, reader_stats, writer_stats) = std::thread::scope(|s| {
+    let (loop_stats, reader_stats, writer_stats, digests) = std::thread::scope(|s| {
         // Each IO thread returns its stats plus any buffers it could not
         // route onward (rejected by a closed pipe on the abort path), so
         // every buffer makes it back to a pool no matter how the pass
@@ -396,7 +400,12 @@ where
                         .record_duration_ns("codec_encode_ns", (dt * 1e9) as u64);
                 }
             }
-            (writer.stats(), stranded)
+            // After an abort the chunks are short; the first error stands.
+            let digests = writer.finish().unwrap_or_else(|e| {
+                set_err(&err, e);
+                None
+            });
+            (writer.stats(), digests, stranded)
         });
 
         let mut sink = PipeSink {
@@ -426,9 +435,9 @@ where
         // could otherwise park on a pipe nobody drains).
         wb.close();
         full.close();
-        let (writer_stats, wb_stranded) = writeback.join().unwrap_or_else(|p| {
+        let (writer_stats, digests, wb_stranded) = writeback.join().unwrap_or_else(|p| {
             set_err(&err, thread_panic_err("writeback", p));
-            (IoStats::default(), Vec::new())
+            (IoStats::default(), None, Vec::new())
         });
         chunk_free.close();
         wire_free.close();
@@ -450,7 +459,7 @@ where
             }
         }
         let loop_stats = IoStats::compute_loop(sink.io_wait, compute_seconds);
-        (loop_stats, reader_stats, writer_stats)
+        (loop_stats, reader_stats, writer_stats, digests)
     });
 
     // Return every surviving buffer to its pool: the free-pipe seeds and,
@@ -480,7 +489,7 @@ where
         Some(e) => Err(e),
         None => {
             store.advance();
-            Ok(())
+            Ok(digests)
         }
     }
 }
@@ -543,6 +552,7 @@ mod tests {
                 source: PassSource::Live,
                 depth,
                 wires: 0,
+                digest: false,
                 telemetry: Telemetry::disabled(),
             };
             run_pass(
@@ -597,6 +607,7 @@ mod tests {
                 source: PassSource::Start { uniform },
                 depth,
                 wires: 0,
+                digest: false,
                 telemetry: Telemetry::disabled(),
             };
             run_pass(
@@ -634,6 +645,7 @@ mod tests {
                 source: PassSource::Live,
                 depth,
                 wires,
+                digest: false,
                 telemetry: Telemetry::disabled(),
             };
             // Transpose-like: piece `src` of chunk `dst` = src id.
@@ -682,6 +694,7 @@ mod tests {
                 source: PassSource::Live,
                 depth,
                 wires: 0,
+                digest: false,
                 telemetry: Telemetry::disabled(),
             };
             let r = run_pass(

@@ -52,10 +52,10 @@ fn resume(dir: &ScratchDir) -> CheckpointPolicy {
     CheckpointPolicy::resume(dir.path())
 }
 
-/// (traversals, bytes written, stages executed) of an OOC outcome.
+/// (traversals, bytes read, stages executed) of an OOC outcome.
 fn io_of<R: SweepDispatch>(out: &BackendOutcome<R>) -> (u64, u64, usize) {
     match &out.stats {
-        BackendStats::Ooc { io, runs, .. } => (io.traversals, io.bytes_written, *runs),
+        BackendStats::Ooc { io, runs, .. } => (io.traversals, io.bytes_read, *runs),
         other => panic!("ooc run reported {} stats", other.engine()),
     }
 }
@@ -141,6 +141,7 @@ fn kill_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
     let units = plan.schedule.stages.len();
     assert!(units >= 3, "want a middle pass to resume into");
     let n_chunks = 1usize << (plan.schedule.n_qubits - plan.schedule.local_qubits);
+    let state_bytes = 16u64 << plan.schedule.n_qubits;
     let expect = oracle(&plan);
     let sim = |checkpoint: CheckpointPolicy| {
         OocSimulator::<f64>::new(OocConfig {
@@ -178,9 +179,20 @@ fn kill_everywhere_then_resume(codec: Codec, prefetch_depth: usize) {
                 "{at}: resume diverged"
             );
             // Only the passes past the durable ones run again.
-            let (traversals, _, executed) = io_of(&out);
+            let (traversals, bytes_read, executed) = io_of(&out);
             assert_eq!(executed, units - stop, "{at}");
             assert_eq!(traversals as usize, executed.max(1), "{at}");
+            // The named generation is read once, checked as it is read:
+            // one state per pass that reads (all but a fresh start's
+            // first), and one for the reduction of a finished run.
+            if codec.is_none() {
+                let reads = if stop == 0 {
+                    units - 1
+                } else {
+                    executed.max(1)
+                };
+                assert_eq!(bytes_read, reads as u64 * state_bytes, "{at}");
+            }
         }
     }
 }

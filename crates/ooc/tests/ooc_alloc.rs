@@ -70,7 +70,7 @@ fn steady_state_chunk_loop_does_not_allocate() {
     chunk_pool.prewarm(2);
     wire_pool.prewarm(2);
     let reader = store.reader().unwrap();
-    let writer = store.writer();
+    let writer = store.writer(false);
     let stats = SweepStats::default();
 
     struct Loop<'a> {

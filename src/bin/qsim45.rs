@@ -331,6 +331,15 @@ fn run_at<R: SweepDispatch>() {
     if !matches!(backend.as_str(), "mem" | "ooc") {
         usage_error(format!("bad --backend '{backend}' (expected mem or ooc)"));
     }
+    // Only the out-of-core engine has a chunk codec to hand this to.
+    let compress = qsim45::ooc::Codec::parse(&arg_str("--compress", "none"))
+        .unwrap_or_else(|e| usage_error(format!("bad --compress: {e}")));
+    if !compress.is_none() && backend != "ooc" {
+        usage_error(format!(
+            "--compress {} needs --backend ooc (the in-memory engines store no chunks)",
+            compress.name()
+        ));
+    }
     let trace_out = arg_opt("--trace-out");
     let metrics_out = arg_opt("--metrics-out");
     let checkpoint_dir = arg_opt("--checkpoint-dir");
@@ -405,9 +414,6 @@ fn run_at<R: SweepDispatch>() {
     };
     let circuit = supremacy_circuit(&s);
     let kmax = kmax_arg();
-    // Only the out-of-core engine has a chunk codec to hand this to.
-    let compress = qsim45::ooc::Codec::parse(&arg_str("--compress", "none"))
-        .unwrap_or_else(|e| usage_error(format!("bad --compress: {e}")));
 
     // One dispatch for all three engines: build the Backend, point it at
     // the checkpoint directory, plan, run. Everything below the match is

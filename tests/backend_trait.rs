@@ -493,8 +493,8 @@ fn resume_before_the_first_and_after_the_last_unit() {
             BackendStats::Dist {
                 swap_bytes_copied, ..
             } => assert_eq!(swap_bytes_copied, 0, "dist: a swap re-ran"),
-            // The only traffic: the resume's digest reads and one read to
-            // reduce (no pass is left to fold it into) — no write.
+            // The only traffic: one read to reduce (no pass is left to
+            // fold it into), checked as it reads — no write.
             BackendStats::Ooc { io, runs, .. } => {
                 assert_eq!((io.bytes_written, io.traversals, runs), (0, 1, 0), "ooc")
             }

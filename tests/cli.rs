@@ -201,7 +201,7 @@ fn misuse_is_a_one_line_usage_error() {
     // (arguments, what the message must name). None of these may run,
     // panic (exit 101) or be silently accepted (exit 0).
     let grid = ["--rows", "3", "--cols", "3", "--depth", "8"];
-    let cases: [(&[&str], &str); 30] = [
+    let cases: [(&[&str], &str); 32] = [
         (&["run", "--backend", "bogus", "--ranks", "2"], "--backend"),
         (&["run", "--rows", "x"], "--rows"),
         (&["run", "--rows"], "--rows"),
@@ -235,6 +235,12 @@ fn misuse_is_a_one_line_usage_error() {
         (&["run", "--rows", "6", "--cols", "6"], "--rows"),
         (&["sample", "--rows", "6", "--cols", "5"], "--rows"),
         (&["run", "--compress", "bogus"], "--compress"),
+        // A codec needs a chunk store to apply to.
+        (
+            &["run", "--ranks", "4", "--compress", "shuffle-rle"],
+            "--compress shuffle-rle needs --backend ooc",
+        ),
+        (&["run", "--compress", "lossy-8"], "needs --backend ooc"),
         (&["run", "--depth", "0"], "--depth"),
         // Narrower than the widest gate timed; 2^40 amplitudes.
         (&["kernels", "--state-qubits", "3"], "bad --state-qubits 3"),
@@ -276,6 +282,12 @@ fn misuse_is_a_one_line_usage_error() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(names), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not have run");
+    }
+    // `--compress none` is no codec, on every backend.
+    for backend in [["--ranks", "1"], ["--ranks", "4"], ["--backend", "ooc"]] {
+        let args = ["run", "--compress", "none", backend[0], backend[1]];
+        let out = qsim45().args(args).args(grid).output().expect("runs");
+        assert!(out.status.success(), "{args:?}");
     }
     // Both ends of the `--local` range plan: l = ⌈n/2⌉ and l = 2.
     for grid in [
