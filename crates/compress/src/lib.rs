@@ -36,7 +36,7 @@
 //! mix of frames, which is what lets checkpoint digests cover the
 //! encoded bytes unchanged.
 
-use qsim_util::complex::Complex;
+use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
 use std::io;
 
@@ -130,13 +130,21 @@ impl std::fmt::Display for Codec {
     }
 }
 
+/// Largest frame the chunk writer emits, in amplitudes: 64 KiB of f64
+/// scalars, so one frame's plane buffer and encoded bytes stay in L2.
+/// The decoder takes frames of any size, so files written as one
+/// whole-chunk frame stay readable.
+pub const FRAME_AMPS: usize = 1 << 12;
+
 /// Reusable encode/decode working memory (the plane transpose buffer and
-/// the RLE staging buffer), so the steady-state chunk loop does not
+/// the decoder's frame spans), so the steady-state chunk loop does not
 /// allocate per frame.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     planes: Vec<u8>,
-    rle: Vec<u8>,
+    /// `(amp_off, amps)` of every frame `decode_frames` decoded, for its
+    /// tiling check.
+    spans: Vec<(usize, usize)>,
 }
 
 fn corrupt(msg: impl Into<String>) -> io::Error {
@@ -151,6 +159,107 @@ fn read_le(bytes: &[u8]) -> u64 {
         v |= (b as u64) << (8 * i);
     }
     v
+}
+
+/// Little-endian u64 from the 8 bytes at `at` (one unaligned load).
+#[inline(always)]
+fn load8(bytes: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// Transpose the 8×8 byte matrix held in `rows` (byte `c` of `rows[r]`
+/// is entry (r, c)) in three masked-swap stages: stage `k` exchanges bit
+/// `k` of the row index with bit `k` of the byte index. Its own inverse.
+#[inline(always)]
+fn transpose8(rows: &mut [u64; 8]) {
+    for (shift, mask) in [
+        (8, 0x00ff_00ff_00ff_00ffu64),
+        (16, 0x0000_ffff_0000_ffff),
+        (32, 0x0000_0000_ffff_ffff),
+    ] {
+        let step = shift / 8;
+        for r in (0..8).filter(|r| r & step == 0) {
+            let t = ((rows[r] >> shift) ^ rows[r + step]) & mask;
+            rows[r + step] ^= t;
+            rows[r] ^= t << shift;
+        }
+    }
+}
+
+/// XOR-delta at stride 2 plus byte-plane shuffle of `amps` into
+/// `planes`: plane `p` holds byte `p` of every delta, scalars in chunk
+/// order (re, im, re, …). Four amplitudes (8 scalars) at a time: their
+/// deltas are the rows of an 8×8 byte matrix whose transpose is one
+/// 8-byte word per plane.
+fn shuffle<R: Real>(amps: &[Complex<R>], mask: u64, planes: &mut Vec<u8>) {
+    let b = R::BYTES;
+    let s_count = 2 * amps.len();
+    planes.clear();
+    planes.resize(s_count * b, 0);
+    let mut prev = [0u64; 2];
+    let quads = amps.chunks_exact(4);
+    let tail = quads.remainder();
+    for (g, quad) in quads.enumerate() {
+        let mut rows = [0u64; 8];
+        for (pair, a) in rows.chunks_exact_mut(2).zip(quad) {
+            let bits = [a.re.to_bits_u64() & mask, a.im.to_bits_u64() & mask];
+            pair[0] = bits[0] ^ prev[0];
+            pair[1] = bits[1] ^ prev[1];
+            prev = bits;
+        }
+        transpose8(&mut rows);
+        let j = 8 * g;
+        for (plane, w) in planes.chunks_exact_mut(s_count).zip(rows) {
+            plane[j..j + 8].copy_from_slice(&w.to_le_bytes());
+        }
+    }
+    let first = amps.len() - tail.len();
+    for (i, a) in tail.iter().enumerate() {
+        let bits = [a.re.to_bits_u64() & mask, a.im.to_bits_u64() & mask];
+        for k in 0..2 {
+            let d = bits[k] ^ prev[k];
+            let j = 2 * (first + i) + k;
+            for plane in 0..b {
+                planes[plane * s_count + j] = (d >> (8 * plane)) as u8;
+            }
+        }
+        prev = bits;
+    }
+}
+
+/// Inverse of [`shuffle`] (lossless part): the same transpose, then the
+/// prefix XOR.
+fn unshuffle<R: Real>(planes: &[u8], dst: &mut [Complex<R>]) {
+    let b = R::BYTES;
+    let s_count = 2 * dst.len();
+    let mut prev = [0u64; 2];
+    let first = dst.len() / 4 * 4;
+    let (body, tail) = dst.split_at_mut(first);
+    for (g, quad) in body.chunks_exact_mut(4).enumerate() {
+        let j = 8 * g;
+        let mut rows = [0u64; 8];
+        for (w, plane) in rows.iter_mut().zip(planes.chunks_exact(s_count)) {
+            *w = load8(plane, j);
+        }
+        transpose8(&mut rows);
+        for (pair, a) in rows.chunks_exact(2).zip(quad) {
+            prev = [pair[0] ^ prev[0], pair[1] ^ prev[1]];
+            a.re = R::from_bits_u64(prev[0]);
+            a.im = R::from_bits_u64(prev[1]);
+        }
+    }
+    for (i, a) in tail.iter_mut().enumerate() {
+        for (k, bits) in prev.iter_mut().enumerate() {
+            let j = 2 * (first + i) + k;
+            for plane in 0..b {
+                *bits ^= (planes[plane * s_count + j] as u64) << (8 * plane);
+            }
+        }
+        a.re = R::from_bits_u64(prev[0]);
+        a.im = R::from_bits_u64(prev[1]);
+    }
 }
 
 /// Append one encoded frame covering `amps` at amplitude offset
@@ -172,45 +281,34 @@ pub fn encode_frame<R: Real>(
     );
     let mask = codec.mantissa_mask::<R>();
     let header_at = out.len();
+    // Room for the RLE output up to where it gives up (one literal flush
+    // past `raw_len` at most), so the frame never reallocates `out`.
+    out.reserve(FRAME_HEADER_LEN + raw_len + raw_len / 128 + 8);
     out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    let payload_at = out.len();
     let mut encoding = ENC_RAW;
     if !codec.is_none() {
-        // Delta + shuffle into the plane buffer: plane `p` holds byte
-        // `p` of every delta, scalars in chunk order (re, im, re, …).
-        let s_count = 2 * n;
-        scratch.planes.clear();
-        scratch.planes.resize(s_count * b, 0);
-        let planes = &mut scratch.planes[..];
-        let mut prev = [0u64; 2];
-        for (i, a) in amps.iter().enumerate() {
-            let scalars = [a.re.to_bits_u64() & mask, a.im.to_bits_u64() & mask];
-            for (k, &bits) in scalars.iter().enumerate() {
-                let d = if i == 0 { bits } else { bits ^ prev[k] };
-                prev[k] = bits;
-                let j = 2 * i + k;
-                for plane in 0..b {
-                    planes[plane * s_count + j] = (d >> (8 * plane)) as u8;
-                }
-            }
-        }
-        scratch.rle.clear();
-        rle_encode(planes, &mut scratch.rle);
-        if scratch.rle.len() < raw_len {
-            out.extend_from_slice(&scratch.rle);
+        shuffle(amps, mask, &mut scratch.planes);
+        if rle_encode(&scratch.planes, raw_len, out) {
             encoding = ENC_SHUFFLE_RLE;
+        } else {
+            out.truncate(payload_at);
         }
     }
     if encoding == ENC_RAW {
         // Stored-raw fallback (and the Codec::None framing): masked
         // scalars verbatim, so an incompressible frame costs a memcpy.
-        out.reserve(raw_len);
-        for a in amps {
-            out.extend_from_slice(&(a.re.to_bits_u64() & mask).to_le_bytes()[..b]);
-            out.extend_from_slice(&(a.im.to_bits_u64() & mask).to_le_bytes()[..b]);
+        if mask == !0 && cfg!(target_endian = "little") {
+            out.extend_from_slice(amps_as_bytes(amps));
+        } else {
+            for a in amps {
+                out.extend_from_slice(&(a.re.to_bits_u64() & mask).to_le_bytes()[..b]);
+                out.extend_from_slice(&(a.im.to_bits_u64() & mask).to_le_bytes()[..b]);
+            }
         }
     }
-    let payload_len = out.len() - header_at - FRAME_HEADER_LEN;
-    let h = &mut out[header_at..header_at + FRAME_HEADER_LEN];
+    let payload_len = out.len() - payload_at;
+    let h = &mut out[header_at..payload_at];
     h[0..2].copy_from_slice(&FRAME_MAGIC);
     h[2] = encoding;
     h[3] = b as u8;
@@ -219,19 +317,20 @@ pub fn encode_frame<R: Real>(
     h[12..16].copy_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
-/// Decode a sequence of frames into `out`. Frames may land at any
-/// offsets (a scattered chunk file appends one frame per piece) but
-/// must jointly cover `out` exactly: total decoded amplitudes ==
-/// `out.len()`. All malformed inputs are [`io::ErrorKind::InvalidData`],
-/// never a panic — these bytes come straight from disk.
+/// Decode a sequence of frames into `out`. Frames may come in any order
+/// (a scattered chunk file appends one frame per piece) but must tile
+/// `out` exactly: every amplitude covered by one frame, none by two. All
+/// malformed inputs are [`io::ErrorKind::InvalidData`], never a panic —
+/// these bytes come straight from disk.
 pub fn decode_frames<R: Real>(
     bytes: &[u8],
     scratch: &mut CodecScratch,
     out: &mut [Complex<R>],
 ) -> io::Result<()> {
     let b = R::BYTES;
+    let field = |h: &[u8], at: usize| read_le(&h[at..at + 4]) as usize;
     let mut pos = 0usize;
-    let mut covered = 0usize;
+    scratch.spans.clear();
     while pos < bytes.len() {
         if bytes.len() - pos < FRAME_HEADER_LEN {
             return Err(corrupt("truncated frame header"));
@@ -247,9 +346,7 @@ pub fn decode_frames<R: Real>(
                 h[3], b
             )));
         }
-        let amp_off = u32::from_le_bytes(h[4..8].try_into().unwrap()) as usize;
-        let n = u32::from_le_bytes(h[8..12].try_into().unwrap()) as usize;
-        let payload_len = u32::from_le_bytes(h[12..16].try_into().unwrap()) as usize;
+        let (amp_off, n, payload_len) = (field(h, 4), field(h, 8), field(h, 12));
         pos += FRAME_HEADER_LEN;
         if bytes.len() - pos < payload_len {
             return Err(corrupt("truncated frame payload"));
@@ -268,45 +365,40 @@ pub fn decode_frames<R: Real>(
                 if payload_len != n * 2 * b {
                     return Err(corrupt("raw frame payload length mismatch"));
                 }
-                for (i, a) in dst.iter_mut().enumerate() {
-                    let at = i * 2 * b;
-                    a.re = R::from_bits_u64(read_le(&payload[at..at + b]));
-                    a.im = R::from_bits_u64(read_le(&payload[at + b..at + 2 * b]));
-                }
-            }
-            ENC_SHUFFLE_RLE => {
-                let s_count = 2 * n;
-                scratch.planes.clear();
-                scratch.planes.resize(s_count * b, 0);
-                rle_decode(payload, &mut scratch.planes)?;
-                let planes = &scratch.planes[..];
-                let mut prev = [0u64; 2];
-                for (i, a) in dst.iter_mut().enumerate() {
-                    #[allow(clippy::needless_range_loop)]
-                    for k in 0..2 {
-                        let j = 2 * i + k;
-                        let mut d = 0u64;
-                        for plane in 0..b {
-                            d |= (planes[plane * s_count + j] as u64) << (8 * plane);
-                        }
-                        let bits = if i == 0 { d } else { d ^ prev[k] };
-                        prev[k] = bits;
-                        let v = R::from_bits_u64(bits);
-                        if k == 0 {
-                            a.re = v;
-                        } else {
-                            a.im = v;
-                        }
+                if cfg!(target_endian = "little") {
+                    amps_as_bytes_mut(dst).copy_from_slice(payload);
+                } else {
+                    for (a, s) in dst.iter_mut().zip(payload.chunks_exact(2 * b)) {
+                        a.re = R::from_bits_u64(read_le(&s[..b]));
+                        a.im = R::from_bits_u64(read_le(&s[b..]));
                     }
                 }
             }
+            ENC_SHUFFLE_RLE => {
+                scratch.planes.clear();
+                scratch.planes.resize(2 * n * b, 0);
+                rle_decode(payload, &mut scratch.planes)?;
+                unshuffle(&scratch.planes, dst);
+            }
             other => return Err(corrupt(format!("unknown frame encoding {other}"))),
         }
-        covered += n;
+        scratch.spans.push((amp_off, n));
     }
-    if covered != out.len() {
+    scratch.spans.sort_unstable();
+    let mut end = 0usize;
+    for &(off, n) in &scratch.spans {
+        if off != end {
+            let what = if off < end { "overlap" } else { "leave a hole" };
+            return Err(corrupt(format!(
+                "frames {what} at amplitude {}",
+                off.min(end)
+            )));
+        }
+        end = off + n;
+    }
+    if end != out.len() {
         return Err(corrupt(format!(
-            "frames cover {covered} of {} amplitudes",
+            "frames cover {end} of {} amplitudes",
             out.len()
         )));
     }
@@ -320,7 +412,9 @@ pub fn decode_frames<R: Real>(
 //   0xFF         extended repeat: u16 LE length (131..=65535), then the
 //                byte
 // Runs shorter than 4 are cheaper as literals (1 control byte per 128
-// vs 2 bytes per run), so 4 is the repeat threshold.
+// vs 2 bytes per run), so 4 is the repeat threshold. The encoder codes
+// every maximal run of 4 or more equal bytes as repeats and everything
+// between as literals; it finds and extends runs a word at a time.
 
 fn flush_literals(src: &[u8], out: &mut Vec<u8>) {
     for lit in src.chunks(128) {
@@ -329,39 +423,84 @@ fn flush_literals(src: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-fn rle_encode(input: &[u8], out: &mut Vec<u8>) {
-    let n = input.len();
-    let mut i = 0usize;
-    let mut lit = 0usize;
-    while i < n {
-        let v = input[i];
-        let mut j = i + 1;
-        while j < n && input[j] == v {
-            j += 1;
+const ONES: u64 = 0x0101_0101_0101_0101;
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// 0x80 in each byte of `x` that is zero and 0 in every other byte.
+/// Exact: the sum of the low 7 bits never carries across bytes.
+#[inline(always)]
+fn zero_bytes(x: u64) -> u64 {
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The first `p >= from` where 4 equal bytes start, if any. Two
+/// overlapping loads compare 8 neighbour pairs; three zero pairs in a
+/// row mark a run start, at 6 candidate offsets per step.
+fn next_run4(input: &[u8], from: usize) -> Option<usize> {
+    let mut q = from;
+    while q + 9 <= input.len() {
+        let z = zero_bytes(load8(input, q) ^ load8(input, q + 1));
+        let starts = z & (z >> 8) & (z >> 16);
+        if starts != 0 {
+            return Some(q + (starts.trailing_zeros() / 8) as usize);
         }
-        let mut run = j - i;
-        if run >= 4 {
-            flush_literals(&input[lit..i], out);
-            while run >= 4 {
-                if run >= 131 {
-                    let m = run.min(65535);
-                    out.push(0xFF);
-                    out.extend_from_slice(&(m as u16).to_le_bytes());
-                    out.push(v);
-                    run -= m;
-                } else {
-                    out.push(0x80 + (run as u8 - 4));
-                    out.push(v);
-                    run = 0;
-                }
-            }
-            // A sub-4 remainder of a chopped extended run joins the next
-            // literal block.
-            lit = j - run;
-        }
-        i = j;
+        q += 6;
     }
-    flush_literals(&input[lit..n], out);
+    (q..input.len().saturating_sub(3)).find(|&p| {
+        let v = input[p];
+        input[p + 1] == v && input[p + 2] == v && input[p + 3] == v
+    })
+}
+
+/// The end of the run of `v` that continues at `from`, 8 bytes a step.
+fn run_end(input: &[u8], from: usize, v: u8) -> usize {
+    let pattern = ONES * v as u64;
+    let mut j = from;
+    while j + 8 <= input.len() {
+        let diff = load8(input, j) ^ pattern;
+        if diff != 0 {
+            return j + (diff.trailing_zeros() / 8) as usize;
+        }
+        j += 8;
+    }
+    j + input[j..].iter().take_while(|&&x| x == v).count()
+}
+
+/// Append the RLE coding of `input` to `out` and report whether it is
+/// shorter than `limit` bytes. Gives up (returning false, `out` holding a
+/// partial coding) as soon as it reaches `limit`.
+fn rle_encode(input: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
+    let start = out.len();
+    let mut lit = 0usize;
+    let mut from = 0usize;
+    while let Some(p) = next_run4(input, from) {
+        let v = input[p];
+        let end = run_end(input, p + 4, v);
+        flush_literals(&input[lit..p], out);
+        let mut run = end - p;
+        while run >= 4 {
+            if run >= 131 {
+                let m = run.min(65535);
+                out.push(0xFF);
+                out.extend_from_slice(&(m as u16).to_le_bytes());
+                out.push(v);
+                run -= m;
+            } else {
+                out.push(0x80 + (run as u8 - 4));
+                out.push(v);
+                run = 0;
+            }
+        }
+        // A sub-4 remainder of a chopped extended run joins the next
+        // literal block.
+        lit = end - run;
+        from = end;
+        if out.len() - start >= limit {
+            return false;
+        }
+    }
+    flush_literals(&input[lit..], out);
+    out.len() - start < limit
 }
 
 fn rle_decode(input: &[u8], out: &mut [u8]) -> io::Result<()> {
@@ -412,12 +551,195 @@ mod tests {
     use super::*;
     use qsim_util::{c32, c64, SplitMix64};
 
+    /// The per-byte run-length encoder the word scan replaced: the
+    /// reference its output must equal byte for byte.
+    fn rle_encode_reference(input: &[u8], out: &mut Vec<u8>) {
+        let n = input.len();
+        let mut i = 0usize;
+        let mut lit = 0usize;
+        while i < n {
+            let v = input[i];
+            let mut j = i + 1;
+            while j < n && input[j] == v {
+                j += 1;
+            }
+            let mut run = j - i;
+            if run >= 4 {
+                flush_literals(&input[lit..i], out);
+                while run >= 4 {
+                    if run >= 131 {
+                        let m = run.min(65535);
+                        out.push(0xFF);
+                        out.extend_from_slice(&(m as u16).to_le_bytes());
+                        out.push(v);
+                        run -= m;
+                    } else {
+                        out.push(0x80 + (run as u8 - 4));
+                        out.push(v);
+                        run = 0;
+                    }
+                }
+                lit = j - run;
+            }
+            i = j;
+        }
+        flush_literals(&input[lit..n], out);
+    }
+
+    /// The per-byte delta + shuffle frame encoder the transpose replaced.
+    fn encode_frame_reference<R: Real>(
+        codec: Codec,
+        amp_off: usize,
+        amps: &[Complex<R>],
+    ) -> Vec<u8> {
+        let b = R::BYTES;
+        let n = amps.len();
+        let mask = codec.mantissa_mask::<R>();
+        let mut payload = Vec::new();
+        let mut encoding = ENC_RAW;
+        if !codec.is_none() {
+            let s_count = 2 * n;
+            let mut planes = vec![0u8; s_count * b];
+            let mut prev = [0u64; 2];
+            for (i, a) in amps.iter().enumerate() {
+                let scalars = [a.re.to_bits_u64() & mask, a.im.to_bits_u64() & mask];
+                for (k, &bits) in scalars.iter().enumerate() {
+                    let d = if i == 0 { bits } else { bits ^ prev[k] };
+                    prev[k] = bits;
+                    for plane in 0..b {
+                        planes[plane * s_count + 2 * i + k] = (d >> (8 * plane)) as u8;
+                    }
+                }
+            }
+            rle_encode_reference(&planes, &mut payload);
+            if payload.len() < n * 2 * b {
+                encoding = ENC_SHUFFLE_RLE;
+            } else {
+                payload.clear();
+            }
+        }
+        if encoding == ENC_RAW {
+            for a in amps {
+                payload.extend_from_slice(&(a.re.to_bits_u64() & mask).to_le_bytes()[..b]);
+                payload.extend_from_slice(&(a.im.to_bits_u64() & mask).to_le_bytes()[..b]);
+            }
+        }
+        let mut out = FRAME_MAGIC.to_vec();
+        out.extend_from_slice(&[encoding, b as u8]);
+        for field in [amp_off, n, payload.len()] {
+            out.extend_from_slice(&(field as u32).to_le_bytes());
+        }
+        out.extend_from_slice(&payload);
+        out
+    }
+
     fn rle_round_trip(input: &[u8]) {
         let mut enc = Vec::new();
-        rle_encode(input, &mut enc);
+        assert!(rle_encode(input, usize::MAX, &mut enc));
+        let mut want = Vec::new();
+        rle_encode_reference(input, &mut want);
+        assert!(
+            enc == want,
+            "word scan != per-byte coding of {} bytes",
+            input.len()
+        );
         let mut back = vec![0u8; input.len()];
         rle_decode(&enc, &mut back).unwrap();
         assert_eq!(back, input, "rle round trip of {} bytes", input.len());
+    }
+
+    /// The word scan codes every input as the per-byte encoder did: runs
+    /// of 1–8, 129–132 (the short/extended token boundary) and
+    /// 65534–65537 (the u16 limit) at every start offset mod 8, between
+    /// random bytes and next to other runs.
+    #[test]
+    fn word_scan_matches_the_per_byte_encoder() {
+        let mut rng = SplitMix64::new(11);
+        let lens = (1..=8).chain(129..=132).chain(65534..=65537);
+        for len in lens {
+            for lead in 0..8 {
+                for trail in [0usize, 3, 13] {
+                    let noise = |rng: &mut SplitMix64, k: usize| -> Vec<u8> {
+                        (0..k).map(|_| (rng.next_u64() % 3) as u8).collect()
+                    };
+                    let mut input = noise(&mut rng, lead);
+                    input.extend(std::iter::repeat_n(7u8, len));
+                    input.extend(noise(&mut rng, trail));
+                    rle_round_trip(&input);
+                    // The same run abutting a run of another byte.
+                    input.extend(std::iter::repeat_n(9u8, len % 9 + 1));
+                    rle_round_trip(&input);
+                }
+            }
+        }
+        // Random mixes of short runs over a small alphabet.
+        for _ in 0..200 {
+            let n = (rng.next_u64() % 600) as usize;
+            let mut input = Vec::with_capacity(n);
+            while input.len() < n {
+                let v = (rng.next_u64() % 4) as u8;
+                let run = 1 + (rng.next_u64() % 7) as usize;
+                input.extend(std::iter::repeat_n(v, run));
+            }
+            rle_round_trip(&input);
+        }
+    }
+
+    /// Frames of every length mod 4 (the transpose takes 4 amplitudes at
+    /// a time, a per-byte loop the rest), at both precisions and every
+    /// codec tier, are the bytes the per-byte encoder wrote, and decode
+    /// back.
+    #[test]
+    fn frames_match_the_per_byte_encoder() -> io::Result<()> {
+        fn check<R: Real>(codec: Codec, amps: &[Complex<R>]) -> io::Result<()> {
+            let mut scratch = CodecScratch::default();
+            let mut bytes = vec![0xee; 3]; // frames append
+            encode_frame(codec, 5, amps, &mut scratch, &mut bytes);
+            let want = encode_frame_reference(codec, 5, amps);
+            assert!(
+                bytes[3..] == want[..],
+                "{codec} {} amps at {}",
+                amps.len(),
+                R::NAME
+            );
+            // A raw frame fills the 5 amplitudes before the one under test.
+            let mut back = vec![Complex::<R>::zero(); amps.len() + 5];
+            encode_frame(Codec::None, 0, &back[..5], &mut scratch, &mut bytes);
+            decode_frames(&bytes[3..], &mut scratch, &mut back)?;
+            if codec.is_lossless() {
+                assert!(
+                    amps_as_bytes(&back[5..]) == amps_as_bytes(amps),
+                    "{codec} round trip"
+                );
+            }
+            Ok(())
+        }
+        let mut rng = SplitMix64::new(5);
+        for len in (0..=13).chain([FRAME_AMPS - 1, FRAME_AMPS + 2]) {
+            // Few distinct values (long runs) and random low bits (short).
+            let smooth: Vec<c64> = (0..len)
+                .map(|i| c64::new(0.25 * (i % 3) as f64, -0.125))
+                .collect();
+            let noisy: Vec<c64> = (0..len)
+                .map(|_| c64::new(1.0 + (rng.next_u64() % 64) as f64 * f64::EPSILON, 0.5))
+                .collect();
+            for codec in [
+                Codec::ShuffleRle,
+                Codec::Lossy(8),
+                Codec::Lossy(51),
+                Codec::None,
+            ] {
+                for amps in [&smooth, &noisy] {
+                    check(codec, amps)?;
+                    let narrow: Vec<c32> = amps
+                        .iter()
+                        .map(|a| c32::new(a.re as f32, a.im as f32))
+                        .collect();
+                    check(codec, &narrow)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -441,7 +763,7 @@ mod tests {
     #[test]
     fn zero_runs_collapse() {
         let mut enc = Vec::new();
-        rle_encode(&[0u8; 65535], &mut enc);
+        assert!(rle_encode(&[0u8; 65535], usize::MAX, &mut enc));
         assert_eq!(enc.len(), 4, "one extended run token");
     }
 
@@ -529,15 +851,41 @@ mod tests {
         assert_eq!(back, chunk);
     }
 
+    /// Frames must tile the chunk, in any order. A lone half leaves a
+    /// hole; two frames over one half add up to the chunk's length but
+    /// would leave the other half as it was; overlapping frames that
+    /// reach the end still cover some amplitude twice.
     #[test]
     fn partial_coverage_is_rejected() {
         let mut scratch = CodecScratch::default();
         let chunk = vec![c64::one(); 16];
-        let mut bytes = Vec::new();
-        encode_frame(Codec::ShuffleRle, 0, &chunk[..8], &mut scratch, &mut bytes);
         let mut back = vec![c64::zero(); 16];
-        let err = decode_frames(&bytes, &mut scratch, &mut back).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let cases: [(&[(usize, usize)], bool); 5] = [
+            (&[(0, 8)], false),
+            (&[(0, 8), (0, 8)], false),
+            (&[(0, 8), (4, 8)], false),
+            (&[(0, 12), (8, 8)], false),
+            (&[(8, 8), (0, 8)], true),
+        ];
+        for (frames, tiles) in cases {
+            let mut bytes = Vec::new();
+            for &(off, n) in frames {
+                encode_frame(
+                    Codec::ShuffleRle,
+                    off,
+                    &chunk[off..off + n],
+                    &mut scratch,
+                    &mut bytes,
+                );
+            }
+            let got = decode_frames(&bytes, &mut scratch, &mut back).map_err(|e| e.kind());
+            let want = if tiles {
+                Ok(())
+            } else {
+                Err(io::ErrorKind::InvalidData)
+            };
+            assert_eq!(got, want, "frames {frames:?}");
+        }
     }
 
     #[test]

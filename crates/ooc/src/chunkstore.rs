@@ -54,9 +54,12 @@
 //!
 //! With a non-[`Codec::None`] codec every chunk file becomes a sequence
 //! of self-describing `qsim-compress` frames instead of fixed-offset raw
-//! scalars: a full-chunk write is one frame, a scattered chunk is one
-//! frame per piece (appended in write order, each carrying its amplitude
-//! offset). Reads slurp the whole file and decode; a writer truncates
+//! scalars: each write — a whole chunk or a scattered piece — appends
+//! consecutive frames of at most [`FRAME_AMPS`] amplitudes, each carrying
+//! its amplitude offset, and hands each to the file as soon as it is
+//! encoded, so the codec's working memory is one frame. Reads slurp the
+//! whole file and decode any tiling of frames (files written as one
+//! whole-chunk frame included); a writer truncates
 //! each file on first touch, since encoded sizes vary per generation. The
 //! `bytes_read`/`bytes_written` counters stay *physical* (on-disk bytes —
 //! the quantity the bandwidth analysis cares about) while
@@ -65,7 +68,7 @@
 //! stored, i.e. the *encoded* frames, so the checkpoint protocol is
 //! codec-oblivious.
 
-use qsim_compress::{decode_frames, encode_frame, Codec, CodecScratch};
+use qsim_compress::{decode_frames, encode_frame, Codec, CodecScratch, FRAME_AMPS};
 use qsim_core::checkpoint::{
     at_path, check_part_len, part_path, verify_part, CheckpointError, Fnv1a,
 };
@@ -95,8 +98,9 @@ pub(crate) fn uniform_amp<R: Real>(n_qubits: u32) -> Complex<R> {
 
 /// What every IO path of a store carries — the store's own direct calls
 /// and its [`ChunkReader`] / [`ChunkWriter`] views: the codec, its working
-/// memory and encoded-bytes staging (reused across chunks, so codec IO is
-/// allocation-free once warm), and the counters. The one timed read and
+/// memory and encoded-bytes staging (one frame when writing, one file
+/// when reading; reused across chunks, so codec IO is allocation-free
+/// once warm), and the counters. The one timed read and
 /// the one timed write live here.
 struct ChunkIo<R> {
     codec: Codec,
@@ -162,31 +166,41 @@ impl<R: Real> ChunkIo<R> {
         Ok(io_dt + codec_dt)
     }
 
-    /// Hand the stored form of `amps` — the raw scalars, or one frame
-    /// carrying the amplitude offset `off` — to `put`, which writes it.
-    /// Returns the seconds it took, encode plus IO.
+    /// Hand the stored form of `amps` to `put`, which writes it: the raw
+    /// scalars in one call, or under a codec consecutive frames of at
+    /// most [`FRAME_AMPS`] amplitudes, each carrying its amplitude offset
+    /// (`off` for the first) and handed over as soon as it is encoded, so
+    /// the codec's buffers hold one frame, not a chunk. Returns the
+    /// seconds it took, encode plus IO.
     fn write(
         &mut self,
         off: usize,
         amps: &[Complex<R>],
-        put: impl FnOnce(&[u8]) -> std::io::Result<()>,
+        mut put: impl FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<f64> {
-        let mut codec_dt = 0.0;
-        let bytes = if self.codec.is_none() {
-            amps_as_bytes(amps)
-        } else {
+        let (mut codec_dt, mut io_dt, mut physical) = (0.0, 0.0, 0u64);
+        let mut timed_put = |bytes: &[u8]| -> std::io::Result<()> {
             let t = Instant::now();
-            self.enc.clear();
-            encode_frame(self.codec, off, amps, &mut self.scratch, &mut self.enc);
-            codec_dt = t.elapsed().as_secs_f64();
-            &self.enc
+            put(bytes)?;
+            io_dt += t.elapsed().as_secs_f64();
+            physical += bytes.len() as u64;
+            Ok(())
         };
-        let t = Instant::now();
-        put(bytes)?;
-        let io_dt = t.elapsed().as_secs_f64();
+        if self.codec.is_none() {
+            timed_put(amps_as_bytes(amps))?;
+        } else {
+            for (k, frame) in amps.chunks(FRAME_AMPS).enumerate() {
+                let t = Instant::now();
+                self.enc.clear();
+                let at = off + k * FRAME_AMPS;
+                encode_frame(self.codec, at, frame, &mut self.scratch, &mut self.enc);
+                codec_dt += t.elapsed().as_secs_f64();
+                timed_put(&self.enc)?;
+            }
+        }
         self.stats.write_seconds += io_dt;
         self.stats.encode_seconds += codec_dt;
-        self.stats.bytes_written += bytes.len() as u64;
+        self.stats.bytes_written += physical;
         self.stats.logical_bytes_written += std::mem::size_of_val(amps) as u64;
         Ok(io_dt + codec_dt)
     }
@@ -436,8 +450,13 @@ impl<R: Real> ChunkStore<R> {
         assert_eq!(amps.len(), self.chunk_len(), "chunk size mismatch");
         let path = self.chunk_path(c);
         // `File::create` truncates, discarding any longer previous
-        // generation of this chunk (encoded sizes vary).
-        let put = |bytes: &[u8]| File::create(path)?.write_all(bytes);
+        // generation of this chunk (encoded sizes vary); every later
+        // frame appends.
+        let mut file: Option<File> = None;
+        let put = |bytes: &[u8]| match &mut file {
+            Some(f) => f.write_all(bytes),
+            None => file.insert(File::create(&path)?).write_all(bytes),
+        };
         self.io.stats.io_wait_seconds += self.io.write(0, amps, put)?;
         self.named = None;
         Ok(())
@@ -590,7 +609,7 @@ impl<R: Real> ChunkWriter<R> {
     /// discards whatever an older generation (or a torn write) left
     /// there: a raw file is sized to one chunk, and every range is then
     /// written in place; a framed file is truncated, and every write
-    /// appends one offset-carrying frame through the retained handle.
+    /// appends its offset-carrying frames through the retained handle.
     ///
     /// A digesting view takes each chunk front to back — a write anywhere
     /// but where the last one ended is an error — so its running digest
@@ -615,9 +634,9 @@ impl<R: Real> ChunkWriter<R> {
         let amp_bytes = std::mem::size_of::<Complex<R>>() as u64;
         let (slot, path) = (&mut self.files[c], &self.paths[c]);
         self.io.write(off, amps, |bytes| {
-            let f = match slot {
+            let f = match slot.take() {
                 Some(f) => f,
-                slot => {
+                None => {
                     let f = OpenOptions::new()
                         .write(true)
                         .create(true)
@@ -626,19 +645,22 @@ impl<R: Real> ChunkWriter<R> {
                     if raw {
                         f.set_len(self.chunk_len as u64 * amp_bytes)?;
                     }
-                    slot.insert(f)
+                    f
                 }
             };
+            let f = slot.insert(f);
             if raw {
                 f.seek(SeekFrom::Start(off as u64 * amp_bytes))?;
             }
             f.write_all(bytes)?;
-            if let Some((h, next)) = digest {
+            if let Some((h, _)) = digest.as_deref_mut() {
                 h.write(bytes);
-                *next += amps.len();
             }
             Ok(())
         })?;
+        if let Some((_, next)) = digest {
+            *next += amps.len();
+        }
         Ok(())
     }
 
@@ -799,6 +821,50 @@ mod tests {
             assert!(skip.is_err(), "{codec:?}: skip");
             assert!(writer.finish().is_err(), "{codec:?}: short");
         }
+        Ok(())
+    }
+
+    /// A codec writer emits a chunk as frames of at most `FRAME_AMPS`
+    /// amplitudes, front to back, and digests them as the whole file. A
+    /// chunk stored as one whole-chunk frame, as earlier writers left it,
+    /// still reads back bit-exactly, checked against its digest.
+    #[test]
+    fn a_codec_writer_frames_each_chunk_and_old_files_stay_readable() -> std::io::Result<()> {
+        let (l, len) = (14, 1usize << 14);
+        let dir = ScratchDir::new("store_frames");
+        let mut store = ChunkStore::<f64>::create_empty_with(dir.path(), l, 0, Codec::ShuffleRle)?;
+        let chunk: Vec<c64> = (0..len)
+            .map(|i| c64::new((i % 7) as f64 * 0.125, -((i / 5) as f64)))
+            .collect();
+        let digests = write_generation(&mut store, |_| chunk.clone())?;
+        let file = std::fs::read(part_path(dir.path(), 0, 1))?;
+        assert_eq!(digests, [qsim_core::checkpoint::fnv1a64(&file)]);
+        let field =
+            |at: usize| u32::from_le_bytes([file[at], file[at + 1], file[at + 2], file[at + 3]]);
+        let (mut pos, mut spans) = (0, Vec::new());
+        while pos < file.len() {
+            assert_eq!(file[pos..pos + 2], *b"QZ");
+            spans.push((field(pos + 4) as usize, field(pos + 8) as usize));
+            pos += 16 + field(pos + 12) as usize;
+        }
+        let want: Vec<_> = (0..4).map(|k| (k * FRAME_AMPS, FRAME_AMPS)).collect();
+        assert_eq!(spans, want, "4 frames of FRAME_AMPS, in order");
+
+        let mut whole = Vec::new();
+        encode_frame(
+            Codec::ShuffleRle,
+            0,
+            &chunk,
+            &mut CodecScratch::default(),
+            &mut whole,
+        );
+        std::fs::write(part_path(dir.path(), 0, 0), &whole)?;
+        let digest = qsim_core::checkpoint::fnv1a64(&whole);
+        let mut old =
+            ChunkStore::<f64>::open_named(dir.path(), l, 0, 0, &[digest], Codec::ShuffleRle);
+        let mut back = vec![c64::zero(); len];
+        old.read_chunk_into(0, &mut back)?;
+        assert!(amps_as_bytes(&back) == amps_as_bytes(&chunk), "bit-exact");
         Ok(())
     }
 
