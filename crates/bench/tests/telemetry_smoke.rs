@@ -144,13 +144,16 @@ fn all_engines_emit_spans_and_metrics() {
         assert!(count(&spans, &t, "reduce") >= 1, "no reduce span on {t}");
     }
     // OOC pipeline phases across all three threads.
-    // Both swap halves ride inside the stage-run passes, and pass 0
+    // Both swap halves ride inside the stage-run passes: the scatter on
+    // compute, the unpermute in the prefetch thread's reads. Pass 0
     // synthesises its chunks instead of reading them.
-    for name in ["stage", "compute", "scatter", "unpermute"] {
+    for name in ["stage", "compute", "scatter"] {
         assert!(count(&spans, "ooc.compute", name) >= 1, "no {name} span");
     }
     assert!(count(&spans, "ooc.prefetch", "synthesise") >= 1);
     assert!(count(&spans, "ooc.prefetch", "read") >= 1);
+    assert!(count(&spans, "ooc.prefetch", "unpermute") >= 1);
+    assert_eq!(count(&spans, "ooc.compute", "unpermute"), 0);
     assert!(count(&spans, "ooc.writeback", "write piece") >= 1);
     assert!(count(&spans, "ooc.writeback", "write") >= 1);
 

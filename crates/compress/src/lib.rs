@@ -137,13 +137,13 @@ impl std::fmt::Display for Codec {
 pub const FRAME_AMPS: usize = 1 << 12;
 
 /// Reusable encode/decode working memory (the plane transpose buffer and
-/// the decoder's frame spans), so the steady-state chunk loop does not
-/// allocate per frame.
+/// the spans of the frames decoded into the current chunk), so the
+/// steady-state chunk loop does not allocate per frame.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     planes: Vec<u8>,
-    /// `(amp_off, amps)` of every frame `decode_frames` decoded, for its
-    /// tiling check.
+    /// `(amp_off, amps)` of every frame [`decode_frame`] decoded since
+    /// [`CodecScratch::start_chunk`], for [`CodecScratch::check_tiling`].
     spans: Vec<(usize, usize)>,
 }
 
@@ -317,6 +317,127 @@ pub fn encode_frame<R: Real>(
     h[12..16].copy_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
+/// The fixed header of one frame, checked against the chunk it claims a
+/// span of: what a reader needs to take the frame's payload off a stream
+/// and decode it ([`decode_frame`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameHeader {
+    encoding: u8,
+    /// First amplitude of the chunk the frame covers.
+    pub amp_off: usize,
+    /// Amplitudes the frame covers.
+    pub amps: usize,
+    /// Encoded payload bytes that follow the header.
+    pub payload_len: usize,
+}
+
+impl FrameHeader {
+    /// Parse the [`FRAME_HEADER_LEN`] bytes `h` of a frame of `R` scalars
+    /// inside a chunk of `chunk_len` amplitudes. A bad magic, a foreign
+    /// scalar width, a span outside the chunk and a payload longer than
+    /// its amplitudes stored raw (no encoder writes one) are
+    /// [`io::ErrorKind::InvalidData`], so a reader bounds what it stages
+    /// before it reads the payload.
+    pub fn parse<R: Real>(h: &[u8; FRAME_HEADER_LEN], chunk_len: usize) -> io::Result<Self> {
+        let b = R::BYTES;
+        let field = |at: usize| read_le(&h[at..at + 4]) as usize;
+        if h[0..2] != FRAME_MAGIC {
+            return Err(corrupt("bad frame magic"));
+        }
+        if h[3] as usize != b {
+            return Err(corrupt(format!(
+                "frame scalar width {} != {} (cross-precision read)",
+                h[3], b
+            )));
+        }
+        let (amp_off, amps, payload_len) = (field(4), field(8), field(12));
+        if amp_off.checked_add(amps).is_none_or(|end| end > chunk_len) {
+            return Err(corrupt(format!(
+                "frame [{amp_off}, {amp_off}+{amps}) outside chunk of {chunk_len}"
+            )));
+        }
+        if payload_len > amps * 2 * b {
+            return Err(corrupt(format!(
+                "frame payload of {payload_len} bytes exceeds its {amps} amplitudes stored raw"
+            )));
+        }
+        Ok(Self {
+            encoding: h[2],
+            amp_off,
+            amps,
+            payload_len,
+        })
+    }
+}
+
+/// Decode the `payload` of the frame `h` heads into `dst`, its
+/// `h.amps` amplitudes, and record the frame's span for
+/// [`CodecScratch::check_tiling`].
+pub fn decode_frame<R: Real>(
+    h: &FrameHeader,
+    payload: &[u8],
+    scratch: &mut CodecScratch,
+    dst: &mut [Complex<R>],
+) -> io::Result<()> {
+    let b = R::BYTES;
+    assert_eq!(payload.len(), h.payload_len, "payload of another frame");
+    assert_eq!(dst.len(), h.amps, "destination of another frame");
+    match h.encoding {
+        ENC_RAW => {
+            if h.payload_len != h.amps * 2 * b {
+                return Err(corrupt("raw frame payload length mismatch"));
+            }
+            if cfg!(target_endian = "little") {
+                amps_as_bytes_mut(dst).copy_from_slice(payload);
+            } else {
+                for (a, s) in dst.iter_mut().zip(payload.chunks_exact(2 * b)) {
+                    a.re = R::from_bits_u64(read_le(&s[..b]));
+                    a.im = R::from_bits_u64(read_le(&s[b..]));
+                }
+            }
+        }
+        ENC_SHUFFLE_RLE => {
+            scratch.planes.clear();
+            scratch.planes.resize(2 * h.amps * b, 0);
+            rle_decode(payload, &mut scratch.planes)?;
+            unshuffle(&scratch.planes, dst);
+        }
+        other => return Err(corrupt(format!("unknown frame encoding {other}"))),
+    }
+    scratch.spans.push((h.amp_off, h.amps));
+    Ok(())
+}
+
+impl CodecScratch {
+    /// Forget the frames decoded so far: the next [`decode_frame`] starts
+    /// a new chunk.
+    pub fn start_chunk(&mut self) {
+        self.spans.clear();
+    }
+
+    /// Check that the frames decoded since [`CodecScratch::start_chunk`]
+    /// tile a chunk of `len` amplitudes exactly, in any order: every
+    /// amplitude covered by one frame, none by two.
+    pub fn check_tiling(&mut self, len: usize) -> io::Result<()> {
+        self.spans.sort_unstable();
+        let mut end = 0usize;
+        for &(off, n) in &self.spans {
+            if off != end {
+                let what = if off < end { "overlap" } else { "leave a hole" };
+                return Err(corrupt(format!(
+                    "frames {what} at amplitude {}",
+                    off.min(end)
+                )));
+            }
+            end = off + n;
+        }
+        if end != len {
+            return Err(corrupt(format!("frames cover {end} of {len} amplitudes")));
+        }
+        Ok(())
+    }
+}
+
 /// Decode a sequence of frames into `out`. Frames may come in any order
 /// (a scattered chunk file appends one frame per piece) but must tile
 /// `out` exactly: every amplitude covered by one frame, none by two. All
@@ -327,82 +448,25 @@ pub fn decode_frames<R: Real>(
     scratch: &mut CodecScratch,
     out: &mut [Complex<R>],
 ) -> io::Result<()> {
-    let b = R::BYTES;
-    let field = |h: &[u8], at: usize| read_le(&h[at..at + 4]) as usize;
-    let mut pos = 0usize;
-    scratch.spans.clear();
-    while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_HEADER_LEN {
+    scratch.start_chunk();
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let Some((head, tail)) = rest.split_first_chunk::<FRAME_HEADER_LEN>() else {
             return Err(corrupt("truncated frame header"));
-        }
-        let h = &bytes[pos..pos + FRAME_HEADER_LEN];
-        if h[0..2] != FRAME_MAGIC {
-            return Err(corrupt("bad frame magic"));
-        }
-        let encoding = h[2];
-        if h[3] as usize != b {
-            return Err(corrupt(format!(
-                "frame scalar width {} != {} (cross-precision read)",
-                h[3], b
-            )));
-        }
-        let (amp_off, n, payload_len) = (field(h, 4), field(h, 8), field(h, 12));
-        pos += FRAME_HEADER_LEN;
-        if bytes.len() - pos < payload_len {
+        };
+        let h = FrameHeader::parse::<R>(head, out.len())?;
+        let Some((payload, tail)) = tail.split_at_checked(h.payload_len) else {
             return Err(corrupt("truncated frame payload"));
-        }
-        let payload = &bytes[pos..pos + payload_len];
-        pos += payload_len;
-        if amp_off.checked_add(n).is_none_or(|end| end > out.len()) {
-            return Err(corrupt(format!(
-                "frame [{amp_off}, {amp_off}+{n}) outside chunk of {}",
-                out.len()
-            )));
-        }
-        let dst = &mut out[amp_off..amp_off + n];
-        match encoding {
-            ENC_RAW => {
-                if payload_len != n * 2 * b {
-                    return Err(corrupt("raw frame payload length mismatch"));
-                }
-                if cfg!(target_endian = "little") {
-                    amps_as_bytes_mut(dst).copy_from_slice(payload);
-                } else {
-                    for (a, s) in dst.iter_mut().zip(payload.chunks_exact(2 * b)) {
-                        a.re = R::from_bits_u64(read_le(&s[..b]));
-                        a.im = R::from_bits_u64(read_le(&s[b..]));
-                    }
-                }
-            }
-            ENC_SHUFFLE_RLE => {
-                scratch.planes.clear();
-                scratch.planes.resize(2 * n * b, 0);
-                rle_decode(payload, &mut scratch.planes)?;
-                unshuffle(&scratch.planes, dst);
-            }
-            other => return Err(corrupt(format!("unknown frame encoding {other}"))),
-        }
-        scratch.spans.push((amp_off, n));
+        };
+        decode_frame(
+            &h,
+            payload,
+            scratch,
+            &mut out[h.amp_off..h.amp_off + h.amps],
+        )?;
+        rest = tail;
     }
-    scratch.spans.sort_unstable();
-    let mut end = 0usize;
-    for &(off, n) in &scratch.spans {
-        if off != end {
-            let what = if off < end { "overlap" } else { "leave a hole" };
-            return Err(corrupt(format!(
-                "frames {what} at amplitude {}",
-                off.min(end)
-            )));
-        }
-        end = off + n;
-    }
-    if end != out.len() {
-        return Err(corrupt(format!(
-            "frames cover {end} of {} amplitudes",
-            out.len()
-        )));
-    }
-    Ok(())
+    scratch.check_tiling(out.len())
 }
 
 // RLE token grammar (control byte `c`):

@@ -505,7 +505,12 @@ pub fn check_part_len(part: usize, len: u64, want: usize) -> Result<(), Checkpoi
 /// partition `part`'s whole file as stored (raw, or codec frames) must
 /// be the manifest's `want`.
 pub fn verify_part(part: usize, stored: &[u8], want: u64) -> Result<(), CheckpointError> {
-    let got = fnv1a64(stored);
+    check_part_digest(part, fnv1a64(stored), want)
+}
+
+/// [`verify_part`] for a reader that streams the file: `got` is the
+/// [`Fnv1a`] it folded every byte into, in file order.
+pub fn check_part_digest(part: usize, got: u64, want: u64) -> Result<(), CheckpointError> {
     if got != want {
         return Err(CheckpointError::Mismatch(format!(
             "partition {part} digest {got:016x} != manifest {want:016x} (torn artifact)"

@@ -38,13 +38,14 @@ use qsim_kernels::apply::{apply_gate, KernelConfig};
 use qsim_kernels::specialized;
 use qsim_kernels::sweep::{
     effective_tile_qubits, run_full_pass, PreparedDiag, PreparedGate, SweepDispatch, SweepStats,
-    TileOp, TiledPass,
+    TileOp, TileStaging, TiledPass,
 };
 use qsim_sched::sweep::DEFAULT_TILE_QUBITS;
 use qsim_sched::{plan_stage_sweeps, Cluster, DiagonalOp, Stage, StageOp, SweepPass};
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One pass of a compiled stage.
 enum CompiledPass<R: SweepDispatch> {
@@ -76,6 +77,18 @@ pub fn compile_stage<R: SweepDispatch>(
     kernel: &KernelConfig,
     tile_qubits: u32,
 ) -> CompiledStage<R> {
+    compile_stage_staged(ops, local_qubits, kernel, tile_qubits, None)
+}
+
+/// [`compile_stage`], its gathered passes staging tiles through
+/// `staging` when given ([`TiledPass::staged_by`]).
+fn compile_stage_staged<R: SweepDispatch>(
+    ops: &[StageOp],
+    local_qubits: u32,
+    kernel: &KernelConfig,
+    tile_qubits: u32,
+    staging: Option<&Arc<TileStaging<R>>>,
+) -> CompiledStage<R> {
     let plan = plan_stage_sweeps(ops, local_qubits, tile_qubits);
     let mut passes = Vec::with_capacity(plan.passes.len());
     for pass in &plan.passes {
@@ -103,7 +116,8 @@ pub fn compile_stage<R: SweepDispatch>(
                         )),
                     })
                     .collect();
-                passes.push(CompiledPass::Tiled(TiledPass::new(tile.clone(), tile_ops)));
+                let pass = TiledPass::new(tile.clone(), tile_ops).staged_by(staging);
+                passes.push(CompiledPass::Tiled(pass));
             }
             SweepPass::Full { op_index } => {
                 let StageOp::Cluster(c) = &ops[*op_index] else {
@@ -193,9 +207,28 @@ impl<'a, R: SweepDispatch> StageExecutor<'a, R> {
         kernel: &KernelConfig,
         tile_qubits: Option<u32>,
     ) -> Self {
+        Self::staged(stages, local_qubits, kernel, tile_qubits, None)
+    }
+
+    /// [`StageExecutor::new`], with gathered tiles staged through
+    /// `staging`, the free list of an engine that applies the stages
+    /// many times from one long-lived thread (the out-of-core engine,
+    /// chunk after chunk), so its warm passes allocate nothing. The
+    /// in-memory engines run each stage once per rank thread, and a
+    /// thread that lives for one run would leave the list's buffers in
+    /// its heap: they pass `None` and stage through a buffer per worker
+    /// share of a pass.
+    pub fn staged(
+        stages: &'a [Stage],
+        local_qubits: u32,
+        kernel: &KernelConfig,
+        tile_qubits: Option<u32>,
+        staging: Option<&Arc<TileStaging<R>>>,
+    ) -> Self {
         let tile = resolve_tile_qubits(tile_qubits, local_qubits, kernel.threads);
+        let compile = |s: &Stage| compile_stage_staged(&s.ops, local_qubits, kernel, tile, staging);
         Self {
-            compiled: Some(compile_stages(stages, local_qubits, kernel, tile)),
+            compiled: Some(stages.iter().map(compile).collect()),
             ..Self::per_gate(stages, local_qubits, kernel)
         }
     }

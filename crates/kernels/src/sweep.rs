@@ -36,6 +36,7 @@ use qsim_util::bits::{get_bit, IndexExpander};
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 use rayon::prelude::*;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Smallest tile the auto-clamp will shrink to: a tile narrower than the
 /// widest kernel (k = [`MAX_K`]) would push dense clusters onto the
@@ -381,7 +382,73 @@ pub struct TiledPass<R: SweepDispatch = f64> {
     /// Tile positions are exactly `0..T`: tiles are contiguous slices and
     /// the gather/scatter staging is skipped entirely (zero-copy).
     contiguous: bool,
+    /// Expands a tile counter into the state index of its first
+    /// amplitude (tile bits zero).
+    exp: IndexExpander,
+    /// The tile's leading positions `0..run_bits` are contiguous in the
+    /// state, so staging copies runs of `2^run_bits` amplitudes; the
+    /// other positions, as the index mask `hi_mask`, enumerate the run
+    /// offsets by masked increment.
+    run_bits: usize,
+    hi_mask: usize,
+    /// Where a gathered pass stages its tiles: the free list of the
+    /// engine that runs it ([`TiledPass::staged_by`]), or, with none, a
+    /// buffer allocated for each worker's share of every run.
+    staging: Option<Arc<TileStaging<R>>>,
     ops: Vec<TileOp<R>>,
+}
+
+/// A free list of staging buffers for gathered tiles, owned by an engine
+/// that runs many passes from one long-lived thread (the out-of-core
+/// compute loop, chunk after chunk): a worker takes a buffer for its
+/// tiles and gives it back after. The list holds one buffer per worker
+/// that ever ran at once, each as long as the largest tile it staged,
+/// and serves every later pass from them, so a warm pass allocates
+/// nothing. Buffers are stocked on the thread that runs the pass (see
+/// [`TiledPass::run`]), never on a worker that exits with its call.
+pub struct TileStaging<R: Real>(Mutex<Vec<Vec<Complex<R>>>>);
+
+impl<R: Real> Default for TileStaging<R> {
+    fn default() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+}
+
+impl<R: Real> TileStaging<R> {
+    /// Every update is one push or pop, so a list a panicking worker
+    /// left behind is still a list of buffers.
+    fn list(&self) -> MutexGuard<'_, Vec<Vec<Complex<R>>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A buffer of at least `len` amplitudes. Every amplitude a tile uses
+    /// is gathered before it is read, so what a buffer held is never seen.
+    fn take(&self, len: usize) -> Vec<Complex<R>> {
+        let mut buf = self.list().pop().unwrap_or_default();
+        fit(&mut buf, len);
+        buf
+    }
+
+    /// Make the list hold `n` buffers of at least `len` amplitudes, so
+    /// that `n` workers can take one each without allocating.
+    fn stock(&self, n: usize, len: usize) {
+        let mut list = self.list();
+        list.iter_mut().for_each(|buf| fit(buf, len));
+        let have = list.len();
+        list.resize_with(n.max(have), || vec![Complex::zero(); len]);
+    }
+
+    fn give(&self, buf: Vec<Complex<R>>) {
+        self.list().push(buf);
+    }
+}
+
+/// Grow `buf` to at least `len` amplitudes, to exactly `len` if it must.
+fn fit<R: Real>(buf: &mut Vec<Complex<R>>, len: usize) {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, Complex::zero());
+    }
 }
 
 impl<R: SweepDispatch> TiledPass<R> {
@@ -415,11 +482,28 @@ impl<R: SweepDispatch> TiledPass<R> {
                 TileOp::Diag(d) => d.resolve(&tile),
             }
         }
+        let run_bits = tile
+            .iter()
+            .enumerate()
+            .take_while(|&(i, &p)| p == i as u32)
+            .count();
+        let hi_mask = tile[run_bits..].iter().fold(0usize, |m, &p| m | 1 << p);
         Self {
             contiguous: is_contiguous(&tile),
+            exp: IndexExpander::new(&tile),
+            run_bits,
+            hi_mask,
+            staging: None,
             tile,
             ops,
         }
+    }
+
+    /// Stage gathered tiles through `staging`, an engine's free list,
+    /// instead of allocating a buffer per worker share of every run.
+    pub fn staged_by(mut self, staging: Option<&Arc<TileStaging<R>>>) -> Self {
+        self.staging = staging.cloned();
+        self
     }
 
     /// Number of ops folded into this pass.
@@ -437,28 +521,24 @@ impl<R: SweepDispatch> TiledPass<R> {
         }
     }
 
-    /// Stage tiles `[t0, t1)` of a non-contiguous pass through a scratch
+    /// Stage tiles `[t0, t1)` of a non-contiguous pass through a staging
     /// buffer: gather, apply every op, scatter.
     fn run_gathered_tiles(&self, state: &mut [Complex<R>], t0: usize, t1: usize, rank: usize) {
-        let exp = IndexExpander::new(&self.tile);
-        // The tile's leading positions 0..r are contiguous in the state:
-        // staging copies runs of 2^r amplitudes. The other positions, as
-        // an index mask, enumerate the run offsets by masked increment.
-        let run_bits = self
-            .tile
-            .iter()
-            .enumerate()
-            .take_while(|&(i, &p)| p == i as u32)
-            .count();
-        let hi_mask = self.tile[run_bits..]
-            .iter()
-            .fold(0usize, |m, &p| m | 1 << p);
-        let mut scratch = vec![Complex::<R>::zero(); 1 << self.tile.len()];
+        let tile_len = 1 << self.tile.len();
+        let mut buf = match &self.staging {
+            Some(list) => list.take(tile_len),
+            None => vec![Complex::zero(); tile_len],
+        };
+        let scratch = &mut buf[..tile_len];
+        let (hi_mask, run_bits) = (self.hi_mask, self.run_bits);
         for t in t0..t1 {
-            let base = exp.expand(t);
-            copy_runs::<R, true>(state, &mut scratch, base, hi_mask, run_bits);
-            self.apply_ops(&mut scratch, base, rank);
-            copy_runs::<R, false>(state, &mut scratch, base, hi_mask, run_bits);
+            let base = self.exp.expand(t);
+            copy_runs::<R, true>(state, scratch, base, hi_mask, run_bits);
+            self.apply_ops(scratch, base, rank);
+            copy_runs::<R, false>(state, scratch, base, hi_mask, run_bits);
+        }
+        if let Some(list) = &self.staging {
+            list.give(buf);
         }
     }
 
@@ -489,15 +569,20 @@ impl<R: SweepDispatch> TiledPass<R> {
             }
         } else if par {
             let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-            chunk_ranges(n_tiles, threads, 1)
-                .into_par_iter()
-                .for_each(|(t0, t1)| {
-                    // SAFETY: distinct tile counters expand to
-                    // disjoint index sets (DisjointSlice contract),
-                    // and counter ranges partition [0, n_tiles).
-                    let s = unsafe { shared.slice() };
-                    self.run_gathered_tiles(s, t0, t1, rank);
-                });
+            let ranges = chunk_ranges(n_tiles, threads, 1);
+            // Workers are threads of this call alone: stock their staging
+            // here, so it is allocated on the calling thread, once, and
+            // not in the heap of a worker that exits with the call.
+            if let Some(list) = &self.staging {
+                list.stock(rayon::current_num_threads().min(ranges.len()), tile_len);
+            }
+            ranges.into_par_iter().for_each(|(t0, t1)| {
+                // SAFETY: distinct tile counters expand to
+                // disjoint index sets (DisjointSlice contract),
+                // and counter ranges partition [0, n_tiles).
+                let s = unsafe { shared.slice() };
+                self.run_gathered_tiles(s, t0, t1, rank);
+            });
         } else {
             self.run_gathered_tiles(state, 0, n_tiles, rank);
         }

@@ -9,7 +9,8 @@
 //! bandwidth analysis of the §5 SSD argument. A chunk file is the same
 //! partition artifact as an in-memory rank's checkpoint — same name
 //! ([`part_path`]), same raw bytes, same digest and verifier
-//! ([`verify_part`]) — so the chunk index is the rank id on disk too.
+//! ([`check_part_digest`], the streaming form of `verify_part`) — so the
+//! chunk index is the rank id on disk too.
 //!
 //! ## Two generations
 //!
@@ -40,7 +41,12 @@
 //! IO is zero-copy: reads and writes move bytes directly between the
 //! files and caller-owned amplitude buffers ([`amps_as_bytes`]) — no
 //! intermediate byte `Vec`s — through one timed read and one timed
-//! write that the store and its views share. The pipelined engine's IO threads use
+//! write that the store and its views share. A read takes a file one
+//! block at a time ([`FRAME_AMPS`] raw amplitudes, or one frame) and can
+//! place each block through a swap's `p⁻¹` as it arrives
+//! ([`ChunkStore::reader`]); unpermuted, raw blocks land straight in the
+//! caller's buffer, and a permuted or framed read stages one block. The
+//! pipelined engine's IO threads use
 //! [`ChunkReader`] / [`ChunkWriter`] views, which hold their own file
 //! handles (independent cursors) opened at most once per pass — the
 //! writer's lazily, one per chunk on its first write — plus local
@@ -57,9 +63,11 @@
 //! scalars: each write — a whole chunk or a scattered piece — appends
 //! consecutive frames of at most [`FRAME_AMPS`] amplitudes, each carrying
 //! its amplitude offset, and hands each to the file as soon as it is
-//! encoded, so the codec's working memory is one frame. Reads slurp the
-//! whole file and decode any tiling of frames (files written as one
-//! whole-chunk frame included); a writer truncates
+//! encoded, so the codec's working memory is one frame. Reads stream the
+//! file frame by frame, header then payload, decoding each as it
+//! arrives, and accept any tiling of frames (files written as one
+//! whole-chunk frame included, which stage that one frame); a writer
+//! truncates
 //! each file on first touch, since encoded sizes vary per generation. The
 //! `bytes_read`/`bytes_written` counters stay *physical* (on-disk bytes —
 //! the quantity the bandwidth analysis cares about) while
@@ -68,11 +76,16 @@
 //! stored, i.e. the *encoded* frames, so the checkpoint protocol is
 //! codec-oblivious.
 
-use qsim_compress::{decode_frames, encode_frame, Codec, CodecScratch, FRAME_AMPS};
-use qsim_core::checkpoint::{
-    at_path, check_part_len, part_path, verify_part, CheckpointError, Fnv1a,
+use qsim_compress::{
+    decode_frame, encode_frame, Codec, CodecScratch, FrameHeader, FRAME_AMPS, FRAME_HEADER_LEN,
 };
+use qsim_core::checkpoint::{
+    at_path, check_part_digest, check_part_len, part_path, CheckpointError, Fnv1a,
+};
+use qsim_kernels::parallel::par_scatter;
+use qsim_telemetry::TrackHandle;
 use qsim_util::align::AlignedVec;
+use qsim_util::bits::BitPermutation;
 use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
 use std::fs::{File, OpenOptions};
@@ -98,16 +111,17 @@ pub(crate) fn uniform_amp<R: Real>(n_qubits: u32) -> Complex<R> {
 
 /// What every IO path of a store carries — the store's own direct calls
 /// and its [`ChunkReader`] / [`ChunkWriter`] views: the codec, its working
-/// memory and encoded-bytes staging (one frame when writing, one file
-/// when reading; reused across chunks, so codec IO is allocation-free
-/// once warm), and the counters. The one timed read and
-/// the one timed write live here.
+/// memory, one frame of encoded bytes (the frame a writer hands its file,
+/// the payload a reader takes from it), one block of amplitudes on its
+/// way to its unpermuted places, and the counters. All of it is reused
+/// across chunks, so IO is allocation-free once warm, and none of it is
+/// chunk-sized. The one timed read and the one timed write live here.
 struct ChunkIo<R> {
     codec: Codec,
     scratch: CodecScratch,
     enc: Vec<u8>,
+    block: Vec<Complex<R>>,
     stats: IoStats,
-    _precision: std::marker::PhantomData<R>,
 }
 
 impl<R: Real> ChunkIo<R> {
@@ -116,54 +130,153 @@ impl<R: Real> ChunkIo<R> {
             codec,
             scratch: CodecScratch::default(),
             enc: Vec::new(),
+            block: Vec::new(),
             stats: IoStats::default(),
-            _precision: std::marker::PhantomData,
         }
     }
 
-    /// Read one whole chunk file — raw scalars, or every frame of it under
-    /// a codec — from `f` (positioned at its start) into `out`. Returns
-    /// the seconds it took, IO plus decode, for callers that waited on it.
+    /// Read chunk `c`'s whole file — raw scalars, or every frame of it
+    /// under a codec — from `f` (positioned at its start) into `out`, one
+    /// block at a time: [`FRAME_AMPS`] amplitudes of a raw file, one frame
+    /// of a framed one. With `unpermute` (a swap's `p⁻¹`) the amplitude
+    /// at file offset `y` lands at `out[p⁻¹(y)]`, so the chunk arrives in
+    /// the layout the next stage computes in; without, it lands at
+    /// `out[y]`, and raw blocks are read straight into place. Each
+    /// block's placement is an `unpermute` span on `track`. Returns the
+    /// seconds it took — IO, decode and placement — for callers that
+    /// waited on it.
     ///
-    /// A chunk a manifest names (`named`: its index and promised digest)
-    /// is checked as `read_part` checks a rank: a raw file must hold
-    /// exactly the chunk's bytes ([`check_part_len`]), then [`verify_part`]
-    /// runs over the whole file.
+    /// A chunk a manifest names (`want`: its promised digest) is checked
+    /// as `read_part` checks a rank: a raw file must hold exactly the
+    /// chunk's bytes ([`check_part_len`]), and the running digest of
+    /// every byte read, in file order, must be `want` once the file is
+    /// read ([`check_part_digest`]). A named file that does not decode is
+    /// rejected too, naming the partition.
     fn read(
+        &mut self,
+        c: usize,
+        f: &mut File,
+        out: &mut [Complex<R>],
+        want: Option<u64>,
+        unpermute: Option<&BitPermutation>,
+        track: Option<&TrackHandle>,
+    ) -> std::io::Result<f64> {
+        let t = Instant::now();
+        let decode0 = self.stats.decode_seconds;
+        let logical = std::mem::size_of_val(out) as u64;
+        let mut digest = want.map(|_| Fnv1a::new());
+        let read = if self.codec.is_none() {
+            if want.is_some() {
+                check_part_len(c, f.metadata()?.len(), logical as usize).map_err(rejected)?;
+            }
+            self.read_raw(f, out, &mut digest, unpermute, (c, track))
+        } else {
+            self.read_frames(f, out, &mut digest, unpermute, (c, track))
+        };
+        let physical = match read {
+            Err(e) if want.is_some() && e.kind() == std::io::ErrorKind::InvalidData => {
+                let e = CheckpointError::Mismatch(format!("partition {c}: {e}"));
+                return Err(rejected(e));
+            }
+            r => r?,
+        };
+        if let (Some(h), Some(want)) = (digest, want) {
+            check_part_digest(c, h.finish(), want).map_err(rejected)?;
+        }
+        let dt = t.elapsed().as_secs_f64();
+        self.stats.read_seconds += dt - (self.stats.decode_seconds - decode0);
+        self.stats.bytes_read += physical;
+        self.stats.logical_bytes_read += logical;
+        Ok(dt)
+    }
+
+    /// The raw half of [`ChunkIo::read`]: `out.len()` amplitudes in
+    /// blocks of [`FRAME_AMPS`]. Returns the bytes read.
+    fn read_raw(
         &mut self,
         f: &mut File,
         out: &mut [Complex<R>],
-        named: Option<(usize, u64)>,
-    ) -> std::io::Result<f64> {
-        let logical = std::mem::size_of_val(out) as u64;
-        let raw = self.codec.is_none();
-        let t = Instant::now();
-        let physical = if raw {
-            if let Some((c, _)) = named {
-                check_part_len(c, f.metadata()?.len(), logical as usize).map_err(rejected)?;
+        digest: &mut Option<Fnv1a>,
+        unpermute: Option<&BitPermutation>,
+        at: (usize, Option<&TrackHandle>),
+    ) -> std::io::Result<u64> {
+        let mut take = |block: &mut [Complex<R>]| -> std::io::Result<()> {
+            f.read_exact(amps_as_bytes_mut(block))?;
+            if let Some(h) = digest {
+                h.write(amps_as_bytes(block));
             }
-            f.read_exact(amps_as_bytes_mut(out))?;
-            logical
-        } else {
-            self.enc.clear();
-            f.read_to_end(&mut self.enc)? as u64
+            Ok(())
         };
-        if let Some((c, want)) = named {
-            let stored = if raw { amps_as_bytes(out) } else { &self.enc };
-            verify_part(c, stored, want).map_err(rejected)?;
+        for base in (0..out.len()).step_by(FRAME_AMPS) {
+            let n = FRAME_AMPS.min(out.len() - base);
+            match unpermute {
+                None => take(&mut out[base..base + n])?,
+                Some(p) => {
+                    let block = staged(&mut self.block, n);
+                    take(block)?;
+                    place(block, out, p, base, at);
+                }
+            }
         }
-        let io_dt = t.elapsed().as_secs_f64();
-        let mut codec_dt = 0.0;
-        if !raw {
-            let t = Instant::now();
-            decode_frames(&self.enc, &mut self.scratch, out)?;
-            codec_dt = t.elapsed().as_secs_f64();
+        Ok(std::mem::size_of_val(out) as u64)
+    }
+
+    /// The framed half of [`ChunkIo::read`]: frame after frame to the end
+    /// of the file, each taken off it as header then payload and decoded
+    /// on its own, so one frame is all that is staged. The frames must
+    /// tile the chunk. Returns the bytes read.
+    fn read_frames(
+        &mut self,
+        f: &mut File,
+        out: &mut [Complex<R>],
+        digest: &mut Option<Fnv1a>,
+        unpermute: Option<&BitPermutation>,
+        at: (usize, Option<&TrackHandle>),
+    ) -> std::io::Result<u64> {
+        let Self {
+            scratch,
+            enc,
+            block,
+            stats,
+            ..
+        } = self;
+        let mut physical = 0u64;
+        let mut head = [0u8; FRAME_HEADER_LEN];
+        scratch.start_chunk();
+        loop {
+            match read_up_to(f, &mut head)? {
+                0 => break,
+                FRAME_HEADER_LEN => {}
+                _ => return Err(corrupt("truncated frame header")),
+            }
+            let h = FrameHeader::parse::<R>(&head, out.len())?;
+            let payload = staged(enc, h.payload_len);
+            f.read_exact(payload).map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => corrupt("truncated frame payload"),
+                _ => e,
+            })?;
+            physical += (FRAME_HEADER_LEN + h.payload_len) as u64;
+            if let Some(d) = digest {
+                d.write(&head);
+                d.write(payload);
+            }
+            let mut decode = |dst: &mut [Complex<R>]| -> std::io::Result<()> {
+                let t = Instant::now();
+                decode_frame(&h, payload, scratch, dst)?;
+                stats.decode_seconds += t.elapsed().as_secs_f64();
+                Ok(())
+            };
+            match unpermute {
+                None => decode(&mut out[h.amp_off..h.amp_off + h.amps])?,
+                Some(p) => {
+                    let block = staged(block, h.amps);
+                    decode(block)?;
+                    place(block, out, p, h.amp_off, at);
+                }
+            }
         }
-        self.stats.read_seconds += io_dt;
-        self.stats.decode_seconds += codec_dt;
-        self.stats.bytes_read += physical;
-        self.stats.logical_bytes_read += logical;
-        Ok(io_dt + codec_dt)
+        scratch.check_tiling(out.len())?;
+        Ok(physical)
     }
 
     /// Hand the stored form of `amps` to `put`, which writes it: the raw
@@ -211,6 +324,51 @@ impl<R: Real> ChunkIo<R> {
 /// `SimError::Checkpoint` ("durable state rejected") on every engine.
 fn rejected(e: CheckpointError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
+/// Bytes on disk that are not a chunk file: `InvalidData`, like every
+/// malformed frame the codec finds.
+fn corrupt(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// Read into `buf` until it is full or the file ends; the bytes read.
+fn read_up_to(f: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match f.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+/// The first `n` elements of a staging buffer, grown to exactly `n` the
+/// first time a block needs that many.
+fn staged<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+    if buf.len() < n {
+        buf.reserve_exact(n - buf.len());
+        buf.resize(n, T::default());
+    }
+    &mut buf[..n]
+}
+
+/// Put the block read from file offset `base` of chunk `c` (`at`) at its
+/// unpermuted places, `out[p⁻¹(base + t)] = block[t]`, under an
+/// `unpermute` span. One thread: this runs on the reading thread, beside
+/// the compute pool.
+fn place<R: Real>(
+    block: &[Complex<R>],
+    out: &mut [Complex<R>],
+    unpermute: &BitPermutation,
+    base: usize,
+    (c, track): (usize, Option<&TrackHandle>),
+) {
+    let _s = track.map(|t| t.span_id("unpermute", c as u64));
+    par_scatter(block, out, unpermute, base, 1);
 }
 
 /// A pool of fixed-length 64-byte-aligned amplitude buffers. `get`
@@ -421,8 +579,8 @@ impl<R: Real> ChunkStore<R> {
         assert!(c < self.n_chunks(), "chunk {c} out of range");
         assert_eq!(out.len(), self.chunk_len(), "chunk size mismatch");
         let mut f = self.open_chunk(c)?;
-        let named = self.named.as_ref().map(|d| (c, d[c]));
-        self.io.stats.io_wait_seconds += self.io.read(&mut f, out, named)?;
+        let want = self.named.as_ref().map(|d| d[c]);
+        self.io.stats.io_wait_seconds += self.io.read(c, &mut f, out, want, None, None)?;
         Ok(())
     }
 
@@ -477,7 +635,8 @@ impl<R: Real> ChunkStore<R> {
     /// nothing: each later read of that generation — the first pass's, or
     /// a finished run's reduction — checks the chunk it reads against
     /// `digests`, one per chunk, with the one artifact verifier
-    /// ([`verify_part`]). A missing, short, long or mismatched chunk is
+    /// ([`check_part_digest`], folded as it reads). A missing, short,
+    /// long, mismatched or undecodable chunk is
     /// an `InvalidData` error naming the partition. The other parity is
     /// never looked at: it holds an abandoned or older generation, which
     /// the next pass overwrites.
@@ -526,13 +685,26 @@ impl<R: Real> ChunkStore<R> {
     /// onto a prefetch thread while a [`ChunkWriter`] writes the next
     /// generation. A view of a named generation checks each chunk it
     /// reads, as [`ChunkStore::read_chunk_into`] does.
-    pub fn reader(&self) -> std::io::Result<ChunkReader<R>> {
+    ///
+    /// With `unpermute` — the `p⁻¹` of the swap that wrote this
+    /// generation, over the chunk's `l` bits — every read puts the
+    /// amplitude at file offset `y` at `p⁻¹(y)` of its buffer: the
+    /// swap's gather-unpermute, done as the bytes arrive.
+    pub fn reader(&self, unpermute: Option<&BitPermutation>) -> std::io::Result<ChunkReader<R>> {
+        if let Some(p) = unpermute {
+            assert_eq!(
+                p.n_bits(),
+                self.local_qubits as usize,
+                "permutation of another chunk size"
+            );
+        }
         let files = (0..self.n_chunks())
             .map(|c| self.open_chunk(c))
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(ChunkReader {
             files,
             named: self.named.clone(),
+            unpermute: unpermute.cloned(),
             chunk_len: self.chunk_len(),
             io: ChunkIo::new(self.io.codec),
         })
@@ -558,23 +730,34 @@ impl<R: Real> ChunkStore<R> {
 }
 
 /// Cached-handle read view of a [`ChunkStore`] (see
-/// [`ChunkStore::reader`]). Reads are zero-copy and allocation-free.
+/// [`ChunkStore::reader`]). Reads stage at most one block and are
+/// allocation-free once warm.
 pub struct ChunkReader<R: Real = f64> {
     files: Vec<File>,
     /// The manifest digests, when the view reads a named generation.
     named: Option<Vec<u64>>,
+    /// Where each read puts file offset `y`: `p⁻¹(y)`, or `y` when `None`.
+    unpermute: Option<BitPermutation>,
     chunk_len: usize,
     io: ChunkIo<R>,
 }
 
 impl<R: Real> ChunkReader<R> {
-    /// Read chunk `c` into `out` through the cached handle.
-    pub fn read_into(&mut self, c: usize, out: &mut [Complex<R>]) -> std::io::Result<()> {
+    /// Read chunk `c` into `out` through the cached handle, unpermuted
+    /// when the view was opened with a permutation; `track` gets the
+    /// `unpermute` spans.
+    pub fn read_into(
+        &mut self,
+        c: usize,
+        out: &mut [Complex<R>],
+        track: Option<&TrackHandle>,
+    ) -> std::io::Result<()> {
         assert_eq!(out.len(), self.chunk_len, "chunk size mismatch");
         let f = &mut self.files[c];
         f.seek(SeekFrom::Start(0))?;
+        let want = self.named.as_ref().map(|d| d[c]);
         self.io
-            .read(f, out, self.named.as_ref().map(|d| (c, d[c])))?;
+            .read(c, f, out, want, self.unpermute.as_ref(), track)?;
         Ok(())
     }
 
@@ -702,7 +885,10 @@ impl<R: Real> ChunkWriter<R> {
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
+    use qsim_core::dist::slots_to_top_permutation;
+    use qsim_kernels::parallel::par_gather;
     use qsim_util::c64;
+    use qsim_util::rng::Xoshiro256;
 
     #[test]
     fn create_read_write_round_trip() {
@@ -733,9 +919,9 @@ mod tests {
     /// Write every chunk of the next generation through one digesting
     /// writer view (chunk `c` holds `fill(c)`), then make it current;
     /// returns the digests it took.
-    fn write_generation(
-        store: &mut ChunkStore,
-        fill: impl Fn(usize) -> Vec<c64>,
+    fn write_generation<R: Real>(
+        store: &mut ChunkStore<R>,
+        fill: impl Fn(usize) -> Vec<Complex<R>>,
     ) -> std::io::Result<Vec<u64>> {
         let mut writer = store.writer(true);
         for c in 0..store.n_chunks() {
@@ -759,12 +945,12 @@ mod tests {
             2 * 4 * 8 * 16,
             "create + 1 generation"
         );
-        let mut reader = store.reader()?;
+        let mut reader = store.reader(None)?;
         let mut buf = vec![c64::zero(); 8];
-        reader.read_into(2, &mut buf)?;
+        reader.read_into(2, &mut buf, None)?;
         assert_eq!(buf, pattern(2));
         // Re-reads through the same cached handle work (seek resets).
-        reader.read_into(2, &mut buf)?;
+        reader.read_into(2, &mut buf, None)?;
         assert_eq!(buf, pattern(2));
         store.absorb(&reader.stats());
         assert_eq!(store.stats().bytes_read, 2 * 8 * 16);
@@ -888,8 +1074,114 @@ mod tests {
         Ok(())
     }
 
+    /// A read through a swap's `p⁻¹` lands every amplitude where a read
+    /// in file layout followed by the gather `final[x] = buf[p(x)]` puts
+    /// it, bit for bit: random slot sets at three chunk sizes, raw and
+    /// framed files, both precisions, named and unnamed generations.
+    #[test]
+    fn a_permuted_read_is_the_read_then_the_gather() -> std::io::Result<()> {
+        fn check<R: Real>(l: u32, codec: Codec, named: bool, seed: u64) -> std::io::Result<()> {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let len = 1usize << l;
+            // Runs of one value (shuffle-RLE frames) and random bits
+            // (stored-raw frames), so both frame kinds are unpermuted.
+            let mut chunk = |c: usize| -> Vec<Complex<R>> {
+                (0..len)
+                    .map(|i| match (i / 512 + c) % 2 {
+                        0 => Complex::new(R::from_usize(c + 1), R::ZERO),
+                        _ => Complex::new(
+                            R::from_bits_u64(rng.next_u64()),
+                            R::from_bits_u64(rng.next_u64()),
+                        ),
+                    })
+                    .collect()
+            };
+            let chunks = [chunk(0), chunk(1)];
+            let mut slots: Vec<u32> = (0..l).collect();
+            rng.shuffle(&mut slots);
+            slots.truncate(1 + rng.next_below(3) as usize);
+            let p = slots_to_top_permutation(&slots, l);
+
+            let dir = ScratchDir::new("store_unpermute");
+            let mut store = ChunkStore::<R>::create_empty_with(dir.path(), l, 1, codec)?;
+            let digests = write_generation(&mut store, |c| chunks[c].clone())?;
+            if named {
+                store = ChunkStore::open_named(dir.path(), l, 1, 1, &digests, codec);
+            }
+            let at = format!("l={l} {codec} {} named={named} slots {slots:?}", R::NAME);
+            let mut plain = vec![Complex::<R>::zero(); len];
+            let mut want = vec![Complex::<R>::zero(); len];
+            let mut got = vec![Complex::<R>::zero(); len];
+            let mut permuted = store.reader(Some(&p.inverse()))?;
+            for (c, chunk) in chunks.iter().enumerate() {
+                store.read_chunk_into(c, &mut plain)?;
+                assert!(amps_as_bytes(&plain) == amps_as_bytes(chunk), "{at}");
+                par_gather(&plain, &mut want, &p, 0, 1);
+                permuted.read_into(c, &mut got, None)?;
+                assert!(
+                    amps_as_bytes(&got) == amps_as_bytes(&want),
+                    "{at} chunk {c}"
+                );
+            }
+            Ok(())
+        }
+        let mut seed = 0;
+        for l in [8, 13, 14] {
+            for codec in [Codec::None, Codec::ShuffleRle] {
+                for named in [false, true] {
+                    seed += 1;
+                    check::<f64>(l, codec, named, seed)?;
+                    check::<f32>(l, codec, named, seed)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Streamed frame by frame, a framed file must still tile its chunk:
+    /// overlapping frames, a hole and a short cover are refused, in file
+    /// layout and through a permutation.
+    #[test]
+    fn streamed_frames_must_tile_the_chunk() -> std::io::Result<()> {
+        let chunk = vec![c64::one(); 16];
+        let p_inv = slots_to_top_permutation(&[1], 4).inverse();
+        let spans: [&[(usize, usize)]; 3] = [&[(0, 8), (4, 12)], &[(0, 4), (8, 8)], &[(0, 8)]];
+        for frames in spans {
+            let dir = ScratchDir::new("store_tiling");
+            let store = ChunkStore::<f64>::create_filled_with(
+                dir.path(),
+                4,
+                0,
+                c64::one(),
+                Codec::ShuffleRle,
+            )?;
+            let mut bytes = Vec::new();
+            for &(off, n) in frames {
+                let mut scratch = CodecScratch::default();
+                encode_frame(
+                    Codec::ShuffleRle,
+                    off,
+                    &chunk[off..off + n],
+                    &mut scratch,
+                    &mut bytes,
+                );
+            }
+            std::fs::write(part_path(dir.path(), 0, 0), &bytes)?;
+            for unpermute in [None, Some(&p_inv)] {
+                let mut out = vec![c64::zero(); 16];
+                let e = store
+                    .reader(unpermute)?
+                    .read_into(0, &mut out, None)
+                    .expect_err("frames that do not tile");
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{frames:?}");
+            }
+        }
+        Ok(())
+    }
+
     /// Opening a named generation reads nothing; each read of it checks
-    /// the chunk it reads, through the store and through a reader view.
+    /// the chunk it reads, through the store and through a reader view,
+    /// in file layout or through a permutation.
     #[test]
     fn reads_of_a_named_generation_reject_a_damaged_chunk() -> std::io::Result<()> {
         type Damage = fn(&Path) -> std::io::Result<()>;
@@ -920,8 +1212,17 @@ mod tests {
                 assert_eq!(named.stats().bytes_read, 0, "opening reads nothing");
                 let mut buf = vec![c64::zero(); 8];
                 named.read_chunk_into(1, &mut buf)?;
-                let through_reader = named.reader().and_then(|mut r| r.read_into(2, &mut buf));
-                for r in [named.read_chunk_into(2, &mut buf), through_reader] {
+                let mut through = |p: Option<&BitPermutation>| {
+                    named
+                        .reader(p)
+                        .and_then(|mut r| r.read_into(2, &mut buf, None))
+                };
+                let p_inv = slots_to_top_permutation(&[0, 1], 3).inverse();
+                let reads = [through(None), through(Some(&p_inv))];
+                for r in reads
+                    .into_iter()
+                    .chain([named.read_chunk_into(2, &mut buf)])
+                {
                     let e = r.expect_err(what);
                     assert_eq!(
                         e.kind(),

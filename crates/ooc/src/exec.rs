@@ -20,9 +20,14 @@
 //! ranges as the network — rides in the two passes around it. Its fused
 //! permute-scatter closes the stage before it (each computed chunk's
 //! permuted piece for every destination goes straight into the
-//! destination's file of the next generation); its fused gather-unpermute
-//! opens the stage after it (skipped entirely when the slots already sit
-//! at the top positions). See [`OocSimulator::run_plan`].
+//! destination's file of the next generation); its unpermute is the
+//! next pass's read, which places each block it reads through `p⁻¹` on
+//! the prefetch thread, so a chunk reaches compute already in the layout
+//! the stage computes in (a plain read when the slots already sit at the
+//! top positions). Neither half holds a chunk buffer of its own: a pass
+//! keeps `prefetch_depth` chunk buffers resident, plus the wire buffers
+//! of a scattering pass and one block of the reader. See
+//! [`OocSimulator::run_plan`].
 //!
 //! Pass `u` reads generation `u` of the chunk store and writes generation
 //! `u + 1` into the other file parity, so it never overwrites what it
@@ -56,11 +61,11 @@ use qsim_core::run::Run;
 use qsim_core::{BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
+use qsim_kernels::sweep::TileStaging;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_sched::SwapOp;
 use qsim_telemetry::Telemetry;
-use qsim_util::align::AlignedVec;
-use qsim_util::complex::Complex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Out-of-core engine configuration.
@@ -131,16 +136,16 @@ impl OocConfig {
     }
 }
 
-/// The out-of-core engine. Owns the buffer pools, so repeated runs over
-/// the same geometry are allocation-free after the first. Generic over
-/// the working precision `R`; the default `f64` preserves the original
-/// data path byte for byte.
+/// The out-of-core engine. Owns the buffer pools and the staging list of
+/// gathered tiles, so repeated runs over the same geometry are
+/// allocation-free after the first. Generic over the working precision
+/// `R`; the default `f64` preserves the original data path byte for
+/// byte.
 pub struct OocSimulator<R: SweepDispatch = f64> {
     pub config: OocConfig,
     chunk_pool: BufferPool<R>,
     wire_pool: BufferPool<R>,
-    /// Double-buffer for the unpermute pass (the `+1` chunk buffer).
-    scratch: Option<AlignedVec<Complex<R>>>,
+    staging: Arc<TileStaging<R>>,
 }
 
 impl<R: SweepDispatch> Default for OocSimulator<R> {
@@ -155,7 +160,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
             config,
             chunk_pool: BufferPool::default(),
             wire_pool: BufferPool::default(),
-            scratch: None,
+            staging: Arc::default(),
         }
     }
 
@@ -165,8 +170,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
     /// streaming pass per stage (module docs), and, on request, gather the
     /// full state in logical order (small n).
     ///
-    /// Pass `s`, for each chunk, takes its source, applies the
-    /// gather-unpermute half of swap `s − 1`, stage `s`, and then either
+    /// Pass `s`, for each chunk, takes its source — read through the
+    /// gather-unpermute half of swap `s − 1` — applies stage `s`, and then either
     /// the permute-scatter half of swap `s` into the next generation's
     /// files or — on the last stage — the final chunk write with the
     /// norm/entropy reduction folded in. Writing `p` for a swap's
@@ -238,29 +243,21 @@ impl<R: SweepDispatch> OocSimulator<R> {
             let chunk_len = store.chunk_len();
             let piece = chunk_len / n_chunks;
 
-            // Pool setup: `depth` chunk buffers feed the pipeline, one
-            // more is the unpermute scratch; wire buffers stage all-to-all
-            // pieces. Prewarming here makes the passes themselves
+            // Pool setup: `depth` chunk buffers feed the pipeline; wire
+            // buffers stage all-to-all pieces, so only a plan with a swap
+            // has any. Prewarming here makes the passes themselves
             // miss-free (`io.buffer_allocs` counts any slip).
             let depth = self.config.prefetch_depth.max(1);
             let wires = (2 * depth).min(n_chunks);
             self.chunk_pool.ensure_len(chunk_len);
             self.wire_pool.ensure_len(piece);
-            if self.scratch.as_ref().is_some_and(|s| s.len() != chunk_len) {
-                self.scratch = None;
+            self.chunk_pool.prewarm(depth);
+            if stages.iter().any(|s| s.swap.is_some()) {
+                self.wire_pool.prewarm(wires);
             }
-            // The engine-held unpermute scratch counts toward the chunk
-            // population: prewarm one extra only when it must be
-            // (re)built, so a repeat run over the same geometry prewarms
-            // exactly what the free list already holds.
-            self.chunk_pool
-                .prewarm(depth + usize::from(self.scratch.is_none()));
-            self.wire_pool.prewarm(wires);
             let chunk_pool = &mut self.chunk_pool;
             let wire_pool = &mut self.wire_pool;
-            // Double-buffers the unpermute gather, trading places with the
-            // pipeline's chunk buffer on every use.
-            let scratch = self.scratch.get_or_insert_with(|| chunk_pool.get());
+            let staging = Some(&self.staging);
             let allocs0 = chunk_pool.allocs() + wire_pool.allocs();
 
             let mut sweep = SweepStats::default();
@@ -273,12 +270,17 @@ impl<R: SweepDispatch> OocSimulator<R> {
             run.units(true, |si| {
                 let stage = &stages[si];
                 let _ss = track.span_id("stage", si as u64);
-                let exec = StageExecutor::new(std::slice::from_ref(stage), l, &kernel, Some(tile));
+                let stage_slice = std::slice::from_ref(stage);
+                let exec = StageExecutor::staged(stage_slice, l, &kernel, Some(tile), staging);
                 let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
                 // `final[x] = buf[p(x)]` places the previous swap's
-                // incoming qubits at its slots; an identity `p` means the
-                // written assembly is already final.
-                let unpermute = prev_swap.map(slots_to_top).filter(|p| !p.is_identity());
+                // incoming qubits at its slots: the read puts file offset
+                // `y` at `p⁻¹(y)`. An identity `p` means the written
+                // assembly is already final.
+                let unpermute = prev_swap
+                    .map(slots_to_top)
+                    .filter(|p| !p.is_identity())
+                    .map(|p| p.inverse());
                 let scatter = stage.swap.as_ref().map(|s| slots_to_top(s).inverse());
                 let source = match si {
                     0 => PassSource::Start {
@@ -288,6 +290,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 };
                 let cfg = PassConfig {
                     source,
+                    unpermute,
                     depth,
                     wires: if scatter.is_some() { wires } else { 0 },
                     digest: run.checkpoint_dir().is_some(),
@@ -295,8 +298,8 @@ impl<R: SweepDispatch> OocSimulator<R> {
                 };
                 // `swap_ns` gets one sample per swap, from the unit the
                 // swap closes: its permute-scatter half. (The
-                // gather-unpermute half opens the next pass, under its
-                // `unpermute` spans.)
+                // gather-unpermute half is the next pass's read, under
+                // `unpermute` spans on the prefetch track.)
                 let mut scatter_t = Duration::ZERO;
                 let digests = run_pass(
                     &mut store,
@@ -304,11 +307,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     wire_pool,
                     &cfg,
                     |c, mut buf, sink| {
-                        if let Some(perm) = &unpermute {
-                            let _s = track.span_id("unpermute", c as u64);
-                            par_gather(&buf, scratch, perm, 0, kernel.threads);
-                            std::mem::swap(&mut buf, scratch);
-                        }
                         {
                             let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
                             exec.apply(0..1, &mut buf, c, &mut sweep);
@@ -501,8 +499,9 @@ mod tests {
             let out = run(&mut sim, &exec, &schedule, uniform).unwrap();
             let (io, runs) = ooc_stats(&out);
             // `depth` buffers circulate (one at depth 1, where nothing
-            // can overlap) beside the engine-held unpermute scratch.
-            assert_eq!(sim.chunk_pool.allocs(), depth as u64 + 1);
+            // can overlap); the unpermute rides in the read and holds
+            // no chunk buffer of its own.
+            assert_eq!(sim.chunk_pool.allocs(), depth as u64);
             assert_eq!(io.buffer_allocs, 0, "nothing beyond the prewarm");
             assert_eq!(runs, schedule.stages.len(), "one unit per stage");
             // One traversal per stage: both halves of every swap ride
@@ -605,6 +604,23 @@ mod tests {
             "second run over the same geometry must be pool-hit only"
         );
         assert_eq!(first.norm, second.norm);
+    }
+
+    /// A swap-free plan scatters nothing, so it makes no wire buffer:
+    /// none prewarmed, none taken by a pass, on a first run or a repeat.
+    #[test]
+    fn swap_free_runs_make_no_wire_buffers() -> Result<(), SimError> {
+        let mut circ = Circuit::new(6);
+        circ.h(0).sqrt_x(3).cz(0, 1).t(2).cz(1, 3);
+        let schedule = plan(&circ, &SchedulerConfig::distributed(4, 3));
+        assert_eq!(schedule.n_swaps(), 0, "every gate is local");
+        let mut sim = sequential();
+        for rep in 0..2 {
+            let out = run(&mut sim, &circ, &schedule, true)?;
+            assert_eq!(ooc_stats(&out).0.buffer_allocs, 0, "run {rep}");
+            assert_eq!(sim.wire_pool.allocs(), 0, "run {rep}");
+        }
+        Ok(())
     }
 
     #[test]

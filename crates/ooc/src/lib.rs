@@ -18,7 +18,9 @@
 //!   (load → fused kernels → store);
 //! * a global-to-local swap becomes an **external all-to-all** over the
 //!   chunk files, whose scatter closes the streaming pass before it and
-//!   whose gather-unpermute opens the pass after it.
+//!   whose gather-unpermute is the next pass's chunk read: each block
+//!   lands at its unpermuted place as it is read, so the swap holds no
+//!   chunk buffer of its own.
 //!
 //! The engine is a *pipelined data path*. Each stage of the schedule,
 //! with the swap that closes it, is one traversal, the only kind of pass

@@ -4,8 +4,9 @@
 //! both halves of its neighbouring swaps folded in — streams all 2^g
 //! chunks through memory. [`run_pass`] drives that stream as a
 //! three-thread pipeline: a *prefetch* thread fills chunk `c+1..c+depth`
-//! ahead (read from the store's current generation, or synthesised for
-//! the start state), the caller's compute closure runs on the main
+//! ahead (read from the store's current generation, through the previous
+//! swap's unpermute as the blocks arrive, or synthesised for the start
+//! state), the caller's compute closure runs on the main
 //! thread, and a *writeback* thread retires chunk `c−1` into the next
 //! generation — so disk time hides behind compute. `depth` chunk buffers
 //! circulate; at depth 1 there is one, so read → compute → write of
@@ -39,6 +40,7 @@ use crate::chunkstore::{uniform_amp, BufferPool, ChunkReader, ChunkStore, ChunkW
 use parking_lot::{Condvar, Mutex};
 use qsim_telemetry::{Telemetry, TrackHandle};
 use qsim_util::align::AlignedVec;
+use qsim_util::bits::BitPermutation;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 use std::collections::VecDeque;
@@ -189,9 +191,13 @@ enum Feed<R: Real> {
 }
 
 impl<R: Real> Feed<R> {
-    fn open(store: &ChunkStore<R>, source: PassSource) -> std::io::Result<Self> {
+    fn open(
+        store: &ChunkStore<R>,
+        source: PassSource,
+        unpermute: Option<&BitPermutation>,
+    ) -> std::io::Result<Self> {
         Ok(match source {
-            PassSource::Live => Feed::Live(Box::new(store.reader()?)),
+            PassSource::Live => Feed::Live(Box::new(store.reader(unpermute)?)),
             PassSource::Start { uniform: true } => {
                 let amp = uniform_amp(store.n_qubits());
                 Feed::Start {
@@ -206,7 +212,8 @@ impl<R: Real> Feed<R> {
         })
     }
 
-    /// Fill `buf` with chunk `c`, under a `read` or `synthesise` span.
+    /// Fill `buf` with chunk `c`, under a `read` (with its `unpermute`
+    /// spans) or `synthesise` span.
     fn fill(
         &mut self,
         c: usize,
@@ -219,7 +226,7 @@ impl<R: Real> Feed<R> {
                 let d0 = reader.stats().decode_seconds;
                 let read = {
                     let _s = track.span_timed("read", c as u64, "chunk_io_ns");
-                    reader.read_into(c, buf)
+                    reader.read_into(c, buf, Some(track))
                 };
                 if !reader.codec().is_none() {
                     let dt = reader.stats().decode_seconds - d0;
@@ -249,6 +256,12 @@ impl<R: Real> Feed<R> {
 /// Pass-shape knobs, derived from the engine config.
 pub(crate) struct PassConfig {
     pub source: PassSource,
+    /// The previous swap's `p⁻¹`, which a [`PassSource::Live`] read
+    /// applies as it reads ([`ChunkStore::reader`]), so chunks reach the
+    /// compute closure in the layout it computes in. `None` reads each
+    /// chunk as stored: pass 0, after a swap-free stage, or when `p` is
+    /// the identity.
+    pub unpermute: Option<BitPermutation>,
     /// Chunk buffers in flight (prefetch depth, ≥ 1).
     pub depth: usize,
     /// Wire buffers in flight (0 for passes that stage nothing).
@@ -333,15 +346,14 @@ where
     let n = store.n_chunks();
     let depth = cfg.depth;
     assert!(depth >= 1, "a pass needs a chunk buffer to circulate");
-    let feed = Feed::open(store, cfg.source)?;
+    let feed = Feed::open(store, cfg.source, cfg.unpermute.as_ref())?;
     let writer = store.writer(cfg.digest);
 
     // Capacities are sized so no pipe can ever reject a buffer that
-    // exists: `depth + 1` chunk buffers circulate (+1 for a compute-held
-    // scratch, see the unpermute pass), `cfg.wires` wire buffers.
-    let chunk_free = Pipe::<Buf<R>>::new(depth + 1);
-    let full = Pipe::<(usize, Buf<R>)>::new(depth + 1);
-    let wb = Pipe::<(Dest, Buf<R>)>::new(depth + 1 + cfg.wires.max(1));
+    // exists: `depth` chunk buffers circulate, `cfg.wires` wire buffers.
+    let chunk_free = Pipe::<Buf<R>>::new(depth);
+    let full = Pipe::<(usize, Buf<R>)>::new(depth);
+    let wb = Pipe::<(Dest, Buf<R>)>::new(depth + cfg.wires.max(1));
     let wire_free = Pipe::<Buf<R>>::new(cfg.wires.max(1));
     for _ in 0..depth {
         chunk_free.push(chunk_pool.get());
@@ -550,6 +562,7 @@ mod tests {
             let mut wire_pool = BufferPool::new(store.chunk_len() >> 2);
             let cfg = PassConfig {
                 source: PassSource::Live,
+                unpermute: None,
                 depth,
                 wires: 0,
                 digest: false,
@@ -605,6 +618,7 @@ mod tests {
             let mut wire_pool = BufferPool::new(1);
             let cfg = PassConfig {
                 source: PassSource::Start { uniform },
+                unpermute: None,
                 depth,
                 wires: 0,
                 digest: false,
@@ -643,6 +657,7 @@ mod tests {
             let piece = store.chunk_len() / 2;
             let cfg = PassConfig {
                 source: PassSource::Live,
+                unpermute: None,
                 depth,
                 wires,
                 digest: false,
@@ -692,6 +707,7 @@ mod tests {
             let mut wire_pool = BufferPool::new(1);
             let cfg = PassConfig {
                 source: PassSource::Live,
+                unpermute: None,
                 depth,
                 wires: 0,
                 digest: false,

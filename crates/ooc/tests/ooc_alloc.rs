@@ -3,29 +3,61 @@
 //! open, streaming every chunk through read → compiled compute → write
 //! performs no heap allocations at all — file IO goes straight between
 //! the chunk files and pooled aligned buffers (no intermediate byte
-//! vectors), and the scatter path reuses pooled wire buffers.
+//! vectors), gathered tiles reuse the engine's staging list, and the
+//! scatter path reuses pooled wire buffers. A codec read stages one
+//! frame, never a whole chunk file.
 //!
 //! Lives in its own integration-test binary because it installs a
-//! counting `#[global_allocator]`.
+//! counting `#[global_allocator]`. The counters are per thread, so the
+//! tests of this binary, which run on parallel threads, do not see each
+//! other's allocations; every test here keeps its work on its own thread
+//! (one kernel thread, no pipeline).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
+use qsim_compress::{FRAME_AMPS, FRAME_HEADER_LEN};
+use qsim_core::dist::slots_to_top_permutation;
 use qsim_core::single::strip_initial_hadamards;
-use qsim_core::{compile_stage, execute_compiled_stage};
+use qsim_core::StageExecutor;
 use qsim_kernels::apply::KernelConfig;
+use qsim_kernels::sweep::TileStaging;
 use qsim_kernels::SweepStats;
-use qsim_ooc::{BufferPool, ChunkStore, ScratchDir};
+use qsim_ooc::{BufferPool, ChunkStore, Codec, ScratchDir};
 use qsim_sched::{plan, SchedulerConfig};
+use qsim_util::c64;
+use qsim_util::complex::amps_as_bytes;
+use qsim_util::rng::Xoshiro256;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations (and reallocations) this thread made.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The largest of them since the last [`counted`] began, in bytes.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    LARGEST.with(|m| m.set(m.get().max(size)));
+}
+
+/// What `f` returns, with the number of allocations this thread made
+/// while it ran and the largest of them in bytes.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    let allocs = ALLOCATIONS.with(Cell::get) - before;
+    (out, allocs, LARGEST.with(Cell::get))
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -34,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,9 +81,11 @@ fn steady_state_chunk_loop_does_not_allocate() {
     let n_chunks = 1usize << G;
     let piece = (1usize << L) >> G;
 
-    // A real stage off the planner, compiled with a tile covering the
-    // whole chunk (contiguous ⇒ the tiled pass needs no gather scratch)
-    // at one thread (no pool bookkeeping inside the loop).
+    // A real stage off the planner, prepared twice at one thread (no pool
+    // bookkeeping inside the loop) as the engine prepares it: with a tile
+    // covering the whole chunk (contiguous ⇒ zero-copy tiles), and with a
+    // 6-qubit tile, which the clusters on qubits 6 and 7 make gathered ⇒
+    // tiles staged through the engine-owned staging list.
     let c = supremacy_circuit(&SupremacySpec {
         rows: 2,
         cols: 5,
@@ -61,7 +95,12 @@ fn steady_state_chunk_loop_does_not_allocate() {
     let (exec, _) = strip_initial_hadamards(&c);
     let schedule = plan(&exec, &SchedulerConfig::distributed(L, 3));
     let kernel = KernelConfig::sequential();
-    let stage = compile_stage(&schedule.stages[0].ops, L, &kernel, L);
+    let stage = &schedule.stages[..1];
+    let staging = Arc::new(TileStaging::default());
+    let stages = [
+        StageExecutor::staged(stage, L, &kernel, Some(L), Some(&staging)),
+        StageExecutor::staged(stage, L, &kernel, Some(6), Some(&staging)),
+    ];
 
     let dir = ScratchDir::new("alloc");
     let mut store = ChunkStore::create_uniform(dir.path(), L, G).unwrap();
@@ -69,7 +108,7 @@ fn steady_state_chunk_loop_does_not_allocate() {
     let mut wire_pool = BufferPool::new(piece);
     chunk_pool.prewarm(2);
     wire_pool.prewarm(2);
-    let reader = store.reader().unwrap();
+    let reader = store.reader(None).unwrap();
     let writer = store.writer(false);
     let stats = SweepStats::default();
 
@@ -81,27 +120,25 @@ fn steady_state_chunk_loop_does_not_allocate() {
         stats: SweepStats,
     }
     impl Loop<'_> {
-        fn sweep(
-            &mut self,
-            n_chunks: usize,
-            piece: usize,
-            stage: &qsim_core::CompiledStage,
-        ) -> u64 {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            for c in 0..n_chunks {
-                let mut buf = self.chunk_pool.get();
-                self.reader.read_into(c, &mut buf).unwrap();
-                execute_compiled_stage(&mut buf, stage, c, 1, &mut self.stats);
-                self.writer.write_range(c, 0, &buf).unwrap();
-                for dst in 0..n_chunks {
-                    let mut wire = self.wire_pool.get();
-                    wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
-                    self.writer.write_range(dst, c * piece, &wire).unwrap();
-                    self.wire_pool.put(wire);
+        fn sweep(&mut self, n_chunks: usize, piece: usize, stages: &[StageExecutor]) -> u64 {
+            let ((), allocs, _) = counted(|| {
+                for c in 0..n_chunks {
+                    let mut buf = self.chunk_pool.get();
+                    self.reader.read_into(c, &mut buf, None).unwrap();
+                    for exec in stages {
+                        exec.apply(0..1, &mut buf, c, &mut self.stats);
+                    }
+                    self.writer.write_range(c, 0, &buf).unwrap();
+                    for dst in 0..n_chunks {
+                        let mut wire = self.wire_pool.get();
+                        wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
+                        self.writer.write_range(dst, c * piece, &wire).unwrap();
+                        self.wire_pool.put(wire);
+                    }
+                    self.chunk_pool.put(buf);
                 }
-                self.chunk_pool.put(buf);
-            }
-            ALLOCATIONS.load(Ordering::SeqCst) - before
+            });
+            allocs
         }
     }
     let mut lp = Loop {
@@ -113,12 +150,13 @@ fn steady_state_chunk_loop_does_not_allocate() {
     };
 
     // One warm-up traversal: first use opens the lazy writer file
-    // handles and settles any one-time kernel state.
-    lp.sweep(n_chunks, piece, &stage);
+    // handles, stocks the staging list and settles any one-time kernel
+    // state.
+    lp.sweep(n_chunks, piece, &stages);
     let allocs0 = lp.chunk_pool.allocs() + lp.wire_pool.allocs();
 
     let delta = (0..3)
-        .map(|_| lp.sweep(n_chunks, piece, &stage))
+        .map(|_| lp.sweep(n_chunks, piece, &stages))
         .sum::<u64>();
     assert_eq!(
         delta, 0,
@@ -131,4 +169,54 @@ fn steady_state_chunk_loop_does_not_allocate() {
     store.absorb(&rs);
     store.absorb(&ws);
     assert!(store.stats().bytes_read > 0);
+}
+
+/// A codec read streams its file. Reading an incompressible
+/// 2^14-amplitude `shuffle-rle` chunk (four stored-raw frames), a cold
+/// reader makes no allocation larger than one encoded frame, and a warm
+/// one none at all — in file layout and through a swap's unpermute alike.
+#[test]
+fn codec_reads_stage_one_frame() {
+    const L: u32 = 14;
+    let len = 1usize << L;
+    let frame_bytes = FRAME_AMPS * std::mem::size_of::<c64>() + FRAME_HEADER_LEN;
+    let mut rng = Xoshiro256::seed_from_u64(44);
+    let mut scalar = || f64::from_bits(rng.next_u64());
+    let chunk: Vec<c64> = (0..len).map(|_| c64::new(scalar(), scalar())).collect();
+    let dir = ScratchDir::new("alloc_codec");
+    let mut store =
+        ChunkStore::<f64>::create_empty_with(dir.path(), L, 0, Codec::ShuffleRle).unwrap();
+    store.write_chunk_from(0, &chunk).unwrap();
+    let written = store.stats();
+    assert!(
+        written.bytes_written > written.logical_bytes_written,
+        "incompressible: every frame stored raw"
+    );
+    let p_inv = slots_to_top_permutation(&[0, 5, 9], L).inverse();
+    for unpermute in [None, Some(&p_inv)] {
+        let at = match unpermute {
+            None => "in file layout",
+            Some(_) => "permuted",
+        };
+        let mut out = vec![c64::zero(); len];
+        let (mut reader, _, largest) = counted(|| {
+            let mut reader = store.reader(unpermute).unwrap();
+            reader.read_into(0, &mut out, None).unwrap();
+            reader
+        });
+        assert!(
+            largest <= frame_bytes,
+            "{at}: a cold read allocated {largest} bytes at once, more than a frame's {frame_bytes}"
+        );
+        let ((), allocs, _) = counted(|| reader.read_into(0, &mut out, None).unwrap());
+        assert_eq!(allocs, 0, "{at}: a warm read allocated");
+        let mut want = vec![c64::zero(); len];
+        for (y, &a) in chunk.iter().enumerate() {
+            want[unpermute.map_or(y, |p| p.apply(y))] = a;
+        }
+        assert!(
+            amps_as_bytes(&out) == amps_as_bytes(&want),
+            "{at}: read back what was written"
+        );
+    }
 }
