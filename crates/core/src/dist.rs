@@ -178,7 +178,7 @@ impl DistSimulator {
         // plans instead of re-deriving them 2^g times.
         let exec = {
             let _s = run_track.span("compile");
-            StageExecutor::<R>::new(stages, l, cfg, tile_qubits)
+            StageExecutor::<R>::new(stages, l, cfg, tile_qubits, self.config.n_ranks)
         };
 
         let cluster = try_run_cluster_hooked(
@@ -403,11 +403,6 @@ struct PermCache {
     /// The slots already sit at the top local positions.
     identity: bool,
     inv: BitPermutation,
-    /// Pack/unpack threads per rank. The 2^g ranks are threads of one
-    /// process sharing its cores, so each takes its share of the pool: at
-    /// one thread per rank a parallel pack only oversubscribes them.
-    /// (Counted here, on a miss, because counting the cores allocates.)
-    threads: usize,
 }
 
 impl SwapBuffers {
@@ -450,7 +445,6 @@ impl SwapBuffers {
                 l,
                 identity: perm.is_identity(),
                 inv: perm.inverse(),
-                threads: (rayon::current_num_threads() >> slots.len()).max(1),
             }
         })
     }
@@ -503,7 +497,10 @@ pub fn perform_swap<R: SweepDispatch>(
             // memcpy.
             all_to_all_inplace(ctx, comm, state.amplitudes_mut(), depth);
         } else {
-            let (inv, threads) = (&cache.inv, cache.threads);
+            // The 2^g ranks are threads of one process sharing its cores,
+            // so each packs and unpacks on its share of the pool: at one
+            // thread per rank a parallel pack only oversubscribes them.
+            let (inv, threads) = (&cache.inv, (rayon::current_num_threads() >> g).max(1));
             all_to_all_with::<Complex<R>, [Complex<R>]>(
                 ctx,
                 comm,

@@ -13,15 +13,17 @@
 //! * **compiled** ([`StageExecutor::new`], what every engine runs): the
 //!   glue between the scheduler's sweep plan ([`qsim_sched::sweep`]) and
 //!   the kernel crate's tiled executor ([`qsim_kernels::sweep`]).
-//!   [`compile_stage`]
-//!   turns a stage's op list into prepared passes: gate matrices are
+//!   [`compile_stages`]
+//!   turns each stage's op list into prepared passes: gate matrices are
 //!   permuted/packed ONCE (per stage, not per apply), and diagonal ops —
 //!   including clusters of diagonal gates (`Cluster::diagonal`) — fold
 //!   into the sweep as phase multiplications; `TiledPass` resolves both
-//!   kinds of operand against the tile it stages.
-//!   [`execute_compiled_stage`] then streams the partition once per
-//!   pass. Compiled stages are immutable, so the distributed driver
-//!   compiles once and shares them across all SPMD ranks.
+//!   kinds of operand against the tile it stages. Every gathered pass of
+//!   one compilation stages its tiles through one [`TileStaging`] list,
+//!   stocked as it is compiled. [`execute_compiled_stage`] then streams
+//!   the partition once per pass. Compiled stages are immutable, so every
+//!   engine compiles once per run and the distributed driver shares them
+//!   across all SPMD ranks.
 //! * **per-gate** ([`StageExecutor::per_gate`], the oracle the compiled
 //!   mode is tested against): one full traversal per op through
 //!   `apply_gate` / the specialized diagonal kernels.
@@ -68,26 +70,16 @@ pub struct CompiledStage<R: SweepDispatch = f64> {
     passes: Vec<CompiledPass<R>>,
 }
 
-/// Compile a stage's ops under a `tile_qubits` budget. `local_qubits` is
-/// the per-rank register width l (= n on a single node); diagonal
-/// operands at positions ≥ l resolve to rank bits at execution time.
-pub fn compile_stage<R: SweepDispatch>(
+/// Compile a stage's ops under a `tile_qubits` budget, its gathered
+/// passes staging tiles through `staging`. `local_qubits` is the
+/// per-rank register width l (= n on a single node); diagonal operands at
+/// positions ≥ l resolve to rank bits at execution time.
+fn compile_stage<R: SweepDispatch>(
     ops: &[StageOp],
     local_qubits: u32,
     kernel: &KernelConfig,
     tile_qubits: u32,
-) -> CompiledStage<R> {
-    compile_stage_staged(ops, local_qubits, kernel, tile_qubits, None)
-}
-
-/// [`compile_stage`], its gathered passes staging tiles through
-/// `staging` when given ([`TiledPass::staged_by`]).
-fn compile_stage_staged<R: SweepDispatch>(
-    ops: &[StageOp],
-    local_qubits: u32,
-    kernel: &KernelConfig,
-    tile_qubits: u32,
-    staging: Option<&Arc<TileStaging<R>>>,
+    staging: &Arc<TileStaging<R>>,
 ) -> CompiledStage<R> {
     let plan = plan_stage_sweeps(ops, local_qubits, tile_qubits);
     let mut passes = Vec::with_capacity(plan.passes.len());
@@ -157,20 +149,46 @@ pub fn execute_compiled_stage<R: SweepDispatch>(
     }
 }
 
-/// Compile a consecutive slice of stages under one tile budget — the
-/// shared entry point of the engines (the in-memory driver compiling the
-/// whole schedule once for all SPMD ranks, the out-of-core engine
-/// compiling one stage per streaming pass).
+/// Compile a consecutive slice of stages under one tile budget, for one
+/// partition at a time: what [`StageExecutor::new`] compiles at
+/// `partitions` 1, one staging list stocked here included.
 pub fn compile_stages<R: SweepDispatch>(
-    stages: &[qsim_sched::Stage],
+    stages: &[Stage],
     local_qubits: u32,
     kernel: &KernelConfig,
     tile_qubits: u32,
 ) -> Vec<CompiledStage<R>> {
-    stages
+    compile_shared(stages, local_qubits, kernel, tile_qubits, 1)
+}
+
+/// Compile `stages` for `partitions` partitions that apply them at once,
+/// with one [`TileStaging`] list shared by every gathered pass. The list
+/// is stocked here, on the compiling thread, with one buffer, as long as
+/// the largest staged tile, for each tile stager that can run at once:
+/// the most any one pass runs at `kernel.threads`
+/// ([`TiledPass::staging_demand`]) times `partitions`.
+fn compile_shared<R: SweepDispatch>(
+    stages: &[Stage],
+    local_qubits: u32,
+    kernel: &KernelConfig,
+    tile_qubits: u32,
+    partitions: usize,
+) -> Vec<CompiledStage<R>> {
+    let staging = Arc::default();
+    let compiled: Vec<CompiledStage<R>> = stages
         .iter()
-        .map(|s| compile_stage(&s.ops, local_qubits, kernel, tile_qubits))
-        .collect()
+        .map(|s| compile_stage(&s.ops, local_qubits, kernel, tile_qubits, &staging))
+        .collect();
+    let (stagers, len) = compiled
+        .iter()
+        .flat_map(|c| &c.passes)
+        .filter_map(|p| match p {
+            CompiledPass::Tiled(p) => Some(p.staging_demand(1 << local_qubits, kernel.threads)),
+            CompiledPass::Full(_) => None,
+        })
+        .fold((0, 0), |(n, len), (m, l)| (n.max(m), len.max(l)));
+    staging.stock(stagers * partitions, len);
+    compiled
 }
 
 // The executor tiles at the size the planner's pass model
@@ -188,9 +206,8 @@ pub fn resolve_tile_qubits(requested: Option<u32>, local_qubits: u32, threads: u
 }
 
 /// A slice of stages prepared for execution on partitions of
-/// `2^local_qubits` amplitudes. Built once per residency (per run on the
-/// in-memory driver, per stage out of core) and shared read-only by
-/// every partition.
+/// `2^local_qubits` amplitudes. Built once per run on every engine and
+/// shared read-only by every partition.
 pub struct StageExecutor<'a, R: SweepDispatch = f64> {
     stages: &'a [Stage],
     /// Index-aligned with `stages`; `None` is per-gate mode.
@@ -200,35 +217,23 @@ pub struct StageExecutor<'a, R: SweepDispatch = f64> {
 }
 
 impl<'a, R: SweepDispatch> StageExecutor<'a, R> {
-    /// Compiled under `tile_qubits` (see [`resolve_tile_qubits`]).
+    /// Compiled under `tile_qubits` (see [`resolve_tile_qubits`]) for
+    /// `partitions` partitions that apply it at once: the ranks of the
+    /// in-memory driver (1 on a single node), 1 out of core, where one
+    /// compute thread applies it chunk after chunk. Its gathered passes
+    /// share one staging list, stocked here on the building thread for
+    /// that many partitions, so no apply allocates one.
     pub fn new(
         stages: &'a [Stage],
         local_qubits: u32,
         kernel: &KernelConfig,
         tile_qubits: Option<u32>,
-    ) -> Self {
-        Self::staged(stages, local_qubits, kernel, tile_qubits, None)
-    }
-
-    /// [`StageExecutor::new`], with gathered tiles staged through
-    /// `staging`, the free list of an engine that applies the stages
-    /// many times from one long-lived thread (the out-of-core engine,
-    /// chunk after chunk), so its warm passes allocate nothing. The
-    /// in-memory engines run each stage once per rank thread, and a
-    /// thread that lives for one run would leave the list's buffers in
-    /// its heap: they pass `None` and stage through a buffer per worker
-    /// share of a pass.
-    pub fn staged(
-        stages: &'a [Stage],
-        local_qubits: u32,
-        kernel: &KernelConfig,
-        tile_qubits: Option<u32>,
-        staging: Option<&Arc<TileStaging<R>>>,
+        partitions: usize,
     ) -> Self {
         let tile = resolve_tile_qubits(tile_qubits, local_qubits, kernel.threads);
-        let compile = |s: &Stage| compile_stage_staged(&s.ops, local_qubits, kernel, tile, staging);
+        let compiled = compile_shared(stages, local_qubits, kernel, tile, partitions);
         Self {
-            compiled: Some(stages.iter().map(compile).collect()),
+            compiled: Some(compiled),
             ..Self::per_gate(stages, local_qubits, kernel)
         }
     }
@@ -360,7 +365,7 @@ mod tests {
         assert_eq!(idle.sweep_passes, 0, "per-gate mode streams no tiled pass");
 
         for tile in [6u32, 8, 10] {
-            let exec = StageExecutor::new(&schedule.stages, n, &cfg, Some(tile));
+            let exec = StageExecutor::new(&schedule.stages, n, &cfg, Some(tile), 1);
             let (swept, stats) = run_uniform(&exec, n);
             assert_eq!(max_dist(&swept, &oracle), 0.0, "tile={tile}");
             assert!(stats.sweep_passes <= stats.baseline_passes);
@@ -375,7 +380,7 @@ mod tests {
             threads: 1,
             ..KernelConfig::default()
         };
-        let exec = StageExecutor::new(&schedule.stages, n, &cfg, Some(12));
+        let exec = StageExecutor::new(&schedule.stages, n, &cfg, Some(12), 1);
         let (_, stats) = run_uniform(&exec, n);
         assert!(
             stats.pass_ratio() >= 1.5,
@@ -415,10 +420,10 @@ mod tests {
                 tile: vec![tile],
             };
             assert_eq!(sweeps.passes, vec![want]);
-            let compiled = compile_stage::<f64>(&s.stages[0].ops, 2, &cfg, 1);
+            let compiled = compile_stages::<f64>(&s.stages[..1], 2, &cfg, 1);
             let mut state = StateVector::<f64>::uniform(2);
             let mut stats = SweepStats::default();
-            execute_compiled_stage(state.amplitudes_mut(), &compiled, 0, 1, &mut stats);
+            execute_compiled_stage(state.amplitudes_mut(), &compiled[0], 0, 1, &mut stats);
             assert_eq!(stats.diagonals_folded, diagonal as u64);
             assert_eq!(stats.tile_local_gates, !diagonal as u64);
             let (oracle, _) = run_uniform(&StageExecutor::per_gate(&s.stages, 2, &cfg), 2);

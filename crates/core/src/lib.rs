@@ -47,9 +47,7 @@ pub use backend::{
 pub use baseline::BaselineSimulator;
 pub use checkpoint::{CheckpointError, CheckpointPolicy, Manifest, RunKey};
 pub use dist::{DistConfig, DistSimulator};
-pub use exec::{
-    compile_stage, compile_stages, execute_compiled_stage, CompiledStage, StageExecutor,
-};
+pub use exec::{compile_stages, execute_compiled_stage, CompiledStage, StageExecutor};
 pub use planner::{plan_schedule, PlanOptions, PlannedSchedule, ScheduleMode};
 pub use qsim_net::SimError;
 pub use single::{SingleNodeSimulator, SingleOutcome};

@@ -1,18 +1,27 @@
-//! The zero-allocation invariant of the fused swap engine: once the wire
-//! pools are warm and the permutation cache is primed, a steady-state
-//! swap performs no heap allocations at all — packing goes straight from
-//! the state slice into recycled wire buffers, unpacking straight back.
+//! The zero-allocation invariants of the in-memory engines between and
+//! across stages: once the wire pools are warm and the permutation cache
+//! is primed, a steady-state swap performs no heap allocations at all —
+//! packing goes straight from the state slice into recycled wire buffers,
+//! unpacking straight back — and once every partition has applied a
+//! stage, applying it again allocates nothing either: gathered tiles
+//! stage through the list the executor stocked when it was built.
 //!
 //! Lives in its own integration-test binary because it installs a
-//! counting `#[global_allocator]`.
+//! counting `#[global_allocator]`. The counter is process-global, so the
+//! tests of this binary take turns ([`SERIAL`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
+use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_core::dist::{perform_swap, SwapBuffers};
-use qsim_core::StateVector;
+use qsim_core::single::strip_initial_hadamards;
+use qsim_core::{StageExecutor, StateVector};
+use qsim_kernels::apply::KernelConfig;
+use qsim_kernels::SweepStats;
 use qsim_net::run_cluster;
-use qsim_sched::SwapOp;
+use qsim_sched::{plan, SchedulerConfig, SwapOp};
 use qsim_util::{c64, Xoshiro256};
 
 struct CountingAlloc;
@@ -38,8 +47,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Held by each test for its whole run, so one test's allocations never
+/// land in another's window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn steady_state_swaps_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const G: u32 = 2;
     // Below the kernels' parallel threshold, so pack/unpack take the
     // sequential paths and no thread-pool bookkeeping runs in the loop.
@@ -98,4 +112,54 @@ fn steady_state_swaps_do_not_allocate() {
         "wire pool missed {} times despite prewarming",
         stats.wire_allocs
     );
+}
+
+#[test]
+fn warm_gathered_passes_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    const L: u32 = 8;
+    // A real stage off the planner at one kernel thread, with a 6-qubit
+    // tile, which the clusters on qubits 6 and 7 make gathered: its tiles
+    // stage through the executor's list.
+    let c = supremacy_circuit(&SupremacySpec {
+        rows: 2,
+        cols: 5,
+        depth: 10,
+        seed: 9,
+    });
+    let n = c.n_qubits();
+    let (circuit, _) = strip_initial_hadamards(&c);
+    let schedule = plan(&circuit, &SchedulerConfig::distributed(L, 3));
+    let stage = &schedule.stages[..1];
+    let kernel = KernelConfig::sequential();
+
+    // One partition, and four ranks applying one shared executor at once.
+    for p in [1, 4] {
+        let exec = StageExecutor::<f64>::new(stage, L, &kernel, Some(6), p);
+        let (deltas, _) = run_cluster(p, |ctx| {
+            let rank = ctx.rank();
+            let mut state = StateVector::<f64>::uniform_slice(L, n);
+            let mut stats = SweepStats::default();
+            exec.apply(0..1, state.amplitudes_mut(), rank, &mut stats);
+            ctx.barrier();
+            // Best of several windows, as for the swaps above.
+            let mut best = u64::MAX;
+            for _ in 0..3 {
+                let before = ALLOCATIONS.load(Ordering::SeqCst);
+                for _ in 0..4 {
+                    exec.apply(0..1, state.amplitudes_mut(), rank, &mut stats);
+                    ctx.barrier();
+                }
+                best = best.min(ALLOCATIONS.load(Ordering::SeqCst) - before);
+            }
+            assert!(stats.sweep_passes > 0, "the stage ran compiled passes");
+            best
+        });
+        for (rank, delta) in deltas.iter().enumerate() {
+            assert_eq!(
+                *delta, 0,
+                "P = {p}: rank {rank} observed {delta} heap allocations across 4 warm applies"
+            );
+        }
+    }
 }

@@ -32,6 +32,7 @@ use crate::lane::{LaneKernel, PackedLane};
 use crate::matrix::{GateMatrix, PackedMatrix};
 use crate::opt::{self, apply_blocked_packed_range, MAX_K};
 use crate::parallel::{self, chunk_ranges, DisjointSlice, PAR_THRESHOLD};
+use qsim_util::align::grown;
 use qsim_util::bits::{get_bit, IndexExpander};
 use qsim_util::complex::Complex;
 use qsim_util::Real;
@@ -391,21 +392,22 @@ pub struct TiledPass<R: SweepDispatch = f64> {
     /// offsets by masked increment.
     run_bits: usize,
     hi_mask: usize,
-    /// Where a gathered pass stages its tiles: the free list of the
-    /// engine that runs it ([`TiledPass::staged_by`]), or, with none, a
-    /// buffer allocated for each worker's share of every run.
-    staging: Option<Arc<TileStaging<R>>>,
+    /// Where a gathered pass stages its tiles: the free list its
+    /// executor shares among all its passes ([`TiledPass::staged_by`]);
+    /// a pass built alone has one of its own.
+    staging: Arc<TileStaging<R>>,
     ops: Vec<TileOp<R>>,
 }
 
-/// A free list of staging buffers for gathered tiles, owned by an engine
-/// that runs many passes from one long-lived thread (the out-of-core
-/// compute loop, chunk after chunk): a worker takes a buffer for its
-/// tiles and gives it back after. The list holds one buffer per worker
-/// that ever ran at once, each as long as the largest tile it staged,
-/// and serves every later pass from them, so a warm pass allocates
-/// nothing. Buffers are stocked on the thread that runs the pass (see
-/// [`TiledPass::run`]), never on a worker that exits with its call.
+/// A free list of staging buffers for gathered tiles, one per compiled
+/// stage executor, shared by all its gathered passes on every engine: a
+/// tile stager takes a buffer for its tiles and gives it back after. The
+/// executor stocks the list where it is built ([`TileStaging::stock`]),
+/// with one buffer for each stager that can run at once (see
+/// [`TiledPass::staging_demand`]), so no pass allocates. The stock is
+/// made on the building thread because the threads that stage — rank
+/// threads and the workers of one parallel call — exit with their run or
+/// call, and buffers they allocated would stay in their heaps.
 pub struct TileStaging<R: Real>(Mutex<Vec<Vec<Complex<R>>>>);
 
 impl<R: Real> Default for TileStaging<R> {
@@ -423,31 +425,22 @@ impl<R: Real> TileStaging<R> {
 
     /// A buffer of at least `len` amplitudes. Every amplitude a tile uses
     /// is gathered before it is read, so what a buffer held is never seen.
+    /// A list stocked short allocates here, on the stager's thread.
     fn take(&self, len: usize) -> Vec<Complex<R>> {
         let mut buf = self.list().pop().unwrap_or_default();
-        fit(&mut buf, len);
+        grown(&mut buf, len);
         buf
     }
 
-    /// Make the list hold `n` buffers of at least `len` amplitudes, so
-    /// that `n` workers can take one each without allocating.
-    fn stock(&self, n: usize, len: usize) {
-        let mut list = self.list();
-        list.iter_mut().for_each(|buf| fit(buf, len));
-        let have = list.len();
-        list.resize_with(n.max(have), || vec![Complex::zero(); len]);
+    /// Add `n` buffers of `len` amplitudes, so that `n` more stagers can
+    /// take one each without allocating.
+    pub fn stock(&self, n: usize, len: usize) {
+        self.list()
+            .extend((0..n).map(|_| vec![Complex::zero(); len]));
     }
 
     fn give(&self, buf: Vec<Complex<R>>) {
         self.list().push(buf);
-    }
-}
-
-/// Grow `buf` to at least `len` amplitudes, to exactly `len` if it must.
-fn fit<R: Real>(buf: &mut Vec<Complex<R>>, len: usize) {
-    if buf.len() < len {
-        buf.reserve_exact(len - buf.len());
-        buf.resize(len, Complex::zero());
     }
 }
 
@@ -493,17 +486,40 @@ impl<R: SweepDispatch> TiledPass<R> {
             exp: IndexExpander::new(&tile),
             run_bits,
             hi_mask,
-            staging: None,
+            staging: Arc::default(),
             tile,
             ops,
         }
     }
 
-    /// Stage gathered tiles through `staging`, an engine's free list,
-    /// instead of allocating a buffer per worker share of every run.
-    pub fn staged_by(mut self, staging: Option<&Arc<TileStaging<R>>>) -> Self {
-        self.staging = staging.cloned();
+    /// Stage gathered tiles through `staging`, the free list of the
+    /// executor this pass belongs to.
+    pub fn staged_by(mut self, staging: &Arc<TileStaging<R>>) -> Self {
+        self.staging = Arc::clone(staging);
         self
+    }
+
+    /// What [`TiledPass::run`] on `state_len` amplitudes at `threads`
+    /// stages at once: `(stagers, len)`, `len` amplitudes for each of
+    /// `stagers` buffers. A contiguous pass stages nothing; a sequential
+    /// one has one stager; a parallel one has one per worker the pool
+    /// runs, which is its own size, not `threads`.
+    pub fn staging_demand(&self, state_len: usize, threads: usize) -> (usize, usize) {
+        if self.contiguous {
+            return (0, 0);
+        }
+        let n_tiles = state_len >> self.tile.len();
+        let stagers = if self.parallel(state_len, threads) {
+            rayon::current_num_threads().min(chunk_ranges(n_tiles, threads, 1).len())
+        } else {
+            1
+        };
+        (stagers, 1 << self.tile.len())
+    }
+
+    /// Whether [`TiledPass::run`] spreads the tiles over the pool.
+    fn parallel(&self, state_len: usize, threads: usize) -> bool {
+        state_len >= PAR_THRESHOLD && threads > 1 && state_len >> self.tile.len() > 1
     }
 
     /// Number of ops folded into this pass.
@@ -525,10 +541,7 @@ impl<R: SweepDispatch> TiledPass<R> {
     /// buffer: gather, apply every op, scatter.
     fn run_gathered_tiles(&self, state: &mut [Complex<R>], t0: usize, t1: usize, rank: usize) {
         let tile_len = 1 << self.tile.len();
-        let mut buf = match &self.staging {
-            Some(list) => list.take(tile_len),
-            None => vec![Complex::zero(); tile_len],
-        };
+        let mut buf = self.staging.take(tile_len);
         let scratch = &mut buf[..tile_len];
         let (hi_mask, run_bits) = (self.hi_mask, self.run_bits);
         for t in t0..t1 {
@@ -537,9 +550,7 @@ impl<R: SweepDispatch> TiledPass<R> {
             self.apply_ops(scratch, base, rank);
             copy_runs::<R, false>(state, scratch, base, hi_mask, run_bits);
         }
-        if let Some(list) = &self.staging {
-            list.give(buf);
-        }
+        self.staging.give(buf);
     }
 
     /// Stream the state once, applying every op of the pass per tile.
@@ -554,7 +565,7 @@ impl<R: SweepDispatch> TiledPass<R> {
         let tile_len = 1usize << tb;
         assert!(state.len().is_power_of_two() && state.len() >= tile_len);
         let n_tiles = state.len() >> tb;
-        let par = state.len() >= PAR_THRESHOLD && threads > 1 && n_tiles > 1;
+        let par = self.parallel(state.len(), threads);
         if self.contiguous {
             if par {
                 state
@@ -569,20 +580,15 @@ impl<R: SweepDispatch> TiledPass<R> {
             }
         } else if par {
             let shared = DisjointSlice(state.as_mut_ptr(), state.len());
-            let ranges = chunk_ranges(n_tiles, threads, 1);
-            // Workers are threads of this call alone: stock their staging
-            // here, so it is allocated on the calling thread, once, and
-            // not in the heap of a worker that exits with the call.
-            if let Some(list) = &self.staging {
-                list.stock(rayon::current_num_threads().min(ranges.len()), tile_len);
-            }
-            ranges.into_par_iter().for_each(|(t0, t1)| {
-                // SAFETY: distinct tile counters expand to
-                // disjoint index sets (DisjointSlice contract),
-                // and counter ranges partition [0, n_tiles).
-                let s = unsafe { shared.slice() };
-                self.run_gathered_tiles(s, t0, t1, rank);
-            });
+            chunk_ranges(n_tiles, threads, 1)
+                .into_par_iter()
+                .for_each(|(t0, t1)| {
+                    // SAFETY: distinct tile counters expand to
+                    // disjoint index sets (DisjointSlice contract),
+                    // and counter ranges partition [0, n_tiles).
+                    let s = unsafe { shared.slice() };
+                    self.run_gathered_tiles(s, t0, t1, rank);
+                });
         } else {
             self.run_gathered_tiles(state, 0, n_tiles, rank);
         }

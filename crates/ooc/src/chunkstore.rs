@@ -84,7 +84,7 @@ use qsim_core::checkpoint::{
 };
 use qsim_kernels::parallel::par_scatter;
 use qsim_telemetry::TrackHandle;
-use qsim_util::align::AlignedVec;
+use qsim_util::align::{grown, AlignedVec};
 use qsim_util::bits::BitPermutation;
 use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
@@ -212,7 +212,7 @@ impl<R: Real> ChunkIo<R> {
             match unpermute {
                 None => take(&mut out[base..base + n])?,
                 Some(p) => {
-                    let block = staged(&mut self.block, n);
+                    let block = grown(&mut self.block, n);
                     take(block)?;
                     place(block, out, p, base, at);
                 }
@@ -250,7 +250,7 @@ impl<R: Real> ChunkIo<R> {
                 _ => return Err(corrupt("truncated frame header")),
             }
             let h = FrameHeader::parse::<R>(&head, out.len())?;
-            let payload = staged(enc, h.payload_len);
+            let payload = grown(enc, h.payload_len);
             f.read_exact(payload).map_err(|e| match e.kind() {
                 std::io::ErrorKind::UnexpectedEof => corrupt("truncated frame payload"),
                 _ => e,
@@ -269,7 +269,7 @@ impl<R: Real> ChunkIo<R> {
             match unpermute {
                 None => decode(&mut out[h.amp_off..h.amp_off + h.amps])?,
                 Some(p) => {
-                    let block = staged(block, h.amps);
+                    let block = grown(block, h.amps);
                     decode(block)?;
                     place(block, out, p, h.amp_off, at);
                 }
@@ -344,16 +344,6 @@ fn read_up_to(f: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
         }
     }
     Ok(got)
-}
-
-/// The first `n` elements of a staging buffer, grown to exactly `n` the
-/// first time a block needs that many.
-fn staged<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
-    if buf.len() < n {
-        buf.reserve_exact(n - buf.len());
-        buf.resize(n, T::default());
-    }
-    &mut buf[..n]
 }
 
 /// Put the block read from file offset `base` of chunk `c` (`at`) at its

@@ -8,8 +8,10 @@
 //! (`read(c+1)` / `write(c−1)` hidden behind `compute(c)`, pooled aligned
 //! buffers, zero steady-state allocations), and each chunk residency
 //! applies the stage through `qsim_core::exec`'s [`StageExecutor`],
-//! prepared once per pass and reused for all 2^g chunks (the chunk index
-//! *is* the rank id). [`OocConfig::prefetch_depth`] is the only
+//! built once per run, as the in-memory driver builds its own, and reused
+//! for every chunk of every pass (the chunk index *is* the rank id; one
+//! chunk is computed at a time, so its tile staging is stocked for one
+//! partition). [`OocConfig::prefetch_depth`] is the only
 //! pass-shape value: at depth 1 a single chunk buffer circulates and
 //! read → compute → write serialise — the synchronous case of the same
 //! path ([`OocConfig::sync_baseline`]).
@@ -61,11 +63,9 @@ use qsim_core::run::Run;
 use qsim_core::{BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
-use qsim_kernels::sweep::TileStaging;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_sched::SwapOp;
 use qsim_telemetry::Telemetry;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Out-of-core engine configuration.
@@ -136,16 +136,16 @@ impl OocConfig {
     }
 }
 
-/// The out-of-core engine. Owns the buffer pools and the staging list of
-/// gathered tiles, so repeated runs over the same geometry are
-/// allocation-free after the first. Generic over the working precision
+/// The out-of-core engine. Owns the chunk and wire buffer pools, so
+/// repeated runs over the same geometry allocate no chunk buffer after
+/// the first; the tile staging list belongs to the run's
+/// [`StageExecutor`]. Generic over the working precision
 /// `R`; the default `f64` preserves the original data path byte for
 /// byte.
 pub struct OocSimulator<R: SweepDispatch = f64> {
     pub config: OocConfig,
     chunk_pool: BufferPool<R>,
     wire_pool: BufferPool<R>,
-    staging: Arc<TileStaging<R>>,
 }
 
 impl<R: SweepDispatch> Default for OocSimulator<R> {
@@ -160,7 +160,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
             config,
             chunk_pool: BufferPool::default(),
             wire_pool: BufferPool::default(),
-            staging: Arc::default(),
         }
     }
 
@@ -257,7 +256,10 @@ impl<R: SweepDispatch> OocSimulator<R> {
             }
             let chunk_pool = &mut self.chunk_pool;
             let wire_pool = &mut self.wire_pool;
-            let staging = Some(&self.staging);
+            let exec = {
+                let _s = track.span("compile");
+                StageExecutor::new(stages, l, &kernel, Some(tile), 1)
+            };
             let allocs0 = chunk_pool.allocs() + wire_pool.allocs();
 
             let mut sweep = SweepStats::default();
@@ -270,8 +272,6 @@ impl<R: SweepDispatch> OocSimulator<R> {
             run.units(true, |si| {
                 let stage = &stages[si];
                 let _ss = track.span_id("stage", si as u64);
-                let stage_slice = std::slice::from_ref(stage);
-                let exec = StageExecutor::staged(stage_slice, l, &kernel, Some(tile), staging);
                 let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
                 // `final[x] = buf[p(x)]` places the previous swap's
                 // incoming qubits at its slots: the read puts file offset
@@ -309,7 +309,7 @@ impl<R: SweepDispatch> OocSimulator<R> {
                     |c, mut buf, sink| {
                         {
                             let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
-                            exec.apply(0..1, &mut buf, c, &mut sweep);
+                            exec.apply(si..si + 1, &mut buf, c, &mut sweep);
                         }
                         let Some(inv) = &scatter else {
                             // Last stage: fold the final reduction into the

@@ -3,8 +3,9 @@
 //! open, streaming every chunk through read → compiled compute → write
 //! performs no heap allocations at all — file IO goes straight between
 //! the chunk files and pooled aligned buffers (no intermediate byte
-//! vectors), gathered tiles reuse the engine's staging list, and the
-//! scatter path reuses pooled wire buffers. A codec read stages one
+//! vectors), gathered tiles reuse the staging list their executor
+//! stocked when it was built, and the scatter path reuses pooled wire
+//! buffers. A codec read stages one
 //! frame, never a whole chunk file.
 //!
 //! Lives in its own integration-test binary because it installs a
@@ -22,14 +23,12 @@ use qsim_core::dist::slots_to_top_permutation;
 use qsim_core::single::strip_initial_hadamards;
 use qsim_core::StageExecutor;
 use qsim_kernels::apply::KernelConfig;
-use qsim_kernels::sweep::TileStaging;
 use qsim_kernels::SweepStats;
 use qsim_ooc::{BufferPool, ChunkStore, Codec, ScratchDir};
 use qsim_sched::{plan, SchedulerConfig};
 use qsim_util::c64;
 use qsim_util::complex::amps_as_bytes;
 use qsim_util::rng::Xoshiro256;
-use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -82,10 +81,11 @@ fn steady_state_chunk_loop_does_not_allocate() {
     let piece = (1usize << L) >> G;
 
     // A real stage off the planner, prepared twice at one thread (no pool
-    // bookkeeping inside the loop) as the engine prepares it: with a tile
-    // covering the whole chunk (contiguous ⇒ zero-copy tiles), and with a
-    // 6-qubit tile, which the clusters on qubits 6 and 7 make gathered ⇒
-    // tiles staged through the engine-owned staging list.
+    // bookkeeping inside the loop) as the engine prepares it, for one
+    // partition at a time: with a tile covering the whole chunk
+    // (contiguous ⇒ zero-copy tiles), and with a 6-qubit tile, which the
+    // clusters on qubits 6 and 7 make gathered ⇒ tiles staged through the
+    // executor's staging list.
     let c = supremacy_circuit(&SupremacySpec {
         rows: 2,
         cols: 5,
@@ -96,10 +96,9 @@ fn steady_state_chunk_loop_does_not_allocate() {
     let schedule = plan(&exec, &SchedulerConfig::distributed(L, 3));
     let kernel = KernelConfig::sequential();
     let stage = &schedule.stages[..1];
-    let staging = Arc::new(TileStaging::default());
     let stages = [
-        StageExecutor::staged(stage, L, &kernel, Some(L), Some(&staging)),
-        StageExecutor::staged(stage, L, &kernel, Some(6), Some(&staging)),
+        StageExecutor::new(stage, L, &kernel, Some(L), 1),
+        StageExecutor::new(stage, L, &kernel, Some(6), 1),
     ];
 
     let dir = ScratchDir::new("alloc");
@@ -150,8 +149,7 @@ fn steady_state_chunk_loop_does_not_allocate() {
     };
 
     // One warm-up traversal: first use opens the lazy writer file
-    // handles, stocks the staging list and settles any one-time kernel
-    // state.
+    // handles and settles any one-time kernel state.
     lp.sweep(n_chunks, piece, &stages);
     let allocs0 = lp.chunk_pool.allocs() + lp.wire_pool.allocs();
 

@@ -231,6 +231,17 @@ impl<T: core::fmt::Debug> core::fmt::Debug for AlignedVec<T> {
     }
 }
 
+/// The first `n` elements of a reused scratch buffer, grown to exactly
+/// `n` the first time it needs that many. What a buffer held before is
+/// left in place: callers overwrite what they read.
+pub fn grown<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+    if buf.len() < n {
+        buf.reserve_exact(n - buf.len());
+        buf.resize(n, T::default());
+    }
+    &mut buf[..n]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
