@@ -125,6 +125,41 @@ impl Circuit {
         self.gates.iter().filter(|g| pred(g)).count()
     }
 
+    /// The inverse circuit C†: the gates in reverse order, each replaced
+    /// by its inverse — T ↔ T†, S ↔ S†, √X, √Y and the dense unitaries by
+    /// their conjugate transposes, the rotations and the controlled phase
+    /// by their negated angles, and every other gate by itself. Clock
+    /// cycles are not carried over.
+    pub fn adjoint(&self) -> Circuit {
+        use Gate::*;
+        let dense = |g: &Gate| Box::new(g.matrix::<f64>().dagger());
+        let mut out = Circuit::new(self.n_qubits);
+        for g in self.gates.iter().rev() {
+            out.push(match g {
+                T(q) => Tdg(*q),
+                Tdg(q) => T(*q),
+                S(q) => Sdg(*q),
+                Sdg(q) => S(*q),
+                SqrtX(q) | SqrtY(q) | U1(q, _) => U1(*q, dense(g)),
+                U2(a, b, m) => U2(*a, *b, Box::new(m.dagger())),
+                Rz(q, t) => Rz(*q, -t),
+                Rx(q, t) => Rx(*q, -t),
+                Ry(q, t) => Ry(*q, -t),
+                CPhase(a, b, t) => CPhase(*a, *b, -t),
+                H(_)
+                | X(_)
+                | Y(_)
+                | Z(_)
+                | CZ(..)
+                | CNot { .. }
+                | Swap(..)
+                | CCZ(..)
+                | Toffoli { .. } => g.clone(),
+            });
+        }
+        out
+    }
+
     /// Relabel all qubits through a mapping (§3.6.2 qubit remapping).
     /// `map[old] = new`; must be a bijection on `0..n`.
     pub fn remapped(&self, map: &[u32]) -> Circuit {
@@ -196,6 +231,69 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0);
         let _ = c.remapped(&[0, 0]);
+    }
+
+    #[test]
+    fn adjoint_undoes_every_gate() {
+        use crate::dense::simulate_dense;
+        use qsim_util::matrix::GateMatrix;
+        let u1 = Box::new(Gate::SqrtY(0).matrix::<f64>().matmul(&Gate::T(0).matrix()));
+        let u2: Box<GateMatrix<f64>> = Box::new(
+            Gate::CNot {
+                target: 0,
+                control: 1,
+            }
+            .matrix()
+            .matmul(&Gate::H(0).matrix().kron(&Gate::SqrtX(0).matrix())),
+        );
+        let mut c = Circuit::new(3);
+        c.x(0).x(2);
+        let prep = c.len();
+        for g in [
+            Gate::H(0),
+            Gate::T(1),
+            Gate::Tdg(2),
+            Gate::S(0),
+            Gate::Sdg(1),
+            Gate::Y(2),
+            Gate::Z(0),
+            Gate::SqrtX(1),
+            Gate::SqrtY(2),
+            Gate::Rz(0, 0.3),
+            Gate::Rx(1, -1.1),
+            Gate::Ry(2, 2.0),
+            Gate::CZ(0, 1),
+            Gate::CNot {
+                target: 2,
+                control: 0,
+            },
+            Gate::Swap(1, 2),
+            Gate::CPhase(0, 2, 0.7),
+            Gate::CCZ(0, 1, 2),
+            Gate::Toffoli {
+                target: 1,
+                c1: 0,
+                c2: 2,
+            },
+            Gate::U1(2, u1.clone()),
+            Gate::U2(1, 0, u2.clone()),
+        ] {
+            c.push(g);
+        }
+        let mut body = Circuit::new(3);
+        for g in &c.gates()[prep..] {
+            body.push(g.clone());
+        }
+        for g in body.adjoint().gates() {
+            c.push(g.clone());
+        }
+        // X on qubits 0 and 2 prepared |101⟩ = index 5; C·C† returns it.
+        let out = simulate_dense::<f64>(&c);
+        for (i, a) in out.iter().enumerate() {
+            let want = if i == 5 { 1.0 } else { 0.0 };
+            assert!((a.norm_sqr() - want).abs() < 1e-12, "index {i}: {a:?}");
+        }
+        assert_eq!(body.adjoint().adjoint().len(), body.len());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's central claim is that the slow tier (network or SSD) is
 //! interchangeable once the schedule needs only two all-to-alls. Two
 //! engines embody it — in memory over `P ≥ 1` partitions (a single node
-//! is `P = 1`) and out of core — each running its stages inside the one
-//! run frame ([`crate::run::Run`]), taking a [`BackendPlan`] and
+//! is `P = 1`) and out of core — each a partition store under the one
+//! run driver ([`crate::run::drive`]), taking a [`BackendPlan`] and
 //! returning a [`BackendOutcome`]. The three backends (single-node,
 //! distributed, out-of-core) wrap them, and the CLI, the test suites, the
 //! benchmark and any future backend (e.g. qsimh-style path slices) reach
@@ -24,10 +24,10 @@
 //!   units, so callers pick a valid `run_to_stage` stop point without
 //!   knowing which engine they hold. Every engine runs only plans of the
 //!   one executable shape, split into its partitions
-//!   ([`crate::run::Run::begin`]).
+//!   ([`crate::run::drive`]).
 //! * **One run state.** `/status` reports `running` from the first unit
 //!   on, then `done`, or `failed` after any error, a stop included — on
-//!   every engine, because the frame sets it.
+//!   every engine, because the driver sets it.
 //! * **One checkpoint policy.** [`Backend::checkpoint`] takes the
 //!   [`CheckpointPolicy`] (`{dir, resume}`) all three engines share.
 //! * **Kill/resume.** `run_to_stage(plan, Some(u))` completes `u` units,
@@ -192,7 +192,7 @@ pub trait Backend<R: SweepDispatch> {
     /// [`SimError::InjectedStop`] after `stop_after` stages when set
     /// (kill-point injection for resume testing; requires a checkpoint
     /// directory; valid stop points are `1..=plan.schedule.stages.len()`).
-    /// A plan the engine cannot execute ([`crate::run::Run::begin`]) is
+    /// A plan the engine cannot execute ([`crate::run::drive`]) is
     /// [`std::io::ErrorKind::InvalidInput`].
     fn run_to_stage(
         &mut self,
@@ -237,7 +237,7 @@ impl<R: SweepDispatch> Backend<R> for SingleBackend {
     }
 
     fn plan(&self, circuit: &Circuit) -> Result<BackendPlan, SimError> {
-        Ok(self.sim.plan::<R>(circuit))
+        self.sim.plan::<R>(circuit)
     }
 
     fn run_to_stage(

@@ -141,7 +141,8 @@ fn run_rank_baseline(
         }
     }
 
-    let (local_norm, local_entropy) = norm_entropy(state.amplitudes());
+    let (local_norm, local_entropy) =
+        norm_entropy(state.amplitudes(), rayon::current_num_threads());
     let norm = all_reduce_sum(ctx, local_norm);
     let entropy = all_reduce_sum(ctx, local_entropy);
     (

@@ -24,7 +24,7 @@
 //! 2. publish the manifest naming `u` *atomically* — temp file →
 //!    `sync_all` → rename over [`MANIFEST_FILE`] → directory fsync, which
 //!    also makes the directory entries of newly created artifacts durable.
-//!    The run frame does this, and only it: [`crate::run::Run::publish`].
+//!    The run driver does this, and only it: [`crate::run::drive`].
 //!
 //! The manifest flip is the only commit. A crash at any byte of unit `u`
 //! leaves the manifest naming the intact generation `u − 1` next to
@@ -33,7 +33,7 @@
 //! `rename`. No rank or pass may start unit `u + 1` — overwriting
 //! generation `u − 1` — before the manifest naming `u` is durable. A
 //! fresh start deletes any older manifest first ([`RunKey::resume_point`],
-//! called by [`crate::run::Run::begin`]), because it reuses the names that
+//! called by [`crate::run::drive`]), because it reuses the names that
 //! manifest points at.
 //!
 //! u64 values (hashes, digests) are serialized as *hex strings*:
@@ -371,12 +371,15 @@ impl CheckpointPolicy {
 
 /// Everything that makes two executions "the same run": what a manifest
 /// records when it is written and what [`Manifest::validate`] compares
-/// on resume. Each engine builds one per run and opens its
-/// [`crate::run::Run`] with it. The unit count is the schedule's stage
-/// count on every engine.
+/// on resume. The run driver ([`crate::run::drive`]) builds one per run.
+/// The unit count is the schedule's stage count on every engine.
 #[derive(Clone, Copy, Debug)]
 pub struct RunKey<'a> {
-    /// `"single"`, `"dist"` or `"ooc"`.
+    /// `"single"`, `"dist"` or `"ooc"`. The tag also names the artifact
+    /// layout, which differs between the stores: a rank slice holds the
+    /// unit's final layout, while an out-of-core generation written by a
+    /// swap-closing unit holds the scattered assembly that the next read
+    /// un-permutes. So a checkpoint resumes on the store that wrote it.
     pub engine: &'static str,
     pub schedule: &'a Schedule,
     /// [`Real::NAME`] of the working precision.
@@ -426,7 +429,7 @@ impl RunKey<'_> {
             match std::fs::remove_file(dir.join(MANIFEST_FILE)) {
                 Ok(()) => fsync_dir(dir).map_err(|e| at_path(dir, e))?,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(at_path(dir, e)),
+                Err(e) => return Err(at_path(dir, e).into()),
             }
             return Ok(None);
         }
@@ -439,9 +442,9 @@ impl RunKey<'_> {
 }
 
 /// An IO failure on `path`, with the path in its message (a partition
-/// file's name names the partition).
-pub fn at_path(path: &Path, e: io::Error) -> CheckpointError {
-    CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+/// file's name names the partition) and its [`io::ErrorKind`] kept.
+pub fn at_path(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 /// The file of partition `part` (rank slice or chunk) in generation

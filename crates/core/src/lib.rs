@@ -20,10 +20,11 @@
 //! communication-free stages through [`exec::StageExecutor`]: stages are
 //! compiled once (matrices packed, ops grouped into streaming passes)
 //! and each pass applies a whole group of fused gates per traversal of a
-//! partition. [`run::Run`] is the frame both engines run their stages
-//! in — resume, progress, the manifest flip, the stop and the run state
-//! — and [`checkpoint`] holds the one checkpoint policy and manifest
-//! protocol it commits through.
+//! partition. [`run::drive`] is the one stage loop of every engine —
+//! resume, progress, the manifest flip, the stop and the run state — over
+//! a [`run::PartitionStore`] that holds the partitions, and
+//! [`checkpoint`] holds the one checkpoint policy and manifest protocol it
+//! commits through.
 //!
 //! Supporting modules: [`state`] (aligned state-vector container) and
 //! [`observables`] (entropy, sampling, cross-entropy — §4.2.2's measured

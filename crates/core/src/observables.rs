@@ -26,8 +26,10 @@ const REDUCE_LEAF: usize = 1 << 12;
 /// combined by the same pairwise tree (`tree_sum` over chunks, the
 /// recursive-doubling `all_reduce_sum` over ranks), any split of a state
 /// into 2^g partitions of at least one leaf reduces to the same value.
-/// Leaves run in parallel from [`PAR_THRESHOLD`] amplitudes up.
-pub fn norm_entropy<R: Real>(amps: &[Complex<R>]) -> (f64, f64) {
+/// Leaves run on the pool from [`PAR_THRESHOLD`] amplitudes up when the
+/// caller's thread budget `threads` is above 1, and on the calling thread
+/// otherwise.
+pub fn norm_entropy<R: Real>(amps: &[Complex<R>], threads: usize) -> (f64, f64) {
     let leaf = |amps: &[Complex<R>]| {
         let (mut norm, mut entropy) = (0.0f64, 0.0f64);
         for a in amps {
@@ -43,7 +45,7 @@ pub fn norm_entropy<R: Real>(amps: &[Complex<R>]) -> (f64, f64) {
         return leaf(amps);
     }
     let mut partials = vec![(0.0, 0.0); amps.len().div_ceil(REDUCE_LEAF)];
-    if amps.len() < PAR_THRESHOLD {
+    if amps.len() < PAR_THRESHOLD || threads <= 1 {
         for (slot, chunk) in partials.iter_mut().zip(amps.chunks(REDUCE_LEAF)) {
             *slot = leaf(chunk);
         }
@@ -208,34 +210,51 @@ mod tests {
         (v.0.to_bits(), v.1.to_bits())
     }
 
+    /// The thread budgets a caller may pass: one thread, and the pool.
+    fn budgets() -> [usize; 2] {
+        [1, rayon::current_num_threads()]
+    }
+
     #[test]
     fn norm_entropy_is_the_fixed_leaf_pairwise_tree() {
-        // 2^16 amplitudes: above PAR_THRESHOLD, so the leaves run on
-        // however many workers this host has — and must not show it.
+        // 2^16 amplitudes: above PAR_THRESHOLD, so at the pool's budget
+        // the leaves run on however many workers this host has, and at
+        // one thread on the caller — and neither may show it.
         let a64 = random_amps::<f64>(1 << 16, 41);
         let a32 = random_amps::<f32>(1 << 16, 42);
-        assert_eq!(bits(norm_entropy(&a64)), bits(reference(&a64)));
-        assert_eq!(bits(norm_entropy(&a32)), bits(reference(&a32)));
-        // Below the threshold, below one leaf and over an odd, ragged leaf
-        // count (3 leaves, the last of 7 amplitudes) the tree is the same one.
-        for len in [1usize << 13, 1 << 12, 100, (2 << 12) + 7] {
-            assert_eq!(
-                bits(norm_entropy(&a64[..len])),
-                bits(reference(&a64[..len]))
-            );
+        for threads in budgets() {
+            assert_eq!(bits(norm_entropy(&a64, threads)), bits(reference(&a64)));
+            assert_eq!(bits(norm_entropy(&a32, threads)), bits(reference(&a32)));
+            // Below the threshold, below one leaf and over an odd, ragged
+            // leaf count (3 leaves, the last of 7 amplitudes) the tree is
+            // the same one.
+            for len in [1usize << 13, 1 << 12, 100, (2 << 12) + 7] {
+                assert_eq!(
+                    bits(norm_entropy(&a64[..len], threads)),
+                    bits(reference(&a64[..len])),
+                    "{len} amplitudes at {threads} threads"
+                );
+            }
+            assert_eq!(norm_entropy::<f64>(&[], threads), (0.0, 0.0));
         }
-        assert_eq!(norm_entropy::<f64>(&[]), (0.0, 0.0));
     }
 
     #[test]
     fn norm_entropy_composes_across_partitions() {
         // Ranks all-reduce and chunks `tree_sum` their partition results:
-        // every 2^g-way split reduces to the whole state's bits.
+        // every 2^g-way split reduces to the whole state's bits, at every
+        // thread budget.
         let amps = random_amps::<f64>(1 << 16, 43);
-        let whole = bits(norm_entropy(&amps));
-        for parts in [2usize, 4, 16] {
-            let per_part = amps.chunks(amps.len() / parts).map(norm_entropy).collect();
-            assert_eq!(bits(tree_sum(per_part)), whole, "{parts} partitions");
+        let whole = bits(norm_entropy(&amps, 1));
+        for threads in budgets() {
+            assert_eq!(bits(norm_entropy(&amps, threads)), whole);
+            for parts in [2usize, 4, 16] {
+                let per_part = amps
+                    .chunks(amps.len() / parts)
+                    .map(|p| norm_entropy(p, threads))
+                    .collect();
+                assert_eq!(bits(tree_sum(per_part)), whole, "{parts} partitions");
+            }
         }
         // An odd count carries its last element up unchanged.
         let v = vec![(1.0, 0.5), (2.0, 0.25), (4.0, 0.125)];

@@ -5,16 +5,16 @@
 //! engine's one partition ([`crate::dist`] at `g = 0`): fused k-qubit
 //! kernels swept over the whole register with rayon parallelism.
 
-use crate::backend::BackendPlan;
+use crate::backend::{plan_partitioned, BackendPlan};
 use crate::checkpoint::CheckpointPolicy;
 use crate::dist::{DistConfig, DistSimulator};
-use crate::planner::{plan_schedule, PlanOptions};
+use crate::planner::PlanOptions;
 use crate::state::StateVector;
 use qsim_circuit::Circuit;
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_net::SimError;
-use qsim_sched::{Schedule, SchedulerConfig};
+use qsim_sched::Schedule;
 use qsim_telemetry::Telemetry;
 
 /// What [`SingleNodeSimulator::try_run_t`] hands back: the owned state
@@ -87,7 +87,7 @@ impl SingleNodeSimulator {
     ) -> Result<SingleOutcome<R>, SimError> {
         let track = self.telemetry.track("single");
         let _run_span = track.span("run");
-        let plan = self.plan::<R>(circuit);
+        let plan = self.plan::<R>(circuit)?;
         let (out, mut parts) = self
             .one_partition(false)
             .run_partitions::<R>("single", &plan, None)?;
@@ -101,25 +101,19 @@ impl SingleNodeSimulator {
         })
     }
 
-    /// Hadamard-layer strip, then schedule planning of the stripped
-    /// circuit.
-    pub(crate) fn plan<R: SweepDispatch>(&self, circuit: &Circuit) -> BackendPlan {
-        let cfg = SchedulerConfig::single_node(circuit.n_qubits(), self.kmax);
-        let (exec, init_uniform) = strip_initial_hadamards(circuit);
+    /// The partitioned engines' planning ([`plan_partitioned`]) at one
+    /// partition, where every qubit is local and nothing swaps.
+    pub(crate) fn plan<R: SweepDispatch>(
+        &self,
+        circuit: &Circuit,
+    ) -> Result<BackendPlan, SimError> {
         let track = self.telemetry.track("single");
-        let planned = {
-            let _s = track.span("plan");
-            plan_schedule(
-                &exec,
-                &cfg,
-                &PlanOptions {
-                    amp_bytes: 2 * R::BYTES as u64,
-                    telemetry: self.telemetry.clone(),
-                    ..self.plan_options.clone()
-                },
-            )
+        let _s = track.span("plan");
+        let opts = PlanOptions {
+            telemetry: self.telemetry.clone(),
+            ..self.plan_options.clone()
         };
-        BackendPlan::from_planned(exec, init_uniform, planned)
+        plan_partitioned::<R>(circuit, 1, self.kmax, &opts)
     }
 
     /// This engine as the in-memory engine's one partition: a single

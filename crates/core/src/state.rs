@@ -128,9 +128,9 @@ impl<T: SweepDispatch> StateVector<T> {
     }
 
     /// Σ|α|² — must stay 1 under unitary circuits. Accumulated in f64
-    /// ([`norm_entropy`]) whatever `T` is.
+    /// ([`norm_entropy`], on the whole pool) whatever `T` is.
     pub fn norm_sqr(&self) -> T {
-        T::from_f64(norm_entropy(&self.amps).0)
+        T::from_f64(norm_entropy(&self.amps, rayon::current_num_threads()).0)
     }
 
     /// Probability that qubit (bit position) `q` reads 1.
@@ -141,7 +141,7 @@ impl<T: SweepDispatch> StateVector<T> {
     /// Shannon entropy (bits) of the outcome distribution, accumulated
     /// like [`StateVector::norm_sqr`].
     pub fn entropy(&self) -> T {
-        T::from_f64(norm_entropy(&self.amps).1)
+        T::from_f64(norm_entropy(&self.amps, rayon::current_num_threads()).1)
     }
 
     /// Convert precision (f64 ↔ f32), e.g. for the §5 single-precision

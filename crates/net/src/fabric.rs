@@ -103,7 +103,7 @@ pub struct CommCounters {
     pub wire_allocs: AtomicU64,
 }
 
-/// Aggregated statistics returned by [`run_cluster`].
+/// Aggregated statistics of a [`Cluster`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FabricStats {
     pub n_ranks: usize,
@@ -480,29 +480,6 @@ impl<'a> RankCtx<'a> {
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// This rank's byte counter (for tests/diagnostics).
-    pub fn bytes_sent(&self) -> u64 {
-        self.fabric.counters[self.rank]
-            .bytes_sent
-            .load(Ordering::Relaxed)
-    }
-
-    /// Seconds this rank has spent in communication so far.
-    pub fn comm_seconds(&self) -> f64 {
-        self.fabric.counters[self.rank]
-            .comm_nanos
-            .load(Ordering::Relaxed) as f64
-            / 1e9
-    }
-
-    /// Seconds this rank has spent blocked (waiting, not packing) so far.
-    pub fn blocked_seconds(&self) -> f64 {
-        self.fabric.counters[self.rank]
-            .blocked_nanos
-            .load(Ordering::Relaxed) as f64
-            / 1e9
-    }
-
     /// Wire-buffer allocations charged to this rank so far.
     pub fn wire_allocs(&self) -> u64 {
         self.fabric.counters[self.rank]
@@ -527,22 +504,130 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Spawn `n_ranks` rank threads running a fallible `body` under an
-/// optional [`FaultPlan`] and collect their results plus fabric-wide
-/// statistics — the one fallible entry point.
-///
-/// Failure semantics: the first rank to fail — by returning `Err`, by
-/// panicking, or by a scripted kill — poisons the fabric, which wakes
-/// every peer blocked in a recv or barrier; those peers abort and are
-/// recorded as [`SimError::FabricPoisoned`]. After *all* threads have
-/// joined (no detached ranks, no hangs), the root cause is selected:
-/// direct errors beat panics, panics beat collateral poisoning; ties go
-/// to the lowest rank.
-///
-/// The [`PoisonHook`] observes the first poisoning: it fires at most
-/// once per cluster run, on the thread of the root-cause rank, before
-/// any peer is woken — a flight recorder installed here sees the dying
-/// rank's final spans and counters.
+/// A rank fabric that outlives one cluster run. A run-scoped driver calls
+/// [`Cluster::run`] once per unit of work; the wire pools, the counters,
+/// the per-pair message order, the [`FaultPlan`] and the poison state
+/// carry over from one call to the next, so a run split into many calls
+/// behaves as one.
+pub struct Cluster {
+    fabric: Fabric,
+    /// Per rank: next sequence number to each peer, next expected from
+    /// each peer.
+    seqs: Vec<(Vec<u64>, Vec<u64>)>,
+}
+
+impl Cluster {
+    pub fn new(n_ranks: usize, faults: Option<FaultPlan>, poison_hook: Option<PoisonHook>) -> Self {
+        assert!(
+            n_ranks >= 1 && n_ranks.is_power_of_two(),
+            "rank count must be 2^g"
+        );
+        Self {
+            fabric: Fabric::new(n_ranks, faults, poison_hook),
+            seqs: vec![(vec![0; n_ranks], vec![0; n_ranks]); n_ranks],
+        }
+    }
+
+    pub fn n_ranks(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// Run `body` once per rank, rank `r` on `parts[r]` — one thread per
+    /// rank, or the calling thread when there is only one — and join
+    /// them all.
+    ///
+    /// Failure semantics: the first rank to fail — by returning `Err`, by
+    /// panicking, or by a scripted kill — poisons the fabric, which wakes
+    /// every peer blocked in a recv or barrier; those peers abort and are
+    /// recorded as [`SimError::FabricPoisoned`]. After *all* ranks have
+    /// joined (no detached ranks, no hangs), the root cause is selected:
+    /// direct errors beat panics, panics beat collateral poisoning; ties
+    /// go to the lowest rank. A poisoned fabric stays poisoned.
+    ///
+    /// The [`PoisonHook`] observes the first poisoning: it fires at most
+    /// once per cluster, on the thread of the root-cause rank, before any
+    /// peer is woken — a flight recorder installed here sees the dying
+    /// rank's final spans and counters.
+    pub fn run<P, T, F>(&mut self, parts: &mut [P], body: F) -> Result<Vec<T>, SimError>
+    where
+        P: Send,
+        T: Send,
+        F: Fn(&mut RankCtx, &mut P) -> Result<T, SimError> + Sync,
+    {
+        let n_ranks = self.n_ranks();
+        assert_eq!(parts.len(), n_ranks, "one part per rank");
+        let fabric = &self.fabric;
+        let rank = |r: usize, seq: &mut (Vec<u64>, Vec<u64>), part: &mut P| {
+            let (send_seq, recv_seq) = std::mem::take(seq);
+            let mut ctx = RankCtx {
+                rank: r,
+                n_ranks,
+                fabric,
+                send_seq,
+                recv_seq,
+            };
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx, part)));
+            *seq = (ctx.send_seq, ctx.recv_seq);
+            let result = outcome.unwrap_or_else(|payload| {
+                let message = panic_message(payload.as_ref());
+                Err(match message.starts_with(POISON_MARKER) {
+                    true => SimError::FabricPoisoned { rank: r },
+                    false => SimError::RankPanicked { rank: r, message },
+                })
+            });
+            if result.is_err() {
+                fabric.poison(r);
+            }
+            result
+        };
+        let results: Vec<Result<T, SimError>> = match (&mut self.seqs[..], parts) {
+            ([seq], [part]) => vec![rank(0, seq, part)],
+            (seqs, parts) => std::thread::scope(|scope| {
+                let rank = &rank;
+                let ranks: Vec<_> = seqs
+                    .iter_mut()
+                    .zip(parts)
+                    .enumerate()
+                    .map(|(r, (seq, part))| scope.spawn(move || rank(r, seq, part)))
+                    .collect();
+                // Rank bodies catch their own panics, and poisoning
+                // guarantees none of them is still blocked on a dead peer.
+                ranks
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            }),
+        };
+        let mut values = Vec::with_capacity(n_ranks);
+        let mut root: Option<SimError> = None;
+        for res in results {
+            match res {
+                Ok(v) => values.push(v),
+                Err(e) if root.as_ref().is_none_or(|f| e.severity() < f.severity()) => {
+                    root = Some(e)
+                }
+                Err(_) => {}
+            }
+        }
+        root.map_or(Ok(values), Err)
+    }
+
+    /// Fabric-wide statistics over every call so far.
+    pub fn stats(&self) -> FabricStats {
+        collect_stats(&self.fabric, self.n_ranks())
+    }
+
+    /// Rank `rank`'s counters so far.
+    pub fn counters(&self, rank: usize) -> &CommCounters {
+        &self.fabric.counters[rank]
+    }
+}
+
+/// Run a fallible `body` on `n_ranks` ranks of a fresh [`Cluster`] under
+/// an optional [`FaultPlan`] and [`PoisonHook`], and collect their results
+/// plus fabric-wide statistics: one [`Cluster::run`], with its failure
+/// semantics.
 pub fn try_run_cluster_hooked<T, F>(
     n_ranks: usize,
     faults: Option<FaultPlan>,
@@ -553,67 +638,9 @@ where
     T: Send,
     F: Fn(&mut RankCtx) -> Result<T, SimError> + Sync,
 {
-    assert!(
-        n_ranks >= 1 && n_ranks.is_power_of_two(),
-        "rank count must be 2^g"
-    );
-    let fabric = Fabric::new(n_ranks, faults, poison_hook);
-    let mut results: Vec<Option<Result<T, SimError>>> = (0..n_ranks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (r, slot) in results.iter_mut().enumerate() {
-            let fabric = &fabric;
-            let body = &body;
-            scope.spawn(move || {
-                let mut ctx = RankCtx {
-                    rank: r,
-                    n_ranks,
-                    fabric,
-                    send_seq: vec![0; n_ranks],
-                    recv_seq: vec![0; n_ranks],
-                };
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                *slot = Some(match outcome {
-                    Ok(Ok(v)) => Ok(v),
-                    Ok(Err(e)) => {
-                        fabric.poison(r);
-                        Err(e)
-                    }
-                    Err(payload) => {
-                        fabric.poison(r);
-                        let message = panic_message(payload.as_ref());
-                        if message.starts_with(POISON_MARKER) {
-                            Err(SimError::FabricPoisoned { rank: r })
-                        } else {
-                            Err(SimError::RankPanicked { rank: r, message })
-                        }
-                    }
-                });
-            });
-        }
-        // The scope joins every rank thread; poisoning guarantees none
-        // of them is still blocked on a dead peer.
-    });
-    let stats = collect_stats(&fabric, n_ranks);
-    let mut values = Vec::with_capacity(n_ranks);
-    let mut first_error: Option<SimError> = None;
-    for res in results {
-        match res.expect("rank slot unfilled") {
-            Ok(v) => values.push(v),
-            Err(e) => {
-                let better = first_error
-                    .as_ref()
-                    .is_none_or(|f| e.severity() < f.severity());
-                if better {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok((values, stats)),
-    }
+    let mut cluster = Cluster::new(n_ranks, faults, poison_hook);
+    let values = cluster.run(&mut vec![(); n_ranks], |ctx, ()| body(ctx))?;
+    Ok((values, cluster.stats()))
 }
 
 /// Spawn `n_ranks` rank threads running `body` and collect their results
@@ -979,6 +1006,41 @@ mod tests {
         .unwrap();
         assert_eq!(vals, vec![0, 1]);
         assert_eq!(calls.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_cluster_carries_its_fabric_across_runs() -> Result<(), SimError> {
+        // Two runs on one cluster behave as one: each rank's part
+        // persists, counters accumulate, and a failure poisons the runs
+        // after it.
+        let mut cluster = Cluster::new(4, None, None);
+        let mut parts = vec![0u64; 4];
+        for round in 1..=2u64 {
+            let got = cluster.run(&mut parts, |ctx, part| {
+                let next = (ctx.rank() + 1) % 4;
+                send_one(ctx, next, ctx.rank() as u64 * round);
+                *part += recv_one(ctx, (ctx.rank() + 3) % 4);
+                Ok(*part)
+            });
+            assert_eq!(got?.len(), 4);
+        }
+        // Rank r received (r − 1 mod 4)·1 and then ·2.
+        assert_eq!(parts, vec![9, 0, 3, 6]);
+        assert_eq!(cluster.stats().total_bytes_sent, 2 * 4 * 8);
+        let failed = cluster.run(&mut parts, |ctx, _| match ctx.rank() {
+            2 => Err(SimError::InjectedStop { unit: 3 }),
+            _ => Ok(()),
+        });
+        assert!(matches!(failed, Err(SimError::InjectedStop { unit: 3 })));
+        let after = cluster.run(&mut parts, |ctx, _| {
+            ctx.barrier();
+            Ok(())
+        });
+        assert!(
+            matches!(after, Err(SimError::FabricPoisoned { .. })),
+            "{after:?}"
+        );
+        Ok(())
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`error`] / [`fault`] — the typed failure surface ([`SimError`]) and
 //!   scripted fault injection ([`FaultPlan`]): a killed or panicking rank
 //!   poisons the fabric, peers unblock instead of hanging, and
-//!   [`fabric::try_run_cluster_hooked`] reports the root cause.
+//!   [`fabric::Cluster::run`] reports the root cause.
 
 pub mod collective;
 pub mod error;
@@ -25,6 +25,6 @@ pub mod fault;
 
 pub use error::SimError;
 pub use fabric::{
-    run_cluster, try_run_cluster_hooked, CommCounters, FabricStats, PoisonHook, RankCtx,
+    run_cluster, try_run_cluster_hooked, Cluster, CommCounters, FabricStats, PoisonHook, RankCtx,
 };
 pub use fault::{FaultAction, FaultPlan};

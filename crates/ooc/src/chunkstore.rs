@@ -579,8 +579,8 @@ impl<R: Real> ChunkStore<R> {
     fn open_chunk(&self, c: usize) -> std::io::Result<File> {
         let path = self.chunk_path(c);
         File::open(&path).map_err(|e| match self.named {
-            Some(_) => rejected(at_path(&path, e)),
-            None => e,
+            Some(_) => rejected(at_path(&path, e).into()),
+            None => at_path(&path, e),
         })
     }
 
@@ -615,8 +615,12 @@ impl<R: Real> ChunkStore<R> {
     /// `sync_all` each chunk file. Nothing is read back.
     pub(crate) fn sync(&self) -> std::io::Result<()> {
         for c in 0..self.n_chunks() {
-            let f = OpenOptions::new().write(true).open(self.chunk_path(c))?;
-            f.sync_all()?;
+            let path = self.chunk_path(c);
+            OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.sync_all())
+                .map_err(|e| at_path(&path, e))?;
         }
         Ok(())
     }
@@ -806,26 +810,30 @@ impl<R: Real> ChunkWriter<R> {
         let raw = self.io.codec.is_none();
         let amp_bytes = std::mem::size_of::<Complex<R>>() as u64;
         let (slot, path) = (&mut self.files[c], &self.paths[c]);
+        let chunk_bytes = self.chunk_len as u64 * amp_bytes;
         self.io.write(off, amps, |bytes| {
-            let f = match slot.take() {
-                Some(f) => f,
-                None => {
-                    let f = OpenOptions::new()
-                        .write(true)
-                        .create(true)
-                        .truncate(!raw)
-                        .open(path)?;
-                    if raw {
-                        f.set_len(self.chunk_len as u64 * amp_bytes)?;
+            (|| {
+                let f = match slot.take() {
+                    Some(f) => f,
+                    None => {
+                        let f = OpenOptions::new()
+                            .write(true)
+                            .create(true)
+                            .truncate(!raw)
+                            .open(path)?;
+                        if raw {
+                            f.set_len(chunk_bytes)?;
+                        }
+                        f
                     }
-                    f
+                };
+                let f = slot.insert(f);
+                if raw {
+                    f.seek(SeekFrom::Start(off as u64 * amp_bytes))?;
                 }
-            };
-            let f = slot.insert(f);
-            if raw {
-                f.seek(SeekFrom::Start(off as u64 * amp_bytes))?;
-            }
-            f.write_all(bytes)?;
+                f.write_all(bytes)
+            })()
+            .map_err(|e| at_path(path, e))?;
             if let Some((h, _)) = digest.as_deref_mut() {
                 h.write(bytes);
             }

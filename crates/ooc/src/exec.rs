@@ -1,71 +1,57 @@
-//! Out-of-core schedule execution.
+//! Out-of-core schedule execution: the `Files` partition store under
+//! the one run driver ([`drive`]), chunk files in place of ranks (§5: the
+//! chunk index *is* the rank id).
 //!
-//! The distributed engine's rank loop with chunk files in place of
-//! ranks, over the same unit and inside the same run frame ([`Run`]):
-//! one *stage*, with the swap that closes it, is one streaming pass, the
-//! closure of [`Run::units`]. Each pass streams every chunk once through
-//! the prefetch/compute/writeback pipeline of `crate::pipeline`
-//! (`read(c+1)` / `write(c−1)` hidden behind `compute(c)`, pooled aligned
-//! buffers, zero steady-state allocations), and each chunk residency
-//! applies the stage through `qsim_core::exec`'s [`StageExecutor`],
-//! built once per run, as the in-memory driver builds its own, and reused
-//! for every chunk of every pass (the chunk index *is* the rank id; one
-//! chunk is computed at a time, so its tile staging is stocked for one
-//! partition). [`OocConfig::prefetch_depth`] is the only
+//! Each stage, with the swap that closes it, is one streaming pass over
+//! every chunk through the prefetch/compute/writeback pipeline of
+//! `crate::pipeline` (`read(c+1)` / `write(c−1)` hidden behind
+//! `compute(c)`, pooled aligned buffers, zero steady-state allocations);
+//! each chunk residency applies the stage through the driver's compiled
+//! [`StageExecutor`], stocked for one partition, since one chunk is
+//! computed at a time. [`OocConfig::prefetch_depth`] is the only
 //! pass-shape value: at depth 1 a single chunk buffer circulates and
-//! read → compute → write serialise — the synchronous case of the same
-//! path ([`OocConfig::sync_baseline`]).
+//! read → compute → write serialise ([`OocConfig::sync_baseline`]).
 //!
 //! The start state is synthesised in the first pass's prefetch stage
 //! instead of being written and read back, and each global-to-local swap
-//! — the same data path as the in-memory `perform_swap`, with file
-//! ranges as the network — rides in the two passes around it. Its fused
+//! — the data path of the in-memory `perform_swap`, with file ranges as
+//! the network — rides in the two passes around it. Its fused
 //! permute-scatter closes the stage before it (each computed chunk's
 //! permuted piece for every destination goes straight into the
-//! destination's file of the next generation); its unpermute is the
-//! next pass's read, which places each block it reads through `p⁻¹` on
-//! the prefetch thread, so a chunk reaches compute already in the layout
-//! the stage computes in (a plain read when the slots already sit at the
-//! top positions). Neither half holds a chunk buffer of its own: a pass
-//! keeps `prefetch_depth` chunk buffers resident, plus the wire buffers
-//! of a scattering pass and one block of the reader. See
-//! [`OocSimulator::run_plan`].
+//! destination's file of the next generation); its unpermute is the next
+//! pass's read, which places each block it reads through `p⁻¹` on the
+//! prefetch thread (a plain read when the slots already sit at the top
+//! positions). Neither half holds a chunk buffer of its own.
 //!
-//! Pass `u` reads generation `u` of the chunk store and writes generation
-//! `u + 1` into the other file parity, so it never overwrites what it
-//! reads. That is also the whole checkpoint protocol: with a
-//! [`CheckpointPolicy`] each pass digests the bytes it writes as it
-//! writes them and ends by fsyncing the generation it wrote, and the
-//! frame publishes the manifest naming it with those digests
-//! ([`Run::publish`]) — the flip is the commit, and it reads nothing. A
-//! crash anywhere in pass `u` leaves the manifest naming generation `u`,
-//! intact, beside garbage that the replay of pass `u` overwrites. A
-//! resume opens the named generation without reading it; the first pass
-//! checks each chunk as it reads it.
+//! Pass `u` reads generation `u` and writes generation `u + 1` into the
+//! other file parity, so it never overwrites what it reads. That is the
+//! whole checkpoint protocol: under a [`CheckpointPolicy`] each pass
+//! digests the bytes it writes as it writes them and fsyncs the generation
+//! it wrote, and the driver publishes the manifest naming it — the flip is
+//! the commit, and it reads nothing. A resume opens the named generation
+//! without reading it; the first pass checks each chunk as it reads it.
 //!
 //! Disk traffic for a schedule with `S` swaps is thus `2S + 1` state
-//! transfers, checkpointed or not — one write per swap, one read and one
-//! write per later stage — which is the minimum an all-to-all through
+//! transfers, checkpointed or not — the minimum an all-to-all through
 //! files can take, and why the paper's 2-swap schedules make SSD-resident
-//! states viable (§5).
-//! The final norm/entropy reduction is folded into the last stage's pass,
-//! so it costs no extra traversal.
+//! states viable (§5). The final norm/entropy reduction is folded into the
+//! last stage's pass, so it costs no extra traversal.
 
 use crate::chunkstore::{BufferPool, ChunkStore};
 use crate::pipeline::{run_pass, Dest, PassConfig, PassSource};
 use crate::scratch::ScratchDir;
 use qsim_compress::Codec;
-use qsim_core::checkpoint::{CheckpointPolicy, RunKey};
+use qsim_core::checkpoint::CheckpointPolicy;
 use qsim_core::dist::{physical_to_logical, slots_to_top_permutation};
-use qsim_core::exec::{resolve_tile_qubits, StageExecutor};
+use qsim_core::exec::StageExecutor;
 use qsim_core::observables::{norm_entropy, tree_sum};
-use qsim_core::run::Run;
+use qsim_core::run::{drive, PartitionStore, RunSpec};
 use qsim_core::{BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
 use qsim_kernels::{SweepDispatch, SweepStats};
 use qsim_sched::SwapOp;
-use qsim_telemetry::Telemetry;
+use qsim_telemetry::{MetricsRegistry, Telemetry, TrackHandle};
 use std::time::{Duration, Instant};
 
 /// Out-of-core engine configuration.
@@ -78,7 +64,7 @@ pub struct OocConfig {
     /// threads run ahead of and behind compute.
     pub prefetch_depth: usize,
     /// Tile budget (log2 amplitudes) for compiled stages; `None` is
-    /// [`resolve_tile_qubits`]'s default.
+    /// [`qsim_core::exec::resolve_tile_qubits`]'s default.
     pub tile_qubits: Option<u32>,
     /// Chunk codec on the IO path: encode on writeback, decode on
     /// prefetch, both off the compute thread. The default
@@ -165,22 +151,13 @@ impl<R: SweepDispatch> OocSimulator<R> {
 
     /// Execute `plan.schedule` against the chunk store — the checkpoint
     /// policy's directory when one is configured, a fresh self-cleaning
-    /// [`ScratchDir`] otherwise — inside the run frame ([`Run`]), one
-    /// streaming pass per stage (module docs), and, on request, gather the
-    /// full state in logical order (small n).
-    ///
-    /// Pass `s`, for each chunk, takes its source — read through the
-    /// gather-unpermute half of swap `s − 1` — applies stage `s`, and then either
-    /// the permute-scatter half of swap `s` into the next generation's
-    /// files or — on the last stage — the final chunk write with the
-    /// norm/entropy reduction folded in. Writing `p` for a swap's
-    /// slots→top permutation, destination chunk `d` must end up holding
-    /// `final[x] = buf[p(x)]` where piece `s` of its exchange buffer is
-    /// `buf[s·piece + t] = chunk_s[p⁻¹(d·piece + t)]`.
+    /// [`ScratchDir`] otherwise: the run driver ([`drive`]) over the
+    /// `Files` store, one streaming pass per stage (module docs), and, on
+    /// request, gather the full state in logical order (small n).
     ///
     /// `stop_after = Some(u)` (requires a checkpoint policy) returns
     /// [`SimError::InjectedStop`] right after pass `u − 1` published the
-    /// manifest naming unit `u`. A plan the frame rejects is
+    /// manifest naming unit `u`. A plan the driver rejects is
     /// [`std::io::ErrorKind::InvalidInput`], a rejected manifest or chunk
     /// digest [`SimError::Checkpoint`], any other IO failure
     /// [`SimError::Io`].
@@ -190,16 +167,16 @@ impl<R: SweepDispatch> OocSimulator<R> {
         gather: bool,
         stop_after: Option<usize>,
     ) -> Result<BackendOutcome<R>, SimError> {
-        let schedule = &plan.schedule;
-        let stages = &schedule.stages;
-        let l = schedule.local_qubits;
-        let g = schedule.n_qubits - l;
-        let telemetry = self.config.telemetry.clone();
-        let track = telemetry.track("ooc.compute");
+        let Self {
+            config,
+            chunk_pool,
+            wire_pool,
+        } = self;
+        let config = &*config;
+        let track = &config.telemetry.track("ooc.compute");
         let _run_span = track.span("run");
-        let checkpoint = self.config.checkpoint.clone();
         let scratch_dir;
-        let dir = match &checkpoint {
+        let dir = match &config.checkpoint {
             Some(cp) => cp.dir.clone(),
             None => {
                 scratch_dir = ScratchDir::new("run");
@@ -207,208 +184,255 @@ impl<R: SweepDispatch> OocSimulator<R> {
             }
         };
         // The directory is the chunk store: a dead one is the store's IO
-        // failure, before the frame looks for a manifest in it.
+        // failure, before the driver looks for a manifest in it.
         std::fs::create_dir_all(&dir)?;
-        let codec = self.config.compress;
-        let codec_name = codec.name();
-        let key = RunKey {
+        let codec = config.compress.name();
+        let g = plan.schedule.n_qubits - plan.schedule.local_qubits;
+        let spec = RunSpec {
             engine: "ooc",
-            schedule,
-            precision: R::NAME,
-            codec: &codec_name,
-            init_uniform: plan.init_uniform,
-            n_artifacts: 1 << g,
+            plan,
+            codec: &codec,
+            n_parts: 1 << g,
+            // One compute thread applies the stage chunk after chunk.
+            at_once: 1,
+            kernel: config.kernel,
+            tile_qubits: config.tile_qubits,
+            telemetry: &config.telemetry,
+            track,
+            checkpoint: config.checkpoint.as_ref(),
         };
-        let kernel = self.config.kernel;
-        let tile = resolve_tile_qubits(self.config.tile_qubits, l, kernel.threads);
-        let t0 = Instant::now();
-        let run = Run::<R>::begin(
-            key,
-            &telemetry,
-            &track,
-            checkpoint.as_ref(),
-            stop_after,
-            tile,
-        )?;
-
-        let out = (|| -> Result<BackendOutcome<R>, SimError> {
-            let mut store = match run.resumed() {
-                Some((dir, digests)) => {
-                    ChunkStore::open_named(dir, l, g, run.cursor(), digests, codec)
-                }
-                None => ChunkStore::create_empty_with(&dir, l, g, codec).map_err(io_to_sim)?,
+        // The pools are prewarmed once the driver has accepted the plan:
+        // `depth` chunk buffers feed the pipeline, and wire buffers stage
+        // all-to-all pieces, so only a plan with a swap has any. That makes
+        // the passes themselves miss-free (`io.buffer_allocs` counts any
+        // slip).
+        let opened = drive(spec, stop_after, gather, |cursor, digests| {
+            let (l, codec) = (plan.schedule.local_qubits, config.compress);
+            let store = match cursor {
+                0 => ChunkStore::create_empty_with(&dir, l, g, codec).map_err(io_to_sim)?,
+                _ => ChunkStore::open_named(&dir, l, g, cursor, digests, codec),
             };
-            let n_chunks = store.n_chunks();
-            let chunk_len = store.chunk_len();
-            let piece = chunk_len / n_chunks;
-
-            // Pool setup: `depth` chunk buffers feed the pipeline; wire
-            // buffers stage all-to-all pieces, so only a plan with a swap
-            // has any. Prewarming here makes the passes themselves
-            // miss-free (`io.buffer_allocs` counts any slip).
-            let depth = self.config.prefetch_depth.max(1);
-            let wires = (2 * depth).min(n_chunks);
-            self.chunk_pool.ensure_len(chunk_len);
-            self.wire_pool.ensure_len(piece);
-            self.chunk_pool.prewarm(depth);
-            if stages.iter().any(|s| s.swap.is_some()) {
-                self.wire_pool.prewarm(wires);
+            let depth = config.prefetch_depth.max(1);
+            let wires = (2 * depth).min(store.n_chunks());
+            chunk_pool.ensure_len(store.chunk_len());
+            wire_pool.ensure_len(store.chunk_len() >> g);
+            chunk_pool.prewarm(depth);
+            if plan.schedule.stages.iter().any(|s| s.swap.is_some()) {
+                wire_pool.prewarm(wires);
             }
-            let chunk_pool = &mut self.chunk_pool;
-            let wire_pool = &mut self.wire_pool;
-            let exec = {
-                let _s = track.span("compile");
-                StageExecutor::new(stages, l, &kernel, Some(tile), 1)
-            };
             let allocs0 = chunk_pool.allocs() + wire_pool.allocs();
+            Ok(Files {
+                store,
+                config,
+                plan,
+                chunk_pool,
+                wire_pool,
+                track,
+                depth,
+                wires,
+                allocs0,
+                sweep: SweepStats::default(),
+                partials: None,
+                runs: 0,
+            })
+        });
+        opened.map(|(out, _)| out)
+    }
+}
 
-            let mut sweep = SweepStats::default();
-            // Per-chunk reduction partials, `tree_sum`med afterwards: the
-            // chunk is the rank analogue, so this reproduces the
-            // distributed engine's `norm_entropy` + recursive-doubling
-            // all-reduce bit for bit.
-            let mut partials: Vec<(f64, f64)> = vec![(0.0, 0.0); n_chunks];
-            let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
-            run.units(true, |si| {
-                let stage = &stages[si];
-                let _ss = track.span_id("stage", si as u64);
-                let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
-                // `final[x] = buf[p(x)]` places the previous swap's
-                // incoming qubits at its slots: the read puts file offset
-                // `y` at `p⁻¹(y)`. An identity `p` means the written
-                // assembly is already final.
-                let unpermute = prev_swap
-                    .map(slots_to_top)
-                    .filter(|p| !p.is_identity())
-                    .map(|p| p.inverse());
-                let scatter = stage.swap.as_ref().map(|s| slots_to_top(s).inverse());
-                let source = match si {
-                    0 => PassSource::Start {
-                        uniform: plan.init_uniform,
-                    },
-                    _ => PassSource::Live,
-                };
-                let cfg = PassConfig {
-                    source,
-                    unpermute,
-                    depth,
-                    wires: if scatter.is_some() { wires } else { 0 },
-                    digest: run.checkpoint_dir().is_some(),
-                    telemetry: telemetry.clone(),
-                };
-                // `swap_ns` gets one sample per swap, from the unit the
-                // swap closes: its permute-scatter half. (The
-                // gather-unpermute half is the next pass's read, under
-                // `unpermute` spans on the prefetch track.)
-                let mut scatter_t = Duration::ZERO;
-                let digests = run_pass(
-                    &mut store,
-                    chunk_pool,
-                    wire_pool,
-                    &cfg,
-                    |c, mut buf, sink| {
-                        {
-                            let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
-                            exec.apply(si..si + 1, &mut buf, c, &mut sweep);
-                        }
-                        let Some(inv) = &scatter else {
-                            // Last stage: fold the final reduction into the
-                            // pass — it costs no extra traversal.
-                            partials[c] = norm_entropy(&buf);
-                            sink.retire(Dest::Chunk(c), buf);
-                            return Ok(());
-                        };
-                        // Fused permute-scatter: this chunk's permuted piece
-                        // for destination `dst` lands at offset `c·piece` of
-                        // `dst` in the next generation, behind the one this
-                        // pass still reads.
-                        let _s = track.span_id("scatter", c as u64);
-                        let t = Instant::now();
-                        for dst in 0..n_chunks {
-                            let mut wire = sink.take_wire()?;
-                            if inv.is_identity() {
-                                wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
-                            } else {
-                                par_gather(&buf, &mut wire, inv, dst * piece, kernel.threads);
-                            }
-                            let off = c * piece;
-                            sink.retire(Dest::Piece { c: dst, off }, wire);
-                        }
-                        scatter_t += t.elapsed();
-                        sink.retire(Dest::Nowhere, buf);
-                        Ok(())
-                    },
-                )
-                .map_err(io_to_sim)?;
-                if scatter.is_some() {
-                    telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64);
+/// The out-of-core [`PartitionStore`]: `2^g` chunk files in two
+/// generations, each stage one streaming pass over them (module docs).
+struct Files<'a, R: SweepDispatch> {
+    store: ChunkStore<R>,
+    config: &'a OocConfig,
+    plan: &'a BackendPlan,
+    chunk_pool: &'a mut BufferPool<R>,
+    wire_pool: &'a mut BufferPool<R>,
+    track: &'a TrackHandle,
+    /// Chunk buffers in flight, and wire buffers of a scattering pass.
+    depth: usize,
+    wires: usize,
+    /// Pool misses before the first pass: the run's `buffer_allocs` are
+    /// the misses past it.
+    allocs0: u64,
+    sweep: SweepStats,
+    /// Per-chunk reduction partials of the swap-free last stage, folded
+    /// into its pass and `tree_sum`med at the end: the chunk is the rank
+    /// analogue, so this reproduces the in-memory engine's `norm_entropy`
+    /// and recursive-doubling all-reduce bit for bit. `None` until that
+    /// pass ran.
+    partials: Option<Vec<(f64, f64)>>,
+    /// Stages executed, one pass each.
+    runs: usize,
+}
+
+impl<R: SweepDispatch> PartitionStore<R> for Files<'_, R> {
+    /// Pass `si`, for each chunk, takes its source — read through the
+    /// gather-unpermute half of swap `si − 1` — applies stage `si`, and
+    /// then either the permute-scatter half of swap `si` into the next
+    /// generation's files or — on the last stage — the final chunk write
+    /// with the norm/entropy reduction folded in. Writing `p` for a swap's
+    /// slots→top permutation, destination chunk `d` must end up holding
+    /// `final[x] = buf[p(x)]` where piece `s` of its exchange buffer is
+    /// `buf[s·piece + t] = chunk_s[p⁻¹(d·piece + t)]`.
+    fn run_stage(
+        &mut self,
+        si: usize,
+        exec: &StageExecutor<R>,
+    ) -> Result<Option<Vec<u64>>, SimError> {
+        let stages = &self.plan.schedule.stages;
+        let l = self.plan.schedule.local_qubits;
+        let (track, telemetry) = (self.track, &self.config.telemetry);
+        let threads = self.config.kernel.threads;
+        let n_chunks = self.store.n_chunks();
+        let piece = self.store.chunk_len() / n_chunks;
+        let _ss = track.span_id("stage", si as u64);
+        let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
+        let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
+        // `final[x] = buf[p(x)]` places the previous swap's incoming
+        // qubits at its slots: the read puts file offset `y` at `p⁻¹(y)`.
+        // An identity `p` means the written assembly is already final.
+        let unpermute = prev_swap
+            .map(slots_to_top)
+            .filter(|p| !p.is_identity())
+            .map(|p| p.inverse());
+        let scatter = stages[si].swap.as_ref().map(|s| slots_to_top(s).inverse());
+        let source = match si {
+            0 => PassSource::Start {
+                uniform: self.plan.init_uniform,
+            },
+            _ => PassSource::Live,
+        };
+        let cfg = PassConfig {
+            source,
+            unpermute,
+            depth: self.depth,
+            wires: if scatter.is_some() { self.wires } else { 0 },
+            digest: self.config.checkpoint.is_some(),
+            telemetry: telemetry.clone(),
+        };
+        let sweep = &mut self.sweep;
+        let mut partials = vec![(0.0, 0.0); n_chunks];
+        // `swap_ns` gets one sample per swap, from the unit the swap
+        // closes: its permute-scatter half. (The gather-unpermute half is
+        // the next pass's read, under `unpermute` spans on the prefetch
+        // track.)
+        let mut scatter_t = Duration::ZERO;
+        let digests = run_pass(
+            &mut self.store,
+            self.chunk_pool,
+            self.wire_pool,
+            &cfg,
+            |c, mut buf, sink| {
+                {
+                    let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
+                    exec.apply(si..si + 1, &mut buf, c, sweep);
                 }
-                if let Some(digests) = digests {
-                    let _s = track.span_timed("checkpoint.write", si as u64, "checkpoint_ns");
-                    store.sync().map_err(io_to_sim)?;
-                    run.publish(si + 1, digests)?;
-                }
-                // The `live.ooc.*` gauges `/status` reads mid-run: the
-                // prefetch/compute/writeback thread split, overlap
-                // fraction, and cumulative disk traffic so far.
-                if let Some(m) = telemetry.metrics() {
-                    let io = store.stats();
-                    for (gauge, value) in [
-                        ("io_wait_seconds", io.io_wait_seconds),
-                        ("compute_seconds", io.compute_seconds),
-                        ("read_seconds", io.read_seconds),
-                        ("write_seconds", io.write_seconds),
-                        ("overlap_fraction", io.overlap_fraction()),
-                        ("bytes_read", io.bytes_read as f64),
-                        ("bytes_written", io.bytes_written as f64),
-                    ] {
-                        m.gauge_set(&format!("live.ooc.{gauge}"), value);
+                let Some(inv) = &scatter else {
+                    // Last stage: fold the final reduction into the pass —
+                    // it costs no extra traversal.
+                    partials[c] = norm_entropy(&buf, threads);
+                    sink.retire(Dest::Chunk(c), buf);
+                    return Ok(());
+                };
+                // Fused permute-scatter: this chunk's permuted piece for
+                // destination `dst` lands at offset `c·piece` of `dst` in
+                // the next generation, behind the one this pass still
+                // reads.
+                let _s = track.span_id("scatter", c as u64);
+                let t = Instant::now();
+                for dst in 0..n_chunks {
+                    let mut wire = sink.take_wire()?;
+                    if inv.is_identity() {
+                        wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
+                    } else {
+                        par_gather(&buf, &mut wire, inv, dst * piece, threads);
                     }
+                    let off = c * piece;
+                    sink.retire(Dest::Piece { c: dst, off }, wire);
                 }
+                scatter_t += t.elapsed();
+                sink.retire(Dest::Nowhere, buf);
                 Ok(())
-            })?;
-            if run.cursor() >= stages.len() {
+            },
+        )
+        .map_err(io_to_sim)?;
+        self.runs += 1;
+        match scatter {
+            Some(_) => telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64),
+            None => self.partials = Some(partials),
+        }
+        let Some(digests) = digests else {
+            return Ok(None);
+        };
+        let _s = track.span_timed("checkpoint.write", si as u64, "checkpoint_ns");
+        self.store.sync().map_err(io_to_sim)?;
+        Ok(Some(digests))
+    }
+
+    /// The `live.ooc.*` gauges: the prefetch/compute/writeback thread
+    /// split, overlap fraction, and cumulative disk traffic so far.
+    fn gauges(&self, m: &MetricsRegistry) {
+        let io = self.store.stats();
+        for (gauge, value) in [
+            ("io_wait_seconds", io.io_wait_seconds),
+            ("compute_seconds", io.compute_seconds),
+            ("read_seconds", io.read_seconds),
+            ("write_seconds", io.write_seconds),
+            ("overlap_fraction", io.overlap_fraction()),
+            ("bytes_read", io.bytes_read as f64),
+            ("bytes_written", io.bytes_written as f64),
+        ] {
+            m.gauge_set(&format!("live.ooc.{gauge}"), value);
+        }
+    }
+
+    fn finish(&mut self, gather: bool) -> Result<BackendOutcome<R>, SimError> {
+        let threads = self.config.kernel.threads;
+        let partials = match self.partials.take() {
+            Some(partials) => partials,
+            None => {
                 // Resume of a finished run: no pass is left to fold the
                 // reduction into, so read the named final chunks once,
                 // each checked as it is read. Bitwise identical to the
                 // folded reduction — same bytes, same fold order.
-                let mut buf = chunk_pool.get();
-                for (c, partial) in partials.iter_mut().enumerate() {
-                    store.read_chunk_into(c, &mut buf).map_err(io_to_sim)?;
-                    *partial = norm_entropy(&buf);
-                }
-                chunk_pool.put(buf);
-                store.count_traversal();
+                let mut buf = self.chunk_pool.get();
+                let partials = (0..self.store.n_chunks())
+                    .map(|c| {
+                        self.store.read_chunk_into(c, &mut buf)?;
+                        Ok(norm_entropy(&buf, threads))
+                    })
+                    .collect::<std::io::Result<_>>();
+                self.chunk_pool.put(buf);
+                self.store.count_traversal();
+                partials.map_err(io_to_sim)?
             }
-            let (norm, entropy) = tree_sum(partials);
-            let executed = stages.len().saturating_sub(run.cursor());
-
-            let mut io = store.stats();
-            io.buffer_allocs = chunk_pool.allocs() + wire_pool.allocs() - allocs0;
-            let sim_seconds = t0.elapsed().as_secs_f64();
-            if let Some(m) = telemetry.metrics() {
-                io.publish_into(m, "ooc.io");
-                m.counter_add("ooc.runs", executed as u64);
-                m.counter_add("ooc.compressed_bytes", io.bytes_written);
-                m.gauge_set("ooc.compression_ratio", io.compression_ratio());
-            }
-            let state = gather
-                .then(|| store.to_vec())
-                .transpose()
-                .map_err(io_to_sim)?;
-            Ok(BackendOutcome {
-                norm,
-                entropy,
-                sim_seconds,
-                stats: BackendStats::Ooc {
-                    io,
-                    sweep,
-                    runs: executed,
-                },
-                state: state.map(|s| physical_to_logical(&s, schedule.final_mapping())),
-            })
-        })();
-        run.end(out)
+        };
+        let (norm, entropy) = tree_sum(partials);
+        let mut io = self.store.stats();
+        io.buffer_allocs = self.chunk_pool.allocs() + self.wire_pool.allocs() - self.allocs0;
+        if let Some(m) = self.config.telemetry.metrics() {
+            io.publish_into(m, "ooc.io");
+            m.counter_add("ooc.runs", self.runs as u64);
+            m.counter_add("ooc.compressed_bytes", io.bytes_written);
+            m.gauge_set("ooc.compression_ratio", io.compression_ratio());
+        }
+        let state = gather
+            .then(|| self.store.to_vec())
+            .transpose()
+            .map_err(io_to_sim)?;
+        let mapping = self.plan.schedule.final_mapping();
+        Ok(BackendOutcome {
+            norm,
+            entropy,
+            sim_seconds: 0.0,
+            stats: BackendStats::Ooc {
+                io,
+                sweep: self.sweep,
+                runs: self.runs,
+            },
+            state: state.map(|s| physical_to_logical(&s, mapping)),
+        })
     }
 }
 
@@ -461,7 +485,11 @@ mod tests {
 
     /// The distributed engine on the same hand-planned schedule: the
     /// oracle for state, norm and entropy.
-    fn dist_oracle(exec: &Circuit, schedule: &Schedule, uniform: bool) -> BackendOutcome {
+    fn dist_oracle(
+        exec: &Circuit,
+        schedule: &Schedule,
+        uniform: bool,
+    ) -> Result<BackendOutcome, SimError> {
         let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
             n_ranks: 1 << (schedule.n_qubits - schedule.local_qubits),
             kernel: KernelConfig::sequential(),
@@ -469,7 +497,7 @@ mod tests {
             ..Default::default()
         }));
         let plan = BackendPlan::from_schedule(exec.clone(), schedule.clone(), uniform);
-        Backend::<f64>::run(&mut dist, &plan).unwrap()
+        Backend::<f64>::run(&mut dist, &plan)
     }
 
     fn at_depth(prefetch_depth: usize) -> OocSimulator {
@@ -480,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn one_traversal_per_stage_at_every_depth() {
+    fn one_traversal_per_stage_at_every_depth() -> Result<(), SimError> {
         let c = supremacy_circuit(&SupremacySpec {
             rows: 3,
             cols: 3,
@@ -491,12 +519,12 @@ mod tests {
         let schedule = plan(&exec, &SchedulerConfig::distributed(7, 3));
         let swaps = schedule.n_swaps() as u64;
         assert!(swaps >= 1, "want several stages");
-        let want = dist_oracle(&exec, &schedule, uniform);
-        let single = SingleNodeSimulator::default().try_run_t(&c).unwrap();
+        let want = dist_oracle(&exec, &schedule, uniform)?;
+        let single = SingleNodeSimulator::default().try_run_t(&c)?;
 
         for depth in [1usize, 2, 3, 4] {
             let mut sim = at_depth(depth);
-            let out = run(&mut sim, &exec, &schedule, uniform).unwrap();
+            let out = run(&mut sim, &exec, &schedule, uniform)?;
             let (io, runs) = ooc_stats(&out);
             // `depth` buffers circulate (one at depth 1, where nothing
             // can overlap); the unpermute rides in the read and holds
@@ -516,10 +544,11 @@ mod tests {
             );
             assert!(max_dist(out.state.as_ref().unwrap(), single.state.amplitudes()) < 1e-10);
         }
+        Ok(())
     }
 
     #[test]
-    fn io_traffic_is_constant_per_swap() {
+    fn io_traffic_is_constant_per_swap() -> Result<(), SimError> {
         // The §5 argument: disk traffic scales with swaps, not gates —
         // and at exactly the all-to-all's own minimum. Each swap costs
         // one state write (scatter) and the stage after it one read and
@@ -547,7 +576,7 @@ mod tests {
                     checkpoint,
                     ..OocConfig::sequential()
                 });
-                let out = sim.run_plan(&plan, false, None).unwrap();
+                let out = sim.run_plan(&plan, false, None)?;
                 let (io, runs) = ooc_stats(&out);
                 assert_eq!(
                     io.logical_bytes_read + io.logical_bytes_written,
@@ -560,16 +589,17 @@ mod tests {
                 assert_eq!(io.traversals, swaps + 1, "{at}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn op_free_schedule_leaves_a_readable_store() {
+    fn op_free_schedule_leaves_a_readable_store() -> Result<(), SimError> {
         // Nothing to apply: the single pass synthesises the start state,
         // reduces it and writes it, so the gather finds chunk files.
         for uniform in [true, false] {
             let circ = Circuit::new(5);
             let schedule = plan(&circ, &SchedulerConfig::distributed(3, 2));
-            let out = run(&mut sequential(), &circ, &schedule, uniform).unwrap();
+            let out = run(&mut sequential(), &circ, &schedule, uniform)?;
             let want = if uniform {
                 vec![c64::new(1.0 / 32f64.sqrt(), 0.0); 32]
             } else {
@@ -583,10 +613,11 @@ mod tests {
             assert_eq!(io.logical_bytes_read, 0);
             assert!((out.norm - 1.0).abs() < 1e-12);
         }
+        Ok(())
     }
 
     #[test]
-    fn repeated_runs_reuse_pooled_buffers() {
+    fn repeated_runs_reuse_pooled_buffers() -> Result<(), SimError> {
         let c = supremacy_circuit(&SupremacySpec {
             rows: 2,
             cols: 3,
@@ -596,14 +627,15 @@ mod tests {
         let (exec, uniform) = strip_initial_hadamards(&c);
         let schedule = plan(&exec, &SchedulerConfig::distributed(4, 3));
         let mut sim = sequential();
-        let first = run(&mut sim, &exec, &schedule, uniform).unwrap();
-        let second = run(&mut sim, &exec, &schedule, uniform).unwrap();
+        let first = run(&mut sim, &exec, &schedule, uniform)?;
+        let second = run(&mut sim, &exec, &schedule, uniform)?;
         assert_eq!(
             ooc_stats(&second).0.buffer_allocs,
             0,
             "second run over the same geometry must be pool-hit only"
         );
         assert_eq!(first.norm, second.norm);
+        Ok(())
     }
 
     /// A swap-free plan scatters nothing, so it makes no wire buffer:
@@ -624,12 +656,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_state_init() {
+    fn zero_state_init() -> Result<(), SimError> {
         let mut circ = Circuit::new(4);
         circ.t(0).cz(0, 3);
         let schedule = plan(&circ, &SchedulerConfig::distributed(3, 2));
-        let out = run(&mut sequential(), &circ, &schedule, false).unwrap();
+        let out = run(&mut sequential(), &circ, &schedule, false)?;
         assert!((out.state.as_ref().unwrap()[0] - c64::one()).abs() < 1e-12);
         assert!((out.norm - 1.0).abs() < 1e-12);
+        Ok(())
     }
 }

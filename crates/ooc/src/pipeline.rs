@@ -127,14 +127,6 @@ impl<T> Pipe<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Recover all queued items (post-join buffer drain).
-    fn drain_into(&self, out: &mut Vec<T>) {
-        let mut g = self.inner.lock();
-        while let Some(item) = g.q.pop_front() {
-            out.push(item);
-        }
-    }
 }
 
 /// Where a retired buffer's bytes go in the generation the pass writes.
@@ -364,9 +356,9 @@ where
     let err: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     let (loop_stats, reader_stats, writer_stats, digests) = std::thread::scope(|s| {
-        // Each IO thread returns its stats plus any buffers it could not
-        // route onward (rejected by a closed pipe on the abort path), so
-        // every buffer makes it back to a pool no matter how the pass
+        // The prefetch thread returns its stats plus any buffers it could
+        // not route onward (rejected by a closed pipe on the abort path),
+        // so every buffer makes it back to a pool no matter how the pass
         // ends.
         let prefetch = s.spawn(|| {
             let track = cfg.telemetry.track("ooc.prefetch");
@@ -393,19 +385,17 @@ where
             let track = cfg.telemetry.track("ooc.writeback");
             let mut writer = writer;
             let codec_on = !writer.codec().is_none();
-            let mut stranded: Vec<Buf<R>> = Vec::new();
             while let (Some((dest, buf)), _) = wb.pop() {
                 let e0 = writer.stats().encode_seconds;
                 if let Err(e) = dest.write(&mut writer, &track, &buf) {
                     set_err(&err, e);
                 }
-                let home = match dest {
-                    Dest::Piece { .. } => &wire_free,
-                    _ => &chunk_free,
+                // The free pipes close only after this thread has joined,
+                // so the push always lands.
+                match dest {
+                    Dest::Piece { .. } => wire_free.push(buf),
+                    _ => chunk_free.push(buf),
                 };
-                if let (Some(buf), _) = home.push(buf) {
-                    stranded.push(buf);
-                }
                 let dt = writer.stats().encode_seconds - e0;
                 if codec_on && dt > 0.0 {
                     cfg.telemetry
@@ -417,7 +407,7 @@ where
                 set_err(&err, e);
                 None
             });
-            (writer.stats(), digests, stranded)
+            (writer.stats(), digests)
         });
 
         let mut sink = PipeSink {
@@ -447,9 +437,9 @@ where
         // could otherwise park on a pipe nobody drains).
         wb.close();
         full.close();
-        let (writer_stats, digests, wb_stranded) = writeback.join().unwrap_or_else(|p| {
+        let (writer_stats, digests) = writeback.join().unwrap_or_else(|p| {
             set_err(&err, thread_panic_err("writeback", p));
-            (IoStats::default(), None, Vec::new())
+            (IoStats::default(), None)
         });
         chunk_free.close();
         wire_free.close();
@@ -460,37 +450,21 @@ where
         for b in pf_stranded {
             chunk_pool.put(b);
         }
-        for b in wb_stranded {
-            // Writeback strands buffers only after the free pipes close,
-            // i.e. never under this ordering — but route them home
-            // anyway (wire buffers are distinguishable by length).
-            if b.len() == chunk_pool.buf_len() {
-                chunk_pool.put(b);
-            } else {
-                wire_pool.put(b);
-            }
-        }
         let loop_stats = IoStats::compute_loop(sink.io_wait, compute_seconds);
         (loop_stats, reader_stats, writer_stats, digests)
     });
 
     // Return every surviving buffer to its pool: the free-pipe seeds and,
-    // after an abort, chunks stranded in `full`.
-    let mut bufs = Vec::new();
-    chunk_free.drain_into(&mut bufs);
-    for b in bufs.drain(..) {
+    // after an abort, chunks stranded in `full`. Every pipe is closed, so
+    // these pops drain without blocking.
+    while let (Some(b), _) = chunk_free.pop() {
         chunk_pool.put(b);
     }
-    wire_free.drain_into(&mut bufs);
-    for b in bufs.drain(..) {
+    while let (Some(b), _) = wire_free.pop() {
         wire_pool.put(b);
     }
-    loop {
-        let (item, _) = full.pop();
-        match item {
-            Some((_, b)) => chunk_pool.put(b),
-            None => break,
-        }
+    while let (Some((_, b)), _) = full.pop() {
+        chunk_pool.put(b);
     }
 
     store.absorb(&reader_stats);

@@ -68,7 +68,7 @@ fn main() {
     // The gathered distributed state matches, amplitude for amplitude.
     let gathered = out.state.as_ref().expect("gather_state requested");
     let dist_probs: Vec<f64> = gathered.iter().map(|a| a.norm_sqr()).collect();
-    assert!((norm_entropy(gathered).1 - out.entropy).abs() < 1e-9);
+    assert!((norm_entropy(gathered, 1).1 - out.entropy).abs() < 1e-9);
 
     // Sample bitstrings (what a supremacy experiment would measure).
     let mut rng = Xoshiro256::seed_from_u64(1);

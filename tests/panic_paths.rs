@@ -1,12 +1,13 @@
 //! Regressions for the panic-path sweep: a checkpoint IO failure, a dead
-//! chunk-store directory and an injected stop must each surface as a
-//! typed [`SimError`] through the [`Backend`] trait — a run may fail,
-//! but never by panicking. (The CLI turns the typed error into a flight
-//! record and exit code 1.)
+//! chunk-store directory, an artifact that cannot be written and an
+//! injected stop must each surface as a typed [`SimError`] through the
+//! [`Backend`] trait — a run may fail, but never by panicking. (The CLI
+//! turns the typed error into a flight record and exit code 1.)
 
 use std::path::PathBuf;
 
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
+use qsim45::core::checkpoint::part_path;
 use qsim45::core::{
     Backend, CheckpointPolicy, DistBackend, DistConfig, DistSimulator, SimError, SingleBackend,
     SingleNodeSimulator,
@@ -93,5 +94,36 @@ fn checkpoint_io_failures_are_typed() {
         Err(SimError::InjectedStop { unit }) => assert_eq!(unit, 1),
         Err(e) => panic!("expected InjectedStop, got {e}"),
         Ok(_) => panic!("injected stop must fire"),
+    }
+}
+
+#[test]
+fn a_failed_artifact_write_names_its_file() {
+    // A directory where the first checkpointed unit writes rank 0's or
+    // chunk 0's next generation: the write fails, and the typed error
+    // must say which file it could not write.
+    let scratch = ScratchDir::new("panic_paths_named");
+    let dist = Box::new(DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks: 4,
+        kernel: KernelConfig::sequential(),
+        ..Default::default()
+    })));
+    let ooc = Box::new(OocBackend::new(
+        OocSimulator::<f64>::new(OocConfig::sequential()),
+        4,
+    ));
+    let engines: [(&str, Box<dyn Backend<f64>>); 2] = [("dist", dist), ("ooc", ooc)];
+    for (tag, b) in engines {
+        let dir = scratch.path().join(tag);
+        let blocked = part_path(&dir, 0, 1);
+        std::fs::create_dir_all(&blocked).unwrap();
+        let name = blocked.file_name().unwrap().to_str().unwrap().to_string();
+        match run_into(b, dir, None) {
+            Err(e @ (SimError::Checkpoint(_) | SimError::Io(_))) => {
+                assert!(e.to_string().contains(&name), "{tag}: {e}")
+            }
+            Err(e) => panic!("{tag}: expected a checkpoint or IO error, got {e}"),
+            Ok(_) => panic!("{tag}: a directory in place of {name} must fail the run"),
+        }
     }
 }

@@ -222,7 +222,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every stage but the last is closed by a full swap and the last by
-    /// none — the shape the engines require ([`qsim45::core::run::Run::begin`])
+    /// none — the shape the engines require ([`qsim45::core::run::drive`])
     /// is one the planner always produces: greedy with the swap search
     /// on and off, the single-node plan, and the cost-guided search.
     // (n ≥ 5 keeps l > g: at l = g = 2 a random CNOT across the two
