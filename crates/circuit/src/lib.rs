@@ -13,9 +13,9 @@
 //!   per-qubit program order.
 //! * [`supremacy`] — the Fig. 1 generator for Google's low-depth random
 //!   circuits on a 2-D nearest-neighbour grid.
-//! * [`dense`] — a small dense reference simulator (explicit embedded
-//!   matrices); the ground truth for every other execution path in the
-//!   workspace.
+//! * [`dense`] — a dense reference simulator (each gate's matrix on its
+//!   amplitude groups, up to 20 qubits); the ground truth for every other
+//!   execution path in the workspace.
 
 pub mod algorithms;
 pub mod circuit;

@@ -265,6 +265,7 @@ pub(crate) fn offsets(exp: &IndexExpander, dim: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::testutil::{assert_bits_eq, random_amps};
+    use qsim_circuit::dense::apply_matrix_dense;
     use qsim_util::c64;
     use qsim_util::complex::max_dist;
     use qsim_util::{SplitMix64, Xoshiro256};
@@ -305,17 +306,10 @@ mod tests {
         GateMatrix::from_rows(k, rows.into_iter().flatten().collect())
     }
 
-    /// Dense reference: full 2^n × 2^n product via embed.
+    /// The workspace's dense reference, on a copy of `state`.
     fn reference_apply(state: &[c64], qubits: &[u32], m: &GateMatrix<f64>) -> Vec<c64> {
-        let n = state.len().trailing_zeros();
-        let big = m.embed(n, qubits);
-        let d = state.len();
-        let mut out = vec![c64::zero(); d];
-        for (r, o) in out.iter_mut().enumerate() {
-            for (c, &s) in state.iter().enumerate() {
-                *o += big.get(r, c) * s;
-            }
-        }
+        let mut out = state.to_vec();
+        apply_matrix_dense(&mut out, state.len().trailing_zeros(), qubits, m);
         out
     }
 

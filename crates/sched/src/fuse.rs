@@ -78,27 +78,8 @@ pub fn diagonal_of(g: &Gate, mapping: &[u32]) -> (Vec<u32>, Vec<c64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsim_circuit::dense::{apply_gate_dense, zero_state};
+    use qsim_circuit::dense::{apply_gate_dense, apply_matrix_dense, zero_state};
     use qsim_util::complex::max_dist;
-    use qsim_util::Complex;
-
-    /// Apply a fused cluster matrix to a dense state (test helper).
-    fn apply_matrix_dense(
-        state: &mut Vec<Complex<f64>>,
-        n: u32,
-        qubits: &[u32],
-        m: &GateMatrix<f64>,
-    ) {
-        let big = m.embed(n, qubits);
-        let d = state.len();
-        let mut out = vec![Complex::zero(); d];
-        for (r, o) in out.iter_mut().enumerate() {
-            for (c, &s) in state.iter().enumerate() {
-                *o += big.get(r, c) * s;
-            }
-        }
-        *state = out;
-    }
 
     #[test]
     fn fusion_equals_sequential_application() {
@@ -119,6 +100,43 @@ mod tests {
             apply_gate_dense(&mut a, n, g);
         }
         apply_matrix_dense(&mut b, n, &[0, 1], &fused);
+        assert!(max_dist(&a, &b) < 1e-12);
+    }
+
+    #[test]
+    fn fused_operand_order_matches_sequential_application() {
+        // Asymmetric gates with their operands out of order, fused over
+        // physical {1, 3, 4} under a non-identity mapping.
+        let dense = (0..16).map(|i| c64::new(f64::from(i).sin(), f64::from(i).cos()));
+        let u2 = GateMatrix::from_rows(2, dense.collect());
+        let gates = vec![
+            Gate::H(0),
+            Gate::CNot {
+                target: 2,
+                control: 0,
+            },
+            Gate::Toffoli {
+                target: 0,
+                c1: 4,
+                c2: 2,
+            },
+            Gate::U2(4, 0, Box::new(u2)),
+            Gate::SqrtY(2),
+        ];
+        let mapping = vec![4u32, 0, 1, 2, 3];
+        let fused = fuse_gates(&gates, &[1, 3, 4], &mapping);
+
+        let n = 5;
+        let mut a = zero_state::<f64>(n);
+        for q in 0..n {
+            apply_gate_dense(&mut a, n, &Gate::Ry(q, 0.3 + f64::from(q)));
+        }
+        let mut b = a.clone();
+        for g in &gates {
+            let phys: Vec<u32> = g.qubits().iter().map(|&q| mapping[q as usize]).collect();
+            apply_matrix_dense(&mut a, n, &phys, &g.matrix());
+        }
+        apply_matrix_dense(&mut b, n, &[1, 3, 4], &fused);
         assert!(max_dist(&a, &b) < 1e-12);
     }
 

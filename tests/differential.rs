@@ -489,6 +489,34 @@ fn corpus_at_prefetch_depths_1_and_3() {
 }
 
 #[test]
+fn corpus_at_16_qubits() {
+    // 4×4 d25 at 16 parts: Dist, then OOC at prefetch depths 1 and 3.
+    let execs = [(Engine::Dist, 3), (Engine::Ooc, 1), (Engine::Ooc, 3)];
+    let execs = execs.map(|(e, depth)| seq(e, depth, Codec::None, None));
+    let c = supremacy(4, 4, 25, 7);
+    corpus("4x4 d25 seed 7", &c, &greedy(16, 4), &execs);
+}
+
+#[test]
+#[ignore = "n = 20: a release-build case"]
+fn corpus_at_20_qubits() {
+    // 4×5 d25 on one node, 4 ranks and 16 chunks, with the default
+    // kernel and two workers.
+    let c = supremacy(4, 5, 25, 0);
+    let mut oracle = Oracle::new("corpus 4x5 d25 seed 0".into(), &c);
+    for (engine, parts) in [(Engine::Single, 1), (Engine::Dist, 4), (Engine::Ooc, 16)] {
+        let exec = Exec {
+            simd: Simd::Auto,
+            threads: 2,
+            ..seq(engine, 3, Codec::None, None)
+        };
+        for key in greedy(parts, 4) {
+            assert!(oracle.check(Config { key, exec }), "{key:?}");
+        }
+    }
+}
+
+#[test]
 fn corpus_pinned_draw() {
     // A draw an earlier out-of-core suite pinned: kmax 3 at 4 chunks,
     // tile 5, prefetch depths 1 and 2.
