@@ -19,8 +19,8 @@
 //!    ([`write_part`] per rank; out of core, the chunk store's digesting
 //!    writer, which the commit fsyncs). Resume reads each artifact of the
 //!    named generation once, where it needs its bytes, and checks it as
-//!    it reads with the one verifier, [`verify_part`] ([`read_part`] per
-//!    rank, the first pass's chunk reads out of core);
+//!    it reads ([`read_raw_part`], the one raw reader, under [`read_part`]
+//!    per rank and the first pass's chunk reads out of core);
 //! 2. publish the manifest naming `u` *atomically* — temp file →
 //!    `sync_all` → rename over [`MANIFEST_FILE`] → directory fsync, which
 //!    also makes the directory entries of newly created artifacts durable.
@@ -34,15 +34,20 @@
 //! generation `u − 1` — before the manifest naming `u` is durable. A
 //! fresh start deletes any older manifest first ([`RunKey::resume_point`],
 //! called by [`crate::run::drive`]), because it reuses the names that
-//! manifest points at.
+//! manifest points at. Every store commits one layout
+//! ([`generation_layout`]), so either store resumes the other's directory.
 //!
 //! u64 values (hashes, digests) are serialized as *hex strings*:
 //! the in-workspace JSON parser ([`qsim_telemetry::json`]) reads numbers
 //! as f64, which would silently lose bits above 2^53.
 
+use crate::dist::slots_to_top_permutation;
+use qsim_kernels::parallel::{par_gather, par_scatter};
 use qsim_net::SimError;
 use qsim_sched::{Schedule, StageOp};
 use qsim_telemetry::json::{self, Json};
+use qsim_util::align::grown;
+use qsim_util::bits::BitPermutation;
 use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
 use qsim_util::Real;
 use std::fmt;
@@ -50,17 +55,12 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Manifest format version; bumped on any incompatible layout change.
-/// Version 2 added the `precision` geometry field — amplitude artifacts
-/// are raw `2 * R::BYTES`-per-amplitude files, so precision is as
-/// load-bearing as `n_qubits`. Version 3 added `codec`: under a chunk
-/// codec the artifacts hold encoded frames and their digests hash those
-/// encoded bytes, so resuming across codecs would mis-read every chunk.
-/// Version 4 names artifacts by generation parity instead of by unit (or
-/// by a staged/live pair), so a version-3 directory is a
-/// [`CheckpointError::Mismatch`], not a missing file. Version 5: every
-/// engine's artifacts are [`part_path`]s; no seed field.
-pub const MANIFEST_VERSION: u32 = 5;
+/// Manifest format version; bumped on any incompatible layout change, so
+/// an older directory is a [`CheckpointError::Mismatch`] naming its
+/// version. 2 added `precision`, 3 `codec`, 4 named artifacts by
+/// generation parity, 5 by [`part_path`] on every engine, and 6 gave every
+/// store one layout ([`generation_layout`]) and dropped the engine field.
+pub const MANIFEST_VERSION: u32 = 6;
 
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -83,7 +83,7 @@ pub enum CheckpointError {
     /// foreign file).
     Corrupt(String),
     /// The manifest is well-formed but describes a different run
-    /// (schedule, geometry, engine or digest mismatch).
+    /// (schedule, geometry, precision, codec or digest mismatch).
     Mismatch(String),
 }
 
@@ -117,8 +117,6 @@ impl From<CheckpointError> for SimError {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
     pub version: u32,
-    /// Which engine wrote this checkpoint (`"single"`, `"dist"`, `"ooc"`).
-    pub engine: String,
     /// Structural fingerprint of the schedule ([`schedule_fingerprint`]).
     pub schedule_hash: u64,
     pub n_qubits: u32,
@@ -155,7 +153,6 @@ impl Manifest {
             concat!(
                 "{{\n",
                 "  \"version\": {},\n",
-                "  \"engine\": \"{}\",\n",
                 "  \"schedule_hash\": \"{:016x}\",\n",
                 "  \"n_qubits\": {},\n",
                 "  \"local_qubits\": {},\n",
@@ -168,7 +165,6 @@ impl Manifest {
                 "}}\n"
             ),
             self.version,
-            self.engine,
             self.schedule_hash,
             self.n_qubits,
             self.local_qubits,
@@ -223,7 +219,6 @@ impl Manifest {
             .collect::<Result<Vec<u64>, _>>()?;
         let m = Manifest {
             version,
-            engine: string("engine")?,
             schedule_hash: hex(&string("schedule_hash")?)?,
             n_qubits: int("n_qubits")? as u32,
             local_qubits: int("local_qubits")? as u32,
@@ -284,9 +279,6 @@ impl Manifest {
     pub fn validate(&self, key: &RunKey) -> Result<usize, CheckpointError> {
         let fail = |m: String| Err(CheckpointError::Mismatch(m));
         let schedule = key.schedule;
-        if self.engine != key.engine {
-            return fail(format!("engine '{}' != '{}'", self.engine, key.engine));
-        }
         let hash = schedule_fingerprint(schedule);
         if self.schedule_hash != hash {
             return fail(format!(
@@ -375,12 +367,6 @@ impl CheckpointPolicy {
 /// The unit count is the schedule's stage count on every engine.
 #[derive(Clone, Copy, Debug)]
 pub struct RunKey<'a> {
-    /// `"single"`, `"dist"` or `"ooc"`. The tag also names the artifact
-    /// layout, which differs between the stores: a rank slice holds the
-    /// unit's final layout, while an out-of-core generation written by a
-    /// swap-closing unit holds the scattered assembly that the next read
-    /// un-permutes. So a checkpoint resumes on the store that wrote it.
-    pub engine: &'static str,
     pub schedule: &'a Schedule,
     /// [`Real::NAME`] of the working precision.
     pub precision: &'static str,
@@ -397,7 +383,6 @@ impl RunKey<'_> {
     pub fn manifest(&self, unit: usize, digests: Vec<u64>) -> Manifest {
         Manifest {
             version: MANIFEST_VERSION,
-            engine: self.engine.to_string(),
             schedule_hash: schedule_fingerprint(self.schedule),
             n_qubits: self.schedule.n_qubits,
             local_qubits: self.schedule.local_qubits,
@@ -454,65 +439,121 @@ pub fn part_path(dir: &Path, part: usize, generation: usize) -> PathBuf {
     dir.join(format!("part_{part:06}.g{}.amps", generation % 2))
 }
 
+/// The one layout rule of every partition store: generation `u` of a
+/// partition holds, at file offset `y`, the amplitude the next stage
+/// computes at `p⁻¹(y)`, where `p` is the slots→top permutation of the
+/// swap that closed unit `u − 1` — the all-to-all's assembly before its
+/// unpermute. Returns that `p⁻¹`; `None` when the unit closed with no
+/// swap or an identity `p` (and for generation 0): the state as computed.
+pub fn generation_layout(schedule: &Schedule, generation: usize) -> Option<BitPermutation> {
+    let unit = generation.checked_sub(1)?;
+    let swap = schedule.stages.get(unit)?.swap.as_ref()?;
+    let p = slots_to_top_permutation(&swap.local_slots, schedule.local_qubits);
+    (!p.is_identity()).then(|| p.inverse())
+}
+
+/// Amplitudes per block of a raw partition read or write.
+pub const PART_BLOCK_AMPS: usize = 4096;
+
 /// Durably write partition `part` as generation `generation` (the
-/// in-memory engine's step 1): one `write_all` of its raw bytes
-/// ([`amps_as_bytes`], an uncompressed chunk file's format), `sync_all`,
-/// and the digest taken from memory — those bytes are the whole file.
+/// in-memory store's step 1) in the generation's `layout`: raw bytes
+/// ([`amps_as_bytes`], an uncompressed chunk file's format), one block
+/// at a time — gathered through `layout` into `block` — then `sync_all`,
+/// the digest taken from the bytes written.
 pub fn write_part<R: Real>(
     dir: &Path,
     part: usize,
     generation: usize,
     amps: &[Complex<R>],
+    layout: Option<&BitPermutation>,
+    block: &mut Vec<Complex<R>>,
 ) -> Result<u64, CheckpointError> {
     let path = part_path(dir, part, generation);
-    let bytes = amps_as_bytes(amps);
-    File::create(&path)
-        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
-        .map_err(|e| at_path(&path, e))?;
-    Ok(fnv1a64(bytes))
+    let mut digest = Fnv1a::new();
+    let mut write = || {
+        let mut f = File::create(&path)?;
+        for base in (0..amps.len()).step_by(PART_BLOCK_AMPS) {
+            let n = PART_BLOCK_AMPS.min(amps.len() - base);
+            let bytes = amps_as_bytes(match layout {
+                None => &amps[base..base + n],
+                Some(p) => {
+                    par_gather(amps, grown(block, n), p, base, 1);
+                    &block[..n]
+                }
+            });
+            digest.write(bytes);
+            f.write_all(bytes)?;
+        }
+        f.sync_all()
+    };
+    write().map_err(|e| at_path(&path, e))?;
+    Ok(digest.finish())
 }
 
-/// Read partition `part` of generation `generation` straight into `out`:
-/// a file of any size but `out`'s ([`check_part_len`]), or one
-/// [`verify_part`] rejects against the manifest's `want`, is a
-/// [`CheckpointError::Mismatch`].
+/// Read partition `part` of generation `generation` into `out` with the
+/// one raw reader ([`read_raw_part`]), checked against the manifest's
+/// `want` and placed through the generation's `layout`.
 pub fn read_part<R: Real>(
     dir: &Path,
     part: usize,
     generation: usize,
     want: u64,
     out: &mut [Complex<R>],
+    layout: Option<&BitPermutation>,
+    block: &mut Vec<Complex<R>>,
 ) -> Result<(), CheckpointError> {
     let path = part_path(dir, part, generation);
-    let bytes = amps_as_bytes_mut(out);
     let mut f = File::open(&path).map_err(|e| at_path(&path, e))?;
-    let len = f.metadata().map_err(|e| at_path(&path, e))?.len();
-    check_part_len(part, len, bytes.len())?;
-    f.read_exact(bytes).map_err(|e| at_path(&path, e))?;
-    verify_part(part, bytes, want)
+    read_raw_part(part, &mut f, out, Some(want), layout, block).map_err(|e| match e {
+        CheckpointError::Io(e) => at_path(&path, e).into(),
+        e => e,
+    })
 }
 
-/// A raw partition file holds exactly the partition's bytes: its size
-/// `len` must be `want` — fewer is a torn file, more is bytes the digest
-/// of the first `want` would not see.
-pub fn check_part_len(part: usize, len: u64, want: usize) -> Result<(), CheckpointError> {
-    if len != want as u64 {
+/// The one raw partition reader, on every store: `out.len()` amplitudes
+/// from `f` (at the file's start), [`PART_BLOCK_AMPS`] at a time. Without
+/// `layout` each block is read straight into place; with it (a
+/// [`generation_layout`]) each is staged in `block` and the amplitude at
+/// file offset `y` lands at `out[p⁻¹(y)]`. A file a manifest names (`want`)
+/// must hold exactly the partition's bytes — fewer is a torn file, more
+/// are bytes its digest would not see — and the running digest of every
+/// byte, in file order, must be `want` ([`check_part_digest`]).
+pub fn read_raw_part<R: Real>(
+    part: usize,
+    f: &mut File,
+    out: &mut [Complex<R>],
+    want: Option<u64>,
+    layout: Option<&BitPermutation>,
+    block: &mut Vec<Complex<R>>,
+) -> Result<(), CheckpointError> {
+    let bytes = std::mem::size_of_val(out) as u64;
+    let len = want.map_or(Ok(bytes), |_| f.metadata().map(|m| m.len()))?;
+    if len != bytes {
         return Err(CheckpointError::Mismatch(format!(
-            "partition {part}: the file holds {len} bytes, not the partition's {want}"
+            "partition {part}: the file holds {len} bytes, not the partition's {bytes}"
         )));
     }
-    Ok(())
+    let mut digest = want.map(|w| (Fnv1a::new(), w));
+    for base in (0..out.len()).step_by(PART_BLOCK_AMPS) {
+        let n = PART_BLOCK_AMPS.min(out.len() - base);
+        let read = match layout {
+            None => &mut out[base..base + n],
+            Some(_) => grown(block, n),
+        };
+        f.read_exact(amps_as_bytes_mut(read))?;
+        if let Some((h, _)) = &mut digest {
+            h.write(amps_as_bytes(read));
+        }
+        if let Some(p) = layout {
+            par_scatter(&block[..n], out, p, base, 1);
+        }
+    }
+    digest.map_or(Ok(()), |(h, w)| check_part_digest(part, h.finish(), w))
 }
 
-/// The one artifact verifier, on every engine: the [`fnv1a64`] digest of
-/// partition `part`'s whole file as stored (raw, or codec frames) must
-/// be the manifest's `want`.
-pub fn verify_part(part: usize, stored: &[u8], want: u64) -> Result<(), CheckpointError> {
-    check_part_digest(part, fnv1a64(stored), want)
-}
-
-/// [`verify_part`] for a reader that streams the file: `got` is the
-/// [`Fnv1a`] it folded every byte into, in file order.
+/// The one artifact verifier, on every engine: `got`, the [`Fnv1a`] a
+/// reader folded every byte of partition `part`'s file into, in file order
+/// (raw, or codec frames as stored), must be the manifest's `want`.
 pub fn check_part_digest(part: usize, got: u64, want: u64) -> Result<(), CheckpointError> {
     if got != want {
         return Err(CheckpointError::Mismatch(format!(
@@ -578,7 +619,7 @@ impl Fnv1a {
 }
 
 /// FNV-1a of a byte slice: the digest of a partition artifact's whole
-/// file ([`verify_part`]).
+/// file ([`check_part_digest`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
@@ -704,7 +745,6 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let m = Manifest {
             version: MANIFEST_VERSION,
-            engine: "ooc".into(),
             schedule_hash: 0xdead_beef_0123_4567,
             n_qubits: 20,
             local_qubits: 16,
@@ -745,7 +785,6 @@ mod tests {
 
     fn key(sched: &Schedule) -> RunKey<'_> {
         RunKey {
-            engine: "ooc",
             schedule: sched,
             precision: "f64",
             codec: "none",
@@ -761,7 +800,7 @@ mod tests {
         for (field, bad) in [
             ("\"next_unit\": 1", "\"next_unit\": -1"),
             ("\"next_unit\": 1", "\"next_unit\": 0.5"),
-            ("\"version\": 5", "\"version\": 5.5"),
+            ("\"version\": 6", "\"version\": 6.5"),
             ("\"n_qubits\": 3", "\"n_qubits\": 1e300"),
             ("\"total_units\": 2", "\"total_units\": 4294967296"),
         ] {
@@ -831,10 +870,6 @@ mod tests {
         assert_eq!(m.validate(&key).unwrap(), 1);
         let foreign = [
             RunKey {
-                engine: "dist",
-                ..key
-            },
-            RunKey {
                 init_uniform: false,
                 ..key
             },
@@ -903,35 +938,55 @@ mod tests {
         assert_ne!(schedule_fingerprint(&a), schedule_fingerprint(&d));
     }
 
+    /// Generation `u` is laid out by the swap that closed unit `u − 1`:
+    /// none before the first unit and after the swap-free last one.
+    #[test]
+    fn the_layout_follows_the_swap_that_closed_the_unit() {
+        let sched = tiny_schedule();
+        let layouts: Vec<_> = (0..=3).map(|u| generation_layout(&sched, u)).collect();
+        let p = slots_to_top_permutation(&[0], 2);
+        assert_eq!(layouts, [None, Some(p.inverse()), None, None]);
+    }
+
     /// A partition artifact is `2 * R::BYTES` raw bytes per amplitude, its
     /// digest is [`fnv1a64`] of the written file, and it reads back only
-    /// at exactly that size and under that digest.
+    /// at exactly that size and under that digest. Through a layout `q`
+    /// the file holds `amps[q(y)]` at offset `y`, and reads back in place.
     fn part_round_trip<R: Real>(amps: &[Complex<R>]) -> Result<(), CheckpointError> {
         let dir = tmpdir(R::NAME);
         assert_eq!(part_path(&dir, 0, 5), part_path(&dir, 0, 3));
         assert_eq!(part_path(&dir, 7, 2), dir.join("part_000007.g0.amps"));
-        let wrote = write_part(&dir, 0, 5, amps)?;
+        let block = &mut Vec::new();
         let path = part_path(&dir, 0, 5);
-        let raw = std::fs::read(&path)?;
-        assert_eq!(raw.len(), amps.len() * 2 * R::BYTES);
-        assert_eq!(wrote, fnv1a64(&raw));
         let mut back = vec![Complex::<R>::zero(); amps.len()];
-        read_part(&dir, 0, 5, wrote, &mut back)?;
-        assert_eq!(back, amps);
+        let q = slots_to_top_permutation(&[0, 2], amps.len().trailing_zeros()).inverse();
+        let mut gathered = back.clone();
+        par_gather(amps, &mut gathered, &q, 0, 1);
+        for (layout, stored) in [(Some(&q), &gathered[..]), (None, amps)] {
+            let wrote = write_part(&dir, 0, 5, amps, layout, block)?;
+            let raw = std::fs::read(&path)?;
+            assert!(raw == amps_as_bytes(stored), "{}", layout.is_some());
+            assert_eq!(wrote, fnv1a64(&raw));
+            read_part(&dir, 0, 5, wrote, &mut back, layout, block)?;
+            assert_eq!(back, amps);
+        }
+        let wrote = fnv1a64(amps_as_bytes(amps));
+        let raw = std::fs::read(&path)?;
+        let mut read = |want| read_part(&dir, 0, 5, want, &mut back, None, block);
         let mismatch = |r: Result<(), CheckpointError>| {
             assert!(matches!(r, Err(CheckpointError::Mismatch(_))), "{r:?}")
         };
-        mismatch(read_part(&dir, 0, 5, !wrote, &mut back));
+        mismatch(read(!wrote));
         // Extra bytes after the partition, or too few: rejected by size.
         for len in [raw.len() + 4099, raw.len() + 1, raw.len() - 1, 0] {
             let mut torn = raw.clone();
             torn.resize(len, 0xa5);
             std::fs::write(&path, &torn)?;
-            mismatch(read_part(&dir, 0, 5, wrote, &mut back));
+            mismatch(read(wrote));
         }
         // A missing file is the IO failure, with its path.
         std::fs::remove_file(&path)?;
-        match read_part(&dir, 0, 5, wrote, &mut back) {
+        match read(wrote) {
             Err(CheckpointError::Io(e)) => assert!(e.to_string().contains("part_000000")),
             other => panic!("expected Io, got {other:?}"),
         }
@@ -941,7 +996,8 @@ mod tests {
     #[test]
     fn partitions_round_trip_at_both_precisions() -> Result<(), CheckpointError> {
         use qsim_util::c32;
-        let amps: Vec<c64> = (0..32)
+        // Two blocks of `PART_BLOCK_AMPS`.
+        let amps: Vec<c64> = (0..2 * PART_BLOCK_AMPS)
             .map(|i| c64::new(i as f64 * 0.25, -(i as f64)))
             .collect();
         part_round_trip(&amps)?;

@@ -24,11 +24,12 @@
 //!   [`perform_swap_reference`] keeps the textbook three-pass path as the
 //!   equivalence oracle;
 //! * **checkpoint** (under a policy): every rank fsyncs its slice as the
-//!   next generation and hands its digest to the driver, which commits
-//!   the unit once every rank has joined.
+//!   next generation, in every store's layout ([`generation_layout`]), and
+//!   hands its digest to the driver, which commits the unit once every rank
+//!   has joined.
 
 use crate::backend::{BackendOutcome, BackendPlan, BackendStats};
-use crate::checkpoint::{read_part, write_part, CheckpointPolicy};
+use crate::checkpoint::{generation_layout, read_part, write_part, CheckpointPolicy};
 use crate::exec::StageExecutor;
 use crate::observables::norm_entropy;
 use crate::run::{drive, PartitionStore, RunSpec};
@@ -132,9 +133,8 @@ impl DistSimulator {
     /// the run driver ([`drive`]) over the [`Resident`] store. Returns the
     /// report — with the full state in logical order under
     /// `gather_state` — and every rank's final slice in rank (physical)
-    /// order. `engine` (`"single"` or `"dist"`) names the manifest's
-    /// engine, the metric prefix, the tracks and the [`BackendStats`]
-    /// variant.
+    /// order. `engine` (`"single"` or `"dist"`) names the metric prefix,
+    /// the tracks and the [`BackendStats`] variant.
     ///
     /// Injected faults, lost ranks and checkpoint IO surface as a typed
     /// [`SimError`] after all rank threads have been joined — never a
@@ -161,11 +161,12 @@ impl DistSimulator {
             checkpoint: config.checkpoint.as_ref(),
         };
         // Each rank loads its slice on its own thread: generation `cursor`,
-        // verified against the manifest's digest for that rank, on resume;
-        // otherwise the §3.6 initial state, written by the kernel pool when
-        // it has more than one thread (first touch, §3.3).
+        // checked against its manifest digest and placed through its layout,
+        // on resume; otherwise the §3.6 initial state, written by the kernel
+        // pool when it has more than one thread (first touch, §3.3).
         let (n, l) = (plan.schedule.n_qubits, plan.schedule.local_qubits);
         let open = |cursor: usize, digests: &[u64]| {
+            let layout = generation_layout(&plan.schedule, cursor);
             let mut cluster = Cluster::new(
                 config.n_ranks,
                 config.fault_plan.clone(),
@@ -176,10 +177,20 @@ impl DistSimulator {
                 let rank = ctx.rank();
                 let track = config.telemetry.track(&track_name(engine, Some(rank)));
                 let _rank = track.span_id("rank", rank as u64);
+                let mut block = Vec::new();
                 let state = match resume {
                     Some(cp) => {
                         let mut state = StateVector::<R>::null(l);
-                        read_part(&cp.dir, rank, cursor, digests[rank], state.amplitudes_mut())?;
+                        let out = state.amplitudes_mut();
+                        read_part(
+                            &cp.dir,
+                            rank,
+                            cursor,
+                            digests[rank],
+                            out,
+                            layout.as_ref(),
+                            &mut block,
+                        )?;
                         state
                     }
                     None => {
@@ -195,6 +206,7 @@ impl DistSimulator {
                     state,
                     swap: SwapBuffers::new(None),
                     sweep: SweepStats::default(),
+                    block,
                 })
             })?;
             Ok(Resident {
@@ -243,6 +255,8 @@ struct Rank<R: SweepDispatch> {
     /// fabric's wire pools), so only the first swap pays any allocation.
     swap: SwapBuffers,
     sweep: SweepStats,
+    /// The block a checkpoint write gathers its slice through.
+    block: Vec<Complex<R>>,
 }
 
 impl<R: SweepDispatch> PartitionStore<R> for Resident<'_, R> {
@@ -257,6 +271,8 @@ impl<R: SweepDispatch> PartitionStore<R> for Resident<'_, R> {
         let l = self.plan.schedule.local_qubits;
         // Fault points and the paper's swap count are schedule-level.
         let swap_index = stages[..si].iter().filter(|s| s.swap.is_some()).count();
+        let unit = si + 1;
+        let layout = generation_layout(&self.plan.schedule, unit);
         let digests = self.cluster.run(&mut self.ranks, |ctx, part| {
             let rank = ctx.rank();
             let track = config.telemetry.track(&track_name(engine, Some(rank)));
@@ -284,13 +300,15 @@ impl<R: SweepDispatch> PartitionStore<R> for Resident<'_, R> {
             let Some(cp) = &config.checkpoint else {
                 return Ok(None);
             };
-            let unit = si + 1;
             let _s = track.span_timed("checkpoint.write", unit as u64, "checkpoint_ns");
+            let (amps, layout) = (part.state.amplitudes(), layout.as_ref());
             Ok(Some(write_part(
                 &cp.dir,
                 rank,
                 unit,
-                part.state.amplitudes(),
+                amps,
+                layout,
+                &mut part.block,
             )?))
         })?;
         Ok(digests.into_iter().collect())

@@ -46,9 +46,9 @@ pub trait PartitionStore<R: SweepDispatch> {
 
 /// What an engine hands [`drive`] besides its store.
 pub struct RunSpec<'a> {
-    /// `"single"`, `"dist"` or `"ooc"`: the manifest's engine, which also
-    /// fixes the artifact layout ([`RunKey::engine`]), and the prefix of
-    /// the engine's metrics.
+    /// `"single"`, `"dist"` or `"ooc"`: the prefix of the engine's
+    /// metrics. The durable artifacts do not depend on it: every store
+    /// commits one layout ([`crate::checkpoint::generation_layout`]).
     pub engine: &'static str,
     pub plan: &'a BackendPlan,
     /// Chunk codec name (`"none"` in memory).
@@ -96,7 +96,6 @@ where
     let schedule = &spec.plan.schedule;
     let (l, total) = (schedule.local_qubits, schedule.stages.len());
     let key = RunKey {
-        engine: spec.engine,
         schedule,
         precision: R::NAME,
         codec: spec.codec,

@@ -8,9 +8,9 @@
 //! (little-endian on every supported target); all IO is counted for the
 //! bandwidth analysis of the §5 SSD argument. A chunk file is the same
 //! partition artifact as an in-memory rank's checkpoint — same name
-//! ([`part_path`]), same raw bytes, same digest and verifier
-//! ([`check_part_digest`], the streaming form of `verify_part`) — so the
-//! chunk index is the rank id on disk too.
+//! ([`part_path`]), same raw bytes in the same layout, same digest,
+//! reader ([`read_raw_part`]) and verifier ([`check_part_digest`]) — so
+//! the chunk index is the rank id on disk too.
 //!
 //! ## Two generations
 //!
@@ -42,8 +42,8 @@
 //! files and caller-owned amplitude buffers ([`amps_as_bytes`]) — no
 //! intermediate byte `Vec`s — through one timed read and one timed
 //! write that the store and its views share. A read takes a file one
-//! block at a time ([`FRAME_AMPS`] raw amplitudes, or one frame) and can
-//! place each block through a swap's `p⁻¹` as it arrives
+//! block at a time (`PART_BLOCK_AMPS` raw amplitudes, or one frame) and
+//! can place each block through a swap's `p⁻¹` as it arrives
 //! ([`ChunkStore::reader`]); unpermuted, raw blocks land straight in the
 //! caller's buffer, and a permuted or framed read stages one block. The
 //! pipelined engine's IO threads use
@@ -80,13 +80,13 @@ use qsim_compress::{
     decode_frame, encode_frame, Codec, CodecScratch, FrameHeader, FRAME_AMPS, FRAME_HEADER_LEN,
 };
 use qsim_core::checkpoint::{
-    at_path, check_part_digest, check_part_len, part_path, CheckpointError, Fnv1a,
+    at_path, check_part_digest, part_path, read_raw_part, CheckpointError, Fnv1a,
 };
 use qsim_kernels::parallel::par_scatter;
 use qsim_telemetry::TrackHandle;
 use qsim_util::align::{grown, AlignedVec};
 use qsim_util::bits::BitPermutation;
-use qsim_util::complex::{amps_as_bytes, amps_as_bytes_mut, Complex};
+use qsim_util::complex::{amps_as_bytes, Complex};
 use qsim_util::Real;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -135,23 +135,14 @@ impl<R: Real> ChunkIo<R> {
         }
     }
 
-    /// Read chunk `c`'s whole file — raw scalars, or every frame of it
-    /// under a codec — from `f` (positioned at its start) into `out`, one
-    /// block at a time: [`FRAME_AMPS`] amplitudes of a raw file, one frame
-    /// of a framed one. With `unpermute` (a swap's `p⁻¹`) the amplitude
-    /// at file offset `y` lands at `out[p⁻¹(y)]`, so the chunk arrives in
-    /// the layout the next stage computes in; without, it lands at
-    /// `out[y]`, and raw blocks are read straight into place. Each
-    /// block's placement is an `unpermute` span on `track`. Returns the
-    /// seconds it took — IO, decode and placement — for callers that
-    /// waited on it.
-    ///
-    /// A chunk a manifest names (`want`: its promised digest) is checked
-    /// as `read_part` checks a rank: a raw file must hold exactly the
-    /// chunk's bytes ([`check_part_len`]), and the running digest of
-    /// every byte read, in file order, must be `want` once the file is
-    /// read ([`check_part_digest`]). A named file that does not decode is
-    /// rejected too, naming the partition.
+    /// Read chunk `c`'s whole file from `f` (at its start) into `out`: raw
+    /// through the one raw partition reader ([`read_raw_part`]), framed
+    /// frame by frame. With `unpermute` (the generation's layout, a swap's
+    /// `p⁻¹`) file offset `y` lands at `out[p⁻¹(y)]`, under one `unpermute`
+    /// span on `track`. A chunk a manifest names (`want`) is checked as a
+    /// rank's is, and a named file that does not decode is rejected,
+    /// naming the partition. Returns the seconds it took — IO, decode and
+    /// placement — for callers that waited on it.
     fn read(
         &mut self,
         c: usize,
@@ -164,61 +155,35 @@ impl<R: Real> ChunkIo<R> {
         let t = Instant::now();
         let decode0 = self.stats.decode_seconds;
         let logical = std::mem::size_of_val(out) as u64;
-        let mut digest = want.map(|_| Fnv1a::new());
-        let read = if self.codec.is_none() {
-            if want.is_some() {
-                check_part_len(c, f.metadata()?.len(), logical as usize).map_err(rejected)?;
-            }
-            self.read_raw(f, out, &mut digest, unpermute, (c, track))
+        let _s = unpermute
+            .and(track)
+            .map(|t| t.span_id("unpermute", c as u64));
+        let physical = if self.codec.is_none() {
+            let raw = read_raw_part(c, f, out, want, unpermute, &mut self.block);
+            raw.map_err(|e| match e {
+                CheckpointError::Io(e) => e,
+                e => rejected(e),
+            })?;
+            logical
         } else {
-            self.read_frames(f, out, &mut digest, unpermute, (c, track))
-        };
-        let physical = match read {
-            Err(e) if want.is_some() && e.kind() == std::io::ErrorKind::InvalidData => {
-                let e = CheckpointError::Mismatch(format!("partition {c}: {e}"));
-                return Err(rejected(e));
+            let mut digest = want.map(|_| Fnv1a::new());
+            let physical = match self.read_frames(f, out, &mut digest, unpermute) {
+                Err(e) if want.is_some() && e.kind() == std::io::ErrorKind::InvalidData => {
+                    let e = CheckpointError::Mismatch(format!("partition {c}: {e}"));
+                    return Err(rejected(e));
+                }
+                r => r?,
+            };
+            if let (Some(h), Some(want)) = (digest, want) {
+                check_part_digest(c, h.finish(), want).map_err(rejected)?;
             }
-            r => r?,
+            physical
         };
-        if let (Some(h), Some(want)) = (digest, want) {
-            check_part_digest(c, h.finish(), want).map_err(rejected)?;
-        }
         let dt = t.elapsed().as_secs_f64();
         self.stats.read_seconds += dt - (self.stats.decode_seconds - decode0);
         self.stats.bytes_read += physical;
         self.stats.logical_bytes_read += logical;
         Ok(dt)
-    }
-
-    /// The raw half of [`ChunkIo::read`]: `out.len()` amplitudes in
-    /// blocks of [`FRAME_AMPS`]. Returns the bytes read.
-    fn read_raw(
-        &mut self,
-        f: &mut File,
-        out: &mut [Complex<R>],
-        digest: &mut Option<Fnv1a>,
-        unpermute: Option<&BitPermutation>,
-        at: (usize, Option<&TrackHandle>),
-    ) -> std::io::Result<u64> {
-        let mut take = |block: &mut [Complex<R>]| -> std::io::Result<()> {
-            f.read_exact(amps_as_bytes_mut(block))?;
-            if let Some(h) = digest {
-                h.write(amps_as_bytes(block));
-            }
-            Ok(())
-        };
-        for base in (0..out.len()).step_by(FRAME_AMPS) {
-            let n = FRAME_AMPS.min(out.len() - base);
-            match unpermute {
-                None => take(&mut out[base..base + n])?,
-                Some(p) => {
-                    let block = grown(&mut self.block, n);
-                    take(block)?;
-                    place(block, out, p, base, at);
-                }
-            }
-        }
-        Ok(std::mem::size_of_val(out) as u64)
     }
 
     /// The framed half of [`ChunkIo::read`]: frame after frame to the end
@@ -231,7 +196,6 @@ impl<R: Real> ChunkIo<R> {
         out: &mut [Complex<R>],
         digest: &mut Option<Fnv1a>,
         unpermute: Option<&BitPermutation>,
-        at: (usize, Option<&TrackHandle>),
     ) -> std::io::Result<u64> {
         let Self {
             scratch,
@@ -271,7 +235,8 @@ impl<R: Real> ChunkIo<R> {
                 Some(p) => {
                     let block = grown(block, h.amps);
                     decode(block)?;
-                    place(block, out, p, h.amp_off, at);
+                    // On the reading thread, beside the compute pool.
+                    par_scatter(block, out, p, h.amp_off, 1);
                 }
             }
         }
@@ -344,21 +309,6 @@ fn read_up_to(f: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
         }
     }
     Ok(got)
-}
-
-/// Put the block read from file offset `base` of chunk `c` (`at`) at its
-/// unpermuted places, `out[p⁻¹(base + t)] = block[t]`, under an
-/// `unpermute` span. One thread: this runs on the reading thread, beside
-/// the compute pool.
-fn place<R: Real>(
-    block: &[Complex<R>],
-    out: &mut [Complex<R>],
-    unpermute: &BitPermutation,
-    base: usize,
-    (c, track): (usize, Option<&TrackHandle>),
-) {
-    let _s = track.map(|t| t.span_id("unpermute", c as u64));
-    par_scatter(block, out, unpermute, base, 1);
 }
 
 /// A pool of fixed-length 64-byte-aligned amplitude buffers. `get`

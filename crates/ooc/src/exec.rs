@@ -41,8 +41,8 @@ use crate::chunkstore::{BufferPool, ChunkStore};
 use crate::pipeline::{run_pass, Dest, PassConfig, PassSource};
 use crate::scratch::ScratchDir;
 use qsim_compress::Codec;
-use qsim_core::checkpoint::CheckpointPolicy;
-use qsim_core::dist::{physical_to_logical, slots_to_top_permutation};
+use qsim_core::checkpoint::{generation_layout, CheckpointPolicy};
+use qsim_core::dist::physical_to_logical;
 use qsim_core::exec::StageExecutor;
 use qsim_core::observables::{norm_entropy, tree_sum};
 use qsim_core::run::{drive, PartitionStore, RunSpec};
@@ -50,7 +50,6 @@ use qsim_core::{BackendOutcome, BackendPlan, BackendStats, SimError};
 use qsim_kernels::apply::KernelConfig;
 use qsim_kernels::parallel::par_gather;
 use qsim_kernels::{SweepDispatch, SweepStats};
-use qsim_sched::SwapOp;
 use qsim_telemetry::{MetricsRegistry, Telemetry, TrackHandle};
 use std::time::{Duration, Instant};
 
@@ -271,32 +270,25 @@ impl<R: SweepDispatch> PartitionStore<R> for Files<'_, R> {
     /// gather-unpermute half of swap `si − 1` — applies stage `si`, and
     /// then either the permute-scatter half of swap `si` into the next
     /// generation's files or — on the last stage — the final chunk write
-    /// with the norm/entropy reduction folded in. Writing `p` for a swap's
-    /// slots→top permutation, destination chunk `d` must end up holding
-    /// `final[x] = buf[p(x)]` where piece `s` of its exchange buffer is
-    /// `buf[s·piece + t] = chunk_s[p⁻¹(d·piece + t)]`.
+    /// with the norm/entropy reduction folded in. Piece `s` of destination
+    /// chunk `d` is `chunk_s[p⁻¹(d·piece + t)]` ([`generation_layout`]).
     fn run_stage(
         &mut self,
         si: usize,
         exec: &StageExecutor<R>,
     ) -> Result<Option<Vec<u64>>, SimError> {
-        let stages = &self.plan.schedule.stages;
-        let l = self.plan.schedule.local_qubits;
+        let schedule = &self.plan.schedule;
         let (track, telemetry) = (self.track, &self.config.telemetry);
         let threads = self.config.kernel.threads;
         let n_chunks = self.store.n_chunks();
         let piece = self.store.chunk_len() / n_chunks;
         let _ss = track.span_id("stage", si as u64);
-        let slots_to_top = |s: &SwapOp| slots_to_top_permutation(&s.local_slots, l);
-        let prev_swap = si.checked_sub(1).and_then(|p| stages[p].swap.as_ref());
-        // `final[x] = buf[p(x)]` places the previous swap's incoming
-        // qubits at its slots: the read puts file offset `y` at `p⁻¹(y)`.
-        // An identity `p` means the written assembly is already final.
-        let unpermute = prev_swap
-            .map(slots_to_top)
-            .filter(|p| !p.is_identity())
-            .map(|p| p.inverse());
-        let scatter = stages[si].swap.as_ref().map(|s| slots_to_top(s).inverse());
+        // The one layout of every store: the read puts file offset `y` of
+        // generation `si` at `p⁻¹(y)`, and the scatter assembles generation
+        // `si + 1` as `buf[p⁻¹(·)]` (`None`: an identity `p`, a plain copy).
+        let unpermute = generation_layout(schedule, si);
+        let scatter = generation_layout(schedule, si + 1);
+        let swaps = schedule.stages[si].swap.is_some();
         let source = match si {
             0 => PassSource::Start {
                 uniform: self.plan.init_uniform,
@@ -307,7 +299,7 @@ impl<R: SweepDispatch> PartitionStore<R> for Files<'_, R> {
             source,
             unpermute,
             depth: self.depth,
-            wires: if scatter.is_some() { self.wires } else { 0 },
+            wires: if swaps { self.wires } else { 0 },
             digest: self.config.checkpoint.is_some(),
             telemetry: telemetry.clone(),
         };
@@ -328,13 +320,13 @@ impl<R: SweepDispatch> PartitionStore<R> for Files<'_, R> {
                     let _cs = track.span_timed("compute", c as u64, "stage_apply_ns");
                     exec.apply(si..si + 1, &mut buf, c, sweep);
                 }
-                let Some(inv) = &scatter else {
+                if !swaps {
                     // Last stage: fold the final reduction into the pass —
                     // it costs no extra traversal.
                     partials[c] = norm_entropy(&buf, threads);
                     sink.retire(Dest::Chunk(c), buf);
                     return Ok(());
-                };
+                }
                 // Fused permute-scatter: this chunk's permuted piece for
                 // destination `dst` lands at offset `c·piece` of `dst` in
                 // the next generation, behind the one this pass still
@@ -343,10 +335,9 @@ impl<R: SweepDispatch> PartitionStore<R> for Files<'_, R> {
                 let t = Instant::now();
                 for dst in 0..n_chunks {
                     let mut wire = sink.take_wire()?;
-                    if inv.is_identity() {
-                        wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]);
-                    } else {
-                        par_gather(&buf, &mut wire, inv, dst * piece, threads);
+                    match &scatter {
+                        None => wire.copy_from_slice(&buf[dst * piece..(dst + 1) * piece]),
+                        Some(inv) => par_gather(&buf, &mut wire, inv, dst * piece, threads),
                     }
                     let off = c * piece;
                     sink.retire(Dest::Piece { c: dst, off }, wire);
@@ -358,9 +349,9 @@ impl<R: SweepDispatch> PartitionStore<R> for Files<'_, R> {
         )
         .map_err(io_to_sim)?;
         self.runs += 1;
-        match scatter {
-            Some(_) => telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64),
-            None => self.partials = Some(partials),
+        match swaps {
+            true => telemetry.record_duration_ns("swap_ns", scatter_t.as_nanos() as u64),
+            false => self.partials = Some(partials),
         }
         let Some(digests) = digests else {
             return Ok(None);

@@ -10,7 +10,10 @@ use std::path::Path;
 use qsim_circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim_core::checkpoint::{Manifest, MANIFEST_FILE};
 use qsim_core::single::strip_initial_hadamards;
-use qsim_core::{BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, SimError};
+use qsim_core::{
+    Backend, BackendOutcome, BackendPlan, BackendStats, CheckpointPolicy, DistBackend, DistConfig,
+    DistSimulator, SimError,
+};
 use qsim_kernels::SweepDispatch;
 use qsim_ooc::{Codec, OocConfig, OocSimulator, ScratchDir};
 use qsim_sched::{plan, SchedulerConfig};
@@ -238,4 +241,18 @@ fn resume_rejects_cross_codec_manifests() {
         assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
         assert!(err.to_string().contains("codec"), "unhelpful error: {err}");
     }
+    // The in-memory store reads raw partitions only: it refuses a
+    // compressed directory by its codec, though the layout is the same.
+    let dir = ScratchDir::new("ooc_ckpt_codec_dist");
+    codec_sim(Codec::ShuffleRle, fresh(&dir))
+        .run_plan(&plan, false, None)
+        .unwrap();
+    let mut dist = DistBackend::new(DistSimulator::new(DistConfig {
+        n_ranks: 1 << (plan.schedule.n_qubits - plan.schedule.local_qubits),
+        ..DistConfig::default()
+    }));
+    Backend::<f64>::checkpoint(&mut dist, resume(&dir));
+    let err = Backend::<f64>::run(&mut dist, &plan).expect_err("in-memory resume of frames");
+    assert!(matches!(err, SimError::Checkpoint(_)), "got {err}");
+    assert!(err.to_string().contains("codec"), "unhelpful error: {err}");
 }

@@ -43,9 +43,10 @@
 //! `--checkpoint-dir` makes the run crash-recoverable: every engine
 //! publishes an atomic manifest per completed unit of work (a stage,
 //! with the swap that closes it), and `--resume` picks the run back up
-//! from the last one — bit-exact with an uninterrupted run. A missing
-//! manifest under `--resume` is a fresh start, so the flag pair is safe
-//! to use unconditionally in retry loops.
+//! from the last one — bit-exact with an uninterrupted run, on either
+//! backend at the same `--ranks`, precision and codec (both stores commit
+//! one layout). A missing manifest under `--resume` is a fresh start, so
+//! the flag pair is safe to use unconditionally in retry loops.
 //!
 //! `--trace-out` writes a Chrome `trace_event` timeline of the run (one
 //! track per rank / pipeline thread; open in `chrome://tracing` or

@@ -17,6 +17,7 @@
 
 mod common;
 
+use common::{grid_asym, TwoQubit};
 use qsim45::circuit::dense::{entropy as dense_entropy, simulate_dense};
 use qsim45::circuit::supremacy::{supremacy_circuit, SupremacySpec};
 use qsim45::circuit::{Circuit, Gate};
@@ -498,20 +499,36 @@ fn corpus_at_16_qubits() {
 }
 
 #[test]
+fn corpus_of_dense_two_qubit_gates_at_16_qubits() {
+    // 4×4 d25 with a seeded dense U2 in place of every CZ, at 16 parts:
+    // Dist, then OOC at prefetch depths 1 and 3. Unlike CZ, a U2 is
+    // neither symmetric nor diagonal, so operand order shows.
+    let execs = [(Engine::Dist, 3), (Engine::Ooc, 1), (Engine::Ooc, 3)];
+    let execs = execs.map(|(e, depth)| seq(e, depth, Codec::None, None));
+    let c = grid_asym(4, 4, 25, 7, TwoQubit::U2);
+    corpus("4x4 d25 U2 seed 7", &c, &greedy(16, 4), &execs);
+}
+
+#[test]
 #[ignore = "n = 20: a release-build case"]
 fn corpus_at_20_qubits() {
-    // 4×5 d25 on one node, 4 ranks and 16 chunks, with the default
-    // kernel and two workers.
-    let c = supremacy(4, 5, 25, 0);
-    let mut oracle = Oracle::new("corpus 4x5 d25 seed 0".into(), &c);
-    for (engine, parts) in [(Engine::Single, 1), (Engine::Dist, 4), (Engine::Ooc, 16)] {
-        let exec = Exec {
-            simd: Simd::Auto,
-            threads: 2,
-            ..seq(engine, 3, Codec::None, None)
-        };
-        for key in greedy(parts, 4) {
-            assert!(oracle.check(Config { key, exec }), "{key:?}");
+    // 4×5 d25, with CZ and with dense U2s, on one node, 4 ranks and 16
+    // chunks, with the default kernel and two workers.
+    let circuits = [
+        ("4x5 d25 seed 0", supremacy(4, 5, 25, 0)),
+        ("4x5 d25 U2 seed 0", grid_asym(4, 5, 25, 0, TwoQubit::U2)),
+    ];
+    for (label, c) in &circuits {
+        let mut oracle = Oracle::new(format!("corpus {label}"), c);
+        for (engine, parts) in [(Engine::Single, 1), (Engine::Dist, 4), (Engine::Ooc, 16)] {
+            let exec = Exec {
+                simd: Simd::Auto,
+                threads: 2,
+                ..seq(engine, 3, Codec::None, None)
+            };
+            for key in greedy(parts, 4) {
+                assert!(oracle.check(Config { key, exec }), "{label}: {key:?}");
+            }
         }
     }
 }

@@ -44,44 +44,58 @@ fn echo(rows: u32, cols: u32, depth: u32, seed: u64) -> (Circuit, usize) {
     (out, s)
 }
 
-/// Every engine configuration the echo runs: the single node, 2, 4 and
-/// 16 in-memory ranks, and 16 chunks out of core at prefetch depths 1 and
-/// 3, each with sequential kernels and gathering its state.
-fn backends<R: SweepDispatch>() -> Vec<(String, Box<dyn Backend<R>>)> {
+/// `n_ranks` in-memory ranks with sequential kernels.
+fn dist<R: SweepDispatch>(n_ranks: usize) -> Box<dyn Backend<R>> {
     let kernel = KernelConfig::sequential();
-    let mut out: Vec<(String, Box<dyn Backend<R>>)> = vec![(
-        "single".into(),
-        Box::new(SingleBackend::new(SingleNodeSimulator {
-            kernel,
-            ..Default::default()
-        })),
-    )];
+    let dist = DistSimulator::new(DistConfig {
+        n_ranks,
+        kernel,
+        ..Default::default()
+    });
+    Box::new(DistBackend::new(dist))
+}
+
+/// 16 chunks out of core at `prefetch_depth`, sequential kernels.
+fn ooc<R: SweepDispatch>(prefetch_depth: usize) -> Box<dyn Backend<R>> {
+    let ooc = OocSimulator::<R>::new(OocConfig {
+        kernel: KernelConfig::sequential(),
+        prefetch_depth,
+        ..OocConfig::default()
+    });
+    Box::new(OocBackend::new(ooc, 16))
+}
+
+/// The stores one echo configuration takes in turn, by name.
+type Stores<R> = (String, Vec<Box<dyn Backend<R>>>);
+
+/// Every engine configuration the echo runs, each as the stores its kill
+/// loop takes in turn: the single node, 2, 4 and 16 in-memory ranks, 16
+/// chunks out of core at prefetch depths 1 and 3 — and 16 partitions
+/// alternating between the two stores at every stop, since both commit
+/// one layout. Sequential kernels; every store gathers its state.
+fn backends<R: SweepDispatch>() -> Vec<Stores<R>> {
+    let single = SingleBackend::new(SingleNodeSimulator {
+        kernel: KernelConfig::sequential(),
+        ..Default::default()
+    });
+    let mut out: Vec<Stores<R>> = vec![("single".into(), vec![Box::new(single)])];
     for n_ranks in [2, 4, 16] {
-        let dist = DistSimulator::new(DistConfig {
-            n_ranks,
-            kernel,
-            ..Default::default()
-        });
-        out.push((format!("dist x{n_ranks}"), Box::new(DistBackend::new(dist))));
+        out.push((format!("dist x{n_ranks}"), vec![dist(n_ranks)]));
     }
-    for prefetch_depth in [1, 3] {
-        let ooc = OocSimulator::<R>::new(OocConfig {
-            kernel,
-            prefetch_depth,
-            ..OocConfig::default()
-        });
-        let name = format!("ooc x16 depth {prefetch_depth}");
-        out.push((name, Box::new(OocBackend::new(ooc, 16))));
+    for depth in [1, 3] {
+        out.push((format!("ooc x16 depth {depth}"), vec![ooc(depth)]));
     }
-    for (_, b) in &mut out {
+    let across = vec![dist(16), ooc(1), ooc(3)];
+    out.push(("dist x16 / ooc x16 depths 1, 3".into(), across));
+    for b in out.iter_mut().flat_map(|(_, stores)| stores) {
         b.gather_state(true);
     }
     out
 }
 
 /// The echo on every backend at precision `R`: an uninterrupted run, then
-/// a run killed at every unit in turn — each kill resumed by the next run
-/// — whose last resume must land on |s⟩ too.
+/// a run killed at every unit in turn — each kill resumed by the next run,
+/// on the entry's next store — whose last resume must land on |s⟩ too.
 fn echo_everywhere<R: SweepDispatch>(rows: u32, cols: u32, depth: u32, seed: u64) {
     let (circuit, s) = echo(rows, cols, depth, seed);
     // ε: 1e-10 at f64; at f32 the depth-scaled bound of the f32 property
@@ -90,8 +104,8 @@ fn echo_everywhere<R: SweepDispatch>(rows: u32, cols: u32, depth: u32, seed: u64
         8 => 1e-10,
         _ => 2e-6 * (circuit.len() as f64 + 1.0),
     };
-    for (name, mut b) in backends::<R>() {
-        let plan = b.plan(&circuit).expect(&name);
+    for (name, mut stores) in backends::<R>() {
+        let plan = stores[0].plan(&circuit).expect(&name);
         let units = plan.schedule.stages.len();
         let landed = |b: &mut Box<dyn Backend<R>>, how: &str| {
             let out = b.run(&plan).unwrap_or_else(|e| panic!("{name} {how}: {e}"));
@@ -103,22 +117,25 @@ fn echo_everywhere<R: SweepDispatch>(rows: u32, cols: u32, depth: u32, seed: u64
                 assert!(off <= eps, "{name} {how}: |α_{i}| = {off}, s = {s}");
             }
         };
-        landed(&mut b, "uninterrupted");
+        landed(&mut stores[0], "uninterrupted");
 
         let dir = ScratchDir::new("echo");
+        let n_stores = stores.len();
         for stop in 1..=units {
             let policy = match stop {
                 1 => CheckpointPolicy::new(dir.path()),
                 _ => CheckpointPolicy::resume(dir.path()),
             };
+            let b = &mut stores[stop % n_stores];
             b.checkpoint(policy);
             match b.run_to_stage(&plan, Some(stop)) {
                 Err(SimError::InjectedStop { unit }) => assert_eq!(unit, stop, "{name}"),
                 other => panic!("{name}: kill at unit {stop} of {units}: {other:?}"),
             }
         }
+        let b = &mut stores[(units + 1) % n_stores];
         b.checkpoint(CheckpointPolicy::resume(dir.path()));
-        landed(&mut b, &format!("killed at each of {units} units"));
+        landed(b, &format!("killed at each of {units} units"));
     }
 }
 
