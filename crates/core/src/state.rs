@@ -54,9 +54,9 @@ impl<T: SweepDispatch> StateVector<T> {
     }
 
     /// `2^local` amplitudes of the `total`-qubit uniform superposition.
-    /// With `parallel`, from [`PAR_THRESHOLD`] amplitudes up the pool that
-    /// will sweep the partition writes it, each thread faulting in the
-    /// pages it fills — the paper's first-touch initialization (§3.3).
+    /// With `parallel`, from [`PAR_THRESHOLD`] amplitudes up the caller and
+    /// the pool's parked workers, the threads that later sweep it, write
+    /// it, each faulting in the pages it fills: the first touch (§3.3).
     pub(crate) fn uniform_part(local_qubits: u32, total_qubits: u32, parallel: bool) -> Self {
         let len = 1usize << local_qubits;
         let amp = Complex::new(

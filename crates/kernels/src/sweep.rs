@@ -405,9 +405,9 @@ pub struct TiledPass<R: SweepDispatch = f64> {
 /// executor stocks the list where it is built ([`TileStaging::stock`]),
 /// with one buffer for each stager that can run at once (see
 /// [`TiledPass::staging_demand`]), so no pass allocates. The stock is
-/// made on the building thread because the threads that stage — rank
-/// threads and the workers of one parallel call — exit with their run or
-/// call, and buffers they allocated would stay in their heaps.
+/// made on the building thread because rank threads, which stage tiles
+/// too, exit with their run, and buffers they allocated would stay in
+/// their heaps; the pool's workers are parked for the process.
 pub struct TileStaging<R: Real>(Mutex<Vec<Vec<Complex<R>>>>);
 
 impl<R: Real> Default for TileStaging<R> {

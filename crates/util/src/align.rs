@@ -79,8 +79,8 @@ impl<T: Copy + Default> AlignedVec<T> {
     /// [`AlignedVec::<T>::FILL_CHUNK`]-element chunks (whole pages) and
     /// `par_for(chunks, &fill)` must call `fill(c)` once for every
     /// `c < chunks`, on whatever threads it likes: the thread that fills a
-    /// chunk takes its page faults, so an executor backed by the pool that
-    /// later sweeps the vector is the paper's first-touch placement.
+    /// chunk takes its page faults, so the caller and the pool's parked
+    /// workers, which later sweep the vector, make the first touch (§3.3).
     ///
     /// # Panics
     /// If `par_for` fills a chunk twice or leaves one unfilled.
