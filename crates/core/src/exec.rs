@@ -95,6 +95,7 @@ fn compile_stage<R: SweepDispatch>(
                             &c.qubits,
                             cluster_diagonal(c),
                             local_qubits,
+                            kernel,
                         )),
                         StageOp::Cluster(c) => TileOp::Dense(PreparedGate::new(
                             &c.qubits,
@@ -105,6 +106,7 @@ fn compile_stage<R: SweepDispatch>(
                             &d.positions,
                             d.diag.iter().map(|a| a.convert()).collect(),
                             local_qubits,
+                            kernel,
                         )),
                     })
                     .collect();

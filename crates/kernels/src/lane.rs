@@ -77,9 +77,10 @@ use qsim_util::bits::IndexExpander;
 use qsim_util::complex::Complex;
 use qsim_util::Real;
 
-/// Vector width of the block-lane kernel.
+/// Vector width of the block-lane kernel (and of the diagonal fold in
+/// [`crate::sweep`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Width {
+pub(crate) enum Width {
     /// 256-bit vectors, AVX2 + FMA.
     V256,
     /// 512-bit vectors, AVX-512F.
@@ -88,7 +89,7 @@ enum Width {
 
 impl Width {
     /// The width `simd` selects on this host, from CPUID alone.
-    fn pick(simd: Simd) -> Option<Self> {
+    pub(crate) fn pick(simd: Simd) -> Option<Self> {
         match simd {
             Simd::Scalar => None,
             Simd::Auto if crate::avx512::avx512_available() => Some(Self::V512),

@@ -9,26 +9,33 @@
 //! whose operands fall inside the tile — dense clusters through the same
 //! packed step-3 kernels as the per-gate dispatch ([`PackedDense`]: the
 //! block-lane kernel over whole lane groups, the scalar kernel for the
-//! rest),
-//! diagonal clusters folded into the sweep as per-tile phase
-//! multiplications. One pass over DRAM then applies the
-//! whole stage; only clusters wider than the tile fall back to a
-//! dedicated full sweep.
+//! rest), diagonals as phase multiplications at vector width. One pass
+//! over DRAM then applies the whole stage; only clusters wider than the
+//! tile fall back to a dedicated full sweep.
+//!
+//! **Diagonal folds.** A diagonal is tabulated once per pass as phase
+//! patterns, one per value of its operand bits outside compact in-tile
+//! positions 0–2 (the lane bits of every vector): eight amplitudes laid
+//! out as the tile's are when an operand sits on those positions, one
+//! broadcast phase otherwise. Each span of the tile whose other in-tile
+//! operand bits are constant picks its pattern once and multiplies whole
+//! vectors by it, at the width `KernelConfig::simd` and CPUID select for
+//! the block-lane kernel.
 //!
 //! Bit-exactness contract: for the same op order and [`KernelConfig`],
 //! the tiled executor produces *bitwise identical* amplitudes to the
 //! per-gate oracle. Every step-3 kernel issues the same FMA chain per
 //! output amplitude over the same 2^k-amplitude groups (tile
 //! decomposition only regroups the independent block counters, and which
-//! kernel takes which counter cannot reach the bits), and the diagonal fold
-//! mirrors `specialized::apply_diagonal` / the rank-reduction in
-//! `qsim-core::dist` branch for branch — including the 1-qubit
-//! unit-first-entry fast path, which *skips* (rather than multiplies by
-//! one) the untouched half. The proptests in `qsim-core` assert
-//! `max_dist == 0.0`.
+//! kernel takes which counter cannot reach the bits), and the diagonal
+//! fold multiplies each amplitude by the entry `specialized::apply_diagonal`
+//! / the rank reduction in `qsim-core::exec` would, as the same `Complex`
+//! product — including the 1-qubit unit-first-entry fast path, whose
+//! untouched half is masked off (never multiplied by one). The unit tests below compare `to_bits()`, signed zeros
+//! included; the proptests in `qsim-core` assert `max_dist == 0.0`.
 
 use crate::apply::KernelConfig;
-use crate::lane::{LaneKernel, PackedLane};
+use crate::lane::{LaneKernel, PackedLane, Width};
 use crate::matrix::{GateMatrix, PackedMatrix};
 use crate::opt::{self, apply_blocked_packed_range, MAX_K};
 use crate::parallel::{self, chunk_ranges, DisjointSlice, PAR_THRESHOLD};
@@ -127,11 +134,11 @@ pub fn effective_tile_qubits(tile: u32, local_qubits: u32, threads: usize) -> u3
 
 /// The precisions the engines run at — the bound `qsim-core`, `qsim-ooc`
 /// and the benchmark harness name. Nothing more than "has a block-lane
-/// kernel" ([`LaneKernel`]): every other step-3 piece is generic over
-/// [`Real`].
-pub trait SweepDispatch: LaneKernel {}
+/// kernel" ([`LaneKernel`]) and a vector diagonal fold ([`DiagFold`]):
+/// every other step-3 piece is generic over [`Real`].
+pub trait SweepDispatch: LaneKernel + DiagFold {}
 
-impl<T: LaneKernel> SweepDispatch for T {}
+impl<T: LaneKernel + DiagFold> SweepDispatch for T {}
 
 /// A dense gate matrix packed for the production step-3 path: the
 /// block-lane form at the vector width `cfg.simd` selects on this host
@@ -240,132 +247,577 @@ impl<R: SweepDispatch> PreparedGate<R> {
     }
 }
 
+/// Compact in-tile positions a phase pattern spans, `0..PATTERN_BITS`:
+/// the lane bits of every vector the fold runs at (eight f32 amplitudes
+/// at 512 bits, fewer at every other width).
+const PATTERN_BITS: u32 = 3;
+/// Amplitudes of one phase pattern.
+const PATTERN: usize = 1 << PATTERN_BITS;
+
+/// What the fold does to the amplitudes of one pattern.
+#[derive(Copy, Clone)]
+enum Kind {
+    /// Nothing: every amplitude is one the fast path skips.
+    Skip,
+    /// Multiply every amplitude.
+    Full,
+    /// Multiply the amplitudes [`PreparedDiag::mask`] selects; the others
+    /// keep their bits.
+    Masked,
+}
+
 /// A diagonal op prepared for per-tile folding. [`TiledPass::new`]
-/// resolves each operand once against the tile it stages: inside the tile
-/// (bit of the in-tile index), outside the tile but local (bit of the
-/// tile's base index), or global (bit of the rank).
+/// resolves each operand once against the tile it stages — inside the
+/// tile (a bit of the in-tile index), outside the tile but local (a bit
+/// of the tile's base index), or global (a bit of the rank) — and
+/// tabulates the diagonal as one phase pattern per value of the operand
+/// bits that do not vary inside an aligned block of [`PATTERN`]
+/// amplitudes.
 pub struct PreparedDiag<R: Real = f64> {
     diag: Vec<Complex<R>>,
     positions: Vec<u32>,
     local_qubits: u32,
-    /// (operand slot, compact in-tile position), ascending by position.
-    in_tile: Vec<(usize, u32)>,
-    /// (operand slot, physical position < local_qubits, not in tile).
-    from_base: Vec<(usize, u32)>,
-    /// (operand slot, rank-bit shift `p - local_qubits`).
-    from_rank: Vec<(usize, u32)>,
+    /// Vector width of the fold, picked as the block-lane kernel's is.
+    width: Option<Width>,
+    /// (pattern-index bit, rank-bit shift `p - local_qubits`).
+    from_rank: Vec<(u32, u32)>,
+    /// (pattern-index bit, physical position < local_qubits, not in tile).
+    from_base: Vec<(u32, u32)>,
+    /// (pattern-index bit, compact in-tile position >= PATTERN_BITS).
+    in_tile: Vec<(u32, u32)>,
+    /// log2 of the in-tile span one pattern covers: the lowest position
+    /// of `in_tile` (`u32::MAX` with none: the whole tile).
+    span_bits: u32,
+    /// Amplitudes per pattern: [`PATTERN`], laid out as the amplitudes
+    /// of a block are, when an operand sits on compact positions
+    /// `0..PATTERN_BITS`; else 1, the phase of every amplitude.
+    pattern_len: usize,
+    /// The patterns, `pattern_len` phases each, by pattern index.
+    phases: Vec<Complex<R>>,
+    /// What the fold does with each pattern.
+    kinds: Vec<Kind>,
+    /// Of a [`Kind::Masked`] pattern: every bit set on both components of
+    /// an amplitude the fold multiplies, clear on one the fast path skips.
+    mask: [R; 2 * PATTERN],
 }
 
 impl<R: Real> PreparedDiag<R> {
     /// A diagonal on physical `positions`; those `>= local_qubits` are
-    /// rank bits.
-    pub fn new(positions: &[u32], diag: Vec<Complex<R>>, local_qubits: u32) -> Self {
+    /// rank bits. The fold runs at the vector width `cfg.simd` selects on
+    /// this host.
+    pub fn new(
+        positions: &[u32],
+        diag: Vec<Complex<R>>,
+        local_qubits: u32,
+        cfg: &KernelConfig,
+    ) -> Self {
         assert_eq!(diag.len(), 1usize << positions.len(), "diagonal size");
         Self {
             diag,
             positions: positions.to_vec(),
             local_qubits,
-            in_tile: Vec::new(),
-            from_base: Vec::new(),
+            width: Width::pick(cfg.simd),
             from_rank: Vec::new(),
+            from_base: Vec::new(),
+            in_tile: Vec::new(),
+            span_bits: u32::MAX,
+            pattern_len: 1,
+            phases: Vec::new(),
+            kinds: Vec::new(),
+            mask: [R::ZERO; 2 * PATTERN],
         }
     }
 
-    /// Classify the operands against a sorted `tile` position set.
+    /// Classify the operands against a sorted `tile` position set and
+    /// tabulate the patterns.
+    ///
+    /// Mirrors `apply_rank_diagonal` + `specialized::apply_diagonal`
+    /// entry for entry, so the fold is bit-exact against the per-gate
+    /// oracle: every amplitude is multiplied by its entry as one
+    /// `Complex` product — also by an entry of exactly one — except where
+    /// the oracle takes its fast path: a lone local operand whose clear
+    /// entry is one leaves the amplitudes with its bit clear untouched
+    /// (masked off, never multiplied by one).
     fn resolve(&mut self, tile: &[u32]) {
-        self.in_tile.clear();
-        self.from_base.clear();
         self.from_rank.clear();
+        self.from_base.clear();
+        self.in_tile.clear();
+        // (operand slot, compact position) of the operands whose bits vary
+        // inside a pattern, and the operand slot of each pattern-index bit.
+        let mut lanes = Vec::new();
+        let mut slots = Vec::new();
         for (j, &p) in self.positions.iter().enumerate() {
-            if let Ok(cp) = tile.binary_search(&p) {
-                self.in_tile.push((j, cp as u32));
-            } else if p < self.local_qubits {
-                self.from_base.push((j, p));
-            } else {
-                self.from_rank.push((j, p - self.local_qubits));
+            let bit = slots.len() as u32;
+            match tile.binary_search(&p) {
+                Ok(cp) if (cp as u32) < PATTERN_BITS => {
+                    lanes.push((j, cp as u32));
+                    continue;
+                }
+                Ok(cp) => self.in_tile.push((bit, cp as u32)),
+                Err(_) if p < self.local_qubits => self.from_base.push((bit, p)),
+                Err(_) => self.from_rank.push((bit, p - self.local_qubits)),
+            }
+            slots.push(j);
+        }
+        self.span_bits = self
+            .in_tile
+            .iter()
+            .map(|&(_, cp)| cp)
+            .min()
+            .unwrap_or(u32::MAX);
+        let mut local =
+            (0..self.positions.len()).filter(|&j| self.positions[j] < self.local_qubits);
+        let lone = match (local.next(), local.next()) {
+            (Some(j), None) => Some(j),
+            _ => None,
+        };
+        // A lone local operand on the lane bits: the bit a masked
+        // pattern multiplies the amplitudes of.
+        let lone_lane = lanes
+            .iter()
+            .find(|&&(j, _)| Some(j) == lone)
+            .map(|&(_, cp)| cp);
+        self.mask = std::array::from_fn(|c| match lone_lane {
+            Some(cp) if (c / 2) >> cp & 1 == 0 => R::ZERO,
+            _ => R::from_bits_u64(u64::MAX),
+        });
+        self.pattern_len = if lanes.is_empty() { 1 } else { PATTERN };
+        self.phases.clear();
+        self.kinds.clear();
+        for r in 0..1usize << slots.len() {
+            let rest = slots
+                .iter()
+                .enumerate()
+                .fold(0, |e, (b, &j)| e | (r >> b & 1) << j);
+            let mut multiplied = 0;
+            for a in 0..self.pattern_len {
+                let e = lanes
+                    .iter()
+                    .fold(rest, |e, &(j, cp)| e | (a >> cp & 1) << j);
+                let d = self.diag[e];
+                let skip = lone.is_some_and(|j| e >> j & 1 == 0)
+                    && (d - Complex::one()).abs() <= R::EPSILON;
+                self.phases.push(d);
+                multiplied += usize::from(!skip);
+            }
+            self.kinds.push(match multiplied {
+                0 => Kind::Skip,
+                m if m == self.pattern_len => Kind::Full,
+                _ => Kind::Masked,
+            });
+        }
+    }
+
+    /// The pattern-index bits of a tile at state index `base` on rank
+    /// `rank`: those of its rank and base operands.
+    #[inline(always)]
+    fn fixed(&self, base: usize, rank: usize) -> usize {
+        let mut idx = 0;
+        for &(b, s) in &self.from_rank {
+            idx |= (rank >> s & 1) << b;
+        }
+        for &(b, p) in &self.from_base {
+            idx |= get_bit(base, p) << b;
+        }
+        idx
+    }
+
+    /// Fold the diagonal into `chunk`, the tile at state index `base` on
+    /// rank `rank`: per value of its in-tile operand bits, the pattern
+    /// that value picks multiplies every span of the tile that has it.
+    ///
+    /// # Safety
+    /// `V`'s ISA must be available; `chunk.len()` must be a power of two,
+    /// and at least [`PATTERN`] unless `V::AMPS == 1`.
+    #[inline(always)]
+    unsafe fn fold<V: PhaseVec<Scalar = R>>(
+        &self,
+        chunk: &mut [Complex<R>],
+        base: usize,
+        rank: usize,
+    ) {
+        let len = chunk.len();
+        debug_assert!(len.is_power_of_two() && (V::AMPS == 1 || len >= PATTERN));
+        // `Complex<R>` is `repr(C) { re, im }`: the chunk is 2·len scalars.
+        let sp = chunk.as_mut_ptr() as *mut R;
+        let fixed = self.fixed(base, rank);
+        let span = 1usize << self.span_bits.min(len.ilog2());
+        let operand_bits = self.in_tile.iter().fold(0, |m, &(_, cp)| m | 1 << cp);
+        // The bits of a span's offset that pick no pattern.
+        let free = (len - 1) & !(span - 1) & !operand_bits;
+        for c in 0..1usize << self.in_tile.len() {
+            let (start, idx) = self
+                .in_tile
+                .iter()
+                .enumerate()
+                .fold((0, fixed), |(at, i), (k, &(b, cp))| {
+                    (at | (c >> k & 1) << cp, i | (c >> k & 1) << b)
+                });
+            if start >= len {
+                continue;
+            }
+            let pat = self.phases[idx * self.pattern_len..].as_ptr();
+            // SAFETY: every span `scale` visits, `start` with any bits of
+            // `free`, lies inside the chunk; `span` (a power of two, at
+            // least a pattern whenever `len` is) keeps its length
+            // contract, and pattern `idx` is `pattern_len` phases.
+            match self.kinds[idx] {
+                Kind::Skip => {}
+                Kind::Full => scale::<V, false>(sp, start, span, free, pat, self),
+                Kind::Masked => scale::<V, true>(sp, start, span, free, pat, self),
             }
         }
-        self.in_tile.sort_unstable_by_key(|&(_, cp)| cp);
     }
+}
 
+/// Multiply by the pattern at `pat` the spans of `span` amplitudes at
+/// `sp` whose offsets are `start` with any bits of `free` set, the
+/// pattern repeated over each; `MASKED` keeps the bits of the amplitudes
+/// `d.mask` leaves out. The pattern's vectors stay in registers over
+/// every span.
+///
+/// # Safety
+/// `V`'s ISA must be available; `sp` must be valid for reads and writes
+/// of every span; `pat` for reads of `d.pattern_len` phases; `span` must
+/// be a multiple of [`PATTERN`], or smaller than it with `V::AMPS == 1`.
+#[inline(always)]
+unsafe fn scale<V: PhaseVec, const MASKED: bool>(
+    sp: *mut V::Scalar,
+    start: usize,
+    span: usize,
+    free: usize,
+    pat: *const Complex<V::Scalar>,
+    d: &PreparedDiag<V::Scalar>,
+) {
+    // The pattern's `PATTERN / V::AMPS` vectors (one phase: that phase
+    // in every slot of each), repeating every `PATTERN` amplitudes.
+    let x = |v: usize| 2 * V::AMPS * v.min(PATTERN / V::AMPS - 1);
+    let p: [V; PATTERN] = std::array::from_fn(|v| {
+        if d.pattern_len == 1 {
+            V::splat(pat.cast())
+        } else {
+            V::load(pat.cast::<V::Scalar>().add(x(v)))
+        }
+    });
+    let s: [V; PATTERN] = std::array::from_fn(|v| V::swap(p[v]));
+    let m: [V; PATTERN] = std::array::from_fn(|v| V::load(d.mask.as_ptr().add(x(v))));
+    // Every offset `start | f`, `f` over the subsets of `free` (a masked
+    // increment).
+    let mut f = 0usize;
+    loop {
+        let off = start | f;
+        for blk in (off..off + span).step_by(PATTERN) {
+            for v in 0..PATTERN / V::AMPS {
+                // A span shorter than a pattern (the scalar form only).
+                if V::AMPS == 1 && v >= span {
+                    break;
+                }
+                step::<V, MASKED>(sp.add(2 * (blk + v * V::AMPS)), p[v], s[v], m[v]);
+            }
+        }
+        f = (f | !free).wrapping_add(1) & free;
+        if f == 0 {
+            break;
+        }
+    }
+}
+
+/// Multiply the amplitudes at `a` by `p` (`s` its swap); `MASKED` keeps
+/// those `m` leaves out.
+///
+/// # Safety
+/// `V`'s ISA must be available; `a` must be valid for reads and writes
+/// of `V::AMPS` amplitudes.
+#[inline(always)]
+unsafe fn step<V: PhaseVec, const MASKED: bool>(a: *mut V::Scalar, p: V, s: V, m: V) {
+    let old = V::load(a);
+    let new = V::mul(old, p, s);
+    V::store(a, if MASKED { V::select(m, new, old) } else { new });
+}
+
+/// One vector of `AMPS` interleaved amplitudes for the diagonal fold: the
+/// 256- and 512-bit vectors of [`crate::lane`], and one `Complex` — the
+/// scalar form.
+///
+/// The methods are `inline(always)` and carry no `target_feature` of their
+/// own: they are only instantiated inside the `#[target_feature]` entry
+/// points of `x86` (checked by `scripts/check_kernel_asm.sh`) and, for
+/// `Complex`, in the portable fallback.
+///
+/// # Safety
+/// Every method requires the vector's ISA; `load` and `store` require `p`
+/// to be valid for `AMPS` amplitudes of reads or writes. No alignment is
+/// required.
+trait PhaseVec: Copy {
+    type Scalar: Real;
+    /// Amplitudes per vector; divides [`PATTERN`].
+    const AMPS: usize;
+    unsafe fn load(p: *const Self::Scalar) -> Self;
+    unsafe fn store(p: *mut Self::Scalar, v: Self);
+    /// The amplitude at `p` in every slot.
+    unsafe fn splat(p: *const Self::Scalar) -> Self;
+    /// `(d_I, d_R)` per amplitude `(d_R, d_I)` of `d`.
+    unsafe fn swap(d: Self) -> Self;
+    /// `v · d` per amplitude, bit for bit `Complex`'s product
+    /// `(fma(v_R, d_R, −(v_I·d_I)), fma(v_R, d_I, v_I·d_R))`, given
+    /// `s = swap(d)`: one `fmaddsub` of `(v_R, v_R)·d` and
+    /// `(v_I, v_I)·s`, which rounds the `v_I` products once each.
+    unsafe fn mul(v: Self, d: Self, s: Self) -> Self;
+    /// `a`'s amplitudes where `m`'s bits are set, `b`'s where clear.
+    unsafe fn select(m: Self, a: Self, b: Self) -> Self;
+}
+
+impl<S: Real> PhaseVec for Complex<S> {
+    type Scalar = S;
+    const AMPS: usize = 1;
+    #[inline(always)]
+    unsafe fn load(p: *const S) -> Self {
+        Complex::new(*p, *p.add(1))
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut S, v: Self) {
+        *p = v.re;
+        *p.add(1) = v.im;
+    }
+    #[inline(always)]
+    unsafe fn splat(p: *const S) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn swap(d: Self) -> Self {
+        Complex::new(d.im, d.re)
+    }
+    #[inline(always)]
+    unsafe fn mul(v: Self, d: Self, _s: Self) -> Self {
+        v * d
+    }
+    #[inline(always)]
+    unsafe fn select(m: Self, a: Self, b: Self) -> Self {
+        if m.re.to_bits_u64() != 0 {
+            a
+        } else {
+            b
+        }
+    }
+}
+
+/// Precisions with a vector form of the diagonal fold — what
+/// [`TiledPass`] needs of a precision beside its block-lane kernel.
+pub trait DiagFold: Real {
+    /// [`PreparedDiag::apply_chunk`] at the vector width `d` was prepared
+    /// for.
+    fn fold(d: &PreparedDiag<Self>, chunk: &mut [Complex<Self>], base: usize, rank: usize);
+}
+
+impl<R: DiagFold> PreparedDiag<R> {
     /// Fold the diagonal into one tile. `base` is the full-state index
     /// whose in-tile bits are zero (tile base); `rank` supplies bits of
     /// positions >= local_qubits.
     ///
-    /// Mirrors `apply_rank_diagonal` + `specialized::apply_diagonal`
-    /// branch for branch so the fold is bit-exact against the per-gate
-    /// oracle: the pure-global case is one scalar phase, the 1-local-
-    /// operand unit-first-entry case touches only the bit-set half, and
-    /// the general case multiplies every amplitude by its gathered entry
-    /// — run-wise: the 2^(lowest in-tile operand) consecutive amplitudes
-    /// that share an entry are multiplied by it as one slice.
+    /// Every span of the tile whose in-tile operand bits above the lane
+    /// bits are constant picks its phase pattern once (see
+    /// [`Self::resolve`]) and multiplies whole vectors by it — a
+    /// unit-first fast path's untouched amplitudes masked off — at the
+    /// vector width of `KernelConfig::simd` on this host.
     pub fn apply_chunk(&self, chunk: &mut [Complex<R>], base: usize, rank: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if crate::avx::avx2_available() {
-                // SAFETY: AVX2 and FMA presence checked at runtime above.
-                unsafe { self.fold_fma(chunk, base, rank) };
-                return;
+        assert!(chunk.len().is_power_of_two(), "a tile is 2^T amplitudes");
+        R::fold(self, chunk, base, rank);
+    }
+}
+
+macro_rules! impl_diag_fold {
+    ($t:ty, $x1:ident, $v256:ident, $v512:ident) => {
+        impl DiagFold for $t {
+            fn fold(d: &PreparedDiag<$t>, chunk: &mut [Complex<$t>], base: usize, rank: usize) {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    // SAFETY: a width is only ever set by `Width::pick`,
+                    // which found its ISA in CPUID; the vector forms take
+                    // a power-of-two chunk of at least a pattern, the
+                    // scalar entry (AVX2 + FMA, checked here) any power
+                    // of two, which `apply_chunk` asserted.
+                    unsafe {
+                        match d.width.filter(|_| chunk.len() >= PATTERN) {
+                            Some(Width::V512) => return x86::$v512(d, chunk, base, rank),
+                            Some(Width::V256) => return x86::$v256(d, chunk, base, rank),
+                            None if crate::avx::avx2_available() => {
+                                return x86::$x1(d, chunk, base, rank)
+                            }
+                            None => {}
+                        }
+                    }
+                }
+                // SAFETY: the scalar form needs no ISA, and `apply_chunk`
+                // asserted the power-of-two chunk it needs.
+                unsafe { d.fold::<Complex<$t>>(chunk, base, rank) }
             }
         }
-        self.fold(chunk, base, rank);
+    };
+}
+
+impl_diag_fold!(f64, fold_f64x1, fold_f64x2, fold_f64x4);
+impl_diag_fold!(f32, fold_f32x1, fold_f32x4, fold_f32x8);
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{PhaseVec, PreparedDiag};
+    use core::arch::x86_64::*;
+    use qsim_util::complex::Complex;
+
+    impl PhaseVec for __m256d {
+        type Scalar = f64;
+        const AMPS: usize = 2;
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm256_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, v: Self) {
+            _mm256_storeu_pd(p, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f64) -> Self {
+            let c = _mm_loadu_pd(p);
+            _mm256_set_m128d(c, c)
+        }
+        #[inline(always)]
+        unsafe fn swap(d: Self) -> Self {
+            _mm256_permute_pd(d, 0b0101)
+        }
+        #[inline(always)]
+        unsafe fn mul(v: Self, d: Self, s: Self) -> Self {
+            let im = _mm256_permute_pd(v, 0b1111);
+            _mm256_fmaddsub_pd(_mm256_movedup_pd(v), d, _mm256_mul_pd(im, s))
+        }
+        #[inline(always)]
+        unsafe fn select(m: Self, a: Self, b: Self) -> Self {
+            _mm256_blendv_pd(b, a, m)
+        }
     }
 
-    /// [`Self::fold`] compiled with FMA enabled: `Complex`'s product is
-    /// written with `mul_add`, which is a libm call per component without
-    /// the feature and one `vfmadd` (vectorised over a run) with it —
-    /// the same single-rounding operation, so the same bits.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fold_fma(&self, chunk: &mut [Complex<R>], base: usize, rank: usize) {
-        self.fold(chunk, base, rank);
+    impl PhaseVec for __m256 {
+        type Scalar = f32;
+        const AMPS: usize = 4;
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: Self) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f32) -> Self {
+            _mm256_castsi256_ps(_mm256_set1_epi64x(p.cast::<i64>().read_unaligned()))
+        }
+        #[inline(always)]
+        unsafe fn swap(d: Self) -> Self {
+            _mm256_permute_ps(d, 0b10_11_00_01)
+        }
+        #[inline(always)]
+        unsafe fn mul(v: Self, d: Self, s: Self) -> Self {
+            let im = _mm256_movehdup_ps(v);
+            _mm256_fmaddsub_ps(_mm256_moveldup_ps(v), d, _mm256_mul_ps(im, s))
+        }
+        #[inline(always)]
+        unsafe fn select(m: Self, a: Self, b: Self) -> Self {
+            _mm256_blendv_ps(b, a, m)
+        }
     }
 
-    #[inline(always)]
-    fn fold(&self, chunk: &mut [Complex<R>], base: usize, rank: usize) {
-        let scale = |run: &mut [Complex<R>], phase: Complex<R>| {
-            for a in run {
-                *a *= phase;
-            }
-        };
-        let mut fixed = 0usize;
-        for &(j, s) in &self.from_rank {
-            fixed |= ((rank >> s) & 1) << j;
+    // Only AVX-512F intrinsics (KNL has F without DQ).
+    impl PhaseVec for __m512d {
+        type Scalar = f64;
+        const AMPS: usize = 4;
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm512_loadu_pd(p)
         }
-        let n_local = self.in_tile.len() + self.from_base.len();
-        if n_local == 1 && (self.diag[fixed] - Complex::one()).abs() <= R::EPSILON {
-            // apply_diagonal's fast path: skip — don't multiply by one —
-            // the half whose local bit is clear.
-            if let Some(&(j, cp)) = self.in_tile.first() {
-                let phase = self.diag[fixed | (1usize << j)];
-                let stride = 1usize << cp;
-                for pair in chunk.chunks_exact_mut(2 * stride) {
-                    scale(&mut pair[stride..], phase);
-                }
-            } else {
-                let (j, p) = self.from_base[0];
-                if get_bit(base, p) == 1 {
-                    scale(chunk, self.diag[fixed | (1usize << j)]);
-                }
-            }
-            return;
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, v: Self) {
+            _mm512_storeu_pd(p, v)
         }
-        for &(j, p) in &self.from_base {
-            fixed |= get_bit(base, p) << j;
+        #[inline(always)]
+        unsafe fn splat(p: *const f64) -> Self {
+            let c = _mm_castpd_ps(_mm_loadu_pd(p));
+            _mm512_castps_pd(_mm512_broadcast_f32x4(c))
         }
-        // No in-tile operand: the whole tile shares one entry.
-        let lo = self
-            .in_tile
-            .first()
-            .map_or(chunk.len().ilog2(), |&(_, cp)| cp);
-        for (r, run) in chunk.chunks_exact_mut(1 << lo).enumerate() {
-            let mut idx = fixed;
-            for &(j, cp) in &self.in_tile {
-                idx |= ((r >> (cp - lo)) & 1) << j;
-            }
-            scale(run, self.diag[idx]);
+        #[inline(always)]
+        unsafe fn swap(d: Self) -> Self {
+            _mm512_permute_pd(d, 0b0101_0101)
+        }
+        #[inline(always)]
+        unsafe fn mul(v: Self, d: Self, s: Self) -> Self {
+            let im = _mm512_permute_pd(v, 0b1111_1111);
+            _mm512_fmaddsub_pd(_mm512_movedup_pd(v), d, _mm512_mul_pd(im, s))
+        }
+        #[inline(always)]
+        unsafe fn select(m: Self, a: Self, b: Self) -> Self {
+            let m = _mm512_castpd_si512(m);
+            _mm512_mask_blend_pd(_mm512_test_epi64_mask(m, m), b, a)
         }
     }
+
+    impl PhaseVec for __m512 {
+        type Scalar = f32;
+        const AMPS: usize = 8;
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: Self) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f32) -> Self {
+            _mm512_castsi512_ps(_mm512_set1_epi64(p.cast::<i64>().read_unaligned()))
+        }
+        #[inline(always)]
+        unsafe fn swap(d: Self) -> Self {
+            _mm512_permute_ps(d, 0b10_11_00_01)
+        }
+        #[inline(always)]
+        unsafe fn mul(v: Self, d: Self, s: Self) -> Self {
+            let im = _mm512_movehdup_ps(v);
+            _mm512_fmaddsub_ps(_mm512_moveldup_ps(v), d, _mm512_mul_ps(im, s))
+        }
+        #[inline(always)]
+        unsafe fn select(m: Self, a: Self, b: Self) -> Self {
+            let m = _mm512_castps_si512(m);
+            _mm512_mask_blend_ps(_mm512_test_epi32_mask(m, m), b, a)
+        }
+    }
+
+    macro_rules! fold_entry {
+        ($feat:literal, $($name:ident: $v:ty),+) => {$(
+            /// [`PreparedDiag::fold`] at this vector; the one `Complex`
+            /// forms are the scalar fold, compiled with FMA so that
+            /// `mul_add` is one instruction, not a libm call per component.
+            ///
+            /// # Safety
+            /// As [`PreparedDiag::fold`]; the target features enabled here
+            /// are the ISA it needs for this vector.
+            #[target_feature(enable = $feat)]
+            pub(super) unsafe fn $name(
+                d: &PreparedDiag<<$v as PhaseVec>::Scalar>,
+                chunk: &mut [Complex<<$v as PhaseVec>::Scalar>],
+                base: usize,
+                rank: usize,
+            ) {
+                // SAFETY: the caller's contract is `fold`'s.
+                d.fold::<$v>(chunk, base, rank)
+            }
+        )+};
+    }
+    fold_entry!(
+        "avx2,fma",
+        fold_f64x1: Complex<f64>,
+        fold_f32x1: Complex<f32>,
+        fold_f64x2: __m256d,
+        fold_f32x4: __m256
+    );
+    fold_entry!("avx512f", fold_f64x4: __m512d, fold_f32x8: __m512);
 }
 
 /// One op of a tiled pass, at physical positions.
@@ -671,7 +1123,7 @@ mod tests {
     use super::*;
     use crate::apply::{apply_gate, Simd};
     use crate::specialized::apply_diagonal;
-    use qsim_util::complex::max_dist;
+    use crate::testutil::assert_bits_eq;
     use qsim_util::{c32, c64, Xoshiro256};
 
     fn random_state(n: u32, seed: u64) -> Vec<c64> {
@@ -720,14 +1172,14 @@ mod tests {
                 tile.clone(),
                 vec![
                     TileOp::Dense(PreparedGate::new(&[0, 3], &m1, &cfg)),
-                    TileOp::Diag(PreparedDiag::new(&[5], t_diag(), n)),
+                    TileOp::Diag(PreparedDiag::new(&[5], t_diag(), n, &cfg)),
                     TileOp::Dense(PreparedGate::new(&[1, 2, 4], &m2, &cfg)),
                 ],
             );
             let mut tiled = state0;
             let mut stats = SweepStats::default();
             pass.run(&mut tiled, 0, 1, &mut stats);
-            assert_eq!(max_dist(&tiled, &oracle), 0.0, "simd={simd:?}");
+            assert_bits_eq(&tiled, &oracle, &format!("simd={simd:?}"));
             assert_eq!(stats.sweep_passes, 1);
             assert_eq!(stats.baseline_passes, 3);
             assert_eq!(stats.tile_local_gates, 2);
@@ -755,14 +1207,14 @@ mod tests {
                 tile.clone(),
                 vec![
                     TileOp::Dense(PreparedGate::new(&[0, 3], &m1, &cfg)),
-                    TileOp::Diag(PreparedDiag::new(&[5], diag32.clone(), n)),
+                    TileOp::Diag(PreparedDiag::new(&[5], diag32.clone(), n, &cfg)),
                     TileOp::Dense(PreparedGate::new(&[1, 2, 4], &m2, &cfg)),
                 ],
             );
             let mut tiled = state0;
             let mut stats = SweepStats::default();
             pass.run(&mut tiled, 0, 1, &mut stats);
-            assert_eq!(max_dist(&tiled, &oracle), 0.0, "simd={simd:?}");
+            assert_bits_eq(&tiled, &oracle, &format!("simd={simd:?}"));
             // f32 amplitudes are 8 bytes, not 16: the streamed-bytes
             // counter must show half the f64 traffic per pass.
             assert_eq!(stats.bytes_streamed, 2 * (1u64 << n) * 8);
@@ -789,13 +1241,13 @@ mod tests {
             tile.clone(),
             vec![
                 TileOp::Dense(PreparedGate::new(&qubits, &m, &cfg)),
-                TileOp::Diag(PreparedDiag::new(&[3], t_diag(), n)),
+                TileOp::Diag(PreparedDiag::new(&[3], t_diag(), n, &cfg)),
             ],
         );
         let mut tiled = state0;
         let mut stats = SweepStats::default();
         pass.run(&mut tiled, 0, 1, &mut stats);
-        assert_eq!(max_dist(&tiled, &oracle), 0.0);
+        assert_bits_eq(&tiled, &oracle, "gathered pass");
     }
 
     #[test]
@@ -813,7 +1265,7 @@ mod tests {
                 tile.clone(),
                 vec![
                     TileOp::Dense(PreparedGate::new(&[0, 2, 4, 6], &m, &cfg)),
-                    TileOp::Diag(PreparedDiag::new(&[9], t_diag(), n)),
+                    TileOp::Diag(PreparedDiag::new(&[9], t_diag(), n, &cfg)),
                 ],
             )
         };
@@ -822,7 +1274,7 @@ mod tests {
         let mut stats = SweepStats::default();
         mk_pass().run(&mut seq, 0, 1, &mut stats);
         mk_pass().run(&mut par, 0, 4, &mut stats);
-        assert_eq!(max_dist(&seq, &par), 0.0);
+        assert_bits_eq(&seq, &par, "parallel pass");
     }
 
     #[test]
@@ -842,12 +1294,12 @@ mod tests {
             let mut oracle = state0.clone();
             apply_diagonal(&mut oracle, &[4], &reduced);
 
-            let pd = PreparedDiag::new(&[4, l], diag.clone(), l);
+            let pd = PreparedDiag::new(&[4, l], diag.clone(), l, &KernelConfig::default());
             let pass = TiledPass::new(tile.clone(), vec![TileOp::Diag(pd)]);
             let mut tiled = state0.clone();
             let mut stats = SweepStats::default();
             pass.run(&mut tiled, rank, 1, &mut stats);
-            assert_eq!(max_dist(&tiled, &oracle), 0.0, "rank={rank}");
+            assert_bits_eq(&tiled, &oracle, &format!("rank={rank}"));
         }
     }
 
@@ -882,17 +1334,16 @@ mod tests {
             tile.to_vec(),
             vec![
                 TileOp::Dense(PreparedGate::new(&q3, &m3, &cfg)),
-                TileOp::Diag(PreparedDiag::new(&dq, diag, n)),
+                TileOp::Diag(PreparedDiag::new(&dq, diag, n, &cfg)),
                 TileOp::Dense(PreparedGate::new(&q2, &m2, &cfg)),
             ],
         );
         let mut tiled = state0;
         pass.run(&mut tiled, 0, threads, &mut SweepStats::default());
-        assert_eq!(
-            max_dist(&tiled, &oracle),
-            R::ZERO,
-            "{} n={n} threads={threads} tile={tile:?}",
-            R::NAME
+        assert_bits_eq(
+            &tiled,
+            &oracle,
+            &format!("n={n} threads={threads} tile={tile:?}"),
         );
     }
 
@@ -953,6 +1404,7 @@ mod tests {
         // Oracle: reduce by the rank bit (the dist-path reduction), then
         // `apply_diagonal` on the whole local state.
         let l = 10u32;
+        let cfg = KernelConfig::default();
         let state0 = random_state(l, 61);
         let diag: Vec<c64> = (0..16)
             .map(|i| c64::from_polar(1.0, 0.37 * i as f64 + 0.2))
@@ -974,14 +1426,14 @@ mod tests {
                 let mut oracle = state0.clone();
                 apply_diagonal(&mut oracle, &local, &reduced);
                 for tile in tiles {
-                    let pd = PreparedDiag::new(&positions, diag.clone(), l);
+                    let pd = PreparedDiag::new(&positions, diag.clone(), l, &cfg);
                     let pass = TiledPass::new(tile.to_vec(), vec![TileOp::Diag(pd)]);
                     let mut tiled = state0.clone();
                     pass.run(&mut tiled, rank, 1, &mut SweepStats::default());
-                    assert_eq!(
-                        max_dist(&tiled, &oracle),
-                        0.0,
-                        "positions={positions:?} rank={rank} tile={tile:?}"
+                    assert_bits_eq(
+                        &tiled,
+                        &oracle,
+                        &format!("positions={positions:?} rank={rank} tile={tile:?}"),
                     );
                 }
             }
@@ -992,12 +1444,171 @@ mod tests {
             let mut oracle = state0.clone();
             apply_diagonal(&mut oracle, &[q], &t_diag());
             for tile in tiles {
-                let pd = PreparedDiag::new(&[q], t_diag(), l);
+                let pd = PreparedDiag::new(&[q], t_diag(), l, &cfg);
                 let pass = TiledPass::new(tile.to_vec(), vec![TileOp::Diag(pd)]);
                 let mut tiled = state0.clone();
                 pass.run(&mut tiled, 0, 1, &mut SweepStats::default());
-                assert_eq!(max_dist(&tiled, &oracle), 0.0, "T on {q}, tile={tile:?}");
+                assert_bits_eq(&tiled, &oracle, &format!("T on {q}, tile={tile:?}"));
             }
+        }
+    }
+
+    /// Amplitudes whose components are +0.0, −0.0 or uniform in [−½, ½),
+    /// a third each: a fold that multiplies an amplitude the oracle
+    /// skips, or skips a multiplication by exactly (1, 0), flips the sign
+    /// of some zero.
+    fn signed_zero_amps<T: Real>(len: usize, rng: &mut Xoshiro256) -> Vec<Complex<T>> {
+        let mut c = || match rng.next_u64() % 3 {
+            0 => T::ZERO,
+            1 => -T::ZERO,
+            _ => T::from_f64(rng.next_f64() - 0.5),
+        };
+        (0..len).map(|_| Complex::new(c(), c())).collect()
+    }
+
+    /// `qsim_core::exec::apply_rank_diagonal`, which this crate cannot
+    /// call (`qsim-core` depends on it): reduce by the rank's bits, then
+    /// one global phase with no local operand, else `apply_diagonal` on the
+    /// local ones.
+    fn rank_diagonal<T: Real>(
+        amps: &mut [Complex<T>],
+        positions: &[u32],
+        diag: &[Complex<T>],
+        rank: usize,
+        l: u32,
+    ) {
+        let (mut local, mut fixed) = (Vec::new(), 0usize);
+        for (j, &p) in positions.iter().enumerate() {
+            if p < l {
+                local.push((j, p));
+            } else {
+                fixed |= (rank >> (p - l) & 1) << j;
+            }
+        }
+        if local.is_empty() {
+            crate::specialized::apply_global_phase(amps, diag[fixed]);
+            return;
+        }
+        let reduced: Vec<Complex<T>> = (0..1usize << local.len())
+            .map(|x| {
+                let idx = local
+                    .iter()
+                    .enumerate()
+                    .fold(fixed, |i, (b, &(j, _))| i | (x >> b & 1) << j);
+                diag[idx]
+            })
+            .collect();
+        let qs: Vec<u32> = local.iter().map(|&(_, p)| p).collect();
+        apply_diagonal(amps, &qs, &reduced);
+    }
+
+    /// A diagonal of `k` entries of one of three shapes: random phases
+    /// (the general path), a controlled phase — ones but the last entry,
+    /// so T at k = 1 and CZ-like above (the unit-first fast path on a lone
+    /// local operand, and exact (1, 0) entries on the general path) — and
+    /// a first entry of exactly one before random phases.
+    fn test_diag<T: Real>(k: usize, shape: usize, rng: &mut Xoshiro256) -> Vec<Complex<T>> {
+        (0..1usize << k)
+            .map(|e| {
+                let phase = c64::from_polar(1.0, 6.3 * rng.next_f64()).convert();
+                match shape % 3 {
+                    0 => phase,
+                    1 if e + 1 < 1 << k => Complex::one(),
+                    1 => phase,
+                    _ if e == 0 => Complex::one(),
+                    _ => phase,
+                }
+            })
+            .collect()
+    }
+
+    /// Every case of [`diagonal_runs_fold_bit_exact_at_every_width`] at
+    /// one precision and width: passes of 1–5 consecutive diagonals of
+    /// widths 1–4 over tiles of 2^2 and 2^5–2^10 amplitudes (contiguous and
+    /// staged), the first operand of each pass on compact position 0–6 of
+    /// the staged tile, a base bit or a rank bit, the others anywhere,
+    /// ranks 0 and 1 — one pass of the run and one pass per diagonal,
+    /// each against the oracle one diagonal at a time.
+    fn fold_cases<T: SweepDispatch>(simd: Simd) {
+        let l = 11u32;
+        let cfg = KernelConfig { simd, threads: 1 };
+        let mut rng = Xoshiro256::seed_from_u64(71);
+        let state0 = signed_zero_amps::<T>(1 << l, &mut rng);
+        let mut case = 0usize;
+        for t in [2u32, 5, 6, 7, 8, 9, 10] {
+            let mut scattered: Vec<u32> = (0..l).collect();
+            for i in (1..scattered.len()).rev() {
+                scattered.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            scattered.truncate(t as usize);
+            scattered.sort_unstable();
+            for tile in [(0..t).collect::<Vec<u32>>(), scattered] {
+                let staged = TiledPass::<T>::new(tile.clone(), vec![]).tile;
+                let base_bits: Vec<u32> = (0..l).filter(|p| !staged.contains(p)).collect();
+                for rank in [0usize, 1] {
+                    for first in 0..9usize {
+                        let p0 = match first {
+                            cp @ 0..=6 => match staged.get(cp) {
+                                Some(&p) => p,
+                                None => continue,
+                            },
+                            7 => base_bits[case % base_bits.len()],
+                            _ => l + (case % 2) as u32,
+                        };
+                        case += 1;
+                        let run: Vec<(Vec<u32>, Vec<Complex<T>>)> = (0..1 + case % 5)
+                            .map(|i| {
+                                let k = 1 + (case + i) % 4;
+                                let mut qs = vec![p0];
+                                while qs.len() < k {
+                                    let q = (rng.next_u64() % (l as u64 + 2)) as u32;
+                                    if !qs.contains(&q) {
+                                        qs.push(q);
+                                    }
+                                }
+                                (qs, test_diag(k, case + i, &mut rng))
+                            })
+                            .collect();
+                        let what = format!(
+                            "{} {simd:?} tile={tile:?} rank={rank} case={case} run={:?}",
+                            T::NAME,
+                            run.iter().map(|(qs, _)| qs).collect::<Vec<_>>()
+                        );
+                        let mut oracle = state0.clone();
+                        let mut single = state0.clone();
+                        for (qs, d) in &run {
+                            rank_diagonal(&mut oracle, qs, d, rank, l);
+                            let one = PreparedDiag::new(qs, d.clone(), l, &cfg);
+                            TiledPass::new(tile.clone(), vec![TileOp::Diag(one)]).run(
+                                &mut single,
+                                rank,
+                                1,
+                                &mut SweepStats::default(),
+                            );
+                        }
+                        let ops = run
+                            .iter()
+                            .map(|(qs, d)| TileOp::Diag(PreparedDiag::new(qs, d.clone(), l, &cfg)))
+                            .collect();
+                        let pass = TiledPass::new(tile.clone(), ops);
+                        let mut one_pass = state0.clone();
+                        let mut stats = SweepStats::default();
+                        pass.run(&mut one_pass, rank, 1, &mut stats);
+                        assert_eq!(stats.diagonals_folded, run.len() as u64);
+                        assert_eq!(stats.baseline_passes, run.len() as u64);
+                        assert_bits_eq(&one_pass, &oracle, &format!("{what}: one pass vs oracle"));
+                        assert_bits_eq(&single, &oracle, &format!("{what}: per op vs oracle"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_runs_fold_bit_exact_at_every_width() {
+        for simd in [Simd::Auto, Simd::Avx2, Simd::Scalar] {
+            fold_cases::<f64>(simd);
+            fold_cases::<f32>(simd);
         }
     }
 
@@ -1014,7 +1625,7 @@ mod tests {
         let mut stats = SweepStats::default();
         let g = PreparedGate::new(&qubits, &m, &cfg);
         run_full_pass(&mut swept, &g, 1, &mut stats);
-        assert_eq!(max_dist(&swept, &oracle), 0.0);
+        assert_bits_eq(&swept, &oracle, "full pass");
         assert_eq!(stats.fallback_gates, 1);
         assert_eq!(stats.pass_ratio(), 1.0);
     }

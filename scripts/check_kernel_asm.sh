@@ -38,14 +38,18 @@ import re, sys
 # the block-lane entry points at 512 bits (f64x4 / f32x8 blocks per vector)
 # and 256 bits (f64x2 / f32x4), each `r<rows>g<groups>` register block with
 # the `g1` symbol that takes the groups it leaves over, the Fig. 2 step-2
-# rung, and the scalar step-3 kernel's FMA wrapper.
+# rung, the scalar step-3 kernel's FMA wrapper, and the diagonal fold of
+# the tiled sweep at every vector (`x1`: the scalar fold, FMA-compiled —
+# a `mul_add` that does not inline is a libm `fma` call per component).
 BLOCKS = {"f64x4": ((2, 4), (4, 4), (8, 2)), "f32x8": ((2, 4), (4, 4), (8, 2)),
           "f64x2": ((2, 4), (4, 2)), "f32x4": ((2, 4), (4, 2))}
 BLOCKED = [rf"4lane3x86\d+{v}_r{r}g{g}[0-9A-Z]"
            for v, blocks in BLOCKS.items() for r, g in blocks]
 KERNELS = BLOCKED + [
     rf"4lane3x86\d+{v}_r{r}g1[0-9A-Z]" for v, blocks in BLOCKS.items() for r, _ in blocks
-] + [r"3avx\d+apply_avx_eq1_impl", r"3opt\d+blocked_range_fma"]
+] + [r"3avx\d+apply_avx_eq1_impl", r"3opt\d+blocked_range_fma"] + [
+    rf"5sweep3x86\d+fold_{v}[0-9A-Z]" for v in ("f64x1", "f32x1", "f64x2", "f32x4", "f64x4", "f32x8")
+]
 # The entries held to one matrix broadcast per two FMAs.
 SHARED_BROADCAST = [p for p in BLOCKED if "_r2g" not in p]
 COLD = re.compile(r"4lane3x86\d+\w+_r\d+g1[0-9A-Z]|panic|slice_index|_fail|handle_error|handle_alloc_error|_Unwind_Resume|unwrap_failed")
